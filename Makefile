@@ -1,13 +1,17 @@
 # Build / verification targets.
 #
-#   make check          tier-1: vet + build + full test suite
+#   make check          tier-1: gofmt clean + vet + build + full test suite
 #   make race           race-detector pass over the concurrent packages
 #   make stress         tier-2: the concurrency stress tests under -race
 #   make fuzz           10s per wire-protocol fuzz target
 #   make bench          the parallel-throughput server benchmark
 #   make bench-json     hot-path benchmarks frozen into BENCH_PR3.json
-#   make alloc-guard    zero-allocation regression tests for the
-#                       search hot path (match, caram, server)
+#   make bench-load     one full caram-load run (five workloads, untraced
+#                       and traced, plus the ladder) into a git-ignored
+#                       file, compared against the bench/history baseline
+#   make alloc-guard    allocation regression tests for the search hot
+#                       path (match, caram, server incl. the wire path
+#                       through Handle, MSEARCH bookkeeping, router)
 #   make trace-guard    tracing-layer gate: ring races under -race,
 #                       slowlog admission property, zero-alloc with
 #                       tracing compiled in (off and on-unadmitted)
@@ -50,15 +54,19 @@
 GO       ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all check vet race stress fuzz bench bench-json alloc-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard chaos metrics-smoke ci
+.PHONY: all check fmt-check vet race stress fuzz bench bench-json bench-load alloc-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard chaos metrics-smoke ci
 
 all: check race stress fuzz bench trace-guard seqlock-guard typed-guard cluster-guard crash-guard chaos metrics-smoke
 
 ci: check race alloc-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard chaos metrics-smoke
 
-check: vet
+check: fmt-check vet
 	$(GO) build ./...
 	$(GO) test ./...
+
+# gofmt -l prints the files it would rewrite; any output fails the gate.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -83,15 +91,19 @@ stress:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzExec -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzParseVec -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzParseHex64 -fuzztime $(FUZZTIME) ./internal/server
 
 bench:
 	$(GO) test -run '^$$' -bench ServerParallelSearch -benchmem .
 
-# Zero-allocation regression guard: testing.AllocsPerRun == 0 on the
-# core search paths (row match kernel, slice lookup, server SEARCH) and
-# on the router forward path with an idle trace collector attached.
+# Allocation regression guard: testing.AllocsPerRun == 0 on the core
+# search paths (row match kernel, slice lookup and the Reader's batch
+# pipeline, server SEARCH through ExecAppend and, per line, through
+# Handle), MSEARCH bookkeeping held to its two slices, and the router
+# forward path with an idle trace collector attached.
 alloc-guard:
 	$(GO) test -run ZeroAlloc -count=1 ./internal/match ./internal/caram ./internal/server
+	$(GO) test -run MSearchAllocs -count=1 ./internal/subsystem
 	$(GO) test -run 'ForwardPathAllocs|RouterUntracedZeroAlloc' -count=1 ./internal/cluster
 
 # Durability gate: the whole WAL suite under the race detector (the
@@ -122,13 +134,15 @@ trace-guard:
 	$(GO) test -run 'TracingOnSteadyStateAllocs|ZeroAlloc' -count=1 ./internal/server
 
 # Wait-free search gate: the torn-read/linearizability suites (caram
-# Reader and subsystem dispatch) under the race detector, the wait-free
-# code-level assertion and forced-retry telemetry, the zero-allocation
+# Reader and subsystem dispatch, single lookups and LookupBatch/MSEARCH
+# batches side by side) under the race detector, batch-equals-singles
+# and per-key ECC escalation, the wait-free code-level assertion and
+# forced-retry telemetry, the zero-allocation
 # guards with the seqlock path compiled in, and the byte-exact golden
 # session (nothing on the wire may change).
 seqlock-guard:
 	$(GO) test -race -run 'TestReader' -count=1 ./internal/caram
-	$(GO) test -race -run 'SearchWaitFree|SearchTornReadStress|ForcedRetryTelemetry' -count=1 ./internal/subsystem
+	$(GO) test -race -run 'SearchWaitFree|SearchTornReadStress|ForcedRetryTelemetry|MSearchBatch' -count=1 ./internal/subsystem
 	$(GO) test -run ZeroAlloc -count=1 ./internal/match ./internal/caram ./internal/server
 	$(GO) test -run GoldenSession -count=1 ./internal/server
 
@@ -167,3 +181,13 @@ bench-json:
 		-benchmem ./internal/cluster | $(GO) run ./cmd/bench2json > BENCH_PR9.json
 	$(GO) test -run '^$$' -bench WALInsert -benchtime 2000x \
 		-benchmem ./internal/wal | $(GO) run ./cmd/bench2json > BENCH_PR10.json
+
+# The paired-run recipe in one command: a full caram-load run at seed 1
+# into .bench_build/ (git-ignored), then the delta table against the
+# recorded baseline. Noisy rows read "unresolved", not "ok"; a claim
+# needs the alternating pairs bench/README.md describes.
+BENCH_LOAD_OUT ?= .bench_build/bench-load.json
+bench-load:
+	mkdir -p $(dir $(BENCH_LOAD_OUT))
+	$(GO) run ./cmd/caram-load -seed 1 -out $(BENCH_LOAD_OUT)
+	$(GO) run ./cmd/caram-load -compare $(firstword $(wildcard bench/history/0001-*.json)) $(BENCH_LOAD_OUT)

@@ -17,16 +17,24 @@ import (
 // strategy anyway.
 const maxSnapshotRetries = 16
 
+// BatchChunk is how many keys one pass of LookupBatch's stages covers:
+// enough independent row fetches in flight to hide memory latency,
+// few enough that the chunk's snapshots (one row each) are still in L1
+// when the match stage reaches them. Callers that gather keys for
+// LookupBatch piecemeal do best to gather this many at a time.
+const BatchChunk = 32
+
 // Reader is a per-goroutine lock-free search port over one slice: the
 // software analogue of replicating §3.3's stateless comparator bank so
 // several search pipelines can stream rows concurrently. A Reader owns
-// its snapshot buffer, its private match kernel (match.Searcher) and
-// its result scratch, so Lookup/LookupBest/Contains allocate nothing
-// and share no mutable state with other Readers. Rows are observed
-// through the array's per-row seqlock (mem.Array.TrySnapshotRow): a
-// snapshot is only accepted when the row's version is even and
-// unchanged across the copy, so a Reader never sees a torn row —
-// every row it searches is exactly some state a writer published.
+// its snapshot buffers, its private match kernel (match.Searcher) and
+// its result scratch, so Lookup/LookupBatch/LookupBest/Contains
+// allocate nothing and share no mutable state with other Readers. Rows
+// are observed through the array's per-row seqlock
+// (mem.Array.TryPeekRow): a snapshot is only accepted when the row's
+// version is even and unchanged across the copy, so a Reader never sees
+// a torn row — every row it searches is exactly some state a writer
+// published.
 //
 // Every method reports ok=false when the lock-free protocol cannot
 // certify an answer — a probed row is quarantined, its snapshot kept
@@ -42,7 +50,8 @@ const maxSnapshotRetries = 16
 // serialized writer.
 type Reader struct {
 	s       *Slice
-	row     []uint64 // snapshot buffer, one row
+	row     []uint64 // snapshot buffer of the single-row step
+	chunk   []uint64 // BatchChunk home-row snapshots: LookupBatch's fetch stage
 	sr      *match.Searcher
 	res     match.Result
 	retries int // torn snapshots observed since last TakeRetries
@@ -52,10 +61,12 @@ type Reader struct {
 // construction (including EnableECC and fault installation) must be
 // complete before the first Reader runs.
 func (s *Slice) NewReader() *Reader {
+	w := s.array.RowWords()
 	return &Reader{
-		s:   s,
-		row: make([]uint64, s.array.RowWords()),
-		sr:  match.NewSearcher(s.layout, s.cfg.MatchProcessors),
+		s:     s,
+		row:   make([]uint64, w),
+		chunk: make([]uint64, BatchChunk*w),
+		sr:    match.NewSearcher(s.layout, s.cfg.MatchProcessors),
 	}
 }
 
@@ -68,29 +79,23 @@ func (r *Reader) TakeRetries() int {
 	return n
 }
 
-// snapshot fills r.row with a version-consistent copy of one row.
-// charged selects the accounted read port (lookups) versus the free
-// diagnostic port (Contains). ok=false escalates: the row is
-// quarantined, kept tearing, or failed its check word.
-func (r *Reader) snapshot(idx uint32, charged bool) bool {
+// snapshot fills dst with a version-consistent copy of one row. It
+// charges no access — callers account the rows they fetched with one
+// ChargeRowReads. ok=false escalates: the row is quarantined, kept
+// tearing, or failed its check word.
+func (r *Reader) snapshot(idx uint32, dst []uint64) bool {
 	s := r.s
 	for attempt := 0; attempt < maxSnapshotRetries; attempt++ {
 		if s.ecc != nil && s.ecc.quar[idx].Load() {
 			return false
 		}
-		var ok bool
-		if charged {
-			ok = s.array.TrySnapshotRow(idx, r.row)
-		} else {
-			ok = s.array.TryPeekRow(idx, r.row)
-		}
-		if !ok {
+		if !s.array.TryPeekRow(idx, dst) {
 			// Torn by a concurrent writer: yield and re-read.
 			r.retries++
 			runtime.Gosched()
 			continue
 		}
-		if s.ecc != nil && checkWord(r.row) != atomic.LoadUint64(&s.ecc.check[idx]) {
+		if s.ecc != nil && checkWord(dst) != atomic.LoadUint64(&s.ecc.check[idx]) {
 			// The snapshot is a legally published row (the version
 			// validated), so a mismatch means either real corruption or
 			// a benign row/check skew (e.g. the check was republished
@@ -103,56 +108,17 @@ func (r *Reader) snapshot(idx uint32, charged bool) bool {
 	return false
 }
 
-// Lookup is the lock-free LookupTraced: the same probe chain, reach
-// rule, trace events and statistics, run entirely on seqlock
-// snapshots. ok=false means the protocol could not certify the
-// answer and the caller must retry on the locked path; no statistics
-// are recorded and the partial result is meaningless then.
-func (r *Reader) Lookup(search bitutil.Ternary, tr *trace.Trace) (LookupResult, bool) {
+// chain walks one key's probe chain — the one lock-free probe loop
+// behind Lookup, LookupBatch and LookupBest. Each row goes through the
+// same step: snapshot (quarantine check, seqlock validation, check
+// word), match, reach rule. pre, when non-nil, is the home row already
+// snapshotted through that step (LookupBatch's fetch stage); every
+// other row lands in r.row. With score nil the first match in probe
+// order wins; otherwise the whole reach is scanned for the best-scoring
+// match. Nothing is accounted here: the result's RowsRead is what the
+// caller charges, also when ok=false cut the chain short.
+func (r *Reader) chain(search bitutil.Ternary, score func(match.Record) int, tr *trace.Trace, home uint32, pre []uint64) (LookupResult, bool) {
 	s := r.s
-	home := s.Index(search.Value)
-	res := LookupResult{HomeBucket: home}
-	rows := s.cfg.Rows()
-	reach := 0
-	slots, matches, passes := 0, 0, 0
-	for d := 0; d <= reach && d < rows; d++ {
-		idx := uint32((int(home) + d) % rows)
-		if !r.snapshot(idx, true) {
-			return LookupResult{}, false
-		}
-		res.RowsRead++
-		if d == 0 {
-			reach = int(s.layout.ReadAux(r.row))
-		}
-		r.sr.SearchInto(&r.res, r.row, search)
-		m := &r.res
-		if tr.Enabled() {
-			tr.Probe(idx, d, m.SlotsTested, m.Count, m.Matched())
-			slots += m.SlotsTested
-			matches += m.Count
-			passes += m.Passes
-		}
-		if m.Matched() {
-			res.Found = true
-			res.Record = m.Record
-			res.Multi = m.Multi()
-			break
-		}
-	}
-	if tr.Enabled() {
-		tr.Match(slots, matches, passes)
-		tr.Lookup(home, reach, res.RowsRead, res.Found)
-	}
-	s.recordLookup(res)
-	return res, true
-}
-
-// LookupBest is the lock-free LookupBestTraced: full-reach scan for
-// the best-scoring match, on seqlock snapshots, with the same
-// escalation contract as Lookup.
-func (r *Reader) LookupBest(search bitutil.Ternary, score func(match.Record) int, tr *trace.Trace) (LookupResult, bool) {
-	s := r.s
-	home := s.Index(search.Value)
 	res := LookupResult{HomeBucket: home}
 	rows := s.cfg.Rows()
 	reach := 0
@@ -160,29 +126,37 @@ func (r *Reader) LookupBest(search bitutil.Ternary, score func(match.Record) int
 	slots, matches, passes := 0, 0, 0
 	for d := 0; d <= reach && d < rows; d++ {
 		idx := uint32((int(home) + d) % rows)
-		if !r.snapshot(idx, true) {
-			return LookupResult{}, false
+		row := pre
+		if d > 0 || pre == nil {
+			if !r.snapshot(idx, r.row) {
+				return res, false
+			}
+			row = r.row
 		}
 		res.RowsRead++
 		if d == 0 {
-			reach = int(s.layout.ReadAux(r.row))
+			reach = int(s.layout.ReadAux(row))
 		}
-		r.sr.SearchInto(&r.res, r.row, search)
+		r.sr.SearchInto(&r.res, row, search)
 		m := &r.res
 		if tr.Enabled() {
-			tr.Probe(idx, d, m.SlotsTested, m.Count, m.Count > 0)
+			tr.Probe(idx, d, m.SlotsTested, m.Count, m.Matched())
 			slots += m.SlotsTested
 			matches += m.Count
 			passes += m.Passes
 		}
-		if m.Count == 0 {
+		if !m.Matched() {
 			continue
+		}
+		if score == nil {
+			res.Found, res.Record, res.Multi = true, m.Record, m.Multi()
+			break
 		}
 		for i := 0; i < s.layout.Slots(); i++ {
 			if m.Vector[i/64]>>uint(i%64)&1 == 0 {
 				continue
 			}
-			rec, _ := s.layout.ReadSlot(r.row, i)
+			rec, _ := s.layout.ReadSlot(row, i)
 			if sc := score(rec); !res.Found || sc > bestScore {
 				res.Found, res.Record, bestScore = true, rec, sc
 			}
@@ -192,8 +166,80 @@ func (r *Reader) LookupBest(search bitutil.Ternary, score func(match.Record) int
 		tr.Match(slots, matches, passes)
 		tr.Lookup(home, reach, res.RowsRead, res.Found)
 	}
-	s.recordLookup(res)
 	return res, true
+}
+
+// lookup runs one chain and accounts it exactly as the locked path
+// would: every row fetched is charged to the array, and a certified
+// lookup is recorded in the slice statistics.
+func (r *Reader) lookup(search bitutil.Ternary, score func(match.Record) int, tr *trace.Trace) (LookupResult, bool) {
+	res, ok := r.chain(search, score, tr, r.s.Index(search.Value), nil)
+	r.s.array.ChargeRowReads(res.RowsRead)
+	if !ok {
+		return LookupResult{}, false
+	}
+	r.s.recordLookup(res)
+	return res, true
+}
+
+// Lookup is the lock-free LookupTraced: the same probe chain, reach
+// rule, trace events and statistics, run entirely on seqlock
+// snapshots. ok=false means the protocol could not certify the
+// answer and the caller must retry on the locked path; no lookup
+// statistics are recorded and the result is zero then.
+func (r *Reader) Lookup(search bitutil.Ternary, tr *trace.Trace) (LookupResult, bool) {
+	return r.lookup(search, nil, tr)
+}
+
+// LookupBest is the lock-free LookupBestTraced: full-reach scan for
+// the best-scoring match, on seqlock snapshots, with the same
+// escalation contract as Lookup.
+func (r *Reader) LookupBest(search bitutil.Ternary, score func(match.Record) int, tr *trace.Trace) (LookupResult, bool) {
+	return r.lookup(search, score, tr)
+}
+
+// LookupBatch is Lookup over a stream of keys, run as the stages of the
+// paper's Table 1 pipeline a chunk (BatchChunk keys) at a time rather
+// than key by key: every home index is generated, then every home row
+// is snapshotted back to back — independent loads the memory system can
+// overlap, the software form of issuing row activations before any
+// compare retires — and only then does the match stage sweep the
+// now-cache-resident snapshots. A key whose home row misses with a
+// nonzero reach simply continues down its chain on the single-row step.
+// out[i], ok[i] are what Lookup(keys[i], nil) would return, and the
+// slice and array statistics end up exactly as after len(keys) single
+// Lookups — summed locally and published once per chunk.
+func (r *Reader) LookupBatch(keys []bitutil.Ternary, out []LookupResult, ok []bool) {
+	s, w := r.s, len(r.row)
+	var home [BatchChunk]uint32
+	for len(keys) > 0 {
+		n := min(len(keys), BatchChunk)
+		for i := range home[:n] {
+			home[i] = s.Index(keys[i].Value)
+		}
+		for i := range home[:n] {
+			ok[i] = r.snapshot(home[i], r.chunk[i*w:(i+1)*w])
+		}
+		var fetched, done, rows, hits uint64
+		for i := range home[:n] {
+			if ok[i] {
+				out[i], ok[i] = r.chain(keys[i], nil, nil, home[i], r.chunk[i*w:(i+1)*w])
+				fetched += uint64(out[i].RowsRead)
+			}
+			if !ok[i] {
+				out[i] = LookupResult{}
+				continue
+			}
+			done++
+			rows += uint64(out[i].RowsRead)
+			if out[i].Found {
+				hits++
+			}
+		}
+		s.array.ChargeRowReads(int(fetched))
+		s.recordLookups(done, rows, hits)
+		keys, out, ok = keys[n:], out[n:], ok[n:]
+	}
 }
 
 // Contains is the lock-free exact-key membership test (the uncharged
@@ -205,7 +251,7 @@ func (r *Reader) Contains(key bitutil.Ternary) (found, ok bool) {
 	reach := 0
 	for d := 0; d <= reach && d < rows; d++ {
 		idx := uint32((int(home) + d) % rows)
-		if !r.snapshot(idx, false) {
+		if !r.snapshot(idx, r.row) {
 			return false, false
 		}
 		if d == 0 {

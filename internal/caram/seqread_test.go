@@ -97,7 +97,8 @@ func TestReaderAgreesWithLockedLookup(t *testing.T) {
 }
 
 // TestReaderTornReadStress is the torn-read/linearizability suite: 32
-// reader goroutines hammer lock-free lookups while one writer rewrites
+// reader goroutines hammer lock-free lookups — half of them one key at
+// a time, half through LookupBatch — while one writer rewrites
 // rows with self-validating payloads. Every returned value must be a
 // legally published state — the checksum proves no reader ever
 // observed a half-written row — and permanent keys (inserted once,
@@ -134,7 +135,49 @@ func TestReaderTornReadStress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rd := s.NewReader()
+			// check judges one certified answer.
+			check := func(key uint64, permanent bool, lr LookupResult) bool {
+				reads.Add(1)
+				if permanent && !lr.Found {
+					t.Errorf("permanent key %x missing (linearizability violation)", key)
+					return false
+				}
+				if lr.Found && !payloadValid(key, lr.Record.Data.Uint64()) {
+					torn.Add(1)
+					t.Errorf("key %x returned unpublished value %#x (torn read)", key, lr.Record.Data.Uint64())
+					return false
+				}
+				return true
+			}
+			// Odd readers run the staged batch pipeline: more than a chunk
+			// of keys per call, permanent and churn keys alternating, so
+			// home-row snapshots sit in the chunk buffer while the writer
+			// republishes the rows they came from.
+			var (
+				keys [BatchChunk + 8]bitutil.Ternary
+				raw  [BatchChunk + 8]uint64
+				out  [BatchChunk + 8]LookupResult
+				oks  [BatchChunk + 8]bool
+			)
 			for i := 0; !done.Load(); i++ {
+				if g%2 == 1 {
+					for j := range keys {
+						if raw[j] = permKeys[(g+i+j)%nPermanent]; j%2 == 1 {
+							raw[j] = churnKeys[(g+i+j)%nChurn]
+						}
+						keys[j] = seqKey(raw[j])
+					}
+					rd.LookupBatch(keys[:], out[:], oks[:])
+					for j := range keys {
+						if !oks[j] {
+							escalated.Add(1)
+						} else if !check(raw[j], j%2 == 0, out[j]) {
+							return
+						}
+					}
+					runtime.Gosched()
+					continue
+				}
 				var key uint64
 				permanent := i%2 == 0
 				if permanent {
@@ -147,14 +190,7 @@ func TestReaderTornReadStress(t *testing.T) {
 					escalated.Add(1)
 					continue // a locked caller would retry; the property needs certified reads only
 				}
-				reads.Add(1)
-				if permanent && !lr.Found {
-					t.Errorf("permanent key %x missing (linearizability violation)", key)
-					return
-				}
-				if lr.Found && !payloadValid(key, lr.Record.Data.Uint64()) {
-					torn.Add(1)
-					t.Errorf("key %x returned unpublished value %#x (torn read)", key, lr.Record.Data.Uint64())
+				if !check(key, permanent, lr) {
 					return
 				}
 				// Yield between lookups so the single writer is never

@@ -391,15 +391,30 @@ func (s *Slice) LookupBestTraced(search bitutil.Ternary, score func(match.Record
 // recordLookup accounts one finished lookup. Atomic adds: it is shared
 // by the port-locked Lookup* methods and lock-free Readers.
 func (s *Slice) recordLookup(res LookupResult) {
-	s.stats.lookups.Add(1)
-	s.stats.rowsAccessed.Add(uint64(res.RowsRead))
+	hits := uint64(0)
 	if res.Found {
-		s.stats.hits.Add(1)
-	} else {
-		s.stats.misses.Add(1)
+		hits = 1
 	}
+	s.recordLookups(1, uint64(res.RowsRead), hits)
 	if res.Erred {
 		s.stats.erred.Add(1)
+	}
+}
+
+// recordLookups accounts n finished lookups that read rows rows in all
+// and found hits records: one atomic add per counter that moves, however
+// many lookups a Reader batch sums into it.
+func (s *Slice) recordLookups(n, rows, hits uint64) {
+	if n == 0 {
+		return
+	}
+	s.stats.lookups.Add(n)
+	s.stats.rowsAccessed.Add(rows)
+	if hits > 0 {
+		s.stats.hits.Add(hits)
+	}
+	if n > hits {
+		s.stats.misses.Add(n - hits)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"caram/internal/metrics"
+	"caram/internal/server"
 	"caram/internal/trace"
 )
 
@@ -152,7 +153,7 @@ func parseWireIDBytes(b []byte) (tid uint64, span uint32, ok bool) {
 		span = uint32(v)
 		idb = b[:i]
 	}
-	tid, ok = parseHex64b(idb)
+	tid, ok = server.ParseHex64(idb)
 	return tid, span, ok && tid != 0
 }
 

@@ -7,6 +7,7 @@ import (
 	"unicode/utf8"
 
 	"caram/internal/bitutil"
+	"caram/internal/server"
 )
 
 // asciiSpace mirrors the server scanner's fast path: the six ASCII
@@ -179,34 +180,6 @@ func parseFloat(b []byte) float64 {
 	return f
 }
 
-// parseHex64b parses one hex field with the server's strictness
-// (strconv.ParseUint base 16: no empty fields, signs, "0x" prefixes,
-// or trailing garbage; overflow rejects) without leaving []byte.
-func parseHex64b(b []byte) (uint64, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	var v uint64
-	for _, c := range b {
-		var d uint64
-		switch {
-		case '0' <= c && c <= '9':
-			d = uint64(c - '0')
-		case 'a' <= c && c <= 'f':
-			d = uint64(c-'a') + 10
-		case 'A' <= c && c <= 'F':
-			d = uint64(c-'A') + 10
-		default:
-			return 0, false
-		}
-		if v >= 1<<60 { // v<<4 would overflow
-			return 0, false
-		}
-		v = v<<4 | d
-	}
-	return v, true
-}
-
 // parseVecBytes parses a wire key — "<lo>" or "<hi>:<lo>" — into its
 // canonical 128-bit value, mirroring the server's parseVec so every
 // spelling of a key routes to the owner of its value. ok=false means
@@ -214,14 +187,14 @@ func parseHex64b(b []byte) (uint64, bool) {
 // the line somewhere deterministic and lets the backend say so.
 func parseVecBytes(b []byte) (bitutil.Vec128, bool) {
 	if i := bytes.IndexByte(b, ':'); i >= 0 {
-		hi, ok1 := parseHex64b(b[:i])
-		lo, ok2 := parseHex64b(b[i+1:])
+		hi, ok1 := server.ParseHex64(b[:i])
+		lo, ok2 := server.ParseHex64(b[i+1:])
 		if !ok1 || !ok2 {
 			return bitutil.Vec128{}, false
 		}
 		return bitutil.FromParts(lo, hi), true
 	}
-	lo, ok := parseHex64b(b)
+	lo, ok := server.ParseHex64(b)
 	if !ok {
 		return bitutil.Vec128{}, false
 	}

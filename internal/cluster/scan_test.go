@@ -19,7 +19,7 @@ func TestBScanMatchesFieldScanner(t *testing.T) {
 		"   ",
 		"one",
 		"a b c d e f",
-		"unicode space",         // NBSP is a separator to unicode.IsSpace
+		"unicode space",     // NBSP is a separator to unicode.IsSpace
 		"wide　ideographic ", // ideographic space, line separator
 		"trailing ",
 		" leading",
@@ -56,22 +56,22 @@ func TestBScanMatchesFieldScanner(t *testing.T) {
 func TestParseHex64bMatchesStrconv(t *testing.T) {
 	cases := []string{
 		"", "0", "1", "dead", "DEAD", "dEaD",
-		"ffffffffffffffff",  // max
-		"0ffffffffffffffff", // 17 digits, fits
+		"ffffffffffffffff",         // max
+		"0ffffffffffffffff",        // 17 digits, fits
 		"00000000000000000000dead", // long zero run
-		"10000000000000000", // 2^64: overflow
-		"1ffffffffffffffff", // overflow
+		"10000000000000000",        // 2^64: overflow
+		"1ffffffffffffffff",        // overflow
 		"0x12", "+1", "-1", "12zz", "g", " 1", "1 ", "١",
 	}
 	for _, s := range cases {
 		want, errWant := strconv.ParseUint(s, 16, 64)
-		got, ok := parseHex64b([]byte(s))
+		got, ok := server.ParseHex64([]byte(s))
 		if ok != (errWant == nil) {
-			t.Errorf("parseHex64b(%q) ok=%v, strconv err=%v", s, ok, errWant)
+			t.Errorf("server.ParseHex64(%q) ok=%v, strconv err=%v", s, ok, errWant)
 			continue
 		}
 		if ok && got != want {
-			t.Errorf("parseHex64b(%q) = %#x, strconv = %#x", s, got, want)
+			t.Errorf("server.ParseHex64(%q) = %#x, strconv = %#x", s, got, want)
 		}
 	}
 }

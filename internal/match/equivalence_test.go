@@ -138,8 +138,9 @@ func checkEquivalence(t testing.TB, l Layout, p int, row []uint64, search bituti
 		t.Fatalf("%s: kernel First=%d Count=%d, oracle First=%d Count=%d",
 			ctx(), got.First, got.Count, want.First, want.Count)
 	}
-	if got.Passes != want.Passes {
-		t.Fatalf("%s: kernel Passes=%d, oracle Passes=%d", ctx(), got.Passes, want.Passes)
+	if got.Passes != want.Passes || got.SlotsTested != want.SlotsTested {
+		t.Fatalf("%s: kernel Passes=%d SlotsTested=%d, oracle Passes=%d SlotsTested=%d",
+			ctx(), got.Passes, got.SlotsTested, want.Passes, want.SlotsTested)
 	}
 	if got.Record != want.Record {
 		t.Fatalf("%s: kernel Record=%+v, oracle Record=%+v", ctx(), got.Record, want.Record)
@@ -218,6 +219,63 @@ func TestKernelMatchesSerialQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNarrowKernelMatchesSerialQuick aims the differential at the
+// narrow comparator: binary layouts with one-word keys (KeyBits 1..64,
+// DataBits 0..64, AuxBits 0..64, slot widths that straddle words),
+// random occupancy, rows cut short of the compiled image, masked search
+// keys, and "impossible" keys caring about bits above KeyBits. Vector,
+// First, Count, SlotsTested, Record and the stats counters must equal
+// SearchSerial's, on the Processor and on a Searcher alike.
+func TestNarrowKernelMatchesSerialQuick(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		l := Layout{KeyBits: 1 + rng.Intn(64), DataBits: rng.Intn(65), AuxBits: rng.Intn(65)}
+		l.RowBits = l.AuxBits + (1+rng.Intn(80))*l.SlotBits() + rng.Intn(l.SlotBits())
+		if NewProcessor(l, 0).m.narrow == nil {
+			t.Errorf("layout %+v did not compile to the narrow kernel", l)
+			return false
+		}
+		row, stored := randomRow(rng, l)
+		if rng.Intn(4) == 0 {
+			row = row[:rng.Intn(len(row)+1)] // short row: missing words read as zero
+		}
+		for i := 0; i < 4; i++ {
+			search := randomSearch(rng, l, stored)
+			checkEquivalence(t, l, randomP(rng, l), row, search)
+			var got Result
+			NewSearcher(l, 0).SearchInto(&got, row, search)
+			want := NewProcessor(l, 0).SearchSerial(row, search)
+			if got.First != want.First || got.Count != want.Count ||
+				got.SlotsTested != want.SlotsTested || got.Record != want.Record {
+				t.Errorf("layout=%+v search=%s: Searcher %+v, oracle %+v", l, search.String(128), got, want)
+			}
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKernelSelection pins the compile-time choice: the narrow
+// comparator for binary layouts with KeyBits <= 64, the wide kernel for
+// everything else.
+func TestKernelSelection(t *testing.T) {
+	for _, tc := range []struct {
+		l      Layout
+		narrow bool
+	}{
+		{Layout{RowBits: 792, KeyBits: 64, DataBits: 32, AuxBits: 16}, true},
+		{Layout{RowBits: 512, KeyBits: 1, DataBits: 128}, true},
+		{Layout{RowBits: 2048, KeyBits: 65, DataBits: 8}, false},
+		{Layout{RowBits: 2048, KeyBits: 32, DataBits: 8, Ternary: true}, false},
+	} {
+		if got := newMatcher(tc.l, 0).narrow != nil; got != tc.narrow {
+			t.Errorf("layout %+v: narrow=%v, want %v", tc.l, got, tc.narrow)
+		}
 	}
 }
 

@@ -124,7 +124,7 @@ func (l Layout) SlotValid(row []uint64, i int) bool {
 
 // ReadAux returns the row's auxiliary field (0 when AuxBits is 0).
 func (l Layout) ReadAux(row []uint64) uint64 {
-	return bitutil.GetBits(row, l.RowBits-l.AuxBits, l.AuxBits).Uint64()
+	return field64(row, l.RowBits-l.AuxBits, l.AuxBits)
 }
 
 // WriteAux stores v into the row's auxiliary field, truncated to

@@ -21,11 +21,22 @@ import (
 //	                   a slot matches iff its valid+key region of diff
 //	                   is all zero.
 //
+// Binary layouts whose key fits one word (KeyBits <= 64) compile to
+// the narrow comparator instead (narrow.go): the choice is made once,
+// here, from the layout, and both kernels sit behind search.
+//
 // Everything the matcher touches per search is pre-allocated at build
 // time, so the kernel performs zero allocations per row.
 type matcher struct {
 	layout Layout
 	words  int // row image size in uint64 words
+	passes int // ceil(S/P) pipelined passes per search
+	vwords int // match vector size in uint64 words
+
+	// Narrow kernel (nil narrow = wide kernel below).
+	narrow  []narrowSlot
+	keyMask uint64
+	pad     []uint64 // zero-extended copy of a row shorter than words
 
 	// Static images compiled from the layout.
 	keyOnly   []uint64 // 1s over every slot's key-value field
@@ -63,21 +74,26 @@ type slotPart struct {
 	mask uint64
 }
 
-// newMatcher compiles the comparator bank for a layout.
-func newMatcher(l Layout) *matcher {
+// newMatcher compiles the comparator bank for a layout served by p
+// match processors (p <= 0: one per slot, the desirable case of §3.1).
+func newMatcher(l Layout, p int) *matcher {
 	words := bitutil.RowWords(l.RowBits)
 	s := l.Slots()
-	m := &matcher{
-		layout:    l,
-		words:     words,
-		keyOnly:   make([]uint64, words),
-		careExact: make([]uint64, words),
-		slots:     make([]slotRef, s),
-		keyFields: make([]int, s),
-		expValue:  make([]uint64, words),
-		expCare:   make([]uint64, words),
-		diff:      make([]uint64, words),
+	if p <= 0 {
+		p = s
 	}
+	m := &matcher{layout: l, words: words, passes: (s + p - 1) / p, vwords: (s + 63) / 64}
+	if !l.Ternary && l.KeyBits <= 64 {
+		m.compileNarrow()
+		return m
+	}
+	m.keyOnly = make([]uint64, words)
+	m.careExact = make([]uint64, words)
+	m.slots = make([]slotRef, s)
+	m.keyFields = make([]int, s)
+	m.expValue = make([]uint64, words)
+	m.expCare = make([]uint64, words)
+	m.diff = make([]uint64, words)
 	if l.Ternary {
 		m.shifted = make([]uint64, words)
 	}
@@ -112,6 +128,29 @@ func newMatcher(l Layout) *matcher {
 	copy(m.expCare, m.careExact)
 	m.curCare = m.careExact
 	return m
+}
+
+// search runs §3.3 steps 1–4 over one row on whichever kernel the
+// layout compiled to — the one body behind Processor.SearchInto and
+// Searcher.SearchInto. The match vector lands in res.Vector's backing
+// array (grown only when too small); every other field is overwritten.
+func (m *matcher) search(res *Result, row []uint64, search bitutil.Ternary) {
+	if cap(res.Vector) < m.vwords {
+		res.Vector = make([]uint64, m.vwords)
+	} else {
+		res.Vector = res.Vector[:m.vwords]
+	}
+	res.Passes = m.passes
+	if m.narrow != nil {
+		m.searchNarrow(res, row, search)
+		return
+	}
+	m.expand(search)
+	res.First, res.Count, res.SlotsTested = m.matchRow(res.Vector, row)
+	res.Record = Record{}
+	if res.First >= 0 {
+		res.Record, _ = m.layout.ReadSlot(row, res.First)
+	}
 }
 
 // expand replicates the search key across the row image (§3.3 step 1).

@@ -58,7 +58,7 @@ func NewProcessor(layout Layout, p int) *Processor {
 	return &Processor{
 		layout: layout,
 		p:      p,
-		m:      newMatcher(layout),
+		m:      newMatcher(layout, p),
 		vec:    make([]uint64, (layout.Slots()+63)/64),
 	}
 }
@@ -130,26 +130,11 @@ func (pr *Processor) Search(row []uint64, search bitutil.Ternary) Result {
 // backing array (grown only when too small), for callers that own
 // their scratch. All other Result fields are overwritten.
 func (pr *Processor) SearchInto(res *Result, row []uint64, search bitutil.Ternary) {
-	need := (pr.layout.Slots() + 63) / 64
-	if cap(res.Vector) < need {
-		res.Vector = make([]uint64, need)
-	} else {
-		res.Vector = res.Vector[:need]
-	}
-	pr.m.expand(search)
-	first, count, valid := pr.m.matchRow(res.Vector, row)
-	res.First = first
-	res.Count = count
-	res.Passes = (pr.layout.Slots() + pr.p - 1) / pr.p
-	res.SlotsTested = valid
-	res.Record = Record{}
-	if first >= 0 {
-		res.Record, _ = pr.layout.ReadSlot(row, first)
-	}
+	pr.m.search(res, row, search)
 	pr.stats.Searches++
 	pr.stats.Passes += uint64(res.Passes)
-	pr.stats.SlotsTested += uint64(valid)
-	pr.stats.Matches += uint64(count)
+	pr.stats.SlotsTested += uint64(res.SlotsTested)
+	pr.stats.Matches += uint64(res.Count)
 }
 
 // SearchSerial is the legacy slot-serial match pipeline: every slot is

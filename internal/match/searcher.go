@@ -19,17 +19,13 @@ import (
 // word. It is still single-owner: one goroutine per Searcher.
 type Searcher struct {
 	layout Layout
-	p      int
 	m      *matcher
 }
 
 // NewSearcher compiles a comparator bank over the layout. p <= 0 means
 // one match processor per slot, as in NewProcessor.
 func NewSearcher(layout Layout, p int) *Searcher {
-	if p <= 0 {
-		p = layout.Slots()
-	}
-	return &Searcher{layout: layout, p: p, m: newMatcher(layout)}
+	return &Searcher{layout: layout, m: newMatcher(layout, p)}
 }
 
 // Layout returns the record layout the searcher decodes.
@@ -41,20 +37,5 @@ func (sr *Searcher) Layout() Layout { return sr.layout }
 // Processor.SearchInto; the row is typically a seqlock snapshot owned
 // by the same reader.
 func (sr *Searcher) SearchInto(res *Result, row []uint64, search bitutil.Ternary) {
-	need := (sr.layout.Slots() + 63) / 64
-	if cap(res.Vector) < need {
-		res.Vector = make([]uint64, need)
-	} else {
-		res.Vector = res.Vector[:need]
-	}
-	sr.m.expand(search)
-	first, count, valid := sr.m.matchRow(res.Vector, row)
-	res.First = first
-	res.Count = count
-	res.Passes = (sr.layout.Slots() + sr.p - 1) / sr.p
-	res.SlotsTested = valid
-	res.Record = Record{}
-	if first >= 0 {
-		res.Record, _ = sr.layout.ReadSlot(row, first)
-	}
+	sr.m.search(res, row, search)
 }

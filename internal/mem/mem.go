@@ -73,7 +73,7 @@ type Stats struct {
 }
 
 // counters is the internal atomic form of Stats: lock-free snapshot
-// reads (TrySnapshotRow) charge accesses concurrently with the
+// reads (ChargeRowReads) charge accesses concurrently with the
 // port-locked write side, so every counter must be an atomic cell.
 type counters struct {
 	rowReads   atomic.Uint64
@@ -106,7 +106,7 @@ type RowFaultInjector interface {
 //   - port-locked reads (ReadRow, FetchRow, PeekRow) return aliases
 //     into the storage and are safe only while the caller serializes
 //     against writers (the classic path);
-//   - lock-free snapshot reads (TrySnapshotRow) copy a row out under a
+//   - lock-free snapshot reads (TryPeekRow) copy a row out under a
 //     per-row seqlock — a version counter that is odd while a writer
 //     is mutating the row and even once the new contents are
 //     published. Writers go through BeginRowUpdate/CommitRowUpdate
@@ -314,33 +314,14 @@ func (a *Array) publishRow(idx uint32, src []uint64) {
 // protocol.
 func (a *Array) RowVersion(idx uint32) uint32 { return a.seq[idx].Load() }
 
-// TrySnapshotRow copies one row into dst (len >= the row's word count)
-// without taking any lock, charging a read access on success. It fails
-// — returning false, copying garbage at worst — when a writer's seqlock
+// TryPeekRow copies one row into dst (len >= the row's word count)
+// without taking any lock and without charging an access. It fails —
+// returning false, copying garbage at worst — when a writer's seqlock
 // window overlapped the copy; the caller retries or escalates to the
 // port-locked path. A true return guarantees dst is a complete
 // published row: the version was even before the copy and unchanged
-// after it.
-func (a *Array) TrySnapshotRow(idx uint32, dst []uint64) bool {
-	row := a.row(idx)
-	v1 := a.seq[idx].Load()
-	if v1&1 != 0 {
-		return false
-	}
-	for w := range row {
-		dst[w] = atomic.LoadUint64(&row[w])
-	}
-	if a.seq[idx].Load() != v1 {
-		return false
-	}
-	a.stats.rowReads.Add(1)
-	a.stats.cycles.Add(uint64(a.cfg.Timing.MinInterval))
-	return true
-}
-
-// TryPeekRow is TrySnapshotRow without the access charge — the
-// lock-free counterpart of PeekRow, for uncharged inspection paths
-// (Contains) that must still never observe a torn row.
+// after it. Lookups account the rows they fetched this way with
+// ChargeRowReads; uncharged inspection paths (Contains) do not.
 func (a *Array) TryPeekRow(idx uint32, dst []uint64) bool {
 	row := a.row(idx)
 	v1 := a.seq[idx].Load()
@@ -353,8 +334,19 @@ func (a *Array) TryPeekRow(idx uint32, dst []uint64) bool {
 	return a.seq[idx].Load() == v1
 }
 
+// ChargeRowReads charges n row read accesses at once — what n ReadRow
+// calls would add, in one atomic add per counter. Lock-free readers
+// snapshot rows uncharged (TryPeekRow) and settle the bill per lookup
+// or per batch chunk.
+func (a *Array) ChargeRowReads(n int) {
+	if n > 0 {
+		a.stats.rowReads.Add(uint64(n))
+		a.stats.cycles.Add(uint64(n * a.cfg.Timing.MinInterval))
+	}
+}
+
 // RowWords returns the number of 64-bit words per row — the minimum
-// buffer length for TrySnapshotRow.
+// buffer length for TryPeekRow.
 func (a *Array) RowWords() int { return a.rowWords }
 
 // WriteRow replaces a row's contents, charging a write access. Data

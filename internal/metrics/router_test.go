@@ -62,11 +62,11 @@ func TestRouterBreakerGauge(t *testing.T) {
 func TestRouterBurstHistogram(t *testing.T) {
 	rm := NewRouterMetrics([]string{"b0"})
 	b := rm.Backend(0)
-	b.ObserveBurst(0) // ignored
-	b.ObserveBurst(1) // le=1
-	b.ObserveBurst(2) // le=2
-	b.ObserveBurst(3) // le=4
-	b.ObserveBurst(4) // le=4
+	b.ObserveBurst(0)    // ignored
+	b.ObserveBurst(1)    // le=1
+	b.ObserveBurst(2)    // le=2
+	b.ObserveBurst(3)    // le=4
+	b.ObserveBurst(4)    // le=4
 	b.ObserveBurst(5000) // clamps into the last bucket
 	if n, mean := b.Bursts(); n != 5 || mean != float64(1+2+3+4+5000)/5 {
 		t.Errorf("bursts: n=%d mean=%g", n, mean)

@@ -1,11 +1,16 @@
 package server
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"testing"
+	"time"
 
 	"caram/internal/caram"
 	"caram/internal/hash"
 	"caram/internal/subsystem"
+	"caram/internal/trace"
 	"caram/internal/wal"
 )
 
@@ -116,5 +121,58 @@ func TestWALExecAppendSearchZeroAlloc(t *testing.T) {
 	}
 	if got := string(s.ExecAppend(buf[:0], "SEARCH db dead")); got != "HIT 0:0000000000000042" {
 		t.Fatalf("SEARCH reply = %q", got)
+	}
+}
+
+// TestHandleZeroAllocPerLine guards the wire path the ExecAppend guards
+// above never reached: Handle hands each request line to the protocol
+// engine as a view of its read buffer, not a copy, so an untraced SEARCH
+// costs zero allocations per line over the socket as well, and an
+// MSEARCH line costs exactly what ExecAppend itself allocates for it
+// (the request, result and grouping slices) — on a server configured the
+// way caram-server deploys one: metrics on, trace collector attached,
+// sampling off. Run by `make alloc-guard` / `make ci`.
+func TestHandleZeroAllocPerLine(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's lossy sync.Pool re-allocates pooled traces")
+	}
+	s := allocServer(WithTracing(trace.NewCollector(trace.Config{Slowlog: time.Hour})))
+	var search, msearch bytes.Buffer
+	for i := 0; i < 64; i++ {
+		if got := s.Exec(fmt.Sprintf("INSERT db %x %x", i*7, i)); got != "OK" {
+			t.Fatalf("INSERT: %q", got)
+		}
+	}
+	const lines = 1600
+	for i := 0; i < lines; i++ {
+		fmt.Fprintf(&search, "SEARCH db %x\n", i%128*7)
+	}
+	msLine := "MSEARCH"
+	for i := 0; i < 64; i++ {
+		msLine += fmt.Sprintf(" db %x", i*7)
+	}
+	for i := 0; i < lines/16; i++ {
+		msearch.WriteString(msLine + "\n")
+	}
+	// perLine runs the stream through Handle and returns allocations per
+	// request line; the handful Handle spends per connection vanishes in
+	// the division or shows up as a small fraction.
+	var rd bytes.Reader
+	perLine := func(stream []byte, n int) float64 {
+		run := func() {
+			rd.Reset(stream)
+			s.Handle(&rd, io.Discard)
+		}
+		run() // warm the connection pool, the Reader cache and the trace pool
+		return testing.AllocsPerRun(10, run) / float64(n)
+	}
+	if got := perLine(search.Bytes(), lines); got >= 0.01 {
+		t.Errorf("Handle allocated %.3f times per SEARCH line, want 0", got)
+	}
+	var buf []byte
+	buf = s.ExecAppend(buf[:0], msLine)
+	want := testing.AllocsPerRun(100, func() { buf = s.ExecAppend(buf[:0], msLine) })
+	if got := perLine(msearch.Bytes(), lines/16); got >= want+0.1 {
+		t.Errorf("Handle allocated %.2f times per MSEARCH line, ExecAppend alone %.0f", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -156,6 +157,31 @@ func FuzzParseVec(f *testing.F) {
 		}
 		if rt != v {
 			t.Fatalf("parseVec(%q) = %v, round-trips to %v", s, v, rt)
+		}
+	})
+}
+
+// FuzzParseHex64 holds the digit loop to the parser it replaced: for
+// every input, ParseHex64 accepts exactly what strconv.ParseUint(s, 16,
+// 64) accepts — no signs, prefixes, separators or trailing garbage,
+// overflow rejected — and returns the same value, from a string and
+// from bytes alike.
+func FuzzParseHex64(f *testing.F) {
+	for _, s := range []string{
+		"", "0", "dead", "DEAD", "dEaD", "12zz", "0x12", "+12", "-1", "_1", "1_2", "1 ", "١٢",
+		strings.Repeat("f", 16),       // max uint64
+		"0" + strings.Repeat("f", 16), // 17 digits, still fits
+		strings.Repeat("f", 17), "1" + strings.Repeat("0", 16),
+		strings.Repeat("0", 100) + "1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := strconv.ParseUint(s, 16, 64)
+		got, ok := ParseHex64(s)
+		gotB, okB := ParseHex64([]byte(s))
+		if ok != (err == nil) || okB != ok || (ok && (got != want || gotB != want)) {
+			t.Fatalf("ParseHex64(%q) = %#x, %v (bytes %#x, %v); strconv = %#x, %v", s, got, ok, gotB, okB, want, err)
 		}
 	})
 }

@@ -107,6 +107,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"caram/internal/bitutil"
 	"caram/internal/match"
@@ -565,7 +566,7 @@ func (s *Server) Handle(r io.Reader, w io.Writer) {
 		if n := len(line); n > 0 && line[n-1] == '\r' {
 			line = line[:n-1]
 		}
-		st.out = s.ExecAppend(st.out, string(line))
+		st.out = s.ExecAppend(st.out, lineView(line))
 		st.out = append(st.out, '\n')
 	}
 	cr, _ := r.(*connReader) // deadline-armed transport, when Serve wired one
@@ -626,6 +627,19 @@ func (s *Server) Handle(r io.Reader, w io.Writer) {
 			return
 		}
 	}
+}
+
+// lineView presents a request line as a string without copying it: the
+// view aliases the connection's read buffer and is valid only until
+// the reader's next ReadSlice. That covers one ExecAppend, provided
+// nothing the call leaves behind still points into the line — error
+// texts are formatted (copied) on the spot, the trace layer clones its
+// cmd/engine/key fields when it admits a trace (trace.Collector.End,
+// before ExecAppend returns), the journal encodes its entry inside
+// Append, and the one string that does outlive the call, a created
+// engine's name, is cloned where it is stored (execCreateAppend).
+func lineView(line []byte) string {
+	return unsafe.String(unsafe.SliceData(line), len(line))
 }
 
 // Exec runs one request line and returns the single-line response —
@@ -1020,33 +1034,17 @@ func (s *Server) execMetricsAppend(dst []byte, fs *FieldScanner) []byte {
 }
 
 // parseVec parses "hi:lo" or plain hex into a Vec128. Each part must
-// be 1-16 hex digits with nothing else — trailing garbage ("12zz"),
-// signs, and "0x" prefixes are all rejected.
+// be 1+ hex digits with nothing else, fitting 64 bits — trailing
+// garbage ("12zz"), signs, and "0x" prefixes are all rejected.
 func parseVec(s string) (bitutil.Vec128, error) {
-	bad := func() (bitutil.Vec128, error) {
+	hiS, loS, wide := strings.Cut(s, ":")
+	if !wide {
+		hiS, loS = "0", hiS
+	}
+	hi, ok1 := ParseHex64(hiS)
+	lo, ok2 := ParseHex64(loS)
+	if !ok1 || !ok2 {
 		return bitutil.Vec128{}, fmt.Errorf("bad hex %q", s)
 	}
-	if i := strings.IndexByte(s, ':'); i >= 0 {
-		hi, err := parseHex64(s[:i])
-		if err != nil {
-			return bad()
-		}
-		lo, err := parseHex64(s[i+1:])
-		if err != nil {
-			return bad()
-		}
-		return bitutil.FromParts(lo, hi), nil
-	}
-	lo, err := parseHex64(s)
-	if err != nil {
-		return bad()
-	}
-	return bitutil.FromUint64(lo), nil
-}
-
-// parseHex64 parses a bare hex field. strconv.ParseUint rejects what
-// fmt.Sscanf "%x" silently tolerated: empty fields, signs, "0x"
-// prefixes, and valid-prefix-plus-garbage like "12zz".
-func parseHex64(s string) (uint64, error) {
-	return strconv.ParseUint(s, 16, 64)
+	return bitutil.FromParts(lo, hi), nil
 }

@@ -75,11 +75,8 @@ func parseWireID(s string) (tid uint64, span uint32, ok bool) {
 		}
 		span = uint32(v)
 	}
-	v, err := parseHex64(idS)
-	if err != nil {
-		return 0, 0, false
-	}
-	return v, span, true
+	v, ok := ParseHex64(idS)
+	return v, span, ok
 }
 
 // execTraceAppend answers TRACE GET: it fetches a retained trace by

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"io"
 	"log/slog"
 	"strings"
 	"testing"
@@ -232,5 +233,54 @@ func TestTracingOnSteadyStateAllocs(t *testing.T) {
 		buf = s.ExecAppend(buf[:0], "SEARCH db dead")
 	}); n != 0 {
 		t.Fatalf("unadmitted traced SEARCH allocated %.1f times per run, want 0", n)
+	}
+}
+
+// lineReader delivers one request line per Read, so every fill of
+// Handle's read buffer lands on top of the line before it.
+type lineReader struct{ lines []string }
+
+func (l *lineReader) Read(p []byte) (int, error) {
+	if len(l.lines) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, l.lines[0]+"\n")
+	l.lines = l.lines[1:]
+	return n, nil
+}
+
+// TestHandleLineViewRetention: Handle executes each line as a view of
+// its read buffer, so whatever a request leaves behind must have been
+// cloned out of the line. The engine a CREATE registers and the fields
+// of admitted traces (every request, with the slowlog threshold at
+// zero) are read back after later, longer lines have overwritten the
+// buffer they arrived in.
+func TestHandleLineViewRetention(t *testing.T) {
+	s, _ := tracedServer(trace.Config{Slowlog: 0, Ring: 16})
+	filler := "SEARCH db " + strings.Repeat("f", 16) + ":" + strings.Repeat("e", 16)
+	var out strings.Builder
+	s.Handle(&lineReader{lines: []string{
+		"CREATE ENGINE zed TYPE exact",
+		"INSERT zed beef 1",
+		"SEARCH zed beef",
+		filler, filler,
+		"ENGINES",
+		"SLOWLOG GET",
+	}}, &out)
+	replies := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(replies) != 7 {
+		t.Fatalf("replies: %q", replies)
+	}
+	if replies[5] != "ENGINES db zed" {
+		t.Errorf("ENGINES after the buffer was reused: %q", replies[5])
+	}
+	for _, want := range []string{
+		" cmd=CREATE engine= key= result=OK",
+		" cmd=INSERT engine=zed key=beef result=OK",
+		" cmd=SEARCH engine=zed key=beef result=HIT",
+	} {
+		if !strings.Contains(replies[6], want) {
+			t.Errorf("SLOWLOG GET lacks %q: %q", want, replies[6])
+		}
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"strconv"
+	"strings"
 	"time"
 
 	"caram/internal/bitutil"
@@ -114,7 +115,9 @@ func (s *Server) execCreateAppend(dst []byte, fs *FieldScanner) []byte {
 	if len(s.con.Engines()) >= maxEngines {
 		return append(dst, "ERR engine limit reached"...)
 	}
-	if err := s.con.CreateEngine(name, typ, tc); err != nil {
+	// The roster keeps the name; the request line it came from does not
+	// outlive this call (Handle passes a view of its read buffer).
+	if err := s.con.CreateEngine(strings.Clone(name), typ, tc); err != nil {
 		return appendErr(dst, err)
 	}
 	return append(dst, "OK"...)

@@ -43,8 +43,45 @@ func (f *FieldScanner) CountFields() int { return f.countFields() }
 // NewFieldScanner returns a scanner over one request (or reply) line.
 func NewFieldScanner(line string) FieldScanner { return FieldScanner{s: line} }
 
-// ParseVec parses a wire key — "hi:lo" or plain hex, each part 1-16
-// hex digits with nothing else — exactly as the protocol engine does
+// hexVal maps a byte to its hex digit value; anything above 15 is not
+// a hex digit. A table, not range tests: in a random key the next digit
+// is a letter or a figure unpredictably, and that branch mispredicts.
+var hexVal = func() (t [256]uint8) {
+	for i := range t {
+		t[i] = 0xff
+	}
+	for i := 0; i < 10; i++ {
+		t['0'+i] = uint8(i)
+	}
+	for i := 0; i < 6; i++ {
+		t['a'+i], t['A'+i] = uint8(10+i), uint8(10+i)
+	}
+	return t
+}()
+
+// ParseHex64 parses one bare hex field: 1+ hex digits (leading zeros
+// allowed) whose value fits 64 bits, and nothing else — the exact set
+// strconv.ParseUint(s, 16, 64) accepts, so empty fields, signs, "0x"
+// prefixes, "_" separators and trailing garbage like "12zz" are all
+// rejected. One digit loop serves the server's string fields and the
+// router's byte fields alike (FuzzParseHex64 holds it to strconv).
+func ParseHex64[S string | []byte](s S) (uint64, bool) {
+	if len(s) == 0 {
+		return 0, false
+	}
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		d := hexVal[s[i]]
+		if d > 15 || v >= 1<<60 { // not a digit, or v<<4 would overflow
+			return 0, false
+		}
+		v = v<<4 | uint64(d)
+	}
+	return v, true
+}
+
+// ParseVec parses a wire key — "hi:lo" or plain hex, each part 1+ hex
+// digits fitting 64 bits with nothing else — exactly as the protocol engine does
 // (trailing garbage, signs, and "0x" prefixes are all rejected). The
 // router canonicalizes keys through this before hashing them onto the
 // ring, so "dead", "0:dead" and "0:000000000000dead" route to the same

@@ -918,10 +918,12 @@ type MSearchResult struct {
 	Result SearchResult
 }
 
-// mjob is the per-engine grouping MSearch builds before dispatch.
+// mjob is the per-engine grouping MSearch builds before dispatch: the
+// engine and its share of the request indices (n of them once counted).
 type mjob struct {
 	g    *guardedEngine
 	idxs []int
+	n    int
 }
 
 // MSearch fans a batch of searches across engines. Requests are
@@ -934,6 +936,11 @@ type mjob struct {
 // serialize within their group, exactly the hardware's one-row-port
 // constraint. Results come back in request order; an unknown port
 // yields a per-slot error rather than failing the batch.
+//
+// Bookkeeping costs two allocations whatever the batch holds: out, and
+// one slab whose first half records each request's group and whose
+// second half is carved into the groups' index lists. A run of requests
+// naming the same port resolves its engine once.
 func (c *Concurrent) MSearch(reqs []PortKey) []MSearchResult {
 	out := make([]MSearchResult, len(reqs))
 	if c.down.Load() {
@@ -945,28 +952,46 @@ func (c *Concurrent) MSearch(reqs []PortKey) []MSearchResult {
 	if len(reqs) == 0 {
 		return out
 	}
+	set := c.set.Load().m
 	jobs := make([]mjob, 0, 4)
+	slab := make([]int, 2*len(reqs))
+	jobOf, lists := slab[:len(reqs)], slab[len(reqs):]
+	j := -1 // the previous request's group, -1 when it had none
 	for i, r := range reqs {
-		g, ok := c.engine(r.Port)
-		if !ok {
-			c.met.AddUnknown(1)
-			out[i].Err = errNoEngine(r.Port)
-			continue
-		}
-		if Health(g.health.Load()) == Failed {
-			out[i].Err = ErrEngineUnavailable
-			continue
-		}
-		found := false
-		for j := range jobs { // engine counts are small; linear beats a map
-			if jobs[j].g == g {
-				jobs[j].idxs = append(jobs[j].idxs, i)
-				found = true
-				break
+		if j < 0 || r.Port != reqs[i-1].Port {
+			j = -1
+			g, ok := set[r.Port]
+			switch {
+			case !ok:
+				c.met.AddUnknown(1)
+				out[i].Err = errNoEngine(r.Port)
+			case Health(g.health.Load()) == Failed:
+				out[i].Err = ErrEngineUnavailable
+			default:
+				j = len(jobs)
+				for k := range jobs { // engine counts are small; linear beats a map
+					if jobs[k].g == g {
+						j = k
+						break
+					}
+				}
+				if j == len(jobs) {
+					jobs = append(jobs, mjob{g: g})
+				}
 			}
 		}
-		if !found {
-			jobs = append(jobs, mjob{g: g, idxs: []int{i}})
+		if jobOf[i] = j; j >= 0 {
+			jobs[j].n++
+		}
+	}
+	off := 0
+	for k := range jobs {
+		jobs[k].idxs = lists[off : off : off+jobs[k].n]
+		off += jobs[k].n
+	}
+	for i, k := range jobOf {
+		if k >= 0 {
+			jobs[k].idxs = append(jobs[k].idxs, i)
 		}
 	}
 	switch len(jobs) {
@@ -1009,11 +1034,14 @@ func (c *Concurrent) MSearch(reqs []PortKey) []MSearchResult {
 
 // runBatch executes one engine's share of an MSearch. On the lock-free
 // path the whole share runs on one pooled Reader with no mutex
-// operations; any keys the seqlock protocol could not certify are
-// re-run as a locked leftover batch. The serialized path takes the
-// engine lock once for the whole share. Either way instrumentation
-// measures the share with one clock pair, attributing each key its
-// per-item slice of the duration.
+// operations — first-match engines through the Reader's staged batch
+// pipeline (caram.Reader.LookupBatch), ranked engines key by key on
+// LookupBest, whose full-reach scan has no home-row fast case to batch;
+// any keys the seqlock protocol could not certify are re-run as a
+// locked leftover batch. The serialized path takes the engine lock once
+// for the whole share. Either way instrumentation measures the share
+// with one clock pair, attributing each key its per-item slice of the
+// duration.
 func (c *Concurrent) runBatch(g *guardedEngine, reqs []PortKey, out []MSearchResult, idxs []int) {
 	if g.seqRead && !c.lockedReads {
 		var start time.Time
@@ -1022,13 +1050,36 @@ func (c *Concurrent) runBatch(g *guardedEngine, reqs []PortKey, out []MSearchRes
 		}
 		rd := g.readers.get()
 		var rest []int
-		for _, i := range idxs {
-			sr, ok := g.e.SearchSeq(rd, reqs[i].Key, nil)
-			if !ok {
-				rest = append(rest, i)
-				continue
+		if g.e.Score != nil {
+			for _, i := range idxs {
+				sr, ok := g.e.SearchSeq(rd, reqs[i].Key, nil)
+				if !ok {
+					rest = append(rest, i)
+					continue
+				}
+				out[i].Result = sr
 			}
-			out[i].Result = sr
+		} else {
+			var (
+				keys [caram.BatchChunk]bitutil.Ternary
+				res  [caram.BatchChunk]caram.LookupResult
+				ok   [caram.BatchChunk]bool
+			)
+			for todo := idxs; len(todo) > 0; {
+				n := min(len(todo), len(keys))
+				for k, i := range todo[:n] {
+					keys[k] = reqs[i].Key
+				}
+				rd.LookupBatch(keys[:n], res[:n], ok[:n])
+				for k, i := range todo[:n] {
+					if !ok[k] {
+						rest = append(rest, i)
+						continue
+					}
+					out[i].Result = fromLookup(res[k])
+				}
+				todo = todo[n:]
+			}
 		}
 		if n := rd.TakeRetries(); n > 0 {
 			g.retries.Add(uint64(n))

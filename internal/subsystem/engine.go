@@ -182,7 +182,7 @@ func (e *Engine) SearchTraced(key bitutil.Ternary, tr *trace.Trace) SearchResult
 	} else {
 		main = e.Main.LookupTraced(key, tr)
 	}
-	res := SearchResult{Found: main.Found, Record: main.Record, RowsRead: main.RowsRead, Erred: main.Erred}
+	res := fromLookup(main)
 	if e.Overflow == nil {
 		return res
 	}
@@ -221,7 +221,12 @@ func (e *Engine) SearchSeq(rd *caram.Reader, key bitutil.Ternary, tr *trace.Trac
 	if !ok {
 		return SearchResult{}, false
 	}
-	return SearchResult{Found: main.Found, Record: main.Record, RowsRead: main.RowsRead, Erred: main.Erred}, true
+	return fromLookup(main), true
+}
+
+// fromLookup is the main array's share of a SearchResult.
+func fromLookup(main caram.LookupResult) SearchResult {
+	return SearchResult{Found: main.Found, Record: main.Record, RowsRead: main.RowsRead, Erred: main.Erred}
 }
 
 // banks resolves the timing bank count.

@@ -142,7 +142,8 @@ var errBadResult = errors.New("bad lock-free result")
 
 // TestSearchTornReadStress runs the torn-read/linearizability suite
 // through the full Concurrent dispatch: reader goroutines issue
-// c.Search while a writer churns keys through c.Delete/c.Insert with
+// c.Search (even readers) or c.MSearch batches (odd readers) while a
+// writer churns keys through c.Delete/c.Insert with
 // self-validating payloads. At this layer escalation is invisible
 // (the dispatcher falls back to the serialized path itself), so EVERY
 // search must return a legally published value, and permanent keys
@@ -179,7 +180,44 @@ func TestSearchTornReadStress(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			// check judges one answer; at this layer every one counts.
+			check := func(key uint64, permanent bool, sr SearchResult, err error) bool {
+				if err != nil {
+					t.Errorf("search %x: %v", key, err)
+					return false
+				}
+				reads.Add(1)
+				if permanent && !sr.Found {
+					t.Errorf("permanent key %x missing (linearizability violation)", key)
+					return false
+				}
+				if sr.Found && !genPayloadValid(key, sr.Record.Data.Uint64()) {
+					t.Errorf("key %x returned unpublished value %#x (torn read)", key, sr.Record.Data.Uint64())
+					return false
+				}
+				return true
+			}
+			// Odd readers send MSEARCH batches longer than one pipeline
+			// chunk, permanent and churn keys alternating, so the staged
+			// batch path runs against the writer too.
+			batch := make([]PortKey, caram.BatchChunk+8)
 			for i := 0; !done.Load(); i++ {
+				if g%2 == 1 {
+					for j := range batch {
+						key := permKeys[(g+i+j)%nPermanent]
+						if j%2 == 1 {
+							key = churnKeys[(g+i+j)%nChurn]
+						}
+						batch[j] = PortKey{Port: "e0", Key: exact(key)}
+					}
+					for j, r := range c.MSearch(batch) {
+						if !check(batch[j].Key.Value.Lo, j%2 == 0, r.Result, r.Err) {
+							return
+						}
+					}
+					runtime.Gosched()
+					continue
+				}
 				var key uint64
 				permanent := i%2 == 0
 				if permanent {
@@ -188,17 +226,7 @@ func TestSearchTornReadStress(t *testing.T) {
 					key = churnKeys[(g+i)%nChurn]
 				}
 				sr, err := c.Search("e0", exact(key))
-				if err != nil {
-					t.Errorf("search %x: %v", key, err)
-					return
-				}
-				reads.Add(1)
-				if permanent && !sr.Found {
-					t.Errorf("permanent key %x missing (linearizability violation)", key)
-					return
-				}
-				if sr.Found && !genPayloadValid(key, sr.Record.Data.Uint64()) {
-					t.Errorf("key %x returned unpublished value %#x (torn read)", key, sr.Record.Data.Uint64())
+				if !check(key, permanent, sr, err) {
 					return
 				}
 				runtime.Gosched() // interleave with the writer on one CPU
