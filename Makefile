@@ -9,9 +9,14 @@
 #   make bench-load     one full caram-load run (five workloads, untraced
 #                       and traced, plus the ladder) into a git-ignored
 #                       file, compared against the bench/history baseline
+#   make profile-routed 30 s of the search-routed deployment under
+#                       load, router + backend CPU profiles saved from
+#                       their /debug/pprof endpoints into .bench_build/
 #   make alloc-guard    allocation regression tests for the search hot
 #                       path (match, caram, server incl. the wire path
-#                       through Handle, MSEARCH bookkeeping, router)
+#                       through Handle, MSEARCH bookkeeping, and the
+#                       router with no collector, an idle one, and
+#                       caram-router's default flags)
 #   make trace-guard    tracing-layer gate: ring races under -race,
 #                       slowlog admission property, zero-alloc with
 #                       tracing compiled in (off and on-unadmitted)
@@ -36,9 +41,9 @@
 #                       under -race (ring determinism + rebalance,
 #                       pool FIFO/breaker semantics, scatter/gather,
 #                       the byte-exact golden session through a live
-#                       2-backend cluster, kill-a-backend failover
-#                       under stress) plus the forward-path
-#                       zero-alloc guard
+#                       2-backend cluster, batch failure semantics
+#                       against scripted backends, kill-a-backend
+#                       failover under stress)
 #   make crash-guard    durability gate: the WAL suite (torn-tail
 #                       recovery at every byte offset, snapshot
 #                       truncation, graceful-drain Close) under -race,
@@ -54,7 +59,7 @@
 GO       ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all check fmt-check vet race stress fuzz bench bench-json bench-load alloc-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard chaos metrics-smoke ci
+.PHONY: all check fmt-check vet race stress fuzz bench bench-json bench-load profile-routed alloc-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard chaos metrics-smoke ci
 
 all: check race stress fuzz bench trace-guard seqlock-guard typed-guard cluster-guard crash-guard chaos metrics-smoke
 
@@ -100,7 +105,9 @@ bench:
 # search paths (row match kernel, slice lookup and the Reader's batch
 # pipeline, server SEARCH through ExecAppend and, per line, through
 # Handle), MSEARCH bookkeeping held to its two slices, and the router
-# forward path with an idle trace collector attached.
+# forward path (SEARCH and MSEARCH) with no collector, an idle one, and
+# the collector caram-router's default flags build. This is the one
+# non-race run of the router guards in `make ci`.
 alloc-guard:
 	$(GO) test -run ZeroAlloc -count=1 ./internal/match ./internal/caram ./internal/server
 	$(GO) test -run MSearchAllocs -count=1 ./internal/subsystem
@@ -125,13 +132,17 @@ crash-guard:
 # threshold), the per-command pipelined-burst attribution, the wire
 # *TID annotation / TRACE GET suites, the cluster tracing suites (the
 # stitched end-to-end trace through a live router, fleet SLOWLOG /
-# METRICS / TRACE merges, traced-vs-untraced transparency), and the
-# steady-state zero-alloc guarantee with tracing compiled in.
+# METRICS / TRACE merges, traced-vs-untraced transparency, the
+# tag-what-you-keep rule: late-built slowlog entries and exactly the
+# sampled requests tagged on real backends), and the steady-state
+# zero-alloc guarantee with tracing compiled in — on the router, under
+# the flags it is deployed with.
 trace-guard:
 	$(GO) test -race -count=1 ./internal/trace
 	$(GO) test -race -run 'Pipelined|Slowlog|Explain|SlowRequest|TracingOn|WireAnnotation|TraceGet' -count=1 ./internal/server
-	$(GO) test -race -run 'ClusterTracing|RouterSlowlog|RouterMetricsAggregation|RouterTraceGet|RouterTracedTransparency|RouterHealthMergeOrder|RouterUntraced' -count=1 ./internal/cluster
+	$(GO) test -race -run 'ClusterTracing|RouterSlowlog|RouterTagsOnlySampled|RouterMetricsAggregation|RouterTraceGet|RouterTracedTransparency|RouterHealthMergeOrder|RouterUntraced' -count=1 ./internal/cluster
 	$(GO) test -run 'TracingOnSteadyStateAllocs|ZeroAlloc' -count=1 ./internal/server
+	$(GO) test -run 'ForwardPathAllocs/deployed-flags' -count=1 ./internal/cluster
 
 # Wait-free search gate: the torn-read/linearizability suites (caram
 # Reader and subsystem dispatch, single lookups and LookupBatch/MSEARCH
@@ -162,12 +173,12 @@ typed-guard:
 # detector — ring determinism and the rebalance property, pool FIFO
 # reply matching and breaker/probe recovery, the transparency
 # differential, scatter/gather merges, the byte-exact golden session
-# through a live two-backend cluster, and the kill-a-backend failover
-# storm — then the forward-path zero-alloc guard without -race (the
-# race runtime allocates).
+# through a live two-backend cluster, the batch failure semantics
+# (k-of-n replies then close, ERR BUSY, an unsolicited line) and the
+# kill-a-backend failover storm. The zero-alloc guards skip themselves
+# here (the race runtime allocates); alloc-guard runs them.
 cluster-guard:
 	$(GO) test -race -count=1 ./internal/cluster
-	$(GO) test -run ForwardPathAllocs -count=1 ./internal/cluster
 
 # Freeze the hot-path benchmarks into a versioned JSON artifact.
 bench-json:
@@ -175,9 +186,9 @@ bench-json:
 		-benchmem . | $(GO) run ./cmd/bench2json > BENCH_PR3.json
 	$(GO) test -run '^$$' -bench SearchUnderWriteContention -benchmem \
 		./internal/subsystem | $(GO) run ./cmd/bench2json > BENCH_PR6.json
-	$(GO) test -run '^$$' -bench 'RouterPipelinedSearch$$|UnpipelinedProxySearch|DirectServerSearch|RouterForwardPath$$' \
+	$(GO) test -run '^$$' -bench 'RouterPipelinedSearch$$|UnpipelinedProxySearch|DirectServerSearch|RouterForward$$' \
 		-benchmem ./internal/cluster | $(GO) run ./cmd/bench2json > BENCH_PR8.json
-	$(GO) test -run '^$$' -bench 'RouterForwardPath|RouterPipelinedSearch/depth8' \
+	$(GO) test -run '^$$' -bench 'RouterForward$$|RouterPipelinedSearch/depth8' \
 		-benchmem ./internal/cluster | $(GO) run ./cmd/bench2json > BENCH_PR9.json
 	$(GO) test -run '^$$' -bench WALInsert -benchtime 2000x \
 		-benchmem ./internal/wal | $(GO) run ./cmd/bench2json > BENCH_PR10.json
@@ -191,3 +202,25 @@ bench-load:
 	mkdir -p $(dir $(BENCH_LOAD_OUT))
 	$(GO) run ./cmd/caram-load -seed 1 -out $(BENCH_LOAD_OUT)
 	$(GO) run ./cmd/caram-load -compare $(firstword $(wildcard bench/history/0001-*.json)) $(BENCH_LOAD_OUT)
+
+# Read the next premium from a profile, not a guess: run the
+# search-routed deployment (real binaries, default flags) under load
+# for PROFILE_SECONDS and save a CPU profile of the router and of each
+# backend from their own /debug/pprof endpoints. The processes listen
+# on ephemeral ports; ss finds them, and /metrics tells the HTTP port
+# from the wire port. Read with `go tool pprof -top <file>`.
+PROFILE_SECONDS ?= 30
+profile-routed:
+	@mkdir -p .bench_build
+	@$(GO) run ./cmd/caram-load --workload search-routed --seed 1 --seconds $(PROFILE_SECONDS) --trace 0 \
+		>.bench_build/profile-routed.log 2>&1 & load=$$!; \
+	for i in $$(seq 1 240); do ss -ltnpH | grep -q '"caram-router"' && break; sleep 0.5; done; \
+	sleep 3; \
+	ss -ltnpH | sed -n 's/.* \(127\.0\.0\.1:[0-9]*\) .*(("\(caram-[a-z]*\)",pid=\([0-9]*\),.*/\1 \2 \3/p' | { \
+		while read addr name pid; do \
+			curl -sf -o /dev/null "http://$$addr/metrics" 2>/dev/null || continue; \
+			echo "profiling $$name (pid $$pid) at $$addr"; \
+			curl -sf -o ".bench_build/$$name-$$pid.cpu.pprof" \
+				"http://$$addr/debug/pprof/profile?seconds=$$(( $(PROFILE_SECONDS) * 2 / 3 ))" & \
+		done; wait; }; \
+	wait $$load; tail -1 .bench_build/profile-routed.log; ls -1 .bench_build/*.cpu.pprof

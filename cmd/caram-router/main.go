@@ -11,11 +11,13 @@
 // the slots reassemble in the caller's original order.
 //
 // Each backend is reached over a pipelined connection pool (-conns
-// persistent connections): concurrently arriving requests coalesce
-// into one buffered write burst with a single flush — the network
-// form of the server's own batch pipeline — and replies match waiting
-// calls in FIFO pipeline order. The forward path allocates nothing in
-// steady state.
+// persistent connections). The router pays per burst, not per line:
+// the requests one client pipelined are appended to one batch per
+// backend, each batch costs one queue operation and one completion
+// signal, concurrently arriving batches coalesce into one buffered
+// write — the network form of the server's own batch pipeline — and
+// replies match waiting batches in FIFO pipeline order. The forward
+// path allocates nothing in steady state.
 //
 // Failures degrade loudly, never wrongly: a dead backend trips its
 // circuit breaker (-breaker-threshold consecutive failures, open for
@@ -30,15 +32,19 @@
 // the burst-size histogram that shows coalescing at work) plus the
 // standard pprof endpoints.
 //
-// The router traces every proxied request (-trace-sample, -slowlog-us,
-// -trace-ring mirror the server flags): eligible requests tag their
-// forwarded commands with a *TID annotation so backend traces become
-// children, /debug/traces serves retained traces stitched with their
-// backend child spans (router queue wait and RTT next to backend lock
-// wait and probe chains), and the SLOWLOG / METRICS / TRACE wire
-// commands answer fleet-wide — slowlogs scatter/gather-merge by
-// latency with node= provenance, counters sum, latency histograms
-// merge bucket-wise.
+// The router traces on admission (-trace-sample, -slowlog-us,
+// -trace-ring mirror the server flags), under one rule: a tier tags a
+// downstream request only when the trace is already certain to be
+// kept. -trace-sample N decides at dispatch: every Nth request is
+// forwarded with a *TID annotation, its backend traces become children,
+// and /debug/traces serves it stitched (router queue wait and RTT next
+// to backend lock wait and probe chains) — this is the flag that
+// stitches. -slowlog-us decides at settle: a request that turned out
+// slow gets the router's own spans and the backend index, built after
+// the fact, and no child; each tier's slowlog catches what was slow
+// there. The SLOWLOG / METRICS / TRACE wire commands answer fleet-wide
+// — slowlogs scatter/gather-merge by latency with node= provenance,
+// counters sum, latency histograms merge bucket-wise.
 //
 //	caram-server -addr 127.0.0.1:7071 &
 //	caram-server -addr 127.0.0.1:7072 &
@@ -85,8 +91,8 @@ func main() {
 		healthInterval   = flag.Duration("health-interval", time.Second, "HEALTH probe period per backend (0 = watcher off)")
 		healthTimeout    = flag.Duration("health-timeout", time.Second, "per-probe deadline")
 
-		traceSample = flag.Int("trace-sample", 0, "trace 1 in N proxied requests (0 = off)")
-		slowlogUs   = flag.Int64("slowlog-us", 10_000, "router slowlog threshold in microseconds (-1 = off)")
+		traceSample = flag.Int("trace-sample", 0, "trace 1 in N proxied requests, chosen at dispatch: forwards carry a *TID tag and /debug/traces stitches the backend children (0 = off)")
+		slowlogUs   = flag.Int64("slowlog-us", 10_000, "router slowlog threshold in microseconds: slower requests keep the router's own spans, built at settle, with no backend child (-1 = off)")
 		traceRing   = flag.Int("trace-ring", trace.DefaultRing, "retained traces per policy ring")
 	)
 	flag.Parse()

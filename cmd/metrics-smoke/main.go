@@ -24,7 +24,8 @@
 //
 // It then repeats the exercise one tier up: cmd/caram-router is built
 // and started in front of two caram-server backends (both tiers with a
-// zero slowlog threshold, so every request is traced), a sharded
+// zero slowlog threshold, so every request is retained, and the router
+// with -trace-sample 1, so every forward is tagged), a sharded
 // workload is driven through the router's wire port, and
 //
 //   - the router's own /metrics scrape must carry every caram_router_*
@@ -454,9 +455,11 @@ func runCluster() error {
 	if err != nil {
 		return err
 	}
+	// -trace-sample 1 tags every forward, so backend traces stitch under
+	// the router's; -slowlog-us 0 keeps every request in the slowlog.
 	rt := exec.Command(rtBin, "-addr", wireAddr, "-http", httpAddr,
 		"-backends", bkAddrs[0]+","+bkAddrs[1], "-health-interval", "0",
-		"-slowlog-us", "0", "-log-level", "error")
+		"-trace-sample", "1", "-slowlog-us", "0", "-log-level", "error")
 	rt.Stderr = os.Stderr
 	if err := rt.Start(); err != nil {
 		return fmt.Errorf("start caram-router: %w", err)

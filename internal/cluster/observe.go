@@ -39,6 +39,16 @@ func (rt *Router) dispatchMetrics(st *rconn, line []byte) {
 			op := st.nextOp()
 			op.kind = opLocal
 			ops, errs := rt.met.Totals()
+			if rt.met != nil {
+				// Lines this burst has batched but not yet submitted are
+				// ops already: the count is the one a line-at-a-time
+				// router would report here.
+				for _, bt := range st.cur[:len(rt.pools)] {
+					if bt != nil {
+						ops += uint64(bt.n)
+					}
+				}
+			}
 			op.local = append(op.local, "METRICS backends="...)
 			op.local = strconv.AppendInt(op.local, int64(len(rt.pools)), 10)
 			op.local = append(op.local, " ops="...)
@@ -47,7 +57,7 @@ func (rt *Router) dispatchMetrics(st *rconn, line []byte) {
 			op.local = strconv.AppendUint(op.local, errs, 10)
 			return
 		}
-		rt.scatter(st, line, mergeMetricsAll)
+		rt.scatter(st, line, (*Router).mergeMetricsAll)
 		return
 	}
 	if rt.Pinned(string(eng)) {
@@ -67,7 +77,7 @@ func (rt *Router) dispatchMetrics(st *rconn, line []byte) {
 	_, extra := sc.next()
 	switch {
 	case !hasSub:
-		rt.scatter(st, line, mergeMetricsEngine)
+		rt.scatter(st, line, (*Router).mergeMetricsEngine)
 	case hasOp && !extra && eqFold(sub, "LATENCY"):
 		// Quantiles do not merge; raw bucket counts do. Ask the fleet
 		// for the machine HIST form and re-derive quantiles from the
@@ -77,9 +87,9 @@ func (rt *Router) dispatchMetrics(st *rconn, line []byte) {
 		b = append(b, " HIST "...)
 		b = append(b, opName...)
 		st.cmdb = b
-		rt.scatter(st, b, mergeHistQuantiles)
+		rt.scatter(st, b, (*Router).mergeHistQuantiles)
 	case hasOp && !extra && eqFold(sub, "HIST"):
-		rt.scatter(st, line, mergeHistSum)
+		rt.scatter(st, line, (*Router).mergeHistSum)
 	default:
 		rt.forward(st, line, 0, false) // backend renders the usage ERR
 	}
@@ -99,10 +109,10 @@ func (rt *Router) dispatchSlowlog(st *rconn, line []byte, sc bscan) {
 	case !hasSub:
 		rt.forward(st, line, 0, false) // backend renders the usage ERR
 	case eqFold(sub, "LEN"):
-		rt.scatter(st, line, mergeSlowlogLen)
+		rt.scatter(st, line, (*Router).mergeSlowlogLen)
 	case eqFold(sub, "RESET"):
 		rt.trc.Slow().Reset()
-		rt.scatter(st, line, mergeOK)
+		rt.scatter(st, line, (*Router).mergeAllOK)
 	case eqFold(sub, "GET"):
 		n := -1 // all retained
 		if arg, has := sc.next(); has {
@@ -112,7 +122,7 @@ func (rt *Router) dispatchSlowlog(st *rconn, line []byte, sc bscan) {
 			// Out-of-grammar args still scatter: every backend rejects
 			// them identically and the merge propagates that ERR.
 		}
-		op := rt.scatter(st, line, mergeSlowlogGet)
+		op := rt.scatter(st, line, (*Router).mergeSlowlogGet)
 		op.backend = n // merge-side cap (opScatter leaves backend unused)
 	default:
 		rt.forward(st, line, 0, false)
@@ -136,10 +146,11 @@ func (rt *Router) dispatchTrace(st *rconn, line []byte, sc bscan) {
 			op.kind = opLocal
 			op.local = append(op.local, "TRACE "...)
 			op.local = t.AppendJSON(op.local, 0)
+			op.req = append(op.req, line...)
 			return
 		}
 	}
-	rt.scatter(st, line, mergeTrace)
+	rt.scatter(st, line, (*Router).mergeTrace)
 }
 
 // parseWireIDBytes parses "<hex-id>[/<decimal-span>]".
@@ -346,15 +357,7 @@ func (rt *Router) mergeMetricsAll(out []byte, op *pendingOp) []byte {
 		if tok, ok := sc.next(); !ok || !eqFold(tok, "METRICS") {
 			return append(out, resp...)
 		}
-		for {
-			pair, ok := sc.next()
-			if !ok {
-				break
-			}
-			k, v, okKV := splitKV(pair)
-			if !okKV {
-				continue
-			}
+		for k, v, ok := sc.nextKV(); ok; k, v, ok = sc.nextKV() {
 			switch {
 			case eqFold(k, "ops"):
 				ops += parseInt(v)
@@ -406,15 +409,7 @@ func (rt *Router) mergeMetricsEngine(out []byte, op *pendingOp) []byte {
 		shards++
 		var sh, sm int64
 		var samal float64
-		for {
-			pair, ok := sc.next()
-			if !ok {
-				break
-			}
-			k, v, okKV := splitKV(pair)
-			if !okKV {
-				continue
-			}
+		for k, v, ok := sc.nextKV(); ok; k, v, ok = sc.nextKV() {
 			ks := string(k)
 			switch ks {
 			case "engine":
@@ -464,31 +459,25 @@ func (rt *Router) mergeMetricsEngine(out []byte, op *pendingOp) []byte {
 	return out
 }
 
-// sumHist gathers the fleet histogram behind both HIST merges: the
+// sumHist gathers the fleet histogram behind both HIST merges — the
 // backends' power-of-two bucket counts add index-wise (shards share the
-// bucket edges by construction), sums and error counts add, and N is
-// recomputed from the merged counts.
-func (rt *Router) sumHist(op *pendingOp) (engine, opName []byte, errs int64, fleet metrics.HistSnapshot, badReply []byte, down bool) {
+// bucket edges by construction), sums and error counts add, N is
+// recomputed from the merged counts — and appends the head both
+// renderings share. ok=false means out already holds the whole reply:
+// unavailable, or the first backend line that was not a histogram.
+func (rt *Router) sumHist(out []byte, op *pendingOp) (_ []byte, fleet metrics.HistSnapshot, ok bool) {
+	var engine, opName []byte
+	var errs int64
 	for _, bi := range rt.order {
 		resp, err := op.calls[bi].Wait()
 		if err != nil {
-			down = true
-			return
+			return append(out, replyUnavailable...), fleet, false
 		}
 		sc := bscan{b: resp}
 		if tok, ok := sc.next(); !ok || !eqFold(tok, "METRICS") {
-			badReply = resp
-			return
+			return append(out, resp...), fleet, false
 		}
-		for {
-			pair, ok := sc.next()
-			if !ok {
-				break
-			}
-			k, v, okKV := splitKV(pair)
-			if !okKV {
-				continue
-			}
+		for k, v, ok := sc.nextKV(); ok; k, v, ok = sc.nextKV() {
 			switch {
 			case eqFold(k, "engine"):
 				engine = v
@@ -514,20 +503,6 @@ func (rt *Router) sumHist(op *pendingOp) (engine, opName []byte, errs int64, fle
 			}
 		}
 	}
-	return
-}
-
-// mergeHistQuantiles renders the fleet histogram in the server's
-// LATENCY quantile shape.
-func (rt *Router) mergeHistQuantiles(out []byte, op *pendingOp) []byte {
-	engine, opName, errs, fleet, badReply, down := rt.sumHist(op)
-	if down {
-		return append(out, replyUnavailable...)
-	}
-	if badReply != nil {
-		return append(out, badReply...)
-	}
-	qs := fleet.Quantiles(0.5, 0.9, 0.99, 1)
 	out = append(out, "METRICS engine="...)
 	out = append(out, engine...)
 	out = append(out, " op="...)
@@ -535,7 +510,17 @@ func (rt *Router) mergeHistQuantiles(out []byte, op *pendingOp) []byte {
 	out = append(out, " n="...)
 	out = strconv.AppendUint(out, fleet.N, 10)
 	out = append(out, " err="...)
-	out = strconv.AppendInt(out, errs, 10)
+	return strconv.AppendInt(out, errs, 10), fleet, true
+}
+
+// mergeHistQuantiles renders the fleet histogram in the server's
+// LATENCY quantile shape.
+func (rt *Router) mergeHistQuantiles(out []byte, op *pendingOp) []byte {
+	out, fleet, ok := rt.sumHist(out, op)
+	if !ok {
+		return out
+	}
+	qs := fleet.Quantiles(0.5, 0.9, 0.99, 1)
 	out = append(out, " mean_us="...)
 	out = strconv.AppendFloat(out, fleet.MeanNs()/1e3, 'f', 2, 64)
 	for i, label := range [...]string{" p50_us=", " p90_us=", " p99_us=", " max_us="} {
@@ -548,21 +533,10 @@ func (rt *Router) mergeHistQuantiles(out []byte, op *pendingOp) []byte {
 // mergeHistSum renders the fleet histogram in the server's raw HIST
 // shape (machine-readable; a parent tier could merge it again).
 func (rt *Router) mergeHistSum(out []byte, op *pendingOp) []byte {
-	engine, opName, errs, fleet, badReply, down := rt.sumHist(op)
-	if down {
-		return append(out, replyUnavailable...)
+	out, fleet, ok := rt.sumHist(out, op)
+	if !ok {
+		return out
 	}
-	if badReply != nil {
-		return append(out, badReply...)
-	}
-	out = append(out, "METRICS engine="...)
-	out = append(out, engine...)
-	out = append(out, " op="...)
-	out = append(out, opName...)
-	out = append(out, " n="...)
-	out = strconv.AppendUint(out, fleet.N, 10)
-	out = append(out, " err="...)
-	out = strconv.AppendInt(out, errs, 10)
 	out = append(out, " sum_ns="...)
 	out = strconv.AppendInt(out, fleet.SumNs, 10)
 	out = append(out, " buckets="...)

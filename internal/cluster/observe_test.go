@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"caram/internal/cam"
 	"caram/internal/caram"
@@ -43,16 +44,17 @@ func startTracedBackend(t testing.TB, engines ...string) *testBackend {
 	}
 	go srv.Serve(l) //nolint:errcheck // returns when the server closes
 	t.Cleanup(func() { srv.Close() })
-	return &testBackend{srv: srv, addr: l.Addr().String()}
+	return &testBackend{srv: srv, addr: l.Addr().String(), col: col}
 }
 
 // tracedCluster is the standard fixture for fleet-observability tests:
-// two traced backends behind a router whose own collector admits every
-// request to its slowlog.
+// two traced backends behind a router that head-samples every request
+// — so every forward is tagged and its backend child stitches — and
+// admits every request to its slowlog.
 func tracedCluster(t testing.TB) (*Router, *trace.Collector) {
 	t.Helper()
 	bks := []*testBackend{startTracedBackend(t, "db"), startTracedBackend(t, "db")}
-	col := trace.NewCollector(trace.Config{Slowlog: 0, Ring: 64})
+	col := trace.NewCollector(trace.Config{SampleN: 1, Slowlog: 0, Ring: 64})
 	rt, _ := testRouter(t, bks, func(cfg *RouterConfig) { cfg.Tracing = col })
 	return rt, col
 }
@@ -112,8 +114,9 @@ type sjTop struct {
 	Sampled []sjEntry `json:"sampled"`
 }
 
-// TestClusterTracingEndToEnd is the acceptance test for the tentpole:
-// a slow cluster SEARCH through a real router and two real backends is
+// TestClusterTracingEndToEnd is the acceptance test for cluster
+// tracing: a sampled (and slow) cluster SEARCH through a real router
+// and two real backends is
 // retrievable from the router as one stitched trace — router spans
 // (queue wait, backend RTT) and backend spans (lock wait, probe chain,
 // §3.4 expected-rows) side by side — and shows up source-tagged in the
@@ -343,12 +346,9 @@ func TestRouterTraceGet(t *testing.T) {
 // traced, one not — must answer identically.
 func TestRouterTracedTransparency(t *testing.T) {
 	bks := []*testBackend{startTracedBackend(t, "db"), startTracedBackend(t, "db")}
-	col := trace.NewCollector(trace.Config{Slowlog: 0, Ring: 64})
-	traced, _ := testRouter(t, bks, func(cfg *RouterConfig) { cfg.Tracing = col })
 	plain, _ := testRouter(t, bks, nil)
-
-	if got := rdrive(t, traced, "INSERT db dead 42")[0]; got != "OK" {
-		t.Fatalf("INSERT through traced router: %q", got)
+	if got := rdrive(t, plain, "INSERT db dead 42")[0]; got != "OK" {
+		t.Fatalf("INSERT: %q", got)
 	}
 	reqs := []string{
 		"SEARCH db dead",
@@ -359,12 +359,135 @@ func TestRouterTracedTransparency(t *testing.T) {
 		"nonsense request",
 	}
 	want := rdrive(t, plain, reqs...)
-	got := rdrive(t, traced, reqs...)
+	for name, cfg := range map[string]trace.Config{
+		"tagging every request":   {SampleN: 1, Slowlog: -1, Ring: 64},
+		"late-building every one": {Slowlog: 0, Ring: 64},
+	} {
+		traced, _ := testRouter(t, bks, func(rc *RouterConfig) { rc.Tracing = trace.NewCollector(cfg) })
+		for i, got := range rdrive(t, traced, reqs...) {
+			if got != want[i] {
+				t.Errorf("%s: reply %d diverged under tracing:\n  traced: %q\n  plain:  %q", name, i, got, want[i])
+			}
+		}
+	}
+}
+
+// TestRouterSlowlogLateBuilt: with the slowlog on and sampling off the
+// router tags nothing — the backend receives the client's bytes — and
+// a request that turns out slow gets its trace built at settle, from
+// the request bytes and the batch stamps: full identity, its own spans
+// chained forward inside the wall latency, the backend index, no wire
+// id and therefore no stitched child.
+func TestRouterSlowlogLateBuilt(t *testing.T) {
+	fb := startFakeBackend(t, func(conn, n int, line string) (string, bool) {
+		return "HIT 0:000000000000002a", false
+	})
+	col := trace.NewCollector(trace.Config{Slowlog: 0, Ring: 64})
+	rt, _ := testRouter(t, []*testBackend{{addr: fb.addr}}, func(cfg *RouterConfig) { cfg.Tracing = col })
+	reqs := []string{"SEARCH db dead", "insert db beef 7", "MSEARCH db dead db beef"}
+	rdrive(t, rt, reqs...)
+	if got := fb.received(); strings.Join(got, "\n") != strings.Join(reqs, "\n") {
+		t.Errorf("backend received %q, want the client's lines verbatim %q", got, reqs)
+	}
+	if col.Tagged().Total() != 0 || col.Sampled().Total() != 0 {
+		t.Errorf("unsampled traffic reached the tagged/sampled rings: %d/%d",
+			col.Tagged().Total(), col.Sampled().Total())
+	}
+	entries := col.Slow().Snapshot(nil, 0) // newest first
+	if len(entries) != len(reqs) {
+		t.Fatalf("slowlog holds %d entries, want %d", len(entries), len(reqs))
+	}
+	search, insert, msearch := entries[2], entries[1], entries[0]
+	if search.Cmd != "SEARCH" || search.Engine != "db" || search.Key != "dead" || search.Result != "HIT" {
+		t.Errorf("late-built SEARCH identity: %+v", search)
+	}
+	if insert.Cmd != "INSERT" || insert.Engine != "db" || insert.Key != "beef" {
+		t.Errorf("late-built INSERT identity (verb is recorded upper-case): %+v", insert)
+	}
+	if msearch.Cmd != "MSEARCH" || msearch.Engine != "" {
+		t.Errorf("late-built MSEARCH identity: %+v", msearch)
+	}
+	for _, tr := range entries {
+		if tr.TID != 0 {
+			t.Errorf("%s: late-built trace carries wire id %x", tr.Cmd, tr.TID)
+		}
+		var at time.Duration
+		seen := map[trace.Kind]bool{}
+		for _, ev := range tr.Events {
+			seen[ev.Kind] = true
+			switch ev.Kind {
+			case trace.KindRoute, trace.KindQueue, trace.KindRTT:
+				if ev.Offset < at || ev.Dur < 0 {
+					t.Errorf("%s: %s span [%v +%v] overlaps the previous one ending at %v",
+						tr.Cmd, ev.Kind, ev.Offset, ev.Dur, at)
+				}
+				at = ev.Offset + ev.Dur
+				if ev.Kind == trace.KindRTT && (ev.Bucket != 0 || ev.Span != 0) {
+					t.Errorf("%s: backend_rtt backend=%d span=%d, want backend 0 and no child span",
+						tr.Cmd, ev.Bucket, ev.Span)
+				}
+			case trace.KindBurst:
+				if ev.Matches < 1 {
+					t.Errorf("%s: burst of %d lines", tr.Cmd, ev.Matches)
+				}
+			}
+		}
+		for _, k := range []trace.Kind{trace.KindRoute, trace.KindQueue, trace.KindRTT, trace.KindBurst} {
+			if !seen[k] {
+				t.Errorf("%s: no %s event: %+v", tr.Cmd, k, tr.Events)
+			}
+		}
+		if at > tr.Dur {
+			t.Errorf("%s: spans end at %v, past the wall latency %v", tr.Cmd, at, tr.Dur)
+		}
+	}
+	// Nothing to stitch: the tree has the router's entry and no children.
+	rec := httptest.NewRecorder()
+	rt.TraceHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
+	var top sjTop
+	if err := json.Unmarshal(rec.Body.Bytes(), &top); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range top.Slowlog {
+		if len(e.Children) != 0 {
+			t.Errorf("late-built entry has stitched children: %s", rec.Body.String())
+		}
+	}
+}
+
+// TestRouterTagsOnlySampled is the tag-what-you-keep rule on real
+// backends: with the router's deployed flags (slowlog 10 ms, sampling
+// off) no backend retains anything on the router's behalf, and with
+// -trace-sample 4 exactly every fourth request does.
+func TestRouterTagsOnlySampled(t *testing.T) {
+	const n = 40
+	reqs := make([]string, n)
 	for i := range reqs {
-		// EXPLAIN runs a fresh lookup each time; its measured rows are
-		// identical here, but guard the comparison on the stable ones.
-		if got[i] != want[i] {
-			t.Errorf("reply %d diverged under tracing:\n  traced: %q\n  plain:  %q", i, got[i], want[i])
+		reqs[i] = fmt.Sprintf("SEARCH db %x", i+1)
+	}
+	for _, tc := range []struct {
+		sampleN int
+		want    uint64
+	}{{0, 0}, {4, n / 4}} {
+		bks := []*testBackend{startTracedBackend(t, "db"), startTracedBackend(t, "db")}
+		col := trace.NewCollector(trace.Config{SampleN: tc.sampleN, Slowlog: 10 * time.Millisecond})
+		rt, _ := testRouter(t, bks, func(cfg *RouterConfig) { cfg.Tracing = col })
+		rdrive(t, rt, reqs...)
+		var tagged uint64
+		for _, bk := range bks {
+			for _, tr := range bk.col.Slow().Snapshot(nil, 0) { // backends admit everything (slowlog 0)
+				if tr.TID != 0 {
+					tagged++
+				}
+			}
+			tagged += bk.col.Tagged().Total()
+		}
+		if tagged != tc.want {
+			t.Errorf("-trace-sample %d: backends hold %d tagged traces after %d requests, want %d",
+				tc.sampleN, tagged, n, tc.want)
+		}
+		if got := col.Tagged().Total() + col.Slow().Total(); got < tc.want {
+			t.Errorf("-trace-sample %d: router kept %d traces, want at least the %d sampled", tc.sampleN, got, tc.want)
 		}
 	}
 }

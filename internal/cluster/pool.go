@@ -32,96 +32,129 @@ var (
 var busyReply = []byte("ERR BUSY")
 
 const (
-	// maxBurst caps how many queued requests one write burst coalesces;
-	// with the submit queue it bounds a connection's pipeline depth.
+	// maxBurst caps how many queued batches one write coalesces; with
+	// the submit queue it bounds a connection's pipeline depth.
 	maxBurst = 256
 	// submitQueue is each connection's submit-channel capacity;
 	// submitters beyond it block (backpressure toward the client).
 	submitQueue = 1024
 )
 
-// Call is one in-flight forwarded request. Calls are pooled: Submit
-// hands one out with the request line copied in, Wait blocks until the
-// reply (or error) lands, Release returns it for reuse — steady-state
-// forwarding allocates nothing.
-type Call struct {
-	req     []byte // request line, '\n'-terminated, owned by the call
-	resp    []byte // reply line without the trailing '\n'
-	err     error
+// batch is the pool's unit of work: one submitter's request lines for
+// one backend, back to back, answered by as many reply lines in
+// pipeline order — so a client burst costs one queue operation, one
+// FIFO entry and one completion signal per backend, not per line. The
+// submitter owns the batch until submit and again after the done
+// signal; in between the pool's goroutines do (the writer reads req and
+// stamps before the FIFO hand-off, the reader appends replies). Reply k
+// is valid for k < len(ends); the lines beyond failed with err — the
+// first k replies of a dying connection are valid, the rest fail.
+type batch struct {
+	p    *Pool
+	req  []byte  // n request lines, each '\n'-terminated
+	n    int     // lines in req
+	resp []byte  // reply lines back to back, terminators stripped
+	ends []int32 // ends[k] is where reply k ends in resp
+	err  error   // outcome of lines len(ends)..n-1; nil when all were answered
+
 	done    chan struct{} // cap 1; signalled exactly once per flight
-	settled bool          // the done token was consumed (Wait is idempotent)
-	met     *metrics.RouterBackend
+	settled bool          // the done token was consumed (wait is idempotent)
 
-	// Tracing stamps, recorded only for traced submissions so the
-	// untraced forward path pays no clock reads. tSubmit is taken at
-	// SubmitLaneT, tWrite by the connection writer just before the
-	// coalesced flush (one clock read per burst), tDone by finish.
-	// burst is how many calls shared the flush this call rode in.
-	traced  bool
-	tSubmit int64 // unix nanos
-	tWrite  int64 // 0 when the call failed before reaching a connection
-	tDone   int64
-	burst   int32
+	// Unix nanos: submitted (Submit calls only), just before the Write it
+	// rode in (0 = never reached a connection), completed; burst = lines
+	// in that Write.
+	tSubmit, tWrite, tDone int64
+	burst                  int32
 }
 
-// Wait blocks until the call completes and returns the reply line
-// (without its trailing newline) or the transport error. Idempotent —
-// scatter merges re-read settled calls freely — but single-consumer:
-// only the goroutine settling the client burst may call it. The
-// returned slice is owned by the call; copy it out before Release.
-func (c *Call) Wait() ([]byte, error) {
-	if !c.settled {
-		<-c.done
-		c.settled = true
-	}
-	return c.resp, c.err
-}
-
-// finish delivers the outcome. Exactly one of the pool's goroutines
-// calls it per flight (each call is popped from the pending queue
-// once), so the cap-1 channel never blocks.
-func (c *Call) finish(resp []byte, err error) {
-	if c.traced {
-		c.tDone = time.Now().UnixNano()
-	}
-	c.resp = append(c.resp[:0], resp...)
-	c.err = err
-	if err != nil {
-		c.met.IncErrs()
-	}
-	c.met.DepthAdd(-1)
-	c.done <- struct{}{}
-}
-
-var callPool = sync.Pool{
+var batchPool = sync.Pool{
 	New: func() any {
-		return &Call{
-			req:  make([]byte, 0, 256),
-			resp: make([]byte, 0, 256),
+		return &batch{
+			req:  make([]byte, 0, 512),
+			resp: make([]byte, 0, 512),
+			ends: make([]int32, 0, 16),
 			done: make(chan struct{}, 1),
 		}
 	},
 }
 
-// Release returns a completed call to the pool. The caller must be
-// done with the slices Wait returned.
-func (c *Call) Release() {
-	c.err = nil
-	c.met = nil
-	c.settled = false
-	c.traced = false
-	c.tSubmit, c.tWrite, c.tDone, c.burst = 0, 0, 0, 0
-	callPool.Put(c)
+// reset empties a settled (or never submitted) batch for refilling.
+func (b *batch) reset() {
+	*b = batch{req: b.req[:0], resp: b.resp[:0], ends: b.ends[:0], done: b.done}
+}
+
+// wait blocks until the batch completes. Idempotent, but
+// single-consumer: only the submitter may call it.
+func (b *batch) wait() {
+	if !b.settled {
+		<-b.done
+		b.settled = true
+	}
+}
+
+// line returns request line i without its terminator, by scanning:
+// only rare paths (a retry, a trace built after the fact) want one back.
+func (b *batch) line(i int) []byte {
+	rest := b.req
+	for ; i > 0; i-- {
+		rest = rest[bytes.IndexByte(rest, '\n')+1:]
+	}
+	return rest[:bytes.IndexByte(rest, '\n')]
+}
+
+// finish delivers the outcome: the replies collected so far stand, the
+// remaining lines fail with err. Each batch is popped from the pending
+// queue once, so this runs once per flight and the cap-1 channel never
+// blocks; the pool must not touch the batch afterwards.
+func (b *batch) finish(err error) {
+	b.tDone = time.Now().UnixNano()
+	if failed := b.n - len(b.ends); failed > 0 {
+		b.err = err
+		b.p.met.AddErrs(failed)
+	}
+	b.p.met.DepthAdd(-int64(b.n))
+	b.done <- struct{}{}
+}
+
+// Call is one in-flight request: line i of a batch.
+type Call struct {
+	b *batch
+	i int
+}
+
+// Wait blocks until the call completes and returns the reply line
+// (without its trailing newline) or the transport error. Idempotent —
+// scatter merges re-read settled calls freely — but single-consumer:
+// only the goroutine that submitted may call it. The returned slice is
+// owned by the batch; copy it out before Release.
+func (c Call) Wait() ([]byte, error) {
+	b := c.b
+	b.wait()
+	if c.i >= len(b.ends) {
+		return nil, b.err
+	}
+	start := int32(0)
+	if c.i > 0 {
+		start = b.ends[c.i-1]
+	}
+	return b.resp[start:b.ends[c.i]], nil
+}
+
+// Release returns a Submit call's batch to the pool. The call must
+// have completed (Wait returned) and the caller must be done with the
+// slice Wait returned.
+func (c Call) Release() {
+	c.b.reset()
+	batchPool.Put(c.b)
 }
 
 // Pool is one backend's pipelined connection pool: K persistent
-// connections, each with a writer goroutine that coalesces
-// concurrently arriving requests into a single buffered flush per
-// burst (the network form of PR 3's ExecAppend burst flush) and a
-// reader goroutine that matches reply lines to waiting calls in FIFO
-// pipeline order. A per-backend circuit breaker fails submissions
-// fast while the backend is unreachable; the router's health watcher
-// probes it back to closed.
+// connections, each with a writer goroutine that coalesces concurrently
+// arriving batches into a single Write (the network form of PR 3's
+// ExecAppend burst flush) and a reader goroutine that matches reply
+// lines to the waiting batches in FIFO pipeline order. A per-backend
+// circuit breaker fails submissions fast while the backend is
+// unreachable; the router's health watcher probes it back to closed.
 type Pool struct {
 	backend Backend
 	met     *metrics.RouterBackend // nil-safe
@@ -177,7 +210,7 @@ func NewPool(b Backend, cfg PoolConfig) *Pool {
 	}
 	p.conns = make([]*pconn, cfg.Conns)
 	for i := range p.conns {
-		pc := &pconn{p: p, ch: make(chan *Call, submitQueue)}
+		pc := &pconn{p: p, ch: make(chan *batch, submitQueue)}
 		p.conns[i] = pc
 		p.wg.Add(1)
 		go pc.run()
@@ -185,63 +218,40 @@ func NewPool(b Backend, cfg PoolConfig) *Pool {
 	return p
 }
 
-// Backend returns the pool's backend.
-func (p *Pool) Backend() Backend { return p.backend }
-
-// Submit enqueues one request line on the next connection round-robin
-// — for callers with no ordering needs across their own submissions.
-// Callers that pipeline ordered requests (the router's per-client
-// streams) must use SubmitLane with a stable lane instead.
-func (p *Pool) Submit(line []byte) *Call {
-	return p.SubmitLaneT(line, p.next.Add(1), false)
+// Submit sends one request line (with or without its trailing newline)
+// as a single-line batch on the next connection round-robin — for
+// callers with no ordering needs across their own submissions (retries,
+// the trace stitcher, probes of the pool itself). The line is copied;
+// Release the call when done with the reply.
+func (p *Pool) Submit(line []byte) Call {
+	b := batchPool.Get().(*batch)
+	b.req = append(append(b.req, trimEOL(line)...), '\n')
+	b.n = 1
+	b.tSubmit = time.Now().UnixNano()
+	p.submit(b, p.next.Add(1))
+	return Call{b: b}
 }
 
-// SubmitT is Submit with the tracing stamps on when traced is true.
-func (p *Pool) SubmitT(line []byte, traced bool) *Call {
-	return p.SubmitLaneT(line, p.next.Add(1), traced)
-}
-
-// SubmitLane enqueues one request line (with or without its trailing
-// newline) on the lane's pipelined connection and returns the
-// in-flight call. All submissions sharing a lane reach the backend in
-// submission order (one connection, FIFO pipeline) — this is what
-// preserves a client's own request ordering through the router while
-// different lanes still coalesce onto the pool's connections. It
-// fails fast — without queueing — while the breaker is open or the
-// pool is closed. The line is copied; the caller's buffer is free
-// immediately.
-func (p *Pool) SubmitLane(line []byte, lane uint64) *Call {
-	return p.SubmitLaneT(line, lane, false)
-}
-
-// SubmitLaneT is SubmitLane with per-call tracing stamps: when traced
-// is true the call records submit/write/done timestamps and its burst
-// membership, which the router turns into queue-wait and backend-RTT
-// spans. The untraced form takes no clock reads.
-func (p *Pool) SubmitLaneT(line []byte, lane uint64, traced bool) *Call {
-	c := callPool.Get().(*Call)
-	if traced {
-		c.traced = true
-		c.tSubmit = time.Now().UnixNano()
-	}
-	c.met = p.met
-	c.req = append(c.req[:0], line...)
-	if n := len(c.req); n == 0 || c.req[n-1] != '\n' {
-		c.req = append(c.req, '\n')
-	}
-	c.met.IncOps()
-	c.met.DepthAdd(1)
-	if p.breakerOpen() {
-		c.finish(nil, ErrBackendUnavailable)
-		return c
+// submit queues a filled batch on the lane's pipelined connection. All
+// batches sharing a lane reach the backend in submission order (one
+// connection, FIFO pipeline) — this is what preserves a client's own
+// request ordering through the router while different lanes still
+// coalesce onto the pool's connections. It fails fast — without
+// queueing — while the breaker is open or the pool is closed.
+func (p *Pool) submit(b *batch, lane uint64) {
+	b.p = p
+	p.met.AddOps(b.n)
+	p.met.DepthAdd(int64(b.n))
+	if p.BreakerOpen() {
+		b.finish(ErrBackendUnavailable)
+		return
 	}
 	pc := p.conns[lane%uint64(len(p.conns))]
 	select {
-	case pc.ch <- c:
+	case pc.ch <- b:
 	case <-p.done:
-		c.finish(nil, ErrPoolClosed)
+		b.finish(ErrPoolClosed)
 	}
-	return c
 }
 
 // Close tears the pool down: workers exit, connections close, queued
@@ -251,15 +261,11 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// breakerOpen reports whether submissions should fail fast.
-func (p *Pool) breakerOpen() bool {
+// BreakerOpen reports whether submissions currently fail fast.
+func (p *Pool) BreakerOpen() bool {
 	u := p.openUntil.Load()
 	return u != 0 && time.Now().UnixNano() < u
 }
-
-// BreakerOpen reports the breaker state (for tests and HEALTH-style
-// introspection).
-func (p *Pool) BreakerOpen() bool { return p.breakerOpen() }
 
 // noteFailure records one transport failure; at the threshold the
 // breaker opens for the backoff window. Past the threshold the counter
@@ -267,52 +273,50 @@ func (p *Pool) BreakerOpen() bool { return p.breakerOpen() }
 // single further failure re-opens it immediately.
 func (p *Pool) noteFailure() {
 	if p.failures.Add(1) >= p.threshold {
-		p.openUntil.Store(time.Now().Add(p.backoff).UnixNano())
+		// Gauge first: noteSuccess lowers it only after seeing openUntil
+		// set, so a racing success can never leave it raised over a
+		// closed breaker.
 		p.met.SetBreaker(true)
+		p.openUntil.Store(time.Now().Add(p.backoff).UnixNano())
 	}
 }
 
-// noteSuccess closes the breaker and clears the failure streak.
+// noteSuccess closes the breaker and clears the failure streak. The
+// steady state (nothing failed, breaker closed) is two loads.
 func (p *Pool) noteSuccess() {
 	if p.failures.Load() != 0 {
 		p.failures.Store(0)
 	}
 	if p.openUntil.Load() != 0 {
 		p.openUntil.Store(0)
+		p.met.SetBreaker(false)
 	}
-	p.met.SetBreaker(false)
 }
-
-// MarkHealthy is the health watcher's success hook: a HEALTH probe
-// answered, so the breaker closes and traffic flows again.
-func (p *Pool) MarkHealthy() { p.noteSuccess() }
-
-// MarkUnhealthy is the health watcher's failure hook.
-func (p *Pool) MarkUnhealthy() { p.noteFailure() }
 
 // pconn is one persistent pipelined connection: a submit queue its
 // writer goroutine drains in bursts, and a per-dial reader goroutine
-// that matches replies to calls in FIFO order.
+// that matches replies to batches in FIFO order.
 type pconn struct {
 	p  *Pool
-	ch chan *Call
+	ch chan *batch
 }
 
-// gen is one dial generation: the live connection, the FIFO of calls
-// written but not yet answered, and the dead flag its reader raises so
-// the writer stops using a half-closed conn.
+// gen is one dial generation: the live connection, the FIFO of batches
+// written but not yet fully answered, and the cause of death its reader
+// posts (nil while alive) so the writer stops using a half-closed conn
+// and fails what it drains the same way the reader does.
 type gen struct {
 	conn    net.Conn
-	pending chan *Call
-	dead    atomic.Bool
+	pending chan *batch
+	dead    atomic.Pointer[error]
 }
 
-// run is the writer loop: collect a burst, hand the calls to the
-// reader's FIFO, write the whole burst with one flush.
+// run is the writer loop: collect the queued batches, hand them to the
+// reader's FIFO, write them all with one Write.
 func (pc *pconn) run() {
 	defer pc.p.wg.Done()
 	var g *gen
-	burst := make([]*Call, 0, maxBurst)
+	burst := make([]*batch, 0, maxBurst)
 	wbuf := make([]byte, 0, 8*1024)
 	teardown := func() {
 		if g != nil {
@@ -323,15 +327,15 @@ func (pc *pconn) run() {
 		// finishes so late submitters never hang.
 		for {
 			select {
-			case c := <-pc.ch:
-				c.finish(nil, ErrPoolClosed)
+			case b := <-pc.ch:
+				b.finish(ErrPoolClosed)
 			default:
 				return
 			}
 		}
 	}
 	for {
-		var first *Call
+		var first *batch
 		select {
 		case first = <-pc.ch:
 		case <-pc.p.done:
@@ -339,22 +343,22 @@ func (pc *pconn) run() {
 			return
 		}
 		// Coalesce everything that arrived while we slept into one
-		// burst — concurrently submitting clients share one flush.
+		// Write — concurrently submitting clients share one flush.
 		burst = append(burst[:0], first)
 	drain:
 		for len(burst) < maxBurst {
 			select {
-			case c := <-pc.ch:
-				burst = append(burst, c)
+			case b := <-pc.ch:
+				burst = append(burst, b)
 			default:
 				break drain
 			}
 		}
-		if pc.p.breakerOpen() {
+		if pc.p.BreakerOpen() {
 			failBurst(burst, ErrBackendUnavailable)
 			continue
 		}
-		if g != nil && g.dead.Load() {
+		if g != nil && g.dead.Load() != nil {
 			g.conn.Close()
 			g = nil
 		}
@@ -368,39 +372,37 @@ func (pc *pconn) run() {
 			if tc, ok := conn.(*net.TCPConn); ok {
 				tc.SetNoDelay(true) // bursts are already coalesced; don't let Nagle re-delay them
 			}
-			g = &gen{conn: conn, pending: make(chan *Call, submitQueue+maxBurst)}
+			g = &gen{conn: conn, pending: make(chan *batch, submitQueue+maxBurst)}
 			pc.p.wg.Add(1)
 			go pc.read(g)
 		}
 		wbuf = wbuf[:0]
-		var now int64 // one clock read per burst, only if someone is traced
-		for _, c := range burst {
-			wbuf = append(wbuf, c.req...)
-			if c.traced {
-				if now == 0 {
-					now = time.Now().UnixNano()
-				}
-				// Stamp before the FIFO hand-off below: once a call is in
-				// pending, the reader may finish it concurrently.
-				c.tWrite = now
-				c.burst = int32(len(burst))
-			}
+		lines := 0
+		for _, b := range burst {
+			wbuf = append(wbuf, b.req...)
+			lines += b.n
 		}
-		// FIFO hand-off before the bytes go out: replies arrive in
-		// pipeline order, and the reader must never see a reply whose
-		// call it cannot pop.
-		for _, c := range burst {
-			g.pending <- c
+		// Stamp, then hand off to the FIFO, then write: once a batch is in
+		// pending the reader may finish it concurrently, and replies
+		// arrive in pipeline order, so the reader must never see a reply
+		// whose batch it cannot pop.
+		now := time.Now().UnixNano() // one clock read per Write
+		for _, b := range burst {
+			b.tWrite, b.burst = now, int32(lines)
+			g.pending <- b
 		}
-		pc.p.met.ObserveBurst(len(burst))
+		pc.p.met.ObserveBurst(lines)
 		_, err := g.conn.Write(wbuf)
-		if err != nil || g.dead.Load() {
+		if cause := g.dead.Load(); err != nil || cause != nil {
 			// Write failed, or the reader died underneath us after its
 			// final drain: close, fail what remains, and start fresh
 			// next burst. Both sides may drain pending concurrently;
-			// each call is popped exactly once either way.
+			// each batch is popped exactly once either way.
 			g.conn.Close()
-			drainPending(g, ErrBackendDown)
+			if cause == nil {
+				cause = &ErrBackendDown
+			}
+			drainPending(g, *cause)
 			if err != nil {
 				pc.p.noteFailure()
 			}
@@ -409,8 +411,10 @@ func (pc *pconn) run() {
 	}
 }
 
-// read is one generation's reader: match reply lines to pending calls
-// in FIFO order until the connection dies, then fail everything left.
+// read is one generation's reader: append reply lines to the head
+// batch of the FIFO, completing it on its last line, until the
+// connection dies; then fail the unanswered tail of the head batch and
+// everything behind it.
 func (pc *pconn) read(g *gen) {
 	defer pc.p.wg.Done()
 	br := readerPool.Get().(*bufio.Reader)
@@ -419,61 +423,70 @@ func (pc *pconn) read(g *gen) {
 		br.Reset(nil)
 		readerPool.Put(br)
 	}()
+	var head *batch // popped, partly answered
+	kill := func(err error) {
+		// Post dead first, then drain: the writer re-checks dead after
+		// its own enqueues, so no batch is left stranded between the two
+		// drains.
+		g.dead.Store(&err)
+		g.conn.Close()
+		pc.p.noteFailure()
+		if head != nil {
+			head.finish(err)
+		}
+		drainPending(g, err)
+	}
 	for {
 		line, err := br.ReadSlice('\n')
 		if err != nil {
 			// Transport or framing failure (a reply over MaxLineBytes is
 			// ErrBufferFull — unrecoverable mid-stream, same as the
-			// server's own line bound). Raise dead first, then drain:
-			// the writer re-checks dead after its own enqueues, so no
-			// call is left stranded between the two drains.
-			g.dead.Store(true)
-			g.conn.Close()
-			pc.p.noteFailure()
-			drainPending(g, ErrBackendDown)
+			// server's own line bound).
+			kill(ErrBackendDown)
 			return
 		}
 		line = trimEOL(line)
 		if bytes.Equal(line, busyReply) {
 			// Accept-time shed: this connection never entered service.
-			g.dead.Store(true)
-			g.conn.Close()
-			pc.p.noteFailure()
-			drainPending(g, ErrBackendUnavailable)
+			kill(ErrBackendUnavailable)
 			return
 		}
-		select {
-		case c := <-g.pending:
-			c.finish(line, nil)
+		if head == nil {
+			select {
+			case head = <-g.pending:
+			default:
+				// A reply with no awaiting request: protocol desync. Kill
+				// the connection rather than mismatch replies.
+				kill(ErrBackendDown)
+				return
+			}
+		}
+		head.resp = append(head.resp, line...)
+		head.ends = append(head.ends, int32(len(head.resp)))
+		if len(head.ends) == head.n {
+			head.finish(nil)
+			head = nil
 			pc.p.noteSuccess()
-		default:
-			// A reply with no awaiting call: protocol desync. Kill the
-			// connection rather than mismatch replies.
-			g.dead.Store(true)
-			g.conn.Close()
-			pc.p.noteFailure()
-			drainPending(g, ErrBackendDown)
-			return
 		}
 	}
 }
 
-// drainPending fails every call still in the generation's FIFO.
+// drainPending fails every batch still in the generation's FIFO.
 func drainPending(g *gen, err error) {
 	for {
 		select {
-		case c := <-g.pending:
-			c.finish(nil, err)
+		case b := <-g.pending:
+			b.finish(err)
 		default:
 			return
 		}
 	}
 }
 
-// failBurst fails a burst that never reached a connection.
-func failBurst(burst []*Call, err error) {
-	for _, c := range burst {
-		c.finish(nil, err)
+// failBurst fails batches that never reached a connection.
+func failBurst(burst []*batch, err error) {
+	for _, b := range burst {
+		b.finish(err)
 	}
 }
 

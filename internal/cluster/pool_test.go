@@ -20,12 +20,12 @@ func TestPoolPipelinedFIFO(t *testing.T) {
 	p := NewPool(Backend{Label: "b0", Addr: bk.addr}, PoolConfig{Conns: 3, Metrics: met.Backend(0)})
 	defer p.Close()
 
-	// Seed: each key i holds data i (self-validating replies). One
-	// lane keeps the inserts ordered ahead of the searches.
+	// Seed: each key i holds data i (self-validating replies); every
+	// insert is acknowledged before the first search goes out.
 	const n = 200
-	ins := make([]*Call, n)
+	ins := make([]Call, n)
 	for i := 0; i < n; i++ {
-		ins[i] = p.SubmitLane([]byte(fmt.Sprintf("INSERT db %x %x", i+1, i+1)), 7)
+		ins[i] = p.Submit([]byte(fmt.Sprintf("INSERT db %x %x", i+1, i+1)))
 	}
 	for i, c := range ins {
 		if resp, err := c.Wait(); err != nil || string(resp) != "OK" {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,8 +73,9 @@ import (
 // Failure handling: transport failures trip the backend pool's
 // circuit breaker; while it is open, requests shed fast with "ERR
 // unavailable" (slots: "ERR:unavailable") — never a silently wrong
-// reply. Idempotent reads (SEARCH, TSEARCH, EXPLAIN) that died
-// in-flight retry with backoff on a fresh pool connection, bounded by
+// reply. Of a batch whose connection died, the replies already read
+// stand; in the rest, idempotent reads (SEARCH, TSEARCH, EXPLAIN) retry
+// one by one with backoff on a fresh pool connection, bounded by
 // Retries; writes never retry (their fate on the backend is unknown).
 // The health watcher probes HEALTH on every backend each interval,
 // tripping breakers of quiet-dead backends and closing them on
@@ -125,13 +127,13 @@ type RouterConfig struct {
 	Metrics *metrics.RouterMetrics // optional; nil runs unmetered
 	Logger  *slog.Logger           // optional
 
-	// Tracing attaches a trace collector to the router: every proxied
-	// request grows its own span tree (ring lookup, queue wait, backend
-	// RTT, retries, breaker state), eligible requests tag their
-	// forwarded commands with a wire trace id so backend traces become
-	// children, and the SLOWLOG / METRICS / TRACE wire commands answer
-	// fleet-wide (scatter/gather-merged) instead of the pre-tracing
-	// local forms. nil keeps the legacy behavior byte-exactly.
+	// Tracing attaches a trace collector to the router: head-sampled
+	// requests tag their forwards with a wire trace id so backend traces
+	// become children, requests past the slowlog threshold get the
+	// router's own spans (ring lookup, queue wait, backend RTT, retries,
+	// breaker) built at settle, and the SLOWLOG / METRICS / TRACE wire
+	// commands answer fleet-wide (scatter/gather-merged) instead of the
+	// pre-tracing local forms. nil keeps the legacy behavior byte-exactly.
 	Tracing *trace.Collector
 }
 
@@ -363,69 +365,60 @@ const (
 	opScatter               // per-backend calls + merge rule
 )
 
-// mergeKind selects the scatter reassembly rule.
-type mergeKind uint8
-
-const (
-	mergeOK mergeKind = iota
-	mergeMaskedSearch
-	mergeEngines
-	mergeHealthAll
-	mergeHealthEngine
-	mergeScrub
-	mergeStats
-	mergeSlowlogLen
-	mergeSlowlogGet
-	mergeMetricsAll
-	mergeMetricsEngine
-	mergeHistQuantiles
-	mergeHistSum
-	mergeTrace
-	mergeWALStatus
-)
+// mergeFn is a scatter reassembly rule: it appends the one reply the
+// client gets to out, from the per-backend replies in op.calls.
+type mergeFn func(rt *Router, out []byte, op *pendingOp) []byte
 
 // pendingOp is one in-flight request of a client burst. The struct
 // and its slices are reused across bursts (nextOp), so the forward
-// path allocates nothing.
+// path allocates nothing. An op carries stamps, not a trace: t0, the
+// settle trigger's stamp and its calls' batch stamps are enough to build
+// every router span after the fact, if settle finds the op worth keeping.
 type pendingOp struct {
 	kind       opKind
-	merge      mergeKind
-	backend    int  // opForward target
-	idempotent bool // retry on in-flight transport death
+	merge      mergeFn // opScatter
+	backend    int     // opForward target
+	idempotent bool    // retry on in-flight transport death
+	retries    int     // opForward: resubmissions made (calls[0] is then the last one)
 	pin        string
 	unpin      string
-	calls      []*Call      // opForward: 1; scatter/msearch: per-backend (nil = uninvolved)
+	calls      []Call       // opForward: 1; scatter/msearch: per-backend (zero Call = uninvolved)
 	slotBk     []int        // opMSearch: original slot -> backend
 	local      []byte       // opLocal reply
-	tr         *trace.Trace // router-side trace of this request (nil = untraced)
+	req        []byte       // opLocal on a tracing router: the request line (no batch holds it)
+	mark       int          // where this op's reply starts in the out buffer
+	t0         int64        // dispatch stamp, unix nanos (0 on a router without a collector)
+	tr         *trace.Trace // set at dispatch only for head-sampled ops
 }
 
 func (op *pendingOp) reset() {
-	op.kind, op.merge, op.backend, op.idempotent = opForward, mergeOK, 0, false
+	op.kind, op.merge, op.backend, op.idempotent, op.retries = opForward, nil, 0, false, 0
 	op.pin, op.unpin = "", ""
 	op.calls = op.calls[:0]
 	op.slotBk = op.slotBk[:0]
 	op.local = op.local[:0]
-	op.tr = nil
+	op.req = op.req[:0]
+	op.mark, op.t0, op.tr = 0, 0, nil
 }
 
 // rconn is one client connection's reusable state: the line reader,
-// the reply buffer, the pending-op arena, and the scatter scratch.
-// lane is the client's sticky pool lane: every submission this client
-// makes to a given backend rides one connection, so its own requests
-// reach that backend in order (the pipelining contract a direct
-// connection gives); different clients land on different lanes and
-// coalesce.
+// the reply buffer, the pending-op arena, the per-backend batches the
+// current burst is filling, and the scatter scratch. lane is the
+// client's sticky pool lane: every batch this client submits to a
+// given backend rides one connection, so its own requests reach that
+// backend in order (the pipelining contract a direct connection
+// gives); different clients land on different lanes and coalesce.
 type rconn struct {
-	r    *bufio.Reader
-	out  []byte
-	lane uint64
-	ops  []pendingOp
-	reqb [][]byte     // per-backend MSEARCH builders
-	curs []int        // per-backend reassembly cursors
-	tr   *trace.Trace // trace of the request currently dispatching
-	tagb []byte       // *TID tagging scratch (reused per submission)
-	cmdb []byte       // rewritten-command scratch (METRICS ... LATENCY -> HIST)
+	r     *bufio.Reader
+	out   []byte
+	lane  uint64
+	ops   []pendingOp
+	cur   []*batch     // per backend: the batch this burst fills (nil until first used)
+	cut   []*batch     // submitted outside the settle trigger: over-threshold batches, retries
+	marks []int        // per backend: where the line last opened starts in cur[b].req (MSEARCH: -1 = none yet)
+	curs  []int        // per-backend reassembly cursors
+	tr    *trace.Trace // head-sampled trace of the request currently dispatching
+	cmdb  []byte       // rewritten-command scratch (METRICS ... LATENCY -> HIST)
 }
 
 // laneCounter hands each handled connection its lane.
@@ -452,18 +445,20 @@ func (st *rconn) nextOp() *pendingOp {
 	return op
 }
 
-// flushThreshold and maxClientPipeline bound how much reply data and
-// how many pending ops accumulate before a settle is forced even
-// though more pipelined requests are buffered.
+// maxClientPipeline bounds how many pending ops accumulate before a
+// settle is forced even though more pipelined requests are buffered;
+// flushThreshold bounds a batch's request bytes — one that passes it is
+// submitted at once instead of waiting for the settle trigger.
 const (
 	flushThreshold    = 32 * 1024
 	maxClientPipeline = 512
 )
 
 // Handle processes one client connection's request stream: read every
-// request already buffered, dispatch each to its backend(s) — they
-// coalesce into pool write bursts — then settle the burst: await
-// replies in request order, reassemble, and flush once. Split from
+// request already buffered, dispatch each into its backend's batch,
+// then settle the burst: submit the batches (they coalesce with other
+// clients' into pool write bursts), await them, reassemble the replies
+// in request order, and flush once. Split from
 // Serve so tests drive it over arbitrary pipes; safe for concurrent
 // use by any number of connections.
 func (rt *Router) Handle(r io.Reader, w io.Writer) {
@@ -472,8 +467,9 @@ func (rt *Router) Handle(r io.Reader, w io.Writer) {
 	st.out = st.out[:0]
 	st.lane = laneCounter.Add(1)
 	st.ops = st.ops[:0]
-	if len(st.reqb) < len(rt.pools) {
-		st.reqb = make([][]byte, len(rt.pools))
+	if len(st.cur) < len(rt.pools) {
+		st.cur = make([]*batch, len(rt.pools))
+		st.marks = make([]int, len(rt.pools))
 		st.curs = make([]int, len(rt.pools))
 	}
 	defer func() {
@@ -512,30 +508,29 @@ func (rt *Router) Handle(r io.Reader, w io.Writer) {
 	}
 }
 
-// dispatch routes one request line: submit its call(s) and append the
-// pending op. It never blocks on replies — that is settle's job — so
-// a pipelined client burst reaches the pools as one coalesced window.
-// When the router has a collector, each request grows its own trace;
-// ineligible traces (sampler missed, slowlog off) recycle immediately
-// so the untraced forward path stays allocation-free.
+// dispatch routes one request line: append it to its backend batch(es)
+// and record the pending op. Nothing is submitted and nothing blocks —
+// that is settle's job — so a pipelined client burst reaches each pool
+// as one batch. Tracing follows one rule: a tier tags a downstream
+// request only when the trace is already certain to be kept. So only
+// head-sampled requests get a trace (and a *TID tag) here; every other
+// op carries just its dispatch stamp and is judged at settle.
 func (rt *Router) dispatch(st *rconn, line []byte) {
-	if tr := rt.trc.Begin(); tr != nil {
-		if rt.trc.Eligible(tr) {
-			st.tr = tr
-		} else {
-			rt.trc.End(tr)
+	var t0 int64
+	if rt.trc != nil {
+		now := time.Now()
+		t0 = now.UnixNano()
+		if rt.trc.Sample() {
+			st.tr = rt.trc.BeginAt(now, true)
 		}
 	}
 	rt.route(st, line)
-	if st.tr != nil {
-		// Every route path appends exactly one op; hand the trace to it
-		// for settle-time span recording and admission.
-		st.ops[len(st.ops)-1].tr = st.tr
-		st.tr = nil
-	}
+	op := &st.ops[len(st.ops)-1] // every route path appends exactly one op
+	op.t0, op.tr = t0, st.tr
+	st.tr = nil
 }
 
-// route picks the backend(s) for one line and submits. Split from
+// route picks the backend(s) for one line and enqueues it. Split from
 // dispatch so trace bookkeeping wraps every return path once.
 func (rt *Router) route(st *rconn, line []byte) {
 	sc := bscan{b: line}
@@ -544,38 +539,21 @@ func (rt *Router) route(st *rconn, line []byte) {
 		rt.forward(st, line, 0, false) // empty request: backend renders the ERR
 		return
 	}
-	if st.tr != nil {
-		// Clone eagerly: the line buffer dies at the next ReadSlice,
-		// long before settle finishes this trace.
-		st.tr.Request(upperString(cmd), "", "")
-	}
 	switch {
 	case eqFold(cmd, "SEARCH"):
 		eng, ok1 := sc.next()
 		key, ok2 := sc.next()
-		mask, hasMask := sc.next()
+		_, hasMask := sc.next()
 		_, extra := sc.next()
 		if !ok1 || !ok2 || extra {
 			rt.forwardUsage(st, line, eng, ok1)
 			return
 		}
-		if st.tr != nil {
-			st.tr.Request(upperString(cmd), string(eng), string(key))
-		}
-		if rt.Pinned(string(eng)) {
-			rt.forward(st, line, rt.ring.OwnerEngine(string(eng)), true)
+		if hasMask && !rt.Pinned(string(eng)) {
+			rt.scatter(st, line, (*Router).mergeMasked)
 			return
 		}
-		if hasMask {
-			_ = mask
-			rt.scatter(st, line, mergeMaskedSearch)
-			return
-		}
-		if v, ok := parseVecBytes(key); ok {
-			rt.forward(st, line, rt.ring.Owner(string(eng), v), true)
-		} else {
-			rt.forward(st, line, rt.ring.OwnerEngine(string(eng)), true)
-		}
+		rt.forward(st, line, rt.owner(eng, key), true)
 	case eqFold(cmd, "INSERT"), eqFold(cmd, "DELETE"):
 		eng, ok1 := sc.next()
 		key, ok2 := sc.next()
@@ -583,18 +561,7 @@ func (rt *Router) route(st *rconn, line []byte) {
 			rt.forwardUsage(st, line, eng, ok1)
 			return
 		}
-		if st.tr != nil {
-			st.tr.Request(upperString(cmd), string(eng), string(key))
-		}
-		if rt.Pinned(string(eng)) {
-			rt.forward(st, line, rt.ring.OwnerEngine(string(eng)), false)
-			return
-		}
-		if v, ok := parseVecBytes(key); ok {
-			rt.forward(st, line, rt.ring.Owner(string(eng), v), false)
-		} else {
-			rt.forward(st, line, rt.ring.OwnerEngine(string(eng)), false)
-		}
+		rt.forward(st, line, rt.owner(eng, key), false)
 	case eqFold(cmd, "MSEARCH"):
 		rt.dispatchMSearch(st, line, sc)
 	case eqFold(cmd, "MINSERT"), eqFold(cmd, "MDELETE"), eqFold(cmd, "TINSERT"):
@@ -616,15 +583,11 @@ func (rt *Router) route(st *rconn, line []byte) {
 			rt.forwardUsage(st, line, eng, ok1)
 			return
 		}
-		if hasMask || rt.Pinned(string(eng)) {
+		if hasMask {
 			rt.forward(st, line, rt.ring.OwnerEngine(string(eng)), true)
 			return
 		}
-		if v, ok := parseVecBytes(key); ok {
-			rt.forward(st, line, rt.ring.Owner(string(eng), v), true)
-		} else {
-			rt.forward(st, line, rt.ring.OwnerEngine(string(eng)), true)
-		}
+		rt.forward(st, line, rt.owner(eng, key), true)
 	case eqFold(cmd, "STATS"):
 		eng, ok1 := sc.next()
 		_, extra := sc.next()
@@ -636,9 +599,9 @@ func (rt *Router) route(st *rconn, line []byte) {
 			rt.forward(st, line, rt.ring.OwnerEngine(string(eng)), true)
 			return
 		}
-		rt.scatter(st, line, mergeStats)
+		rt.scatter(st, line, (*Router).mergeStatsAgg)
 	case eqFold(cmd, "ENGINES"):
-		rt.scatter(st, line, mergeEngines)
+		rt.scatter(st, line, (*Router).mergeEngineUnion)
 	case eqFold(cmd, "HEALTH"):
 		eng, hasEng := sc.next()
 		sub, hasSub := sc.next()
@@ -647,18 +610,18 @@ func (rt *Router) route(st *rconn, line []byte) {
 		case extra:
 			rt.forward(st, line, 0, false)
 		case !hasEng:
-			rt.scatter(st, line, mergeHealthAll)
+			rt.scatter(st, line, (*Router).mergeHealthRoster)
 		case rt.Pinned(string(eng)):
 			rt.forward(st, line, rt.ring.OwnerEngine(string(eng)), !hasSub)
 		case hasSub && eqFold(sub, "SCRUB"):
-			rt.scatter(st, line, mergeScrub)
+			rt.scatter(st, line, (*Router).mergeScrubReports)
 		case hasSub:
 			rt.forward(st, line, 0, false) // bad subcommand: backend usage ERR
 		default:
-			rt.scatter(st, line, mergeHealthEngine)
+			rt.scatter(st, line, (*Router).mergeHealthCounters)
 		}
 	case eqFold(cmd, "WAL"):
-		rt.scatter(st, line, mergeWALStatus)
+		rt.scatter(st, line, (*Router).mergeWALStatus)
 	case eqFold(cmd, "CREATE"):
 		kw, okKw := sc.next()
 		name, okName := sc.next()
@@ -669,7 +632,7 @@ func (rt *Router) route(st *rconn, line []byte) {
 			return
 		}
 		if eqFold(typ, "EXACT") {
-			rt.scatter(st, line, mergeOK)
+			rt.scatter(st, line, (*Router).mergeAllOK)
 			return
 		}
 		// Pin at dispatch, not settle: requests later in this same
@@ -690,7 +653,7 @@ func (rt *Router) route(st *rconn, line []byte) {
 			op.unpin = string(name)
 			return
 		}
-		rt.scatter(st, line, mergeOK)
+		rt.scatter(st, line, (*Router).mergeAllOK)
 	case eqFold(cmd, "METRICS"):
 		rt.dispatchMetrics(st, line)
 	case eqFold(cmd, "SLOWLOG"):
@@ -702,54 +665,77 @@ func (rt *Router) route(st *rconn, line []byte) {
 	}
 }
 
-// forward submits line to one backend and records the pending op.
+// owner is the backend of one keyed op: the ring owner of (engine, key),
+// or the engine's home when it is pinned or the key does not parse (the
+// backend will say so; the line just needs a deterministic anchor).
+func (rt *Router) owner(eng, key []byte) int {
+	if !rt.Pinned(string(eng)) {
+		if v, ok := parseVecBytes(key); ok {
+			return rt.ring.Owner(string(eng), v)
+		}
+	}
+	return rt.ring.OwnerEngine(string(eng))
+}
+
+// forward enqueues line for one backend and records the pending op.
 func (rt *Router) forward(st *rconn, line []byte, backend int, idempotent bool) *pendingOp {
 	op := st.nextOp()
 	op.kind = opForward
 	op.backend = backend
 	op.idempotent = idempotent
-	if tr := st.tr; tr != nil {
-		tr.Span(trace.KindRoute, tr.Begin) // parse + ring lookup, dispatch-relative
-		tr.Add(trace.Event{Kind: trace.KindBreaker, Bucket: uint32(backend),
-			Hit: rt.pools[backend].BreakerOpen()})
-		op.calls = append(op.calls, rt.pools[backend].SubmitLaneT(st.tag(line, 1), st.lane, true))
-		return op
-	}
-	op.calls = append(op.calls, rt.pools[backend].SubmitLane(line, st.lane))
+	op.calls = append(op.calls, st.send(rt, backend, 1, line))
 	return op
 }
 
-// tag prefixes line with the trace's wire annotation — "*TID
-// <hex-id>/<span> <line>" — into the rconn scratch. The backend joins
-// its own trace to the id, so a later TRACE GET <id>/<span> on that
+// open starts a request line in backend b's batch of the current burst
+// (noting where, so a half-built MSEARCH can be taken back) and returns
+// the batch. A head-sampled request's line is prefixed with
+// the wire annotation — "*TID <hex-id>/<span> " — so the backend joins
+// its own trace to the id and a later TRACE GET <id>/<span> on that
 // backend returns this hop's child trace. The trace id is minted
 // lazily, once per router trace.
-func (st *rconn) tag(line []byte, span uint32) []byte {
-	tr := st.tr
-	if tr.TID == 0 {
-		tr.SetWire(trace.NewTraceID(), 0)
+func (st *rconn) open(b int, span uint32) *batch {
+	bt := st.cur[b]
+	if bt == nil {
+		bt = batchPool.Get().(*batch)
+		st.cur[b] = bt
 	}
-	b := append(st.tagb[:0], "*TID "...)
-	b = strconv.AppendUint(b, tr.TID, 16)
-	b = append(b, '/')
-	b = strconv.AppendUint(b, uint64(span), 10)
-	b = append(b, ' ')
-	b = append(b, line...)
-	st.tagb = b
-	return b
+	st.marks[b] = len(bt.req)
+	if tr := st.tr; tr != nil {
+		if tr.TID == 0 {
+			tr.SetWire(trace.NewTraceID(), 0)
+		}
+		bt.req = append(bt.req, "*TID "...)
+		bt.req = strconv.AppendUint(bt.req, tr.TID, 16)
+		bt.req = append(bt.req, '/')
+		bt.req = strconv.AppendUint(bt.req, uint64(span), 10)
+		bt.req = append(bt.req, ' ')
+	}
+	return bt
 }
 
-// upperString clones b as an upper-cased string (commands are matched
-// case-insensitively but recorded canonically).
-func upperString(b []byte) string {
-	s := make([]byte, len(b))
-	for i, c := range b {
-		if 'a' <= c && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		s[i] = c
+// endLine terminates the line open started and returns its call. A
+// batch whose bytes pass flushThreshold is submitted right away (same
+// lane, so still ahead of whatever this client sends that backend
+// next) and a fresh one takes its place.
+func (st *rconn) endLine(rt *Router, b int) Call {
+	bt := st.cur[b]
+	bt.req = append(bt.req, '\n')
+	c := Call{b: bt, i: bt.n}
+	bt.n++
+	if len(bt.req) >= flushThreshold {
+		rt.pools[b].submit(bt, st.lane)
+		st.cut = append(st.cut, bt)
+		st.cur[b] = nil
 	}
-	return string(s)
+	return c
+}
+
+// send enqueues one whole line for backend b.
+func (st *rconn) send(rt *Router, b int, span uint32, line []byte) Call {
+	bt := st.open(b, span)
+	bt.req = append(bt.req, line...)
+	return st.endLine(rt, b)
 }
 
 // forwardUsage anchors a malformed engine-op line: to the engine's
@@ -764,30 +750,23 @@ func (rt *Router) forwardUsage(st *rconn, line []byte, eng []byte, haveEng bool)
 	}
 }
 
-// scatter submits line to every backend with a merge rule. Traced
-// scatters tag backend b's copy with child span b+1.
-func (rt *Router) scatter(st *rconn, line []byte, merge mergeKind) *pendingOp {
+// scatter enqueues line for every backend with a merge rule. A
+// head-sampled scatter tags backend b's copy with child span b+1.
+func (rt *Router) scatter(st *rconn, line []byte, merge mergeFn) *pendingOp {
 	op := st.nextOp()
 	op.kind = opScatter
 	op.merge = merge
-	if tr := st.tr; tr != nil {
-		tr.Span(trace.KindRoute, tr.Begin)
-		for i, p := range rt.pools {
-			tr.Add(trace.Event{Kind: trace.KindBreaker, Bucket: uint32(i), Hit: p.BreakerOpen()})
-			op.calls = append(op.calls, p.SubmitLaneT(st.tag(line, uint32(i+1)), st.lane, true))
-		}
-		return op
-	}
-	for _, p := range rt.pools {
-		op.calls = append(op.calls, p.SubmitLane(line, st.lane))
+	for b := range rt.pools {
+		op.calls = append(op.calls, st.send(rt, b, uint32(b+1), line))
 	}
 	return op
 }
 
-// dispatchMSearch splits the pair list by ring owner and issues one
-// MSEARCH per involved backend. Malformed lists (odd arity, bad hex)
-// forward whole to backend 0: the server validates every key before
-// executing any slot, so nothing runs and the ERR is authoritative.
+// dispatchMSearch splits the pair list by ring owner and builds one
+// MSEARCH per involved backend straight into that backend's batch.
+// Malformed lists (odd arity, bad hex) forward whole to backend 0: the
+// server validates every key before executing any slot, so nothing
+// runs and the ERR is authoritative.
 func (rt *Router) dispatchMSearch(st *rconn, line []byte, sc bscan) {
 	n := sc.count()
 	if n == 0 || n%2 != 0 {
@@ -797,10 +776,7 @@ func (rt *Router) dispatchMSearch(st *rconn, line []byte, sc bscan) {
 	op := st.nextOp()
 	op.kind = opMSearch
 	for b := range rt.pools {
-		if cap(st.reqb[b]) == 0 {
-			st.reqb[b] = make([]byte, 0, 256)
-		}
-		st.reqb[b] = st.reqb[b][:0]
+		st.marks[b] = -1
 	}
 	for {
 		eng, ok := sc.next()
@@ -810,10 +786,14 @@ func (rt *Router) dispatchMSearch(st *rconn, line []byte, sc bscan) {
 		key, _ := sc.next()
 		v, okKey := parseVecBytes(key)
 		if !okKey {
-			// Bad hex: the whole line belongs to one backend's parser
-			// (the server validates every key before executing any
-			// slot, so nothing has run). Drop the op — no calls were
-			// submitted yet — and forward whole.
+			// Bad hex: the whole line belongs to one backend's parser.
+			// Nothing was submitted yet — take the half-built lines back
+			// out of the batches, drop the op, and forward whole.
+			for b := range rt.pools {
+				if st.marks[b] >= 0 {
+					st.cur[b].req = st.cur[b].req[:st.marks[b]]
+				}
+			}
 			st.ops = st.ops[:len(st.ops)-1]
 			rt.forward(st, line, 0, false)
 			return
@@ -824,26 +804,22 @@ func (rt *Router) dispatchMSearch(st *rconn, line []byte, sc bscan) {
 		} else {
 			b = rt.ring.Owner(string(eng), v)
 		}
-		if len(st.reqb[b]) == 0 {
-			st.reqb[b] = append(st.reqb[b], "MSEARCH"...)
+		if st.marks[b] < 0 {
+			bt := st.open(b, uint32(b+1))
+			bt.req = append(bt.req, "MSEARCH"...)
 		}
-		st.reqb[b] = append(st.reqb[b], ' ')
-		st.reqb[b] = append(st.reqb[b], eng...)
-		st.reqb[b] = append(st.reqb[b], ' ')
-		st.reqb[b] = append(st.reqb[b], key...)
+		bt := st.cur[b]
+		bt.req = append(bt.req, ' ')
+		bt.req = append(bt.req, eng...)
+		bt.req = append(bt.req, ' ')
+		bt.req = append(bt.req, key...)
 		op.slotBk = append(op.slotBk, b)
 	}
-	if st.tr != nil {
-		st.tr.Span(trace.KindRoute, st.tr.Begin)
-	}
 	for b := range rt.pools {
-		switch {
-		case len(st.reqb[b]) == 0:
-			op.calls = append(op.calls, nil)
-		case st.tr != nil:
-			op.calls = append(op.calls, rt.pools[b].SubmitLaneT(st.tag(st.reqb[b], uint32(b+1)), st.lane, true))
-		default:
-			op.calls = append(op.calls, rt.pools[b].SubmitLane(st.reqb[b], st.lane))
+		if st.marks[b] < 0 {
+			op.calls = append(op.calls, Call{})
+		} else {
+			op.calls = append(op.calls, st.endLine(rt, b))
 		}
 	}
 }
@@ -853,66 +829,77 @@ func (rt *Router) dispatchMSearch(st *rconn, line []byte, sc bscan) {
 // instead of an answer, never alongside a wrong one.
 var replyUnavailable = []byte("ERR unavailable")
 
-// settle awaits the burst's calls in request order, reassembles
-// scatter replies, appends everything to the out buffer, and flushes
-// it with one write. Reports false when the client's write side died.
+// settle is the burst's settle trigger: submit each non-empty batch to
+// its lane (one queue operation per backend), walk the ops in request
+// order — each waits for its batch, so at most one wake-up per batch —
+// reassembling replies into the out buffer, run the tracing pass,
+// recycle the batches, and flush with one write. Reports false when the
+// client's write side died.
 func (rt *Router) settle(st *rconn, w io.Writer) bool {
+	tFlush := time.Now().UnixNano()
+	cur := st.cur[:len(rt.pools)]
+	for b, bt := range cur {
+		if bt != nil && bt.n > 0 {
+			rt.pools[b].submit(bt, st.lane)
+		}
+	}
 	for i := range st.ops {
 		op := &st.ops[i]
-		mark := len(st.out)
+		op.mark = len(st.out)
 		switch op.kind {
 		case opLocal:
 			st.out = append(st.out, op.local...)
 		case opForward:
-			st.out = rt.settleForward(st.out, op)
+			st.out = rt.settleForward(st, st.out, op)
 		case opMSearch:
 			st.out = rt.settleMSearch(st, st.out, op)
 		case opScatter:
 			st.out = rt.settleScatter(st.out, op)
 		}
-		if op.tr != nil {
-			op.tr.SetResult(server.ResultToken(st.out[mark:]))
-			if slow := rt.trc.End(op.tr); slow && rt.log != nil {
-				rt.log.Warn("slow proxied request",
-					"id", op.tr.ID,
-					"cmd", op.tr.Cmd,
-					"engine", op.tr.Engine,
-					"key", op.tr.Key,
-					"us", op.tr.Dur.Microseconds(),
-					"result", op.tr.Result)
-			}
-			op.tr = nil
-		}
 		st.out = append(st.out, '\n')
 	}
-	st.ops = st.ops[:0]
-	ok := true
-	if len(st.out) > 0 {
-		_, err := w.Write(st.out)
-		st.out = st.out[:0]
-		ok = err == nil
+	if rt.trc != nil {
+		rt.observe(st, tFlush)
 	}
-	return ok
+	st.ops = st.ops[:0]
+	// Every line's op waited above; these waits only guarantee no batch
+	// is refilled while the pool could still be writing to it.
+	for _, bt := range cur {
+		if bt != nil && bt.n > 0 {
+			bt.wait()
+			bt.reset()
+		}
+	}
+	for _, bt := range st.cut {
+		bt.wait()
+		bt.reset()
+		batchPool.Put(bt)
+	}
+	st.cut = st.cut[:0]
+	if len(st.out) == 0 {
+		return true
+	}
+	_, err := w.Write(st.out)
+	st.out = st.out[:0]
+	return err == nil
 }
 
-// settleForward resolves a single-backend call, retrying idempotent
-// reads whose connection died in flight.
-func (rt *Router) settleForward(out []byte, op *pendingOp) []byte {
+// settleForward resolves a single-backend call. An idempotent read in
+// the failed tail of a batch whose connection died retries on its own,
+// one single-line batch per attempt, with backoff; the last attempt
+// replaces calls[0] so the tracing pass sees its stamps.
+func (rt *Router) settleForward(st *rconn, out []byte, op *pendingOp) []byte {
 	c := op.calls[0]
 	resp, err := c.Wait()
-	for attempt := 1; err != nil && op.idempotent && errors.Is(err, ErrBackendDown) && attempt <= rt.retries; attempt++ {
+	for err != nil && op.idempotent && errors.Is(err, ErrBackendDown) && op.retries < rt.retries {
 		rt.met.Backend(op.backend).IncRetries()
-		if op.tr != nil {
-			op.tr.Add(trace.Event{Kind: trace.KindRetry, Bucket: uint32(op.backend),
-				Matches: int32(attempt)})
-		}
-		time.Sleep(rt.retryBackoff << uint(attempt-1))
-		nc := rt.pools[op.backend].SubmitT(c.req, c.traced) // the *TID tag rides in c.req
-		c.Release()
-		c = nc
+		time.Sleep(rt.retryBackoff << uint(op.retries))
+		op.retries++
+		c = rt.pools[op.backend].Submit(c.b.line(c.i)) // a *TID tag rides in the line
+		st.cut = append(st.cut, c.b)                   // recycled with the burst
+		op.calls[0] = c
 		resp, err = c.Wait()
 	}
-	recordCall(op.tr, c, op.backend, 1)
 	ok := err == nil && tokenEq(resp, server.ReplyOK)
 	if op.pin != "" && !ok {
 		rt.pin(op.pin, false) // CREATE failed: roll the speculative pin back
@@ -921,31 +908,20 @@ func (rt *Router) settleForward(out []byte, op *pendingOp) []byte {
 		rt.pin(op.unpin, false) // DROP succeeded: the engine is gone
 	}
 	if err != nil {
-		out = append(out, replyUnavailable...)
-	} else {
-		out = append(out, resp...)
+		return append(out, replyUnavailable...)
 	}
-	c.Release()
-	return out
+	return append(out, resp...)
 }
 
 // settleMSearch reassembles per-backend MRESULTS into the caller's
 // original slot order.
 func (rt *Router) settleMSearch(st *rconn, out []byte, op *pendingOp) []byte {
-	// Await every involved backend first; a slow shard must not stall
-	// slots of others being appended out of order anyway (order is
-	// fixed by the plan, not by arrival).
-	for _, c := range op.calls {
-		if c != nil {
-			c.Wait() //nolint:errcheck // consumed per-slot below
-		}
-	}
 	// Per-backend cursors walk each MRESULTS reply left to right; the
 	// slot plan visits each backend's slots in the order they were
 	// packed, so a cursor never rewinds.
 	for b, c := range op.calls {
-		st.curs[b] = 0
-		if c == nil {
+		st.curs[b] = -1
+		if c.b == nil {
 			continue
 		}
 		if resp, err := c.Wait(); err == nil {
@@ -953,22 +929,17 @@ func (rt *Router) settleMSearch(st *rconn, out []byte, op *pendingOp) []byte {
 			// (an ERR line) marks every slot of this backend failed.
 			if tok, rest := firstToken(resp); eqFold(tok, server.ReplyMResults) {
 				st.curs[b] = rest
-			} else {
-				st.curs[b] = -1
 			}
-		} else {
-			st.curs[b] = -1
 		}
 	}
 	out = append(out, server.ReplyMResults...)
 	for _, b := range op.slotBk {
 		out = append(out, ' ')
-		c := op.calls[b]
-		if c == nil || st.curs[b] < 0 {
+		if st.curs[b] < 0 {
 			out = append(out, server.SlotUnavailable...)
 			continue
 		}
-		resp, _ := c.Wait()
+		resp, _ := op.calls[b].Wait()
 		slot, next := tokenAt(resp, st.curs[b])
 		if len(slot) == 0 {
 			// Backend answered fewer slots than asked: desync; never
@@ -979,80 +950,141 @@ func (rt *Router) settleMSearch(st *rconn, out []byte, op *pendingOp) []byte {
 		st.curs[b] = next
 		out = append(out, slot...)
 	}
-	for b, c := range op.calls {
-		if c != nil {
-			recordCall(op.tr, c, b, uint32(b+1))
-			c.Release()
-		}
-	}
 	return out
 }
 
 // settleScatter resolves a broadcast according to its merge rule.
 func (rt *Router) settleScatter(out []byte, op *pendingOp) []byte {
 	for _, c := range op.calls {
-		c.Wait() //nolint:errcheck // re-read per merge rule below
+		c.Wait() //nolint:errcheck // re-read by the merge rule
 	}
-	switch op.merge {
-	case mergeOK:
-		out = rt.mergeAllOK(out, op)
-	case mergeMaskedSearch:
-		out = mergeMasked(out, op)
-	case mergeEngines:
-		out = mergeEngineUnion(out, op)
-	case mergeHealthAll:
-		out = rt.mergeHealthRoster(out, op)
-	case mergeHealthEngine:
-		out = rt.mergeHealthCounters(out, op)
-	case mergeScrub:
-		out = rt.mergeScrubReports(out, op)
-	case mergeStats:
-		out = mergeStatsAgg(out, op)
-	case mergeSlowlogLen:
-		out = rt.mergeSlowlogLen(out, op)
-	case mergeSlowlogGet:
-		out = rt.mergeSlowlogGet(out, op)
-	case mergeMetricsAll:
-		out = rt.mergeMetricsAll(out, op)
-	case mergeMetricsEngine:
-		out = rt.mergeMetricsEngine(out, op)
-	case mergeHistQuantiles:
-		out = rt.mergeHistQuantiles(out, op)
-	case mergeHistSum:
-		out = rt.mergeHistSum(out, op)
-	case mergeTrace:
-		out = rt.mergeTrace(out, op)
-	case mergeWALStatus:
-		out = rt.mergeWALStatus(out, op)
-	}
-	for b, c := range op.calls {
-		recordCall(op.tr, c, b, uint32(b+1))
-		c.Release()
-	}
-	return out
+	return op.merge(rt, out, op)
 }
 
-// recordCall turns one traced pool call's timestamps into router
-// spans: queue_wait (submit -> pool writer picked it up), backend_rtt
-// (write -> reply decoded; Span carries the child span id a stitcher
-// resolves via TRACE GET on that backend), and the coalesced write
-// burst size. A call shed before reaching a connection (open breaker,
-// closed pool) never got a write stamp: all of its time was queueing.
-func recordCall(tr *trace.Trace, c *Call, backend int, span uint32) {
-	if tr == nil || !c.traced {
+// observe is settle's tracing pass, run once every reply of the burst
+// is in the out buffer. A head-sampled op carries the trace its forwards
+// were tagged with. Any other op is judged now: past the slowlog
+// threshold, its trace is built after the fact — identity re-scanned
+// from the request bytes its batch still owns, spans from the stamps,
+// result from the reply — and admitted, with the backend index but no
+// wire id, hence no stitched child; otherwise nothing was allocated,
+// nothing tagged, and no backend retained anything on its behalf.
+// tFlush is the settle trigger's stamp.
+func (rt *Router) observe(st *rconn, tFlush int64) {
+	now := time.Now().UnixNano()
+	for i := range st.ops {
+		op := &st.ops[i]
+		d := time.Duration(now - op.t0)
+		tr := op.tr
+		if tr == nil {
+			if !rt.trc.SlowAdmit(d) {
+				continue
+			}
+			tr = rt.trc.BeginAt(time.Unix(0, op.t0), false)
+		}
+		// The op was routed by the time the next one was dispatched (or
+		// the burst flushed); its reply ends where the next one starts.
+		routed, end := tFlush, len(st.out)
+		if i+1 < len(st.ops) {
+			routed, end = st.ops[i+1].t0, st.ops[i+1].mark
+		}
+		rt.record(tr, op, routed)
+		tr.SetResult(server.ResultToken(st.out[op.mark : end-1]))
+		if slow := rt.trc.Observe(tr, d); slow && rt.log != nil {
+			rt.log.Warn("slow proxied request",
+				"id", tr.ID,
+				"cmd", tr.Cmd,
+				"engine", tr.Engine,
+				"key", tr.Key,
+				"us", tr.Dur.Microseconds(),
+				"result", tr.Result)
+		}
+	}
+}
+
+// record fills a trace from a settled op: the command identity, the
+// route span (dispatch until routed — parse plus ring lookup), then per
+// involved backend the breaker outcome, retries, and the call's hops.
+func (rt *Router) record(tr *trace.Trace, op *pendingOp, routed int64) {
+	line := op.req
+	for _, c := range op.calls {
+		if c.b != nil {
+			line = c.b.line(c.i)
+			break
+		}
+	}
+	sc := bscan{b: line}
+	cmd, _ := sc.next()
+	if tr.TID != 0 && eqFold(cmd, "*TID") { // our own annotation, not the client's verb
+		sc.next()
+		cmd, _ = sc.next()
+	}
+	var eng, key []byte
+	if eqFold(cmd, "SEARCH") || eqFold(cmd, "INSERT") || eqFold(cmd, "DELETE") {
+		if e, ok := sc.next(); ok {
+			if k, ok := sc.next(); ok {
+				eng, key = e, k
+			}
+		}
+	}
+	// Clones (the batch bytes are recycled long before the trace is);
+	// verbs are matched case-insensitively but recorded canonically.
+	tr.Request(strings.ToUpper(string(cmd)), string(eng), string(key))
+	tr.Add(trace.Event{Kind: trace.KindRoute, Dur: time.Duration(routed - op.t0)})
+	hop := func(i int) (backend int, span uint32) {
+		if op.kind == opForward {
+			return op.backend, 1
+		}
+		return i, uint32(i + 1)
+	}
+	for i, c := range op.calls {
+		if op.kind != opMSearch {
+			b, _ := hop(i)
+			_, err := c.Wait()
+			tr.Add(trace.Event{Kind: trace.KindBreaker, Bucket: uint32(b),
+				Hit: errors.Is(err, ErrBackendUnavailable)})
+		}
+	}
+	for n := 1; n <= op.retries; n++ {
+		tr.Add(trace.Event{Kind: trace.KindRetry, Bucket: uint32(op.backend), Matches: int32(n)})
+	}
+	for i, c := range op.calls {
+		if c.b != nil {
+			b, span := hop(i)
+			queued := routed
+			if op.retries > 0 {
+				queued = c.b.tSubmit // a retry queues from its own submission
+			}
+			recordCall(tr, c, b, span, op.t0, queued)
+		}
+	}
+}
+
+// recordCall turns one call's batch stamps into router hops: queue_wait
+// (queued -> the pool writer picked its batch up, i.e. time in the
+// client's batch plus the lane queue), backend_rtt (write -> batch
+// complete; Span is the child span id a stitcher resolves via TRACE
+// GET, 0 when nothing was tagged) and the size of the coalesced write.
+// Other goroutines' stamps are clamped so the spans chain forward. A
+// batch shed before reaching a connection has no write stamp: all of
+// its time was queueing.
+func recordCall(tr *trace.Trace, c Call, backend int, span uint32, t0, queued int64) {
+	bt := c.b
+	if tr.TID == 0 {
+		span = 0
+	}
+	queue := trace.Event{Kind: trace.KindQueue, Bucket: uint32(backend), Offset: time.Duration(queued - t0)}
+	if bt.tWrite == 0 {
+		queue.Dur = time.Duration(max(bt.tDone, queued) - queued)
+		tr.Add(queue)
 		return
 	}
-	begin := tr.Begin.UnixNano()
-	if c.tWrite != 0 {
-		tr.Add(trace.Event{Kind: trace.KindQueue, Bucket: uint32(backend),
-			Offset: time.Duration(c.tSubmit - begin), Dur: time.Duration(c.tWrite - c.tSubmit)})
-		tr.Add(trace.Event{Kind: trace.KindRTT, Bucket: uint32(backend), Span: span,
-			Offset: time.Duration(c.tWrite - begin), Dur: time.Duration(c.tDone - c.tWrite)})
-		tr.Add(trace.Event{Kind: trace.KindBurst, Bucket: uint32(backend), Matches: c.burst})
-	} else {
-		tr.Add(trace.Event{Kind: trace.KindQueue, Bucket: uint32(backend),
-			Offset: time.Duration(c.tSubmit - begin), Dur: time.Duration(c.tDone - c.tSubmit)})
-	}
+	wrote := max(bt.tWrite, queued)
+	queue.Dur = time.Duration(wrote - queued)
+	tr.Add(queue)
+	tr.Add(trace.Event{Kind: trace.KindRTT, Bucket: uint32(backend), Span: span,
+		Offset: time.Duration(wrote - t0), Dur: time.Duration(max(bt.tDone, wrote) - wrote)})
+	tr.Add(trace.Event{Kind: trace.KindBurst, Bucket: uint32(backend), Matches: bt.burst})
 }
 
 // mergeAllOK: every backend must say OK; otherwise the first non-OK
@@ -1077,7 +1109,7 @@ func (rt *Router) mergeAllOK(out []byte, op *pendingOp) []byte {
 // mergeMasked: a masked probe can match on any shard — first HIT in
 // backend order wins; a backend that could not rule the key out (or
 // could not be asked) forces the explicit error forms.
-func mergeMasked(out []byte, op *pendingOp) []byte {
+func (rt *Router) mergeMasked(out []byte, op *pendingOp) []byte {
 	sawDown, sawMissErr, sawMiss := false, false, false
 	var firstOther []byte
 	for _, c := range op.calls {
@@ -1112,7 +1144,7 @@ func mergeMasked(out []byte, op *pendingOp) []byte {
 
 // mergeEngineUnion: the cluster roster is the union of backend
 // rosters, first-seen order scanning backends in configuration order.
-func mergeEngineUnion(out []byte, op *pendingOp) []byte {
+func (rt *Router) mergeEngineUnion(out []byte, op *pendingOp) []byte {
 	seen := make(map[string]struct{}, 8)
 	mark := len(out)
 	out = append(out, "ENGINES"...)
@@ -1176,15 +1208,7 @@ func (rt *Router) mergeHealthRoster(out []byte, op *pendingOp) []byte {
 		if tok, ok := sc.next(); !ok || !eqFold(tok, "HEALTH") {
 			continue
 		}
-		for {
-			pair, ok := sc.next()
-			if !ok {
-				break
-			}
-			name, val, ok := splitKV(pair)
-			if !ok {
-				continue
-			}
+		for name, val, ok := sc.nextKV(); ok; name, val, ok = sc.nextKV() {
 			r := healthRank(val)
 			if i, seen := idx[string(name)]; seen {
 				if r > ents[i].rank {
@@ -1234,15 +1258,7 @@ func (rt *Router) mergeHealthCounters(out []byte, op *pendingOp) []byte {
 			continue
 		}
 		got = true
-		for {
-			pair, ok := sc.next()
-			if !ok {
-				break
-			}
-			k, v, ok := splitKV(pair)
-			if !ok {
-				continue
-			}
+		for k, v, ok := sc.nextKV(); ok; k, v, ok = sc.nextKV() {
 			switch {
 			case eqFold(k, "engine"):
 				engine = v
@@ -1302,15 +1318,7 @@ func (rt *Router) mergeScrubReports(out []byte, op *pendingOp) []byte {
 			continue
 		}
 		got = true
-		for {
-			pair, ok := sc.next()
-			if !ok {
-				break
-			}
-			k, v, ok := splitKV(pair)
-			if !ok {
-				continue
-			}
+		for k, v, ok := sc.nextKV(); ok; k, v, ok = sc.nextKV() {
 			switch {
 			case eqFold(k, "engine"):
 				engine = v
@@ -1369,15 +1377,7 @@ func (rt *Router) mergeWALStatus(out []byte, op *pendingOp) []byte {
 		}
 		got = true
 		nodes++
-		for {
-			pair, ok := sc.next()
-			if !ok {
-				break
-			}
-			k, v, ok := splitKV(pair)
-			if !ok {
-				continue
-			}
+		for k, v, ok := sc.nextKV(); ok; k, v, ok = sc.nextKV() {
 			switch {
 			case eqFold(k, "lsn"):
 				lsn += parseInt(v)
@@ -1427,7 +1427,7 @@ func (rt *Router) mergeWALStatus(out []byte, op *pendingOp) []byte {
 // the mean shard load factor (shards share one geometry, so the mean
 // is the cluster load factor); amal is the lookup-weighted mean — the
 // cluster's rows-accessed-per-lookup over the same traffic.
-func mergeStatsAgg(out []byte, op *pendingOp) []byte {
+func (rt *Router) mergeStatsAgg(out []byte, op *pendingOp) []byte {
 	var (
 		n, hits, misses int64
 		alphaSum        float64
@@ -1451,15 +1451,7 @@ func mergeStatsAgg(out []byte, op *pendingOp) []byte {
 		shards++
 		var sn, sh, sm int64
 		var salpha, samal float64
-		for {
-			pair, ok := sc.next()
-			if !ok {
-				break
-			}
-			k, v, ok := splitKV(pair)
-			if !ok {
-				continue
-			}
+		for k, v, ok := sc.nextKV(); ok; k, v, ok = sc.nextKV() {
 			switch {
 			case eqFold(k, "n"):
 				sn = parseInt(v)

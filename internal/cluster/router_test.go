@@ -15,6 +15,7 @@ import (
 	"caram/internal/metrics"
 	"caram/internal/server"
 	"caram/internal/subsystem"
+	"caram/internal/trace"
 )
 
 // testBackend is one live in-process caram-server on a loopback
@@ -23,6 +24,7 @@ import (
 type testBackend struct {
 	srv  *server.Server
 	addr string
+	col  *trace.Collector // startTracedBackend only
 }
 
 func exactEngine(t testing.TB, sub *subsystem.Subsystem, name string) {

@@ -146,6 +146,20 @@ func splitKV(pair []byte) (k, v []byte, ok bool) {
 	return pair[:i], pair[i+1:], true
 }
 
+// nextKV returns the next "key=value" field of a reply, skipping
+// fields that are not pairs; ok=false at end of line.
+func (s *bscan) nextKV() (k, v []byte, ok bool) {
+	for {
+		pair, more := s.next()
+		if !more {
+			return nil, nil, false
+		}
+		if k, v, ok = splitKV(pair); ok {
+			return k, v, true
+		}
+	}
+}
+
 // splitSlash splits an "a/b" reply field (overflow occupancy).
 func splitSlash(v []byte) (a, b []byte, ok bool) {
 	i := bytes.IndexByte(v, '/')

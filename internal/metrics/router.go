@@ -51,18 +51,19 @@ type RouterBackend struct {
 // Name returns the backend label the slot was registered under.
 func (b *RouterBackend) Name() string { return b.name }
 
-// IncOps counts one submitted request. Nil-safe like every recorder
-// here, so an unmetered pool costs only the nil check.
-func (b *RouterBackend) IncOps() {
+// AddOps counts n submitted requests (the pool records a whole batch
+// with one add). Nil-safe like every recorder here, so an unmetered
+// pool costs only the nil check.
+func (b *RouterBackend) AddOps(n int) {
 	if b != nil {
-		b.ops.Add(1)
+		b.ops.Add(uint64(n))
 	}
 }
 
-// IncErrs counts one failed request.
-func (b *RouterBackend) IncErrs() {
+// AddErrs counts n failed requests.
+func (b *RouterBackend) AddErrs(n int) {
 	if b != nil {
-		b.errs.Add(1)
+		b.errs.Add(uint64(n))
 	}
 }
 
@@ -73,8 +74,8 @@ func (b *RouterBackend) IncRetries() {
 	}
 }
 
-// DepthAdd moves the pipeline-depth gauge by d (+1 at submit, -1 at
-// completion).
+// DepthAdd moves the pipeline-depth gauge by d (+n when a batch of n
+// requests is submitted, -n when it completes).
 func (b *RouterBackend) DepthAdd(d int64) {
 	if b != nil {
 		b.inflight.Add(d)

@@ -13,9 +13,9 @@ func TestRouterBackendCounters(t *testing.T) {
 		t.Fatalf("names: %q %q", b.Name(), rm.Backend(1).Name())
 	}
 	for i := 0; i < 5; i++ {
-		b.IncOps()
+		b.AddOps(1)
 	}
-	b.IncErrs()
+	b.AddErrs(1)
 	b.IncRetries()
 	b.IncRetries()
 	b.DepthAdd(3)
@@ -89,7 +89,7 @@ func TestRouterBurstHistogram(t *testing.T) {
 
 func TestRouterPrometheusFamilies(t *testing.T) {
 	rm := NewRouterMetrics([]string{"alpha", "beta"})
-	rm.Backend(1).IncOps()
+	rm.Backend(1).AddOps(1)
 	out := routerProm(t, rm)
 	for _, fam := range []string{
 		FamRouterOps, FamRouterErrors, FamRouterRetries,
@@ -110,8 +110,8 @@ func TestRouterPrometheusFamilies(t *testing.T) {
 func TestRouterMetricsNilSafe(t *testing.T) {
 	var rm *RouterMetrics
 	b := rm.Backend(3)
-	b.IncOps()
-	b.IncErrs()
+	b.AddOps(1)
+	b.AddErrs(1)
 	b.IncRetries()
 	b.DepthAdd(1)
 	b.SetBreaker(true)

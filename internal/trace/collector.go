@@ -140,10 +140,28 @@ func (c *Collector) Begin() *Trace {
 	if c == nil {
 		return nil
 	}
-	t := c.pool.Get().(*Trace)
+	return c.BeginAt(time.Now(), c.Sample())
+}
+
+// Sample counts one request and reports whether the 1-in-N sampler
+// picks it. With BeginAt it is the seam for a tier that traces on
+// admission: the head decision costs an atomic add and no trace, which
+// is materialised only when Sample said yes, or after the fact once
+// SlowAdmit has seen the request's latency.
+func (c *Collector) Sample() bool {
+	if c == nil {
+		return false
+	}
 	n := c.seen.Add(1)
-	t.Begin = time.Now()
-	t.sampled = c.sampleN > 0 && n%uint64(c.sampleN) == 0
+	return c.sampleN > 0 && n%uint64(c.sampleN) == 0
+}
+
+// BeginAt materialises a pooled trace for a request that began at t0
+// and was or was not picked by Sample. c must be non-nil.
+func (c *Collector) BeginAt(t0 time.Time, sampled bool) *Trace {
+	t := c.pool.Get().(*Trace)
+	t.Begin = t0
+	t.sampled = sampled
 	return t
 }
 
@@ -187,16 +205,6 @@ func (c *Collector) Observe(t *Trace, d time.Duration) (slow bool) {
 		c.pool.Put(t)
 		return false
 	}
-}
-
-// Eligible reports whether the trace has any chance of being retained
-// under the collector's policies: it was picked by the sampler, or the
-// slowlog is on (any request may turn out slow). Parent tiers use it
-// to decide whether tagging downstream requests is worth the bytes —
-// with sampling and the slowlog both off, Eligible is false for every
-// trace and the forward path stays allocation-free.
-func (c *Collector) Eligible(t *Trace) bool {
-	return c != nil && t != nil && (t.sampled || c.slowNs >= 0)
 }
 
 // Find returns the newest retained trace carrying the wire trace id

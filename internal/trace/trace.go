@@ -73,21 +73,20 @@ const (
 	// KindRoute covers frontend parsing plus the consistent-hash ring
 	// lookup that picked the backend. Timed.
 	KindRoute
-	// KindQueue is the FIFO-lane queue wait: submission to the
-	// backend pool until the connection writer picked the call up.
+	// KindQueue is the queue wait: routed until the connection writer
+	// picked the request's batch up (the client's batch, then the lane).
 	// Timed (Offset/Dur are measured on the pool's own clock stamps).
 	KindQueue
 	// KindRTT is the backend round trip: the coalesced write until the
-	// reply was matched off the wire. Span carries the child span id
-	// this call was tagged with (*TID <id>/<span>), so a stitcher can
-	// fetch the backend's own trace for exactly this hop. Timed.
+	// call's batch was answered. Span carries the child span id this
+	// call was tagged with (*TID <id>/<span>; 0 = untagged), so a
+	// stitcher can fetch the backend's own trace for this hop. Timed.
 	KindRTT
 	// KindBurst records coalesced-burst membership: Matches is how
-	// many calls shared the single write this call rode in. Not timed.
+	// many lines shared the single write this call rode in. Not timed.
 	KindBurst
-	// KindBreaker records the backend's circuit-breaker state at
-	// dispatch (Hit = breaker open, the call was shed or about to be
-	// probed). Not timed.
+	// KindBreaker records the backend's circuit breaker's part in the
+	// call (Hit = it was open and shed the call unsent). Not timed.
 	KindBreaker
 	// KindRetry is one idempotent-read retry attempt after a backend
 	// connection died (Matches = attempt number, 1-based). Not timed.

@@ -42,26 +42,60 @@ func TestTaggedAdmissionPriority(t *testing.T) {
 	}
 }
 
-func TestEligible(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-		want bool
-	}{
-		{"slowlog on", Config{Slowlog: 0}, true},
-		{"sampling every request", Config{SampleN: 1, Slowlog: -1}, true},
-		{"both off", Config{SampleN: 0, Slowlog: -1}, false},
-	} {
-		c := NewCollector(tc.cfg)
-		tr := c.Begin()
-		if got := c.Eligible(tr); got != tc.want {
-			t.Errorf("%s: Eligible = %v, want %v", tc.name, got, tc.want)
+// TestAdmissionSeam pins the two halves of trace-on-admission: Sample
+// is the head decision (the 1-in-N counter, no trace involved), BeginAt
+// materialises a trace either way, and an unsampled one is kept exactly
+// when its latency is strictly above the slowlog threshold.
+func TestAdmissionSeam(t *testing.T) {
+	const thr = 10 * time.Millisecond
+	c := NewCollector(Config{SampleN: 3, Slowlog: thr, Ring: 8})
+	for i := 1; i <= 9; i++ {
+		if got, want := c.Sample(), i%3 == 0; got != want {
+			t.Errorf("Sample #%d = %v, want %v", i, got, want)
 		}
-		c.End(tr)
 	}
+	if c.Seen() != 9 {
+		t.Errorf("Seen = %d after 9 Sample calls", c.Seen())
+	}
+
+	// The boundary is strictly greater, and the same predicate decides
+	// before a trace exists (SlowAdmit) and after (Observe).
+	t0 := time.Now()
+	for _, tc := range []struct {
+		d    time.Duration
+		slow bool
+	}{{thr - 1, false}, {thr, false}, {thr + 1, true}} {
+		if got := c.SlowAdmit(tc.d); got != tc.slow {
+			t.Errorf("SlowAdmit(%v) = %v, want %v", tc.d, got, tc.slow)
+		}
+		tr := c.BeginAt(t0, false)
+		if !tr.Begin.Equal(t0) {
+			t.Fatalf("BeginAt lost the start time: %v", tr.Begin)
+		}
+		if got := c.Observe(tr, tc.d); got != tc.slow {
+			t.Errorf("Observe(late-built, %v) slow = %v, want %v", tc.d, got, tc.slow)
+		}
+	}
+	if c.Slow().Len() != 1 || c.Sampled().Len() != 0 || c.Tagged().Len() != 0 {
+		t.Fatalf("late-built traces: slow/sampled/tagged = %d/%d/%d, want 1/0/0",
+			c.Slow().Len(), c.Sampled().Len(), c.Tagged().Len())
+	}
+
+	// Sampled wins at dispatch: a head-sampled trace is kept however
+	// fast the request turned out — tagged ring once it carries a wire
+	// id, sampled ring otherwise.
+	c.Observe(c.BeginAt(t0, true), time.Microsecond)
+	tagged := c.BeginAt(t0, true)
+	tagged.SetWire(0xbeef, 0)
+	c.Observe(tagged, time.Microsecond)
+	if c.Sampled().Len() != 1 || c.Tagged().Len() != 1 || c.Slow().Len() != 1 {
+		t.Errorf("sampled traces: slow/sampled/tagged = %d/%d/%d, want 1/1/1",
+			c.Slow().Len(), c.Sampled().Len(), c.Tagged().Len())
+	}
+
 	var nc *Collector
-	if nc.Eligible(nil) {
-		t.Error("nil collector eligible")
+	if nc.Sample() || nc.SlowAdmit(time.Hour) {
+		t.Error("nil collector admitted something")
 	}
 }
 
