@@ -3,18 +3,24 @@
 #   make check          tier-1: gofmt clean + vet + build + full test suite
 #   make race           race-detector pass over the concurrent packages
 #   make stress         tier-2: the concurrency stress tests under -race
-#   make fuzz           10s per wire-protocol fuzz target
+#   make fuzz           10s per fuzz target: the wire-protocol parsers
+#                       and the bounded slot comparator vs SearchSerial
 #   make bench          the parallel-throughput server benchmark
 #   make bench-json     hot-path benchmarks frozen into BENCH_PR3.json
 #   make bench-load     one full caram-load run (five workloads, untraced
 #                       and traced, plus the ladder) into a git-ignored
 #                       file, compared against the bench/history baseline
-#   make profile-routed 30 s of the search-routed deployment under
-#                       load, router + backend CPU profiles saved from
-#                       their /debug/pprof endpoints into .bench_build/
+#   make profile WORKLOAD=<name>
+#                       30 s of one caram-load workload's deployment
+#                       under load, a CPU profile of every server and
+#                       router process saved from its /debug/pprof
+#                       endpoint into .bench_build/ (profile-routed is
+#                       WORKLOAD=search-routed)
 #   make alloc-guard    allocation regression tests for the search hot
-#                       path (match, caram, server incl. the wire path
-#                       through Handle, MSEARCH bookkeeping, and the
+#                       path (match on every compiled variant, caram
+#                       incl. the typed bounded LookupBest, server incl.
+#                       lpm/pktclass/TSEARCH and the wire path through
+#                       Handle, MSEARCH bookkeeping, and the
 #                       router with no collector, an idle one, and
 #                       caram-router's default flags)
 #   make trace-guard    tracing-layer gate: ring races under -race,
@@ -33,6 +39,9 @@
 #                       byte-exact golden session
 #   make typed-guard    typed-engine gate: the LPM/pktclass/trigram
 #                       differential oracle suites and lifecycle churn
+#                       under -race, the slot-comparator differential and
+#                       the occupancy-mark suites (model, bounded-equals-
+#                       locked, stale buffer, mark churn, ECC opt-out)
 #                       under -race, the parser-hardening table, the
 #                       zero-alloc guard with typed engines registered,
 #                       and the byte-exact golden session serving all
@@ -59,7 +68,7 @@
 GO       ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all check fmt-check vet race stress fuzz bench bench-json bench-load profile-routed alloc-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard chaos metrics-smoke ci
+.PHONY: all check fmt-check vet race stress fuzz bench bench-json bench-load profile profile-routed alloc-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard chaos metrics-smoke ci
 
 all: check race stress fuzz bench trace-guard seqlock-guard typed-guard cluster-guard crash-guard chaos metrics-smoke
 
@@ -97,14 +106,17 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzExec -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzParseVec -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzParseHex64 -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzKernelVsSerial -fuzztime $(FUZZTIME) ./internal/match
 
 bench:
 	$(GO) test -run '^$$' -bench ServerParallelSearch -benchmem .
 
 # Allocation regression guard: testing.AllocsPerRun == 0 on the core
-# search paths (row match kernel, slice lookup and the Reader's batch
-# pipeline, server SEARCH through ExecAppend and, per line, through
-# Handle), MSEARCH bookkeeping held to its two slices, and the router
+# search paths (row match kernel on binary, ternary and 104-bit ternary
+# layouts, slice lookup, the Reader's batch pipeline and its typed
+# bounded LookupBest, server SEARCH / lpm / pktclass / TSEARCH through
+# ExecAppend and, per line, through Handle), MSEARCH bookkeeping held to
+# its two slices, and the router
 # forward path (SEARCH and MSEARCH) with no collector, an idle one, and
 # the collector caram-router's default flags build. This is the one
 # non-race run of the router guards in `make ci`.
@@ -160,12 +172,18 @@ seqlock-guard:
 # Typed-engine gate: every differential oracle suite (wire answers vs
 # the simulation packages' trie / linear classifier / trigram slice),
 # the 16-goroutine mixed-ops churn variants, and engine lifecycle churn
-# all run under the race detector; then the typed parser-hardening
-# table, the zero-alloc guard with typed engines registered, and the
-# golden session that serves exact, lpm, pktclass, and trigram engines
-# from one server process.
+# all run under the race detector, as do the layers the typed reads
+# stand on: the slot comparator held to SearchSerial on every compiled
+# variant and slot bound, and the occupancy-mark suites (write-path
+# model against Verify, bounded Reader equal to the locked path, stale
+# snapshot buffer, mark churn under LookupBest, ECC whole-row opt-out);
+# then the typed parser-hardening table, the zero-alloc guard with typed
+# engines registered, and the golden session that serves exact, lpm,
+# pktclass, and trigram engines from one server process.
 typed-guard:
 	$(GO) test -race -run 'Typed' -count=1 ./internal/server ./internal/subsystem
+	$(GO) test -race -run 'Kernel' -count=1 ./internal/match
+	$(GO) test -race -run 'Occupancy|ReaderBounded|ReaderStaleBuffer|ReaderMarkChurn|ReaderWholeRows' -count=1 ./internal/caram
 	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/server
 	$(GO) test -run GoldenSession -count=1 ./internal/server
 
@@ -203,18 +221,20 @@ bench-load:
 	$(GO) run ./cmd/caram-load -seed 1 -out $(BENCH_LOAD_OUT)
 	$(GO) run ./cmd/caram-load -compare $(firstword $(wildcard bench/history/0001-*.json)) $(BENCH_LOAD_OUT)
 
-# Read the next premium from a profile, not a guess: run the
-# search-routed deployment (real binaries, default flags) under load
-# for PROFILE_SECONDS and save a CPU profile of the router and of each
-# backend from their own /debug/pprof endpoints. The processes listen
-# on ephemeral ports; ss finds them, and /metrics tells the HTTP port
-# from the wire port. Read with `go tool pprof -top <file>`.
+# Read the next premium from a profile, not a guess: run one workload's
+# deployment (real binaries, default flags) under load for
+# PROFILE_SECONDS and save a CPU profile of every caram-server and
+# caram-router process from its own /debug/pprof endpoint. The
+# processes listen on ephemeral ports; ss finds them, and /metrics
+# tells the HTTP port from the wire port. Read with
+# `go tool pprof -top .bench_build/caram-server <file>`.
 PROFILE_SECONDS ?= 30
-profile-routed:
+WORKLOAD ?= search-routed
+profile:
 	@mkdir -p .bench_build
-	@$(GO) run ./cmd/caram-load --workload search-routed --seed 1 --seconds $(PROFILE_SECONDS) --trace 0 \
-		>.bench_build/profile-routed.log 2>&1 & load=$$!; \
-	for i in $$(seq 1 240); do ss -ltnpH | grep -q '"caram-router"' && break; sleep 0.5; done; \
+	@$(GO) run ./cmd/caram-load --workload $(WORKLOAD) --seed 1 --seconds $(PROFILE_SECONDS) --trace 0 \
+		>.bench_build/profile-$(WORKLOAD).log 2>&1 & load=$$!; \
+	for i in $$(seq 1 240); do ss -ltnpH | grep -q '"caram-\(router\|server\)"' && break; sleep 0.5; done; \
 	sleep 3; \
 	ss -ltnpH | sed -n 's/.* \(127\.0\.0\.1:[0-9]*\) .*(("\(caram-[a-z]*\)",pid=\([0-9]*\),.*/\1 \2 \3/p' | { \
 		while read addr name pid; do \
@@ -223,4 +243,7 @@ profile-routed:
 			curl -sf -o ".bench_build/$$name-$$pid.cpu.pprof" \
 				"http://$$addr/debug/pprof/profile?seconds=$$(( $(PROFILE_SECONDS) * 2 / 3 ))" & \
 		done; wait; }; \
-	wait $$load; tail -1 .bench_build/profile-routed.log; ls -1 .bench_build/*.cpu.pprof
+	wait $$load; tail -1 .bench_build/profile-$(WORKLOAD).log; ls -1 .bench_build/*.cpu.pprof
+
+profile-routed:
+	@$(MAKE) profile WORKLOAD=search-routed

@@ -35,3 +35,31 @@ func TestLookupZeroAlloc(t *testing.T) {
 		t.Fatalf("LookupBest allocated %.1f times per run, want 0", n)
 	}
 }
+
+// TestTypedLookupBestZeroAlloc is the same guard for the typed read
+// path: a ranked, occupancy-bounded LookupBest over ternary rows, on
+// the port-locked path and on a Reader.
+func TestTypedLookupBestZeroAlloc(t *testing.T) {
+	s := occSlice(false)
+	for i := 0; i < 4; i++ {
+		if err := s.Insert(seqRec(keyAt(s, 2, i), uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rd := s.NewReader()
+	hit, miss := seqKey(keyAt(s, 2, 3)), seqKey(keyAt(s, 2, 9))
+	rd.LookupBest(hit, occScore, nil) // warm the match-vector scratch
+	if n := testing.AllocsPerRun(200, func() {
+		if lr, ok := rd.LookupBest(hit, occScore, nil); !ok || !lr.Found {
+			t.Fatal("expected a certified hit")
+		}
+		if lr, ok := rd.LookupBest(miss, occScore, nil); !ok || lr.Found {
+			t.Fatal("expected a certified miss")
+		}
+		if !s.LookupBest(hit, occScore).Found {
+			t.Fatal("expected a locked hit")
+		}
+	}); n != 0 {
+		t.Fatalf("typed LookupBest allocated %.1f times per run, want 0", n)
+	}
+}

@@ -202,9 +202,16 @@ func (s *Slice) LoadImage(img []uint64) error {
 	if len(img) != s.array.Words() {
 		return fmt.Errorf("caram: image of %d words for an array of %d", len(img), s.array.Words())
 	}
+	// Readers racing the load fetch whole rows until the marks are
+	// rebuilt from the new contents: a mark may overstate, never
+	// understate.
+	for i := range s.mark {
+		s.mark[i].Store(uint32(s.layout.Slots()))
+	}
 	for w, v := range img {
 		s.array.WriteWord(w, v)
 	}
+	s.rebuildMarks()
 	if s.ecc != nil {
 		// The image replaced every row wholesale: rebuild the check
 		// words and shadow from the new contents.

@@ -283,6 +283,7 @@ func (s *Slice) Scrub() ScrubReport {
 			row := s.array.BeginRowMaint(idx)
 			copy(row, sh)
 			atomic.StoreUint64(&e.check[idx], checkWord(row))
+			s.mark[idx].Store(uint32(s.layout.UsedSlots(row)))
 			s.array.CommitRowUpdate(idx)
 			rep.RepairedRows++
 			rep.RepairedBits += diff

@@ -30,11 +30,14 @@ const BatchChunk = 32
 // its snapshot buffers, its private match kernel (match.Searcher) and
 // its result scratch, so Lookup/LookupBatch/LookupBest/Contains
 // allocate nothing and share no mutable state with other Readers. Rows
-// are observed through the array's per-row seqlock
-// (mem.Array.TryPeekRow): a snapshot is only accepted when the row's
-// version is even and unchanged across the copy, so a Reader never sees
-// a torn row — every row it searches is exactly some state a writer
-// published.
+// are observed through the array's per-row seqlock: a snapshot is only
+// accepted when the row's version is even and unchanged across the
+// copy, so a Reader never sees a torn row — every row it searches is
+// exactly some state a writer published. A snapshot is
+// occupancy-bounded: it copies the words covering the slots below the
+// row's mark (Slice.bound) plus the auxiliary field, and every consumer
+// of the buffer stops at that bound — the words above it are whatever
+// an earlier snapshot left there.
 //
 // Every method reports ok=false when the lock-free protocol cannot
 // certify an answer — a probed row is quarantined, its snapshot kept
@@ -55,6 +58,9 @@ type Reader struct {
 	sr      *match.Searcher
 	res     match.Result
 	retries int // torn snapshots observed since last TakeRetries
+
+	slotBits int // layout.SlotBits()
+	auxWord  int // first word holding aux bits (the row's word count when AuxBits is 0)
 }
 
 // NewReader builds a lock-free search port for this slice. The slice's
@@ -62,11 +68,17 @@ type Reader struct {
 // complete before the first Reader runs.
 func (s *Slice) NewReader() *Reader {
 	w := s.array.RowWords()
+	auxWord := w
+	if s.layout.AuxBits > 0 {
+		auxWord = (s.layout.RowBits - s.layout.AuxBits) / 64
+	}
 	return &Reader{
-		s:     s,
-		row:   make([]uint64, w),
-		chunk: make([]uint64, BatchChunk*w),
-		sr:    match.NewSearcher(s.layout, s.cfg.MatchProcessors),
+		s:        s,
+		row:      make([]uint64, w),
+		chunk:    make([]uint64, BatchChunk*w),
+		sr:       match.NewSearcher(s.layout, s.cfg.MatchProcessors),
+		slotBits: s.layout.SlotBits(),
+		auxWord:  auxWord,
 	}
 }
 
@@ -79,17 +91,19 @@ func (r *Reader) TakeRetries() int {
 	return n
 }
 
-// snapshot fills dst with a version-consistent copy of one row. It
-// charges no access — callers account the rows they fetched with one
-// ChargeRowReads. ok=false escalates: the row is quarantined, kept
-// tearing, or failed its check word.
-func (r *Reader) snapshot(idx uint32, dst []uint64) bool {
+// snapshot fills dst with a version-consistent copy of one row's first
+// n slots and auxiliary field, n being the row's bound read inside the
+// same version window as the words — a mark and a row that were
+// published together. It charges no access — callers account the rows
+// they fetched with one ChargeRowReads. ok=false escalates: the row is
+// quarantined, kept tearing, or failed its check word.
+func (r *Reader) snapshot(idx uint32, dst []uint64) (n int, ok bool) {
 	s := r.s
 	for attempt := 0; attempt < maxSnapshotRetries; attempt++ {
 		if s.ecc != nil && s.ecc.quar[idx].Load() {
-			return false
+			return 0, false
 		}
-		if !s.array.TryPeekRow(idx, dst) {
+		if n, ok = r.peek(idx, dst); !ok {
 			// Torn by a concurrent writer: yield and re-read.
 			r.retries++
 			runtime.Gosched()
@@ -101,23 +115,43 @@ func (r *Reader) snapshot(idx uint32, dst []uint64) bool {
 			// a benign row/check skew (e.g. the check was republished
 			// after our copy). Both escalate: the locked path re-reads
 			// and owns the correct/quarantine decision.
-			return false
+			return 0, false
 		}
-		return true
+		return n, true
 	}
-	return false
+	return 0, false
+}
+
+// peek is one attempt at the seqlock read section. Whole-row slices
+// (ECC, fault injection) copy every word; otherwise the mark is loaded
+// between the two version loads and only the words below it, and the
+// aux words at the top of the row, are copied.
+func (r *Reader) peek(idx uint32, dst []uint64) (n int, ok bool) {
+	s := r.s
+	if s.wholeRows() {
+		return s.layout.Slots(), s.array.TryPeekRow(idx, dst)
+	}
+	v := s.array.RowVersion(idx)
+	if v&1 != 0 {
+		return 0, false
+	}
+	n = int(s.mark[idx].Load())
+	s.array.LoadWords(idx, dst, 0, min(bitutil.RowWords(n*r.slotBits), r.auxWord))
+	s.array.LoadWords(idx, dst, r.auxWord, len(dst))
+	return n, s.array.RowVersion(idx) == v
 }
 
 // chain walks one key's probe chain — the one lock-free probe loop
 // behind Lookup, LookupBatch and LookupBest. Each row goes through the
 // same step: snapshot (quarantine check, seqlock validation, check
-// word), match, reach rule. pre, when non-nil, is the home row already
-// snapshotted through that step (LookupBatch's fetch stage); every
-// other row lands in r.row. With score nil the first match in probe
-// order wins; otherwise the whole reach is scanned for the best-scoring
-// match. Nothing is accounted here: the result's RowsRead is what the
-// caller charges, also when ok=false cut the chain short.
-func (r *Reader) chain(search bitutil.Ternary, score func(match.Record) int, tr *trace.Trace, home uint32, pre []uint64) (LookupResult, bool) {
+// word), match over the snapshot's bound, reach rule. pre, when
+// non-nil, is the home row already snapshotted through that step with
+// bound preN (LookupBatch's fetch stage); every other row lands in
+// r.row. With score nil the first match in probe order wins; otherwise
+// the whole reach is scanned for the best-scoring match. Nothing is
+// accounted here: the result's RowsRead is what the caller charges,
+// also when ok=false cut the chain short.
+func (r *Reader) chain(search bitutil.Ternary, score func(match.Record) int, tr *trace.Trace, home uint32, pre []uint64, preN int) (LookupResult, bool) {
 	s := r.s
 	res := LookupResult{HomeBucket: home}
 	rows := s.cfg.Rows()
@@ -126,9 +160,10 @@ func (r *Reader) chain(search bitutil.Ternary, score func(match.Record) int, tr 
 	slots, matches, passes := 0, 0, 0
 	for d := 0; d <= reach && d < rows; d++ {
 		idx := uint32((int(home) + d) % rows)
-		row := pre
+		row, n := pre, preN
 		if d > 0 || pre == nil {
-			if !r.snapshot(idx, r.row) {
+			var ok bool
+			if n, ok = r.snapshot(idx, r.row); !ok {
 				return res, false
 			}
 			row = r.row
@@ -137,7 +172,7 @@ func (r *Reader) chain(search bitutil.Ternary, score func(match.Record) int, tr 
 		if d == 0 {
 			reach = int(s.layout.ReadAux(row))
 		}
-		r.sr.SearchInto(&r.res, row, search)
+		r.sr.SearchPrefixInto(&r.res, row, search, n)
 		m := &r.res
 		if tr.Enabled() {
 			tr.Probe(idx, d, m.SlotsTested, m.Count, m.Matched())
@@ -152,15 +187,7 @@ func (r *Reader) chain(search bitutil.Ternary, score func(match.Record) int, tr 
 			res.Found, res.Record, res.Multi = true, m.Record, m.Multi()
 			break
 		}
-		for i := 0; i < s.layout.Slots(); i++ {
-			if m.Vector[i/64]>>uint(i%64)&1 == 0 {
-				continue
-			}
-			rec, _ := s.layout.ReadSlot(row, i)
-			if sc := score(rec); !res.Found || sc > bestScore {
-				res.Found, res.Record, bestScore = true, rec, sc
-			}
-		}
+		s.best(&res, &bestScore, row, m.Vector, score)
 	}
 	if tr.Enabled() {
 		tr.Match(slots, matches, passes)
@@ -173,7 +200,7 @@ func (r *Reader) chain(search bitutil.Ternary, score func(match.Record) int, tr 
 // would: every row fetched is charged to the array, and a certified
 // lookup is recorded in the slice statistics.
 func (r *Reader) lookup(search bitutil.Ternary, score func(match.Record) int, tr *trace.Trace) (LookupResult, bool) {
-	res, ok := r.chain(search, score, tr, r.s.Index(search.Value), nil)
+	res, ok := r.chain(search, score, tr, r.s.Index(search.Value), nil, 0)
 	r.s.array.ChargeRowReads(res.RowsRead)
 	if !ok {
 		return LookupResult{}, false
@@ -212,18 +239,19 @@ func (r *Reader) LookupBest(search bitutil.Ternary, score func(match.Record) int
 func (r *Reader) LookupBatch(keys []bitutil.Ternary, out []LookupResult, ok []bool) {
 	s, w := r.s, len(r.row)
 	var home [BatchChunk]uint32
+	var bound [BatchChunk]int
 	for len(keys) > 0 {
 		n := min(len(keys), BatchChunk)
 		for i := range home[:n] {
 			home[i] = s.Index(keys[i].Value)
 		}
 		for i := range home[:n] {
-			ok[i] = r.snapshot(home[i], r.chunk[i*w:(i+1)*w])
+			bound[i], ok[i] = r.snapshot(home[i], r.chunk[i*w:(i+1)*w])
 		}
 		var fetched, done, rows, hits uint64
 		for i := range home[:n] {
 			if ok[i] {
-				out[i], ok[i] = r.chain(keys[i], nil, nil, home[i], r.chunk[i*w:(i+1)*w])
+				out[i], ok[i] = r.chain(keys[i], nil, nil, home[i], r.chunk[i*w:(i+1)*w], bound[i])
 				fetched += uint64(out[i].RowsRead)
 			}
 			if !ok[i] {
@@ -251,13 +279,14 @@ func (r *Reader) Contains(key bitutil.Ternary) (found, ok bool) {
 	reach := 0
 	for d := 0; d <= reach && d < rows; d++ {
 		idx := uint32((int(home) + d) % rows)
-		if !r.snapshot(idx, r.row) {
+		n, ok := r.snapshot(idx, r.row)
+		if !ok {
 			return false, false
 		}
 		if d == 0 {
 			reach = int(s.layout.ReadAux(r.row))
 		}
-		for i := 0; i < s.layout.Slots(); i++ {
+		for i := 0; i < n; i++ {
 			rec, valid := s.layout.ReadSlot(r.row, i)
 			if valid && rec.Key.Equal(key) {
 				return true, true

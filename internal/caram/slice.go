@@ -2,6 +2,7 @@ package caram
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"caram/internal/bitutil"
@@ -28,11 +29,12 @@ type Slice struct {
 	array  *mem.Array
 	proc   *match.Processor
 
-	count    int     // records stored
-	homeLoad []int32 // records hashing to each bucket (pre-spill), Figure 7's quantity
-	overflow []bool  // buckets from which at least one record spilled
-	spilled  int     // records placed outside their home bucket
-	foreign  bool    // InsertAt was used with a home != Index(key)
+	count    int             // records stored
+	mark     []atomic.Uint32 // per-row occupancy mark: 1 + highest valid slot (see bound)
+	homeLoad []int32         // records hashing to each bucket (pre-spill), Figure 7's quantity
+	overflow []bool          // buckets from which at least one record spilled
+	spilled  int             // records placed outside their home bucket
+	foreign  bool            // InsertAt was used with a home != Index(key)
 	stats    sliceStats
 	ecc      *eccState // nil = unprotected memory (see ecc.go)
 }
@@ -57,6 +59,7 @@ func New(cfg Config) (*Slice, error) {
 		layout:   layout,
 		array:    array,
 		proc:     match.NewProcessor(layout, cfg.MatchProcessors),
+		mark:     make([]atomic.Uint32, cfg.Rows()),
 		homeLoad: make([]int32, cfg.Rows()),
 		overflow: make([]bool, cfg.Rows()),
 	}
@@ -83,6 +86,9 @@ func (s *Slice) Layout() match.Layout { return s.layout }
 
 // Array exposes the underlying memory array — the RAM-mode view of
 // §3.2 (scratch-pad access, bulk database construction, memory tests).
+// Records written through it bypass the slice's bookkeeping — counts,
+// home loads, occupancy marks; LoadImage is the RAM-mode bulk load that
+// rebuilds them.
 func (s *Slice) Array() *mem.Array { return s.array }
 
 // Count returns the number of stored records (duplicated ternary
@@ -150,7 +156,7 @@ func (s *Slice) Place(home uint32, rec match.Record) (displacement int, err erro
 			continue // quarantined or unreadable: never place records there
 		}
 		s.stats.insertProbes.Add(1)
-		slot := s.freeSlot(row)
+		slot := s.freeSlot(row, s.bound(idx))
 		if slot < 0 {
 			continue
 		}
@@ -183,6 +189,12 @@ func (s *Slice) Place(home uint32, rec match.Record) (displacement int, err erro
 // (reach metadata). The caller holds the slice's port lock; callers
 // never write to quarantined rows (their mutations divert to the
 // shadow), so publishing here cannot bless corruption.
+//
+// The row's occupancy mark moves inside the same window, and
+// incrementally: an insert takes the first free slot, which is the mark
+// itself at most, so it raises the mark by one or not at all; anything
+// else can only have emptied slots, so the mark walks down from where
+// it was. (A full rescan per write was measurably slower to load.)
 func (s *Slice) updateRow(idx uint32, charge bool, fn func(row []uint64) error) error {
 	var row []uint64
 	if charge {
@@ -191,6 +203,15 @@ func (s *Slice) updateRow(idx uint32, charge bool, fn func(row []uint64) error) 
 		row = s.array.BeginRowMaint(idx)
 	}
 	err := fn(row)
+	m := int(s.mark[idx].Load())
+	if m < s.layout.Slots() && s.layout.SlotValid(row, m) {
+		m++
+	} else {
+		for m > 0 && !s.layout.SlotValid(row, m-1) {
+			m--
+		}
+	}
+	s.mark[idx].Store(uint32(m))
 	if s.ecc != nil {
 		copy(s.ecc.shadowRow(idx), row)
 		atomic.StoreUint64(&s.ecc.check[idx], checkWord(row))
@@ -199,12 +220,39 @@ func (s *Slice) updateRow(idx uint32, charge bool, fn func(row []uint64) error) 
 	return err
 }
 
-// freeSlot returns the first invalid slot in the row, or -1.
-func (s *Slice) freeSlot(row []uint64) int {
-	for i := 0; i < s.layout.Slots(); i++ {
+// bound returns how many leading slots of a row can hold a record:
+// every slot from there up is empty, so searches, scans and fetches
+// stop there. That is the row's occupancy mark, 1 + its highest valid
+// slot as of the last published write — except on a slice with ECC or
+// a fault injector, where it is the whole row: the check word covers
+// every bit, and a strike may set bits above the mark.
+func (s *Slice) bound(idx uint32) int {
+	if s.wholeRows() {
+		return s.layout.Slots()
+	}
+	return int(s.mark[idx].Load())
+}
+
+func (s *Slice) wholeRows() bool { return s.ecc != nil || s.array.FaultsInstalled() }
+
+// rebuildMarks recomputes every occupancy mark from the stored rows,
+// after a bulk replacement of the array's contents.
+func (s *Slice) rebuildMarks() {
+	for i := range s.mark {
+		s.mark[i].Store(uint32(s.layout.UsedSlots(s.array.PeekRow(uint32(i)))))
+	}
+}
+
+// freeSlot returns the first invalid slot of a row whose slots from n
+// up are empty, or -1.
+func (s *Slice) freeSlot(row []uint64, n int) int {
+	for i := 0; i < n; i++ {
 		if !s.layout.SlotValid(row, i) {
 			return i
 		}
+	}
+	if n < s.layout.Slots() {
+		return n
 	}
 	return -1
 }
@@ -260,7 +308,7 @@ type LookupResult struct {
 // stored ternary masks are honored per Figure 4(b). The first match in
 // probe order wins, so insertion order defines priority.
 func (s *Slice) Lookup(search bitutil.Ternary) LookupResult {
-	return s.LookupTraced(search, nil)
+	return s.probe(search, nil, nil)
 }
 
 // LookupTraced is Lookup recording the probe chain into a
@@ -268,55 +316,10 @@ func (s *Slice) Lookup(search bitutil.Ternary) LookupResult {
 // displacement, slots tested, match count, overflow hop), an aggregate
 // match-kernel event, and the lookup summary (home bucket, recorded
 // reach, rows accessed). A nil trace makes every recording call a
-// no-op, so this IS the hot path — Lookup delegates here and the
-// alloc-regression CI holds the nil-trace walk to zero allocations.
+// no-op, so this IS the hot path — the alloc-regression CI holds the
+// nil-trace walk to zero allocations.
 func (s *Slice) LookupTraced(search bitutil.Ternary, tr *trace.Trace) LookupResult {
-	home := s.Index(search.Value)
-	res := LookupResult{HomeBucket: home}
-	rows := s.cfg.Rows()
-	reach := 0
-	slots, matches, passes := 0, 0, 0
-	for d := 0; d <= reach && d < rows; d++ {
-		idx := uint32((int(home) + d) % rows)
-		row, ok := s.fetchChecked(idx, tr)
-		if !ok {
-			// Row unavailable (quarantined or unreadable): its slots
-			// cannot be tested, so the result is at best a partial miss.
-			// For the home row, recover the reach from the maintenance
-			// view (the shadow when quarantined) so spilled records stay
-			// findable while the home is out of service.
-			res.Erred = true
-			if d == 0 {
-				reach = s.Reach(home)
-			}
-			continue
-		}
-		res.RowsRead++
-		if d == 0 {
-			reach = int(s.layout.ReadAux(row))
-		}
-		// m.Vector aliases the processor's scratch; only the by-value
-		// fields are kept, so the next probe may reuse it freely.
-		m := s.proc.Search(row, search)
-		if tr.Enabled() {
-			tr.Probe(idx, d, m.SlotsTested, m.Count, m.Matched())
-			slots += m.SlotsTested
-			matches += m.Count
-			passes += m.Passes
-		}
-		if m.Matched() {
-			res.Found = true
-			res.Record = m.Record
-			res.Multi = m.Multi()
-			break
-		}
-	}
-	if tr.Enabled() {
-		tr.Match(slots, matches, passes)
-		tr.Lookup(home, reach, res.RowsRead, res.Found)
-	}
-	s.recordLookup(res)
-	return res
+	return s.probe(search, nil, tr)
 }
 
 // LookupBest searches the full reach of the bucket chain and returns
@@ -324,15 +327,22 @@ func (s *Slice) LookupTraced(search bitutil.Ternary, tr *trace.Trace) LookupResu
 // match). This is the LPM-style search: a longer prefix may live
 // anywhere within the reach, so early exit is not sound.
 func (s *Slice) LookupBest(search bitutil.Ternary, score func(match.Record) int) LookupResult {
-	return s.LookupBestTraced(search, score, nil)
+	return s.probe(search, score, nil)
 }
 
 // LookupBestTraced is LookupBest with the same trace contract as
-// LookupTraced. It runs the match kernel once per probed row and scans
-// the match vector for the best-scoring slot (the same walk
-// Processor.Best performs), so the traced slot/match counts agree with
-// the processor's stats counters.
+// LookupTraced.
 func (s *Slice) LookupBestTraced(search bitutil.Ternary, score func(match.Record) int, tr *trace.Trace) LookupResult {
+	return s.probe(search, score, tr)
+}
+
+// probe walks one key's probe chain through the row port — the one
+// port-locked probe loop behind Lookup and LookupBest, and the locked
+// counterpart of Reader.chain. Each row is fetched through
+// fetchChecked and matched over its bound. With score nil the first
+// match in probe order wins; otherwise the whole reach is scanned for
+// the best-scoring match.
+func (s *Slice) probe(search bitutil.Ternary, score func(match.Record) int, tr *trace.Trace) LookupResult {
 	home := s.Index(search.Value)
 	res := LookupResult{HomeBucket: home}
 	rows := s.cfg.Rows()
@@ -358,27 +368,23 @@ func (s *Slice) LookupBestTraced(search bitutil.Ternary, score func(match.Record
 		if d == 0 {
 			reach = int(s.layout.ReadAux(row))
 		}
-		m := s.proc.Search(row, search)
+		// m.Vector aliases the processor's scratch; it is consumed before
+		// the next probe reuses it.
+		m := s.proc.SearchPrefix(row, search, s.bound(idx))
 		if tr.Enabled() {
-			tr.Probe(idx, d, m.SlotsTested, m.Count, m.Count > 0)
+			tr.Probe(idx, d, m.SlotsTested, m.Count, m.Matched())
 			slots += m.SlotsTested
 			matches += m.Count
 			passes += m.Passes
 		}
-		if m.Count == 0 {
+		if !m.Matched() {
 			continue
 		}
-		// Best-scoring matched slot, ties to the lowest slot index —
-		// strict > keeps the earliest (row, slot) winner overall.
-		for i := 0; i < s.layout.Slots(); i++ {
-			if m.Vector[i/64]>>uint(i%64)&1 == 0 {
-				continue
-			}
-			rec, _ := s.layout.ReadSlot(row, i)
-			if sc := score(rec); !res.Found || sc > bestScore {
-				res.Found, res.Record, bestScore = true, rec, sc
-			}
+		if score == nil {
+			res.Found, res.Record, res.Multi = true, m.Record, m.Multi()
+			break
 		}
+		s.best(&res, &bestScore, row, m.Vector, score)
 	}
 	if tr.Enabled() {
 		tr.Match(slots, matches, passes)
@@ -386,6 +392,21 @@ func (s *Slice) LookupBestTraced(search bitutil.Ternary, score func(match.Record
 	}
 	s.recordLookup(res)
 	return res
+}
+
+// best folds one row's matched slots into the running best-scoring
+// record. Slots are visited in ascending order and only a strictly
+// higher score displaces the holder, so ties stay with the earliest
+// (row, slot) match.
+func (s *Slice) best(res *LookupResult, bestScore *int, row, vec []uint64, score func(match.Record) int) {
+	for w, v := range vec {
+		for ; v != 0; v &= v - 1 {
+			rec, _ := s.layout.ReadSlot(row, w*64+bits.TrailingZeros64(v))
+			if sc := score(rec); !res.Found || sc > *bestScore {
+				res.Found, res.Record, *bestScore = true, rec, sc
+			}
+		}
+	}
 }
 
 // recordLookup accounts one finished lookup. Atomic adds: it is shared
@@ -430,7 +451,7 @@ func (s *Slice) locate(home uint32, key bitutil.Ternary) (bucket uint32, slot, r
 		idx := uint32((int(home) + d) % rows)
 		row := s.logicalRow(idx, s.array.PeekRow(idx))
 		rowsRead++
-		for i := 0; i < s.layout.Slots(); i++ {
+		for i, n := 0, s.bound(idx); i < n; i++ {
 			rec, ok := s.layout.ReadSlot(row, i)
 			if ok && rec.Key.Equal(key) {
 				return idx, i, rowsRead, true
@@ -509,7 +530,7 @@ func (s *Slice) Contains(key bitutil.Ternary) bool {
 func (s *Slice) Records(fn func(bucket uint32, slot int, rec match.Record) bool) {
 	for b := 0; b < s.cfg.Rows(); b++ {
 		row := s.logicalRow(uint32(b), s.array.PeekRow(uint32(b)))
-		for i := 0; i < s.layout.Slots(); i++ {
+		for i, n := 0, s.bound(uint32(b)); i < n; i++ {
 			if rec, ok := s.layout.ReadSlot(row, i); ok {
 				if !fn(uint32(b), i, rec) {
 					return
@@ -523,6 +544,9 @@ func (s *Slice) Records(fn func(bucket uint32, slot int, rec match.Record) bool)
 // are kept; use ResetStats separately).
 func (s *Slice) Clear() {
 	s.array.Clear()
+	for i := range s.mark {
+		s.mark[i].Store(0)
+	}
 	s.resetECC()
 	s.count = 0
 	s.spilled = 0

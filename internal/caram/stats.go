@@ -156,6 +156,8 @@ func (s *Slice) HomeLoads() []int32 {
 // Verify checks the slice's internal invariants and returns a
 // description of the first violation, or "" if all hold:
 //
+//  0. Every in-service row's occupancy mark is exactly 1 + its highest
+//     valid slot (checked first: the scans below stop at the mark).
 //  1. Count equals the number of valid slots.
 //  2. homeLoad sums to Count.
 //  3. Every record whose key hashes to a home bucket (the Insert path)
@@ -165,6 +167,15 @@ func (s *Slice) HomeLoads() []int32 {
 // ternary records) are exempt from check 3; their reachability is the
 // application's contract.
 func (s *Slice) Verify() string {
+	for b := range s.mark {
+		// A quarantined row's mark is rebuilt when a scrub republishes it.
+		if s.Quarantined(uint32(b)) {
+			continue
+		}
+		if got, want := int(s.mark[b].Load()), s.layout.UsedSlots(s.array.PeekRow(uint32(b))); got != want {
+			return fmt.Sprintf("bucket %d: occupancy mark %d, highest valid slot implies %d", b, got, want)
+		}
+	}
 	valid := 0
 	violation := ""
 	rows := s.cfg.Rows()

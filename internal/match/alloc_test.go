@@ -7,15 +7,16 @@ import (
 )
 
 // TestSearchZeroAlloc is the alloc-regression guard for the core match
-// path: one row search through the word-parallel kernel must not
-// allocate, hit or miss, binary or ternary. `make alloc-guard` (part of
-// `make ci`) runs every *ZeroAlloc test.
+// path: one row search through the slot comparator must not allocate,
+// hit or miss, on any compiled variant — binary and ternary 64-bit
+// keys, and the packet classifier's ternary 104-bit key.
+// `make alloc-guard` (part of `make ci`) runs every *ZeroAlloc test.
 func TestSearchZeroAlloc(t *testing.T) {
-	for _, tern := range []bool{false, true} {
-		l := Layout{RowBits: 8*(1+64+32) + 8, KeyBits: 64, DataBits: 32}
-		if tern {
-			l = Layout{RowBits: 4*(1+2*64+32) + 8, KeyBits: 64, DataBits: 32, Ternary: true}
-		}
+	for _, l := range []Layout{
+		{RowBits: 8*(1+64+32) + 8, KeyBits: 64, DataBits: 32},
+		{RowBits: 4*(1+2*64+32) + 8, KeyBits: 64, DataBits: 32, Ternary: true},
+		{RowBits: 64*(1+2*104+32) + 8, KeyBits: 104, DataBits: 32, Ternary: true, AuxBits: 8},
+	} {
 		pr := NewProcessor(l, 0)
 		row := make([]uint64, bitutil.RowWords(l.RowBits))
 		for i := 0; i < l.Slots(); i++ {
@@ -31,13 +32,14 @@ func TestSearchZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() {
 			pr.Search(row, hit)
 			pr.Search(row, miss)
+			pr.SearchPrefix(row, hit, 2)
 		}); n != 0 {
-			t.Fatalf("ternary=%v: Search allocated %.1f times per run, want 0", tern, n)
+			t.Fatalf("%+v: Search allocated %.1f times per run, want 0", l, n)
 		}
 		if n := testing.AllocsPerRun(200, func() {
 			pr.Best(row, hit, func(r Record) int { return int(r.Data.Uint64()) })
 		}); n != 0 {
-			t.Fatalf("ternary=%v: Best allocated %.1f times per run, want 0", tern, n)
+			t.Fatalf("%+v: Best allocated %.1f times per run, want 0", l, n)
 		}
 	}
 }

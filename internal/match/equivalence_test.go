@@ -9,10 +9,10 @@ import (
 	"caram/internal/bitutil"
 )
 
-// These tests pin the word-parallel kernel (Search) to the slot-serial
-// oracle (SearchSerial): for any layout, any row image — including raw
-// random words never produced by WriteSlot — and any ternary search
-// key, the two paths must agree on the match vector, the priority
+// These tests pin the slot comparator (Search, SearchPrefix) to the
+// slot-serial oracle (SearchSerial): for any layout, any row image —
+// including raw random words never produced by WriteSlot — any ternary
+// search key and any slot bound, the two paths must agree on the match vector, the priority
 // encoder's output, the multi-match flag, the extracted record, the
 // pass count, and every statistics counter.
 
@@ -121,17 +121,30 @@ func randomSearch(rng *rand.Rand, l Layout, stored []bitutil.Ternary) bitutil.Te
 	}
 }
 
-// checkEquivalence runs one search through both paths on fresh-stat
-// processors and reports the first divergence.
+// checkEquivalence runs one whole-row search through both paths on
+// fresh-stat processors and reports the first divergence.
 func checkEquivalence(t testing.TB, l Layout, p int, row []uint64, search bitutil.Ternary) {
+	t.Helper()
+	checkBounded(t, l, p, row, search, l.Slots())
+}
+
+// checkBounded holds SearchPrefix(row, search, n) to SearchSerial over
+// the same row with every slot from n up cleared — the oracle
+// restricted to [0, n).
+func checkBounded(t testing.TB, l Layout, p int, row []uint64, search bitutil.Ternary, n int) {
 	t.Helper()
 	kern := NewProcessor(l, p)
 	oracle := NewProcessor(l, p)
-	got := kern.Search(row, search)
-	want := oracle.SearchSerial(row, search)
+	got := kern.SearchPrefix(row, search, n)
+	cut := append(make([]uint64, 0, bitutil.RowWords(l.RowBits)), row...)
+	cut = cut[:cap(cut)]
+	for i := max(n, 0); i < l.Slots(); i++ {
+		l.ClearSlot(cut, i)
+	}
+	want := oracle.SearchSerial(cut, search)
 
 	ctx := func() string {
-		return fmt.Sprintf("layout=%+v p=%d search=%s", l, p, search.String(128))
+		return fmt.Sprintf("layout=%+v p=%d n=%d search=%s", l, p, n, search.String(128))
 	}
 	if got.First != want.First || got.Count != want.Count ||
 		got.Multi() != want.Multi() || got.Matched() != want.Matched() {
@@ -156,6 +169,9 @@ func checkEquivalence(t testing.TB, l Layout, p int, row []uint64, search bituti
 	}
 	if ks, os := kern.Stats(), oracle.Stats(); ks != os {
 		t.Fatalf("%s: kernel stats %+v, oracle stats %+v", ctx(), ks, os)
+	}
+	if n < l.Slots() {
+		return
 	}
 	// SearchAllAppend must surface exactly the matched slots, in order.
 	recs := kern.SearchAllAppend(nil, row, search)
@@ -222,66 +238,97 @@ func TestKernelMatchesSerialQuick(t *testing.T) {
 	}
 }
 
-// TestNarrowKernelMatchesSerialQuick aims the differential at the
-// narrow comparator: binary layouts with one-word keys (KeyBits 1..64,
-// DataBits 0..64, AuxBits 0..64, slot widths that straddle words),
-// random occupancy, rows cut short of the compiled image, masked search
-// keys, and "impossible" keys caring about bits above KeyBits. Vector,
-// First, Count, SlotsTested, Record and the stats counters must equal
-// SearchSerial's, on the Processor and on a Searcher alike.
-func TestNarrowKernelMatchesSerialQuick(t *testing.T) {
-	prop := func(seed int64) bool {
+// slotKernelProperty is the differential aimed at one family of
+// layouts: random occupancy, rows cut short of the compiled image,
+// masked search keys, "impossible" keys caring about bits above
+// KeyBits, and every slot bound n in {0, 1, S-1, S}. Vector, First,
+// Count, SlotsTested, Record and the stats counters must equal those of
+// SearchSerial restricted to [0, n), on the Processor and on a Searcher
+// alike.
+func slotKernelProperty(t *testing.T, layout func(*rand.Rand) Layout) func(int64) bool {
+	return func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		l := Layout{KeyBits: 1 + rng.Intn(64), DataBits: rng.Intn(65), AuxBits: rng.Intn(65)}
-		l.RowBits = l.AuxBits + (1+rng.Intn(80))*l.SlotBits() + rng.Intn(l.SlotBits())
-		if NewProcessor(l, 0).m.narrow == nil {
-			t.Errorf("layout %+v did not compile to the narrow kernel", l)
-			return false
-		}
+		l := layout(rng)
 		row, stored := randomRow(rng, l)
 		if rng.Intn(4) == 0 {
 			row = row[:rng.Intn(len(row)+1)] // short row: missing words read as zero
 		}
+		full := append(append([]uint64(nil), row...), make([]uint64, bitutil.RowWords(l.RowBits)-len(row))...)
+		s := l.Slots()
 		for i := 0; i < 4; i++ {
 			search := randomSearch(rng, l, stored)
-			checkEquivalence(t, l, randomP(rng, l), row, search)
+			for _, n := range []int{0, 1, s - 1, s} {
+				checkBounded(t, l, randomP(rng, l), row, search, n)
+			}
+			n := l.UsedSlots(full) // the bound the caram layer hands down
 			var got Result
-			NewSearcher(l, 0).SearchInto(&got, row, search)
+			NewSearcher(l, 0).SearchPrefixInto(&got, row, search, n)
 			want := NewProcessor(l, 0).SearchSerial(row, search)
 			if got.First != want.First || got.Count != want.Count ||
 				got.SlotsTested != want.SlotsTested || got.Record != want.Record {
-				t.Errorf("layout=%+v search=%s: Searcher %+v, oracle %+v", l, search.String(128), got, want)
+				t.Errorf("layout=%+v n=%d search=%s: Searcher %+v, oracle %+v", l, n, search.String(128), got, want)
 			}
 		}
 		return !t.Failed()
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+}
+
+// TestSlotKernelMatchesSerialQuick sweeps every compiled variant:
+// binary and ternary, KeyBits 1..128, DataBits 0..128, AuxBits 0..64,
+// slot widths that straddle words.
+func TestSlotKernelMatchesSerialQuick(t *testing.T) {
+	if err := quick.Check(slotKernelProperty(t, randomLayout), &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestKernelSelection pins the compile-time choice: the narrow
-// comparator for binary layouts with KeyBits <= 64, the wide kernel for
-// everything else.
+// TestNarrowKernelMatchesSerialQuick concentrates the same property on
+// the layouts MSEARCH serves: binary, one-word keys and data.
+func TestNarrowKernelMatchesSerialQuick(t *testing.T) {
+	narrow := func(rng *rand.Rand) Layout {
+		l := Layout{KeyBits: 1 + rng.Intn(64), DataBits: rng.Intn(65), AuxBits: rng.Intn(65)}
+		l.RowBits = l.AuxBits + (1+rng.Intn(80))*l.SlotBits() + rng.Intn(l.SlotBits())
+		return l
+	}
+	if err := quick.Check(slotKernelProperty(t, narrow), &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKernelSelection pins what a layout compiles to: the mask fields
+// are located only on ternary layouts, and keys wider than a word take
+// the two-word loops.
 func TestKernelSelection(t *testing.T) {
 	for _, tc := range []struct {
-		l      Layout
-		narrow bool
+		l            Layout
+		ternary, two bool
 	}{
-		{Layout{RowBits: 792, KeyBits: 64, DataBits: 32, AuxBits: 16}, true},
-		{Layout{RowBits: 512, KeyBits: 1, DataBits: 128}, true},
-		{Layout{RowBits: 2048, KeyBits: 65, DataBits: 8}, false},
-		{Layout{RowBits: 2048, KeyBits: 32, DataBits: 8, Ternary: true}, false},
+		{Layout{RowBits: 792, KeyBits: 64, DataBits: 32, AuxBits: 16}, false, false},
+		{Layout{RowBits: 512, KeyBits: 1, DataBits: 128}, false, false},
+		{Layout{RowBits: 2048, KeyBits: 65, DataBits: 8}, false, true},
+		{Layout{RowBits: 2048, KeyBits: 32, DataBits: 8, Ternary: true}, true, false},
+		{Layout{RowBits: 64 * 242, KeyBits: 104, DataBits: 32, Ternary: true}, true, true},
+		{Layout{RowBits: 4096, KeyBits: 128, DataBits: 0, Ternary: true, AuxBits: 8}, true, true},
 	} {
-		if got := newMatcher(tc.l, 0).narrow != nil; got != tc.narrow {
-			t.Errorf("layout %+v: narrow=%v, want %v", tc.l, got, tc.narrow)
+		m := newMatcher(tc.l, 0)
+		if m.two != tc.two || len(m.slots) != tc.l.Slots() {
+			t.Errorf("layout %+v: two=%v over %d slots, want %v over %d", tc.l, m.two, len(m.slots), tc.two, tc.l.Slots())
+		}
+		last := m.slots[len(m.slots)-1]
+		if located := last.mw != 0 || last.ms != 0; located != tc.ternary {
+			t.Errorf("layout %+v: stored-mask field located=%v, want %v", tc.l, located, tc.ternary)
+		}
+		if end := int(max(last.kw2, last.mw2)); end >= m.words {
+			t.Errorf("layout %+v: last slot reads word %d of a %d-word row", tc.l, end, m.words)
 		}
 	}
 }
 
 // TestKernelExpansionCacheAcrossRows reuses one processor for a probe
-// chain (same key, many rows) and interleaves key changes, exercising
-// the expansion cache the way Slice.Lookup does.
+// chain (same key, many rows) and interleaves key changes, the way
+// Slice.Lookup does. The row-image kernel cached its key expansion
+// between searches; the slot comparator carries nothing from one search
+// to the next, and this holds it to that.
 func TestKernelExpansionCacheAcrossRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -301,7 +348,7 @@ func TestKernelExpansionCacheAcrossRows(t *testing.T) {
 			searches = append(searches, randomSearch(rng, l, allStored))
 		}
 		for _, search := range searches {
-			for _, row := range rows { // same key across the chain → cached expansion
+			for _, row := range rows { // same key across the chain
 				got := kern.Search(row, search)
 				want := oracle.SearchSerial(row, search)
 				if got.First != want.First || got.Count != want.Count {
@@ -337,8 +384,8 @@ func (f *fuzzReader) u64() uint64 {
 	return v
 }
 
-// FuzzKernelVsSerial lets the fuzzer shape the layout, the raw row
-// image, and the search key directly from corpus bytes.
+// FuzzKernelVsSerial lets the fuzzer shape the layout, the slot bound,
+// the raw row image, and the search key directly from corpus bytes.
 func FuzzKernelVsSerial(f *testing.F) {
 	f.Add([]byte{4, 8, 1, 0, 0, 3, 0xff, 0xaa, 0x55, 0, 1, 2, 3})
 	f.Add([]byte{64, 32, 0, 8, 1, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
@@ -358,6 +405,7 @@ func FuzzKernelVsSerial(f *testing.F) {
 			t.Skip()
 		}
 		p := 1 + int(fz.byte())%l.Slots()
+		n := int(fz.byte()) % (l.Slots() + 1)
 		row := make([]uint64, bitutil.RowWords(l.RowBits))
 		for i := range row {
 			row[i] = fz.u64()
@@ -377,6 +425,7 @@ func FuzzKernelVsSerial(f *testing.F) {
 		}
 		for _, search := range searches {
 			checkEquivalence(t, l, p, row, search)
+			checkBounded(t, l, p, row, search, n)
 		}
 	})
 }

@@ -76,19 +76,41 @@ func (l Layout) slotBase(i int) int { return i * l.SlotBits() }
 // ReadSlot decodes slot i of a row. ok is false for an empty (invalid)
 // slot.
 func (l Layout) ReadSlot(row []uint64, i int) (rec Record, ok bool) {
-	base := l.slotBase(i)
-	if bitutil.GetBits(row, base, 1).IsZero() {
+	if !l.SlotValid(row, i) {
 		return Record{}, false
 	}
-	off := base + 1
-	rec.Key.Value = bitutil.GetBits(row, off, l.KeyBits)
+	off := l.slotBase(i) + 1
+	rec.Key.Value = field128(row, off, l.KeyBits)
 	off += l.KeyBits
 	if l.Ternary {
-		rec.Key.Mask = bitutil.GetBits(row, off, l.KeyBits)
+		rec.Key.Mask = field128(row, off, l.KeyBits)
 		off += l.KeyBits
 	}
-	rec.Data = bitutil.GetBits(row, off, l.DataBits)
+	rec.Data = field128(row, off, l.DataBits)
 	return rec, true
+}
+
+// field64 reads n <= 64 bits at bit offset off of the row — GetBits for
+// fields of at most one word, without the 128-bit gather. Bits beyond
+// the end of the row read as zero.
+func field64(row []uint64, off, n int) uint64 {
+	if n <= 0 {
+		return 0
+	}
+	w, s := int(uint(off)>>6), uint(off)&63
+	var v uint64
+	if w < len(row) {
+		v = row[w] >> s
+	}
+	if s+uint(n) > 64 && w+1 < len(row) {
+		v |= row[w+1] << (64 - s)
+	}
+	return v & (^uint64(0) >> uint(64-n))
+}
+
+// field128 reads n <= 128 bits at bit offset off as two field64 halves.
+func field128(row []uint64, off, n int) bitutil.Vec128 {
+	return bitutil.Vec128{Lo: field64(row, off, min(n, 64)), Hi: field64(row, off+64, n-64)}
 }
 
 // WriteSlot encodes rec into slot i of a row and marks it valid. A
@@ -119,7 +141,19 @@ func (l Layout) ClearSlot(row []uint64, i int) {
 
 // SlotValid reports whether slot i holds a record.
 func (l Layout) SlotValid(row []uint64, i int) bool {
-	return !bitutil.GetBits(row, l.slotBase(i), 1).IsZero()
+	base := uint(l.slotBase(i))
+	return int(base>>6) < len(row) && row[base>>6]>>(base&63)&1 == 1
+}
+
+// UsedSlots returns 1 + the index of the row's highest valid slot (0
+// for an empty row): every slot from there up is empty, so a search or
+// scan bounded to [0, UsedSlots) sees every record the row stores.
+func (l Layout) UsedSlots(row []uint64) int {
+	n := l.Slots()
+	for n > 0 && !l.SlotValid(row, n-1) {
+		n--
+	}
+	return n
 }
 
 // ReadAux returns the row's auxiliary field (0 when AuxBits is 0).

@@ -1,242 +1,237 @@
 package match
 
 import (
+	"math/bits"
+
 	"caram/internal/bitutil"
 )
 
-// matcher is the compiled comparator bank for one layout: the
-// row-resident, word-parallel realization of §3.3 steps 1–2. Where the
-// legacy path decodes every slot with ReadSlot and compares records one
-// at a time, the matcher tests all slots of a fetched row at once with
-// whole-uint64 XOR/mask sweeps (bitutil.CompareInto), exactly the shape
-// of the Figure 4(b) comparator bank:
+// matcher is the compiled comparator bank for one layout: §3.3 steps
+// 2–4 run slot by slot, the way the Figure 4(b) bank is wired. Each
+// slot's comparator funnel-shifts its inputs — valid bit, key field
+// and, on ternary layouts, the stored don't-care mask — out of the row
+// at (word, shift) positions fixed at compile time and tests them
+// against the search key directly:
 //
-//	step 1 (expand)  — the search key is replicated across a row-sized
-//	                   image, one copy per slot key field, overlapped
-//	                   with the memory access in hardware (expand);
-//	step 2 (match)   — diff = (row ^ image) & care &^ storedMask, where
-//	                   care drops search-key don't-care bits and
-//	                   storedMask is the row's own mask fields shifted
-//	                   into key alignment (both don't-care directions);
-//	                   a slot matches iff its valid+key region of diff
-//	                   is all zero.
+//	diff = (key&care ^ want) &^ stored
 //
-// Binary layouts whose key fits one word (KeyBits <= 64) compile to
-// the narrow comparator instead (narrow.go): the choice is made once,
-// here, from the layout, and both kernels sit behind search.
+// where care drops the search key's don't-care bits and stored is the
+// slot's own mask field (both don't-care directions). A slot matches
+// iff it is valid and diff is zero. Step 1, expanding the key across a
+// row image, has no software counterpart: a key of one or two machine
+// words is cheaper to compare in place than to replicate.
 //
-// Everything the matcher touches per search is pre-allocated at build
-// time, so the kernel performs zero allocations per row.
+// A search is bounded: only slots [0, n) are tested, so a caller that
+// knows every slot from n up is empty (the caram layer's per-row
+// occupancy mark) pays for the records a row stores rather than for its
+// capacity, and need not even have fetched the words above them.
+//
+// The layout selects one of four loop bodies at compile time (binary or
+// ternary, key in one word or two); they differ only in how many fields
+// a slot reads. Nothing is allocated per search.
 type matcher struct {
 	layout Layout
 	words  int // row image size in uint64 words
 	passes int // ceil(S/P) pipelined passes per search
 	vwords int // match vector size in uint64 words
 
-	// Narrow kernel (nil narrow = wide kernel below).
-	narrow  []narrowSlot
-	keyMask uint64
-	pad     []uint64 // zero-extended copy of a row shorter than words
-
-	// Static images compiled from the layout.
-	keyOnly   []uint64 // 1s over every slot's key-value field
-	careExact []uint64 // keyOnly plus every slot's valid bit
-	slots     []slotRef
-	keyFields []int // bit offset of each slot's key-value field
-
-	// Per-search scratch.
-	expValue []uint64 // valid bits preset to 1; key fields hold the expanded key
-	expCare  []uint64 // careExact with search-key don't-care bits dropped
-	shifted  []uint64 // ternary layouts: row >> KeyBits, masked to key fields
-	diff     []uint64 // cared mismatch bits of the current row
-
-	// Expansion cache: re-expanding is skipped while consecutive
-	// searches carry the same ternary key (the common case inside one
-	// probe chain).
-	curCare    []uint64
-	last       bitutil.Ternary
-	have       bool
-	impossible bool // the key cares about bits above KeyBits: nothing can match
+	slots []slotPos
+	two   bool           // KeyBits > 64: key and mask fields span two words
+	width bitutil.Vec128 // 1s over the key width
+	pad   []uint64       // zero-extended copy of a row shorter than words
 }
 
-// slotRef locates one slot's comparator inputs inside the row image.
-type slotRef struct {
-	validWord  int  // word holding the slot's valid bit
-	validShift uint // bit position of the valid bit within that word
-	nparts     int
-	parts      [3]slotPart // words covering [base, base+1+KeyBits)
+// slotPos locates one slot's comparator inputs: the valid bit, and the
+// first and last word of the key field and of the stored-mask field.
+// A one-word field reads (first, last), a two-word field (first,
+// first+1) and (first+1, last); last == first when the field does not
+// straddle, and the bits that then leak in above it are masked off by
+// the care word.
+type slotPos struct {
+	vw, kw, kw2, mw, mw2 uint32
+	vs, ks, ms           uint8
 }
 
-// slotPart selects the slice of one word belonging to a slot's
-// valid+key region.
-type slotPart struct {
-	word int
-	mask uint64
+// query is the search key as the comparators consume it.
+type query struct {
+	careLo, careHi uint64 // key-width bits the search key cares about
+	wantLo, wantHi uint64 // the search value under care
+}
+
+// funnel reads 64 bits of the row starting at bit s < 64 of word w, the
+// upper part coming from word w2. (The &63s tell the compiler the shift
+// counts are in range; <<1<<(63-s) is <<(64-s) with s = 0 yielding 0.)
+func funnel(row []uint64, w, w2 uint32, s uint8) uint64 {
+	return row[w]>>(s&63) | row[w2]<<1<<((63-s)&63)
 }
 
 // newMatcher compiles the comparator bank for a layout served by p
 // match processors (p <= 0: one per slot, the desirable case of §3.1).
 func newMatcher(l Layout, p int) *matcher {
-	words := bitutil.RowWords(l.RowBits)
 	s := l.Slots()
 	if p <= 0 {
 		p = s
 	}
-	m := &matcher{layout: l, words: words, passes: (s + p - 1) / p, vwords: (s + 63) / 64}
-	if !l.Ternary && l.KeyBits <= 64 {
-		m.compileNarrow()
-		return m
+	m := &matcher{
+		layout: l,
+		words:  bitutil.RowWords(l.RowBits),
+		passes: (s + p - 1) / p,
+		vwords: (s + 63) / 64,
+		slots:  make([]slotPos, s),
+		two:    l.KeyBits > 64,
+		width:  bitutil.Mask(l.KeyBits),
 	}
-	m.keyOnly = make([]uint64, words)
-	m.careExact = make([]uint64, words)
-	m.slots = make([]slotRef, s)
-	m.keyFields = make([]int, s)
-	m.expValue = make([]uint64, words)
-	m.expCare = make([]uint64, words)
-	m.diff = make([]uint64, words)
-	if l.Ternary {
-		m.shifted = make([]uint64, words)
-	}
-	one := bitutil.FromUint64(1)
-	keyMask := bitutil.Mask(l.KeyBits)
-	for i := 0; i < s; i++ {
+	m.pad = make([]uint64, m.words)
+	for i := range m.slots {
 		base := l.slotBase(i)
-		off := base + 1 // key-value field
-		m.keyFields[i] = off
-		bitutil.SetBits(m.careExact, base, 1, one)
-		bitutil.SetBits(m.careExact, off, l.KeyBits, keyMask)
-		bitutil.SetBits(m.keyOnly, off, l.KeyBits, keyMask)
-		// A slot only matches when its valid bit is 1, so the expanded
-		// image demands a 1 there; the bit never changes across searches.
-		bitutil.SetBits(m.expValue, base, 1, one)
-
-		sr := &m.slots[i]
-		sr.validWord, sr.validShift = base/64, uint(base%64)
-		lo, hi := base, base+1+l.KeyBits // the slot's valid+key region
-		for w := lo / 64; w*64 < hi; w++ {
-			mask := ^uint64(0)
-			if d := lo - w*64; d > 0 {
-				mask &= ^uint64(0) << uint(d)
-			}
-			if d := (w+1)*64 - hi; d > 0 {
-				mask &= ^uint64(0) >> uint(d)
-			}
-			sr.parts[sr.nparts] = slotPart{word: w, mask: mask}
-			sr.nparts++
+		key := base + 1
+		sp := slotPos{
+			vw: uint32(base / 64), vs: uint8(base % 64),
+			kw: uint32(key / 64), ks: uint8(key % 64),
+			kw2: uint32((key + l.KeyBits - 1) / 64),
 		}
+		if l.Ternary {
+			mask := key + l.KeyBits
+			sp.mw, sp.ms = uint32(mask/64), uint8(mask%64)
+			sp.mw2 = uint32((mask + l.KeyBits - 1) / 64)
+		}
+		m.slots[i] = sp
 	}
-	copy(m.expCare, m.careExact)
-	m.curCare = m.careExact
 	return m
 }
 
-// search runs §3.3 steps 1–4 over one row on whichever kernel the
-// layout compiled to — the one body behind Processor.SearchInto and
-// Searcher.SearchInto. The match vector lands in res.Vector's backing
-// array (grown only when too small); every other field is overwritten.
-func (m *matcher) search(res *Result, row []uint64, search bitutil.Ternary) {
+// search runs §3.3 steps 2–4 over slots [0, n) of one row — the one
+// body behind Processor and Searcher. The match vector lands in
+// res.Vector's backing array (grown only when too small); every other
+// field is overwritten. Words of the row beyond its length read as
+// zero; words beyond slot n-1 are never read.
+func (m *matcher) search(res *Result, row []uint64, search bitutil.Ternary, n int) {
 	if cap(res.Vector) < m.vwords {
 		res.Vector = make([]uint64, m.vwords)
 	} else {
 		res.Vector = res.Vector[:m.vwords]
 	}
-	res.Passes = m.passes
-	if m.narrow != nil {
-		m.searchNarrow(res, row, search)
-		return
+	vec := res.Vector
+	if len(row) < m.words {
+		k := copy(m.pad, row)
+		for i := k; i < len(m.pad); i++ {
+			m.pad[i] = 0
+		}
+		row = m.pad
 	}
-	m.expand(search)
-	res.First, res.Count, res.SlotsTested = m.matchRow(res.Vector, row)
+	slots := m.slots[:max(0, min(n, len(m.slots)))]
+	cared := search.Value.AndNot(search.Mask)
+	care := m.width.AndNot(search.Mask)
+	q := query{careLo: care.Lo, careHi: care.Hi, wantLo: cared.Lo & care.Lo, wantHi: cared.Hi & care.Hi}
+	// A cared-for search bit above KeyBits can equal no stored key:
+	// every valid slot is still tested, none can match.
+	impossible := !cared.AndNot(m.width).IsZero()
+
+	// One vector word — 64 comparators — at a time.
+	count, valid := 0, uint64(0)
+	for w := range vec {
+		chunk := slots[min(w*64, len(slots)):min(w*64+64, len(slots))]
+		var hits, v uint64
+		switch {
+		case !m.layout.Ternary && !m.two:
+			hits, v = scanBinary1(row, chunk, &q)
+		case !m.layout.Ternary:
+			hits, v = scanBinary2(row, chunk, &q)
+		case !m.two:
+			hits, v = scanTernary1(row, chunk, &q)
+		default:
+			hits, v = scanTernary2(row, chunk, &q)
+		}
+		if impossible {
+			hits = 0
+		}
+		vec[w] = hits
+		valid += v
+		count += bits.OnesCount64(hits)
+	}
+	res.First, res.Count, res.SlotsTested = PriorityEncode(vec), count, int(valid)
+	res.Passes = m.passes
 	res.Record = Record{}
 	if res.First >= 0 {
-		res.Record, _ = m.layout.ReadSlot(row, res.First)
+		m.record(&res.Record, row, &m.slots[res.First])
 	}
 }
 
-// expand replicates the search key across the row image (§3.3 step 1).
-// Consecutive searches with an identical key skip the work, so a probe
-// chain expands once however many rows it visits.
-func (m *matcher) expand(search bitutil.Ternary) {
-	if m.have && search.Value == m.last.Value && search.Mask == m.last.Mask {
-		return
-	}
-	m.last, m.have = search, true
-	width := bitutil.Mask(m.layout.KeyBits)
-	// A cared-for search bit above KeyBits can never equal a stored key
-	// bit (the field truncates on write, so those bits read back zero
-	// only when the search itself is zero there) — unless it is zero,
-	// the whole row misses. This mirrors the legacy path, where the full
-	// 128-bit ternary compare fails for every slot.
-	m.impossible = !search.Value.AndNot(search.Mask).AndNot(width).IsZero()
-	if m.impossible {
-		return
-	}
-	for _, off := range m.keyFields {
-		bitutil.SetBits(m.expValue, off, m.layout.KeyBits, search.Value)
-	}
-	if search.Mask.IsZero() {
-		m.curCare = m.careExact
-		return
-	}
-	m.curCare = m.expCare
-	nm := width.AndNot(search.Mask)
-	for _, off := range m.keyFields {
-		bitutil.SetBits(m.expCare, off, m.layout.KeyBits, nm)
-	}
-}
-
-// matchRow runs the comparator bank over one fetched row (§3.3 step 2)
-// and priority-scans the result (step 3): the match vector lands in
-// vec (len (S+63)/64, fully overwritten), and the return values carry
-// the priority encoder's output plus the number of valid slots tested.
-// expand must have been called for the current search key.
-func (m *matcher) matchRow(vec, row []uint64) (first, count, valid int) {
-	first = -1
-	for i := range vec {
-		vec[i] = 0
-	}
-	if m.impossible {
-		// No slot can match, but the comparators still test every valid
-		// slot — the stats contract of the slot-serial path.
-		for i := range m.slots {
-			sr := &m.slots[i]
-			if sr.validWord < len(row) && row[sr.validWord]>>sr.validShift&1 == 1 {
-				valid++
-			}
-		}
-		return first, 0, valid
-	}
-	diff := m.diff
-	if m.layout.Ternary {
-		// Align every slot's stored don't-care mask with its own key
-		// field in one row-wide shift, then silence those comparators.
-		bitutil.ShrInto(m.shifted, row, m.layout.KeyBits)
-		bitutil.AndInto(m.shifted, m.shifted, m.keyOnly)
-		bitutil.CompareTernaryInto(diff, row, m.expValue, m.curCare, m.shifted)
+// record is §3.3 step 4: the matched slot's fields leave the row the
+// way the comparator read them (ReadSlot's result, without re-deriving
+// the slot's position). rec arrives zeroed.
+func (m *matcher) record(rec *Record, row []uint64, p *slotPos) {
+	l := &m.layout
+	data := int(p.kw)*64 + int(p.ks) + l.KeyBits
+	if !m.two {
+		rec.Key.Value.Lo = funnel(row, p.kw, p.kw2, p.ks) & m.width.Lo
 	} else {
-		bitutil.CompareInto(diff, row, m.expValue, m.curCare)
+		rec.Key.Value.Lo = funnel(row, p.kw, p.kw+1, p.ks)
+		rec.Key.Value.Hi = funnel(row, p.kw+1, p.kw2, p.ks) & m.width.Hi
 	}
-	for i := range m.slots {
-		sr := &m.slots[i]
-		d := diff[sr.parts[0].word] & sr.parts[0].mask
-		for k := 1; k < sr.nparts; k++ {
-			d |= diff[sr.parts[k].word] & sr.parts[k].mask
-		}
-		// An invalid slot surfaces as a set valid bit in diff (the image
-		// demands 1, missing row words read as zero), so it is neither
-		// tested nor matchable.
-		if diff[sr.validWord]>>sr.validShift&1 == 1 {
-			continue
-		}
-		valid++
-		if d != 0 {
-			continue
-		}
-		vec[i>>6] |= 1 << uint(i&63)
-		count++
-		if first < 0 {
-			first = i
+	if l.Ternary {
+		data += l.KeyBits
+		if !m.two {
+			rec.Key.Mask.Lo = funnel(row, p.mw, p.mw2, p.ms) & m.width.Lo
+		} else {
+			rec.Key.Mask.Lo = funnel(row, p.mw, p.mw+1, p.ms)
+			rec.Key.Mask.Hi = funnel(row, p.mw+1, p.mw2, p.ms) & m.width.Hi
 		}
 	}
-	return first, count, valid
+	rec.Data = field128(row, data, l.DataBits)
+}
+
+// The four slot loops, over at most 64 slots: they return the slots'
+// match bits and how many of them were valid. Each is branch-free per
+// slot — how full a row is and which slot holds the key are data no
+// predictor learns, and a mispredict costs more than the few operations
+// it would skip — and keeps its match bits in a register.
+
+// hit is one comparator's verdict: the slot is valid (v) and no
+// cared-for bit differs (d == 0).
+func hit(v, d uint64) uint64 { return v &^ ((d | -d) >> 63) }
+
+func scanBinary1(row []uint64, slots []slotPos, q *query) (hits, valid uint64) {
+	for i := range slots {
+		p := &slots[i]
+		v := row[p.vw] >> (p.vs & 63) & 1
+		valid += v
+		hits |= hit(v, funnel(row, p.kw, p.kw2, p.ks)&q.careLo^q.wantLo) << (uint(i) & 63)
+	}
+	return hits, valid
+}
+
+func scanBinary2(row []uint64, slots []slotPos, q *query) (hits, valid uint64) {
+	for i := range slots {
+		p := &slots[i]
+		v := row[p.vw] >> (p.vs & 63) & 1
+		d := funnel(row, p.kw, p.kw+1, p.ks)&q.careLo ^ q.wantLo
+		d |= funnel(row, p.kw+1, p.kw2, p.ks)&q.careHi ^ q.wantHi
+		valid += v
+		hits |= hit(v, d) << (uint(i) & 63)
+	}
+	return hits, valid
+}
+
+func scanTernary1(row []uint64, slots []slotPos, q *query) (hits, valid uint64) {
+	for i := range slots {
+		p := &slots[i]
+		v := row[p.vw] >> (p.vs & 63) & 1
+		d := (funnel(row, p.kw, p.kw2, p.ks)&q.careLo ^ q.wantLo) &^ funnel(row, p.mw, p.mw2, p.ms)
+		valid += v
+		hits |= hit(v, d) << (uint(i) & 63)
+	}
+	return hits, valid
+}
+
+func scanTernary2(row []uint64, slots []slotPos, q *query) (hits, valid uint64) {
+	for i := range slots {
+		p := &slots[i]
+		v := row[p.vw] >> (p.vs & 63) & 1
+		d := (funnel(row, p.kw, p.kw+1, p.ks)&q.careLo ^ q.wantLo) &^ funnel(row, p.mw, p.mw+1, p.ms)
+		d |= (funnel(row, p.kw+1, p.kw2, p.ks)&q.careHi ^ q.wantHi) &^ funnel(row, p.mw+1, p.mw2, p.ms)
+		valid += v
+		hits |= hit(v, d) << (uint(i) & 63)
+	}
+	return hits, valid
 }

@@ -21,17 +21,16 @@ import (
 // (S > P), matching is divided into ceil(S/P) pipelined passes, as the
 // paper describes for flexible key sizes.
 //
-// Steps 1–3 run on the word-parallel kernel (see matcher): the search
-// key is expanded into a row-sized image once per distinct key, each
-// fetched row is tested with whole-uint64 XOR/mask sweeps, and the
-// match vector lands in processor-owned scratch — the hot path
-// performs zero allocations per search. SearchSerial keeps the legacy
-// slot-at-a-time pipeline as the behavioral oracle.
+// Steps 2–4 run on the compiled slot comparator (see matcher): each
+// slot's fields are read out of the fetched row at positions fixed when
+// the layout was compiled, and the match vector lands in
+// processor-owned scratch — the hot path performs zero allocations per
+// search. SearchSerial keeps the legacy slot-at-a-time pipeline as the
+// behavioral oracle.
 //
-// A Processor is not safe for concurrent use: the kernel's expansion
-// image, the scratch match vector and the statistics counters are all
-// per-processor mutable state (the hardware analogue: one comparator
-// bank per slice port).
+// A Processor is not safe for concurrent use: the scratch match vector
+// and the statistics counters are per-processor mutable state (the
+// hardware analogue: one comparator bank per slice port).
 type Processor struct {
 	layout Layout
 	p      int // number of match processor instances
@@ -76,11 +75,11 @@ type Result struct {
 	//
 	// Aliasing: when produced by Search, Vector is scratch owned by the
 	// processor — it stays valid only until the processor's next
-	// Search/SearchInto call, exactly like a hardware match-vector
+	// Search/SearchPrefix call, exactly like a hardware match-vector
 	// latch that the next operation overwrites. Callers that retain a
-	// Result across searches must Clone it first. SearchInto writes
-	// into caller-provided scratch instead; SearchSerial allocates a
-	// fresh vector.
+	// Result across searches must Clone it first. Searcher.SearchInto
+	// writes into caller-provided scratch instead; SearchSerial
+	// allocates a fresh vector.
 	Vector []uint64
 	// First is the priority-encoded match (lowest slot index), -1 if
 	// none. Insertion order therefore defines match priority, which is
@@ -122,15 +121,24 @@ func (r Result) Clone() Result {
 // Result.Vector); the call itself allocates nothing.
 func (pr *Processor) Search(row []uint64, search bitutil.Ternary) Result {
 	res := Result{Vector: pr.vec}
-	pr.SearchInto(&res, row, search)
+	pr.searchInto(&res, row, search, len(pr.m.slots))
 	return res
 }
 
-// SearchInto is Search writing its match vector into res.Vector's
-// backing array (grown only when too small), for callers that own
-// their scratch. All other Result fields are overwritten.
-func (pr *Processor) SearchInto(res *Result, row []uint64, search bitutil.Ternary) {
-	pr.m.search(res, row, search)
+// SearchPrefix is Search over slots [0, n) only, for a caller that
+// knows every slot from n up is empty: the result is Search's, at the
+// cost of n comparators, and row words beyond slot n-1 are not read.
+func (pr *Processor) SearchPrefix(row []uint64, search bitutil.Ternary, n int) Result {
+	res := Result{Vector: pr.vec}
+	pr.searchInto(&res, row, search, n)
+	return res
+}
+
+// searchInto runs the kernel and accounts the search. It is kept out of
+// line so that Search and SearchPrefix inline into their callers and
+// the Result is built in place rather than copied back through them.
+func (pr *Processor) searchInto(res *Result, row []uint64, search bitutil.Ternary, n int) {
+	pr.m.search(res, row, search, n)
 	pr.stats.Searches++
 	pr.stats.Passes += uint64(res.Passes)
 	pr.stats.SlotsTested += uint64(res.SlotsTested)
@@ -140,7 +148,7 @@ func (pr *Processor) SearchInto(res *Result, row []uint64, search bitutil.Ternar
 // SearchSerial is the legacy slot-serial match pipeline: every slot is
 // decoded with ReadSlot and compared on its own, and the match vector
 // is freshly allocated. It is kept as the behavioral oracle for the
-// word-parallel kernel — property and fuzz tests require the two paths
+// slot comparator — property and fuzz tests require the two paths
 // to be bit-exact — and it updates the same statistics counters.
 func (pr *Processor) SearchSerial(row []uint64, search bitutil.Ternary) Result {
 	s := pr.layout.Slots()

@@ -5,16 +5,16 @@ import (
 )
 
 // Searcher is a private comparator bank for one concurrent reader: the
-// same compiled word-parallel kernel a Processor runs, minus every
-// piece of shared mutable state. A Processor's expansion cache, match
-// vector and statistics counters make it single-owner; the lock-free
-// search path (caram.Reader) instead gives each reader goroutine its
-// own Searcher, the software analogue of §3.3's observation that match
-// logic is stateless combinational hardware — replicating a comparator
-// bank costs area, never coherence.
+// same compiled slot comparator a Processor runs, minus every piece of
+// shared mutable state. A Processor's match vector and statistics
+// counters make it single-owner; the lock-free search path
+// (caram.Reader) instead gives each reader goroutine its own Searcher,
+// the software analogue of §3.3's observation that match logic is
+// stateless combinational hardware — replicating a comparator bank
+// costs area, never coherence.
 //
 // A Searcher keeps no statistics (the caram layer's atomic counters
-// account for lock-free lookups) and owns only its matcher's expansion
+// account for lock-free lookups) and owns only its matcher's short-row
 // scratch, so distinct Searchers over one layout never share a written
 // word. It is still single-owner: one goroutine per Searcher.
 type Searcher struct {
@@ -34,8 +34,15 @@ func (sr *Searcher) Layout() Layout { return sr.layout }
 // SearchInto runs the match pipeline over one row, writing the match
 // vector into res.Vector's backing array (grown only when too small).
 // All other Result fields are overwritten. Identical results to
-// Processor.SearchInto; the row is typically a seqlock snapshot owned
-// by the same reader.
+// Processor.Search; the row is typically a seqlock snapshot owned by
+// the same reader.
 func (sr *Searcher) SearchInto(res *Result, row []uint64, search bitutil.Ternary) {
-	sr.m.search(res, row, search)
+	sr.m.search(res, row, search, len(sr.m.slots))
+}
+
+// SearchPrefixInto is SearchInto over slots [0, n) only — for a row
+// snapshot that holds just the words covering those slots, every slot
+// from n up being empty (see Processor.SearchPrefix).
+func (sr *Searcher) SearchPrefixInto(res *Result, row []uint64, search bitutil.Ternary, n int) {
+	sr.m.search(res, row, search, n)
 }

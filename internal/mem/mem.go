@@ -194,6 +194,10 @@ func (a *Array) ReadRow(idx uint32) []uint64 {
 // path keeps its zero-allocation guarantee.
 func (a *Array) InstallFaults(inj RowFaultInjector) { a.inj = inj }
 
+// FaultsInstalled reports whether a fault injector is attached — stored
+// bits may then change outside any write the owner issued.
+func (a *Array) FaultsInstalled() bool { return a.inj != nil }
+
 // FetchRow is ReadRow through the fault-injection hook: it charges a
 // read access, then gives an installed injector the chance to corrupt
 // the row, fail the fetch, or stretch its latency. ok=false is a
@@ -310,8 +314,8 @@ func (a *Array) publishRow(idx uint32, src []uint64) {
 }
 
 // RowVersion returns a row's current seqlock version (odd while a
-// write window is open). Exposed for tests that pin the publication
-// protocol.
+// write window is open): the two ends of a snapshot read built on
+// LoadWords, and a probe for tests that pin the publication protocol.
 func (a *Array) RowVersion(idx uint32) uint32 { return a.seq[idx].Load() }
 
 // TryPeekRow copies one row into dst (len >= the row's word count)
@@ -332,6 +336,19 @@ func (a *Array) TryPeekRow(idx uint32, dst []uint64) bool {
 		dst[w] = atomic.LoadUint64(&row[w])
 	}
 	return a.seq[idx].Load() == v1
+}
+
+// LoadWords copies words [lo, hi) of one row into dst[lo:hi] with
+// atomic loads, charging nothing: the copy step of a snapshot read for
+// a caller that runs the seqlock protocol itself because it knows which
+// words it needs — RowVersion before (must be even), LoadWords, then
+// RowVersion again (must be unchanged), exactly as TryPeekRow does for
+// the whole row.
+func (a *Array) LoadWords(idx uint32, dst []uint64, lo, hi int) {
+	row := a.row(idx)
+	for w := lo; w < hi; w++ {
+		dst[w] = atomic.LoadUint64(&row[w])
+	}
 }
 
 // ChargeRowReads charges n row read accesses at once — what n ReadRow

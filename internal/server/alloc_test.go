@@ -65,7 +65,8 @@ func TestExecAppendSearchZeroAlloc(t *testing.T) {
 // pktclass / trigram engines must not add allocations to the exact
 // engine's SEARCH hot path (the COW engine roster keeps dispatch to
 // one atomic load), and the typed reads themselves stay allocation-free
-// too — LPM's ranked LookupBest and the trigram key fold included.
+// too — LPM's and the classifier's ranked LookupBest over bounded row
+// snapshots, and the trigram key fold, included.
 func TestTypedExecAppendSearchZeroAlloc(t *testing.T) {
 	s := allocServer()
 	for _, req := range []string{
@@ -75,6 +76,8 @@ func TestTypedExecAppendSearchZeroAlloc(t *testing.T) {
 		"INSERT db dead 42",
 		"MINSERT ip a000000 ffffff 801",
 		"MINSERT ip a010000 ffff 1002",
+		"MINSERT acl a01010000:1bb000006 ffff:ffffff0000ffff00 0:1010064",
+		"MINSERT acl a01000000:6 ffffff:ffffffffffffff00 0:2020032",
 		"TINSERT tri 2a the quick fox",
 	} {
 		if got := s.Exec(req); got != "OK" {
@@ -85,6 +88,8 @@ func TestTypedExecAppendSearchZeroAlloc(t *testing.T) {
 	for _, tc := range []struct{ name, req string }{
 		{"exact", "SEARCH db dead"},
 		{"lpm", "SEARCH ip a010101"},
+		{"pktclass", "SEARCH acl a010107c0:a8000101bb303906"},
+		{"pktclass-miss", "SEARCH acl b000001c0:a8000101bb303906"},
 		{"trigram", "TSEARCH tri the quick fox"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
