@@ -1,15 +1,17 @@
 # Build / verification targets.
 #
 #   make check          tier-1: gofmt clean + vet + build + full test suite
-#   make race           race-detector pass over the concurrent packages
+#   make race           race-detector pass over every package with
+#                       concurrent code (server, subsystem, metrics, trace,
+#                       wal, cluster, caram, match), whole packages
 #   make stress         tier-2: the concurrency stress tests under -race
 #   make fuzz           10s per fuzz target: the wire-protocol parsers
-#                       and the bounded slot comparator vs SearchSerial
+#                       and the bounded slot comparator vs the serial oracle
 #   make bench          the parallel-throughput server benchmark
-#   make bench-json     hot-path benchmarks frozen into BENCH_PR3.json
 #   make bench-load     one full caram-load run (five workloads, untraced
 #                       and traced, plus the ladder) into a git-ignored
-#                       file, compared against the bench/history baseline
+#                       file, compared against the newest bench/history
+#                       baseline
 #   make profile WORKLOAD=<name>
 #                       30 s of one caram-load workload's deployment
 #                       under load, a CPU profile of every server and
@@ -19,16 +21,28 @@
 #   make alloc-guard    allocation regression tests for the search hot
 #                       path (match on every compiled variant, caram
 #                       incl. the typed bounded LookupBest, server incl.
-#                       lpm/pktclass/TSEARCH and the wire path through
-#                       Handle, MSEARCH bookkeeping, and the
-#                       router with no collector, an idle one, and
-#                       caram-router's default flags)
-#   make trace-guard    tracing-layer gate: ring races under -race,
-#                       slowlog admission property, zero-alloc with
-#                       tracing compiled in (off and on-unadmitted)
+#                       lpm/pktclass/TSEARCH, the wire path through
+#                       Handle and the tracing-compiled-in steady state,
+#                       MSEARCH bookkeeping, and the router with no
+#                       collector, an idle one, and caram-router's
+#                       default flags)
 #   make metrics-smoke  end-to-end observability check: live server,
 #                       /metrics + /debug/traces scrape, SLOWLOG/EXPLAIN
 #                       and HEALTH over the wire, graceful shutdown
+#   make crash-harness  the kill-injection harness against the real
+#                       binary (SIGKILL mid-fsync, restart,
+#                       acked-present / unacked-absent)
+#   make ci             the CI gate, each test in each mode once:
+#                       check + race + alloc-guard + crash-harness +
+#                       metrics-smoke
+#
+# The focused gates below are subsets of `make ci` for working on one
+# area; each is self-contained, so they overlap each other (and ci runs
+# none of them).
+#
+#   make trace-guard    tracing-layer gate: ring races under -race,
+#                       slowlog admission property, zero-alloc with
+#                       tracing compiled in (off and on-unadmitted)
 #   make chaos          fault-injection capstone under -race: mixed ops
 #                       against engines with live soft-error injectors,
 #                       exact ECC/injector counter reconciliation (incl.
@@ -53,26 +67,31 @@
 #                       2-backend cluster, batch failure semantics
 #                       against scripted backends, kill-a-backend
 #                       failover under stress)
-#   make crash-guard    durability gate: the WAL suite (torn-tail
-#                       recovery at every byte offset, snapshot
-#                       truncation, graceful-drain Close) under -race,
-#                       then the kill-injection harness against the
-#                       real binary (SIGKILL mid-fsync, restart,
-#                       acked-present / unacked-absent)
-#   make ci             the CI gate: check + race + alloc-guard +
-#                       trace-guard + seqlock-guard + typed-guard +
-#                       cluster-guard + crash-guard + chaos +
-#                       metrics-smoke
-#   make all            everything above, in that order
+#   make crash-guard    durability gate: crash-harness, then the WAL
+#                       suite (torn-tail recovery at every byte offset,
+#                       snapshot truncation, graceful-drain Close)
+#                       under -race
+#   make all            check, race, stress, fuzz, bench and every
+#                       focused gate, in that order
+#
+# `make ci` wall time on the 2-vCPU reference box, warm build cache,
+# GOFLAGS=-count=1: 63 s with the ten overlapping tiers it had
+# through PR 15 (ZeroAlloc ./internal/server ran in four of them,
+# GoldenSession in two, most -race subsets twice) → 43 s regrouped.
 
 GO       ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all check fmt-check vet race stress fuzz bench bench-json bench-load profile profile-routed alloc-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard chaos metrics-smoke ci
+.PHONY: all check fmt-check vet race stress fuzz bench bench-load profile profile-routed alloc-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard crash-harness chaos metrics-smoke ci
 
 all: check race stress fuzz bench trace-guard seqlock-guard typed-guard cluster-guard crash-guard chaos metrics-smoke
 
-ci: check race alloc-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard chaos metrics-smoke
+# Each test runs once per mode: check is the whole suite without the
+# race detector, race the whole of every concurrent package with it,
+# and the rest is what neither can run — the allocation guards (they
+# skip themselves under -race, and want -count=1), the kill harness
+# and the live-binary smoke test.
+ci: check race alloc-guard crash-harness metrics-smoke
 
 check: fmt-check vet
 	$(GO) build ./...
@@ -86,7 +105,8 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/server ./internal/subsystem ./internal/metrics ./internal/trace ./internal/wal
+	$(GO) test -race -count=1 ./internal/server ./internal/subsystem ./internal/metrics ./internal/trace ./internal/wal \
+		./internal/cluster ./internal/caram ./internal/match
 
 metrics-smoke:
 	$(GO) run ./cmd/metrics-smoke
@@ -115,13 +135,14 @@ bench:
 # search paths (row match kernel on binary, ternary and 104-bit ternary
 # layouts, slice lookup, the Reader's batch pipeline and its typed
 # bounded LookupBest, server SEARCH / lpm / pktclass / TSEARCH through
-# ExecAppend and, per line, through Handle), MSEARCH bookkeeping held to
-# its two slices, and the router
-# forward path (SEARCH and MSEARCH) with no collector, an idle one, and
-# the collector caram-router's default flags build. This is the one
-# non-race run of the router guards in `make ci`.
+# ExecAppend and, per line, through Handle, and the steady state with
+# tracing compiled in), MSEARCH bookkeeping held to its two slices, and
+# the router forward path (SEARCH and MSEARCH) with no collector, an
+# idle one, and the collector caram-router's default flags build. This
+# is the one non-race run of these guards in `make ci`.
 alloc-guard:
-	$(GO) test -run ZeroAlloc -count=1 ./internal/match ./internal/caram ./internal/server
+	$(GO) test -run ZeroAlloc -count=1 ./internal/match ./internal/caram
+	$(GO) test -run 'ZeroAlloc|TracingOnSteadyStateAllocs' -count=1 ./internal/server
 	$(GO) test -run MSearchAllocs -count=1 ./internal/subsystem
 	$(GO) test -run 'ForwardPathAllocs|RouterUntracedZeroAlloc' -count=1 ./internal/cluster
 
@@ -133,10 +154,12 @@ alloc-guard:
 # commit (the -wal-slow-sync hook widens the fsync window), restarted,
 # and audited: every acked write present, every unacked write absent.
 # CRASH_GUARD_ITERS (default 3) extends the kill loop for soak runs.
-crash-guard:
+crash-guard: crash-harness
 	$(GO) test -race -count=1 ./internal/wal
 	$(GO) test -race -run 'Close|WALStatus|WALExec' -count=1 ./internal/server
 	$(GO) test -race -run 'RouterWALStatus' -count=1 ./internal/cluster
+
+crash-harness:
 	$(GO) test -run 'Crash|GracefulShutdown' -count=1 ./cmd/caram-server
 
 # Tracing-layer gate: the lock-free ring under the race detector, the
@@ -198,28 +221,16 @@ typed-guard:
 cluster-guard:
 	$(GO) test -race -count=1 ./internal/cluster
 
-# Freeze the hot-path benchmarks into a versioned JSON artifact.
-bench-json:
-	$(GO) test -run '^$$' -bench 'RowMatch|ServerSearchZeroAlloc|ServerSearchInstrumented|MSearchBatched|SliceLookup$$' \
-		-benchmem . | $(GO) run ./cmd/bench2json > BENCH_PR3.json
-	$(GO) test -run '^$$' -bench SearchUnderWriteContention -benchmem \
-		./internal/subsystem | $(GO) run ./cmd/bench2json > BENCH_PR6.json
-	$(GO) test -run '^$$' -bench 'RouterPipelinedSearch$$|UnpipelinedProxySearch|DirectServerSearch|RouterForward$$' \
-		-benchmem ./internal/cluster | $(GO) run ./cmd/bench2json > BENCH_PR8.json
-	$(GO) test -run '^$$' -bench 'RouterForward$$|RouterPipelinedSearch/depth8' \
-		-benchmem ./internal/cluster | $(GO) run ./cmd/bench2json > BENCH_PR9.json
-	$(GO) test -run '^$$' -bench WALInsert -benchtime 2000x \
-		-benchmem ./internal/wal | $(GO) run ./cmd/bench2json > BENCH_PR10.json
-
 # The paired-run recipe in one command: a full caram-load run at seed 1
 # into .bench_build/ (git-ignored), then the delta table against the
-# recorded baseline. Noisy rows read "unresolved", not "ok"; a claim
-# needs the alternating pairs bench/README.md describes.
+# newest recorded baseline (history files sort by their sequence
+# number). Noisy rows read "unresolved", not "ok"; a claim needs the
+# alternating pairs bench/README.md describes.
 BENCH_LOAD_OUT ?= .bench_build/bench-load.json
 bench-load:
 	mkdir -p $(dir $(BENCH_LOAD_OUT))
 	$(GO) run ./cmd/caram-load -seed 1 -out $(BENCH_LOAD_OUT)
-	$(GO) run ./cmd/caram-load -compare $(firstword $(wildcard bench/history/0001-*.json)) $(BENCH_LOAD_OUT)
+	$(GO) run ./cmd/caram-load -compare $(lastword $(sort $(wildcard bench/history/*.json))) $(BENCH_LOAD_OUT)
 
 # Read the next premium from a profile, not a guess: run one workload's
 # deployment (real binaries, default flags) under load for

@@ -444,47 +444,9 @@ func BenchmarkServerSearchInstrumented(b *testing.B) {
 	b.Run("uninstrumented", func(b *testing.B) { run(b, mk(b, server.WithoutMetrics())) })
 }
 
-// BenchmarkDispatcherThroughput measures concurrent multi-engine search
-// dispatch.
-func BenchmarkDispatcherThroughput(b *testing.B) {
-	engines := make([]*subsystem.Engine, 4)
-	for i := range engines {
-		sl := caram.MustNew(caram.Config{
-			IndexBits: 10, RowBits: 8*(1+32+16) + 8, KeyBits: 32, DataBits: 16,
-			Index: hash.NewMultShift(10),
-		})
-		for k := 0; k < 4096; k++ {
-			if err := sl.Insert(match.Record{Key: bitutil.Exact(bitutil.FromUint64(uint64(k)))}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		engines[i] = &subsystem.Engine{Name: fmt.Sprintf("e%d", i), Main: sl}
-	}
-	d := subsystem.NewDispatcher(engines, 64)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range d.Results() {
-		}
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		port := engines[i%4].Name
-		if err := d.Submit(port, uint64(i), bitutil.Exact(bitutil.FromUint64(uint64(i%4096)))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	d.Close()
-	<-done
-}
-
-// BenchmarkRowMatch prices the word-parallel row-match kernel against
-// the slot-serial path it replaced: one full-row search (expand, match
-// vector, priority encode, extract) on an 8-slot 64-bit-key row,
-// binary and ternary. "kernel" is the production Search; "serial" is
-// the retained SearchSerial oracle. The kernel must report zero
-// allocations.
+// BenchmarkRowMatch prices the row-match kernel: one full-row search
+// (match vector, priority encode, extract) on an 8-slot 64-bit-key row,
+// binary and ternary. It must report zero allocations.
 func BenchmarkRowMatch(b *testing.B) {
 	for _, tern := range []struct {
 		name   string
@@ -504,18 +466,10 @@ func BenchmarkRowMatch(b *testing.B) {
 			}
 		}
 		hit := bitutil.Exact(bitutil.FromUint64(uint64(0x1000 + 5*977)))
-		b.Run(tern.name+"/kernel", func(b *testing.B) {
+		b.Run(tern.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if res := proc.Search(row, hit); !res.Matched() {
-					b.Fatal("match lost")
-				}
-			}
-		})
-		b.Run(tern.name+"/serial", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if res := proc.SearchSerial(row, hit); !res.Matched() {
 					b.Fatal("match lost")
 				}
 			}
@@ -527,8 +481,8 @@ func BenchmarkRowMatch(b *testing.B) {
 // path on its production API: ExecAppend into a reused reply buffer,
 // request lines pre-built (a real connection reads them off the wire;
 // building them is the client's cost). Both server variants must
-// report 0 allocs/op — the PR 3 headline (BENCH_PR3.json records the
-// numbers; before the rewrite this path cost 5 allocs and ~811 ns).
+// report 0 allocs/op — the PR 3 headline (before the rewrite this path
+// cost 5 allocs and ~811 ns).
 func BenchmarkServerSearchZeroAlloc(b *testing.B) {
 	const nKeys = 4096
 	mk := func(b *testing.B, opts ...server.Option) *server.Server {

@@ -93,8 +93,8 @@ func checkWord(row []uint64) uint64 {
 
 // EnableECC turns per-row error coding on, building the check words
 // and the insert-side shadow from the array's current contents. It is
-// the post-load entry point too: LoadImage and ReadImage call it again
-// on an ECC-enabled slice, so bulk-constructed databases (§3.2) are
+// the post-load entry point too: LoadImage calls it again on an
+// ECC-enabled slice, so bulk-constructed databases (§3.2) are
 // protected from their current state onward. Enabling is idempotent;
 // re-enabling rebuilds and clears any quarantine.
 func (s *Slice) EnableECC() {

@@ -141,59 +141,37 @@ func (r *Reader) peek(idx uint32, dst []uint64) (n int, ok bool) {
 	return n, s.array.RowVersion(idx) == v
 }
 
-// chain walks one key's probe chain — the one lock-free probe loop
-// behind Lookup, LookupBatch and LookupBest. Each row goes through the
-// same step: snapshot (quarantine check, seqlock validation, check
-// word), match over the snapshot's bound, reach rule. pre, when
-// non-nil, is the home row already snapshotted through that step with
-// bound preN (LookupBatch's fetch stage); every other row lands in
-// r.row. With score nil the first match in probe order wins; otherwise
+// chain walks one key's probe chain — the one lock-free fetch loop
+// behind Lookup, LookupBatch and LookupBest. Each row is snapshotted
+// (quarantine check, seqlock validation, check word), matched over the
+// snapshot's bound and folded into the walk by Slice.step, the per-row
+// step shared with the port-locked Slice.probe. pre, when non-nil, is
+// the home row already snapshotted that way with bound preN
+// (LookupBatch's fetch stage); every other row lands in r.row. With score nil the first match in probe order wins; otherwise
 // the whole reach is scanned for the best-scoring match. Nothing is
 // accounted here: the result's RowsRead is what the caller charges,
 // also when ok=false cut the chain short.
 func (r *Reader) chain(search bitutil.Ternary, score func(match.Record) int, tr *trace.Trace, home uint32, pre []uint64, preN int) (LookupResult, bool) {
 	s := r.s
-	res := LookupResult{HomeBucket: home}
+	w := walk{res: LookupResult{HomeBucket: home}}
 	rows := s.cfg.Rows()
-	reach := 0
-	bestScore := 0
-	slots, matches, passes := 0, 0, 0
-	for d := 0; d <= reach && d < rows; d++ {
+	for d := 0; d <= w.reach && d < rows; d++ {
 		idx := uint32((int(home) + d) % rows)
 		row, n := pre, preN
 		if d > 0 || pre == nil {
 			var ok bool
 			if n, ok = r.snapshot(idx, r.row); !ok {
-				return res, false
+				return w.res, false
 			}
 			row = r.row
 		}
-		res.RowsRead++
-		if d == 0 {
-			reach = int(s.layout.ReadAux(row))
-		}
 		r.sr.SearchPrefixInto(&r.res, row, search, n)
-		m := &r.res
-		if tr.Enabled() {
-			tr.Probe(idx, d, m.SlotsTested, m.Count, m.Matched())
-			slots += m.SlotsTested
-			matches += m.Count
-			passes += m.Passes
-		}
-		if !m.Matched() {
-			continue
-		}
-		if score == nil {
-			res.Found, res.Record, res.Multi = true, m.Record, m.Multi()
+		if s.step(&w, idx, d, row, &r.res, score, tr) {
 			break
 		}
-		s.best(&res, &bestScore, row, m.Vector, score)
 	}
-	if tr.Enabled() {
-		tr.Match(slots, matches, passes)
-		tr.Lookup(home, reach, res.RowsRead, res.Found)
-	}
-	return res, true
+	s.finish(&w, tr)
+	return w.res, true
 }
 
 // lookup runs one chain and accounts it exactly as the locked path

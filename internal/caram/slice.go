@@ -337,19 +337,16 @@ func (s *Slice) LookupBestTraced(search bitutil.Ternary, score func(match.Record
 }
 
 // probe walks one key's probe chain through the row port — the one
-// port-locked probe loop behind Lookup and LookupBest, and the locked
+// port-locked fetch loop behind Lookup and LookupBest, and the locked
 // counterpart of Reader.chain. Each row is fetched through
-// fetchChecked and matched over its bound. With score nil the first
-// match in probe order wins; otherwise the whole reach is scanned for
-// the best-scoring match.
+// fetchChecked, matched over its bound and folded into the walk by
+// step. With score nil the first match in probe order wins; otherwise
+// the whole reach is scanned for the best-scoring match.
 func (s *Slice) probe(search bitutil.Ternary, score func(match.Record) int, tr *trace.Trace) LookupResult {
 	home := s.Index(search.Value)
-	res := LookupResult{HomeBucket: home}
+	w := walk{res: LookupResult{HomeBucket: home}}
 	rows := s.cfg.Rows()
-	reach := 0
-	bestScore := 0
-	slots, matches, passes := 0, 0, 0
-	for d := 0; d <= reach && d < rows; d++ {
+	for d := 0; d <= w.reach && d < rows; d++ {
 		idx := uint32((int(home) + d) % rows)
 		row, ok := s.fetchChecked(idx, tr)
 		if !ok {
@@ -358,40 +355,64 @@ func (s *Slice) probe(search bitutil.Ternary, score func(match.Record) int, tr *
 			// For the home row, recover the reach from the maintenance
 			// view (the shadow when quarantined) so spilled records stay
 			// findable while the home is out of service.
-			res.Erred = true
+			w.res.Erred = true
 			if d == 0 {
-				reach = s.Reach(home)
+				w.reach = s.Reach(home)
 			}
 			continue
-		}
-		res.RowsRead++
-		if d == 0 {
-			reach = int(s.layout.ReadAux(row))
 		}
 		// m.Vector aliases the processor's scratch; it is consumed before
 		// the next probe reuses it.
 		m := s.proc.SearchPrefix(row, search, s.bound(idx))
-		if tr.Enabled() {
-			tr.Probe(idx, d, m.SlotsTested, m.Count, m.Matched())
-			slots += m.SlotsTested
-			matches += m.Count
-			passes += m.Passes
-		}
-		if !m.Matched() {
-			continue
-		}
-		if score == nil {
-			res.Found, res.Record, res.Multi = true, m.Record, m.Multi()
+		if s.step(&w, idx, d, row, &m, score, tr) {
 			break
 		}
-		s.best(&res, &bestScore, row, m.Vector, score)
+	}
+	s.finish(&w, tr)
+	s.recordLookup(w.res)
+	return w.res
+}
+
+// walk is the state one key's probe chain carries from row to row.
+type walk struct {
+	res                    LookupResult
+	reach, bestScore       int
+	slots, matches, passes int
+}
+
+// step folds one fetched, matched row into the walk — the per-row step
+// the port-locked loop (probe) and the seqlock loop (Reader.chain)
+// share: count the row, take the reach from the home row, record the
+// probe, and keep the first match or the best-scoring one. It reports
+// whether the chain is decided.
+func (s *Slice) step(w *walk, idx uint32, d int, row []uint64, m *match.Result, score func(match.Record) int, tr *trace.Trace) bool {
+	w.res.RowsRead++
+	if d == 0 {
+		w.reach = int(s.layout.ReadAux(row))
 	}
 	if tr.Enabled() {
-		tr.Match(slots, matches, passes)
-		tr.Lookup(home, reach, res.RowsRead, res.Found)
+		tr.Probe(idx, d, m.SlotsTested, m.Count, m.Matched())
+		w.slots += m.SlotsTested
+		w.matches += m.Count
+		w.passes += m.Passes
 	}
-	s.recordLookup(res)
-	return res
+	if !m.Matched() {
+		return false
+	}
+	if score == nil {
+		w.res.Found, w.res.Record, w.res.Multi = true, m.Record, m.Multi()
+		return true
+	}
+	s.best(&w.res, &w.bestScore, row, m.Vector, score)
+	return false
+}
+
+// finish records the walk's trailing trace events.
+func (s *Slice) finish(w *walk, tr *trace.Trace) {
+	if tr.Enabled() {
+		tr.Match(w.slots, w.matches, w.passes)
+		tr.Lookup(w.res.HomeBucket, w.reach, w.res.RowsRead, w.res.Found)
+	}
 }
 
 // best folds one row's matched slots into the running best-scoring

@@ -12,7 +12,7 @@ import (
 	"caram/internal/trace"
 )
 
-// The PR-8 performance contract, frozen into BENCH_PR8.json:
+// The PR-8 performance contract (EXPERIMENTS.md has the frozen table):
 //
 //   - BenchmarkRouterPipelinedSearch/depth8 must be >= 2x the ops/sec
 //     of BenchmarkUnpipelinedProxySearch/depth8 on loopback. Depth is

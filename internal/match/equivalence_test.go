@@ -134,7 +134,7 @@ func checkEquivalence(t testing.TB, l Layout, p int, row []uint64, search bituti
 func checkBounded(t testing.TB, l Layout, p int, row []uint64, search bitutil.Ternary, n int) {
 	t.Helper()
 	kern := NewProcessor(l, p)
-	oracle := NewProcessor(l, p)
+	oracle := newSerialOracle(l, p)
 	got := kern.SearchPrefix(row, search, n)
 	cut := append(make([]uint64, 0, bitutil.RowWords(l.RowBits)), row...)
 	cut = cut[:cap(cut)]
@@ -219,7 +219,7 @@ func TestKernelMatchesSerialQuick(t *testing.T) {
 		search := randomSearch(rng, l, stored)
 
 		kern := NewProcessor(l, p)
-		oracle := NewProcessor(l, p)
+		oracle := newSerialOracle(l, p)
 		got := kern.Search(row, search)
 		want := oracle.SearchSerial(row, search)
 		if got.First != want.First || got.Count != want.Count ||
@@ -263,7 +263,7 @@ func slotKernelProperty(t *testing.T, layout func(*rand.Rand) Layout) func(int64
 			n := l.UsedSlots(full) // the bound the caram layer hands down
 			var got Result
 			NewSearcher(l, 0).SearchPrefixInto(&got, row, search, n)
-			want := NewProcessor(l, 0).SearchSerial(row, search)
+			want := newSerialOracle(l, 0).SearchSerial(row, search)
 			if got.First != want.First || got.Count != want.Count ||
 				got.SlotsTested != want.SlotsTested || got.Record != want.Record {
 				t.Errorf("layout=%+v n=%d search=%s: Searcher %+v, oracle %+v", l, n, search.String(128), got, want)
@@ -335,7 +335,7 @@ func TestKernelExpansionCacheAcrossRows(t *testing.T) {
 		l := randomLayout(rng)
 		p := randomP(rng, l)
 		kern := NewProcessor(l, p)
-		oracle := NewProcessor(l, p)
+		oracle := newSerialOracle(l, p)
 		var searches []bitutil.Ternary
 		var rows [][]uint64
 		var allStored []bitutil.Ternary

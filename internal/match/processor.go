@@ -25,8 +25,8 @@ import (
 // slot's fields are read out of the fetched row at positions fixed when
 // the layout was compiled, and the match vector lands in
 // processor-owned scratch — the hot path performs zero allocations per
-// search. SearchSerial keeps the legacy slot-at-a-time pipeline as the
-// behavioral oracle.
+// search. The legacy slot-at-a-time pipeline survives only as the
+// tests' behavioral oracle.
 //
 // A Processor is not safe for concurrent use: the scratch match vector
 // and the statistics counters are per-processor mutable state (the
@@ -78,8 +78,7 @@ type Result struct {
 	// Search/SearchPrefix call, exactly like a hardware match-vector
 	// latch that the next operation overwrites. Callers that retain a
 	// Result across searches must Clone it first. Searcher.SearchInto
-	// writes into caller-provided scratch instead; SearchSerial
-	// allocates a fresh vector.
+	// writes into caller-provided scratch instead.
 	Vector []uint64
 	// First is the priority-encoded match (lowest slot index), -1 if
 	// none. Insertion order therefore defines match priority, which is
@@ -143,41 +142,6 @@ func (pr *Processor) searchInto(res *Result, row []uint64, search bitutil.Ternar
 	pr.stats.Passes += uint64(res.Passes)
 	pr.stats.SlotsTested += uint64(res.SlotsTested)
 	pr.stats.Matches += uint64(res.Count)
-}
-
-// SearchSerial is the legacy slot-serial match pipeline: every slot is
-// decoded with ReadSlot and compared on its own, and the match vector
-// is freshly allocated. It is kept as the behavioral oracle for the
-// slot comparator — property and fuzz tests require the two paths
-// to be bit-exact — and it updates the same statistics counters.
-func (pr *Processor) SearchSerial(row []uint64, search bitutil.Ternary) Result {
-	s := pr.layout.Slots()
-	res := Result{
-		Vector: make([]uint64, (s+63)/64),
-		First:  -1,
-		Passes: (s + pr.p - 1) / pr.p,
-	}
-	pr.stats.Searches++
-	pr.stats.Passes += uint64(res.Passes)
-	for i := 0; i < s; i++ {
-		rec, ok := pr.layout.ReadSlot(row, i)
-		if !ok {
-			continue
-		}
-		pr.stats.SlotsTested++
-		res.SlotsTested++
-		if !rec.Key.Matches(search) {
-			continue
-		}
-		res.Vector[i/64] |= 1 << uint(i%64)
-		res.Count++
-		if res.First < 0 {
-			res.First = i
-			res.Record = rec
-		}
-	}
-	pr.stats.Matches += uint64(res.Count)
-	return res
 }
 
 // SearchAll returns every matching record in slot order — the "massive

@@ -20,15 +20,11 @@ const (
 // Histogram is a bounded, race-safe latency histogram: fixed
 // exponential bucket edges, one atomic counter per bucket, plus a
 // running sum so mean latency and Prometheus's `_sum` come for free.
-// The zero value is NOT ready; it is initialised by NewRegistry.
+// The zero value is ready to use.
 type Histogram struct {
 	counts [histBuckets]atomic.Uint64
 	sumNs  atomic.Int64
 }
-
-// init exists for symmetry with future variable-geometry histograms;
-// the fixed-array layout needs no allocation.
-func (h *Histogram) init() {}
 
 // bucketOf maps a duration in nanoseconds to its bucket index.
 func bucketOf(ns int64) int {

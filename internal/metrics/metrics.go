@@ -170,11 +170,7 @@ type registrySet struct {
 
 // newEngineMetrics builds one engine's slot.
 func newEngineMetrics(name, typ string) *EngineMetrics {
-	em := &EngineMetrics{name: name, typ: typ}
-	for op := Op(0); op < NumOps; op++ {
-		em.ops[op].lat.init()
-	}
-	return em
+	return &EngineMetrics{name: name, typ: typ}
 }
 
 // NewRegistry builds a registry with one metrics slot per engine name,

@@ -63,9 +63,6 @@ func ExactPort(p uint16) PortRange { return PortRange{p, p} }
 // Contains reports membership.
 func (r PortRange) Contains(p uint16) bool { return p >= r.Lo && p <= r.Hi }
 
-// IsAny reports a full-space range.
-func (r PortRange) IsAny() bool { return r.Lo == 0 && r.Hi == 0xffff }
-
 // Valid reports Lo <= Hi.
 func (r PortRange) Valid() bool { return r.Lo <= r.Hi }
 

@@ -32,10 +32,6 @@ const (
 // never allocate.
 func (f *FieldScanner) Next() (field string, ok bool) { return f.next() }
 
-// Rest returns everything left of the line with surrounding whitespace
-// trimmed, consuming the scanner — the free-text tail of a request.
-func (f *FieldScanner) Rest() string { return f.rest() }
-
 // CountFields returns how many fields remain without advancing the
 // scanner.
 func (f *FieldScanner) CountFields() int { return f.countFields() }

@@ -8,36 +8,27 @@ import (
 	"testing"
 )
 
-// BenchmarkSearchUnderWriteContention is the PR 6 headline A/B: read
-// throughput on one engine, lock-free seqlock path vs the serialized
-// rwmutex baseline (SetLockedReads), with zero or one writer in the
-// background. The writer runs the realistic maintenance mix — row
-// churn (delete/insert) plus a periodic Scrub pass, whose write-locked
-// whole-array scan is exactly the window a serialized reader stalls
-// in. The seqlock column must hold its throughput under the writer —
-// that is the wait-free property measured; frozen into BENCH_PR6.json
-// by `make bench-json`.
+// BenchmarkSearchUnderWriteContention measures the wait-free property:
+// read throughput on one engine's lock-free seqlock path with zero or
+// one writer in the background. The writer runs the realistic
+// maintenance mix — row churn (delete/insert) plus a periodic Scrub
+// pass, whose write-locked whole-array scan is exactly the window a
+// serialized reader would stall in. The column must hold its
+// throughput under the writer. (The PR 6 A/B against a serialized
+// rwmutex read side is frozen history: EXPERIMENTS.md.)
 func BenchmarkSearchUnderWriteContention(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		locked bool
-	}{
-		{"seqlock", false},
-		{"rwmutex", true},
-	} {
-		for _, writers := range []int{0, 1} {
-			b.Run(fmt.Sprintf("%s/writers=%d", mode.name, writers), func(b *testing.B) {
-				benchSearchContention(b, mode.locked, writers)
-			})
-		}
+	for _, writers := range []int{0, 1} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			benchSearchContention(b, writers)
+		})
 	}
 }
 
-func benchSearchContention(b *testing.B, locked bool, writers int) {
-	// The A/B needs real scheduler concurrency between readers and the
-	// writer even on a single-core CI box: pin GOMAXPROCS to at least 8
-	// for the measurement so RunParallel fields many readers and the
-	// writer genuinely interleaves with them.
+func benchSearchContention(b *testing.B, writers int) {
+	// The measurement needs real scheduler concurrency between readers
+	// and the writer even on a single-core CI box: pin GOMAXPROCS to at
+	// least 8 so RunParallel fields many readers and the writer
+	// genuinely interleaves with them.
 	if runtime.GOMAXPROCS(0) < 8 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	}
@@ -46,7 +37,7 @@ func benchSearchContention(b *testing.B, locked bool, writers int) {
 	if err := sub.AddEngine(&Engine{Name: "e0", Main: sl}); err != nil {
 		b.Fatal(err)
 	}
-	c := NewConcurrent(sub).SetLockedReads(locked)
+	c := NewConcurrent(sub)
 	defer c.Close()
 
 	const nRead, nChurn = 64, 8
@@ -92,13 +83,10 @@ func benchSearchContention(b *testing.B, locked bool, writers int) {
 	}
 
 	b.ReportAllocs()
-	// Field many more reader goroutines than Ps: under the serialized
-	// baseline each writer acquisition then parks a convoy of readers,
-	// the real cost of a locked read side; the lock-free path has no
-	// convoy to form. Readers yield every 64 lookups — the scheduling
-	// texture of a real server goroutine that also touches the network —
-	// which is what lets the single writer actually run (and contend)
-	// on a box with few hardware threads.
+	// Field many more reader goroutines than Ps. Readers yield every 64
+	// lookups — the scheduling texture of a real server goroutine that
+	// also touches the network — which is what lets the single writer
+	// actually run (and contend) on a box with few hardware threads.
 	b.SetParallelism(8)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

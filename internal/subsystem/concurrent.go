@@ -3,6 +3,7 @@ package subsystem
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,10 +40,10 @@ import (
 // Concurrent layer; using the bare Subsystem or its engines directly
 // alongside it would bypass the locks.
 //
-// An optional metrics registry (Instrument) observes every op; lock-
-// free searches are timed end to end, serialized ops at the lock
-// boundary (so writer latency still includes lock wait, the true
-// service latency under contention).
+// An optional metrics registry (Instrument) observes every op, timed
+// from admission (so a serialized op's latency includes its lock wait,
+// the true service latency under contention). The operations
+// themselves are one executor: see the stage list above admit.
 type Concurrent struct {
 	// set is the current engine roster, copy-on-write: op paths do one
 	// atomic load and index an immutable map, so the hot path stays
@@ -59,11 +60,6 @@ type Concurrent struct {
 	// setMu, captured by SnapshotImage as the roster replay gate.
 	jr        Journal
 	rosterLSN uint64
-
-	// lockedReads forces every search through the serialized path —
-	// the pre-seqlock behavior, kept for A/B benchmarks and as an
-	// escape hatch. Construction-time only (SetLockedReads).
-	lockedReads bool
 
 	// down gates every operation after Close: a single atomic load on
 	// the op path, so a closed layer fails fast instead of deadlocking
@@ -253,19 +249,8 @@ func (c *Concurrent) CreateEngine(name string, typ EngineType, tc TypedConfig) e
 	if err != nil {
 		return err
 	}
-	if c.jr != nil {
-		// Roster records append under setMu (their lock boundary) and
-		// commit before the engine is published: an acknowledged CREATE
-		// must be durable, and one the log rejected must never publish.
-		lsn, jerr := c.jr.Append(JournalEntry{Op: JournalCreate, Engine: name, Type: typ, Conf: tc})
-		if jerr != nil {
-			return jerr
-		}
-		if jerr := c.jr.Commit(lsn); jerr != nil {
-			return jerr
-		}
-		e.AppliedLSN = lsn
-		c.rosterLSN = lsn
+	if e.AppliedLSN, err = c.logRoster(JournalEntry{Op: JournalCreate, Engine: name, Type: typ, Conf: tc}); err != nil {
+		return err
 	}
 	g := newGuarded(e, &EngineStats{})
 	if c.met != nil {
@@ -304,15 +289,8 @@ func (c *Concurrent) DropEngine(name string) error {
 	if !ok {
 		return errNoEngine(name)
 	}
-	if c.jr != nil {
-		lsn, jerr := c.jr.Append(JournalEntry{Op: JournalDrop, Engine: name})
-		if jerr != nil {
-			return jerr
-		}
-		if jerr := c.jr.Commit(lsn); jerr != nil {
-			return jerr
-		}
-		c.rosterLSN = lsn
+	if _, err := c.logRoster(JournalEntry{Op: JournalDrop, Engine: name}); err != nil {
+		return err
 	}
 	next := &engineSet{
 		order: make([]string, 0, len(cur.order)-1),
@@ -342,42 +320,35 @@ func (c *Concurrent) DropEngine(name string) error {
 	return nil
 }
 
-// SetLockedReads forces (on=true) every search through the serialized
-// engine lock instead of the lock-free seqlock path — the escape hatch
-// and the A/B baseline for contention benchmarks. Like Instrument it
-// is part of construction: call it before the Concurrent is shared
-// across goroutines.
-func (c *Concurrent) SetLockedReads(on bool) *Concurrent {
-	c.lockedReads = on
-	return c
+// logRoster journals one roster change and waits for it to be durable.
+// Roster records append under setMu (their lock boundary) and commit
+// before the change is published: an acknowledged CREATE or DROP must be
+// durable, and one the log rejected must never publish. Without a
+// journal it does nothing and the LSN is zero.
+func (c *Concurrent) logRoster(ent JournalEntry) (uint64, error) {
+	if c.jr == nil {
+		return 0, nil
+	}
+	lsn, err := c.jr.Append(ent)
+	if err == nil {
+		err = c.jr.Commit(lsn)
+	}
+	if err != nil {
+		return 0, err
+	}
+	c.rosterLSN = lsn
+	return lsn, nil
 }
 
-// searchSeq runs one search on a pooled lock-free Reader, folding its
-// torn-snapshot count into the engine's retry telemetry (and the
-// request trace). ok=false means the Reader could not certify an
-// answer; the caller escalates to the serialized path.
-func (c *Concurrent) searchSeq(g *guardedEngine, key bitutil.Ternary, tr *trace.Trace) (SearchResult, bool) {
-	mark := 0
-	if tr.Enabled() {
-		mark = len(tr.Events)
-	}
-	rd := g.readers.get()
-	sr, ok := g.e.SearchSeq(rd, key, tr)
+// release returns a Reader to the engine's cache, folding the torn
+// snapshots it re-read into the engine's retry telemetry.
+func (g *guardedEngine) release(rd *caram.Reader) int {
 	n := rd.TakeRetries()
-	g.readers.put(rd)
-	if !ok && tr.Enabled() {
-		// Drop the abandoned attempt's partial probe chain; the
-		// serialized re-run records the authoritative one.
-		tr.Events = tr.Events[:mark]
-	}
 	if n > 0 {
 		g.retries.Add(uint64(n))
-		tr.Retries(n)
 	}
-	if !ok {
-		g.fallbacks.Add(1)
-	}
-	return sr, ok
+	g.readers.put(rd)
+	return n
 }
 
 // SearchRetries reports the engine's lock-free read telemetry: torn
@@ -427,9 +398,9 @@ func (c *Concurrent) Close() {
 
 // Instrument attaches a metrics registry: every subsequent
 // INSERT/SEARCH/DELETE/MSEARCH is observed — count, error, and
-// wall-clock latency measured at the lock boundary (so the recorded
-// time includes lock wait, the true service latency under contention) —
-// and each engine gets a gauge sampler that reads its live core state
+// wall-clock latency measured from admission (so the recorded time
+// includes lock wait, the true service latency under contention) — and
+// each engine gets a gauge sampler that reads its live core state
 // (load factor, probe count / AMAL, overflow occupancy) under the read
 // lock. Engines missing from the registry stay uninstrumented; requests
 // naming no engine at all count against the registry's unknown counter.
@@ -445,7 +416,6 @@ func (c *Concurrent) Instrument(reg *metrics.Registry) *Concurrent {
 		}
 		em.SetType(g.e.Type.String())
 		g.em = em
-		g := g
 		em.SetGaugeFunc(func() metrics.Gauges { return c.sampleGauges(g) })
 	}
 	return c
@@ -598,67 +568,151 @@ func (c *Concurrent) EngineType(port string) (EngineType, error) {
 	return g.e.Type, nil
 }
 
-// Insert routes a record to the named engine under its write lock. A
-// Failed engine fails fast with ErrEngineUnavailable before the lock
-// (the circuit breaker), so a broken engine cannot queue work.
-func (c *Concurrent) Insert(port string, rec match.Record) error {
-	return c.InsertTraced(port, rec, nil)
-}
+// The executor. Figure 5 puts one input controller in front of the
+// slices and Table 1 walks every request through one fixed pipeline;
+// the operations below do the same. Each is one of three bodies — read
+// (Search, SearchTraced, Explain), write (Insert*, Delete*), batch (an
+// engine's share of an MSearch) — and every body is the same stage list,
+// skipping the stages its kind has no use for:
+//
+//	admit        closed → roster → health, written once (admit). The
+//	             inspectors that must keep answering after Close or on a
+//	             Failed engine (Scrub, Contains, Info, ...) take the
+//	             roster step (engine) alone.
+//	lock-free    reads on an overflow-less engine run on a pooled
+//	             seqlock Reader and touch no mutex (searchSeq, batchSeq).
+//	lock         everything else takes the engine's port lock: writes,
+//	             engines with an overflow CAM (it has mutable priority
+//	             state), and the reads the seqlock could not certify.
+//	apply        the engine call, plus the health re-evaluation its
+//	             outcome calls for.
+//	journal      writes append their record under the lock, so per-
+//	             engine LSN order is apply order.
+//	commit-wait  the durability wait, after unlock (group commit).
+//	observe      one metrics observation per operation.
+//
+// The clock is read through stamp and nowhere else: at admission when
+// the engine is instrumented, and in front of each span a traced
+// request records (lock_wait, wal_append). Operation latency runs from
+// admission; a span starts immediately before the stage it times. An
+// untraced operation on an uninstrumented engine never reads the clock.
 
-// InsertTraced is Insert recording into a request-scoped trace. With a
-// journal attached, the applied record is appended under the engine
-// lock — so per-engine LSN order equals apply order, the invariant the
-// replay gate relies on — and the durability wait (Commit) happens
-// after unlock, so one connection's fsync never blocks the engine's
-// other writers (group commit). The caller's ack is ordered after the
-// wait: Insert returning nil means the record is durable under the
-// journal's sync policy. The wal_append span covers append + wait.
-func (c *Concurrent) InsertTraced(port string, rec match.Record, tr *trace.Trace) error {
+// admit is the executor's first stage: a closed layer fails fast, an
+// unknown port counts against the registry's unknown counter, and a
+// Failed engine trips the circuit breaker (ErrEngineUnavailable) before
+// anything touches its port lock, so a broken engine cannot queue work.
+func (c *Concurrent) admit(port string) (*guardedEngine, error) {
 	if c.down.Load() {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	g, ok := c.engine(port)
 	if !ok {
 		c.met.AddUnknown(1)
-		return errNoEngine(port)
+		return nil, errNoEngine(port)
 	}
 	if Health(g.health.Load()) == Failed {
-		return ErrEngineUnavailable
+		return nil, ErrEngineUnavailable
 	}
-	if g.em == nil && c.jr == nil {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		err := g.e.Insert(rec, g.st)
-		g.raiseTo(c.evalHealth(g))
+	return g, nil
+}
+
+// stamp reads the clock when on — the executor's one clock site.
+func stamp(on bool) time.Time {
+	if on {
+		return time.Now()
+	}
+	return time.Time{}
+}
+
+// Insert routes a record to the named engine under its write lock.
+func (c *Concurrent) Insert(port string, rec match.Record) error {
+	return c.InsertTraced(port, rec, nil)
+}
+
+// InsertTraced is Insert recording into a request-scoped trace.
+func (c *Concurrent) InsertTraced(port string, rec match.Record, tr *trace.Trace) error {
+	return c.write(metrics.OpInsert, &JournalEntry{Op: JournalInsert, Engine: port, Rec: rec}, tr)
+}
+
+// Delete removes the exact key from the named engine under its write
+// lock.
+func (c *Concurrent) Delete(port string, key bitutil.Ternary) error {
+	return c.DeleteTraced(port, key, nil)
+}
+
+// DeleteTraced is Delete recording into a request-scoped trace.
+func (c *Concurrent) DeleteTraced(port string, key bitutil.Ternary, tr *trace.Trace) error {
+	return c.write(metrics.OpDelete, &JournalEntry{Op: JournalDelete, Engine: port, Key: key}, tr)
+}
+
+// write is the one write body, behind Insert* and Delete*. ent names
+// the mutation and is its journal record; which side of apply the
+// record is appended on is the only thing the two kinds differ in.
+//
+// A delete is logged before it applies: a logged delete that then finds
+// nothing replays as the same harmless no-op, so a failed delete needs
+// no undo. An insert is logged after it applies, and only on success,
+// because insert failure is not deterministic across replay — fault
+// injection or quarantine can fail an insert that replay would accept.
+// If the log then rejects the record the placement is undone: the server
+// must never acknowledge a mutation the log refused, and an unlogged one
+// must not survive in memory either (it would silently vanish on the
+// next recovery).
+//
+// Either way the append happens under the engine lock — so per-engine
+// LSN order equals apply order, the invariant the replay gate relies
+// on — and the durability wait (Commit) happens after unlock, so one
+// connection's fsync never blocks the engine's other writers (group
+// commit). The caller's ack is ordered after the wait: a nil return
+// means the mutation is durable under the journal's sync policy. The
+// wal_append span covers append + wait.
+func (c *Concurrent) write(op metrics.Op, ent *JournalEntry, tr *trace.Trace) error {
+	g, err := c.admit(ent.Engine)
+	if err != nil {
 		return err
 	}
-	var start, walStart time.Time
-	if g.em != nil {
-		start = time.Now()
-	}
+	t0 := stamp(g.em != nil)
 	var lsn uint64
+	var walStart time.Time
 	g.mu.Lock()
-	err := g.e.Insert(rec, g.st)
-	if err == nil && c.jr != nil {
-		if tr.Enabled() {
-			walStart = time.Now()
+	if ent.Op == JournalDelete {
+		if lsn, walStart, err = c.journal(g, ent, tr); err == nil {
+			err = g.e.Delete(ent.Key)
 		}
-		lsn, err = c.journalInsert(g, port, rec)
+	} else {
+		if err = g.e.Insert(ent.Rec, g.st); err == nil {
+			if lsn, walStart, err = c.journal(g, ent, tr); err != nil {
+				g.e.Delete(ent.Rec.Key) //nolint:errcheck // best-effort undo of a just-applied placement
+			}
+		}
+		g.raiseTo(c.evalHealth(g))
 	}
-	g.raiseTo(c.evalHealth(g))
 	g.mu.Unlock()
 	if lsn != 0 {
 		if cerr := c.jr.Commit(lsn); cerr != nil && err == nil {
 			err = cerr
 		}
-		if !walStart.IsZero() {
-			tr.Span(trace.KindWALAppend, walStart)
-		}
+		tr.Span(trace.KindWALAppend, walStart)
 	}
 	if g.em != nil {
-		g.em.Observe(metrics.OpInsert, time.Since(start), err)
+		g.em.Observe(op, time.Since(t0), err)
 	}
 	return err
+}
+
+// journal is the write body's journal stage: it appends ent (the caller
+// holds the engine lock), advances the engine's replay gate, and
+// returns the LSN to wait on plus when the wal_append span began.
+// Without a journal it does nothing and the LSN is zero.
+func (c *Concurrent) journal(g *guardedEngine, ent *JournalEntry, tr *trace.Trace) (lsn uint64, start time.Time, err error) {
+	if c.jr == nil {
+		return 0, start, nil
+	}
+	start = stamp(tr != nil)
+	if lsn, err = c.jr.Append(*ent); err == nil {
+		g.e.AppliedLSN = lsn
+	}
+	return lsn, start, err
 }
 
 // Search runs one lookup on the named engine. On an overflow-less
@@ -667,117 +721,89 @@ func (c *Concurrent) InsertTraced(port string, rec match.Record, tr *trace.Trace
 // searches overlap with each other and with the engine's writer, the
 // software form of §3.3's replicated comparator banks. Engines with an
 // overflow CAM (and the rare search the seqlock protocol cannot
-// certify) serialize under the engine lock as before.
+// certify) serialize under the engine lock.
 func (c *Concurrent) Search(port string, key bitutil.Ternary) (SearchResult, error) {
 	return c.SearchTraced(port, key, nil)
 }
 
-// SearchTraced is Search recording into a request-scoped trace: the
-// engine layer records the probe chain, plus a retries event when the
-// lock-free read re-read torn snapshots. Only the serialized path
-// (overflow engines, escalations, SetLockedReads) records a lock_wait
-// span — a lock-free search never waits on the port lock, which is the
-// point. A nil trace is the plain hot path — Search delegates here,
-// and with metrics also absent the clock is never read.
+// SearchTraced is the one read body, recording into a request-scoped
+// trace: the engine layer records the probe chain, plus a retries event
+// when the lock-free read re-read torn snapshots. Only the serialized
+// path records a lock_wait span — a lock-free search never waits on the
+// port lock, which is the point — and on an escalated read the span
+// starts after the abandoned attempt, while the observed latency still
+// runs from admission. A nil trace is the plain hot path (Search
+// delegates here), and with metrics also absent the clock is never
+// read.
 func (c *Concurrent) SearchTraced(port string, key bitutil.Ternary, tr *trace.Trace) (SearchResult, error) {
-	if c.down.Load() {
-		return SearchResult{}, ErrClosed
+	g, err := c.admit(port)
+	if err != nil {
+		return SearchResult{}, err
 	}
-	g, ok := c.engine(port)
+	t0 := stamp(g.em != nil)
+	sr, ok := SearchResult{}, false
+	if g.seqRead {
+		sr, ok = g.searchSeq(key, tr)
+	}
 	if !ok {
-		c.met.AddUnknown(1)
-		return SearchResult{}, errNoEngine(port)
-	}
-	if Health(g.health.Load()) == Failed {
-		return SearchResult{}, ErrEngineUnavailable
-	}
-	if g.seqRead && !c.lockedReads {
-		if g.em == nil && tr == nil {
-			if sr, ok := c.searchSeq(g, key, nil); ok {
-				return sr, nil
-			}
-		} else {
-			start := time.Now()
-			if sr, ok := c.searchSeq(g, key, tr); ok {
-				if g.em != nil {
-					g.em.Observe(metrics.OpSearch, time.Since(start), nil)
-				}
-				return sr, nil
-			}
-		}
-	}
-	if g.em == nil && tr == nil {
+		lockStart := stamp(tr != nil)
 		g.mu.Lock()
-		defer g.mu.Unlock()
-		sr := g.e.Search(key)
+		tr.Span(trace.KindLockWait, lockStart)
+		sr = g.e.SearchTraced(key, tr)
 		if sr.Erred {
 			g.raiseTo(c.evalHealth(g))
 		}
-		return sr, nil
+		g.mu.Unlock()
 	}
-	start := time.Now()
-	g.mu.Lock()
-	tr.Span(trace.KindLockWait, start)
-	sr := g.e.SearchTraced(key, tr)
-	if sr.Erred {
-		g.raiseTo(c.evalHealth(g))
-	}
-	g.mu.Unlock()
 	if g.em != nil {
-		g.em.Observe(metrics.OpSearch, time.Since(start), nil)
+		g.em.Observe(metrics.OpSearch, time.Since(t0), nil)
 	}
 	return sr, nil
 }
 
-// Explain runs one lookup with tracing forced on (tr must be non-nil)
-// and also returns the engine's §3.4 analytic expectation of rows
-// accessed — mean(1 + displacement) over the records stored at the
-// moment of the lookup. On the lock-free path the lookup itself takes
-// no lock; the expectation scan then runs under the read lock (it
-// peeks every row, so it must not race the writer's plain reads). The
-// lookup is real: it charges access statistics and counts as a search
-// in the metrics layer, exactly like the request it explains.
-func (c *Concurrent) Explain(port string, key bitutil.Ternary, tr *trace.Trace) (SearchResult, float64, error) {
-	if c.down.Load() {
-		return SearchResult{}, 0, ErrClosed
+// searchSeq is the read body's lock-free stage: one search on a pooled
+// Reader, its torn-snapshot count folded into the engine's retry
+// telemetry and the request trace. ok=false means the Reader could not
+// certify an answer and the caller escalates to the serialized path.
+func (g *guardedEngine) searchSeq(key bitutil.Ternary, tr *trace.Trace) (SearchResult, bool) {
+	mark := 0
+	if tr.Enabled() {
+		mark = len(tr.Events)
 	}
-	g, ok := c.engine(port)
+	rd := g.readers.get()
+	sr, ok := g.e.SearchSeq(rd, key, tr)
+	n := g.release(rd)
 	if !ok {
-		c.met.AddUnknown(1)
-		return SearchResult{}, 0, errNoEngine(port)
-	}
-	if Health(g.health.Load()) == Failed {
-		return SearchResult{}, 0, ErrEngineUnavailable
-	}
-	start := time.Now()
-	if g.seqRead && !c.lockedReads {
-		if sr, ok := c.searchSeq(g, key, tr); ok {
-			g.mu.RLock()
-			expected := g.e.Main.ExpectedRows()
-			g.mu.RUnlock()
-			if g.em != nil {
-				g.em.Observe(metrics.OpSearch, time.Since(start), nil)
-			}
-			return sr, expected, nil
+		g.fallbacks.Add(1)
+		if tr.Enabled() {
+			// Drop the abandoned attempt's partial probe chain; the
+			// serialized re-run records the authoritative one.
+			tr.Events = tr.Events[:mark]
 		}
 	}
-	g.mu.Lock()
-	tr.Span(trace.KindLockWait, start)
-	sr := g.e.SearchTraced(key, tr)
-	if sr.Erred {
-		g.raiseTo(c.evalHealth(g))
+	tr.Retries(n)
+	return sr, ok
+}
+
+// Explain is the same read with tracing forced on (tr must be non-nil),
+// followed by the engine's §3.4 analytic expectation of rows accessed —
+// mean(1 + displacement) over the records stored when the lookup
+// returned, read as ExpectedRows reads it. The lookup is real: it
+// charges access statistics and counts as a search in the metrics
+// layer, exactly like the request it explains.
+func (c *Concurrent) Explain(port string, key bitutil.Ternary, tr *trace.Trace) (SearchResult, float64, error) {
+	sr, err := c.SearchTraced(port, key, tr)
+	if err != nil {
+		return SearchResult{}, 0, err
 	}
-	expected := g.e.Main.ExpectedRows()
-	g.mu.Unlock()
-	if g.em != nil {
-		g.em.Observe(metrics.OpSearch, time.Since(start), nil)
-	}
+	expected, _ := c.ExpectedRows(port)
 	return sr, expected, nil
 }
 
 // ExpectedRows returns the engine's current §3.4 analytic expectation
-// of rows accessed per lookup — the same value EXPLAIN prints — taken
-// under the read lock without running a search. TRACE GET uses it to
+// of rows accessed per lookup — the value EXPLAIN prints — taken under
+// the read lock (the scan peeks every row, so it must not race the
+// writer's plain reads) without running a search. TRACE GET uses it to
 // annotate a retained trace with the model value at fetch time.
 func (c *Concurrent) ExpectedRows(port string) (float64, bool) {
 	if c.down.Load() {
@@ -793,83 +819,19 @@ func (c *Concurrent) ExpectedRows(port string) (float64, bool) {
 	return expected, true
 }
 
-// Delete removes the exact key from the named engine under its write
-// lock.
-func (c *Concurrent) Delete(port string, key bitutil.Ternary) error {
-	return c.DeleteTraced(port, key, nil)
-}
-
-// DeleteTraced is Delete recording into a request-scoped trace. With a
-// journal attached the delete is logged before it applies: a logged
-// delete that then finds nothing replays as the same harmless no-op,
-// so failed deletes need no undo. As with inserts, the durability wait
-// happens after unlock and the caller's ack after the wait.
-func (c *Concurrent) DeleteTraced(port string, key bitutil.Ternary, tr *trace.Trace) error {
-	if c.down.Load() {
-		return ErrClosed
-	}
-	g, ok := c.engine(port)
-	if !ok {
-		c.met.AddUnknown(1)
-		return errNoEngine(port)
-	}
-	if Health(g.health.Load()) == Failed {
-		return ErrEngineUnavailable
-	}
-	if g.em == nil && c.jr == nil {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return g.e.Delete(key)
-	}
-	var start, walStart time.Time
-	if g.em != nil {
-		start = time.Now()
-	}
-	var lsn uint64
-	var err error
-	g.mu.Lock()
-	if c.jr != nil {
-		if tr.Enabled() {
-			walStart = time.Now()
-		}
-		if lsn, err = c.jr.Append(JournalEntry{Op: JournalDelete, Engine: port, Key: key}); err == nil {
-			g.e.AppliedLSN = lsn
-		}
-	}
-	if err == nil {
-		err = g.e.Delete(key)
-	}
-	g.mu.Unlock()
-	if lsn != 0 {
-		if cerr := c.jr.Commit(lsn); cerr != nil && err == nil {
-			err = cerr
-		}
-		if !walStart.IsZero() {
-			tr.Span(trace.KindWALAppend, walStart)
-		}
-	}
-	if g.em != nil {
-		g.em.Observe(metrics.OpDelete, time.Since(start), err)
-	}
-	return err
-}
-
 // Contains reports whether the exact key is stored. On an overflow-
 // less engine it is lock-free (an uncharged seqlock scan on a pooled
 // Reader); otherwise — or when the protocol cannot certify the scan —
-// it takes the read lock and peeks rows as before.
+// it takes the read lock and peeks rows.
 func (c *Concurrent) Contains(port string, key bitutil.Ternary) (bool, error) {
 	g, ok := c.engine(port)
 	if !ok {
 		return false, errNoEngine(port)
 	}
-	if g.seqRead && !c.lockedReads {
+	if g.seqRead {
 		rd := g.readers.get()
 		found, ok := rd.Contains(key)
-		if n := rd.TakeRetries(); n > 0 {
-			g.retries.Add(uint64(n))
-		}
-		g.readers.put(rd)
+		g.release(rd)
 		if ok {
 			return found, nil
 		}
@@ -943,16 +905,9 @@ type mjob struct {
 // naming the same port resolves its engine once.
 func (c *Concurrent) MSearch(reqs []PortKey) []MSearchResult {
 	out := make([]MSearchResult, len(reqs))
-	if c.down.Load() {
-		for i := range out {
-			out[i].Err = ErrClosed
-		}
-		return out
-	}
 	if len(reqs) == 0 {
 		return out
 	}
-	set := c.set.Load().m
 	jobs := make([]mjob, 0, 4)
 	slab := make([]int, 2*len(reqs))
 	jobOf, lists := slab[:len(reqs)], slab[len(reqs):]
@@ -960,24 +915,12 @@ func (c *Concurrent) MSearch(reqs []PortKey) []MSearchResult {
 	for i, r := range reqs {
 		if j < 0 || r.Port != reqs[i-1].Port {
 			j = -1
-			g, ok := set[r.Port]
-			switch {
-			case !ok:
-				c.met.AddUnknown(1)
-				out[i].Err = errNoEngine(r.Port)
-			case Health(g.health.Load()) == Failed:
-				out[i].Err = ErrEngineUnavailable
-			default:
+			if g, err := c.admit(r.Port); err != nil {
+				out[i].Err = err
+			} else if j = slices.IndexFunc(jobs, func(m mjob) bool { return m.g == g }); j < 0 {
+				// (Engine counts are small; a linear scan beats a map.)
 				j = len(jobs)
-				for k := range jobs { // engine counts are small; linear beats a map
-					if jobs[k].g == g {
-						j = k
-						break
-					}
-				}
-				if j == len(jobs) {
-					jobs = append(jobs, mjob{g: g})
-				}
+				jobs = append(jobs, mjob{g: g})
 			}
 		}
 		if jobOf[i] = j; j >= 0 {
@@ -1032,88 +975,76 @@ func (c *Concurrent) MSearch(reqs []PortKey) []MSearchResult {
 	return out
 }
 
-// runBatch executes one engine's share of an MSearch. On the lock-free
-// path the whole share runs on one pooled Reader with no mutex
-// operations — first-match engines through the Reader's staged batch
-// pipeline (caram.Reader.LookupBatch), ranked engines key by key on
-// LookupBest, whose full-reach scan has no home-row fast case to batch;
-// any keys the seqlock protocol could not certify are re-run as a
-// locked leftover batch. The serialized path takes the engine lock once
-// for the whole share. Either way instrumentation measures the share
-// with one clock pair, attributing each key its per-item slice of the
-// duration.
+// runBatch is the one batch body: an engine's share of an MSearch. The
+// lock-free stage (batchSeq) runs the whole share on one pooled Reader;
+// the lock stage then takes the engine lock once for whatever is left —
+// the keys the seqlock protocol could not certify, or the whole share
+// on a serialized engine. One clock pair spans both, and each key is
+// attributed its per-item slice of the duration.
 func (c *Concurrent) runBatch(g *guardedEngine, reqs []PortKey, out []MSearchResult, idxs []int) {
-	if g.seqRead && !c.lockedReads {
-		var start time.Time
-		if g.em != nil {
-			start = time.Now()
+	t0 := stamp(g.em != nil)
+	rest := idxs
+	if g.seqRead {
+		rest = g.batchSeq(reqs, out, idxs)
+	}
+	if len(rest) > 0 {
+		erred := false
+		g.mu.Lock()
+		for _, i := range rest {
+			out[i].Result = g.e.Search(reqs[i].Key)
+			erred = erred || out[i].Result.Erred
 		}
-		rd := g.readers.get()
-		var rest []int
-		if g.e.Score != nil {
-			for _, i := range idxs {
-				sr, ok := g.e.SearchSeq(rd, reqs[i].Key, nil)
-				if !ok {
+		if erred {
+			g.raiseTo(c.evalHealth(g))
+		}
+		g.mu.Unlock()
+	}
+	if g.em != nil {
+		g.em.ObserveBatch(metrics.OpMSearch, time.Since(t0), uint64(len(idxs)), 0)
+	}
+}
+
+// batchSeq is the batch body's lock-free stage, with no mutex
+// operations: first-match engines go through the Reader's staged batch
+// pipeline (caram.Reader.LookupBatch), ranked engines key by key on
+// LookupBest, whose full-reach scan has no home-row fast case to batch.
+// It returns the keys it could not certify, counted as fallbacks.
+func (g *guardedEngine) batchSeq(reqs []PortKey, out []MSearchResult, idxs []int) (rest []int) {
+	rd := g.readers.get()
+	if g.e.Score != nil {
+		for _, i := range idxs {
+			sr, ok := g.e.SearchSeq(rd, reqs[i].Key, nil)
+			if !ok {
+				rest = append(rest, i)
+				continue
+			}
+			out[i].Result = sr
+		}
+	} else {
+		var (
+			keys [caram.BatchChunk]bitutil.Ternary
+			res  [caram.BatchChunk]caram.LookupResult
+			ok   [caram.BatchChunk]bool
+		)
+		for todo := idxs; len(todo) > 0; {
+			n := min(len(todo), len(keys))
+			for k, i := range todo[:n] {
+				keys[k] = reqs[i].Key
+			}
+			rd.LookupBatch(keys[:n], res[:n], ok[:n])
+			for k, i := range todo[:n] {
+				if !ok[k] {
 					rest = append(rest, i)
 					continue
 				}
-				out[i].Result = sr
+				out[i].Result = fromLookup(res[k])
 			}
-		} else {
-			var (
-				keys [caram.BatchChunk]bitutil.Ternary
-				res  [caram.BatchChunk]caram.LookupResult
-				ok   [caram.BatchChunk]bool
-			)
-			for todo := idxs; len(todo) > 0; {
-				n := min(len(todo), len(keys))
-				for k, i := range todo[:n] {
-					keys[k] = reqs[i].Key
-				}
-				rd.LookupBatch(keys[:n], res[:n], ok[:n])
-				for k, i := range todo[:n] {
-					if !ok[k] {
-						rest = append(rest, i)
-						continue
-					}
-					out[i].Result = fromLookup(res[k])
-				}
-				todo = todo[n:]
-			}
+			todo = todo[n:]
 		}
-		if n := rd.TakeRetries(); n > 0 {
-			g.retries.Add(uint64(n))
-		}
-		g.readers.put(rd)
-		if len(rest) > 0 {
-			g.fallbacks.Add(uint64(len(rest)))
-			c.runBatchLocked(g, reqs, out, rest)
-		}
-		if g.em != nil {
-			g.em.ObserveBatch(metrics.OpMSearch, time.Since(start), uint64(len(idxs)), 0)
-		}
-		return
 	}
-	if g.em == nil {
-		c.runBatchLocked(g, reqs, out, idxs)
-		return
+	g.release(rd)
+	if len(rest) > 0 {
+		g.fallbacks.Add(uint64(len(rest)))
 	}
-	start := time.Now()
-	c.runBatchLocked(g, reqs, out, idxs)
-	g.em.ObserveBatch(metrics.OpMSearch, time.Since(start), uint64(len(idxs)), 0)
-}
-
-// runBatchLocked is the serialized share runner: the engine lock held
-// once across the listed keys.
-func (c *Concurrent) runBatchLocked(g *guardedEngine, reqs []PortKey, out []MSearchResult, idxs []int) {
-	erred := false
-	g.mu.Lock()
-	for _, i := range idxs {
-		out[i].Result = g.e.Search(reqs[i].Key)
-		erred = erred || out[i].Result.Erred
-	}
-	if erred {
-		g.raiseTo(c.evalHealth(g))
-	}
-	g.mu.Unlock()
+	return rest
 }

@@ -106,9 +106,6 @@ func (c *Concurrent) SetJournal(j Journal, rosterLSN uint64) *Concurrent {
 	return c
 }
 
-// Journal returns the attached durability sink (nil when none).
-func (c *Concurrent) Journal() Journal { return c.jr }
-
 // SnapshotImage captures a recovery-consistent image of every engine.
 // It holds setMu for the whole pass — excluding roster changes, so
 // RosterLSN and the engine list agree — and captures each engine
@@ -147,22 +144,4 @@ func (c *Concurrent) SnapshotImage() Image {
 		img.Engines = append(img.Engines, ei)
 	}
 	return img
-}
-
-// journalInsert appends the applied insert to the journal while the
-// engine lock is held. On append failure the placement is undone —
-// the server must never acknowledge a mutation the log rejected, and
-// an unlogged mutation must not survive in memory either (it would
-// silently vanish on the next recovery). Inserts are logged after
-// they apply (and only on success) because insert failure is not
-// deterministic across replay: fault injection or quarantine can fail
-// an insert that replay would accept.
-func (c *Concurrent) journalInsert(g *guardedEngine, port string, rec match.Record) (uint64, error) {
-	lsn, err := c.jr.Append(JournalEntry{Op: JournalInsert, Engine: port, Rec: rec})
-	if err != nil {
-		g.e.Delete(rec.Key) //nolint:errcheck // best-effort undo of a just-applied placement
-		return 0, err
-	}
-	g.e.AppliedLSN = lsn
-	return lsn, nil
 }

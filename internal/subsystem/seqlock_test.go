@@ -66,9 +66,7 @@ func genPayloadValid(key, data uint64) bool {
 // TestSearchWaitFreeUnderHeldEngineLock is the code-level zero-mutex
 // assertion: with the engine's port mutex held by the test, SEARCH,
 // Contains, and MSEARCH on an overflow-less engine still complete —
-// they cannot be touching the mutex. The SetLockedReads escape hatch
-// inverts the property: the same search blocks until the lock is
-// released.
+// they cannot be touching the mutex.
 func TestSearchWaitFreeUnderHeldEngineLock(t *testing.T) {
 	c, _ := seqlockFixture(t)
 	defer c.Close()
@@ -106,36 +104,6 @@ func TestSearchWaitFreeUnderHeldEngineLock(t *testing.T) {
 		t.Fatal("SEARCH blocked on the engine mutex; the path is not wait-free")
 	}
 	g.mu.Unlock()
-
-	// The escape hatch serializes again: the same search now queues
-	// behind the held lock and completes only once it is released.
-	cl, _ := seqlockFixture(t)
-	defer cl.Close()
-	cl.SetLockedReads(true)
-	if err := cl.Insert("e0", rec(9, 90)); err != nil {
-		t.Fatal(err)
-	}
-	gl, _ := cl.engine("e0")
-	gl.mu.Lock()
-	lockedDone := make(chan error, 1)
-	go func() {
-		_, err := cl.Search("e0", exact(9))
-		lockedDone <- err
-	}()
-	select {
-	case <-lockedDone:
-		t.Fatal("SetLockedReads(true) search completed through a held engine lock")
-	case <-time.After(50 * time.Millisecond):
-	}
-	gl.mu.Unlock()
-	select {
-	case err := <-lockedDone:
-		if err != nil {
-			t.Fatalf("locked search after release: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("locked search never completed after the lock was released")
-	}
 }
 
 var errBadResult = errors.New("bad lock-free result")
@@ -259,86 +227,139 @@ func TestSearchTornReadStress(t *testing.T) {
 
 // TestForcedRetryTelemetry forces the lock-free path to retry and
 // escalate (a write window held open over the key's home row), then
-// asserts the whole telemetry chain: SearchRetries counters, the
-// trace's retries event, and the caram_search_retries_total /
-// caram_search_lock_fallbacks_total Prometheus families.
+// asserts the whole telemetry chain — SearchRetries counters, the
+// trace's retries event and lock_wait span, one observed search, and
+// the caram_search_retries_total / caram_search_lock_fallbacks_total
+// Prometheus families — for both entry points of the one read body.
+//
+// It also pins the body's clock rule: operation latency runs from
+// admission, and lock_wait starts immediately before the port lock is
+// taken. The abandoned attempt is made deliberately long (the Reader
+// cache is empty and its constructor sleeps attemptDelay), so both
+// bounds below hold by construction, never by luck: the observed
+// latency includes the attempt, and the lock_wait span starts after it.
 func TestForcedRetryTelemetry(t *testing.T) {
-	sub := New(0)
-	sl := seqlockSlice()
-	if err := sub.AddEngine(&Engine{Name: "e0", Main: sl}); err != nil {
-		t.Fatal(err)
-	}
-	reg := metrics.NewRegistry([]string{"e0"})
-	c := NewConcurrent(sub).Instrument(reg)
-	defer c.Close()
-
-	key := uint64(0x1234)
-	if err := c.Insert("e0", rec(key, 42)); err != nil {
-		t.Fatal(err)
-	}
-	home := sl.Index(bitutil.FromUint64(key))
-
-	// Window open: the Reader exhausts its retry budget, the dispatcher
-	// falls back to the serialized path, and the caller still gets the
-	// right answer.
-	sl.Array().BeginRowMaint(home)
-	tr := trace.New()
-	sr, err := c.SearchTraced("e0", exact(key), tr)
-	if err != nil || !sr.Found || sr.Record.Data.Uint64() != 42 {
-		t.Fatalf("escalated search = %+v, %v", sr, err)
-	}
-	retries, fallbacks, err := c.SearchRetries("e0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if retries == 0 {
-		t.Fatal("forced torn window produced no retries")
-	}
-	if fallbacks != 1 {
-		t.Fatalf("fallbacks = %d, want 1", fallbacks)
-	}
-
-	// The trace carries exactly one retries event with the count, and a
-	// lock_wait span from the serialized re-run.
-	nRetryEv, nLockWait := 0, 0
-	for _, ev := range tr.Events {
-		switch ev.Kind {
-		case trace.KindRetries:
-			nRetryEv++
-			if uint64(ev.Matches) != retries {
-				t.Errorf("trace retries = %d, counter = %d", ev.Matches, retries)
+	const attemptDelay = 20 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		read func(c *Concurrent, key bitutil.Ternary, tr *trace.Trace) (SearchResult, error)
+	}{
+		{"SearchTraced", func(c *Concurrent, key bitutil.Ternary, tr *trace.Trace) (SearchResult, error) {
+			return c.SearchTraced("e0", key, tr)
+		}},
+		{"Explain", func(c *Concurrent, key bitutil.Ternary, tr *trace.Trace) (SearchResult, error) {
+			sr, _, err := c.Explain("e0", key, tr)
+			return sr, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sub := New(0)
+			sl := seqlockSlice()
+			if err := sub.AddEngine(&Engine{Name: "e0", Main: sl}); err != nil {
+				t.Fatal(err)
 			}
-		case trace.KindLockWait:
-			nLockWait++
-		}
-	}
-	if nRetryEv != 1 || nLockWait != 1 {
-		t.Fatalf("trace has %d retries events and %d lock_wait spans, want 1 and 1: %+v",
-			nRetryEv, nLockWait, tr.Events)
-	}
+			reg := metrics.NewRegistry([]string{"e0"})
+			c := NewConcurrent(sub).Instrument(reg)
+			defer c.Close()
 
-	// The exposition reports both families with the live counts.
-	var b strings.Builder
-	if err := metrics.WritePrometheus(&b, reg.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	text := b.String()
-	wantRetries := metrics.FamSearchRetries + `{engine="e0",engine_type="exact"} `
-	wantFallbacks := metrics.FamLockFallbacks + `{engine="e0",engine_type="exact"} 1`
-	if !strings.Contains(text, wantRetries) || strings.Contains(text, wantRetries+"0\n") {
-		t.Errorf("exposition missing nonzero %s:\n%s", metrics.FamSearchRetries, text)
-	}
-	if !strings.Contains(text, wantFallbacks) {
-		t.Errorf("exposition missing %s == 1", metrics.FamLockFallbacks)
-	}
+			key := uint64(0x1234)
+			if err := c.Insert("e0", rec(key, 42)); err != nil {
+				t.Fatal(err)
+			}
+			home := sl.Index(bitutil.FromUint64(key))
+			g, _ := c.engine("e0")
+			g.readers = newReaderCache(func() *caram.Reader {
+				time.Sleep(attemptDelay)
+				return sl.NewReader()
+			})
 
-	// Window closed: the lock-free path certifies again, and the
-	// fallback counter stays put.
-	sl.Array().CommitRowUpdate(home)
-	if sr, err := c.Search("e0", exact(key)); err != nil || !sr.Found {
-		t.Fatalf("post-commit search = %+v, %v", sr, err)
-	}
-	if _, fb, _ := c.SearchRetries("e0"); fb != 1 {
-		t.Fatalf("post-commit fallbacks = %d, want 1", fb)
+			// Window open: the Reader exhausts its retry budget, the
+			// dispatcher falls back to the serialized path, and the caller
+			// still gets the right answer.
+			sl.Array().BeginRowMaint(home)
+			tr := trace.New()
+			sr, err := tc.read(c, exact(key), tr)
+			if err != nil || !sr.Found || sr.Record.Data.Uint64() != 42 {
+				t.Fatalf("escalated search = %+v, %v", sr, err)
+			}
+			retries, fallbacks, err := c.SearchRetries("e0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if retries == 0 {
+				t.Fatal("forced torn window produced no retries")
+			}
+			if fallbacks != 1 {
+				t.Fatalf("fallbacks = %d, want 1", fallbacks)
+			}
+
+			// The trace carries exactly one retries event with the count,
+			// then one lock_wait span, then the serialized re-run's probe
+			// chain (the abandoned attempt's partial chain is dropped).
+			retryAt, lockAt, probeAt := -1, -1, -1
+			for i, ev := range tr.Events {
+				switch ev.Kind {
+				case trace.KindRetries:
+					if retryAt >= 0 {
+						t.Errorf("second retries event at %d", i)
+					}
+					retryAt = i
+					if uint64(ev.Matches) != retries {
+						t.Errorf("trace retries = %d, counter = %d", ev.Matches, retries)
+					}
+				case trace.KindLockWait:
+					if lockAt >= 0 {
+						t.Errorf("second lock_wait span at %d", i)
+					}
+					lockAt = i
+				case trace.KindProbe:
+					if probeAt < 0 {
+						probeAt = i
+					}
+				}
+			}
+			if !(0 <= retryAt && retryAt < lockAt && lockAt < probeAt) {
+				t.Fatalf("retries at %d, lock_wait at %d, first probe at %d; want them in that order: %+v",
+					retryAt, lockAt, probeAt, tr.Events)
+			}
+
+			// One search observed, timed from admission; lock_wait timed
+			// from the lock, not from the abandoned attempt.
+			em := reg.Engine("e0")
+			if n := em.Count(metrics.OpSearch); n != 1 {
+				t.Errorf("searches observed = %d, want 1", n)
+			}
+			if lat := time.Duration(em.Latency(metrics.OpSearch).Snapshot().SumNs); lat < attemptDelay {
+				t.Errorf("observed latency %v excludes the abandoned %v attempt", lat, attemptDelay)
+			}
+			if off := tr.Events[lockAt].Offset; off < attemptDelay {
+				t.Errorf("lock_wait starts at +%v, inside the abandoned %v attempt", off, attemptDelay)
+			}
+
+			// The exposition reports both families with the live counts.
+			var b strings.Builder
+			if err := metrics.WritePrometheus(&b, reg.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			text := b.String()
+			wantRetries := metrics.FamSearchRetries + `{engine="e0",engine_type="exact"} `
+			wantFallbacks := metrics.FamLockFallbacks + `{engine="e0",engine_type="exact"} 1`
+			if !strings.Contains(text, wantRetries) || strings.Contains(text, wantRetries+"0\n") {
+				t.Errorf("exposition missing nonzero %s:\n%s", metrics.FamSearchRetries, text)
+			}
+			if !strings.Contains(text, wantFallbacks) {
+				t.Errorf("exposition missing %s == 1", metrics.FamLockFallbacks)
+			}
+
+			// Window closed: the lock-free path certifies again, and the
+			// fallback counter stays put.
+			sl.Array().CommitRowUpdate(home)
+			if sr, err := c.Search("e0", exact(key)); err != nil || !sr.Found {
+				t.Fatalf("post-commit search = %+v, %v", sr, err)
+			}
+			if _, fb, _ := c.SearchRetries("e0"); fb != 1 {
+				t.Fatalf("post-commit fallbacks = %d, want 1", fb)
+			}
+		})
 	}
 }

@@ -11,6 +11,14 @@ import (
 // ports, with request and result queues. The paper maps ports to
 // memory addresses so ordinary loads and stores drive the subsystem;
 // here Submit and Poll play the roles of those stores and loads.
+//
+// Submit/Poll is the single-threaded model of that port interface and
+// is kept as such: it is what gives New's maxQueue parameter a meaning
+// (the result-queue bound a full hardware queue stalls stores on), and
+// that parameter is part of the signature the benchmark harness and
+// every binary construct a subsystem through. Concurrent serving goes
+// through NewConcurrent, the one concurrent dispatcher; it uses the
+// engine registry here and never the queue.
 type Subsystem struct {
 	engines  map[string]*Engine
 	order    []string

@@ -37,7 +37,6 @@ func TestNilSafety(t *testing.T) {
 	tr.Match(4, 1, 1)
 	tr.Lookup(1, 0, 1, true)
 	tr.Span(KindParse, time.Now())
-	tr.SpanDur(KindEncode, time.Now(), time.Microsecond)
 	tr.ProbeEvents(func(Event) { t.Fatal("nil trace yielded a probe") })
 	if _, ok := tr.EventOf(KindMatch); ok {
 		t.Fatal("nil trace yielded an event")

@@ -320,14 +320,6 @@ func (t *Trace) Span(k Kind, start time.Time) {
 	})
 }
 
-// SpanDur records a timed stage with an explicit duration.
-func (t *Trace) SpanDur(k Kind, start time.Time, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.Events = append(t.Events, Event{Kind: k, Offset: start.Sub(t.Begin), Dur: d})
-}
-
 // ProbeEvents calls fn for each KindProbe event in record order.
 func (t *Trace) ProbeEvents(fn func(Event)) {
 	if t == nil {

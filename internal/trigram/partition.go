@@ -165,16 +165,6 @@ func (p *PartitionedDB) Stats() map[string][3]float64 {
 	return out
 }
 
-// Subsystem exposes the underlying assembly (for the dispatcher).
+// Subsystem exposes the underlying assembly, the form
+// subsystem.NewConcurrent wraps for concurrent dispatch.
 func (p *PartitionedDB) Subsystem() *subsystem.Subsystem { return p.sub }
-
-// Engines lists partition engines in partition order.
-func (p *PartitionedDB) Engines() []*subsystem.Engine {
-	var out []*subsystem.Engine
-	for _, part := range p.partitions {
-		if e, ok := p.engines[part.Name]; ok {
-			out = append(out, e)
-		}
-	}
-	return out
-}

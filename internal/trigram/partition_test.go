@@ -79,48 +79,43 @@ func TestPartitionedLookup(t *testing.T) {
 			t.Errorf("%s load factor = %.2f", name, st[1])
 		}
 	}
-	if got := len(p.Engines()); got != len(SphinxPartitions) {
+	if got := len(p.Subsystem().Engines()); got != len(SphinxPartitions) {
 		t.Errorf("Engines = %d", got)
-	}
-	if p.Subsystem() == nil {
-		t.Error("no subsystem")
 	}
 }
 
+// TestPartitionedWithDispatcher fans one batch across every partition
+// engine through the concurrent dispatcher: each key must come back in
+// its request slot, from the partition its length routed it to.
 func TestPartitionedWithDispatcher(t *testing.T) {
 	dbs := GeneratePartitioned(8000, 3, SphinxPartitions)
 	p, err := BuildPartitioned(dbs, SphinxPartitions, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := subsystem.NewDispatcher(p.Engines(), 32)
-	want := map[uint64]uint16{}
-	id := uint64(0)
+	d := subsystem.NewConcurrent(p.Subsystem())
+	defer d.Close()
+	var reqs []subsystem.PortKey
+	var want []uint16
 	for _, part := range SphinxPartitions {
 		for i, e := range dbs[part.Name] {
 			if i%101 != 0 {
 				continue
 			}
-			id++
-			want[id] = e.Score
-			if err := d.Submit(part.Name, id, bitutil.Exact(e.Key())); err != nil {
-				t.Fatal(err)
-			}
+			reqs = append(reqs, subsystem.PortKey{Port: part.Name, Key: bitutil.Exact(e.Key())})
+			want = append(want, e.Score)
 		}
 	}
-	d.Close()
-	got := 0
-	for r := range d.Results() {
-		if !r.Found {
-			t.Fatalf("result %d not found", r.ID)
-		}
-		if uint16(r.Record.Data.Uint64()) != want[r.ID] {
-			t.Fatalf("result %d score mismatch", r.ID)
-		}
-		got++
+	if len(reqs) < len(SphinxPartitions) {
+		t.Fatalf("only %d requests; the batch does not reach every partition", len(reqs))
 	}
-	if got != len(want) {
-		t.Fatalf("collected %d of %d results", got, len(want))
+	for i, r := range d.MSearch(reqs) {
+		if r.Err != nil || !r.Result.Found {
+			t.Fatalf("request %d (%s): found=%v err=%v", i, reqs[i].Port, r.Result.Found, r.Err)
+		}
+		if got := uint16(r.Result.Record.Data.Uint64()); got != want[i] {
+			t.Fatalf("request %d (%s): score %d, want %d", i, reqs[i].Port, got, want[i])
+		}
 	}
 }
 
@@ -177,7 +172,7 @@ func TestBuildPartitionedDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p2.Engines()) != 1 {
-		t.Errorf("engines = %d", len(p2.Engines()))
+	if got := len(p2.Subsystem().Engines()); got != 1 {
+		t.Errorf("engines = %d", got)
 	}
 }

@@ -14,7 +14,6 @@ import (
 // WAL-less baseline; the other cases span the sync policies —
 // `always` pays an fsync per ack, `interval` amortizes it across the
 // group-commit window, `never` defers it to segment roll/seal.
-// Results feed BENCH_PR10.json via `make bench-json`.
 func BenchmarkWALInsert(b *testing.B) {
 	bench := func(b *testing.B, con *subsystem.Concurrent) {
 		b.ReportAllocs()
