@@ -5,8 +5,10 @@
 #                       concurrent code (server, subsystem, metrics, trace,
 #                       wal, cluster, caram, match), whole packages
 #   make stress         tier-2: the concurrency stress tests under -race
-#   make fuzz           10s per fuzz target: the wire-protocol parsers
-#                       and the bounded slot comparator vs the serial oracle
+#   make fuzz           10s per fuzz target: the protocol engine, the one
+#                       request grammar (internal/wire: every verb row ×
+#                       spelling, the key and hex parsers) and the bounded
+#                       slot comparator vs the serial oracle
 #   make bench          the parallel-throughput server benchmark
 #   make bench-load     one full caram-load run (five workloads, untraced
 #                       and traced, plus the ladder) into a git-ignored
@@ -20,7 +22,8 @@
 #                       WORKLOAD=search-routed)
 #   make alloc-guard    allocation regression tests for the search hot
 #                       path (match on every compiled variant, caram
-#                       incl. the typed bounded LookupBest, server incl.
+#                       incl. the typed bounded LookupBest, the request
+#                       grammar in internal/wire, server incl.
 #                       lpm/pktclass/TSEARCH, the wire path through
 #                       Handle and the tracing-compiled-in steady state,
 #                       MSEARCH bookkeeping, and the router with no
@@ -124,6 +127,7 @@ stress:
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzExec -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzRequest -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzParseVec -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzParseHex64 -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzKernelVsSerial -fuzztime $(FUZZTIME) ./internal/match
@@ -134,14 +138,15 @@ bench:
 # Allocation regression guard: testing.AllocsPerRun == 0 on the core
 # search paths (row match kernel on binary, ternary and 104-bit ternary
 # layouts, slice lookup, the Reader's batch pipeline and its typed
-# bounded LookupBest, server SEARCH / lpm / pktclass / TSEARCH through
+# bounded LookupBest, the request parse (scan, annotation, verb lookup
+# in either case, identity), server SEARCH / lpm / pktclass / TSEARCH through
 # ExecAppend and, per line, through Handle, and the steady state with
 # tracing compiled in), MSEARCH bookkeeping held to its two slices, and
 # the router forward path (SEARCH and MSEARCH) with no collector, an
 # idle one, and the collector caram-router's default flags build. This
 # is the one non-race run of these guards in `make ci`.
 alloc-guard:
-	$(GO) test -run ZeroAlloc -count=1 ./internal/match ./internal/caram
+	$(GO) test -run ZeroAlloc -count=1 ./internal/match ./internal/caram ./internal/wire
 	$(GO) test -run 'ZeroAlloc|TracingOnSteadyStateAllocs' -count=1 ./internal/server
 	$(GO) test -run MSearchAllocs -count=1 ./internal/subsystem
 	$(GO) test -run 'ForwardPathAllocs|RouterUntracedZeroAlloc' -count=1 ./internal/cluster

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"caram/internal/trace"
+	"caram/internal/wire"
 )
 
 // The PR-8 performance contract (EXPERIMENTS.md has the frozen table):
@@ -45,7 +46,7 @@ func benchCluster(b *testing.B) []*testBackend {
 		bw := bufio.NewWriter(conn)
 		n := 0
 		for k := 1; k <= benchKeys; k++ {
-			v, _ := parseVecBytes([]byte(fmt.Sprintf("%x", k)))
+			v, _ := wire.ParseVec(fmt.Sprintf("%x", k))
 			if ring.Owner("db", v) != i {
 				continue
 			}
@@ -221,15 +222,15 @@ func (np *naiveProxy) handle(conn net.Conn) {
 			return
 		}
 		// Route exactly like the router: SEARCH db <key>.
-		sc := bscan{b: line}
-		sc.next() // SEARCH
-		eng, _ := sc.next()
-		key, _ := sc.next()
-		v, ok := parseVecBytes(key)
+		sc := wire.Scan(string(line))
+		sc.Next() // SEARCH
+		eng, _ := sc.Next()
+		key, _ := sc.Next()
+		v, ok := wire.ParseVec(key)
 		if !ok {
 			return
 		}
-		bk := np.ring.Owner(string(eng), v)
+		bk := np.ring.Owner(eng, v)
 		np.mus[bk].Lock()
 		_, werr := np.conns[bk].Write(line)
 		var resp []byte

@@ -13,6 +13,7 @@ import (
 	"caram/internal/metrics"
 	"caram/internal/server"
 	"caram/internal/subsystem"
+	"caram/internal/wire"
 )
 
 // TestRouterFailoverUnderStress kills a backend in the middle of a
@@ -161,7 +162,7 @@ func TestRouterFailoverUnderStress(t *testing.T) {
 	k1 := ""
 	for i := 1; k1 == ""; i++ {
 		k := fmt.Sprintf("%x", i)
-		if v, ok := parseVecBytes([]byte(k)); ok && rt.Ring().Owner("db", v) == 1 {
+		if v, ok := wire.ParseVec(k); ok && rt.Ring().Owner("db", v) == 1 {
 			k1 = k
 		}
 	}

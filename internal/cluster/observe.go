@@ -6,10 +6,11 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 
 	"caram/internal/metrics"
-	"caram/internal/server"
 	"caram/internal/trace"
+	"caram/internal/wire"
 )
 
 // Fleet-wide observability: the router-side halves of the SLOWLOG,
@@ -25,60 +26,46 @@ import (
 // with a node= provenance tag. Backends are always visited in address
 // order (Router.order) so merged output is deterministic.
 
-// maxRouterSlowlogGet mirrors the server-side bound on SLOWLOG GET n.
-const maxRouterSlowlogGet = 1 << 20
-
-// dispatchMetrics routes the METRICS command. Pinned engines forward
+// routeMetrics routes the METRICS command. Pinned engines forward
 // home as before; everything else depends on whether tracing is on.
-func (rt *Router) dispatchMetrics(st *rconn, line []byte) {
-	sc := bscan{b: line}
-	sc.next() // METRICS
-	eng, hasEng := sc.next()
-	if !hasEng {
-		if rt.trc == nil {
-			op := st.nextOp()
-			op.kind = opLocal
-			ops, errs := rt.met.Totals()
-			if rt.met != nil {
-				// Lines this burst has batched but not yet submitted are
-				// ops already: the count is the one a line-at-a-time
-				// router would report here.
-				for _, bt := range st.cur[:len(rt.pools)] {
-					if bt != nil {
-						ops += uint64(bt.n)
-					}
+func (rt *Router) routeMetrics(st *rconn, line string, req wire.Request) {
+	var a [4]string
+	n := req.Args.Fill(a[:])
+	eng, sub, opName := a[0], a[1], a[2]
+	switch {
+	case n == 0 && rt.trc == nil:
+		op := st.nextOp()
+		op.kind = opLocal
+		ops, errs := rt.met.Totals()
+		if rt.met != nil {
+			// Lines this burst has batched but not yet submitted are
+			// ops already: the count is the one a line-at-a-time
+			// router would report here.
+			for _, bt := range st.cur[:len(rt.pools)] {
+				if bt != nil {
+					ops += uint64(bt.n)
 				}
 			}
-			op.local = append(op.local, "METRICS backends="...)
-			op.local = strconv.AppendInt(op.local, int64(len(rt.pools)), 10)
-			op.local = append(op.local, " ops="...)
-			op.local = strconv.AppendUint(op.local, ops, 10)
-			op.local = append(op.local, " errors="...)
-			op.local = strconv.AppendUint(op.local, errs, 10)
-			return
 		}
-		rt.scatter(st, line, (*Router).mergeMetricsAll)
-		return
-	}
-	if rt.Pinned(string(eng)) {
-		rt.forward(st, line, rt.ring.OwnerEngine(string(eng)), true)
-		return
-	}
-	if rt.trc == nil {
+		op.local = append(op.local, "METRICS backends="...)
+		op.local = strconv.AppendInt(op.local, int64(len(rt.pools)), 10)
+		op.local = append(op.local, " ops="...)
+		op.local = strconv.AppendUint(op.local, ops, 10)
+		op.local = append(op.local, " errors="...)
+		op.local = strconv.AppendUint(op.local, errs, 10)
+	case n == 0:
+		rt.scatter(st, line, req.Verb, (*Router).mergeMetricsAll)
+	case rt.Pinned(eng):
+		rt.forward(st, line, rt.ring.OwnerEngine(eng), req.Verb)
+	case rt.trc == nil:
 		op := st.nextOp()
 		op.kind = opLocal
 		op.local = append(op.local, "ERR metrics: engine "...)
-		op.local = strconv.AppendQuote(op.local, string(eng))
+		op.local = strconv.AppendQuote(op.local, eng)
 		op.local = append(op.local, " is key-sharded; scrape the router /metrics or query backends"...)
-		return
-	}
-	sub, hasSub := sc.next()
-	opName, hasOp := sc.next()
-	_, extra := sc.next()
-	switch {
-	case !hasSub:
-		rt.scatter(st, line, (*Router).mergeMetricsEngine)
-	case hasOp && !extra && eqFold(sub, "LATENCY"):
+	case n == 1:
+		rt.scatter(st, line, req.Verb, (*Router).mergeFold)
+	case n == 3 && wire.EqualFold(sub, "LATENCY"):
 		// Quantiles do not merge; raw bucket counts do. Ask the fleet
 		// for the machine HIST form and re-derive quantiles from the
 		// summed histogram.
@@ -87,60 +74,56 @@ func (rt *Router) dispatchMetrics(st *rconn, line []byte) {
 		b = append(b, " HIST "...)
 		b = append(b, opName...)
 		st.cmdb = b
-		rt.scatter(st, b, (*Router).mergeHistQuantiles)
-	case hasOp && !extra && eqFold(sub, "HIST"):
-		rt.scatter(st, line, (*Router).mergeHistSum)
+		rt.scatter(st, wire.View(b), req.Verb, (*Router).mergeHistQuantiles)
+	case n == 3 && wire.EqualFold(sub, "HIST"):
+		rt.scatter(st, line, req.Verb, (*Router).mergeHistSum)
 	default:
-		rt.forward(st, line, 0, false) // backend renders the usage ERR
+		rt.forward(st, line, 0, req.Verb) // backend renders the usage ERR
 	}
 }
 
-// dispatchSlowlog routes the SLOWLOG command; sc is positioned after
-// the command token.
-func (rt *Router) dispatchSlowlog(st *rconn, line []byte, sc bscan) {
+// routeSlowlog routes the SLOWLOG command: per-backend state without a
+// collector, a fleet view with one.
+func (rt *Router) routeSlowlog(st *rconn, line string, req wire.Request) {
 	if rt.trc == nil {
 		op := st.nextOp()
 		op.kind = opLocal
 		op.local = append(op.local, "ERR slowlog: per-backend state; query backends directly"...)
 		return
 	}
-	sub, hasSub := sc.next()
+	sub, _ := req.Args.Next()
 	switch {
-	case !hasSub:
-		rt.forward(st, line, 0, false) // backend renders the usage ERR
-	case eqFold(sub, "LEN"):
-		rt.scatter(st, line, (*Router).mergeSlowlogLen)
-	case eqFold(sub, "RESET"):
+	case wire.EqualFold(sub, "LEN"):
+		rt.scatter(st, line, req.Verb, (*Router).mergeSlowlogLen)
+	case wire.EqualFold(sub, "RESET"):
 		rt.trc.Slow().Reset()
-		rt.scatter(st, line, (*Router).mergeAllOK)
-	case eqFold(sub, "GET"):
+		rt.scatter(st, line, req.Verb, (*Router).mergeAllOK)
+	case wire.EqualFold(sub, "GET"):
 		n := -1 // all retained
-		if arg, has := sc.next(); has {
-			if v, ok := parseDigits(arg); ok {
-				n = int(v)
+		if arg, has := req.Args.Next(); has {
+			if v, err := strconv.Atoi(arg); err == nil && v >= 0 && v <= wire.MaxSlowlogGet {
+				n = v
 			}
 			// Out-of-grammar args still scatter: every backend rejects
 			// them identically and the merge propagates that ERR.
 		}
-		op := rt.scatter(st, line, (*Router).mergeSlowlogGet)
+		op := rt.scatter(st, line, req.Verb, (*Router).mergeSlowlogGet)
 		op.backend = n // merge-side cap (opScatter leaves backend unused)
 	default:
-		rt.forward(st, line, 0, false)
+		rt.forward(st, line, 0, req.Verb) // backend renders the usage ERR
 	}
 }
 
-// dispatchTrace routes TRACE GET <hex-id>[/<span>]: answered locally
+// routeTrace routes TRACE GET <hex-id>[/<span>]: answered locally
 // when the id is retained by the router's own collector, else asked of
 // every backend (the id may name a child span only a backend holds).
-func (rt *Router) dispatchTrace(st *rconn, line []byte, sc bscan) {
-	sub, okSub := sc.next()
-	arg, okArg := sc.next()
-	_, extra := sc.next()
-	if !okSub || !okArg || extra || !eqFold(sub, "GET") {
-		rt.forward(st, line, 0, false) // backend renders the usage ERR
+func (rt *Router) routeTrace(st *rconn, line string, req wire.Request) {
+	var a [3]string
+	if n := req.Args.Fill(a[:]); n != 2 || !wire.EqualFold(a[0], "GET") {
+		rt.forward(st, line, 0, req.Verb) // backend renders the usage ERR
 		return
 	}
-	if tid, span, ok := parseWireIDBytes(arg); ok && rt.trc != nil {
+	if tid, span, ok := wire.ParseWireID(a[1]); ok {
 		if t := rt.trc.Find(tid, span); t != nil {
 			op := st.nextOp()
 			op.kind = opLocal
@@ -150,41 +133,7 @@ func (rt *Router) dispatchTrace(st *rconn, line []byte, sc bscan) {
 			return
 		}
 	}
-	rt.scatter(st, line, (*Router).mergeTrace)
-}
-
-// parseWireIDBytes parses "<hex-id>[/<decimal-span>]".
-func parseWireIDBytes(b []byte) (tid uint64, span uint32, ok bool) {
-	idb := b
-	if i := bytes.IndexByte(b, '/'); i >= 0 {
-		v, okSpan := parseDigits(b[i+1:])
-		if !okSpan || v > 1<<31 {
-			return 0, 0, false
-		}
-		span = uint32(v)
-		idb = b[:i]
-	}
-	tid, ok = server.ParseHex64(idb)
-	return tid, span, ok && tid != 0
-}
-
-// parseDigits is a strict non-negative decimal parse (unlike the
-// lenient parseInt), bounded so a hostile arg cannot overflow.
-func parseDigits(b []byte) (int64, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	var v int64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		v = v*10 + int64(c-'0')
-		if v > maxRouterSlowlogGet {
-			return 0, false
-		}
-	}
-	return v, true
+	rt.scatter(st, line, req.Verb, (*Router).mergeTrace)
 }
 
 // mergeTrace: first backend (in address order) holding the trace wins;
@@ -198,7 +147,7 @@ func (rt *Router) mergeTrace(out []byte, op *pendingOp) []byte {
 			down = true
 			continue
 		}
-		if hasPrefix(resp, "TRACE ") {
+		if wire.Head(wire.View(resp)) == op.verb.Name {
 			return append(out, resp...)
 		}
 		if firstErr == nil {
@@ -217,24 +166,8 @@ func (rt *Router) mergeTrace(out []byte, op *pendingOp) []byte {
 // mergeSlowlogLen: fleet slowlog depth — backend lengths plus the
 // router's own ring.
 func (rt *Router) mergeSlowlogLen(out []byte, op *pendingOp) []byte {
-	total := int64(rt.trc.Slow().Len())
-	for _, bi := range rt.order {
-		resp, err := op.calls[bi].Wait()
-		if err != nil {
-			return append(out, replyUnavailable...)
-		}
-		sc := bscan{b: resp}
-		if tok, ok := sc.next(); !ok || !eqFold(tok, "SLOWLOG") {
-			return append(out, resp...) // first bad reply in address order
-		}
-		if pair, ok := sc.next(); ok {
-			if k, v, okKV := splitKV(pair); okKV && eqFold(k, "len") {
-				total += parseInt(v)
-			}
-		}
-	}
-	out = append(out, "SLOWLOG len="...)
-	return strconv.AppendInt(out, total, 10)
+	self := strconv.AppendInt([]byte("SLOWLOG len="), int64(rt.trc.Slow().Len()), 10)
+	return rt.fold(out, op, op.verb.Name, "", wire.View(self))
 }
 
 // slowEnt is one slowlog entry in flight through the k-way merge.
@@ -255,10 +188,10 @@ func (rt *Router) mergeSlowlogGet(out []byte, op *pendingOp) []byte {
 		if err != nil {
 			return append(out, replyUnavailable...)
 		}
-		if tok, _ := firstToken(resp); !eqFold(tok, "SLOWLOG") {
+		if wire.Head(wire.View(resp)) != op.verb.Name {
 			return append(out, resp...)
 		}
-		ents = appendSlowEntries(ents, resp, bi)
+		ents = appendSlowEntries(ents, wire.View(resp), bi)
 	}
 	// The router's own retained slow requests ride along as
 	// node=router: queue-wait and RTT live here, not on any backend.
@@ -268,7 +201,7 @@ func (rt *Router) mergeSlowlogGet(out []byte, op *pendingOp) []byte {
 			snapMax = 0 // Snapshot: 0 = all retained
 		}
 		for _, t := range rt.trc.Slow().Snapshot(nil, snapMax) {
-			ents = append(ents, slowEnt{us: t.Dur.Microseconds(), node: -1, raw: renderSlowEntry(t)})
+			ents = append(ents, slowEnt{us: t.Dur.Microseconds(), node: -1, raw: t.AppendSlowlog(nil)})
 		}
 	}
 	// Slowest first; the stable sort keeps address order inside ties.
@@ -296,26 +229,26 @@ func (rt *Router) mergeSlowlogGet(out []byte, op *pendingOp) []byte {
 // so the parse expects exactly the seven k=v fields in order; a
 // truncated or desynced tail drops the partial entry rather than
 // inventing one.
-func appendSlowEntries(ents []slowEnt, resp []byte, bi int) []slowEnt {
+func appendSlowEntries(ents []slowEnt, resp string, bi int) []slowEnt {
 	fields := [...]string{"us=", "cmd=", "engine=", "key=", "result=", "rows="}
-	sc := bscan{b: resp}
-	sc.next() // SLOWLOG
-	sc.next() // n=N
+	sc := wire.Scan(resp)
+	sc.Next() // SLOWLOG
+	sc.Next() // n=N
 	for {
-		tok, ok := sc.next()
-		if !ok || !hasPrefix(tok, "id=") {
+		tok, ok := sc.Next()
+		if !ok || !strings.HasPrefix(tok, "id=") {
 			return ents
 		}
 		raw := make([]byte, 0, 96)
 		raw = append(raw, tok...)
 		var us int64
 		for _, want := range fields {
-			t, okF := sc.next()
-			if !okF || !hasPrefix(t, want) {
+			t, okF := sc.Next()
+			if !okF || !strings.HasPrefix(t, want) {
 				return ents
 			}
 			if want == "us=" {
-				us = parseInt(t[len(want):])
+				us = atoi(t[len(want):])
 			}
 			raw = append(raw, ' ')
 			raw = append(raw, t...)
@@ -324,139 +257,13 @@ func appendSlowEntries(ents []slowEnt, resp []byte, bi int) []slowEnt {
 	}
 }
 
-// renderSlowEntry prints a router trace in the server's slowlog entry
-// grammar, so merged output is shape-uniform across nodes.
-func renderSlowEntry(t *trace.Trace) []byte {
-	raw := make([]byte, 0, 96)
-	raw = append(raw, "id="...)
-	raw = strconv.AppendUint(raw, t.ID, 10)
-	raw = append(raw, " us="...)
-	raw = strconv.AppendInt(raw, t.Dur.Microseconds(), 10)
-	raw = append(raw, " cmd="...)
-	raw = append(raw, t.Cmd...)
-	raw = append(raw, " engine="...)
-	raw = append(raw, t.Engine...)
-	raw = append(raw, " key="...)
-	raw = append(raw, t.Key...)
-	raw = append(raw, " result="...)
-	raw = append(raw, t.Result...)
-	raw = append(raw, " rows="...)
-	return strconv.AppendInt(raw, int64(t.Rows), 10)
-}
-
 // mergeMetricsAll: fleet totals — backend registry counters summed,
 // with the router's own forwarding totals alongside.
 func (rt *Router) mergeMetricsAll(out []byte, op *pendingOp) []byte {
-	var ops, errs, unknown int64
-	for _, bi := range rt.order {
-		resp, err := op.calls[bi].Wait()
-		if err != nil {
-			return append(out, replyUnavailable...)
-		}
-		sc := bscan{b: resp}
-		if tok, ok := sc.next(); !ok || !eqFold(tok, "METRICS") {
-			return append(out, resp...)
-		}
-		for k, v, ok := sc.nextKV(); ok; k, v, ok = sc.nextKV() {
-			switch {
-			case eqFold(k, "ops"):
-				ops += parseInt(v)
-			case eqFold(k, "errors"):
-				errs += parseInt(v)
-			case eqFold(k, "unknown"):
-				unknown += parseInt(v)
-			}
-		}
-	}
 	rops, rerrs := rt.met.Totals()
-	out = append(out, "METRICS backends="...)
-	out = strconv.AppendInt(out, int64(len(rt.pools)), 10)
-	out = append(out, " ops="...)
-	out = strconv.AppendInt(out, ops, 10)
-	out = append(out, " errors="...)
-	out = strconv.AppendInt(out, errs, 10)
-	out = append(out, " unknown="...)
-	out = strconv.AppendInt(out, unknown, 10)
-	out = append(out, " router_ops="...)
-	out = strconv.AppendUint(out, rops, 10)
-	out = append(out, " router_errors="...)
-	return strconv.AppendUint(out, rerrs, 10)
-}
-
-// mergeMetricsEngine: METRICS <eng> across shards. Counters sum; load
-// is the mean shard load factor; amal is the lookup-weighted mean,
-// exactly the STATS aggregation rules. Field order follows the first
-// shard's reply, so the merged line has the server's own shape.
-func (rt *Router) mergeMetricsEngine(out []byte, op *pendingOp) []byte {
-	var (
-		engine         string
-		keys           []string
-		seen           = make(map[string]bool, 24)
-		sums           = make(map[string]int64, 24)
-		loadSum        float64
-		amalW, lookups float64
-		shards         int
-	)
-	for _, bi := range rt.order {
-		resp, err := op.calls[bi].Wait()
-		if err != nil {
-			return append(out, replyUnavailable...)
-		}
-		sc := bscan{b: resp}
-		if tok, ok := sc.next(); !ok || !eqFold(tok, "METRICS") {
-			return append(out, resp...)
-		}
-		shards++
-		var sh, sm int64
-		var samal float64
-		for k, v, ok := sc.nextKV(); ok; k, v, ok = sc.nextKV() {
-			ks := string(k)
-			switch ks {
-			case "engine":
-				engine = string(v)
-				continue // printed first, not part of the key order
-			case "load":
-				loadSum += parseFloat(v)
-			case "amal":
-				samal = parseFloat(v)
-			default:
-				n := parseInt(v)
-				sums[ks] += n
-				if ks == "hits" {
-					sh = n
-				} else if ks == "misses" {
-					sm = n
-				}
-			}
-			if !seen[ks] {
-				seen[ks] = true
-				keys = append(keys, ks)
-			}
-		}
-		l := float64(sh + sm)
-		amalW += samal * l
-		lookups += l
-	}
-	if shards == 0 {
-		return append(out, replyUnavailable...)
-	}
-	out = append(out, "METRICS engine="...)
-	out = append(out, engine...)
-	for _, k := range keys {
-		out = append(out, ' ')
-		out = append(out, k...)
-		out = append(out, '=')
-		switch k {
-		case "load":
-			out = strconv.AppendFloat(out, loadSum/float64(shards), 'f', 3, 64)
-		case "amal":
-			// NaN with zero lookups, like a fresh engine's.
-			out = strconv.AppendFloat(out, amalW/lookups, 'f', 3, 64)
-		default:
-			out = strconv.AppendInt(out, sums[k], 10)
-		}
-	}
-	return out
+	self := strconv.AppendUint([]byte("METRICS router_ops="), rops, 10)
+	self = strconv.AppendUint(append(self, " router_errors="...), rerrs, 10)
+	return rt.fold(out, op, op.verb.Name, "backends", wire.View(self))
 }
 
 // sumHist gathers the fleet histogram behind both HIST merges — the
@@ -466,39 +273,34 @@ func (rt *Router) mergeMetricsEngine(out []byte, op *pendingOp) []byte {
 // renderings share. ok=false means out already holds the whole reply:
 // unavailable, or the first backend line that was not a histogram.
 func (rt *Router) sumHist(out []byte, op *pendingOp) (_ []byte, fleet metrics.HistSnapshot, ok bool) {
-	var engine, opName []byte
+	var engine, opName string
 	var errs int64
 	for _, bi := range rt.order {
 		resp, err := op.calls[bi].Wait()
 		if err != nil {
 			return append(out, replyUnavailable...), fleet, false
 		}
-		sc := bscan{b: resp}
-		if tok, ok := sc.next(); !ok || !eqFold(tok, "METRICS") {
+		sc := wire.Scan(wire.View(resp))
+		if head, _ := sc.Next(); head != op.verb.Name {
 			return append(out, resp...), fleet, false
 		}
-		for k, v, ok := sc.nextKV(); ok; k, v, ok = sc.nextKV() {
-			switch {
-			case eqFold(k, "engine"):
+		for k, v, ok := sc.NextKV(); ok; k, v, ok = sc.NextKV() {
+			switch k {
+			case "engine":
 				engine = v
-			case eqFold(k, "op"):
+			case "op":
 				opName = v
-			case eqFold(k, "err"):
-				errs += parseInt(v)
-			case eqFold(k, "sum_ns"):
-				fleet.SumNs += parseInt(v)
-			case eqFold(k, "buckets"):
-				i, idx := 0, 0
-				for i < len(v) && idx < len(fleet.Counts) {
-					j := i
-					for j < len(v) && v[j] != ',' {
-						j++
-					}
-					c := uint64(parseInt(v[i:j]))
+			case "err":
+				errs += atoi(v)
+			case "sum_ns":
+				fleet.SumNs += atoi(v)
+			case "buckets":
+				for idx := 0; v != "" && idx < len(fleet.Counts); idx++ {
+					var cell string
+					cell, v, _ = strings.Cut(v, ",")
+					c := uint64(atoi(cell))
 					fleet.Counts[idx] += c
 					fleet.N += c
-					idx++
-					i = j + 1
 				}
 			}
 		}
@@ -520,14 +322,7 @@ func (rt *Router) mergeHistQuantiles(out []byte, op *pendingOp) []byte {
 	if !ok {
 		return out
 	}
-	qs := fleet.Quantiles(0.5, 0.9, 0.99, 1)
-	out = append(out, " mean_us="...)
-	out = strconv.AppendFloat(out, fleet.MeanNs()/1e3, 'f', 2, 64)
-	for i, label := range [...]string{" p50_us=", " p90_us=", " p99_us=", " max_us="} {
-		out = append(out, label...)
-		out = strconv.AppendFloat(out, float64(qs[i])/1e3, 'f', 2, 64)
-	}
-	return out
+	return fleet.AppendQuantiles(out)
 }
 
 // mergeHistSum renders the fleet histogram in the server's raw HIST
@@ -537,16 +332,7 @@ func (rt *Router) mergeHistSum(out []byte, op *pendingOp) []byte {
 	if !ok {
 		return out
 	}
-	out = append(out, " sum_ns="...)
-	out = strconv.AppendInt(out, fleet.SumNs, 10)
-	out = append(out, " buckets="...)
-	for i, c := range fleet.Counts {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		out = strconv.AppendUint(out, c, 10)
-	}
-	return out
+	return fleet.AppendBuckets(out)
 }
 
 // --- /debug/traces stitching -------------------------------------------
@@ -592,8 +378,8 @@ func (rt *Router) TraceHandler() http.Handler {
 		}
 		max := 32
 		if q := req.URL.Query().Get("n"); q != "" {
-			if v, ok := parseDigits([]byte(q)); ok && v > 0 {
-				max = int(v)
+			if v, err := strconv.Atoi(q); err == nil && v > 0 {
+				max = v
 			}
 		}
 		v := stitchJSON{
@@ -642,8 +428,8 @@ func (rt *Router) fetchChild(tid uint64, backend int, span uint32) stitchChild {
 	switch {
 	case err != nil:
 		ch.Error = "unavailable"
-	case hasPrefix(resp, "TRACE "):
-		ch.Trace = json.RawMessage(append([]byte(nil), resp[len("TRACE "):]...))
+	case wire.Head(wire.View(resp)) == "TRACE":
+		ch.Trace = json.RawMessage(bytes.Clone(bytes.TrimPrefix(resp, []byte("TRACE ")))) // resp dies with Release
 	default:
 		ch.Error = string(resp)
 	}

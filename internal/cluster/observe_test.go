@@ -375,16 +375,19 @@ func TestRouterTracedTransparency(t *testing.T) {
 // TestRouterSlowlogLateBuilt: with the slowlog on and sampling off the
 // router tags nothing — the backend receives the client's bytes — and
 // a request that turns out slow gets its trace built at settle, from
-// the request bytes and the batch stamps: full identity, its own spans
-// chained forward inside the wall latency, the backend index, no wire
-// id and therefore no stitched child.
+// the request bytes and the batch stamps: full identity — the verb row's
+// engine and key positions, so exactly what the backend's own trace of
+// the request names, for every verb — its own spans chained forward
+// inside the wall latency, the backend index, no wire id and therefore
+// no stitched child.
 func TestRouterSlowlogLateBuilt(t *testing.T) {
 	fb := startFakeBackend(t, func(conn, n int, line string) (string, bool) {
 		return "HIT 0:000000000000002a", false
 	})
 	col := trace.NewCollector(trace.Config{Slowlog: 0, Ring: 64})
 	rt, _ := testRouter(t, []*testBackend{{addr: fb.addr}}, func(cfg *RouterConfig) { cfg.Tracing = col })
-	reqs := []string{"SEARCH db dead", "insert db beef 7", "MSEARCH db dead db beef"}
+	reqs := []string{"SEARCH db dead", "insert db beef 7", "MSEARCH db dead db beef",
+		"TSEARCH tri the  quick fox", "minsert ip a0b00000 ffff 16"}
 	rdrive(t, rt, reqs...)
 	if got := fb.received(); strings.Join(got, "\n") != strings.Join(reqs, "\n") {
 		t.Errorf("backend received %q, want the client's lines verbatim %q", got, reqs)
@@ -397,7 +400,7 @@ func TestRouterSlowlogLateBuilt(t *testing.T) {
 	if len(entries) != len(reqs) {
 		t.Fatalf("slowlog holds %d entries, want %d", len(entries), len(reqs))
 	}
-	search, insert, msearch := entries[2], entries[1], entries[0]
+	search, insert, msearch := entries[4], entries[3], entries[2]
 	if search.Cmd != "SEARCH" || search.Engine != "db" || search.Key != "dead" || search.Result != "HIT" {
 		t.Errorf("late-built SEARCH identity: %+v", search)
 	}
@@ -406,6 +409,18 @@ func TestRouterSlowlogLateBuilt(t *testing.T) {
 	}
 	if msearch.Cmd != "MSEARCH" || msearch.Engine != "" {
 		t.Errorf("late-built MSEARCH identity: %+v", msearch)
+	}
+	// What a server records for the same lines is the reference.
+	scol := trace.NewCollector(trace.Config{Slowlog: 0, Ring: 64})
+	direct := server.New(subsystem.New(0), server.WithTracing(scol))
+	t.Cleanup(func() { direct.Close() })
+	for i, got := range []*trace.Trace{entries[1], entries[0]} {
+		direct.Exec(reqs[3+i])
+		want := scol.Slow().Snapshot(nil, 1)[0]
+		if got.Cmd != want.Cmd || got.Engine != want.Engine || got.Key != want.Key || want.Engine == "" {
+			t.Errorf("late-built %q identity %s/%s/%s, the server records %s/%s/%s",
+				reqs[3+i], got.Cmd, got.Engine, got.Key, want.Cmd, want.Engine, want.Key)
+		}
 	}
 	for _, tr := range entries {
 		if tr.TID != 0 {

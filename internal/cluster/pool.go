@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"caram/internal/metrics"
-	"caram/internal/server"
+	"caram/internal/wire"
 )
 
 // Pool errors. ErrBackendUnavailable is the router-side shed: the
@@ -225,7 +225,7 @@ func NewPool(b Backend, cfg PoolConfig) *Pool {
 // Release the call when done with the reply.
 func (p *Pool) Submit(line []byte) Call {
 	b := batchPool.Get().(*batch)
-	b.req = append(append(b.req, trimEOL(line)...), '\n')
+	b.req = append(append(b.req, wire.TrimEOL(line)...), '\n')
 	b.n = 1
 	b.tSubmit = time.Now().UnixNano()
 	p.submit(b, p.next.Add(1))
@@ -445,7 +445,7 @@ func (pc *pconn) read(g *gen) {
 			kill(ErrBackendDown)
 			return
 		}
-		line = trimEOL(line)
+		line = wire.TrimEOL(line)
 		if bytes.Equal(line, busyReply) {
 			// Accept-time shed: this connection never entered service.
 			kill(ErrBackendUnavailable)
@@ -490,22 +490,11 @@ func failBurst(burst []*batch, err error) {
 	}
 }
 
-// trimEOL strips the line terminator (and a final "\r").
-func trimEOL(line []byte) []byte {
-	if n := len(line); n > 0 && line[n-1] == '\n' {
-		line = line[:n-1]
-	}
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	return line
-}
-
 // readerPool recycles the per-dial reply readers; sized to the
 // server's own line bound so an oversized reply is a framing error,
 // not a silent truncation.
 var readerPool = sync.Pool{
-	New: func() any { return bufio.NewReaderSize(nil, server.MaxLineBytes) },
+	New: func() any { return bufio.NewReaderSize(nil, wire.MaxLineBytes) },
 }
 
 // Probe dials the backend directly — outside the pool and its breaker

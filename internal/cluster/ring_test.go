@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"caram/internal/bitutil"
+	"caram/internal/wire"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -136,9 +137,9 @@ func TestOwnerDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	va, _ := parseVecBytes([]byte("dead"))
-	vb, _ := parseVecBytes([]byte("0:dead"))
-	vc, _ := parseVecBytes([]byte("0:000000000000dead"))
+	va, _ := wire.ParseVec("dead")
+	vb, _ := wire.ParseVec("0:dead")
+	vc, _ := wire.ParseVec("0:000000000000dead")
 	if va != vb || va != vc {
 		t.Fatalf("spellings parse unequal: %v %v %v", va, vb, vc)
 	}
@@ -147,7 +148,7 @@ func TestOwnerDomains(t *testing.T) {
 	}
 	// Engine-name boundary: ("ab", key c…) must not collide with
 	// ("a", key bc…) — the separator byte keeps the domains apart.
-	k1, _ := parseVecBytes([]byte("1"))
+	k1, _ := wire.ParseVec("1")
 	same := 0
 	for i := 0; i < 64; i++ {
 		k := bitutil.FromUint64(uint64(i))

@@ -15,18 +15,20 @@ import (
 	"time"
 
 	"caram/internal/metrics"
-	"caram/internal/server"
 	"caram/internal/trace"
+	"caram/internal/wire"
 )
 
 // Router puts N caram-server backends behind one wire endpoint. It
-// speaks the internal/server line protocol on both sides: each
-// incoming line is parsed just far enough to pick its backend(s), the
-// raw bytes forward over the backend's pipelined pool, and the reply
-// returns verbatim — the router is protocol-transparent for
-// single-backend-owned operations.
+// speaks the internal/wire line protocol on both sides: each incoming
+// line's head is parsed by the same wire.Parse the server runs, the
+// verb's table row says how the line is placed, the raw bytes forward
+// over the backend's pipelined pool, and the reply returns verbatim —
+// the router is protocol-transparent for single-backend-owned
+// operations, *TID-annotated ones included (routed by the inner verb,
+// forwarded as the client wrote them).
 //
-// Routing table:
+// Routing table (route reads it off wire.Verb.Place):
 //
 //   - INSERT/SEARCH/DELETE <eng> <key>: the ring owner of (engine,
 //     key) — the key participates canonically (ParseVec), so every
@@ -376,10 +378,11 @@ type mergeFn func(rt *Router, out []byte, op *pendingOp) []byte
 // every router span after the fact, if settle finds the op worth keeping.
 type pendingOp struct {
 	kind       opKind
-	merge      mergeFn // opScatter
-	backend    int     // opForward target
-	idempotent bool    // retry on in-flight transport death
-	retries    int     // opForward: resubmissions made (calls[0] is then the last one)
+	merge      mergeFn    // opScatter
+	verb       *wire.Verb // opScatter: the row a merge reads its reply head and fold rules from
+	backend    int        // opForward target
+	idempotent bool       // retry on in-flight transport death
+	retries    int        // opForward: resubmissions made (calls[0] is then the last one)
 	pin        string
 	unpin      string
 	calls      []Call       // opForward: 1; scatter/msearch: per-backend (zero Call = uninvolved)
@@ -392,7 +395,7 @@ type pendingOp struct {
 }
 
 func (op *pendingOp) reset() {
-	op.kind, op.merge, op.backend, op.idempotent, op.retries = opForward, nil, 0, false, 0
+	op.kind, op.merge, op.verb, op.backend, op.idempotent, op.retries = opForward, nil, nil, 0, false, 0
 	op.pin, op.unpin = "", ""
 	op.calls = op.calls[:0]
 	op.slotBk = op.slotBk[:0]
@@ -413,12 +416,12 @@ type rconn struct {
 	out   []byte
 	lane  uint64
 	ops   []pendingOp
-	cur   []*batch     // per backend: the batch this burst fills (nil until first used)
-	cut   []*batch     // submitted outside the settle trigger: over-threshold batches, retries
-	marks []int        // per backend: where the line last opened starts in cur[b].req (MSEARCH: -1 = none yet)
-	curs  []int        // per-backend reassembly cursors
-	tr    *trace.Trace // head-sampled trace of the request currently dispatching
-	cmdb  []byte       // rewritten-command scratch (METRICS ... LATENCY -> HIST)
+	cur   []*batch       // per backend: the batch this burst fills (nil until first used)
+	cut   []*batch       // submitted outside the settle trigger: over-threshold batches, retries
+	marks []int          // per backend: where the line last opened starts in cur[b].req (MSEARCH: -1 = none yet)
+	curs  []wire.Scanner // per backend: where MSEARCH reassembly stands in its MRESULTS reply
+	tr    *trace.Trace   // head-sampled trace of the request currently dispatching
+	cmdb  []byte         // rewritten-command scratch (METRICS ... LATENCY -> HIST)
 }
 
 // laneCounter hands each handled connection its lane.
@@ -427,7 +430,7 @@ var laneCounter atomic.Uint64
 var rconnPool = sync.Pool{
 	New: func() any {
 		return &rconn{
-			r:   bufio.NewReaderSize(nil, server.MaxLineBytes),
+			r:   bufio.NewReaderSize(nil, wire.MaxLineBytes),
 			out: make([]byte, 0, 4096),
 		}
 	},
@@ -470,7 +473,7 @@ func (rt *Router) Handle(r io.Reader, w io.Writer) {
 	if len(st.cur) < len(rt.pools) {
 		st.cur = make([]*batch, len(rt.pools))
 		st.marks = make([]int, len(rt.pools))
-		st.curs = make([]int, len(rt.pools))
+		st.curs = make([]wire.Scanner, len(rt.pools))
 	}
 	defer func() {
 		st.r.Reset(nil)
@@ -480,7 +483,7 @@ func (rt *Router) Handle(r io.Reader, w io.Writer) {
 		line, err := st.r.ReadSlice('\n')
 		switch {
 		case err == nil:
-			rt.dispatch(st, trimEOL(line))
+			rt.dispatch(st, wire.TrimEOL(line))
 			if st.r.Buffered() == 0 || len(st.ops) >= maxClientPipeline {
 				if !rt.settle(st, w) {
 					return
@@ -492,13 +495,13 @@ func (rt *Router) Handle(r io.Reader, w io.Writer) {
 			return
 		case errors.Is(err, io.EOF):
 			if len(line) > 0 {
-				rt.dispatch(st, trimEOL(line))
+				rt.dispatch(st, wire.TrimEOL(line))
 			}
 			rt.settle(st, w)
 			return
 		default:
 			if len(line) > 0 {
-				rt.dispatch(st, trimEOL(line))
+				rt.dispatch(st, wire.TrimEOL(line))
 			}
 			if rt.settle(st, w) {
 				fmt.Fprintf(w, "ERR read: %s\n", err.Error()) //nolint:errcheck
@@ -517,172 +520,121 @@ func (rt *Router) Handle(r io.Reader, w io.Writer) {
 // op carries just its dispatch stamp and is judged at settle.
 func (rt *Router) dispatch(st *rconn, line []byte) {
 	var t0 int64
+	var tr *trace.Trace
 	if rt.trc != nil {
 		now := time.Now()
 		t0 = now.UnixNano()
 		if rt.trc.Sample() {
-			st.tr = rt.trc.BeginAt(now, true)
+			tr = rt.trc.BeginAt(now, true)
 		}
 	}
-	rt.route(st, line)
+	st.tr = tr
+	rt.route(st, wire.View(line))
 	op := &st.ops[len(st.ops)-1] // every route path appends exactly one op
-	op.t0, op.tr = t0, st.tr
+	op.t0, op.tr = t0, tr
 	st.tr = nil
 }
 
-// route picks the backend(s) for one line and enqueues it. Split from
-// dispatch so trace bookkeeping wraps every return path once.
-func (rt *Router) route(st *rconn, line []byte) {
-	sc := bscan{b: line}
-	cmd, ok := sc.next()
-	if !ok {
-		rt.forward(st, line, 0, false) // empty request: backend renders the ERR
+// merges holds the reassembly rule of each verb whose replies the
+// router can merge when a line scatters on its row's say-so (Scatter
+// verbs; a masked Keyed probe). Custom verbs pick theirs in their route
+// function.
+var merges = [wire.NumVerbs]mergeFn{
+	wire.Search:  (*Router).mergeMasked,
+	wire.Stats:   (*Router).mergeFold,
+	wire.Engines: (*Router).mergeEngineUnion,
+	wire.WAL:     (*Router).mergeWAL,
+}
+
+// routes holds the verb-specific sub-grammars: one route function per
+// Custom row.
+var routes = [wire.NumVerbs]func(rt *Router, st *rconn, line string, req wire.Request){
+	wire.MSearch: (*Router).routeMSearch,
+	wire.Create:  (*Router).routeCreate,
+	wire.Drop:    (*Router).routeDrop,
+	wire.Health:  (*Router).routeHealth,
+	wire.Metrics: (*Router).routeMetrics,
+	wire.Slowlog: (*Router).routeSlowlog,
+	wire.Trace:   (*Router).routeTrace,
+}
+
+// route picks the backend(s) for one line and enqueues it: strip the
+// annotation, look the verb up, place by the row's class. A line whose
+// head does not parse (empty, unknown verb, malformed annotation) goes
+// to backend 0 so the backend's own grammar renders the authoritative
+// ERR; so does a line too short to name its engine.
+func (rt *Router) route(st *rconn, line string) {
+	req := wire.Parse(line)
+	if req.Annotated {
+		st.tr = nil // the client's annotation stands; open adds no second one
+	}
+	v := req.Verb
+	if v == nil {
+		rt.forward(st, line, 0, nil)
 		return
 	}
-	switch {
-	case eqFold(cmd, "SEARCH"):
-		eng, ok1 := sc.next()
-		key, ok2 := sc.next()
-		_, hasMask := sc.next()
-		_, extra := sc.next()
-		if !ok1 || !ok2 || extra {
-			rt.forwardUsage(st, line, eng, ok1)
-			return
-		}
-		if hasMask && !rt.Pinned(string(eng)) {
-			rt.scatter(st, line, (*Router).mergeMasked)
-			return
-		}
-		rt.forward(st, line, rt.owner(eng, key), true)
-	case eqFold(cmd, "INSERT"), eqFold(cmd, "DELETE"):
-		eng, ok1 := sc.next()
-		key, ok2 := sc.next()
-		if !ok1 || !ok2 {
-			rt.forwardUsage(st, line, eng, ok1)
-			return
-		}
-		rt.forward(st, line, rt.owner(eng, key), false)
-	case eqFold(cmd, "MSEARCH"):
-		rt.dispatchMSearch(st, line, sc)
-	case eqFold(cmd, "MINSERT"), eqFold(cmd, "MDELETE"), eqFold(cmd, "TINSERT"):
-		eng, ok1 := sc.next()
-		rt.forwardUsage(st, line, eng, ok1)
-	case eqFold(cmd, "TSEARCH"):
-		eng, ok1 := sc.next()
-		if !ok1 {
-			rt.forward(st, line, 0, false)
-			return
-		}
-		rt.forward(st, line, rt.ring.OwnerEngine(string(eng)), true)
-	case eqFold(cmd, "EXPLAIN"):
-		sub, okSub := sc.next()
-		eng, ok1 := sc.next()
-		key, ok2 := sc.next()
-		_, hasMask := sc.next()
-		if !okSub || !eqFold(sub, "SEARCH") || !ok1 || !ok2 {
-			rt.forwardUsage(st, line, eng, ok1)
-			return
-		}
-		if hasMask {
-			rt.forward(st, line, rt.ring.OwnerEngine(string(eng)), true)
-			return
-		}
-		rt.forward(st, line, rt.owner(eng, key), true)
-	case eqFold(cmd, "STATS"):
-		eng, ok1 := sc.next()
-		_, extra := sc.next()
-		if !ok1 || extra {
-			rt.forward(st, line, 0, false)
-			return
-		}
-		if rt.Pinned(string(eng)) {
-			rt.forward(st, line, rt.ring.OwnerEngine(string(eng)), true)
-			return
-		}
-		rt.scatter(st, line, (*Router).mergeStatsAgg)
-	case eqFold(cmd, "ENGINES"):
-		rt.scatter(st, line, (*Router).mergeEngineUnion)
-	case eqFold(cmd, "HEALTH"):
-		eng, hasEng := sc.next()
-		sub, hasSub := sc.next()
-		_, extra := sc.next()
+	if v.Place == wire.Custom {
+		routes[v.ID](rt, st, line, req)
+		return
+	}
+	if v.Engine == 0 { // ENGINES, WAL: nothing to place by
+		rt.scatter(st, line, v, merges[v.ID])
+		return
+	}
+	var a [5]string // through one field past the furthest mask position
+	args := req.Args
+	n := uint8(args.Fill(a[:]))
+	if n < v.Engine {
+		rt.forward(st, line, 0, v)
+		return
+	}
+	eng := a[v.Engine-1]
+	switch v.Place {
+	case wire.Keyed:
 		switch {
-		case extra:
-			rt.forward(st, line, 0, false)
-		case !hasEng:
-			rt.scatter(st, line, (*Router).mergeHealthRoster)
-		case rt.Pinned(string(eng)):
-			rt.forward(st, line, rt.ring.OwnerEngine(string(eng)), !hasSub)
-		case hasSub && eqFold(sub, "SCRUB"):
-			rt.scatter(st, line, (*Router).mergeScrubReports)
-		case hasSub:
-			rt.forward(st, line, 0, false) // bad subcommand: backend usage ERR
+		case n < v.Key: // no key: the engine's home renders the usage ERR
+			rt.forward(st, line, rt.ring.OwnerEngine(eng), v)
+		case v.Mask == 0 || n < v.Mask:
+			rt.forward(st, line, rt.owner(eng, a[v.Key-1]), v)
+		case n == v.Mask && merges[v.ID] != nil && !rt.Pinned(eng):
+			// A masked probe can match a record on any shard.
+			rt.scatter(st, line, v, merges[v.ID])
+		default: // masked with no merge rule, pinned, or one field too many
+			rt.forward(st, line, rt.ring.OwnerEngine(eng), v)
+		}
+	case wire.Home:
+		rt.forward(st, line, rt.ring.OwnerEngine(eng), v)
+	case wire.Scatter:
+		switch {
+		case n != v.Engine: // the engine is the verb's only argument
+			rt.forward(st, line, 0, v)
+		case rt.Pinned(eng):
+			rt.forward(st, line, rt.ring.OwnerEngine(eng), v)
 		default:
-			rt.scatter(st, line, (*Router).mergeHealthCounters)
+			rt.scatter(st, line, v, merges[v.ID])
 		}
-	case eqFold(cmd, "WAL"):
-		rt.scatter(st, line, (*Router).mergeWALStatus)
-	case eqFold(cmd, "CREATE"):
-		kw, okKw := sc.next()
-		name, okName := sc.next()
-		tkw, okTkw := sc.next()
-		typ, okTyp := sc.next()
-		if !okKw || !eqFold(kw, "ENGINE") || !okName || !okTkw || !eqFold(tkw, "TYPE") || !okTyp {
-			rt.forward(st, line, 0, false)
-			return
-		}
-		if eqFold(typ, "EXACT") {
-			rt.scatter(st, line, (*Router).mergeAllOK)
-			return
-		}
-		// Pin at dispatch, not settle: requests later in this same
-		// pipelined burst must already route the new typed engine to
-		// its home. Settle rolls the pin back if the CREATE failed.
-		rt.pin(string(name), true)
-		op := rt.forward(st, line, rt.ring.OwnerEngine(string(name)), false)
-		op.pin = string(name)
-	case eqFold(cmd, "DROP"):
-		kw, okKw := sc.next()
-		name, okName := sc.next()
-		if !okKw || !eqFold(kw, "ENGINE") || !okName {
-			rt.forward(st, line, 0, false)
-			return
-		}
-		if rt.Pinned(string(name)) {
-			op := rt.forward(st, line, rt.ring.OwnerEngine(string(name)), false)
-			op.unpin = string(name)
-			return
-		}
-		rt.scatter(st, line, (*Router).mergeAllOK)
-	case eqFold(cmd, "METRICS"):
-		rt.dispatchMetrics(st, line)
-	case eqFold(cmd, "SLOWLOG"):
-		rt.dispatchSlowlog(st, line, sc)
-	case eqFold(cmd, "TRACE"):
-		rt.dispatchTrace(st, line, sc)
-	default:
-		rt.forward(st, line, 0, false)
 	}
 }
 
 // owner is the backend of one keyed op: the ring owner of (engine, key),
 // or the engine's home when it is pinned or the key does not parse (the
 // backend will say so; the line just needs a deterministic anchor).
-func (rt *Router) owner(eng, key []byte) int {
-	if !rt.Pinned(string(eng)) {
-		if v, ok := parseVecBytes(key); ok {
-			return rt.ring.Owner(string(eng), v)
+func (rt *Router) owner(eng, key string) int {
+	if !rt.Pinned(eng) {
+		if v, ok := wire.ParseVec(key); ok {
+			return rt.ring.Owner(eng, v)
 		}
 	}
-	return rt.ring.OwnerEngine(string(eng))
+	return rt.ring.OwnerEngine(eng)
 }
 
 // forward enqueues line for one backend and records the pending op.
-func (rt *Router) forward(st *rconn, line []byte, backend int, idempotent bool) *pendingOp {
+// Retry eligibility is the row's: v is nil for a line no row claims.
+func (rt *Router) forward(st *rconn, line string, backend int, v *wire.Verb) *pendingOp {
 	op := st.nextOp()
 	op.kind = opForward
 	op.backend = backend
-	op.idempotent = idempotent
+	op.idempotent = v != nil && v.Idempotent
 	op.calls = append(op.calls, st.send(rt, backend, 1, line))
 	return op
 }
@@ -693,7 +645,12 @@ func (rt *Router) forward(st *rconn, line []byte, backend int, idempotent bool) 
 // the wire annotation — "*TID <hex-id>/<span> " — so the backend joins
 // its own trace to the id and a later TRACE GET <id>/<span> on that
 // backend returns this hop's child trace. The trace id is minted
-// lazily, once per router trace.
+// lazily, once per router trace. A line the client annotated itself is
+// never given a second tag (route clears st.tr for it): the client's
+// bytes go out as written, the id they carry names the backend's trace
+// (TRACE GET through the router still finds it, by scatter), and the
+// router's own trace of that request, sampled or late-built, carries
+// no wire id and so no stitched child.
 func (st *rconn) open(b int, span uint32) *batch {
 	bt := st.cur[b]
 	if bt == nil {
@@ -732,45 +689,36 @@ func (st *rconn) endLine(rt *Router, b int) Call {
 }
 
 // send enqueues one whole line for backend b.
-func (st *rconn) send(rt *Router, b int, span uint32, line []byte) Call {
+func (st *rconn) send(rt *Router, b int, span uint32, line string) Call {
 	bt := st.open(b, span)
 	bt.req = append(bt.req, line...)
 	return st.endLine(rt, b)
 }
 
-// forwardUsage anchors a malformed engine-op line: to the engine's
-// home when an engine field exists (deterministic, and the right place
-// for its real ops too), else to backend 0. The backend renders the
-// authoritative ERR, byte-identical to a direct connection.
-func (rt *Router) forwardUsage(st *rconn, line []byte, eng []byte, haveEng bool) {
-	if haveEng {
-		rt.forward(st, line, rt.ring.OwnerEngine(string(eng)), false)
-	} else {
-		rt.forward(st, line, 0, false)
-	}
-}
-
-// scatter enqueues line for every backend with a merge rule. A
-// head-sampled scatter tags backend b's copy with child span b+1.
-func (rt *Router) scatter(st *rconn, line []byte, merge mergeFn) *pendingOp {
+// scatter enqueues line for every backend with a merge rule; v is the
+// row a fold merge reads its rules from. A head-sampled scatter tags
+// backend b's copy with child span b+1.
+func (rt *Router) scatter(st *rconn, line string, v *wire.Verb, merge mergeFn) *pendingOp {
 	op := st.nextOp()
 	op.kind = opScatter
-	op.merge = merge
+	op.merge, op.verb = merge, v
 	for b := range rt.pools {
 		op.calls = append(op.calls, st.send(rt, b, uint32(b+1), line))
 	}
 	return op
 }
 
-// dispatchMSearch splits the pair list by ring owner and builds one
-// MSEARCH per involved backend straight into that backend's batch.
-// Malformed lists (odd arity, bad hex) forward whole to backend 0: the
-// server validates every key before executing any slot, so nothing
-// runs and the ERR is authoritative.
-func (rt *Router) dispatchMSearch(st *rconn, line []byte, sc bscan) {
-	n := sc.count()
+// routeMSearch splits the pair list by ring owner and builds one
+// MSEARCH per involved backend straight into that backend's batch, each
+// behind the client's annotation if the line carried one. Malformed
+// lists (odd arity, bad hex) forward whole to backend 0: the server
+// validates every key before executing any slot, so nothing runs and
+// the ERR is authoritative.
+func (rt *Router) routeMSearch(st *rconn, line string, req wire.Request) {
+	sc := req.Args
+	n := sc.Count()
 	if n == 0 || n%2 != 0 {
-		rt.forward(st, line, 0, false)
+		rt.forward(st, line, 0, req.Verb)
 		return
 	}
 	op := st.nextOp()
@@ -779,12 +727,12 @@ func (rt *Router) dispatchMSearch(st *rconn, line []byte, sc bscan) {
 		st.marks[b] = -1
 	}
 	for {
-		eng, ok := sc.next()
+		eng, ok := sc.Next()
 		if !ok {
 			break
 		}
-		key, _ := sc.next()
-		v, okKey := parseVecBytes(key)
+		key, _ := sc.Next()
+		v, okKey := wire.ParseVec(key)
 		if !okKey {
 			// Bad hex: the whole line belongs to one backend's parser.
 			// Nothing was submitted yet — take the half-built lines back
@@ -795,18 +743,19 @@ func (rt *Router) dispatchMSearch(st *rconn, line []byte, sc bscan) {
 				}
 			}
 			st.ops = st.ops[:len(st.ops)-1]
-			rt.forward(st, line, 0, false)
+			rt.forward(st, line, 0, req.Verb)
 			return
 		}
 		var b int
-		if rt.Pinned(string(eng)) {
-			b = rt.ring.OwnerEngine(string(eng))
+		if rt.Pinned(eng) {
+			b = rt.ring.OwnerEngine(eng)
 		} else {
-			b = rt.ring.Owner(string(eng), v)
+			b = rt.ring.Owner(eng, v)
 		}
 		if st.marks[b] < 0 {
 			bt := st.open(b, uint32(b+1))
-			bt.req = append(bt.req, "MSEARCH"...)
+			bt.req = append(bt.req, req.Tag...)
+			bt.req = append(bt.req, req.Verb.Name...)
 		}
 		bt := st.cur[b]
 		bt.req = append(bt.req, ' ')
@@ -824,8 +773,68 @@ func (rt *Router) dispatchMSearch(st *rconn, line []byte, sc bscan) {
 	}
 }
 
+// routeCreate: CREATE ENGINE ... TYPE exact broadcasts (every backend
+// must carry a sharded engine); a typed CREATE forwards to the engine's
+// home and pins it there.
+func (rt *Router) routeCreate(st *rconn, line string, req wire.Request) {
+	var a [4]string
+	if n := req.Args.Fill(a[:]); n < 4 || !wire.EqualFold(a[0], "ENGINE") || !wire.EqualFold(a[2], "TYPE") {
+		rt.forward(st, line, 0, req.Verb)
+		return
+	}
+	if wire.EqualFold(a[3], "EXACT") {
+		rt.scatter(st, line, req.Verb, (*Router).mergeAllOK)
+		return
+	}
+	// Pin at dispatch, not settle: requests later in this same
+	// pipelined burst must already route the new typed engine to
+	// its home. Settle rolls the pin back if the CREATE failed. The
+	// pin set and the op outlive the line: they keep a clone.
+	name := strings.Clone(a[1])
+	rt.pin(name, true)
+	rt.forward(st, line, rt.ring.OwnerEngine(name), req.Verb).pin = name
+}
+
+// routeDrop: a pinned engine's DROP forwards home and unpins on
+// success; a sharded engine's broadcasts.
+func (rt *Router) routeDrop(st *rconn, line string, req wire.Request) {
+	var a [2]string
+	switch n := req.Args.Fill(a[:]); {
+	case n < 2 || !wire.EqualFold(a[0], "ENGINE"):
+		rt.forward(st, line, 0, req.Verb)
+	case rt.Pinned(a[1]):
+		rt.forward(st, line, rt.ring.OwnerEngine(a[1]), req.Verb).unpin = strings.Clone(a[1])
+	default:
+		rt.scatter(st, line, req.Verb, (*Router).mergeAllOK)
+	}
+}
+
+// routeHealth: the bare roster merges per-engine worst states; HEALTH
+// <eng> and HEALTH <eng> SCRUB on a sharded engine fold the shards'
+// counters; a pinned engine's forms forward home.
+func (rt *Router) routeHealth(st *rconn, line string, req wire.Request) {
+	var a [3]string
+	n := req.Args.Fill(a[:])
+	switch eng := a[0]; {
+	case n == 0:
+		rt.scatter(st, line, req.Verb, (*Router).mergeHealthRoster)
+	case n > 2:
+		rt.forward(st, line, 0, req.Verb) // backend renders the usage ERR
+	case rt.Pinned(eng):
+		// A scrub reports what it repaired: resubmitted, the second pass
+		// would answer for a first whose report was lost.
+		rt.forward(st, line, rt.ring.OwnerEngine(eng), req.Verb).idempotent = n == 1
+	case n == 1:
+		rt.scatter(st, line, req.Verb, (*Router).mergeFold)
+	case wire.EqualFold(a[1], "SCRUB"):
+		rt.scatter(st, line, req.Verb, (*Router).mergeScrub)
+	default:
+		rt.forward(st, line, 0, req.Verb)
+	}
+}
+
 // replyUnavailable is the router's shed line for single-reply
-// requests; MSEARCH slots use server.SlotUnavailable. Only ever sent
+// requests; MSEARCH slots use wire.SlotUnavailable. Only ever sent
 // instead of an answer, never alongside a wrong one.
 var replyUnavailable = []byte("ERR unavailable")
 
@@ -900,7 +909,7 @@ func (rt *Router) settleForward(st *rconn, out []byte, op *pendingOp) []byte {
 		op.calls[0] = c
 		resp, err = c.Wait()
 	}
-	ok := err == nil && tokenEq(resp, server.ReplyOK)
+	ok := err == nil && wire.Head(wire.View(resp)) == wire.ReplyOK
 	if op.pin != "" && !ok {
 		rt.pin(op.pin, false) // CREATE failed: roll the speculative pin back
 	}
@@ -914,41 +923,33 @@ func (rt *Router) settleForward(st *rconn, out []byte, op *pendingOp) []byte {
 }
 
 // settleMSearch reassembles per-backend MRESULTS into the caller's
-// original slot order.
+// original slot order. One scanner per backend walks its reply left to
+// right; the slot plan visits each backend's slots in the order they
+// were packed, so a scanner never rewinds. A backend that is down,
+// answered anything but MRESULTS, or ran out of slots early (desync)
+// leaves its scanner empty: those slots say unavailable, never a
+// shifted reply.
 func (rt *Router) settleMSearch(st *rconn, out []byte, op *pendingOp) []byte {
-	// Per-backend cursors walk each MRESULTS reply left to right; the
-	// slot plan visits each backend's slots in the order they were
-	// packed, so a cursor never rewinds.
 	for b, c := range op.calls {
-		st.curs[b] = -1
+		st.curs[b] = wire.Scanner{}
 		if c.b == nil {
 			continue
 		}
 		if resp, err := c.Wait(); err == nil {
-			// Position after the "MRESULTS" token; anything else
-			// (an ERR line) marks every slot of this backend failed.
-			if tok, rest := firstToken(resp); eqFold(tok, server.ReplyMResults) {
-				st.curs[b] = rest
+			sc := wire.Scan(wire.View(resp))
+			if head, _ := sc.Next(); head == wire.ReplyMResults {
+				st.curs[b] = sc
 			}
 		}
 	}
-	out = append(out, server.ReplyMResults...)
+	out = append(out, wire.ReplyMResults...)
 	for _, b := range op.slotBk {
 		out = append(out, ' ')
-		if st.curs[b] < 0 {
-			out = append(out, server.SlotUnavailable...)
-			continue
+		if slot, ok := st.curs[b].Next(); ok {
+			out = append(out, slot...)
+		} else {
+			out = append(out, wire.SlotUnavailable...)
 		}
-		resp, _ := op.calls[b].Wait()
-		slot, next := tokenAt(resp, st.curs[b])
-		if len(slot) == 0 {
-			// Backend answered fewer slots than asked: desync; never
-			// serve a shifted reply.
-			out = append(out, server.SlotUnavailable...)
-			continue
-		}
-		st.curs[b] = next
-		out = append(out, slot...)
 	}
 	return out
 }
@@ -964,7 +965,7 @@ func (rt *Router) settleScatter(out []byte, op *pendingOp) []byte {
 // observe is settle's tracing pass, run once every reply of the burst
 // is in the out buffer. A head-sampled op carries the trace its forwards
 // were tagged with. Any other op is judged now: past the slowlog
-// threshold, its trace is built after the fact — identity re-scanned
+// threshold, its trace is built after the fact — identity re-parsed
 // from the request bytes its batch still owns, spans from the stamps,
 // result from the reply — and admitted, with the backend index but no
 // wire id, hence no stitched child; otherwise nothing was allocated,
@@ -989,7 +990,7 @@ func (rt *Router) observe(st *rconn, tFlush int64) {
 			routed, end = st.ops[i+1].t0, st.ops[i+1].mark
 		}
 		rt.record(tr, op, routed)
-		tr.SetResult(server.ResultToken(st.out[op.mark : end-1]))
+		tr.SetResult(wire.Head(wire.View(st.out[op.mark : end-1])))
 		if slow := rt.trc.Observe(tr, d); slow && rt.log != nil {
 			rt.log.Warn("slow proxied request",
 				"id", tr.ID,
@@ -1002,9 +1003,11 @@ func (rt *Router) observe(st *rconn, tFlush int64) {
 	}
 }
 
-// record fills a trace from a settled op: the command identity, the
-// route span (dispatch until routed — parse plus ring lookup), then per
-// involved backend the breaker outcome, retries, and the call's hops.
+// record fills a trace from a settled op: the command identity — the
+// verb's canonical name and the engine and key at its row's positions,
+// the same the backend's own trace records — the route span (dispatch
+// until routed — parse plus ring lookup), then per involved backend the
+// breaker outcome, retries, and the call's hops.
 func (rt *Router) record(tr *trace.Trace, op *pendingOp, routed int64) {
 	line := op.req
 	for _, c := range op.calls {
@@ -1013,23 +1016,18 @@ func (rt *Router) record(tr *trace.Trace, op *pendingOp, routed int64) {
 			break
 		}
 	}
-	sc := bscan{b: line}
-	cmd, _ := sc.next()
-	if tr.TID != 0 && eqFold(cmd, "*TID") { // our own annotation, not the client's verb
-		sc.next()
-		cmd, _ = sc.next()
+	// Views of batch bytes recycled long before the trace is: the
+	// collector clones them on admission, before settle moves on.
+	req := wire.Parse(wire.View(line))
+	var cmd string // stays empty for a line without a verb, as on the server
+	switch req.Status {
+	case wire.OK:
+		cmd = req.Verb.Name
+	case wire.UnknownVerb:
+		cmd = strings.ToUpper(req.Word)
 	}
-	var eng, key []byte
-	if eqFold(cmd, "SEARCH") || eqFold(cmd, "INSERT") || eqFold(cmd, "DELETE") {
-		if e, ok := sc.next(); ok {
-			if k, ok := sc.next(); ok {
-				eng, key = e, k
-			}
-		}
-	}
-	// Clones (the batch bytes are recycled long before the trace is);
-	// verbs are matched case-insensitively but recorded canonically.
-	tr.Request(strings.ToUpper(string(cmd)), string(eng), string(key))
+	eng, key := req.Identity()
+	tr.Request(cmd, eng, key)
 	tr.Add(trace.Event{Kind: trace.KindRoute, Dur: time.Duration(routed - op.t0)})
 	hop := func(i int) (backend int, span uint32) {
 		if op.kind == opForward {
@@ -1099,11 +1097,11 @@ func (rt *Router) mergeAllOK(out []byte, op *pendingOp) []byte {
 		if err != nil {
 			return append(out, replyUnavailable...)
 		}
-		if !tokenEq(resp, server.ReplyOK) {
+		if wire.Head(wire.View(resp)) != wire.ReplyOK {
 			return append(out, resp...)
 		}
 	}
-	return append(out, server.ReplyOK...)
+	return append(out, wire.ReplyOK...)
 }
 
 // mergeMasked: a masked probe can match on any shard — first HIT in
@@ -1114,14 +1112,16 @@ func (rt *Router) mergeMasked(out []byte, op *pendingOp) []byte {
 	var firstOther []byte
 	for _, c := range op.calls {
 		resp, err := c.Wait()
-		switch {
-		case err != nil:
+		if err != nil {
 			sawDown = true
-		case hasPrefix(resp, "HIT "):
+			continue
+		}
+		switch wire.Head(wire.View(resp)) {
+		case wire.ReplyHit:
 			return append(out, resp...)
-		case tokenEq(resp, server.ReplyMissErr):
+		case wire.ReplyMissErr:
 			sawMissErr = true
-		case tokenEq(resp, server.ReplyMiss):
+		case wire.ReplyMiss:
 			sawMiss = true
 		default:
 			if firstOther == nil {
@@ -1133,13 +1133,13 @@ func (rt *Router) mergeMasked(out []byte, op *pendingOp) []byte {
 	case sawDown:
 		return append(out, replyUnavailable...)
 	case sawMissErr:
-		return append(out, server.ReplyMissErr...)
+		return append(out, wire.ReplyMissErr...)
 	case sawMiss:
-		return append(out, server.ReplyMiss...)
+		return append(out, wire.ReplyMiss...)
 	case firstOther != nil:
 		return append(out, firstOther...)
 	}
-	return append(out, server.ReplyMiss...)
+	return append(out, wire.ReplyMiss...)
 }
 
 // mergeEngineUnion: the cluster roster is the union of backend
@@ -1147,25 +1147,21 @@ func (rt *Router) mergeMasked(out []byte, op *pendingOp) []byte {
 func (rt *Router) mergeEngineUnion(out []byte, op *pendingOp) []byte {
 	seen := make(map[string]struct{}, 8)
 	mark := len(out)
-	out = append(out, "ENGINES"...)
+	out = append(out, op.verb.Name...)
 	for _, c := range op.calls {
 		resp, err := c.Wait()
 		if err != nil {
 			return append(out[:mark], replyUnavailable...)
 		}
-		sc := bscan{b: resp}
-		if tok, ok := sc.next(); !ok || !eqFold(tok, "ENGINES") {
+		sc := wire.Scan(wire.View(resp))
+		if head, _ := sc.Next(); head != op.verb.Name {
 			continue
 		}
-		for {
-			name, ok := sc.next()
-			if !ok {
-				break
-			}
-			if _, dup := seen[string(name)]; dup {
+		for name, ok := sc.Next(); ok; name, ok = sc.Next() {
+			if _, dup := seen[name]; dup {
 				continue
 			}
-			seen[string(name)] = struct{}{}
+			seen[name] = struct{}{}
 			out = append(out, ' ')
 			out = append(out, name...)
 		}
@@ -1174,11 +1170,11 @@ func (rt *Router) mergeEngineUnion(out []byte, op *pendingOp) []byte {
 }
 
 // healthRank orders the engine health vocabulary worst-last.
-func healthRank(state []byte) int {
+func healthRank(state string) int {
 	switch {
-	case eqFold(state, "failed"):
+	case wire.EqualFold(state, "failed"):
 		return 2
-	case eqFold(state, "degraded"):
+	case wire.EqualFold(state, "degraded"):
 		return 1
 	default:
 		return 0
@@ -1204,23 +1200,21 @@ func (rt *Router) mergeHealthRoster(out []byte, op *pendingOp) []byte {
 		if err != nil {
 			return append(out, replyUnavailable...)
 		}
-		sc := bscan{b: resp}
-		if tok, ok := sc.next(); !ok || !eqFold(tok, "HEALTH") {
+		sc := wire.Scan(wire.View(resp))
+		if head, _ := sc.Next(); head != op.verb.Name {
 			continue
 		}
-		for name, val, ok := sc.nextKV(); ok; name, val, ok = sc.nextKV() {
+		for name, val, ok := sc.NextKV(); ok; name, val, ok = sc.NextKV() {
 			r := healthRank(val)
-			if i, seen := idx[string(name)]; seen {
-				if r > ents[i].rank {
-					ents[i].rank = r
-				}
+			if i, seen := idx[name]; seen {
+				ents[i].rank = max(ents[i].rank, r)
 			} else {
-				idx[string(name)] = len(ents)
-				ents = append(ents, ent{name: string(name), rank: r})
+				idx[name] = len(ents)
+				ents = append(ents, ent{name: name, rank: r})
 			}
 		}
 	}
-	out = append(out, "HEALTH"...)
+	out = append(out, op.verb.Name...)
 	for _, e := range ents {
 		out = append(out, ' ')
 		out = append(out, e.name...)
@@ -1228,267 +1222,4 @@ func (rt *Router) mergeHealthRoster(out []byte, op *pendingOp) []byte {
 		out = append(out, healthNames[e.rank]...)
 	}
 	return out
-}
-
-// mergeHealthCounters: HEALTH <eng> across shards — worst state,
-// summed error-coding counters, summed overflow occupancy. Backends
-// scan in address order so the surviving ERR (if any) is stable.
-func (rt *Router) mergeHealthCounters(out []byte, op *pendingOp) []byte {
-	var (
-		got      bool
-		rank     int
-		sums     map[string]int64
-		ovLen    int64
-		ovCap    int64
-		firstErr []byte
-		engine   []byte
-	)
-	order := []string{"quarantined", "corrected", "uncorrectable", "read_errors", "scrubs", "scrub_bits"}
-	sums = make(map[string]int64, len(order))
-	for _, bi := range rt.order {
-		resp, err := op.calls[bi].Wait()
-		if err != nil {
-			return append(out, replyUnavailable...)
-		}
-		sc := bscan{b: resp}
-		if tok, ok := sc.next(); !ok || !eqFold(tok, "HEALTH") {
-			if firstErr == nil {
-				firstErr = resp
-			}
-			continue
-		}
-		got = true
-		for k, v, ok := sc.nextKV(); ok; k, v, ok = sc.nextKV() {
-			switch {
-			case eqFold(k, "engine"):
-				engine = v
-			case eqFold(k, "state"):
-				if r := healthRank(v); r > rank {
-					rank = r
-				}
-			case eqFold(k, "overflow"):
-				if a, b, ok := splitSlash(v); ok {
-					ovLen += parseInt(a)
-					ovCap += parseInt(b)
-				}
-			default:
-				sums[string(k)] += parseInt(v)
-			}
-		}
-	}
-	if !got {
-		if firstErr != nil {
-			return append(out, firstErr...)
-		}
-		return append(out, replyUnavailable...)
-	}
-	out = append(out, "HEALTH engine="...)
-	out = append(out, engine...)
-	out = append(out, " state="...)
-	out = append(out, healthNames[rank]...)
-	for _, k := range order {
-		out = append(out, ' ')
-		out = append(out, k...)
-		out = append(out, '=')
-		out = strconv.AppendInt(out, sums[k], 10)
-	}
-	out = append(out, " overflow="...)
-	out = strconv.AppendInt(out, ovLen, 10)
-	out = append(out, '/')
-	return strconv.AppendInt(out, ovCap, 10)
-}
-
-// mergeScrubReports: HEALTH <eng> SCRUB across shards — every shard
-// scrubs, repairs sum, backends scanned in address order.
-func (rt *Router) mergeScrubReports(out []byte, op *pendingOp) []byte {
-	var rows, bits, released int64
-	var engine []byte
-	got := false
-	var firstErr []byte
-	for _, bi := range rt.order {
-		resp, err := op.calls[bi].Wait()
-		if err != nil {
-			return append(out, replyUnavailable...)
-		}
-		sc := bscan{b: resp}
-		if tok, ok := sc.next(); !ok || !eqFold(tok, "OK") {
-			if firstErr == nil {
-				firstErr = resp
-			}
-			continue
-		}
-		got = true
-		for k, v, ok := sc.nextKV(); ok; k, v, ok = sc.nextKV() {
-			switch {
-			case eqFold(k, "engine"):
-				engine = v
-			case eqFold(k, "rows"):
-				rows += parseInt(v)
-			case eqFold(k, "bits"):
-				bits += parseInt(v)
-			case eqFold(k, "released"):
-				released += parseInt(v)
-			}
-		}
-	}
-	if !got {
-		if firstErr != nil {
-			return append(out, firstErr...)
-		}
-		return append(out, replyUnavailable...)
-	}
-	out = append(out, "OK scrub engine="...)
-	out = append(out, engine...)
-	out = append(out, " rows="...)
-	out = strconv.AppendInt(out, rows, 10)
-	out = append(out, " bits="...)
-	out = strconv.AppendInt(out, bits, 10)
-	out = append(out, " released="...)
-	return strconv.AppendInt(out, released, 10)
-}
-
-// mergeWALStatus: WAL STATUS across the fleet — summed commit
-// horizons (lsn, durable, segments; each node numbers its own log, so
-// the sums are fleet totals), the most conservative snapshot bound
-// (min), and the sync policy when every node agrees ("mixed"
-// otherwise). Node-local latency keys of the SYNC form are dropped
-// from the merged reply. A backend that answers ERR (wal disabled, or
-// a usage error) wins verbatim, address order making it stable.
-func (rt *Router) mergeWALStatus(out []byte, op *pendingOp) []byte {
-	var (
-		got                    bool
-		nodes                  int64
-		lsn, durable, segments int64
-		snapMin                int64 = -1
-		policy                 []byte
-		mixed                  bool
-	)
-	for _, bi := range rt.order {
-		resp, err := op.calls[bi].Wait()
-		if err != nil {
-			return append(out, replyUnavailable...)
-		}
-		sc := bscan{b: resp}
-		if tok, ok := sc.next(); !ok || !eqFold(tok, "WAL") {
-			// Any node without a WAL (or otherwise erring) fails the
-			// whole fleet answer: a partial sum would overstate what is
-			// actually durable.
-			return append(out, resp...)
-		}
-		got = true
-		nodes++
-		for k, v, ok := sc.nextKV(); ok; k, v, ok = sc.nextKV() {
-			switch {
-			case eqFold(k, "lsn"):
-				lsn += parseInt(v)
-			case eqFold(k, "durable"):
-				durable += parseInt(v)
-			case eqFold(k, "segments"):
-				segments += parseInt(v)
-			case eqFold(k, "snapshot_lsn"):
-				if s := parseInt(v); snapMin < 0 || s < snapMin {
-					snapMin = s
-				}
-			case eqFold(k, "sync"):
-				if policy == nil {
-					policy = v
-				} else if string(policy) != string(v) {
-					mixed = true
-				}
-			}
-		}
-	}
-	if !got {
-		return append(out, replyUnavailable...)
-	}
-	if snapMin < 0 {
-		snapMin = 0
-	}
-	out = append(out, "WAL nodes="...)
-	out = strconv.AppendInt(out, nodes, 10)
-	out = append(out, " lsn="...)
-	out = strconv.AppendInt(out, lsn, 10)
-	out = append(out, " durable="...)
-	out = strconv.AppendInt(out, durable, 10)
-	out = append(out, " segments="...)
-	out = strconv.AppendInt(out, segments, 10)
-	out = append(out, " snapshot_lsn="...)
-	out = strconv.AppendInt(out, snapMin, 10)
-	out = append(out, " sync="...)
-	if mixed {
-		out = append(out, "mixed"...)
-	} else {
-		out = append(out, policy...)
-	}
-	return out
-}
-
-// mergeStatsAgg: STATS across shards. Counts sum exactly; alpha is
-// the mean shard load factor (shards share one geometry, so the mean
-// is the cluster load factor); amal is the lookup-weighted mean — the
-// cluster's rows-accessed-per-lookup over the same traffic.
-func (rt *Router) mergeStatsAgg(out []byte, op *pendingOp) []byte {
-	var (
-		n, hits, misses int64
-		alphaSum        float64
-		amalWeighted    float64
-		lookups         float64
-		shards          int
-		firstErr        []byte
-	)
-	for _, c := range op.calls {
-		resp, err := c.Wait()
-		if err != nil {
-			return append(out, replyUnavailable...)
-		}
-		sc := bscan{b: resp}
-		if tok, ok := sc.next(); !ok || !eqFold(tok, "STATS") {
-			if firstErr == nil {
-				firstErr = resp
-			}
-			continue
-		}
-		shards++
-		var sn, sh, sm int64
-		var salpha, samal float64
-		for k, v, ok := sc.nextKV(); ok; k, v, ok = sc.nextKV() {
-			switch {
-			case eqFold(k, "n"):
-				sn = parseInt(v)
-			case eqFold(k, "alpha"):
-				salpha = parseFloat(v)
-			case eqFold(k, "amal"):
-				samal = parseFloat(v)
-			case eqFold(k, "hits"):
-				sh = parseInt(v)
-			case eqFold(k, "misses"):
-				sm = parseInt(v)
-			}
-		}
-		n += sn
-		hits += sh
-		misses += sm
-		alphaSum += salpha
-		l := float64(sh + sm)
-		amalWeighted += samal * l
-		lookups += l
-	}
-	if shards == 0 {
-		if firstErr != nil {
-			return append(out, firstErr...)
-		}
-		return append(out, replyUnavailable...)
-	}
-	alpha := alphaSum / float64(shards)
-	amal := amalWeighted / lookups // NaN with zero lookups, like a fresh engine's
-	out = append(out, "STATS n="...)
-	out = strconv.AppendInt(out, n, 10)
-	out = append(out, " alpha="...)
-	out = strconv.AppendFloat(out, alpha, 'f', 3, 64)
-	out = append(out, " amal="...)
-	out = strconv.AppendFloat(out, amal, 'f', 3, 64)
-	out = append(out, " hits="...)
-	out = strconv.AppendInt(out, hits, 10)
-	out = append(out, " misses="...)
-	return strconv.AppendInt(out, misses, 10)
 }

@@ -16,6 +16,7 @@ import (
 	"caram/internal/server"
 	"caram/internal/subsystem"
 	"caram/internal/trace"
+	"caram/internal/wire"
 )
 
 // testBackend is one live in-process caram-server on a loopback
@@ -108,7 +109,10 @@ func rdrive(t testing.TB, rt *Router, reqs ...string) []string {
 // error, every malformed line — the router's reply must be
 // byte-identical to a direct server's for the same session. (Scatter
 // aggregates like STATS are covered by their own semantic tests; they
-// summarize N backends and legitimately differ from one.)
+// summarize N backends and legitimately differ from one.) That holds
+// for a request the client annotated with *TID as well — it routes by
+// its inner verb — and on a router that tags every forward itself,
+// which must not tag such a line twice.
 func TestRouterTransparencyDifferential(t *testing.T) {
 	script := []string{
 		"INSERT db dead 42",
@@ -152,27 +156,126 @@ func TestRouterTransparencyDifferential(t *testing.T) {
 		"HEALTH nope",
 		"TSEARCH",
 		"MINSERT db 1",
+		// Client-annotated requests: keyed ops reach the key's owner (an
+		// untagged SEARCH sees a tagged INSERT and the reverse), MSEARCH
+		// splits per owner, scatter verbs scatter.
+		"*TID 1f/1 INSERT db a1 51",
+		"*tid 1f/2 insert db a2 52",
+		"*TID 1f/3 INSERT db a3 53",
+		"*TID 1f/4 INSERT db a4 54",
+		"SEARCH db a1",
+		"SEARCH db a2",
+		"SEARCH db a3",
+		"SEARCH db a4",
+		"*TID 2a/1 SEARCH db dead",
+		"*tid 2a/2 search db 0:dead",
+		"*TID 2a/3 SEARCH db f00d",
+		"*TID 2a/4 SEARCH db a4",
+		"*TID 2a/5 SEARCH db 404404",
+		"*TID 2a/6 SEARCH db zz",
+		"*TID 3b/1 MSEARCH db dead db a1 db a2 db a3 db a4 db 404404 nope dead",
+		"*tid 3b/2 msearch db a4 db f00d",
+		"*TID 3b/3 MSEARCH db zz",
+		"*TID 4c/1 DELETE db a1",
+		"*tid 4c/2 delete db a2",
+		"SEARCH db a1",
+		"SEARCH db a2",
+		"*TID 4c/3 DELETE db a1",
+		"*TID 5d/1 ENGINES",
+		"*tid 5d/2 health",
+		"*TID 5d/3 BOGUS",
+		// Malformed annotations: the backend's own ERR, never a second tag.
+		"*TID zz SEARCH db dead",
+		"*FOO SEARCH db dead",
+		"*TID 1f/1",
+		"*TID 1f/1 *TID 2a/2 SEARCH db dead",
 	}
 
+	for name, tracing := range map[string]*trace.Config{
+		"untraced":              nil,
+		"tagging every forward": {SampleN: 1, Slowlog: -1, Ring: 64},
+	} {
+		t.Run(name, func(t *testing.T) {
+			direct := server.New(func() *subsystem.Subsystem {
+				sub := subsystem.New(0)
+				exactEngine(t, sub, "db")
+				return sub
+			}())
+			t.Cleanup(func() { direct.Close() })
+
+			rt, _ := testRouter(t, []*testBackend{
+				startBackend(t, "db"),
+				startBackend(t, "db"),
+				startBackend(t, "db"),
+			}, func(cfg *RouterConfig) {
+				if tracing != nil {
+					cfg.Tracing = trace.NewCollector(*tracing)
+				}
+			})
+
+			got := rdrive(t, rt, script...)
+			for i, req := range script {
+				want := direct.Exec(req)
+				if got[i] != want {
+					t.Errorf("request %q:\n  router %q\n  direct %q", req, got[i], want)
+				}
+			}
+		})
+	}
+}
+
+// TestRouterSingleOwnerRows walks the verb table: every row the router
+// places on a single backend (Keyed, Home) must answer through a
+// 3-backend cluster exactly as a direct server does — bare, in lower
+// case and *TID-tagged. A new single-owner verb is covered by adding its
+// row and a session here; the test fails until it has one.
+func TestRouterSingleOwnerRows(t *testing.T) {
+	setup := []string{
+		"CREATE ENGINE ip TYPE lpm INDEXBITS 6 SLOTS 8",
+		"CREATE ENGINE tri TYPE trigram INDEXBITS 6",
+		"INSERT db 51 1",
+		"INSERT db 52 2",
+		"MINSERT ip a0000000 ffffff 8",
+		"TINSERT tri 2a the quick fox",
+	}
+	sessions := map[wire.ID][]string{
+		wire.Search:  {"SEARCH db 51", "search db 0:52", "*TID 9/1 SEARCH db 51", "SEARCH db 404", "SEARCH ip a0123456", "*tid 9/2 search ip a0123456 ff"},
+		wire.Insert:  {"INSERT db 61 1", "insert db 62 2", "*TID 9/1 INSERT db 63 3", "SEARCH db 62", "SEARCH db 63", "INSERT tri 1 1"},
+		wire.Delete:  {"DELETE db 51", "delete db 51", "*TID 9/1 DELETE db 52", "SEARCH db 52", "DELETE nope 1"},
+		wire.TSearch: {"TSEARCH tri the quick fox", "tsearch tri nothing  here", "*TID 9/1 TSEARCH tri the quick fox", "TSEARCH db x"},
+		wire.TInsert: {"TINSERT tri 7 lazy dog", "tinsert tri 8 lazy cat", "*TID 9/1 TINSERT tri 9 lazy  eel", "TSEARCH tri lazy  eel", "TINSERT tri zz x"},
+		wire.MInsert: {"MINSERT ip a0b00000 ffff 16", "minsert ip a0b0c000 ff 24", "*TID 9/1 MINSERT ip a0b0c0d0 f 28", "SEARCH ip a0b0c0d1", "MINSERT db 1 1 1"},
+		wire.MDelete: {"MDELETE ip a0b0c0d0 f", "mdelete ip a0b0c000 ff", "*TID 9/1 MDELETE ip a0b00000 ffff", "SEARCH ip a0b0c0d1", "MDELETE ip zz ff"},
+		wire.Explain: {"EXPLAIN SEARCH db 61", "explain search db 404", "*TID 9/1 EXPLAIN SEARCH db 61", "EXPLAIN SEARCH ip a0123456", "EXPLAIN SEARCH ip a0123456 ff"},
+	}
 	direct := server.New(func() *subsystem.Subsystem {
 		sub := subsystem.New(0)
 		exactEngine(t, sub, "db")
 		return sub
 	}())
 	t.Cleanup(func() { direct.Close() })
+	rt, _ := testRouter(t, []*testBackend{startBackend(t, "db"), startBackend(t, "db"), startBackend(t, "db")}, nil)
 
-	rt, _ := testRouter(t, []*testBackend{
-		startBackend(t, "db"),
-		startBackend(t, "db"),
-		startBackend(t, "db"),
-	}, nil)
-
-	got := rdrive(t, rt, script...)
-	for i, req := range script {
-		want := direct.Exec(req)
-		if got[i] != want {
-			t.Errorf("request %q:\n  router %q\n  direct %q", req, got[i], want)
+	same := func(reqs []string) {
+		t.Helper()
+		for i, got := range rdrive(t, rt, reqs...) {
+			if want := direct.Exec(reqs[i]); got != want {
+				t.Errorf("request %q:\n  router %q\n  direct %q", reqs[i], got, want)
+			}
 		}
+	}
+	same(setup)
+	for i := range wire.Table() {
+		v := &wire.Table()[i]
+		if v.Place != wire.Keyed && v.Place != wire.Home {
+			continue
+		}
+		reqs := sessions[v.ID]
+		if len(reqs) == 0 || wire.Parse(reqs[0]).Verb != v {
+			t.Errorf("single-owner verb %s has no session in this test: add one", v.Name)
+			continue
+		}
+		same(reqs)
 	}
 }
 
@@ -195,7 +298,7 @@ func TestRouterShardsKeys(t *testing.T) {
 	}
 	counts := make([]int, len(bks))
 	for i := 0; i < n; i++ {
-		key, _ := parseVecBytes([]byte(fmt.Sprintf("%x", i*2654435761)))
+		key, _ := wire.ParseVec(fmt.Sprintf("%x", i*2654435761))
 		counts[rt.Ring().Owner("db", key)]++
 	}
 	for b, bk := range bks {
@@ -356,7 +459,7 @@ func TestRouterMaskedSearchScatters(t *testing.T) {
 	keyFor := func(b int) string {
 		for i := 1; i < 1<<16; i++ {
 			k := fmt.Sprintf("%x", i<<4) // low nibble zero
-			v, _ := parseVecBytes([]byte(k))
+			v, _ := wire.ParseVec(k)
 			if rt.Ring().Owner("db", v) == b {
 				return k
 			}
@@ -394,7 +497,7 @@ func TestRouterBackendDownSheds(t *testing.T) {
 	keyFor := func(b int) string {
 		for i := 1; ; i++ {
 			k := fmt.Sprintf("%x", i)
-			v, _ := parseVecBytes([]byte(k))
+			v, _ := wire.ParseVec(k)
 			if rt.Ring().Owner("db", v) == b {
 				return k
 			}

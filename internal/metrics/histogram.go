@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/bits"
+	"strconv"
 	"sync/atomic"
 
 	"caram/internal/stats"
@@ -133,4 +134,35 @@ func (s HistSnapshot) MeanNs() float64 {
 		return 0
 	}
 	return float64(s.SumNs) / float64(s.N)
+}
+
+// AppendQuantiles appends the snapshot as the tail of a METRICS ...
+// LATENCY reply — mean and the p50/p90/p99/max upper edges in
+// microseconds — the one rendering a server's histogram and a router's
+// bucket-wise fleet sum share.
+func (s HistSnapshot) AppendQuantiles(dst []byte) []byte {
+	dst = append(dst, " mean_us="...)
+	dst = strconv.AppendFloat(dst, s.MeanNs()/1e3, 'f', 2, 64)
+	qs := s.Quantiles(0.5, 0.9, 0.99, 1)
+	for i, label := range [...]string{" p50_us=", " p90_us=", " p99_us=", " max_us="} {
+		dst = append(dst, label...)
+		dst = strconv.AppendFloat(dst, float64(qs[i])/1e3, 'f', 2, 64)
+	}
+	return dst
+}
+
+// AppendBuckets appends the snapshot as the tail of a METRICS ... HIST
+// reply: the raw power-of-two bucket counts, the machine-readable form
+// that merges (shards share the bucket edges by construction).
+func (s HistSnapshot) AppendBuckets(dst []byte) []byte {
+	dst = append(dst, " sum_ns="...)
+	dst = strconv.AppendInt(dst, s.SumNs, 10)
+	dst = append(dst, " buckets="...)
+	for i, c := range s.Counts {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, c, 10)
+	}
+	return dst
 }

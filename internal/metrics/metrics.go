@@ -20,6 +20,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"caram/internal/wire"
 )
 
 // Op enumerates the instrumented operations, matching the wire commands
@@ -50,39 +52,22 @@ func (op Op) String() string {
 	return "unknown"
 }
 
-// ParseOp maps a wire-command word (any case) to its Op.
+// ParseOp maps a wire-command word (any case) to its Op: the four verbs
+// of the protocol's table that the registry times.
 func ParseOp(s string) (Op, error) {
-	switch {
-	case equalFold(s, "INSERT"):
-		return OpInsert, nil
-	case equalFold(s, "SEARCH"):
-		return OpSearch, nil
-	case equalFold(s, "DELETE"):
-		return OpDelete, nil
-	case equalFold(s, "MSEARCH"):
-		return OpMSearch, nil
+	if v := wire.Lookup(s); v != nil {
+		switch v.ID {
+		case wire.Insert:
+			return OpInsert, nil
+		case wire.Search:
+			return OpSearch, nil
+		case wire.Delete:
+			return OpDelete, nil
+		case wire.MSearch:
+			return OpMSearch, nil
+		}
 	}
 	return 0, errors.New("metrics: unknown op " + s)
-}
-
-// equalFold avoids importing strings for one ASCII comparison.
-func equalFold(s, t string) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c, d := s[i], t[i]
-		if c >= 'a' && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		if d >= 'a' && d <= 'z' {
-			d -= 'a' - 'A'
-		}
-		if c != d {
-			return false
-		}
-	}
-	return true
 }
 
 // Gauges is one sample of an engine's live state, read from the CA-RAM

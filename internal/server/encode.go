@@ -2,9 +2,9 @@ package server
 
 import (
 	"strconv"
-	"strings"
-	"unicode"
-	"unicode/utf8"
+
+	"caram/internal/bitutil"
+	"caram/internal/wire"
 )
 
 // Append-based reply encoding. Every response the server emits is built
@@ -13,11 +13,6 @@ import (
 // formatting of the original protocol engine. The encoders below are
 // byte-compatible with the fmt verbs they replace — the golden session
 // test holds the wire format to the old output exactly.
-
-// appendHex appends v in lower-case hex with no padding (fmt's %x).
-func appendHex(dst []byte, v uint64) []byte {
-	return strconv.AppendUint(dst, v, 16)
-}
 
 // appendHex016 appends v as exactly 16 lower-case hex digits (fmt's
 // %016x).
@@ -30,12 +25,6 @@ func appendHex016(dst []byte, v uint64) []byte {
 	return append(dst, buf[:]...)
 }
 
-// appendFixed appends v with prec digits after the decimal point
-// (fmt's %.<prec>f, including its NaN/±Inf spellings).
-func appendFixed(dst []byte, v float64, prec int) []byte {
-	return strconv.AppendFloat(dst, v, 'f', prec, 64)
-}
-
 // appendUint appends v in decimal (fmt's %d for unsigned).
 func appendUint(dst []byte, v uint64) []byte {
 	return strconv.AppendUint(dst, v, 10)
@@ -46,83 +35,71 @@ func appendInt(dst []byte, v int64) []byte {
 	return strconv.AppendInt(dst, v, 10)
 }
 
+// appendKV appends " key=" and v in decimal: one field of a "k=v" reply.
+func appendKV[T int | int32 | int64 | uint32 | uint64](dst []byte, key string, v T) []byte {
+	dst = append(append(append(dst, ' '), key...), '=')
+	if v < 0 {
+		return strconv.AppendInt(dst, int64(v), 10)
+	}
+	return strconv.AppendUint(dst, uint64(v), 10)
+}
+
+// appendKVf is appendKV for a value printed with prec decimals (fmt's
+// %.<prec>f, including its NaN/±Inf spellings).
+func appendKVf(dst []byte, key string, v float64, prec int) []byte {
+	dst = append(append(append(dst, ' '), key...), '=')
+	return strconv.AppendFloat(dst, v, 'f', prec, 64)
+}
+
 // appendErr appends "ERR " plus the error text.
 func appendErr(dst []byte, err error) []byte {
 	dst = append(dst, "ERR "...)
 	return append(dst, err.Error()...)
 }
 
-// asciiSpace marks the six ASCII bytes unicode.IsSpace accepts, the
-// fast path of the field scanner.
-var asciiSpace = [256]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
-
-// FieldScanner iterates the whitespace-separated fields of a request
-// line without allocating — the streaming equivalent of strings.Fields
-// (same unicode.IsSpace separator set), yielding substrings of the
-// input.
-type FieldScanner struct {
-	s string
-	i int
+// appendUsage appends the malformed-request reply of a verb: its
+// protocol box line, from the table.
+func appendUsage(dst []byte, v *wire.Verb) []byte {
+	return append(append(dst, "ERR usage: "...), v.Usage...)
 }
 
-// next returns the next field, or ok=false at end of line.
-func (f *FieldScanner) next() (field string, ok bool) {
-	s, i := f.s, f.i
-	for i < len(s) {
-		if c := s[i]; c < utf8.RuneSelf {
-			if asciiSpace[c] == 0 {
-				break
-			}
-			i++
-			continue
-		}
-		r, w := utf8.DecodeRuneInString(s[i:])
-		if !unicode.IsSpace(r) {
-			break
-		}
-		i += w
-	}
-	if i >= len(s) {
-		f.i = i
-		return "", false
-	}
-	start := i
-	for i < len(s) {
-		if c := s[i]; c < utf8.RuneSelf {
-			if asciiSpace[c] == 1 {
-				break
-			}
-			i++
-			continue
-		}
-		r, w := utf8.DecodeRuneInString(s[i:])
-		if unicode.IsSpace(r) {
-			break
-		}
-		i += w
-	}
-	f.i = i
-	return s[start:i], true
+// appendBadHex appends the reply to a key wire.ParseVec rejected.
+func appendBadHex(dst []byte, field string) []byte {
+	return strconv.AppendQuote(append(dst, "ERR bad hex "...), field)
 }
 
-// rest returns everything left of the line with surrounding whitespace
-// trimmed, consuming the scanner — the free-text tail of a request
-// (trigram texts may contain spaces).
-func (f *FieldScanner) rest() string {
-	out := strings.TrimSpace(f.s[f.i:])
-	f.i = len(f.s)
-	return out
+// parseKey parses a search key and the mask that may follow it ("" for
+// none) into the ternary the engines match on; bad is the field
+// wire.ParseVec rejected, "" when both parsed.
+func parseKey(keyS, maskS string) (search bitutil.Ternary, bad string) {
+	key, ok := wire.ParseVec(keyS)
+	if !ok {
+		return search, keyS
+	}
+	if maskS == "" {
+		return bitutil.Exact(key), ""
+	}
+	mask, ok := wire.ParseVec(maskS)
+	if !ok {
+		return search, maskS
+	}
+	return bitutil.NewTernary(key, mask), ""
 }
 
-// countFields returns how many fields remain from the scanner's current
-// position without advancing it.
-func (f *FieldScanner) countFields() int {
-	c := *f
-	n := 0
-	for {
-		if _, ok := c.next(); !ok {
-			return n
-		}
-		n++
+// appendSearchReply appends a lookup's outcome: "MISS", "MISS!" — the
+// lookup skipped a quarantined or unreadable row, so the key may well be
+// stored and this is the explicit miss-with-error, not a clean miss —
+// or "HIT", sep, and the data as <hi>:<lo>. sep is ' ' for a SEARCH or
+// TSEARCH reply and ':' for an MRESULTS slot.
+func appendSearchReply(dst []byte, found, erred bool, data bitutil.Vec128, sep byte) []byte {
+	switch {
+	case !found && erred:
+		return append(dst, wire.ReplyMissErr...)
+	case !found:
+		return append(dst, wire.ReplyMiss...)
 	}
+	dst = append(append(dst, wire.ReplyHit...), sep)
+	dst = strconv.AppendUint(dst, data.Hi, 16) // fmt's %x
+	dst = append(dst, ':')
+	return appendHex016(dst, data.Lo)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"caram/internal/bitutil"
+	"caram/internal/wire"
 )
 
 // responsePrefixes classifies every legal single-line response.
@@ -128,8 +129,8 @@ func FuzzExec(f *testing.F) {
 	})
 }
 
-// FuzzParseVec checks that parseVec never panics, returns the zero
-// vector on every error, and round-trips every value it accepts.
+// FuzzParseVec checks that wire.ParseVec never panics, returns the zero
+// vector on every rejection, and round-trips every value it accepts.
 func FuzzParseVec(f *testing.F) {
 	seeds := []string{
 		"", "0", "dead", "DEAD", "dEaD",
@@ -143,20 +144,20 @@ func FuzzParseVec(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		v, err := parseVec(s)
-		if err != nil {
+		v, ok := wire.ParseVec(s)
+		if !ok {
 			if v != (bitutil.Vec128{}) {
-				t.Fatalf("parseVec(%q) error %v but non-zero value %v", s, err, v)
+				t.Fatalf("ParseVec(%q) rejected but non-zero value %v", s, v)
 			}
 			return
 		}
 		// Whatever parsed must survive a format/reparse round trip.
-		rt, err := parseVec(fmt.Sprintf("%x:%x", v.Hi, v.Lo))
-		if err != nil {
-			t.Fatalf("round-trip of %q failed: %v", s, err)
+		rt, ok := wire.ParseVec(fmt.Sprintf("%x:%x", v.Hi, v.Lo))
+		if !ok {
+			t.Fatalf("round-trip of %q failed", s)
 		}
 		if rt != v {
-			t.Fatalf("parseVec(%q) = %v, round-trips to %v", s, v, rt)
+			t.Fatalf("ParseVec(%q) = %v, round-trips to %v", s, v, rt)
 		}
 	})
 }
@@ -164,8 +165,7 @@ func FuzzParseVec(f *testing.F) {
 // FuzzParseHex64 holds the digit loop to the parser it replaced: for
 // every input, ParseHex64 accepts exactly what strconv.ParseUint(s, 16,
 // 64) accepts — no signs, prefixes, separators or trailing garbage,
-// overflow rejected — and returns the same value, from a string and
-// from bytes alike.
+// overflow rejected — and returns the same value.
 func FuzzParseHex64(f *testing.F) {
 	for _, s := range []string{
 		"", "0", "dead", "DEAD", "dEaD", "12zz", "0x12", "+12", "-1", "_1", "1_2", "1 ", "١٢",
@@ -178,10 +178,9 @@ func FuzzParseHex64(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		want, err := strconv.ParseUint(s, 16, 64)
-		got, ok := ParseHex64(s)
-		gotB, okB := ParseHex64([]byte(s))
-		if ok != (err == nil) || okB != ok || (ok && (got != want || gotB != want)) {
-			t.Fatalf("ParseHex64(%q) = %#x, %v (bytes %#x, %v); strconv = %#x, %v", s, got, ok, gotB, okB, want, err)
+		got, ok := wire.ParseHex64(s)
+		if ok != (err == nil) || (ok && got != want) {
+			t.Fatalf("ParseHex64(%q) = %#x, %v; strconv = %#x, %v", s, got, ok, want, err)
 		}
 	})
 }

@@ -1,6 +1,6 @@
 package server
 
-import "strings"
+import "caram/internal/wire"
 
 // Wire access to the fault-tolerance layer: the HEALTH command.
 //
@@ -16,9 +16,8 @@ import "strings"
 //	HEALTH                  one "name=state" pair per engine
 //	HEALTH <engine>         state plus the error-coding counters
 //	HEALTH <engine> SCRUB   run the scrub pass, report repairs
-func (s *Server) execHealthAppend(dst []byte, fs *FieldScanner) []byte {
-	const usage = "ERR usage: HEALTH [engine [SCRUB]]"
-	eng, hasEng := fs.next()
+func (s *Server) execHealthAppend(dst []byte, v *wire.Verb, fs *wire.Scanner) []byte {
+	eng, hasEng := fs.Next()
 	if !hasEng {
 		dst = append(dst, "HEALTH"...)
 		for _, name := range s.con.Engines() {
@@ -30,13 +29,13 @@ func (s *Server) execHealthAppend(dst []byte, fs *FieldScanner) []byte {
 		}
 		return dst
 	}
-	sub, hasSub := fs.next()
-	if _, extra := fs.next(); extra {
-		return append(dst, usage...)
+	sub, hasSub := fs.Next()
+	if _, extra := fs.Next(); extra {
+		return appendUsage(dst, v)
 	}
 	if hasSub {
-		if !strings.EqualFold(sub, "SCRUB") {
-			return append(dst, usage...)
+		if !wire.EqualFold(sub, "SCRUB") {
+			return appendUsage(dst, v)
 		}
 		rep, err := s.con.Scrub(eng)
 		if err != nil {
@@ -44,12 +43,9 @@ func (s *Server) execHealthAppend(dst []byte, fs *FieldScanner) []byte {
 		}
 		dst = append(dst, "OK scrub engine="...)
 		dst = append(dst, eng...)
-		dst = append(dst, " rows="...)
-		dst = appendInt(dst, int64(rep.RepairedRows))
-		dst = append(dst, " bits="...)
-		dst = appendInt(dst, int64(rep.RepairedBits))
-		dst = append(dst, " released="...)
-		return appendInt(dst, int64(rep.Released))
+		dst = appendKV(dst, "rows", rep.RepairedRows)
+		dst = appendKV(dst, "bits", rep.RepairedBits)
+		return appendKV(dst, "released", rep.Released)
 	}
 	hi, err := s.con.HealthInfo(eng)
 	if err != nil {
@@ -59,20 +55,13 @@ func (s *Server) execHealthAppend(dst []byte, fs *FieldScanner) []byte {
 	dst = append(dst, eng...)
 	dst = append(dst, " state="...)
 	dst = append(dst, hi.State.String()...)
-	dst = append(dst, " quarantined="...)
-	dst = appendInt(dst, int64(hi.Quarantined))
-	dst = append(dst, " corrected="...)
-	dst = appendUint(dst, hi.Ecc.CorrectedBits)
-	dst = append(dst, " uncorrectable="...)
-	dst = appendUint(dst, hi.Ecc.Uncorrectable)
-	dst = append(dst, " read_errors="...)
-	dst = appendUint(dst, hi.Ecc.ReadErrors)
-	dst = append(dst, " scrubs="...)
-	dst = appendUint(dst, hi.Ecc.ScrubRuns)
-	dst = append(dst, " scrub_bits="...)
-	dst = appendUint(dst, hi.Ecc.ScrubRepairedBits)
-	dst = append(dst, " overflow="...)
-	dst = appendInt(dst, int64(hi.OverflowLen))
+	dst = appendKV(dst, "quarantined", hi.Quarantined)
+	dst = appendKV(dst, "corrected", hi.Ecc.CorrectedBits)
+	dst = appendKV(dst, "uncorrectable", hi.Ecc.Uncorrectable)
+	dst = appendKV(dst, "read_errors", hi.Ecc.ReadErrors)
+	dst = appendKV(dst, "scrubs", hi.Ecc.ScrubRuns)
+	dst = appendKV(dst, "scrub_bits", hi.Ecc.ScrubRepairedBits)
+	dst = appendKV(dst, "overflow", hi.OverflowLen)
 	dst = append(dst, '/')
 	return appendInt(dst, int64(hi.OverflowCap))
 }

@@ -2,75 +2,10 @@
 // the shape a CA-RAM accelerator takes behind a lookup service (the
 // paper's request/result ports, §3.2, stretched over a socket).
 //
-// Protocol (one request per line, space-separated, keys in hex, either
-// plain "<lo>" or wide "<hi>:<lo>"):
-//
-//	ENGINES
-//	CREATE  ENGINE <name> TYPE <type> [INDEXBITS <n>] [SLOTS <n>] [ECC]
-//	DROP    ENGINE <name>
-//	INSERT  <engine> <key> <data>
-//	MINSERT <engine> <key> <mask> <data>
-//	SEARCH  <engine> <key> [mask]
-//	MSEARCH <engine> <key> [<engine> <key> ...]
-//	DELETE  <engine> <key>
-//	MDELETE <engine> <key> <mask>
-//	TINSERT <engine> <score> <text...>
-//	TSEARCH <engine> <text...>
-//	STATS   <engine>
-//	METRICS [engine [LATENCY <op>]]
-//	SLOWLOG GET [n] | LEN | RESET
-//	EXPLAIN SEARCH <engine> <key> [mask]
-//	HEALTH  [engine [SCRUB]]
-//	WAL     STATUS [SYNC]
-//
-// CREATE ENGINE adds a typed engine to the live server (type one of
-// exact, lpm, pktclass, trigram); DROP ENGINE removes one. SEARCH on
-// an lpm engine answers the longest matching prefix, on a pktclass
-// engine the highest-priority matching rule — the type carries the
-// ranking, the request line stays the same. MINSERT/MDELETE are the
-// masked (ternary) writes of the lpm/pktclass engines: mask bits are
-// don't-cares, and the store duplicates each rule across its wildcard
-// hash buckets (§4's ternary duplication). TINSERT/TSEARCH are the
-// trigram engine's text-keyed forms — the text (rest of the line,
-// spaces allowed) folds into the 16-byte key image of §6's trigram
-// signatures, and a hit returns the stored score.
-//
-// Responses: "OK", "HIT <data>", "MISS", "STATS n=.. alpha=.. amal=..",
-// "ENGINES a b c", "MRESULTS r1 r2 ...", "METRICS ...", "SLOWLOG ...",
-// "EXPLAIN ...", "HEALTH ..." or "ERR <reason>". A SEARCH that could
-// not rule the key out — its row is quarantined or unreadable under the
-// error-coding layer — answers "MISS!", the explicit miss-with-error.
-// Each MRESULTS slot is "HIT:<hi>:<lo>", "MISS", "MISS!",
-// "ERR:no-engine", or "ERR:unavailable" (circuit breaker open), in
-// request order.
-//
-// HEALTH reads the fault-tolerance layer (internal/subsystem): with no
-// argument it lists every engine's availability state, with an engine
-// it prints the state plus the error-coding counters behind it, and
-// HEALTH <engine> SCRUB runs the scrub pass — restoring quarantined
-// rows from the insert-side shadow — and reports what it repaired.
-//
-// METRICS reads the observability layer (internal/metrics): with no
-// argument it reports registry totals; with an engine it reports that
-// engine's per-op counters and live gauges (all deterministic for a
-// scripted session); with LATENCY <op> it adds the op's latency
-// quantiles in microseconds (wall-clock, inherently nondeterministic).
-//
-// SLOWLOG and EXPLAIN read the request-scoped tracing layer
-// (internal/trace). SLOWLOG is the Redis-style slow-request log: every
-// request whose wall latency exceeded the collector's threshold is
-// retained with its full probe trace; GET prints the newest entries on
-// one line, LEN the retained count, RESET clears the log. EXPLAIN
-// SEARCH runs a real lookup with tracing forced on and prints the
-// probe chain deterministically — home bucket, recorded reach, one
-// chain element per bucket probed (bucket index, displacement, slots
-// tested, match count, overflow hop), the overflow-CAM outcome, and
-// the §3.4 analytic expectation of rows accessed next to the measured
-// count. SLOWLOG requires the server to be built WithTracing; EXPLAIN
-// always works (it forces its own trace).
-//
-// Request lines are capped at MaxLineBytes; an oversized line draws
-// "ERR line too long" and ends the connection.
+// The protocol — request grammar, verb table, reply tokens — is
+// internal/wire's; its package comment is the reference. This package
+// executes a parsed wire.Request against the subsystem and renders the
+// reply: one handler per verb, switched on the table row.
 //
 // Overload protection is opt-in per server. WithConnLimit caps the
 // number of concurrently served connections: excess accepts are shed
@@ -107,7 +42,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"caram/internal/bitutil"
 	"caram/internal/match"
@@ -115,15 +49,12 @@ import (
 	"caram/internal/subsystem"
 	"caram/internal/trace"
 	"caram/internal/wal"
+	"caram/internal/wire"
 )
 
 // flushThreshold caps how much reply data accumulates before Handle
 // writes it out even though more pipelined requests are buffered.
 const flushThreshold = 32 * 1024
-
-// MaxLineBytes bounds one request line. Longer lines are rejected with
-// "ERR line too long".
-const MaxLineBytes = 64 * 1024
 
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("server: closed")
@@ -524,7 +455,7 @@ type connState struct {
 var connPool = sync.Pool{
 	New: func() any {
 		return &connState{
-			r:   bufio.NewReaderSize(nil, MaxLineBytes),
+			r:   bufio.NewReaderSize(nil, wire.MaxLineBytes),
 			out: make([]byte, 0, 4096),
 		}
 	},
@@ -557,16 +488,14 @@ func (s *Server) Handle(r io.Reader, w io.Writer) {
 		st.out = st.out[:0]
 		return err == nil
 	}
-	// exec strips the line terminator (and a final "\r", as
-	// text-protocol clients send "\r\n") and appends the reply.
+	// exec hands the protocol engine a view of the read buffer, not a
+	// copy (wire's "Field lifetime"). The view covers one ExecAppend,
+	// and nothing the call leaves behind points into it: error texts are
+	// formatted on the spot, the trace layer clones its fields when it
+	// admits a trace, the journal encodes its entry inside Append, and a
+	// created engine's name is cloned where it is stored.
 	exec := func(line []byte) {
-		if n := len(line); n > 0 && line[n-1] == '\n' {
-			line = line[:n-1]
-		}
-		if n := len(line); n > 0 && line[n-1] == '\r' {
-			line = line[:n-1]
-		}
-		st.out = s.ExecAppend(st.out, lineView(line))
+		st.out = s.ExecAppend(st.out, wire.View(wire.TrimEOL(line)))
 		st.out = append(st.out, '\n')
 	}
 	cr, _ := r.(*connReader) // deadline-armed transport, when Serve wired one
@@ -629,19 +558,6 @@ func (s *Server) Handle(r io.Reader, w io.Writer) {
 	}
 }
 
-// lineView presents a request line as a string without copying it: the
-// view aliases the connection's read buffer and is valid only until
-// the reader's next ReadSlice. That covers one ExecAppend, provided
-// nothing the call leaves behind still points into the line — error
-// texts are formatted (copied) on the spot, the trace layer clones its
-// cmd/engine/key fields when it admits a trace (trace.Collector.End,
-// before ExecAppend returns), the journal encodes its entry inside
-// Append, and the one string that does outlive the call, a created
-// engine's name, is cloned where it is stored (execCreateAppend).
-func lineView(line []byte) string {
-	return unsafe.String(unsafe.SliceData(line), len(line))
-}
-
 // Exec runs one request line and returns the single-line response —
 // the string-returning convenience form of ExecAppend, kept for
 // embedders and tests.
@@ -669,7 +585,7 @@ func (s *Server) ExecAppend(dst []byte, line string) []byte {
 	}
 	mark := len(dst)
 	dst = s.execAppend(dst, line, tr)
-	tr.SetResult(resultToken(dst[mark:]))
+	tr.SetResult(wire.Head(wire.View(dst[mark:])))
 	// On slowlog admission the trace is retained (immutable from here
 	// on) and safe to read for the log record; otherwise End has
 	// already recycled it and it must not be touched again.
@@ -687,41 +603,138 @@ func (s *Server) ExecAppend(dst []byte, line string) []byte {
 	return dst
 }
 
-// execAppend is the protocol engine proper; tr is nil when tracing is
-// off for this request.
+// execAppend is the protocol engine proper: parse the line's head
+// against the one grammar, then run the verb's handler; tr is nil when
+// tracing is off for this request.
 func (s *Server) execAppend(dst []byte, line string, tr *trace.Trace) []byte {
 	if s.panicLine != "" && line == s.panicLine {
 		panic("injected handler panic: " + line)
 	}
-	fs := FieldScanner{s: line}
-	cmd, ok := fs.next()
-	if !ok {
+	req := wire.Parse(line)
+	if req.Annotated {
+		// The *TID annotation joins this request's trace to the caller's
+		// trace id and is otherwise invisible. Cost when absent: this branch.
+		tr.SetWire(req.TID, req.Span)
+	}
+	v, fs := req.Verb, &req.Args
+	switch req.Status {
+	case wire.Empty:
 		return append(dst, "ERR empty request"...)
+	case wire.UnknownAnnotation:
+		return append(append(dst, "ERR unknown annotation "...), req.Word...)
+	case wire.BadTID:
+		return append(append(dst, "ERR usage: "...), wire.TIDUsage...)
+	case wire.UnknownVerb:
+		cmd := strings.ToUpper(req.Word)
+		tr.Request(cmd, "", "")
+		return append(append(dst, "ERR unknown command "...), cmd...)
 	}
-	if cmd[0] == '*' {
-		// Optional wire-tracing annotation: `*TID <hex-id>/<span-id>`
-		// prefixed to any command. It joins this request's trace to the
-		// caller's trace id and is otherwise invisible — the annotation
-		// is stripped and the reply is byte-identical to the bare
-		// command (tracing on or off). Cost when absent: this one
-		// first-byte branch.
-		if !strings.EqualFold(cmd, "*TID") {
-			return append(append(dst, "ERR unknown annotation "...), cmd...)
+	tr.Request(v.Name, "", "") // handlers with an engine/key refine this
+	switch v.ID {
+	case wire.Search:
+		eng, ok1 := fs.Next()
+		keyS, ok2 := fs.Next()
+		maskS, _ := fs.Next()
+		if _, extra := fs.Next(); !ok1 || !ok2 || extra {
+			return appendUsage(dst, v)
 		}
-		arg, okArg := fs.next()
-		tid, span, okID := parseWireID(arg)
-		if !okArg || !okID {
-			return append(dst, "ERR usage: *TID <hex-id>/<span-id> <command ...>"...)
+		tr.Request(v.Name, eng, keyS)
+		search, bad := parseKey(keyS, maskS)
+		if bad != "" {
+			return appendBadHex(dst, bad)
 		}
-		tr.SetWire(tid, span)
-		if cmd, ok = fs.next(); !ok {
-			return append(dst, "ERR empty request"...)
+		return s.searchAppend(dst, eng, search, tr)
+	case wire.Insert:
+		eng, ok1 := fs.Next()
+		keyS, ok2 := fs.Next()
+		dataS, ok3 := fs.Next()
+		if _, extra := fs.Next(); !ok1 || !ok2 || !ok3 || extra {
+			return appendUsage(dst, v)
 		}
-	}
-	cmd = strings.ToUpper(cmd)
-	tr.Request(cmd, "", "") // branches with an engine/key refine this
-	switch cmd {
-	case "ENGINES":
+		tr.Request(v.Name, eng, keyS)
+		key, ok := wire.ParseVec(keyS)
+		if !ok {
+			return appendBadHex(dst, keyS)
+		}
+		data, ok := wire.ParseVec(dataS)
+		if !ok {
+			return appendBadHex(dst, dataS)
+		}
+		rec := match.Record{Key: bitutil.Exact(key), Data: data}
+		if err := s.con.InsertTraced(eng, rec, tr); err != nil {
+			return appendErr(dst, err)
+		}
+		return append(dst, wire.ReplyOK...)
+	case wire.Delete:
+		eng, ok1 := fs.Next()
+		keyS, ok2 := fs.Next()
+		if _, extra := fs.Next(); !ok1 || !ok2 || extra {
+			return appendUsage(dst, v)
+		}
+		tr.Request(v.Name, eng, keyS)
+		key, ok := wire.ParseVec(keyS)
+		if !ok {
+			return appendBadHex(dst, keyS)
+		}
+		if err := s.con.DeleteTraced(eng, bitutil.Exact(key), tr); err != nil {
+			return appendErr(dst, err)
+		}
+		return append(dst, wire.ReplyOK...)
+	case wire.MSearch:
+		// Arity is judged over the whole argument list before any key is
+		// parsed, so "MSEARCH db 12zz extra" is a usage error, not bad hex.
+		n := fs.Count()
+		if n == 0 || n%2 != 0 {
+			return appendUsage(dst, v)
+		}
+		reqs := make([]subsystem.PortKey, n/2)
+		for i := range reqs {
+			port, _ := fs.Next()
+			keyS, _ := fs.Next()
+			key, ok := wire.ParseVec(keyS)
+			if !ok {
+				return appendBadHex(dst, keyS)
+			}
+			reqs[i] = subsystem.PortKey{Port: port, Key: bitutil.Exact(key)}
+		}
+		dst = append(dst, wire.ReplyMResults...)
+		for _, r := range s.con.MSearch(reqs) {
+			dst = append(dst, ' ')
+			switch {
+			case errors.Is(r.Err, subsystem.ErrEngineUnavailable):
+				dst = append(dst, wire.SlotUnavailable...)
+			case r.Err != nil:
+				dst = append(dst, wire.SlotNoEngine...)
+			default:
+				dst = appendSearchReply(dst, r.Result.Found, r.Result.Erred, r.Result.Record.Data, ':')
+			}
+		}
+		return dst
+	case wire.TSearch:
+		return s.execTSearchAppend(dst, v, fs, tr)
+	case wire.TInsert:
+		return s.execTInsertAppend(dst, v, fs, tr)
+	case wire.MInsert:
+		return s.execMInsertAppend(dst, v, fs, tr)
+	case wire.MDelete:
+		return s.execMDeleteAppend(dst, v, fs, tr)
+	case wire.Explain:
+		return s.execExplainAppend(dst, v, fs)
+	case wire.Stats:
+		eng, ok1 := fs.Next()
+		if _, extra := fs.Next(); !ok1 || extra {
+			return appendUsage(dst, v)
+		}
+		info, err := s.con.Info(eng)
+		if err != nil {
+			return appendErr(dst, err)
+		}
+		dst = appendKV(append(dst, "STATS"...), "n", info.Count)
+		dst = appendKVf(dst, "alpha", info.LoadFactor, 3)
+		dst = appendKVf(dst, "amal", info.Stats.AMAL(), 3)
+		dst = appendKV(dst, "hits", info.Stats.Hits)
+		return appendKV(dst, "misses", info.Stats.Misses)
+	case wire.Engines:
 		dst = append(dst, "ENGINES "...)
 		for i, name := range s.con.Engines() {
 			if i > 0 {
@@ -730,176 +743,44 @@ func (s *Server) execAppend(dst []byte, line string, tr *trace.Trace) []byte {
 			dst = append(dst, name...)
 		}
 		return dst
-	case "INSERT":
-		eng, ok1 := fs.next()
-		keyS, ok2 := fs.next()
-		dataS, ok3 := fs.next()
-		if _, extra := fs.next(); !ok1 || !ok2 || !ok3 || extra {
-			return append(dst, "ERR usage: INSERT <engine> <key> <data>"...)
-		}
-		tr.Request(cmd, eng, keyS)
-		key, err := parseVec(keyS)
-		if err != nil {
-			return appendErr(dst, err)
-		}
-		data, err := parseVec(dataS)
-		if err != nil {
-			return appendErr(dst, err)
-		}
-		rec := match.Record{Key: bitutil.Exact(key), Data: data}
-		if err := s.con.InsertTraced(eng, rec, tr); err != nil {
-			return appendErr(dst, err)
-		}
-		return append(dst, "OK"...)
-	case "SEARCH":
-		eng, ok1 := fs.next()
-		keyS, ok2 := fs.next()
-		maskS, hasMask := fs.next()
-		if _, extra := fs.next(); !ok1 || !ok2 || extra {
-			return append(dst, "ERR usage: SEARCH <engine> <key> [mask]"...)
-		}
-		tr.Request(cmd, eng, keyS)
-		key, err := parseVec(keyS)
-		if err != nil {
-			return appendErr(dst, err)
-		}
-		search := bitutil.Exact(key)
-		if hasMask {
-			mask, err := parseVec(maskS)
-			if err != nil {
-				return appendErr(dst, err)
-			}
-			search = bitutil.NewTernary(key, mask)
-		}
-		if tr.Enabled() {
-			tr.Span(trace.KindParse, tr.Begin)
-		}
-		sr, err := s.con.SearchTraced(eng, search, tr)
-		if err != nil {
-			return appendErr(dst, err)
-		}
-		var encStart time.Time
-		if tr.Enabled() {
-			encStart = time.Now()
-		}
-		if !sr.Found {
-			if sr.Erred {
-				// The lookup skipped a quarantined or unreadable row:
-				// the key may well be stored there, so this is the
-				// explicit miss-with-error, not a clean miss.
-				dst = append(dst, "MISS!"...)
-			} else {
-				dst = append(dst, "MISS"...)
-			}
-		} else {
-			dst = append(dst, "HIT "...)
-			dst = appendHex(dst, sr.Record.Data.Hi)
-			dst = append(dst, ':')
-			dst = appendHex016(dst, sr.Record.Data.Lo)
-		}
-		if tr.Enabled() {
-			tr.Span(trace.KindEncode, encStart)
-		}
-		return dst
-	case "MSEARCH":
-		// Arity is judged over the whole argument list before any key is
-		// parsed, so "MSEARCH db 12zz extra" is a usage error, not bad hex.
-		n := fs.countFields()
-		if n == 0 || n%2 != 0 {
-			return append(dst, "ERR usage: MSEARCH <engine> <key> [<engine> <key> ...]"...)
-		}
-		reqs := make([]subsystem.PortKey, n/2)
-		for i := range reqs {
-			port, _ := fs.next()
-			keyS, _ := fs.next()
-			key, err := parseVec(keyS)
-			if err != nil {
-				return appendErr(dst, err)
-			}
-			reqs[i] = subsystem.PortKey{Port: port, Key: bitutil.Exact(key)}
-		}
-		dst = append(dst, "MRESULTS"...)
-		for _, r := range s.con.MSearch(reqs) {
-			dst = append(dst, ' ')
-			switch {
-			case errors.Is(r.Err, subsystem.ErrEngineUnavailable):
-				dst = append(dst, "ERR:unavailable"...)
-			case r.Err != nil:
-				dst = append(dst, "ERR:no-engine"...)
-			case !r.Result.Found && r.Result.Erred:
-				dst = append(dst, "MISS!"...)
-			case !r.Result.Found:
-				dst = append(dst, "MISS"...)
-			default:
-				dst = append(dst, "HIT:"...)
-				dst = appendHex(dst, r.Result.Record.Data.Hi)
-				dst = append(dst, ':')
-				dst = appendHex016(dst, r.Result.Record.Data.Lo)
-			}
-		}
-		return dst
-	case "DELETE":
-		eng, ok1 := fs.next()
-		keyS, ok2 := fs.next()
-		if _, extra := fs.next(); !ok1 || !ok2 || extra {
-			return append(dst, "ERR usage: DELETE <engine> <key>"...)
-		}
-		tr.Request(cmd, eng, keyS)
-		key, err := parseVec(keyS)
-		if err != nil {
-			return appendErr(dst, err)
-		}
-		if err := s.con.DeleteTraced(eng, bitutil.Exact(key), tr); err != nil {
-			return appendErr(dst, err)
-		}
-		return append(dst, "OK"...)
-	case "CREATE":
-		return s.execCreateAppend(dst, &fs)
-	case "DROP":
-		return s.execDropAppend(dst, &fs)
-	case "MINSERT":
-		return s.execMInsertAppend(dst, &fs, tr)
-	case "MDELETE":
-		return s.execMDeleteAppend(dst, &fs, tr)
-	case "TINSERT":
-		return s.execTInsertAppend(dst, &fs, tr)
-	case "TSEARCH":
-		return s.execTSearchAppend(dst, &fs, tr)
-	case "METRICS":
-		return s.execMetricsAppend(dst, &fs)
-	case "SLOWLOG":
-		return s.execSlowlogAppend(dst, &fs)
-	case "EXPLAIN":
-		return s.execExplainAppend(dst, &fs)
-	case "TRACE":
-		return s.execTraceAppend(dst, &fs)
-	case "HEALTH":
-		return s.execHealthAppend(dst, &fs)
-	case "WAL":
-		return s.execWALAppend(dst, &fs)
-	case "STATS":
-		eng, ok1 := fs.next()
-		if _, extra := fs.next(); !ok1 || extra {
-			return append(dst, "ERR usage: STATS <engine>"...)
-		}
-		info, err := s.con.Info(eng)
-		if err != nil {
-			return appendErr(dst, err)
-		}
-		dst = append(dst, "STATS n="...)
-		dst = appendInt(dst, int64(info.Count))
-		dst = append(dst, " alpha="...)
-		dst = appendFixed(dst, info.LoadFactor, 3)
-		dst = append(dst, " amal="...)
-		dst = appendFixed(dst, info.Stats.AMAL(), 3)
-		dst = append(dst, " hits="...)
-		dst = appendUint(dst, info.Stats.Hits)
-		dst = append(dst, " misses="...)
-		return appendUint(dst, info.Stats.Misses)
-	default:
-		dst = append(dst, "ERR unknown command "...)
-		return append(dst, cmd...)
+	case wire.Create:
+		return s.execCreateAppend(dst, v, fs)
+	case wire.Drop:
+		return s.execDropAppend(dst, v, fs)
+	case wire.Health:
+		return s.execHealthAppend(dst, v, fs)
+	case wire.Metrics:
+		return s.execMetricsAppend(dst, v, fs)
+	case wire.Slowlog:
+		return s.execSlowlogAppend(dst, v, fs)
+	case wire.Trace:
+		return s.execTraceAppend(dst, v, fs)
+	case wire.WAL:
+		return s.execWALAppend(dst, v, fs)
 	}
+	panic("server: verb " + v.Name + " has a table row but no handler")
+}
+
+// searchAppend runs one lookup and renders it — the tail SEARCH and
+// TSEARCH share once each has built its search key: the parse span ends
+// here, the encode span covers the reply.
+func (s *Server) searchAppend(dst []byte, eng string, search bitutil.Ternary, tr *trace.Trace) []byte {
+	if tr.Enabled() {
+		tr.Span(trace.KindParse, tr.Begin)
+	}
+	sr, err := s.con.SearchTraced(eng, search, tr)
+	if err != nil {
+		return appendErr(dst, err)
+	}
+	var encStart time.Time
+	if tr.Enabled() {
+		encStart = time.Now()
+	}
+	dst = appendSearchReply(dst, sr.Found, sr.Erred, sr.Record.Data, ' ')
+	if tr.Enabled() {
+		tr.Span(trace.KindEncode, encStart)
+	}
+	return dst
 }
 
 // execMetricsAppend answers the METRICS command against the registry.
@@ -908,143 +789,66 @@ func (s *Server) execAppend(dst []byte, line string, tr *trace.Trace) []byte {
 // what lets the golden-session test cover them byte-exactly. The
 // LATENCY form adds wall-clock quantiles and is therefore excluded
 // from golden coverage.
-func (s *Server) execMetricsAppend(dst []byte, fs *FieldScanner) []byte {
-	const usage = "ERR usage: METRICS [engine [LATENCY <op>]]"
-	var args [3]string
-	n := 0
-	for {
-		f, ok := fs.next()
-		if !ok {
-			break
-		}
-		if n == len(args) {
-			n++ // too many args: fall to the usage default below
-			break
-		}
-		args[n] = f
-		n++
-	}
+func (s *Server) execMetricsAppend(dst []byte, v *wire.Verb, fs *wire.Scanner) []byte {
+	var args [4]string
+	n := fs.Fill(args[:])
 	if s.met == nil {
 		return append(dst, "ERR metrics disabled"...)
 	}
-	switch n {
-	case 0:
+	if n == 0 {
 		ops, errs := s.met.Totals()
-		dst = append(dst, "METRICS engines="...)
-		dst = appendInt(dst, int64(len(s.met.Engines())))
-		dst = append(dst, " ops="...)
-		dst = appendUint(dst, ops)
-		dst = append(dst, " errors="...)
-		dst = appendUint(dst, errs)
-		dst = append(dst, " unknown="...)
-		return appendUint(dst, s.met.Unknown())
-	case 1:
-		em := s.met.Engine(args[0])
-		if em == nil {
-			dst = append(dst, "ERR metrics: no engine "...)
-			return strconv.AppendQuote(dst, args[0])
-		}
+		dst = appendKV(append(dst, "METRICS"...), "engines", len(s.met.Engines()))
+		dst = appendKV(dst, "ops", ops)
+		dst = appendKV(dst, "errors", errs)
+		return appendKV(dst, "unknown", s.met.Unknown())
+	}
+	hist := n == 3 && wire.EqualFold(args[1], "HIST")
+	if n != 1 && !hist && !(n == 3 && wire.EqualFold(args[1], "LATENCY")) {
+		return appendUsage(dst, v)
+	}
+	em := s.met.Engine(args[0])
+	if em == nil {
+		dst = append(dst, "ERR metrics: no engine "...)
+		return strconv.AppendQuote(dst, args[0])
+	}
+	if n == 1 {
 		dst = append(dst, "METRICS engine="...)
 		dst = append(dst, em.Name()...)
 		for op := metrics.Op(0); op < metrics.NumOps; op++ {
-			dst = append(dst, ' ')
-			dst = append(dst, op.String()...)
-			dst = append(dst, '=')
-			dst = appendUint(dst, em.Count(op))
+			dst = appendKV(dst, op.String(), em.Count(op))
 			dst = append(dst, ' ')
 			dst = append(dst, op.String()...)
 			dst = append(dst, "_err="...)
 			dst = appendUint(dst, em.Errors(op))
 		}
 		if g, ok := em.SampleGauges(); ok {
-			dst = append(dst, " n="...)
-			dst = appendInt(dst, int64(g.Records))
-			dst = append(dst, " load="...)
-			dst = appendFixed(dst, g.LoadFactor, 3)
-			dst = append(dst, " amal="...)
-			dst = appendFixed(dst, g.AMAL, 3)
-			dst = append(dst, " hits="...)
-			dst = appendUint(dst, g.Hits)
-			dst = append(dst, " misses="...)
-			dst = appendUint(dst, g.Misses)
-			dst = append(dst, " overflow="...)
-			dst = appendInt(dst, int64(g.Overflow))
-			dst = append(dst, " spilled="...)
-			dst = appendInt(dst, int64(g.Spilled))
+			dst = appendKV(dst, "n", g.Records)
+			dst = appendKVf(dst, "load", g.LoadFactor, 3)
+			dst = appendKVf(dst, "amal", g.AMAL, 3)
+			dst = appendKV(dst, "hits", g.Hits)
+			dst = appendKV(dst, "misses", g.Misses)
+			dst = appendKV(dst, "overflow", g.Overflow)
+			dst = appendKV(dst, "spilled", g.Spilled)
 		}
 		return dst
-	case 3:
-		if !strings.EqualFold(args[1], "LATENCY") && !strings.EqualFold(args[1], "HIST") {
-			return append(dst, usage...)
-		}
-		em := s.met.Engine(args[0])
-		if em == nil {
-			dst = append(dst, "ERR metrics: no engine "...)
-			return strconv.AppendQuote(dst, args[0])
-		}
-		op, err := metrics.ParseOp(args[2])
-		if err != nil {
-			dst = append(dst, "ERR metrics: unknown op "...)
-			return append(dst, args[2]...)
-		}
-		if strings.EqualFold(args[1], "HIST") {
-			// Raw power-of-two bucket counts, the machine-readable form
-			// the cluster router scatters and merges bucket-wise into a
-			// fleet histogram. LATENCY below is the human quantile view.
-			h := em.Latency(op).Snapshot()
-			dst = append(dst, "METRICS engine="...)
-			dst = append(dst, em.Name()...)
-			dst = append(dst, " op="...)
-			dst = append(dst, op.String()...)
-			dst = append(dst, " n="...)
-			dst = appendUint(dst, h.N)
-			dst = append(dst, " err="...)
-			dst = appendUint(dst, em.Errors(op))
-			dst = append(dst, " sum_ns="...)
-			dst = appendInt(dst, h.SumNs)
-			dst = append(dst, " buckets="...)
-			for i, c := range h.Counts {
-				if i > 0 {
-					dst = append(dst, ',')
-				}
-				dst = appendUint(dst, c)
-			}
-			return dst
-		}
-		h := em.Latency(op).Snapshot()
-		qs := h.Quantiles(0.5, 0.9, 0.99, 1)
-		dst = append(dst, "METRICS engine="...)
-		dst = append(dst, em.Name()...)
-		dst = append(dst, " op="...)
-		dst = append(dst, op.String()...)
-		dst = append(dst, " n="...)
-		dst = appendUint(dst, h.N)
-		dst = append(dst, " err="...)
-		dst = appendUint(dst, em.Errors(op))
-		dst = append(dst, " mean_us="...)
-		dst = appendFixed(dst, h.MeanNs()/1e3, 2)
-		for i, label := range [...]string{" p50_us=", " p90_us=", " p99_us=", " max_us="} {
-			dst = append(dst, label...)
-			dst = appendFixed(dst, float64(qs[i])/1e3, 2)
-		}
-		return dst
-	default:
-		return append(dst, usage...)
 	}
-}
-
-// parseVec parses "hi:lo" or plain hex into a Vec128. Each part must
-// be 1+ hex digits with nothing else, fitting 64 bits — trailing
-// garbage ("12zz"), signs, and "0x" prefixes are all rejected.
-func parseVec(s string) (bitutil.Vec128, error) {
-	hiS, loS, wide := strings.Cut(s, ":")
-	if !wide {
-		hiS, loS = "0", hiS
+	op, err := metrics.ParseOp(args[2])
+	if err != nil {
+		dst = append(dst, "ERR metrics: unknown op "...)
+		return append(dst, args[2]...)
 	}
-	hi, ok1 := ParseHex64(hiS)
-	lo, ok2 := ParseHex64(loS)
-	if !ok1 || !ok2 {
-		return bitutil.Vec128{}, fmt.Errorf("bad hex %q", s)
+	h := em.Latency(op).Snapshot()
+	dst = append(dst, "METRICS engine="...)
+	dst = append(dst, em.Name()...)
+	dst = append(dst, " op="...)
+	dst = append(dst, op.String()...)
+	dst = appendKV(dst, "n", h.N)
+	dst = appendKV(dst, "err", em.Errors(op))
+	if hist {
+		// Raw bucket counts, the machine-readable form the cluster router
+		// scatters and merges bucket-wise into a fleet histogram; LATENCY
+		// is the human quantile view.
+		return h.AppendBuckets(dst)
 	}
-	return bitutil.FromParts(lo, hi), nil
+	return h.AppendQuantiles(dst)
 }

@@ -13,6 +13,7 @@ import (
 	"caram/internal/hash"
 	"caram/internal/subsystem"
 	"caram/internal/trace"
+	"caram/internal/wire"
 )
 
 func testServer(t *testing.T) *Server {
@@ -218,9 +219,9 @@ func TestParseVec(t *testing.T) {
 		{"0000000000000000001", 0, 1}, // leading zeros are value, not width
 	}
 	for _, tc := range ok {
-		v, err := parseVec(tc.in)
-		if err != nil || v.Hi != tc.hi || v.Lo != tc.lo {
-			t.Errorf("parseVec(%q) = %v, %v; want hi=%x lo=%x", tc.in, v, err, tc.hi, tc.lo)
+		v, ok := wire.ParseVec(tc.in)
+		if !ok || v.Hi != tc.hi || v.Lo != tc.lo {
+			t.Errorf("ParseVec(%q) = %v, %v; want hi=%x lo=%x", tc.in, v, ok, tc.hi, tc.lo)
 		}
 	}
 	bad := []string{
@@ -240,8 +241,8 @@ func TestParseVec(t *testing.T) {
 		"١٢", // non-ASCII digits
 	}
 	for _, in := range bad {
-		if v, err := parseVec(in); err == nil {
-			t.Errorf("parseVec(%q) = %v, want error", in, v)
+		if v, ok := wire.ParseVec(in); ok {
+			t.Errorf("ParseVec(%q) = %v, want rejection", in, v)
 		}
 	}
 }

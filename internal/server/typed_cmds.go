@@ -3,13 +3,13 @@ package server
 import (
 	"strconv"
 	"strings"
-	"time"
 
 	"caram/internal/bitutil"
 	"caram/internal/match"
 	"caram/internal/subsystem"
 	"caram/internal/trace"
 	"caram/internal/trigram"
+	"caram/internal/wire"
 )
 
 // Typed-engine wire surface: engine lifecycle (CREATE ENGINE / DROP
@@ -59,49 +59,48 @@ func validEngineName(s string) bool {
 
 // execCreateAppend answers CREATE ENGINE <name> TYPE <type>
 // [INDEXBITS <n>] [SLOTS <n>] [ECC].
-func (s *Server) execCreateAppend(dst []byte, fs *FieldScanner) []byte {
-	const usage = "ERR usage: CREATE ENGINE <name> TYPE <type> [INDEXBITS <n>] [SLOTS <n>] [ECC]"
-	kw, ok := fs.next()
-	if !ok || !asciiEqualFold(kw, "ENGINE") {
-		return append(dst, usage...)
+func (s *Server) execCreateAppend(dst []byte, v *wire.Verb, fs *wire.Scanner) []byte {
+	kw, ok := fs.Next()
+	if !ok || !wire.EqualFold(kw, "ENGINE") {
+		return appendUsage(dst, v)
 	}
-	name, ok1 := fs.next()
-	tkw, ok2 := fs.next()
-	typS, ok3 := fs.next()
-	if !ok1 || !ok2 || !ok3 || !asciiEqualFold(tkw, "TYPE") {
-		return append(dst, usage...)
+	name, ok1 := fs.Next()
+	tkw, ok2 := fs.Next()
+	typS, ok3 := fs.Next()
+	if !ok1 || !ok2 || !ok3 || !wire.EqualFold(tkw, "TYPE") {
+		return appendUsage(dst, v)
 	}
 	var tc subsystem.TypedConfig
 	for {
-		opt, ok := fs.next()
+		opt, ok := fs.Next()
 		if !ok {
 			break
 		}
 		switch {
-		case asciiEqualFold(opt, "ECC"):
+		case wire.EqualFold(opt, "ECC"):
 			tc.ECC = true
-		case asciiEqualFold(opt, "INDEXBITS"), asciiEqualFold(opt, "SLOTS"):
-			valS, ok := fs.next()
+		case wire.EqualFold(opt, "INDEXBITS"), wire.EqualFold(opt, "SLOTS"):
+			valS, ok := fs.Next()
 			if !ok {
-				return append(dst, usage...)
+				return appendUsage(dst, v)
 			}
-			v, err := strconv.Atoi(valS)
+			n, err := strconv.Atoi(valS)
 			if err != nil {
-				return append(dst, usage...)
+				return appendUsage(dst, v)
 			}
-			if asciiEqualFold(opt, "INDEXBITS") {
-				if v < 1 || v > maxCreateIndexBits {
+			if wire.EqualFold(opt, "INDEXBITS") {
+				if n < 1 || n > maxCreateIndexBits {
 					return append(dst, "ERR indexbits out of range [1,12]"...)
 				}
-				tc.IndexBits = v
+				tc.IndexBits = n
 			} else {
-				if v < 1 || v > maxCreateSlots {
+				if n < 1 || n > maxCreateSlots {
 					return append(dst, "ERR slots out of range [1,64]"...)
 				}
-				tc.Slots = v
+				tc.Slots = n
 			}
 		default:
-			return append(dst, usage...)
+			return appendUsage(dst, v)
 		}
 	}
 	if !validEngineName(name) {
@@ -120,21 +119,20 @@ func (s *Server) execCreateAppend(dst []byte, fs *FieldScanner) []byte {
 	if err := s.con.CreateEngine(strings.Clone(name), typ, tc); err != nil {
 		return appendErr(dst, err)
 	}
-	return append(dst, "OK"...)
+	return append(dst, wire.ReplyOK...)
 }
 
 // execDropAppend answers DROP ENGINE <name>.
-func (s *Server) execDropAppend(dst []byte, fs *FieldScanner) []byte {
-	const usage = "ERR usage: DROP ENGINE <name>"
-	kw, ok := fs.next()
-	name, ok1 := fs.next()
-	if _, extra := fs.next(); !ok || !ok1 || extra || !asciiEqualFold(kw, "ENGINE") {
-		return append(dst, usage...)
+func (s *Server) execDropAppend(dst []byte, v *wire.Verb, fs *wire.Scanner) []byte {
+	kw, ok := fs.Next()
+	name, ok1 := fs.Next()
+	if _, extra := fs.Next(); !ok || !ok1 || extra || !wire.EqualFold(kw, "ENGINE") {
+		return appendUsage(dst, v)
 	}
 	if err := s.con.DropEngine(name); err != nil {
 		return appendErr(dst, err)
 	}
-	return append(dst, "OK"...)
+	return append(dst, wire.ReplyOK...)
 }
 
 // ternaryWritable reports whether the engine accepts masked writes
@@ -148,84 +146,69 @@ func ternaryWritable(t subsystem.EngineType) bool {
 // masked (ternary) insert for lpm/pktclass engines. Mask bits are
 // don't-cares; value bits under the mask are zeroed on storage, so
 // equal rules have equal row images.
-func (s *Server) execMInsertAppend(dst []byte, fs *FieldScanner, tr *trace.Trace) []byte {
-	eng, ok1 := fs.next()
-	keyS, ok2 := fs.next()
-	maskS, ok3 := fs.next()
-	dataS, ok4 := fs.next()
-	if _, extra := fs.next(); !ok1 || !ok2 || !ok3 || !ok4 || extra {
-		return append(dst, "ERR usage: MINSERT <engine> <key> <mask> <data>"...)
+func (s *Server) execMInsertAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, tr *trace.Trace) []byte {
+	eng, ok1 := fs.Next()
+	keyS, ok2 := fs.Next()
+	maskS, ok3 := fs.Next()
+	dataS, ok4 := fs.Next()
+	if _, extra := fs.Next(); !ok1 || !ok2 || !ok3 || !ok4 || extra {
+		return appendUsage(dst, v)
 	}
-	tr.Request("MINSERT", eng, keyS)
-	key, err := parseVec(keyS)
-	if err != nil {
-		return appendErr(dst, err)
+	tr.Request(v.Name, eng, keyS)
+	rule, bad := parseKey(keyS, maskS)
+	if bad != "" {
+		return appendBadHex(dst, bad)
 	}
-	mask, err := parseVec(maskS)
-	if err != nil {
-		return appendErr(dst, err)
+	data, ok := wire.ParseVec(dataS)
+	if !ok {
+		return appendBadHex(dst, dataS)
 	}
-	data, err := parseVec(dataS)
-	if err != nil {
-		return appendErr(dst, err)
+	if dst, ok = s.gateType(dst, v, eng, ternaryWritable); !ok {
+		return dst
 	}
-	typ, err := s.con.EngineType(eng)
-	if err != nil {
-		return appendErr(dst, err)
-	}
-	if !ternaryWritable(typ) {
-		dst = append(dst, "ERR minsert: engine type "...)
-		return append(dst, typ.String()...)
-	}
-	rec := match.Record{Key: bitutil.NewTernary(key, mask), Data: data}
+	rec := match.Record{Key: rule, Data: data}
 	if err := s.con.InsertTraced(eng, rec, tr); err != nil {
 		return appendErr(dst, err)
 	}
-	return append(dst, "OK"...)
+	return append(dst, wire.ReplyOK...)
 }
 
 // execMDeleteAppend answers MDELETE <engine> <key> <mask> — removes the
 // exact (key, mask) rule, every duplicated copy included.
-func (s *Server) execMDeleteAppend(dst []byte, fs *FieldScanner, tr *trace.Trace) []byte {
-	eng, ok1 := fs.next()
-	keyS, ok2 := fs.next()
-	maskS, ok3 := fs.next()
-	if _, extra := fs.next(); !ok1 || !ok2 || !ok3 || extra {
-		return append(dst, "ERR usage: MDELETE <engine> <key> <mask>"...)
+func (s *Server) execMDeleteAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, tr *trace.Trace) []byte {
+	eng, ok1 := fs.Next()
+	keyS, ok2 := fs.Next()
+	maskS, ok3 := fs.Next()
+	if _, extra := fs.Next(); !ok1 || !ok2 || !ok3 || extra {
+		return appendUsage(dst, v)
 	}
-	tr.Request("MDELETE", eng, keyS)
-	key, err := parseVec(keyS)
-	if err != nil {
+	tr.Request(v.Name, eng, keyS)
+	rule, bad := parseKey(keyS, maskS)
+	if bad != "" {
+		return appendBadHex(dst, bad)
+	}
+	var ok bool
+	if dst, ok = s.gateType(dst, v, eng, ternaryWritable); !ok {
+		return dst
+	}
+	if err := s.con.DeleteTraced(eng, rule, tr); err != nil {
 		return appendErr(dst, err)
 	}
-	mask, err := parseVec(maskS)
-	if err != nil {
-		return appendErr(dst, err)
-	}
-	typ, err := s.con.EngineType(eng)
-	if err != nil {
-		return appendErr(dst, err)
-	}
-	if !ternaryWritable(typ) {
-		dst = append(dst, "ERR mdelete: engine type "...)
-		return append(dst, typ.String()...)
-	}
-	if err := s.con.DeleteTraced(eng, bitutil.NewTernary(key, mask), tr); err != nil {
-		return appendErr(dst, err)
-	}
-	return append(dst, "OK"...)
+	return append(dst, wire.ReplyOK...)
 }
 
-// trigramEngineOf resolves the engine for a text-keyed command,
-// insisting on the trigram type.
-func (s *Server) trigramEngineOf(dst []byte, cmd, eng string) ([]byte, bool) {
+// isTrigram is the type a text-keyed verb insists on.
+func isTrigram(t subsystem.EngineType) bool { return t == subsystem.TrigramEngine }
+
+// gateType resolves the engine of a verb only some engine types serve
+// and insists on one of them.
+func (s *Server) gateType(dst []byte, v *wire.Verb, eng string, accepts func(subsystem.EngineType) bool) ([]byte, bool) {
 	typ, err := s.con.EngineType(eng)
 	if err != nil {
 		return appendErr(dst, err), false
 	}
-	if typ != subsystem.TrigramEngine {
-		dst = append(dst, "ERR "...)
-		dst = append(dst, cmd...)
+	if !accepts(typ) {
+		dst = append(append(dst, "ERR "...), strings.ToLower(v.Name)...)
 		dst = append(dst, ": engine type "...)
 		return append(dst, typ.String()...), false
 	}
@@ -235,25 +218,24 @@ func (s *Server) trigramEngineOf(dst []byte, cmd, eng string) ([]byte, bool) {
 // execTInsertAppend answers TINSERT <engine> <score> <text...>: the
 // text (rest of the line, spaces allowed) is folded into the trigram
 // key image and stored with the 16-bit hex score.
-func (s *Server) execTInsertAppend(dst []byte, fs *FieldScanner, tr *trace.Trace) []byte {
-	const usage = "ERR usage: TINSERT <engine> <score> <text>"
-	eng, ok1 := fs.next()
-	scoreS, ok2 := fs.next()
-	text := fs.rest()
+func (s *Server) execTInsertAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, tr *trace.Trace) []byte {
+	eng, ok1 := fs.Next()
+	scoreS, ok2 := fs.Next()
+	text := fs.Rest()
 	if !ok1 || !ok2 || text == "" {
-		return append(dst, usage...)
+		return appendUsage(dst, v)
 	}
 	if len(text) > maxTextBytes {
 		return append(dst, "ERR text too long"...)
 	}
-	tr.Request("TINSERT", eng, text)
+	tr.Request(v.Name, eng, text)
 	score, err := strconv.ParseUint(scoreS, 16, 16)
 	if err != nil {
 		dst = append(dst, "ERR bad score "...)
 		return strconv.AppendQuote(dst, scoreS)
 	}
 	var ok bool
-	if dst, ok = s.trigramEngineOf(dst, "tinsert", eng); !ok {
+	if dst, ok = s.gateType(dst, v, eng, isTrigram); !ok {
 		return dst
 	}
 	rec := match.Record{
@@ -263,71 +245,25 @@ func (s *Server) execTInsertAppend(dst []byte, fs *FieldScanner, tr *trace.Trace
 	if err := s.con.InsertTraced(eng, rec, tr); err != nil {
 		return appendErr(dst, err)
 	}
-	return append(dst, "OK"...)
+	return append(dst, wire.ReplyOK...)
 }
 
 // execTSearchAppend answers TSEARCH <engine> <text...> with the same
 // HIT/MISS/MISS! shapes as SEARCH; a hit's payload is the entry's
 // score.
-func (s *Server) execTSearchAppend(dst []byte, fs *FieldScanner, tr *trace.Trace) []byte {
-	eng, ok1 := fs.next()
-	text := fs.rest()
+func (s *Server) execTSearchAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, tr *trace.Trace) []byte {
+	eng, ok1 := fs.Next()
+	text := fs.Rest()
 	if !ok1 || text == "" {
-		return append(dst, "ERR usage: TSEARCH <engine> <text>"...)
+		return appendUsage(dst, v)
 	}
 	if len(text) > maxTextBytes {
 		return append(dst, "ERR text too long"...)
 	}
-	tr.Request("TSEARCH", eng, text)
+	tr.Request(v.Name, eng, text)
 	var ok bool
-	if dst, ok = s.trigramEngineOf(dst, "tsearch", eng); !ok {
+	if dst, ok = s.gateType(dst, v, eng, isTrigram); !ok {
 		return dst
 	}
-	if tr.Enabled() {
-		tr.Span(trace.KindParse, tr.Begin)
-	}
-	sr, err := s.con.SearchTraced(eng, bitutil.Exact(trigram.Entry{Text: text}.Key()), tr)
-	if err != nil {
-		return appendErr(dst, err)
-	}
-	var encStart time.Time
-	if tr.Enabled() {
-		encStart = time.Now()
-	}
-	switch {
-	case !sr.Found && sr.Erred:
-		dst = append(dst, "MISS!"...)
-	case !sr.Found:
-		dst = append(dst, "MISS"...)
-	default:
-		dst = append(dst, "HIT "...)
-		dst = appendHex(dst, sr.Record.Data.Hi)
-		dst = append(dst, ':')
-		dst = appendHex016(dst, sr.Record.Data.Lo)
-	}
-	if tr.Enabled() {
-		tr.Span(trace.KindEncode, encStart)
-	}
-	return dst
-}
-
-// asciiEqualFold is a case-insensitive ASCII comparison (the command
-// words are ASCII by construction).
-func asciiEqualFold(s, t string) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c, d := s[i], t[i]
-		if c >= 'a' && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		if d >= 'a' && d <= 'z' {
-			d -= 'a' - 'A'
-		}
-		if c != d {
-			return false
-		}
-	}
-	return true
+	return s.searchAppend(dst, eng, bitutil.Exact(trigram.Entry{Text: text}.Key()), tr)
 }

@@ -1,8 +1,9 @@
 package server
 
 import (
-	"strings"
 	"time"
+
+	"caram/internal/wire"
 )
 
 // execWALAppend answers the WAL command against the durability layer.
@@ -18,47 +19,38 @@ import (
 //	                   (count, mean latency, age of the last one) and
 //	                   the pending-record lag, following the METRICS /
 //	                   METRICS LATENCY split.
-func (s *Server) execWALAppend(dst []byte, fs *FieldScanner) []byte {
-	const usage = "ERR usage: WAL STATUS [SYNC]"
-	sub, ok := fs.next()
-	if !ok || !strings.EqualFold(sub, "STATUS") {
-		return append(dst, usage...)
+func (s *Server) execWALAppend(dst []byte, v *wire.Verb, fs *wire.Scanner) []byte {
+	sub, ok := fs.Next()
+	if !ok || !wire.EqualFold(sub, "STATUS") {
+		return appendUsage(dst, v)
 	}
-	arg, hasArg := fs.next()
-	if _, extra := fs.next(); extra || (hasArg && !strings.EqualFold(arg, "SYNC")) {
-		return append(dst, usage...)
+	arg, hasArg := fs.Next()
+	if _, extra := fs.Next(); extra || (hasArg && !wire.EqualFold(arg, "SYNC")) {
+		return appendUsage(dst, v)
 	}
 	if s.wal == nil {
 		return append(dst, "ERR wal disabled"...)
 	}
 	st := s.wal.Stats()
-	dst = append(dst, "WAL lsn="...)
-	dst = appendUint(dst, st.LSN)
-	dst = append(dst, " durable="...)
-	dst = appendUint(dst, st.Durable)
-	dst = append(dst, " segments="...)
-	dst = appendInt(dst, int64(st.Segments))
-	dst = append(dst, " snapshot_lsn="...)
-	dst = appendUint(dst, st.SnapshotLSN)
+	dst = appendKV(append(dst, "WAL"...), "lsn", st.LSN)
+	dst = appendKV(dst, "durable", st.Durable)
+	dst = appendKV(dst, "segments", st.Segments)
+	dst = appendKV(dst, "snapshot_lsn", st.SnapshotLSN)
 	dst = append(dst, " sync="...)
 	dst = append(dst, st.Policy...)
 	if hasArg {
-		dst = append(dst, " pending="...)
-		dst = appendUint(dst, st.Pending)
-		dst = append(dst, " fsyncs="...)
-		dst = appendUint(dst, st.Fsyncs)
-		dst = append(dst, " fsync_avg_us="...)
+		dst = appendKV(dst, "pending", st.Pending)
+		dst = appendKV(dst, "fsyncs", st.Fsyncs)
 		var avg uint64
 		if st.Fsyncs > 0 {
 			avg = st.FsyncNanos / st.Fsyncs / 1000
 		}
-		dst = appendUint(dst, avg)
-		dst = append(dst, " last_fsync_age_ms="...)
-		if st.LastFsync == 0 {
-			dst = appendInt(dst, -1)
-		} else {
-			dst = appendInt(dst, (time.Now().UnixNano()-st.LastFsync)/1e6)
+		dst = appendKV(dst, "fsync_avg_us", avg)
+		age := int64(-1) // never synced
+		if st.LastFsync != 0 {
+			age = (time.Now().UnixNano() - st.LastFsync) / 1e6
 		}
+		dst = appendKV(dst, "last_fsync_age_ms", age)
 	}
 	return dst
 }

@@ -27,6 +27,7 @@
 package trace
 
 import (
+	"strconv"
 	"strings"
 	"time"
 )
@@ -373,4 +374,18 @@ func (t *Trace) detach() {
 // EXPLAIN uses, independent of any collector.
 func New() *Trace {
 	return &Trace{Begin: time.Now(), Events: make([]Event, 0, 8)}
+}
+
+// AppendSlowlog appends the trace as one SLOWLOG GET entry — "id=.. us=..
+// cmd=.. engine=.. key=.. result=.. rows=.." — the entry grammar a
+// server prints its slowlog in and a router re-renders its own entries
+// in, so a fleet-merged SLOWLOG is shape-uniform across nodes.
+func (t *Trace) AppendSlowlog(dst []byte) []byte {
+	dst = strconv.AppendUint(append(dst, "id="...), t.ID, 10)
+	dst = strconv.AppendInt(append(dst, " us="...), t.Dur.Microseconds(), 10)
+	dst = append(append(dst, " cmd="...), t.Cmd...)
+	dst = append(append(dst, " engine="...), t.Engine...)
+	dst = append(append(dst, " key="...), t.Key...)
+	dst = append(append(dst, " result="...), t.Result...)
+	return strconv.AppendInt(append(dst, " rows="...), int64(t.Rows), 10)
 }

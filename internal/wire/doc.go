@@ -1,0 +1,99 @@
+// Package wire is the line protocol's one grammar: the field scanner,
+// the key, wire-id and annotation parsers, the verb table and the reply
+// tokens. The server (internal/server) executes a parsed Request; the
+// cluster router (internal/cluster) places one on its backends and
+// folds their replies; both read the same rows, so the two tiers cannot
+// drift (the paper's one request port and one result port, §3.2,
+// Figure 5). The package imports nothing above internal/bitutil.
+//
+// Protocol (one request per line, space-separated, keys in hex, either
+// plain "<lo>" or wide "<hi>:<lo>"; verbs and keywords are
+// case-insensitive):
+//
+//	SEARCH <engine> <key> [mask]
+//	INSERT <engine> <key> <data>
+//	DELETE <engine> <key>
+//	MSEARCH <engine> <key> [<engine> <key> ...]
+//	TSEARCH <engine> <text>
+//	TINSERT <engine> <score> <text>
+//	MINSERT <engine> <key> <mask> <data>
+//	MDELETE <engine> <key> <mask>
+//	EXPLAIN SEARCH <engine> <key> [mask]
+//	STATS <engine>
+//	ENGINES
+//	CREATE ENGINE <name> TYPE <type> [INDEXBITS <n>] [SLOTS <n>] [ECC]
+//	DROP ENGINE <name>
+//	HEALTH [engine [SCRUB]]
+//	METRICS [engine [LATENCY <op>]]
+//	SLOWLOG GET [n] | SLOWLOG LEN | SLOWLOG RESET
+//	TRACE GET <hex-id>[/<span-id>]
+//	WAL STATUS [SYNC]
+//
+// Each line above is its verb's Usage string, verbatim (a test holds
+// the box, README's and the table to each other); a malformed request
+// draws "ERR usage: " plus that line. Any request may be prefixed with
+// the tracing annotation "*TID <hex-id>/<span-id>": it joins the
+// request's trace to the caller's trace id and is otherwise invisible —
+// the reply is byte-identical to the bare command's, on a server and
+// through a router (which routes by the inner verb and forwards the
+// client's bytes unchanged).
+//
+// CREATE ENGINE adds a typed engine to the live server (type one of
+// exact, lpm, pktclass, trigram); DROP ENGINE removes one. SEARCH on
+// an lpm engine answers the longest matching prefix, on a pktclass
+// engine the highest-priority matching rule — the type carries the
+// ranking, the request line stays the same. MINSERT/MDELETE are the
+// masked (ternary) writes of the lpm/pktclass engines: mask bits are
+// don't-cares, and the store duplicates each rule across its wildcard
+// hash buckets (§4's ternary duplication). TINSERT/TSEARCH are the
+// trigram engine's text-keyed forms — the text (rest of the line,
+// spaces allowed) folds into the 16-byte key image of §6's trigram
+// signatures, and a hit returns the stored score.
+//
+// Responses: "OK", "HIT <data>", "MISS", "STATS n=.. alpha=.. amal=..",
+// "ENGINES a b c", "MRESULTS r1 r2 ...", "METRICS ...", "SLOWLOG ...",
+// "EXPLAIN ...", "HEALTH ...", "TRACE {json}", "WAL ..." or
+// "ERR <reason>". A SEARCH that could not rule the key out — its row is
+// quarantined or unreadable under the error-coding layer — answers
+// "MISS!", the explicit miss-with-error. Each MRESULTS slot is
+// "HIT:<hi>:<lo>", "MISS", "MISS!", "ERR:no-engine", or
+// "ERR:unavailable" (circuit breaker open), in request order.
+//
+// HEALTH reads the fault-tolerance layer (internal/subsystem): with no
+// argument it lists every engine's availability state, with an engine
+// it prints the state plus the error-coding counters behind it, and
+// HEALTH <engine> SCRUB runs the scrub pass — restoring quarantined
+// rows from the insert-side shadow — and reports what it repaired.
+//
+// METRICS reads the observability layer (internal/metrics): with no
+// argument it reports registry totals; with an engine it reports that
+// engine's per-op counters and live gauges (all deterministic for a
+// scripted session); with LATENCY <op> it adds the op's latency
+// quantiles in microseconds (wall-clock, inherently nondeterministic),
+// and with HIST <op> the raw bucket counts a router merges.
+//
+// SLOWLOG, TRACE and EXPLAIN read the request-scoped tracing layer
+// (internal/trace). SLOWLOG is the Redis-style slow-request log: every
+// request whose wall latency exceeded the collector's threshold is
+// retained with its full probe trace; GET prints the newest entries on
+// one line, LEN the retained count, RESET clears the log. TRACE GET
+// prints one retained trace, found by the wire id a *TID annotation
+// gave it. EXPLAIN SEARCH runs a real lookup with tracing forced on and
+// prints the probe chain deterministically — home bucket, recorded
+// reach, one chain element per bucket probed (bucket index,
+// displacement, slots tested, match count, overflow hop), the
+// overflow-CAM outcome, and the §3.4 analytic expectation of rows
+// accessed next to the measured count. SLOWLOG and TRACE require the
+// server to be built WithTracing; EXPLAIN always works (it forces its
+// own trace). WAL STATUS prints the durability layer's commit horizon.
+//
+// Request lines are capped at MaxLineBytes; an oversized line draws
+// "ERR line too long" and ends the connection.
+//
+// Field lifetime: a Scanner yields substrings of the line it was given,
+// and both tiers hand it a View of their connection's read buffer, so a
+// field is valid only until that connection's next read. Whatever must
+// outlive the request clones the field where it is stored: an engine
+// name entering a roster (server CREATE, the router's pin set) and the
+// identity of a trace the collector retains.
+package wire
