@@ -2,8 +2,8 @@
 #
 #   make check          tier-1: gofmt clean + vet + build + full test suite
 #   make race           race-detector pass over every package with
-#                       concurrent code (server, subsystem, metrics, trace,
-#                       wal, cluster, caram, match), whole packages
+#                       concurrent code (wire, server, subsystem, metrics,
+#                       trace, wal, cluster, caram, match), whole packages
 #   make stress         tier-2: the concurrency stress tests under -race
 #   make fuzz           10s per fuzz target: the protocol engine, the one
 #                       request grammar (internal/wire: every verb row ×
@@ -108,8 +108,8 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race -count=1 ./internal/server ./internal/subsystem ./internal/metrics ./internal/trace ./internal/wal \
-		./internal/cluster ./internal/caram ./internal/match
+	$(GO) test -race -count=1 ./internal/wire ./internal/server ./internal/subsystem ./internal/metrics ./internal/trace \
+		./internal/wal ./internal/cluster ./internal/caram ./internal/match
 
 metrics-smoke:
 	$(GO) run ./cmd/metrics-smoke
@@ -154,7 +154,8 @@ alloc-guard:
 # Durability gate: the whole WAL suite under the race detector (the
 # exhaustive torn-tail property, snapshot truncation + replay gating,
 # CREATE/DROP replay, relaxed-policy seal flushing), the server-side
-# graceful-drain / WAL STATUS suites, the fleet WAL STATUS merge, and
+# graceful-drain / WAL STATUS suites, the fleet WAL STATUS merge, the
+# router's graceful drain (acked writes present on their backends), and
 # the kill-injection harness — the real binary SIGKILLed mid-group-
 # commit (the -wal-slow-sync hook widens the fsync window), restarted,
 # and audited: every acked write present, every unacked write absent.
@@ -162,7 +163,7 @@ alloc-guard:
 crash-guard: crash-harness
 	$(GO) test -race -count=1 ./internal/wal
 	$(GO) test -race -run 'Close|WALStatus|WALExec' -count=1 ./internal/server
-	$(GO) test -race -run 'RouterWALStatus' -count=1 ./internal/cluster
+	$(GO) test -race -run 'Close|RouterWALStatus' -count=1 ./internal/cluster
 
 crash-harness:
 	$(GO) test -run 'Crash|GracefulShutdown' -count=1 ./cmd/caram-server

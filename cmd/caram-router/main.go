@@ -51,8 +51,9 @@
 //	caram-router -addr :7070 -backends 127.0.0.1:7071,127.0.0.1:7072 -http :9091 &
 //	printf 'INSERT db dead 42\nSEARCH db dead\nMSEARCH db dead db beef\n' | nc localhost 7070
 //
-// SIGINT/SIGTERM shut down gracefully: listeners close, in-flight
-// requests settle, pools drain, and the process exits 0.
+// SIGINT/SIGTERM shut down gracefully: listeners close, every burst a
+// connection had already sent is forwarded, settled and answered, then
+// the pools close and the process exits 0.
 package main
 
 import (
@@ -91,9 +92,9 @@ func main() {
 		healthInterval   = flag.Duration("health-interval", time.Second, "HEALTH probe period per backend (0 = watcher off)")
 		healthTimeout    = flag.Duration("health-timeout", time.Second, "per-probe deadline")
 
-		traceSample = flag.Int("trace-sample", 0, "trace 1 in N proxied requests, chosen at dispatch: forwards carry a *TID tag and /debug/traces stitches the backend children (0 = off)")
-		slowlogUs   = flag.Int64("slowlog-us", 10_000, "router slowlog threshold in microseconds: slower requests keep the router's own spans, built at settle, with no backend child (-1 = off)")
-		traceRing   = flag.Int("trace-ring", trace.DefaultRing, "retained traces per policy ring")
+		tracing = trace.Flags(flag.CommandLine,
+			"trace 1 in N proxied requests, chosen at dispatch: forwards carry a *TID tag and /debug/traces stitches the backend children (0 = off)",
+			"router slowlog threshold in microseconds: slower requests keep the router's own spans, built at settle, with no backend child (-1 = off)")
 	)
 	flag.Parse()
 
@@ -126,15 +127,7 @@ func main() {
 	rm := metrics.NewRouterMetrics(labels)
 	// The collector always exists (TRACE GET and /debug/traces work even
 	// with both admission policies off); policies come from the flags.
-	slowlog := time.Duration(-1)
-	if *slowlogUs >= 0 {
-		slowlog = time.Duration(*slowlogUs) * time.Microsecond
-	}
-	col := trace.NewCollector(trace.Config{
-		SampleN: *traceSample,
-		Slowlog: slowlog,
-		Ring:    *traceRing,
-	})
+	col := trace.NewCollector(tracing())
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
 		Backends:         bks,
 		Replicas:         *replicas,
@@ -188,7 +181,9 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	closeDone := make(chan struct{})
 	go func() {
+		defer close(closeDone)
 		s := <-sig
 		logger.Info("shutting down", "signal", s.String())
 		if err := rt.Close(); err != nil {
@@ -196,9 +191,12 @@ func main() {
 		}
 	}()
 
-	if err := rt.Serve(l); err != nil && !errors.Is(err, cluster.ErrRouterClosed) {
+	if err := rt.Serve(l); !errors.Is(err, cluster.ErrRouterClosed) {
 		logger.Error("serve", "err", err)
 		os.Exit(1)
 	}
+	// Serve unblocks as soon as the listener drops; Close is still
+	// draining the bursts already read and forwarded.
+	<-closeDone
 	logger.Info("bye")
 }

@@ -90,9 +90,9 @@ func main() {
 		slots    = flag.Int("slots", 8, "keys per bucket")
 		engines  = flag.String("engines", "db", "comma-separated engines, each name or name:type (exact, lpm, pktclass, trigram); requests to distinct engines run in parallel")
 		logLevel = flag.String("log-level", "info", "log floor: debug, info, warn, error")
-		sampleN  = flag.Int("trace-sample", 0, "admit every Nth request into the sampled trace ring (0 = off)")
-		slowUs   = flag.Int64("slowlog-us", 10_000, "slowlog threshold in microseconds; requests slower than this are retained with their probe trace (-1 = off)")
-		ringSize = flag.Int("trace-ring", trace.DefaultRing, "retained traces per ring (slowlog and sampled)")
+		tracing  = trace.Flags(flag.CommandLine,
+			"admit every Nth request into the sampled trace ring (0 = off)",
+			"slowlog threshold in microseconds; requests slower than this are retained with their probe trace (-1 = off)")
 
 		eccOn    = flag.Bool("ecc", false, "enable per-row error coding: SECDED check words, quarantine, HEALTH <engine> SCRUB recovery")
 		maxConns = flag.Int("max-conns", 0, "cap on concurrently served connections; excess accepts are shed with ERR BUSY (0 = unlimited)")
@@ -242,11 +242,8 @@ func main() {
 		}
 	}
 
-	slowlog := time.Duration(-1)
-	if *slowUs >= 0 {
-		slowlog = time.Duration(*slowUs) * time.Microsecond
-	}
-	col := trace.NewCollector(trace.Config{SampleN: *sampleN, Slowlog: slowlog, Ring: *ringSize})
+	tcfg := tracing()
+	col := trace.NewCollector(tcfg)
 	srvOpts := []server.Option{server.WithTracing(col), server.WithLogger(logger)}
 	if *maxConns > 0 {
 		srvOpts = append(srvOpts, server.WithConnLimit(*maxConns))
@@ -304,8 +301,8 @@ func main() {
 		"buckets", rows,
 		"slots", perRow,
 		"addr", l.Addr().String(),
-		"slowlog_us", *slowUs,
-		"trace_sample", *sampleN,
+		"slowlog_us", tcfg.Slowlog.Microseconds(),
+		"trace_sample", tcfg.SampleN,
 		"ecc", *eccOn,
 		"fault_seed", *faultSeed,
 		"max_conns", *maxConns,

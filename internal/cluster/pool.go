@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,12 +25,6 @@ var (
 	ErrBackendDown        = errors.New("cluster: backend connection failed")
 	ErrPoolClosed         = errors.New("cluster: pool closed")
 )
-
-// busyReply is the backend's accept-time load-shed line (one per shed
-// connection, then close). Seeing it as a "reply" means the
-// connection never entered service: everything pipelined on it fails
-// unavailable and the breaker trips.
-var busyReply = []byte("ERR BUSY")
 
 const (
 	// maxBurst caps how many queued batches one write coalesces; with
@@ -446,8 +441,11 @@ func (pc *pconn) read(g *gen) {
 			return
 		}
 		line = wire.TrimEOL(line)
-		if bytes.Equal(line, busyReply) {
-			// Accept-time shed: this connection never entered service.
+		if wire.View(line) == wire.ReplyBusy {
+			// The backend's accept-time load-shed line (one per shed
+			// connection, then close): this connection never entered
+			// service, so everything pipelined on it fails unavailable
+			// and the breaker trips.
 			kill(ErrBackendUnavailable)
 			return
 		}
@@ -516,7 +514,7 @@ func (p *Pool) Probe(timeout time.Duration) bool {
 	}
 	buf := make([]byte, 512)
 	n, err := conn.Read(buf)
-	if err != nil || n == 0 || bytes.HasPrefix(buf[:n], busyReply) {
+	if err != nil || n == 0 || strings.HasPrefix(wire.View(buf[:n]), wire.ReplyBusy) {
 		p.noteFailure()
 		return false
 	}

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bufio"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"net"
@@ -99,11 +97,9 @@ type Router struct {
 	watcherStop chan struct{}
 	watcherWG   sync.WaitGroup
 
-	mu        sync.Mutex
-	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	closed    bool
-	handlers  sync.WaitGroup
+	// ep is the connection lifecycle, the same one the server runs
+	// (internal/wire): accept, panic fence, burst read loop, drain.
+	ep *wire.Endpoint
 }
 
 // ErrRouterClosed is returned by Serve after Close.
@@ -166,8 +162,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		trc:          cfg.Tracing,
 		retries:      cfg.Retries,
 		retryBackoff: cfg.RetryBackoff,
-		listeners:    make(map[net.Listener]struct{}),
-		conns:        make(map[net.Conn]struct{}),
+		ep:           wire.NewEndpoint(ErrRouterClosed, cfg.Logger),
 	}
 	// Scatter merges iterate backends in address order, not config
 	// order, so admin output is stable regardless of how the backend
@@ -270,87 +265,22 @@ func (rt *Router) watch(interval, timeout time.Duration) {
 }
 
 // Serve accepts connections until the listener closes or the router
-// shuts down with Close.
+// shuts down with Close. The router arms no connection cap and no read
+// deadlines: no deployment of it needs either yet.
 func (rt *Router) Serve(l net.Listener) error {
-	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
-		l.Close()
-		return ErrRouterClosed
-	}
-	rt.listeners[l] = struct{}{}
-	rt.handlers.Add(1)
-	rt.mu.Unlock()
-	defer func() {
-		rt.mu.Lock()
-		delete(rt.listeners, l)
-		rt.mu.Unlock()
-		rt.handlers.Done()
-	}()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if rt.isClosed() {
-				return ErrRouterClosed
-			}
-			return err
-		}
-		rt.mu.Lock()
-		if rt.closed {
-			rt.mu.Unlock()
-			conn.Close()
-			return ErrRouterClosed
-		}
-		rt.conns[conn] = struct{}{}
-		rt.handlers.Add(1)
-		rt.mu.Unlock()
-		go func() {
-			defer func() {
-				conn.Close()
-				rt.mu.Lock()
-				delete(rt.conns, conn)
-				rt.mu.Unlock()
-				rt.handlers.Done()
-			}()
-			defer func() {
-				if r := recover(); r != nil && rt.log != nil {
-					rt.log.Error("router handler panic",
-						"remote", conn.RemoteAddr().String(),
-						"panic", fmt.Sprint(r))
-				}
-			}()
-			rt.Handle(conn, conn)
-		}()
-	}
+	return rt.ep.Serve(l, wire.Limits{}, rt.Handle)
 }
 
-func (rt *Router) isClosed() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.closed
-}
-
-// Close shuts the router down: the watcher stops, listeners and client
-// connections close, in-flight handlers drain, then the backend pools
-// tear down. (Pools close last — handlers may hold in-flight calls.)
+// Close shuts the router down gracefully: the endpoint closes the
+// listeners, nudges every client connection and waits until each
+// handler has settled and answered the bursts it had already read;
+// then the watcher stops and the backend pools tear down. (Pools close
+// last — a draining handler still holds in-flight calls.)
 func (rt *Router) Close() error {
-	rt.mu.Lock()
-	if !rt.closed {
-		rt.closed = true
-		for l := range rt.listeners {
-			l.Close()
-		}
-		for c := range rt.conns {
-			c.Close()
-		}
-	}
-	rt.mu.Unlock()
-	if rt.watcherStop != nil {
+	if first := rt.ep.Close(); first && rt.watcherStop != nil {
 		close(rt.watcherStop)
-		rt.watcherWG.Wait()
-		rt.watcherStop = nil
 	}
-	rt.handlers.Wait()
+	rt.watcherWG.Wait()
 	for _, p := range rt.pools {
 		p.Close()
 	}
@@ -404,16 +334,15 @@ func (op *pendingOp) reset() {
 	op.mark, op.t0, op.tr = 0, 0, nil
 }
 
-// rconn is one client connection's reusable state: the line reader,
-// the reply buffer, the pending-op arena, the per-backend batches the
-// current burst is filling, and the scatter scratch. lane is the
-// client's sticky pool lane: every batch this client submits to a
-// given backend rides one connection, so its own requests reach that
+// rconn is one client connection's reusable state — the router's half
+// of a connection (wire.Session): the pending-op arena, the per-backend
+// batches the current burst is filling, and the scatter scratch. lane
+// is the client's sticky pool lane: every batch this client submits to
+// a given backend rides one connection, so its own requests reach that
 // backend in order (the pipelining contract a direct connection
 // gives); different clients land on different lanes and coalesce.
 type rconn struct {
-	r     *bufio.Reader
-	out   []byte
+	rt    *Router
 	lane  uint64
 	ops   []pendingOp
 	cur   []*batch       // per backend: the batch this burst fills (nil until first used)
@@ -427,14 +356,7 @@ type rconn struct {
 // laneCounter hands each handled connection its lane.
 var laneCounter atomic.Uint64
 
-var rconnPool = sync.Pool{
-	New: func() any {
-		return &rconn{
-			r:   bufio.NewReaderSize(nil, wire.MaxLineBytes),
-			out: make([]byte, 0, 4096),
-		}
-	},
-}
+var rconnPool = sync.Pool{New: func() any { return new(rconn) }}
 
 // nextOp returns a reset pendingOp slot, reusing backing arrays.
 func (st *rconn) nextOp() *pendingOp {
@@ -457,68 +379,41 @@ const (
 	maxClientPipeline = 512
 )
 
-// Handle processes one client connection's request stream: read every
-// request already buffered, dispatch each into its backend's batch,
-// then settle the burst: submit the batches (they coalesce with other
-// clients' into pool write bursts), await them, reassemble the replies
-// in request order, and flush once. Split from
-// Serve so tests drive it over arbitrary pipes; safe for concurrent
-// use by any number of connections.
+// Handle processes one client connection's request stream through the
+// endpoint's burst read loop: every request already buffered is
+// dispatched into its backend's batch, then the burst settles: the
+// batches are submitted (they coalesce with other clients' into pool
+// write bursts) and awaited, the replies reassembled in request order,
+// and the endpoint flushes once. Split from Serve so tests drive it
+// over arbitrary pipes; safe for concurrent use by any number of
+// connections.
 func (rt *Router) Handle(r io.Reader, w io.Writer) {
 	st := rconnPool.Get().(*rconn)
-	st.r.Reset(r)
-	st.out = st.out[:0]
+	st.rt = rt
 	st.lane = laneCounter.Add(1)
-	st.ops = st.ops[:0]
 	if len(st.cur) < len(rt.pools) {
 		st.cur = make([]*batch, len(rt.pools))
 		st.marks = make([]int, len(rt.pools))
 		st.curs = make([]wire.Scanner, len(rt.pools))
 	}
-	defer func() {
-		st.r.Reset(nil)
-		rconnPool.Put(st)
-	}()
-	for {
-		line, err := st.r.ReadSlice('\n')
-		switch {
-		case err == nil:
-			rt.dispatch(st, wire.TrimEOL(line))
-			if st.r.Buffered() == 0 || len(st.ops) >= maxClientPipeline {
-				if !rt.settle(st, w) {
-					return
-				}
-			}
-		case errors.Is(err, bufio.ErrBufferFull):
-			rt.settle(st, w)
-			w.Write([]byte("ERR line too long\n")) //nolint:errcheck // connection is ending either way
-			return
-		case errors.Is(err, io.EOF):
-			if len(line) > 0 {
-				rt.dispatch(st, wire.TrimEOL(line))
-			}
-			rt.settle(st, w)
-			return
-		default:
-			if len(line) > 0 {
-				rt.dispatch(st, wire.TrimEOL(line))
-			}
-			if rt.settle(st, w) {
-				fmt.Fprintf(w, "ERR read: %s\n", err.Error()) //nolint:errcheck
-			}
-			return
-		}
-	}
+	rt.ep.Handle(r, w, st)
+	// Not deferred: after a panic mid-burst ops and cur still hold the
+	// dead client's unsent lines, and the next connection to draw this
+	// rconn would execute them. A normal return comes after a Settle,
+	// which leaves both empty.
+	rconnPool.Put(st)
 }
 
-// dispatch routes one request line: append it to its backend batch(es)
-// and record the pending op. Nothing is submitted and nothing blocks —
-// that is settle's job — so a pipelined client burst reaches each pool
-// as one batch. Tracing follows one rule: a tier tags a downstream
-// request only when the trace is already certain to be kept. So only
-// head-sampled requests get a trace (and a *TID tag) here; every other
-// op carries just its dispatch stamp and is judged at settle.
-func (rt *Router) dispatch(st *rconn, line []byte) {
+// Request dispatches one request line: append it to its backend
+// batch(es) and record the pending op. Nothing is submitted and nothing
+// blocks — that is Settle's job — so a pipelined client burst reaches
+// each pool as one batch; the burst is full at maxClientPipeline pending
+// ops. Tracing follows one rule: a tier tags a downstream request only
+// when the trace is already certain to be kept. So only head-sampled
+// requests get a trace (and a *TID tag) here; every other op carries
+// just its dispatch stamp and is judged at settle.
+func (st *rconn) Request(out, line []byte) ([]byte, bool) {
+	rt := st.rt
 	var t0 int64
 	var tr *trace.Trace
 	if rt.trc != nil {
@@ -533,6 +428,7 @@ func (rt *Router) dispatch(st *rconn, line []byte) {
 	op := &st.ops[len(st.ops)-1] // every route path appends exactly one op
 	op.t0, op.tr = t0, tr
 	st.tr = nil
+	return out, len(st.ops) >= maxClientPipeline
 }
 
 // merges holds the reassembly rule of each verb whose replies the
@@ -838,13 +734,13 @@ func (rt *Router) routeHealth(st *rconn, line string, req wire.Request) {
 // instead of an answer, never alongside a wrong one.
 var replyUnavailable = []byte("ERR unavailable")
 
-// settle is the burst's settle trigger: submit each non-empty batch to
+// Settle is the burst's settle trigger: submit each non-empty batch to
 // its lane (one queue operation per backend), walk the ops in request
 // order — each waits for its batch, so at most one wake-up per batch —
-// reassembling replies into the out buffer, run the tracing pass,
-// recycle the batches, and flush with one write. Reports false when the
-// client's write side died.
-func (rt *Router) settle(st *rconn, w io.Writer) bool {
+// reassembling replies into out, run the tracing pass, and recycle the
+// batches; the endpoint then flushes out with one write.
+func (st *rconn) Settle(out []byte) []byte {
+	rt := st.rt
 	tFlush := time.Now().UnixNano()
 	cur := st.cur[:len(rt.pools)]
 	for b, bt := range cur {
@@ -854,21 +750,21 @@ func (rt *Router) settle(st *rconn, w io.Writer) bool {
 	}
 	for i := range st.ops {
 		op := &st.ops[i]
-		op.mark = len(st.out)
+		op.mark = len(out)
 		switch op.kind {
 		case opLocal:
-			st.out = append(st.out, op.local...)
+			out = append(out, op.local...)
 		case opForward:
-			st.out = rt.settleForward(st, st.out, op)
+			out = rt.settleForward(st, out, op)
 		case opMSearch:
-			st.out = rt.settleMSearch(st, st.out, op)
+			out = rt.settleMSearch(st, out, op)
 		case opScatter:
-			st.out = rt.settleScatter(st.out, op)
+			out = rt.settleScatter(out, op)
 		}
-		st.out = append(st.out, '\n')
+		out = append(out, '\n')
 	}
 	if rt.trc != nil {
-		rt.observe(st, tFlush)
+		rt.observe(st, out, tFlush)
 	}
 	st.ops = st.ops[:0]
 	// Every line's op waited above; these waits only guarantee no batch
@@ -885,12 +781,7 @@ func (rt *Router) settle(st *rconn, w io.Writer) bool {
 		batchPool.Put(bt)
 	}
 	st.cut = st.cut[:0]
-	if len(st.out) == 0 {
-		return true
-	}
-	_, err := w.Write(st.out)
-	st.out = st.out[:0]
-	return err == nil
+	return out
 }
 
 // settleForward resolves a single-backend call. An idempotent read in
@@ -971,7 +862,7 @@ func (rt *Router) settleScatter(out []byte, op *pendingOp) []byte {
 // wire id, hence no stitched child; otherwise nothing was allocated,
 // nothing tagged, and no backend retained anything on its behalf.
 // tFlush is the settle trigger's stamp.
-func (rt *Router) observe(st *rconn, tFlush int64) {
+func (rt *Router) observe(st *rconn, out []byte, tFlush int64) {
 	now := time.Now().UnixNano()
 	for i := range st.ops {
 		op := &st.ops[i]
@@ -985,12 +876,12 @@ func (rt *Router) observe(st *rconn, tFlush int64) {
 		}
 		// The op was routed by the time the next one was dispatched (or
 		// the burst flushed); its reply ends where the next one starts.
-		routed, end := tFlush, len(st.out)
+		routed, end := tFlush, len(out)
 		if i+1 < len(st.ops) {
 			routed, end = st.ops[i+1].t0, st.ops[i+1].mark
 		}
 		rt.record(tr, op, routed)
-		tr.SetResult(wire.Head(wire.View(st.out[op.mark : end-1])))
+		tr.SetResult(wire.Head(wire.View(out[op.mark : end-1])))
 		if slow := rt.trc.Observe(tr, d); slow && rt.log != nil {
 			rt.log.Warn("slow proxied request",
 				"id", tr.ID,

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"expvar"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"sync"
@@ -36,12 +37,19 @@ func Handler(r *Registry, opts ...HandlerOption) http.Handler {
 	publishOnce.Do(func() {
 		expvar.Publish("caram", expvar.Func(func() any { return expvarView(r) }))
 	})
+	mux := newMux(func(w io.Writer) error { return WritePrometheus(w, r.Snapshot()) }, opts)
+	mux.Handle("/debug/vars", expvar.Handler())
+	return mux
+}
+
+// newMux is the exposition mux both tiers serve: /metrics rendered by
+// write, the standard pprof routes, and whatever the options mount.
+func newMux(write func(io.Writer) error, opts []HandlerOption) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WritePrometheus(w, r.Snapshot())
+		_ = write(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

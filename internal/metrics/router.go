@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"sync/atomic"
 )
 
@@ -240,20 +239,7 @@ func WriteRouterPrometheus(w io.Writer, rm *RouterMetrics) error {
 // Prometheus exposition plus the standard pprof endpoints — the
 // router-tier counterpart of Handler.
 func RouterHandler(rm *RouterMetrics, opts ...HandlerOption) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WriteRouterPrometheus(w, rm)
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	for _, opt := range opts {
-		opt(mux)
-	}
-	return mux
+	return newMux(func(w io.Writer) error { return WriteRouterPrometheus(w, rm) }, opts)
 }
 
 // String renders a compact one-line summary (the router's wire-level

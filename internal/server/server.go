@@ -7,17 +7,20 @@
 // executes a parsed wire.Request against the subsystem and renders the
 // reply: one handler per verb, switched on the table row.
 //
-// Overload protection is opt-in per server. WithConnLimit caps the
-// number of concurrently served connections: excess accepts are shed
-// immediately with a one-line "ERR BUSY" and closed, so a connection
-// flood degrades into fast rejections instead of unbounded goroutines.
-// WithTimeouts arms read deadlines — an idle timeout for the start of
-// the next request and a (usually shorter) read timeout once a request
-// has begun arriving, the slow-loris defense — and a deadline expiry
-// draws "ERR timeout" and ends the connection without executing the
-// partial line. Independently of both, every connection handler runs
-// under a panic recovery: a handler bug tears down that one connection
-// (logged at Error) and never the process.
+// Connections are served by internal/wire's Endpoint, the lifecycle the
+// router serves through too; this package plugs in the session that
+// executes each line. Overload protection is the endpoint's, opt-in per
+// server. WithConnLimit caps the number of concurrently served
+// connections: excess accepts are shed immediately with a one-line "ERR
+// BUSY" and closed, so a connection flood degrades into fast rejections
+// instead of unbounded goroutines. WithTimeouts arms read deadlines — an
+// idle timeout for the start of the next request and a (usually
+// shorter) read timeout once a request has begun arriving, the
+// slow-loris defense — and a deadline expiry draws "ERR timeout" and
+// ends the connection without executing the partial line. Independently
+// of both, every connection handler runs under a panic recovery: a
+// handler bug tears down that one connection (logged at Error) and
+// never the process.
 //
 // Concurrency: the server runs on a per-engine locking model
 // (subsystem.Concurrent). Requests that target distinct engines
@@ -31,16 +34,13 @@
 package server
 
 import (
-	"bufio"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"caram/internal/bitutil"
@@ -52,8 +52,8 @@ import (
 	"caram/internal/wire"
 )
 
-// flushThreshold caps how much reply data accumulates before Handle
-// writes it out even though more pipelined requests are buffered.
+// flushThreshold caps how much reply data accumulates before a burst is
+// written out even though more pipelined requests are buffered.
 const flushThreshold = 32 * 1024
 
 // ErrServerClosed is returned by Serve after Close.
@@ -66,8 +66,11 @@ type Server struct {
 	trc *trace.Collector  // nil when built without WithTracing
 	log *slog.Logger      // nil when built without WithLogger
 
+	// ep is the connection lifecycle (internal/wire): listeners, accept,
+	// shed, deadlines, the panic fence, the burst read loop and the drain.
+	// The limits below are handed to it per Serve call.
+	ep          *wire.Endpoint
 	maxConns    int           // 0 = unlimited
-	active      atomic.Int32  // connections currently served (conn-limit bookkeeping)
 	readTimeout time.Duration // per-read deadline once a request has started; 0 = none
 	idleTimeout time.Duration // deadline for the start of the next request; 0 = none
 
@@ -78,19 +81,10 @@ type Server struct {
 
 	// wal is the durability layer (nil when the server runs without
 	// one): every mutation journals through it, Close snapshots and
-	// seals it. closing flips at the start of Close so connection
-	// readers stop re-arming deadlines and the shutdown nudge reads
-	// as "drain and hang up", not "ERR timeout".
+	// seals it.
 	wal      *wal.Log
 	snapStop chan struct{} // stops the periodic-snapshot loop
 	snapWG   sync.WaitGroup
-	closing  atomic.Bool
-
-	mu        sync.Mutex
-	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	closed    bool
-	handlers  sync.WaitGroup // accept loops + connection handlers
 }
 
 // Option configures New.
@@ -209,12 +203,11 @@ func New(sub *subsystem.Subsystem, opts ...Option) *Server {
 		met:         reg,
 		trc:         o.trc,
 		log:         o.log,
+		ep:          wire.NewEndpoint(ErrServerClosed, o.log),
 		maxConns:    o.maxConns,
 		readTimeout: o.readTO,
 		idleTimeout: o.idleTO,
 		wal:         o.wal,
-		listeners:   make(map[net.Listener]struct{}),
-		conns:       make(map[net.Conn]struct{}),
 	}
 	if s.wal != nil && o.snapEvery > 0 {
 		s.snapStop = make(chan struct{})
@@ -245,318 +238,68 @@ func (s *Server) Tracing() *trace.Collector { return s.trc }
 // Serve accepts connections until the listener closes or the server is
 // shut down with Close (which returns ErrServerClosed).
 func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		l.Close()
-		return ErrServerClosed
-	}
-	s.listeners[l] = struct{}{}
-	s.handlers.Add(1)
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.listeners, l)
-		s.mu.Unlock()
-		s.handlers.Done()
-	}()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if s.isClosed() {
-				return ErrServerClosed
-			}
-			return err
-		}
-		if !s.admit() {
-			// Over the connection cap: shed the load with one line and
-			// move on — no handler goroutine, no map entry, no buffers.
-			conn.Write([]byte("ERR BUSY\n")) //nolint:errcheck // best-effort courtesy reply
-			conn.Close()
-			if s.log != nil {
-				s.log.Debug("connection shed", "remote", conn.RemoteAddr().String())
-			}
-			continue
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			s.active.Add(-1)
-			return ErrServerClosed
-		}
-		s.conns[conn] = struct{}{}
-		s.handlers.Add(1)
-		s.mu.Unlock()
-		if s.log != nil {
-			s.log.Debug("connection accepted", "remote", conn.RemoteAddr().String())
-		}
-		go func() {
-			defer func() {
-				conn.Close()
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				s.active.Add(-1)
-				s.handlers.Done()
-				if s.log != nil {
-					s.log.Debug("connection closed", "remote", conn.RemoteAddr().String())
-				}
-			}()
-			// A panicking handler must cost exactly its own connection:
-			// recover here (before the cleanup defer above closes it)
-			// so the accept loop and every other connection live on.
-			defer func() {
-				if r := recover(); r != nil && s.log != nil {
-					s.log.Error("connection handler panic",
-						"remote", conn.RemoteAddr().String(),
-						"panic", fmt.Sprint(r))
-				}
-			}()
-			rd := io.Reader(conn)
-			if s.readTimeout > 0 || s.idleTimeout > 0 {
-				rd = &connReader{srv: s, c: conn, read: s.readTimeout, idle: s.idleTimeout}
-			}
-			s.Handle(rd, conn)
-		}()
-	}
+	return s.ep.Serve(l, wire.Limits{
+		MaxConns:    s.maxConns,
+		ReadTimeout: s.readTimeout,
+		IdleTimeout: s.idleTimeout,
+	}, s.Handle)
 }
 
-// admit charges one connection against the cap; false means shed it.
-func (s *Server) admit() bool {
-	if s.maxConns <= 0 {
-		s.active.Add(1) // uncapped: keep the gauge honest anyway
-		return true
-	}
-	for {
-		cur := s.active.Load()
-		if int(cur) >= s.maxConns {
-			return false
-		}
-		if s.active.CompareAndSwap(cur, cur+1) {
-			return true
-		}
-	}
-}
-
-// connReader arms a read deadline before every read from the
-// connection: the idle timeout while waiting for a request to start,
-// the read timeout once one has begun arriving. Handle flips atStart
-// at request boundaries; the zero value of either duration clears the
-// deadline for reads it would govern.
-type connReader struct {
-	srv     *Server
-	c       net.Conn
-	read    time.Duration
-	idle    time.Duration
-	atStart bool
-}
-
-// aLongTimeAgo is a deadline guaranteed to be expired; used to keep a
-// connection's reads failing fast during graceful shutdown.
-var aLongTimeAgo = time.Unix(1, 0)
-
-func (cr *connReader) Read(p []byte) (int, error) {
-	d := cr.read
-	if cr.atStart {
-		d = cr.idle
-	}
-	var dl time.Time // zero clears any previous deadline
-	if d > 0 {
-		dl = time.Now().Add(d)
-	}
-	if err := cr.c.SetReadDeadline(dl); err != nil {
-		return 0, err
-	}
-	cr.atStart = false
-	// During graceful shutdown the deadline must stay expired: Close
-	// nudged every connection with an expired deadline, and re-arming
-	// it here would let this read block for a full idle period. The
-	// re-check after SetReadDeadline closes the race with the nudge.
-	if cr.srv != nil && cr.srv.closing.Load() {
-		cr.c.SetReadDeadline(aLongTimeAgo) //nolint:errcheck
-	}
-	return cr.c.Read(p)
-}
-
-// closeWriteGrace bounds how long a draining handler may block writing
-// its final replies to a client that has stopped reading.
-const closeWriteGrace = 5 * time.Second
-
-// Close shuts the server down gracefully: it closes every listener,
-// then *nudges* each active connection by expiring its read deadline —
-// the connection stays writable, so every in-flight handler finishes
-// the requests it has already read (including a buffered pipelined
-// burst) and writes their replies before returning. Only after all
-// handlers have drained does Close take a final snapshot, close the
-// subsystem, and seal the WAL — which is why a graceful shutdown is a
-// clean recovery point needing zero replay. Close is idempotent; Serve
-// calls racing it return ErrServerClosed.
+// Close shuts the server down gracefully: the endpoint closes every
+// listener, nudges each active connection and waits until every
+// in-flight handler has finished the requests it had already read and
+// written their replies. Only after that drain does Close stop the
+// snapshotter, take a final snapshot, close the subsystem, and seal the
+// WAL — which is why a graceful shutdown is a clean recovery point
+// needing zero replay. Close is idempotent; Serve calls racing it
+// return ErrServerClosed.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	first := !s.closed
-	if first {
-		s.closed = true
-		s.closing.Store(true)
-		for l := range s.listeners {
-			l.Close()
-		}
-		now := time.Now()
-		for c := range s.conns {
-			// Expired read deadline: pending and future reads fail fast,
-			// but buffered requests still execute and replies still
-			// flush. The write grace keeps a non-reading client from
-			// pinning the drain forever.
-			c.SetReadDeadline(now)                       //nolint:errcheck
-			c.SetWriteDeadline(now.Add(closeWriteGrace)) //nolint:errcheck
-		}
-	}
-	stop := s.snapStop
-	s.mu.Unlock()
-	if first && stop != nil {
-		close(stop)
+	first := s.ep.Close()
+	if first && s.snapStop != nil {
+		close(s.snapStop)
 	}
 	s.snapWG.Wait()
-	s.handlers.Wait()
 	var err error
 	if first && s.wal != nil {
 		// The drain is complete: this snapshot captures every applied
 		// mutation, so the sealed log below needs zero replay on the
 		// next boot.
-		if serr := s.wal.Snapshot(s.con.SnapshotImage); serr != nil {
-			err = serr
-		}
+		err = s.wal.Snapshot(s.con.SnapshotImage)
 	}
 	s.con.Close()
 	if first && s.wal != nil {
-		if serr := s.wal.Seal(); serr != nil && err == nil {
+		if serr := s.wal.Seal(); err == nil {
 			err = serr
 		}
 	}
 	return err
 }
 
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// connState is one connection's reusable I/O state: a line reader
-// whose buffer doubles as the oversized-line bound, and the reply
-// buffer replies are appended into between flushes. Pooled so a
-// connection churn-heavy workload does not re-allocate 64 KiB buffers
-// per accept.
-type connState struct {
-	r   *bufio.Reader
-	out []byte
-}
-
-var connPool = sync.Pool{
-	New: func() any {
-		return &connState{
-			r:   bufio.NewReaderSize(nil, wire.MaxLineBytes),
-			out: make([]byte, 0, 4096),
-		}
-	},
-}
-
-// Handle processes one connection's request stream. Split from Serve
-// so tests can drive it over arbitrary pipes. Handle itself is safe
-// for concurrent use: any number of connections may execute at once.
-// It returns as soon as the writer fails, so a dead client cannot keep
-// its read loop spinning through the rest of the stream.
-//
-// Replies are appended to a pooled per-connection buffer and written
-// out once per pipelined burst: the buffer is flushed when the reader
-// has no complete requests left buffered (or when flushThreshold of
-// replies has accumulated), so a client that pipelines N requests
-// costs one write, not N.
+// Handle processes one connection's request stream through the
+// endpoint's burst read loop. Split from Serve so tests can drive it
+// over arbitrary pipes; safe for concurrent use by any number of
+// connections.
 func (s *Server) Handle(r io.Reader, w io.Writer) {
-	st := connPool.Get().(*connState)
-	st.r.Reset(r)
-	st.out = st.out[:0]
-	defer func() {
-		st.r.Reset(nil) // drop the connection reference before pooling
-		connPool.Put(st)
-	}()
-	flush := func() bool {
-		if len(st.out) == 0 {
-			return true
-		}
-		_, err := w.Write(st.out)
-		st.out = st.out[:0]
-		return err == nil
-	}
-	// exec hands the protocol engine a view of the read buffer, not a
-	// copy (wire's "Field lifetime"). The view covers one ExecAppend,
-	// and nothing the call leaves behind points into it: error texts are
-	// formatted on the spot, the trace layer clones its fields when it
-	// admits a trace, the journal encodes its entry inside Append, and a
-	// created engine's name is cloned where it is stored.
-	exec := func(line []byte) {
-		st.out = s.ExecAppend(st.out, wire.View(wire.TrimEOL(line)))
-		st.out = append(st.out, '\n')
-	}
-	cr, _ := r.(*connReader) // deadline-armed transport, when Serve wired one
-	for {
-		if cr != nil {
-			// The next byte pulled off the wire starts a new request
-			// (anything already buffered costs no read at all), so it is
-			// governed by the idle timeout, not the per-read one.
-			cr.atStart = true
-		}
-		line, err := st.r.ReadSlice('\n')
-		switch {
-		case err == nil:
-			exec(line)
-			if st.r.Buffered() == 0 || len(st.out) >= flushThreshold {
-				if !flush() {
-					return // write side is gone; stop consuming requests
-				}
-			}
-		case errors.Is(err, bufio.ErrBufferFull):
-			// The stream is unrecoverable once a line overflows the
-			// buffer; report and end the connection like the previous
-			// Scanner-based loop did.
-			st.out = append(st.out, "ERR line too long\n"...)
-			flush()
-			return
-		case errors.Is(err, io.EOF):
-			if len(line) > 0 {
-				exec(line) // final unterminated request still counts
-			}
-			flush()
-			return
-		default:
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				if s.closing.Load() {
-					// Graceful-shutdown nudge, not a client timeout: every
-					// request read before the nudge has its reply buffered
-					// above — flush them and hang up without a spurious
-					// error line.
-					flush()
-					return
-				}
-				// Deadline expiry (WithTimeouts): a partially received
-				// line is untrusted input cut off mid-flight — never
-				// execute it, just report and hang up.
-				st.out = append(st.out, "ERR timeout\n"...)
-				flush()
-				return
-			}
-			if len(line) > 0 {
-				exec(line)
-			}
-			st.out = append(st.out, "ERR read: "...)
-			st.out = append(st.out, err.Error()...)
-			st.out = append(st.out, '\n')
-			flush()
-			return
-		}
-	}
+	s.ep.Handle(r, w, session{s})
 }
+
+// session is the server's half of a connection (wire.Session): every
+// request is answered on the spot, so a burst owes nothing at settle
+// and is full once flushThreshold of replies has accumulated.
+type session struct{ *Server }
+
+// Request hands the protocol engine a view of the read buffer, not a
+// copy (wire's "Field lifetime"). The view covers one ExecAppend, and
+// nothing the call leaves behind points into it: error texts are
+// formatted on the spot, the trace layer clones its fields when it
+// admits a trace, the journal encodes its entry inside Append, and a
+// created engine's name is cloned where it is stored.
+func (s session) Request(out, line []byte) ([]byte, bool) {
+	out = append(s.ExecAppend(out, wire.View(line)), '\n')
+	return out, len(out) >= flushThreshold
+}
+
+func (session) Settle(out []byte) []byte { return out }
 
 // Exec runs one request line and returns the single-line response —
 // the string-returning convenience form of ExecAppend, kept for

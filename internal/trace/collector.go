@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"flag"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,6 +28,19 @@ type Config struct {
 
 // DefaultRing is the per-policy retention when Config.Ring is 0.
 const DefaultRing = 128
+
+// Flags registers the tracing flags both serving binaries take on fs
+// and returns what yields their Config once fs is parsed. What sampling
+// and the slowlog retain differs by tier, so each binary words those
+// help texts. A negative -slowlog-us is a negative threshold: off.
+func Flags(fs *flag.FlagSet, sampleHelp, slowlogHelp string) func() Config {
+	sample := fs.Int("trace-sample", 0, sampleHelp)
+	slowUs := fs.Int64("slowlog-us", 10_000, slowlogHelp)
+	ring := fs.Int("trace-ring", DefaultRing, "retained traces per ring (slowlog and sampled)")
+	return func() Config {
+		return Config{SampleN: *sample, Slowlog: time.Duration(*slowUs) * time.Microsecond, Ring: *ring}
+	}
+}
 
 // Collector owns trace retention for a server: a pool of reusable
 // traces, the two admission policies, and their rings. All methods are

@@ -1,10 +1,12 @@
-// Package wire is the line protocol's one grammar: the field scanner,
+// Package wire is the line protocol's one grammar — the field scanner,
 // the key, wire-id and annotation parsers, the verb table and the reply
-// tokens. The server (internal/server) executes a parsed Request; the
-// cluster router (internal/cluster) places one on its backends and
-// folds their replies; both read the same rows, so the two tiers cannot
-// drift (the paper's one request port and one result port, §3.2,
-// Figure 5). The package imports nothing above internal/bitutil.
+// tokens — and the one connection lifecycle it is spoken over (Endpoint).
+// The server (internal/server) executes a parsed Request; the cluster
+// router (internal/cluster) places one on its backends and folds their
+// replies; both read the same rows and serve through the same loop, so
+// the two tiers cannot drift (the paper's one request port and one
+// result port, §3.2, Figure 5). The package imports nothing above
+// internal/bitutil.
 //
 // Protocol (one request per line, space-separated, keys in hex, either
 // plain "<lo>" or wide "<hi>:<lo>"; verbs and keywords are
@@ -87,8 +89,19 @@
 // server to be built WithTracing; EXPLAIN always works (it forces its
 // own trace). WAL STATUS prints the durability layer's commit horizon.
 //
-// Request lines are capped at MaxLineBytes; an oversized line draws
-// "ERR line too long" and ends the connection.
+// Connection-level replies. Both tiers serve their connections through
+// this package's Endpoint (conn.go), which answers a pipelined burst
+// with one write. These four lines are the Endpoint's own, each the last
+// thing its connection hears, after the replies to every request read
+// before it:
+//
+//	ERR BUSY           -> the connection cap is reached: shed at accept, nothing was read
+//	ERR timeout        -> a read or idle deadline expired; a partially received line is not executed
+//	ERR line too long  -> a request line passed MaxLineBytes (64 KiB)
+//	ERR read: <error>  -> the transport failed mid-stream; a partial final line was still executed
+//
+// A stream that ends (EOF) has its final unterminated line executed; a
+// graceful shutdown answers what was already read; neither adds a line.
 //
 // Field lifetime: a Scanner yields substrings of the line it was given,
 // and both tiers hand it a View of their connection's read buffer, so a

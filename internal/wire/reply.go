@@ -17,6 +17,16 @@ const (
 	SlotUnavailable = "ERR:unavailable"
 )
 
+// Connection-level replies: the Endpoint's own lines, each the last
+// thing its connection hears. The router's pool matches ReplyBusy to
+// know a backend connection never entered service.
+const (
+	ReplyBusy    = "ERR BUSY"          // accept-time load shed (Limits.MaxConns)
+	ReplyTimeout = "ERR timeout"       // read or idle deadline expired; the partial line was not executed
+	ReplyTooLong = "ERR line too long" // a request passed MaxLineBytes
+	ReplyReadErr = "ERR read: "        // prefix; the transport's error text follows
+)
+
 // MaxSlowlogGet bounds the n of SLOWLOG GET n: far above any sane ring
 // size, far below anything that could size a hostile allocation.
 const MaxSlowlogGet = 1 << 20

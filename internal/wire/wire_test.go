@@ -2,6 +2,7 @@ package wire
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -195,7 +196,8 @@ func boxLines(t *testing.T, text, open, end string) []string {
 // TestProtocolDocsMatchTable: the protocol box is written down twice,
 // in this package's comment and in README's Lookup service section,
 // and both must be the table — every row's usage line verbatim, and no
-// line without a row.
+// line without a row. Likewise the connection-level replies: both list
+// exactly the four constants the Endpoint sends.
 func TestProtocolDocsMatchTable(t *testing.T) {
 	doc, err := os.ReadFile("doc.go")
 	if err != nil {
@@ -222,6 +224,16 @@ func TestProtocolDocsMatchTable(t *testing.T) {
 		}
 		for l := range seen {
 			t.Errorf("%s: box line %q has no table row", name, l)
+		}
+	}
+	want := []string{ReplyBusy, ReplyTimeout, ReplyTooLong, ReplyReadErr + "<error>"}
+	_, section, _ = strings.Cut(section, "Connection-level replies")
+	for name, lines := range map[string][]string{
+		"doc.go":    boxLines(t, string(doc), "before it:\n//\n", "//\n// A stream that ends"),
+		"README.md": boxLines(t, section, "```\n", "```"),
+	} {
+		if !slices.Equal(lines, want) {
+			t.Errorf("%s: connection-level replies listed as %q, want %q", name, lines, want)
 		}
 	}
 }
