@@ -26,9 +26,10 @@
 #                       grammar in internal/wire, server incl.
 #                       lpm/pktclass/TSEARCH, the wire path through
 #                       Handle and the tracing-compiled-in steady state,
-#                       MSEARCH bookkeeping, and the router with no
+#                       MSEARCH bookkeeping, the router with no
 #                       collector, an idle one, and caram-router's
-#                       default flags)
+#                       default flags, and the WAL's O(chunk)
+#                       snapshot / recovery / per-record replay guards)
 #   make metrics-smoke  end-to-end observability check: live server,
 #                       /metrics + /debug/traces scrape, SLOWLOG/EXPLAIN
 #                       and HEALTH over the wire, graceful shutdown
@@ -71,9 +72,12 @@
 #                       against scripted backends, kill-a-backend
 #                       failover under stress)
 #   make crash-guard    durability gate: crash-harness, then the WAL
-#                       suite (torn-tail recovery at every byte offset,
-#                       snapshot truncation, graceful-drain Close)
-#                       under -race
+#                       suite (torn-tail recovery at every byte offset
+#                       and across the replay chunk's edges, the
+#                       streamed snapshot held to the whole-buffer
+#                       oracle and to a parent-written file, stale
+#                       .snap.tmp cleanup, snapshot truncation,
+#                       graceful-drain Close) under -race
 #   make all            check, race, stress, fuzz, bench and every
 #                       focused gate, in that order
 #
@@ -143,12 +147,16 @@ bench:
 # ExecAppend and, per line, through Handle, and the steady state with
 # tracing compiled in), MSEARCH bookkeeping held to its two slices, and
 # the router forward path (SEARCH and MSEARCH) with no collector, an
-# idle one, and the collector caram-router's default flags build. This
-# is the one non-race run of these guards in `make ci`.
+# idle one, and the collector caram-router's default flags build; and
+# the durability layer's memory model — a steady-state snapshot and a
+# snapshot+tail recovery of a 10 MB table each allocate O(chunk), a
+# replayed record nothing. This is the one non-race run of these guards
+# in `make ci`.
 alloc-guard:
 	$(GO) test -run ZeroAlloc -count=1 ./internal/match ./internal/caram ./internal/wire
 	$(GO) test -run 'ZeroAlloc|TracingOnSteadyStateAllocs' -count=1 ./internal/server
 	$(GO) test -run MSearchAllocs -count=1 ./internal/subsystem
+	$(GO) test -run AllocGuard -count=1 ./internal/wal
 	$(GO) test -run 'ForwardPathAllocs|RouterUntracedZeroAlloc' -count=1 ./internal/cluster
 
 # Durability gate: the whole WAL suite under the race detector (the
@@ -243,24 +251,35 @@ bench-load:
 # PROFILE_SECONDS and save a CPU profile of every caram-server and
 # caram-router process from its own /debug/pprof endpoint. The
 # processes listen on ephemeral ports; ss finds them, and /metrics
-# tells the HTTP port from the wire port. Read with
+# tells the HTTP port from the wire port. Set-up may start, kill and
+# restart servers (mixed-wal's crash-and-recover does, once per
+# set-up), so profiling starts only once the set of listening caram-*
+# pids has held still for 5 s — the measured deployment — and covers
+# half of PROFILE_SECONDS from there; the target fails when no
+# non-empty profile was saved. Read with
 # `go tool pprof -top .bench_build/caram-server <file>`.
 PROFILE_SECONDS ?= 30
 WORKLOAD ?= search-routed
 profile:
-	@mkdir -p .bench_build
+	@mkdir -p .bench_build && rm -f .bench_build/*.cpu.pprof
 	@$(GO) run ./cmd/caram-load --workload $(WORKLOAD) --seed 1 --seconds $(PROFILE_SECONDS) --trace 0 \
 		>.bench_build/profile-$(WORKLOAD).log 2>&1 & load=$$!; \
-	for i in $$(seq 1 240); do ss -ltnpH | grep -q '"caram-\(router\|server\)"' && break; sleep 0.5; done; \
-	sleep 3; \
+	pids() { ss -ltnpH | sed -n 's/.*"caram-\(router\|server\)",pid=\([0-9]*\).*/\2/p' | sort -u | tr '\n' ' '; }; \
+	prev=; stable=0; \
+	for i in $$(seq 1 480); do \
+		cur=$$(pids); \
+		if [ -n "$$cur" ] && [ "$$cur" = "$$prev" ]; then stable=$$((stable + 1)); else stable=0; fi; \
+		prev=$$cur; [ $$stable -ge 10 ] && break; sleep 0.5; \
+	done; \
 	ss -ltnpH | sed -n 's/.* \(127\.0\.0\.1:[0-9]*\) .*(("\(caram-[a-z]*\)",pid=\([0-9]*\),.*/\1 \2 \3/p' | { \
 		while read addr name pid; do \
 			curl -sf -o /dev/null "http://$$addr/metrics" 2>/dev/null || continue; \
 			echo "profiling $$name (pid $$pid) at $$addr"; \
 			curl -sf -o ".bench_build/$$name-$$pid.cpu.pprof" \
-				"http://$$addr/debug/pprof/profile?seconds=$$(( $(PROFILE_SECONDS) * 2 / 3 ))" & \
+				"http://$$addr/debug/pprof/profile?seconds=$$(( $(PROFILE_SECONDS) / 2 ))" & \
 		done; wait; }; \
-	wait $$load; tail -1 .bench_build/profile-$(WORKLOAD).log; ls -1 .bench_build/*.cpu.pprof
+	wait $$load; tail -1 .bench_build/profile-$(WORKLOAD).log; \
+	find .bench_build -name '*.cpu.pprof' -size +0 | grep . || { echo "profile: no CPU profile was saved" >&2; exit 1; }
 
 profile-routed:
 	@$(MAKE) profile WORKLOAD=search-routed

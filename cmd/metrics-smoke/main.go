@@ -6,6 +6,10 @@
 //   - /metrics serves every caram_* metric family — including the
 //     fault-tolerance gauges, since the server runs with -ecc — with
 //     the op counts the workload implies,
+//   - the durability families are there too (the server runs with
+//     -data and a 100 ms snapshot cadence): the caram_wal_snapshot*
+//     family reads at least one completed snapshot of nonzero size
+//     whose capture time is part of its total,
 //   - the HEALTH wire command reports healthy engines with zeroed
 //     error-coding counters and HEALTH <engine> SCRUB runs a scrub,
 //   - /debug/vars exposes the expvar "caram" map,
@@ -98,7 +102,8 @@ func run() error {
 	// slowlog (any real request qualifies); -log-level error keeps the
 	// resulting per-request Warn lines out of the CI output.
 	srv := exec.Command(bin, "-addr", wireAddr, "-http", httpAddr, "-engines", "db,aux", "-indexbits", "8",
-		"-slowlog-us", "0", "-log-level", "error", "-ecc")
+		"-slowlog-us", "0", "-log-level", "error", "-ecc",
+		"-data", filepath.Join(dir, "data"), "-snapshot-every", "100ms")
 	srv.Stderr = os.Stderr
 	if err := srv.Start(); err != nil {
 		return fmt.Errorf("start caram-server: %w", err)
@@ -182,6 +187,13 @@ func run() error {
 		metrics.FamSearchRetries + `{engine="db",engine_type="exact"} 0`,
 		metrics.FamLockFallbacks + `{engine="db",engine_type="exact"} 0`,
 		metrics.FamUnknown + " 1",
+		// The durability layer (-data is set): three acked mutations.
+		metrics.FamWALAppended + " 3",
+		metrics.FamWALDurable + " 3",
+		"# TYPE " + metrics.FamWALSnapshots + " counter",
+		"# TYPE " + metrics.FamWALSnapSeconds + " counter",
+		"# TYPE " + metrics.FamWALSnapCapture + " counter",
+		"# TYPE " + metrics.FamWALSnapBytes + " gauge",
 		// Process identity rides along on every scrape.
 		"# TYPE " + metrics.FamBuildInfo + " gauge",
 		metrics.FamBuildInfo + `{version=`,
@@ -190,6 +202,25 @@ func run() error {
 	} {
 		if !strings.Contains(body, want) {
 			return fmt.Errorf("/metrics missing %q\n%s", want, body)
+		}
+	}
+	// The snapshotter ticks every 100 ms: within a few ticks the
+	// snapshot family must report a completed, nonzero-sized snapshot
+	// whose capture (the writer stall) is part of its total time.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		body, err := get("http://" + httpAddr + "/metrics")
+		if err != nil {
+			return err
+		}
+		n, _ := scrapeValue(body, metrics.FamWALSnapshots+" ")
+		size, _ := scrapeValue(body, metrics.FamWALSnapBytes+" ")
+		total, _ := scrapeValue(body, metrics.FamWALSnapSeconds+" ")
+		capture, _ := scrapeValue(body, metrics.FamWALSnapCapture+" ")
+		if n >= 1 && size > 16 && capture > 0 && capture <= total {
+			break
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("snapshot family never showed a completed snapshot: snapshots=%g bytes=%g seconds=%g capture=%g", n, size, total, capture)
 		}
 	}
 

@@ -176,22 +176,33 @@ func (s *Slice) Image() []uint64 {
 	return out
 }
 
-// LogicalImage returns the slice's logical contents row by row — the
+// LogicalImageInto copies the slice's logical contents into dst
+// (reallocated only when its capacity falls short) and returns it — the
 // same word layout as Image, except quarantined rows contribute their
 // shadow contents (the §3.2 authoritative host-side copy) instead of
 // the corrupt stored bits. This is the image durability snapshots
 // persist: reloading it through LoadImage reconstructs the logical
-// database even when rows were quarantined at capture time. Uncharged
-// (PeekRow), like Records: serialization is host work, not a modeled
-// memory access.
-func (s *Slice) LogicalImage() []uint64 {
-	rw := s.array.RowWords()
-	out := make([]uint64, s.array.Words())
-	for b := 0; b < s.cfg.Rows(); b++ {
-		row := s.logicalRow(uint32(b), s.array.PeekRow(uint32(b)))
-		copy(out[b*rw:(b+1)*rw], row)
+// database even when rows were quarantined at capture time. It is one
+// contiguous copy of the array plus one row copy per quarantined row,
+// so a caller that hands the previous capture back holds the engine
+// lock for a memcpy and allocates nothing. Uncharged (PeekWords), like
+// Records: serialization is host work, not a modeled memory access.
+func (s *Slice) LogicalImageInto(dst []uint64) []uint64 {
+	n := s.array.Words()
+	if cap(dst) < n {
+		dst = make([]uint64, n)
 	}
-	return out
+	dst = dst[:n]
+	copy(dst, s.array.PeekWords())
+	if s.QuarantinedRows() > 0 {
+		rw := s.array.RowWords()
+		for b := 0; b < s.cfg.Rows(); b++ {
+			if s.Quarantined(uint32(b)) {
+				copy(dst[b*rw:(b+1)*rw], s.ecc.shadowRow(uint32(b)))
+			}
+		}
+	}
+	return dst
 }
 
 // LoadImage installs a raw storage image produced by Image on a slice
@@ -199,8 +210,21 @@ func (s *Slice) LogicalImage() []uint64 {
 // receiving slice must use the same layout and index generator for the
 // counters to be meaningful.
 func (s *Slice) LoadImage(img []uint64) error {
-	if len(img) != s.array.Words() {
-		return fmt.Errorf("caram: image of %d words for an array of %d", len(img), s.array.Words())
+	return s.LoadImageFrom(len(img), func(row []uint64) error {
+		img = img[copy(row, img):]
+		return nil
+	})
+}
+
+// LoadImageFrom is LoadImage over a stream: next fills the buffer it is
+// handed with the image's next row, so a loader that decodes from a
+// file never holds more of the image than one row. The geometry is
+// checked before the first row is asked for. An error from next stops
+// the load and is returned; the bookkeeping is still rebuilt over what
+// was installed, so the slice stays self-consistent.
+func (s *Slice) LoadImageFrom(words int, next func(row []uint64) error) error {
+	if words != s.array.Words() {
+		return fmt.Errorf("caram: image of %d words for an array of %d", words, s.array.Words())
 	}
 	// Readers racing the load fetch whole rows until the marks are
 	// rebuilt from the new contents: a mark may overstate, never
@@ -208,8 +232,12 @@ func (s *Slice) LoadImage(img []uint64) error {
 	for i := range s.mark {
 		s.mark[i].Store(uint32(s.layout.Slots()))
 	}
-	for w, v := range img {
-		s.array.WriteWord(w, v)
+	row := make([]uint64, s.array.RowWords())
+	var err error
+	for b := 0; b < s.cfg.Rows() && err == nil; b++ {
+		if err = next(row); err == nil {
+			s.array.LoadRow(uint32(b), row)
+		}
 	}
 	s.rebuildMarks()
 	if s.ecc != nil {
@@ -220,5 +248,5 @@ func (s *Slice) LoadImage(img []uint64) error {
 	s.count = 0
 	s.Records(func(uint32, int, match.Record) bool { s.count++; return true })
 	s.rebuildPlacement()
-	return nil
+	return err
 }

@@ -414,9 +414,37 @@ func (a *Array) WriteWord(addr int, v uint64) {
 	a.seq[idx].Add(1)
 }
 
+// LoadRow is the row-granular form of a WriteWord sweep — the bulk
+// image load of §3.2: it replaces one row with src (RowWords words),
+// charging the same RowWords word writes, honouring stuck-at cells, and
+// publishing the row through a single seqlock window instead of one per
+// word.
+func (a *Array) LoadRow(idx uint32, src []uint64) {
+	row := a.row(idx)
+	a.stats.wordWrites.Add(uint64(len(row)))
+	a.stats.cycles.Add(uint64(len(row) * a.cfg.Timing.MinInterval))
+	base := int(idx) * a.rowWords
+	a.seq[idx].Add(1)
+	for w := range row {
+		v := src[w]
+		if a.stuck != nil {
+			if faults, ok := a.stuck[base+w]; ok {
+				v = applyStuck(v, faults)
+			}
+		}
+		atomic.StoreUint64(&row[w], v)
+	}
+	a.seq[idx].Add(1)
+}
+
 // Words returns the flat word count of the array (RAM-mode address
 // space size).
 func (a *Array) Words() int { return len(a.data) }
+
+// PeekWords returns the whole array as one slice aliasing the storage,
+// uncharged — PeekRow for every row at once, under the same rule: the
+// caller serializes against writers and treats it as read-only.
+func (a *Array) PeekWords() []uint64 { return a.data }
 
 // Clear zeroes the entire array without charging accesses (models a
 // bulk initialization/DMA fill, §3.2), row by row through the seqlock

@@ -132,6 +132,13 @@ type WALStats struct {
 	Fsyncs      uint64
 	FsyncNanos  uint64 // cumulative time spent in fsync
 	LastFsync   int64  // unix nanos of the last fsync; 0 = never
+	// Completed snapshots since boot: how many, their total wall
+	// time, the part of it spent capturing under engine read locks
+	// (the writer stall), and the newest file's size.
+	Snapshots            uint64
+	SnapshotNanos        uint64
+	SnapshotCaptureNanos uint64
+	SnapshotBytes        int64
 }
 
 // SetWALFunc installs the durability sampler (nil clears it). Safe on

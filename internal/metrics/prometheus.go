@@ -51,6 +51,10 @@ const (
 	FamWALFsyncs       = "caram_wal_fsyncs_total"
 	FamWALFsyncSeconds = "caram_wal_fsync_seconds_total"
 	FamWALLastFsyncAge = "caram_wal_last_fsync_age_seconds"
+	FamWALSnapshots    = "caram_wal_snapshots_total"
+	FamWALSnapSeconds  = "caram_wal_snapshot_seconds_total"
+	FamWALSnapCapture  = "caram_wal_snapshot_capture_seconds_total"
+	FamWALSnapBytes    = "caram_wal_snapshot_bytes"
 )
 
 // WritePrometheus renders a snapshot in the Prometheus text exposition
@@ -181,6 +185,10 @@ func writeWAL(bw *errWriter, w *WALStats) {
 		age = float64(time.Now().UnixNano()-w.LastFsync) / 1e9
 	}
 	emit(FamWALLastFsyncAge, "Seconds since the last WAL fsync (-1 = never).", "gauge", fmt.Sprintf("%g", age))
+	emit(FamWALSnapshots, "Snapshots completed since boot.", "counter", fmt.Sprintf("%d", w.Snapshots))
+	emit(FamWALSnapSeconds, "Cumulative wall time of completed snapshots, capture through log truncation.", "counter", fmt.Sprintf("%g", float64(w.SnapshotNanos)/1e9))
+	emit(FamWALSnapCapture, "Cumulative time snapshots spent capturing engine images under the engines' read locks (the writer stall).", "counter", fmt.Sprintf("%g", float64(w.SnapshotCaptureNanos)/1e9))
+	emit(FamWALSnapBytes, "Size of the newest snapshot file written since boot (0 = none).", "gauge", fmt.Sprintf("%d", w.SnapshotBytes))
 }
 
 // errWriter folds the repeated error checks of sequential printfs.

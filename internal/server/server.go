@@ -194,6 +194,11 @@ func New(sub *subsystem.Subsystem, opts ...Option) *Server {
 					Fsyncs:      st.Fsyncs,
 					FsyncNanos:  st.FsyncNanos,
 					LastFsync:   st.LastFsync,
+
+					Snapshots:            st.Snapshots,
+					SnapshotNanos:        st.SnapshotNanos,
+					SnapshotCaptureNanos: st.SnapshotCaptureNanos,
+					SnapshotBytes:        st.SnapshotBytes,
 				}
 			})
 		}

@@ -106,30 +106,42 @@ func (c *Concurrent) SetJournal(j Journal, rosterLSN uint64) *Concurrent {
 	return c
 }
 
-// SnapshotImage captures a recovery-consistent image of every engine.
-// It holds setMu for the whole pass — excluding roster changes, so
-// RosterLSN and the engine list agree — and captures each engine
-// under its read lock, excluding that engine's writer. Lock-free
+// SnapshotImage captures a recovery-consistent image of every engine
+// into img. It holds setMu for the whole pass — excluding roster
+// changes, so RosterLSN and the engine list agree — and captures each
+// engine under its read lock, excluding that engine's writer. Lock-free
 // seqlock searches are unaffected. Writers on OTHER engines proceed;
 // the per-engine AppliedLSN values make the fuzziness safe: any
 // record appended before the capture of its engine is in that
 // engine's image and gated out of replay.
-func (c *Concurrent) SnapshotImage() Image {
+//
+// img is the caller's to keep between snapshots: an engine captured
+// before gets its row and overflow storage back, so its writer is held
+// for one copy of the table and a steady-state capture allocates
+// nothing; storage of engines dropped since the last capture is let go.
+func (c *Concurrent) SnapshotImage(img *Image) {
 	c.setMu.Lock()
 	defer c.setMu.Unlock()
 	set := c.set.Load()
-	img := Image{RosterLSN: c.rosterLSN}
+	img.RosterLSN = c.rosterLSN
+	prev := img.Engines
+	img.Engines = make([]EngineImage, 0, len(set.order))
 	for _, name := range set.order {
+		var ei EngineImage
+		for i := range prev {
+			if prev[i].Name == name {
+				ei = EngineImage{Rows: prev[i].Rows, Overflow: prev[i].Overflow[:0]}
+				break
+			}
+		}
 		g := set.m[name]
 		g.mu.RLock()
 		cfg := g.e.Main.Config()
-		ei := EngineImage{
-			Name:       name,
-			Type:       g.e.Type,
-			Conf:       TypedConfig{IndexBits: cfg.IndexBits, Slots: cfg.Slots(), ECC: cfg.ECC},
-			AppliedLSN: g.e.AppliedLSN,
-			Rows:       g.e.Main.LogicalImage(),
-		}
+		ei.Name = name
+		ei.Type = g.e.Type
+		ei.Conf = TypedConfig{IndexBits: cfg.IndexBits, Slots: cfg.Slots(), ECC: cfg.ECC}
+		ei.AppliedLSN = g.e.AppliedLSN
+		ei.Rows = g.e.Main.LogicalImageInto(ei.Rows)
 		if ov := g.e.Overflow; ov != nil {
 			ei.HasOverflow = true
 			ei.OverflowCfg = ov.Config()
@@ -143,5 +155,4 @@ func (c *Concurrent) SnapshotImage() Image {
 		g.mu.RUnlock()
 		img.Engines = append(img.Engines, ei)
 	}
-	return img
 }

@@ -1,0 +1,368 @@
+package wal
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"caram/internal/bitutil"
+	"caram/internal/cam"
+	"caram/internal/match"
+	"caram/internal/subsystem"
+)
+
+// oracleSnapshot is the whole-buffer encoder the streaming one
+// replaced, kept as the reference the streamed file is held to byte
+// for byte (the SearchSerial precedent): payload built in memory,
+// checksummed in one call, header in front.
+func oracleSnapshot(bound uint64, img subsystem.Image) []byte {
+	var buf []byte
+	buf = appendU64(buf, bound)
+	buf = appendU64(buf, img.RosterLSN)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(img.Engines)))
+	for _, ei := range img.Engines {
+		buf = append(buf, byte(len(ei.Name)))
+		buf = append(buf, ei.Name...)
+		buf = append(buf, byte(ei.Type))
+		ecc := byte(0)
+		if ei.Conf.ECC {
+			ecc = 1
+		}
+		buf = append(buf, byte(ei.Conf.IndexBits))
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(ei.Conf.Slots))
+		buf = append(buf, ecc)
+		buf = appendU64(buf, ei.AppliedLSN)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ei.Rows)))
+		for _, w := range ei.Rows {
+			buf = appendU64(buf, w)
+		}
+		if !ei.HasOverflow {
+			buf = append(buf, 0)
+			continue
+		}
+		buf = append(buf, 1)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(ei.OverflowCfg.Entries))
+		buf = append(buf, byte(ei.OverflowCfg.KeyBits), byte(ei.OverflowCfg.Kind))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ei.Overflow)))
+		for _, oe := range ei.Overflow {
+			buf = appendTernary(buf, oe.Rec.Key)
+			buf = appendVec(buf, oe.Rec.Data)
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(oe.Priority))
+		}
+	}
+	file := append([]byte(nil), snapMagic...)
+	file = binary.LittleEndian.AppendUint32(file, uint32(len(buf)))
+	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(buf, castagnoli))
+	return append(file, buf...)
+}
+
+// codecEngines builds the roster the codec tests share: all four
+// engine types, an overflow CAM holding records, and an ECC engine
+// with one row quarantined at capture time (its image must come from
+// the shadow). dbIndexBits sizes the exact engine: 4 keeps the
+// committed testdata file small, 14 spreads its rows over several
+// snapChunks. Only APIs the parent commit has — testdata is generated
+// by running this same function there.
+func codecEngines(t testing.TB, dbIndexBits int) []*subsystem.Engine {
+	t.Helper()
+	mk := func(name string, typ subsystem.EngineType, tc subsystem.TypedConfig, applied uint64) *subsystem.Engine {
+		e, err := subsystem.NewTypedEngine(name, typ, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.AppliedLSN = applied
+		return e
+	}
+	put := func(e *subsystem.Engine, r match.Record) {
+		if err := e.Insert(r, nil); err != nil {
+			t.Fatalf("%s insert: %v", e.Name, err)
+		}
+	}
+
+	db := mk("db", subsystem.ExactEngine, subsystem.TypedConfig{IndexBits: dbIndexBits, Slots: 4}, 11)
+	db.Overflow = cam.MustNew(cam.Config{Entries: 8, KeyBits: 64, Kind: cam.Binary})
+	for i := uint64(1); i <= 40; i++ {
+		put(db, rec(i))
+	}
+	for i := uint64(0); i < 5; i++ {
+		if err := db.Overflow.Insert(rec(1000+i), int(i%3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ip := mk("ip", subsystem.LPMEngine, subsystem.TypedConfig{IndexBits: 6, Slots: 8}, 12)
+	for i := uint64(0); i < 12; i++ {
+		put(ip, match.Record{
+			Key:  bitutil.NewTernary(bitutil.FromUint64(0x0a000000+i<<16), bitutil.FromUint64(0xff)),
+			Data: bitutil.FromUint64(0x800 + i),
+		})
+	}
+
+	acl := mk("acl", subsystem.PktClassEngine, subsystem.TypedConfig{IndexBits: 5, Slots: 4}, 13)
+	for i := uint64(0); i < 6; i++ {
+		put(acl, match.Record{
+			Key:  bitutil.Exact(bitutil.Vec128{Lo: 0xc0a80000 + i*0x01010101, Hi: 0x1100 + i}),
+			Data: bitutil.FromUint64(i<<16 | (i + 1)),
+		})
+	}
+
+	tri := mk("tri", subsystem.TrigramEngine, subsystem.TypedConfig{IndexBits: 5, Slots: 4}, 14)
+	for i := uint64(1); i <= 9; i++ {
+		put(tri, match.Record{
+			Key:  bitutil.Exact(bitutil.Vec128{Lo: i * 0x9e3779b97f4a7c15, Hi: i * 0xc2b2ae3d27d4eb4f}),
+			Data: bitutil.FromUint64(i),
+		})
+	}
+
+	ecc := mk("ecc", subsystem.ExactEngine, subsystem.TypedConfig{IndexBits: 5, Slots: 4, ECC: true}, 15)
+	for i := uint64(1); i <= 20; i++ {
+		put(ecc, rec(i))
+	}
+	home := ecc.Main.Index(key(7).Value)
+	ecc.Main.Array().PeekRow(home)[0] ^= 1<<3 | 1<<40 // a double-bit soft error in storage
+	if res := ecc.Main.Lookup(key(7)); !res.Erred || ecc.Main.QuarantinedRows() != 1 {
+		t.Fatalf("ecc engine: row not quarantined (lookup %+v)", res)
+	}
+	return []*subsystem.Engine{db, ip, acl, tri, ecc}
+}
+
+// journaled wires engines to a fresh log in dir the way a server does.
+func journaled(t testing.TB, dir string, engines []*subsystem.Engine, rosterLSN uint64) (*subsystem.Concurrent, *Log) {
+	t.Helper()
+	w, _, err := Recover(dir, nil, Options{Sync: SyncPolicy{Mode: SyncAlways}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := subsystem.New(0)
+	for _, e := range engines {
+		if err := sub.AddEngine(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return subsystem.NewConcurrent(sub).SetJournal(w, rosterLSN), w
+}
+
+// takeSnapshot takes a snapshot and returns the one file it left.
+func takeSnapshot(t testing.TB, dir string, con *subsystem.Concurrent, w *Log) string {
+	t.Helper()
+	if err := w.Snapshot(con.SnapshotImage); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshot files = %v (%v), want exactly one", snaps, err)
+	}
+	return snaps[0]
+}
+
+// contents is everything of an engine a snapshot must carry.
+type contents struct {
+	Type     subsystem.EngineType
+	Applied  uint64
+	Main     []placed
+	Overflow []subsystem.OverflowEntry
+}
+
+type placed struct {
+	Bucket uint32
+	Slot   int
+	Rec    match.Record
+}
+
+func contentsOf(e *subsystem.Engine) contents {
+	c := contents{Type: e.Type, Applied: e.AppliedLSN}
+	e.Main.Records(func(b uint32, slot int, r match.Record) bool {
+		c.Main = append(c.Main, placed{b, slot, r})
+		return true
+	})
+	if ov := e.Overflow; ov != nil {
+		for i := 0; i < ov.Len(); i++ {
+			if r, prio, ok := ov.EntryAt(i); ok {
+				c.Overflow = append(c.Overflow, subsystem.OverflowEntry{Rec: r, Priority: prio})
+			}
+		}
+	}
+	return c
+}
+
+func rosterContents(engines []*subsystem.Engine) map[string]contents {
+	m := make(map[string]contents, len(engines))
+	for _, e := range engines {
+		m[e.Name] = contentsOf(e)
+	}
+	return m
+}
+
+// TestSnapshotStreamMatchesOracle: the streamed file is the oracle
+// encoder's, byte for byte — over all four engine types with an
+// overflow CAM and a quarantined ECC row (rows spanning several
+// snapChunks), an empty roster, and a name at the field's limit — and
+// loading it back (verify pass, then straight into engines) rebuilds
+// every record where it was.
+func TestSnapshotStreamMatchesOracle(t *testing.T) {
+	longName := strings.Repeat("n", 255)
+	long, err := subsystem.NewTypedEngine(longName, subsystem.ExactEngine, subsystem.TypedConfig{IndexBits: 3, Slots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := long.Insert(rec(5), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		engines []*subsystem.Engine
+	}{
+		{"all-types", codecEngines(t, 14)},
+		{"empty-roster", nil},
+		{"name-255", []*subsystem.Engine{long}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			con, w := journaled(t, dir, tc.engines, 3)
+			want := rosterContents(tc.engines)
+			size := 0
+			for i := 0; i < 2; i++ { // the second pass reuses the retained capture
+				if len(tc.engines) > 0 {
+					name := tc.engines[0].Name
+					if err := con.Insert(name, rec(uint64(500+i))); err != nil {
+						t.Fatal(err)
+					}
+					want[name] = contentsOf(tc.engines[0])
+				}
+				path := takeSnapshot(t, dir, con, w)
+				got, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				size = len(got)
+				var img subsystem.Image
+				con.SnapshotImage(&img)
+				if oracle := oracleSnapshot(w.LastLSN(), img); !bytes.Equal(got, oracle) {
+					t.Fatalf("pass %d: streamed file (%d bytes) differs from the oracle encoder's (%d bytes)", i, len(got), len(oracle))
+				}
+				if st := w.Stats(); st.Snapshots != uint64(i+1) || st.SnapshotBytes != int64(len(got)) ||
+					st.SnapshotCaptureNanos == 0 || st.SnapshotCaptureNanos > st.SnapshotNanos {
+					t.Fatalf("pass %d: snapshot stats %+v", i, st)
+				}
+			}
+			if tc.name == "all-types" && size < 2*snapChunk {
+				t.Fatalf("snapshot of %d bytes does not span the chunk it is streamed through", size)
+			}
+			_, res, err := Recover(dir, nil, Options{Sync: SyncPolicy{Mode: SyncAlways}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.RosterLSN != 3 || res.SnapshotLSN != w.LastLSN() {
+				t.Fatalf("recovered RosterLSN=%d SnapshotLSN=%d, want 3 and %d", res.RosterLSN, res.SnapshotLSN, w.LastLSN())
+			}
+			if got := rosterContents(res.Engines); !reflect.DeepEqual(got, want) {
+				t.Fatalf("recovered roster differs from the captured one:\n got %+v\nwant %+v", got, want)
+			}
+			for i, e := range res.Engines {
+				if e.Name != tc.engines[i].Name {
+					t.Fatalf("engine %d is %q, want %q (snapshot order wins)", i, e.Name, tc.engines[i].Name)
+				}
+				if msg := e.Main.Verify(); msg != "" {
+					t.Fatalf("engine %q after load: %s", e.Name, msg)
+				}
+			}
+		})
+	}
+}
+
+// parentSnapshot was written by commit 908d8b1's whole-buffer encoder
+// from codecEngines(t, 4), journaled with roster LSN 3 and two further
+// inserts into "db" (so its bound is 2).
+const parentSnapshot = "testdata/snap-908d8b1.snap"
+
+// TestLoadsParentSnapshot: a file the previous encoder wrote loads
+// through the streaming decoder to the same records — into engines
+// rebuilt from the snapshot's own config, and into matching bootstrap
+// engines.
+func TestLoadsParentSnapshot(t *testing.T) {
+	data, err := os.ReadFile(parentSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := codecEngines(t, 4)
+	for _, i := range []uint64{500, 501} {
+		if err := ref[0].Insert(rec(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref[0].AppliedLSN = 2
+	want := rosterContents(ref)
+
+	for _, tc := range []struct {
+		name      string
+		bootstrap []*subsystem.Engine
+	}{
+		{"rebuilt", nil},
+		{"bootstrap", func() []*subsystem.Engine {
+			var boot []*subsystem.Engine
+			for _, e := range ref {
+				cfg := e.Main.Config()
+				b, err := subsystem.NewTypedEngine(e.Name, e.Type,
+					subsystem.TypedConfig{IndexBits: cfg.IndexBits, Slots: cfg.Slots(), ECC: cfg.ECC})
+				if err != nil {
+					t.Fatal(err)
+				}
+				boot = append(boot, b)
+			}
+			return boot
+		}()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, snapshotName(2)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, res, err := Recover(dir, tc.bootstrap, Options{Sync: SyncPolicy{Mode: SyncAlways}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SnapshotLSN != 2 || res.RosterLSN != 3 || res.Replayed != 0 {
+				t.Fatalf("recovered %+v, want SnapshotLSN 2, RosterLSN 3, nothing replayed", res)
+			}
+			if got := rosterContents(res.Engines); !reflect.DeepEqual(got, want) {
+				t.Fatalf("parent snapshot loaded to different contents:\n got %+v\nwant %+v", got, want)
+			}
+			for i, e := range res.Engines {
+				if tc.bootstrap != nil && e != tc.bootstrap[i] {
+					t.Fatalf("engine %q was rebuilt, want the matching bootstrap engine loaded in place", e.Name)
+				}
+			}
+		})
+	}
+}
+
+// TestPayloadLenRefusesWhatTheFormatCannotHold: the u32 fields are
+// checked on sizes alone, so a roster past them is refused before a
+// byte is written; sizes the format holds are summed exactly.
+func TestPayloadLenRefusesWhatTheFormatCannotHold(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		engines []engineSize
+		want    uint32
+		refused bool
+	}{
+		{"empty roster", nil, 20, false},
+		{"one engine, no overflow", []engineSize{{name: 2, words: 10, recs: -1}}, 20 + 2 + 19 + 80, false},
+		{"overflow with records", []engineSize{{name: 2, words: 10, recs: 3}}, 20 + 2 + 19 + 80 + 10 + 150, false},
+		{"-indexbits 26 -slots 8: 7 GB of rows", []engineSize{{name: 2, words: (1 << 26) * 13, recs: -1}}, 0, true},
+		{"word count past u32", []engineSize{{name: 2, words: 1 << 32, recs: -1}}, 0, true},
+		{"each engine fits, the sum does not", []engineSize{
+			{name: 1, words: 300 << 20, recs: -1}, {name: 1, words: 300 << 20, recs: -1}}, 0, true},
+		{"name past u8", []engineSize{{name: 256, words: 1, recs: -1}}, 0, true},
+	} {
+		got, err := payloadLen(tc.engines)
+		if (err != nil) != tc.refused || got != tc.want {
+			t.Errorf("%s: payloadLen = %d, %v; want %d, refused=%v", tc.name, got, err, tc.want, tc.refused)
+		}
+	}
+}

@@ -91,33 +91,35 @@ func appendRecord(buf []byte, lsn uint64, e subsystem.JournalEntry) []byte {
 }
 
 // decodeRecord parses one payload whose CRC has already been verified.
-func decodeRecord(p []byte) (uint64, subsystem.JournalEntry, error) {
-	var e subsystem.JournalEntry
+// The engine name comes back as a view into p and e.Engine is left for
+// the caller to fill: replay interns it against the roster, so decoding
+// a record allocates nothing.
+func decodeRecord(p []byte) (lsn uint64, e subsystem.JournalEntry, name []byte, err error) {
 	if len(p) < 10 {
-		return 0, e, fmt.Errorf("wal: record payload of %d bytes", len(p))
+		return 0, e, nil, fmt.Errorf("wal: record payload of %d bytes", len(p))
 	}
-	lsn := binary.LittleEndian.Uint64(p)
+	lsn = binary.LittleEndian.Uint64(p)
 	e.Op = subsystem.JournalOp(p[8])
 	nameLen := int(p[9])
 	if len(p) < 10+nameLen {
-		return 0, e, fmt.Errorf("wal: record engine name truncated")
+		return 0, e, nil, fmt.Errorf("wal: record engine name truncated")
 	}
-	e.Engine = string(p[10 : 10+nameLen])
+	name = p[10 : 10+nameLen]
 	body := p[10+nameLen:]
 	switch e.Op {
 	case subsystem.JournalInsert:
 		if len(body) != 48 {
-			return 0, e, fmt.Errorf("wal: insert body of %d bytes", len(body))
+			return 0, e, nil, fmt.Errorf("wal: insert body of %d bytes", len(body))
 		}
 		e.Rec = match.Record{Key: readTernary(body), Data: readVec(body[32:])}
 	case subsystem.JournalDelete:
 		if len(body) != 32 {
-			return 0, e, fmt.Errorf("wal: delete body of %d bytes", len(body))
+			return 0, e, nil, fmt.Errorf("wal: delete body of %d bytes", len(body))
 		}
 		e.Key = readTernary(body)
 	case subsystem.JournalCreate:
 		if len(body) != 5 {
-			return 0, e, fmt.Errorf("wal: create body of %d bytes", len(body))
+			return 0, e, nil, fmt.Errorf("wal: create body of %d bytes", len(body))
 		}
 		e.Type = subsystem.EngineType(body[0])
 		e.Conf = subsystem.TypedConfig{
@@ -127,10 +129,10 @@ func decodeRecord(p []byte) (uint64, subsystem.JournalEntry, error) {
 		}
 	case subsystem.JournalDrop, subsystem.JournalSeal:
 		if len(body) != 0 {
-			return 0, e, fmt.Errorf("wal: %d-byte body on a bodyless record", len(body))
+			return 0, e, nil, fmt.Errorf("wal: %d-byte body on a bodyless record", len(body))
 		}
 	default:
-		return 0, e, fmt.Errorf("wal: unknown record op %d", e.Op)
+		return 0, e, nil, fmt.Errorf("wal: unknown record op %d", e.Op)
 	}
-	return lsn, e, nil
+	return lsn, e, name, nil
 }

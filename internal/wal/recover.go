@@ -1,15 +1,17 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
-	"caram/internal/cam"
 	"caram/internal/subsystem"
 )
 
@@ -68,23 +70,18 @@ func Recover(dir string, bootstrap []*subsystem.Engine, opts Options) (*Log, *Re
 	st := &replayState{
 		m:   make(map[string]*subsystem.Engine),
 		res: &RecoverResult{},
+		br:  bufio.NewReaderSize(nil, snapChunk),
 	}
 	for _, e := range bootstrap {
 		st.m[e.Name] = e
 		st.order = append(st.order, e.Name)
 	}
 
-	bound, snap, err := loadLatestSnapshot(dir)
-	if err != nil {
+	if err := sweepSnapshotTemps(dir); err != nil {
 		return nil, nil, err
 	}
-	if snap != nil {
-		st.res.SnapshotLSN = bound
-		st.rosterLSN = snap.RosterLSN
-		st.lastLSN = bound
-		if err := st.overlay(snap); err != nil {
-			return nil, nil, err
-		}
+	if err := st.loadLatestSnapshot(dir); err != nil {
+		return nil, nil, err
 	}
 
 	segs, err := listSegments(dir)
@@ -151,7 +148,8 @@ func Recover(dir string, bootstrap []*subsystem.Engine, opts Options) (*Log, *Re
 }
 
 // replayState threads the roster through snapshot overlay and segment
-// replay.
+// replay. br is the one snapChunk buffer every file recovery reads —
+// each snapshot pass, each segment — goes through.
 type replayState struct {
 	m         map[string]*subsystem.Engine
 	order     []string
@@ -159,45 +157,81 @@ type replayState struct {
 	lastLSN   uint64
 	sealed    bool
 	res       *RecoverResult
+	br        *bufio.Reader
 }
 
-// overlay loads the snapshot image over the bootstrap roster. The
-// snapshot's engine order wins (bootstrap-only engines keep their
-// relative order after it).
-func (st *replayState) overlay(img *subsystem.Image) error {
-	order := make([]string, 0, len(img.Engines)+len(st.order))
-	seen := make(map[string]bool, len(img.Engines))
-	for i := range img.Engines {
-		ei := &img.Engines[i]
-		eng := st.m[ei.Name]
-		if eng == nil || eng.Main.LoadImage(ei.Rows) != nil {
-			ne, err := subsystem.NewTypedEngine(ei.Name, ei.Type, ei.Conf)
-			if err != nil {
-				return fmt.Errorf("wal: snapshot engine %q: %w", ei.Name, err)
-			}
-			if err := ne.Main.LoadImage(ei.Rows); err != nil {
-				return fmt.Errorf("wal: snapshot engine %q: %w", ei.Name, err)
-			}
-			eng = ne
-		}
-		eng.AppliedLSN = ei.AppliedLSN
-		if ei.HasOverflow {
-			if eng.Overflow == nil {
-				dev, err := cam.New(ei.OverflowCfg)
-				if err != nil {
-					return fmt.Errorf("wal: snapshot engine %q overflow: %w", ei.Name, err)
-				}
-				eng.Overflow = dev
-			}
-			for _, oe := range ei.Overflow {
-				if err := eng.Overflow.Insert(oe.Rec, oe.Priority); err != nil {
-					return fmt.Errorf("wal: snapshot engine %q overflow: %w", ei.Name, err)
-				}
+// sweepSnapshotTemps deletes the snap-*.snap.tmp files a crash
+// mid-snapshot (or a failed rename) left behind: table-sized, never
+// valid, and invisible to listSnapshots and pruneLocked.
+func sweepSnapshotTemps(dir string) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, ent := range ents {
+		if name := ent.Name(); strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"+snapTmpSuffix) {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				return err
 			}
 		}
-		st.m[ei.Name] = eng
-		order = append(order, ei.Name)
-		seen[ei.Name] = true
+	}
+	return nil
+}
+
+// loadLatestSnapshot anchors recovery on the newest snapshot that
+// verifies, if any. It is verify-then-load over the open file: pass 1
+// walks the whole structure and CRCs every byte without touching an
+// engine, so an invalid snapshot is skipped (an older valid one still
+// anchors recovery) and never deleted — it is evidence; only then does
+// pass 2 decode into the engines, and whatever fails there, the CRC
+// included, is a hard error, because engines are no longer untouched.
+func (st *replayState) loadLatestSnapshot(dir string) error {
+	snaps, err := listSnapshots(dir)
+	if err != nil {
+		return err
+	}
+	for i := len(snaps) - 1; i >= 0; i-- {
+		f, err := os.Open(filepath.Join(dir, snaps[i].name))
+		if err != nil {
+			return err
+		}
+		_, _, err = readSnapshot(f, st.br, nil)
+		if err == nil {
+			err = st.overlay(f)
+		} else if errors.Is(err, errBadSnapshot) {
+			f.Close()
+			continue
+		}
+		f.Close()
+		return err
+	}
+	return nil
+}
+
+// overlay loads a verified snapshot over the bootstrap roster, each
+// image into the bootstrap engine of its name when the geometry matches
+// (preserving any attached fault injector), otherwise into an engine
+// built from the snapshot's own config. The snapshot's engine order
+// wins (bootstrap-only engines keep their relative order after it).
+func (st *replayState) overlay(f *os.File) error {
+	order := make([]string, 0, len(st.order))
+	seen := make(map[string]bool, len(st.order))
+	bound, rosterLSN, err := readSnapshot(f, st.br, func(h subsystem.EngineImage, words int) (*subsystem.Engine, error) {
+		eng := st.m[h.Name]
+		if eng == nil || eng.Main.Array().Words() != words {
+			var err error
+			if eng, err = subsystem.NewTypedEngine(h.Name, h.Type, h.Conf); err != nil {
+				return nil, err
+			}
+		}
+		eng.AppliedLSN = h.AppliedLSN
+		st.m[h.Name] = eng
+		order = append(order, h.Name)
+		seen[h.Name] = true
+		return eng, nil
+	})
+	if err != nil {
+		return fmt.Errorf("wal: snapshot %s verified but did not load: %w", f.Name(), err)
 	}
 	for _, name := range st.order {
 		if !seen[name] {
@@ -205,70 +239,106 @@ func (st *replayState) overlay(img *subsystem.Image) error {
 		}
 	}
 	st.order = order
+	st.res.SnapshotLSN, st.rosterLSN, st.lastLSN = bound, rosterLSN, bound
 	return nil
 }
 
-// replaySegment applies one segment's records. final marks the last
+// intern returns the roster's own string for an engine name read from
+// a record, so replaying a record for a known engine allocates nothing.
+func (st *replayState) intern(name []byte) string {
+	if eng := st.m[string(name)]; eng != nil {
+		return eng.Name
+	}
+	return string(name)
+}
+
+// replaySegment applies one segment's records, streamed through st.br
+// (it replaces the ReadFile of the whole segment). final marks the last
 // segment on disk — the only place torn records are legal; they are
-// truncated away so the next boot sees a clean tail.
+// truncated away so the next boot sees a clean tail. What counts as
+// torn is decided against the size Stat reported, so offsets and
+// TruncatedBytes are those of the whole-file reader; a read that fails
+// inside that size is an I/O error, never a torn tail.
 func (st *replayState) replaySegment(path string, wantStart uint64, final bool) error {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	if len(data) < 16 || string(data[:8]) != segMagic ||
-		binary.LittleEndian.Uint64(data[8:]) != wantStart {
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	size := fi.Size()
+	st.br.Reset(f)
+	hdr, err := st.br.Peek(16)
+	if err != nil && err != io.EOF {
+		return err
+	}
+	if len(hdr) < 16 || string(hdr[:8]) != segMagic ||
+		binary.LittleEndian.Uint64(hdr[8:]) != wantStart {
 		if final {
 			// A crash during segment creation can leave a torn header;
 			// nothing in this file was ever acknowledged as written.
-			st.res.TruncatedBytes += len(data)
+			st.res.TruncatedBytes += int(size)
 			return os.Remove(path)
 		}
 		return fmt.Errorf("wal: segment %s: bad header", path)
 	}
-	off := 16
-	for off < len(data) {
-		n, payload := frameAt(data, off)
-		if payload == nil {
-			if !final {
-				return fmt.Errorf("wal: segment %s: corrupt record at offset %d: %w", path, off, errTorn)
-			}
-			st.res.TruncatedBytes += len(data) - off
-			return os.Truncate(path, int64(off))
-		}
-		lsn, e, err := decodeRecord(payload)
+	st.br.Discard(16) //nolint:errcheck // peeked, so buffered
+	for off := int64(16); off < size; {
+		payload, err := nextFrame(st.br, size-off)
 		if err != nil {
-			if !final {
-				return fmt.Errorf("wal: segment %s: offset %d: %w", path, off, err)
-			}
-			st.res.TruncatedBytes += len(data) - off
-			return os.Truncate(path, int64(off))
+			return fmt.Errorf("wal: segment %s: offset %d: %w", path, off, err)
 		}
+		lsn, e, name, bad := decodeRecord(payload)
+		if payload == nil { // no trustworthy frame here at all
+			bad = errTorn
+		}
+		if bad != nil {
+			if !final {
+				return fmt.Errorf("wal: segment %s: corrupt record at offset %d: %w", path, off, bad)
+			}
+			st.res.TruncatedBytes += int(size - off)
+			return os.Truncate(path, off)
+		}
+		e.Engine = st.intern(name)
 		if err := st.apply(lsn, e); err != nil {
 			return fmt.Errorf("wal: segment %s: lsn %d: %w", path, lsn, err)
 		}
-		off += n
+		n := frameHeader + len(payload)
+		st.br.Discard(n) //nolint:errcheck // peeked, so buffered
+		off += int64(n)
 	}
 	return nil
 }
 
-// frameAt validates the frame at off and returns its total length and
-// payload, or (0, nil) when the frame is torn, oversized, or fails its
-// CRC.
-func frameAt(data []byte, off int) (int, []byte) {
-	if len(data)-off < frameHeader {
-		return 0, nil
+// nextFrame validates the frame at br's position without consuming it
+// and returns its payload — a view into br's buffer, valid until the
+// next read — or nil when the frame is torn, oversized, or fails its
+// CRC. avail is how much of the file lies ahead. It replaces frameAt's
+// index into the whole segment.
+func nextFrame(br *bufio.Reader, avail int64) ([]byte, error) {
+	if avail < frameHeader {
+		return nil, nil
 	}
-	n := int(binary.LittleEndian.Uint32(data[off:]))
-	crc := binary.LittleEndian.Uint32(data[off+4:])
-	if n == 0 || n > maxRecordBytes || len(data)-off-frameHeader < n {
-		return 0, nil
+	hdr, err := br.Peek(frameHeader)
+	if err != nil {
+		return nil, err
 	}
-	payload := data[off+frameHeader : off+frameHeader+n]
-	if crc32.Checksum(payload, castagnoli) != crc {
-		return 0, nil
+	n := int(binary.LittleEndian.Uint32(hdr))
+	crc := binary.LittleEndian.Uint32(hdr[4:])
+	if n == 0 || n > maxRecordBytes || avail-frameHeader < int64(n) {
+		return nil, nil
 	}
-	return frameHeader + n, payload
+	frame, err := br.Peek(frameHeader + n)
+	if err != nil {
+		return nil, err
+	}
+	if crc32.Checksum(frame[frameHeader:], castagnoli) != crc {
+		return nil, nil
+	}
+	return frame[frameHeader:], nil
 }
 
 // apply replays one record through the idempotence gates.

@@ -1,9 +1,13 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,6 +16,7 @@ import (
 	"time"
 
 	"caram/internal/cam"
+	"caram/internal/match"
 	"caram/internal/subsystem"
 )
 
@@ -31,188 +36,385 @@ import (
 // bound is the LSN horizon: every record with lsn <= bound is
 // reflected in the image, so replay starts strictly after it and
 // sealed segments ending at or before it can be deleted. The file is
-// written to a temp name, fsynced, renamed into place, and the
-// directory fsynced — a crash mid-snapshot leaves the previous
-// snapshot untouched and a garbage .tmp recovery ignores.
+// written to a temp name — header reserved, payload streamed through
+// one snapChunk buffer, [payloadLen][crc] patched last — fsynced,
+// renamed into place, and the directory fsynced: a crash mid-snapshot
+// leaves the previous snapshot untouched and a garbage .tmp the next
+// Recover deletes. Both directions stream through one snapChunk
+// (DESIGN.md, "Durability memory model").
 
-func appendSnapshotImage(buf []byte, bound uint64, img subsystem.Image) []byte {
-	buf = appendU64(buf, bound)
-	buf = appendU64(buf, img.RosterLSN)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(img.Engines)))
-	for _, ei := range img.Engines {
-		buf = append(buf, byte(len(ei.Name)))
-		buf = append(buf, ei.Name...)
-		buf = append(buf, byte(ei.Type))
-		ecc := byte(0)
-		if ei.Conf.ECC {
-			ecc = 1
+const (
+	// snapChunk is the I/O unit of the snapshot writer, the snapshot
+	// loader and segment replay.
+	snapChunk = 256 << 10
+	// snapRecordBytes is one encoded overflow record.
+	snapRecordBytes = 50
+	// snapTmpSuffix names a snapshot still being written.
+	snapTmpSuffix = ".tmp"
+)
+
+// errBadSnapshot marks a snapshot file recovery must not anchor on
+// (magic, length, structure or CRC): it is skipped, never deleted.
+var errBadSnapshot = errors.New("wal: invalid snapshot")
+
+// engineSize is what sizes one engine's share of the payload; recs < 0
+// means no overflow CAM.
+type engineSize struct{ name, words, recs int }
+
+// payloadLen returns the encoded payload length of a roster, or an
+// error when it or any engine's counts exceed the format's u32 fields:
+// written anyway they would wrap into a file recovery skips, after the
+// segments it covered were pruned.
+func payloadLen(engines []engineSize) (uint32, error) {
+	n := int64(8 + 8 + 4)
+	for _, e := range engines {
+		if e.name > math.MaxUint8 || int64(e.words) > math.MaxUint32 || int64(e.recs) > math.MaxUint32 {
+			return 0, fmt.Errorf("wal: snapshot engine with a %d-byte name, %d row words, %d overflow records exceeds the format's fields",
+				e.name, e.words, e.recs)
 		}
-		buf = append(buf, byte(ei.Conf.IndexBits))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(ei.Conf.Slots))
-		buf = append(buf, ecc)
-		buf = appendU64(buf, ei.AppliedLSN)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ei.Rows)))
-		for _, w := range ei.Rows {
-			buf = appendU64(buf, w)
-		}
-		if !ei.HasOverflow {
-			buf = append(buf, 0)
-			continue
-		}
-		buf = append(buf, 1)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(ei.OverflowCfg.Entries))
-		buf = append(buf, byte(ei.OverflowCfg.KeyBits), byte(ei.OverflowCfg.Kind))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ei.Overflow)))
-		for _, oe := range ei.Overflow {
-			buf = appendTernary(buf, oe.Rec.Key)
-			buf = appendVec(buf, oe.Rec.Data)
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(oe.Priority))
+		n += 1 + int64(e.name) + 1 + 1 + 2 + 1 + 8 + 4 + 8*int64(e.words) + 1
+		if e.recs >= 0 {
+			n += 4 + 1 + 1 + 4 + snapRecordBytes*int64(e.recs)
 		}
 	}
-	return buf
+	if n > math.MaxUint32 {
+		return 0, fmt.Errorf("wal: snapshot payload of %d bytes exceeds the format's u32 length", n)
+	}
+	return uint32(n), nil
 }
 
-// snapReader is a bounds-checked cursor over a snapshot payload.
-type snapReader struct {
-	p   []byte
-	off int
+// imageSizes lists img's engines for payloadLen.
+func imageSizes(img *subsystem.Image) []engineSize {
+	sizes := make([]engineSize, len(img.Engines))
+	for i := range img.Engines {
+		ei := &img.Engines[i]
+		sizes[i] = engineSize{name: len(ei.Name), words: len(ei.Rows), recs: -1}
+		if ei.HasOverflow {
+			sizes[i].recs = len(ei.Overflow)
+		}
+	}
+	return sizes
+}
+
+// snapEncoder is the one snapshot encoder: it streams the payload
+// through a snapChunk-sized bufio.Writer, where the appendSnapshotImage
+// it replaced built it in memory. Write errors are bufio's sticky
+// error, read once at Flush.
+type snapEncoder struct{ bw *bufio.Writer }
+
+// put writes what the caller appended to the writer's own free space
+// (no copy; at a chunk edge the append spills to the heap and Write
+// copies it — still correct).
+func (e snapEncoder) put(b []byte) { e.bw.Write(b) } //nolint:errcheck
+
+// uint writes v as an n-byte little-endian integer.
+func (e snapEncoder) uint(n int, v uint64) {
+	b := e.bw.AvailableBuffer()
+	for ; n > 0; n-- {
+		b, v = append(b, byte(v)), v>>8
+	}
+	e.put(b)
+}
+
+// words writes a row image a buffer-full at a time.
+func (e snapEncoder) words(ws []uint64) {
+	for len(ws) > 0 {
+		if e.bw.Available() < 8 {
+			if e.bw.Flush() != nil {
+				return
+			}
+		}
+		b := e.bw.AvailableBuffer()
+		k := min(len(ws), cap(b)/8)
+		for _, w := range ws[:k] {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		e.put(b)
+		ws = ws[k:]
+	}
+}
+
+func (e snapEncoder) image(bound uint64, img *subsystem.Image) {
+	e.uint(8, bound)
+	e.uint(8, img.RosterLSN)
+	e.uint(4, uint64(len(img.Engines)))
+	for i := range img.Engines {
+		ei := &img.Engines[i]
+		e.uint(1, uint64(len(ei.Name)))
+		e.put(append(e.bw.AvailableBuffer(), ei.Name...))
+		e.uint(1, uint64(ei.Type))
+		e.uint(1, uint64(ei.Conf.IndexBits))
+		e.uint(2, uint64(ei.Conf.Slots))
+		e.uint(1, bit(ei.Conf.ECC))
+		e.uint(8, ei.AppliedLSN)
+		e.uint(4, uint64(len(ei.Rows)))
+		e.words(ei.Rows)
+		e.uint(1, bit(ei.HasOverflow))
+		if !ei.HasOverflow {
+			continue
+		}
+		e.uint(4, uint64(ei.OverflowCfg.Entries))
+		e.uint(1, uint64(ei.OverflowCfg.KeyBits))
+		e.uint(1, uint64(ei.OverflowCfg.Kind))
+		e.uint(4, uint64(len(ei.Overflow)))
+		for _, oe := range ei.Overflow {
+			e.put(appendVec(appendTernary(e.bw.AvailableBuffer(), oe.Rec.Key), oe.Rec.Data))
+			e.uint(2, uint64(oe.Priority))
+		}
+	}
+}
+
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// snapDecoder is the one snapshot decoder: a cursor over an open
+// file's payload through a snapChunk-sized bufio.Reader, where the
+// snapReader it replaced indexed the whole file in memory. The first
+// failure sticks: an early end is errBadSnapshot, any other read error
+// is itself.
+type snapDecoder struct {
+	br  *bufio.Reader
 	err error
 }
 
-func (r *snapReader) take(n int) []byte {
-	if r.err != nil {
+func (d *snapDecoder) fail(err error) {
+	if err == io.EOF {
+		err = fmt.Errorf("%w: truncated", errBadSnapshot)
+	}
+	d.err = err
+}
+
+// peek returns the next n bytes (n far below snapChunk) without
+// consuming them, or nil once the decoder has failed.
+func (d *snapDecoder) peek(n int) []byte {
+	if d.err != nil {
 		return nil
 	}
-	if len(r.p)-r.off < n {
-		r.err = fmt.Errorf("wal: snapshot truncated at offset %d", r.off)
+	b, err := d.br.Peek(n)
+	if err != nil {
+		d.fail(err)
 		return nil
 	}
-	b := r.p[r.off : r.off+n]
-	r.off += n
 	return b
 }
 
-func (r *snapReader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
+// skip discards n payload bytes (they still pass through the CRC).
+func (d *snapDecoder) skip(n int) {
+	if d.err == nil {
+		if _, err := d.br.Discard(n); err != nil {
+			d.fail(err)
+		}
 	}
-	return b[0]
 }
 
-func (r *snapReader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
+// uint consumes an n-byte little-endian integer (0 after a failure).
+func (d *snapDecoder) uint(n int) (v uint64) {
+	b := d.peek(n)
+	for i := len(b) - 1; i >= 0; i-- {
+		v = v<<8 | uint64(b[i])
 	}
-	return binary.LittleEndian.Uint16(b)
+	d.skip(len(b))
+	return v
 }
 
-func (r *snapReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *snapReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func decodeSnapshotImage(p []byte) (uint64, subsystem.Image, error) {
-	r := &snapReader{p: p}
-	bound := r.u64()
-	img := subsystem.Image{RosterLSN: r.u64()}
-	n := int(r.u32())
-	for i := 0; i < n && r.err == nil; i++ {
-		var ei subsystem.EngineImage
-		ei.Name = string(r.take(int(r.u8())))
-		ei.Type = subsystem.EngineType(r.u8())
-		ei.Conf.IndexBits = int(r.u8())
-		ei.Conf.Slots = int(r.u16())
-		ei.Conf.ECC = r.u8() == 1
-		ei.AppliedLSN = r.u64()
-		words := int(r.u32())
-		if r.err == nil && len(r.p)-r.off < words*8 {
-			r.err = fmt.Errorf("wal: snapshot row image truncated")
+// words fills dst with the next len(dst) row words, a buffer-full at a
+// time: the row source Slice.LoadImageFrom pulls from.
+func (d *snapDecoder) words(dst []uint64) error {
+	for len(dst) > 0 {
+		k := min(len(dst), max(d.br.Buffered()/8, 1))
+		b := d.peek(8 * k)
+		if b == nil {
 			break
 		}
-		ei.Rows = make([]uint64, words)
-		for w := range ei.Rows {
-			ei.Rows[w] = r.u64()
+		for i := range dst[:k] {
+			dst[i] = binary.LittleEndian.Uint64(b[8*i:])
 		}
-		if r.u8() == 1 {
-			ei.HasOverflow = true
-			ei.OverflowCfg = cam.Config{
-				Entries: int(r.u32()),
-				KeyBits: int(r.u8()),
-				Kind:    cam.Kind(r.u8()),
+		d.skip(8 * k)
+		dst = dst[k:]
+	}
+	return d.err
+}
+
+// snapLoader names the engine an image of words row words, whose
+// fixed fields are h (Rows and the overflow fields unset), goes into.
+type snapLoader func(h subsystem.EngineImage, words int) (*subsystem.Engine, error)
+
+// walk decodes one payload in file order. With load nil it is the
+// discarding visitor: every field is bounds-checked, nothing is kept,
+// no engine is touched. Otherwise rows are decoded straight into the
+// array of the engine load names (LoadImageFrom checks the geometry
+// before the first row) and overflow records into its CAM; what load or
+// the engine refuses is returned as is, a malformed payload is
+// errBadSnapshot.
+func (d *snapDecoder) walk(load snapLoader) (bound, rosterLSN uint64, err error) {
+	bound, rosterLSN = d.uint(8), d.uint(8)
+	for n := d.uint(4); n > 0 && d.err == nil; n-- {
+		h := subsystem.EngineImage{Name: string(d.peek(int(d.uint(1))))}
+		d.skip(len(h.Name))
+		h.Type = subsystem.EngineType(d.uint(1))
+		h.Conf.IndexBits = int(d.uint(1))
+		h.Conf.Slots = int(d.uint(2))
+		h.Conf.ECC = d.uint(1) == 1
+		h.AppliedLSN = d.uint(8)
+		words := int(d.uint(4))
+		if d.err != nil {
+			break
+		}
+		var eng *subsystem.Engine
+		if load == nil {
+			d.skip(8 * words)
+		} else {
+			if eng, err = load(h, words); err == nil {
+				err = eng.Main.LoadImageFrom(words, d.words)
 			}
-			recs := int(r.u32())
-			for j := 0; j < recs && r.err == nil; j++ {
-				var oe subsystem.OverflowEntry
-				key := r.take(32)
-				data := r.take(16)
-				prio := r.u16()
-				if r.err == nil {
-					oe.Rec.Key = readTernary(key)
-					oe.Rec.Data = readVec(data)
-					oe.Priority = int(prio)
-					ei.Overflow = append(ei.Overflow, oe)
-				}
+			if err != nil {
+				return 0, 0, fmt.Errorf("wal: snapshot engine %q: %w", h.Name, err)
 			}
 		}
-		if r.err == nil {
-			img.Engines = append(img.Engines, ei)
+		if d.uint(1) != 1 {
+			continue
+		}
+		cfg := cam.Config{Entries: int(d.uint(4)), KeyBits: int(d.uint(1)), Kind: cam.Kind(d.uint(1))}
+		recs := int(d.uint(4))
+		if eng == nil {
+			d.skip(snapRecordBytes * recs)
+			continue
+		}
+		if eng.Overflow == nil && d.err == nil {
+			if eng.Overflow, err = cam.New(cfg); err != nil {
+				return 0, 0, fmt.Errorf("wal: snapshot engine %q overflow: %w", h.Name, err)
+			}
+		}
+		for ; recs > 0; recs-- {
+			b := d.peek(snapRecordBytes)
+			if b == nil {
+				break
+			}
+			rec := match.Record{Key: readTernary(b), Data: readVec(b[32:])}
+			prio := int(binary.LittleEndian.Uint16(b[48:]))
+			d.skip(snapRecordBytes)
+			if err = eng.Overflow.Insert(rec, prio); err != nil {
+				return 0, 0, fmt.Errorf("wal: snapshot engine %q overflow: %w", h.Name, err)
+			}
 		}
 	}
-	if r.err != nil {
-		return 0, subsystem.Image{}, r.err
+	if d.err == nil {
+		if _, err := d.br.Peek(1); err == nil {
+			d.err = fmt.Errorf("%w: trailing bytes", errBadSnapshot)
+		} else if err != io.EOF {
+			d.err = err
+		}
 	}
-	if r.off != len(p) {
-		return 0, subsystem.Image{}, fmt.Errorf("wal: %d trailing snapshot bytes", len(p)-r.off)
+	return bound, rosterLSN, d.err
+}
+
+// readSnapshot checks f's header against its size, walks the payload
+// through br and holds the bytes walked to the header's CRC32C. It
+// replaces ReadFile + Checksum + decodeSnapshotImage; with load nil it
+// is the verify pass, which reads every byte and changes nothing.
+func readSnapshot(f *os.File, br *bufio.Reader, load snapLoader) (bound, rosterLSN uint64, err error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
 	}
-	return bound, img, nil
+	var hdr [16]byte
+	if _, err := f.ReadAt(hdr[:], 0); err != nil && err != io.EOF {
+		return 0, 0, err
+	}
+	n := int64(binary.LittleEndian.Uint32(hdr[8:]))
+	if string(hdr[:8]) != snapMagic || n != fi.Size()-16 {
+		return 0, 0, fmt.Errorf("%w: bad magic or length", errBadSnapshot)
+	}
+	sum := crc32.New(castagnoli)
+	br.Reset(io.TeeReader(io.NewSectionReader(f, 16, n), sum))
+	d := snapDecoder{br: br}
+	if bound, rosterLSN, err = d.walk(load); err != nil {
+		return 0, 0, err
+	}
+	if sum.Sum32() != binary.LittleEndian.Uint32(hdr[12:]) {
+		return 0, 0, fmt.Errorf("%w: CRC mismatch", errBadSnapshot)
+	}
+	return bound, rosterLSN, nil
+}
+
+// writeSnapshot writes img to path and fsyncs it (it replaces
+// writeFileSync over a finished file image): header reserved, payload
+// streamed into the file and a running CRC32C at once, [payloadLen][crc]
+// patched with one WriteAt. n is payloadLen's answer; an encoder that
+// wrote anything else is a bug caught here, before the rename.
+func writeSnapshot(path string, bound uint64, img *subsystem.Image, n uint32) (err error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	hdr := make([]byte, 16)
+	copy(hdr, snapMagic)
+	if _, err = f.Write(hdr); err != nil {
+		return err
+	}
+	sum := crc32.New(castagnoli)
+	bw := bufio.NewWriterSize(io.MultiWriter(f, sum), snapChunk)
+	snapEncoder{bw}.image(bound, img)
+	if err = bw.Flush(); err != nil {
+		return err
+	}
+	if end, err := f.Seek(0, io.SeekCurrent); err != nil || end != 16+int64(n) {
+		return fmt.Errorf("wal: snapshot encoder wrote to offset %d (%v), sized %d payload bytes", end, err, n)
+	}
+	binary.LittleEndian.PutUint32(hdr[8:], n)
+	binary.LittleEndian.PutUint32(hdr[12:], sum.Sum32())
+	if _, err = f.WriteAt(hdr[8:], 8); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // Snapshot captures the roster image, persists it, and truncates the
 // log: the active segment is rolled and every sealed segment whose
 // records all fall at or before the bound is deleted, along with older
 // snapshot files. The image callback runs outside any wal lock (it
-// takes the subsystem's own locks); the bound is the LSN horizon read
-// before capture, which is safe because append and apply share the
+// takes the subsystem's own locks) and fills the capture the log
+// retains between snapshots; the bound is the LSN horizon read before
+// capture, which is safe because append and apply share the
 // engine-lock critical section — every record at or below the bound
 // was applied before its engine was captured.
-func (l *Log) Snapshot(image func() subsystem.Image) error {
+func (l *Log) Snapshot(image func(*subsystem.Image)) error {
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
 	if err := l.Err(); err != nil {
 		return err
 	}
+	start := time.Now()
 
 	l.mu.Lock()
 	bound := l.nextLSN - 1
 	l.mu.Unlock()
 
-	img := image()
-	payload := appendSnapshotImage(nil, bound, img)
-	file := make([]byte, 0, len(payload)+16)
-	file = append(file, snapMagic...)
-	file = binary.LittleEndian.AppendUint32(file, uint32(len(payload)))
-	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(payload, castagnoli))
-	file = append(file, payload...)
-
-	final := filepath.Join(l.dir, snapshotName(bound))
-	tmp := final + ".tmp"
-	if err := writeFileSync(tmp, file); err != nil {
+	captureStart := time.Now()
+	image(&l.img)
+	capture := time.Since(captureStart)
+	// Refuse before anything is written, rolled or pruned.
+	n, err := payloadLen(imageSizes(&l.img))
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, final); err != nil {
+
+	final := filepath.Join(l.dir, snapshotName(bound))
+	tmp := final + snapTmpSuffix
+	if err = writeSnapshot(tmp, bound, &l.img, n); err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
+		os.Remove(tmp) //nolint:errcheck // best effort; Recover sweeps what this misses
 		return err
 	}
 	if err := syncDir(l.dir); err != nil {
@@ -229,7 +431,6 @@ func (l *Log) Snapshot(image func() subsystem.Image) error {
 	l.mu.Lock()
 	next := l.written + 1
 	l.mu.Unlock()
-	var err error
 	// A record-free active segment (header only) is already the
 	// post-snapshot tail and already named next — rolling it would
 	// recreate the same file name under itself.
@@ -249,6 +450,10 @@ func (l *Log) Snapshot(image func() subsystem.Image) error {
 		l.snapLSN = bound
 	}
 	l.mu.Unlock()
+	l.snapshots.Add(1)
+	l.snapCaptureNanos.Add(uint64(capture))
+	l.snapBytes.Store(16 + int64(n))
+	l.snapNanos.Add(uint64(time.Since(start)))
 	return nil
 }
 
@@ -337,44 +542,6 @@ func listSnapshots(dir string) ([]snapshotFile, error) {
 	return snaps, nil
 }
 
-// loadLatestSnapshot returns the newest snapshot that passes magic and
-// CRC validation, or zero values when none exists. Invalid snapshots
-// are skipped (an older valid one still anchors recovery), never
-// deleted — they are evidence.
-func loadLatestSnapshot(dir string) (uint64, *subsystem.Image, error) {
-	snaps, err := listSnapshots(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil, nil
-		}
-		return 0, nil, err
-	}
-	for i := len(snaps) - 1; i >= 0; i-- {
-		data, err := os.ReadFile(filepath.Join(dir, snaps[i].name))
-		if err != nil {
-			return 0, nil, err
-		}
-		if len(data) < 16 || string(data[:8]) != snapMagic {
-			continue
-		}
-		n := binary.LittleEndian.Uint32(data[8:])
-		crc := binary.LittleEndian.Uint32(data[12:])
-		if int(n) != len(data)-16 {
-			continue
-		}
-		payload := data[16:]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			continue
-		}
-		bound, img, err := decodeSnapshotImage(payload)
-		if err != nil {
-			continue
-		}
-		return bound, &img, nil
-	}
-	return 0, nil, nil
-}
-
 // Snapshotter runs fn every interval until stop is closed — the
 // periodic-snapshot loop the server owns. Exposed here so the cadence
 // logic stays next to the machinery it drives.
@@ -391,19 +558,4 @@ func Snapshotter(interval time.Duration, stop <-chan struct{}, fn func() error, 
 			}
 		}
 	}
-}
-
-// writeFileSync writes data to path and fsyncs the file.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -11,6 +11,7 @@
 //
 //	wal-<startLSN %016x>.seg   log segments, last one active
 //	snap-<boundLSN %016x>.snap engine images; only the newest matters
+//	snap-*.snap.tmp            a snapshot cut short; Recover deletes it
 //
 // Each segment starts with an 8-byte magic ("CARWAL01") and the u64
 // start LSN, then framed records (record.go). A snapshot bounds replay:
@@ -141,11 +142,17 @@ type Log struct {
 	done chan struct{}
 	bg   sync.WaitGroup
 
-	snapMu sync.Mutex // serializes Snapshot callers
+	snapMu sync.Mutex      // serializes Snapshot callers
+	img    subsystem.Image // the capture, its row storage kept between snapshots (snapMu)
 
 	fsyncs     atomic.Uint64
 	fsyncNanos atomic.Uint64
 	lastFsync  atomic.Int64 // unix nanos of the last fsync completion
+
+	snapshots        atomic.Uint64 // completed
+	snapNanos        atomic.Uint64 // capture through prune, completed snapshots
+	snapCaptureNanos atomic.Uint64 // of that, inside the image callback
+	snapBytes        atomic.Int64  // size of the newest snapshot file
 }
 
 // Append encodes the entry, assigns it the next LSN, and buffers it.
@@ -411,6 +418,14 @@ type Stats struct {
 	FsyncNanos  uint64
 	LastFsync   int64 // unix nanos of last fsync; 0 = never
 	Sealed      bool
+	// The snapshot family counts completed snapshots since boot.
+	// SnapshotCaptureNanos is the part of SnapshotNanos spent in the
+	// image callback — the roster lock and each engine's read lock in
+	// turn, i.e. how long snapshots stalled writers.
+	Snapshots            uint64
+	SnapshotNanos        uint64
+	SnapshotCaptureNanos uint64
+	SnapshotBytes        int64 // newest snapshot file; 0 = none written since boot
 }
 
 // Stats returns current counters.
@@ -431,6 +446,10 @@ func (l *Log) Stats() Stats {
 	s.Fsyncs = l.fsyncs.Load()
 	s.FsyncNanos = l.fsyncNanos.Load()
 	s.LastFsync = l.lastFsync.Load()
+	s.Snapshots = l.snapshots.Load()
+	s.SnapshotNanos = l.snapNanos.Load()
+	s.SnapshotCaptureNanos = l.snapCaptureNanos.Load()
+	s.SnapshotBytes = l.snapBytes.Load()
 	return s
 }
 
