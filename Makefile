@@ -26,6 +26,10 @@
 #                       grammar in internal/wire, server incl.
 #                       lpm/pktclass/TSEARCH, the wire path through
 #                       Handle and the tracing-compiled-in steady state,
+#                       the server's request path — every engine type's
+#                       read and a journaled write, ExecAppend and
+#                       Handle — with no collector, an idle one, and
+#                       caram-server's default flags,
 #                       MSEARCH bookkeeping, the router with no
 #                       collector, an idle one, and caram-router's
 #                       default flags, and the WAL's O(chunk)
@@ -45,8 +49,12 @@
 # none of them).
 #
 #   make trace-guard    tracing-layer gate: ring races under -race,
-#                       slowlog admission property, zero-alloc with
-#                       tracing compiled in (off and on-unadmitted)
+#                       slowlog admission property, the server's
+#                       admission rule (late-built entries, the burst
+#                       clock chain, materialise-only-sampled-or-tagged,
+#                       slow writes keep wal_append), zero-alloc with
+#                       tracing compiled in (off, on-unadmitted and
+#                       under the deployed flags)
 #   make chaos          fault-injection capstone under -race: mixed ops
 #                       against engines with live soft-error injectors,
 #                       exact ECC/injector counter reconciliation (incl.
@@ -84,7 +92,9 @@
 # `make ci` wall time on the 2-vCPU reference box, warm build cache,
 # GOFLAGS=-count=1: 63 s with the ten overlapping tiers it had
 # through PR 15 (ZeroAlloc ./internal/server ran in four of them,
-# GoldenSession in two, most -race subsets twice) → 43 s regrouped.
+# GoldenSession in two, most -race subsets twice) → 43 s regrouped;
+# 35 s at PR 21, with the admission-rule suites and the deployed-flags
+# allocation table in.
 
 GO       ?= go
 FUZZTIME ?= 10s
@@ -145,7 +155,10 @@ bench:
 # bounded LookupBest, the request parse (scan, annotation, verb lookup
 # in either case, identity), server SEARCH / lpm / pktclass / TSEARCH through
 # ExecAppend and, per line, through Handle, and the steady state with
-# tracing compiled in), MSEARCH bookkeeping held to its two slices, and
+# tracing compiled in; TestRequestPathZeroAlloc's table of those reads
+# plus a journaled write under no collector, an idle one and
+# caram-server's default flags), MSEARCH bookkeeping held to its two
+# slices, and
 # the router forward path (SEARCH and MSEARCH) with no collector, an
 # idle one, and the collector caram-router's default flags build; and
 # the durability layer's memory model — a steady-state snapshot and a
@@ -178,7 +191,12 @@ crash-harness:
 
 # Tracing-layer gate: the lock-free ring under the race detector, the
 # slowlog admission property (admitted exactly when latency exceeds the
-# threshold), the per-command pipelined-burst attribution, the wire
+# threshold), the per-command pipelined-burst attribution, the server's
+# admission rule (entries built after the fact and charging nothing,
+# their synthesised probe chain held to the traced one, the burst's
+# shared clock chain and where it is cut, traces materialised only for
+# sampled or tagged requests, slow writes keeping their wal_append
+# span), the wire
 # *TID annotation / TRACE GET suites, the cluster tracing suites (the
 # stitched end-to-end trace through a live router, fleet SLOWLOG /
 # METRICS / TRACE merges, traced-vs-untraced transparency, the
@@ -188,7 +206,7 @@ crash-harness:
 # the flags it is deployed with.
 trace-guard:
 	$(GO) test -race -count=1 ./internal/trace
-	$(GO) test -race -run 'Pipelined|Slowlog|Explain|SlowRequest|TracingOn|WireAnnotation|TraceGet' -count=1 ./internal/server
+	$(GO) test -race -run 'Pipelined|Slowlog|Explain|SlowRequest|TracingOn|WireAnnotation|TraceGet|LateBuilt|Retrace|MaterialisesOnly|BurstClockChain|SplitLine|SlowWrite' -count=1 ./internal/server
 	$(GO) test -race -run 'ClusterTracing|RouterSlowlog|RouterTagsOnlySampled|RouterMetricsAggregation|RouterTraceGet|RouterTracedTransparency|RouterHealthMergeOrder|RouterUntraced' -count=1 ./internal/cluster
 	$(GO) test -run 'TracingOnSteadyStateAllocs|ZeroAlloc' -count=1 ./internal/server
 	$(GO) test -run 'ForwardPathAllocs/deployed-flags' -count=1 ./internal/cluster

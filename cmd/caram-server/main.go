@@ -15,12 +15,17 @@
 // under /debug/pprof/, and the tracing layer's retained requests as
 // JSON on /debug/traces.
 //
-// Tracing is always on (the collector itself is a handful of atomics;
-// per-request cost is one pooled trace). -trace-sample admits every Nth
-// request into the sampled ring; -slowlog-us sets the slowlog latency
-// threshold in microseconds — every request slower than that is
-// retained with its full probe trace and logged at Warn. The wire
-// commands SLOWLOG and EXPLAIN read the same state.
+// Tracing is always on and decided on admission: the per-request cost
+// is one atomic add and the clock read that also times the request for
+// /metrics. -trace-sample traces every Nth request as it runs, with
+// every span (parse, lock_wait, probe chain, match, encode, wal_append),
+// into the sampled ring, as a *TID annotation does into the tagged one.
+// -slowlog-us sets the slowlog latency threshold in microseconds —
+// every request slower than that is retained and logged at Warn, its
+// entry built after the fact unless it was sampled or tagged: identity,
+// result, rows and the buckets probed, and a write's wal_append, but no
+// parse, lock_wait or encode span. The wire commands SLOWLOG and
+// EXPLAIN read the same state.
 //
 // Fault tolerance is opt-in. -ecc arms per-row error coding on every
 // engine: each fetched row is verified against a SECDED-style check
@@ -91,8 +96,8 @@ func main() {
 		engines  = flag.String("engines", "db", "comma-separated engines, each name or name:type (exact, lpm, pktclass, trigram); requests to distinct engines run in parallel")
 		logLevel = flag.String("log-level", "info", "log floor: debug, info, warn, error")
 		tracing  = trace.Flags(flag.CommandLine,
-			"admit every Nth request into the sampled trace ring (0 = off)",
-			"slowlog threshold in microseconds; requests slower than this are retained with their probe trace (-1 = off)")
+			"trace every Nth request as it runs, with every span, into the sampled trace ring (0 = off)",
+			"slowlog threshold in microseconds; a request slower than this is retained, built after the fact unless sampled or *TID-tagged: identity, result, rows, buckets probed, wal_append; no parse/lock_wait/encode spans (-1 = off)")
 
 		eccOn    = flag.Bool("ecc", false, "enable per-row error coding: SECDED check words, quarantine, HEALTH <engine> SCRUB recovery")
 		maxConns = flag.Int("max-conns", 0, "cap on concurrently served connections; excess accepts are shed with ERR BUSY (0 = unlimited)")

@@ -280,7 +280,7 @@ func (r *Registry) Totals() (ops, errs uint64) {
 	for _, name := range set.order {
 		em := set.engines[name]
 		for op := Op(0); op < NumOps; op++ {
-			ops += em.ops[op].count.Load()
+			ops += em.ops[op].lat.N()
 			errs += em.ops[op].errs.Load()
 		}
 	}
@@ -298,10 +298,13 @@ type EngineMetrics struct {
 	gauges func() Gauges
 }
 
+// opMetrics is one op's error counter and latency histogram. The op
+// count is not kept beside them: every completed operation lands in the
+// histogram, so the count is the histogram's N — one atomic add fewer
+// per operation, and Latency(op).N() == Count(op) by construction.
 type opMetrics struct {
-	count atomic.Uint64
-	errs  atomic.Uint64
-	lat   Histogram
+	errs atomic.Uint64
+	lat  Histogram
 }
 
 // Name returns the engine name the slot was registered under.
@@ -322,7 +325,6 @@ func (m *EngineMetrics) SetType(t string) { m.typ = t }
 // is as real as a hit's).
 func (m *EngineMetrics) Observe(op Op, d time.Duration, err error) {
 	o := &m.ops[op]
-	o.count.Add(1)
 	if err != nil {
 		o.errs.Add(1)
 	}
@@ -331,16 +333,14 @@ func (m *EngineMetrics) Observe(op Op, d time.Duration, err error) {
 
 // ObserveBatch records n completed operations of one kind measured with
 // a single clock pair: d is the whole batch's wall-clock duration, and
-// each operation is attributed the per-item share d/n. The op count and
-// the histogram's observation count advance by n together, preserving
-// the Latency(op).N() == Count(op) invariant the per-call Observe path
-// maintains. errs counts how many of the n returned errors.
+// each operation is attributed the per-item share d/n, so the op count
+// (the histogram's observation count) advances by n. errs counts how
+// many of the n returned errors.
 func (m *EngineMetrics) ObserveBatch(op Op, d time.Duration, n, errs uint64) {
 	if n == 0 {
 		return
 	}
 	o := &m.ops[op]
-	o.count.Add(n)
 	if errs > 0 {
 		o.errs.Add(errs)
 	}
@@ -348,7 +348,7 @@ func (m *EngineMetrics) ObserveBatch(op Op, d time.Duration, n, errs uint64) {
 }
 
 // Count returns the op's completed-operation count.
-func (m *EngineMetrics) Count(op Op) uint64 { return m.ops[op].count.Load() }
+func (m *EngineMetrics) Count(op Op) uint64 { return m.ops[op].lat.N() }
 
 // Errors returns the op's error count.
 func (m *EngineMetrics) Errors(op Op) uint64 { return m.ops[op].errs.Load() }
@@ -410,12 +410,8 @@ func (r *Registry) Snapshot() Snapshot {
 		em := set.engines[name]
 		es := EngineSnapshot{Name: name, Type: em.typ}
 		for op := Op(0); op < NumOps; op++ {
-			es.Ops[op] = OpSnapshot{
-				Op:      op,
-				Count:   em.ops[op].count.Load(),
-				Errors:  em.ops[op].errs.Load(),
-				Latency: em.ops[op].lat.Snapshot(),
-			}
+			lat := em.ops[op].lat.Snapshot()
+			es.Ops[op] = OpSnapshot{Op: op, Count: lat.N, Errors: em.ops[op].errs.Load(), Latency: lat}
 		}
 		es.Gauges, es.HasGauges = em.SampleGauges()
 		s.Engines = append(s.Engines, es)

@@ -134,8 +134,9 @@ func TestWALExecAppendSearchZeroAlloc(t *testing.T) {
 // above never reached: Handle hands each request line to the protocol
 // engine as a view of its read buffer, not a copy, so an untraced SEARCH
 // costs zero allocations per line over the socket as well, and an
-// MSEARCH line costs exactly what ExecAppend itself allocates for it
-// (the request, result and grouping slices) — on a server configured the
+// MSEARCH line costs exactly what ExecAppend itself allocates for it —
+// the executor's result and grouping slices, two whatever the batch
+// holds; the parsed key list is pooled — on a server configured the
 // way caram-server deploys one: metrics on, trace collector attached,
 // sampling off. Run by `make alloc-guard` / `make ci`.
 func TestHandleZeroAllocPerLine(t *testing.T) {
@@ -178,6 +179,9 @@ func TestHandleZeroAllocPerLine(t *testing.T) {
 	var buf []byte
 	buf = s.ExecAppend(buf[:0], msLine)
 	want := testing.AllocsPerRun(100, func() { buf = s.ExecAppend(buf[:0], msLine) })
+	if want > 2 {
+		t.Errorf("ExecAppend allocated %.0f times per MSEARCH line, want the executor's 2", want)
+	}
 	if got := perLine(msearch.Bytes(), lines/16); got >= want+0.1 {
 		t.Errorf("Handle allocated %.2f times per MSEARCH line, ExecAppend alone %.0f", got, want)
 	}

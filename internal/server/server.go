@@ -110,14 +110,17 @@ func WithoutMetrics() Option {
 	return func(o *options) { o.metrics = false }
 }
 
-// WithTracing attaches a request-scoped trace collector: every wire
-// command records its own trace (command, engine, key, per-command
-// start/end — so each member of a pipelined burst is individually
-// attributable — and, for SEARCH, the full probe chain) and the
-// collector's sampling/slowlog policies decide retention. Without this
-// option tracing is off: the hot path sees only nil checks and stays
-// allocation-free, SLOWLOG answers "ERR tracing disabled", and only
-// EXPLAIN (which forces its own trace) records probe chains.
+// WithTracing attaches a request-scoped trace collector, consulted on
+// admission: a request the 1-in-N sampler picks or a *TID annotation
+// tags records its own trace as it runs (command, engine, key, every
+// span and, for SEARCH, the full probe chain); any other costs the
+// collector one atomic add, and is kept — its entry built after the
+// fact, see exec — only if its latency passes the slowlog threshold.
+// Either way each member of a pipelined burst has its own start and
+// end. Without this option tracing is off: the hot path sees only nil
+// checks and stays allocation-free, SLOWLOG answers "ERR tracing
+// disabled", and only EXPLAIN (which forces its own trace) records
+// probe chains.
 func WithTracing(c *trace.Collector) Option {
 	return func(o *options) { o.trc = c }
 }
@@ -285,26 +288,50 @@ func (s *Server) Close() error {
 // over arbitrary pipes; safe for concurrent use by any number of
 // connections.
 func (s *Server) Handle(r io.Reader, w io.Writer) {
-	s.ep.Handle(r, w, session{s})
+	s.ep.Handle(r, w, &session{Server: s})
 }
 
 // session is the server's half of a connection (wire.Session): every
 // request is answered on the spot, so a burst owes nothing at settle
-// and is full once flushThreshold of replies has accumulated.
-type session struct{ *Server }
+// and is full once flushThreshold of replies has accumulated. What it
+// keeps between requests is the burst's clock: end is when the previous
+// member of the burst finished, which is when this one was admitted —
+// the members of a burst run back to back, so one clock read per member
+// stamps both. It is zero, and the next request reads the clock itself,
+// whenever the two did not run back to back: after a flush (Settle — the
+// write and the wait for the next burst belong to no request), and when
+// this line was not yet whole while its predecessor ran, so that the
+// wait for its tail is not served time.
+type session struct {
+	*Server
+	end  time.Time
+	room int // cap of the previous line's view of the read buffer
+}
 
 // Request hands the protocol engine a view of the read buffer, not a
-// copy (wire's "Field lifetime"). The view covers one ExecAppend, and
+// copy (wire's "Field lifetime"). The view covers one exec, and
 // nothing the call leaves behind points into it: error texts are
 // formatted on the spot, the trace layer clones its fields when it
 // admits a trace, the journal encodes its entry inside Append, and a
 // created engine's name is cloned where it is stored.
-func (s session) Request(out, line []byte) ([]byte, bool) {
-	out = append(s.ExecAppend(out, wire.View(line)), '\n')
+func (s *session) Request(out, line []byte) ([]byte, bool) {
+	// Lines of one fill of the read buffer lie one behind the other, each
+	// with less of the buffer left behind it than the last; a line that
+	// has as much or more was completed by a later read, which moved it
+	// to the front.
+	if cap(line) >= s.room {
+		s.end = time.Time{}
+	}
+	s.room = cap(line)
+	out, s.end = s.exec(out, wire.View(line), s.end)
+	out = append(out, '\n')
 	return out, len(out) >= flushThreshold
 }
 
-func (session) Settle(out []byte) []byte { return out }
+func (s *session) Settle(out []byte) []byte {
+	s.end = time.Time{}
+	return out
+}
 
 // Exec runs one request line and returns the single-line response —
 // the string-returning convenience form of ExecAppend, kept for
@@ -318,26 +345,126 @@ func (s *Server) Exec(line string) string {
 // extended buffer. It is the protocol engine behind Handle, exported
 // so embedders and benchmarks can drive the server without a socket.
 // ExecAppend is safe for concurrent use; requests to distinct engines
-// run in parallel. A SEARCH request on an uninstrumented, untraced
-// server allocates nothing: fields are substrings of the line, keys
-// parse in place, and the reply is appended into dst.
-//
-// With tracing attached (WithTracing), every call begins and ends its
-// own trace — each command of a pipelined burst gets its own
-// start/end stamps even though Handle flushes the burst's replies with
-// one write, so slow burst members are individually attributable.
+// run in parallel. A SEARCH request allocates nothing, whatever is
+// attached: fields are substrings of the line, keys parse in place, and
+// the reply is appended into dst.
 func (s *Server) ExecAppend(dst []byte, line string) []byte {
-	tr := s.trc.Begin()
-	if tr == nil {
-		return s.execAppend(dst, line, nil)
+	dst, _ = s.exec(dst, line, time.Time{})
+	return dst
+}
+
+// served is what one request leaves behind for whoever watches it: the
+// clock it shares with the executor and, after a lookup, the engine and
+// result a trace built after the fact is retraced from. A request that
+// nothing watches has none (nil).
+type served struct {
+	clock subsystem.Clock
+	eng   string
+	sr    subsystem.SearchResult
+}
+
+// ck is the clock to hand the executor.
+func (sv *served) ck() *subsystem.Clock {
+	if sv == nil {
+		return nil
+	}
+	return &sv.clock
+}
+
+// epoch anchors the request clock. An admission stamp is epoch plus one
+// monotonic reading (time.Since), about half the price of time.Now,
+// which reads the wall clock as well; a stamp's wall time is thus the
+// process's start plus monotonic time and ignores later steps of the
+// system clock — what a latency wants, and good enough for a trace's
+// start_unix_ns.
+var epoch = time.Now()
+
+// exec runs one request admitted at t0 (zero: now) and returns when it
+// ended — the next burst member's t0.
+//
+// Tracing is decided on admission (WithTracing): a pooled trace is
+// materialised, and spans are recorded, only for a request the 1-in-N
+// sampler picks or a *TID annotation tags. Every other request runs
+// untraced between two stamps — t0, and the one clock read that times
+// the operation, the executor's own when it observes one — and only if
+// that latency passes the slowlog threshold is its entry built, after
+// the fact, from what the request left behind (retain). Each command of
+// a pipelined burst still has its own start and end, so slow burst
+// members stay individually attributable.
+func (s *Server) exec(dst []byte, line string, t0 time.Time) ([]byte, time.Time) {
+	if s.panicLine != "" && line == s.panicLine {
+		panic("injected handler panic: " + line)
+	}
+	watched := s.trc != nil || s.met != nil
+	if watched && t0.IsZero() {
+		t0 = epoch.Add(time.Since(epoch))
+	}
+	req := wire.Parse(line)
+	if !watched {
+		return s.execAppend(dst, &req, nil, nil), t0
+	}
+	sv := served{clock: subsystem.Clock{T0: t0}}
+	var tr *trace.Trace
+	// The *TID annotation joins this request's trace to the caller's
+	// trace id and is otherwise invisible.
+	if sampled := s.trc.Sample(); sampled || (req.TID != 0 && s.trc != nil) {
+		tr = s.trc.BeginAt(t0, sampled)
+		tr.SetWire(req.TID, req.Span)
+		identify(tr, &req)
 	}
 	mark := len(dst)
-	dst = s.execAppend(dst, line, tr)
-	tr.SetResult(wire.Head(wire.View(dst[mark:])))
+	dst = s.execAppend(dst, &req, &sv, tr)
+	d := sv.clock.Dur
+	if d == 0 || tr != nil {
+		// Nothing observed the request below, or its trace has spans
+		// that end after the executor's observation did.
+		d = time.Since(t0)
+	}
+	if tr != nil || s.trc.SlowAdmit(d) {
+		s.retain(tr, line, &sv, d, dst[mark:])
+	}
+	return dst, t0.Add(d)
+}
+
+// identify names the request on its trace as the router's traces name
+// it: the verb's canonical spelling, the engine and key at its table
+// row's positions. A line without a verb stays nameless.
+func identify(tr *trace.Trace, req *wire.Request) {
+	switch req.Status {
+	case wire.OK:
+		eng, key := req.Identity()
+		if len(key) > maxTextBytes {
+			key = key[:maxTextBytes]
+		}
+		tr.Request(req.Verb.Name, eng, key)
+	case wire.UnknownVerb:
+		tr.Request(strings.ToUpper(req.Word), "", "")
+	}
+}
+
+// retain finishes a request that took d and is kept: tr is its trace,
+// or nil for a request that ran untraced and turned out slow. That
+// entry is built here from what the request left behind — identity from
+// the line, the lookup summary and probe chain from the search result
+// (subsystem.Retrace), a write's wal_append window from the shared
+// clock — so it has no parse, lock_wait or encode span.
+func (s *Server) retain(tr *trace.Trace, line string, sv *served, d time.Duration, reply []byte) {
+	if tr == nil {
+		tr = s.trc.BeginAt(sv.clock.T0, false)
+		req := wire.Parse(line) // again: the handler has consumed the first one's arguments
+		identify(tr, &req)
+		if sv.eng != "" {
+			s.con.Retrace(sv.eng, sv.sr, tr)
+		}
+		if sv.clock.WALDur != 0 {
+			tr.Add(trace.Event{Kind: trace.KindWALAppend, Offset: sv.clock.WALAt, Dur: sv.clock.WALDur})
+		}
+	}
+	tr.SetResult(wire.Head(wire.View(reply)))
 	// On slowlog admission the trace is retained (immutable from here
-	// on) and safe to read for the log record; otherwise End has
+	// on) and safe to read for the log record; otherwise Observe has
 	// already recycled it and it must not be touched again.
-	if slow := s.trc.End(tr); slow && s.log != nil {
+	if slow := s.trc.Observe(tr, d); slow && s.log != nil {
 		s.log.Warn("slow request",
 			"id", tr.ID,
 			"cmd", tr.Cmd,
@@ -348,22 +475,12 @@ func (s *Server) ExecAppend(dst []byte, line string) []byte {
 			"result", tr.Result,
 		)
 	}
-	return dst
 }
 
-// execAppend is the protocol engine proper: parse the line's head
-// against the one grammar, then run the verb's handler; tr is nil when
-// tracing is off for this request.
-func (s *Server) execAppend(dst []byte, line string, tr *trace.Trace) []byte {
-	if s.panicLine != "" && line == s.panicLine {
-		panic("injected handler panic: " + line)
-	}
-	req := wire.Parse(line)
-	if req.Annotated {
-		// The *TID annotation joins this request's trace to the caller's
-		// trace id and is otherwise invisible. Cost when absent: this branch.
-		tr.SetWire(req.TID, req.Span)
-	}
+// execAppend is the protocol engine proper: run the handler of the verb
+// the line's head parsed to. sv is the request's state for whoever
+// watches it; tr is nil unless the request is traced as it runs.
+func (s *Server) execAppend(dst []byte, req *wire.Request, sv *served, tr *trace.Trace) []byte {
 	v, fs := req.Verb, &req.Args
 	switch req.Status {
 	case wire.Empty:
@@ -373,11 +490,8 @@ func (s *Server) execAppend(dst []byte, line string, tr *trace.Trace) []byte {
 	case wire.BadTID:
 		return append(append(dst, "ERR usage: "...), wire.TIDUsage...)
 	case wire.UnknownVerb:
-		cmd := strings.ToUpper(req.Word)
-		tr.Request(cmd, "", "")
-		return append(append(dst, "ERR unknown command "...), cmd...)
+		return append(append(dst, "ERR unknown command "...), strings.ToUpper(req.Word)...)
 	}
-	tr.Request(v.Name, "", "") // handlers with an engine/key refine this
 	switch v.ID {
 	case wire.Search:
 		eng, ok1 := fs.Next()
@@ -386,12 +500,11 @@ func (s *Server) execAppend(dst []byte, line string, tr *trace.Trace) []byte {
 		if _, extra := fs.Next(); !ok1 || !ok2 || extra {
 			return appendUsage(dst, v)
 		}
-		tr.Request(v.Name, eng, keyS)
 		search, bad := parseKey(keyS, maskS)
 		if bad != "" {
 			return appendBadHex(dst, bad)
 		}
-		return s.searchAppend(dst, eng, search, tr)
+		return s.searchAppend(dst, eng, search, sv, tr)
 	case wire.Insert:
 		eng, ok1 := fs.Next()
 		keyS, ok2 := fs.Next()
@@ -399,7 +512,6 @@ func (s *Server) execAppend(dst []byte, line string, tr *trace.Trace) []byte {
 		if _, extra := fs.Next(); !ok1 || !ok2 || !ok3 || extra {
 			return appendUsage(dst, v)
 		}
-		tr.Request(v.Name, eng, keyS)
 		key, ok := wire.ParseVec(keyS)
 		if !ok {
 			return appendBadHex(dst, keyS)
@@ -409,7 +521,7 @@ func (s *Server) execAppend(dst []byte, line string, tr *trace.Trace) []byte {
 			return appendBadHex(dst, dataS)
 		}
 		rec := match.Record{Key: bitutil.Exact(key), Data: data}
-		if err := s.con.InsertTraced(eng, rec, tr); err != nil {
+		if err := s.con.InsertServed(eng, rec, sv.ck(), tr); err != nil {
 			return appendErr(dst, err)
 		}
 		return append(dst, wire.ReplyOK...)
@@ -419,53 +531,24 @@ func (s *Server) execAppend(dst []byte, line string, tr *trace.Trace) []byte {
 		if _, extra := fs.Next(); !ok1 || !ok2 || extra {
 			return appendUsage(dst, v)
 		}
-		tr.Request(v.Name, eng, keyS)
 		key, ok := wire.ParseVec(keyS)
 		if !ok {
 			return appendBadHex(dst, keyS)
 		}
-		if err := s.con.DeleteTraced(eng, bitutil.Exact(key), tr); err != nil {
+		if err := s.con.DeleteServed(eng, bitutil.Exact(key), sv.ck(), tr); err != nil {
 			return appendErr(dst, err)
 		}
 		return append(dst, wire.ReplyOK...)
 	case wire.MSearch:
-		// Arity is judged over the whole argument list before any key is
-		// parsed, so "MSEARCH db 12zz extra" is a usage error, not bad hex.
-		n := fs.Count()
-		if n == 0 || n%2 != 0 {
-			return appendUsage(dst, v)
-		}
-		reqs := make([]subsystem.PortKey, n/2)
-		for i := range reqs {
-			port, _ := fs.Next()
-			keyS, _ := fs.Next()
-			key, ok := wire.ParseVec(keyS)
-			if !ok {
-				return appendBadHex(dst, keyS)
-			}
-			reqs[i] = subsystem.PortKey{Port: port, Key: bitutil.Exact(key)}
-		}
-		dst = append(dst, wire.ReplyMResults...)
-		for _, r := range s.con.MSearch(reqs) {
-			dst = append(dst, ' ')
-			switch {
-			case errors.Is(r.Err, subsystem.ErrEngineUnavailable):
-				dst = append(dst, wire.SlotUnavailable...)
-			case r.Err != nil:
-				dst = append(dst, wire.SlotNoEngine...)
-			default:
-				dst = appendSearchReply(dst, r.Result.Found, r.Result.Erred, r.Result.Record.Data, ':')
-			}
-		}
-		return dst
+		return s.execMSearchAppend(dst, v, fs, sv)
 	case wire.TSearch:
-		return s.execTSearchAppend(dst, v, fs, tr)
+		return s.execTSearchAppend(dst, v, fs, sv, tr)
 	case wire.TInsert:
-		return s.execTInsertAppend(dst, v, fs, tr)
+		return s.execTInsertAppend(dst, v, fs, sv, tr)
 	case wire.MInsert:
-		return s.execMInsertAppend(dst, v, fs, tr)
+		return s.execMInsertAppend(dst, v, fs, sv, tr)
 	case wire.MDelete:
-		return s.execMDeleteAppend(dst, v, fs, tr)
+		return s.execMDeleteAppend(dst, v, fs, sv, tr)
 	case wire.Explain:
 		return s.execExplainAppend(dst, v, fs)
 	case wire.Stats:
@@ -509,16 +592,67 @@ func (s *Server) execAppend(dst []byte, line string, tr *trace.Trace) []byte {
 	panic("server: verb " + v.Name + " has a table row but no handler")
 }
 
+// portKeys pools the parsed key lists of MSEARCH requests; a list is
+// truncated, not cleared, on its way back, and is never read before it
+// is refilled.
+var portKeys = sync.Pool{New: func() any { return new([]subsystem.PortKey) }}
+
+// execMSearchAppend answers MSEARCH in one pass over the line: keys are
+// parsed while the fields are counted, and the first bad key is held
+// back until the arity is known — it is judged over the whole argument
+// list, so "MSEARCH db 12zz extra" is a usage error, not bad hex.
+func (s *Server) execMSearchAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, sv *served) []byte {
+	p := portKeys.Get().(*[]subsystem.PortKey)
+	reqs, bad := (*p)[:0], ""
+	for port, ok := fs.Next(); ok; port, ok = fs.Next() {
+		keyS, paired := fs.Next()
+		if !paired {
+			reqs = reqs[:0] // an odd argument list is as good as none
+			break
+		}
+		key, ok := wire.ParseVec(keyS)
+		if !ok && bad == "" {
+			bad = keyS
+		}
+		reqs = append(reqs, subsystem.PortKey{Port: port, Key: bitutil.Exact(key)})
+	}
+	switch {
+	case len(reqs) == 0:
+		dst = appendUsage(dst, v)
+	case bad != "":
+		dst = appendBadHex(dst, bad)
+	default:
+		dst = append(dst, wire.ReplyMResults...)
+		for _, r := range s.con.MSearchServed(reqs, sv.ck()) {
+			dst = append(dst, ' ')
+			switch {
+			case errors.Is(r.Err, subsystem.ErrEngineUnavailable):
+				dst = append(dst, wire.SlotUnavailable...)
+			case r.Err != nil:
+				dst = append(dst, wire.SlotNoEngine...)
+			default:
+				dst = appendSearchReply(dst, r.Result.Found, r.Result.Erred, r.Result.Record.Data, ':')
+			}
+		}
+	}
+	*p = reqs[:0]
+	portKeys.Put(p)
+	return dst
+}
+
 // searchAppend runs one lookup and renders it — the tail SEARCH and
 // TSEARCH share once each has built its search key: the parse span ends
 // here, the encode span covers the reply.
-func (s *Server) searchAppend(dst []byte, eng string, search bitutil.Ternary, tr *trace.Trace) []byte {
+func (s *Server) searchAppend(dst []byte, eng string, search bitutil.Ternary, sv *served, tr *trace.Trace) []byte {
 	if tr.Enabled() {
 		tr.Span(trace.KindParse, tr.Begin)
 	}
-	sr, err := s.con.SearchTraced(eng, search, tr)
+	sr, err := s.con.SearchServed(eng, search, sv.ck(), tr)
 	if err != nil {
 		return appendErr(dst, err)
+	}
+	if sv != nil {
+		sv.eng, sv.sr = eng, sr
 	}
 	var encStart time.Time
 	if tr.Enabled() {

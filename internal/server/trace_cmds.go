@@ -137,7 +137,6 @@ func (s *Server) execExplainAppend(dst []byte, v *wire.Verb, fs *wire.Scanner) [
 		return appendBadHex(dst, bad)
 	}
 	tr := trace.New()
-	tr.Request("SEARCH", eng, keyS)
 	sr, expected, err := s.con.Explain(eng, search, tr)
 	if err != nil {
 		return appendErr(dst, err)

@@ -275,7 +275,7 @@ func TestHandleLineViewRetention(t *testing.T) {
 		t.Errorf("ENGINES after the buffer was reused: %q", replies[5])
 	}
 	for _, want := range []string{
-		" cmd=CREATE engine= key= result=OK",
+		" cmd=CREATE engine=zed key= result=OK",
 		" cmd=INSERT engine=zed key=beef result=OK",
 		" cmd=SEARCH engine=zed key=beef result=HIT",
 	} {

@@ -146,7 +146,7 @@ func ternaryWritable(t subsystem.EngineType) bool {
 // masked (ternary) insert for lpm/pktclass engines. Mask bits are
 // don't-cares; value bits under the mask are zeroed on storage, so
 // equal rules have equal row images.
-func (s *Server) execMInsertAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, tr *trace.Trace) []byte {
+func (s *Server) execMInsertAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, sv *served, tr *trace.Trace) []byte {
 	eng, ok1 := fs.Next()
 	keyS, ok2 := fs.Next()
 	maskS, ok3 := fs.Next()
@@ -154,7 +154,6 @@ func (s *Server) execMInsertAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, t
 	if _, extra := fs.Next(); !ok1 || !ok2 || !ok3 || !ok4 || extra {
 		return appendUsage(dst, v)
 	}
-	tr.Request(v.Name, eng, keyS)
 	rule, bad := parseKey(keyS, maskS)
 	if bad != "" {
 		return appendBadHex(dst, bad)
@@ -167,7 +166,7 @@ func (s *Server) execMInsertAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, t
 		return dst
 	}
 	rec := match.Record{Key: rule, Data: data}
-	if err := s.con.InsertTraced(eng, rec, tr); err != nil {
+	if err := s.con.InsertServed(eng, rec, sv.ck(), tr); err != nil {
 		return appendErr(dst, err)
 	}
 	return append(dst, wire.ReplyOK...)
@@ -175,14 +174,13 @@ func (s *Server) execMInsertAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, t
 
 // execMDeleteAppend answers MDELETE <engine> <key> <mask> — removes the
 // exact (key, mask) rule, every duplicated copy included.
-func (s *Server) execMDeleteAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, tr *trace.Trace) []byte {
+func (s *Server) execMDeleteAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, sv *served, tr *trace.Trace) []byte {
 	eng, ok1 := fs.Next()
 	keyS, ok2 := fs.Next()
 	maskS, ok3 := fs.Next()
 	if _, extra := fs.Next(); !ok1 || !ok2 || !ok3 || extra {
 		return appendUsage(dst, v)
 	}
-	tr.Request(v.Name, eng, keyS)
 	rule, bad := parseKey(keyS, maskS)
 	if bad != "" {
 		return appendBadHex(dst, bad)
@@ -191,7 +189,7 @@ func (s *Server) execMDeleteAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, t
 	if dst, ok = s.gateType(dst, v, eng, ternaryWritable); !ok {
 		return dst
 	}
-	if err := s.con.DeleteTraced(eng, rule, tr); err != nil {
+	if err := s.con.DeleteServed(eng, rule, sv.ck(), tr); err != nil {
 		return appendErr(dst, err)
 	}
 	return append(dst, wire.ReplyOK...)
@@ -218,7 +216,7 @@ func (s *Server) gateType(dst []byte, v *wire.Verb, eng string, accepts func(sub
 // execTInsertAppend answers TINSERT <engine> <score> <text...>: the
 // text (rest of the line, spaces allowed) is folded into the trigram
 // key image and stored with the 16-bit hex score.
-func (s *Server) execTInsertAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, tr *trace.Trace) []byte {
+func (s *Server) execTInsertAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, sv *served, tr *trace.Trace) []byte {
 	eng, ok1 := fs.Next()
 	scoreS, ok2 := fs.Next()
 	text := fs.Rest()
@@ -228,7 +226,6 @@ func (s *Server) execTInsertAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, t
 	if len(text) > maxTextBytes {
 		return append(dst, "ERR text too long"...)
 	}
-	tr.Request(v.Name, eng, text)
 	score, err := strconv.ParseUint(scoreS, 16, 16)
 	if err != nil {
 		dst = append(dst, "ERR bad score "...)
@@ -242,7 +239,7 @@ func (s *Server) execTInsertAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, t
 		Key:  bitutil.Exact(trigram.Entry{Text: text}.Key()),
 		Data: bitutil.FromUint64(score),
 	}
-	if err := s.con.InsertTraced(eng, rec, tr); err != nil {
+	if err := s.con.InsertServed(eng, rec, sv.ck(), tr); err != nil {
 		return appendErr(dst, err)
 	}
 	return append(dst, wire.ReplyOK...)
@@ -251,7 +248,7 @@ func (s *Server) execTInsertAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, t
 // execTSearchAppend answers TSEARCH <engine> <text...> with the same
 // HIT/MISS/MISS! shapes as SEARCH; a hit's payload is the entry's
 // score.
-func (s *Server) execTSearchAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, tr *trace.Trace) []byte {
+func (s *Server) execTSearchAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, sv *served, tr *trace.Trace) []byte {
 	eng, ok1 := fs.Next()
 	text := fs.Rest()
 	if !ok1 || text == "" {
@@ -260,10 +257,9 @@ func (s *Server) execTSearchAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, t
 	if len(text) > maxTextBytes {
 		return append(dst, "ERR text too long"...)
 	}
-	tr.Request(v.Name, eng, text)
 	var ok bool
 	if dst, ok = s.gateType(dst, v, eng, isTrigram); !ok {
 		return dst
 	}
-	return s.searchAppend(dst, eng, bitutil.Exact(trigram.Entry{Text: text}.Key()), tr)
+	return s.searchAppend(dst, eng, bitutil.Exact(trigram.Entry{Text: text}.Key()), sv, tr)
 }

@@ -366,7 +366,7 @@ func (c *Concurrent) SearchRetries(port string) (retries, fallbacks uint64, err 
 func (c *Concurrent) msearchWorker(g *guardedEngine) {
 	defer c.workers.Done()
 	for b := range g.batch {
-		c.runBatch(g, b.reqs, b.out, b.idxs)
+		c.runBatch(g, b.reqs, b.out, b.idxs, nil)
 		b.wg.Done()
 	}
 }
@@ -591,11 +591,13 @@ func (c *Concurrent) EngineType(port string) (EngineType, error) {
 //	commit-wait  the durability wait, after unlock (group commit).
 //	observe      one metrics observation per operation.
 //
-// The clock is read through stamp and nowhere else: at admission when
-// the engine is instrumented, and in front of each span a traced
-// request records (lock_wait, wal_append). Operation latency runs from
-// admission; a span starts immediately before the stage it times. An
-// untraced operation on an uninstrumented engine never reads the clock.
+// The clock is read at admission — through stamp, when the engine is
+// instrumented and the tier above has not already stamped the request
+// (Clock) —, once where the operation is observed, in front of a watched
+// write's journal append, and in front of each span a traced request
+// records (lock_wait). Operation latency runs from admission; a span
+// starts immediately before the stage it times. An operation nobody
+// observes never reads the clock.
 
 // admit is the executor's first stage: a closed layer fails fast, an
 // unknown port counts against the registry's unknown counter, and a
@@ -616,7 +618,7 @@ func (c *Concurrent) admit(port string) (*guardedEngine, error) {
 	return g, nil
 }
 
-// stamp reads the clock when on — the executor's one clock site.
+// stamp reads the clock when on.
 func stamp(on bool) time.Time {
 	if on {
 		return time.Now()
@@ -624,25 +626,60 @@ func stamp(on bool) time.Time {
 	return time.Time{}
 }
 
-// Insert routes a record to the named engine under its write lock.
-func (c *Concurrent) Insert(port string, rec match.Record) error {
-	return c.InsertTraced(port, rec, nil)
+// Clock is one served request's time, shared between the tier that
+// admitted the request and the executor so that the two read the clock
+// once between them. The tier sets T0, its admission stamp, and the
+// executor times the operation from it instead of stamping an admission
+// of its own; what the executor then measures it leaves here: Dur, the
+// latency it observed (zero when it observed nothing: an uninstrumented
+// engine, a request that failed admission), and for a journaled write
+// the wal_append window, as an offset from T0 and a length. A nil Clock
+// is an operation nobody above is timing.
+type Clock struct {
+	T0            time.Time
+	Dur           time.Duration
+	WALAt, WALDur time.Duration
 }
 
-// InsertTraced is Insert recording into a request-scoped trace.
-func (c *Concurrent) InsertTraced(port string, rec match.Record, tr *trace.Trace) error {
-	return c.write(metrics.OpInsert, &JournalEntry{Op: JournalInsert, Engine: port, Rec: rec}, tr)
+// begin returns the stamp an operation is timed from: the one handed
+// down, else the executor's own when on.
+func (ck *Clock) begin(on bool) time.Time {
+	if ck != nil {
+		return ck.T0
+	}
+	return stamp(on)
+}
+
+// observed leaves the latency the executor measured for the tier above.
+func (ck *Clock) observed(d time.Duration) time.Duration {
+	if ck != nil {
+		ck.Dur = d
+	}
+	return d
+}
+
+// Insert routes a record to the named engine under its write lock.
+func (c *Concurrent) Insert(port string, rec match.Record) error {
+	return c.InsertServed(port, rec, nil, nil)
+}
+
+// InsertServed is Insert for a served request: timed on the clock the
+// request shares with the tier above and recording into its trace,
+// either of which may be nil.
+func (c *Concurrent) InsertServed(port string, rec match.Record, ck *Clock, tr *trace.Trace) error {
+	return c.write(metrics.OpInsert, &JournalEntry{Op: JournalInsert, Engine: port, Rec: rec}, ck, tr)
 }
 
 // Delete removes the exact key from the named engine under its write
 // lock.
 func (c *Concurrent) Delete(port string, key bitutil.Ternary) error {
-	return c.DeleteTraced(port, key, nil)
+	return c.DeleteServed(port, key, nil, nil)
 }
 
-// DeleteTraced is Delete recording into a request-scoped trace.
-func (c *Concurrent) DeleteTraced(port string, key bitutil.Ternary, tr *trace.Trace) error {
-	return c.write(metrics.OpDelete, &JournalEntry{Op: JournalDelete, Engine: port, Key: key}, tr)
+// DeleteServed is Delete for a served request, as InsertServed is
+// Insert's.
+func (c *Concurrent) DeleteServed(port string, key bitutil.Ternary, ck *Clock, tr *trace.Trace) error {
+	return c.write(metrics.OpDelete, &JournalEntry{Op: JournalDelete, Engine: port, Key: key}, ck, tr)
 }
 
 // write is the one write body, behind Insert* and Delete*. ent names
@@ -665,23 +702,27 @@ func (c *Concurrent) DeleteTraced(port string, key bitutil.Ternary, tr *trace.Tr
 // connection's fsync never blocks the engine's other writers (group
 // commit). The caller's ack is ordered after the wait: a nil return
 // means the mutation is durable under the journal's sync policy. The
-// wal_append span covers append + wait.
-func (c *Concurrent) write(op metrics.Op, ent *JournalEntry, tr *trace.Trace) error {
+// wal_append window covers append + wait; it is stamped for every write
+// somebody watches — a shared clock as much as a trace — because the
+// writes that outlast a slowlog threshold are the ones that waited for
+// an fsync, and their entries are built after the fact from the clock.
+func (c *Concurrent) write(op metrics.Op, ent *JournalEntry, ck *Clock, tr *trace.Trace) error {
 	g, err := c.admit(ent.Engine)
 	if err != nil {
 		return err
 	}
-	t0 := stamp(g.em != nil)
+	watched := ck != nil || tr != nil
+	t0 := ck.begin(g.em != nil)
 	var lsn uint64
 	var walStart time.Time
 	g.mu.Lock()
 	if ent.Op == JournalDelete {
-		if lsn, walStart, err = c.journal(g, ent, tr); err == nil {
+		if lsn, walStart, err = c.journal(g, ent, watched); err == nil {
 			err = g.e.Delete(ent.Key)
 		}
 	} else {
 		if err = g.e.Insert(ent.Rec, g.st); err == nil {
-			if lsn, walStart, err = c.journal(g, ent, tr); err != nil {
+			if lsn, walStart, err = c.journal(g, ent, watched); err != nil {
 				g.e.Delete(ent.Rec.Key) //nolint:errcheck // best-effort undo of a just-applied placement
 			}
 		}
@@ -694,21 +735,29 @@ func (c *Concurrent) write(op metrics.Op, ent *JournalEntry, tr *trace.Trace) er
 		}
 		tr.Span(trace.KindWALAppend, walStart)
 	}
-	if g.em != nil {
-		g.em.Observe(op, time.Since(t0), err)
+	if g.em != nil || ck != nil {
+		d := ck.observed(time.Since(t0))
+		if lsn != 0 && ck != nil {
+			ck.WALAt = walStart.Sub(t0)
+			ck.WALDur = d - ck.WALAt
+		}
+		if g.em != nil {
+			g.em.Observe(op, d, err)
+		}
 	}
 	return err
 }
 
 // journal is the write body's journal stage: it appends ent (the caller
 // holds the engine lock), advances the engine's replay gate, and
-// returns the LSN to wait on plus when the wal_append span began.
-// Without a journal it does nothing and the LSN is zero.
-func (c *Concurrent) journal(g *guardedEngine, ent *JournalEntry, tr *trace.Trace) (lsn uint64, start time.Time, err error) {
+// returns the LSN to wait on plus, for a watched write, when the
+// wal_append window opened. Without a journal it does nothing and the
+// LSN is zero.
+func (c *Concurrent) journal(g *guardedEngine, ent *JournalEntry, watched bool) (lsn uint64, start time.Time, err error) {
 	if c.jr == nil {
 		return 0, start, nil
 	}
-	start = stamp(tr != nil)
+	start = stamp(watched)
 	if lsn, err = c.jr.Append(*ent); err == nil {
 		g.e.AppliedLSN = lsn
 	}
@@ -723,24 +772,30 @@ func (c *Concurrent) journal(g *guardedEngine, ent *JournalEntry, tr *trace.Trac
 // overflow CAM (and the rare search the seqlock protocol cannot
 // certify) serialize under the engine lock.
 func (c *Concurrent) Search(port string, key bitutil.Ternary) (SearchResult, error) {
-	return c.SearchTraced(port, key, nil)
+	return c.SearchServed(port, key, nil, nil)
 }
 
-// SearchTraced is the one read body, recording into a request-scoped
+// SearchTraced is Search recording into a request-scoped trace.
+func (c *Concurrent) SearchTraced(port string, key bitutil.Ternary, tr *trace.Trace) (SearchResult, error) {
+	return c.SearchServed(port, key, nil, tr)
+}
+
+// SearchServed is the one read body, timed on the clock the request
+// shares with the tier above and recording into its request-scoped
 // trace: the engine layer records the probe chain, plus a retries event
 // when the lock-free read re-read torn snapshots. Only the serialized
 // path records a lock_wait span — a lock-free search never waits on the
 // port lock, which is the point — and on an escalated read the span
 // starts after the abandoned attempt, while the observed latency still
-// runs from admission. A nil trace is the plain hot path (Search
-// delegates here), and with metrics also absent the clock is never
-// read.
-func (c *Concurrent) SearchTraced(port string, key bitutil.Ternary, tr *trace.Trace) (SearchResult, error) {
+// runs from admission. A nil clock and trace is the plain hot path
+// (Search delegates here), and with metrics also absent the clock is
+// never read.
+func (c *Concurrent) SearchServed(port string, key bitutil.Ternary, ck *Clock, tr *trace.Trace) (SearchResult, error) {
 	g, err := c.admit(port)
 	if err != nil {
 		return SearchResult{}, err
 	}
-	t0 := stamp(g.em != nil)
+	t0 := ck.begin(g.em != nil)
 	sr, ok := SearchResult{}, false
 	if g.seqRead {
 		sr, ok = g.searchSeq(key, tr)
@@ -756,7 +811,7 @@ func (c *Concurrent) SearchTraced(port string, key bitutil.Ternary, tr *trace.Tr
 		g.mu.Unlock()
 	}
 	if g.em != nil {
-		g.em.Observe(metrics.OpSearch, time.Since(t0), nil)
+		g.em.Observe(metrics.OpSearch, ck.observed(time.Since(t0)), nil)
 	}
 	return sr, nil
 }
@@ -798,6 +853,28 @@ func (c *Concurrent) Explain(port string, key bitutil.Ternary, tr *trace.Trace) 
 	}
 	expected, _ := c.ExpectedRows(port)
 	return sr, expected, nil
+}
+
+// Retrace records into tr the lookup summary and probe chain of a
+// search that already ran untraced, from its result alone. Probing is
+// linear (§3.1): a lookup that read n rows read buckets home … home+n−1,
+// and on a first-match engine a record found in the main array sat in
+// the last of them. What the result does not say is left out, not
+// guessed: per-row slot and match counts, the recorded reach beyond the
+// rows walked, which rows of a ranked scan matched, the overflow CAM's
+// outcome, and the whole chain of an erred lookup (RowsRead does not
+// count the rows it skipped). Nothing is fetched, so nothing is charged.
+func (c *Concurrent) Retrace(port string, sr SearchResult, tr *trace.Trace) {
+	tr.Lookup(sr.Home, max(sr.RowsRead-1, 0), sr.RowsRead, sr.Found)
+	g, ok := c.engine(port)
+	if !ok || sr.Erred {
+		return
+	}
+	rows := g.e.Main.Config().Rows()
+	last := g.e.Score == nil && sr.Found && !sr.FromOvfl
+	for d := 0; d < sr.RowsRead; d++ {
+		tr.Probe(uint32((int(sr.Home)+d)%rows), d, 0, 0, last && d == sr.RowsRead-1)
+	}
 }
 
 // ExpectedRows returns the engine's current §3.4 analytic expectation
@@ -904,6 +981,13 @@ type mjob struct {
 // second half is carved into the groups' index lists. A run of requests
 // naming the same port resolves its engine once.
 func (c *Concurrent) MSearch(reqs []PortKey) []MSearchResult {
+	return c.MSearchServed(reqs, nil)
+}
+
+// MSearchServed is MSearch for a served request. The clock goes to the
+// share the caller runs itself; when other engines' workers ran shares
+// too, that share's latency is not the batch's and is withdrawn.
+func (c *Concurrent) MSearchServed(reqs []PortKey, ck *Clock) []MSearchResult {
 	out := make([]MSearchResult, len(reqs))
 	if len(reqs) == 0 {
 		return out
@@ -941,7 +1025,7 @@ func (c *Concurrent) MSearch(reqs []PortKey) []MSearchResult {
 	case 0:
 		return out
 	case 1:
-		c.runBatch(jobs[0].g, reqs, out, jobs[0].idxs)
+		c.runBatch(jobs[0].g, reqs, out, jobs[0].idxs, ck)
 		return out
 	}
 	var wg sync.WaitGroup
@@ -950,7 +1034,7 @@ func (c *Concurrent) MSearch(reqs []PortKey) []MSearchResult {
 	if c.closed {
 		c.sendMu.RUnlock()
 		for _, j := range jobs {
-			c.runBatch(j.g, reqs, out, j.idxs)
+			c.runBatch(j.g, reqs, out, j.idxs, nil)
 		}
 		return out
 	}
@@ -968,10 +1052,13 @@ func (c *Concurrent) MSearch(reqs []PortKey) []MSearchResult {
 	}
 	c.sendMu.RUnlock()
 	for _, i := range inline {
-		c.runBatch(jobs[i].g, reqs, out, jobs[i].idxs)
+		c.runBatch(jobs[i].g, reqs, out, jobs[i].idxs, nil)
 	}
-	c.runBatch(jobs[0].g, reqs, out, jobs[0].idxs)
+	c.runBatch(jobs[0].g, reqs, out, jobs[0].idxs, ck)
 	wg.Wait()
+	if ck != nil {
+		ck.Dur = 0
+	}
 	return out
 }
 
@@ -981,8 +1068,8 @@ func (c *Concurrent) MSearch(reqs []PortKey) []MSearchResult {
 // the keys the seqlock protocol could not certify, or the whole share
 // on a serialized engine. One clock pair spans both, and each key is
 // attributed its per-item slice of the duration.
-func (c *Concurrent) runBatch(g *guardedEngine, reqs []PortKey, out []MSearchResult, idxs []int) {
-	t0 := stamp(g.em != nil)
+func (c *Concurrent) runBatch(g *guardedEngine, reqs []PortKey, out []MSearchResult, idxs []int, ck *Clock) {
+	t0 := ck.begin(g.em != nil)
 	rest := idxs
 	if g.seqRead {
 		rest = g.batchSeq(reqs, out, idxs)
@@ -1000,7 +1087,7 @@ func (c *Concurrent) runBatch(g *guardedEngine, reqs []PortKey, out []MSearchRes
 		g.mu.Unlock()
 	}
 	if g.em != nil {
-		g.em.ObserveBatch(metrics.OpMSearch, time.Since(t0), uint64(len(idxs)), 0)
+		g.em.ObserveBatch(metrics.OpMSearch, ck.observed(time.Since(t0)), uint64(len(idxs)), 0)
 	}
 }
 

@@ -67,6 +67,7 @@ type SearchResult struct {
 	RowsRead int  // main-array rows; the parallel overflow adds none
 	FromOvfl bool // the winning record came from the overflow area
 	Erred    bool // a probed row was unavailable (ECC quarantine/read error)
+	Home     uint32
 }
 
 // Insert places a record, diverting it to the overflow area when the
@@ -226,7 +227,7 @@ func (e *Engine) SearchSeq(rd *caram.Reader, key bitutil.Ternary, tr *trace.Trac
 
 // fromLookup is the main array's share of a SearchResult.
 func fromLookup(main caram.LookupResult) SearchResult {
-	return SearchResult{Found: main.Found, Record: main.Record, RowsRead: main.RowsRead, Erred: main.Erred}
+	return SearchResult{Found: main.Found, Record: main.Record, RowsRead: main.RowsRead, Erred: main.Erred, Home: main.HomeBucket}
 }
 
 // banks resolves the timing bank count.

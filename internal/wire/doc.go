@@ -77,10 +77,18 @@
 // SLOWLOG, TRACE and EXPLAIN read the request-scoped tracing layer
 // (internal/trace). SLOWLOG is the Redis-style slow-request log: every
 // request whose wall latency exceeded the collector's threshold is
-// retained with its full probe trace; GET prints the newest entries on
-// one line, LEN the retained count, RESET clears the log. TRACE GET
-// prints one retained trace, found by the wire id a *TID annotation
-// gave it. EXPLAIN SEARCH runs a real lookup with tracing forced on and
+// retained; GET prints the newest entries on one line, LEN the retained
+// count, RESET clears the log. TRACE GET prints one retained trace,
+// found by the wire id a *TID annotation gave it. Which spans a retained
+// trace has depends on how it came to be kept. A request the sampler
+// picked or a *TID annotation tagged was traced as it ran: parse,
+// lock_wait, the probe chain with its slot and match counts, match,
+// encode and, for a journaled write, wal_append. Any other request ran
+// untraced, and if it proved slow its entry was built afterwards from
+// what it left behind: identity, result, the lookup's rows and a
+// positional probe chain (buckets and the hit, no counts), and
+// wal_append — never parse, lock_wait or encode.
+// EXPLAIN SEARCH runs a real lookup with tracing forced on and
 // prints the probe chain deterministically — home bucket, recorded
 // reach, one chain element per bucket probed (bucket index,
 // displacement, slots tested, match count, overflow hop), the
