@@ -9,7 +9,10 @@
 #                       request grammar (internal/wire: every verb row ×
 #                       spelling, the key and hex parsers) and the bounded
 #                       slot comparator vs the serial oracle
-#   make bench          the parallel-throughput server benchmark
+#   make bench          the parallel-throughput server benchmark, the
+#                       batched MSEARCH fan-out and the write path
+#                       (insert+delete pairs, duplicate and absent probes,
+#                       three layouts, cache-resident and ladder-sized)
 #   make bench-load     one full caram-load run (five workloads, untraced
 #                       and traced, plus the ladder) into a git-ignored
 #                       file, compared against the newest bench/history
@@ -22,14 +25,18 @@
 #                       WORKLOAD=search-routed)
 #   make alloc-guard    allocation regression tests for the search hot
 #                       path (match on every compiled variant, caram
-#                       incl. the typed bounded LookupBest, the request
+#                       incl. the typed bounded LookupBest and the
+#                       slice's write path, the request
 #                       grammar in internal/wire, server incl.
 #                       lpm/pktclass/TSEARCH, the wire path through
-#                       Handle and the tracing-compiled-in steady state,
+#                       Handle — SEARCH and MSEARCH lines alike — and the
+#                       tracing-compiled-in steady state,
 #                       the server's request path — every engine type's
 #                       read and a journaled write, ExecAppend and
 #                       Handle — with no collector, an idle one, and
-#                       caram-server's default flags,
+#                       caram-server's default flags, served writes
+#                       (INSERT, DELETE, a duplicate INSERT, an absent
+#                       DELETE) as mixed-wal deploys them,
 #                       MSEARCH bookkeeping, the router with no
 #                       collector, an idle one, and caram-router's
 #                       default flags, and the WAL's O(chunk)
@@ -86,6 +93,16 @@
 #                       oracle and to a parent-written file, stale
 #                       .snap.tmp cleanup, snapshot truncation,
 #                       graceful-drain Close) under -race
+#   make write-guard    write-path gate: under -race, the exact-locate
+#                       and the field writers held to their oracles on
+#                       every compiled variant, the commit property, the
+#                       placement-identity schedules (change vs. the
+#                       retained ReadSlot-loop path, word for word, with
+#                       Slice.Verify after every step, ECC and live fault
+#                       injectors included), the Reader torn-read suites
+#                       and the single-slot flip, chaos, and replay's
+#                       dropped-record count; then the write path's
+#                       allocation guards (slice, served writes, MSEARCH)
 #   make all            check, race, stress, fuzz, bench and every
 #                       focused gate, in that order
 #
@@ -94,14 +111,14 @@
 # through PR 15 (ZeroAlloc ./internal/server ran in four of them,
 # GoldenSession in two, most -race subsets twice) → 43 s regrouped;
 # 35 s at PR 21, with the admission-rule suites and the deployed-flags
-# allocation table in.
+# allocation table in; 35–39 s at PR 22, with the write-path suites in.
 
 GO       ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all check fmt-check vet race stress fuzz bench bench-load profile profile-routed alloc-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard crash-harness chaos metrics-smoke ci
+.PHONY: all check fmt-check vet race stress fuzz bench bench-load profile profile-routed alloc-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard crash-harness write-guard chaos metrics-smoke ci
 
-all: check race stress fuzz bench trace-guard seqlock-guard typed-guard cluster-guard crash-guard chaos metrics-smoke
+all: check race stress fuzz bench trace-guard seqlock-guard typed-guard cluster-guard crash-guard write-guard chaos metrics-smoke
 
 # Each test runs once per mode: check is the whole suite without the
 # race detector, race the whole of every concurrent package with it,
@@ -147,18 +164,20 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzKernelVsSerial -fuzztime $(FUZZTIME) ./internal/match
 
 bench:
-	$(GO) test -run '^$$' -bench ServerParallelSearch -benchmem .
+	$(GO) test -run '^$$' -bench 'ServerParallelSearch|MSearchBatched|WritePath' -benchmem .
 
 # Allocation regression guard: testing.AllocsPerRun == 0 on the core
 # search paths (row match kernel on binary, ternary and 104-bit ternary
 # layouts, slice lookup, the Reader's batch pipeline and its typed
-# bounded LookupBest, the request parse (scan, annotation, verb lookup
-# in either case, identity), server SEARCH / lpm / pktclass / TSEARCH through
-# ExecAppend and, per line, through Handle, and the steady state with
-# tracing compiled in; TestRequestPathZeroAlloc's table of those reads
-# plus a journaled write under no collector, an idle one and
-# caram-server's default flags), MSEARCH bookkeeping held to its two
-# slices, and
+# bounded LookupBest, the slice's mutators and membership tests, the
+# request parse (scan, annotation, verb lookup in either case,
+# identity), server SEARCH / lpm / pktclass / TSEARCH through ExecAppend
+# and, per line, through Handle, MSEARCH lines likewise, and the steady
+# state with tracing compiled in; TestRequestPathZeroAlloc's table of
+# those reads plus a journaled write under no collector, an idle one and
+# caram-server's default flags; TestServedWritesZeroAlloc's INSERT,
+# DELETE, duplicate INSERT and absent DELETE with the WAL syncing every
+# 5 ms), the owning MSearch's bookkeeping held to its two slices, and
 # the router forward path (SEARCH and MSEARCH) with no collector, an
 # idle one, and the collector caram-router's default flags build; and
 # the durability layer's memory model — a steady-state snapshot and a
@@ -188,6 +207,31 @@ crash-guard: crash-harness
 
 crash-harness:
 	$(GO) test -run 'Crash|GracefulShutdown' -count=1 ./cmd/caram-server
+
+# Write-path gate: INSERT and DELETE find, place and publish on the
+# comparator bank. Under the race detector: Searcher.Locate held to the
+# ReadSlot loop and the field writers to bitutil.SetBits on all four
+# compiled variants; the commit property (storage is the scratch, the
+# version moves twice, changed or not); the placement-identity schedules
+# — every mutator at random against the retained oracle path, storage
+# word for word and every mark, home load, reach, version, statistic,
+# charge and ECC cell equal after each step, Slice.Verify after each
+# step, with ECC and live seeded injectors among the cases — and the
+# hand-built locate cases (foreign-chain duplicates, quarantined
+# shadow); the Reader torn-read suites unmodified plus the 10^5-flip
+# single-slot test; the chaos capstone; replay's dropped-record count.
+# Then, without it, the allocation guards of the path: the slice's
+# mutators, served writes with the WAL attached as deployed, an MSEARCH
+# line through ExecAppend and Handle, and the owning MSearch's two.
+write-guard:
+	$(GO) test -race -run 'KernelLocate|FieldWriters|ClearSlot' -count=1 ./internal/match
+	$(GO) test -race -run 'CommitRowUpdate' -count=1 ./internal/mem
+	$(GO) test -race -run 'WritePath|Locate|ContainsConcurrent|UnchangedCommit|OccupancyMarkModel|TestReader' -count=1 ./internal/caram
+	$(GO) test -race -run 'Chaos' -count=1 ./internal/subsystem
+	$(GO) test -race -run 'ReplayCountsDropped' -count=1 ./internal/wal
+	$(GO) test -run 'WritePathZeroAlloc' -count=1 ./internal/caram
+	$(GO) test -run 'ServedWritesZeroAlloc|HandleZeroAllocPerLine' -count=1 ./internal/server
+	$(GO) test -run MSearchAllocs -count=1 ./internal/subsystem
 
 # Tracing-layer gate: the lock-free ring under the race detector, the
 # slowlog admission property (admitted exactly when latency exceeds the

@@ -581,3 +581,95 @@ func BenchmarkMSearchBatched(b *testing.B) {
 	b.Run("uninstrumented", func(b *testing.B) { run(b, mk(b, false)) })
 	b.Run("instrumented", func(b *testing.B) { run(b, mk(b, true)) })
 }
+
+// BenchmarkWritePath prices the write side next to BenchmarkMSearchBatched:
+// an insert+delete pair of a fresh key (reported per pair), a duplicate
+// INSERT (rejected by the exact-locate, nothing written) and a DELETE of
+// an absent key, through subsystem.Engine — Slice.Insert/Delete on the
+// exact and trigram layouts, the duplicated ternary placement on lpm —
+// on a cache-resident table (2⁸ rows) and on the ladder's geometry
+// (2¹⁷ rows × 8 slots; 2¹⁶ for lpm, its index generator's limit), both
+// filled to α = 0.57. The ladder's caram.insert_ns + caram.delete_ns is
+// exact/ladder/pair.
+func BenchmarkWritePath(b *testing.B) {
+	const alpha = 0.57
+	prefix := func(v uint64, length int) bitutil.Ternary {
+		mask := bitutil.Mask(32 - length)
+		return bitutil.NewTernary(bitutil.FromUint64(v<<(32-length)&0xffffffff), mask)
+	}
+	for _, typ := range []struct {
+		name string
+		typ  subsystem.EngineType
+		big  int
+		key  func(i int) bitutil.Ternary // distinct for distinct i
+	}{
+		{"exact", subsystem.ExactEngine, 17, func(i int) bitutil.Ternary {
+			return bitutil.Exact(bitutil.FromUint64(uint64(i+1) * 0x9e3779b97f4a7c15))
+		}},
+		// /24s, and one /15 in 32: its don't-care bits reach one hash
+		// bit, so it is stored twice.
+		{"lpm", subsystem.LPMEngine, 16, func(i int) bitutil.Ternary {
+			if i%32 == 31 {
+				return prefix(uint64(i/32)*0x4f1b&0x7fff, 15)
+			}
+			return prefix(uint64(i)*0x9e3779&0xffffff, 24)
+		}},
+		{"trigram", subsystem.TrigramEngine, 17, func(i int) bitutil.Ternary {
+			lo := uint64(i+1) * 0x9e3779b97f4a7c15
+			return bitutil.Exact(bitutil.FromParts(lo, ^lo*0xbf58476d1ce4e5b9))
+		}},
+	} {
+		for _, size := range []struct {
+			name string
+			bits int
+		}{{"cache", 8}, {"ladder", typ.big}} {
+			b.Run(typ.name+"/"+size.name, func(b *testing.B) {
+				e, err := subsystem.NewTypedEngine("w", typ.typ, subsystem.TypedConfig{IndexBits: size.bits, Slots: 8})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rec := func(i int) match.Record {
+					return match.Record{Key: typ.key(i), Data: bitutil.FromUint64(uint64(i & 0xffff))}
+				}
+				n := 0
+				for ; e.Main.LoadFactor() < alpha; n++ {
+					if err := e.Insert(rec(n), nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				const fresh = 1 << 17 // keys n .. n+fresh are never stored for longer than a pair
+				b.Run("pair", func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						r := rec(n + i%fresh)
+						if err := e.Insert(r, nil); err != nil {
+							b.Fatal(err)
+						}
+						if err := e.Delete(r.Key); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+				b.Run("dup-insert", func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if err := e.Insert(rec(i%n), nil); err != caram.ErrExists {
+							b.Fatal(err)
+						}
+					}
+				})
+				b.Run("absent-delete", func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if err := e.Delete(typ.key(n + i%fresh)); err != caram.ErrNotFound {
+							b.Fatal(err)
+						}
+					}
+				})
+				if v := e.Main.Verify(); v != "" {
+					b.Fatal(v)
+				}
+			})
+		}
+	}
+}

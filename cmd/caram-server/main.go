@@ -236,9 +236,13 @@ func main() {
 			"snapshot_lsn", rec.SnapshotLSN,
 			"last_lsn", rec.LastLSN,
 			"replayed", rec.Replayed,
+			"dropped", rec.Dropped,
 			"truncated_bytes", rec.TruncatedBytes,
 			"clean_shutdown", rec.CleanShutdown,
 			"sync", pol.String())
+		for _, err := range rec.DroppedFirst {
+			logger.Warn("wal replay dropped a record", "err", err)
+		}
 	}
 	for _, e := range roster {
 		if err := sub.AddEngine(e); err != nil {

@@ -264,11 +264,8 @@ func (r *Reader) Contains(key bitutil.Ternary) (found, ok bool) {
 		if d == 0 {
 			reach = int(s.layout.ReadAux(r.row))
 		}
-		for i := 0; i < n; i++ {
-			rec, valid := s.layout.ReadSlot(r.row, i)
-			if valid && rec.Key.Equal(key) {
-				return true, true
-			}
+		if r.sr.Locate(&r.res, r.row, key, n) >= 0 {
+			return true, true
 		}
 	}
 	return false, true

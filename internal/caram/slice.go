@@ -28,6 +28,17 @@ type Slice struct {
 	layout match.Layout
 	array  *mem.Array
 	proc   *match.Processor
+	// loc is the stat-less comparator bank maintenance scans run on
+	// (locate): a duplicate check is not a search the model prices, so it
+	// must not count into proc's statistics. locRes is the port-locked
+	// mutators' scratch for it; Contains, which several read-locked
+	// callers may be inside at once, brings its own.
+	loc    *match.Searcher
+	locRes match.Result
+	// probeMax is how far from home an insert may place a record: the
+	// configured probe limit, capped by what the aux field can record — a
+	// displacement beyond it would make the record unreachable.
+	probeMax int
 
 	count    int             // records stored
 	mark     []atomic.Uint32 // per-row occupancy mark: 1 + highest valid slot (see bound)
@@ -59,6 +70,8 @@ func New(cfg Config) (*Slice, error) {
 		layout:   layout,
 		array:    array,
 		proc:     match.NewProcessor(layout, cfg.MatchProcessors),
+		loc:      match.NewSearcher(layout, cfg.MatchProcessors),
+		probeMax: min(cfg.probeLimit(), int(uint64(1)<<uint(layout.AuxBits)-1)),
 		mark:     make([]atomic.Uint32, cfg.Rows()),
 		homeLoad: make([]int32, cfg.Rows()),
 		overflow: make([]bool, cfg.Rows()),
@@ -115,7 +128,8 @@ func (s *Slice) Index(key bitutil.Vec128) uint32 {
 // is full (§2.1). The home row's auxiliary field is raised to cover the
 // record's displacement so later searches know how far to reach.
 func (s *Slice) Insert(rec match.Record) error {
-	return s.InsertAt(s.Index(rec.Key.Value), rec)
+	_, err := s.place(s.Index(rec.Key.Value), rec)
+	return err
 }
 
 // InsertAt stores a record with an explicit home bucket. Applications
@@ -136,33 +150,41 @@ func (s *Slice) Place(home uint32, rec match.Record) (displacement int, err erro
 	if home != s.Index(rec.Key.Value) {
 		s.foreign = true
 	}
+	return s.place(home, rec)
+}
+
+// place is Place for a home bucket known to be in range.
+func (s *Slice) place(home uint32, rec match.Record) (displacement int, err error) {
+	// One pass over the home row: the comparator run that rules the
+	// duplicate out also counted the row's records, which tells freeSlot
+	// below whether there is a hole to look for.
+	used := 0
 	if !s.cfg.AllowDuplicates {
-		if _, _, _, found := s.locate(home, rec.Key); found {
+		var found bool
+		if _, _, used, found = s.locate(&s.locRes, home, rec.Key); found {
 			return 0, ErrExists
 		}
 	}
 	rows := s.cfg.Rows()
-	limit := s.cfg.probeLimit()
-	// A displacement the aux field cannot record would make the record
-	// unreachable, so the reach counter's capacity bounds probing too.
-	if maxAux := int(uint64(1)<<uint(s.layout.AuxBits) - 1); limit > maxAux {
-		limit = maxAux
-	}
 	s.homeLoad[home]++
-	for d := 0; d <= limit && d < rows; d++ {
+	for d := 0; d <= s.probeMax && d < rows; d++ {
 		idx := uint32((int(home) + d) % rows)
 		row, ok := s.fetchChecked(idx, nil)
 		if !ok {
 			continue // quarantined or unreadable: never place records there
 		}
 		s.stats.insertProbes.Add(1)
-		slot := s.freeSlot(row, s.bound(idx))
+		if d > 0 || s.wholeRows() {
+			used = 0 // not the row locate counted, or not as it counted it
+		}
+		slot := s.freeSlot(row, s.bound(idx), used)
 		if slot < 0 {
 			continue
 		}
 		if err := s.updateRow(idx, true, func(wrow []uint64) error {
 			return s.layout.WriteSlot(wrow, slot, rec)
 		}); err != nil {
+			s.homeLoad[home]--
 			return 0, err
 		}
 		s.count++
@@ -180,13 +202,13 @@ func (s *Slice) Place(home uint32, rec match.Record) (displacement int, err erro
 
 // updateRow is the slice's one write path to a stored row: the array
 // copies the live row into writer-owned scratch, fn mutates the
-// scratch, and the commit publishes every word atomically inside the
-// row's seqlock window — with the ECC shadow mirror and check word
-// refreshed inside the same window, so a lock-free Reader that
-// validates its snapshot's version always holds a fully published row
-// whose check word it can trust. charge selects whether the write is
-// priced as a row access (inserts/deletes) or is unpriced maintenance
-// (reach metadata). The caller holds the slice's port lock; callers
+// scratch, and the commit publishes the words that changed atomically
+// inside the row's seqlock window — with the ECC shadow mirror and check
+// word refreshed, from the whole scratch, inside the same window, so a
+// lock-free Reader that validates its snapshot's version always holds a
+// fully published row whose check word it can trust. charge selects
+// whether the write is priced as a row access (inserts/deletes) or is
+// unpriced maintenance (reach metadata). The caller holds the slice's port lock; callers
 // never write to quarantined rows (their mutations divert to the
 // shadow), so publishing here cannot bless corruption.
 //
@@ -203,7 +225,8 @@ func (s *Slice) updateRow(idx uint32, charge bool, fn func(row []uint64) error) 
 		row = s.array.BeginRowMaint(idx)
 	}
 	err := fn(row)
-	m := int(s.mark[idx].Load())
+	was := int(s.mark[idx].Load())
+	m := was
 	if m < s.layout.Slots() && s.layout.SlotValid(row, m) {
 		m++
 	} else {
@@ -211,7 +234,9 @@ func (s *Slice) updateRow(idx uint32, charge bool, fn func(row []uint64) error) 
 			m--
 		}
 	}
-	s.mark[idx].Store(uint32(m))
+	if m != was {
+		s.mark[idx].Store(uint32(m))
+	}
 	if s.ecc != nil {
 		copy(s.ecc.shadowRow(idx), row)
 		atomic.StoreUint64(&s.ecc.check[idx], checkWord(row))
@@ -243,10 +268,11 @@ func (s *Slice) rebuildMarks() {
 	}
 }
 
-// freeSlot returns the first invalid slot of a row whose slots from n
-// up are empty, or -1.
-func (s *Slice) freeSlot(row []uint64, n int) int {
-	for i := 0; i < n; i++ {
+// freeSlot returns the first invalid slot, or -1, of a row whose slots
+// from n up are empty and of whose first n slots used are known to hold
+// records (0: not counted): n records below n leave no hole to walk for.
+func (s *Slice) freeSlot(row []uint64, n, used int) int {
+	for i := 0; used < n && i < n; i++ {
 		if !s.layout.SlotValid(row, i) {
 			return i
 		}
@@ -461,25 +487,36 @@ func (s *Slice) recordLookups(n, rows, hits uint64) {
 }
 
 // locate finds the bucket and slot holding a key (exact ternary
-// equality, not match semantics), scanning the home bucket's reach.
-// Quarantined rows are scanned through their shadow — the logical
-// contents — so maintenance operations keep seeing the true database
-// while the stored row is out of service.
-func (s *Slice) locate(home uint32, key bitutil.Ternary) (bucket uint32, slot, rowsRead int, found bool) {
+// equality, not match semantics), scanning the home bucket's reach the
+// way a search does: each row's slots below its bound go through the
+// slot comparator, into the caller's scratch res, and every hit is
+// confirmed by the exact test (match.Searcher.Locate). Quarantined rows
+// are scanned through their shadow — the logical contents — so
+// maintenance operations keep seeing the true database while the stored
+// row is out of service. Rows are peeked: nothing is charged. used is
+// how many records the home row holds below its bound, for the insert
+// that follows a miss.
+func (s *Slice) locate(res *match.Result, home uint32, key bitutil.Ternary) (bucket uint32, slot, used int, found bool) {
 	rows := s.cfg.Rows()
-	reach := s.Reach(home)
+	reach := 0
 	for d := 0; d <= reach && d < rows; d++ {
 		idx := uint32((int(home) + d) % rows)
 		row := s.logicalRow(idx, s.array.PeekRow(idx))
-		rowsRead++
-		for i, n := 0, s.bound(idx); i < n; i++ {
-			rec, ok := s.layout.ReadSlot(row, i)
-			if ok && rec.Key.Equal(key) {
-				return idx, i, rowsRead, true
-			}
+		if d == 0 {
+			// First, so that the aux word — the row's last, rarely on a
+			// cache line the slots below the bound share — is on its way
+			// while the comparators wait for the first.
+			reach = int(s.layout.ReadAux(row))
+		}
+		slot = s.loc.Locate(res, row, key, s.bound(idx))
+		if slot >= 0 {
+			return idx, slot, used, true
+		}
+		if d == 0 {
+			used = res.SlotsTested
 		}
 	}
-	return 0, 0, rowsRead, false
+	return 0, 0, used, false
 }
 
 // Delete removes the record with exactly this key (value and mask).
@@ -495,7 +532,7 @@ func (s *Slice) DeleteAt(home uint32, key bitutil.Ternary) error {
 	if int(home) >= s.cfg.Rows() {
 		return fmt.Errorf("caram: home bucket %d out of range", home)
 	}
-	bucket, slot, _, found := s.locate(home, key)
+	bucket, slot, _, found := s.locate(&s.locRes, home, key)
 	if !found {
 		return ErrNotFound
 	}
@@ -521,7 +558,7 @@ func (s *Slice) DeleteAt(home uint32, key bitutil.Ternary) error {
 // read-modify-write of its row).
 func (s *Slice) Update(key bitutil.Ternary, data bitutil.Vec128) error {
 	home := s.Index(key.Value)
-	bucket, slot, _, found := s.locate(home, key)
+	bucket, slot, _, found := s.locate(&s.locRes, home, key)
 	if !found {
 		return ErrNotFound
 	}
@@ -539,9 +576,13 @@ func (s *Slice) Update(key bitutil.Ternary, data bitutil.Vec128) error {
 }
 
 // Contains reports whether the exact key is stored, without touching
-// the lookup statistics.
+// the lookup statistics. It is the one locate caller that may run
+// beside others (the subsystem calls it under the engine's read lock),
+// so its comparator scratch is its own.
 func (s *Slice) Contains(key bitutil.Ternary) bool {
-	_, _, _, found := s.locate(s.Index(key.Value), key)
+	var vec [4]uint64 // 256 slots' match vector; a wider row allocates its own
+	res := match.Result{Vector: vec[:0]}
+	_, _, _, found := s.locate(&res, s.Index(key.Value), key)
 	return found
 }
 

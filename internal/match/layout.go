@@ -113,6 +113,32 @@ func field128(row []uint64, off, n int) bitutil.Vec128 {
 	return bitutil.Vec128{Lo: field64(row, off, min(n, 64)), Hi: field64(row, off+64, n-64)}
 }
 
+// setField64 stores the low n <= 64 bits of v at bit offset off of the
+// row — field64's inverse, and SetBits for fields of at most one word
+// without the 128-bit scatter. Bits beyond the end of the row are
+// dropped.
+func setField64(row []uint64, off, n int, v uint64) {
+	if n <= 0 {
+		return
+	}
+	w, s := int(uint(off)>>6), uint(off)&63
+	mask := ^uint64(0) >> uint(64-n)
+	v &= mask
+	if w < len(row) {
+		row[w] = row[w]&^(mask<<s) | v<<s
+	}
+	if s+uint(n) > 64 && w+1 < len(row) {
+		row[w+1] = row[w+1]&^(mask>>(64-s)) | v>>(64-s)
+	}
+}
+
+// setField128 stores n <= 128 bits at bit offset off as two setField64
+// halves.
+func setField128(row []uint64, off, n int, v bitutil.Vec128) {
+	setField64(row, off, min(n, 64), v.Lo)
+	setField64(row, off+64, n-64, v.Hi)
+}
+
 // WriteSlot encodes rec into slot i of a row and marks it valid. A
 // non-empty mask on a binary (non-ternary) layout is rejected, because
 // the row has no bits to store it.
@@ -120,23 +146,25 @@ func (l Layout) WriteSlot(row []uint64, i int, rec Record) error {
 	if !l.Ternary && !rec.Key.Mask.IsZero() {
 		return fmt.Errorf("match: ternary key in a binary layout")
 	}
-	base := l.slotBase(i)
-	bitutil.SetBits(row, base, 1, bitutil.FromUint64(1))
-	off := base + 1
-	bitutil.SetBits(row, off, l.KeyBits, rec.Key.Value.AndNot(rec.Key.Mask))
+	off := l.slotBase(i)
+	setField64(row, off, 1, 1)
+	off++
+	setField128(row, off, l.KeyBits, rec.Key.Value.AndNot(rec.Key.Mask))
 	off += l.KeyBits
 	if l.Ternary {
-		bitutil.SetBits(row, off, l.KeyBits, rec.Key.Mask)
+		setField128(row, off, l.KeyBits, rec.Key.Mask)
 		off += l.KeyBits
 	}
-	bitutil.SetBits(row, off, l.DataBits, rec.Data)
+	setField128(row, off, l.DataBits, rec.Data)
 	return nil
 }
 
 // ClearSlot invalidates slot i (its stale key/data bits are zeroed too,
 // so RAM-mode dumps stay clean).
 func (l Layout) ClearSlot(row []uint64, i int) {
-	bitutil.SetBits(row, l.slotBase(i), l.SlotBits(), bitutil.Vec128{})
+	for off, end := l.slotBase(i), l.slotBase(i+1); off < end; off += 64 {
+		setField64(row, off, min(end-off, 64), 0)
+	}
 }
 
 // SlotValid reports whether slot i holds a record.
@@ -164,7 +192,7 @@ func (l Layout) ReadAux(row []uint64) uint64 {
 // WriteAux stores v into the row's auxiliary field, truncated to
 // AuxBits.
 func (l Layout) WriteAux(row []uint64, v uint64) {
-	bitutil.SetBits(row, l.RowBits-l.AuxBits, l.AuxBits, bitutil.FromUint64(v))
+	setField64(row, l.RowBits-l.AuxBits, l.AuxBits, v)
 }
 
 // OccupiedSlots counts valid slots in the row.

@@ -1,6 +1,8 @@
 package match
 
 import (
+	"math/bits"
+
 	"caram/internal/bitutil"
 )
 
@@ -16,7 +18,10 @@ import (
 // A Searcher keeps no statistics (the caram layer's atomic counters
 // account for lock-free lookups) and owns only its matcher's short-row
 // scratch, so distinct Searchers over one layout never share a written
-// word. It is still single-owner: one goroutine per Searcher.
+// word. It is still single-owner: one goroutine per Searcher — except
+// that the scratch is written only for a row shorter than the layout's
+// image, so callers that pass whole rows and bring their own Result may
+// share one (caram.Slice.Contains does, under the engine's read lock).
 type Searcher struct {
 	layout Layout
 	m      *matcher
@@ -45,4 +50,33 @@ func (sr *Searcher) SearchInto(res *Result, row []uint64, search bitutil.Ternary
 // from n up being empty (see Processor.SearchPrefix).
 func (sr *Searcher) SearchPrefixInto(res *Result, row []uint64, search bitutil.Ternary, n int) {
 	sr.m.search(res, row, search, n)
+}
+
+// Locate is the maintenance scan of slots [0, n) of one row: the lowest
+// slot whose stored key equals key exactly — value and mask,
+// bitutil.Ternary.Equal, not match semantics — or -1. It finds its
+// target with the comparators rather than beside them: a stored key
+// equal to key also matches it, so the equal slots are among the hits of
+// a search for key, and each hit, in ascending order, is held to the
+// exact test — which a masked key on a binary layout fails, as does a
+// stored mask that merely covers the difference. res is the caller's
+// scratch and is left as SearchPrefixInto(res, row, key, n) leaves it:
+// res.SlotsTested is how many of the n slots hold a record.
+func (sr *Searcher) Locate(res *Result, row []uint64, key bitutil.Ternary, n int) int {
+	sr.m.search(res, row, key, n)
+	if res.First < 0 || res.Record.Key.Equal(key) {
+		return res.First // step 4 already extracted the first hit's key
+	}
+	for w, v := range res.Vector {
+		for ; v != 0; v &= v - 1 {
+			i := w*64 + bits.TrailingZeros64(v)
+			if i == res.First {
+				continue
+			}
+			if rec, _ := sr.layout.ReadSlot(row, i); rec.Key.Equal(key) {
+				return i
+			}
+		}
+	}
+	return -1
 }

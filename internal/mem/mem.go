@@ -110,8 +110,8 @@ type RowFaultInjector interface {
 //     per-row seqlock — a version counter that is odd while a writer
 //     is mutating the row and even once the new contents are
 //     published. Writers go through BeginRowUpdate/CommitRowUpdate
-//     (copy-mutate-publish on writer-owned scratch, every word stored
-//     atomically inside the odd window), so a snapshot whose version
+//     (copy-mutate-publish on writer-owned scratch, every changed word
+//     stored atomically inside the odd window), so a snapshot whose version
 //     was even and unchanged across the copy is a complete published
 //     row — never a torn mix of two writes.
 //
@@ -280,18 +280,25 @@ func (a *Array) beginRow(idx uint32) []uint64 {
 }
 
 // CommitRowUpdate publishes the scratch returned by BeginRowUpdate /
-// BeginRowMaint: every word is stored atomically, then the version
-// counter returns to even. A snapshot read that raced the window sees
-// a version change and retries; one that missed it entirely sees
-// either the old or the new row, never a mix.
+// BeginRowMaint: every word the mutation changed is stored atomically
+// (the single writer reads storage plainly to tell which — nobody else
+// stores to it), then the version counter returns to even. A word left
+// alone holds what both the old and the new row hold there, so storage
+// is the whole new row before the version goes even, exactly as if every
+// word had been stored. A snapshot read that raced the window sees a
+// version change and retries; one that missed it entirely sees either
+// the old or the new row, never a mix. A commit that changed nothing
+// still moves the version twice.
 func (a *Array) CommitRowUpdate(idx uint32) {
 	if a.pending != int64(idx)+1 {
 		panic(fmt.Sprintf("mem: CommitRowUpdate(%d) without matching begin", idx))
 	}
 	a.pending = 0
 	row := a.row(idx)
-	for w := range row {
-		atomic.StoreUint64(&row[w], a.updBuf[w])
+	for w, v := range a.updBuf {
+		if row[w] != v {
+			atomic.StoreUint64(&row[w], v)
+		}
 	}
 	a.seq[idx].Add(1) // odd -> even: published
 }

@@ -163,3 +163,47 @@ func TestWordRowConsistencyQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: a commit leaves storage equal to the scratch the writer
+// mutated — every word, though only the changed ones are stored — moves
+// the row's version by two whether or not anything changed, and touches
+// no other row.
+func TestCommitRowUpdatePublishesScratchQuick(t *testing.T) {
+	a := MustNew(Config{Rows: 4, RowBits: 13 * 64})
+	for w := 0; w < a.Words(); w++ {
+		a.WriteWord(w, uint64(w)*0x9e3779b97f4a7c15)
+	}
+	f := func(rowRaw uint8, touch uint16, v uint64, charged bool) bool {
+		idx := uint32(rowRaw) % 4
+		before := append([]uint64(nil), a.PeekWords()...)
+		ver := a.RowVersion(idx)
+		row := a.BeginRowMaint
+		if charged {
+			row = a.BeginRowUpdate
+		}
+		scratch := row(idx)
+		for w := range scratch {
+			if touch>>uint(w)&1 == 1 { // touch == 0: a commit that changes nothing
+				scratch[w] ^= v
+			}
+		}
+		want := append([]uint64(nil), scratch...)
+		if a.RowVersion(idx) != ver+1 {
+			return false
+		}
+		a.CommitRowUpdate(idx)
+		for w, got := range a.PeekWords() {
+			exp := before[w]
+			if r := w / a.RowWords(); uint32(r) == idx {
+				exp = want[w%a.RowWords()]
+			}
+			if got != exp {
+				return false
+			}
+		}
+		return a.RowVersion(idx) == ver+2
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}

@@ -103,6 +103,47 @@ func FuzzExec(f *testing.F) {
 		strings.Repeat("A", 70000), // oversized line (Handle rejects; Exec must survive)
 		"SEARCH db \x00\xff",
 		"INSERT db ÿ 1",
+		// The write path on all four engine types, in order on the shared
+		// server: insert, the duplicate the exact-locate rejects, delete,
+		// the delete that now finds nothing, a second record landing in
+		// the freed slot, an update-by-reinsert; on the ternary engines
+		// keys that match a stored record without being it (a narrower
+		// and a wider mask), which must neither collide nor delete it.
+		"INSERT db beef 1",
+		"INSERT db beef 2", // ERR exists
+		"SEARCH db beef",
+		"DELETE db beef",
+		"DELETE db beef", // absent
+		"INSERT db f00d 3",
+		"INSERT db beef 4",
+		"DELETE db cafe", // never stored
+		"CREATE ENGINE wl TYPE lpm INDEXBITS 4 SLOTS 2",
+		"MINSERT wl a000000 ffffff 1",
+		"MINSERT wl a000000 ffffff 2", // exists
+		"MINSERT wl a000000 ffff 3",   // covered by the /8, not equal to it
+		"MINSERT wl a000000 fffffff 4",
+		"SEARCH wl a000001",
+		"MDELETE wl a000000 ff", // matches, equals nothing
+		"MDELETE wl a000000 ffffff",
+		"MDELETE wl a000000 ffffff", // absent
+		"MINSERT wl a000000 ffffff 5",
+		"MDELETE wl a000000 ffff",
+		"MDELETE wl a000000 fffffff",
+		"CREATE ENGINE wp TYPE pktclass INDEXBITS 4 SLOTS 2",
+		"MINSERT wp a01010000:1bb000006 ffff:ffffff0000ffff00 0:1010064",
+		"MINSERT wp a01010000:1bb000006 ffff:ffffff0000ffff00 0:1010065", // exists
+		"MINSERT wp a01010000:1bb000006 ff:ffffff0000ffff00 0:2020032",
+		"SEARCH wp a010107c0:a8000101bb303906",
+		"MDELETE wp a01010000:1bb000006 ffff:ffffff0000ffff00",
+		"MDELETE wp a01010000:1bb000006 ffff:ffffff0000ffff00", // absent
+		"MDELETE wp a01010000:1bb000006 ff:ffffff0000ffff00",
+		"CREATE ENGINE wt TYPE trigram INDEXBITS 4 SLOTS 2",
+		"TINSERT wt 1 the quick fox",
+		"TINSERT wt 2 the quick fox", // exists
+		"TINSERT wt 3 the quick fix",
+		"TSEARCH wt the quick fox",
+		"DROP ENGINE wt",
+		"TINSERT wt 4 the quick fox", // no engine
 	}
 	for _, s := range seeds {
 		f.Add(s)

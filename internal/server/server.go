@@ -592,18 +592,23 @@ func (s *Server) execAppend(dst []byte, req *wire.Request, sv *served, tr *trace
 	panic("server: verb " + v.Name + " has a table row but no handler")
 }
 
-// portKeys pools the parsed key lists of MSEARCH requests; a list is
-// truncated, not cleared, on its way back, and is never read before it
-// is refilled.
-var portKeys = sync.Pool{New: func() any { return new([]subsystem.PortKey) }}
+// msearchState is what one MSEARCH request borrows: the parsed key list
+// and the executor's bookkeeping for it. The list is truncated, not
+// cleared, on its way back, and is never read before it is refilled.
+type msearchState struct {
+	keys []subsystem.PortKey
+	sc   subsystem.MSearchScratch
+}
+
+var msearchStates = sync.Pool{New: func() any { return new(msearchState) }}
 
 // execMSearchAppend answers MSEARCH in one pass over the line: keys are
 // parsed while the fields are counted, and the first bad key is held
 // back until the arity is known — it is judged over the whole argument
 // list, so "MSEARCH db 12zz extra" is a usage error, not bad hex.
 func (s *Server) execMSearchAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, sv *served) []byte {
-	p := portKeys.Get().(*[]subsystem.PortKey)
-	reqs, bad := (*p)[:0], ""
+	p := msearchStates.Get().(*msearchState)
+	reqs, bad := p.keys[:0], ""
 	for port, ok := fs.Next(); ok; port, ok = fs.Next() {
 		keyS, paired := fs.Next()
 		if !paired {
@@ -623,7 +628,7 @@ func (s *Server) execMSearchAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, s
 		dst = appendBadHex(dst, bad)
 	default:
 		dst = append(dst, wire.ReplyMResults...)
-		for _, r := range s.con.MSearchServed(reqs, sv.ck()) {
+		for _, r := range s.con.MSearchServed(reqs, sv.ck(), &p.sc) {
 			dst = append(dst, ' ')
 			switch {
 			case errors.Is(r.Err, subsystem.ErrEngineUnavailable):
@@ -635,8 +640,8 @@ func (s *Server) execMSearchAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, s
 			}
 		}
 	}
-	*p = reqs[:0]
-	portKeys.Put(p)
+	p.keys = reqs[:0]
+	msearchStates.Put(p)
 	return dst
 }
 

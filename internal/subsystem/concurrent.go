@@ -981,19 +981,38 @@ type mjob struct {
 // second half is carved into the groups' index lists. A run of requests
 // naming the same port resolves its engine once.
 func (c *Concurrent) MSearch(reqs []PortKey) []MSearchResult {
-	return c.MSearchServed(reqs, nil)
+	return c.MSearchServed(reqs, nil, new(MSearchScratch))
+}
+
+// MSearchScratch is one MSearch's bookkeeping — the result slots and the
+// grouping slab — kept by a caller that serves many, so that a served
+// batch allocates nothing (the server pools one with each parsed key
+// list). The zero value is ready.
+type MSearchScratch struct {
+	out  []MSearchResult
+	slab []int
+}
+
+// take sizes the scratch for n requests and returns it, the slots zeroed.
+func (sc *MSearchScratch) take(n int) (out []MSearchResult, slab []int) {
+	if cap(sc.out) < n {
+		sc.out, sc.slab = make([]MSearchResult, n), make([]int, 2*n)
+	}
+	out = sc.out[:n]
+	clear(out)
+	return out, sc.slab[:2*n]
 }
 
 // MSearchServed is MSearch for a served request. The clock goes to the
 // share the caller runs itself; when other engines' workers ran shares
-// too, that share's latency is not the batch's and is withdrawn.
-func (c *Concurrent) MSearchServed(reqs []PortKey, ck *Clock) []MSearchResult {
-	out := make([]MSearchResult, len(reqs))
+// too, that share's latency is not the batch's and is withdrawn. The
+// slots returned are sc's: they are good until sc is used again.
+func (c *Concurrent) MSearchServed(reqs []PortKey, ck *Clock, sc *MSearchScratch) []MSearchResult {
+	out, slab := sc.take(len(reqs))
 	if len(reqs) == 0 {
 		return out
 	}
 	jobs := make([]mjob, 0, 4)
-	slab := make([]int, 2*len(reqs))
 	jobOf, lists := slab[:len(reqs)], slab[len(reqs):]
 	j := -1 // the previous request's group, -1 when it had none
 	for i, r := range reqs {

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 
+	"caram/internal/caram"
 	"caram/internal/subsystem"
 )
 
@@ -35,12 +36,25 @@ type RecoverResult struct {
 	// after a graceful shutdown — the property the shutdown test and
 	// the crash harness's SIGTERM leg assert.
 	Replayed int
+	// Dropped counts the replayed records an engine refused: an insert
+	// that failed for any reason, a delete that failed for any reason but
+	// caram.ErrNotFound (a logged delete that found nothing is the
+	// documented no-op). They are counted in Replayed too — the record
+	// was read and its LSN consumed — so a boot that lost data no longer
+	// looks like one that did not. DroppedFirst holds the first few
+	// (maxDroppedKept) engine errors, each prefixed with the record's LSN,
+	// engine and operation.
+	Dropped      int
+	DroppedFirst []error
 	// TruncatedBytes is how much torn tail was cut from the final
 	// segment (0 on a clean log).
 	TruncatedBytes int
 	// CleanShutdown reports that the log ended with a seal record.
 	CleanShutdown bool
 }
+
+// maxDroppedKept bounds RecoverResult.DroppedFirst.
+const maxDroppedKept = 8
 
 // errTorn marks a frame that cannot be trusted: short, CRC-mismatched,
 // or undecodable. In the final segment it means "the tail ends here";
@@ -384,14 +398,12 @@ func (st *replayState) apply(lsn uint64, e subsystem.JournalEntry) error {
 		if eng == nil || lsn <= eng.AppliedLSN {
 			return nil
 		}
-		// Insert errors are swallowed deliberately: the record was
-		// applied (and possibly acked) in the previous life; a replay
-		// failure here could only come from capacity already consumed
-		// by the very same record's snapshot image, which the
-		// AppliedLSN gate excludes — but fault-injected engines may
-		// legitimately differ, and losing one record beats refusing to
-		// boot.
-		eng.Insert(e.Rec, nil) //nolint:errcheck
+		// An insert error does not stop the boot: the record was applied
+		// (and possibly acked) in the previous life, and a replay failure
+		// can only come from an engine that differs from the one that took
+		// it — a smaller bootstrap geometry, a fault injector — where
+		// losing one record beats refusing to boot. It is counted, though.
+		st.dropped(lsn, e.Engine, "insert", eng.Insert(e.Rec, nil))
 		eng.AppliedLSN = lsn
 		st.res.Replayed++
 	case subsystem.JournalDelete:
@@ -401,11 +413,25 @@ func (st *replayState) apply(lsn uint64, e subsystem.JournalEntry) error {
 		}
 		// Deletes are logged before they apply, so a logged delete may
 		// have found nothing: ErrNotFound replays as the same no-op.
-		eng.Delete(e.Key) //nolint:errcheck
+		if err := eng.Delete(e.Key); !errors.Is(err, caram.ErrNotFound) {
+			st.dropped(lsn, e.Engine, "delete", err)
+		}
 		eng.AppliedLSN = lsn
 		st.res.Replayed++
 	default:
 		return fmt.Errorf("wal: unknown op %d", e.Op)
 	}
 	return nil
+}
+
+// dropped accounts a replayed record its engine refused with err (nil:
+// it did not).
+func (st *replayState) dropped(lsn uint64, engine, op string, err error) {
+	if err == nil {
+		return
+	}
+	st.res.Dropped++
+	if len(st.res.DroppedFirst) < maxDroppedKept {
+		st.res.DroppedFirst = append(st.res.DroppedFirst, fmt.Errorf("lsn %d engine %s: %s: %w", lsn, engine, op, err))
+	}
 }

@@ -1,11 +1,14 @@
 package wal
 
 import (
+	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"caram/internal/bitutil"
+	"caram/internal/caram"
 	"caram/internal/match"
 	"caram/internal/subsystem"
 )
@@ -143,6 +146,52 @@ func TestAckedWritesSurviveCrash(t *testing.T) {
 		t.Fatalf("Replayed = %d, want 50", res3.Replayed)
 	}
 	mustHit(t, con3, "db", 20)
+}
+
+// TestReplayCountsDroppedRecords: a record the recovering engine refuses
+// is counted and described, not swallowed. Three acked inserts replay
+// into a bootstrap engine with room for two (a smaller -indexbits /
+// -slots than the life that logged them): the third finds no slot, the
+// boot goes on without it, and says so. A logged delete that finds
+// nothing stays the documented no-op.
+func TestReplayCountsDroppedRecords(t *testing.T) {
+	dir := t.TempDir()
+	con, _, _ := openStack(t, dir, Options{Sync: SyncPolicy{Mode: SyncAlways}})
+	for i := uint64(1); i <= 3; i++ {
+		if err := con.Insert("db", rec(i)); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	if err := con.Delete("db", key(99)); !errors.Is(err, caram.ErrNotFound) {
+		t.Fatalf("delete of an absent key: %v", err)
+	}
+
+	small, err := subsystem.NewTypedEngine("db", subsystem.ExactEngine, subsystem.TypedConfig{IndexBits: 1, Slots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, res, err := Recover(dir, []*subsystem.Engine{small}, Options{Sync: SyncPolicy{Mode: SyncAlways}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Replayed != 4 || res.Dropped != 1 {
+		t.Fatalf("Replayed = %d, Dropped = %d, want 4 and 1", res.Replayed, res.Dropped)
+	}
+	if len(res.DroppedFirst) != 1 {
+		t.Fatalf("DroppedFirst = %+v, want one entry", res.DroppedFirst)
+	}
+	if err := res.DroppedFirst[0]; !errors.Is(err, caram.ErrFull) || !strings.HasPrefix(err.Error(), "lsn 3 engine db: insert: ") {
+		t.Fatalf("DroppedFirst[0] = %v, want the insert at LSN 3 on db refused with ErrFull", err)
+	}
+	if n := small.Main.Count(); n != 2 {
+		t.Fatalf("recovered engine holds %d records, want 2", n)
+	}
+
+	// The same log into the geometry that wrote it drops nothing.
+	_, _, res = openStack(t, dir, Options{Sync: SyncPolicy{Mode: SyncAlways}})
+	if res.Replayed != 4 || res.Dropped != 0 || res.DroppedFirst != nil {
+		t.Fatalf("Replayed = %d, Dropped = %d %+v, want 4 and none", res.Replayed, res.Dropped, res.DroppedFirst)
+	}
 }
 
 // TestSnapshotTruncatesAndGates: a snapshot bounds replay (records at
