@@ -41,9 +41,10 @@
 #                       collector, an idle one, and caram-router's
 #                       default flags, and the WAL's O(chunk)
 #                       snapshot / recovery / per-record replay guards)
-#   make metrics-smoke  end-to-end observability check: live server,
-#                       /metrics + /debug/traces scrape, SLOWLOG/EXPLAIN
-#                       and HEALTH over the wire, graceful shutdown
+#   make metrics-smoke  end-to-end observability check: live server and
+#                       router, every declared family on each tier's
+#                       /metrics, /debug/traces, SLOWLOG/EXPLAIN and
+#                       HEALTH over the wire, graceful shutdown
 #   make crash-harness  the kill-injection harness against the real
 #                       binary (SIGKILL mid-fsync, restart,
 #                       acked-present / unacked-absent)

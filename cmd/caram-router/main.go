@@ -29,8 +29,8 @@
 //
 // With -http the router exposes its per-backend observability on
 // /metrics (ops, errors, retries, breaker state, pipeline depth, and
-// the burst-size histogram that shows coalescing at work) plus the
-// standard pprof endpoints.
+// the burst-size histogram that shows coalescing at work) plus Go's
+// memstats on /debug/vars and the standard pprof endpoints.
 //
 // The router traces on admission (-trace-sample, -slowlog-us,
 // -trace-ring mirror the server flags), under one rule: a tier tags a
@@ -80,7 +80,7 @@ func main() {
 		replicas = flag.Int("replicas", cluster.DefaultReplicas, "virtual nodes per backend on the hash ring")
 		pin      = flag.String("pin", "", "comma-separated engine names pinned whole to their home backend (typed engines created through the router pin automatically)")
 		conns    = flag.Int("conns", 4, "pipelined connections per backend")
-		httpAddr = flag.String("http", "", "optional HTTP listen address for /metrics and /debug/pprof")
+		httpAddr = flag.String("http", "", "optional HTTP listen address for /metrics, /debug/vars (Go memstats), /debug/pprof, /debug/traces")
 		logLevel = flag.String("log-level", "info", "log floor: debug, info, warn, error")
 
 		retries      = flag.Int("retries", 2, "resubmissions for idempotent reads whose connection died in-flight")
@@ -159,7 +159,7 @@ func main() {
 			"metrics", "http://"+hl.Addr().String()+"/metrics",
 			"traces", "http://"+hl.Addr().String()+"/debug/traces")
 		go func() {
-			h := metrics.RouterHandler(rm, metrics.WithHandler("/debug/traces", rt.TraceHandler()))
+			h := metrics.Handler(rm.Exposition(), metrics.WithHandler("/debug/traces", rt.TraceHandler()))
 			if err := http.Serve(hl, h); err != nil {
 				logger.Error("http serve", "err", err)
 			}

@@ -10,10 +10,10 @@
 // locking model of internal/subsystem's Concurrent layer), so
 // pointing hot traffic at several engines scales with cores.
 //
-// With -http the server also exposes its observability surface:
-// Prometheus-style metrics on /metrics, expvar on /debug/vars, pprof
-// under /debug/pprof/, and the tracing layer's retained requests as
-// JSON on /debug/traces.
+// With -http the server also exposes its observability surface: the
+// Prometheus families README.md catalogues on /metrics, Go's memstats on
+// /debug/vars, pprof under /debug/pprof/, and the tracing layer's
+// retained requests as JSON on /debug/traces.
 //
 // Tracing is always on and decided on admission: the per-request cost
 // is one atomic add and the clock read that also times the request for
@@ -90,7 +90,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7070", "listen address")
-		httpAddr = flag.String("http", "", "optional HTTP listen address for /metrics, /debug/vars, /debug/pprof, /debug/traces")
+		httpAddr = flag.String("http", "", "optional HTTP listen address for /metrics, /debug/vars (Go memstats), /debug/pprof, /debug/traces")
 		rbits    = flag.Int("indexbits", 12, "index bits per engine (2^n buckets)")
 		slots    = flag.Int("slots", 8, "keys per bucket")
 		engines  = flag.String("engines", "db", "comma-separated engines, each name or name:type (exact, lpm, pktclass, trigram); requests to distinct engines run in parallel")
@@ -261,7 +261,7 @@ func main() {
 		srvOpts = append(srvOpts, server.WithTimeouts(*readTO, *idleTO))
 	}
 	if w != nil {
-		srvOpts = append(srvOpts, server.WithWAL(w, rec.RosterLSN, *snapEvery))
+		srvOpts = append(srvOpts, server.WithWAL(w, rec, *snapEvery))
 	}
 	srv := server.New(sub, srvOpts...)
 
@@ -274,7 +274,7 @@ func main() {
 		logger.Info("http endpoints up",
 			"metrics", "http://"+hl.Addr().String()+"/metrics",
 			"traces", "http://"+hl.Addr().String()+"/debug/traces")
-		h := metrics.Handler(srv.Metrics(), metrics.WithHandler("/debug/traces", col.Handler()))
+		h := metrics.Handler(srv.Exposition(), metrics.WithHandler("/debug/traces", col.Handler()))
 		go func() {
 			if err := http.Serve(hl, h); err != nil {
 				logger.Error("http serve", "err", err)

@@ -3,16 +3,16 @@
 // both the wire port and the -http port on ephemeral addresses, drives
 // a small mixed workload over TCP, then asserts that
 //
-//   - /metrics serves every caram_* metric family — including the
-//     fault-tolerance gauges, since the server runs with -ecc — with
-//     the op counts the workload implies,
-//   - the durability families are there too (the server runs with
-//     -data and a 100 ms snapshot cadence): the caram_wal_snapshot*
-//     family reads at least one completed snapshot of nonzero size
-//     whose capture time is part of its total,
+//   - /metrics serves every family a server with a write-ahead log
+//     declares (its metrics.Exposition), each under its declared
+//     # TYPE, with the op counts the workload implies and, on this first
+//     boot, a recovery that dropped nothing and found no seal,
+//   - the server runs with -data and a 100 ms snapshot cadence: the
+//     caram_wal_snapshot* families read at least one completed snapshot
+//     of nonzero size whose capture time is part of its total,
 //   - the HEALTH wire command reports healthy engines with zeroed
 //     error-coding counters and HEALTH <engine> SCRUB runs a scrub,
-//   - /debug/vars exposes the expvar "caram" map,
+//   - /debug/vars answers,
 //   - METRICS over the wire agrees with the scrape,
 //   - the tracing layer works end to end: with a zero slowlog
 //     threshold every request is retained, SLOWLOG LEN/GET/RESET see
@@ -32,11 +32,9 @@
 // with -trace-sample 1, so every forward is tagged), a sharded
 // workload is driven through the router's wire port, and
 //
-//   - the router's own /metrics scrape must carry every caram_router_*
-//     family with per-backend labels, ops spread across both shards,
-//     closed breakers, and a populated burst histogram,
-//   - both tiers' scrapes must carry the caram_build_info /
-//     caram_uptime_seconds process-identity families,
+//   - the router's own /metrics scrape must carry every family the
+//     router declares, with ops spread across both shards, closed
+//     breakers, and a populated burst histogram,
 //   - the fleet commands answer over the router's wire port: METRICS
 //     sums backend counters next to the router's own, SLOWLOG GET
 //     k-way merges backend slowlogs with node= provenance,
@@ -66,6 +64,7 @@ import (
 	"time"
 
 	"caram/internal/metrics"
+	"caram/internal/wal"
 )
 
 func main() {
@@ -159,46 +158,28 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	if err := carries(body, serverDeclared); err != nil {
+		return err
+	}
 	for _, want := range []string{
-		"# TYPE " + metrics.FamOps + " counter",
-		"# TYPE " + metrics.FamOpLatency + " histogram",
-		metrics.FamOps + `{engine="db",engine_type="exact",op="insert"} 1`,
-		metrics.FamOps + `{engine="db",engine_type="exact",op="search"} 2`,
-		metrics.FamOps + `{engine="db",engine_type="exact",op="delete"} 1`,
-		metrics.FamOps + `{engine="db",engine_type="exact",op="msearch"} 1`,
-		metrics.FamOps + `{engine="aux",engine_type="exact",op="msearch"} 1`,
-		metrics.FamOpLatency + `_count{engine="db",engine_type="exact",op="search"} 2`,
-		metrics.FamRecords + `{engine="db",engine_type="exact"} 0`,
-		metrics.FamRecords + `{engine="aux",engine_type="exact"} 1`,
-		metrics.FamLoadFactor + `{engine="db",engine_type="exact"} 0`,
-		metrics.FamAMAL + `{engine="db",engine_type="exact"}`,
-		metrics.FamLookups + `{engine="db",engine_type="exact"} 3`,
-		metrics.FamHits + `{engine="db",engine_type="exact"} 2`,
-		metrics.FamMisses + `{engine="db",engine_type="exact"} 1`,
-		metrics.FamRowsAccessed + `{engine="db",engine_type="exact"}`,
-		metrics.FamOverflow + `{engine="db",engine_type="exact"} 0`,
-		metrics.FamSpilled + `{engine="db",engine_type="exact"} 0`,
-		metrics.FamHealth + `{engine="db",engine_type="exact"} 0`,
-		metrics.FamQuarantined + `{engine="db",engine_type="exact"} 0`,
-		metrics.FamEccCorrected + `{engine="db",engine_type="exact"} 0`,
-		metrics.FamEccUncorrect + `{engine="db",engine_type="exact"} 0`,
-		metrics.FamRowReadErrors + `{engine="db",engine_type="exact"} 0`,
-		metrics.FamScrubRepaired + `{engine="db",engine_type="exact"} 0`,
-		metrics.FamSearchRetries + `{engine="db",engine_type="exact"} 0`,
-		metrics.FamLockFallbacks + `{engine="db",engine_type="exact"} 0`,
-		metrics.FamUnknown + " 1",
-		// The durability layer (-data is set): three acked mutations.
-		metrics.FamWALAppended + " 3",
-		metrics.FamWALDurable + " 3",
-		"# TYPE " + metrics.FamWALSnapshots + " counter",
-		"# TYPE " + metrics.FamWALSnapSeconds + " counter",
-		"# TYPE " + metrics.FamWALSnapCapture + " counter",
-		"# TYPE " + metrics.FamWALSnapBytes + " gauge",
-		// Process identity rides along on every scrape.
-		"# TYPE " + metrics.FamBuildInfo + " gauge",
-		metrics.FamBuildInfo + `{version=`,
-		"# TYPE " + metrics.FamUptime + " gauge",
-		metrics.FamUptime + " ",
+		`caram_ops_total{engine="db",engine_type="exact",op="insert"} 1`,
+		`caram_ops_total{engine="db",engine_type="exact",op="search"} 2`,
+		`caram_ops_total{engine="db",engine_type="exact",op="delete"} 1`,
+		`caram_ops_total{engine="db",engine_type="exact",op="msearch"} 1`,
+		`caram_ops_total{engine="aux",engine_type="exact",op="msearch"} 1`,
+		`caram_op_latency_seconds_count{engine="db",engine_type="exact",op="search"} 2`,
+		`caram_engine_records{engine="db",engine_type="exact"} 0`,
+		`caram_engine_records{engine="aux",engine_type="exact"} 1`,
+		`caram_engine_lookups_total{engine="db",engine_type="exact"} 3`,
+		`caram_engine_hits_total{engine="db",engine_type="exact"} 2`,
+		`caram_engine_misses_total{engine="db",engine_type="exact"} 1`,
+		`caram_engine_health{engine="db",engine_type="exact"} 0`,
+		"caram_unknown_engine_total 1",
+		// The durability layer: three acked mutations, on a first boot.
+		"caram_wal_appended_lsn 3",
+		"caram_wal_durable_lsn 3",
+		"caram_wal_recovery_dropped_records 0",
+		"caram_wal_recovery_clean_shutdown 0",
 	} {
 		if !strings.Contains(body, want) {
 			return fmt.Errorf("/metrics missing %q\n%s", want, body)
@@ -212,10 +193,10 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		n, _ := scrapeValue(body, metrics.FamWALSnapshots+" ")
-		size, _ := scrapeValue(body, metrics.FamWALSnapBytes+" ")
-		total, _ := scrapeValue(body, metrics.FamWALSnapSeconds+" ")
-		capture, _ := scrapeValue(body, metrics.FamWALSnapCapture+" ")
+		n, _ := scrapeValue(body, "caram_wal_snapshots_total ")
+		size, _ := scrapeValue(body, "caram_wal_snapshot_bytes ")
+		total, _ := scrapeValue(body, "caram_wal_snapshot_seconds_total ")
+		capture, _ := scrapeValue(body, "caram_wal_snapshot_capture_seconds_total ")
 		if n >= 1 && size > 16 && capture > 0 && capture <= total {
 			break
 		}
@@ -357,17 +338,17 @@ func run() error {
 		return err
 	}
 	for _, want := range []string{
-		metrics.FamOps + `{engine="ip",engine_type="lpm",op="insert"} 2`,
-		metrics.FamOps + `{engine="ip",engine_type="lpm",op="search"} 1`,
-		metrics.FamOps + `{engine="acl",engine_type="pktclass",op="insert"} 1`,
-		metrics.FamOps + `{engine="acl",engine_type="pktclass",op="search"} 1`,
-		metrics.FamOps + `{engine="tri",engine_type="trigram",op="insert"} 1`,
-		metrics.FamOps + `{engine="tri",engine_type="trigram",op="search"} 2`,
-		metrics.FamOpLatency + `_count{engine="tri",engine_type="trigram",op="search"} 2`,
-		metrics.FamRecords + `{engine="tri",engine_type="trigram"} 1`,
-		metrics.FamHits + `{engine="ip",engine_type="lpm"} 1`,
-		metrics.FamMisses + `{engine="tri",engine_type="trigram"} 1`,
-		metrics.FamHealth + `{engine="acl",engine_type="pktclass"} 0`,
+		`caram_ops_total{engine="ip",engine_type="lpm",op="insert"} 2`,
+		`caram_ops_total{engine="ip",engine_type="lpm",op="search"} 1`,
+		`caram_ops_total{engine="acl",engine_type="pktclass",op="insert"} 1`,
+		`caram_ops_total{engine="acl",engine_type="pktclass",op="search"} 1`,
+		`caram_ops_total{engine="tri",engine_type="trigram",op="insert"} 1`,
+		`caram_ops_total{engine="tri",engine_type="trigram",op="search"} 2`,
+		`caram_op_latency_seconds_count{engine="tri",engine_type="trigram",op="search"} 2`,
+		`caram_engine_records{engine="tri",engine_type="trigram"} 1`,
+		`caram_engine_hits_total{engine="ip",engine_type="lpm"} 1`,
+		`caram_engine_misses_total{engine="tri",engine_type="trigram"} 1`,
+		`caram_engine_health{engine="acl",engine_type="pktclass"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			return fmt.Errorf("/metrics missing %q after typed workload\n%s", want, body)
@@ -400,22 +381,8 @@ func run() error {
 		return fmt.Errorf(`/metrics still exposes engine="acl" after DROP`)
 	}
 
-	vars, err := get("http://" + httpAddr + "/debug/vars")
-	if err != nil {
+	if _, err := get("http://" + httpAddr + "/debug/vars"); err != nil {
 		return err
-	}
-	var parsed struct {
-		Caram struct {
-			Engines map[string]json.RawMessage `json:"engines"`
-		} `json:"caram"`
-	}
-	if err := json.Unmarshal([]byte(vars), &parsed); err != nil {
-		return fmt.Errorf("/debug/vars not JSON: %w", err)
-	}
-	for _, eng := range []string{"db", "aux"} {
-		if _, ok := parsed.Caram.Engines[eng]; !ok {
-			return fmt.Errorf("/debug/vars caram map missing engine %q", eng)
-		}
 	}
 
 	// Graceful shutdown: SIGINT, then the process must exit 0.
@@ -615,39 +582,24 @@ func runCluster() error {
 		return fmt.Errorf("TRACE GET %s through router: got %q", childTID, got)
 	}
 
-	// The router's scrape: every caram_router_* family, per-backend
-	// labels, traffic on both shards, breakers closed, bursts seen.
+	// The router's scrape: every family the router declares, traffic on
+	// both shards, breakers closed, bursts seen.
 	body, err := get("http://" + httpAddr + "/metrics")
 	if err != nil {
 		return err
 	}
-	for _, fam := range []string{
-		metrics.FamRouterOps, metrics.FamRouterErrors, metrics.FamRouterRetries,
-		metrics.FamRouterBreakerTrips, metrics.FamRouterBreakerOpen,
-		metrics.FamRouterInflight, metrics.FamRouterBurst,
-	} {
-		if !strings.Contains(body, "# TYPE "+fam+" ") {
-			return fmt.Errorf("router /metrics missing family %s\n%s", fam, body)
-		}
-	}
-	for _, want := range []string{
-		"# TYPE " + metrics.FamBuildInfo + " gauge",
-		metrics.FamBuildInfo + `{version=`,
-		"# TYPE " + metrics.FamUptime + " gauge",
-	} {
-		if !strings.Contains(body, want) {
-			return fmt.Errorf("router /metrics missing %q\n%s", want, body)
-		}
+	if err := carries(body, metrics.NewRouterMetrics(nil).Exposition()); err != nil {
+		return fmt.Errorf("router: %w", err)
 	}
 	for _, addr := range bkAddrs {
-		ops, ok := scrapeValue(body, fmt.Sprintf("%s{backend=%q} ", metrics.FamRouterOps, addr))
+		ops, ok := scrapeValue(body, fmt.Sprintf("caram_router_backend_ops_total{backend=%q} ", addr))
 		if !ok || ops <= 0 {
 			return fmt.Errorf("router /metrics: backend %s absorbed no ops (sharding broken?)\n%s", addr, body)
 		}
-		if !strings.Contains(body, fmt.Sprintf("%s{backend=%q} 0", metrics.FamRouterBreakerOpen, addr)) {
+		if !strings.Contains(body, fmt.Sprintf("caram_router_backend_breaker_open{backend=%q} 0", addr)) {
 			return fmt.Errorf("router /metrics: breaker not closed for %s\n%s", addr, body)
 		}
-		if cnt, ok := scrapeValue(body, fmt.Sprintf("%s_count{backend=%q} ", metrics.FamRouterBurst, addr)); !ok || cnt <= 0 {
+		if cnt, ok := scrapeValue(body, fmt.Sprintf("caram_router_burst_size_count{backend=%q} ", addr)); !ok || cnt <= 0 {
 			return fmt.Errorf("router /metrics: no bursts recorded for %s\n%s", addr, body)
 		}
 	}
@@ -673,6 +625,25 @@ func runCluster() error {
 		}
 		if err := bk.Wait(); err != nil {
 			return fmt.Errorf("backend %d exited non-zero after SIGINT: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// serverDeclared lists the families a caram-server run with -data
+// declares — the engine families, the log's and its recovery's, the
+// process families — the groups server.Exposition binds, here to samplers
+// nothing calls: only the declarations are read.
+var serverDeclared = metrics.NewRegistry(nil).Exposition(
+	metrics.Bind(func() wal.Stats { return wal.Stats{} }, wal.StatsFamilies...),
+	metrics.Bind(func() *wal.RecoverResult { return nil }, wal.RecoveryFamilies...))
+
+// carries checks that a scrape carries every family x declares, each
+// under its declared # TYPE.
+func carries(body string, x metrics.Exposition) error {
+	for _, f := range x.Families() {
+		if want := "\n# TYPE " + f.Name + " " + string(f.Type) + "\n"; !strings.Contains(body, want) {
+			return fmt.Errorf("/metrics missing %q\n%s", want[1:], body)
 		}
 	}
 	return nil

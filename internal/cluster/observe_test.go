@@ -15,6 +15,7 @@ import (
 	"caram/internal/server"
 	"caram/internal/subsystem"
 	"caram/internal/trace"
+	"caram/internal/wire"
 )
 
 // startTracedBackend boots a server whose engines carry an overflow
@@ -467,6 +468,23 @@ func TestRouterSlowlogLateBuilt(t *testing.T) {
 		if len(e.Children) != 0 {
 			t.Errorf("late-built entry has stitched children: %s", rec.Body.String())
 		}
+	}
+}
+
+// TestRouterTraceKeyBounded: a retained TSEARCH records its text key as
+// the server records it — at most wire.MaxText bytes, not the rest of a
+// line of any length.
+func TestRouterTraceKeyBounded(t *testing.T) {
+	fb := startFakeBackend(t, func(conn, n int, line string) (string, bool) { return "ERR text too long", false })
+	col := trace.NewCollector(trace.Config{Slowlog: 0, Ring: 8})
+	rt, _ := testRouter(t, []*testBackend{{addr: fb.addr}}, func(cfg *RouterConfig) { cfg.Tracing = col })
+	rdrive(t, rt, "TSEARCH tri "+strings.Repeat("x", 300))
+	entries := col.Slow().Snapshot(nil, 0)
+	if len(entries) != 1 || entries[0].Cmd != "TSEARCH" || entries[0].Engine != "tri" {
+		t.Fatalf("slowlog = %+v, want the one TSEARCH on tri", entries)
+	}
+	if n := len(entries[0].Key); n > wire.MaxText {
+		t.Errorf("retained TSEARCH key is %d bytes, want at most %d", n, wire.MaxText)
 	}
 }
 

@@ -894,11 +894,10 @@ func (rt *Router) observe(st *rconn, out []byte, tFlush int64) {
 	}
 }
 
-// record fills a trace from a settled op: the command identity — the
-// verb's canonical name and the engine and key at its row's positions,
-// the same the backend's own trace records — the route span (dispatch
-// until routed — parse plus ring lookup), then per involved backend the
-// breaker outcome, retries, and the call's hops.
+// record fills a trace from a settled op: the command identity
+// (wire.Request.Identity, what the backend's own trace records), the
+// route span (dispatch until routed — parse plus ring lookup), then per
+// involved backend the breaker outcome, retries, and the call's hops.
 func (rt *Router) record(tr *trace.Trace, op *pendingOp, routed int64) {
 	line := op.req
 	for _, c := range op.calls {
@@ -910,15 +909,7 @@ func (rt *Router) record(tr *trace.Trace, op *pendingOp, routed int64) {
 	// Views of batch bytes recycled long before the trace is: the
 	// collector clones them on admission, before settle moves on.
 	req := wire.Parse(wire.View(line))
-	var cmd string // stays empty for a line without a verb, as on the server
-	switch req.Status {
-	case wire.OK:
-		cmd = req.Verb.Name
-	case wire.UnknownVerb:
-		cmd = strings.ToUpper(req.Word)
-	}
-	eng, key := req.Identity()
-	tr.Request(cmd, eng, key)
+	tr.Request(req.Identity())
 	tr.Add(trace.Event{Kind: trace.KindRoute, Dur: time.Duration(routed - op.t0)})
 	hop := func(i int) (backend int, span uint32) {
 		if op.kind == opForward {

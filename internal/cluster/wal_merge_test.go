@@ -19,7 +19,7 @@ func startWALBackend(t testing.TB, mode wal.SyncMode) *testBackend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(sub, server.WithWAL(w, res.RosterLSN, 0))
+	srv := server.New(sub, server.WithWAL(w, res, 0))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

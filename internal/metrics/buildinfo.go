@@ -7,18 +7,6 @@ import (
 	"time"
 )
 
-// Process-identity families, emitted by both the server and router
-// expositions so every scrape says which build answered it.
-const (
-	// FamBuildInfo is the conventional constant-1 info metric with the
-	// build identity as labels (module version, Go toolchain, VCS
-	// revision when the binary was built from a checkout).
-	FamBuildInfo = "caram_build_info"
-	// FamUptime is seconds since this process's metrics layer was
-	// initialized — a restart detector that needs no server-side state.
-	FamUptime = "caram_uptime_seconds"
-)
-
 var (
 	startTime = time.Now()
 
@@ -49,12 +37,20 @@ func buildIdentity() (version, goVersion, revision string) {
 	return buildVersion, runtime.Version(), buildRevision
 }
 
-// writeBuildInfo emits the process-identity families onto an
-// in-flight exposition.
-func writeBuildInfo(bw *errWriter) {
-	version, goVersion, revision := buildIdentity()
-	bw.printf("# HELP %s Build identity of this process (constant 1).\n# TYPE %s gauge\n", FamBuildInfo, FamBuildInfo)
-	bw.printf("%s{version=%q,go=%q,revision=%q} 1\n", FamBuildInfo, version, goVersion, revision)
-	bw.printf("# HELP %s Seconds since this process started serving metrics.\n# TYPE %s gauge\n", FamUptime, FamUptime)
-	bw.printf("%s %g\n", FamUptime, time.Since(startTime).Seconds())
-}
+// Process is the process-identity families both tiers end their
+// exposition with, so every scrape says which build answered it and
+// since when: the conventional constant-1 info metric with the build
+// identity as labels (module version, Go toolchain, VCS revision when the
+// binary was built from a checkout), and the seconds since this process's
+// metrics layer was initialized — a restart detector that needs no
+// server-side state.
+var Process = Bind(func() time.Time { return startTime },
+	Family[time.Time]{Desc: Desc{Name: "caram_build_info", Help: "Build identity of this process (constant 1).",
+		Type: TypeGauge, Labels: []string{"version", "go", "revision"}},
+		Collect: func(_ time.Time, e *Emitter) {
+			version, goVersion, revision := buildIdentity()
+			e.Sample(1, version, goVersion, revision)
+		}},
+	Family[time.Time]{Desc: Desc{Name: "caram_uptime_seconds", Help: "Seconds since this process started serving metrics.",
+		Type: TypeGauge}, Collect: Scalar(func(start time.Time) any { return time.Since(start).Seconds() })},
+)

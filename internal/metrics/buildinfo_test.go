@@ -10,19 +10,14 @@ import (
 // the process-identity families, so any scrape identifies the build
 // that answered and how long it has been up.
 func TestBuildInfoFamilies(t *testing.T) {
-	var sb strings.Builder
-	r := NewRegistry([]string{"db"})
-	if err := WritePrometheus(&sb, r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	server := sb.String()
-	router := routerProm(t, NewRouterMetrics([]string{"b0"}))
+	server := prom(t, NewRegistry([]string{"db"}).Exposition())
+	router := prom(t, NewRouterMetrics([]string{"b0"}).Exposition())
 
 	for name, out := range map[string]string{"server": server, "router": router} {
 		for _, want := range []string{
-			"# TYPE " + FamBuildInfo + " gauge",
-			"# TYPE " + FamUptime + " gauge",
-			FamBuildInfo + `{version=`,
+			"# TYPE caram_build_info gauge",
+			"# TYPE caram_uptime_seconds gauge",
+			`caram_build_info{version=`,
 			`go="` + goVersionLabel(t) + `"`,
 			`revision=`,
 		} {
@@ -31,7 +26,7 @@ func TestBuildInfoFamilies(t *testing.T) {
 			}
 		}
 		// The info metric is the conventional constant 1.
-		i := strings.Index(out, FamBuildInfo+`{`)
+		i := strings.Index(out, `caram_build_info{`)
 		if i < 0 {
 			continue
 		}
@@ -41,12 +36,11 @@ func TestBuildInfoFamilies(t *testing.T) {
 			t.Errorf("%s: build info sample not constant 1: %q", name, line)
 		}
 		// Uptime is a plausible non-negative seconds value.
-		j := strings.Index(out, "\n"+FamUptime+" ")
-		if j < 0 {
+		_, val, ok := strings.Cut(out, "\ncaram_uptime_seconds ")
+		if !ok {
 			t.Errorf("%s: no uptime sample", name)
 			continue
 		}
-		val := out[j+1+len(FamUptime)+1:]
 		val = val[:strings.IndexByte(val, '\n')]
 		up, err := strconv.ParseFloat(val, 64)
 		if err != nil || up < 0 {

@@ -113,45 +113,6 @@ type Registry struct {
 	mu      sync.Mutex // serializes roster writers
 	set     atomic.Pointer[registrySet]
 	unknown atomic.Uint64 // requests addressed to no registered engine
-
-	// walFn, when set, samples the durability layer for Snapshot —
-	// the same generic-callback decoupling SetGaugeFunc uses, so this
-	// package never imports the wal implementation.
-	walFn atomic.Pointer[func() WALStats]
-}
-
-// WALStats is one observation of the durability layer, sampled at
-// Snapshot time via SetWALFunc. LSNs are cumulative positions; the
-// fsync counters are totals since boot.
-type WALStats struct {
-	AppendedLSN uint64 // highest LSN assigned
-	DurableLSN  uint64 // highest LSN fsynced
-	SnapshotLSN uint64 // bound of the newest on-disk snapshot
-	Pending     uint64 // records appended but not yet durable
-	Segments    int    // on-disk segments, including the active one
-	Fsyncs      uint64
-	FsyncNanos  uint64 // cumulative time spent in fsync
-	LastFsync   int64  // unix nanos of the last fsync; 0 = never
-	// Completed snapshots since boot: how many, their total wall
-	// time, the part of it spent capturing under engine read locks
-	// (the writer stall), and the newest file's size.
-	Snapshots            uint64
-	SnapshotNanos        uint64
-	SnapshotCaptureNanos uint64
-	SnapshotBytes        int64
-}
-
-// SetWALFunc installs the durability sampler (nil clears it). Safe on
-// a nil registry.
-func (r *Registry) SetWALFunc(fn func() WALStats) {
-	if r == nil {
-		return
-	}
-	if fn == nil {
-		r.walFn.Store(nil)
-		return
-	}
-	r.walFn.Store(&fn)
 }
 
 // registrySet is one immutable roster snapshot.
@@ -391,9 +352,6 @@ type EngineSnapshot struct {
 type Snapshot struct {
 	Engines []EngineSnapshot
 	Unknown uint64
-	// WAL is the durability layer's state at snapshot time; nil when
-	// the server runs without one.
-	WAL *WALStats
 }
 
 // Snapshot captures every engine's counters, histograms and gauges.
@@ -416,9 +374,102 @@ func (r *Registry) Snapshot() Snapshot {
 		es.Gauges, es.HasGauges = em.SampleGauges()
 		s.Engines = append(s.Engines, es)
 	}
-	if fn := r.walFn.Load(); fn != nil {
-		ws := (*fn)()
-		s.WAL = &ws
-	}
 	return s
+}
+
+// Exposition is the server tier's /metrics: the engine families over one
+// Snapshot per scrape, then extra — the families of layers this package
+// does not import (the write-ahead log's) — then the process families.
+func (r *Registry) Exposition(extra ...Group) Exposition {
+	x := Exposition{Bind(r.Snapshot, engineFamilies...)}
+	return append(append(x, extra...), Process)
+}
+
+var (
+	opLabels     = []string{"engine", "engine_type", "op"}
+	engineLabels = []string{"engine", "engine_type"}
+)
+
+// engineFamilies are the per-engine families. Zero-count ops keep their
+// series, so rates are defined from the first scrape; the gauge families
+// show only the engines that have a sampler, each sampled once per scrape
+// (Snapshot) whatever the number of families that read it.
+var engineFamilies = []Family[Snapshot]{
+	{Desc: Desc{Name: "caram_ops_total", Help: "Operations processed, by engine and op.",
+		Type: TypeCounter, Labels: opLabels}, Collect: perOp(func(o OpSnapshot) any { return o.Count })},
+	{Desc: Desc{Name: "caram_op_errors_total", Help: "Operations that returned an error, by engine and op.",
+		Type: TypeCounter, Labels: opLabels}, Collect: perOp(func(o OpSnapshot) any { return o.Errors })},
+	{Desc: Desc{Name: "caram_op_latency_seconds", Help: "Wall-clock operation latency: lock-free searches are timed end to end, serialized ops at the engine lock boundary (writer lock wait included).",
+		Type: TypeHistogram, Labels: opLabels, Buckets: bounds(histBuckets, func(i int) float64 { return float64(BucketEdgeNs(i)) / 1e9 })},
+		Collect: func(s Snapshot, e *Emitter) {
+			for _, es := range s.Engines {
+				for _, o := range es.Ops {
+					h := o.Latency
+					top := len(h.Counts) // buckets above the slowest observation get no line
+					for top > 0 && h.Counts[top-1] == 0 {
+						top--
+					}
+					e.Hist(h.Counts[:top], h.N, float64(h.SumNs)/1e9, es.Name, es.Type, o.Op.String())
+				}
+			}
+		}},
+	{Desc: Desc{Name: "caram_engine_records", Help: "Records stored in the engine's main array.",
+		Type: TypeGauge, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.Records })},
+	{Desc: Desc{Name: "caram_engine_load_factor", Help: "Load factor alpha of the engine's main array.",
+		Type: TypeGauge, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.LoadFactor })},
+	{Desc: Desc{Name: "caram_engine_amal", Help: "Average memory accesses per lookup over live traffic (the paper's AMAL, section 3.4).",
+		Type: TypeGauge, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.AMAL })},
+	{Desc: Desc{Name: "caram_engine_lookups_total", Help: "Lookups charged against the engine's main array.",
+		Type: TypeCounter, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.Lookups })},
+	{Desc: Desc{Name: "caram_engine_rows_accessed_total", Help: "Rows read by lookups (AMAL numerator).",
+		Type: TypeCounter, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.RowsAccessed })},
+	{Desc: Desc{Name: "caram_engine_hits_total", Help: "Lookups that found a record.",
+		Type: TypeCounter, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.Hits })},
+	{Desc: Desc{Name: "caram_engine_misses_total", Help: "Lookups that found nothing.",
+		Type: TypeCounter, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.Misses })},
+	{Desc: Desc{Name: "caram_engine_overflow_records", Help: "Records diverted to the parallel overflow CAM.",
+		Type: TypeGauge, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.Overflow })},
+	{Desc: Desc{Name: "caram_engine_spilled_records", Help: "Main-array records stored outside their home bucket.",
+		Type: TypeGauge, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.Spilled })},
+	{Desc: Desc{Name: "caram_engine_health", Help: "Engine availability state: 0 healthy, 1 degraded, 2 failed (circuit broken).",
+		Type: TypeGauge, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.Health })},
+	{Desc: Desc{Name: "caram_engine_quarantined_rows", Help: "Main-array rows quarantined as uncorrectable, pending scrub.",
+		Type: TypeGauge, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.Quarantined })},
+	{Desc: Desc{Name: "caram_engine_ecc_corrected_bits_total", Help: "Single-bit errors corrected in place by per-row error coding.",
+		Type: TypeCounter, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.EccCorrected })},
+	{Desc: Desc{Name: "caram_engine_ecc_uncorrectable_total", Help: "Uncorrectable row errors detected (each quarantines its row).",
+		Type: TypeCounter, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.EccUncorrectable })},
+	{Desc: Desc{Name: "caram_engine_row_read_errors_total", Help: "Transient row-read failures observed by checked fetches.",
+		Type: TypeCounter, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.EccReadErrors })},
+	{Desc: Desc{Name: "caram_engine_scrub_repaired_bits_total", Help: "Corrupt bits restored from the insert-side shadow by scrub passes.",
+		Type: TypeCounter, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.ScrubRepairedBits })},
+	{Desc: Desc{Name: "caram_search_retries_total", Help: "Torn seqlock snapshots re-read by the lock-free search path.",
+		Type: TypeCounter, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.SearchRetries })},
+	{Desc: Desc{Name: "caram_search_lock_fallbacks_total", Help: "Searches escalated from the lock-free path to the serialized engine lock.",
+		Type: TypeCounter, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.LockFallbacks })},
+	{Desc: Desc{Name: "caram_unknown_engine_total", Help: "Requests addressed to no registered engine.",
+		Type: TypeCounter}, Collect: Scalar(func(s Snapshot) any { return s.Unknown })},
+}
+
+// perOp is the collect of a family with one sample per engine and op.
+func perOp(val func(OpSnapshot) any) func(Snapshot, *Emitter) {
+	return func(s Snapshot, e *Emitter) {
+		for _, es := range s.Engines {
+			for _, o := range es.Ops {
+				e.Sample(val(o), es.Name, es.Type, o.Op.String())
+			}
+		}
+	}
+}
+
+// perEngine is the collect of a gauge family: one sample per engine that
+// has a gauge sampler.
+func perEngine(val func(Gauges) any) func(Snapshot, *Emitter) {
+	return func(s Snapshot, e *Emitter) {
+		for _, es := range s.Engines {
+			if es.HasGauges {
+				e.Sample(val(es.Gauges), es.Name, es.Type)
+			}
+		}
+	}
 }

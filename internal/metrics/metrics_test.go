@@ -225,22 +225,18 @@ func TestWritePrometheus(t *testing.T) {
 	em.SetGaugeFunc(func() Gauges { return Gauges{Records: 3, LoadFactor: 0.25, AMAL: 1.5} })
 	r.AddUnknown(4)
 
-	var sb strings.Builder
-	if err := WritePrometheus(&sb, r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := prom(t, r.Exposition())
 	for _, want := range []string{
-		FamOps + `{engine="db",engine_type="exact",op="search"} 2`,
-		FamOpErrors + `{engine="db",engine_type="exact",op="search"} 1`,
-		FamOpLatency + `_count{engine="db",engine_type="exact",op="search"} 2`,
-		FamOpLatency + `_bucket{engine="db",engine_type="exact",op="search",le="+Inf"} 2`,
-		FamOps + `{engine="db",engine_type="exact",op="insert"} 0`,
-		FamRecords + `{engine="db",engine_type="exact"} 3`,
-		FamLoadFactor + `{engine="db",engine_type="exact"} 0.25`,
-		FamAMAL + `{engine="db",engine_type="exact"} 1.5`,
-		FamUnknown + " 4",
-		"# TYPE " + FamOpLatency + " histogram",
+		`caram_ops_total{engine="db",engine_type="exact",op="search"} 2`,
+		`caram_op_errors_total{engine="db",engine_type="exact",op="search"} 1`,
+		`caram_op_latency_seconds_count{engine="db",engine_type="exact",op="search"} 2`,
+		`caram_op_latency_seconds_bucket{engine="db",engine_type="exact",op="search",le="+Inf"} 2`,
+		`caram_ops_total{engine="db",engine_type="exact",op="insert"} 0`,
+		`caram_engine_records{engine="db",engine_type="exact"} 3`,
+		`caram_engine_load_factor{engine="db",engine_type="exact"} 0.25`,
+		`caram_engine_amal{engine="db",engine_type="exact"} 1.5`,
+		"caram_unknown_engine_total 4",
+		"# TYPE caram_op_latency_seconds histogram",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)
@@ -249,6 +245,34 @@ func TestWritePrometheus(t *testing.T) {
 	// Latency buckets must be cumulative and end at the count.
 	if !strings.Contains(out, `le="+Inf"} 2`) {
 		t.Error("missing +Inf closing bucket")
+	}
+}
+
+// TestClampedBucketHasNoFiniteEdge: the last bucket of either histogram
+// takes everything past the edge before it (a 10 s request, a 5 000-line
+// burst), so it has no finite upper bound to print — no finite `le` may
+// count such an observation, and +Inf alone closes the series.
+func TestClampedBucketHasNoFiniteEdge(t *testing.T) {
+	r := NewRegistry([]string{"db"})
+	r.Engine("db").Observe(OpSearch, 10*time.Second, nil)
+	rm := NewRouterMetrics([]string{"b0"})
+	rm.Backend(0).ObserveBurst(5000)
+	for _, out := range []string{prom(t, r.Exposition()), prom(t, rm.Exposition())} {
+		infs := 0
+		for _, line := range strings.Split(out, "\n") {
+			switch {
+			case !strings.Contains(line, "_bucket{"):
+			case strings.Contains(line, `le="+Inf"`):
+				if strings.HasSuffix(line, "} 1") {
+					infs++
+				}
+			case !strings.HasSuffix(line, "} 0"):
+				t.Errorf("a finite bucket counts an observation past the last edge: %s", line)
+			}
+		}
+		if infs != 1 {
+			t.Errorf("want exactly one +Inf bucket holding the observation, got %d in\n%s", infs, out)
+		}
 	}
 }
 

@@ -2,30 +2,12 @@ package metrics
 
 import (
 	"fmt"
-	"io"
-	"net/http"
 	"sync/atomic"
 )
 
-// Router-side metric families (cmd/caram-router). The router is a
-// forwarding tier, so its observability is per-backend, not
-// per-engine: how many operations each backend absorbed, how deep its
-// pipelines run, how well request coalescing works (the burst-size
-// histogram — the whole point of the pipelined pools), and whether its
-// circuit breaker is open.
-const (
-	FamRouterOps          = "caram_router_backend_ops_total"
-	FamRouterErrors       = "caram_router_backend_errors_total"
-	FamRouterRetries      = "caram_router_backend_retries_total"
-	FamRouterBreakerTrips = "caram_router_backend_breaker_trips_total"
-	FamRouterBreakerOpen  = "caram_router_backend_breaker_open"
-	FamRouterInflight     = "caram_router_backend_inflight"
-	FamRouterBurst        = "caram_router_burst_size"
-)
-
 // burstBuckets is the power-of-two bucket count of the burst-size
-// histogram: bucket i counts bursts of size in (2^(i-1), 2^i], so 12
-// buckets cover bursts of 1 request up to 2048 per flush.
+// histogram: bucket i counts bursts of size in (2^(i-1), 2^i], except
+// the last, which takes every burst over 1024.
 const burstBuckets = 12
 
 // RouterBackend is one backend's slot: lock-free counters recorded by
@@ -183,68 +165,58 @@ func (rm *RouterMetrics) Totals() (ops, errs uint64) {
 	return ops, errs
 }
 
-// WriteRouterPrometheus renders the router families in the Prometheus
-// text exposition format.
-func WriteRouterPrometheus(w io.Writer, rm *RouterMetrics) error {
-	bw := &errWriter{w: w}
-	counter := func(fam, help string, val func(*RouterBackend) uint64) {
-		bw.printf("# HELP %s %s\n# TYPE %s counter\n", fam, help, fam)
-		for i := range rm.slots {
-			b := &rm.slots[i]
-			bw.printf("%s{backend=%q} %d\n", fam, b.name, val(b))
-		}
-	}
-	counter(FamRouterOps, "Requests submitted to the backend's connection pool.",
-		func(b *RouterBackend) uint64 { return b.ops.Load() })
-	counter(FamRouterErrors, "Requests that failed against the backend (transport error or shed).",
-		func(b *RouterBackend) uint64 { return b.errs.Load() })
-	counter(FamRouterRetries, "Idempotent SEARCH requests resubmitted on a fresh connection.",
-		func(b *RouterBackend) uint64 { return b.retries.Load() })
-	counter(FamRouterBreakerTrips, "Times the backend's circuit breaker opened.",
-		func(b *RouterBackend) uint64 { return b.breakerTrips.Load() })
-
-	bw.printf("# HELP %s 1 while the backend's circuit breaker is open, 0 while closed.\n# TYPE %s gauge\n",
-		FamRouterBreakerOpen, FamRouterBreakerOpen)
-	for i := range rm.slots {
-		bw.printf("%s{backend=%q} %d\n", FamRouterBreakerOpen, rm.slots[i].name, rm.slots[i].breakerOpen.Load())
-	}
-	bw.printf("# HELP %s Requests submitted to the backend and not yet answered (pipeline depth).\n# TYPE %s gauge\n",
-		FamRouterInflight, FamRouterInflight)
-	for i := range rm.slots {
-		bw.printf("%s{backend=%q} %d\n", FamRouterInflight, rm.slots[i].name, rm.slots[i].inflight.Load())
-	}
-
-	bw.printf("# HELP %s Requests coalesced per write burst (one flush per bucket'd burst).\n# TYPE %s histogram\n",
-		FamRouterBurst, FamRouterBurst)
-	for i := range rm.slots {
-		b := &rm.slots[i]
-		var cum uint64
-		for j := 0; j < burstBuckets; j++ {
-			c := b.burst[j].Load()
-			cum += c
-			if c == 0 && cum == 0 {
-				continue
-			}
-			bw.printf("%s_bucket{backend=%q,le=\"%d\"} %d\n", FamRouterBurst, b.name, 1<<uint(j), cum)
-		}
-		bw.printf("%s_bucket{backend=%q,le=\"+Inf\"} %d\n", FamRouterBurst, b.name, b.burstN.Load())
-		bw.printf("%s_sum{backend=%q} %d\n", FamRouterBurst, b.name, b.burstSum.Load())
-		bw.printf("%s_count{backend=%q} %d\n", FamRouterBurst, b.name, b.burstN.Load())
-	}
-	writeBuildInfo(bw)
-	return bw.err
-}
-
-// RouterHandler serves the router registry over HTTP: /metrics in the
-// Prometheus exposition plus the standard pprof endpoints — the
-// router-tier counterpart of Handler.
-func RouterHandler(rm *RouterMetrics, opts ...HandlerOption) http.Handler {
-	return newMux(func(w io.Writer) error { return WriteRouterPrometheus(w, rm) }, opts)
-}
-
 // String renders a compact one-line summary (the router's wire-level
 // METRICS reply body): per-registry totals only, deterministic.
 func (rm *RouterMetrics) String() string {
 	ops, errs := rm.Totals()
 	return fmt.Sprintf("backends=%d ops=%d errors=%d", rm.Backends(), ops, errs)
+}
+
+// Exposition is the router tier's /metrics: the per-backend families,
+// then the process families.
+func (rm *RouterMetrics) Exposition() Exposition {
+	return Exposition{Bind(func() *RouterMetrics { return rm }, routerFamilies...), Process}
+}
+
+// routerFamilies are the router's own families. The router is a
+// forwarding tier, so its observability is per backend, not per engine:
+// how many operations each backend absorbed, how deep its pipelines run,
+// how well request coalescing works (the burst-size histogram — the whole
+// point of the pipelined pools), and whether its circuit breaker is open.
+var routerFamilies = []Family[*RouterMetrics]{
+	{Desc: Desc{Name: "caram_router_backend_ops_total", Help: "Requests submitted to the backend's connection pool.",
+		Type: TypeCounter, Labels: backendLabels}, Collect: perBackend(func(b *RouterBackend) any { return b.ops.Load() })},
+	{Desc: Desc{Name: "caram_router_backend_errors_total", Help: "Requests that failed against the backend (transport error or shed).",
+		Type: TypeCounter, Labels: backendLabels}, Collect: perBackend(func(b *RouterBackend) any { return b.errs.Load() })},
+	{Desc: Desc{Name: "caram_router_backend_retries_total", Help: "Idempotent SEARCH requests resubmitted on a fresh connection.",
+		Type: TypeCounter, Labels: backendLabels}, Collect: perBackend(func(b *RouterBackend) any { return b.retries.Load() })},
+	{Desc: Desc{Name: "caram_router_backend_breaker_trips_total", Help: "Times the backend's circuit breaker opened.",
+		Type: TypeCounter, Labels: backendLabels}, Collect: perBackend(func(b *RouterBackend) any { return b.breakerTrips.Load() })},
+	{Desc: Desc{Name: "caram_router_backend_breaker_open", Help: "1 while the backend's circuit breaker is open, 0 while closed.",
+		Type: TypeGauge, Labels: backendLabels}, Collect: perBackend(func(b *RouterBackend) any { return b.breakerOpen.Load() })},
+	{Desc: Desc{Name: "caram_router_backend_inflight", Help: "Requests submitted to the backend and not yet answered (pipeline depth).",
+		Type: TypeGauge, Labels: backendLabels}, Collect: perBackend(func(b *RouterBackend) any { return b.inflight.Load() })},
+	{Desc: Desc{Name: "caram_router_burst_size", Help: "Requests coalesced per write burst (one flush per bucket'd burst).",
+		Type: TypeHistogram, Labels: backendLabels, Buckets: bounds(burstBuckets, func(i int) float64 { return float64(int(1) << i) })},
+		Collect: func(rm *RouterMetrics, e *Emitter) {
+			for i := range rm.slots {
+				b := &rm.slots[i]
+				var counts [burstBuckets]uint64
+				for j := range counts {
+					counts[j] = b.burst[j].Load()
+				}
+				e.Hist(counts[:], b.burstN.Load(), b.burstSum.Load(), b.name)
+			}
+		}},
+}
+
+var backendLabels = []string{"backend"}
+
+// perBackend is the collect of a family with one sample per backend.
+func perBackend(val func(*RouterBackend) any) func(*RouterMetrics, *Emitter) {
+	return func(rm *RouterMetrics, e *Emitter) {
+		for i := range rm.slots {
+			e.Sample(val(&rm.slots[i]), rm.slots[i].name)
+		}
+	}
 }

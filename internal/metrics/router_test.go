@@ -48,11 +48,11 @@ func TestRouterBreakerGauge(t *testing.T) {
 	}
 	b.SetBreaker(false)
 	b.SetBreaker(true) // second real trip
-	out := routerProm(t, rm)
-	if !strings.Contains(out, FamRouterBreakerTrips+`{backend="b0"} 2`) {
+	out := prom(t, rm.Exposition())
+	if !strings.Contains(out, `caram_router_backend_breaker_trips_total{backend="b0"} 2`) {
 		t.Errorf("trip counter wrong:\n%s", out)
 	}
-	if !strings.Contains(out, FamRouterBreakerOpen+`{backend="b0"} 1`) {
+	if !strings.Contains(out, `caram_router_backend_breaker_open{backend="b0"} 1`) {
 		t.Errorf("open gauge wrong:\n%s", out)
 	}
 }
@@ -67,19 +67,22 @@ func TestRouterBurstHistogram(t *testing.T) {
 	b.ObserveBurst(2)    // le=2
 	b.ObserveBurst(3)    // le=4
 	b.ObserveBurst(4)    // le=4
-	b.ObserveBurst(5000) // clamps into the last bucket
+	b.ObserveBurst(5000) // clamps into the last bucket, which only +Inf bounds
 	if n, mean := b.Bursts(); n != 5 || mean != float64(1+2+3+4+5000)/5 {
 		t.Errorf("bursts: n=%d mean=%g", n, mean)
 	}
-	out := routerProm(t, rm)
+	out := prom(t, rm.Exposition())
+	if strings.Contains(out, `le="2048"`) {
+		t.Errorf("the clamped bucket printed a finite edge:\n%s", out)
+	}
 	for _, want := range []string{
-		FamRouterBurst + `_bucket{backend="b0",le="1"} 1`,
-		FamRouterBurst + `_bucket{backend="b0",le="2"} 2`,
-		FamRouterBurst + `_bucket{backend="b0",le="4"} 4`,
-		FamRouterBurst + `_bucket{backend="b0",le="2048"} 5`,
-		FamRouterBurst + `_bucket{backend="b0",le="+Inf"} 5`,
-		FamRouterBurst + `_sum{backend="b0"} 5010`,
-		FamRouterBurst + `_count{backend="b0"} 5`,
+		`caram_router_burst_size_bucket{backend="b0",le="1"} 1`,
+		`caram_router_burst_size_bucket{backend="b0",le="2"} 2`,
+		`caram_router_burst_size_bucket{backend="b0",le="4"} 4`,
+		`caram_router_burst_size_bucket{backend="b0",le="1024"} 4`,
+		`caram_router_burst_size_bucket{backend="b0",le="+Inf"} 5`,
+		`caram_router_burst_size_sum{backend="b0"} 5010`,
+		`caram_router_burst_size_count{backend="b0"} 5`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
@@ -90,17 +93,14 @@ func TestRouterBurstHistogram(t *testing.T) {
 func TestRouterPrometheusFamilies(t *testing.T) {
 	rm := NewRouterMetrics([]string{"alpha", "beta"})
 	rm.Backend(1).AddOps(1)
-	out := routerProm(t, rm)
-	for _, fam := range []string{
-		FamRouterOps, FamRouterErrors, FamRouterRetries,
-		FamRouterBreakerTrips, FamRouterBreakerOpen, FamRouterInflight, FamRouterBurst,
-	} {
-		if !strings.Contains(out, "# TYPE "+fam+" ") {
-			t.Errorf("family %s not exported", fam)
+	out := prom(t, rm.Exposition())
+	for _, f := range rm.Exposition().Families() {
+		if !strings.Contains(out, "# TYPE "+f.Name+" "+string(f.Type)+"\n") {
+			t.Errorf("family %s not exported as a %s", f.Name, f.Type)
 		}
 	}
-	if !strings.Contains(out, FamRouterOps+`{backend="alpha"} 0`) ||
-		!strings.Contains(out, FamRouterOps+`{backend="beta"} 1`) {
+	if !strings.Contains(out, `caram_router_backend_ops_total{backend="alpha"} 0`) ||
+		!strings.Contains(out, `caram_router_backend_ops_total{backend="beta"} 1`) {
 		t.Errorf("per-backend labels wrong:\n%s", out)
 	}
 }
@@ -124,10 +124,11 @@ func TestRouterMetricsNilSafe(t *testing.T) {
 	}
 }
 
-func routerProm(t *testing.T, rm *RouterMetrics) string {
+// prom scrapes x through Handler.
+func prom(t *testing.T, x Exposition) string {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	RouterHandler(rm).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	Handler(x).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 {
 		t.Fatalf("GET /metrics: %d", rec.Code)
 	}

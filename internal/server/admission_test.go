@@ -44,7 +44,7 @@ func TestRequestPathZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := []Option{WithWAL(w, res.RosterLSN, 0)}
+		opts := []Option{WithWAL(w, res, 0)}
 		if col.cfg != nil {
 			opts = append(opts, WithTracing(trace.NewCollector(*col.cfg)))
 		}
@@ -152,7 +152,7 @@ func TestServerSlowlogLateBuilt(t *testing.T) {
 		"search db f00d",
 		"TSEARCH db some text", // refused: db is not a trigram engine
 		"MSEARCH db dead db f00d",
-		"BOGUS x",
+		"bogus x", // named upper-case, as the ERR reply names it
 	)
 	for i, want := range []struct {
 		cmd, eng, key, result string

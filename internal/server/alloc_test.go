@@ -114,7 +114,7 @@ func TestWALExecAppendSearchZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := allocServer(WithWAL(w, res.RosterLSN, 0))
+	s := allocServer(WithWAL(w, res, 0))
 	defer s.Close() //nolint:errcheck
 	if got := s.Exec("INSERT db dead 42"); got != "OK" {
 		t.Fatalf("INSERT: %q", got)
@@ -147,7 +147,7 @@ func TestServedWritesZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := allocServer(WithWAL(w, res.RosterLSN, 0), WithTracing(trace.NewCollector(trace.Config{Slowlog: 10 * time.Millisecond})))
+	s := allocServer(WithWAL(w, res, 0), WithTracing(trace.NewCollector(trace.Config{Slowlog: 10 * time.Millisecond})))
 	defer s.Close() //nolint:errcheck
 	if got := s.Exec("INSERT db dead 42"); got != "OK" {
 		t.Fatalf("INSERT: %q", got)

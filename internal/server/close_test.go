@@ -30,7 +30,7 @@ func walServer(t *testing.T, dir string, opts wal.Options) (*Server, *wal.Log) {
 			t.Fatal(err)
 		}
 	}
-	return New(sub, WithWAL(w, res.RosterLSN, 0)), w
+	return New(sub, WithWAL(w, res, 0)), w
 }
 
 // TestCloseDrainsInflightHandlers is the graceful-shutdown drain
@@ -159,6 +159,52 @@ func TestWALStatusCommand(t *testing.T) {
 	for _, bad := range []string{"WAL", "WAL FLUSH", "WAL STATUS EXTRA", "WAL STATUS SYNC MORE"} {
 		if got := srv.Exec(bad); got != "ERR usage: WAL STATUS [SYNC]" {
 			t.Fatalf("%s = %q, want usage error", bad, got)
+		}
+	}
+}
+
+// TestRecoveryOnMetrics: the recovery that opened the log is on
+// /metrics. A life that stored three records, never closed (so its log
+// is replayed, not snapshotted), is recovered into a two-slot engine
+// that refuses the third — TestReplayCountsDroppedRecords' scenario, read
+// from the exposition.
+func TestRecoveryOnMetrics(t *testing.T) {
+	dir := t.TempDir()
+	opts := wal.Options{Sync: wal.SyncPolicy{Mode: wal.SyncAlways}}
+	first, _ := walServer(t, dir, opts)
+	for _, req := range []string{"INSERT db 1 4", "INSERT db 2 7", "INSERT db 3 a"} {
+		if got := first.Exec(req); got != "OK" {
+			t.Fatalf("%s: %q", req, got)
+		}
+	}
+	small, err := subsystem.NewTypedEngine("db", subsystem.ExactEngine, subsystem.TypedConfig{IndexBits: 1, Slots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, rec, err := wal.Recover(dir, []*subsystem.Engine{small}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := subsystem.New(0)
+	for _, e := range rec.Engines {
+		if err := sub.AddEngine(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(sub, WithWAL(w, rec, 0))
+	defer srv.Close() //nolint:errcheck
+	var sb strings.Builder
+	if _, err := srv.Exposition().WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"\ncaram_wal_recovery_replayed_records 3\n",
+		"\ncaram_wal_recovery_dropped_records 1\n",
+		"\ncaram_wal_recovery_truncated_bytes 0\n",
+		"\ncaram_wal_recovery_clean_shutdown 0\n",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("/metrics missing %q:\n%s", want[1:], sb.String())
 		}
 	}
 }

@@ -48,7 +48,7 @@ func goldenServer(t *testing.T) *Server {
 	}
 	s := New(sub,
 		WithTracing(trace.NewCollector(trace.Config{Slowlog: time.Hour})),
-		WithWAL(w, res.RosterLSN, 0))
+		WithWAL(w, res, 0))
 	t.Cleanup(func() { s.Close() }) //nolint:errcheck
 	return s
 }

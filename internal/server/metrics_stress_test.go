@@ -184,7 +184,7 @@ func TestMetricsAMALAgreesWithAnalytic(t *testing.T) {
 	}
 	analytic := float64(totalRows) / float64(n)
 
-	g, ok := s.Metrics().Engine("db").SampleGauges()
+	g, ok := s.met.Engine("db").SampleGauges()
 	if !ok {
 		t.Fatal("no gauges wired")
 	}

@@ -81,8 +81,9 @@ type Server struct {
 
 	// wal is the durability layer (nil when the server runs without
 	// one): every mutation journals through it, Close snapshots and
-	// seals it.
+	// seals it. rec is the recovery that opened it.
 	wal      *wal.Log
+	rec      *wal.RecoverResult
 	snapStop chan struct{} // stops the periodic-snapshot loop
 	snapWG   sync.WaitGroup
 }
@@ -98,7 +99,7 @@ type options struct {
 	readTO    time.Duration
 	idleTO    time.Duration
 	wal       *wal.Log
-	walRoster uint64
+	rec       *wal.RecoverResult
 	snapEvery time.Duration
 }
 
@@ -154,23 +155,23 @@ func WithTimeouts(read, idle time.Duration) Option {
 
 // WithWAL attaches a durability layer: every acknowledged mutation is
 // journaled through w (acks ordered after the fsync under the
-// sync=always policy), rosterLSN seeds the CREATE/DROP replay gate
-// recovered from disk, and snapshotEvery > 0 starts a background loop
-// that serializes the subsystem's shadow image and truncates sealed
-// segments. Close snapshots once more after the drain and seals the
-// log, so a graceful shutdown leaves a log needing zero replay.
-func WithWAL(w *wal.Log, rosterLSN uint64, snapshotEvery time.Duration) Option {
+// sync=always policy), rec — the recovery that opened w — seeds the
+// CREATE/DROP replay gate and is reported on /metrics, and
+// snapshotEvery > 0 starts a background loop that serializes the
+// subsystem's shadow image and truncates sealed segments. Close
+// snapshots once more after the drain and seals the log, so a graceful
+// shutdown leaves a log needing zero replay.
+func WithWAL(w *wal.Log, rec *wal.RecoverResult, snapshotEvery time.Duration) Option {
 	return func(o *options) {
 		o.wal = w
-		o.walRoster = rosterLSN
+		o.rec = rec
 		o.snapEvery = snapshotEvery
 	}
 }
 
 // New wraps a subsystem whose engine registration is complete. By
 // default the per-engine metrics layer is attached (see
-// internal/metrics); the registry is reachable via Metrics for HTTP
-// export.
+// internal/metrics); Exposition serves it over HTTP.
 func New(sub *subsystem.Subsystem, opts ...Option) *Server {
 	o := options{metrics: true}
 	for _, opt := range opts {
@@ -183,28 +184,7 @@ func New(sub *subsystem.Subsystem, opts ...Option) *Server {
 		con.Instrument(reg)
 	}
 	if o.wal != nil {
-		con.SetJournal(o.wal, o.walRoster)
-		if reg != nil {
-			w := o.wal
-			reg.SetWALFunc(func() metrics.WALStats {
-				st := w.Stats()
-				return metrics.WALStats{
-					AppendedLSN: st.LSN,
-					DurableLSN:  st.Durable,
-					SnapshotLSN: st.SnapshotLSN,
-					Pending:     st.Pending,
-					Segments:    st.Segments,
-					Fsyncs:      st.Fsyncs,
-					FsyncNanos:  st.FsyncNanos,
-					LastFsync:   st.LastFsync,
-
-					Snapshots:            st.Snapshots,
-					SnapshotNanos:        st.SnapshotNanos,
-					SnapshotCaptureNanos: st.SnapshotCaptureNanos,
-					SnapshotBytes:        st.SnapshotBytes,
-				}
-			})
-		}
+		con.SetJournal(o.wal, o.rec.RosterLSN)
 	}
 	s := &Server{
 		con:         con,
@@ -216,6 +196,7 @@ func New(sub *subsystem.Subsystem, opts ...Option) *Server {
 		readTimeout: o.readTO,
 		idleTimeout: o.idleTO,
 		wal:         o.wal,
+		rec:         o.rec,
 	}
 	if s.wal != nil && o.snapEvery > 0 {
 		s.snapStop = make(chan struct{})
@@ -234,10 +215,18 @@ func New(sub *subsystem.Subsystem, opts ...Option) *Server {
 	return s
 }
 
-// Metrics returns the server's registry, or nil when built
-// WithoutMetrics. Callers use it to mount the HTTP exposition
-// (metrics.Handler).
-func (s *Server) Metrics() *metrics.Registry { return s.met }
+// Exposition returns the server's /metrics for metrics.Handler: the
+// engine families (without samples when built WithoutMetrics), the
+// write-ahead log's and its recovery's when one is attached, then the
+// process families.
+func (s *Server) Exposition() metrics.Exposition {
+	if s.wal == nil {
+		return s.met.Exposition()
+	}
+	return s.met.Exposition(
+		metrics.Bind(s.wal.Stats, wal.StatsFamilies...),
+		metrics.Bind(func() *wal.RecoverResult { return s.rec }, wal.RecoveryFamilies...))
+}
 
 // Tracing returns the server's trace collector, or nil when tracing is
 // off. Callers use it to mount the /debug/traces endpoint.
@@ -410,7 +399,7 @@ func (s *Server) exec(dst []byte, line string, t0 time.Time) ([]byte, time.Time)
 	if sampled := s.trc.Sample(); sampled || (req.TID != 0 && s.trc != nil) {
 		tr = s.trc.BeginAt(t0, sampled)
 		tr.SetWire(req.TID, req.Span)
-		identify(tr, &req)
+		tr.Request(req.Identity())
 	}
 	mark := len(dst)
 	dst = s.execAppend(dst, &req, &sv, tr)
@@ -426,22 +415,6 @@ func (s *Server) exec(dst []byte, line string, t0 time.Time) ([]byte, time.Time)
 	return dst, t0.Add(d)
 }
 
-// identify names the request on its trace as the router's traces name
-// it: the verb's canonical spelling, the engine and key at its table
-// row's positions. A line without a verb stays nameless.
-func identify(tr *trace.Trace, req *wire.Request) {
-	switch req.Status {
-	case wire.OK:
-		eng, key := req.Identity()
-		if len(key) > maxTextBytes {
-			key = key[:maxTextBytes]
-		}
-		tr.Request(req.Verb.Name, eng, key)
-	case wire.UnknownVerb:
-		tr.Request(strings.ToUpper(req.Word), "", "")
-	}
-}
-
 // retain finishes a request that took d and is kept: tr is its trace,
 // or nil for a request that ran untraced and turned out slow. That
 // entry is built here from what the request left behind — identity from
@@ -452,7 +425,7 @@ func (s *Server) retain(tr *trace.Trace, line string, sv *served, d time.Duratio
 	if tr == nil {
 		tr = s.trc.BeginAt(sv.clock.T0, false)
 		req := wire.Parse(line) // again: the handler has consumed the first one's arguments
-		identify(tr, &req)
+		tr.Request(req.Identity())
 		if sv.eng != "" {
 			s.con.Retrace(sv.eng, sv.sr, tr)
 		}

@@ -388,7 +388,7 @@ func TestMetricsDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(sub, WithoutMetrics())
-	if s.Metrics() != nil {
+	if s.met != nil {
 		t.Fatal("WithoutMetrics still built a registry")
 	}
 	resp := drive(t, s, "INSERT db 1 2", "METRICS", "METRICS db")

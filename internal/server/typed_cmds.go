@@ -33,11 +33,6 @@ const (
 	maxCreateSlots     = 64
 )
 
-// maxTextBytes bounds the text argument of TINSERT/TSEARCH. The key
-// image is 16 bytes regardless (longer texts are digest-folded), so
-// the cap only keeps trace/log fields sane.
-const maxTextBytes = 256
-
 // validEngineName reports whether the name is safe to echo into every
 // downstream surface (metrics labels, trace JSON, ENGINES listings):
 // 1-32 bytes of [A-Za-z0-9_.-].
@@ -223,7 +218,7 @@ func (s *Server) execTInsertAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, s
 	if !ok1 || !ok2 || text == "" {
 		return appendUsage(dst, v)
 	}
-	if len(text) > maxTextBytes {
+	if len(text) > wire.MaxText {
 		return append(dst, "ERR text too long"...)
 	}
 	score, err := strconv.ParseUint(scoreS, 16, 16)
@@ -254,7 +249,7 @@ func (s *Server) execTSearchAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, s
 	if !ok1 || text == "" {
 		return appendUsage(dst, v)
 	}
-	if len(text) > maxTextBytes {
+	if len(text) > wire.MaxText {
 		return append(dst, "ERR text too long"...)
 	}
 	var ok bool

@@ -338,17 +338,17 @@ func TestForcedRetryTelemetry(t *testing.T) {
 
 			// The exposition reports both families with the live counts.
 			var b strings.Builder
-			if err := metrics.WritePrometheus(&b, reg.Snapshot()); err != nil {
+			if _, err := reg.Exposition().WriteTo(&b); err != nil {
 				t.Fatal(err)
 			}
 			text := b.String()
-			wantRetries := metrics.FamSearchRetries + `{engine="e0",engine_type="exact"} `
-			wantFallbacks := metrics.FamLockFallbacks + `{engine="e0",engine_type="exact"} 1`
+			wantRetries := `caram_search_retries_total{engine="e0",engine_type="exact"} `
+			wantFallbacks := `caram_search_lock_fallbacks_total{engine="e0",engine_type="exact"} 1`
 			if !strings.Contains(text, wantRetries) || strings.Contains(text, wantRetries+"0\n") {
-				t.Errorf("exposition missing nonzero %s:\n%s", metrics.FamSearchRetries, text)
+				t.Errorf("exposition missing nonzero %s:\n%s", wantRetries, text)
 			}
 			if !strings.Contains(text, wantFallbacks) {
-				t.Errorf("exposition missing %s == 1", metrics.FamLockFallbacks)
+				t.Errorf("exposition missing %s", wantFallbacks)
 			}
 
 			// Window closed: the lock-free path certifies again, and the

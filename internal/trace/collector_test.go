@@ -165,6 +165,15 @@ func TestAdmittedTraceDetaches(t *testing.T) {
 	if got[0].Cmd != "SEARCH" || got[0].Engine != "db" || got[0].Key != "dead" {
 		t.Fatalf("retained identity wrong: %+v", got[0])
 	}
+	// An unknown verb arrives as the client spelled it and is kept
+	// upper-case, as the ERR reply names it.
+	line = string([]byte("bogus db dead"))
+	tr = c.Begin()
+	tr.Request(line[:5], "", "")
+	c.Observe(tr, time.Microsecond)
+	if got = c.Slow().Snapshot(nil, 1); got[0].Cmd != "BOGUS" {
+		t.Fatalf("retained unknown verb %q, want BOGUS", got[0].Cmd)
+	}
 }
 
 func TestTraceEventAccessors(t *testing.T) {

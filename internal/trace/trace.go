@@ -193,7 +193,8 @@ func (t *Trace) Enabled() bool { return t != nil }
 
 // Request records the command identity. The strings may be substrings
 // of the request line; the Collector clones them on admission so a
-// retained trace does not pin a connection buffer.
+// retained trace does not pin a connection buffer, upper-casing cmd (an
+// unknown verb arrives as the client spelled it).
 func (t *Trace) Request(cmd, engine, key string) {
 	if t == nil {
 		return
@@ -362,9 +363,10 @@ func (t *Trace) reset() {
 }
 
 // detach clones any strings that may alias a caller buffer, making the
-// trace safe to retain after the request line is recycled.
+// trace safe to retain after the request line is recycled, and names the
+// command upper-case.
 func (t *Trace) detach() {
-	t.Cmd = strings.Clone(t.Cmd)
+	t.Cmd = strings.ToUpper(strings.Clone(t.Cmd))
 	t.Engine = strings.Clone(t.Engine)
 	t.Key = strings.Clone(t.Key)
 	t.Result = strings.Clone(t.Result)

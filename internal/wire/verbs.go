@@ -205,19 +205,30 @@ func Parse(line string) (r Request) {
 	return r
 }
 
-// Identity returns what a trace records of the request besides its
-// verb: the engine and key arguments at the row's positions (a Text key
-// is the rest of the line), "" for one the verb lacks or the line is
-// too short to hold.
-func (r *Request) Identity() (engine, key string) {
+// MaxText bounds the text argument of TINSERT and TSEARCH. The key image
+// is 16 bytes regardless (longer texts are digest-folded), so the bound
+// only keeps trace and log fields sane; Identity cuts any key to it.
+const MaxText = 256
+
+// Identity is what either tier's trace calls the request: the verb's
+// canonical name (an unknown verb as written — a retained trace
+// upper-cases it — and "" for a line without a verb), and the engine and
+// key arguments at the row's positions (a Text key is the rest of the
+// line, at most MaxText bytes of it), "" for one the verb lacks or the
+// line is too short to hold. It never allocates.
+func (r *Request) Identity() (cmd, engine, key string) {
 	v := r.Verb
 	if v == nil {
-		return "", ""
+		if r.Status == UnknownVerb {
+			cmd = r.Word
+		}
+		return cmd, "", ""
 	}
 	sc := r.Args
 	for i := uint8(1); i <= max(v.Engine, v.Key); i++ {
 		if v.Text && i == v.Key {
-			return engine, sc.Rest()
+			key = sc.Rest()
+			break
 		}
 		f, ok := sc.Next()
 		if !ok {
@@ -230,5 +241,5 @@ func (r *Request) Identity() (engine, key string) {
 			key = f
 		}
 	}
-	return engine, key
+	return v.Name, engine, key[:min(len(key), MaxText)]
 }

@@ -86,28 +86,33 @@ func TestParseHead(t *testing.T) {
 	}
 }
 
-// TestIdentity: the engine and key a trace records come from the row's
-// positions — for every verb, not for three of them.
+// TestIdentity: what a trace calls a request — the verb's canonical
+// name (an unknown one as written), and the engine and key at the row's
+// positions, for every verb, not for three of them; a key cut to MaxText.
 func TestIdentity(t *testing.T) {
-	for _, tc := range []struct{ line, engine, key string }{
-		{"SEARCH db dead ff", "db", "dead"},
-		{"*TID 1/1 insert db beef 7", "db", "beef"},
-		{"MINSERT ip a0 ff 8", "ip", "a0"},
-		{"MDELETE ip a0 ff", "ip", "a0"},
-		{"TSEARCH tri  hello  world ", "tri", "hello  world"},
-		{"TINSERT tri 2a the quick fox", "tri", "the quick fox"},
-		{"EXPLAIN SEARCH db dead", "db", "dead"},
-		{"STATS db", "db", ""},
-		{"HEALTH", "", ""},
-		{"DROP ENGINE ip", "ip", ""},
-		{"MSEARCH db dead db beef", "", ""},
-		{"SEARCH db", "db", ""},
-		{"TSEARCH tri", "tri", ""},
-		{"BOGUS db dead", "", ""},
+	long := strings.Repeat("x", MaxText+44)
+	for _, tc := range []struct{ line, cmd, engine, key string }{
+		{"SEARCH db dead ff", "SEARCH", "db", "dead"},
+		{"*TID 1/1 insert db beef 7", "INSERT", "db", "beef"},
+		{"MINSERT ip a0 ff 8", "MINSERT", "ip", "a0"},
+		{"MDELETE ip a0 ff", "MDELETE", "ip", "a0"},
+		{"TSEARCH tri  hello  world ", "TSEARCH", "tri", "hello  world"},
+		{"TINSERT tri 2a the quick fox", "TINSERT", "tri", "the quick fox"},
+		{"tsearch tri " + long, "TSEARCH", "tri", long[:MaxText]},
+		{"EXPLAIN SEARCH db dead", "EXPLAIN", "db", "dead"},
+		{"STATS db", "STATS", "db", ""},
+		{"HEALTH", "HEALTH", "", ""},
+		{"DROP ENGINE ip", "DROP", "ip", ""},
+		{"MSEARCH db dead db beef", "MSEARCH", "", ""},
+		{"SEARCH db", "SEARCH", "db", ""},
+		{"TSEARCH tri", "TSEARCH", "tri", ""},
+		{"bogus db dead", "bogus", "", ""},
+		{"*TID 1/1", "", "", ""},
+		{"*FOO SEARCH db dead", "", "", ""},
 	} {
 		r := Parse(tc.line)
-		if e, k := r.Identity(); e != tc.engine || k != tc.key {
-			t.Errorf("Identity(%q) = %q, %q; want %q, %q", tc.line, e, k, tc.engine, tc.key)
+		if c, e, k := r.Identity(); c != tc.cmd || e != tc.engine || k != tc.key {
+			t.Errorf("Identity(%.40q) = %q, %q, %.40q; want %q, %q, %.40q", tc.line, c, e, k, tc.cmd, tc.engine, tc.key)
 		}
 	}
 }
@@ -162,8 +167,8 @@ func FuzzRequest(f *testing.F) {
 			// What a tier that forwards the inner command must get back
 			// by stripping the tag: the same verb over the same arguments.
 			inner := Parse(strings.TrimPrefix(line, r.Tag))
-			ie, ik := inner.Identity()
-			if e, k := r.Identity(); !r.Annotated || inner.Verb != r.Verb || inner.Annotated || ie != e || ik != k {
+			ic, ie, ik := inner.Identity()
+			if c, e, k := r.Identity(); !r.Annotated || inner.Verb != r.Verb || inner.Annotated || ic != c || ie != e || ik != k {
 				t.Fatalf("Parse(%q): tag %q does not strip to the same request", line, r.Tag)
 			}
 		}
