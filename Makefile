@@ -39,8 +39,9 @@
 #                       DELETE) as mixed-wal deploys them,
 #                       MSEARCH bookkeeping, the router with no
 #                       collector, an idle one, and caram-router's
-#                       default flags, and the WAL's O(chunk)
-#                       snapshot / recovery / per-record replay guards)
+#                       default flags, and the WAL's snapshot /
+#                       capture-storage / recovery / per-record
+#                       replay guards)
 #   make metrics-smoke  end-to-end observability check: live server and
 #                       router, every declared family on each tier's
 #                       /metrics, /debug/traces, SLOWLOG/EXPLAIN and
@@ -181,10 +182,11 @@ bench:
 # 5 ms), the owning MSearch's bookkeeping held to its two slices, and
 # the router forward path (SEARCH and MSEARCH) with no collector, an
 # idle one, and the collector caram-router's default flags build; and
-# the durability layer's memory model — a steady-state snapshot and a
-# snapshot+tail recovery of a 10 MB table each allocate O(chunk), a
-# replayed record nothing. This is the one non-race run of these guards
-# in `make ci`.
+# the durability layer's memory model — a steady-state snapshot of a
+# 10 MB table allocates under 64 KiB, the capture of mixed-wal's table
+# at alpha 0.57 at most 70 % of it, a snapshot+tail recovery O(chunk),
+# a replayed record nothing. This is the one non-race run of these
+# guards in `make ci`.
 alloc-guard:
 	$(GO) test -run ZeroAlloc -count=1 ./internal/match ./internal/caram ./internal/wire
 	$(GO) test -run 'ZeroAlloc|TracingOnSteadyStateAllocs' -count=1 ./internal/server
@@ -194,7 +196,11 @@ alloc-guard:
 
 # Durability gate: the whole WAL suite under the race detector (the
 # exhaustive torn-tail property, snapshot truncation + replay gating,
-# CREATE/DROP replay, relaxed-policy seal flushing), the server-side
+# CREATE/DROP replay, relaxed-policy seal flushing, and the two
+# refusals: TestRecoverRefusesLSNGap — the newer of two snapshots rots
+# after the segments the older one needs were pruned — and
+# TestRecoverRefusesMidSegmentRot — a bad frame with intact records
+# behind it is not a torn tail), the server-side
 # graceful-drain / WAL STATUS suites, the fleet WAL STATUS merge, the
 # router's graceful drain (acked writes present on their backends), and
 # the kill-injection harness — the real binary SIGKILLed mid-group-

@@ -2,6 +2,8 @@ package caram
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"caram/internal/bitutil"
@@ -176,33 +178,98 @@ func (s *Slice) Image() []uint64 {
 	return out
 }
 
-// LogicalImageInto copies the slice's logical contents into dst
-// (reallocated only when its capacity falls short) and returns it — the
-// same word layout as Image, except quarantined rows contribute their
-// shadow contents (the §3.2 authoritative host-side copy) instead of
-// the corrupt stored bits. This is the image durability snapshots
-// persist: reloading it through LoadImage reconstructs the logical
-// database even when rows were quarantined at capture time. It is one
-// contiguous copy of the array plus one row copy per quarantined row,
-// so a caller that hands the previous capture back holds the engine
-// lock for a memcpy and allocates nothing. Uncharged (PeekWords), like
-// Records: serialization is host work, not a modeled memory access.
-func (s *Slice) LogicalImageInto(dst []uint64) []uint64 {
-	n := s.array.Words()
-	if cap(dst) < n {
-		dst = make([]uint64, n)
+// Capture is the slice's logical image — quarantined rows contribute
+// their shadow, the §3.2 authoritative host-side copy — kept in
+// O(occupied words): the image durability snapshots persist. Row b
+// keeps spans[b] words from its start, the words its occupancy mark
+// covers (markWords), then its aux words, and none of the zero words
+// between. Rows are kept whole, spans left empty, where bits may sit
+// above a mark (wholeRows) or a row is too wide for a u8 count. The
+// words live in fixed blocks, no row split across two, so a table that
+// grows between captures adds a block rather than copying the capture;
+// a Capture handed back to CaptureInto reuses them and allocates nothing.
+type Capture struct {
+	blocks                  [][]uint64
+	spans                   []uint8
+	rows, rowWords, auxWord int
+	run                     []uint64 // Each's run of full-width rows
+}
+
+const (
+	captureBlock = 1 << 13 // words per storage block (64 KiB), or one row if wider
+	captureRun   = 1 << 12 // words Each expands at a time (32 KiB)
+)
+
+// CaptureInto fills c with the slice's logical contents. The caller
+// excludes writers (the subsystem holds the engine's read lock), so
+// marks and rows agree. Uncharged (PeekWords), like Records:
+// serialization is host work, not a modeled memory access.
+func (s *Slice) CaptureInto(c *Capture) {
+	rw, aux := s.array.RowWords(), s.array.RowWords()-s.auxWord
+	if c.rowWords != rw {
+		c.blocks = nil // sized for another row width
 	}
-	dst = dst[:n]
-	copy(dst, s.array.PeekWords())
-	if s.QuarantinedRows() > 0 {
-		rw := s.array.RowWords()
-		for b := 0; b < s.cfg.Rows(); b++ {
-			if s.Quarantined(uint32(b)) {
-				copy(dst[b*rw:(b+1)*rw], s.ecc.shadowRow(uint32(b)))
+	c.rows, c.rowWords, c.auxWord = s.cfg.Rows(), rw, s.auxWord
+	whole := s.wholeRows() || s.auxWord > math.MaxUint8
+	if c.spans = c.spans[:0]; !whole {
+		c.spans = slices.Grow(c.spans, c.rows)[:c.rows]
+	}
+	data, blk, next := s.array.PeekWords(), []uint64(nil), 0
+	for b := 0; b < c.rows; b++ {
+		row, k := data[:rw:rw], s.auxWord
+		data = data[rw:]
+		if whole {
+			row = s.logicalRow(uint32(b), row)
+		} else {
+			k = s.markWords(int(s.mark[b].Load()))
+			c.spans[b] = uint8(k)
+		}
+		if len(blk) < k+aux {
+			if next == len(c.blocks) {
+				c.blocks = append(c.blocks, make([]uint64, max(captureBlock, rw)))
 			}
+			blk, next = c.blocks[next], next+1
+		}
+		copy(blk, row[:k])
+		for i, v := range row[s.auxWord:] { // a word or two: cheaper than a copy call
+			blk[k+i] = v
+		}
+		blk = blk[k+aux:]
+	}
+}
+
+// Len returns how many words the captured image holds at full width —
+// the array's word count.
+func (c *Capture) Len() int { return c.rows * c.rowWords }
+
+// Each calls fn with the captured image at full width — the words
+// between a span and the aux words zero-filled — as consecutive runs of
+// whole rows, in row order. A run is valid only until fn returns.
+func (c *Capture) Each(fn func(rows []uint64)) {
+	rw, aux := c.rowWords, c.rowWords-c.auxWord
+	if cap(c.run) < max(captureRun, rw) {
+		c.run = make([]uint64, max(captureRun, rw))
+	}
+	run, n, blk, next := c.run[:max(captureRun/rw, 1)*rw], 0, []uint64(nil), 0
+	for b := 0; b < c.rows; b++ {
+		row, k := run[n:n+rw], c.auxWord
+		if len(c.spans) > 0 {
+			k = int(c.spans[b])
+		}
+		if len(blk) < k+aux { // where CaptureInto moved to its next block
+			blk, next = c.blocks[next], next+1
+		}
+		copy(row, blk[:k])
+		clear(row[k:c.auxWord])
+		for i := range aux {
+			row[c.auxWord+i] = blk[k+i]
+		}
+		blk = blk[k+aux:]
+		if n += rw; n == len(run) || b == c.rows-1 {
+			fn(run[:n])
+			n = 0
 		}
 	}
-	return dst
 }
 
 // LoadImage installs a raw storage image produced by Image on a slice

@@ -3,6 +3,8 @@ package caram
 import (
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -281,6 +283,54 @@ func TestReaderBoundedEqualsLocked(t *testing.T) {
 		}
 	}
 	same("LookupBatch")
+}
+
+// TestOccupancyCaptureEqualsWholeRows: a Capture, reused across a
+// random mix of inserts (spilling ones too), deletes and updates, always
+// expands to exactly the stored array — bounded rows on a plain slice,
+// whole rows under ECC — and Verify refuses a set bit in the words it
+// leaves out, where nothing else would notice.
+func TestOccupancyCaptureEqualsWholeRows(t *testing.T) {
+	for _, ecc := range []bool{false, true} {
+		s := occSlice(ecc)
+		rng := rand.New(rand.NewSource(26))
+		var c Capture
+		var live []uint64
+		for step := 0; step < 600; step++ {
+			switch k := uint64(rng.Intn(200) + 1); {
+			case rng.Intn(3) > 0:
+				if s.Insert(seqRec(k, k)) == nil {
+					live = append(live, k)
+				}
+			case len(live) > 0:
+				i := rng.Intn(len(live))
+				if rng.Intn(2) == 0 {
+					s.Update(seqKey(live[i]), bitutil.FromUint64(uint64(step))) //nolint:errcheck
+				} else if s.Delete(seqKey(live[i])) == nil {
+					live = append(live[:i], live[i+1:]...)
+				}
+			}
+			s.CaptureInto(&c)
+			var got []uint64
+			c.Each(func(row []uint64) { got = append(got, row...) })
+			want := s.array.PeekWords()
+			if c.Len() != len(want) || !slices.Equal(got, want) {
+				t.Fatalf("ecc=%v step %d: capture of %d words expands to a different image than the %d whole-row words", ecc, step, c.Len(), len(want))
+			}
+		}
+		if ecc {
+			continue
+		}
+		s.Clear()
+		if err := s.Insert(seqRec(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+		b := s.Index(bitutil.FromUint64(1))
+		s.array.PeekRow(b)[s.markWords(1)] |= 1 << 63
+		if msg := s.Verify(); !strings.Contains(msg, "above mark") {
+			t.Fatalf("a set bit above row %d's mark span: Verify = %q", b, msg)
+		}
+	}
 }
 
 // TestReaderStaleBufferAboveMark: a Reader whose buffer still holds a

@@ -58,9 +58,6 @@ type Reader struct {
 	sr      *match.Searcher
 	res     match.Result
 	retries int // torn snapshots observed since last TakeRetries
-
-	slotBits int // layout.SlotBits()
-	auxWord  int // first word holding aux bits (the row's word count when AuxBits is 0)
 }
 
 // NewReader builds a lock-free search port for this slice. The slice's
@@ -68,17 +65,11 @@ type Reader struct {
 // complete before the first Reader runs.
 func (s *Slice) NewReader() *Reader {
 	w := s.array.RowWords()
-	auxWord := w
-	if s.layout.AuxBits > 0 {
-		auxWord = (s.layout.RowBits - s.layout.AuxBits) / 64
-	}
 	return &Reader{
-		s:        s,
-		row:      make([]uint64, w),
-		chunk:    make([]uint64, BatchChunk*w),
-		sr:       match.NewSearcher(s.layout, s.cfg.MatchProcessors),
-		slotBits: s.layout.SlotBits(),
-		auxWord:  auxWord,
+		s:     s,
+		row:   make([]uint64, w),
+		chunk: make([]uint64, BatchChunk*w),
+		sr:    match.NewSearcher(s.layout, s.cfg.MatchProcessors),
 	}
 }
 
@@ -124,8 +115,8 @@ func (r *Reader) snapshot(idx uint32, dst []uint64) (n int, ok bool) {
 
 // peek is one attempt at the seqlock read section. Whole-row slices
 // (ECC, fault injection) copy every word; otherwise the mark is loaded
-// between the two version loads and only the words below it, and the
-// aux words at the top of the row, are copied.
+// between the two version loads and only the words it covers
+// (Slice.markWords), and the aux words at the top of the row, are copied.
 func (r *Reader) peek(idx uint32, dst []uint64) (n int, ok bool) {
 	s := r.s
 	if s.wholeRows() {
@@ -136,8 +127,8 @@ func (r *Reader) peek(idx uint32, dst []uint64) (n int, ok bool) {
 		return 0, false
 	}
 	n = int(s.mark[idx].Load())
-	s.array.LoadWords(idx, dst, 0, min(bitutil.RowWords(n*r.slotBits), r.auxWord))
-	s.array.LoadWords(idx, dst, r.auxWord, len(dst))
+	s.array.LoadWords(idx, dst, 0, s.markWords(n))
+	s.array.LoadWords(idx, dst, s.auxWord, len(dst))
 	return n, s.array.RowVersion(idx) == v
 }
 

@@ -39,6 +39,8 @@ type Slice struct {
 	// configured probe limit, capped by what the aux field can record — a
 	// displacement beyond it would make the record unreachable.
 	probeMax int
+	// slotBits is a slot's width, auxWord the first word holding aux bits.
+	slotBits, auxWord int
 
 	count    int             // records stored
 	mark     []atomic.Uint32 // per-row occupancy mark: 1 + highest valid slot (see bound)
@@ -72,6 +74,8 @@ func New(cfg Config) (*Slice, error) {
 		proc:     match.NewProcessor(layout, cfg.MatchProcessors),
 		loc:      match.NewSearcher(layout, cfg.MatchProcessors),
 		probeMax: min(cfg.probeLimit(), int(uint64(1)<<uint(layout.AuxBits)-1)),
+		slotBits: layout.SlotBits(),
+		auxWord:  (layout.RowBits - layout.AuxBits) / 64,
 		mark:     make([]atomic.Uint32, cfg.Rows()),
 		homeLoad: make([]int32, cfg.Rows()),
 		overflow: make([]bool, cfg.Rows()),
@@ -259,6 +263,12 @@ func (s *Slice) bound(idx uint32) int {
 }
 
 func (s *Slice) wholeRows() bool { return s.ecc != nil || s.array.FaultsInstalled() }
+
+// markWords returns how many leading words of a row hold its first n
+// slots, stopping short of the aux words: the span of a row whose mark is
+// n that a Reader's snapshot and a Capture copy, the aux words apart.
+// Every word from there up to auxWord is zero (Verify holds it).
+func (s *Slice) markWords(n int) int { return min(bitutil.RowWords(n*s.slotBits), s.auxWord) }
 
 // rebuildMarks recomputes every occupancy mark from the stored rows,
 // after a bulk replacement of the array's contents.

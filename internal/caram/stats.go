@@ -157,7 +157,9 @@ func (s *Slice) HomeLoads() []int32 {
 // description of the first violation, or "" if all hold:
 //
 //  0. Every in-service row's occupancy mark is exactly 1 + its highest
-//     valid slot (checked first: the scans below stop at the mark).
+//     valid slot (checked first: the scans below stop at the mark), and
+//     — unless rows are taken whole — every word between the words the
+//     mark covers and the aux words is zero: a Capture drops them.
 //  1. Count equals the number of valid slots.
 //  2. homeLoad sums to Count.
 //  3. Every record whose key hashes to a home bucket (the Insert path)
@@ -172,8 +174,15 @@ func (s *Slice) Verify() string {
 		if s.Quarantined(uint32(b)) {
 			continue
 		}
-		if got, want := int(s.mark[b].Load()), s.layout.UsedSlots(s.array.PeekRow(uint32(b))); got != want {
+		row := s.array.PeekRow(uint32(b))
+		got := int(s.mark[b].Load())
+		if want := s.layout.UsedSlots(row); got != want {
 			return fmt.Sprintf("bucket %d: occupancy mark %d, highest valid slot implies %d", b, got, want)
+		}
+		for w := s.markWords(got); w < s.auxWord && !s.wholeRows(); w++ {
+			if row[w] != 0 {
+				return fmt.Sprintf("bucket %d: word %d above mark %d's span holds %#x", b, w, got, row[w])
+			}
 		}
 	}
 	valid := 0

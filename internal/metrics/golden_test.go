@@ -56,14 +56,22 @@ func serverFixture() *metrics.Registry {
 }
 
 // serverScrape renders the fixture with a write-ahead log attached whose
-// last fsync never happened, so its age reads -1.
+// last fsync never happened, so its age reads -1, and whose two latency
+// histograms hold a few fsyncs and the two snapshots' captures.
 func serverScrape(t *testing.T) string {
 	t.Helper()
+	var fsync, capture metrics.Histogram
+	for _, d := range []time.Duration{40 * time.Microsecond, 900 * time.Microsecond, 900 * time.Microsecond, 12 * time.Millisecond} {
+		fsync.Observe(int64(d))
+	}
+	capture.Observe(int64(100 * time.Microsecond))
+	capture.Observe(int64(150 * time.Microsecond))
 	stats := func() wal.Stats {
 		return wal.Stats{
 			LSN: 42, Durable: 40, SnapshotLSN: 17, Pending: 2, Segments: 3,
 			Fsyncs: 12345678, FsyncNanos: 1500000, LastFsync: 0,
 			Snapshots: 2, SnapshotNanos: 3000000000, SnapshotCaptureNanos: 250000, SnapshotBytes: 123456789,
+			FsyncLatency: fsync.Snapshot(), CaptureLatency: capture.Snapshot(),
 		}
 	}
 	return scrape(t, serverFixture().Exposition(metrics.Bind(stats, wal.StatsFamilies...)))

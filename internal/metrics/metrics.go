@@ -400,16 +400,11 @@ var engineFamilies = []Family[Snapshot]{
 	{Desc: Desc{Name: "caram_op_errors_total", Help: "Operations that returned an error, by engine and op.",
 		Type: TypeCounter, Labels: opLabels}, Collect: perOp(func(o OpSnapshot) any { return o.Errors })},
 	{Desc: Desc{Name: "caram_op_latency_seconds", Help: "Wall-clock operation latency: lock-free searches are timed end to end, serialized ops at the engine lock boundary (writer lock wait included).",
-		Type: TypeHistogram, Labels: opLabels, Buckets: bounds(histBuckets, func(i int) float64 { return float64(BucketEdgeNs(i)) / 1e9 })},
+		Type: TypeHistogram, Labels: opLabels, Buckets: LatencyBuckets},
 		Collect: func(s Snapshot, e *Emitter) {
 			for _, es := range s.Engines {
 				for _, o := range es.Ops {
-					h := o.Latency
-					top := len(h.Counts) // buckets above the slowest observation get no line
-					for top > 0 && h.Counts[top-1] == 0 {
-						top--
-					}
-					e.Hist(h.Counts[:top], h.N, float64(h.SumNs)/1e9, es.Name, es.Type, o.Op.String())
+					e.Latency(o.Latency, es.Name, es.Type, o.Op.String())
 				}
 			}
 		}},

@@ -134,6 +134,20 @@ func (e *Emitter) Hist(counts []uint64, n uint64, sum any, labels ...string) {
 	e.line("_count", labels, "", n)
 }
 
+// LatencyBuckets are a Histogram's finite bucket bounds in seconds: the
+// Buckets of every family Latency emits.
+var LatencyBuckets = bounds(histBuckets, func(i int) float64 { return float64(BucketEdgeNs(i)) / 1e9 })
+
+// Latency emits one Histogram snapshot as a series in seconds; buckets
+// above the slowest observation get no line.
+func (e *Emitter) Latency(h HistSnapshot, labels ...string) {
+	top := len(h.Counts)
+	for top > 0 && h.Counts[top-1] == 0 {
+		top--
+	}
+	e.Hist(h.Counts[:top], h.N, float64(h.SumNs)/1e9, labels...)
+}
+
 // line writes name+suffix{labels[,le]} value.
 func (e *Emitter) line(suffix string, labels []string, le string, v any) {
 	if len(labels) != len(e.fam.Labels) {

@@ -3,6 +3,7 @@ package subsystem
 import (
 	"caram/internal/bitutil"
 	"caram/internal/cam"
+	"caram/internal/caram"
 	"caram/internal/match"
 )
 
@@ -66,16 +67,17 @@ type Journal interface {
 }
 
 // EngineImage is one engine's snapshot: geometry, the logical row
-// image (quarantined rows contribute their shadow contents — the
-// authoritative copy), and the overflow CAM's records with their
-// priorities. AppliedLSN gates replay: records with lsn <= AppliedLSN
-// are already reflected in Rows and must be skipped.
+// image bounded by each row's occupancy mark (quarantined rows
+// contribute their shadow contents — the authoritative copy), and the
+// overflow CAM's records with their priorities. AppliedLSN gates
+// replay: records with lsn <= AppliedLSN are already reflected in Rows
+// and must be skipped.
 type EngineImage struct {
 	Name        string
 	Type        EngineType
 	Conf        TypedConfig
 	AppliedLSN  uint64
-	Rows        []uint64
+	Rows        caram.Capture
 	OverflowCfg cam.Config // meaningful when HasOverflow
 	HasOverflow bool
 	Overflow    []OverflowEntry
@@ -117,8 +119,9 @@ func (c *Concurrent) SetJournal(j Journal, rosterLSN uint64) *Concurrent {
 //
 // img is the caller's to keep between snapshots: an engine captured
 // before gets its row and overflow storage back, so its writer is held
-// for one copy of the table and a steady-state capture allocates
-// nothing; storage of engines dropped since the last capture is let go.
+// for one copy of the table's occupied words (caram.Capture) and a
+// steady-state capture allocates nothing; storage of engines dropped
+// since the last capture is let go.
 func (c *Concurrent) SnapshotImage(img *Image) {
 	c.setMu.Lock()
 	defer c.setMu.Unlock()
@@ -141,7 +144,7 @@ func (c *Concurrent) SnapshotImage(img *Image) {
 		ei.Type = g.e.Type
 		ei.Conf = TypedConfig{IndexBits: cfg.IndexBits, Slots: cfg.Slots(), ECC: cfg.ECC}
 		ei.AppliedLSN = g.e.AppliedLSN
-		ei.Rows = g.e.Main.LogicalImageInto(ei.Rows)
+		g.e.Main.CaptureInto(&ei.Rows)
 		if ov := g.e.Overflow; ov != nil {
 			ei.HasOverflow = true
 			ei.OverflowCfg = ov.Config()

@@ -25,6 +25,9 @@ var StatsFamilies = []metrics.Family[Stats]{
 		Type: metrics.TypeCounter}, Collect: metrics.Scalar(func(s Stats) any { return s.Fsyncs })},
 	{Desc: metrics.Desc{Name: "caram_wal_fsync_seconds_total", Help: "Cumulative time spent in WAL fsync.",
 		Type: metrics.TypeCounter}, Collect: metrics.Scalar(func(s Stats) any { return seconds(s.FsyncNanos) })},
+	{Desc: metrics.Desc{Name: "caram_wal_fsync_seconds", Help: "WAL fsync latency, one observation per fsync.",
+		Type: metrics.TypeHistogram, Buckets: metrics.LatencyBuckets},
+		Collect: func(s Stats, e *metrics.Emitter) { e.Latency(s.FsyncLatency) }},
 	{Desc: metrics.Desc{Name: "caram_wal_last_fsync_age_seconds", Help: "Seconds since the last WAL fsync (-1 = never).",
 		Type: metrics.TypeGauge},
 		Collect: metrics.Scalar(func(s Stats) any {
@@ -39,6 +42,9 @@ var StatsFamilies = []metrics.Family[Stats]{
 		Type: metrics.TypeCounter}, Collect: metrics.Scalar(func(s Stats) any { return seconds(s.SnapshotNanos) })},
 	{Desc: metrics.Desc{Name: "caram_wal_snapshot_capture_seconds_total", Help: "Cumulative time snapshots spent capturing engine images under the engines' read locks (the writer stall).",
 		Type: metrics.TypeCounter}, Collect: metrics.Scalar(func(s Stats) any { return seconds(s.SnapshotCaptureNanos) })},
+	{Desc: metrics.Desc{Name: "caram_wal_snapshot_capture_seconds", Help: "Writer stall of each completed snapshot: its capture under the engines' read locks.",
+		Type: metrics.TypeHistogram, Buckets: metrics.LatencyBuckets},
+		Collect: func(s Stats, e *metrics.Emitter) { e.Latency(s.CaptureLatency) }},
 	{Desc: metrics.Desc{Name: "caram_wal_snapshot_bytes", Help: "Size of the newest snapshot file written since boot (0 = none).",
 		Type: metrics.TypeGauge}, Collect: metrics.Scalar(func(s Stats) any { return s.SnapshotBytes })},
 }

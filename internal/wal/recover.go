@@ -62,6 +62,10 @@ const maxDroppedKept = 8
 // refuses to guess.
 var errTorn = errors.New("wal: torn record")
 
+// errGap marks a log that skips LSNs the anchoring snapshot does not
+// cover: booting across them would ack writes that are gone.
+var errGap = errors.New("wal: LSN gap")
+
 // Recover rebuilds state from a data directory and opens the log for
 // appending. bootstrap is the flag-configured roster of empty engines:
 // snapshot images load into a bootstrap engine when the geometry
@@ -70,9 +74,11 @@ var errTorn = errors.New("wal: torn record")
 // then replayed in LSN order through the same Insert/Delete/typed-
 // construction paths live traffic uses, gated per engine by
 // AppliedLSN and for CREATE/DROP by RosterLSN, so nothing applies
-// twice. A torn or corrupt record at the tail of the final segment is
-// truncated, never replayed; the same damage in an earlier (sealed,
-// fsynced) segment is a hard error.
+// twice. The snapshot's bound and every record after it must chain
+// without a gap (errGap). A torn or corrupt record at the tail of the
+// final segment is truncated, never replayed; the same damage in an
+// earlier (sealed, fsynced) segment, or with an intact record behind it,
+// is a hard error.
 func Recover(dir string, bootstrap []*subsystem.Engine, opts Options) (*Log, *RecoverResult, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
@@ -138,6 +144,7 @@ func Recover(dir string, bootstrap []*subsystem.Engine, opts Options) (*Log, *Re
 		done:    make(chan struct{}),
 	}
 	l.cond = sync.NewCond(&l.mu)
+	l.snapW, l.snapSum = bufio.NewWriterSize(nil, snapChunk), crc32.New(castagnoli)
 	// A crash just after a segment roll can leave a record-free
 	// segment already named for lastLSN+1; recovery proved it holds no
 	// replayable record (otherwise lastLSN would be higher), so the
@@ -294,10 +301,16 @@ func (st *replayState) replaySegment(path string, wantStart uint64, final bool) 
 		if final {
 			// A crash during segment creation can leave a torn header;
 			// nothing in this file was ever acknowledged as written.
+			if err := st.resync(f, path, 0, size); err != nil {
+				return err
+			}
 			st.res.TruncatedBytes += int(size)
 			return os.Remove(path)
 		}
 		return fmt.Errorf("wal: segment %s: bad header", path)
+	}
+	if wantStart > st.lastLSN+1 {
+		return fmt.Errorf("%w: LSNs %d-%d missing before segment %s", errGap, st.lastLSN+1, wantStart-1, path)
 	}
 	st.br.Discard(16) //nolint:errcheck // peeked, so buffered
 	for off := int64(16); off < size; {
@@ -313,8 +326,14 @@ func (st *replayState) replaySegment(path string, wantStart uint64, final bool) 
 			if !final {
 				return fmt.Errorf("wal: segment %s: corrupt record at offset %d: %w", path, off, bad)
 			}
+			if err := st.resync(f, path, off, size); err != nil {
+				return err
+			}
 			st.res.TruncatedBytes += int(size - off)
 			return os.Truncate(path, off)
+		}
+		if lsn > st.lastLSN+1 {
+			return fmt.Errorf("%w: LSNs %d-%d missing before offset %d of segment %s", errGap, st.lastLSN+1, lsn-1, off, path)
 		}
 		e.Engine = st.intern(name)
 		if err := st.apply(lsn, e); err != nil {
@@ -323,6 +342,27 @@ func (st *replayState) replaySegment(path string, wantStart uint64, final bool) 
 		n := frameHeader + len(payload)
 		st.br.Discard(n) //nolint:errcheck // peeked, so buffered
 		off += int64(n)
+	}
+	return nil
+}
+
+// resync tells a torn tail from rot at the final segment's first bad
+// byte, off: it looks at every later offset, to the end of the file, for
+// a CRC-clean record with an LSN above the last one applied. A torn tail
+// has nothing written behind it; a record there was written after the
+// damage and may have been acked, so the boot is refused and the file is
+// left as it is, as evidence.
+func (st *replayState) resync(f *os.File, path string, off, size int64) error {
+	st.br.Reset(io.NewSectionReader(f, off+1, max(size-off-1, 0)))
+	for at := off + 1; at < size; at++ {
+		p, err := nextFrame(st.br, size-at)
+		if err != nil {
+			return fmt.Errorf("wal: segment %s: offset %d: %w", path, at, err)
+		}
+		if lsn, _, _, bad := decodeRecord(p); bad == nil && lsn > st.lastLSN {
+			return fmt.Errorf("wal: segment %s: corrupt at offset %d, yet record %d is intact at offset %d: %w", path, off, lsn, at, errTorn)
+		}
+		st.br.Discard(1) //nolint:errcheck // at < size: the byte is there
 	}
 	return nil
 }

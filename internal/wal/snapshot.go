@@ -88,7 +88,7 @@ func imageSizes(img *subsystem.Image) []engineSize {
 	sizes := make([]engineSize, len(img.Engines))
 	for i := range img.Engines {
 		ei := &img.Engines[i]
-		sizes[i] = engineSize{name: len(ei.Name), words: len(ei.Rows), recs: -1}
+		sizes[i] = engineSize{name: len(ei.Name), words: ei.Rows.Len(), recs: -1}
 		if ei.HasOverflow {
 			sizes[i].recs = len(ei.Overflow)
 		}
@@ -147,8 +147,8 @@ func (e snapEncoder) image(bound uint64, img *subsystem.Image) {
 		e.uint(2, uint64(ei.Conf.Slots))
 		e.uint(1, bit(ei.Conf.ECC))
 		e.uint(8, ei.AppliedLSN)
-		e.uint(4, uint64(len(ei.Rows)))
-		e.words(ei.Rows)
+		e.uint(4, uint64(ei.Rows.Len()))
+		ei.Rows.Each(e.words) // full width: the zero words above a row's mark are written back
 		e.uint(1, bit(ei.HasOverflow))
 		if !ei.HasOverflow {
 			continue
@@ -341,12 +341,12 @@ func readSnapshot(f *os.File, br *bufio.Reader, load snapLoader) (bound, rosterL
 	return bound, rosterLSN, nil
 }
 
-// writeSnapshot writes img to path and fsyncs it (it replaces
-// writeFileSync over a finished file image): header reserved, payload
-// streamed into the file and a running CRC32C at once, [payloadLen][crc]
-// patched with one WriteAt. n is payloadLen's answer; an encoder that
-// wrote anything else is a bug caught here, before the rename.
-func writeSnapshot(path string, bound uint64, img *subsystem.Image, n uint32) (err error) {
+// writeSnapshot (snapMu held) writes the capture l.img to path and
+// fsyncs it: header reserved, payload streamed through the log's one
+// chunk into the file and the running CRC, [payloadLen][crc] patched
+// with one WriteAt. n is payloadLen's answer; an encoder that wrote
+// anything else is a bug caught here, before the rename.
+func (l *Log) writeSnapshot(path string, bound uint64, n uint32) (err error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -361,17 +361,17 @@ func writeSnapshot(path string, bound uint64, img *subsystem.Image, n uint32) (e
 	if _, err = f.Write(hdr); err != nil {
 		return err
 	}
-	sum := crc32.New(castagnoli)
-	bw := bufio.NewWriterSize(io.MultiWriter(f, sum), snapChunk)
-	snapEncoder{bw}.image(bound, img)
-	if err = bw.Flush(); err != nil {
+	l.snapSum.Reset()
+	l.snapW.Reset(io.MultiWriter(f, l.snapSum)) // keeps the chunk, drops a failed snapshot's state
+	snapEncoder{l.snapW}.image(bound, &l.img)
+	if err = l.snapW.Flush(); err != nil {
 		return err
 	}
 	if end, err := f.Seek(0, io.SeekCurrent); err != nil || end != 16+int64(n) {
 		return fmt.Errorf("wal: snapshot encoder wrote to offset %d (%v), sized %d payload bytes", end, err, n)
 	}
 	binary.LittleEndian.PutUint32(hdr[8:], n)
-	binary.LittleEndian.PutUint32(hdr[12:], sum.Sum32())
+	binary.LittleEndian.PutUint32(hdr[12:], l.snapSum.Sum32())
 	if _, err = f.WriteAt(hdr[8:], 8); err != nil {
 		return err
 	}
@@ -410,7 +410,7 @@ func (l *Log) Snapshot(image func(*subsystem.Image)) error {
 
 	final := filepath.Join(l.dir, snapshotName(bound))
 	tmp := final + snapTmpSuffix
-	if err = writeSnapshot(tmp, bound, &l.img, n); err == nil {
+	if err = l.writeSnapshot(tmp, bound, n); err == nil {
 		err = os.Rename(tmp, final)
 	}
 	if err != nil {
@@ -452,6 +452,7 @@ func (l *Log) Snapshot(image func(*subsystem.Image)) error {
 	l.mu.Unlock()
 	l.snapshots.Add(1)
 	l.snapCaptureNanos.Add(uint64(capture))
+	l.captureHist.Observe(int64(capture))
 	l.snapBytes.Store(16 + int64(n))
 	l.snapNanos.Add(uint64(time.Since(start)))
 	return nil

@@ -1,7 +1,10 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -124,6 +127,86 @@ func TestTornTailQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoverRefusesMidSegmentRot: a bad frame in the final segment
+// with an intact record behind it is not a torn tail — the bytes after
+// it were written, and may have been acked — so recovery refuses,
+// naming where the damage is and which record survives it, and leaves
+// the file byte for byte as it was. The same holds for a rotted header.
+func TestRecoverRefusesMidSegmentRot(t *testing.T) {
+	lens := make([]int, 20)
+	for i := range lens {
+		lens[i] = 4
+	}
+	data, bounds := buildTornLog(t, lens)
+	for _, tc := range []struct {
+		name      string
+		flip      int64
+		off, next int64 // the bad frame's offset, the intact record's
+		lsn       int
+	}{
+		{"mid-segment", bounds[9] - 5, bounds[8], bounds[9], 11},
+		{"header", 3, 0, 16, 1},
+	} {
+		rotted := append([]byte(nil), data...)
+		rotted[tc.flip] ^= 0x08
+		dir := t.TempDir()
+		path := filepath.Join(dir, segmentName(1))
+		if err := os.WriteFile(path, rotted, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, res, err := Recover(dir, nil, Options{Sync: SyncPolicy{Mode: SyncAlways}})
+		want := fmt.Sprintf("corrupt at offset %d, yet record %d is intact at offset %d", tc.off, tc.lsn, tc.next)
+		if !errors.Is(err, errTorn) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: recovered %+v, err %v; want the refusal %q", tc.name, res, err, want)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, rotted) {
+			t.Fatalf("%s: the refused segment was modified (%v)", tc.name, err)
+		}
+	}
+}
+
+// TestRecoverRefusesLSNGap: when the newest snapshot is unreadable and
+// the segments the older one needs were pruned, the log no longer holds
+// the records between the two bounds; recovery refuses to boot across
+// them and names the range, where anchoring on the older snapshot and
+// replaying what is left would ack writes that are gone.
+func TestRecoverRefusesLSNGap(t *testing.T) {
+	dir := t.TempDir()
+	con, w, _ := openStack(t, dir, Options{Sync: SyncPolicy{Mode: SyncAlways}})
+	insert := func(from, to uint64) {
+		for i := from; i <= to; i++ {
+			if err := con.Insert("db", rec(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insert(1, 100)
+	older, err := os.ReadFile(takeSnapshot(t, dir, con, w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert(101, 200)
+	newer := takeSnapshot(t, dir, con, w) // prunes the older snapshot and segments 1-200
+	insert(201, 210)
+	// A crash between pruning segments and pruning snapshots leaves the
+	// older file; then the newer one rots.
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(100)), older, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(newer, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xff}, 40); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	_, res, err := Recover(dir, []*subsystem.Engine{testEngine(t, "db")}, Options{Sync: SyncPolicy{Mode: SyncAlways}})
+	if !errors.Is(err, errGap) || !strings.Contains(err.Error(), "LSNs 101-200 missing") {
+		t.Fatalf("recovered %+v, err %v; want the gap 101-200 refused", res, err)
 	}
 }
 

@@ -29,8 +29,10 @@
 package wal
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"hash"
 	"os"
 	"path/filepath"
 	"strings"
@@ -38,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"caram/internal/metrics"
 	"caram/internal/subsystem"
 )
 
@@ -142,17 +145,22 @@ type Log struct {
 	done chan struct{}
 	bg   sync.WaitGroup
 
-	snapMu sync.Mutex      // serializes Snapshot callers
-	img    subsystem.Image // the capture, its row storage kept between snapshots (snapMu)
+	// Snapshot state kept between snapshots: the capture, the encoder's chunk.
+	snapMu  sync.Mutex
+	img     subsystem.Image
+	snapW   *bufio.Writer
+	snapSum hash.Hash32
 
 	fsyncs     atomic.Uint64
 	fsyncNanos atomic.Uint64
+	fsyncHist  metrics.Histogram
 	lastFsync  atomic.Int64 // unix nanos of the last fsync completion
 
 	snapshots        atomic.Uint64 // completed
 	snapNanos        atomic.Uint64 // capture through prune, completed snapshots
 	snapCaptureNanos atomic.Uint64 // of that, inside the image callback
 	snapBytes        atomic.Int64  // size of the newest snapshot file
+	captureHist      metrics.Histogram
 }
 
 // Append encodes the entry, assigns it the next LSN, and buffers it.
@@ -299,8 +307,10 @@ func (l *Log) flush(fsync bool) error {
 		start := time.Now()
 		if err = l.f.Sync(); err == nil {
 			synced = true
+			took := time.Since(start)
 			l.fsyncs.Add(1)
-			l.fsyncNanos.Add(uint64(time.Since(start)))
+			l.fsyncNanos.Add(uint64(took))
+			l.fsyncHist.Observe(int64(took))
 			l.lastFsync.Store(time.Now().UnixNano())
 		}
 	}
@@ -426,6 +436,8 @@ type Stats struct {
 	SnapshotNanos        uint64
 	SnapshotCaptureNanos uint64
 	SnapshotBytes        int64 // newest snapshot file; 0 = none written since boot
+	// One observation per fsync in Fsyncs, per capture in SnapshotCaptureNanos.
+	FsyncLatency, CaptureLatency metrics.HistSnapshot
 }
 
 // Stats returns current counters.
@@ -450,6 +462,8 @@ func (l *Log) Stats() Stats {
 	s.SnapshotNanos = l.snapNanos.Load()
 	s.SnapshotCaptureNanos = l.snapCaptureNanos.Load()
 	s.SnapshotBytes = l.snapBytes.Load()
+	s.FsyncLatency = l.fsyncHist.Snapshot()
+	s.CaptureLatency = l.captureHist.Snapshot()
 	return s
 }
 
