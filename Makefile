@@ -27,7 +27,8 @@
 #                       path (match on every compiled variant, caram
 #                       incl. the typed bounded LookupBest and the
 #                       slice's write path, the request
-#                       grammar in internal/wire, server incl.
+#                       grammar and a warmed client's pipelined
+#                       exchange in internal/wire, server incl.
 #                       lpm/pktclass/TSEARCH, the wire path through
 #                       Handle — SEARCH and MSEARCH lines alike — and the
 #                       tracing-compiled-in steady state,
@@ -173,7 +174,7 @@ bench:
 # layouts, slice lookup, the Reader's batch pipeline and its typed
 # bounded LookupBest, the slice's mutators and membership tests, the
 # request parse (scan, annotation, verb lookup in either case,
-# identity), server SEARCH / lpm / pktclass / TSEARCH through ExecAppend
+# identity), a warmed wire.Client's pipelined exchange, server SEARCH / lpm / pktclass / TSEARCH through ExecAppend
 # and, per line, through Handle, MSEARCH lines likewise, and the steady
 # state with tracing compiled in; TestRequestPathZeroAlloc's table of
 # those reads plus a journaled write under no collector, an idle one and

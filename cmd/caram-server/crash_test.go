@@ -12,7 +12,6 @@ import (
 	"bufio"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -22,6 +21,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"caram/internal/wire"
 )
 
 var (
@@ -141,31 +142,11 @@ func (p *proc) terminate(t *testing.T) {
 	}
 }
 
-// dial connects to the subprocess with a request/reply helper.
-func dial(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
-	t.Helper()
-	var conn net.Conn
-	var err error
-	for i := 0; i < 50; i++ {
-		conn, err = net.Dial("tcp", addr)
-		if err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("dial %s: %v", addr, err)
-	}
-	conn.SetDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
-	return conn, bufio.NewReader(conn)
-}
-
-func roundTrip(conn net.Conn, br *bufio.Reader, req string) (string, error) {
-	if _, err := fmt.Fprintf(conn, "%s\n", req); err != nil {
-		return "", err
-	}
-	line, err := br.ReadString('\n')
-	return strings.TrimSuffix(line, "\n"), err
+// client connects to the subprocess; the test closes it.
+func client(t *testing.T, addr string) *wire.Client {
+	c := wire.NewClient(addr, wire.ClientConfig{})
+	t.Cleanup(c.Close)
+	return c
 }
 
 func crashIters() int {
@@ -206,8 +187,8 @@ func TestCrashKillRecovery(t *testing.T) {
 		writerDone := make(chan struct{})
 		go func() {
 			defer close(writerDone)
-			conn, br := dial(t, p.addr)
-			defer conn.Close()
+			c := client(t, p.addr)
+			defer c.Close()
 			for {
 				select {
 				case <-stop:
@@ -215,7 +196,7 @@ func TestCrashKillRecovery(t *testing.T) {
 				default:
 				}
 				k := next
-				reply, err := roundTrip(conn, br, fmt.Sprintf("INSERT db %x %x", k, k*7+1))
+				reply, err := c.Do(fmt.Sprintf("INSERT db %x %x", k, k*7+1))
 				if err != nil {
 					return // connection died in the kill: k was never acked
 				}
@@ -237,12 +218,12 @@ func TestCrashKillRecovery(t *testing.T) {
 
 		// Restart on the same directory; every acked key must HIT.
 		p = startServer(t, exe, "-data", dir, "-wal-sync", "always")
-		conn, br := dial(t, p.addr)
+		c := client(t, p.addr)
 		ackMu.Lock()
 		keys := append([]uint64(nil), acked...)
 		ackMu.Unlock()
 		for _, k := range keys {
-			reply, err := roundTrip(conn, br, fmt.Sprintf("SEARCH db %x", k))
+			reply, err := c.Do(fmt.Sprintf("SEARCH db %x", k))
 			if err != nil {
 				t.Fatalf("iter %d: SEARCH after recovery: %v", iter, err)
 			}
@@ -252,7 +233,7 @@ func TestCrashKillRecovery(t *testing.T) {
 					iter, k, reply, want, p.stderrText())
 			}
 		}
-		conn.Close()
+		c.Close()
 		p.terminate(t)
 	}
 	t.Logf("%d acked writes survived %d kills", len(acked), crashIters())
@@ -272,34 +253,35 @@ func TestCrashSlowSyncUnackedAbsent(t *testing.T) {
 
 	// Phase 1: a normally-synced server acks key A and shuts down.
 	p := startServer(t, exe, "-data", dir, "-wal-sync", "always")
-	conn, br := dial(t, p.addr)
-	if reply, err := roundTrip(conn, br, "INSERT db aa 1"); err != nil || reply != "OK" {
+	c := client(t, p.addr)
+	if reply, err := c.Do("INSERT db aa 1"); err != nil || reply != "OK" {
 		t.Fatalf("INSERT aa: %q %v", reply, err)
 	}
-	conn.Close()
+	c.Close()
 	p.terminate(t)
 
 	// Phase 2: every fsync now stalls 500ms. Issue key B but do not
 	// wait for (and never receive) its ack; kill inside the stall.
 	p = startServer(t, exe, "-data", dir, "-wal-sync", "always", "-wal-slow-sync", "500ms")
-	conn, _ = dial(t, p.addr)
-	if _, err := conn.Write([]byte("INSERT db bb 2\n")); err != nil {
-		t.Fatal(err)
-	}
+	c = client(t, p.addr)
+	unacked := wire.NewBatch().Add("INSERT db bb 2")
+	c.Submit(unacked.Batch())
 	time.Sleep(100 * time.Millisecond) // inside the 500ms sync stall
 	p.kill(t)
-	conn.Close()
+	if reply, err := unacked.Wait(); err == nil {
+		t.Fatalf("INSERT bb was acked before the kill: %q", reply)
+	}
+	unacked.Release()
 
 	// Phase 3: recovery must have A (acked) and must not have B
 	// (unacked — its record never reached the kernel).
 	p = startServer(t, exe, "-data", dir, "-wal-sync", "always")
 	defer p.terminate(t)
-	conn, br = dial(t, p.addr)
-	defer conn.Close()
-	if reply, err := roundTrip(conn, br, "SEARCH db aa"); err != nil || reply != "HIT 0:0000000000000001" {
+	c = client(t, p.addr)
+	if reply, err := c.Do("SEARCH db aa"); err != nil || reply != "HIT 0:0000000000000001" {
 		t.Fatalf("acked key lost: %q %v", reply, err)
 	}
-	if reply, err := roundTrip(conn, br, "SEARCH db bb"); err != nil || reply != "MISS" {
+	if reply, err := c.Do("SEARCH db bb"); err != nil || reply != "MISS" {
 		t.Fatalf("unacked key leaked into recovery: %q %v", reply, err)
 	}
 }
@@ -316,14 +298,14 @@ func TestGracefulShutdownZeroReplay(t *testing.T) {
 	dir := t.TempDir()
 
 	p := startServer(t, exe, "-data", dir, "-wal-sync", "always")
-	conn, br := dial(t, p.addr)
+	c := client(t, p.addr)
 	for i := 1; i <= 8; i++ {
 		req := fmt.Sprintf("INSERT db %x %x", i, i+100)
-		if reply, err := roundTrip(conn, br, req); err != nil || reply != "OK" {
+		if reply, err := c.Do(req); err != nil || reply != "OK" {
 			t.Fatalf("%s: %q %v", req, reply, err)
 		}
 	}
-	conn.Close()
+	c.Close()
 	p.terminate(t)
 
 	p = startServer(t, exe, "-data", dir, "-wal-sync", "always")
@@ -332,11 +314,10 @@ func TestGracefulShutdownZeroReplay(t *testing.T) {
 	if !strings.Contains(boot, "replayed=0") || !strings.Contains(boot, "clean_shutdown=true") {
 		t.Fatalf("boot after graceful shutdown was not clean:\n%s", boot)
 	}
-	conn, br = dial(t, p.addr)
-	defer conn.Close()
+	c = client(t, p.addr)
 	for i := 1; i <= 8; i++ {
 		want := fmt.Sprintf("HIT 0:%016x", i+100)
-		if reply, err := roundTrip(conn, br, fmt.Sprintf("SEARCH db %x", i)); err != nil || reply != want {
+		if reply, err := c.Do(fmt.Sprintf("SEARCH db %x", i)); err != nil || reply != want {
 			t.Fatalf("key %x after clean restart: %q %v", i, reply, err)
 		}
 	}

@@ -77,14 +77,13 @@ import (
 	"syscall"
 	"time"
 
-	"caram/internal/caram"
 	"caram/internal/fault"
-	"caram/internal/hash"
 	"caram/internal/metrics"
 	"caram/internal/server"
 	"caram/internal/subsystem"
 	"caram/internal/trace"
 	"caram/internal/wal"
+	"caram/internal/wire"
 )
 
 func main() {
@@ -135,9 +134,8 @@ func main() {
 	var rows, perRow int
 	for i, name := range names {
 		name = strings.TrimSpace(name)
-		// Each -engines element is name or name:type (exact, lpm,
-		// pktclass, trigram); a bare name keeps the historical exact
-		// engine. Typed engines share -indexbits / -slots / -ecc.
+		// Each -engines element is name or name:type (exact, the default,
+		// lpm, pktclass, trigram), built as CREATE ENGINE builds one.
 		typ := subsystem.ExactEngine
 		if at := strings.IndexByte(name, ':'); at >= 0 {
 			var err error
@@ -151,38 +149,9 @@ func main() {
 			logger.Error("empty engine name in -engines")
 			os.Exit(1)
 		}
-		if typ != subsystem.ExactEngine {
-			e, err := subsystem.NewTypedEngine(name, typ, subsystem.TypedConfig{
-				IndexBits: *rbits,
-				Slots:     *slots,
-				ECC:       *eccOn,
-			})
-			if err != nil {
-				logger.Error("engine config", "engine", name, "err", err)
-				os.Exit(1)
-			}
-			if *faultSeed != 0 {
-				inj := fault.New(fault.Config{
-					Seed:     *faultSeed + int64(i),
-					PSingle:  *faultSingle,
-					PDouble:  *faultDouble,
-					PReadErr: *faultReadErr,
-					PSpike:   *faultSpike,
-				})
-				e.Main.Array().InstallFaults(inj)
-				inj.Enable()
-			}
-			bootstrap = append(bootstrap, e)
-			rows, perRow = e.Main.Config().Rows(), e.Main.Config().Slots()
-			continue
-		}
-		sl, err := caram.New(caram.Config{
+		e, err := subsystem.NewTypedEngine(name, typ, subsystem.TypedConfig{
 			IndexBits: *rbits,
-			RowBits:   *slots*(1+64+32) + 16,
-			KeyBits:   64,
-			DataBits:  32,
-			AuxBits:   16,
-			Index:     hash.NewMultShift(*rbits),
+			Slots:     *slots,
 			ECC:       *eccOn,
 		})
 		if err != nil {
@@ -199,11 +168,11 @@ func main() {
 				PReadErr: *faultReadErr,
 				PSpike:   *faultSpike,
 			})
-			sl.Array().InstallFaults(inj)
+			e.Main.Array().InstallFaults(inj)
 			inj.Enable()
 		}
-		bootstrap = append(bootstrap, &subsystem.Engine{Name: name, Main: sl})
-		rows, perRow = sl.Config().Rows(), sl.Config().Slots()
+		bootstrap = append(bootstrap, e)
+		rows, perRow = e.Main.Config().Rows(), e.Main.Config().Slots()
 	}
 
 	// With -data, boot goes through recovery: the latest valid snapshot
@@ -253,13 +222,8 @@ func main() {
 
 	tcfg := tracing()
 	col := trace.NewCollector(tcfg)
-	srvOpts := []server.Option{server.WithTracing(col), server.WithLogger(logger)}
-	if *maxConns > 0 {
-		srvOpts = append(srvOpts, server.WithConnLimit(*maxConns))
-	}
-	if *readTO > 0 || *idleTO > 0 {
-		srvOpts = append(srvOpts, server.WithTimeouts(*readTO, *idleTO))
-	}
+	srvOpts := []server.Option{server.WithTracing(col), server.WithLogger(logger),
+		server.WithLimits(wire.Limits{MaxConns: *maxConns, ReadTimeout: *readTO, IdleTimeout: *idleTO})}
 	if w != nil {
 		srvOpts = append(srvOpts, server.WithWAL(w, rec, *snapEvery))
 	}

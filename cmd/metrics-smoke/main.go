@@ -50,8 +50,8 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -65,34 +65,44 @@ import (
 
 	"caram/internal/metrics"
 	"caram/internal/wal"
+	"caram/internal/wire"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("metrics-smoke: ")
-	if err := run(); err != nil {
+	if err := smoke(); err != nil {
 		log.Fatal(err)
-	}
-	if err := runCluster(); err != nil {
-		log.Fatal(fmt.Errorf("cluster: %w", err))
 	}
 	log.Print("PASS")
 }
 
-func run() error {
+// smoke builds both binaries once, then runs the server-tier check and
+// the router-tier one.
+func smoke() error {
 	dir, err := os.MkdirTemp("", "metrics-smoke")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
-
-	bin := filepath.Join(dir, "caram-server")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/caram-server")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("build caram-server: %w", err)
+	srvBin, rtBin := filepath.Join(dir, "caram-server"), filepath.Join(dir, "caram-router")
+	for _, b := range [][2]string{{srvBin, "./cmd/caram-server"}, {rtBin, "./cmd/caram-router"}} {
+		build := exec.Command("go", "build", "-o", b[0], b[1])
+		build.Stderr = os.Stderr
+		if err := build.Run(); err != nil {
+			return fmt.Errorf("build %s: %w", b[1], err)
+		}
 	}
+	if err := run(srvBin, filepath.Join(dir, "data")); err != nil {
+		return err
+	}
+	if err := runCluster(srvBin, rtBin); err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	return nil
+}
 
+func run(bin, dataDir string) error {
 	wireAddr, httpAddr, err := freeAddrs()
 	if err != nil {
 		return err
@@ -102,33 +112,19 @@ func run() error {
 	// resulting per-request Warn lines out of the CI output.
 	srv := exec.Command(bin, "-addr", wireAddr, "-http", httpAddr, "-engines", "db,aux", "-indexbits", "8",
 		"-slowlog-us", "0", "-log-level", "error", "-ecc",
-		"-data", filepath.Join(dir, "data"), "-snapshot-every", "100ms")
+		"-data", dataDir, "-snapshot-every", "100ms")
 	srv.Stderr = os.Stderr
 	if err := srv.Start(); err != nil {
 		return fmt.Errorf("start caram-server: %w", err)
 	}
 	defer srv.Process.Kill() //nolint:errcheck // belt and braces; the happy path interrupts
 
-	conn, err := dialRetry(wireAddr, 5*time.Second)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	rd := bufio.NewReader(conn)
-	ask := func(req string) (string, error) {
-		if _, err := fmt.Fprintln(conn, req); err != nil {
-			return "", fmt.Errorf("%s: %w", req, err)
-		}
-		line, err := rd.ReadString('\n')
-		if err != nil {
-			return "", fmt.Errorf("%s: %w", req, err)
-		}
-		return strings.TrimSpace(line), nil
-	}
+	c := wire.NewClient(wireAddr, wire.ClientConfig{})
+	defer c.Close()
 
 	// A small workload with known counts: 2 inserts, 2 searches (one
 	// miss), 1 delete, 2 msearch slots, 1 unknown-engine request.
-	for _, step := range []struct{ req, want string }{
+	if err := expect(c, []step{
 		{"INSERT db dead 42", "OK"},
 		{"INSERT aux beef 7", "OK"},
 		{"SEARCH db dead", "HIT 0:0000000000000042"},
@@ -144,14 +140,8 @@ func run() error {
 		{"HEALTH db", "HEALTH engine=db state=healthy quarantined=0 corrected=0 uncorrectable=0 read_errors=0 scrubs=0 scrub_bits=0 overflow=0/0"},
 		{"HEALTH db SCRUB", "OK scrub engine=db rows=0 bits=0 released=0"},
 		{"HEALTH db", "HEALTH engine=db state=healthy quarantined=0 corrected=0 uncorrectable=0 read_errors=0 scrubs=1 scrub_bits=0 overflow=0/0"},
-	} {
-		got, err := ask(step.req)
-		if err != nil {
-			return err
-		}
-		if got != step.want {
-			return fmt.Errorf("%s: got %q, want %q", step.req, got, step.want)
-		}
+	}); err != nil {
+		return err
 	}
 
 	body, err := get("http://" + httpAddr + "/metrics")
@@ -208,12 +198,10 @@ func run() error {
 	// Tracing over the wire. The zero threshold admitted all 12 requests
 	// above; LEN reads the ring before its own trace is admitted (End
 	// runs after the reply is built), so the count is exact.
-	if got, err := ask("SLOWLOG LEN"); err != nil {
+	if err := expect(c, []step{{"SLOWLOG LEN", "SLOWLOG len=12"}}); err != nil {
 		return err
-	} else if got != "SLOWLOG len=12" {
-		return fmt.Errorf("SLOWLOG LEN: got %q, want %q", got, "SLOWLOG len=12")
 	}
-	explain, err := ask("EXPLAIN SEARCH aux beef")
+	explain, err := ask(c, "EXPLAIN SEARCH aux beef")
 	if err != nil {
 		return err
 	}
@@ -233,10 +221,8 @@ func run() error {
 	}
 	// The newest slowlog entry is the EXPLAIN request itself (admitted
 	// when it ended, after the lookup it explains).
-	if got, err := ask("SLOWLOG GET 1"); err != nil {
+	if err := expectHas(c, "SLOWLOG GET 1", "SLOWLOG n=1 id=", " cmd=EXPLAIN "); err != nil {
 		return err
-	} else if !strings.HasPrefix(got, "SLOWLOG n=1 id=") || !strings.Contains(got, " cmd=EXPLAIN ") {
-		return fmt.Errorf("SLOWLOG GET 1: got %q, want one EXPLAIN entry", got)
 	}
 
 	// /debug/traces: the structured JSON view of the same rings.
@@ -295,21 +281,14 @@ func run() error {
 
 	// RESET clears the ring; the RESET request itself is admitted right
 	// after its reply is built, so the next LEN sees exactly one entry.
-	if got, err := ask("SLOWLOG RESET"); err != nil {
+	if err := expect(c, []step{{"SLOWLOG RESET", "OK"}, {"SLOWLOG LEN", "SLOWLOG len=1"}}); err != nil {
 		return err
-	} else if got != "OK" {
-		return fmt.Errorf("SLOWLOG RESET: got %q, want OK", got)
-	}
-	if got, err := ask("SLOWLOG LEN"); err != nil {
-		return err
-	} else if got != "SLOWLOG len=1" {
-		return fmt.Errorf("SLOWLOG LEN after RESET: got %q, want %q", got, "SLOWLOG len=1")
 	}
 
 	// Typed engines: create one of each type over the wire and drive
 	// one typed operation each — the same process now serves all four
 	// engine shapes.
-	for _, step := range []struct{ req, want string }{
+	if err := expect(c, []step{
 		{"CREATE ENGINE ip TYPE lpm INDEXBITS 8 SLOTS 8", "OK"},
 		{"CREATE ENGINE acl TYPE pktclass INDEXBITS 8 SLOTS 8", "OK"},
 		{"CREATE ENGINE tri TYPE trigram INDEXBITS 8", "OK"},
@@ -321,14 +300,8 @@ func run() error {
 		{"TINSERT tri 2a the quick fox", "OK"},
 		{"TSEARCH tri the quick fox", "HIT 0:000000000000002a"},
 		{"TSEARCH tri missing text", "MISS"},
-	} {
-		got, err := ask(step.req)
-		if err != nil {
-			return err
-		}
-		if got != step.want {
-			return fmt.Errorf("%s: got %q, want %q", step.req, got, step.want)
-		}
+	}); err != nil {
+		return err
 	}
 
 	// The scrape now carries engine_type-labelled families for every
@@ -368,10 +341,8 @@ func run() error {
 	}
 
 	// DROP unregisters the engine from the exposition entirely.
-	if got, err := ask("DROP ENGINE acl"); err != nil {
+	if err := expect(c, []step{{"DROP ENGINE acl", "OK"}}); err != nil {
 		return err
-	} else if got != "OK" {
-		return fmt.Errorf("DROP ENGINE acl: got %q, want OK", got)
 	}
 	body, err = get("http://" + httpAddr + "/metrics")
 	if err != nil {
@@ -386,43 +357,13 @@ func run() error {
 	}
 
 	// Graceful shutdown: SIGINT, then the process must exit 0.
-	if err := srv.Process.Signal(os.Interrupt); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("server exited non-zero after SIGINT: %w", err)
-		}
-	case <-time.After(10 * time.Second):
-		srv.Process.Kill() //nolint:errcheck
-		return fmt.Errorf("server did not exit within 10s of SIGINT")
-	}
-	return nil
+	return interrupt(srv, "server")
 }
 
 // runCluster is the router-tier smoke: caram-router in front of two
 // caram-server backends, a sharded workload, and the router's own
 // Prometheus exposition.
-func runCluster() error {
-	dir, err := os.MkdirTemp("", "metrics-smoke-cluster")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	srvBin := filepath.Join(dir, "caram-server")
-	rtBin := filepath.Join(dir, "caram-router")
-	for _, b := range []struct{ bin, pkg string }{{srvBin, "./cmd/caram-server"}, {rtBin, "./cmd/caram-router"}} {
-		build := exec.Command("go", "build", "-o", b.bin, b.pkg)
-		build.Stderr = os.Stderr
-		if err := build.Run(); err != nil {
-			return fmt.Errorf("build %s: %w", b.pkg, err)
-		}
-	}
-
+func runCluster(srvBin, rtBin string) error {
 	// Two backends, then the router in front of them. The health
 	// watcher stays off so the op counters below are exactly the
 	// workload's.
@@ -442,12 +383,13 @@ func runCluster() error {
 		defer bk.Process.Kill() //nolint:errcheck
 		bkAddrs[i], bkProcs[i] = addr, bk
 	}
-	for _, addr := range bkAddrs {
-		c, err := dialRetry(addr, 5*time.Second)
+	for _, addr := range bkAddrs { // up before the router needs them
+		c := wire.NewClient(addr, wire.ClientConfig{})
+		err := expect(c, []step{{"ENGINES", "ENGINES db"}})
+		c.Close()
 		if err != nil {
 			return err
 		}
-		c.Close()
 	}
 	wireAddr, httpAddr, err := freeAddrs()
 	if err != nil {
@@ -464,70 +406,40 @@ func runCluster() error {
 	}
 	defer rt.Process.Kill() //nolint:errcheck
 
-	conn, err := dialRetry(wireAddr, 5*time.Second)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	rd := bufio.NewReader(conn)
-	ask := func(req string) (string, error) {
-		if _, err := fmt.Fprintln(conn, req); err != nil {
-			return "", fmt.Errorf("%s: %w", req, err)
-		}
-		line, err := rd.ReadString('\n')
-		if err != nil {
-			return "", fmt.Errorf("%s: %w", req, err)
-		}
-		return strings.TrimSpace(line), nil
-	}
+	c := wire.NewClient(wireAddr, wire.ClientConfig{})
+	defer c.Close()
 
 	// 64 keys shard across both backends; every reply is
 	// self-validating, and the router-local METRICS line counts the
 	// 128 forwarded ops exactly.
 	const n = 64
+	steps := make([]step, 2*n)
 	for i := 1; i <= n; i++ {
-		if got, err := ask(fmt.Sprintf("INSERT db %x %x", i, i)); err != nil {
-			return err
-		} else if got != "OK" {
-			return fmt.Errorf("INSERT %x through router: got %q", i, got)
-		}
+		steps[i-1] = step{fmt.Sprintf("INSERT db %x %x", i, i), "OK"}
+		steps[n+i-1] = step{fmt.Sprintf("SEARCH db %x", i), fmt.Sprintf("HIT 0:%016x", i)}
 	}
-	for i := 1; i <= n; i++ {
-		want := fmt.Sprintf("HIT 0:%016x", i)
-		if got, err := ask(fmt.Sprintf("SEARCH db %x", i)); err != nil {
-			return err
-		} else if got != want {
-			return fmt.Errorf("SEARCH %x through router: got %q, want %q", i, got, want)
-		}
+	if err := expect(c, steps); err != nil {
+		return fmt.Errorf("through the router: %w", err)
 	}
 	// The traced router answers METRICS fleet-wide: backend counters
 	// summed, the router's own forward totals alongside.
-	if got, err := ask("METRICS"); err != nil {
+	if err := expectHas(c, "METRICS", fmt.Sprintf("METRICS backends=2 ops=%d errors=0 unknown=0 router_ops=", 2*n),
+		" router_errors=0"); err != nil {
 		return err
-	} else if !strings.HasPrefix(got, fmt.Sprintf("METRICS backends=2 ops=%d errors=0 unknown=0 router_ops=", 2*n)) ||
-		!strings.Contains(got, " router_errors=0") {
-		return fmt.Errorf("router fleet METRICS: got %q", got)
 	}
-	if got, err := ask("METRICS db"); err != nil {
+	if err := expectHas(c, "METRICS db", "METRICS engine=db ", fmt.Sprintf(" insert=%d ", n),
+		fmt.Sprintf(" search=%d ", n)); err != nil {
 		return err
-	} else if !strings.HasPrefix(got, "METRICS engine=db ") ||
-		!strings.Contains(got, fmt.Sprintf(" insert=%d ", n)) ||
-		!strings.Contains(got, fmt.Sprintf(" search=%d ", n)) {
-		return fmt.Errorf("router fleet METRICS db: got %q", got)
 	}
-	if got, err := ask("METRICS db LATENCY search"); err != nil {
+	if err := expectHas(c, "METRICS db LATENCY search", fmt.Sprintf("METRICS engine=db op=search n=%d ", n),
+		" p99_us="); err != nil {
 		return err
-	} else if !strings.HasPrefix(got, fmt.Sprintf("METRICS engine=db op=search n=%d ", n)) ||
-		!strings.Contains(got, " p99_us=") {
-		return fmt.Errorf("router fleet LATENCY: got %q", got)
 	}
 
 	// The fleet slowlog merges both backends' rings with the router's
 	// own, every entry stamped with where it was measured.
-	if got, err := ask("SLOWLOG GET 5"); err != nil {
+	if err := expectHas(c, "SLOWLOG GET 5", "SLOWLOG n=5 ", " node="); err != nil {
 		return err
-	} else if !strings.HasPrefix(got, "SLOWLOG n=5 ") || !strings.Contains(got, " node=") {
-		return fmt.Errorf("router fleet SLOWLOG: got %q", got)
 	}
 
 	// /debug/traces on the router serves stitched traces: router spans
@@ -576,10 +488,8 @@ func runCluster() error {
 		return fmt.Errorf("router /debug/traces: no stitched SEARCH with router spans and a backend child\n%s", stitched)
 	}
 	// The same child is fetchable directly over the wire.
-	if got, err := ask("TRACE GET " + childTID); err != nil {
+	if err := expectHas(c, "TRACE GET "+childTID, "TRACE {"); err != nil {
 		return err
-	} else if !strings.HasPrefix(got, "TRACE {") {
-		return fmt.Errorf("TRACE GET %s through router: got %q", childTID, got)
 	}
 
 	// The router's scrape: every family the router declares, traffic on
@@ -605,26 +515,12 @@ func runCluster() error {
 	}
 
 	// Graceful shutdown, router first, then the backends.
-	if err := rt.Process.Signal(os.Interrupt); err != nil {
+	if err := interrupt(rt, "router"); err != nil {
 		return err
 	}
-	done := make(chan error, 1)
-	go func() { done <- rt.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("router exited non-zero after SIGINT: %w", err)
-		}
-	case <-time.After(10 * time.Second):
-		rt.Process.Kill() //nolint:errcheck
-		return fmt.Errorf("router did not exit within 10s of SIGINT")
-	}
 	for i, bk := range bkProcs {
-		if err := bk.Process.Signal(os.Interrupt); err != nil {
+		if err := interrupt(bk, fmt.Sprint("backend ", i)); err != nil {
 			return err
-		}
-		if err := bk.Wait(); err != nil {
-			return fmt.Errorf("backend %d exited non-zero after SIGINT: %w", i, err)
 		}
 	}
 	return nil
@@ -678,19 +574,74 @@ func freeAddrs() (wire, http string, err error) {
 	return addrs[0], addrs[1], nil
 }
 
-// dialRetry polls the wire port until the freshly-exec'd server
-// accepts.
-func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
-	deadline := time.Now().Add(timeout)
+// step is one request and the reply it must draw.
+type step struct{ req, want string }
+
+// expect runs steps over c in order.
+func expect(c *wire.Client, steps []step) error {
+	for _, st := range steps {
+		got, err := ask(c, st.req)
+		if err != nil {
+			return err
+		}
+		if got != st.want {
+			return fmt.Errorf("%s: got %q, want %q", st.req, got, st.want)
+		}
+	}
+	return nil
+}
+
+// expectHas asks req over c and requires a reply that starts with
+// prefix and contains every part.
+func expectHas(c *wire.Client, req, prefix string, parts ...string) error {
+	got, err := ask(c, req)
+	if err != nil {
+		return err
+	}
+	ok := strings.HasPrefix(got, prefix)
+	for _, p := range parts {
+		ok = ok && strings.Contains(got, p)
+	}
+	if !ok {
+		return fmt.Errorf("%s: got %q, want %q...%q", req, got, prefix, parts)
+	}
+	return nil
+}
+
+// interrupt sends cmd SIGINT and requires it to exit 0 within 10 s.
+func interrupt(cmd *exec.Cmd, name string) error {
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		return err
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			return fmt.Errorf("%s exited non-zero after SIGINT: %w", name, err)
+		}
+		return nil
+	case <-time.After(10 * time.Second):
+		cmd.Process.Kill() //nolint:errcheck
+		return fmt.Errorf("%s did not exit within 10s of SIGINT", name)
+	}
+}
+
+// ask sends one request line over c and returns its reply. Until the
+// freshly exec'd process accepts, a failed dial — nothing was sent — is
+// retried.
+func ask(c *wire.Client, req string) (string, error) {
+	deadline := time.Now().Add(5 * time.Second)
 	for {
-		conn, err := net.Dial("tcp", addr)
-		if err == nil {
-			return conn, nil
+		reply, err := c.Do(req)
+		if errors.Is(err, wire.ErrDial) && time.Now().Before(deadline) {
+			time.Sleep(50 * time.Millisecond)
+			continue
 		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("dial %s: %w", addr, err)
+		if err != nil {
+			return "", fmt.Errorf("%s: %w", req, err)
 		}
-		time.Sleep(50 * time.Millisecond)
+		return reply, nil
 	}
 }
 

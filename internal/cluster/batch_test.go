@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"caram/internal/wire"
 )
 
 // Batch failure semantics, deterministically: scripted backends that
@@ -299,31 +301,23 @@ func TestRouterConcurrentBurstsStress(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			conn, err := net.Dial("tcp", l.Addr().String())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer conn.Close()
-			br := bufio.NewReader(conn)
-			var req []byte
+			client := newClient(t, l.Addr().String())
+			calls := make([]wire.Call, depth)
 			for b := 0; b < bursts; b++ {
-				req = req[:0]
-				for i := 0; i < depth; i++ {
-					req = fmt.Appendf(req, "SEARCH db %x\n", (c*31+b*depth+i)%keys+1)
+				burst := wire.NewBatch()
+				for i := range calls {
+					calls[i] = burst.Add(fmt.Sprintf("SEARCH db %x", (c*31+b*depth+i)%keys+1))
 				}
-				if _, err := conn.Write(req); err != nil {
-					t.Error(err)
-					return
-				}
-				for i := 0; i < depth; i++ {
-					line, err := br.ReadString('\n')
-					want := fmt.Sprintf("HIT 0:%016x\n", (c*31+b*depth+i)%keys+1)
-					if err != nil || line != want {
+				client.Submit(burst)
+				for i, call := range calls {
+					line, err := call.Wait()
+					want := fmt.Sprintf("HIT 0:%016x", (c*31+b*depth+i)%keys+1)
+					if err != nil || string(line) != want {
 						t.Errorf("client %d burst %d line %d: %q %v, want %q", c, b, i, line, err, want)
 						return
 					}
 				}
+				burst.Release()
 			}
 		}(c)
 	}

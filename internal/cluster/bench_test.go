@@ -38,83 +38,66 @@ func benchCluster(b *testing.B) []*testBackend {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < len(bks); i++ {
-		conn, err := net.Dial("tcp", bks[i].addr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bw := bufio.NewWriter(conn)
-		n := 0
+	for i := range bks {
+		var lines []string
 		for k := 1; k <= benchKeys; k++ {
-			v, _ := wire.ParseVec(fmt.Sprintf("%x", k))
-			if ring.Owner("db", v) != i {
-				continue
-			}
-			fmt.Fprintf(bw, "INSERT db %x %x\n", k, k)
-			n++
-		}
-		if err := bw.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		br := bufio.NewReader(conn)
-		for j := 0; j < n; j++ {
-			line, err := br.ReadString('\n')
-			if err != nil || line != "OK\n" {
-				b.Fatalf("preload backend %d: %q %v", i, line, err)
+			if v, _ := wire.ParseVec(fmt.Sprintf("%x", k)); ring.Owner("db", v) == i {
+				lines = append(lines, fmt.Sprintf("INSERT db %x %x", k, k))
 			}
 		}
-		conn.Close()
+		preload(b, bks[i].addr, lines)
 	}
 	return bks
+}
+
+// preload sends lines to addr as one pipelined batch and requires an
+// OK for each.
+func preload(b *testing.B, addr string, lines []string) {
+	burst, calls := batchOf(lines...)
+	newClient(b, addr).Submit(burst)
+	for i, c := range calls {
+		if reply, err := c.Wait(); err != nil || string(reply) != "OK" {
+			b.Fatalf("preload %s: %q %v", lines[i], reply, err)
+		}
+	}
+	burst.Release()
 }
 
 // driveFrontend hammers addr with concurrent clients, each pipelining
 // `depth` SEARCH requests per flush, and validates every reply.
 func driveFrontend(b *testing.B, addr string, depth int) {
-	reqs := make([][]byte, benchKeys)
+	reqs := make([]string, benchKeys)
 	wants := make([]string, benchKeys)
 	for k := 1; k <= benchKeys; k++ {
-		reqs[k-1] = []byte(fmt.Sprintf("SEARCH db %x\n", k))
-		wants[k-1] = fmt.Sprintf("HIT 0:%016x\n", k)
+		reqs[k-1] = fmt.Sprintf("SEARCH db %x", k)
+		wants[k-1] = fmt.Sprintf("HIT 0:%016x", k)
 	}
 	b.SetParallelism(4) // clients = 4 * GOMAXPROCS
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		defer conn.Close()
-		bw := bufio.NewWriterSize(conn, 16<<10)
-		br := bufio.NewReaderSize(conn, 16<<10)
-		idx, batch := 0, make([]int, 0, depth)
+		client := newClient(b, addr)
+		idx, keys, calls := 0, make([]int, 0, depth), make([]wire.Call, 0, depth)
 		for {
-			batch = batch[:0]
-			for len(batch) < depth && pb.Next() {
-				bw.Write(reqs[idx]) //nolint:errcheck
-				batch = append(batch, idx)
+			burst := wire.NewBatch()
+			keys, calls = keys[:0], calls[:0]
+			for len(keys) < depth && pb.Next() {
+				calls = append(calls, burst.Add(reqs[idx]))
+				keys = append(keys, idx)
 				idx = (idx + 1) % benchKeys
 			}
-			if len(batch) == 0 {
+			if len(keys) == 0 {
+				burst.Release()
 				return
 			}
-			if err := bw.Flush(); err != nil {
-				b.Error(err)
-				return
-			}
-			for _, k := range batch {
-				line, err := br.ReadString('\n')
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				if line != wants[k] {
-					b.Errorf("reply %q, want %q", line, wants[k])
+			client.Submit(burst)
+			for i, k := range keys {
+				if line, err := calls[i].Wait(); err != nil || string(line) != wants[k] {
+					b.Errorf("reply %q %v, want %q", line, err, wants[k])
 					return
 				}
 			}
-			if len(batch) < depth {
+			burst.Release()
+			if len(keys) < depth {
 				return
 			}
 		}
@@ -145,24 +128,11 @@ func BenchmarkRouterPipelinedSearch(b *testing.B) {
 // is what the pipelined pools buy back.
 func BenchmarkDirectServerSearch(b *testing.B) {
 	bk := startBackend(b, "db")
-	conn, err := net.Dial("tcp", bk.addr)
-	if err != nil {
-		b.Fatal(err)
+	lines := make([]string, benchKeys)
+	for k := range lines {
+		lines[k] = fmt.Sprintf("INSERT db %x %x", k+1, k+1)
 	}
-	bw := bufio.NewWriter(conn)
-	for k := 1; k <= benchKeys; k++ {
-		fmt.Fprintf(bw, "INSERT db %x %x\n", k, k)
-	}
-	if err := bw.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	for j := 0; j < benchKeys; j++ {
-		if line, err := br.ReadString('\n'); err != nil || line != "OK\n" {
-			b.Fatalf("preload: %q %v", line, err)
-		}
-	}
-	conn.Close()
+	preload(b, bk.addr, lines)
 	for _, depth := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
 			b.ReportAllocs()
@@ -317,8 +287,9 @@ var forwardCollectors = []struct {
 
 // stubRoundTrip serves a router over one stub backend (one connection,
 // HealthInterval 0: watcher off, nothing ticks) and returns a function
-// that sends req and reads its one reply line, allocation-free on the
-// client side too — AllocsPerRun counts mallocs process-wide.
+// that sends req through a wire.Client and waits for its one reply,
+// allocation-free on the client side too — AllocsPerRun counts mallocs
+// process-wide.
 func stubRoundTrip(tb testing.TB, cfg *trace.Config, req string) func() {
 	tb.Helper()
 	rc := RouterConfig{Backends: []Backend{{Label: "b0", Addr: stubBackend(tb)}}, Conns: 1}
@@ -335,20 +306,14 @@ func stubRoundTrip(tb testing.TB, cfg *trace.Config, req string) func() {
 		tb.Fatal(err)
 	}
 	go rt.Serve(l) //nolint:errcheck
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { conn.Close() })
-	br := bufio.NewReaderSize(conn, 4<<10)
-	line := []byte(req + "\n")
+	client := newClient(tb, l.Addr().String())
 	roundTrip := func() {
-		if _, err := conn.Write(line); err != nil {
+		c := wire.NewBatch().Add(req)
+		client.Submit(c.Batch())
+		if _, err := c.Wait(); err != nil {
 			tb.Fatal(err)
 		}
-		if _, err := br.ReadSlice('\n'); err != nil {
-			tb.Fatal(err)
-		}
+		c.Release()
 	}
 	for i := 0; i < 200; i++ { // warm every pool and buffer
 		roundTrip()

@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"bufio"
 	"fmt"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -90,29 +88,18 @@ func TestRouterFailoverUnderStress(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			conn, err := net.Dial("tcp", rl.Addr().String())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer conn.Close()
-			br := bufio.NewReader(conn)
+			client := newClient(t, rl.Addr().String())
 			for time.Now().Before(stop) {
 				if time.Now().After(killAt) {
 					kill()
 				}
 				idx := rng.Intn(nKeys)
 				k := keys[idx]
-				if _, err := fmt.Fprintf(conn, "SEARCH db %s\n", k); err != nil {
-					t.Errorf("client write: %v", err)
-					return
-				}
-				line, err := br.ReadString('\n')
+				line, err := client.Do("SEARCH db " + k)
 				if err != nil {
-					t.Errorf("client read: %v", err)
+					t.Errorf("client: %v", err)
 					return
 				}
-				line = strings.TrimSuffix(line, "\n")
 				want := fmt.Sprintf("HIT 0:%016x", idx+1)
 				switch line {
 				case want:

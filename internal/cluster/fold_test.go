@@ -12,15 +12,15 @@ import (
 func settledOp(v *wire.Verb, replies ...any) *pendingOp {
 	op := &pendingOp{kind: opScatter, verb: v}
 	for _, r := range replies {
-		b := &batch{n: 1, settled: true}
+		c := wire.NewBatch().Add("")
 		switch r := r.(type) {
 		case string:
-			b.resp = []byte(r)
-			b.ends = []int32{int32(len(r))}
+			c.Batch().Answer([]byte(r))
+			c.Batch().Finish(nil)
 		case error:
-			b.err = r
+			c.Batch().Finish(r)
 		}
-		op.calls = append(op.calls, Call{b: b})
+		op.calls = append(op.calls, Call{c})
 	}
 	return op
 }

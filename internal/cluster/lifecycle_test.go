@@ -37,7 +37,8 @@ func serveRouter(t *testing.T, rt *Router) string {
 // burst is already read and forwarded — the backend is slow to answer —
 // must still deliver every reply, in order, and return only after they
 // were written. (The router used to hard-close its client connections:
-// 0 replies, EOF.)
+// 0 replies, EOF.) The client is a raw socket: the EOF that follows the
+// replies is under test.
 func TestRouterCloseDrainsInflightBurst(t *testing.T) {
 	fb := startFakeBackend(t, func(_, _ int, line string) (string, bool) {
 		time.Sleep(150 * time.Millisecond)
@@ -85,41 +86,32 @@ func TestRouterCloseDrainsInflightBurst(t *testing.T) {
 func TestRouterCloseDrainsAckedWrites(t *testing.T) {
 	bks := []*testBackend{startBackend(t, "db"), startBackend(t, "db")}
 	rt, _ := testRouter(t, bks, nil)
-	conn, err := net.Dial("tcp", serveRouter(t, rt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
-	br := bufio.NewReader(conn)
+	client := newClient(t, serveRouter(t, rt))
 	// One round trip first: the connection is in service, not in the
 	// accept backlog, when Close comes.
-	if _, err := conn.Write([]byte("SEARCH db 1\n")); err != nil {
-		t.Fatal(err)
-	}
-	if line, err := br.ReadString('\n'); err != nil || line != "MISS\n" {
+	if line, err := client.Do("SEARCH db 1"); err != nil || line != "MISS" {
 		t.Fatalf("warm-up: %q, %v", line, err)
 	}
 	const n = 64
-	var burst strings.Builder
-	for i := 1; i <= n; i++ {
-		fmt.Fprintf(&burst, "INSERT db %x %x\n", i, 0x100+i)
+	burst := wire.NewBatch()
+	calls := make([]wire.Call, n)
+	for i := range calls {
+		calls[i] = burst.Add(fmt.Sprintf("INSERT db %x %x", i+1, 0x100+i+1))
 	}
-	if _, err := conn.Write([]byte(burst.String())); err != nil {
-		t.Fatal(err)
-	}
+	client.Submit(burst)
 	closed := make(chan error, 1)
 	go func() { closed <- rt.Close() }()
 	acked := 0
-	for ; ; acked++ {
-		line, err := br.ReadString('\n')
+	for ; acked < n; acked++ {
+		line, err := calls[acked].Wait()
 		if err != nil {
-			break // EOF, or a reset when part of the burst went unread
+			break // the hang-up, or a reset when part of the burst went unread
 		}
-		if line != "OK\n" {
+		if string(line) != "OK" {
 			t.Fatalf("reply %d = %q, want OK", acked+1, line)
 		}
 	}
+	burst.Release()
 	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func (rt *Router) routeMetrics(st *rconn, line string, req wire.Request) {
 			// router would report here.
 			for _, bt := range st.cur[:len(rt.pools)] {
 				if bt != nil {
-					ops += uint64(bt.n)
+					ops += uint64(bt.Lines())
 				}
 			}
 		}

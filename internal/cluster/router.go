@@ -345,9 +345,9 @@ type rconn struct {
 	rt    *Router
 	lane  uint64
 	ops   []pendingOp
-	cur   []*batch       // per backend: the batch this burst fills (nil until first used)
-	cut   []*batch       // submitted outside the settle trigger: over-threshold batches, retries
-	marks []int          // per backend: where the line last opened starts in cur[b].req (MSEARCH: -1 = none yet)
+	cur   []*wire.Batch  // per backend: the batch this burst fills (nil until first used)
+	cut   []*wire.Batch  // submitted outside the settle trigger: over-threshold batches, retries
+	marks []int          // per backend: where the line last opened starts in cur[b].Req (MSEARCH: -1 = none yet)
 	curs  []wire.Scanner // per backend: where MSEARCH reassembly stands in its MRESULTS reply
 	tr    *trace.Trace   // head-sampled trace of the request currently dispatching
 	cmdb  []byte         // rewritten-command scratch (METRICS ... LATENCY -> HIST)
@@ -392,7 +392,7 @@ func (rt *Router) Handle(r io.Reader, w io.Writer) {
 	st.rt = rt
 	st.lane = laneCounter.Add(1)
 	if len(st.cur) < len(rt.pools) {
-		st.cur = make([]*batch, len(rt.pools))
+		st.cur = make([]*wire.Batch, len(rt.pools))
 		st.marks = make([]int, len(rt.pools))
 		st.curs = make([]wire.Scanner, len(rt.pools))
 	}
@@ -547,22 +547,22 @@ func (rt *Router) forward(st *rconn, line string, backend int, v *wire.Verb) *pe
 // (TRACE GET through the router still finds it, by scatter), and the
 // router's own trace of that request, sampled or late-built, carries
 // no wire id and so no stitched child.
-func (st *rconn) open(b int, span uint32) *batch {
+func (st *rconn) open(b int, span uint32) *wire.Batch {
 	bt := st.cur[b]
 	if bt == nil {
-		bt = batchPool.Get().(*batch)
+		bt = wire.NewBatch()
 		st.cur[b] = bt
 	}
-	st.marks[b] = len(bt.req)
+	st.marks[b] = len(bt.Req)
 	if tr := st.tr; tr != nil {
 		if tr.TID == 0 {
 			tr.SetWire(trace.NewTraceID(), 0)
 		}
-		bt.req = append(bt.req, "*TID "...)
-		bt.req = strconv.AppendUint(bt.req, tr.TID, 16)
-		bt.req = append(bt.req, '/')
-		bt.req = strconv.AppendUint(bt.req, uint64(span), 10)
-		bt.req = append(bt.req, ' ')
+		bt.Req = append(bt.Req, "*TID "...)
+		bt.Req = strconv.AppendUint(bt.Req, tr.TID, 16)
+		bt.Req = append(bt.Req, '/')
+		bt.Req = strconv.AppendUint(bt.Req, uint64(span), 10)
+		bt.Req = append(bt.Req, ' ')
 	}
 	return bt
 }
@@ -573,10 +573,8 @@ func (st *rconn) open(b int, span uint32) *batch {
 // next) and a fresh one takes its place.
 func (st *rconn) endLine(rt *Router, b int) Call {
 	bt := st.cur[b]
-	bt.req = append(bt.req, '\n')
-	c := Call{b: bt, i: bt.n}
-	bt.n++
-	if len(bt.req) >= flushThreshold {
+	c := Call{bt.EndLine()}
+	if len(bt.Req) >= flushThreshold {
 		rt.pools[b].submit(bt, st.lane)
 		st.cut = append(st.cut, bt)
 		st.cur[b] = nil
@@ -587,7 +585,7 @@ func (st *rconn) endLine(rt *Router, b int) Call {
 // send enqueues one whole line for backend b.
 func (st *rconn) send(rt *Router, b int, span uint32, line string) Call {
 	bt := st.open(b, span)
-	bt.req = append(bt.req, line...)
+	bt.Req = append(bt.Req, line...)
 	return st.endLine(rt, b)
 }
 
@@ -635,7 +633,7 @@ func (rt *Router) routeMSearch(st *rconn, line string, req wire.Request) {
 			// out of the batches, drop the op, and forward whole.
 			for b := range rt.pools {
 				if st.marks[b] >= 0 {
-					st.cur[b].req = st.cur[b].req[:st.marks[b]]
+					st.cur[b].Req = st.cur[b].Req[:st.marks[b]]
 				}
 			}
 			st.ops = st.ops[:len(st.ops)-1]
@@ -650,14 +648,14 @@ func (rt *Router) routeMSearch(st *rconn, line string, req wire.Request) {
 		}
 		if st.marks[b] < 0 {
 			bt := st.open(b, uint32(b+1))
-			bt.req = append(bt.req, req.Tag...)
-			bt.req = append(bt.req, req.Verb.Name...)
+			bt.Req = append(bt.Req, req.Tag...)
+			bt.Req = append(bt.Req, req.Verb.Name...)
 		}
 		bt := st.cur[b]
-		bt.req = append(bt.req, ' ')
-		bt.req = append(bt.req, eng...)
-		bt.req = append(bt.req, ' ')
-		bt.req = append(bt.req, key...)
+		bt.Req = append(bt.Req, ' ')
+		bt.Req = append(bt.Req, eng...)
+		bt.Req = append(bt.Req, ' ')
+		bt.Req = append(bt.Req, key...)
 		op.slotBk = append(op.slotBk, b)
 	}
 	for b := range rt.pools {
@@ -744,7 +742,7 @@ func (st *rconn) Settle(out []byte) []byte {
 	tFlush := time.Now().UnixNano()
 	cur := st.cur[:len(rt.pools)]
 	for b, bt := range cur {
-		if bt != nil && bt.n > 0 {
+		if bt != nil && bt.Lines() > 0 {
 			rt.pools[b].submit(bt, st.lane)
 		}
 	}
@@ -770,15 +768,14 @@ func (st *rconn) Settle(out []byte) []byte {
 	// Every line's op waited above; these waits only guarantee no batch
 	// is refilled while the pool could still be writing to it.
 	for _, bt := range cur {
-		if bt != nil && bt.n > 0 {
-			bt.wait()
-			bt.reset()
+		if bt != nil && bt.Lines() > 0 {
+			bt.Wait()
+			bt.Reset()
 		}
 	}
 	for _, bt := range st.cut {
-		bt.wait()
-		bt.reset()
-		batchPool.Put(bt)
+		bt.Wait()
+		bt.Release()
 	}
 	st.cut = st.cut[:0]
 	return out
@@ -795,8 +792,8 @@ func (rt *Router) settleForward(st *rconn, out []byte, op *pendingOp) []byte {
 		rt.met.Backend(op.backend).IncRetries()
 		time.Sleep(rt.retryBackoff << uint(op.retries))
 		op.retries++
-		c = rt.pools[op.backend].Submit(c.b.line(c.i)) // a *TID tag rides in the line
-		st.cut = append(st.cut, c.b)                   // recycled with the burst
+		c = rt.pools[op.backend].Submit(c.Line()) // a *TID tag rides in the line
+		st.cut = append(st.cut, c.Batch())        // recycled with the burst
 		op.calls[0] = c
 		resp, err = c.Wait()
 	}
@@ -823,7 +820,7 @@ func (rt *Router) settleForward(st *rconn, out []byte, op *pendingOp) []byte {
 func (rt *Router) settleMSearch(st *rconn, out []byte, op *pendingOp) []byte {
 	for b, c := range op.calls {
 		st.curs[b] = wire.Scanner{}
-		if c.b == nil {
+		if c.Batch() == nil {
 			continue
 		}
 		if resp, err := c.Wait(); err == nil {
@@ -901,8 +898,8 @@ func (rt *Router) observe(st *rconn, out []byte, tFlush int64) {
 func (rt *Router) record(tr *trace.Trace, op *pendingOp, routed int64) {
 	line := op.req
 	for _, c := range op.calls {
-		if c.b != nil {
-			line = c.b.line(c.i)
+		if c.Batch() != nil {
+			line = c.Line()
 			break
 		}
 	}
@@ -929,11 +926,11 @@ func (rt *Router) record(tr *trace.Trace, op *pendingOp, routed int64) {
 		tr.Add(trace.Event{Kind: trace.KindRetry, Bucket: uint32(op.backend), Matches: int32(n)})
 	}
 	for i, c := range op.calls {
-		if c.b != nil {
+		if c.Batch() != nil {
 			b, span := hop(i)
 			queued := routed
 			if op.retries > 0 {
-				queued = c.b.tSubmit // a retry queues from its own submission
+				queued = c.Batch().TSubmit // a retry queues from its own submission
 			}
 			recordCall(tr, c, b, span, op.t0, queued)
 		}
@@ -949,22 +946,22 @@ func (rt *Router) record(tr *trace.Trace, op *pendingOp, routed int64) {
 // batch shed before reaching a connection has no write stamp: all of
 // its time was queueing.
 func recordCall(tr *trace.Trace, c Call, backend int, span uint32, t0, queued int64) {
-	bt := c.b
+	bt := c.Batch()
 	if tr.TID == 0 {
 		span = 0
 	}
 	queue := trace.Event{Kind: trace.KindQueue, Bucket: uint32(backend), Offset: time.Duration(queued - t0)}
-	if bt.tWrite == 0 {
-		queue.Dur = time.Duration(max(bt.tDone, queued) - queued)
+	if bt.TWrite == 0 {
+		queue.Dur = time.Duration(max(bt.TDone, queued) - queued)
 		tr.Add(queue)
 		return
 	}
-	wrote := max(bt.tWrite, queued)
+	wrote := max(bt.TWrite, queued)
 	queue.Dur = time.Duration(wrote - queued)
 	tr.Add(queue)
 	tr.Add(trace.Event{Kind: trace.KindRTT, Bucket: uint32(backend), Span: span,
-		Offset: time.Duration(wrote - t0), Dur: time.Duration(max(bt.tDone, wrote) - wrote)})
-	tr.Add(trace.Event{Kind: trace.KindBurst, Bucket: uint32(backend), Matches: bt.burst})
+		Offset: time.Duration(wrote - t0), Dur: time.Duration(max(bt.TDone, wrote) - wrote)})
+	tr.Add(trace.Event{Kind: trace.KindBurst, Bucket: uint32(backend), Matches: bt.Burst})
 }
 
 // mergeAllOK: every backend must say OK; otherwise the first non-OK

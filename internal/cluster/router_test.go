@@ -104,6 +104,23 @@ func rdrive(t testing.TB, rt *Router, reqs ...string) []string {
 	return lines
 }
 
+// newClient is a wire.Client to addr, closed on cleanup.
+func newClient(t testing.TB, addr string) *wire.Client {
+	c := wire.NewClient(addr, wire.ClientConfig{})
+	t.Cleanup(c.Close)
+	return c
+}
+
+// batchOf builds one batch of the given request lines.
+func batchOf(lines ...string) (*wire.Batch, []wire.Call) {
+	b := wire.NewBatch()
+	calls := make([]wire.Call, len(lines))
+	for i, line := range lines {
+		calls[i] = b.Add(line)
+	}
+	return b, calls
+}
+
 // TestRouterTransparencyDifferential is the protocol contract: for
 // operations owned by a single backend — every key op, every usage
 // error, every malformed line — the router's reply must be

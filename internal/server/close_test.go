@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"net"
 	"strings"
 	"testing"
@@ -9,6 +8,7 @@ import (
 
 	"caram/internal/subsystem"
 	"caram/internal/wal"
+	"caram/internal/wire"
 )
 
 // walServer builds a server over a recovered WAL in dir with one
@@ -55,33 +55,23 @@ func TestCloseDrainsInflightHandlers(t *testing.T) {
 	}
 	go srv.Serve(l) //nolint:errcheck
 
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
 	// A pipelined burst: both inserts are read into the handler's
 	// buffer at once; each blocks in the slow group commit.
-	if _, err := conn.Write([]byte("INSERT db 1 aa\nINSERT db 2 bb\n")); err != nil {
-		t.Fatal(err)
-	}
+	burst := wire.NewBatch()
+	calls := []wire.Call{burst.Add("INSERT db 1 aa"), burst.Add("INSERT db 2 bb")}
+	newClient(t, l.Addr().String()).Submit(burst)
 	// Let the handler pick the burst up and enter the first commit,
 	// then shut down while it is still in flight.
 	time.Sleep(40 * time.Millisecond)
 	closeErr := make(chan error, 1)
 	go func() { closeErr <- srv.Close() }()
 
-	br := bufio.NewReader(conn)
-	for i := 0; i < 2; i++ {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatalf("reply %d lost in shutdown: %v", i+1, err)
-		}
-		if line != "OK\n" {
-			t.Fatalf("reply %d = %q, want OK", i+1, line)
+	for i, c := range calls {
+		if line, err := c.Wait(); err != nil || string(line) != "OK" {
+			t.Fatalf("reply %d lost in shutdown: %q, %v", i+1, line, err)
 		}
 	}
+	burst.Release()
 	if err := <-closeErr; err != nil {
 		t.Fatalf("close: %v", err)
 	}

@@ -14,6 +14,7 @@ import (
 	"caram/internal/caram"
 	"caram/internal/hash"
 	"caram/internal/subsystem"
+	"caram/internal/wire"
 )
 
 // Tests for the overload-protection and fault-surface layer: connection
@@ -62,8 +63,17 @@ func startTCP(t *testing.T, srv *Server) string {
 	return l.Addr().String()
 }
 
-// dialT dials with a test-scoped overall deadline so a hung server
-// fails the test instead of the run.
+// newClient is a wire.Client to addr, closed on cleanup.
+func newClient(t *testing.T, addr string) *wire.Client {
+	c := wire.NewClient(addr, wire.ClientConfig{})
+	t.Cleanup(c.Close)
+	return c
+}
+
+// dialT dials raw, with a test-scoped overall deadline so a hung server
+// fails the test instead of the run: for the tests that hold a
+// connection open without a request, trickle a partial one, or read
+// the bytes that end one — what a wire.Client never does.
 func dialT(t *testing.T, addr string) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -114,42 +124,24 @@ func TestPanicRecoveryClosesOnlyThatConnection(t *testing.T) {
 	srv.panicLine = "PANIC NOW"
 	addr := startTCP(t, srv)
 
-	healthy := dialT(t, addr)
-	hr := bufio.NewReader(healthy)
-	ask := func(req, want string) {
+	healthy := newClient(t, addr)
+	ask := func(c *wire.Client, req, want string) {
 		t.Helper()
-		if _, err := healthy.Write([]byte(req + "\n")); err != nil {
-			t.Fatal(err)
-		}
-		line, err := hr.ReadString('\n')
-		if err != nil {
-			t.Fatalf("%s: %v", req, err)
-		}
-		if got := strings.TrimSpace(line); got != want {
-			t.Fatalf("%s: got %q, want %q", req, got, want)
+		if got, err := c.Do(req); err != nil || got != want {
+			t.Fatalf("%s: got %q, %v; want %q", req, got, err, want)
 		}
 	}
-	ask("INSERT db 1 2", "OK")
+	ask(healthy, "INSERT db 1 2", "OK")
 
-	victim := dialT(t, addr)
-	if _, err := victim.Write([]byte("PANIC NOW\n")); err != nil {
-		t.Fatal(err)
-	}
 	// The panic forfeits the reply; recovery closes only this conn.
-	if _, err := bufio.NewReader(victim).ReadString('\n'); err == nil {
-		t.Fatal("panicking connection produced a reply")
+	if line, err := newClient(t, addr).Do("PANIC NOW"); err == nil {
+		t.Fatalf("panicking connection produced a reply: %q", line)
 	}
 
 	// The pre-existing connection and a fresh one still work, so the
 	// accept loop survived.
-	ask("SEARCH db 1", "HIT 0:0000000000000002")
-	fresh := dialT(t, addr)
-	if _, err := fresh.Write([]byte("ENGINES\n")); err != nil {
-		t.Fatal(err)
-	}
-	if line, err := bufio.NewReader(fresh).ReadString('\n'); err != nil || strings.TrimSpace(line) != "ENGINES db" {
-		t.Fatalf("fresh connection after panic: %q, %v", line, err)
-	}
+	ask(healthy, "SEARCH db 1", "HIT 0:0000000000000002")
+	ask(newClient(t, addr), "ENGINES", "ENGINES db")
 
 	if n := strings.Count(logBuf.String(), "connection handler panic"); n != 1 {
 		t.Fatalf("want exactly 1 panic log line, got %d in:\n%s", n, logBuf.String())
@@ -161,16 +153,12 @@ func TestPanicRecoveryClosesOnlyThatConnection(t *testing.T) {
 // connection is reusable.
 func TestConnLimitShedsWithBusy(t *testing.T) {
 	srv, _ := eccServer(t, 6, nil)
-	srv.maxConns = 1 // as WithConnLimit(1) would set
+	srv.lim.MaxConns = 1 // as WithLimits(wire.Limits{MaxConns: 1}) would set
 	addr := startTCP(t, srv)
 
-	first := dialT(t, addr)
-	fr := bufio.NewReader(first)
-	if _, err := first.Write([]byte("ENGINES\n")); err != nil {
-		t.Fatal(err)
-	}
-	if line, _ := fr.ReadString('\n'); strings.TrimSpace(line) != "ENGINES db" {
-		t.Fatalf("first connection not served: %q", line)
+	first := newClient(t, addr)
+	if line, err := first.Do("ENGINES"); line != "ENGINES db" {
+		t.Fatalf("first connection not served: %q, %v", line, err)
 	}
 
 	shed := dialT(t, addr)
@@ -186,23 +174,15 @@ func TestConnLimitShedsWithBusy(t *testing.T) {
 	// Releasing the slot readmits: close the first conn, then retry
 	// until its handler has noticed and decremented the gauge.
 	first.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-		conn.Write([]byte("ENGINES\n"))                   //nolint:errcheck
-		line, _ := bufio.NewReader(conn).ReadString('\n')
-		conn.Close()
-		if strings.TrimSpace(line) == "ENGINES db" {
+	retry := newClient(t, addr)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		line, err := retry.Do("ENGINES")
+		if line == "ENGINES db" {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("slot never released; last reply %q", line)
+			t.Fatalf("slot never released; last reply %q, %v", line, err)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -210,7 +190,7 @@ func TestConnLimitShedsWithBusy(t *testing.T) {
 // hung up on with "ERR timeout" once the idle deadline passes.
 func TestIdleTimeoutHangsUp(t *testing.T) {
 	srv, _ := eccServer(t, 6, nil)
-	srv.readTimeout, srv.idleTimeout = 0, 100*time.Millisecond
+	srv.lim = wire.Limits{IdleTimeout: 100 * time.Millisecond}
 	addr := startTCP(t, srv)
 
 	conn := dialT(t, addr)
@@ -229,7 +209,7 @@ func TestIdleTimeoutHangsUp(t *testing.T) {
 // draws "ERR timeout", and the partial line is never executed.
 func TestReadTimeoutCutsSlowLoris(t *testing.T) {
 	srv, _ := eccServer(t, 6, nil)
-	srv.readTimeout, srv.idleTimeout = 80*time.Millisecond, 5*time.Second
+	srv.lim = wire.Limits{ReadTimeout: 80 * time.Millisecond, IdleTimeout: 5 * time.Second}
 	addr := startTCP(t, srv)
 
 	conn := dialT(t, addr)

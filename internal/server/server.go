@@ -10,14 +10,13 @@
 // Connections are served by internal/wire's Endpoint, the lifecycle the
 // router serves through too; this package plugs in the session that
 // executes each line. Overload protection is the endpoint's, opt-in per
-// server. WithConnLimit caps the number of concurrently served
-// connections: excess accepts are shed immediately with a one-line "ERR
-// BUSY" and closed, so a connection flood degrades into fast rejections
-// instead of unbounded goroutines. WithTimeouts arms read deadlines — an
-// idle timeout for the start of the next request and a (usually
-// shorter) read timeout once a request has begun arriving, the
-// slow-loris defense — and a deadline expiry draws "ERR timeout" and
-// ends the connection without executing the partial line. Independently
+// server with WithLimits. A connection cap sheds excess accepts
+// immediately with a one-line "ERR BUSY" and a close, so a connection
+// flood degrades into fast rejections instead of unbounded goroutines.
+// Read deadlines — an idle timeout for the start of the next request
+// and a (usually shorter) read timeout once a request has begun
+// arriving, the slow-loris defense — draw "ERR timeout" on expiry and
+// end the connection without executing the partial line. Independently
 // of both, every connection handler runs under a panic recovery: a
 // handler bug tears down that one connection (logged at Error) and
 // never the process.
@@ -68,11 +67,9 @@ type Server struct {
 
 	// ep is the connection lifecycle (internal/wire): listeners, accept,
 	// shed, deadlines, the panic fence, the burst read loop and the drain.
-	// The limits below are handed to it per Serve call.
-	ep          *wire.Endpoint
-	maxConns    int           // 0 = unlimited
-	readTimeout time.Duration // per-read deadline once a request has started; 0 = none
-	idleTimeout time.Duration // deadline for the start of the next request; 0 = none
+	// lim is handed to it per Serve call.
+	ep  *wire.Endpoint
+	lim wire.Limits
 
 	// panicLine, when non-empty, makes execAppend panic on that exact
 	// request line — the test hook behind the panic-recovery regression
@@ -95,9 +92,7 @@ type options struct {
 	metrics   bool
 	trc       *trace.Collector
 	log       *slog.Logger
-	maxConns  int
-	readTO    time.Duration
-	idleTO    time.Duration
+	lim       wire.Limits
 	wal       *wal.Log
 	rec       *wal.RecoverResult
 	snapEvery time.Duration
@@ -133,24 +128,19 @@ func WithLogger(l *slog.Logger) Option {
 	return func(o *options) { o.log = l }
 }
 
-// WithConnLimit caps concurrently served connections at n (load
-// shedding): an accept beyond the cap is answered with one "ERR BUSY"
-// line and closed immediately, without dedicating a handler goroutine
-// to it. n <= 0 (the default) means unlimited.
-func WithConnLimit(n int) Option {
-	return func(o *options) { o.maxConns = n }
-}
-
-// WithTimeouts arms per-connection read deadlines. idle bounds how
-// long a connection may sit between requests (waiting for the first
-// byte of the next line); read bounds each subsequent read once a
-// request has started arriving — the slow-loris defense, since a
-// client trickling one byte per read can no longer hold a handler
-// forever. Either may be zero to disable that bound. On expiry the
-// connection draws "ERR timeout" and closes; a partially received
-// line is never executed.
-func WithTimeouts(read, idle time.Duration) Option {
-	return func(o *options) { o.readTO, o.idleTO = read, idle }
+// WithLimits arms the endpoint's overload protection; each zero field
+// leaves its bound off. MaxConns caps concurrently served connections
+// (load shedding): an accept beyond the cap is answered with one "ERR
+// BUSY" line and closed immediately, without dedicating a handler
+// goroutine to it. IdleTimeout bounds how long a connection may sit
+// between requests (waiting for the first byte of the next line);
+// ReadTimeout bounds each subsequent read once a request has started
+// arriving — the slow-loris defense, since a client trickling one byte
+// per read can no longer hold a handler forever. On expiry the
+// connection draws "ERR timeout" and closes; a partially received line
+// is never executed.
+func WithLimits(lim wire.Limits) Option {
+	return func(o *options) { o.lim = lim }
 }
 
 // WithWAL attaches a durability layer: every acknowledged mutation is
@@ -187,16 +177,14 @@ func New(sub *subsystem.Subsystem, opts ...Option) *Server {
 		con.SetJournal(o.wal, o.rec.RosterLSN)
 	}
 	s := &Server{
-		con:         con,
-		met:         reg,
-		trc:         o.trc,
-		log:         o.log,
-		ep:          wire.NewEndpoint(ErrServerClosed, o.log),
-		maxConns:    o.maxConns,
-		readTimeout: o.readTO,
-		idleTimeout: o.idleTO,
-		wal:         o.wal,
-		rec:         o.rec,
+		con: con,
+		met: reg,
+		trc: o.trc,
+		log: o.log,
+		ep:  wire.NewEndpoint(ErrServerClosed, o.log),
+		lim: o.lim,
+		wal: o.wal,
+		rec: o.rec,
 	}
 	if s.wal != nil && o.snapEvery > 0 {
 		s.snapStop = make(chan struct{})
@@ -235,11 +223,7 @@ func (s *Server) Tracing() *trace.Collector { return s.trc }
 // Serve accepts connections until the listener closes or the server is
 // shut down with Close (which returns ErrServerClosed).
 func (s *Server) Serve(l net.Listener) error {
-	return s.ep.Serve(l, wire.Limits{
-		MaxConns:    s.maxConns,
-		ReadTimeout: s.readTimeout,
-		IdleTimeout: s.idleTimeout,
-	}, s.Handle)
+	return s.ep.Serve(l, s.lim, s.Handle)
 }
 
 // Close shuts the server down gracefully: the endpoint closes every

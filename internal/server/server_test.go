@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"net"
 	"strings"
@@ -170,31 +169,14 @@ func TestServeOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			conn, err := net.Dial("tcp", l.Addr().String())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer conn.Close()
-			rd := bufio.NewReader(conn)
+			client := newClient(t, l.Addr().String())
 			for i := 0; i < 50; i++ {
 				key := c*1000 + i
-				if _, err := conn.Write([]byte(
-					"INSERT db " + hex(key) + " " + hex(key*2) + "\n")); err != nil {
-					t.Error(err)
-					return
-				}
-				line, err := rd.ReadString('\n')
-				if err != nil || strings.TrimSpace(line) != "OK" {
+				if line, err := client.Do("INSERT db " + hex(key) + " " + hex(key*2)); err != nil || line != "OK" {
 					t.Errorf("insert %d: %q %v", key, line, err)
 					return
 				}
-				if _, err := conn.Write([]byte("SEARCH db " + hex(key) + "\n")); err != nil {
-					t.Error(err)
-					return
-				}
-				line, _ = rd.ReadString('\n')
-				if !strings.HasPrefix(line, "HIT") {
+				if line, _ := client.Do("SEARCH db " + hex(key)); !strings.HasPrefix(line, "HIT") {
 					t.Errorf("search %d: %q", key, line)
 					return
 				}
@@ -459,26 +441,16 @@ func TestServerClose(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.Serve(l) }()
 
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	rd := bufio.NewReader(conn)
-	if _, err := conn.Write([]byte("INSERT db 1 2\n")); err != nil {
-		t.Fatal(err)
-	}
-	if line, err := rd.ReadString('\n'); err != nil || strings.TrimSpace(line) != "OK" {
+	client := newClient(t, l.Addr().String())
+	if line, err := client.Do("INSERT db 1 2"); err != nil || line != "OK" {
 		t.Fatalf("pre-close request: %q, %v", line, err)
 	}
 
 	// A second, idle connection: Close must not hang waiting for its
 	// handler (it force-closes the conn to unblock the read loop).
-	idle, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	if line, err := newClient(t, l.Addr().String()).Do("ENGINES"); err != nil || line != "ENGINES db" {
+		t.Fatalf("idle connection's first request: %q, %v", line, err)
 	}
-	defer idle.Close()
 
 	closed := make(chan struct{})
 	go func() {
@@ -501,10 +473,8 @@ func TestServerClose(t *testing.T) {
 		t.Fatal("Serve did not return after Close")
 	}
 	// The live connection was torn down: further requests fail.
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	conn.Write([]byte("SEARCH db 1\n")) //nolint:errcheck // may already be reset
-	if _, err := rd.ReadString('\n'); err == nil {
-		t.Error("connection still answering after Close")
+	if line, err := client.Do("SEARCH db 1"); err == nil {
+		t.Errorf("connection still answering after Close: %q", line)
 	}
 	// Close is idempotent; Serve after Close refuses.
 	if err := s.Close(); err != nil {
@@ -517,7 +487,7 @@ func TestServerClose(t *testing.T) {
 	if err := s.Serve(l2); !errors.Is(err, ErrServerClosed) {
 		t.Errorf("Serve after Close = %v, want ErrServerClosed", err)
 	}
-	if _, err := net.Dial("tcp", l2.Addr().String()); err == nil {
-		t.Error("listener left open by refused Serve")
+	if _, err := newClient(t, l2.Addr().String()).Do("ENGINES"); !errors.Is(err, wire.ErrDial) {
+		t.Errorf("listener left open by refused Serve: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"strings"
@@ -136,26 +135,15 @@ func TestStressServerOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			conn, err := net.Dial("tcp", l.Addr().String())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer conn.Close()
-			rd := bufio.NewReader(conn)
+			client := newClient(t, l.Addr().String())
 			eng := names[c%len(names)]
 			ask := func(req string) string {
 				t.Helper()
-				if _, err := fmt.Fprintln(conn, req); err != nil {
-					t.Error(err)
-					return ""
-				}
-				line, err := rd.ReadString('\n')
+				line, err := client.Do(req)
 				if err != nil {
 					t.Error(err)
-					return ""
 				}
-				return strings.TrimSpace(line)
+				return line
 			}
 			for i := 0; i < 50; i++ {
 				key := fmt.Sprintf("%x", uint64(c)<<32|uint64(i))

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"errors"
 	"io"
 	"log/slog"
@@ -9,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 var errTestClosed = errors.New("test endpoint closed")
@@ -56,15 +54,11 @@ func serveEcho(t *testing.T, e *Endpoint, lim Limits) string {
 	return l.Addr().String()
 }
 
-func dialEcho(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
-	t.Helper()
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
-	t.Cleanup(func() { c.Close() })
-	return c, bufio.NewReader(c)
+// newClient is a Client the test closes on cleanup.
+func newClient(t testing.TB, addr string, hook ClientHook) *Client {
+	c := NewClient(addr, ClientConfig{Hook: hook})
+	t.Cleanup(c.Close)
+	return c
 }
 
 // TestSessionPanicCostsOneConnection: a session that panics on the
@@ -77,30 +71,26 @@ func TestSessionPanicCostsOneConnection(t *testing.T) {
 	e := NewEndpoint(errTestClosed, slog.New(slog.NewTextHandler(logBuf, nil)))
 	addr := serveEcho(t, e, Limits{})
 
-	ask := func(c net.Conn, r *bufio.Reader, req string) {
+	ask := func(c *Client, req string) {
 		t.Helper()
-		if _, err := c.Write([]byte(req + "\n")); err != nil {
-			t.Fatal(err)
-		}
-		if line, err := r.ReadString('\n'); err != nil || line != "ECHO "+req+"\n" {
+		if line, err := c.Do(req); err != nil || line != "ECHO "+req {
 			t.Fatalf("%s: got %q, %v", req, line, err)
 		}
 	}
-	healthy, hr := dialEcho(t, addr)
-	ask(healthy, hr, "before")
+	healthy := newClient(t, addr, nil)
+	ask(healthy, "before")
 
-	victim, vr := dialEcho(t, addr)
-	if _, err := victim.Write([]byte("lost\nboom\n")); err != nil {
-		t.Fatal(err)
-	}
-	if line, err := vr.ReadString('\n'); err == nil {
+	lost := NewBatch().Add("lost")
+	lost.b.Add("boom")
+	newClient(t, addr, nil).Submit(lost.b)
+	if line, err := lost.Wait(); err == nil {
 		t.Fatalf("panicking connection produced a reply: %q", line)
 	}
+	lost.Release()
 
-	ask(healthy, hr, "after")
+	ask(healthy, "after")
 	for i := 0; i < 4; i++ { // enough fresh connections to draw whatever the pool holds
-		fresh, fr := dialEcho(t, addr)
-		ask(fresh, fr, "fresh")
+		ask(newClient(t, addr, nil), "fresh")
 	}
 	if n := strings.Count(logBuf.String(), "connection handler panic"); n != 1 {
 		t.Fatalf("want exactly 1 panic log line, got %d in:\n%s", n, logBuf.String())

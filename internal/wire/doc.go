@@ -1,8 +1,9 @@
 // Package wire is the line protocol's one grammar — the field scanner,
 // the key, wire-id and annotation parsers, the verb table and the reply
-// tokens — and the one connection lifecycle it is spoken over (Endpoint).
-// The server (internal/server) executes a parsed Request; the cluster
-// router (internal/cluster) places one on its backends and folds their
+// tokens — the one connection lifecycle it is served over (Endpoint) and
+// the one client it is spoken through (Client). The server
+// (internal/server) executes a parsed Request; the cluster router
+// (internal/cluster) places one on its backends and folds their
 // replies; both read the same rows and serve through the same loop, so
 // the two tiers cannot drift (the paper's one request port and one
 // result port, §3.2, Figure 5). The package imports nothing above
@@ -110,6 +111,21 @@
 //
 // A stream that ends (EOF) has its final unterminated line executed; a
 // graceful shutdown answers what was already read; neither adds a line.
+//
+// Client (client.go) is the other end of a connection, written once: one
+// connection to one address, dialed on the first write and redialed on
+// the first write after it dies. Callers fill a Batch (request lines
+// back to back, one Call each) and Submit it; the writer coalesces the
+// batches queued since its last Write into one, and the reader pairs
+// reply lines with batches in FIFO pipeline order, signalling each batch
+// once, on its last reply. Do is the one-line blocking form of the same
+// path. A line without a reply fails with a typed error: ErrBusy (shed
+// at accept with ERR BUSY), ErrConnLost (closed or failed mid-flight, or
+// desynced by a reply nobody awaited), ErrReplyTooLong (past
+// MaxLineBytes: a framing error), ErrDial (nothing sent) or
+// ErrClientClosed. Of a batch whose connection dies, the first k replies
+// stand and lines k..n-1 fail. A ClientHook gates batches and hears each
+// write, settled batch and death (the router's breaker and counters).
 //
 // Field lifetime: a Scanner yields substrings of the line it was given,
 // and both tiers hand it a View of their connection's read buffer, so a
