@@ -7,10 +7,12 @@
 #   make stress         tier-2: the concurrency stress tests under -race
 #   make fuzz           10s per fuzz target: the protocol engine, the one
 #                       request grammar (internal/wire: every verb row ×
-#                       spelling, the key and hex parsers) and the bounded
-#                       slot comparator vs the serial oracle
+#                       spelling, the field scanner vs strings.Fields, the
+#                       key and hex parsers) and the bounded slot
+#                       comparator vs the serial oracle
 #   make bench          the parallel-throughput server benchmark, the
-#                       batched MSEARCH fan-out and the write path
+#                       batched MSEARCH fan-out, served 64-key MSEARCH
+#                       lines on the ladder's table and the write path
 #                       (insert+delete pairs, duplicate and absent probes,
 #                       three layouts, cache-resident and ladder-sized)
 #   make bench-load     one full caram-load run (five workloads, untraced
@@ -43,6 +45,9 @@
 #                       default flags, and the WAL's snapshot /
 #                       capture-storage / recovery / per-record
 #                       replay guards)
+#   make copy-guard     no whole-struct copy (DUFFCOPY) compiled into the
+#                       per-key path's functions, from the assembly
+#                       listing
 #   make metrics-smoke  end-to-end observability check: live server and
 #                       router, every declared family on each tier's
 #                       /metrics, /debug/traces, SLOWLOG/EXPLAIN and
@@ -51,8 +56,8 @@
 #                       binary (SIGKILL mid-fsync, restart,
 #                       acked-present / unacked-absent)
 #   make ci             the CI gate, each test in each mode once:
-#                       check + race + alloc-guard + crash-harness +
-#                       metrics-smoke
+#                       check + race + alloc-guard + copy-guard +
+#                       crash-harness + metrics-smoke
 #
 # The focused gates below are subsets of `make ci` for working on one
 # area; each is self-contained, so they overlap each other (and ci runs
@@ -114,12 +119,13 @@
 # through PR 15 (ZeroAlloc ./internal/server ran in four of them,
 # GoldenSession in two, most -race subsets twice) → 43 s regrouped;
 # 35 s at PR 21, with the admission-rule suites and the deployed-flags
-# allocation table in; 35–39 s at PR 22, with the write-path suites in.
+# allocation table in; 35–39 s at PR 22, with the write-path suites in;
+# 38 s with copy-guard in, which itself takes under a second.
 
 GO       ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all check fmt-check vet race stress fuzz bench bench-load profile profile-routed alloc-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard crash-harness write-guard chaos metrics-smoke ci
+.PHONY: all check fmt-check vet race stress fuzz bench bench-load profile profile-routed alloc-guard copy-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard crash-harness write-guard chaos metrics-smoke ci
 
 all: check race stress fuzz bench trace-guard seqlock-guard typed-guard cluster-guard crash-guard write-guard chaos metrics-smoke
 
@@ -128,7 +134,7 @@ all: check race stress fuzz bench trace-guard seqlock-guard typed-guard cluster-
 # and the rest is what neither can run — the allocation guards (they
 # skip themselves under -race, and want -count=1), the kill harness
 # and the live-binary smoke test.
-ci: check race alloc-guard crash-harness metrics-smoke
+ci: check race alloc-guard copy-guard crash-harness metrics-smoke
 
 check: fmt-check vet
 	$(GO) build ./...
@@ -162,12 +168,13 @@ stress:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzExec -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzRequest -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzScanner -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzParseVec -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzParseHex64 -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzKernelVsSerial -fuzztime $(FUZZTIME) ./internal/match
 
 bench:
-	$(GO) test -run '^$$' -bench 'ServerParallelSearch|MSearchBatched|WritePath' -benchmem .
+	$(GO) test -run '^$$' -bench 'ServerParallelSearch|MSearchBatched|ServedMSearch|WritePath' -benchmem .
 
 # Allocation regression guard: testing.AllocsPerRun == 0 on the core
 # search paths (row match kernel on binary, ternary and 104-bit ternary
@@ -194,6 +201,35 @@ alloc-guard:
 	$(GO) test -run MSearchAllocs -count=1 ./internal/subsystem
 	$(GO) test -run AllocGuard -count=1 ./internal/wal
 	$(GO) test -run 'ForwardPathAllocs|RouterUntracedZeroAlloc' -count=1 ./internal/cluster
+
+# Copy guard: no whole-struct copy on the per-key path. A value receiver,
+# or a by-value parameter or return, of a struct past 64 bytes
+# (caram.Config 152, match.Result 104, wire.Request and an MSEARCH slot
+# 88) compiles to a DUFFCOPY — a call into runtime.duffcopy — at every
+# use; the functions below, their inlined callees included, must compile
+# to none. The compiler's assembly listing (-gcflags=-S, replayed from
+# the build cache) is read per function; a listed function that is no
+# longer emitted fails the guard too, so a rename cannot pass it silently.
+COPY_GUARD_FUNCS = \
+	caram/internal/caram.(*Slice).Index caram/internal/caram.(*Slice).step \
+	caram/internal/caram.(*Slice).probe caram/internal/caram.(*Slice).place \
+	caram/internal/caram.(*Slice).locate caram/internal/caram.(*Reader).chain \
+	caram/internal/caram.(*Reader).snapshot caram/internal/caram.(*Reader).LookupBatch \
+	caram/internal/caram.(*Reader).Contains caram/internal/subsystem.(*guardedEngine).batchSeq \
+	caram/internal/subsystem.(*Concurrent).MSearchServed caram/internal/server.(*Server).exec \
+	caram/internal/server.(*Server).execMSearchAppend caram/internal/cluster.(*Router).route \
+	caram/internal/wire.(*Scanner).Next caram/internal/wire.ParseVec
+copy-guard:
+	@$(GO) build -gcflags=-S ./internal/caram ./internal/subsystem ./internal/server ./internal/cluster ./internal/wire 2>&1 | \
+	awk -v want='$(strip $(COPY_GUARD_FUNCS))' ' \
+		BEGIN { n = split(want, w, " "); for (i = 1; i <= n; i++) keep[w[i]] = 1 } \
+		/ STEXT / { fn = $$1; on = fn in keep; if (on) seen[fn] = 1; next } \
+		on && /\tDUFFCOPY\t|CALL\truntime\.duffcopy/ { copies[fn]++; total++ } \
+		END { \
+			for (f in keep) if (!(f in seen)) { print "copy-guard: " f " not found"; bad = 1 } \
+			for (f in copies) print "copy-guard: " copies[f] " whole-struct copies in " f; \
+			printf "copy-guard: %d whole-struct copies in %d functions\n", total, n; \
+			exit bad || total > 0 }'
 
 # Durability gate: the whole WAL suite under the race detector (the
 # exhaustive torn-tail property, snapshot truncation + replay gating,

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"caram/internal/bitutil"
 	"caram/internal/cam"
@@ -27,6 +28,7 @@ import (
 	"caram/internal/server"
 	"caram/internal/subsystem"
 	"caram/internal/swsearch"
+	"caram/internal/trace"
 	"caram/internal/trigram"
 	"caram/internal/workload"
 )
@@ -580,6 +582,59 @@ func BenchmarkMSearchBatched(b *testing.B) {
 	}
 	b.Run("uninstrumented", func(b *testing.B) { run(b, mk(b, false)) })
 	b.Run("instrumented", func(b *testing.B) { run(b, mk(b, true)) })
+}
+
+// BenchmarkServedMSearch prices MSEARCH the way msearch-direct serves it:
+// 64-key lines through Server.ExecAppend on a server configured as
+// caram-server configures one (metrics on, a collector with a 10 ms
+// slowlog), over the ladder's table — 600 k keys in 2¹⁷ rows × 8 slots,
+// α = 0.57, ≈ 13 MB of rows, so each key's home row is a cache miss.
+// BenchmarkMSearchBatched's four 2¹⁰-row engines stay cache-resident and
+// hide both that stall and the per-key overhead around it. Reported per
+// key, with the allocations of a whole line.
+func BenchmarkServedMSearch(b *testing.B) {
+	const (
+		bits, slots = 17, 8
+		nKeys       = 600_000
+		batchSize   = 64
+	)
+	sl := caram.MustNew(caram.Config{
+		IndexBits: bits, RowBits: slots*(1+64+32) + 16, KeyBits: 64, DataBits: 32, AuxBits: 16,
+		Index: hash.NewMultShift(bits),
+	})
+	key := func(i int) uint64 { return uint64(i+1) * 0x9e3779b97f4a7c15 }
+	for i := 0; i < nKeys; i++ {
+		if err := sl.Insert(match.Record{Key: bitutil.Exact(bitutil.FromUint64(key(i))), Data: bitutil.FromUint64(key(i) & 0xffffffff)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sub := subsystem.New(0)
+	if err := sub.AddEngine(&subsystem.Engine{Name: "db", Main: sl}); err != nil {
+		b.Fatal(err)
+	}
+	srv := server.New(sub, server.WithTracing(trace.NewCollector(trace.Config{Slowlog: 10 * time.Millisecond})))
+	defer srv.Close()
+	lines := make([]string, 1024)
+	for i := range lines {
+		line := []byte("MSEARCH")
+		for j := 0; j < batchSize; j++ {
+			k := key((i*batchSize + j) * 7919 % nKeys) // consecutive keys land on unrelated rows
+			line = strconv.AppendUint(append(line, " db "...), k, 16)
+		}
+		lines[i] = string(line)
+	}
+	// A sub-benchmark, so the table is built once rather than per b.N.
+	b.Run("ladder", func(b *testing.B) {
+		dst := make([]byte, 0, 64*1024)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dst = srv.ExecAppend(dst[:0], lines[i%len(lines)])
+			if len(dst) < 12 || string(dst[:12]) != "MRESULTS HIT" {
+				b.Fatal(string(dst[:min(len(dst), 80)]))
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchSize), "ns/key")
+	})
 }
 
 // BenchmarkWritePath prices the write side next to BenchmarkMSearchBatched:

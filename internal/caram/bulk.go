@@ -29,7 +29,7 @@ import (
 // processors.
 func (s *Slice) CountWhere(search bitutil.Ternary) int {
 	n := 0
-	for b := 0; b < s.cfg.Rows(); b++ {
+	for b := 0; b < s.rows; b++ {
 		row := s.logicalRow(uint32(b), s.array.ReadRow(uint32(b)))
 		res := s.proc.Search(row, search)
 		n += res.Count
@@ -41,7 +41,7 @@ func (s *Slice) CountWhere(search bitutil.Ternary) int {
 // bucket/slot order.
 func (s *Slice) SelectWhere(search bitutil.Ternary) []match.Record {
 	var out []match.Record
-	for b := 0; b < s.cfg.Rows(); b++ {
+	for b := 0; b < s.rows; b++ {
 		row := s.logicalRow(uint32(b), s.array.ReadRow(uint32(b)))
 		out = append(out, s.proc.SearchAll(row, search)...)
 	}
@@ -53,7 +53,7 @@ func (s *Slice) SelectWhere(search bitutil.Ternary) []match.Record {
 // number of records updated.
 func (s *Slice) UpdateWhere(search bitutil.Ternary, fn func(match.Record) bitutil.Vec128) int {
 	updated := 0
-	for b := 0; b < s.cfg.Rows(); b++ {
+	for b := 0; b < s.rows; b++ {
 		quar := s.Quarantined(uint32(b))
 		row := s.logicalRow(uint32(b), s.array.ReadRow(uint32(b)))
 		res := s.proc.Search(row, search)
@@ -92,7 +92,7 @@ func (s *Slice) UpdateWhere(search bitutil.Ternary, fn func(match.Record) bituti
 // since bulk deletion invalidates the incremental spill counters.
 func (s *Slice) DeleteWhere(search bitutil.Ternary) int {
 	deleted := 0
-	for b := 0; b < s.cfg.Rows(); b++ {
+	for b := 0; b < s.rows; b++ {
 		quar := s.Quarantined(uint32(b))
 		row := s.logicalRow(uint32(b), s.array.ReadRow(uint32(b)))
 		res := s.proc.Search(row, search)
@@ -133,7 +133,7 @@ func (s *Slice) rebuildPlacement() {
 	if s.foreign {
 		return // homes unknowable; leave counters cleared
 	}
-	rows := s.cfg.Rows()
+	rows := s.rows
 	s.Records(func(bucket uint32, slot int, rec match.Record) bool {
 		home := s.Index(rec.Key.Value)
 		s.homeLoad[home]++
@@ -209,7 +209,7 @@ func (s *Slice) CaptureInto(c *Capture) {
 	if c.rowWords != rw {
 		c.blocks = nil // sized for another row width
 	}
-	c.rows, c.rowWords, c.auxWord = s.cfg.Rows(), rw, s.auxWord
+	c.rows, c.rowWords, c.auxWord = s.rows, rw, s.auxWord
 	whole := s.wholeRows() || s.auxWord > math.MaxUint8
 	if c.spans = c.spans[:0]; !whole {
 		c.spans = slices.Grow(c.spans, c.rows)[:c.rows]
@@ -301,7 +301,7 @@ func (s *Slice) LoadImageFrom(words int, next func(row []uint64) error) error {
 	}
 	row := make([]uint64, s.array.RowWords())
 	var err error
-	for b := 0; b < s.cfg.Rows() && err == nil; b++ {
+	for b := 0; b < s.rows && err == nil; b++ {
 		if err = next(row); err == nil {
 			s.array.LoadRow(uint32(b), row)
 		}

@@ -98,7 +98,7 @@ func checkWord(row []uint64) uint64 {
 // protected from their current state onward. Enabling is idempotent;
 // re-enabling rebuilds and clears any quarantine.
 func (s *Slice) EnableECC() {
-	rows := s.cfg.Rows()
+	rows := s.rows
 	rw := s.array.Words() / rows
 	e := s.ecc
 	if e == nil {
@@ -270,7 +270,7 @@ func (s *Slice) Scrub() ScrubReport {
 	}
 	e := s.ecc
 	e.st.ScrubRuns++
-	rows := s.cfg.Rows()
+	rows := s.rows
 	for i := 0; i < rows; i++ {
 		idx := uint32(i)
 		live := s.array.PeekRow(idx)

@@ -138,21 +138,22 @@ func (r *Reader) peek(idx uint32, dst []uint64) (n int, ok bool) {
 // snapshot's bound and folded into the walk by Slice.step, the per-row
 // step shared with the port-locked Slice.probe. pre, when non-nil, is
 // the home row already snapshotted that way with bound preN
-// (LookupBatch's fetch stage); every other row lands in r.row. With score nil the first match in probe order wins; otherwise
-// the whole reach is scanned for the best-scoring match. Nothing is
-// accounted here: the result's RowsRead is what the caller charges,
-// also when ok=false cut the chain short.
-func (r *Reader) chain(search bitutil.Ternary, score func(match.Record) int, tr *trace.Trace, home uint32, pre []uint64, preN int) (LookupResult, bool) {
+// (LookupBatch's fetch stage); every other row lands in r.row. With
+// score nil the first match in probe order wins; otherwise the whole
+// reach is scanned for the best-scoring match. res, the caller's slot,
+// is filled in place and nothing is accounted here: its RowsRead is what
+// the caller charges, also when ok=false cut the chain short.
+func (r *Reader) chain(res *LookupResult, search bitutil.Ternary, score func(match.Record) int, tr *trace.Trace, home uint32, pre []uint64, preN int) (ok bool) {
 	s := r.s
-	w := walk{res: LookupResult{HomeBucket: home}}
-	rows := s.cfg.Rows()
+	*res = LookupResult{HomeBucket: home}
+	w := walk{res: res}
+	rows := s.rows
 	for d := 0; d <= w.reach && d < rows; d++ {
 		idx := uint32((int(home) + d) % rows)
 		row, n := pre, preN
 		if d > 0 || pre == nil {
-			var ok bool
 			if n, ok = r.snapshot(idx, r.row); !ok {
-				return w.res, false
+				return false
 			}
 			row = r.row
 		}
@@ -162,19 +163,20 @@ func (r *Reader) chain(search bitutil.Ternary, score func(match.Record) int, tr 
 		}
 	}
 	s.finish(&w, tr)
-	return w.res, true
+	return true
 }
 
 // lookup runs one chain and accounts it exactly as the locked path
 // would: every row fetched is charged to the array, and a certified
 // lookup is recorded in the slice statistics.
 func (r *Reader) lookup(search bitutil.Ternary, score func(match.Record) int, tr *trace.Trace) (LookupResult, bool) {
-	res, ok := r.chain(search, score, tr, r.s.Index(search.Value), nil, 0)
+	var res LookupResult
+	ok := r.chain(&res, search, score, tr, r.s.Index(search.Value), nil, 0)
 	r.s.array.ChargeRowReads(res.RowsRead)
 	if !ok {
 		return LookupResult{}, false
 	}
-	r.s.recordLookup(res)
+	r.s.recordLookup(&res)
 	return res, true
 }
 
@@ -220,7 +222,7 @@ func (r *Reader) LookupBatch(keys []bitutil.Ternary, out []LookupResult, ok []bo
 		var fetched, done, rows, hits uint64
 		for i := range home[:n] {
 			if ok[i] {
-				out[i], ok[i] = r.chain(keys[i], nil, nil, home[i], r.chunk[i*w:(i+1)*w], bound[i])
+				ok[i] = r.chain(&out[i], keys[i], nil, nil, home[i], r.chunk[i*w:(i+1)*w], bound[i])
 				fetched += uint64(out[i].RowsRead)
 			}
 			if !ok[i] {
@@ -244,7 +246,7 @@ func (r *Reader) LookupBatch(keys []bitutil.Ternary, out []LookupResult, ok []bo
 func (r *Reader) Contains(key bitutil.Ternary) (found, ok bool) {
 	s := r.s
 	home := s.Index(key.Value)
-	rows := s.cfg.Rows()
+	rows := s.rows
 	reach := 0
 	for d := 0; d <= reach && d < rows; d++ {
 		idx := uint32((int(home) + d) % rows)

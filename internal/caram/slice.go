@@ -41,6 +41,9 @@ type Slice struct {
 	probeMax int
 	// slotBits is a slot's width, auxWord the first word holding aux bits.
 	slotBits, auxWord int
+	// rows is cfg.Rows(), kept so the row path never passes the whole
+	// Config by value to a value-receiver method (a 152-byte copy per call).
+	rows int
 
 	count    int             // records stored
 	mark     []atomic.Uint32 // per-row occupancy mark: 1 + highest valid slot (see bound)
@@ -76,6 +79,7 @@ func New(cfg Config) (*Slice, error) {
 		probeMax: min(cfg.probeLimit(), int(uint64(1)<<uint(layout.AuxBits)-1)),
 		slotBits: layout.SlotBits(),
 		auxWord:  (layout.RowBits - layout.AuxBits) / 64,
+		rows:     cfg.Rows(),
 		mark:     make([]atomic.Uint32, cfg.Rows()),
 		homeLoad: make([]int32, cfg.Rows()),
 		overflow: make([]bool, cfg.Rows()),
@@ -121,7 +125,7 @@ func (s *Slice) LoadFactor() float64 {
 // generator, reduced modulo the row count when TotalRows is in use.
 func (s *Slice) Index(key bitutil.Vec128) uint32 {
 	idx := s.cfg.Index.Index(key)
-	if rows := uint32(s.cfg.Rows()); idx >= rows {
+	if rows := uint32(s.rows); idx >= rows {
 		idx %= rows
 	}
 	return idx
@@ -148,7 +152,7 @@ func (s *Slice) InsertAt(home uint32, rec match.Record) error {
 // bucket — the per-record quantity behind the AMAL analyses of §4
 // (a record displaced by d costs 1+d accesses to look up).
 func (s *Slice) Place(home uint32, rec match.Record) (displacement int, err error) {
-	if int(home) >= s.cfg.Rows() {
+	if int(home) >= s.rows {
 		return 0, fmt.Errorf("caram: home bucket %d out of range", home)
 	}
 	if home != s.Index(rec.Key.Value) {
@@ -169,7 +173,7 @@ func (s *Slice) place(home uint32, rec match.Record) (displacement int, err erro
 			return 0, ErrExists
 		}
 	}
-	rows := s.cfg.Rows()
+	rows := s.rows
 	s.homeLoad[home]++
 	for d := 0; d <= s.probeMax && d < rows; d++ {
 		idx := uint32((int(home) + d) % rows)
@@ -380,8 +384,10 @@ func (s *Slice) LookupBestTraced(search bitutil.Ternary, score func(match.Record
 // the whole reach is scanned for the best-scoring match.
 func (s *Slice) probe(search bitutil.Ternary, score func(match.Record) int, tr *trace.Trace) LookupResult {
 	home := s.Index(search.Value)
-	w := walk{res: LookupResult{HomeBucket: home}}
-	rows := s.cfg.Rows()
+	res := LookupResult{HomeBucket: home}
+	w := walk{res: &res}
+	var m match.Result // its Vector aliases the processor's scratch, consumed before the next row reuses it
+	rows := s.rows
 	for d := 0; d <= w.reach && d < rows; d++ {
 		idx := uint32((int(home) + d) % rows)
 		row, ok := s.fetchChecked(idx, tr)
@@ -397,21 +403,20 @@ func (s *Slice) probe(search bitutil.Ternary, score func(match.Record) int, tr *
 			}
 			continue
 		}
-		// m.Vector aliases the processor's scratch; it is consumed before
-		// the next probe reuses it.
-		m := s.proc.SearchPrefix(row, search, s.bound(idx))
+		s.proc.SearchPrefixInto(&m, row, search, s.bound(idx))
 		if s.step(&w, idx, d, row, &m, score, tr) {
 			break
 		}
 	}
 	s.finish(&w, tr)
-	s.recordLookup(w.res)
-	return w.res
+	s.recordLookup(&res)
+	return res
 }
 
-// walk is the state one key's probe chain carries from row to row.
+// walk is the state one key's probe chain carries from row to row. The
+// result it builds is the caller's, filled in place.
 type walk struct {
-	res                    LookupResult
+	res                    *LookupResult
 	reach, bestScore       int
 	slots, matches, passes int
 }
@@ -439,7 +444,7 @@ func (s *Slice) step(w *walk, idx uint32, d int, row []uint64, m *match.Result, 
 		w.res.Found, w.res.Record, w.res.Multi = true, m.Record, m.Multi()
 		return true
 	}
-	s.best(&w.res, &w.bestScore, row, m.Vector, score)
+	s.best(w.res, &w.bestScore, row, m.Vector, score)
 	return false
 }
 
@@ -468,7 +473,7 @@ func (s *Slice) best(res *LookupResult, bestScore *int, row, vec []uint64, score
 
 // recordLookup accounts one finished lookup. Atomic adds: it is shared
 // by the port-locked Lookup* methods and lock-free Readers.
-func (s *Slice) recordLookup(res LookupResult) {
+func (s *Slice) recordLookup(res *LookupResult) {
 	hits := uint64(0)
 	if res.Found {
 		hits = 1
@@ -507,7 +512,7 @@ func (s *Slice) recordLookups(n, rows, hits uint64) {
 // how many records the home row holds below its bound, for the insert
 // that follows a miss.
 func (s *Slice) locate(res *match.Result, home uint32, key bitutil.Ternary) (bucket uint32, slot, used int, found bool) {
-	rows := s.cfg.Rows()
+	rows := s.rows
 	reach := 0
 	for d := 0; d <= reach && d < rows; d++ {
 		idx := uint32((int(home) + d) % rows)
@@ -539,7 +544,7 @@ func (s *Slice) Delete(key bitutil.Ternary) error {
 // DeleteAt removes a record given its explicit home bucket (the
 // duplicated-ternary-record counterpart of InsertAt).
 func (s *Slice) DeleteAt(home uint32, key bitutil.Ternary) error {
-	if int(home) >= s.cfg.Rows() {
+	if int(home) >= s.rows {
 		return fmt.Errorf("caram: home bucket %d out of range", home)
 	}
 	bucket, slot, _, found := s.locate(&s.locRes, home, key)
@@ -600,7 +605,7 @@ func (s *Slice) Contains(key bitutil.Ternary) bool {
 // stopping early if fn returns false. It reads via PeekRow and charges
 // no accesses (a diagnostic, not a hardware operation).
 func (s *Slice) Records(fn func(bucket uint32, slot int, rec match.Record) bool) {
-	for b := 0; b < s.cfg.Rows(); b++ {
+	for b := 0; b < s.rows; b++ {
 		row := s.logicalRow(uint32(b), s.array.PeekRow(uint32(b)))
 		for i, n := 0, s.bound(uint32(b)); i < n; i++ {
 			if rec, ok := s.layout.ReadSlot(row, i); ok {

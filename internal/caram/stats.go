@@ -112,7 +112,7 @@ func (s *Slice) Placement() PlacementSummary {
 			p.MaxReach = r
 		}
 	}
-	if rows := s.cfg.Rows(); rows > 0 {
+	if rows := s.rows; rows > 0 {
 		p.OverflowingPct = 100 * float64(p.OverflowingBuckets) / float64(rows)
 	}
 	if s.count > 0 {
@@ -134,7 +134,7 @@ func (s *Slice) ExpectedRows() float64 {
 	if s.count == 0 {
 		return 1
 	}
-	rows := s.cfg.Rows()
+	rows := s.rows
 	total := 0
 	s.Records(func(bucket uint32, slot int, rec match.Record) bool {
 		home := s.Index(rec.Key.Value)
@@ -187,7 +187,7 @@ func (s *Slice) Verify() string {
 	}
 	valid := 0
 	violation := ""
-	rows := s.cfg.Rows()
+	rows := s.rows
 	s.Records(func(bucket uint32, slot int, rec match.Record) bool {
 		valid++
 		if s.foreign {

@@ -28,7 +28,7 @@ import (
 
 // routeMetrics routes the METRICS command. Pinned engines forward
 // home as before; everything else depends on whether tracing is on.
-func (rt *Router) routeMetrics(st *rconn, line string, req wire.Request) {
+func (rt *Router) routeMetrics(st *rconn, line string, req *wire.Request) {
 	var a [4]string
 	n := req.Args.Fill(a[:])
 	eng, sub, opName := a[0], a[1], a[2]
@@ -84,7 +84,7 @@ func (rt *Router) routeMetrics(st *rconn, line string, req wire.Request) {
 
 // routeSlowlog routes the SLOWLOG command: per-backend state without a
 // collector, a fleet view with one.
-func (rt *Router) routeSlowlog(st *rconn, line string, req wire.Request) {
+func (rt *Router) routeSlowlog(st *rconn, line string, req *wire.Request) {
 	if rt.trc == nil {
 		op := st.nextOp()
 		op.kind = opLocal
@@ -117,7 +117,7 @@ func (rt *Router) routeSlowlog(st *rconn, line string, req wire.Request) {
 // routeTrace routes TRACE GET <hex-id>[/<span>]: answered locally
 // when the id is retained by the router's own collector, else asked of
 // every backend (the id may name a child span only a backend holds).
-func (rt *Router) routeTrace(st *rconn, line string, req wire.Request) {
+func (rt *Router) routeTrace(st *rconn, line string, req *wire.Request) {
 	var a [3]string
 	if n := req.Args.Fill(a[:]); n != 2 || !wire.EqualFold(a[0], "GET") {
 		rt.forward(st, line, 0, req.Verb) // backend renders the usage ERR

@@ -351,6 +351,7 @@ type rconn struct {
 	curs  []wire.Scanner // per backend: where MSEARCH reassembly stands in its MRESULTS reply
 	tr    *trace.Trace   // head-sampled trace of the request currently dispatching
 	cmdb  []byte         // rewritten-command scratch (METRICS ... LATENCY -> HIST)
+	req   wire.Request   // the request currently dispatching, parsed in place
 }
 
 // laneCounter hands each handled connection its lane.
@@ -444,7 +445,7 @@ var merges = [wire.NumVerbs]mergeFn{
 
 // routes holds the verb-specific sub-grammars: one route function per
 // Custom row.
-var routes = [wire.NumVerbs]func(rt *Router, st *rconn, line string, req wire.Request){
+var routes = [wire.NumVerbs]func(rt *Router, st *rconn, line string, req *wire.Request){
 	wire.MSearch: (*Router).routeMSearch,
 	wire.Create:  (*Router).routeCreate,
 	wire.Drop:    (*Router).routeDrop,
@@ -460,7 +461,8 @@ var routes = [wire.NumVerbs]func(rt *Router, st *rconn, line string, req wire.Re
 // to backend 0 so the backend's own grammar renders the authoritative
 // ERR; so does a line too short to name its engine.
 func (rt *Router) route(st *rconn, line string) {
-	req := wire.Parse(line)
+	req := &st.req // not a local: the route table's indirect call would move one to the heap
+	wire.Parse(req, line)
 	if req.Annotated {
 		st.tr = nil // the client's annotation stands; open adds no second one
 	}
@@ -608,7 +610,7 @@ func (rt *Router) scatter(st *rconn, line string, v *wire.Verb, merge mergeFn) *
 // lists (odd arity, bad hex) forward whole to backend 0: the server
 // validates every key before executing any slot, so nothing runs and
 // the ERR is authoritative.
-func (rt *Router) routeMSearch(st *rconn, line string, req wire.Request) {
+func (rt *Router) routeMSearch(st *rconn, line string, req *wire.Request) {
 	sc := req.Args
 	n := sc.Count()
 	if n == 0 || n%2 != 0 {
@@ -670,7 +672,7 @@ func (rt *Router) routeMSearch(st *rconn, line string, req wire.Request) {
 // routeCreate: CREATE ENGINE ... TYPE exact broadcasts (every backend
 // must carry a sharded engine); a typed CREATE forwards to the engine's
 // home and pins it there.
-func (rt *Router) routeCreate(st *rconn, line string, req wire.Request) {
+func (rt *Router) routeCreate(st *rconn, line string, req *wire.Request) {
 	var a [4]string
 	if n := req.Args.Fill(a[:]); n < 4 || !wire.EqualFold(a[0], "ENGINE") || !wire.EqualFold(a[2], "TYPE") {
 		rt.forward(st, line, 0, req.Verb)
@@ -691,7 +693,7 @@ func (rt *Router) routeCreate(st *rconn, line string, req wire.Request) {
 
 // routeDrop: a pinned engine's DROP forwards home and unpins on
 // success; a sharded engine's broadcasts.
-func (rt *Router) routeDrop(st *rconn, line string, req wire.Request) {
+func (rt *Router) routeDrop(st *rconn, line string, req *wire.Request) {
 	var a [2]string
 	switch n := req.Args.Fill(a[:]); {
 	case n < 2 || !wire.EqualFold(a[0], "ENGINE"):
@@ -706,7 +708,7 @@ func (rt *Router) routeDrop(st *rconn, line string, req wire.Request) {
 // routeHealth: the bare roster merges per-engine worst states; HEALTH
 // <eng> and HEALTH <eng> SCRUB on a sharded engine fold the shards'
 // counters; a pinned engine's forms forward home.
-func (rt *Router) routeHealth(st *rconn, line string, req wire.Request) {
+func (rt *Router) routeHealth(st *rconn, line string, req *wire.Request) {
 	var a [3]string
 	n := req.Args.Fill(a[:])
 	switch eng := a[0]; {
@@ -905,7 +907,8 @@ func (rt *Router) record(tr *trace.Trace, op *pendingOp, routed int64) {
 	}
 	// Views of batch bytes recycled long before the trace is: the
 	// collector clones them on admission, before settle moves on.
-	req := wire.Parse(wire.View(line))
+	var req wire.Request
+	wire.Parse(&req, wire.View(line))
 	tr.Request(req.Identity())
 	tr.Add(trace.Event{Kind: trace.KindRoute, Dur: time.Duration(routed - op.t0)})
 	hop := func(i int) (backend int, span uint32) {

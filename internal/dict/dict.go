@@ -202,8 +202,8 @@ func (d *Dict) matchAnchored(q bitutil.Ternary) ([]Match, int, error) {
 	arr := d.slice.Array()
 	layout := d.slice.Layout()
 	proc := match.NewProcessor(layout, 0)
-	for dlt := 0; dlt <= reach && dlt < d.slice.Config().Rows(); dlt++ {
-		idx := uint32((int(home) + dlt) % d.slice.Config().Rows())
+	for dlt := 0; dlt <= reach && dlt < arr.Rows(); dlt++ {
+		idx := uint32((int(home) + dlt) % arr.Rows())
 		row := arr.ReadRow(idx)
 		rows++
 		out = append(out, toMatches(proc.SearchAll(row, q))...)

@@ -98,11 +98,12 @@ type Result struct {
 	SlotsTested int
 }
 
-// Multi reports the multiple-match condition.
-func (r Result) Multi() bool { return r.Count > 1 }
+// Multi reports the multiple-match condition. (Pointer receivers, here
+// and on Matched: a value receiver copies the whole Result per call.)
+func (r *Result) Multi() bool { return r.Count > 1 }
 
 // Matched reports whether any slot matched.
-func (r Result) Matched() bool { return r.First >= 0 }
+func (r *Result) Matched() bool { return r.First >= 0 }
 
 // Clone returns a copy of the result whose Vector no longer aliases
 // processor scratch, safe to retain across searches.
@@ -119,24 +120,24 @@ func (r Result) Clone() Result {
 // The returned Result's Vector aliases processor-owned scratch (see
 // Result.Vector); the call itself allocates nothing.
 func (pr *Processor) Search(row []uint64, search bitutil.Ternary) Result {
-	res := Result{Vector: pr.vec}
-	pr.searchInto(&res, row, search, len(pr.m.slots))
-	return res
+	return pr.SearchPrefix(row, search, len(pr.m.slots))
 }
 
 // SearchPrefix is Search over slots [0, n) only, for a caller that
 // knows every slot from n up is empty: the result is Search's, at the
 // cost of n comparators, and row words beyond slot n-1 are not read.
 func (pr *Processor) SearchPrefix(row []uint64, search bitutil.Ternary, n int) Result {
-	res := Result{Vector: pr.vec}
-	pr.searchInto(&res, row, search, n)
+	var res Result
+	pr.SearchPrefixInto(&res, row, search, n)
 	return res
 }
 
-// searchInto runs the kernel and accounts the search. It is kept out of
-// line so that Search and SearchPrefix inline into their callers and
-// the Result is built in place rather than copied back through them.
-func (pr *Processor) searchInto(res *Result, row []uint64, search bitutil.Ternary, n int) {
+// SearchPrefixInto is SearchPrefix filling the caller's res in place —
+// the form a per-row loop uses, since a returned Result is a whole-struct
+// copy. Every field is overwritten; Vector aliases the processor's
+// scratch, as Search's does.
+func (pr *Processor) SearchPrefixInto(res *Result, row []uint64, search bitutil.Ternary, n int) {
+	res.Vector = pr.vec
 	pr.m.search(res, row, search, n)
 	pr.stats.Searches++
 	pr.stats.Passes += uint64(res.Passes)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"strconv"
 
 	"caram/internal/bitutil"
@@ -15,14 +16,23 @@ import (
 // test holds the wire format to the old output exactly.
 
 // appendHex016 appends v as exactly 16 lower-case hex digits (fmt's
-// %016x).
+// %016x), eight at a time.
 func appendHex016(dst []byte, v uint64) []byte {
-	var buf [16]byte
-	for i := 15; i >= 0; i-- {
-		buf[i] = "0123456789abcdef"[v&0xf]
-		v >>= 4
-	}
-	return append(dst, buf[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, hexDigits8(uint32(v>>32)))
+	return binary.BigEndian.AppendUint64(dst, hexDigits8(uint32(v)))
+}
+
+// hexDigits8 spreads the eight nibbles of v over the bytes of a word, the
+// top nibble in the top byte, and turns each into its lower-case ASCII
+// digit: '0' plus the nibble, plus 'a'-'0'-10 more for one above 9.
+func hexDigits8(v uint32) uint64 {
+	const ones = 0x0101010101010101
+	x := uint64(v)
+	x = (x | x<<16) & 0x0000ffff0000ffff
+	x = (x | x<<8) & 0x00ff00ff00ff00ff
+	x = (x | x<<4) & (0x0f * ones)
+	above9 := (x + 6*ones) >> 4 & ones
+	return x + '0'*ones + above9*('a'-'0'-10)
 }
 
 // appendUint appends v in decimal (fmt's %d for unsigned).

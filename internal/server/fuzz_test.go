@@ -214,6 +214,18 @@ func FuzzParseHex64(f *testing.F) {
 		"0" + strings.Repeat("f", 16), // 17 digits, still fits
 		strings.Repeat("f", 17), "1" + strings.Repeat("0", 16),
 		strings.Repeat("0", 100) + "1",
+		// Both sides of each split: one padded word below 8 digits, two
+		// overlapping words from 8 to 16, leading zeros stripped past 16
+		// (only they let such a field fit).
+		"1234567", "12345678", "123456789", "0123456789abcdef", strings.Repeat("0", 16), "fedcba9876543210",
+		"00123456789abcdef", "10123456789abcdef",
+		"00000123456789abcdef", "0000ffffffffffffffff", "0001ffffffffffffffff", "ffffffffffffffffffff",
+		// An invalid byte first, in the middle and last, on each side.
+		"g234567", "123g567", "123456g", "g2345678", "1234g678", "1234567g", "g23456789", "1234g6789", "12345678g",
+		"g123456789abcdef", "01234567g9abcdef", "0123456789abcdeg", "\xff123456789abcdef", "0123456789abcde\x00",
+		"g0000123456789abcdef", "0000012345z789abcdef", "00000123456789abcde:",
+		// The neighbours of the digit ranges, and digits with the high bit set.
+		"/1234567", "1234567:", "@1234567", "G1234567", "`1234567", "\xb01234567", "\xe11234567", "ABCDEFab", "\xb1", "1\xe1",
 	} {
 		f.Add(s)
 	}

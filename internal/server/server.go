@@ -372,7 +372,8 @@ func (s *Server) exec(dst []byte, line string, t0 time.Time) ([]byte, time.Time)
 	if watched && t0.IsZero() {
 		t0 = epoch.Add(time.Since(epoch))
 	}
-	req := wire.Parse(line)
+	var req wire.Request
+	wire.Parse(&req, line)
 	if !watched {
 		return s.execAppend(dst, &req, nil, nil), t0
 	}
@@ -408,7 +409,8 @@ func (s *Server) exec(dst []byte, line string, t0 time.Time) ([]byte, time.Time)
 func (s *Server) retain(tr *trace.Trace, line string, sv *served, d time.Duration, reply []byte) {
 	if tr == nil {
 		tr = s.trc.BeginAt(sv.clock.T0, false)
-		req := wire.Parse(line) // again: the handler has consumed the first one's arguments
+		var req wire.Request
+		wire.Parse(&req, line) // again: the handler has consumed the first one's arguments
 		tr.Request(req.Identity())
 		if sv.eng != "" {
 			s.con.Retrace(sv.eng, sv.sr, tr)
@@ -572,11 +574,14 @@ func (s *Server) execMSearchAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, s
 			reqs = reqs[:0] // an odd argument list is as good as none
 			break
 		}
-		key, ok := wire.ParseVec(keyS)
-		if !ok && bad == "" {
+		// The key is parsed into its slot: one built beside it and copied
+		// in is a store-forwarding stall per key.
+		reqs = append(reqs, subsystem.PortKey{Port: port})
+		key := &reqs[len(reqs)-1].Key // exact: the mask stays zero
+		var hex bool
+		if key.Value, hex = wire.ParseVec(keyS); !hex && bad == "" {
 			bad = keyS
 		}
-		reqs = append(reqs, subsystem.PortKey{Port: port, Key: bitutil.Exact(key)})
 	}
 	switch {
 	case len(reqs) == 0:
@@ -585,15 +590,17 @@ func (s *Server) execMSearchAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, s
 		dst = appendBadHex(dst, bad)
 	default:
 		dst = append(dst, wire.ReplyMResults...)
-		for _, r := range s.con.MSearchServed(reqs, sv.ck(), &p.sc) {
+		out := s.con.MSearchServed(reqs, sv.ck(), &p.sc)
+		for i := range out {
+			r := &out[i] // by index: a ranged copy of a slot is a whole-struct copy per key
 			dst = append(dst, ' ')
 			switch {
+			case r.Err == nil:
+				dst = appendSearchReply(dst, r.Result.Found, r.Result.Erred, r.Result.Record.Data, ':')
 			case errors.Is(r.Err, subsystem.ErrEngineUnavailable):
 				dst = append(dst, wire.SlotUnavailable...)
-			case r.Err != nil:
-				dst = append(dst, wire.SlotNoEngine...)
 			default:
-				dst = appendSearchReply(dst, r.Result.Found, r.Result.Erred, r.Result.Record.Data, ':')
+				dst = append(dst, wire.SlotNoEngine...)
 			}
 		}
 	}

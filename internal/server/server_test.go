@@ -2,6 +2,8 @@ package server
 
 import (
 	"errors"
+	"fmt"
+	"math/bits"
 	"net"
 	"strings"
 	"sync"
@@ -225,6 +227,17 @@ func TestParseVec(t *testing.T) {
 	for _, in := range bad {
 		if v, ok := wire.ParseVec(in); ok {
 			t.Errorf("ParseVec(%q) = %v, want rejection", in, v)
+		}
+	}
+}
+
+// TestAppendHex016: the word-at-a-time encoder is fmt's %016x for every
+// digit in every position.
+func TestAppendHex016(t *testing.T) {
+	for i := uint64(0); i < 1<<12; i++ {
+		v := bits.RotateLeft64(0x0123456789abcdef, int(i%16)*4) ^ i*0x9e3779b97f4a7c15>>(i%64)
+		if got, want := string(appendHex016([]byte("x"), v)), fmt.Sprintf("x%016x", v); got != want {
+			t.Fatalf("appendHex016(%#x) = %q, want %q", v, got, want)
 		}
 	}
 }

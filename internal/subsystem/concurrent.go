@@ -472,7 +472,7 @@ func (c *Concurrent) evalHealth(g *guardedEngine) Health {
 	p := c.policy
 	q := g.e.Main.QuarantinedRows()
 	if p.FailQuarantinedFrac > 0 && q > 0 &&
-		float64(q) >= p.FailQuarantinedFrac*float64(g.e.Main.Config().Rows()) {
+		float64(q) >= p.FailQuarantinedFrac*float64(g.e.Main.Array().Rows()) {
 		return Failed
 	}
 	h := Healthy
@@ -870,7 +870,7 @@ func (c *Concurrent) Retrace(port string, sr SearchResult, tr *trace.Trace) {
 	if !ok || sr.Erred {
 		return
 	}
-	rows := g.e.Main.Config().Rows()
+	rows := g.e.Main.Array().Rows()
 	last := g.e.Score == nil && sr.Found && !sr.FromOvfl
 	for d := 0; d < sr.RowsRead; d++ {
 		tr.Probe(uint32((int(sr.Home)+d)%rows), d, 0, 0, last && d == sr.RowsRead-1)
@@ -1143,7 +1143,7 @@ func (g *guardedEngine) batchSeq(reqs []PortKey, out []MSearchResult, idxs []int
 					rest = append(rest, i)
 					continue
 				}
-				out[i].Result = fromLookup(res[k])
+				fromLookup(&out[i].Result, &res[k])
 			}
 			todo = todo[n:]
 		}

@@ -183,7 +183,8 @@ func (e *Engine) SearchTraced(key bitutil.Ternary, tr *trace.Trace) SearchResult
 	} else {
 		main = e.Main.LookupTraced(key, tr)
 	}
-	res := fromLookup(main)
+	var res SearchResult
+	fromLookup(&res, &main)
 	if e.Overflow == nil {
 		return res
 	}
@@ -222,12 +223,17 @@ func (e *Engine) SearchSeq(rd *caram.Reader, key bitutil.Ternary, tr *trace.Trac
 	if !ok {
 		return SearchResult{}, false
 	}
-	return fromLookup(main), true
+	var res SearchResult
+	fromLookup(&res, &main)
+	return res, true
 }
 
-// fromLookup is the main array's share of a SearchResult.
-func fromLookup(main caram.LookupResult) SearchResult {
-	return SearchResult{Found: main.Found, Record: main.Record, RowsRead: main.RowsRead, Erred: main.Erred, Home: main.HomeBucket}
+// fromLookup fills sr with the main array's share of a search, field by
+// field: a SearchResult built aside and copied in stalls the copy's loads
+// on the fields' just-issued stores.
+func fromLookup(sr *SearchResult, main *caram.LookupResult) {
+	sr.Found, sr.Record, sr.RowsRead, sr.FromOvfl = main.Found, main.Record, main.RowsRead, false
+	sr.Erred, sr.Home = main.Erred, main.HomeBucket
 }
 
 // banks resolves the timing bank count.
@@ -241,7 +247,7 @@ func (e *Engine) banks() int {
 // bankOf maps a home bucket to its bank: contiguous row partitions, so
 // short probe chains stay within one bank.
 func (e *Engine) bankOf(home uint32) int {
-	rows := e.Main.Config().Rows()
+	rows := e.Main.Array().Rows()
 	b := int(home) * e.banks() / rows
 	if b >= e.banks() {
 		b = e.banks() - 1

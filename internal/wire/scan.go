@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math"
 	"strings"
 	"unicode"
@@ -72,6 +73,15 @@ func (f *Scanner) Next() (field string, ok bool) {
 		return "", false
 	}
 	start := i
+	// Eight bytes a step while every one is printable ASCII — no byte
+	// below '!' (every ASCII space is) and none at or above RuneSelf —
+	// then byte by byte from the word that holds the field's end.
+	for i+8 <= len(s) {
+		if w := load8(s[i:]); (w-0x2121212121212121|w)&0x8080808080808080 != 0 {
+			break
+		}
+		i += 8
+	}
 	for i < len(s) {
 		if c := s[i]; c < utf8.RuneSelf {
 			if asciiSpace[c] == 1 {
@@ -158,40 +168,62 @@ func EqualFold(s, t string) bool {
 	return true
 }
 
-// hexVal maps a byte to its hex digit value; anything above 15 is not
-// a hex digit. A table, not range tests: in a random key the next digit
-// is a letter or a figure unpredictably, and that branch mispredicts.
-var hexVal = func() (t [256]uint8) {
-	for i := range t {
-		t[i] = 0xff
-	}
-	for i := 0; i < 10; i++ {
-		t['0'+i] = uint8(i)
-	}
-	for i := 0; i < 6; i++ {
-		t['a'+i], t['A'+i] = uint8(10+i), uint8(10+i)
-	}
-	return t
-}()
-
 // ParseHex64 parses one bare hex field: 1+ hex digits (leading zeros
 // allowed) whose value fits 64 bits, and nothing else — the exact set
 // strconv.ParseUint(s, 16, 64) accepts, so empty fields, signs, "0x"
 // prefixes, "_" separators and trailing garbage like "12zz" are all
-// rejected (FuzzParseHex64 holds it to strconv).
+// rejected (FuzzParseHex64 holds it to strconv). A rejected field
+// yields 0. Digits are judged and converted eight at a time (hexWord).
 func ParseHex64(s string) (uint64, bool) {
-	if len(s) == 0 {
+	for len(s) > 16 && s[0] == '0' {
+		s = s[1:] // past 16 digits a field fits only by leading zeros
+	}
+	var v, bad uint64
+	switch n := len(s); {
+	case n == 0 || n > 16:
+		return 0, false
+	case n < 8:
+		x := uint64(0x3030303030303030) // '0's pad the word on the left
+		for i := 0; i < n; i++ {
+			x = x<<8 | uint64(s[i])
+		}
+		v, bad = hexWord(x)
+	default:
+		// Two words; when n < 16 they overlap, and the digits they share
+		// land on the same bits of the value.
+		hi, bad1 := hexWord(load8(s))
+		lo, bad2 := hexWord(load8(s[n-8:]))
+		v, bad = hi<<(4*(n-8))|lo, bad1|bad2
+	}
+	if bad != 0 {
 		return 0, false
 	}
-	var v uint64
-	for i := 0; i < len(s); i++ {
-		d := hexVal[s[i]]
-		if d > 15 || v >= 1<<60 { // not a digit, or v<<4 would overflow
-			return 0, false
-		}
-		v = v<<4 | uint64(d)
-	}
 	return v, true
+}
+
+// load8 reads the first eight bytes of s, the first in the top byte.
+func load8(s string) uint64 {
+	return binary.BigEndian.Uint64(unsafe.Slice(unsafe.StringData(s), 8))
+}
+
+// hexWord converts the eight bytes of x, read as hex digits, to the
+// 32-bit value they spell, the top byte's digit on top; bad is nonzero
+// unless all eight are digits. Branch-free (SWAR): which bytes are
+// letters and which figures is data no predictor learns.
+func hexWord(x uint64) (v, bad uint64) {
+	const ones = 0x0101010101010101
+	// A byte's high bit is set iff lo <= b <= hi. A digit byte never
+	// carries into the next, so the lowest non-digit is judged exactly,
+	// and fails (a byte at or above 0x80 included); a carry it sends up
+	// can misjudge only bytes of a word that is bad already.
+	in := func(x, lo, hi uint64) uint64 { return (x + (0x80-lo)*ones) &^ (x + (0x7f-hi)*ones) }
+	digit := in(x, '0', '9') | in(x|0x20*ones, 'a', 'f') // |0x20 folds 'A'-'F' onto 'a'-'f'
+	// A digit's value is its low nibble, plus 9 for a letter (bit 6);
+	// then the eight nibbles pack.
+	d := x&(0x0f*ones) + (x>>6&ones)*9
+	d = (d | d>>4) & 0x00ff00ff00ff00ff
+	d = (d | d>>8) & 0x0000ffff0000ffff
+	return (d | d>>16) & 0xffffffff, ^digit & (0x80 * ones)
 }
 
 // ParseVec parses a wire key — "hi:lo" or plain hex, each part a
@@ -201,8 +233,9 @@ func ParseHex64(s string) (uint64, bool) {
 // server's "ERR bad hex".
 func ParseVec(s string) (bitutil.Vec128, bool) {
 	hiS, loS, wide := strings.Cut(s, ":")
-	if !wide {
-		hiS, loS = "0", hiS
+	if !wide { // the high half is 0; a rejected field is 0 too
+		lo, ok := ParseHex64(s)
+		return bitutil.FromParts(lo, 0), ok
 	}
 	hi, ok1 := ParseHex64(hiS)
 	lo, ok2 := ParseHex64(loS)

@@ -174,21 +174,23 @@ type Request struct {
 	Status    Status
 }
 
-// Parse reads a request line's head. It is total — every line yields a
-// Request — and does not allocate.
-func Parse(line string) (r Request) {
-	r.Args = Scan(line)
+// Parse reads a request line's head into r, overwriting all of it. It is
+// total — every line yields a Request — and does not allocate. It fills
+// the caller's Request rather than returning one: a Request returned by
+// value is a whole-struct copy per line.
+func Parse(r *Request, line string) {
+	*r = Request{Args: Scan(line)}
 	word, ok := r.Args.Next()
 	if ok && word[0] == '*' {
 		r.Annotated = true
 		if !EqualFold(word, "*TID") {
 			r.Word, r.Status = word, UnknownAnnotation
-			return r
+			return
 		}
 		arg, _ := r.Args.Next()
 		if r.TID, r.Span, ok = ParseWireID(arg); !ok {
 			r.Status = BadTID
-			return r
+			return
 		}
 		if word, ok = r.Args.Next(); ok {
 			r.Tag = line[:r.Args.i-len(word)]
@@ -196,13 +198,12 @@ func Parse(line string) (r Request) {
 	}
 	if !ok {
 		r.Status = Empty
-		return r
+		return
 	}
 	r.Word = word
 	if r.Verb = Lookup(word); r.Verb == nil {
 		r.Status = UnknownVerb
 	}
-	return r
 }
 
 // MaxText bounds the text argument of TINSERT and TSEARCH. The key image

@@ -73,7 +73,8 @@ func TestParseHead(t *testing.T) {
 		{"*FOO SEARCH db dead", UnknownAnnotation, "", true, 0, 0, ""},
 		{"BOGUS x", UnknownVerb, "", false, 0, 0, ""},
 	} {
-		r := Parse(tc.line)
+		var r Request
+		Parse(&r, tc.line)
 		name := ""
 		if r.Verb != nil {
 			name = r.Verb.Name
@@ -110,7 +111,8 @@ func TestIdentity(t *testing.T) {
 		{"*TID 1/1", "", "", ""},
 		{"*FOO SEARCH db dead", "", "", ""},
 	} {
-		r := Parse(tc.line)
+		var r Request
+		Parse(&r, tc.line)
 		if c, e, k := r.Identity(); c != tc.cmd || e != tc.engine || k != tc.key {
 			t.Errorf("Identity(%.40q) = %q, %q, %.40q; want %q, %q, %.40q", tc.line, c, e, k, tc.cmd, tc.engine, tc.key)
 		}
@@ -125,7 +127,8 @@ func TestParseZeroAlloc(t *testing.T) {
 		"MSEARCH db 1 db 2", "*TID zz SEARCH db dead", "bogus", ""}
 	if n := testing.AllocsPerRun(100, func() {
 		for _, line := range lines {
-			r := Parse(line)
+			var r Request
+			Parse(&r, line)
 			r.Identity()
 			r.Args.Count()
 			if f, ok := r.Args.Next(); ok {
@@ -152,7 +155,7 @@ func FuzzRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line string) {
 		var r Request
 		if n := testing.AllocsPerRun(1, func() {
-			r = Parse(line)
+			Parse(&r, line)
 			r.Identity()
 		}); n != 0 {
 			t.Fatalf("Parse(%q) allocated", line)
@@ -166,11 +169,41 @@ func FuzzRequest(f *testing.F) {
 		if r.Tag != "" && r.Verb != nil {
 			// What a tier that forwards the inner command must get back
 			// by stripping the tag: the same verb over the same arguments.
-			inner := Parse(strings.TrimPrefix(line, r.Tag))
+			var inner Request
+			Parse(&inner, strings.TrimPrefix(line, r.Tag))
 			ic, ie, ik := inner.Identity()
 			if c, e, k := r.Identity(); !r.Annotated || inner.Verb != r.Verb || inner.Annotated || ic != c || ie != e || ik != k {
 				t.Fatalf("Parse(%q): tag %q does not strip to the same request", line, r.Tag)
 			}
+		}
+	})
+}
+
+// FuzzScanner holds Scanner to its doc comment: over any string — ASCII
+// or not, valid UTF-8 or not — its fields are strings.Fields', and Count
+// is how many there are. The seeds put field ends on both sides of the
+// scanner's eight-byte steps and every kind of separator and non-separator
+// byte those steps stop at.
+func FuzzScanner(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "SEARCH db dead", " \t\n\v\f\rx\r\n",
+		"abcdefgh", "abcdefgh ", "abcdefghi jklmnopq", "1234567 12345678 123456789",
+		"MSEARCH db 0123456789abcdef db fedcba9876543210:0123456789abcdef",
+		"abcdefg hij", "x y\u0085z　", "abcdefghijk l",
+		"\x00\x1f\x7f!~ \x7f\x7f\x7f\x7f\x7f\x7f\x7f\x7f", "ab\xffcdefgh\xc0 e\xe2\x80",
+		strings.Repeat("k", 64) + "\v" + strings.Repeat("q", 17),
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		var got []string
+		sc := Scan(s)
+		n := sc.Count()
+		for field, ok := sc.Next(); ok; field, ok = sc.Next() {
+			got = append(got, field)
+		}
+		if want := strings.Fields(s); !slices.Equal(got, want) || n != len(want) {
+			t.Fatalf("Scan(%q) = %q (Count %d), strings.Fields = %q", s, got, n, want)
 		}
 	})
 }
