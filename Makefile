@@ -43,7 +43,7 @@
 #                       MSEARCH bookkeeping, the router with no
 #                       collector, an idle one, and caram-router's
 #                       default flags, and the WAL's snapshot /
-#                       capture-storage / recovery / per-record
+#                       freeze / append / recovery / per-record
 #                       replay guards)
 #   make copy-guard     no whole-struct copy (DUFFCOPY) compiled into the
 #                       per-key path's functions, from the assembly
@@ -108,9 +108,10 @@
 #                       retained ReadSlot-loop path, word for word, with
 #                       Slice.Verify after every step, ECC and live fault
 #                       injectors included), the Reader torn-read suites
-#                       and the single-slot flip, chaos, and replay's
-#                       dropped-record count; then the write path's
-#                       allocation guards (slice, served writes, MSEARCH)
+#                       and the single-slot flip, chaos, the snapshot
+#                       freeze's model check, and replay's dropped-record
+#                       count; then the write path's allocation guards
+#                       (slice, served writes, MSEARCH)
 #   make all            check, race, stress, fuzz, bench and every
 #                       focused gate, in that order
 #
@@ -120,7 +121,9 @@
 # GoldenSession in two, most -race subsets twice) → 43 s regrouped;
 # 35 s at PR 21, with the admission-rule suites and the deployed-flags
 # allocation table in; 35–39 s at PR 22, with the write-path suites in;
-# 38 s with copy-guard in, which itself takes under a second.
+# 38 s with copy-guard in, which itself takes under a second; 42 s with
+# the snapshot freeze's model check and guards in, against 39 s without
+# them on the same box in the same hour.
 
 GO       ?= go
 FUZZTIME ?= 10s
@@ -191,10 +194,11 @@ bench:
 # the router forward path (SEARCH and MSEARCH) with no collector, an
 # idle one, and the collector caram-router's default flags build; and
 # the durability layer's memory model — a steady-state snapshot of a
-# 10 MB table allocates under 64 KiB, the capture of mixed-wal's table
-# at alpha 0.57 at most 70 % of it, a snapshot+tail recovery O(chunk),
-# a replayed record nothing. This is the one non-race run of these
-# guards in `make ci`.
+# 10 MB table allocates under 64 KiB, a first snapshot of mixed-wal's
+# table at alpha 0.57 under 1 MiB, a write under a warm freeze nothing,
+# an Append and its flush nothing once both halves of the WAL's double
+# buffer exist, a snapshot+tail recovery O(chunk), a replayed record
+# nothing. This is the one non-race run of these guards in `make ci`.
 alloc-guard:
 	$(GO) test -run ZeroAlloc -count=1 ./internal/match ./internal/caram ./internal/wire
 	$(GO) test -run 'ZeroAlloc|TracingOnSteadyStateAllocs' -count=1 ./internal/server
@@ -263,7 +267,11 @@ crash-harness:
 # step, with ECC and live seeded injectors among the cases — and the
 # hand-built locate cases (foreign-chain duplicates, quarantined
 # shadow); the Reader torn-read suites unmodified plus the 10^5-flip
-# single-slot test; the chaos capstone; replay's dropped-record count.
+# single-slot test; the chaos capstone; the snapshot freeze's model
+# check — every write path interleaved with the walk, row by row, three
+# clock seeds, and the mid-write snapshot held to the oracle and
+# recovered — since every write path keeps a pre-image for it; replay's
+# dropped-record count.
 # Then, without it, the allocation guards of the path: the slice's
 # mutators, served writes with the WAL attached as deployed, an MSEARCH
 # line through ExecAppend and Handle, and the owning MSearch's two.
@@ -271,8 +279,9 @@ write-guard:
 	$(GO) test -race -run 'KernelLocate|FieldWriters|ClearSlot' -count=1 ./internal/match
 	$(GO) test -race -run 'CommitRowUpdate' -count=1 ./internal/mem
 	$(GO) test -race -run 'WritePath|Locate|ContainsConcurrent|UnchangedCommit|OccupancyMarkModel|TestReader' -count=1 ./internal/caram
+	$(GO) test -race -run 'FreezeModelCheck' -count=3 ./internal/caram
 	$(GO) test -race -run 'Chaos' -count=1 ./internal/subsystem
-	$(GO) test -race -run 'ReplayCountsDropped' -count=1 ./internal/wal
+	$(GO) test -race -run 'ReplayCountsDropped|FreezesMidWrite' -count=1 ./internal/wal
 	$(GO) test -run 'WritePathZeroAlloc' -count=1 ./internal/caram
 	$(GO) test -run 'ServedWritesZeroAlloc|HandleZeroAllocPerLine' -count=1 ./internal/server
 	$(GO) test -run MSearchAllocs -count=1 ./internal/subsystem

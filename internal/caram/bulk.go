@@ -2,9 +2,11 @@ package caram
 
 import (
 	"fmt"
-	"math"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"caram/internal/bitutil"
 	"caram/internal/match"
@@ -79,6 +81,7 @@ func (s *Slice) UpdateWhere(search bitutil.Ternary, fn func(match.Record) bituti
 			return nil
 		}
 		if quar {
+			s.keep(uint32(b))
 			rewrite(row)
 		} else {
 			s.updateRow(uint32(b), true, rewrite)
@@ -109,6 +112,7 @@ func (s *Slice) DeleteWhere(search bitutil.Ternary) int {
 			return nil
 		}
 		if quar {
+			s.keep(uint32(b))
 			clear(row)
 		} else {
 			s.updateRow(uint32(b), true, clear)
@@ -178,97 +182,119 @@ func (s *Slice) Image() []uint64 {
 	return out
 }
 
-// Capture is the slice's logical image — quarantined rows contribute
-// their shadow, the §3.2 authoritative host-side copy — kept in
-// O(occupied words): the image durability snapshots persist. Row b
-// keeps spans[b] words from its start, the words its occupancy mark
-// covers (markWords), then its aux words, and none of the zero words
-// between. Rows are kept whole, spans left empty, where bits may sit
-// above a mark (wholeRows) or a row is too wide for a u8 count. The
-// words live in fixed blocks, no row split across two, so a table that
-// grows between captures adds a block rather than copying the capture;
-// a Capture handed back to CaptureInto reuses them and allocates nothing.
-type Capture struct {
-	blocks                  [][]uint64
-	spans                   []uint8
-	rows, rowWords, auxWord int
-	run                     []uint64 // Each's run of full-width rows
+// Freeze is a slice's logical image at one instant — quarantined rows as
+// their shadow — streamed later while the writer carries on: what
+// durability snapshots persist, without a copy of the table. Before
+// anything changes a row's logical contents the writer calls keep, which
+// copies an unstreamed row's pre-image into the slab once; the walker
+// (Each) takes each row from the slab if kept, else live, and moves the
+// cursor past it under the freeze's mutex, so it never copies a row
+// while it is being written. A slice has one Freeze, its storage reused
+// by every freeze it opens (DESIGN.md, "Durability memory model").
+type Freeze struct {
+	s    *Slice
+	mu   sync.Mutex
+	next atomic.Int64 // rows below next are streamed
+	at   []uint32     // per row: 1 + its pre-image's index in slab, 0 = not kept
+	slab []uint64     // kept pre-images, a row each; the whole table at worst
+	run  []uint64     // Each's run of full-width rows
 }
 
-const (
-	captureBlock = 1 << 13 // words per storage block (64 KiB), or one row if wider
-	captureRun   = 1 << 12 // words Each expands at a time (32 KiB)
-)
+// freezeRun is the words Each streams per run (4 KiB), or one row if wider.
+var freezeRun = 1 << 9
 
-// CaptureInto fills c with the slice's logical contents. The caller
-// excludes writers (the subsystem holds the engine's read lock), so
-// marks and rows agree. Uncharged (PeekWords), like Records:
-// serialization is host work, not a modeled memory access.
-func (s *Slice) CaptureInto(c *Capture) {
-	rw, aux := s.array.RowWords(), s.array.RowWords()-s.auxWord
-	if c.rowWords != rw {
-		c.blocks = nil // sized for another row width
+// Freeze opens a point-in-time freeze, copying nothing, while the caller excludes the writer.
+func (s *Slice) Freeze() *Freeze {
+	f := &s.frozen
+	if !s.frz.CompareAndSwap(nil, f) {
+		panic("caram: Freeze with a freeze already open")
 	}
-	c.rows, c.rowWords, c.auxWord = s.rows, rw, s.auxWord
-	whole := s.wholeRows() || s.auxWord > math.MaxUint8
-	if c.spans = c.spans[:0]; !whole {
-		c.spans = slices.Grow(c.spans, c.rows)[:c.rows]
+	f.s, f.slab = s, f.slab[:0]
+	f.next.Store(0)
+	return f
+}
+
+// keep runs before anything changes row idx's logical contents; no freeze open, it is one load.
+func (s *Slice) keep(idx uint32) {
+	if f := s.frz.Load(); f != nil {
+		f.keep(idx)
 	}
-	data, blk, next := s.array.PeekWords(), []uint64(nil), 0
-	for b := 0; b < c.rows; b++ {
-		row, k := data[:rw:rw], s.auxWord
-		data = data[rw:]
-		if whole {
-			row = s.logicalRow(uint32(b), row)
+}
+
+func (f *Freeze) keep(idx uint32) {
+	if int64(idx) < f.next.Load() {
+		return // streamed: the walker will not read it again
+	}
+	f.lock()
+	f.at = slices.Grow(f.at[:0], f.s.rows)[:f.s.rows] // made by the first keep, then kept
+	if int64(idx) >= f.next.Load() && f.at[idx] == 0 {
+		rw, n := f.s.array.RowWords(), len(f.slab)
+		f.slab = slices.Grow(f.slab, rw)[:n+rw]
+		f.copyRow(idx, f.slab[n:])
+		f.at[idx] = uint32(n/rw + 1)
+	}
+	f.mu.Unlock()
+}
+
+// copyRow copies row idx's live logical contents: an ECC slice's shadow —
+// the §3.2 authoritative copy, whatever the quarantine — else storage.
+func (f *Freeze) copyRow(idx uint32, dst []uint64) {
+	if f.s.ecc != nil {
+		copy(dst, f.s.ecc.shadowRow(idx))
+		return
+	}
+	for !f.s.array.TryPeekRow(idx, dst) {
+		runtime.Gosched()
+	}
+}
+
+// lock spins: a hold is one run's copy; a parked writer waits out the walker's time slice.
+func (f *Freeze) lock() {
+	for !f.mu.TryLock() {
+		runtime.Gosched()
+	}
+}
+
+// Len returns how many words the frozen image holds: the array's.
+func (f *Freeze) Len() int { return f.s.array.Words() }
+
+// Each calls fn with the frozen image as consecutive runs of whole rows,
+// valid until fn returns, then releases the freeze. fn holds no lock.
+func (f *Freeze) Each(fn func(rows []uint64)) {
+	defer f.Release()
+	rw, rows := f.s.array.RowWords(), f.s.rows
+	per := max(freezeRun/rw, 1)
+	f.run = slices.Grow(f.run[:0], per*rw)
+	for b := 0; b < rows; b += per {
+		run := f.run[:min(per, rows-b)*rw]
+		f.stream(b, rw, run)
+		fn(run)
+	}
+}
+
+// stream fills run with the frozen rows from row b and moves the cursor
+// past them, in one hold of the mutex.
+func (f *Freeze) stream(b, rw int, run []uint64) {
+	f.lock()
+	defer f.mu.Unlock()
+	for i := 0; i < len(run); i += rw {
+		if idx := b + i/rw; f.at != nil && f.at[idx] != 0 {
+			copy(run[i:i+rw], f.slab[int(f.at[idx]-1)*rw:])
+			f.at[idx] = 0
 		} else {
-			k = s.markWords(int(s.mark[b].Load()))
-			c.spans[b] = uint8(k)
+			f.copyRow(uint32(idx), run[i:i+rw])
 		}
-		if len(blk) < k+aux {
-			if next == len(c.blocks) {
-				c.blocks = append(c.blocks, make([]uint64, max(captureBlock, rw)))
-			}
-			blk, next = c.blocks[next], next+1
-		}
-		copy(blk, row[:k])
-		for i, v := range row[s.auxWord:] { // a word or two: cheaper than a copy call
-			blk[k+i] = v
-		}
-		blk = blk[k+aux:]
 	}
+	f.next.Store(int64(b + len(run)/rw))
 }
 
-// Len returns how many words the captured image holds at full width —
-// the array's word count.
-func (c *Capture) Len() int { return c.rows * c.rowWords }
-
-// Each calls fn with the captured image at full width — the words
-// between a span and the aux words zero-filled — as consecutive runs of
-// whole rows, in row order. A run is valid only until fn returns.
-func (c *Capture) Each(fn func(rows []uint64)) {
-	rw, aux := c.rowWords, c.rowWords-c.auxWord
-	if cap(c.run) < max(captureRun, rw) {
-		c.run = make([]uint64, max(captureRun, rw))
-	}
-	run, n, blk, next := c.run[:max(captureRun/rw, 1)*rw], 0, []uint64(nil), 0
-	for b := 0; b < c.rows; b++ {
-		row, k := run[n:n+rw], c.auxWord
-		if len(c.spans) > 0 {
-			k = int(c.spans[b])
-		}
-		if len(blk) < k+aux { // where CaptureInto moved to its next block
-			blk, next = c.blocks[next], next+1
-		}
-		copy(row, blk[:k])
-		clear(row[k:c.auxWord])
-		for i := range aux {
-			row[c.auxWord+i] = blk[k+i]
-		}
-		blk = blk[k+aux:]
-		if n += rw; n == len(run) || b == c.rows-1 {
-			fn(run[:n])
-			n = 0
-		}
+// Release ends the freeze. It is idempotent; Each calls it when done.
+func (f *Freeze) Release() {
+	if f.s.frz.CompareAndSwap(f, nil) {
+		f.lock()
+		clear(f.at[min(int(f.next.Load()), len(f.at)):]) // what a walk cut short left kept
+		f.next.Store(int64(f.s.rows))                    // a keep that loaded f before the swap finds nothing to do
+		f.mu.Unlock()
 	}
 }
 
@@ -292,6 +318,9 @@ func (s *Slice) LoadImage(img []uint64) error {
 func (s *Slice) LoadImageFrom(words int, next func(row []uint64) error) error {
 	if words != s.array.Words() {
 		return fmt.Errorf("caram: image of %d words for an array of %d", words, s.array.Words())
+	}
+	if s.frz.Load() != nil {
+		panic("caram: LoadImageFrom with a freeze open") // recovery only: nothing is snapshotting yet
 	}
 	// Readers racing the load fetch whole rows until the marks are
 	// rebuilt from the new contents: a mark may overstate, never

@@ -194,6 +194,9 @@ func (e *eccState) quarantine(idx uint32, row []uint64) {
 // skips the row and marks the lookup as erred.
 func (s *Slice) fetchChecked(idx uint32, tr *trace.Trace) ([]uint64, bool) {
 	if s.ecc == nil {
+		if s.array.FaultsInstalled() {
+			s.keep(idx) // a strike changes the stored row, and nothing else holds the old one
+		}
 		row, _ := s.array.FetchRow(idx) // unprotected: errors are invisible
 		return row, true
 	}

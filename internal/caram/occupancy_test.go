@@ -285,16 +285,14 @@ func TestReaderBoundedEqualsLocked(t *testing.T) {
 	same("LookupBatch")
 }
 
-// TestOccupancyCaptureEqualsWholeRows: a Capture, reused across a
-// random mix of inserts (spilling ones too), deletes and updates, always
-// expands to exactly the stored array — bounded rows on a plain slice,
-// whole rows under ECC — and Verify refuses a set bit in the words it
-// leaves out, where nothing else would notice.
-func TestOccupancyCaptureEqualsWholeRows(t *testing.T) {
+// TestOccupancyFreezeEqualsWholeRows: a freeze opened after each step
+// of a random mix of inserts (spilling ones too), deletes and updates
+// streams exactly the stored array — and Verify refuses a set bit in the
+// words above a row's mark, where nothing else would notice.
+func TestOccupancyFreezeEqualsWholeRows(t *testing.T) {
 	for _, ecc := range []bool{false, true} {
 		s := occSlice(ecc)
 		rng := rand.New(rand.NewSource(26))
-		var c Capture
 		var live []uint64
 		for step := 0; step < 600; step++ {
 			switch k := uint64(rng.Intn(200) + 1); {
@@ -310,12 +308,12 @@ func TestOccupancyCaptureEqualsWholeRows(t *testing.T) {
 					live = append(live[:i], live[i+1:]...)
 				}
 			}
-			s.CaptureInto(&c)
+			f := s.Freeze()
 			var got []uint64
-			c.Each(func(row []uint64) { got = append(got, row...) })
+			f.Each(func(rows []uint64) { got = append(got, rows...) })
 			want := s.array.PeekWords()
-			if c.Len() != len(want) || !slices.Equal(got, want) {
-				t.Fatalf("ecc=%v step %d: capture of %d words expands to a different image than the %d whole-row words", ecc, step, c.Len(), len(want))
+			if f.Len() != len(want) || !slices.Equal(got, want) {
+				t.Fatalf("ecc=%v step %d: freeze of %d words streams a different image than the %d whole-row words", ecc, step, f.Len(), len(want))
 			}
 		}
 		if ecc {

@@ -52,7 +52,9 @@ type Slice struct {
 	spilled  int             // records placed outside their home bucket
 	foreign  bool            // InsertAt was used with a home != Index(key)
 	stats    sliceStats
-	ecc      *eccState // nil = unprotected memory (see ecc.go)
+	ecc      *eccState              // nil = unprotected memory (see ecc.go)
+	frz      atomic.Pointer[Freeze] // &frozen while a freeze is open (bulk.go)
+	frozen   Freeze
 }
 
 // New builds a slice from a validated configuration.
@@ -226,6 +228,7 @@ func (s *Slice) place(home uint32, rec match.Record) (displacement int, err erro
 // else can only have emptied slots, so the mark walks down from where
 // it was. (A full rescan per write was measurably slower to load.)
 func (s *Slice) updateRow(idx uint32, charge bool, fn func(row []uint64) error) error {
+	s.keep(idx)
 	var row []uint64
 	if charge {
 		row = s.array.BeginRowUpdate(idx)
@@ -270,7 +273,7 @@ func (s *Slice) wholeRows() bool { return s.ecc != nil || s.array.FaultsInstalle
 
 // markWords returns how many leading words of a row hold its first n
 // slots, stopping short of the aux words: the span of a row whose mark is
-// n that a Reader's snapshot and a Capture copy, the aux words apart.
+// n that a Reader's snapshot copies, the aux words apart.
 // Every word from there up to auxWord is zero (Verify holds it).
 func (s *Slice) markWords(n int) int { return min(bitutil.RowWords(n*s.slotBits), s.auxWord) }
 
@@ -309,6 +312,7 @@ func (s *Slice) raiseReach(home uint32, d uint64) {
 		// the authoritative shadow and reaches the array at scrub.
 		sh := s.ecc.shadowRow(home)
 		if s.layout.ReadAux(sh) < d {
+			s.keep(home)
 			s.layout.WriteAux(sh, d)
 		}
 		return
@@ -554,6 +558,7 @@ func (s *Slice) DeleteAt(home uint32, key bitutil.Ternary) error {
 	if s.ecc != nil && s.ecc.quar[bucket].Load() {
 		// The row is out of service: delete from the authoritative
 		// shadow, so the scrub restores the row without this record.
+		s.keep(bucket)
 		s.layout.ClearSlot(s.ecc.shadowRow(bucket), slot)
 	} else {
 		s.updateRow(bucket, true, func(row []uint64) error {
@@ -578,6 +583,7 @@ func (s *Slice) Update(key bitutil.Ternary, data bitutil.Vec128) error {
 		return ErrNotFound
 	}
 	if s.ecc != nil && s.ecc.quar[bucket].Load() {
+		s.keep(bucket)
 		sh := s.ecc.shadowRow(bucket)
 		rec, _ := s.layout.ReadSlot(sh, slot)
 		rec.Data = data
@@ -620,6 +626,9 @@ func (s *Slice) Records(fn func(bucket uint32, slot int, rec match.Record) bool)
 // Clear empties the slice and resets placement bookkeeping (statistics
 // are kept; use ResetStats separately).
 func (s *Slice) Clear() {
+	if s.frz.Load() != nil {
+		panic("caram: Clear with a freeze open") // recovery only: nothing is snapshotting yet
+	}
 	s.array.Clear()
 	for i := range s.mark {
 		s.mark[i].Store(0)

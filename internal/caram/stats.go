@@ -159,7 +159,8 @@ func (s *Slice) HomeLoads() []int32 {
 //  0. Every in-service row's occupancy mark is exactly 1 + its highest
 //     valid slot (checked first: the scans below stop at the mark), and
 //     — unless rows are taken whole — every word between the words the
-//     mark covers and the aux words is zero: a Capture drops them.
+//     mark covers and the aux words is zero: a Reader's snapshot never
+//     copies them.
 //  1. Count equals the number of valid slots.
 //  2. homeLoad sums to Count.
 //  3. Every record whose key hashes to a home bucket (the Insert path)

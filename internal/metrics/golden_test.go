@@ -56,8 +56,9 @@ func serverFixture() *metrics.Registry {
 }
 
 // serverScrape renders the fixture with a write-ahead log attached whose
-// last fsync never happened, so its age reads -1, and whose two latency
-// histograms hold a few fsyncs and the two snapshots' captures.
+// last fsync never happened, so its age reads -1, whose two latency
+// histograms hold a few fsyncs and the two snapshots' captures, and
+// whose commit batches include one past the last bound.
 func serverScrape(t *testing.T) string {
 	t.Helper()
 	var fsync, capture metrics.Histogram
@@ -66,12 +67,16 @@ func serverScrape(t *testing.T) string {
 	}
 	capture.Observe(int64(100 * time.Microsecond))
 	capture.Observe(int64(150 * time.Microsecond))
+	var batch metrics.SizeHistogram
+	for _, n := range []int{1, 1, 40, 700, 100000} {
+		batch.Observe(n)
+	}
 	stats := func() wal.Stats {
 		return wal.Stats{
 			LSN: 42, Durable: 40, SnapshotLSN: 17, Pending: 2, Segments: 3,
 			Fsyncs: 12345678, FsyncNanos: 1500000, LastFsync: 0,
 			Snapshots: 2, SnapshotNanos: 3000000000, SnapshotCaptureNanos: 250000, SnapshotBytes: 123456789,
-			FsyncLatency: fsync.Snapshot(), CaptureLatency: capture.Snapshot(),
+			FsyncLatency: fsync.Snapshot(), CaptureLatency: capture.Snapshot(), CommitBatch: batch.Snapshot(),
 		}
 	}
 	return scrape(t, serverFixture().Exposition(metrics.Bind(stats, wal.StatsFamilies...)))

@@ -166,3 +166,42 @@ func (s HistSnapshot) AppendBuckets(dst []byte) []byte {
 	}
 	return dst
 }
+
+// sizeBuckets is the bucket count of a SizeHistogram: bucket i counts
+// sizes in (2^(i-1), 2^i] (bucket 0 counts 1), the last every size past
+// 2^(sizeBuckets-2).
+const sizeBuckets = 17
+
+// SizeHistogram is a bounded, race-safe histogram of sizes — requests
+// per router write burst, records per WAL write — on power-of-two
+// buckets, with the running count and sum. The zero value is ready to
+// use.
+type SizeHistogram struct {
+	counts [sizeBuckets]atomic.Uint64
+	n, sum atomic.Uint64
+}
+
+// Observe records one size; sizes below 1 are not observations.
+func (h *SizeHistogram) Observe(size int) {
+	if size <= 0 {
+		return
+	}
+	h.counts[min(bits.Len(uint(size-1)), sizeBuckets-1)].Add(1)
+	h.n.Add(1)
+	h.sum.Add(uint64(size))
+}
+
+// SizeSnapshot is an atomic-load copy of a SizeHistogram.
+type SizeSnapshot struct {
+	Counts [sizeBuckets]uint64
+	N, Sum uint64
+}
+
+// Snapshot copies the counters.
+func (h *SizeHistogram) Snapshot() SizeSnapshot {
+	s := SizeSnapshot{N: h.n.Load(), Sum: h.sum.Load()}
+	for i := range h.counts {
+		s.Counts[i] = h.counts[i].Load()
+	}
+	return s
+}

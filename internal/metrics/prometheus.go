@@ -138,6 +138,11 @@ func (e *Emitter) Hist(counts []uint64, n uint64, sum any, labels ...string) {
 // Buckets of every family Latency emits.
 var LatencyBuckets = bounds(histBuckets, func(i int) float64 { return float64(BucketEdgeNs(i)) / 1e9 })
 
+// SizeBuckets are a SizeHistogram's finite bucket bounds, 1 to
+// 2^(sizeBuckets-2); a family may declare a prefix of them, and what its
+// last bound does not cover counts in +Inf alone.
+var SizeBuckets = bounds(sizeBuckets, func(i int) float64 { return float64(int(1) << i) })
+
 // Latency emits one Histogram snapshot as a series in seconds; buckets
 // above the slowest observation get no line.
 func (e *Emitter) Latency(h HistSnapshot, labels ...string) {

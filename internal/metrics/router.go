@@ -5,10 +5,9 @@ import (
 	"sync/atomic"
 )
 
-// burstBuckets is the power-of-two bucket count of the burst-size
-// histogram: bucket i counts bursts of size in (2^(i-1), 2^i], except
-// the last, which takes every burst over 1024.
-const burstBuckets = 12
+// burstBounds is how many of SizeBuckets the burst-size family
+// declares: 1 to 1024, every larger burst in +Inf.
+const burstBounds = 11
 
 // RouterBackend is one backend's slot: lock-free counters recorded by
 // the pool on the forward path (atomic adds, no allocation).
@@ -24,9 +23,7 @@ type RouterBackend struct {
 
 	inflight atomic.Int64 // pipeline depth: submitted, not yet answered
 
-	burstN   atomic.Uint64 // bursts flushed
-	burstSum atomic.Uint64 // requests across all bursts
-	burst    [burstBuckets]atomic.Uint64
+	burst SizeHistogram // requests per flushed burst
 }
 
 // Name returns the backend label the slot was registered under.
@@ -80,19 +77,9 @@ func (b *RouterBackend) SetBreaker(open bool) {
 
 // ObserveBurst records one write burst of n coalesced requests.
 func (b *RouterBackend) ObserveBurst(n int) {
-	if b == nil || n <= 0 {
-		return
+	if b != nil {
+		b.burst.Observe(n)
 	}
-	i := 0
-	for s := n - 1; s > 0; s >>= 1 { // bucket i spans (2^(i-1), 2^i]
-		i++
-	}
-	if i >= burstBuckets {
-		i = burstBuckets - 1
-	}
-	b.burst[i].Add(1)
-	b.burstN.Add(1)
-	b.burstSum.Add(uint64(n))
 }
 
 // Ops returns the submitted-request count.
@@ -112,11 +99,11 @@ func (b *RouterBackend) BreakerOpen() bool { return b.breakerOpen.Load() != 0 }
 
 // Bursts returns the burst count and the mean burst size.
 func (b *RouterBackend) Bursts() (n uint64, mean float64) {
-	n = b.burstN.Load()
+	n = b.burst.n.Load()
 	if n == 0 {
 		return 0, 0
 	}
-	return n, float64(b.burstSum.Load()) / float64(n)
+	return n, float64(b.burst.sum.Load()) / float64(n)
 }
 
 // RouterMetrics is the router's registry: one fixed slot per backend,
@@ -197,15 +184,11 @@ var routerFamilies = []Family[*RouterMetrics]{
 	{Desc: Desc{Name: "caram_router_backend_inflight", Help: "Requests submitted to the backend and not yet answered (pipeline depth).",
 		Type: TypeGauge, Labels: backendLabels}, Collect: perBackend(func(b *RouterBackend) any { return b.inflight.Load() })},
 	{Desc: Desc{Name: "caram_router_burst_size", Help: "Requests coalesced per write burst (one flush per bucket'd burst).",
-		Type: TypeHistogram, Labels: backendLabels, Buckets: bounds(burstBuckets, func(i int) float64 { return float64(int(1) << i) })},
+		Type: TypeHistogram, Labels: backendLabels, Buckets: SizeBuckets[:burstBounds]},
 		Collect: func(rm *RouterMetrics, e *Emitter) {
 			for i := range rm.slots {
-				b := &rm.slots[i]
-				var counts [burstBuckets]uint64
-				for j := range counts {
-					counts[j] = b.burst[j].Load()
-				}
-				e.Hist(counts[:], b.burstN.Load(), b.burstSum.Load(), b.name)
+				s := rm.slots[i].burst.Snapshot()
+				e.Hist(s.Counts[:], s.N, s.Sum, rm.slots[i].name)
 			}
 		}},
 }

@@ -67,17 +67,16 @@ type Journal interface {
 }
 
 // EngineImage is one engine's snapshot: geometry, the logical row
-// image bounded by each row's occupancy mark (quarantined rows
-// contribute their shadow contents — the authoritative copy), and the
-// overflow CAM's records with their priorities. AppliedLSN gates
-// replay: records with lsn <= AppliedLSN are already reflected in Rows
-// and must be skipped.
+// image frozen at AppliedLSN (quarantined rows contribute their shadow
+// contents — the authoritative copy), and the overflow CAM's records
+// with their priorities. AppliedLSN gates replay: records with
+// lsn <= AppliedLSN are already reflected in Rows and must be skipped.
 type EngineImage struct {
 	Name        string
 	Type        EngineType
 	Conf        TypedConfig
 	AppliedLSN  uint64
-	Rows        caram.Capture
+	Rows        *caram.Freeze
 	OverflowCfg cam.Config // meaningful when HasOverflow
 	HasOverflow bool
 	Overflow    []OverflowEntry
@@ -108,49 +107,30 @@ func (c *Concurrent) SetJournal(j Journal, rosterLSN uint64) *Concurrent {
 	return c
 }
 
-// SnapshotImage captures a recovery-consistent image of every engine
-// into img. It holds setMu for the whole pass — excluding roster
-// changes, so RosterLSN and the engine list agree — and captures each
-// engine under its read lock, excluding that engine's writer. Lock-free
-// seqlock searches are unaffected. Writers on OTHER engines proceed;
-// the per-engine AppliedLSN values make the fuzziness safe: any
-// record appended before the capture of its engine is in that
-// engine's image and gated out of replay.
-//
-// img is the caller's to keep between snapshots: an engine captured
-// before gets its row and overflow storage back, so its writer is held
-// for one copy of the table's occupied words (caram.Capture) and a
-// steady-state capture allocates nothing; storage of engines dropped
-// since the last capture is let go.
+// SnapshotImage freezes a recovery-consistent image of every engine
+// into img. Under setMu (so RosterLSN and the engine list agree) and
+// each engine's read lock it opens the engine's freeze, reads its
+// AppliedLSN and copies its overflow CAM: all a snapshot holds a writer
+// for. The caller streams each Rows with no lock held and releases each
+// on every path; one image may be open at a time. Per-engine AppliedLSN
+// values make the fuzziness across engines safe: a record appended
+// before its engine was frozen is in its image and gated out of replay.
 func (c *Concurrent) SnapshotImage(img *Image) {
 	c.setMu.Lock()
 	defer c.setMu.Unlock()
 	set := c.set.Load()
 	img.RosterLSN = c.rosterLSN
-	prev := img.Engines
 	img.Engines = make([]EngineImage, 0, len(set.order))
 	for _, name := range set.order {
-		var ei EngineImage
-		for i := range prev {
-			if prev[i].Name == name {
-				ei = EngineImage{Rows: prev[i].Rows, Overflow: prev[i].Overflow[:0]}
-				break
-			}
-		}
 		g := set.m[name]
 		g.mu.RLock()
 		cfg := g.e.Main.Config()
-		ei.Name = name
-		ei.Type = g.e.Type
-		ei.Conf = TypedConfig{IndexBits: cfg.IndexBits, Slots: cfg.Slots(), ECC: cfg.ECC}
-		ei.AppliedLSN = g.e.AppliedLSN
-		g.e.Main.CaptureInto(&ei.Rows)
+		ei := EngineImage{Name: name, Type: g.e.Type, AppliedLSN: g.e.AppliedLSN, Rows: g.e.Main.Freeze(),
+			Conf: TypedConfig{IndexBits: cfg.IndexBits, Slots: cfg.Slots(), ECC: cfg.ECC}}
 		if ov := g.e.Overflow; ov != nil {
-			ei.HasOverflow = true
-			ei.OverflowCfg = ov.Config()
+			ei.HasOverflow, ei.OverflowCfg = true, ov.Config()
 			for i := 0; i < ov.Len(); i++ {
-				rec, prio, ok := ov.EntryAt(i)
-				if ok {
+				if rec, prio, ok := ov.EntryAt(i); ok {
 					ei.Overflow = append(ei.Overflow, OverflowEntry{Rec: rec, Priority: prio})
 				}
 			}

@@ -300,7 +300,7 @@ func TestSnapshotStreamMatchesOracle(t *testing.T) {
 			con, w := journaled(t, dir, tc.engines, 3)
 			want := rosterContents(tc.engines)
 			size := 0
-			for i := 0; i < 2; i++ { // the second pass reuses the retained capture
+			for i := 0; i < 2; i++ { // the second pass reuses each slice's freeze storage
 				if len(tc.engines) > 0 {
 					name := tc.engines[0].Name
 					if err := con.Insert(name, rec(uint64(500+i))); err != nil {

@@ -28,6 +28,9 @@ var StatsFamilies = []metrics.Family[Stats]{
 	{Desc: metrics.Desc{Name: "caram_wal_fsync_seconds", Help: "WAL fsync latency, one observation per fsync.",
 		Type: metrics.TypeHistogram, Buckets: metrics.LatencyBuckets},
 		Collect: func(s Stats, e *metrics.Emitter) { e.Latency(s.FsyncLatency) }},
+	{Desc: metrics.Desc{Name: "caram_wal_commit_batch_records", Help: "Records per group-commit write, one observation per syncer write.",
+		Type: metrics.TypeHistogram, Buckets: metrics.SizeBuckets},
+		Collect: func(s Stats, e *metrics.Emitter) { e.Hist(s.CommitBatch.Counts[:], s.CommitBatch.N, s.CommitBatch.Sum) }},
 	{Desc: metrics.Desc{Name: "caram_wal_last_fsync_age_seconds", Help: "Seconds since the last WAL fsync (-1 = never).",
 		Type: metrics.TypeGauge},
 		Collect: metrics.Scalar(func(s Stats) any {

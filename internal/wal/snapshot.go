@@ -148,7 +148,7 @@ func (e snapEncoder) image(bound uint64, img *subsystem.Image) {
 		e.uint(1, bit(ei.Conf.ECC))
 		e.uint(8, ei.AppliedLSN)
 		e.uint(4, uint64(ei.Rows.Len()))
-		ei.Rows.Each(e.words) // full width: the zero words above a row's mark are written back
+		ei.Rows.Each(e.words) // streamed from the engine's freeze, which it releases
 		e.uint(1, bit(ei.HasOverflow))
 		if !ei.HasOverflow {
 			continue
@@ -341,12 +341,12 @@ func readSnapshot(f *os.File, br *bufio.Reader, load snapLoader) (bound, rosterL
 	return bound, rosterLSN, nil
 }
 
-// writeSnapshot (snapMu held) writes the capture l.img to path and
-// fsyncs it: header reserved, payload streamed through the log's one
-// chunk into the file and the running CRC, [payloadLen][crc] patched
-// with one WriteAt. n is payloadLen's answer; an encoder that wrote
-// anything else is a bug caught here, before the rename.
-func (l *Log) writeSnapshot(path string, bound uint64, n uint32) (err error) {
+// writeSnapshot (snapMu held) writes img to path and fsyncs it: header
+// reserved, payload streamed through the log's one chunk into the file
+// and the running CRC, [payloadLen][crc] patched with one WriteAt. n is
+// payloadLen's answer; an encoder that wrote anything else is a bug
+// caught here, before the rename.
+func (l *Log) writeSnapshot(path string, bound uint64, n uint32, img *subsystem.Image) (err error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -363,7 +363,7 @@ func (l *Log) writeSnapshot(path string, bound uint64, n uint32) (err error) {
 	}
 	l.snapSum.Reset()
 	l.snapW.Reset(io.MultiWriter(f, l.snapSum)) // keeps the chunk, drops a failed snapshot's state
-	snapEncoder{l.snapW}.image(bound, &l.img)
+	snapEncoder{l.snapW}.image(bound, img)
 	if err = l.snapW.Flush(); err != nil {
 		return err
 	}
@@ -378,15 +378,15 @@ func (l *Log) writeSnapshot(path string, bound uint64, n uint32) (err error) {
 	return f.Sync()
 }
 
-// Snapshot captures the roster image, persists it, and truncates the
-// log: the active segment is rolled and every sealed segment whose
+// Snapshot freezes the roster image, streams it to disk, and truncates
+// the log: the active segment is rolled and every sealed segment whose
 // records all fall at or before the bound is deleted, along with older
 // snapshot files. The image callback runs outside any wal lock (it
-// takes the subsystem's own locks) and fills the capture the log
-// retains between snapshots; the bound is the LSN horizon read before
-// capture, which is safe because append and apply share the
-// engine-lock critical section — every record at or below the bound
-// was applied before its engine was captured.
+// takes the subsystem's own locks) and opens each engine's freeze, which
+// is streamed, writers carrying on, and released on every exit path.
+// The bound is the LSN horizon read before: append and apply share the
+// engine-lock critical section, so each record at or below it was
+// applied before its engine was frozen.
 func (l *Log) Snapshot(image func(*subsystem.Image)) error {
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
@@ -399,18 +399,24 @@ func (l *Log) Snapshot(image func(*subsystem.Image)) error {
 	bound := l.nextLSN - 1
 	l.mu.Unlock()
 
+	var img subsystem.Image
 	captureStart := time.Now()
-	image(&l.img)
+	image(&img)
 	capture := time.Since(captureStart)
+	defer func() {
+		for i := range img.Engines {
+			img.Engines[i].Rows.Release() // idempotent: a streamed freeze is released already
+		}
+	}()
 	// Refuse before anything is written, rolled or pruned.
-	n, err := payloadLen(imageSizes(&l.img))
+	n, err := payloadLen(imageSizes(&img))
 	if err != nil {
 		return err
 	}
 
 	final := filepath.Join(l.dir, snapshotName(bound))
 	tmp := final + snapTmpSuffix
-	if err = l.writeSnapshot(tmp, bound, n); err == nil {
+	if err = l.writeSnapshot(tmp, bound, n, &img); err == nil {
 		err = os.Rename(tmp, final)
 	}
 	if err != nil {

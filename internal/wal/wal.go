@@ -114,6 +114,7 @@ const (
 	// once this much is pending the syncer is kicked to write (without
 	// fsync under SyncNever) so memory stays flat under write storms.
 	flushChunk = 1 << 20
+	bufBytes   = flushChunk + frameHeader + maxRecordBytes // a half of the double buffer, allocated once: it never regrows
 )
 
 // ErrClosed is returned for operations on a sealed log.
@@ -127,7 +128,7 @@ type Log struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast when durable/err/closed change
 	buf     []byte     // framed records not yet handed to the OS
-	spare   []byte     // the other half of the double buffer
+	spare   []byte     // the other half of the double buffer (bufBytes each, made by Append)
 	nextLSN uint64     // next LSN to assign
 	written uint64     // highest LSN written to the file
 	durable uint64     // highest LSN fsynced
@@ -145,19 +146,19 @@ type Log struct {
 	done chan struct{}
 	bg   sync.WaitGroup
 
-	// Snapshot state kept between snapshots: the capture, the encoder's chunk.
+	// Snapshot state kept between snapshots: the encoder's chunk and its CRC.
 	snapMu  sync.Mutex
-	img     subsystem.Image
 	snapW   *bufio.Writer
 	snapSum hash.Hash32
 
 	fsyncs     atomic.Uint64
 	fsyncNanos atomic.Uint64
 	fsyncHist  metrics.Histogram
-	lastFsync  atomic.Int64 // unix nanos of the last fsync completion
+	lastFsync  atomic.Int64          // unix nanos of the last fsync completion
+	batchHist  metrics.SizeHistogram // records per syncer write
 
 	snapshots        atomic.Uint64 // completed
-	snapNanos        atomic.Uint64 // capture through prune, completed snapshots
+	snapNanos        atomic.Uint64 // freeze through prune, completed snapshots
 	snapCaptureNanos atomic.Uint64 // of that, inside the image callback
 	snapBytes        atomic.Int64  // size of the newest snapshot file
 	captureHist      metrics.Histogram
@@ -183,6 +184,9 @@ func (l *Log) Append(e subsystem.JournalEntry) (uint64, error) {
 	}
 	lsn := l.nextLSN
 	l.nextLSN++
+	if l.buf == nil {
+		l.buf = make([]byte, 0, bufBytes)
+	}
 	l.buf = appendRecord(l.buf, lsn, e)
 	needKick := l.opts.Sync.Mode != SyncAlways && len(l.buf) >= flushChunk
 	l.mu.Unlock()
@@ -287,7 +291,7 @@ func (l *Log) flush(fsync bool) error {
 	}
 	batch := l.buf
 	target := l.nextLSN - 1
-	l.buf = l.spare[:0]
+	l.buf = l.spare
 	l.spare = nil
 	alreadyDurable := l.durable
 	l.mu.Unlock()
@@ -296,6 +300,7 @@ func (l *Log) flush(fsync bool) error {
 	if len(batch) > 0 {
 		if _, err = l.f.Write(batch); err == nil {
 			l.segSize += int64(len(batch))
+			l.batchHist.Observe(int(target - l.written)) // written moves only under ioMu
 		}
 	}
 	// A roll requires everything in the retiring segment durable first
@@ -330,7 +335,9 @@ func (l *Log) flush(fsync bool) error {
 		if synced && target > l.durable {
 			l.durable = target
 		}
-		l.spare = batch[:0]
+		if cap(batch) == bufBytes {
+			l.spare = batch[:0] // a half a syncer stall grew past bufBytes is dropped
+		}
 	}
 	l.cond.Broadcast()
 	l.mu.Unlock()
@@ -438,6 +445,7 @@ type Stats struct {
 	SnapshotBytes        int64 // newest snapshot file; 0 = none written since boot
 	// One observation per fsync in Fsyncs, per capture in SnapshotCaptureNanos.
 	FsyncLatency, CaptureLatency metrics.HistSnapshot
+	CommitBatch                  metrics.SizeSnapshot // records per syncer write
 }
 
 // Stats returns current counters.
@@ -464,6 +472,7 @@ func (l *Log) Stats() Stats {
 	s.SnapshotBytes = l.snapBytes.Load()
 	s.FsyncLatency = l.fsyncHist.Snapshot()
 	s.CaptureLatency = l.captureHist.Snapshot()
+	s.CommitBatch = l.batchHist.Snapshot()
 	return s
 }
 
