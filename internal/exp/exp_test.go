@@ -1,9 +1,25 @@
 package exp
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/ from the current output")
+
+// goldenScale is extra small for test speed; the goldens are its output.
+var goldenScale = Scale{IPDrop: 6, TrigramDrop: 8, Seed: 1}
+
+// analytic experiments build no dataset, so they run under -short too.
+var analytic = map[string]bool{"table1": true, "fig6a": true, "fig6b": true, "fig8": true}
+
+// listGolden pins the registry itself: names, descriptions and order,
+// as caram-bench -list prints them.
+const listGolden = "testdata/experiments.list"
 
 func TestTableRender(t *testing.T) {
 	tab := &Table{Title: "T", Header: []string{"a", "bbbb"}}
@@ -36,46 +52,108 @@ func TestRunUnknown(t *testing.T) {
 	}
 }
 
-func TestFastExperiments(t *testing.T) {
-	// The analytic experiments run instantly and must mention their
-	// paper anchor values.
-	checks := map[string][]string{
-		"table1": {"Expand search key", "15992", "4.85"},
-		"fig6a":  {"16T SRAM TCAM", "12.0x", "4.8x"},
-		"fig6b":  {"6T dynamic TCAM", "CA-RAM"},
-		"fig8":   {"IP lookup", "trigram", "area saving"},
+// TestGolden holds every registered experiment's output at goldenScale
+// byte for byte to testdata/<name>.golden, and the registry listing to
+// listGolden. Regenerate with `go test ./internal/exp -update`.
+func TestGolden(t *testing.T) {
+	var list strings.Builder
+	for _, e := range Experiments {
+		fmt.Fprintf(&list, "%-10s %s\n", e.Name, e.Desc)
 	}
-	for name, wants := range checks {
-		out, err := Run(name, DefaultScale())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	checkGolden(t, listGolden, list.String())
+
+	files, err := filepath.Glob("testdata/*.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := map[string]bool{}
+	for _, f := range files {
+		pinned[strings.TrimSuffix(filepath.Base(f), ".golden")] = true
+	}
+	for _, e := range Experiments {
+		if !pinned[e.Name] && !*update {
+			t.Errorf("experiment %q has no testdata/%s.golden (run with -update)", e.Name, e.Name)
 		}
-		for _, w := range wants {
-			if !strings.Contains(out, w) {
-				t.Errorf("%s output missing %q:\n%s", name, w, out)
+		delete(pinned, e.Name)
+	}
+	for name := range pinned {
+		t.Errorf("testdata/%s.golden has no registered experiment", name)
+	}
+
+	for _, e := range Experiments {
+		e := e
+		t.Run(e.Name, func(t *testing.T) {
+			if testing.Short() && !analytic[e.Name] {
+				t.Skip("dataset-building experiment in -short mode")
 			}
-		}
+			out, err := e.Run(goldenScale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, filepath.Join("testdata", e.Name+".golden"), out)
+		})
 	}
 }
 
-func TestWorkloadExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("dataset-building experiments in -short mode")
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	sc := Scale{IPDrop: 6, TrigramDrop: 8, Seed: 1} // extra small for test speed
-	for _, name := range []string{"table2", "table3", "fig7", "bandwidth", "overflow",
-		"hashes", "software", "ipv6", "lowpower", "matchp", "pktclass", "svm", "probelimit",
-		"partition", "amaltrace", "updates", "energy", "zane"} {
-		out, err := Run(name, sc)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run go test ./internal/exp -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from %s (-want +got):\n%s", path, lineDiff(string(want), got))
+	}
+}
+
+// lineDiff renders a minimal line diff of want and got from their
+// longest common subsequence: "-" lines only in want, "+" lines only in
+// got, unchanged lines indented.
+func lineDiff(want, got string) string {
+	lines := func(s string) []string { return strings.Split(strings.TrimSuffix(s, "\n"), "\n") }
+	a, b := lines(want), lines(got)
+	lcs := make([][]int, len(a)+1)
+	for i := range lcs {
+		lcs[i] = make([]int, len(b)+1)
+	}
+	for i := len(a) - 1; i >= 0; i-- {
+		for j := len(b) - 1; j >= 0; j-- {
+			if a[i] == b[j] {
+				lcs[i][j] = lcs[i+1][j+1] + 1
+			} else {
+				lcs[i][j] = max(lcs[i+1][j], lcs[i][j+1])
+			}
 		}
-		if len(out) < 100 {
-			t.Errorf("%s output suspiciously short:\n%s", name, out)
+	}
+	var d strings.Builder
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case i < len(a) && j < len(b) && a[i] == b[j]:
+			d.WriteString("  " + a[i] + "\n")
+			i, j = i+1, j+1
+		case j == len(b) || (i < len(a) && lcs[i+1][j] >= lcs[i][j+1]):
+			d.WriteString("- " + a[i] + "\n")
+			i++
+		default:
+			d.WriteString("+ " + b[j] + "\n")
+			j++
 		}
-		if !strings.Contains(out, "==") {
-			t.Errorf("%s output has no table header", name)
-		}
+	}
+	return d.String()
+}
+
+func TestLineDiff(t *testing.T) {
+	got := lineDiff("a\nb\nc\n", "a\nB\nc\nd\n")
+	want := "  a\n- b\n+ B\n  c\n+ d\n"
+	if got != want {
+		t.Errorf("lineDiff:\n%s\nwant:\n%s", got, want)
 	}
 }
 
