@@ -55,9 +55,12 @@
 #   make crash-harness  the kill-injection harness against the real
 #                       binary (SIGKILL mid-fsync, restart,
 #                       acked-present / unacked-absent)
+#   make examples       every examples/* main run to completion (exit 0
+#                       required): the end-to-end demos of iproute,
+#                       trigram, pktclass and the rest
 #   make ci             the CI gate, each test in each mode once:
 #                       check + race + alloc-guard + copy-guard +
-#                       crash-harness + metrics-smoke
+#                       crash-harness + metrics-smoke + examples
 #
 # The focused gates below are subsets of `make ci` for working on one
 # area; each is self-contained, so they overlap each other (and ci runs
@@ -123,21 +126,22 @@
 # allocation table in; 35–39 s at PR 22, with the write-path suites in;
 # 38 s with copy-guard in, which itself takes under a second; 42 s with
 # the snapshot freeze's model check and guards in, against 39 s without
-# them on the same box in the same hour.
+# them on the same box in the same hour; 54 s → 58 s with the examples
+# in (they take about 4 s), the two measured back to back.
 
 GO       ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all check fmt-check vet race stress fuzz bench bench-load profile profile-routed alloc-guard copy-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard crash-harness write-guard chaos metrics-smoke ci
+.PHONY: all check fmt-check vet race stress fuzz bench bench-load profile profile-routed alloc-guard copy-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard crash-harness write-guard chaos metrics-smoke examples ci
 
 all: check race stress fuzz bench trace-guard seqlock-guard typed-guard cluster-guard crash-guard write-guard chaos metrics-smoke
 
 # Each test runs once per mode: check is the whole suite without the
 # race detector, race the whole of every concurrent package with it,
 # and the rest is what neither can run — the allocation guards (they
-# skip themselves under -race, and want -count=1), the kill harness
-# and the live-binary smoke test.
-ci: check race alloc-guard copy-guard crash-harness metrics-smoke
+# skip themselves under -race, and want -count=1), the kill harness,
+# the live-binary smoke test and the examples.
+ci: check race alloc-guard copy-guard crash-harness metrics-smoke examples
 
 check: fmt-check vet
 	$(GO) build ./...
@@ -156,6 +160,9 @@ race:
 
 metrics-smoke:
 	$(GO) run ./cmd/metrics-smoke
+
+examples:
+	@for d in examples/*/; do echo "$$d"; $(GO) run ./$$d >/dev/null || exit 1; done
 
 # Fault-injection capstone: 32 goroutines of mixed operations against
 # ECC-protected engines whose memory arrays have live fault injectors,

@@ -31,9 +31,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, e := range exp.Experiments {
-			fmt.Printf("%-10s %s\n", e.Name, e.Desc)
-		}
+		fmt.Print(exp.List())
 		return
 	}
 

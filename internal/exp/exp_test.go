@@ -2,7 +2,6 @@ package exp
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,11 +55,7 @@ func TestRunUnknown(t *testing.T) {
 // byte for byte to testdata/<name>.golden, and the registry listing to
 // listGolden. Regenerate with `go test ./internal/exp -update`.
 func TestGolden(t *testing.T) {
-	var list strings.Builder
-	for _, e := range Experiments {
-		fmt.Fprintf(&list, "%-10s %s\n", e.Name, e.Desc)
-	}
-	checkGolden(t, listGolden, list.String())
+	checkGolden(t, listGolden, List())
 
 	files, err := filepath.Glob("testdata/*.golden")
 	if err != nil {

@@ -5,61 +5,48 @@ import (
 
 	"caram/internal/bitutil"
 	"caram/internal/cam"
+	"caram/internal/caram"
 	"caram/internal/cost"
 	"caram/internal/hash"
 	"caram/internal/iproute"
 	"caram/internal/match"
+	"caram/internal/subsystem"
 	"caram/internal/workload"
 )
 
-// Extension experiments: the paper's forward-looking claims and
-// related-work comparisons, built on the same substrates.
+// Hardware experiments: the engine itself — banked bandwidth, cell
+// activity against low-power CAMs, match-processor count.
 
-func init() {
-	Experiments = append(Experiments,
-		Experiment{"ipv6", "§4.1 projection: IPv6 quadruples the table; CA-RAM vs TCAM capacity", runIPv6},
-		Experiment{"lowpower", "§5.2: per-search cell activity — flat TCAM vs CoolCAM banks vs CA-RAM", runLowPower},
-		Experiment{"matchp", "ablation: match-processor count P vs pipelined passes and area", runMatchP},
-	)
-}
+// --- Bandwidth (§3.4) ---
 
-// --- IPv6 scaling (§4.1) ---
-
-func runIPv6(sc Scale) (string, error) {
-	// Scale the projected 4x table with the same drop as the v4 runs,
-	// shrinking the designs identically so alpha is scale-invariant.
-	n := 4 * iproute.PaperTableSize >> uint(sc.IPDrop)
-	table := iproute.Generate6(n, sc.Seed)
+func runBandwidth(sc Scale) (string, error) {
 	t := &Table{
-		Title: "IPv6 projection: 64-bit ternary keys, table 4x the v4 size (scaled)",
-		Header: []string{"Design", "R", "keys/bkt", "alpha", "Ovf bkts", "Spilled",
-			"AMALu", "dup"},
+		Title: "Bandwidth: cycle-level simulation vs B = Nslice/nmem * fclk (DRAM, nmem=6, 200MHz)",
+		Header: []string{"Banks", "simulated req/cy", "formula req/cy",
+			"simulated Msps", "formula Msps", "error"},
 	}
-	// Two geometries at the paper's preferred load factors (~.36, ~.24).
-	designs := []iproute.Design6{
-		{Name: "C6", R: 13 - sc.IPDrop, KeysPerRow: 32, Slices: 8},
-		{Name: "E6", R: 13 - sc.IPDrop, KeysPerRow: 32, Slices: 12},
-	}
-	var lastAlpha float64
-	for _, d := range designs {
-		ev, err := iproute.Evaluate6(table, d)
-		if err != nil {
-			return "", err
+	rng := workload.NewRand(sc.Seed)
+	// Figure 8's IP engine, design D (R = 12 index bits), whose bank
+	// count the B_CAM note below is about. It is left empty: every
+	// search then reads its home row once, which is all the timing
+	// model charges for.
+	d := iproute.Table2Designs[3]
+	for _, banks := range []int{1, 2, 4, 8, 16} {
+		sl := caram.MustNew(iproute.SliceConfig(d, hash.NewMultShift(d.R)))
+		keys := make([]bitutil.Ternary, 20000)
+		for i := range keys {
+			keys[i] = bitutil.Exact(bitutil.FromUint64(uint64(rng.Uint32())))
 		}
-		t.AddRow(d.Name, d.R, d.KeysPerRow*d.Slices, f2(ev.LoadFactor),
-			pct(ev.OverflowingPct), pct(ev.SpilledPct), f3(ev.AMALu), pct(ev.DupPct))
-		lastAlpha = ev.LoadFactor
+		e := &subsystem.Engine{Name: "bw", Main: sl, Banks: banks}
+		res := e.Simulate(keys, subsystem.TrafficConfig{QueueDepth: 512}, 1)
+		formula := cost.CARAMBandwidth(banks, 6, 1) // per cycle
+		errPct := 100 * (res.ThroughputPerCy - formula) / formula
+		t.AddRow(banks, fmt.Sprintf("%.4f", res.ThroughputPerCy), fmt.Sprintf("%.4f", formula),
+			fmt.Sprintf("%.1f", res.ThroughputHz(200e6)/1e6),
+			fmt.Sprintf("%.1f", cost.CARAMBandwidth(banks, 6, 200e6)/1e6),
+			fmt.Sprintf("%+.1f%%", errPct))
 	}
-	// Area at full projected scale: TCAM must hold 4x entries of 64
-	// symbols each; CA-RAM the E6 geometry at full scale (R=13), with
-	// the same load-factor accounting Figure 8 uses.
-	fullEntries := 4.0 * float64(iproute.PaperTableSize) * 1.02 // + duplication
-	tcamArea := cost.TCAMAreaMM2(fullEntries * 64)
-	fullCapacityBits := 12.0 * float64(int(1)<<13) * 32 * 128
-	caramArea := cost.CARAMLoadAdjustedAreaMM2(fullCapacityBits, lastAlpha)
-	t.Note("full-scale area projection: TCAM %.0f mm^2 vs CA-RAM %.0f mm^2 (%.0f%% saving)",
-		tcamArea, caramArea, 100*(1-caramArea/tcamArea))
-	t.Note("the paper's §4.1 motivation: associative capacity is where TCAM scaling breaks first")
+	t.Note("B_CAM = f_CAM = 143 Msps for the Figure 8 TCAM; 8 banks at 200MHz exceed it (266 Msps)")
 	return t.Render(), nil
 }
 

@@ -116,16 +116,15 @@ type Evaluation struct {
 // slotDataBits is the next-hop field width stored with each key.
 const slotDataBits = 8
 
-// sliceConfig derives the simulator configuration for a design.
-func sliceConfig(d Design) (caram.Config, *hash.BitSelect, error) {
-	idxBits, err := d.IndexBits()
-	if err != nil {
-		return caram.Config{}, nil, err
-	}
-	gen := hash.NewBitSelect(HashPositions(idxBits))
+// SliceConfig derives the simulator configuration for a design whose
+// buckets are indexed by gen: d.Slots() ternary slots per row of valid
+// bit, 32-bit key, 32-bit mask and next hop, a 16-bit reach field, and
+// duplicates allowed for don't-care expansion. gen sets the row count,
+// so it should consume d.IndexBits() bits.
+func SliceConfig(d Design, gen hash.IndexGenerator) caram.Config {
 	slot := 1 + 32 + 32 + slotDataBits // valid + key + mask + next hop
-	cfg := caram.Config{
-		IndexBits:       idxBits,
+	return caram.Config{
+		IndexBits:       gen.Bits(),
 		RowBits:         d.Slots()*slot + 16,
 		KeyBits:         32,
 		DataBits:        slotDataBits,
@@ -135,7 +134,6 @@ func sliceConfig(d Design) (caram.Config, *hash.BitSelect, error) {
 		Index:           gen,
 		AllowDuplicates: true,
 	}
-	return cfg, gen, nil
 }
 
 // Evaluate builds the design from the routing table and computes the
@@ -241,11 +239,12 @@ func orderByLength(table []Prefix, weights []float64) []indexed {
 // When weights is nil the AMAL it reports is uniform (AMALu, stored in
 // the AMALu field); otherwise it is weight-averaged (AMALs).
 func place(ordered []indexed, d Design, weights []float64) (*Evaluation, error) {
-	cfg, gen, err := sliceConfig(d)
+	idxBits, err := d.IndexBits()
 	if err != nil {
 		return nil, err
 	}
-	slice, err := caram.New(cfg)
+	gen := hash.NewBitSelect(HashPositions(idxBits))
+	slice, err := caram.New(SliceConfig(d, gen))
 	if err != nil {
 		return nil, err
 	}

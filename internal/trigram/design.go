@@ -123,23 +123,13 @@ type Evaluation struct {
 // Evaluate builds the design from the database and computes the
 // Table 3 metrics.
 func Evaluate(db []Entry, d Design) (*Evaluation, error) {
-	return EvaluateGeometry(db, d, d.Slots())
+	return EvaluateWith(db, d, d.Slots(), 0)
 }
 
-// EvaluateWithProbeLimit is Evaluate with an explicit linear-probing
-// bound (0 = unlimited, caram.NoProbing disables spilling) — the
-// probe-limit ablation's entry point.
-func EvaluateWithProbeLimit(db []Entry, d Design, probeLimit int) (*Evaluation, error) {
-	return evaluate(db, d, d.Slots(), probeLimit)
-}
-
-// EvaluateGeometry is Evaluate with an explicit slots-per-bucket count,
-// for S-vs-M sweeps at fixed capacity.
-func EvaluateGeometry(db []Entry, d Design, slots int) (*Evaluation, error) {
-	return evaluate(db, d, slots, 0)
-}
-
-func evaluate(db []Entry, d Design, slots, probeLimit int) (*Evaluation, error) {
+// EvaluateWith is Evaluate with an explicit slots-per-bucket count (for
+// S-vs-M sweeps at fixed capacity) and linear-probing bound (0 =
+// unlimited, caram.NoProbing disables spilling).
+func EvaluateWith(db []Entry, d Design, slots, probeLimit int) (*Evaluation, error) {
 	slice, err := caram.New(sliceConfig(d, slots, probeLimit))
 	if err != nil {
 		return nil, err
