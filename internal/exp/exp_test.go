@@ -13,8 +13,14 @@ var update = flag.Bool("update", false, "rewrite testdata/ from the current outp
 // goldenScale is extra small for test speed; the goldens are its output.
 var goldenScale = Scale{IPDrop: 6, TrigramDrop: 8, Seed: 1}
 
-// analytic experiments build no dataset, so they run under -short too.
-var analytic = map[string]bool{"table1": true, "fig6a": true, "fig6b": true, "fig8": true}
+// anchors lists the analytic experiments, which build no dataset and so
+// run under -short too, with the paper anchor values each must print.
+var anchors = map[string][]string{
+	"table1": {"Expand search key", "15992", "4.85"},
+	"fig6a":  {"16T SRAM TCAM", "12.0x", "4.8x"},
+	"fig6b":  {"6T dynamic TCAM", "CA-RAM"},
+	"fig8":   {"IP lookup", "trigram", "area saving"},
+}
 
 // listGolden pins the registry itself: names, descriptions and order,
 // as caram-bench -list prints them.
@@ -51,9 +57,11 @@ func TestRunUnknown(t *testing.T) {
 	}
 }
 
-// TestGolden holds every registered experiment's output at goldenScale
-// byte for byte to testdata/<name>.golden, and the registry listing to
-// listGolden. Regenerate with `go test ./internal/exp -update`.
+// TestGolden pins the registry against testdata: the listing in
+// listGolden, and one testdata/<name>.golden per registered experiment
+// and no other. TestFastExperiments and TestWorkloadExperiments hold
+// each experiment's output at goldenScale byte for byte to its golden.
+// Regenerate with `go test ./internal/exp -update`.
 func TestGolden(t *testing.T) {
 	checkGolden(t, listGolden, List())
 
@@ -74,20 +82,49 @@ func TestGolden(t *testing.T) {
 	for name := range pinned {
 		t.Errorf("testdata/%s.golden has no registered experiment", name)
 	}
+}
 
+func TestFastExperiments(t *testing.T) {
 	for _, e := range Experiments {
+		wants, ok := anchors[e.Name]
+		if !ok {
+			continue
+		}
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
-			if testing.Short() && !analytic[e.Name] {
-				t.Skip("dataset-building experiment in -short mode")
+			out := runGolden(t, e)
+			for _, w := range wants {
+				if !strings.Contains(out, w) {
+					t.Errorf("output missing paper anchor %q", w)
+				}
 			}
-			out, err := e.Run(goldenScale)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, filepath.Join("testdata", e.Name+".golden"), out)
 		})
 	}
+}
+
+func TestWorkloadExperiments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dataset-building experiments in -short mode")
+	}
+	for _, e := range Experiments {
+		if _, ok := anchors[e.Name]; ok {
+			continue
+		}
+		e := e
+		t.Run(e.Name, func(t *testing.T) { runGolden(t, e) })
+	}
+}
+
+// runGolden runs e at goldenScale, holds its output to
+// testdata/<name>.golden and returns it.
+func runGolden(t *testing.T, e Experiment) string {
+	t.Helper()
+	out, err := e.Run(goldenScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", e.Name+".golden"), out)
+	return out
 }
 
 func checkGolden(t *testing.T, path, got string) {
