@@ -40,7 +40,8 @@
 #                       caram-server's default flags, served writes
 #                       (INSERT, DELETE, a duplicate INSERT, an absent
 #                       DELETE) as mixed-wal deploys them,
-#                       MSEARCH bookkeeping, the router with no
+#                       MSEARCH bookkeeping on one engine and across
+#                       four, the router with no
 #                       collector, an idle one, and caram-router's
 #                       default flags, and the WAL's snapshot /
 #                       freeze / append / recovery / per-record

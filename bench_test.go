@@ -526,11 +526,11 @@ func BenchmarkServerSearchZeroAlloc(b *testing.B) {
 }
 
 // BenchmarkMSearchBatched measures the batched fan-out layer: 64-key
-// MSEARCH batches spread over 4 engines, through persistent per-engine
-// workers that take each engine's lock once per batch (instrumented
-// variants additionally pay a single clock pair per engine-batch
-// rather than per key). Reported per batch; divide by 64 for per-key
-// cost.
+// MSEARCH batches spread over 4 engines, whose groups run one after
+// another on the calling goroutine, each taking its engine's lock at
+// most once per batch (instrumented variants additionally pay a single
+// clock pair per engine group rather than per key). Reported per batch;
+// divide by 64 for per-key cost.
 func BenchmarkMSearchBatched(b *testing.B) {
 	const (
 		nEngines  = 4

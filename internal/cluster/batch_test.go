@@ -95,11 +95,18 @@ var burst6 = []string{
 // lines and then closes. Replies up to k are the backend's, byte-exact;
 // in the failed tail each idempotent read retries on its own and is
 // answered by the restarted backend, each write sheds ERR unavailable;
-// the counters move by exactly that much.
+// the counters move by exactly that much. With Retries 0 nothing is
+// resubmitted: the reads of the tail shed ERR unavailable too, and a
+// negative Retries is refused.
 func TestBatchPartialFailure(t *testing.T) {
 	n := len(burst6)
-	for _, k := range []int{0, 1, n - 1} {
-		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+	for _, tc := range []struct{ k, retries int }{{0, 2}, {1, 2}, {n - 1, 2}, {1, 0}} {
+		k := tc.k
+		name := fmt.Sprintf("k=%d", k)
+		if tc.retries != 2 {
+			name += fmt.Sprintf(",retries=%d", tc.retries)
+		}
+		t.Run(name, func(t *testing.T) {
 			fb := startFakeBackend(t, func(conn, i int, line string) (string, bool) {
 				if conn > 0 { // the restarted backend answers everything
 					return echo(line), false
@@ -113,14 +120,14 @@ func TestBatchPartialFailure(t *testing.T) {
 			})
 			rt, rm := testRouter(t, []*testBackend{{addr: fb.addr}}, func(cfg *RouterConfig) {
 				cfg.Conns = 1
-				cfg.Retries = 2
+				cfg.Retries = tc.retries
 				cfg.BreakerThreshold = 100 // one connection death must not trip it
 			})
 			got := rdrive(t, rt, burst6...)
 			var retried []string
 			for i, req := range burst6 {
 				want := echo(req)
-				if i >= k && !strings.HasPrefix(req, "SEARCH") {
+				if i >= k && (tc.retries == 0 || !strings.HasPrefix(req, "SEARCH")) {
 					want = "ERR unavailable"
 				} else if i >= k {
 					retried = append(retried, req)
@@ -147,6 +154,11 @@ func TestBatchPartialFailure(t *testing.T) {
 			}
 			if rt.Pool(0).BreakerOpen() || m.BreakerOpen() {
 				t.Error("breaker opened on a single connection death below the threshold")
+			}
+			if tc.retries == 0 {
+				if _, err := NewRouter(RouterConfig{Backends: []Backend{{Label: "b0", Addr: fb.addr}}, Retries: -1}); err == nil {
+					t.Error("NewRouter accepted Retries -1")
+				}
 			}
 		})
 	}

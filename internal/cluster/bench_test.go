@@ -292,7 +292,7 @@ var forwardCollectors = []struct {
 // process-wide.
 func stubRoundTrip(tb testing.TB, cfg *trace.Config, req string) func() {
 	tb.Helper()
-	rc := RouterConfig{Backends: []Backend{{Label: "b0", Addr: stubBackend(tb)}}, Conns: 1}
+	rc := RouterConfig{Backends: []Backend{{Label: "b0", Addr: stubBackend(tb)}}, Conns: 1, Retries: 2}
 	if cfg != nil {
 		rc.Tracing = trace.NewCollector(*cfg)
 	}

@@ -539,7 +539,7 @@ func TestRouterHealthMergeOrder(t *testing.T) {
 			backends[i] = Backend{Label: b.addr, Addr: b.addr} // production labeling
 			labels[i] = b.addr
 		}
-		rt, err := NewRouter(RouterConfig{Backends: backends, Metrics: nil})
+		rt, err := NewRouter(RouterConfig{Backends: backends, Metrics: nil, Retries: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net"
@@ -117,7 +118,7 @@ type RouterConfig struct {
 	BreakerBackoff   time.Duration // breaker open window (default 250ms)
 	DialTimeout      time.Duration // per-dial bound (default 2s)
 
-	Retries        int           // idempotent-read resubmissions (default 2)
+	Retries        int           // idempotent-read resubmissions (0 = none)
 	RetryBackoff   time.Duration // first retry delay, doubling (default 2ms)
 	HealthInterval time.Duration // HEALTH probe period (0 = watcher off)
 	HealthTimeout  time.Duration // per-probe bound (default 1s)
@@ -146,8 +147,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Retries == 0 {
-		cfg.Retries = 2
+	if cfg.Retries < 0 {
+		return nil, fmt.Errorf("cluster: negative retries %d", cfg.Retries)
 	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 2 * time.Millisecond

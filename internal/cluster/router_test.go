@@ -76,6 +76,7 @@ func testRouter(t testing.TB, bks []*testBackend, mod func(*RouterConfig)) (*Rou
 		Backends:       backends,
 		Metrics:        rm,
 		BreakerBackoff: 50 * time.Millisecond,
+		Retries:        2,
 		RetryBackoff:   time.Millisecond,
 	}
 	if mod != nil {

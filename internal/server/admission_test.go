@@ -205,7 +205,7 @@ func TestRetraceMatchesTracedChain(t *testing.T) {
 	displaced := 0
 	for i, k := range append(keys, 0xabcdef01, 0xabcdef02, 0xabcdef03) {
 		traced := trace.New()
-		sr, err := s.con.SearchTraced("db", bitutil.Exact(bitutil.FromUint64(k)), traced)
+		sr, err := s.con.SearchServed("db", bitutil.Exact(bitutil.FromUint64(k)), nil, traced)
 		if err != nil {
 			t.Fatal(err)
 		}

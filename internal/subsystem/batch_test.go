@@ -68,27 +68,42 @@ func TestMSearchBatchEscalatesPerKey(t *testing.T) {
 	run("scrubbed", 0, false)
 }
 
-// TestMSearchAllocs guards MSearch's bookkeeping: a 64-key batch on one
-// engine allocates the result slice and the grouping slab, nothing
-// else. Run by `make alloc-guard`.
+// TestMSearchAllocs guards MSearch's bookkeeping: a 64-key batch, on one
+// engine or spread over four, allocates the result slice and the
+// grouping slab, nothing else — every group runs on the caller, so
+// there is no handoff to pay for. Run by `make alloc-guard`.
 func TestMSearchAllocs(t *testing.T) {
-	c, _ := seqlockFixture(t)
-	defer c.Close()
-	reqs := make([]PortKey, 64)
-	for i := range reqs {
-		if i%2 == 0 {
-			if err := c.Insert("e0", rec(uint64(i), uint64(i))); err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		engines int
+	}{{"one engine", 1}, {"four engines", 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var c *Concurrent
+			names := []string{"e0"}
+			if tc.engines == 1 {
+				c, _ = seqlockFixture(t)
+			} else {
+				c, names = concurrentFixture(t, tc.engines)
 			}
-		}
-		reqs[i] = PortKey{Port: "e0", Key: exact(uint64(i))}
-	}
-	c.MSearch(reqs) // warm the pooled Reader
-	if n := testing.AllocsPerRun(100, func() {
-		if out := c.MSearch(reqs); !out[0].Result.Found || out[1].Result.Found {
-			t.Fatal("wrong answer")
-		}
-	}); n > 2 {
-		t.Fatalf("MSearch allocated %.1f times per 64-key batch, want <= 2", n)
+			defer c.Close()
+			reqs := make([]PortKey, 64)
+			for i := range reqs {
+				port := names[i/2%len(names)]
+				if i%2 == 0 {
+					if err := c.Insert(port, rec(uint64(i), uint64(i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				reqs[i] = PortKey{Port: port, Key: exact(uint64(i))}
+			}
+			c.MSearch(reqs) // warm the pooled Readers
+			if n := testing.AllocsPerRun(100, func() {
+				if out := c.MSearch(reqs); !out[0].Result.Found || out[1].Result.Found {
+					t.Fatal("wrong answer")
+				}
+			}); n > 2 {
+				t.Fatalf("MSearch allocated %.1f times per 64-key batch over %d engines, want <= 2", n, tc.engines)
+			}
+		})
 	}
 }

@@ -27,8 +27,8 @@ func TestClosedOpsReturnErrClosed(t *testing.T) {
 	if _, err := c.Search(names[0], exact(1)); !errors.Is(err, ErrClosed) {
 		t.Errorf("Search after Close: %v", err)
 	}
-	if _, err := c.SearchTraced(names[0], exact(1), trace.New()); !errors.Is(err, ErrClosed) {
-		t.Errorf("SearchTraced after Close: %v", err)
+	if _, err := c.SearchServed(names[0], exact(1), nil, trace.New()); !errors.Is(err, ErrClosed) {
+		t.Errorf("SearchServed after Close: %v", err)
 	}
 	if _, _, err := c.Explain(names[0], exact(1), trace.New()); !errors.Is(err, ErrClosed) {
 		t.Errorf("Explain after Close: %v", err)
@@ -48,8 +48,8 @@ func TestClosedOpsReturnErrClosed(t *testing.T) {
 			t.Errorf("MSearch slot %d after Close: %v", i, r.Err)
 		}
 	}
-	// Contains/Info/Health peek at engine state without the torn-down
-	// batch machinery; they keep answering.
+	// Contains/Info/Health peek at engine state without admission; they
+	// keep answering.
 	if ok, err := c.Contains(names[0], exact(1)); err != nil || !ok {
 		t.Errorf("Contains after Close = %v, %v", ok, err)
 	}
@@ -89,9 +89,11 @@ func TestCloseConcurrentWithOps(t *testing.T) {
 				if _, err := c.Search(port, exact(key)); err != nil && !errors.Is(err, ErrClosed) {
 					t.Errorf("Search: %v", err)
 				}
-				out := c.MSearch([]PortKey{{Port: port, Key: exact(key)}})
-				if err := out[0].Err; err != nil && !errors.Is(err, ErrClosed) {
-					t.Errorf("MSearch: %v", err)
+				out := c.MSearch([]PortKey{{Port: port, Key: exact(key)}, {Port: names[(gid+1)%2], Key: exact(key)}})
+				for _, r := range out {
+					if err := r.Err; err != nil && !errors.Is(err, ErrClosed) {
+						t.Errorf("MSearch: %v", err)
+					}
 				}
 				if err := c.Delete(port, exact(key)); err != nil &&
 					!errors.Is(err, ErrClosed) &&

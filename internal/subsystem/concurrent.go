@@ -34,7 +34,10 @@ import (
 //   - engines with an overflow CAM keep every search serialized (the
 //     CAM has mutable priority state);
 //   - read-only inspection (Info, HealthInfo) takes the mutex like a
-//     writer — it is off the hot path.
+//     writer — it is off the hot path;
+//   - an MSEARCH runs on its caller: its engines' groups one after
+//     another, each on the path above that its engine takes. The layer
+//     starts no goroutine of its own.
 //
 // Once a Subsystem is wrapped, all access must go through the
 // Concurrent layer; using the bare Subsystem or its engines directly
@@ -62,16 +65,8 @@ type Concurrent struct {
 	rosterLSN uint64
 
 	// down gates every operation after Close: a single atomic load on
-	// the op path, so a closed layer fails fast instead of deadlocking
-	// or panicking on torn-down machinery.
+	// the op path.
 	down atomic.Bool
-
-	// Batched-search machinery: one persistent worker per engine, fed
-	// through its guardedEngine.batch queue. sendMu guards the
-	// closed flag so MSearch never sends on a closed channel.
-	workers sync.WaitGroup
-	sendMu  sync.RWMutex
-	closed  bool
 }
 
 // engineSet is one immutable roster snapshot.
@@ -88,15 +83,13 @@ func (c *Concurrent) engine(port string) (*guardedEngine, bool) {
 }
 
 // guardedEngine pairs an engine with its port lock, the placement
-// stats the subsystem tracks for it, the batch queue feeding its
-// persistent MSearch worker, and — when the engine qualifies — the
-// machinery of the lock-free read path.
+// stats the subsystem tracks for it, and — when the engine qualifies —
+// the machinery of the lock-free read path.
 type guardedEngine struct {
-	mu    sync.RWMutex
-	e     *Engine
-	st    *EngineStats
-	em    *metrics.EngineMetrics // nil when uninstrumented
-	batch chan *msearchBatch
+	mu sync.RWMutex
+	e  *Engine
+	st *EngineStats
+	em *metrics.EngineMetrics // nil when uninstrumented
 
 	// seqRead marks the engine as eligible for lock-free searches
 	// (no overflow CAM). Fixed at construction.
@@ -111,12 +104,6 @@ type guardedEngine struct {
 	// caram_search_lock_fallbacks_total.
 	retries   atomic.Uint64
 	fallbacks atomic.Uint64
-
-	// dropped is set (under sendMu's write lock) when DropEngine closes
-	// this engine's batch channel; in-flight MSearch senders check it
-	// under sendMu's read lock and run the share inline instead of
-	// sending, so a send on the closed channel is impossible.
-	dropped atomic.Bool
 
 	// health is the engine's availability state (a Health value). It is
 	// read lock-free by the circuit breaker and written only while the
@@ -146,7 +133,7 @@ func (g *guardedEngine) raiseTo(h Health) {
 // `-race`; a fixed slot array is deterministic everywhere, costs one
 // atomic swap in the common case, and performs no mutex operations —
 // the property the wait-free search path is built on. Readers that
-// find every slot full on return are simply dropped (they are a few
+// find every slot full on return are simply discarded (they are a few
 // hundred bytes of scratch), so the cache never grows.
 type readerCache struct {
 	newFn func() *caram.Reader
@@ -178,50 +165,24 @@ func (p *readerCache) put(rd *caram.Reader) {
 	}
 }
 
-// msearchBatch is one engine's share of an MSearch call: the slots of
-// reqs/out selected by idxs. The receiving worker signals wg when the
-// share is done.
-type msearchBatch struct {
-	reqs []PortKey
-	out  []MSearchResult
-	idxs []int
-	wg   *sync.WaitGroup
-}
-
-// msearchBatchDepth bounds how many in-flight MSearch shares can queue
-// on one engine before senders block (back-pressure, not an error).
-const msearchBatchDepth = 16
-
 // NewConcurrent wraps a subsystem whose engine registration is
 // complete. Engines added to the subsystem afterwards are not visible
 // through the wrapper.
-//
-// The wrapper starts one persistent worker goroutine per engine to
-// serve batched searches; Close stops them (leaving them running for
-// the process lifetime is also fine — idle workers block on an empty
-// queue and cost nothing).
 func NewConcurrent(sub *Subsystem) *Concurrent {
 	c := &Concurrent{policy: DefaultHealthPolicy()}
 	order := sub.Engines()
 	set := &engineSet{order: order, m: make(map[string]*guardedEngine, len(order))}
 	for _, name := range order {
-		g := newGuarded(sub.engines[name], sub.stats[name])
-		set.m[name] = g
-		c.workers.Add(1)
-		go c.msearchWorker(g)
+		set.m[name] = newGuarded(sub.engines[name], sub.stats[name])
 	}
 	c.set.Store(set)
 	return c
 }
 
-// newGuarded wraps one engine with its port lock, batch queue, and —
-// when it qualifies (no overflow CAM) — the lock-free read machinery.
+// newGuarded wraps one engine with its port lock and — when it
+// qualifies (no overflow CAM) — the lock-free read machinery.
 func newGuarded(e *Engine, st *EngineStats) *guardedEngine {
-	g := &guardedEngine{
-		e:     e,
-		st:    st,
-		batch: make(chan *msearchBatch, msearchBatchDepth),
-	}
+	g := &guardedEngine{e: e, st: st}
 	if e.Overflow == nil {
 		g.seqRead = true
 		g.readers = newReaderCache(e.Main.NewReader)
@@ -231,10 +192,10 @@ func newGuarded(e *Engine, st *EngineStats) *guardedEngine {
 
 // CreateEngine adds a typed engine to a live layer: the engine is
 // built (NewTypedEngine), registered in the metrics registry when the
-// layer is instrumented, given its own MSearch worker, and published
-// by swapping in a new roster snapshot — concurrent operations on
-// other engines never block or even notice. The name must be new;
-// CreateEngine after Close fails with ErrClosed.
+// layer is instrumented, and published by swapping in a new roster
+// snapshot — concurrent operations on other engines never block or
+// even notice. The name must be new; CreateEngine after Close fails
+// with ErrClosed.
 func (c *Concurrent) CreateEngine(name string, typ EngineType, tc TypedConfig) error {
 	c.setMu.Lock()
 	defer c.setMu.Unlock()
@@ -266,18 +227,16 @@ func (c *Concurrent) CreateEngine(name string, typ EngineType, tc TypedConfig) e
 		next.m[k] = v
 	}
 	next.m[name] = g
-	c.workers.Add(1)
-	go c.msearchWorker(g)
 	c.set.Store(next)
 	return nil
 }
 
 // DropEngine removes an engine from a live layer: it disappears from
-// the roster snapshot first (new requests get "no engine"), then its
-// batch worker is stopped. Operations that resolved the engine before
-// the swap complete normally on the retired snapshot — the engine's
-// locks and array stay intact, only unreachable. The metrics registry
-// entry is removed with it.
+// the roster snapshot (new requests get "no engine"). Operations that
+// resolved the engine before the swap — an MSearch share among them —
+// complete normally on the retired snapshot: the engine's locks and
+// array stay intact, only unreachable. The metrics registry entry is
+// removed with it.
 func (c *Concurrent) DropEngine(name string) error {
 	c.setMu.Lock()
 	defer c.setMu.Unlock()
@@ -285,8 +244,7 @@ func (c *Concurrent) DropEngine(name string) error {
 		return ErrClosed
 	}
 	cur := c.set.Load()
-	g, ok := cur.m[name]
-	if !ok {
+	if _, ok := cur.m[name]; !ok {
 		return errNoEngine(name)
 	}
 	if _, err := c.logRoster(JournalEntry{Op: JournalDrop, Engine: name}); err != nil {
@@ -310,13 +268,6 @@ func (c *Concurrent) DropEngine(name string) error {
 	if c.met != nil {
 		c.met.Unregister(name)
 	}
-	// Retire the worker. dropped flips under the write lock, so any
-	// MSearch sender that saw it unset still holds the read lock and
-	// completes its send before the close below can proceed.
-	c.sendMu.Lock()
-	g.dropped.Store(true)
-	close(g.batch)
-	c.sendMu.Unlock()
 	return nil
 }
 
@@ -362,38 +313,13 @@ func (c *Concurrent) SearchRetries(port string) (retries, fallbacks uint64, err 
 	return g.retries.Load(), g.fallbacks.Load(), nil
 }
 
-// msearchWorker drains one engine's batch queue until Close.
-func (c *Concurrent) msearchWorker(g *guardedEngine) {
-	defer c.workers.Done()
-	for b := range g.batch {
-		c.runBatch(g, b.reqs, b.out, b.idxs, nil)
-		b.wg.Done()
-	}
-}
-
-// Close stops the per-engine batch workers and waits for them to
-// drain. Afterwards every operation returns ErrClosed (per-slot for
-// MSearch); only the uncharged read-side inspectors Contains and Info
-// stay usable, since they touch no torn-down machinery. Close is
-// idempotent and safe to race with in-flight operations — an op that
-// already passed the gate completes normally on its own goroutine.
+// Close shuts the layer: afterwards every operation returns ErrClosed
+// (per slot for MSearch); only the uncharged read-side inspectors
+// (Contains, Info, Health, ...) stay usable. Close is idempotent and
+// safe to race with in-flight operations — an op that already passed
+// the gate completes normally on its own goroutine.
 func (c *Concurrent) Close() {
 	c.down.Store(true)
-	// setMu excludes a racing CreateEngine: it either publishes its
-	// engine before we load the roster here (and we stop its worker),
-	// or it observes down under setMu and never starts one.
-	c.setMu.Lock()
-	c.sendMu.Lock()
-	if !c.closed {
-		c.closed = true
-		set := c.set.Load()
-		for _, name := range set.order {
-			close(set.m[name].batch)
-		}
-	}
-	c.sendMu.Unlock()
-	c.setMu.Unlock()
-	c.workers.Wait()
 }
 
 // Instrument attaches a metrics registry: every subsequent
@@ -571,11 +497,11 @@ func (c *Concurrent) EngineType(port string) (EngineType, error) {
 // The executor. Figure 5 puts one input controller in front of the
 // slices and Table 1 walks every request through one fixed pipeline;
 // the operations below do the same. Each is one of three bodies — read
-// (Search, SearchTraced, Explain), write (Insert*, Delete*), batch (an
-// engine's share of an MSearch) — and every body is the same stage list,
+// (Search*, Explain), write (Insert*, Delete*), batch (an engine's
+// share of an MSearch) — and every body is the same stage list,
 // skipping the stages its kind has no use for:
 //
-//	admit        closed → roster → health, written once (admit). The
+//	admit        down → roster → health, written once (admit). The
 //	             inspectors that must keep answering after Close or on a
 //	             Failed engine (Scrub, Contains, Info, ...) take the
 //	             roster step (engine) alone.
@@ -599,10 +525,11 @@ func (c *Concurrent) EngineType(port string) (EngineType, error) {
 // starts immediately before the stage it times. An operation nobody
 // observes never reads the clock.
 
-// admit is the executor's first stage: a closed layer fails fast, an
-// unknown port counts against the registry's unknown counter, and a
-// Failed engine trips the circuit breaker (ErrEngineUnavailable) before
-// anything touches its port lock, so a broken engine cannot queue work.
+// admit is the executor's first stage: after Close every op fails
+// fast, an unknown port counts against the registry's unknown counter,
+// and a Failed engine trips the circuit breaker (ErrEngineUnavailable)
+// before anything touches its port lock, so a broken engine cannot
+// queue work.
 func (c *Concurrent) admit(port string) (*guardedEngine, error) {
 	if c.down.Load() {
 		return nil, ErrClosed
@@ -775,11 +702,6 @@ func (c *Concurrent) Search(port string, key bitutil.Ternary) (SearchResult, err
 	return c.SearchServed(port, key, nil, nil)
 }
 
-// SearchTraced is Search recording into a request-scoped trace.
-func (c *Concurrent) SearchTraced(port string, key bitutil.Ternary, tr *trace.Trace) (SearchResult, error) {
-	return c.SearchServed(port, key, nil, tr)
-}
-
 // SearchServed is the one read body, timed on the clock the request
 // shares with the tier above and recording into its request-scoped
 // trace: the engine layer records the probe chain, plus a retries event
@@ -847,7 +769,7 @@ func (g *guardedEngine) searchSeq(key bitutil.Ternary, tr *trace.Trace) (SearchR
 // charges access statistics and counts as a search in the metrics
 // layer, exactly like the request it explains.
 func (c *Concurrent) Explain(port string, key bitutil.Ternary, tr *trace.Trace) (SearchResult, float64, error) {
-	sr, err := c.SearchTraced(port, key, tr)
+	sr, err := c.SearchServed(port, key, nil, tr)
 	if err != nil {
 		return SearchResult{}, 0, err
 	}
@@ -966,15 +888,14 @@ type mjob struct {
 }
 
 // MSearch fans a batch of searches across engines. Requests are
-// grouped by engine; each group is handed as one unit to the engine's
-// persistent worker (the caller runs the first group itself), which
-// acquires the engine lock once for the whole group and — when
+// grouped by engine, and the caller runs the groups itself, one after
+// another in the order their engines first appear: each group runs as
+// one unit, which takes the engine lock at most once and — when
 // instrumented — charges the group with a single clock pair
-// (metrics.ObserveBatch) instead of per-key timestamps. Groups for
-// distinct engines run in parallel; requests sharing an engine
-// serialize within their group, exactly the hardware's one-row-port
-// constraint. Results come back in request order; an unknown port
-// yields a per-slot error rather than failing the batch.
+// (metrics.ObserveBatch) instead of per-key timestamps. Lookups on
+// distinct engines overlap across callers (each connection is one),
+// not within a batch. Results come back in request order; an unknown
+// port yields a per-slot error rather than failing the batch.
 //
 // Bookkeeping costs two allocations whatever the batch holds: out, and
 // one slab whose first half records each request's group and whose
@@ -1004,9 +925,9 @@ func (sc *MSearchScratch) take(n int) (out []MSearchResult, slab []int) {
 }
 
 // MSearchServed is MSearch for a served request. The clock goes to the
-// share the caller runs itself; when other engines' workers ran shares
-// too, that share's latency is not the batch's and is withdrawn. The
-// slots returned are sc's: they are good until sc is used again.
+// first group; when other groups ran after it, that group's latency is
+// not the batch's and is withdrawn. The slots returned are sc's: they
+// are good until sc is used again.
 func (c *Concurrent) MSearchServed(reqs []PortKey, ck *Clock, sc *MSearchScratch) []MSearchResult {
 	out, slab := sc.take(len(reqs))
 	if len(reqs) == 0 {
@@ -1040,42 +961,14 @@ func (c *Concurrent) MSearchServed(reqs []PortKey, ck *Clock, sc *MSearchScratch
 			jobs[k].idxs = append(jobs[k].idxs, i)
 		}
 	}
-	switch len(jobs) {
-	case 0:
+	if len(jobs) == 0 {
 		return out
-	case 1:
-		c.runBatch(jobs[0].g, reqs, out, jobs[0].idxs, ck)
-		return out
-	}
-	var wg sync.WaitGroup
-	var inline []int // jobs whose engine was dropped mid-flight
-	c.sendMu.RLock()
-	if c.closed {
-		c.sendMu.RUnlock()
-		for _, j := range jobs {
-			c.runBatch(j.g, reqs, out, j.idxs, nil)
-		}
-		return out
-	}
-	for i := range jobs[1:] {
-		j := &jobs[1+i]
-		// A dropped engine's batch channel is closed; its share runs
-		// inline on the caller (the engine's array is still intact in
-		// the retired snapshot this MSearch resolved against).
-		if j.g.dropped.Load() {
-			inline = append(inline, 1+i)
-			continue
-		}
-		wg.Add(1)
-		j.g.batch <- &msearchBatch{reqs: reqs, out: out, idxs: j.idxs, wg: &wg}
-	}
-	c.sendMu.RUnlock()
-	for _, i := range inline {
-		c.runBatch(jobs[i].g, reqs, out, jobs[i].idxs, nil)
 	}
 	c.runBatch(jobs[0].g, reqs, out, jobs[0].idxs, ck)
-	wg.Wait()
-	if ck != nil {
+	for _, j := range jobs[1:] {
+		c.runBatch(j.g, reqs, out, j.idxs, nil)
+	}
+	if ck != nil && len(jobs) > 1 {
 		ck.Dur = 0
 	}
 	return out

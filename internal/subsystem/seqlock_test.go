@@ -244,8 +244,8 @@ func TestForcedRetryTelemetry(t *testing.T) {
 		name string
 		read func(c *Concurrent, key bitutil.Ternary, tr *trace.Trace) (SearchResult, error)
 	}{
-		{"SearchTraced", func(c *Concurrent, key bitutil.Ternary, tr *trace.Trace) (SearchResult, error) {
-			return c.SearchTraced("e0", key, tr)
+		{"SearchServed", func(c *Concurrent, key bitutil.Ternary, tr *trace.Trace) (SearchResult, error) {
+			return c.SearchServed("e0", key, nil, tr)
 		}},
 		{"Explain", func(c *Concurrent, key bitutil.Ternary, tr *trace.Trace) (SearchResult, error) {
 			sr, _, err := c.Explain("e0", key, tr)

@@ -214,7 +214,9 @@ func TestTypedCreateDropChurn(t *testing.T) {
 	}
 	// Searches aimed at engines that appear and disappear: any answer
 	// is legal except a hang, a panic, or a found-record from a
-	// just-created empty engine.
+	// just-created empty engine. The MSEARCH also names the stable
+	// engine, so a share on a just-dropped engine runs beside a live
+	// share, which must still answer.
 	for g := 0; g < nAimed; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -226,8 +228,16 @@ func TestTypedCreateDropChurn(t *testing.T) {
 					record("search on churning empty engine %s found a record", name)
 					return
 				}
-				out := c.MSearch([]subsystem.PortKey{{Port: name, Key: bitutil.Exact(bitutil.FromUint64(99))}})
-				if out[0].Err == nil && out[0].Result.Found {
+				k := uint64(i % 32)
+				out := c.MSearch([]subsystem.PortKey{
+					{Port: "stable", Key: bitutil.Exact(bitutil.FromUint64(k))},
+					{Port: name, Key: bitutil.Exact(bitutil.FromUint64(99))},
+				})
+				if r := out[0]; r.Err != nil || !r.Result.Found || r.Result.Record.Data.Uint64() != 0x100+k {
+					record("stable slot of msearch beside %s: %+v", name, r)
+					return
+				}
+				if out[1].Err == nil && out[1].Result.Found {
 					record("msearch on churning empty engine %s found a record", name)
 					return
 				}
