@@ -216,7 +216,7 @@ alloc-guard:
 
 # Copy guard: no whole-struct copy on the per-key path. A value receiver,
 # or a by-value parameter or return, of a struct past 64 bytes
-# (caram.Config 152, match.Result 104, wire.Request and an MSEARCH slot
+# (caram.Config 112, match.Result 104, wire.Request and an MSEARCH slot
 # 88) compiles to a DUFFCOPY — a call into runtime.duffcopy — at every
 # use; the functions below, their inlined callees included, must compile
 # to none. The compiler's assembly listing (-gcflags=-S, replayed from
@@ -227,7 +227,9 @@ COPY_GUARD_FUNCS = \
 	caram/internal/caram.(*Slice).probe caram/internal/caram.(*Slice).place \
 	caram/internal/caram.(*Slice).locate caram/internal/caram.(*Reader).chain \
 	caram/internal/caram.(*Reader).snapshot caram/internal/caram.(*Reader).LookupBatch \
-	caram/internal/caram.(*Reader).Contains caram/internal/subsystem.(*guardedEngine).batchSeq \
+	caram/internal/caram.(*Reader).Contains caram/internal/caram.(*Slice).CountWhere \
+	caram/internal/caram.(*Slice).SelectWhere caram/internal/caram.(*Slice).UpdateWhere \
+	caram/internal/caram.(*Slice).DeleteWhere caram/internal/subsystem.(*guardedEngine).batchSeq \
 	caram/internal/subsystem.(*Concurrent).MSearchServed caram/internal/server.(*Server).exec \
 	caram/internal/server.(*Server).execMSearchAppend caram/internal/cluster.(*Router).route \
 	caram/internal/wire.(*Scanner).Next caram/internal/wire.ParseVec

@@ -64,7 +64,8 @@ func benchTriDB() []trigram.Entry {
 // synthesis model's critical path.
 func BenchmarkTable1MatchProcessor(b *testing.B) {
 	layout := match.Layout{RowBits: 1600, KeyBits: 64, DataBits: 0, AuxBits: 0}
-	proc := match.NewProcessor(layout, 0)
+	sr := match.NewSearcher(layout, 0)
+	var res match.Result
 	row := make([]uint64, bitutil.RowWords(1600))
 	for i := 0; i < layout.Slots(); i++ {
 		rec := match.Record{Key: bitutil.Exact(bitutil.FromUint64(uint64(i * 977)))}
@@ -75,7 +76,7 @@ func BenchmarkTable1MatchProcessor(b *testing.B) {
 	key := bitutil.Exact(bitutil.FromUint64(uint64(12 * 977)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := proc.Search(row, key); !res.Matched() {
+		if sr.SearchInto(&res, row, key); !res.Matched() {
 			b.Fatal("match lost")
 		}
 	}
@@ -457,7 +458,8 @@ func BenchmarkRowMatch(b *testing.B) {
 		{"binary", match.Layout{RowBits: 8*(1+64+32) + 8, KeyBits: 64, DataBits: 32}},
 		{"ternary", match.Layout{RowBits: 8*(1+2*64+32) + 8, KeyBits: 64, DataBits: 32, Ternary: true}},
 	} {
-		proc := match.NewProcessor(tern.layout, 0)
+		sr := match.NewSearcher(tern.layout, 0)
+		var res match.Result
 		row := make([]uint64, bitutil.RowWords(tern.layout.RowBits))
 		for i := 0; i < tern.layout.Slots(); i++ {
 			if err := tern.layout.WriteSlot(row, i, match.Record{
@@ -471,7 +473,7 @@ func BenchmarkRowMatch(b *testing.B) {
 		b.Run(tern.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if res := proc.Search(row, hit); !res.Matched() {
+				if sr.SearchInto(&res, row, hit); !res.Matched() {
 					b.Fatal("match lost")
 				}
 			}

@@ -20,11 +20,9 @@ import (
 // read (plus one write when modified), so a whole-database pass is
 // Rows() accesses regardless of the predicate.
 //
-// Scratch discipline: proc.Search returns a Result whose Vector
-// aliases the processor's scratch (valid only until the next Search).
-// Every loop below finishes consuming one row's Vector before
-// searching the next row, so no Clone is needed; code that retains a
-// Result across searches must call Result.Clone.
+// The scans match on the port's bank into its scratch, s.res: every
+// loop below finishes consuming one row's match vector before searching
+// the next row.
 
 // CountWhere returns how many stored records match the (possibly
 // masked) search key, streaming the whole array through the match
@@ -33,8 +31,8 @@ func (s *Slice) CountWhere(search bitutil.Ternary) int {
 	n := 0
 	for b := 0; b < s.rows; b++ {
 		row := s.logicalRow(uint32(b), s.array.ReadRow(uint32(b)))
-		res := s.proc.Search(row, search)
-		n += res.Count
+		s.bank.SearchInto(&s.res, row, search)
+		n += s.res.Count
 	}
 	return n
 }
@@ -45,7 +43,7 @@ func (s *Slice) SelectWhere(search bitutil.Ternary) []match.Record {
 	var out []match.Record
 	for b := 0; b < s.rows; b++ {
 		row := s.logicalRow(uint32(b), s.array.ReadRow(uint32(b)))
-		out = append(out, s.proc.SearchAll(row, search)...)
+		out = s.bank.AppendAll(out, &s.res, row, search)
 	}
 	return out
 }
@@ -58,8 +56,8 @@ func (s *Slice) UpdateWhere(search bitutil.Ternary, fn func(match.Record) bituti
 	for b := 0; b < s.rows; b++ {
 		quar := s.Quarantined(uint32(b))
 		row := s.logicalRow(uint32(b), s.array.ReadRow(uint32(b)))
-		res := s.proc.Search(row, search)
-		if res.Count == 0 {
+		s.bank.SearchInto(&s.res, row, search)
+		if s.res.Count == 0 {
 			continue
 		}
 		// Quarantined rows are transformed in their shadow (row already
@@ -67,7 +65,7 @@ func (s *Slice) UpdateWhere(search bitutil.Ternary, fn func(match.Record) bituti
 		// seqlock write window.
 		rewrite := func(wrow []uint64) error {
 			for i := 0; i < s.layout.Slots(); i++ {
-				if res.Vector[i/64]>>uint(i%64)&1 == 0 {
+				if s.res.Vector[i/64]>>uint(i%64)&1 == 0 {
 					continue
 				}
 				rec, _ := s.layout.ReadSlot(wrow, i)
@@ -98,13 +96,13 @@ func (s *Slice) DeleteWhere(search bitutil.Ternary) int {
 	for b := 0; b < s.rows; b++ {
 		quar := s.Quarantined(uint32(b))
 		row := s.logicalRow(uint32(b), s.array.ReadRow(uint32(b)))
-		res := s.proc.Search(row, search)
-		if res.Count == 0 {
+		s.bank.SearchInto(&s.res, row, search)
+		if s.res.Count == 0 {
 			continue
 		}
 		clear := func(wrow []uint64) error {
 			for i := 0; i < s.layout.Slots(); i++ {
-				if res.Vector[i/64]>>uint(i%64)&1 == 1 {
+				if s.res.Vector[i/64]>>uint(i%64)&1 == 1 {
 					s.layout.ClearSlot(wrow, i)
 					deleted++
 				}

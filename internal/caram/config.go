@@ -56,8 +56,6 @@ type Config struct {
 	Tech mem.Technology
 	// Timing overrides the technology's default timing when non-zero.
 	Timing mem.Timing
-	// MatchProcessors is P; 0 means one per slot.
-	MatchProcessors int
 	// ProbeLimit bounds linear probing (number of buckets examined
 	// beyond the home bucket). 0 means up to Rows-1, i.e. unlimited;
 	// NoProbing disables spilling entirely, so records that do not fit
@@ -72,10 +70,9 @@ type Config struct {
 	// (see ecc.go). EnableECC is the post-load form for slices built
 	// from an image.
 	ECC bool
-	// AllowDuplicates permits inserting records with equal keys
-	// (needed when a ternary key is duplicated across buckets shares a
-	// slice with itself is NOT this — this is equal keys in one
-	// bucket chain, used by multi-value databases).
+	// AllowDuplicates lets Insert store a key its bucket chain already
+	// holds, for multi-value databases. (Duplicating a ternary record
+	// into several buckets is InsertAt's job, not this.)
 	AllowDuplicates bool
 }
 

@@ -63,10 +63,12 @@ type eccState struct {
 // CorrectedBits accounts every single-bit event (random singles plus
 // stuck-cell assertions), Uncorrectable every double-bit event, and
 // ScrubRepairedBits the corrupt bits a scrub restored (two per
-// quarantined row in the one-event-per-fetch model).
+// quarantined row in the one-event-per-fetch model). A write never finds
+// an injected flip at rest — the fetch that drew it settled it — so its
+// repair (restore) adds nothing to that ledger.
 type EccStats struct {
 	CheckedFetches    uint64 // fetches verified against the check word
-	CorrectedBits     uint64 // single-bit errors fixed in place
+	CorrectedBits     uint64 // bits fixed in place: single-bit fetch corrections, write restores
 	Uncorrectable     uint64 // quarantine events (double-bit detections)
 	ReadErrors        uint64 // transient row-read failures observed
 	QuarantineSkips   uint64 // probes that skipped an out-of-service row
@@ -153,6 +155,27 @@ func (e *eccState) shadowRow(idx uint32) []uint64 {
 	return e.shadow[off : off+e.rowWords]
 }
 
+// drift counts the bits in which a row differs from its shadow.
+func (e *eccState) drift(idx uint32, row []uint64) int {
+	diff, sh := 0, e.shadowRow(idx)
+	for w := range row {
+		diff += bits.OnesCount64(row[w] ^ sh[w])
+	}
+	return diff
+}
+
+// restore starts a write's scratch — a copy of the stored row — over
+// from the shadow when the two differ: the write rebuilds the shadow and
+// check word from its scratch, which would make a soft error at rest
+// that no checked fetch has settled authoritative. The restored bits
+// count as corrected.
+func (e *eccState) restore(idx uint32, scratch []uint64) {
+	if diff := e.drift(idx, scratch); diff > 0 {
+		copy(scratch, e.shadowRow(idx))
+		e.st.CorrectedBits += uint64(diff)
+	}
+}
+
 // logicalRow returns a row's logical contents for maintenance scans:
 // the authoritative shadow when the row is quarantined, the stored row
 // otherwise. Maintenance (locate, Records, bulk scans) always sees the
@@ -173,13 +196,8 @@ func (e *eccState) quarantine(idx uint32, row []uint64) {
 	if e.quar[idx].Load() {
 		return
 	}
-	diff := 0
-	sh := e.shadowRow(idx)
-	for w := range row {
-		diff += bits.OnesCount64(row[w] ^ sh[w])
-	}
 	e.quar[idx].Store(true)
-	e.quarBits[idx] = uint32(diff)
+	e.quarBits[idx] = uint32(e.drift(idx, row))
 	e.nQuar++
 	e.st.Uncorrectable++
 }
@@ -277,14 +295,9 @@ func (s *Slice) Scrub() ScrubReport {
 	for i := 0; i < rows; i++ {
 		idx := uint32(i)
 		live := s.array.PeekRow(idx)
-		sh := e.shadowRow(idx)
-		diff := 0
-		for w := range live {
-			diff += bits.OnesCount64(live[w] ^ sh[w])
-		}
-		if diff > 0 {
+		if diff := e.drift(idx, live); diff > 0 {
 			row := s.array.BeginRowMaint(idx)
-			copy(row, sh)
+			copy(row, e.shadowRow(idx))
 			atomic.StoreUint64(&e.check[idx], checkWord(row))
 			s.mark[idx].Store(uint32(s.layout.UsedSlots(row)))
 			s.array.CommitRowUpdate(idx)

@@ -221,6 +221,64 @@ func TestScrubRepairedBitsExcludesShadowWrites(t *testing.T) {
 	}
 }
 
+// TestWriteRestoresErrorAtRest: a soft error at rest that no checked
+// fetch has settled must not survive a write to its row. Each write path
+// rebuilds the row's shadow and check word from the row it publishes;
+// started from the stored bits, it would make the flip authoritative,
+// and the lookup after the next scrub would return wrong data as a
+// clean hit. The write starts from the shadow instead and counts the
+// restored bit as corrected.
+func TestWriteRestoresErrorAtRest(t *testing.T) {
+	key19 := bitutil.Exact(bitutil.FromUint64(19))
+	seven := func(match.Record) bitutil.Vec128 { return bitutil.FromUint64(7) }
+	for _, tc := range []struct {
+		name   string
+		write  func(s *Slice) int // records written
+		kept19 bool               // key 19 still stored, its data 7
+	}{
+		{"Delete", func(s *Slice) int { return written(s.Delete(key19)) }, false},
+		{"Update", func(s *Slice) int { return written(s.Update(key19, bitutil.FromUint64(7))) }, true},
+		{"UpdateWhere", func(s *Slice) int { return s.UpdateWhere(key19, seven) }, true},
+		{"DeleteWhere", func(s *Slice) int { return s.DeleteWhere(key19) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := MustNew(eccConfig())
+			for i := 0; i < 20; i++ {
+				if err := s.Insert(rec(uint64(i), uint64(100+i))); err != nil {
+					t.Fatalf("insert %d: %v", i, err)
+				}
+			}
+			// Keys 3 and 19 share row 3 under LowBits(4), in slots 0 and
+			// 1; the flip is the lowest data bit of key 3's record.
+			corrupt(s, 3, 1+32)
+			if n := tc.write(s); n != 1 {
+				t.Fatalf("wrote %d records, want 1", n)
+			}
+			s.Scrub()
+			if res := s.Lookup(bitutil.Exact(bitutil.FromUint64(3))); !res.Found || res.Erred || res.Record.Data.Uint64() != 103 {
+				t.Fatalf("Lookup(3) after the write and a scrub: %+v, want data 103", res)
+			}
+			if st := s.EccStats(); st.CorrectedBits != 1 || st.Uncorrectable != 0 || st.ScrubRepairedRows != 0 {
+				t.Fatalf("ecc stats %+v, want the write's one corrected bit and nothing left to scrub", st)
+			}
+			if res := s.Lookup(key19); res.Found != tc.kept19 || tc.kept19 && res.Record.Data.Uint64() != 7 {
+				t.Fatalf("Lookup(19) = %+v, want found=%v", res, tc.kept19)
+			}
+			if msg := s.Verify(); msg != "" {
+				t.Fatal(msg)
+			}
+		})
+	}
+}
+
+// written is 1 for a nil error, 0 otherwise.
+func written(err error) int {
+	if err != nil {
+		return 0
+	}
+	return 1
+}
+
 // TestInsertSkipsQuarantinedRow: placement never lands a record in an
 // out-of-service row; it spills past it and stays reachable.
 func TestInsertSkipsQuarantinedRow(t *testing.T) {

@@ -69,7 +69,7 @@ func (s *Slice) NewReader() *Reader {
 		s:     s,
 		row:   make([]uint64, w),
 		chunk: make([]uint64, BatchChunk*w),
-		sr:    match.NewSearcher(s.layout, s.cfg.MatchProcessors),
+		sr:    match.NewSearcher(s.layout, 0),
 	}
 }
 

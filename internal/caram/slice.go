@@ -16,7 +16,7 @@ import (
 // areas, request queues) lives in the subsystem package.
 //
 // Concurrency: all mutation (and the classic Lookup* methods, which
-// share the processor's scratch) must be serialized by the caller,
+// share the port's match scratch) must be serialized by the caller,
 // exactly as the hardware's single row port does. Lock-free lookups
 // are available through per-goroutine Readers (NewReader): every write
 // path publishes rows through the array's per-row seqlock, so any
@@ -27,14 +27,12 @@ type Slice struct {
 	cfg    Config
 	layout match.Layout
 	array  *mem.Array
-	proc   *match.Processor
-	// loc is the stat-less comparator bank maintenance scans run on
-	// (locate): a duplicate check is not a search the model prices, so it
-	// must not count into proc's statistics. locRes is the port-locked
-	// mutators' scratch for it; Contains, which several read-locked
-	// callers may be inside at once, brings its own.
-	loc    *match.Searcher
-	locRes match.Result
+	// bank is the row port's one comparator bank (§3.3) and res its match
+	// scratch, shared by every port-locked user: probe, locate and the
+	// bulk scans. Contains, which several read-locked callers may be
+	// inside at once, brings its own Result.
+	bank *match.Searcher
+	res  match.Result
 	// probeMax is how far from home an insert may place a record: the
 	// configured probe limit, capped by what the aux field can record — a
 	// displacement beyond it would make the record unreachable.
@@ -42,7 +40,7 @@ type Slice struct {
 	// slotBits is a slot's width, auxWord the first word holding aux bits.
 	slotBits, auxWord int
 	// rows is cfg.Rows(), kept so the row path never passes the whole
-	// Config by value to a value-receiver method (a 152-byte copy per call).
+	// Config by value to a value-receiver method (a 112-byte copy per call).
 	rows int
 
 	count    int             // records stored
@@ -76,8 +74,7 @@ func New(cfg Config) (*Slice, error) {
 		cfg:      cfg,
 		layout:   layout,
 		array:    array,
-		proc:     match.NewProcessor(layout, cfg.MatchProcessors),
-		loc:      match.NewSearcher(layout, cfg.MatchProcessors),
+		bank:     match.NewSearcher(layout, 0),
 		probeMax: min(cfg.probeLimit(), int(uint64(1)<<uint(layout.AuxBits)-1)),
 		slotBits: layout.SlotBits(),
 		auxWord:  (layout.RowBits - layout.AuxBits) / 64,
@@ -171,7 +168,7 @@ func (s *Slice) place(home uint32, rec match.Record) (displacement int, err erro
 	used := 0
 	if !s.cfg.AllowDuplicates {
 		var found bool
-		if _, _, used, found = s.locate(&s.locRes, home, rec.Key); found {
+		if _, _, used, found = s.locate(&s.res, home, rec.Key); found {
 			return 0, ErrExists
 		}
 	}
@@ -218,9 +215,10 @@ func (s *Slice) place(home uint32, rec match.Record) (displacement int, err erro
 // lock-free Reader that validates its snapshot's version always holds a
 // fully published row whose check word it can trust. charge selects
 // whether the write is priced as a row access (inserts/deletes) or is
-// unpriced maintenance (reach metadata). The caller holds the slice's port lock; callers
-// never write to quarantined rows (their mutations divert to the
-// shadow), so publishing here cannot bless corruption.
+// unpriced maintenance (reach metadata). The caller holds the slice's
+// port lock. Publishing cannot bless corruption: callers never write to
+// quarantined rows (their mutations divert to the shadow), and an ECC
+// row that drifted from its shadow at rest is restored first (restore).
 //
 // The row's occupancy mark moves inside the same window, and
 // incrementally: an insert takes the first free slot, which is the mark
@@ -234,6 +232,9 @@ func (s *Slice) updateRow(idx uint32, charge bool, fn func(row []uint64) error) 
 		row = s.array.BeginRowUpdate(idx)
 	} else {
 		row = s.array.BeginRowMaint(idx)
+	}
+	if s.ecc != nil {
+		s.ecc.restore(idx, row)
 	}
 	err := fn(row)
 	was := int(s.mark[idx].Load())
@@ -390,7 +391,6 @@ func (s *Slice) probe(search bitutil.Ternary, score func(match.Record) int, tr *
 	home := s.Index(search.Value)
 	res := LookupResult{HomeBucket: home}
 	w := walk{res: &res}
-	var m match.Result // its Vector aliases the processor's scratch, consumed before the next row reuses it
 	rows := s.rows
 	for d := 0; d <= w.reach && d < rows; d++ {
 		idx := uint32((int(home) + d) % rows)
@@ -407,8 +407,8 @@ func (s *Slice) probe(search bitutil.Ternary, score func(match.Record) int, tr *
 			}
 			continue
 		}
-		s.proc.SearchPrefixInto(&m, row, search, s.bound(idx))
-		if s.step(&w, idx, d, row, &m, score, tr) {
+		s.bank.SearchPrefixInto(&s.res, row, search, s.bound(idx))
+		if s.step(&w, idx, d, row, &s.res, score, tr) {
 			break
 		}
 	}
@@ -527,7 +527,7 @@ func (s *Slice) locate(res *match.Result, home uint32, key bitutil.Ternary) (buc
 			// while the comparators wait for the first.
 			reach = int(s.layout.ReadAux(row))
 		}
-		slot = s.loc.Locate(res, row, key, s.bound(idx))
+		slot = s.bank.Locate(res, row, key, s.bound(idx))
 		if slot >= 0 {
 			return idx, slot, used, true
 		}
@@ -551,7 +551,7 @@ func (s *Slice) DeleteAt(home uint32, key bitutil.Ternary) error {
 	if int(home) >= s.rows {
 		return fmt.Errorf("caram: home bucket %d out of range", home)
 	}
-	bucket, slot, _, found := s.locate(&s.locRes, home, key)
+	bucket, slot, _, found := s.locate(&s.res, home, key)
 	if !found {
 		return ErrNotFound
 	}
@@ -578,7 +578,7 @@ func (s *Slice) DeleteAt(home uint32, key bitutil.Ternary) error {
 // read-modify-write of its row).
 func (s *Slice) Update(key bitutil.Ternary, data bitutil.Vec128) error {
 	home := s.Index(key.Value)
-	bucket, slot, _, found := s.locate(&s.locRes, home, key)
+	bucket, slot, _, found := s.locate(&s.res, home, key)
 	if !found {
 		return ErrNotFound
 	}

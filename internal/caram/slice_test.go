@@ -429,12 +429,48 @@ func TestSliceAgainstOracle(t *testing.T) {
 			}
 			delete(oracle, k)
 		}
+		if op%5 == 0 {
+			checkScans(t, s, oracle, op, k)
+		}
 	}
 	if s.Count() != len(oracle) {
 		t.Fatalf("count %d, oracle %d", s.Count(), len(oracle))
 	}
 	if msg := s.Verify(); msg != "" {
 		t.Fatalf("Verify: %s", msg)
+	}
+}
+
+// checkScans holds the port's other users of its one match scratch to
+// the oracle, between mutators: CountWhere and SelectWhere for the key k
+// with its low 1..6 bits masked, LookupBest for k itself (a masked key
+// hashes to one chain, which need not hold every record it matches).
+func checkScans(t *testing.T, s *Slice, oracle map[uint64]uint64, op int, k uint64) {
+	t.Helper()
+	mask := uint64(1)<<(1+op%6) - 1
+	q := bitutil.NewTernary(bitutil.FromUint64(k&^mask), bitutil.FromUint64(mask))
+	want := map[uint64]uint64{}
+	for kk, v := range oracle {
+		if kk&^mask == k&^mask {
+			want[kk] = v
+		}
+	}
+	if n := s.CountWhere(q); n != len(want) {
+		t.Fatalf("op %d: CountWhere(%d/%#x) = %d, oracle %d", op, k, mask, n, len(want))
+	}
+	recs := s.SelectWhere(q)
+	if len(recs) != len(want) {
+		t.Fatalf("op %d: SelectWhere(%d/%#x) returned %d records, oracle %d", op, k, mask, len(recs), len(want))
+	}
+	for _, r := range recs {
+		if v, ok := want[r.Key.Value.Uint64()]; !ok || v != r.Data.Uint64() {
+			t.Fatalf("op %d: SelectWhere returned %+v, not in the oracle", op, r)
+		}
+	}
+	v, found := oracle[k]
+	res := s.LookupBest(bitutil.Exact(bitutil.FromUint64(k)), func(r match.Record) int { return int(r.Data.Uint64()) })
+	if res.Found != found || found && res.Record.Data.Uint64() != v {
+		t.Fatalf("op %d: LookupBest(%d) = %+v, oracle found=%v data %d", op, k, res, found, v)
 	}
 }
 

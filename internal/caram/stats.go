@@ -67,9 +67,9 @@ func (s *Slice) Stats() Stats {
 	}
 }
 
-// ResetStats zeroes activity counters on the slice, its array and its
-// match processors (placement bookkeeping — load factor, spill counts —
-// is preserved, since it describes the stored database, not activity).
+// ResetStats zeroes activity counters on the slice and its array
+// (placement bookkeeping — load factor, spill counts — is preserved,
+// since it describes the stored database, not activity).
 func (s *Slice) ResetStats() {
 	s.stats.lookups.Store(0)
 	s.stats.rowsAccessed.Store(0)
@@ -80,7 +80,6 @@ func (s *Slice) ResetStats() {
 	s.stats.deletes.Store(0)
 	s.stats.erred.Store(0)
 	s.array.ResetStats()
-	s.proc.ResetStats()
 }
 
 // PlacementSummary describes how the stored database landed in the

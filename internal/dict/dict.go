@@ -197,18 +197,17 @@ func (d *Dict) MatchPattern(pattern string) ([]Match, int, error) {
 func (d *Dict) matchAnchored(q bitutil.Ternary) ([]Match, int, error) {
 	home := d.slice.Index(q.Value)
 	rows := 0
-	var out []Match
+	var recs []match.Record
+	var res match.Result
 	reach := d.slice.Reach(home)
 	arr := d.slice.Array()
-	layout := d.slice.Layout()
-	proc := match.NewProcessor(layout, 0)
+	sr := match.NewSearcher(d.slice.Layout(), 0)
 	for dlt := 0; dlt <= reach && dlt < arr.Rows(); dlt++ {
 		idx := uint32((int(home) + dlt) % arr.Rows())
-		row := arr.ReadRow(idx)
+		recs = sr.AppendAll(recs, &res, arr.ReadRow(idx), q)
 		rows++
-		out = append(out, toMatches(proc.SearchAll(row, q))...)
 	}
-	return out, rows, nil
+	return toMatches(recs), rows, nil
 }
 
 func toMatches(recs []match.Record) []Match {

@@ -131,9 +131,9 @@ func runMatchP(Scale) (string, error) {
 	layout := match.Layout{RowBits: 1600, KeyBits: 64, AuxBits: 0}
 	s := layout.Slots()
 	for _, p := range []int{1, 4, 8, 16, s} {
-		proc := match.NewProcessor(layout, p)
+		var res match.Result
 		row := make([]uint64, bitutil.RowWords(1600))
-		res := proc.Search(row, bitutil.Exact(bitutil.Vec128{}))
+		match.NewSearcher(layout, p).SearchInto(&res, row, bitutil.Exact(bitutil.Vec128{}))
 		// Match-stage logic scales with the processors instantiated;
 		// expand/decode/extract are row-wide either way.
 		t.AddRow(p, res.Passes, fmt.Sprintf("%.2f", float64(p)/float64(s)))

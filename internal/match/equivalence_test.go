@@ -3,18 +3,20 @@ package match
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"caram/internal/bitutil"
 )
 
-// These tests pin the slot comparator (Search, SearchPrefix) to the
-// slot-serial oracle (SearchSerial): for any layout, any row image —
-// including raw random words never produced by WriteSlot — any ternary
-// search key and any slot bound, the two paths must agree on the match vector, the priority
-// encoder's output, the multi-match flag, the extracted record, the
-// pass count, and every statistics counter.
+// These tests pin the slot comparator (SearchInto, SearchPrefixInto,
+// AppendAll) to the slot-serial oracle (SearchSerial): for any layout,
+// any row image — including raw random words never produced by
+// WriteSlot — any ternary search key and any slot bound, the two paths
+// must agree on the match vector, the priority encoder's output, the
+// multi-match flag, the extracted record, the pass count and the slots
+// tested.
 
 func randomLayout(rng *rand.Rand) Layout {
 	for {
@@ -121,27 +123,27 @@ func randomSearch(rng *rand.Rand, l Layout, stored []bitutil.Ternary) bitutil.Te
 	}
 }
 
-// checkEquivalence runs one whole-row search through both paths on
-// fresh-stat processors and reports the first divergence.
+// checkEquivalence runs one whole-row search through both paths and
+// reports the first divergence.
 func checkEquivalence(t testing.TB, l Layout, p int, row []uint64, search bitutil.Ternary) {
 	t.Helper()
 	checkBounded(t, l, p, row, search, l.Slots())
 }
 
-// checkBounded holds SearchPrefix(row, search, n) to SearchSerial over
+// checkBounded holds SearchPrefixInto(row, search, n) to SearchSerial over
 // the same row with every slot from n up cleared — the oracle
 // restricted to [0, n).
 func checkBounded(t testing.TB, l Layout, p int, row []uint64, search bitutil.Ternary, n int) {
 	t.Helper()
-	kern := NewProcessor(l, p)
-	oracle := newSerialOracle(l, p)
-	got := kern.SearchPrefix(row, search, n)
+	kern := NewSearcher(l, p)
+	var got Result
+	kern.SearchPrefixInto(&got, row, search, n)
 	cut := append(make([]uint64, 0, bitutil.RowWords(l.RowBits)), row...)
 	cut = cut[:cap(cut)]
 	for i := max(n, 0); i < l.Slots(); i++ {
 		l.ClearSlot(cut, i)
 	}
-	want := oracle.SearchSerial(cut, search)
+	want := newSerialOracle(l, p).SearchSerial(cut, search)
 
 	ctx := func() string {
 		return fmt.Sprintf("layout=%+v p=%d n=%d search=%s", l, p, n, search.String(128))
@@ -167,20 +169,24 @@ func checkBounded(t testing.TB, l Layout, p int, row []uint64, search bitutil.Te
 				ctx(), w, got.Vector[w], want.Vector[w])
 		}
 	}
-	if ks, os := kern.Stats(), oracle.Stats(); ks != os {
-		t.Fatalf("%s: kernel stats %+v, oracle stats %+v", ctx(), ks, os)
-	}
 	if n < l.Slots() {
 		return
 	}
-	// SearchAllAppend must surface exactly the matched slots, in order.
-	recs := kern.SearchAllAppend(nil, row, search)
+	// AppendAll must surface exactly the matched slots, in order.
+	recs := kern.AppendAll(nil, &got, row, search)
 	if len(recs) != want.Count {
-		t.Fatalf("%s: SearchAllAppend returned %d records, want %d", ctx(), len(recs), want.Count)
+		t.Fatalf("%s: AppendAll returned %d records, want %d", ctx(), len(recs), want.Count)
 	}
 	if want.Count > 0 && recs[0] != want.Record {
-		t.Fatalf("%s: SearchAllAppend[0]=%+v, want %+v", ctx(), recs[0], want.Record)
+		t.Fatalf("%s: AppendAll[0]=%+v, want %+v", ctx(), recs[0], want.Record)
 	}
+}
+
+// sameResult reports whether a kernel result equals the oracle's in
+// every field a search writes.
+func sameResult(got, want *Result) bool {
+	return got.First == want.First && got.Count == want.Count && got.Passes == want.Passes &&
+		got.SlotsTested == want.SlotsTested && got.Record == want.Record && slices.Equal(got.Vector, want.Vector)
 }
 
 func randomP(rng *rand.Rand, l Layout) int {
@@ -218,20 +224,10 @@ func TestKernelMatchesSerialQuick(t *testing.T) {
 		row, stored := randomRow(rng, l)
 		search := randomSearch(rng, l, stored)
 
-		kern := NewProcessor(l, p)
-		oracle := newSerialOracle(l, p)
-		got := kern.Search(row, search)
-		want := oracle.SearchSerial(row, search)
-		if got.First != want.First || got.Count != want.Count ||
-			got.Passes != want.Passes || got.Record != want.Record {
-			return false
-		}
-		for w := range got.Vector {
-			if got.Vector[w] != want.Vector[w] {
-				return false
-			}
-		}
-		return kern.Stats() == oracle.Stats()
+		var got Result
+		NewSearcher(l, p).SearchInto(&got, row, search)
+		want := newSerialOracle(l, p).SearchSerial(row, search)
+		return sameResult(&got, &want)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -242,9 +238,9 @@ func TestKernelMatchesSerialQuick(t *testing.T) {
 // layouts: random occupancy, rows cut short of the compiled image,
 // masked search keys, "impossible" keys caring about bits above
 // KeyBits, and every slot bound n in {0, 1, S-1, S}. Vector, First,
-// Count, SlotsTested, Record and the stats counters must equal those of
-// SearchSerial restricted to [0, n), on the Processor and on a Searcher
-// alike.
+// Count, SlotsTested, Passes and Record must equal those of SearchSerial
+// restricted to [0, n), for any P and for the bound the caram layer
+// hands down.
 func slotKernelProperty(t *testing.T, layout func(*rand.Rand) Layout) func(int64) bool {
 	return func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -324,17 +320,19 @@ func TestKernelSelection(t *testing.T) {
 	}
 }
 
-// TestKernelExpansionCacheAcrossRows reuses one processor for a probe
-// chain (same key, many rows) and interleaves key changes, the way
-// Slice.Lookup does. The row-image kernel cached its key expansion
-// between searches; the slot comparator carries nothing from one search
-// to the next, and this holds it to that.
+// TestKernelExpansionCacheAcrossRows reuses one Searcher and one Result
+// for a probe chain (same key, many rows) and interleaves key changes,
+// the way Slice.Lookup does. The row-image kernel cached its key
+// expansion between searches; the slot comparator carries nothing from
+// one search to the next — neither in the bank nor in the reused
+// scratch — and this holds it to that.
 func TestKernelExpansionCacheAcrossRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		l := randomLayout(rng)
 		p := randomP(rng, l)
-		kern := NewProcessor(l, p)
+		kern := NewSearcher(l, p)
+		var got Result
 		oracle := newSerialOracle(l, p)
 		var searches []bitutil.Ternary
 		var rows [][]uint64
@@ -349,16 +347,11 @@ func TestKernelExpansionCacheAcrossRows(t *testing.T) {
 		}
 		for _, search := range searches {
 			for _, row := range rows { // same key across the chain
-				got := kern.Search(row, search)
-				want := oracle.SearchSerial(row, search)
-				if got.First != want.First || got.Count != want.Count {
-					t.Fatalf("layout=%+v search=%s: kernel (%d,%d) oracle (%d,%d)",
-						l, search.String(128), got.First, got.Count, want.First, want.Count)
+				kern.SearchInto(&got, row, search)
+				if want := oracle.SearchSerial(row, search); !sameResult(&got, &want) {
+					t.Fatalf("layout=%+v search=%s: kernel %+v oracle %+v", l, search.String(128), got, want)
 				}
 			}
-		}
-		if kern.Stats() != oracle.Stats() {
-			t.Fatalf("layout=%+v: stats diverged: %+v vs %+v", l, kern.Stats(), oracle.Stats())
 		}
 	}
 }

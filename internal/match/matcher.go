@@ -101,7 +101,7 @@ func newMatcher(l Layout, p int) *matcher {
 }
 
 // search runs §3.3 steps 2–4 over slots [0, n) of one row — the one
-// body behind Processor and Searcher. The match vector lands in
+// body behind every Searcher method. The match vector lands in
 // res.Vector's backing array (grown only when too small); every other
 // field is overwritten. Words of the row beyond its length read as
 // zero; words beyond slot n-1 are never read.

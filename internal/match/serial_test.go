@@ -6,15 +6,13 @@ import "caram/internal/bitutil"
 // reference the slot comparator is held to: every slot is decoded with
 // ReadSlot and compared on its own, and the match vector is freshly
 // allocated. The equivalence suites and FuzzKernelVsSerial require a
-// Processor to be bit-exact with it — results and, search for search,
-// the activity counters it keeps on the side.
+// Searcher to be bit-exact with it.
 type serialOracle struct {
 	layout Layout
 	p      int
-	stats  ProcessorStats
 }
 
-// newSerialOracle mirrors NewProcessor: p <= 0 means one processor per
+// newSerialOracle mirrors NewSearcher: p <= 0 means one processor per
 // slot.
 func newSerialOracle(layout Layout, p int) *serialOracle {
 	if p <= 0 {
@@ -30,14 +28,11 @@ func (o *serialOracle) SearchSerial(row []uint64, search bitutil.Ternary) Result
 		First:  -1,
 		Passes: (s + o.p - 1) / o.p,
 	}
-	o.stats.Searches++
-	o.stats.Passes += uint64(res.Passes)
 	for i := 0; i < s; i++ {
 		rec, ok := o.layout.ReadSlot(row, i)
 		if !ok {
 			continue
 		}
-		o.stats.SlotsTested++
 		res.SlotsTested++
 		if !rec.Key.Matches(search) {
 			continue
@@ -49,10 +44,5 @@ func (o *serialOracle) SearchSerial(row []uint64, search bitutil.Ternary) Result
 			res.Record = rec
 		}
 	}
-	o.stats.Matches += uint64(res.Count)
 	return res
 }
-
-// Stats is what a Processor that ran the same searches must have
-// counted.
-func (o *serialOracle) Stats() ProcessorStats { return o.stats }
