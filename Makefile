@@ -12,9 +12,11 @@
 #                       comparator vs the serial oracle
 #   make bench          the parallel-throughput server benchmark, the
 #                       batched MSEARCH fan-out, served 64-key MSEARCH
-#                       lines on the ladder's table and the write path
+#                       lines on the ladder's table, the write path
 #                       (insert+delete pairs, duplicate and absent probes,
 #                       three layouts, cache-resident and ladder-sized)
+#                       and the served load (600 000 pipelined INSERTs
+#                       over two connections into the ladder's table)
 #   make bench-load     one full caram-load run (five workloads, untraced
 #                       and traced, plus the ladder) into a git-ignored
 #                       file, compared against the newest bench/history
@@ -185,7 +187,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzKernelVsSerial -fuzztime $(FUZZTIME) ./internal/match
 
 bench:
-	$(GO) test -run '^$$' -bench 'ServerParallelSearch|MSearchBatched|ServedMSearch|WritePath' -benchmem .
+	$(GO) test -run '^$$' -bench 'ServerParallelSearch|MSearchBatched|ServedMSearch|WritePath|ServedInsertBurst' -benchmem .
 
 # Allocation regression guard: testing.AllocsPerRun == 0 on the core
 # search paths (row match kernel on binary, ternary and 104-bit ternary
@@ -198,7 +200,9 @@ bench:
 # those reads plus a journaled write under no collector, an idle one and
 # caram-server's default flags; TestServedWritesZeroAlloc's INSERT,
 # DELETE, duplicate INSERT and absent DELETE with the WAL syncing every
-# 5 ms), the owning MSearch's bookkeeping held to its two slices, and
+# 5 ms; both with a 64-INSERT run, a DELETE run and a mid-burst engine
+# switch, which Handle applies as runs of writes), the owning MSearch's
+# bookkeeping held to its two slices, and
 # the router forward path (SEARCH and MSEARCH) with no collector, an
 # idle one, and the collector caram-router's default flags build; and
 # the durability layer's memory model — a steady-state snapshot of a
@@ -214,7 +218,10 @@ alloc-guard:
 	$(GO) test -run AllocGuard -count=1 ./internal/wal
 	$(GO) test -run 'ForwardPathAllocs|RouterUntracedZeroAlloc' -count=1 ./internal/cluster
 
-# Copy guard: no whole-struct copy on the per-key path. A value receiver,
+# Copy guard: no whole-struct copy on the per-key path — nor on the write
+# run's, from the session's join to the executor's run body and the
+# touch stage (the journal stage's Append takes its entry by value, as
+# the Journal interface has it, and is not listed). A value receiver,
 # or a by-value parameter or return, of a struct past 64 bytes
 # (caram.Config 112, match.Result 104, wire.Request and an MSEARCH slot
 # 88) compiles to a DUFFCOPY — a call into runtime.duffcopy — at every
@@ -231,6 +238,9 @@ COPY_GUARD_FUNCS = \
 	caram/internal/caram.(*Slice).SelectWhere caram/internal/caram.(*Slice).UpdateWhere \
 	caram/internal/caram.(*Slice).DeleteWhere caram/internal/subsystem.(*guardedEngine).batchSeq \
 	caram/internal/subsystem.(*Concurrent).MSearchServed caram/internal/server.(*Server).exec \
+	caram/internal/caram.(*Slice).Touch caram/internal/subsystem.(*Engine).Touch \
+	caram/internal/subsystem.(*Concurrent).write caram/internal/server.(*session).join \
+	caram/internal/server.(*session).flushRun \
 	caram/internal/server.(*Server).execMSearchAppend caram/internal/cluster.(*Router).route \
 	caram/internal/wire.(*Scanner).Next caram/internal/wire.ParseVec
 copy-guard:
@@ -281,19 +291,26 @@ crash-harness:
 # check — every write path interleaved with the walk, row by row, three
 # clock seeds, and the mid-write snapshot held to the oracle and
 # recovered — since every write path keeps a pre-image for it; replay's
-# dropped-record count.
+# dropped-record count, staged replay held to record-at-a-time replay,
+# and the WAL's bounded buffer under a lagging syncer; the write runs —
+# random bursts through Handle held to the same lines one ExecAppend at
+# a time (replies, tables, journal), an engine failing mid-run, and
+# DROP ENGINE racing runs.
 # Then, without it, the allocation guards of the path: the slice's
-# mutators, served writes with the WAL attached as deployed, an MSEARCH
-# line through ExecAppend and Handle, and the owning MSearch's two.
+# mutators, served writes with the WAL attached as deployed (runs
+# included), an MSEARCH line through ExecAppend and Handle, and the
+# owning MSearch's two; and a 10 000-INSERT burst admitting no slowlog
+# entry at the deployed threshold.
 write-guard:
 	$(GO) test -race -run 'KernelLocate|FieldWriters|ClearSlot' -count=1 ./internal/match
 	$(GO) test -race -run 'CommitRowUpdate' -count=1 ./internal/mem
 	$(GO) test -race -run 'WritePath|Locate|ContainsConcurrent|UnchangedCommit|OccupancyMarkModel|TestReader' -count=1 ./internal/caram
 	$(GO) test -race -run 'FreezeModelCheck' -count=3 ./internal/caram
 	$(GO) test -race -run 'Chaos' -count=1 ./internal/subsystem
-	$(GO) test -race -run 'ReplayCountsDropped|FreezesMidWrite' -count=1 ./internal/wal
+	$(GO) test -race -run 'ReplayCountsDropped|FreezesMidWrite|StagedReplay|AppendWaits' -count=1 ./internal/wal
+	$(GO) test -race -run 'WriteRun' -count=1 ./internal/server
 	$(GO) test -run 'WritePathZeroAlloc' -count=1 ./internal/caram
-	$(GO) test -run 'ServedWritesZeroAlloc|HandleZeroAllocPerLine' -count=1 ./internal/server
+	$(GO) test -run 'ServedWritesZeroAlloc|HandleZeroAllocPerLine|WriteRunSlowlog' -count=1 ./internal/server
 	$(GO) test -run MSearchAllocs -count=1 ./internal/subsystem
 
 # Tracing-layer gate: the lock-free ring under the race detector, the

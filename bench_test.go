@@ -7,7 +7,10 @@ package caram
 // cmd/caram-bench prints the full tables.
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -637,6 +640,81 @@ func BenchmarkServedMSearch(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchSize), "ns/key")
 	})
+}
+
+// BenchmarkServedInsertBurst prices the load every caram-load set-up
+// runs, §3.2's RAM-mode fill of a table over the wire: 600 000 INSERT
+// lines, pipelined, through Server.Handle over two net.Pipe connections
+// that carry half the keys each and are read back reply by reply, into
+// the ladder's geometry (2¹⁷ rows × 8 slots, α = 0.57 once full) on a
+// server configured as caram-server configures one (metrics on, a
+// collector with a 10 ms slowlog). Each iteration loads a fresh table.
+// Reported per insert.
+func BenchmarkServedInsertBurst(b *testing.B) {
+	const (
+		bits, slots = 17, 8
+		nKeys       = 600_000
+		conns       = 2
+	)
+	key := func(i int) uint64 { return uint64(i+1) * 0x9e3779b97f4a7c15 }
+	streams := make([][]byte, conns)
+	for i := 0; i < nKeys; i++ {
+		p := append(streams[i%conns], "INSERT db "...)
+		p = strconv.AppendUint(p, key(i), 16)
+		p = strconv.AppendUint(append(p, ' '), key(i)&0xffffffff, 16)
+		streams[i%conns] = append(p, '\n')
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		b.StopTimer()
+		sub := subsystem.New(0)
+		sl := caram.MustNew(caram.Config{
+			IndexBits: bits, RowBits: slots*(1+64+32) + 16, KeyBits: 64, DataBits: 32, AuxBits: 16,
+			Index: hash.NewMultShift(bits),
+		})
+		if err := sub.AddEngine(&subsystem.Engine{Name: "db", Main: sl}); err != nil {
+			b.Fatal(err)
+		}
+		srv := server.New(sub, server.WithTracing(trace.NewCollector(trace.Config{Slowlog: 10 * time.Millisecond})))
+		b.StartTimer()
+		var wg sync.WaitGroup
+		errs := make(chan error, 2*conns)
+		for _, stream := range streams {
+			client, conn := net.Pipe()
+			wg.Add(3)
+			go func() { defer wg.Done(); srv.Handle(conn, conn); conn.Close() }()
+			go func() {
+				defer wg.Done()
+				if _, err := client.Write(stream); err != nil {
+					errs <- err
+				}
+			}()
+			go func(n int) {
+				defer wg.Done()
+				defer client.Close()
+				br := bufio.NewReaderSize(client, 64*1024)
+				for i := 0; i < n; i++ {
+					if line, err := br.ReadSlice('\n'); err != nil || string(line) != "OK\n" {
+						errs <- fmt.Errorf("reply %d: %q, %v", i, line, err)
+						return
+					}
+				}
+			}(bytes.Count(stream, []byte{'\n'}))
+		}
+		wg.Wait()
+		b.StopTimer()
+		close(errs)
+		for err := range errs {
+			b.Fatal(err)
+		}
+		if sl.Count() != nKeys {
+			b.Fatalf("table holds %d records, want %d", sl.Count(), nKeys)
+		}
+		srv.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nKeys), "ns/insert")
 }
 
 // BenchmarkWritePath prices the write side next to BenchmarkMSearchBatched:

@@ -17,11 +17,12 @@ import (
 // strategy anyway.
 const maxSnapshotRetries = 16
 
-// BatchChunk is how many keys one pass of LookupBatch's stages covers:
-// enough independent row fetches in flight to hide memory latency,
-// few enough that the chunk's snapshots (one row each) are still in L1
-// when the match stage reaches them. Callers that gather keys for
-// LookupBatch piecemeal do best to gather this many at a time.
+// BatchChunk is how many keys one pass of LookupBatch's stages covers,
+// and how many writes one Touch stage runs ahead of: enough independent
+// row fetches in flight to hide memory latency, few enough that the
+// chunk's rows are still in L1 when the match stage (or the chunk's
+// last write) reaches them. Callers that gather keys for LookupBatch
+// piecemeal do best to gather this many at a time.
 const BatchChunk = 32
 
 // Reader is a per-goroutine lock-free search port over one slice: the

@@ -49,6 +49,7 @@ type Slice struct {
 	overflow []bool          // buckets from which at least one record spilled
 	spilled  int             // records placed outside their home bucket
 	foreign  bool            // InsertAt was used with a home != Index(key)
+	touched  uint64          // what Touch loaded, summed
 	stats    sliceStats
 	ecc      *eccState              // nil = unprotected memory (see ecc.go)
 	frz      atomic.Pointer[Freeze] // &frozen while a freeze is open (bulk.go)
@@ -205,6 +206,23 @@ func (s *Slice) place(home uint32, rec match.Record) (displacement int, err erro
 	}
 	s.homeLoad[home]--
 	return 0, ErrFull
+}
+
+// Touch is the write path's touch stage, Table 1's pipeline turned on
+// writes: the row accesses of a chunk of writes are issued back to back
+// before the first of them applies. For each home row it loads what an
+// insert or delete reads first — the row's first and last word (the aux
+// field's), its seqlock version, occupancy mark and home-load count —
+// so that the chunk's cache misses overlap and the writes that follow,
+// in order, find their rows resident. It changes and charges nothing.
+// The caller holds the port lock.
+func (s *Slice) Touch(homes []uint32) {
+	sum := s.touched
+	for _, h := range homes {
+		row := s.array.PeekRow(h)
+		sum += row[0] + row[len(row)-1] + uint64(s.array.RowVersion(h)) + uint64(s.mark[h].Load()) + uint64(s.homeLoad[h])
+	}
+	s.touched = sum // kept, so that the loads are not compiled away
 }
 
 // updateRow is the slice's one write path to a stored row: the array

@@ -595,9 +595,47 @@ func TestUnchangedCommitStillMovesVersion(t *testing.T) {
 	}
 }
 
-// TestWritePathZeroAlloc: the mutators and the membership tests allocate
-// nothing — Contains included, whose comparator scratch is its own (it
-// may run beside other read-locked callers) and lives on its stack.
+// TestTouchChangesAndChargesNothing: the touch stage is invisible. On
+// every kind of slice, a random schedule of inserts and deletes applied
+// to one slice with each chunk's home rows touched first, and to its twin
+// without, leaves the two in the same state after every step — storage,
+// marks, home loads, reaches, versions, statistics, charges, error-coding
+// state and, with a fault injector attached, the fetches it was asked for.
+func TestTouchChangesAndChargesNothing(t *testing.T) {
+	for _, tc := range writePathCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(37))
+			touched, plain := tc.build(), tc.build()
+			for step := 0; step < 40; step++ {
+				keys := make([]bitutil.Ternary, 1+rng.Intn(BatchChunk))
+				homes := make([]uint32, len(keys))
+				for i := range keys {
+					keys[i] = tc.key(rng)
+					homes[i] = touched.Index(keys[i].Value)
+				}
+				touched.Touch(homes)
+				for _, k := range keys {
+					if rng.Intn(3) == 0 {
+						touched.Delete(k) //nolint:errcheck // compared below
+						plain.Delete(k)   //nolint:errcheck
+					} else {
+						r := match.Record{Key: k, Data: bitutil.FromUint64(uint64(step))}
+						touched.Insert(r) //nolint:errcheck
+						plain.Insert(r)   //nolint:errcheck
+					}
+				}
+				if d := sameState(touched, plain); d != "" {
+					t.Fatalf("step %d: touched slice vs untouched: %s", step, d)
+				}
+			}
+		})
+	}
+}
+
+// TestWritePathZeroAlloc: the mutators, the touch stage and the
+// membership tests allocate nothing — Contains included, whose comparator
+// scratch is its own (it may run beside other read-locked callers) and
+// lives on its stack.
 func TestWritePathZeroAlloc(t *testing.T) {
 	s := MustNew(smallConfig())
 	for i := uint64(0); i < 40; i++ {
@@ -607,7 +645,9 @@ func TestWritePathZeroAlloc(t *testing.T) {
 	}
 	rd := s.NewReader()
 	fresh, held, absent := rec(1000, 1), rec(7, 1), bitutil.Exact(bitutil.FromUint64(2000))
+	homes := []uint32{s.Index(fresh.Key.Value), s.Index(held.Key.Value), s.Index(absent.Value)}
 	if n := testing.AllocsPerRun(200, func() {
+		s.Touch(homes)
 		if err := s.Insert(fresh); err != nil {
 			t.Fatal(err)
 		}

@@ -54,6 +54,7 @@ func TestRequestPathZeroAlloc(t *testing.T) {
 			"CREATE ENGINE ip TYPE lpm INDEXBITS 6 SLOTS 8",
 			"CREATE ENGINE acl TYPE pktclass INDEXBITS 6 SLOTS 8",
 			"CREATE ENGINE tri TYPE trigram INDEXBITS 6",
+			"CREATE ENGINE aux TYPE exact INDEXBITS 6 SLOTS 4",
 			"INSERT db dead 42",
 			"MINSERT ip a010000 ffff 1002",
 			"MINSERT acl a01010000:1bb000006 ffff:ffffff0000ffff00 0:1010064",
@@ -63,17 +64,13 @@ func TestRequestPathZeroAlloc(t *testing.T) {
 				t.Fatalf("%s: %q", req, got)
 			}
 		}
-		for _, tc := range []struct {
-			name  string
-			lines []string // one round; every reply is checked against want
-			want  string
-		}{
+		for _, tc := range append([]writeCase{
 			{"SEARCH", []string{"SEARCH db dead"}, "HIT 0:0000000000000042"},
 			{"lpm", []string{"SEARCH ip a010101"}, "HIT 0:0000000000001002"},
 			{"pktclass", []string{"SEARCH acl a010107c0:a8000101bb303906"}, "HIT 0:0000000001010064"},
 			{"TSEARCH", []string{"TSEARCH tri the quick fox"}, "HIT 0:000000000000002a"},
 			{"INSERT-wal", []string{"INSERT db beef 7", "DELETE db beef"}, "OK"},
-		} {
+		}, runCases...) {
 			t.Run(col.name+"/"+tc.name+"/ExecAppend", func(t *testing.T) {
 				buf := make([]byte, 0, 64)
 				if n := testing.AllocsPerRun(200, func() {
@@ -87,7 +84,7 @@ func TestRequestPathZeroAlloc(t *testing.T) {
 				}
 			})
 			t.Run(col.name+"/"+tc.name+"/Handle", func(t *testing.T) {
-				const rounds = 400
+				rounds := min(400, max(16, 800/len(tc.lines))) // 400 rounds of a short round, 16 of a long one
 				stream := []byte(strings.Repeat(strings.Join(tc.lines, "\n")+"\n", rounds))
 				var rd bytes.Reader
 				run := func() {

@@ -149,18 +149,16 @@ func TestServedWritesZeroAlloc(t *testing.T) {
 	}
 	s := allocServer(WithWAL(w, res, 0), WithTracing(trace.NewCollector(trace.Config{Slowlog: 10 * time.Millisecond})))
 	defer s.Close() //nolint:errcheck
-	if got := s.Exec("INSERT db dead 42"); got != "OK" {
-		t.Fatalf("INSERT: %q", got)
+	for _, req := range []string{"INSERT db dead 42", "CREATE ENGINE aux TYPE exact INDEXBITS 6 SLOTS 4"} {
+		if got := s.Exec(req); got != "OK" {
+			t.Fatalf("%s: %q", req, got)
+		}
 	}
-	for _, tc := range []struct {
-		name  string
-		lines []string // one round; every reply is checked against want
-		want  string
-	}{
+	for _, tc := range append([]writeCase{
 		{"INSERT+DELETE", []string{"INSERT db beef 7", "DELETE db beef"}, "OK"},
 		{"duplicate-INSERT", []string{"INSERT db dead 43"}, "ERR caram: record already present"},
 		{"absent-DELETE", []string{"DELETE db f00d"}, "ERR caram: record not found"},
-	} {
+	}, runCases...) {
 		t.Run(tc.name+"/ExecAppend", func(t *testing.T) {
 			buf := make([]byte, 0, 64)
 			if n := testing.AllocsPerRun(200, func() {
@@ -174,7 +172,7 @@ func TestServedWritesZeroAlloc(t *testing.T) {
 			}
 		})
 		t.Run(tc.name+"/Handle", func(t *testing.T) {
-			const rounds = 400
+			rounds := min(400, max(16, 800/len(tc.lines))) // 400 rounds of a short round, 16 of a long one
 			stream := []byte(strings.Repeat(strings.Join(tc.lines, "\n")+"\n", rounds))
 			var rd bytes.Reader
 			var out bytes.Buffer
@@ -197,6 +195,42 @@ func TestServedWritesZeroAlloc(t *testing.T) {
 		t.Fatalf("the held record after the guard: %q", got)
 	}
 }
+
+// writeCase is one input of the write-path allocation guards: a round of
+// request lines, every reply of which is want.
+type writeCase struct {
+	name  string
+	lines []string
+	want  string
+}
+
+// runCases are the guards' inputs that Handle applies as runs of writes:
+// 64 INSERTs then the 64 DELETEs that undo them, 64 DELETEs of absent
+// keys, and runs of 16 that switch engine, db to aux and back, mid-burst.
+var runCases = func() []writeCase {
+	var ins, del, absent, sw []string
+	for i := 0; i < 64; i++ {
+		ins = append(ins, fmt.Sprintf("INSERT db %x %x", 0x1000+i, i))
+		del = append(del, fmt.Sprintf("DELETE db %x", 0x1000+i))
+		absent = append(absent, fmt.Sprintf("DELETE db %x", 0x2000+i))
+	}
+	for _, verb := range []string{"INSERT", "DELETE"} {
+		for _, eng := range []string{"db", "aux"} {
+			for i := 0; i < 16; i++ {
+				line := fmt.Sprintf("%s %s %x", verb, eng, 0x3000+i)
+				if verb == "INSERT" {
+					line += " 5"
+				}
+				sw = append(sw, line)
+			}
+		}
+	}
+	return []writeCase{
+		{"INSERT-run", append(ins, del...), "OK"},
+		{"DELETE-run", absent, "ERR caram: record not found"},
+		{"engine-switch", sw, "OK"},
+	}
+}()
 
 // TestHandleZeroAllocPerLine guards the wire path the ExecAppend guards
 // above never reached: Handle hands each request line to the protocol

@@ -497,9 +497,10 @@ func (c *Concurrent) EngineType(port string) (EngineType, error) {
 // The executor. Figure 5 puts one input controller in front of the
 // slices and Table 1 walks every request through one fixed pipeline;
 // the operations below do the same. Each is one of three bodies — read
-// (Search*, Explain), write (Insert*, Delete*), batch (an engine's
-// share of an MSearch) — and every body is the same stage list,
-// skipping the stages its kind has no use for:
+// (Search*, Explain), write (a run of writes to one engine: WriteRun,
+// and Insert*, Delete* as runs of one), batch (an engine's share of an
+// MSearch) — and every body is the same stage list, skipping the stages
+// its kind has no use for:
 //
 //	admit        down → roster → health, written once (admit). The
 //	             inspectors that must keep answering after Close or on a
@@ -510,33 +511,37 @@ func (c *Concurrent) EngineType(port string) (EngineType, error) {
 //	lock         everything else takes the engine's port lock: writes,
 //	             engines with an overflow CAM (it has mutable priority
 //	             state), and the reads the seqlock could not certify.
+//	touch        a write run's home rows, fetched a chunk ahead of its
+//	             applies (Engine.Touch).
 //	apply        the engine call, plus the health re-evaluation its
 //	             outcome calls for.
 //	journal      writes append their record under the lock, so per-
 //	             engine LSN order is apply order.
-//	commit-wait  the durability wait, after unlock (group commit).
+//	commit-wait  the durability wait, after unlock (group commit), once
+//	             per write run.
 //	observe      one metrics observation per operation.
 //
 // The clock is read at admission — through stamp, when the engine is
 // instrumented and the tier above has not already stamped the request
-// (Clock) —, once where the operation is observed, in front of a watched
-// write's journal append, and in front of each span a traced request
-// records (lock_wait). Operation latency runs from admission; a span
-// starts immediately before the stage it times. An operation nobody
+// (Clock) —, once where the operation is observed (where each member of
+// a write run ends, which is where the next is admitted), in front of a
+// watched write's journal append, and in front of each span a traced
+// request records (lock_wait). Operation latency runs from admission; a
+// span starts immediately before the stage it times. An operation nobody
 // observes never reads the clock.
 
-// admit is the executor's first stage: after Close every op fails
-// fast, an unknown port counts against the registry's unknown counter,
-// and a Failed engine trips the circuit breaker (ErrEngineUnavailable)
-// before anything touches its port lock, so a broken engine cannot
-// queue work.
-func (c *Concurrent) admit(port string) (*guardedEngine, error) {
+// admit is the executor's first stage, for n requests naming one port:
+// after Close every op fails fast, an unknown port counts n against the
+// registry's unknown counter, and a Failed engine trips the circuit
+// breaker (ErrEngineUnavailable) before anything touches its port lock,
+// so a broken engine cannot queue work.
+func (c *Concurrent) admit(port string, n int) (*guardedEngine, error) {
 	if c.down.Load() {
 		return nil, ErrClosed
 	}
 	g, ok := c.engine(port)
 	if !ok {
-		c.met.AddUnknown(1)
+		c.met.AddUnknown(uint64(n))
 		return nil, errNoEngine(port)
 	}
 	if Health(g.health.Load()) == Failed {
@@ -594,7 +599,9 @@ func (c *Concurrent) Insert(port string, rec match.Record) error {
 // request shares with the tier above and recording into its trace,
 // either of which may be nil.
 func (c *Concurrent) InsertServed(port string, rec match.Record, ck *Clock, tr *trace.Trace) error {
-	return c.write(metrics.OpInsert, &JournalEntry{Op: JournalInsert, Engine: port, Rec: rec}, ck, tr)
+	var ents [1]JournalEntry
+	ents[0].Op, ents[0].Engine, ents[0].Rec = JournalInsert, port, rec
+	return c.writeOne(ents[:], ck, tr)
 }
 
 // Delete removes the exact key from the named engine under its write
@@ -606,11 +613,47 @@ func (c *Concurrent) Delete(port string, key bitutil.Ternary) error {
 // DeleteServed is Delete for a served request, as InsertServed is
 // Insert's.
 func (c *Concurrent) DeleteServed(port string, key bitutil.Ternary, ck *Clock, tr *trace.Trace) error {
-	return c.write(metrics.OpDelete, &JournalEntry{Op: JournalDelete, Engine: port, Key: key}, ck, tr)
+	var ents [1]JournalEntry
+	ents[0].Op, ents[0].Engine, ents[0].Key = JournalDelete, port, key
+	return c.writeOne(ents[:], ck, tr)
 }
 
-// write is the one write body, behind Insert* and Delete*. ent names
-// the mutation and is its journal record; which side of apply the
+// writeOne is a single write: a run of one, timed on the request's
+// clock.
+func (c *Concurrent) writeOne(ents []JournalEntry, ck *Clock, tr *trace.Trace) error {
+	var out [1]Written
+	if ck != nil {
+		out[0].Clock.T0 = ck.T0
+	}
+	c.write(ents, out[:], ck != nil || tr != nil, tr)
+	if ck != nil {
+		*ck = out[0].Clock
+	}
+	return out[0].Err
+}
+
+// Written is what the write body leaves behind for one member of a run:
+// its outcome and, when the run is watched, its clock.
+type Written struct {
+	Err   error
+	Clock Clock
+}
+
+// WriteRun applies a run of writes — INSERT and DELETE journal entries
+// that all name ents[0].Engine — in order, under one hold of the engine
+// lock, and leaves member i's outcome in out[i]. When watched, every
+// member is timed: admitted when its predecessor finished, the first
+// member at out[0].Clock.T0 (zero: now), and timed over its own window,
+// so the members' windows tile the run; the run's one durability wait
+// falls in its last member's window. Each outcome is what the member
+// would have met as a write of its own at its place in the run.
+func (c *Concurrent) WriteRun(ents []JournalEntry, out []Written, watched bool) {
+	c.write(ents, out, watched, nil)
+}
+
+// write is the one write body, behind Insert*, Delete* and WriteRun: a
+// run of journal entries naming one engine, each an insert or a delete,
+// and the record its mutation is logged as. Which side of apply the
 // record is appended on is the only thing the two kinds differ in.
 //
 // A delete is logged before it applies: a logged delete that then finds
@@ -623,56 +666,113 @@ func (c *Concurrent) DeleteServed(port string, key bitutil.Ternary, ck *Clock, t
 // must not survive in memory either (it would silently vanish on the
 // next recovery).
 //
-// Either way the append happens under the engine lock — so per-engine
-// LSN order equals apply order, the invariant the replay gate relies
-// on — and the durability wait (Commit) happens after unlock, so one
-// connection's fsync never blocks the engine's other writers (group
-// commit). The caller's ack is ordered after the wait: a nil return
-// means the mutation is durable under the journal's sync policy. The
-// wal_append window covers append + wait; it is stamped for every write
-// somebody watches — a shared clock as much as a trace — because the
-// writes that outlast a slowlog threshold are the ones that waited for
-// an fsync, and their entries are built after the fact from the clock.
-func (c *Concurrent) write(op metrics.Op, ent *JournalEntry, ck *Clock, tr *trace.Trace) error {
-	g, err := c.admit(ent.Engine)
+// The run is admitted once and takes the engine lock once. Under it the
+// run goes a chunk (caram.BatchChunk writes) at a time: the touch stage
+// (Engine.Touch) fetches the chunk's home rows back to back, then its
+// writes apply in order, health re-checked before each — once the
+// engine has Failed, the rest of the run is refused as its own
+// admission would have been. Every append happens under the lock — so
+// per-engine LSN order is apply order, the invariant the replay gate
+// relies on — and the durability wait (Commit, on the run's last LSN)
+// after unlock, so one connection's fsync never blocks the engine's
+// other writers (group commit). A member's ack is ordered after the
+// wait: a nil Err means the mutation is durable under the journal's
+// sync policy. The wal_append window covers append (+ the wait, for the
+// last member); it is stamped for every write somebody watches — a
+// shared clock as much as a trace — because the writes that outlast a
+// slowlog threshold are the ones that waited for an fsync, and their
+// entries are built after the fact from the clock.
+func (c *Concurrent) write(ents []JournalEntry, out []Written, watched bool, tr *trace.Trace) {
+	g, err := c.admit(ents[0].Engine, len(ents))
 	if err != nil {
-		return err
+		for i := range out {
+			out[i].Err = err
+		}
+		return
 	}
-	watched := ck != nil || tr != nil
-	t0 := ck.begin(g.em != nil)
-	var lsn uint64
+	timed := watched || g.em != nil
+	t := out[0].Clock.T0
+	if timed && t.IsZero() {
+		t = time.Now()
+	}
+	var lsn, at uint64 // the run's last LSN, and the last member's
 	var walStart time.Time
+	n := len(ents) // the members applied; the rest were refused
 	g.mu.Lock()
+	for i := range ents {
+		if i > 0 && Health(g.health.Load()) == Failed {
+			for j := i; j < len(ents); j++ {
+				out[j].Err = ErrEngineUnavailable
+			}
+			n = i
+			break
+		}
+		if i%caram.BatchChunk == 0 && len(ents) > 1 {
+			g.e.Touch(ents[i:min(i+caram.BatchChunk, len(ents))])
+		}
+		o := &out[i]
+		o.Clock.T0 = t
+		if at, walStart, o.Err = c.apply(g, &ents[i], watched); at != 0 {
+			lsn = at
+		}
+		if timed && i < len(ents)-1 {
+			end := time.Now()
+			o.Clock.Dur = end.Sub(t)
+			if at != 0 && watched {
+				o.Clock.WALAt, o.Clock.WALDur = walStart.Sub(t), end.Sub(walStart)
+			}
+			t = end
+		}
+	}
+	g.mu.Unlock()
+	if lsn != 0 {
+		if cerr := c.jr.Commit(lsn); cerr != nil {
+			for i := range out[:n] {
+				if out[i].Err == nil {
+					out[i].Err = cerr
+				}
+			}
+		}
+		tr.Span(trace.KindWALAppend, walStart)
+	}
+	if !timed {
+		return
+	}
+	last := &out[n-1].Clock
+	end := time.Now()
+	last.Dur = end.Sub(last.T0)
+	if at != 0 && watched {
+		last.WALAt, last.WALDur = walStart.Sub(last.T0), end.Sub(walStart)
+	}
+	if g.em != nil {
+		for i := range out[:n] {
+			op := metrics.OpInsert
+			if ents[i].Op == JournalDelete {
+				op = metrics.OpDelete
+			}
+			g.em.Observe(op, out[i].Clock.Dur, out[i].Err)
+		}
+	}
+}
+
+// apply is the write body's per-write stage, under the engine lock: the
+// mutation, its journal record on the side of it the kind calls for, and
+// the health re-evaluation an insert's outcome calls for. lsn is zero
+// when nothing was journaled.
+func (c *Concurrent) apply(g *guardedEngine, ent *JournalEntry, watched bool) (lsn uint64, walStart time.Time, err error) {
 	if ent.Op == JournalDelete {
 		if lsn, walStart, err = c.journal(g, ent, watched); err == nil {
 			err = g.e.Delete(ent.Key)
 		}
-	} else {
-		if err = g.e.Insert(ent.Rec, g.st); err == nil {
-			if lsn, walStart, err = c.journal(g, ent, watched); err != nil {
-				g.e.Delete(ent.Rec.Key) //nolint:errcheck // best-effort undo of a just-applied placement
-			}
-		}
-		g.raiseTo(c.evalHealth(g))
+		return lsn, walStart, err
 	}
-	g.mu.Unlock()
-	if lsn != 0 {
-		if cerr := c.jr.Commit(lsn); cerr != nil && err == nil {
-			err = cerr
-		}
-		tr.Span(trace.KindWALAppend, walStart)
-	}
-	if g.em != nil || ck != nil {
-		d := ck.observed(time.Since(t0))
-		if lsn != 0 && ck != nil {
-			ck.WALAt = walStart.Sub(t0)
-			ck.WALDur = d - ck.WALAt
-		}
-		if g.em != nil {
-			g.em.Observe(op, d, err)
+	if err = g.e.Insert(ent.Rec, g.st); err == nil {
+		if lsn, walStart, err = c.journal(g, ent, watched); err != nil {
+			g.e.Delete(ent.Rec.Key) //nolint:errcheck // best-effort undo of a just-applied placement
 		}
 	}
-	return err
+	g.raiseTo(c.evalHealth(g))
+	return lsn, walStart, err
 }
 
 // journal is the write body's journal stage: it appends ent (the caller
@@ -713,7 +813,7 @@ func (c *Concurrent) Search(port string, key bitutil.Ternary) (SearchResult, err
 // (Search delegates here), and with metrics also absent the clock is
 // never read.
 func (c *Concurrent) SearchServed(port string, key bitutil.Ternary, ck *Clock, tr *trace.Trace) (SearchResult, error) {
-	g, err := c.admit(port)
+	g, err := c.admit(port, 1)
 	if err != nil {
 		return SearchResult{}, err
 	}
@@ -939,7 +1039,7 @@ func (c *Concurrent) MSearchServed(reqs []PortKey, ck *Clock, sc *MSearchScratch
 	for i, r := range reqs {
 		if j < 0 || r.Port != reqs[i-1].Port {
 			j = -1
-			if g, err := c.admit(r.Port); err != nil {
+			if g, err := c.admit(r.Port, 1); err != nil {
 				out[i].Err = err
 			} else if j = slices.IndexFunc(jobs, func(m mjob) bool { return m.g == g }); j < 0 {
 				// (Engine counts are small; a linear scan beats a map.)

@@ -164,6 +164,26 @@ func (e *Engine) Delete(key bitutil.Ternary) error {
 	return nil
 }
 
+// Touch is the touch stage of a chunk of writes to this engine — at
+// most caram.BatchChunk journal entries, inserts and deletes — run
+// before they apply: it computes each write's home row and fetches them
+// back to back (caram.Slice.Touch), so the chunk's row misses overlap
+// instead of queueing one behind each write. It changes nothing. The
+// caller holds the engine's write lock, or owns the engine outright, as
+// replay does.
+func (e *Engine) Touch(ents []JournalEntry) {
+	var homes [caram.BatchChunk]uint32
+	n := min(len(ents), len(homes))
+	for i := range homes[:n] {
+		key := &ents[i].Key
+		if ents[i].Op == JournalInsert {
+			key = &ents[i].Rec.Key
+		}
+		homes[i] = e.Main.Index(key.Value)
+	}
+	e.Main.Touch(homes[:n])
+}
+
 // Search looks the key up in the main array and, simultaneously, the
 // overflow area. With an overflow area attached the row cost is the
 // main lookup's only (AMAL = 1 under NoProbing), since the CAM search

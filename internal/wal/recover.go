@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -170,15 +171,22 @@ func Recover(dir string, bootstrap []*subsystem.Engine, opts Options) (*Log, *Re
 
 // replayState threads the roster through snapshot overlay and segment
 // replay. br is the one snapChunk buffer every file recovery reads —
-// each snapshot pass, each segment — goes through.
+// each snapshot pass, each segment — goes through. run queues up to
+// caram.BatchChunk consecutive inserts and deletes of one engine, with
+// their LSNs, for the touch stage the live write path runs them through
+// (subsystem.Engine.Touch).
 type replayState struct {
 	m         map[string]*subsystem.Engine
 	order     []string
 	rosterLSN uint64
-	lastLSN   uint64
+	lastLSN   uint64 // the last record read, queued ones included
 	sealed    bool
 	res       *RecoverResult
 	br        *bufio.Reader
+
+	run    [caram.BatchChunk]subsystem.JournalEntry
+	runLSN [caram.BatchChunk]uint64
+	runN   int
 }
 
 // sweepSnapshotTemps deletes the snap-*.snap.tmp files a crash
@@ -286,6 +294,7 @@ func (st *replayState) replaySegment(path string, wantStart uint64, final bool) 
 		return err
 	}
 	defer f.Close()
+	defer st.drain() // a segment's records are all applied by the time it is left
 	fi, err := f.Stat()
 	if err != nil {
 		return err
@@ -336,7 +345,7 @@ func (st *replayState) replaySegment(path string, wantStart uint64, final bool) 
 			return fmt.Errorf("%w: LSNs %d-%d missing before offset %d of segment %s", errGap, st.lastLSN+1, lsn-1, off, path)
 		}
 		e.Engine = st.intern(name)
-		if err := st.apply(lsn, e); err != nil {
+		if err := st.take(lsn, &e); err != nil {
 			return fmt.Errorf("wal: segment %s: lsn %d: %w", path, lsn, err)
 		}
 		n := frameHeader + len(payload)
@@ -393,6 +402,44 @@ func nextFrame(br *bufio.Reader, avail int64) ([]byte, error) {
 		return nil, nil
 	}
 	return frame[frameHeader:], nil
+}
+
+// take replays one record in LSN order: an insert or a delete joins the
+// run of its engine's writes, which is applied through the touch stage
+// once it holds caram.BatchChunk of them; any other record, or a write
+// to another engine, applies the run first.
+func (st *replayState) take(lsn uint64, e *subsystem.JournalEntry) error {
+	st.lastLSN = max(st.lastLSN, lsn)
+	if e.Op != subsystem.JournalInsert && e.Op != subsystem.JournalDelete {
+		st.drain()
+		return st.apply(lsn, *e)
+	}
+	if st.runN == len(st.run) || (st.runN > 0 && e.Engine != st.run[0].Engine) {
+		st.drain()
+	}
+	st.run[st.runN], st.runLSN[st.runN] = *e, lsn
+	st.runN++
+	st.sealed = false
+	return nil
+}
+
+// drain applies the queued run: the touch stage over the records the
+// engine's replay gate lets through, then each record through apply, in
+// order. Inserts and deletes never fail apply — a record the engine
+// refuses is counted as dropped.
+func (st *replayState) drain() {
+	run, lsns := st.run[:st.runN], st.runLSN[:st.runN]
+	st.runN = 0
+	if len(run) == 0 {
+		return
+	}
+	if eng := st.m[run[0].Engine]; eng != nil && len(run) > 1 {
+		from, _ := slices.BinarySearch(lsns, eng.AppliedLSN+1)
+		eng.Touch(run[from:])
+	}
+	for i := range run {
+		st.apply(lsns[i], run[i]) //nolint:errcheck // nil for inserts and deletes
+	}
 }
 
 // apply replays one record through the idempotence gates.

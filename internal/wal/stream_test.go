@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"caram/internal/subsystem"
 )
@@ -324,16 +325,16 @@ func mallocs() uint64 {
 }
 
 // TestAppendAllocGuard: the WAL's double buffer never regrows. Once both
-// halves exist, Append and the syncer's flush allocate nothing; a half a
-// stalled syncer let grow past bufBytes is dropped at the flush that
-// writes it, not kept as the spare. Every write is one observation of
-// the commit-batch histogram, its records summed.
+// halves exist, Append and the syncer's flush allocate nothing, and an
+// Append that finds its half full waits for the syncer to write it
+// rather than growing it: both halves keep bufBytes of capacity through
+// three halves' worth of records. Every write is one observation of the
+// commit-batch histogram, its records summed.
 func TestAppendAllocGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	// Under sync=always nothing but Commit kicks the syncer, so flushes
-	// happen here and only here.
+	// Under sync=always only Commit and a full half kick the syncer.
 	w, _, err := Recover(t.TempDir(), nil, Options{Sync: SyncPolicy{Mode: SyncAlways}})
 	if err != nil {
 		t.Fatal(err)
@@ -353,17 +354,18 @@ func TestAppendAllocGuard(t *testing.T) {
 		t.Fatalf("Append + flush allocated %.1f times, want 0", allocs)
 	}
 	records := uint64(103)
-	for {
-		w.mu.Lock()
-		grown := cap(w.buf) > bufBytes
-		w.mu.Unlock()
-		if grown {
-			break
-		}
+	size := len(appendRecord(nil, 1, ent))
+	for n := 3 * flushChunk / size; n > 0; n-- {
 		if _, err := w.Append(ent); err != nil {
 			t.Fatal(err)
 		}
 		records++
+		w.mu.Lock()
+		halves := []int{cap(w.buf), cap(w.spare)}
+		w.mu.Unlock()
+		if halves[0] > bufBytes || halves[1] > bufBytes {
+			t.Fatalf("after %d records: buffer capacities %v, past the %d of a half", records, halves, bufBytes)
+		}
 	}
 	if err := w.flush(false); err != nil {
 		t.Fatal(err)
@@ -371,11 +373,42 @@ func TestAppendAllocGuard(t *testing.T) {
 	w.mu.Lock()
 	halves := []int{cap(w.buf), cap(w.spare)}
 	w.mu.Unlock()
-	if halves[0] != bufBytes || halves[1] != 0 {
-		t.Fatalf("after the grown half was written: buffer capacities %v, want [%d 0] (the grown one dropped)", halves, bufBytes)
+	if halves[0] != bufBytes || halves[1] != bufBytes {
+		t.Fatalf("buffer capacities %v, want both halves at %d", halves, bufBytes)
 	}
-	if b := w.Stats().CommitBatch; b.N != 104 || b.Sum != records {
-		t.Fatalf("commit batches: %d writes of %d records, want 104 of %d", b.N, b.Sum, records)
+	if b := w.Stats().CommitBatch; b.N < 106 || b.Sum != records {
+		t.Fatalf("commit batches: %d writes of %d records, want 106 or more of %d", b.N, b.Sum, records)
+	}
+}
+
+// TestAppendWaitsForALaggingSyncer: a writer faster than the syncer is
+// held to its pace. With the syncer stalled 20 ms before every batch,
+// 300 000 appends fill each half many times over; the half being filled
+// never grows past bufBytes — Append waits for the swap instead.
+func TestAppendWaitsForALaggingSyncer(t *testing.T) {
+	w, _, err := Recover(t.TempDir(), nil, Options{
+		Sync:     SyncPolicy{Mode: SyncInterval, Interval: 5 * time.Millisecond},
+		SlowSync: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Seal() //nolint:errcheck
+	ent := subsystem.JournalEntry{Op: subsystem.JournalInsert, Engine: "db", Rec: rec(1)}
+	most := 0
+	for i := 0; i < 300_000; i++ {
+		if _, err := w.Append(ent); err != nil {
+			t.Fatal(err)
+		}
+		w.mu.Lock()
+		most = max(most, cap(w.buf))
+		w.mu.Unlock()
+	}
+	if most > bufBytes {
+		t.Fatalf("the half being filled grew to %d bytes; a half is %d", most, bufBytes)
+	}
+	if st := w.Stats(); st.LSN != 300_000 {
+		t.Fatalf("appended %d records, want 300000", st.LSN)
 	}
 }
 

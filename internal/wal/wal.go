@@ -20,12 +20,15 @@
 //
 // Concurrency: Append only assigns an LSN and extends an in-memory
 // buffer under l.mu — it is called while an engine lock is held and
-// must never block on I/O. All file I/O (write, fsync, segment roll)
+// never performs I/O itself. All file I/O (write, fsync, segment roll)
 // happens under l.ioMu, on the syncer goroutine or on the rare
-// snapshot/seal paths, against a double-buffered batch, so an fsync in
-// flight never delays appends. Commit under sync=always waits on a
-// condition variable until the syncer reports the LSN durable — many
-// waiters share one fsync (group commit).
+// snapshot/seal paths, against a double buffer of two fixed halves, so
+// an fsync in flight never delays appends — until the half being filled
+// is full while the other is still being written: then Append waits for
+// the syncer to swap them, and memory stays at the two halves whatever
+// the write rate. Commit under sync=always waits on a condition
+// variable until the syncer reports the LSN durable — many waiters
+// share one fsync (group commit).
 package wal
 
 import (
@@ -110,9 +113,10 @@ const (
 	segMagic            = "CARWAL01"
 	snapMagic           = "CARSNP01"
 	defaultSegmentBytes = 64 << 20
-	// flushChunk bounds userland buffering under relaxed sync modes:
-	// once this much is pending the syncer is kicked to write (without
-	// fsync under SyncNever) so memory stays flat under write storms.
+	// flushChunk bounds userland buffering: once this much is pending
+	// the syncer is kicked to write (without fsync under SyncNever), and
+	// an Append that finds a half this full waits for the swap, so
+	// memory stays flat under write storms.
 	flushChunk = 1 << 20
 	bufBytes   = flushChunk + frameHeader + maxRecordBytes // a half of the double buffer, allocated once: it never regrows
 )
@@ -166,9 +170,16 @@ type Log struct {
 
 // Append encodes the entry, assigns it the next LSN, and buffers it.
 // It never performs I/O — safe under an engine lock. The record is not
-// durable (and under sync=always not even written) until Commit.
+// durable (and under sync=always not even written) until Commit. When
+// the half being filled holds flushChunk bytes, Append kicks the syncer
+// and waits until it has swapped the halves: the half never grows, so a
+// writer faster than the disk is held to the disk's pace, not buffered.
 func (l *Log) Append(e subsystem.JournalEntry) (uint64, error) {
 	l.mu.Lock()
+	for len(l.buf) >= flushChunk && l.err == nil && !l.closed {
+		l.kickSyncer()
+		l.cond.Wait()
+	}
 	if l.err != nil {
 		err := l.err
 		l.mu.Unlock()
@@ -294,6 +305,7 @@ func (l *Log) flush(fsync bool) error {
 	l.buf = l.spare
 	l.spare = nil
 	alreadyDurable := l.durable
+	l.cond.Broadcast() // an Append waiting for room has it now
 	l.mu.Unlock()
 
 	var err error
@@ -336,7 +348,7 @@ func (l *Log) flush(fsync bool) error {
 			l.durable = target
 		}
 		if cap(batch) == bufBytes {
-			l.spare = batch[:0] // a half a syncer stall grew past bufBytes is dropped
+			l.spare = batch[:0] // not a seal's one-off buffer
 		}
 	}
 	l.cond.Broadcast()

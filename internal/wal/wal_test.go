@@ -1,8 +1,14 @@
 package wal
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -319,5 +325,141 @@ func TestSealedLogRejectsWrites(t *testing.T) {
 	}
 	if _, err := w.Append(subsystem.JournalEntry{Op: subsystem.JournalInsert, Engine: "db", Rec: rec(1)}); err == nil {
 		t.Fatal("append after seal succeeded")
+	}
+}
+
+// TestStagedReplayMatchesRecordAtATime: recovery runs each engine's
+// consecutive inserts and deletes through the touch stage a chunk at a
+// time; it must leave exactly what applying the same log one record at a
+// time leaves. One log — two engines written in interleaved runs of every
+// length up to past a chunk, duplicate inserts, deletes of present and
+// absent keys, a CREATE and a DROP, several segments — is replayed both
+// ways: with no snapshot into bootstraps whose "db" is smaller than the
+// one that logged it, so that records are dropped, and with a snapshot
+// partway, whose replay gates skip part of a run. The engines' stored
+// words, counts and replay gates, and every RecoverResult count, must be
+// identical.
+func TestStagedReplayMatchesRecordAtATime(t *testing.T) {
+	t.Run("no-snapshot", func(t *testing.T) { stagedVersusRecordAtATime(t, -1) })
+	t.Run("snapshot", func(t *testing.T) { stagedVersusRecordAtATime(t, 60) })
+}
+
+// stagedVersusRecordAtATime builds the log, with a snapshot at step
+// snapAt (never when negative), and compares the two replays of it.
+func stagedVersusRecordAtATime(t *testing.T, snapAt int) {
+	dir := t.TempDir()
+	opts := Options{Sync: SyncPolicy{Mode: SyncNever}, SegmentBytes: 8 << 10}
+	w, res, err := Recover(dir, []*subsystem.Engine{testEngine(t, "db"), testEngine(t, "aux")}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := subsystem.New(0)
+	for _, e := range res.Engines {
+		if err := sub.AddEngine(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	con := subsystem.NewConcurrent(sub).SetJournal(w, res.RosterLSN)
+	rng := rand.New(rand.NewSource(7))
+	ports := []string{"db", "aux"}
+	for step := 0; step < 120; step++ {
+		switch step {
+		case 30:
+			if err := con.CreateEngine("tmp", subsystem.ExactEngine, subsystem.TypedConfig{IndexBits: 4, Slots: 4}); err != nil {
+				t.Fatal(err)
+			}
+			ports = append(ports, "tmp")
+		case snapAt:
+			if err := w.Snapshot(con.SnapshotImage); err != nil {
+				t.Fatal(err)
+			}
+		case 90:
+			if err := con.DropEngine("tmp"); err != nil {
+				t.Fatal(err)
+			}
+			ports = ports[:2]
+		}
+		port := ports[rng.Intn(len(ports))]
+		for n := rng.Intn(2*caram.BatchChunk + 3); n >= 0; n-- {
+			i := uint64(rng.Intn(400))
+			if rng.Intn(3) == 0 {
+				con.Delete(port, key(i)) //nolint:errcheck // absent keys are part of the log
+			} else {
+				con.Insert(port, rec(i)) //nolint:errcheck // so are refused duplicates (not logged)
+			}
+		}
+		if err := w.flush(false); err != nil { // writes the step out, rolling past 8 KiB
+			t.Fatal(err)
+		}
+	}
+	// No seal: the log ends as a crash leaves it.
+	logged := w.LastLSN()
+
+	boot := func() []*subsystem.Engine {
+		small, err := subsystem.NewTypedEngine("db", subsystem.ExactEngine, subsystem.TypedConfig{IndexBits: 4, Slots: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*subsystem.Engine{small, testEngine(t, "aux")}
+	}
+	// The oracle: the snapshot the same way, then every record of every
+	// segment decoded and applied on its own.
+	st := &replayState{m: make(map[string]*subsystem.Engine), res: &RecoverResult{}, br: bufio.NewReaderSize(nil, snapChunk)}
+	for _, e := range boot() {
+		st.m[e.Name] = e
+		st.order = append(st.order, e.Name)
+	}
+	if err := st.loadLatestSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("%d segments (%v), want several", len(segs), err)
+	}
+	for _, seg := range segs {
+		data, err := os.ReadFile(filepath.Join(dir, seg.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 16; off < len(data); {
+			n := int(binary.LittleEndian.Uint32(data[off:]))
+			lsn, e, name, err := decodeRecord(data[off+frameHeader : off+frameHeader+n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Engine = st.intern(name)
+			if err := st.apply(lsn, e); err != nil {
+				t.Fatal(err)
+			}
+			off += frameHeader + n
+		}
+	}
+
+	_, got, err := Recover(dir, boot(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Replayed != st.res.Replayed || got.Dropped != st.res.Dropped || got.LastLSN != st.lastLSN ||
+		got.RosterLSN != st.rosterLSN || got.CleanShutdown != st.sealed || fmt.Sprint(got.DroppedFirst) != fmt.Sprint(st.res.DroppedFirst) {
+		t.Fatalf("staged replay: replayed=%d dropped=%d last=%d roster=%d clean=%v %v\nrecord at a time: replayed=%d dropped=%d last=%d roster=%d clean=%v %v",
+			got.Replayed, got.Dropped, got.LastLSN, got.RosterLSN, got.CleanShutdown, got.DroppedFirst,
+			st.res.Replayed, st.res.Dropped, st.lastLSN, st.rosterLSN, st.sealed, st.res.DroppedFirst)
+	}
+	if snapAt < 0 && (got.Dropped == 0 || uint64(got.Replayed) != logged) {
+		t.Fatalf("replayed %d of %d records, dropped %d: the log does not exercise the stage", got.Replayed, logged, got.Dropped)
+	}
+	if snapAt >= 0 && (got.SnapshotLSN == 0 || got.Replayed < 500) {
+		t.Fatalf("replayed %d records over a snapshot at %d: the log does not exercise the gate", got.Replayed, got.SnapshotLSN)
+	}
+	if len(got.Engines) != len(st.order) {
+		t.Fatalf("staged replay recovered %d engines, record at a time %d", len(got.Engines), len(st.order))
+	}
+	for i, e := range got.Engines {
+		want := st.m[st.order[i]]
+		if e.Name != want.Name || e.AppliedLSN != want.AppliedLSN || e.Main.Count() != want.Main.Count() ||
+			!slices.Equal(e.Main.Array().PeekWords(), want.Main.Array().PeekWords()) {
+			t.Errorf("engine %s: staged replay holds %d records gated at %d, record at a time %s holds %d gated at %d, or their words differ",
+				e.Name, e.Main.Count(), e.AppliedLSN, want.Name, want.Main.Count(), want.AppliedLSN)
+		}
 	}
 }
