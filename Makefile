@@ -41,7 +41,8 @@
 #                       Handle — with no collector, an idle one, and
 #                       caram-server's default flags, served writes
 #                       (INSERT, DELETE, a duplicate INSERT, an absent
-#                       DELETE) as mixed-wal deploys them,
+#                       DELETE, runs of them, and the typed runs: lpm
+#                       MINSERT+MDELETE, TINSERT) as mixed-wal deploys them,
 #                       MSEARCH bookkeeping on one engine and across
 #                       four, the router with no
 #                       collector, an idle one, and caram-router's
@@ -90,9 +91,11 @@
 #                       the occupancy-mark suites (model, bounded-equals-
 #                       locked, stale buffer, mark churn, ECC opt-out)
 #                       under -race, the parser-hardening table, the
-#                       zero-alloc guard with typed engines registered,
-#                       and the byte-exact golden session serving all
-#                       four engine types in one process
+#                       typed write runs held to line-at-a-time under
+#                       -race, the zero-alloc guards with typed engines
+#                       registered (typed reads and write runs), and the
+#                       byte-exact golden session serving all four
+#                       engine types in one process
 #   make cluster-guard  cluster-router gate: the whole router suite
 #                       under -race (ring determinism + rebalance,
 #                       pool FIFO/breaker semantics, scatter/gather,
@@ -200,8 +203,10 @@ bench:
 # those reads plus a journaled write under no collector, an idle one and
 # caram-server's default flags; TestServedWritesZeroAlloc's INSERT,
 # DELETE, duplicate INSERT and absent DELETE with the WAL syncing every
-# 5 ms; both with a 64-INSERT run, a DELETE run and a mid-burst engine
-# switch, which Handle applies as runs of writes), the owning MSearch's
+# 5 ms; both with a 64-INSERT run, a DELETE run, a mid-burst engine
+# switch, 16 lpm MINSERTs of wildcarded prefixes then their MDELETEs,
+# and 16 TINSERTs then DELETEs of their key images, which Handle applies
+# as runs of writes), the owning MSearch's
 # bookkeeping held to its two slices, and
 # the router forward path (SEARCH and MSEARCH) with no collector, an
 # idle one, and the collector caram-router's default flags build; and
@@ -218,10 +223,11 @@ alloc-guard:
 	$(GO) test -run AllocGuard -count=1 ./internal/wal
 	$(GO) test -run 'ForwardPathAllocs|RouterUntracedZeroAlloc' -count=1 ./internal/cluster
 
-# Copy guard: no whole-struct copy on the per-key path — nor on the write
-# run's, from the session's join to the executor's run body and the
-# touch stage (the journal stage's Append takes its entry by value, as
-# the Journal interface has it, and is not listed). A value receiver,
+# Copy guard: no whole-struct copy on the per-key path — nor on the one
+# write path's, from the session's join and the write parser through
+# the flush's applyRun (or exec's run of one) to the executor's run body,
+# WriteRun, and the touch stage (the journal stage's Append takes its
+# entry by value, as the Journal interface has it, and is not listed). A value receiver,
 # or a by-value parameter or return, of a struct past 64 bytes
 # (caram.Config 112, match.Result 104, wire.Request and an MSEARCH slot
 # 88) compiles to a DUFFCOPY — a call into runtime.duffcopy — at every
@@ -239,8 +245,9 @@ COPY_GUARD_FUNCS = \
 	caram/internal/caram.(*Slice).DeleteWhere caram/internal/subsystem.(*guardedEngine).batchSeq \
 	caram/internal/subsystem.(*Concurrent).MSearchServed caram/internal/server.(*Server).exec \
 	caram/internal/caram.(*Slice).Touch caram/internal/subsystem.(*Engine).Touch \
-	caram/internal/subsystem.(*Concurrent).write caram/internal/server.(*session).join \
-	caram/internal/server.(*session).flushRun \
+	caram/internal/subsystem.(*Concurrent).WriteRun caram/internal/server.(*session).join \
+	caram/internal/server.(*session).flushRun caram/internal/server.(*Server).applyRun \
+	caram/internal/server.(*Server).parseWrite caram/internal/server.(*Server).execWriteAppend \
 	caram/internal/server.(*Server).execMSearchAppend caram/internal/cluster.(*Router).route \
 	caram/internal/wire.(*Scanner).Next caram/internal/wire.ParseVec
 copy-guard:
@@ -293,12 +300,13 @@ crash-harness:
 # recovered — since every write path keeps a pre-image for it; replay's
 # dropped-record count, staged replay held to record-at-a-time replay,
 # and the WAL's bounded buffer under a lagging syncer; the write runs —
-# random bursts through Handle held to the same lines one ExecAppend at
-# a time (replies, tables, journal), an engine failing mid-run, and
-# DROP ENGINE racing runs.
+# random bursts of every write verb, typed ones included, through Handle
+# held to the same lines one ExecAppend at a time (replies, tables,
+# journal), an engine failing mid-run, and DROP ENGINE racing runs.
 # Then, without it, the allocation guards of the path: the slice's
 # mutators, served writes with the WAL attached as deployed (runs
-# included), an MSEARCH line through ExecAppend and Handle, and the
+# included, the typed write guards' lpm MINSERT+MDELETE and TINSERT runs
+# among them), an MSEARCH line through ExecAppend and Handle, and the
 # owning MSearch's two; and a 10 000-INSERT burst admitting no slowlog
 # entry at the deployed threshold.
 write-guard:
@@ -356,11 +364,16 @@ seqlock-guard:
 # variant and slot bound, and the occupancy-mark suites (write-path
 # model against Verify, bounded Reader equal to the locked path, stale
 # snapshot buffer, mark churn under LookupBest, ECC whole-row opt-out);
-# then the typed parser-hardening table, the zero-alloc guard with typed
-# engines registered, and the golden session that serves exact, lpm,
-# pktclass, and trigram engines from one server process.
+# then the typed parser-hardening table, the typed run differential —
+# MINSERT, MDELETE and TINSERT runs, type-gate and text errors mid-run,
+# interleaved with exact runs, held to the same lines one ExecAppend at a
+# time — under the race detector, the zero-alloc guards with typed
+# engines registered (typed reads, and the typed write guards: lpm
+# MINSERT+MDELETE and TINSERT runs), and the golden session that serves
+# exact, lpm, pktclass, and trigram engines from one server process.
 typed-guard:
 	$(GO) test -race -run 'Typed' -count=1 ./internal/server ./internal/subsystem
+	$(GO) test -race -run 'WriteRun' -count=1 ./internal/server
 	$(GO) test -race -run 'Kernel' -count=1 ./internal/match
 	$(GO) test -race -run 'Occupancy|ReaderBounded|ReaderStaleBuffer|ReaderMarkChurn|ReaderWholeRows' -count=1 ./internal/caram
 	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/server

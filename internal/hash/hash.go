@@ -9,7 +9,6 @@ package hash
 
 import (
 	"fmt"
-	"sort"
 
 	"caram/internal/bitutil"
 )
@@ -86,28 +85,26 @@ func (b *BitSelect) Name() string { return fmt.Sprintf("bitselect%v", b.Position
 // duplicated into 2^n buckets to preserve don't-care semantics (§4);
 // the returned slice has exactly that length and is sorted.
 func (b *BitSelect) TernaryIndices(key bitutil.Ternary) []uint32 {
-	base := b.Index(key.Value)
-	var wild []int // index-bit positions that are don't care
+	return b.AppendTernaryIndices(nil, key)
+}
+
+// AppendTernaryIndices appends TernaryIndices(key) to dst and returns
+// the extended slice, so that a caller holding a scratch slice allocates
+// nothing.
+func (b *BitSelect) AppendTernaryIndices(dst []uint32, key bitutil.Ternary) []uint32 {
+	var wild uint32 // the index bits that are don't care
 	for i, p := range b.Positions {
-		if key.Mask.Bit(p) == 1 {
-			wild = append(wild, i)
+		wild |= uint32(key.Mask.Bit(p)) << uint(i)
+	}
+	base := b.Index(key.Value) &^ wild
+	// (sub - wild) & wild is the next subset of wild after sub, in
+	// ascending order: the indices come out sorted.
+	for sub := uint32(0); ; sub = (sub - wild) & wild {
+		dst = append(dst, base|sub)
+		if sub == wild {
+			return dst
 		}
 	}
-	n := len(wild)
-	out := make([]uint32, 0, 1<<uint(n))
-	for combo := 0; combo < 1<<uint(n); combo++ {
-		idx := base
-		for j, bitPos := range wild {
-			if combo>>uint(j)&1 == 1 {
-				idx |= 1 << uint(bitPos)
-			} else {
-				idx &^= 1 << uint(bitPos)
-			}
-		}
-		out = append(out, idx)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // DuplicationFactor returns how many buckets the key occupies (2^n for n

@@ -69,6 +69,41 @@ func TestTernaryIndicesDuplication(t *testing.T) {
 	}
 }
 
+// TestTernaryIndicesAscending holds the subset walk to a brute-force
+// scan: for random selections (positions in any order) and random
+// ternary keys, the indices are exactly the rows whose cared-for bits
+// agree with the key, in ascending order with no sort, appended after
+// whatever dst already held.
+func TestTernaryIndicesAscending(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for trial := 0; trial < 500; trial++ {
+		r := 1 + rng.Intn(10)
+		gen := NewBitSelect(rng.Perm(64)[:r])
+		key := bitutil.NewTernary(bitutil.FromUint64(rng.Uint64()), bitutil.FromUint64(rng.Uint64()&rng.Uint64()))
+		var want []uint32
+		for idx := uint32(0); idx < 1<<uint(r); idx++ {
+			ok := true
+			for i, p := range gen.Positions {
+				if key.Mask.Bit(p) == 0 && uint(idx>>uint(i)&1) != key.Value.Bit(p) {
+					ok = false
+				}
+			}
+			if ok {
+				want = append(want, idx)
+			}
+		}
+		got := gen.AppendTernaryIndices([]uint32{7}, key)
+		if len(got) != 1+len(want) || got[0] != 7 || len(want) != gen.DuplicationFactor(key) {
+			t.Fatalf("positions %v key %v: %v, want 7 then %v", gen.Positions, key, got, want)
+		}
+		for i := range want {
+			if got[1+i] != want[i] {
+				t.Fatalf("positions %v key %v: %v, want 7 then %v", gen.Positions, key, got, want)
+			}
+		}
+	}
+}
+
 func TestDJBRecurrence(t *testing.T) {
 	// Manual expansion for "ab": h = 5381; h = h*33 + 'a'; h = h*33 + 'b'.
 	h := uint64(5381)

@@ -12,6 +12,7 @@ import (
 	"caram/internal/hash"
 	"caram/internal/subsystem"
 	"caram/internal/trace"
+	"caram/internal/trigram"
 	"caram/internal/wal"
 )
 
@@ -149,7 +150,12 @@ func TestServedWritesZeroAlloc(t *testing.T) {
 	}
 	s := allocServer(WithWAL(w, res, 0), WithTracing(trace.NewCollector(trace.Config{Slowlog: 10 * time.Millisecond})))
 	defer s.Close() //nolint:errcheck
-	for _, req := range []string{"INSERT db dead 42", "CREATE ENGINE aux TYPE exact INDEXBITS 6 SLOTS 4"} {
+	for _, req := range []string{
+		"INSERT db dead 42",
+		"CREATE ENGINE aux TYPE exact INDEXBITS 6 SLOTS 4",
+		"CREATE ENGINE ip TYPE lpm INDEXBITS 6 SLOTS 8",
+		"CREATE ENGINE tri TYPE trigram INDEXBITS 6",
+	} {
 		if got := s.Exec(req); got != "OK" {
 			t.Fatalf("%s: %q", req, got)
 		}
@@ -206,9 +212,13 @@ type writeCase struct {
 
 // runCases are the guards' inputs that Handle applies as runs of writes:
 // 64 INSERTs then the 64 DELETEs that undo them, 64 DELETEs of absent
-// keys, and runs of 16 that switch engine, db to aux and back, mid-burst.
+// keys, runs of 16 that switch engine, db to aux and back, mid-burst, and
+// the typed writes: 16 MINSERTs of /14 prefixes to the lpm engine ip
+// (each duplicated into 4 home buckets) then the MDELETEs that undo
+// them, and 16 TINSERTs to the trigram engine tri then DELETEs of their
+// key images.
 var runCases = func() []writeCase {
-	var ins, del, absent, sw []string
+	var ins, del, absent, sw, lpm, tri []string
 	for i := 0; i < 64; i++ {
 		ins = append(ins, fmt.Sprintf("INSERT db %x %x", 0x1000+i, i))
 		del = append(del, fmt.Sprintf("DELETE db %x", 0x1000+i))
@@ -225,10 +235,28 @@ var runCases = func() []writeCase {
 			}
 		}
 	}
+	for _, verb := range []string{"MINSERT", "MDELETE"} {
+		for i := 0; i < 16; i++ {
+			line := fmt.Sprintf("%s ip %x 3ffff", verb, 0xc000000|i<<20)
+			if verb == "MINSERT" {
+				line += fmt.Sprintf(" %x", i)
+			}
+			lpm = append(lpm, line)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		tri = append(tri, fmt.Sprintf("TINSERT tri %x run text %d", i, i))
+	}
+	for i := 0; i < 16; i++ {
+		k := trigram.Entry{Text: fmt.Sprintf("run text %d", i)}.Key()
+		tri = append(tri, fmt.Sprintf("DELETE tri %x:%x", k.Hi, k.Lo))
+	}
 	return []writeCase{
 		{"INSERT-run", append(ins, del...), "OK"},
 		{"DELETE-run", absent, "ERR caram: record not found"},
 		{"engine-switch", sw, "OK"},
+		{"lpm-run", lpm, "OK"},
+		{"TINSERT-run", tri, "OK"},
 	}
 }()
 

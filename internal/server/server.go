@@ -47,6 +47,7 @@ import (
 	"caram/internal/metrics"
 	"caram/internal/subsystem"
 	"caram/internal/trace"
+	"caram/internal/trigram"
 	"caram/internal/wal"
 	"caram/internal/wire"
 )
@@ -273,15 +274,15 @@ func (s *Server) Handle(r io.Reader, w io.Writer) {
 
 // session is the server's half of a connection (wire.Session). A
 // request is answered on the spot, unless it is a write that can join a
-// run: consecutive well-formed INSERT and DELETE lines naming one
-// engine, none of them head-sampled or *TID-tagged. Those are parsed
-// into their journal entries as they arrive and applied together
-// (subsystem.Concurrent.WriteRun) — under one hold of the engine lock,
-// their home rows fetched a chunk ahead — when the next line is anything
-// else (a malformed write and a write to another engine included), when
-// the run reaches runCap, or at Settle, which is before the burst's
-// flush. So every reply still follows its request's apply, and replies
-// leave in request order.
+// run: consecutive well-formed INSERT, DELETE, MINSERT, MDELETE and
+// TINSERT lines naming one engine, none of them head-sampled or
+// *TID-tagged. Those are parsed into their journal entries as they
+// arrive and applied together (applyRun) — under one hold of the engine
+// lock, their home rows fetched a chunk ahead — when the next line is
+// anything else (a malformed write and a write to another engine
+// included), when the run reaches runCap, or at Settle, which is before
+// the burst's flush. So every reply still follows its request's apply,
+// and replies leave in request order.
 //
 // What the session keeps between requests is the burst's clock: end is
 // when the previous member of the burst finished, which is when this one
@@ -322,7 +323,7 @@ func (s *session) Request(out, line []byte) ([]byte, bool) {
 	var req wire.Request
 	wire.Parse(&req, v)
 	sampled := s.trc.Sample()
-	if !sampled && req.Status == wire.OK && req.TID == 0 && (req.Verb.ID == wire.Insert || req.Verb.ID == wire.Delete) {
+	if !sampled && req.Status == wire.OK && req.TID == 0 && writeVerbs>>req.Verb.ID&1 != 0 {
 		var joined bool
 		if out, joined = s.join(out, v, &req); joined {
 			return out, len(out) >= flushThreshold
@@ -335,6 +336,9 @@ func (s *session) Request(out, line []byte) ([]byte, bool) {
 	out = append(out, '\n')
 	return out, len(out) >= flushThreshold
 }
+
+// writeVerbs is the set of verbs parseWrite reads, a bit per verb ID.
+const writeVerbs uint32 = 1<<wire.Insert | 1<<wire.Delete | 1<<wire.MInsert | 1<<wire.MDelete | 1<<wire.TInsert
 
 func (s *session) Settle(out []byte) []byte {
 	out = s.flushRun(out)
@@ -364,10 +368,10 @@ var writeRuns = sync.Pool{New: func() any {
 	}
 }}
 
-// join adds an untraced INSERT or DELETE line to the session's run when
-// its arguments parse, and reports whether it did. A member naming
-// another engine than the run's applies the run first and opens the
-// next; a full run applies at once.
+// join adds an untraced write to the session's run when its arguments
+// parse, and reports whether it did. A member naming another engine than
+// the run's applies the run first and opens the next; a full run applies
+// at once.
 func (s *session) join(out []byte, line string, req *wire.Request) ([]byte, bool) {
 	fs := req.Args // a copy: a line that does not join is scanned again by its handler
 	if eng, _ := fs.Next(); s.run != nil && s.run.n > 0 && eng != wire.View(s.run.eng) {
@@ -378,8 +382,11 @@ func (s *session) join(out []byte, line string, req *wire.Request) ([]byte, bool
 	}
 	r := s.run
 	ent := &r.ents[r.n]
-	if fs = req.Args; parseWrite(ent, req.Verb, &fs) != "" {
-		return out, false
+	// A line that does not parse is answered by exec, which parses it
+	// again: the reply parseWrite appends here is dropped.
+	fs = req.Args
+	if reply, ok := s.parseWrite(out, ent, req.Verb, &fs); !ok {
+		return reply[:len(out)], false
 	}
 	if r.n == 0 {
 		r.eng = append(r.eng[:0], ent.Engine...)
@@ -407,18 +414,12 @@ func (s *session) flushRun(out []byte) []byte {
 	s.run = nil
 	if r.n > 0 {
 		watched := s.trc != nil || s.met != nil
-		clear(r.out[:r.n])
-		r.out[0].Clock.T0 = s.end
-		s.con.WriteRun(r.ents[:r.n], r.out[:r.n], watched)
+		s.applyRun(r.ents[:r.n], r.out[:r.n], s.end)
 		t, start := s.end, 0
 		var sv served
 		for i := range r.out[:r.n] {
 			mark := len(out)
-			if err := r.out[i].Err; err != nil {
-				out = appendErr(out, err)
-			} else {
-				out = append(out, wire.ReplyOK...)
-			}
+			out = appendWritten(out, &r.out[i])
 			if watched {
 				sv.clock = r.out[i].Clock
 				if sv.clock.T0.IsZero() {
@@ -441,6 +442,24 @@ func (s *session) flushRun(out []byte) []byte {
 	r.n, r.lines = 0, r.lines[:0]
 	writeRuns.Put(r)
 	return out
+}
+
+// applyRun is where the server applies writes: a session's run at its
+// flush, and a write exec answers on its own as a run of one. It hands
+// the run to subsystem.Concurrent.WriteRun, the first member admitted at
+// t0, and leaves member i's outcome in res[i].
+func (s *Server) applyRun(ents []subsystem.JournalEntry, res []subsystem.Written, t0 time.Time) {
+	clear(res)
+	res[0].Clock.T0 = t0
+	s.con.WriteRun(ents, res, s.trc != nil || s.met != nil)
+}
+
+// appendWritten appends a write's reply: OK, or the error it met.
+func appendWritten(dst []byte, w *subsystem.Written) []byte {
+	if w.Err != nil {
+		return appendErr(dst, w.Err)
+	}
+	return append(dst, wire.ReplyOK...)
 }
 
 // Exec runs one request line and returns the single-line response —
@@ -549,8 +568,9 @@ func (s *Server) exec(dst []byte, line string, req *wire.Request, sampled bool, 
 // or nil for a request that ran untraced and turned out slow. That
 // entry is built here from what the request left behind — identity from
 // the line, the lookup summary and probe chain from the search result
-// (subsystem.Retrace), a write's wal_append window from the shared
-// clock — so it has no parse, lock_wait or encode span.
+// (subsystem.Retrace) — so it has no parse, lock_wait or encode span.
+// Either way a write's wal_append span is its window on the shared
+// clock.
 func (s *Server) retain(tr *trace.Trace, line string, sv *served, d time.Duration, reply []byte) {
 	if tr == nil {
 		tr = s.trc.BeginAt(sv.clock.T0, false)
@@ -560,9 +580,9 @@ func (s *Server) retain(tr *trace.Trace, line string, sv *served, d time.Duratio
 		if sv.eng != "" {
 			s.con.Retrace(sv.eng, sv.sr, tr)
 		}
-		if sv.clock.WALDur != 0 {
-			tr.Add(trace.Event{Kind: trace.KindWALAppend, Offset: sv.clock.WALAt, Dur: sv.clock.WALDur})
-		}
+	}
+	if sv.clock.WALDur != 0 {
+		tr.Add(trace.Event{Kind: trace.KindWALAppend, Offset: sv.clock.WALAt, Dur: sv.clock.WALDur})
 	}
 	tr.SetResult(wire.Head(wire.View(reply)))
 	// On slowlog admission the trace is retained (immutable from here
@@ -609,33 +629,12 @@ func (s *Server) execAppend(dst []byte, req *wire.Request, sv *served, tr *trace
 			return appendBadHex(dst, bad)
 		}
 		return s.searchAppend(dst, eng, search, sv, tr)
-	case wire.Insert, wire.Delete:
-		var ent subsystem.JournalEntry
-		if bad := parseWrite(&ent, v, fs); bad == badUsage {
-			return appendUsage(dst, v)
-		} else if bad != "" {
-			return appendBadHex(dst, bad)
-		}
-		var err error
-		if ent.Op == subsystem.JournalInsert {
-			err = s.con.InsertServed(ent.Engine, ent.Rec, sv.ck(), tr)
-		} else {
-			err = s.con.DeleteServed(ent.Engine, ent.Key, sv.ck(), tr)
-		}
-		if err != nil {
-			return appendErr(dst, err)
-		}
-		return append(dst, wire.ReplyOK...)
+	case wire.Insert, wire.Delete, wire.MInsert, wire.MDelete, wire.TInsert:
+		return s.execWriteAppend(dst, v, fs, sv)
 	case wire.MSearch:
 		return s.execMSearchAppend(dst, v, fs, sv)
 	case wire.TSearch:
 		return s.execTSearchAppend(dst, v, fs, sv, tr)
-	case wire.TInsert:
-		return s.execTInsertAppend(dst, v, fs, sv, tr)
-	case wire.MInsert:
-		return s.execMInsertAppend(dst, v, fs, sv, tr)
-	case wire.MDelete:
-		return s.execMDeleteAppend(dst, v, fs, sv, tr)
 	case wire.Explain:
 		return s.execExplainAppend(dst, v, fs)
 	case wire.Stats:
@@ -679,40 +678,91 @@ func (s *Server) execAppend(dst []byte, req *wire.Request, sv *served, tr *trace
 	panic("server: verb " + v.Name + " has a table row but no handler")
 }
 
-// badUsage is parseWrite's verdict on a line whose fields do not fit the
-// verb: it cannot be a field, since fields hold no space.
-const badUsage = " "
+// execWriteAppend answers a write that joined no run — a traced or
+// malformed one, or any through ExecAppend — as a run of one.
+func (s *Server) execWriteAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, sv *served) []byte {
+	var ents [1]subsystem.JournalEntry
+	var res [1]subsystem.Written
+	var ok bool
+	if dst, ok = s.parseWrite(dst, &ents[0], v, fs); !ok {
+		return dst
+	}
+	var t0 time.Time
+	if sv != nil {
+		t0 = sv.clock.T0
+	}
+	s.applyRun(ents[:], res[:], t0)
+	if sv != nil {
+		sv.clock = res[0].Clock
+	}
+	return appendWritten(dst, &res[0])
+}
 
-// parseWrite reads an INSERT's or DELETE's arguments into the journal
-// entry that names the mutation, Engine a view of the line. It returns
-// "" when they parse, badUsage when the fields do not fit the verb, and
-// otherwise the first hex field wire.ParseVec rejected — in the order
-// the replies have always judged them: arity, then key, then data.
-func parseWrite(ent *subsystem.JournalEntry, v *wire.Verb, fs *wire.Scanner) (bad string) {
-	eng, ok1 := fs.Next()
-	keyS, ok2 := fs.Next()
-	dataS, ok3 := "", true
-	if v.ID == wire.Insert {
-		dataS, ok3 = fs.Next()
+// parseWrite reads a write's arguments — INSERT, DELETE, MINSERT,
+// MDELETE or TINSERT — into the journal entry that names its mutation,
+// Engine a view of the line, and reports whether they parse. When they
+// do not, it appends the reply that says why, judged in the order the
+// replies have always judged them: arity, then key, mask, data, text
+// length and score, then the engine's type (gateType). A masked write
+// stores its value bits under the mask zeroed, so equal rules have equal
+// row images; TINSERT folds its text, the rest of the line, into the
+// trigram key image and stores it with the 16-bit hex score.
+func (s *Server) parseWrite(dst []byte, ent *subsystem.JournalEntry, v *wire.Verb, fs *wire.Scanner) ([]byte, bool) {
+	eng, ok := fs.Next()
+	var rec match.Record
+	var accepts func(subsystem.EngineType) bool // nil: every engine type
+	if v.ID == wire.TInsert {
+		scoreS, ok2 := fs.Next()
+		text := fs.Rest()
+		if !ok || !ok2 || text == "" {
+			return appendUsage(dst, v), false
+		}
+		if len(text) > wire.MaxText {
+			return append(dst, "ERR text too long"...), false
+		}
+		score, err := strconv.ParseUint(scoreS, 16, 16)
+		if err != nil {
+			dst = append(dst, "ERR bad score "...)
+			return strconv.AppendQuote(dst, scoreS), false
+		}
+		rec.Key, rec.Data, accepts = bitutil.Exact(trigram.Entry{Text: text}.Key()), bitutil.FromUint64(score), isTrigram
+	} else {
+		masked, data := v.ID == wire.MInsert || v.ID == wire.MDelete, v.ID == wire.Insert || v.ID == wire.MInsert
+		keyS, ok2 := fs.Next()
+		maskS, ok3 := "", true
+		if masked {
+			maskS, ok3 = fs.Next()
+			accepts = ternaryWritable
+		}
+		dataS, ok4 := "", true
+		if data {
+			dataS, ok4 = fs.Next()
+		}
+		if _, extra := fs.Next(); !ok || !ok2 || !ok3 || !ok4 || extra {
+			return appendUsage(dst, v), false
+		}
+		var bad string
+		if rec.Key, bad = parseKey(keyS, maskS); bad != "" {
+			return appendBadHex(dst, bad), false
+		}
+		if data {
+			if rec.Data, ok = wire.ParseVec(dataS); !ok {
+				return appendBadHex(dst, dataS), false
+			}
+		}
 	}
-	if _, extra := fs.Next(); !ok1 || !ok2 || !ok3 || extra {
-		return badUsage
-	}
-	key, ok := wire.ParseVec(keyS)
-	if !ok {
-		return keyS
+	if accepts != nil {
+		if dst, ok = s.gateType(dst, v, eng, accepts); !ok {
+			return dst, false
+		}
 	}
 	ent.Engine = eng
-	if v.ID == wire.Delete {
-		ent.Op, ent.Key, ent.Rec = subsystem.JournalDelete, bitutil.Exact(key), match.Record{}
-		return ""
+	if v.ID == wire.Delete || v.ID == wire.MDelete {
+		ent.Op, ent.Key, ent.Rec = subsystem.JournalDelete, rec.Key, match.Record{}
+	} else {
+		ent.Op, ent.Key, ent.Rec = subsystem.JournalInsert, bitutil.Ternary{}, rec
 	}
-	data, ok := wire.ParseVec(dataS)
-	if !ok {
-		return dataS
-	}
-	ent.Op, ent.Key, ent.Rec = subsystem.JournalInsert, bitutil.Ternary{}, match.Record{Key: bitutil.Exact(key), Data: data}
-	return ""
+	return dst, true
 }
 
 // msearchState is what one MSEARCH request borrows: the parsed key list

@@ -324,7 +324,11 @@ func TestMetricsCommand(t *testing.T) {
 		"MSEARCH db dead db beef",
 		"DELETE db dead",
 		"DELETE db dead", // second delete errors: record not found
-		"SEARCH nope 1",  // unknown engine
+		"SEARCH nope 1",  // unknown engine, counted once per request whatever the verb
+		"MINSERT nope 1 0 2",
+		"MDELETE nope 1 0",
+		"TINSERT nope 2a abc",
+		"TSEARCH nope abc",
 		"METRICS",
 		"METRICS db",
 		"METRICS db LATENCY SEARCH",
@@ -333,21 +337,26 @@ func TestMetricsCommand(t *testing.T) {
 		"METRICS db LATENCY BOGUS",
 		"METRICS db extra junk",
 	)
+	for i := 7; i < 12; i++ {
+		if want := `ERR subsystem: no engine "nope"`; resp[i] != want {
+			t.Errorf("%d: %q, want %q", i, resp[i], want)
+		}
+	}
 	if resp[0] != "METRICS engines=1 ops=0 errors=0 unknown=0" {
 		t.Errorf("initial METRICS = %q", resp[0])
 	}
 	// 1 insert + 2 search + 2 msearch slots + 2 delete = 7 ops, 1 error
-	// (failed delete); the unknown-engine search counts separately.
-	if resp[8] != "METRICS engines=1 ops=7 errors=1 unknown=1" {
-		t.Errorf("summary METRICS = %q", resp[8])
+	// (failed delete); the five unknown-engine requests count separately.
+	if resp[12] != "METRICS engines=1 ops=7 errors=1 unknown=5" {
+		t.Errorf("summary METRICS = %q", resp[12])
 	}
 	want := "METRICS engine=db insert=1 insert_err=0 search=2 search_err=0" +
 		" delete=2 delete_err=1 msearch=2 msearch_err=0" +
 		" n=0 load=0.000 amal=1.000 hits=2 misses=2 overflow=0 spilled=0"
-	if resp[9] != want {
-		t.Errorf("engine METRICS = %q\n                 want %q", resp[9], want)
+	if resp[13] != want {
+		t.Errorf("engine METRICS = %q\n                 want %q", resp[13], want)
 	}
-	lat := resp[10]
+	lat := resp[14]
 	if !strings.HasPrefix(lat, "METRICS engine=db op=search n=2 err=0 mean_us=") {
 		t.Errorf("latency METRICS = %q", lat)
 	}
@@ -356,17 +365,17 @@ func TestMetricsCommand(t *testing.T) {
 			t.Errorf("latency METRICS missing %s: %q", field, lat)
 		}
 	}
-	if !strings.HasPrefix(resp[11], "ERR metrics: no engine") {
-		t.Errorf("unknown engine METRICS = %q", resp[11])
+	if !strings.HasPrefix(resp[15], "ERR metrics: no engine") {
+		t.Errorf("unknown engine METRICS = %q", resp[15])
 	}
-	if resp[12] != "ERR usage: METRICS [engine [LATENCY <op>]]" {
-		t.Errorf("short LATENCY = %q", resp[12])
+	if resp[16] != "ERR usage: METRICS [engine [LATENCY <op>]]" {
+		t.Errorf("short LATENCY = %q", resp[16])
 	}
-	if resp[13] != "ERR metrics: unknown op BOGUS" {
-		t.Errorf("bad op = %q", resp[13])
+	if resp[17] != "ERR metrics: unknown op BOGUS" {
+		t.Errorf("bad op = %q", resp[17])
 	}
-	if resp[14] != "ERR usage: METRICS [engine [LATENCY <op>]]" {
-		t.Errorf("extra args = %q", resp[14])
+	if resp[18] != "ERR usage: METRICS [engine [LATENCY <op>]]" {
+		t.Errorf("extra args = %q", resp[18])
 	}
 }
 

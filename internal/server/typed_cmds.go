@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"caram/internal/bitutil"
-	"caram/internal/match"
 	"caram/internal/subsystem"
 	"caram/internal/trace"
 	"caram/internal/trigram"
@@ -16,11 +15,12 @@ import (
 // ENGINE) plus the commands whose key encodings the generic
 // INSERT/SEARCH line format cannot carry — masked ternary writes for
 // the lpm and pktclass engines (MINSERT / MDELETE) and text-keyed
-// trigram operations (TINSERT / TSEARCH). Reads stay on the existing
-// commands: SEARCH <engine> <key> answers an LPM lookup with the
-// longest matching prefix and a pktclass lookup with the
-// highest-priority matching rule, because the engine's type carries
-// the ranking.
+// trigram operations (TINSERT / TSEARCH). The typed writes parse and
+// apply with INSERT and DELETE (parseWrite, applyRun); their engine-type
+// gate is here. Reads stay on the existing commands: SEARCH <engine>
+// <key> answers an LPM lookup with the longest matching prefix and a
+// pktclass lookup with the highest-priority matching rule, because the
+// engine's type carries the ranking.
 
 // maxEngines bounds how many engines one server will host — a
 // protocol-level guard so a misbehaving (or fuzzing) client cannot
@@ -137,107 +137,20 @@ func ternaryWritable(t subsystem.EngineType) bool {
 	return t == subsystem.LPMEngine || t == subsystem.PktClassEngine
 }
 
-// execMInsertAppend answers MINSERT <engine> <key> <mask> <data> — the
-// masked (ternary) insert for lpm/pktclass engines. Mask bits are
-// don't-cares; value bits under the mask are zeroed on storage, so
-// equal rules have equal row images.
-func (s *Server) execMInsertAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, sv *served, tr *trace.Trace) []byte {
-	eng, ok1 := fs.Next()
-	keyS, ok2 := fs.Next()
-	maskS, ok3 := fs.Next()
-	dataS, ok4 := fs.Next()
-	if _, extra := fs.Next(); !ok1 || !ok2 || !ok3 || !ok4 || extra {
-		return appendUsage(dst, v)
-	}
-	rule, bad := parseKey(keyS, maskS)
-	if bad != "" {
-		return appendBadHex(dst, bad)
-	}
-	data, ok := wire.ParseVec(dataS)
-	if !ok {
-		return appendBadHex(dst, dataS)
-	}
-	if dst, ok = s.gateType(dst, v, eng, ternaryWritable); !ok {
-		return dst
-	}
-	rec := match.Record{Key: rule, Data: data}
-	if err := s.con.InsertServed(eng, rec, sv.ck(), tr); err != nil {
-		return appendErr(dst, err)
-	}
-	return append(dst, wire.ReplyOK...)
-}
-
-// execMDeleteAppend answers MDELETE <engine> <key> <mask> — removes the
-// exact (key, mask) rule, every duplicated copy included.
-func (s *Server) execMDeleteAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, sv *served, tr *trace.Trace) []byte {
-	eng, ok1 := fs.Next()
-	keyS, ok2 := fs.Next()
-	maskS, ok3 := fs.Next()
-	if _, extra := fs.Next(); !ok1 || !ok2 || !ok3 || extra {
-		return appendUsage(dst, v)
-	}
-	rule, bad := parseKey(keyS, maskS)
-	if bad != "" {
-		return appendBadHex(dst, bad)
-	}
-	var ok bool
-	if dst, ok = s.gateType(dst, v, eng, ternaryWritable); !ok {
-		return dst
-	}
-	if err := s.con.DeleteServed(eng, rule, sv.ck(), tr); err != nil {
-		return appendErr(dst, err)
-	}
-	return append(dst, wire.ReplyOK...)
-}
-
 // isTrigram is the type a text-keyed verb insists on.
 func isTrigram(t subsystem.EngineType) bool { return t == subsystem.TrigramEngine }
 
-// gateType resolves the engine of a verb only some engine types serve
-// and insists on one of them.
+// gateType insists that the engine a verb names, when the verb is one
+// only some engine types serve, is of one of them. An unknown engine
+// passes: the executor refuses it at admission, which counts it.
 func (s *Server) gateType(dst []byte, v *wire.Verb, eng string, accepts func(subsystem.EngineType) bool) ([]byte, bool) {
 	typ, err := s.con.EngineType(eng)
-	if err != nil {
-		return appendErr(dst, err), false
+	if err != nil || accepts(typ) {
+		return dst, true
 	}
-	if !accepts(typ) {
-		dst = append(append(dst, "ERR "...), strings.ToLower(v.Name)...)
-		dst = append(dst, ": engine type "...)
-		return append(dst, typ.String()...), false
-	}
-	return dst, true
-}
-
-// execTInsertAppend answers TINSERT <engine> <score> <text...>: the
-// text (rest of the line, spaces allowed) is folded into the trigram
-// key image and stored with the 16-bit hex score.
-func (s *Server) execTInsertAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, sv *served, tr *trace.Trace) []byte {
-	eng, ok1 := fs.Next()
-	scoreS, ok2 := fs.Next()
-	text := fs.Rest()
-	if !ok1 || !ok2 || text == "" {
-		return appendUsage(dst, v)
-	}
-	if len(text) > wire.MaxText {
-		return append(dst, "ERR text too long"...)
-	}
-	score, err := strconv.ParseUint(scoreS, 16, 16)
-	if err != nil {
-		dst = append(dst, "ERR bad score "...)
-		return strconv.AppendQuote(dst, scoreS)
-	}
-	var ok bool
-	if dst, ok = s.gateType(dst, v, eng, isTrigram); !ok {
-		return dst
-	}
-	rec := match.Record{
-		Key:  bitutil.Exact(trigram.Entry{Text: text}.Key()),
-		Data: bitutil.FromUint64(score),
-	}
-	if err := s.con.InsertServed(eng, rec, sv.ck(), tr); err != nil {
-		return appendErr(dst, err)
-	}
-	return append(dst, wire.ReplyOK...)
+	dst = append(append(dst, "ERR "...), strings.ToLower(v.Name)...)
+	dst = append(dst, ": engine type "...)
+	return append(dst, typ.String()...), false
 }
 
 // execTSearchAppend answers TSEARCH <engine> <text...> with the same

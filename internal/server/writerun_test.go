@@ -15,7 +15,9 @@ import (
 	"caram/internal/hash"
 	"caram/internal/subsystem"
 	"caram/internal/trace"
+	"caram/internal/trigram"
 	"caram/internal/wal"
+	"caram/internal/wire"
 )
 
 // keptJournal is a journal that keeps every record it is handed, in LSN
@@ -42,9 +44,10 @@ func (j *keptJournal) LastLSN() uint64 {
 }
 
 // runServer builds one side of the run-versus-line differential: exact
-// engines db and aux, an error-coded exact engine ecc, a journal that
-// keeps every record, metrics on, and a collector that samples one
-// request in five. policy, when non-nil, replaces the health policy.
+// engines db and aux, an error-coded exact engine ecc, the typed engines
+// ip (lpm), acl (pktclass) and tri (trigram), a journal that keeps every
+// record, metrics on, and a collector that samples one request in five.
+// policy, when non-nil, replaces the health policy.
 func runServer(t *testing.T, policy *subsystem.HealthPolicy) (*Server, map[string]*caram.Slice, *keptJournal) {
 	t.Helper()
 	sub := subsystem.New(0)
@@ -62,6 +65,19 @@ func runServer(t *testing.T, policy *subsystem.HealthPolicy) (*Server, map[strin
 			t.Fatal(err)
 		}
 		slices[name] = sl
+	}
+	for _, te := range []struct {
+		name string
+		typ  subsystem.EngineType
+	}{{"ip", subsystem.LPMEngine}, {"acl", subsystem.PktClassEngine}, {"tri", subsystem.TrigramEngine}} {
+		e, err := subsystem.NewTypedEngine(te.name, te.typ, subsystem.TypedConfig{IndexBits: 5, Slots: 4})
+		if err == nil {
+			err = sub.AddEngine(e)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices[te.name] = e.Main
 	}
 	s := New(sub, WithTracing(trace.NewCollector(trace.Config{SampleN: 5, Slowlog: 10 * time.Millisecond, Ring: 8})))
 	j := &keptJournal{}
@@ -145,31 +161,52 @@ func runVersusLines(t *testing.T, bursts [][]string, policy *subsystem.HealthPol
 }
 
 // TestWriteRunsMatchLineAtATime: applying a burst's writes as runs is
-// invisible. Random bursts — runs of INSERT and DELETE of every length to
-// past runCap, with duplicate and absent keys, lower-case verbs and
-// engine switches and lines padded past a run's byte bound, broken up
-// by bad hex, arity errors, an unknown
-// engine, *TID-tagged and head-sampled writes, SEARCH and STATS — are
-// answered byte for byte as the same lines one ExecAppend at a time,
-// leave the same tables and journal the same records in the same order;
-// the METRICS counters that close the last burst agree too.
+// invisible. Random bursts — runs of every length to past runCap, with
+// duplicate and absent keys, lower-case verbs and engine switches and
+// lines padded past a run's byte bound: INSERT and DELETE to the exact
+// engines, MINSERT and MDELETE of prefixes and rules, some duplicated
+// over wildcard home buckets, to the lpm and pktclass engines, TINSERT
+// and DELETEs of its key images to the trigram engine — broken up by bad
+// hex, arity errors, type-gate errors, a bad score, text past
+// wire.MaxText, an unknown engine, *TID-tagged and head-sampled writes,
+// SEARCH, TSEARCH and STATS, are answered byte for byte as the same
+// lines one ExecAppend at a time, leave the same tables and journal the
+// same records in the same order; the METRICS counters that close the
+// last burst agree too.
 func TestWriteRunsMatchLineAtATime(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	engines := []string{"db", "aux", "ecc"}
+	engines := []string{"db", "aux", "ecc", "ip", "acl", "tri"}
 	k := func() string { return fmt.Sprintf("%x", rng.Intn(150)) }
+	text := func() string { return fmt.Sprintf("entry %d", rng.Intn(150)) }
 	write := func(eng string) string {
 		verb := []string{"INSERT", "DELETE", "insert", "Delete"}[rng.Intn(4)]
+		key, data := k(), fmt.Sprintf("%x", rng.Intn(1<<20))
+		switch {
+		case eng == "ip" && rng.Intn(8) > 0:
+			verb = []string{"MINSERT", "MDELETE", "minsert"}[rng.Intn(3)]
+			key = fmt.Sprintf("%x %x", rng.Intn(64)<<22|rng.Intn(4)<<16, []int{0xff, 0xffff, 0x3ffff, 0xfffff}[rng.Intn(4)])
+		case eng == "acl":
+			verb = []string{"MINSERT", "MDELETE", "mdelete"}[rng.Intn(3)]
+			key = fmt.Sprintf("%x:%x %s", rng.Intn(8)<<24, rng.Intn(16)<<40|rng.Intn(4),
+				[]string{"0:ffff", "ffff:ffffff0000ffff00", "ff:ffffffffff000000"}[rng.Intn(3)])
+			data = fmt.Sprintf("0:%x", rng.Intn(1<<24))
+		case eng == "tri" && rng.Intn(4) > 0:
+			return fmt.Sprintf("TINSERT tri %x %s", rng.Intn(1<<16), text())
+		case eng == "tri":
+			tk := trigram.Entry{Text: text()}.Key()
+			key = fmt.Sprintf("%x:%x", tk.Hi, tk.Lo)
+		}
 		if rng.Intn(40) == 0 {
 			eng = strings.Repeat(" ", 2000) + eng // padded: a run ends on its bytes too
 		}
-		if strings.EqualFold(verb, "INSERT") {
-			return fmt.Sprintf("%s %s %s %x", verb, eng, k(), rng.Intn(1<<20))
+		if strings.HasSuffix(strings.ToUpper(verb), "INSERT") {
+			return fmt.Sprintf("%s %s %s %s", verb, eng, key, data)
 		}
-		return fmt.Sprintf("%s %s %s", verb, eng, k())
+		return fmt.Sprintf("%s %s %s", verb, eng, key)
 	}
 	other := func() string {
 		eng := engines[rng.Intn(len(engines))]
-		switch rng.Intn(12) {
+		switch rng.Intn(20) {
 		case 0:
 			return "INSERT " + eng + " 12zz 5"
 		case 1:
@@ -190,6 +227,20 @@ func TestWriteRunsMatchLineAtATime(t *testing.T) {
 			return "STATS " + eng
 		case 9:
 			return write(eng) // a run of one, or a switch of engine
+		case 10:
+			return "MINSERT db 1 0 2" // an exact engine takes no masked write
+		case 11:
+			return "TINSERT ip 1 " + text() // nor an lpm engine text
+		case 12:
+			return "TINSERT tri 1zz " + text()
+		case 13:
+			return "TINSERT tri 1 " + strings.Repeat("x", wire.MaxText+1)
+		case 14:
+			return []string{"MINSERT nope 1 0 2", "MDELETE nope 1 0", "TINSERT nope 1 " + text()}[rng.Intn(3)]
+		case 15:
+			return []string{"MINSERT ip 1 zz 2", "MDELETE acl 1", "TINSERT tri 1", "MINSERT ip 1 0 2 3"}[rng.Intn(4)]
+		case 16:
+			return "TSEARCH tri " + text()
 		default:
 			return "SEARCH " + eng + " " + k()
 		}
@@ -209,7 +260,7 @@ func TestWriteRunsMatchLineAtATime(t *testing.T) {
 		}
 		bursts = append(bursts, burst)
 	}
-	bursts[len(bursts)-1] = append(bursts[len(bursts)-1], "METRICS", "METRICS db", "METRICS ecc")
+	bursts[len(bursts)-1] = append(bursts[len(bursts)-1], "METRICS", "METRICS db", "METRICS ecc", "METRICS ip", "METRICS acl", "METRICS tri")
 	runVersusLines(t, bursts, nil, nil)
 }
 

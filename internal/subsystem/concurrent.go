@@ -497,8 +497,8 @@ func (c *Concurrent) EngineType(port string) (EngineType, error) {
 // The executor. Figure 5 puts one input controller in front of the
 // slices and Table 1 walks every request through one fixed pipeline;
 // the operations below do the same. Each is one of three bodies — read
-// (Search*, Explain), write (a run of writes to one engine: WriteRun,
-// and Insert*, Delete* as runs of one), batch (an engine's share of an
+// (Search*, Explain), write (WriteRun, a run of writes to one engine;
+// Insert and Delete are runs of one), batch (an engine's share of an
 // MSearch) — and every body is the same stage list, skipping the stages
 // its kind has no use for:
 //
@@ -590,45 +590,19 @@ func (ck *Clock) observed(d time.Duration) time.Duration {
 	return d
 }
 
-// Insert routes a record to the named engine under its write lock.
+// Insert routes a record to the named engine under its write lock: a
+// run of one, timed only for the engine's metrics.
 func (c *Concurrent) Insert(port string, rec match.Record) error {
-	return c.InsertServed(port, rec, nil, nil)
-}
-
-// InsertServed is Insert for a served request: timed on the clock the
-// request shares with the tier above and recording into its trace,
-// either of which may be nil.
-func (c *Concurrent) InsertServed(port string, rec match.Record, ck *Clock, tr *trace.Trace) error {
-	var ents [1]JournalEntry
-	ents[0].Op, ents[0].Engine, ents[0].Rec = JournalInsert, port, rec
-	return c.writeOne(ents[:], ck, tr)
+	var out [1]Written
+	c.WriteRun([]JournalEntry{{Op: JournalInsert, Engine: port, Rec: rec}}, out[:], false)
+	return out[0].Err
 }
 
 // Delete removes the exact key from the named engine under its write
-// lock.
+// lock, as a run of one like Insert.
 func (c *Concurrent) Delete(port string, key bitutil.Ternary) error {
-	return c.DeleteServed(port, key, nil, nil)
-}
-
-// DeleteServed is Delete for a served request, as InsertServed is
-// Insert's.
-func (c *Concurrent) DeleteServed(port string, key bitutil.Ternary, ck *Clock, tr *trace.Trace) error {
-	var ents [1]JournalEntry
-	ents[0].Op, ents[0].Engine, ents[0].Key = JournalDelete, port, key
-	return c.writeOne(ents[:], ck, tr)
-}
-
-// writeOne is a single write: a run of one, timed on the request's
-// clock.
-func (c *Concurrent) writeOne(ents []JournalEntry, ck *Clock, tr *trace.Trace) error {
 	var out [1]Written
-	if ck != nil {
-		out[0].Clock.T0 = ck.T0
-	}
-	c.write(ents, out[:], ck != nil || tr != nil, tr)
-	if ck != nil {
-		*ck = out[0].Clock
-	}
+	c.WriteRun([]JournalEntry{{Op: JournalDelete, Engine: port, Key: key}}, out[:], false)
 	return out[0].Err
 }
 
@@ -640,21 +614,16 @@ type Written struct {
 }
 
 // WriteRun applies a run of writes — INSERT and DELETE journal entries
-// that all name ents[0].Engine — in order, under one hold of the engine
-// lock, and leaves member i's outcome in out[i]. When watched, every
-// member is timed: admitted when its predecessor finished, the first
-// member at out[0].Clock.T0 (zero: now), and timed over its own window,
-// so the members' windows tile the run; the run's one durability wait
-// falls in its last member's window. Each outcome is what the member
-// would have met as a write of its own at its place in the run.
-func (c *Concurrent) WriteRun(ents []JournalEntry, out []Written, watched bool) {
-	c.write(ents, out, watched, nil)
-}
-
-// write is the one write body, behind Insert*, Delete* and WriteRun: a
-// run of journal entries naming one engine, each an insert or a delete,
-// and the record its mutation is logged as. Which side of apply the
-// record is appended on is the only thing the two kinds differ in.
+// that all name ents[0].Engine, each the record its mutation is logged
+// as — in order, under one hold of the engine lock, and leaves member
+// i's outcome in out[i]. It is the one write body: Insert and Delete are
+// runs of one. When watched, every member is timed: admitted when its
+// predecessor finished, the first member at out[0].Clock.T0 (zero: now),
+// and timed over its own window, so the members' windows tile the run;
+// the run's one durability wait falls in its last member's window. Each
+// outcome is what the member would have met as a write of its own at its
+// place in the run. Which side of apply a record is appended on is the
+// only thing the two kinds differ in.
 //
 // A delete is logged before it applies: a logged delete that then finds
 // nothing replays as the same harmless no-op, so a failed delete needs
@@ -678,11 +647,11 @@ func (c *Concurrent) WriteRun(ents []JournalEntry, out []Written, watched bool) 
 // other writers (group commit). A member's ack is ordered after the
 // wait: a nil Err means the mutation is durable under the journal's
 // sync policy. The wal_append window covers append (+ the wait, for the
-// last member); it is stamped for every write somebody watches — a
-// shared clock as much as a trace — because the writes that outlast a
-// slowlog threshold are the ones that waited for an fsync, and their
-// entries are built after the fact from the clock.
-func (c *Concurrent) write(ents []JournalEntry, out []Written, watched bool, tr *trace.Trace) {
+// last member); it is stamped for every write somebody watches, because
+// the writes that outlast a slowlog threshold are the ones that waited
+// for an fsync, and a write's trace, built as it runs or after the fact,
+// takes its wal_append span from the clock.
+func (c *Concurrent) WriteRun(ents []JournalEntry, out []Written, watched bool) {
 	g, err := c.admit(ents[0].Engine, len(ents))
 	if err != nil {
 		for i := range out {
@@ -733,7 +702,6 @@ func (c *Concurrent) write(ents []JournalEntry, out []Written, watched bool, tr 
 				}
 			}
 		}
-		tr.Span(trace.KindWALAppend, walStart)
 	}
 	if !timed {
 		return

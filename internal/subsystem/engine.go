@@ -48,6 +48,10 @@ type Engine struct {
 	// are already reflected in the recovered image. Zero when no
 	// journal is attached.
 	AppliedLSN uint64
+
+	// homes is the scratch a ternary write lists its home buckets in,
+	// reused under the engine's write lock.
+	homes []uint32
 }
 
 // EngineStats tracks engine-level placement.
@@ -123,10 +127,10 @@ func (e *Engine) insertDuplicated(rec match.Record, st *EngineStats) error {
 		}
 		return caram.ErrExists
 	}
-	homes := e.Sel.TernaryIndices(rec.Key)
-	for i, home := range homes {
+	e.homes = e.Sel.AppendTernaryIndices(e.homes[:0], rec.Key)
+	for i, home := range e.homes {
 		if err := e.Main.InsertAt(home, rec); err != nil {
-			for _, h := range homes[:i] {
+			for _, h := range e.homes[:i] {
 				e.Main.DeleteAt(h, rec.Key) //nolint:errcheck // just placed there
 			}
 			if st != nil {
@@ -150,7 +154,8 @@ func (e *Engine) Delete(key bitutil.Ternary) error {
 		return e.Main.Delete(key)
 	}
 	found := false
-	for _, home := range e.Sel.TernaryIndices(key) {
+	e.homes = e.Sel.AppendTernaryIndices(e.homes[:0], key)
+	for _, home := range e.homes {
 		switch err := e.Main.DeleteAt(home, key); {
 		case err == nil:
 			found = true

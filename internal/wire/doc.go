@@ -102,10 +102,10 @@
 // this package's Endpoint (conn.go), which answers a pipelined burst
 // with one write. Replies come back in request order, and a reply is
 // written only after its request has run: on the server a burst's
-// consecutive INSERT and DELETE lines to one engine are applied together,
-// in order, but always before that burst's flush — before the reply to
-// any other request of the burst that follows them. These four lines are
-// the Endpoint's own, each the last
+// consecutive writes (INSERT, DELETE, MINSERT, MDELETE, TINSERT) to one
+// engine are applied together, in order, but always before that burst's
+// flush — before the reply to any other request of the burst that follows
+// them. These four lines are the Endpoint's own, each the last
 // thing its connection hears, after the replies to every request read
 // before it:
 //
