@@ -44,8 +44,8 @@
 #                       DELETE, runs of them, and the typed runs: lpm
 #                       MINSERT+MDELETE, TINSERT) as mixed-wal deploys them,
 #                       MSEARCH bookkeeping on one engine and across
-#                       four, the router with no
-#                       collector, an idle one, and caram-router's
+#                       four, the router with an idle collector (what
+#                       it runs when given none) and caram-router's
 #                       default flags, and the WAL's snapshot /
 #                       freeze / append / recovery / per-record
 #                       replay guards)
@@ -208,8 +208,9 @@ bench:
 # and 16 TINSERTs then DELETEs of their key images, which Handle applies
 # as runs of writes), the owning MSearch's
 # bookkeeping held to its two slices, and
-# the router forward path (SEARCH and MSEARCH) with no collector, an
-# idle one, and the collector caram-router's default flags build; and
+# the router forward path (SEARCH and MSEARCH) with an idle collector —
+# the router's own when it is given none — and the collector
+# caram-router's default flags build; and
 # the durability layer's memory model — a steady-state snapshot of a
 # 10 MB table allocates under 64 KiB, a first snapshot of mixed-wal's
 # table at alpha 0.57 under 1 MiB, a write under a warm freeze nothing,
@@ -331,7 +332,7 @@ write-guard:
 # span), the wire
 # *TID annotation / TRACE GET suites, the cluster tracing suites (the
 # stitched end-to-end trace through a live router, fleet SLOWLOG /
-# METRICS / TRACE merges, traced-vs-untraced transparency, the
+# METRICS / TRACE merges, traced-vs-idle transparency, the
 # tag-what-you-keep rule: late-built slowlog entries and exactly the
 # sampled requests tagged on real backends), and the steady-state
 # zero-alloc guarantee with tracing compiled in — on the router, under

@@ -11,40 +11,47 @@
 // the slots reassemble in the caller's original order.
 //
 // Each backend is reached over a pipelined connection pool (-conns
-// persistent connections). The router pays per burst, not per line:
-// the requests one client pipelined are appended to one batch per
-// backend, each batch costs one queue operation and one completion
-// signal, concurrently arriving batches coalesce into one buffered
-// write — the network form of the server's own batch pipeline — and
-// replies match waiting batches in FIFO pipeline order. The forward
-// path allocates nothing in steady state.
+// persistent connections, each dial bounded at 2 s). The router pays
+// per burst, not per line: the requests one client pipelined are
+// appended to one batch per backend, each batch costs one queue
+// operation and one completion signal, concurrently arriving batches
+// coalesce into one buffered write — the network form of the server's
+// own batch pipeline — and replies match waiting batches in FIFO
+// pipeline order. The forward path allocates nothing in steady state.
 //
 // Failures degrade loudly, never wrongly: a dead backend trips its
 // circuit breaker (-breaker-threshold consecutive failures, open for
 // -breaker-backoff), requests shed fast with "ERR unavailable"
 // (MSEARCH slots: "ERR:unavailable"), idempotent reads that died
-// in-flight retry up to -retries times on a fresh connection, and the
-// health watcher probes HEALTH every -health-interval to detect death
-// and recovery ahead of client traffic.
+// in-flight retry up to -retries times on a fresh connection (the first
+// after 2 ms, doubling), and the health watcher probes HEALTH every
+// -health-interval (each probe bounded at 1 s) to detect death and
+// recovery ahead of client traffic. The ring has
+// cluster.DefaultReplicas virtual nodes per backend, the value
+// caram-load's preload assumes.
 //
-// With -http the router exposes its per-backend observability on
-// /metrics (ops, errors, retries, breaker state, pipeline depth, and
-// the burst-size histogram that shows coalescing at work) plus Go's
-// memstats on /debug/vars and the standard pprof endpoints.
+// The router is always metered and always tracing; the flags set the
+// policies, not whether the machinery runs. With -http it exposes its
+// per-backend observability on /metrics (ops, errors, retries, breaker
+// state, pipeline depth, and the burst-size histogram that shows
+// coalescing at work) plus Go's memstats on /debug/vars, the standard
+// pprof endpoints and /debug/traces.
 //
 // The router traces on admission (-trace-sample, -slowlog-us,
 // -trace-ring mirror the server flags), under one rule: a tier tags a
 // downstream request only when the trace is already certain to be
 // kept. -trace-sample N decides at dispatch: every Nth request is
-// forwarded with a *TID annotation, its backend traces become children,
-// and /debug/traces serves it stitched (router queue wait and RTT next
-// to backend lock wait and probe chains) — this is the flag that
+// forwarded with a *TID annotation, and its backend traces become the
+// entry's children on /debug/traces (router queue wait and RTT next to
+// backend lock wait and probe chains) — this is the flag that
 // stitches. -slowlog-us decides at settle: a request that turned out
 // slow gets the router's own spans and the backend index, built after
 // the fact, and no child; each tier's slowlog catches what was slow
-// there. The SLOWLOG / METRICS / TRACE wire commands answer fleet-wide
-// — slowlogs scatter/gather-merge by latency with node= provenance,
-// counters sum, latency histograms merge bucket-wise.
+// there. /debug/traces is the server's document (the same policy, ring
+// and entry shape) plus those children. The SLOWLOG / METRICS / TRACE
+// wire commands answer fleet-wide — slowlogs scatter/gather-merge by
+// latency with node= provenance, counters sum, latency histograms
+// merge bucket-wise.
 //
 //	caram-server -addr 127.0.0.1:7071 &
 //	caram-server -addr 127.0.0.1:7072 &
@@ -77,20 +84,16 @@ func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7070", "listen address")
 		backends = flag.String("backends", "", "comma-separated backend addresses (host:port), required; also their ring labels")
-		replicas = flag.Int("replicas", cluster.DefaultReplicas, "virtual nodes per backend on the hash ring")
 		pin      = flag.String("pin", "", "comma-separated engine names pinned whole to their home backend (typed engines created through the router pin automatically)")
 		conns    = flag.Int("conns", 4, "pipelined connections per backend")
 		httpAddr = flag.String("http", "", "optional HTTP listen address for /metrics, /debug/vars (Go memstats), /debug/pprof, /debug/traces")
 		logLevel = flag.String("log-level", "info", "log floor: debug, info, warn, error")
 
-		retries      = flag.Int("retries", 2, "resubmissions for idempotent reads whose connection died in-flight")
-		retryBackoff = flag.Duration("retry-backoff", 2*time.Millisecond, "first retry delay (doubles per attempt)")
+		retries = flag.Int("retries", 2, "resubmissions for idempotent reads whose connection died in-flight")
 
 		breakerThreshold = flag.Int("breaker-threshold", 3, "consecutive transport failures that open a backend's circuit breaker")
 		breakerBackoff   = flag.Duration("breaker-backoff", 250*time.Millisecond, "how long an open breaker sheds before the next half-open attempt")
-		dialTimeout      = flag.Duration("dial-timeout", 2*time.Second, "per-connection dial bound")
 		healthInterval   = flag.Duration("health-interval", time.Second, "HEALTH probe period per backend (0 = watcher off)")
-		healthTimeout    = flag.Duration("health-timeout", time.Second, "per-probe deadline")
 
 		tracing = trace.Flags(flag.CommandLine,
 			"trace 1 in N proxied requests, chosen at dispatch: forwards carry a *TID tag and /debug/traces stitches the backend children (0 = off)",
@@ -124,23 +127,15 @@ func main() {
 		}
 	}
 
-	rm := metrics.NewRouterMetrics(labels)
-	// The collector always exists (TRACE GET and /debug/traces work even
-	// with both admission policies off); policies come from the flags.
 	col := trace.NewCollector(tracing())
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
 		Backends:         bks,
-		Replicas:         *replicas,
 		Pin:              pins,
 		Conns:            *conns,
 		BreakerThreshold: *breakerThreshold,
 		BreakerBackoff:   *breakerBackoff,
-		DialTimeout:      *dialTimeout,
 		Retries:          *retries,
-		RetryBackoff:     *retryBackoff,
 		HealthInterval:   *healthInterval,
-		HealthTimeout:    *healthTimeout,
-		Metrics:          rm,
 		Logger:           logger,
 		Tracing:          col,
 	})
@@ -159,7 +154,7 @@ func main() {
 			"metrics", "http://"+hl.Addr().String()+"/metrics",
 			"traces", "http://"+hl.Addr().String()+"/debug/traces")
 		go func() {
-			h := metrics.Handler(rm.Exposition(), metrics.WithHandler("/debug/traces", rt.TraceHandler()))
+			h := metrics.Handler(rt.Metrics().Exposition(), metrics.WithHandler("/debug/traces", col.Handler(rt.FetchChild)))
 			if err := http.Serve(hl, h); err != nil {
 				logger.Error("http serve", "err", err)
 			}
@@ -174,7 +169,6 @@ func main() {
 	logger.Info("routing",
 		"addr", l.Addr().String(),
 		"backends", strings.Join(labels, ","),
-		"replicas", *replicas,
 		"conns", *conns,
 		"pinned", strings.Join(pins, ","),
 		"health_interval", healthInterval.String())

@@ -238,7 +238,7 @@ func main() {
 		logger.Info("http endpoints up",
 			"metrics", "http://"+hl.Addr().String()+"/metrics",
 			"traces", "http://"+hl.Addr().String()+"/debug/traces")
-		h := metrics.Handler(srv.Exposition(), metrics.WithHandler("/debug/traces", col.Handler()))
+		h := metrics.Handler(srv.Exposition(), metrics.WithHandler("/debug/traces", col.Handler(nil)))
 		go func() {
 			if err := http.Serve(hl, h); err != nil {
 				logger.Error("http serve", "err", err)

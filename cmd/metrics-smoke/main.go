@@ -38,10 +38,11 @@
 //   - the fleet commands answer over the router's wire port: METRICS
 //     sums backend counters next to the router's own, SLOWLOG GET
 //     k-way merges backend slowlogs with node= provenance,
-//   - the router's /debug/traces serves stitched traces: each retained
-//     router trace carries its queue-wait/RTT spans plus the backend
-//     child trace fetched lazily via TRACE GET, and the child's wire
-//     id is fetchable directly with TRACE GET <id>/<span>,
+//   - the router's /debug/traces serves the server's document — its
+//     policy reads the router's flags — and each retained router trace
+//     carries its queue-wait/RTT spans plus, as children, the backend
+//     trace fetched lazily via TRACE GET; the child's wire id is
+//     fetchable directly with TRACE GET <id>/<span>,
 //
 // and SIGINT must stop the router with exit code 0 too.
 //
@@ -410,8 +411,8 @@ func runCluster(srvBin, rtBin string) error {
 	defer c.Close()
 
 	// 64 keys shard across both backends; every reply is
-	// self-validating, and the router-local METRICS line counts the
-	// 128 forwarded ops exactly.
+	// self-validating, and the fleet METRICS line counts the 128
+	// forwarded ops exactly.
 	const n = 64
 	steps := make([]step, 2*n)
 	for i := 1; i <= n; i++ {
@@ -421,8 +422,8 @@ func runCluster(srvBin, rtBin string) error {
 	if err := expect(c, steps); err != nil {
 		return fmt.Errorf("through the router: %w", err)
 	}
-	// The traced router answers METRICS fleet-wide: backend counters
-	// summed, the router's own forward totals alongside.
+	// The router answers METRICS fleet-wide: backend counters summed,
+	// the router's own forward totals alongside.
 	if err := expectHas(c, "METRICS", fmt.Sprintf("METRICS backends=2 ops=%d errors=0 unknown=0 router_ops=", 2*n),
 		" router_errors=0"); err != nil {
 		return err
@@ -442,45 +443,54 @@ func runCluster(srvBin, rtBin string) error {
 		return err
 	}
 
-	// /debug/traces on the router serves stitched traces: router spans
-	// plus backend child traces fetched over the wire with TRACE GET.
+	// /debug/traces on the router is the server's document: the
+	// collector's policy and rings, each router entry with its backend
+	// child traces fetched over the wire with TRACE GET.
 	stitched, err := get("http://" + httpAddr + "/debug/traces")
 	if err != nil {
 		return err
 	}
 	var sv struct {
-		Slowlog []struct {
-			Router struct {
+		Policy struct {
+			Sample    int   `json:"sample"`
+			SlowlogUs int64 `json:"slowlog_us"`
+		} `json:"policy"`
+		Slowlog struct {
+			Entries []struct {
 				Cmd  string `json:"cmd"`
 				TID  string `json:"tid"`
 				Hops []struct {
 					Kind string `json:"kind"`
 				} `json:"hops"`
-			} `json:"router"`
-			Children []struct {
-				Backend string          `json:"backend"`
-				Span    uint32          `json:"span"`
-				Trace   json.RawMessage `json:"trace"`
-				Error   string          `json:"error"`
-			} `json:"children"`
+				Children []struct {
+					Backend string          `json:"backend"`
+					Span    uint32          `json:"span"`
+					Trace   json.RawMessage `json:"trace"`
+					Error   string          `json:"error"`
+				} `json:"children"`
+			} `json:"entries"`
 		} `json:"slowlog"`
 	}
 	if err := json.Unmarshal([]byte(stitched), &sv); err != nil {
 		return fmt.Errorf("router /debug/traces not JSON: %w", err)
 	}
+	if sv.Policy.Sample != 1 || sv.Policy.SlowlogUs != 0 {
+		return fmt.Errorf("router /debug/traces policy: got sample=%d slowlog_us=%d, want the flags' 1 and 0",
+			sv.Policy.Sample, sv.Policy.SlowlogUs)
+	}
 	childTID := ""
-	for _, e := range sv.Slowlog {
-		if e.Router.Cmd != "SEARCH" || len(e.Children) == 0 {
+	for _, e := range sv.Slowlog.Entries {
+		if e.Cmd != "SEARCH" || len(e.Children) == 0 {
 			continue
 		}
 		hops := map[string]bool{}
-		for _, h := range e.Router.Hops {
+		for _, h := range e.Hops {
 			hops[h.Kind] = true
 		}
 		c := e.Children[0]
 		if hops["queue_wait"] && hops["backend_rtt"] && c.Error == "" &&
 			strings.Contains(string(c.Trace), `"probes"`) {
-			childTID = fmt.Sprintf("%s/%d", e.Router.TID, c.Span)
+			childTID = fmt.Sprintf("%s/%d", e.TID, c.Span)
 			break
 		}
 	}

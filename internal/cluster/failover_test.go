@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"caram/internal/metrics"
 	"caram/internal/server"
 	"caram/internal/subsystem"
 	"caram/internal/wire"
@@ -36,21 +35,18 @@ func TestRouterFailoverUnderStress(t *testing.T) {
 	srv1 := server.New(sub1)
 	go srv1.Serve(l1) //nolint:errcheck
 
-	rm := metrics.NewRouterMetrics([]string{"b0", "b1"})
 	rt, err := NewRouter(RouterConfig{
 		Backends:         []Backend{{Label: "b0", Addr: b0.addr}, {Label: "b1", Addr: addr1}},
 		Conns:            2,
 		Retries:          2,
-		RetryBackoff:     time.Millisecond,
 		BreakerThreshold: 2,
 		BreakerBackoff:   25 * time.Millisecond,
 		HealthInterval:   25 * time.Millisecond,
-		HealthTimeout:    250 * time.Millisecond,
-		Metrics:          rm,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rm := rt.Metrics()
 	defer rt.Close()
 	rl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,55 +13,28 @@ import (
 )
 
 // Fleet-wide observability: the router-side halves of the SLOWLOG,
-// METRICS, and TRACE wire commands, plus the /debug/traces stitcher.
+// METRICS, and TRACE wire commands, plus the backend child fetch behind
+// the router's /debug/traces.
 //
-// Without a collector (RouterConfig.Tracing nil) the router keeps its
-// pre-tracing answers byte-exactly: METRICS reports the router's own
-// totals and SLOWLOG explains that slowlogs are per-backend state.
-// With a collector attached the same commands become cluster views:
-// scatter to every backend, parse the single-line replies with the
-// zero-dependency token scanner, and merge — counters sum, latency
-// histograms add bucket-wise, slowlog entries k-way merge by latency
-// with a node= provenance tag. Backends are always visited in address
-// order (Router.order) so merged output is deterministic.
+// Each command is a cluster view: scatter to every backend, parse the
+// single-line replies with the zero-dependency token scanner, and merge
+// — counters sum, latency histograms add bucket-wise, slowlog entries
+// k-way merge by latency with a node= provenance tag — with the
+// router's own registry and collector folded in. Backends are always
+// visited in address order (Router.order) so merged output is
+// deterministic.
 
-// routeMetrics routes the METRICS command. Pinned engines forward
-// home as before; everything else depends on whether tracing is on.
+// routeMetrics routes the METRICS command: a pinned engine's forms
+// forward home, everything else scatters and merges.
 func (rt *Router) routeMetrics(st *rconn, line string, req *wire.Request) {
 	var a [4]string
 	n := req.Args.Fill(a[:])
 	eng, sub, opName := a[0], a[1], a[2]
 	switch {
-	case n == 0 && rt.trc == nil:
-		op := st.nextOp()
-		op.kind = opLocal
-		ops, errs := rt.met.Totals()
-		if rt.met != nil {
-			// Lines this burst has batched but not yet submitted are
-			// ops already: the count is the one a line-at-a-time
-			// router would report here.
-			for _, bt := range st.cur[:len(rt.pools)] {
-				if bt != nil {
-					ops += uint64(bt.Lines())
-				}
-			}
-		}
-		op.local = append(op.local, "METRICS backends="...)
-		op.local = strconv.AppendInt(op.local, int64(len(rt.pools)), 10)
-		op.local = append(op.local, " ops="...)
-		op.local = strconv.AppendUint(op.local, ops, 10)
-		op.local = append(op.local, " errors="...)
-		op.local = strconv.AppendUint(op.local, errs, 10)
 	case n == 0:
 		rt.scatter(st, line, req.Verb, (*Router).mergeMetricsAll)
 	case rt.Pinned(eng):
 		rt.forward(st, line, rt.ring.OwnerEngine(eng), req.Verb)
-	case rt.trc == nil:
-		op := st.nextOp()
-		op.kind = opLocal
-		op.local = append(op.local, "ERR metrics: engine "...)
-		op.local = strconv.AppendQuote(op.local, eng)
-		op.local = append(op.local, " is key-sharded; scrape the router /metrics or query backends"...)
 	case n == 1:
 		rt.scatter(st, line, req.Verb, (*Router).mergeFold)
 	case n == 3 && wire.EqualFold(sub, "LATENCY"):
@@ -82,15 +54,9 @@ func (rt *Router) routeMetrics(st *rconn, line string, req *wire.Request) {
 	}
 }
 
-// routeSlowlog routes the SLOWLOG command: per-backend state without a
-// collector, a fleet view with one.
+// routeSlowlog routes the SLOWLOG command: the fleet's slowlogs and the
+// router's own, as one.
 func (rt *Router) routeSlowlog(st *rconn, line string, req *wire.Request) {
-	if rt.trc == nil {
-		op := st.nextOp()
-		op.kind = opLocal
-		op.local = append(op.local, "ERR slowlog: per-backend state; query backends directly"...)
-		return
-	}
 	sub, _ := req.Args.Next()
 	switch {
 	case wire.EqualFold(sub, "LEN"):
@@ -335,89 +301,18 @@ func (rt *Router) mergeHistSum(out []byte, op *pendingOp) []byte {
 	return fleet.AppendBuckets(out)
 }
 
-// --- /debug/traces stitching -------------------------------------------
-
-// stitchChild is one backend hop's child trace, fetched lazily over
-// the wire via TRACE GET <id>/<span>.
-type stitchChild struct {
-	Backend string          `json:"backend"`
-	Span    uint32          `json:"span"`
-	Trace   json.RawMessage `json:"trace,omitempty"`
-	Error   string          `json:"error,omitempty"`
-}
-
-// stitchEntry is one retained router trace with its children: router
-// spans (queue wait, backend RTT, retries, breaker state) and backend
-// spans (lock wait, probe chain, §3.4 expected-rows) side by side.
-type stitchEntry struct {
-	Router   json.RawMessage `json:"router"`
-	Children []stitchChild   `json:"children,omitempty"`
-}
-
-type stitchJSON struct {
-	Seen    uint64        `json:"seen"`
-	Slowlog []stitchEntry `json:"slowlog"`
-	Tagged  []stitchEntry `json:"tagged"`
-	Sampled []stitchEntry `json:"sampled"`
-}
-
-// TraceHandler serves the router's /debug/traces: the collector's
-// retained traces with cross-node stitching. For every backend_rtt hop
-// of a retained trace, the handler fetches that backend's child trace
-// (TRACE GET <id>/<span>) and embeds it, so one JSON document shows
-// router queue wait next to backend lock wait and probe chains. Child
-// fetches are per-request wire calls: lazy, so retention stays cheap
-// and the child may legitimately be gone (ring wraparound) by the time
-// someone looks.
-func (rt *Router) TraceHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if rt.trc == nil {
-			_, _ = w.Write([]byte(`{"disabled":true}` + "\n"))
-			return
-		}
-		max := 32
-		if q := req.URL.Query().Get("n"); q != "" {
-			if v, err := strconv.Atoi(q); err == nil && v > 0 {
-				max = v
-			}
-		}
-		v := stitchJSON{
-			Seen:    rt.trc.Seen(),
-			Slowlog: rt.stitchRing(rt.trc.Slow(), max),
-			Tagged:  rt.stitchRing(rt.trc.Tagged(), max),
-			Sampled: rt.stitchRing(rt.trc.Sampled(), max),
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(v)
-	})
-}
-
-func (rt *Router) stitchRing(r *trace.Ring, max int) []stitchEntry {
-	out := []stitchEntry{}
-	for _, t := range r.Snapshot(nil, max) {
-		e := stitchEntry{Router: json.RawMessage(t.AppendJSON(nil, 0))}
-		if t.TID != 0 {
-			for _, ev := range t.Events {
-				if ev.Kind == trace.KindRTT {
-					e.Children = append(e.Children, rt.fetchChild(t.TID, int(ev.Bucket), ev.Span))
-				}
-			}
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-func (rt *Router) fetchChild(tid uint64, backend int, span uint32) stitchChild {
-	ch := stitchChild{Span: span}
-	if backend < 0 || backend >= len(rt.pools) {
+// FetchChild is the router's trace.FetchChild, the one its
+// /debug/traces handler (trace.Collector.Handler) is built with: it asks
+// the backend at pool index backend for the child span of a tagged
+// trace (TRACE GET <tid>/<span>) over that backend's pool.
+func (rt *Router) FetchChild(tid uint64, backend, span uint32) trace.Child {
+	ch := trace.Child{Span: span}
+	if int(backend) >= len(rt.pools) {
 		ch.Backend = "?"
 		ch.Error = "bad backend index"
 		return ch
 	}
-	ch.Backend = rt.ring.Label(backend)
+	ch.Backend = rt.ring.Label(int(backend))
 	req := make([]byte, 0, 48)
 	req = append(req, "TRACE GET "...)
 	req = strconv.AppendUint(req, tid, 16)

@@ -74,7 +74,9 @@ func kvmap(t *testing.T, line string) map[string]string {
 	return m
 }
 
-// Mirrors of the stitched /debug/traces JSON, decode-side.
+// Mirrors of the router's /debug/traces JSON — the collector's document
+// (trace.Collector.Handler), children filled by FetchChild —
+// decode-side.
 type sjHop struct {
 	Kind    string `json:"kind"`
 	Backend uint32 `json:"backend"`
@@ -94,6 +96,7 @@ type sjTrace struct {
 	Probes   []json.RawMessage `json:"probes"`
 	Spans    []sjSpan          `json:"spans"`
 	Hops     []sjHop           `json:"hops"`
+	Children []sjChild         `json:"children"`
 }
 
 type sjChild struct {
@@ -103,16 +106,34 @@ type sjChild struct {
 	Error   string          `json:"error"`
 }
 
-type sjEntry struct {
-	Router   json.RawMessage `json:"router"`
-	Children []sjChild       `json:"children"`
+type sjRing struct {
+	Len     int       `json:"len"`
+	Entries []sjTrace `json:"entries"`
 }
 
 type sjTop struct {
-	Seen    uint64    `json:"seen"`
-	Slowlog []sjEntry `json:"slowlog"`
-	Tagged  []sjEntry `json:"tagged"`
-	Sampled []sjEntry `json:"sampled"`
+	Policy struct {
+		Sample    int   `json:"sample"`
+		SlowlogUs int64 `json:"slowlog_us"`
+		Ring      int   `json:"ring"`
+	} `json:"policy"`
+	Seen    uint64 `json:"seen"`
+	Slowlog sjRing `json:"slowlog"`
+	Tagged  sjRing `json:"tagged"`
+	Sampled sjRing `json:"sampled"`
+}
+
+// routerTraces serves the router's /debug/traces the way caram-router
+// mounts it and decodes the document.
+func routerTraces(t *testing.T, rt *Router) (sjTop, string) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	rt.trc.Handler(rt.FetchChild).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
+	var top sjTop
+	if err := json.Unmarshal(rec.Body.Bytes(), &top); err != nil {
+		t.Fatalf("/debug/traces JSON: %v\n%s", err, rec.Body.String())
+	}
+	return top, rec.Body.String()
 }
 
 // TestClusterTracingEndToEnd is the acceptance test for cluster
@@ -123,7 +144,7 @@ type sjTop struct {
 // §3.4 expected-rows) side by side — and shows up source-tagged in the
 // fleet SLOWLOG.
 func TestClusterTracingEndToEnd(t *testing.T) {
-	rt, _ := tracedCluster(t)
+	rt, col := tracedCluster(t)
 	got := rdrive(t, rt, "INSERT db dead 42", "SEARCH db dead")
 	if got[0] != "OK" || !strings.HasPrefix(got[1], "HIT") {
 		t.Fatalf("setup replies: %q", got)
@@ -140,27 +161,25 @@ func TestClusterTracingEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Stitched /debug/traces: find the router's SEARCH trace.
-	rec := httptest.NewRecorder()
-	rt.TraceHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
-	var top sjTop
-	if err := json.Unmarshal(rec.Body.Bytes(), &top); err != nil {
-		t.Fatalf("stitched JSON: %v\n%s", err, rec.Body.String())
+	// /debug/traces: the collector's policy and rings, then the
+	// router's SEARCH trace with its backend children.
+	top, body := routerTraces(t, rt)
+	if p := top.Policy; p.Sample != 1 || p.SlowlogUs != 0 || p.Ring != 64 {
+		t.Errorf("policy = %+v, want the collector's sample=1 slowlog_us=0 ring=64", p)
 	}
-	var entry *sjEntry
-	var router sjTrace
-	for i := range top.Slowlog {
-		var cand sjTrace
-		if err := json.Unmarshal(top.Slowlog[i].Router, &cand); err != nil {
-			t.Fatal(err)
-		}
+	if top.Slowlog.Len != col.Slow().Len() || len(top.Slowlog.Entries) == 0 {
+		t.Errorf("slowlog len=%d with %d entries, the collector retains %d",
+			top.Slowlog.Len, len(top.Slowlog.Entries), col.Slow().Len())
+	}
+	var router *sjTrace
+	for i, cand := range top.Slowlog.Entries {
 		if cand.Cmd == "SEARCH" && cand.Key == "dead" {
-			entry, router = &top.Slowlog[i], cand
+			router = &top.Slowlog.Entries[i]
 			break
 		}
 	}
-	if entry == nil {
-		t.Fatalf("no SEARCH trace in stitched slowlog:\n%s", rec.Body.String())
+	if router == nil {
+		t.Fatalf("no SEARCH trace in the router's slowlog:\n%s", body)
 	}
 	if router.TID == "" {
 		t.Fatal("router SEARCH trace has no wire trace id")
@@ -174,10 +193,10 @@ func TestClusterTracingEndToEnd(t *testing.T) {
 			t.Errorf("router trace missing %s hop: %+v", want, router.Hops)
 		}
 	}
-	if len(entry.Children) == 0 {
-		t.Fatal("stitched entry has no backend children")
+	if len(router.Children) != 1 {
+		t.Fatalf("SEARCH entry has %d backend children, want its one backend_rtt hop's:\n%s", len(router.Children), body)
 	}
-	child := entry.Children[0]
+	child := router.Children[0]
 	if child.Error != "" {
 		t.Fatalf("child fetch failed: %s", child.Error)
 	}
@@ -344,7 +363,8 @@ func TestRouterTraceGet(t *testing.T) {
 
 // TestRouterTracedTransparency: tracing must not change a single
 // forwarded reply byte. Two routers over the same backends — one
-// traced, one not — must answer identically.
+// tagging or late-building every request, one with its idle
+// collector — must answer identically.
 func TestRouterTracedTransparency(t *testing.T) {
 	bks := []*testBackend{startTracedBackend(t, "db"), startTracedBackend(t, "db")}
 	plain, _ := testRouter(t, bks, nil)
@@ -457,16 +477,18 @@ func TestRouterSlowlogLateBuilt(t *testing.T) {
 			t.Errorf("%s: spans end at %v, past the wall latency %v", tr.Cmd, at, tr.Dur)
 		}
 	}
-	// Nothing to stitch: the tree has the router's entry and no children.
-	rec := httptest.NewRecorder()
-	rt.TraceHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
-	var top sjTop
-	if err := json.Unmarshal(rec.Body.Bytes(), &top); err != nil {
-		t.Fatal(err)
+	// Nothing to stitch: the document has the router's entries and no
+	// children.
+	top, body := routerTraces(t, rt)
+	if p := top.Policy; p.Sample != 0 || p.SlowlogUs != 0 || p.Ring != 64 {
+		t.Errorf("policy = %+v, want the collector's sample=0 slowlog_us=0 ring=64", p)
 	}
-	for _, e := range top.Slowlog {
+	if top.Slowlog.Len != len(reqs) || len(top.Slowlog.Entries) != len(reqs) {
+		t.Errorf("slowlog len=%d with %d entries, want %d", top.Slowlog.Len, len(top.Slowlog.Entries), len(reqs))
+	}
+	for _, e := range top.Slowlog.Entries {
 		if len(e.Children) != 0 {
-			t.Errorf("late-built entry has stitched children: %s", rec.Body.String())
+			t.Errorf("late-built entry has children: %s", body)
 		}
 	}
 }
@@ -526,20 +548,18 @@ func TestRouterTagsOnlySampled(t *testing.T) {
 }
 
 // TestRouterHealthMergeOrder: scatter merges visit backends in address
-// order, so HEALTH output does not depend on how -backends was
-// spelled. Two routers over the same fleet, opposite config order,
+// order, so HEALTH and ENGINES output does not depend on how -backends
+// was spelled. Two routers over the same fleet, opposite config order,
 // must render identical rosters.
 func TestRouterHealthMergeOrder(t *testing.T) {
 	b0 := startBackend(t, "db", "aux")
 	b1 := startBackend(t, "db", "zed")
 	mk := func(bks ...*testBackend) *Router {
 		backends := make([]Backend, len(bks))
-		labels := make([]string, len(bks))
 		for i, b := range bks {
 			backends[i] = Backend{Label: b.addr, Addr: b.addr} // production labeling
-			labels[i] = b.addr
 		}
-		rt, err := NewRouter(RouterConfig{Backends: backends, Metrics: nil, Retries: 2})
+		rt, err := NewRouter(RouterConfig{Backends: backends, Retries: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,34 +571,11 @@ func TestRouterHealthMergeOrder(t *testing.T) {
 	for _, req := range []string{"HEALTH", "HEALTH db", "ENGINES"} {
 		a := rdrive(t, fwd, req)[0]
 		b := rdrive(t, rev, req)[0]
-		if req == "ENGINES" {
-			// ENGINES unions in config order by contract; only the
-			// address-ordered merges must be spelling-independent.
-			continue
-		}
 		if a != b {
 			t.Errorf("%s depends on backend config order:\n  fwd: %q\n  rev: %q", req, a, b)
 		}
-		if !strings.HasPrefix(a, "HEALTH") {
+		if head, _, _ := strings.Cut(req, " "); !strings.HasPrefix(a, head+" ") {
 			t.Errorf("%s: %q", req, a)
 		}
-	}
-}
-
-// TestRouterUntracedLegacyReplies: without a collector the router's
-// SLOWLOG/METRICS answers are the pre-tracing local forms, byte-exact
-// (the golden session pins them too; this is the direct statement).
-func TestRouterUntracedLegacyReplies(t *testing.T) {
-	bks := []*testBackend{startBackend(t, "db"), startBackend(t, "db")}
-	rt, _ := testRouter(t, bks, nil)
-	if got := rdrive(t, rt, "SLOWLOG LEN")[0]; got != "ERR slowlog: per-backend state; query backends directly" {
-		t.Errorf("untraced SLOWLOG: %q", got)
-	}
-	if got := rdrive(t, rt, "METRICS")[0]; !strings.HasPrefix(got, "METRICS backends=2 ops=") ||
-		strings.Contains(got, "router_ops") {
-		t.Errorf("untraced METRICS: %q", got)
-	}
-	if got := rdrive(t, rt, "METRICS db")[0]; !strings.HasPrefix(got, "ERR metrics: engine \"db\" is key-sharded") {
-		t.Errorf("untraced METRICS db: %q", got)
 	}
 }

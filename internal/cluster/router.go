@@ -39,7 +39,7 @@ import (
 //     highest-priority, and trigram ranking are only correct over the
 //     whole rule set. All their ops forward home.
 //   - SEARCH <eng> <key> <mask> on a sharded engine scatters to every
-//     backend: first HIT in backend order, else MISS! if any backend
+//     backend: first HIT in address order, else MISS! if any backend
 //     could not rule the key out, else MISS (a masked probe can match
 //     a record on any shard).
 //   - MSEARCH splits its pairs by ring owner, issues one pipelined
@@ -53,15 +53,13 @@ import (
 //     hits, misses sum; alpha is the mean load factor; amal is the
 //     lookup-weighted mean. HEALTH merges per-engine worst states;
 //     HEALTH <eng> [SCRUB] on sharded engines sums the counters.
-//     ENGINES unions the rosters in backend order.
-//   - METRICS (bare) answers from the router's own registry; SLOWLOG
-//     and per-engine METRICS on sharded engines are per-backend state
-//     the router does not fake — they answer a routed ERR instead.
-//     With Tracing attached both become fleet-wide: METRICS scatters
-//     and sums counters (LATENCY histograms merge bucket-wise),
-//     SLOWLOG GET scatter/gathers every backend's slowlog plus the
-//     router's own, k-way merged by latency and node=-tagged, and
-//     TRACE GET answers from the router's rings or any backend's.
+//     ENGINES unions the rosters in address order.
+//   - METRICS, SLOWLOG and TRACE answer fleet-wide: METRICS scatters
+//     and sums counters, the router's own totals alongside (LATENCY
+//     histograms merge bucket-wise); SLOWLOG LEN sums and SLOWLOG GET
+//     scatter/gathers every backend's slowlog plus the router's own,
+//     k-way merged by latency and node=-tagged; TRACE GET answers from
+//     the router's rings or any backend's.
 //   - WAL STATUS scatters and merges into one fleet line: lsn /
 //     durable / segments sum, snapshot_lsn is the fleet minimum (the
 //     replay bound), sync is the common policy or "mixed". Any node
@@ -81,19 +79,23 @@ import (
 // The health watcher probes HEALTH on every backend each interval,
 // tripping breakers of quiet-dead backends and closing them on
 // recovery.
+//
+// A router is always metered (Metrics) and always collecting
+// (RouterConfig.Tracing). Its ring shape and timing are constants:
+// DefaultReplicas virtual nodes per backend, the pool's 2 s dial bound,
+// healthTimeout and retryBackoff.
 type Router struct {
 	ring  *Ring
 	pools []*Pool
 	met   *metrics.RouterMetrics
 	log   *slog.Logger
-	trc   *trace.Collector // nil = router tracing off (legacy local SLOWLOG/METRICS)
-	order []int            // backend indices sorted by address: scatter-merge iteration order
+	trc   *trace.Collector
+	order []int // backend indices sorted by address: scatter-merge iteration order
 
 	pinMu  sync.Mutex
 	pinned atomic.Pointer[map[string]bool] // COW; read on the hot path
 
-	retries      int
-	retryBackoff time.Duration
+	retries int
 
 	watcherStop chan struct{}
 	watcherWG   sync.WaitGroup
@@ -110,62 +112,60 @@ var ErrRouterClosed = errors.New("cluster: router closed")
 // else has working defaults.
 type RouterConfig struct {
 	Backends []Backend
-	Replicas int      // virtual nodes per backend (default DefaultReplicas)
 	Pin      []string // engine names pinned to their home backend at boot
 
 	Conns            int           // connections per backend pool (default 4)
 	BreakerThreshold int           // consecutive failures to open a breaker (default 3)
 	BreakerBackoff   time.Duration // breaker open window (default 250ms)
-	DialTimeout      time.Duration // per-dial bound (default 2s)
 
 	Retries        int           // idempotent-read resubmissions (0 = none)
-	RetryBackoff   time.Duration // first retry delay, doubling (default 2ms)
 	HealthInterval time.Duration // HEALTH probe period (0 = watcher off)
-	HealthTimeout  time.Duration // per-probe bound (default 1s)
 
-	Metrics *metrics.RouterMetrics // optional; nil runs unmetered
-	Logger  *slog.Logger           // optional
+	Logger *slog.Logger // optional
 
-	// Tracing attaches a trace collector to the router: head-sampled
-	// requests tag their forwards with a wire trace id so backend traces
-	// become children, requests past the slowlog threshold get the
-	// router's own spans (ring lookup, queue wait, backend RTT, retries,
-	// breaker) built at settle, and the SLOWLOG / METRICS / TRACE wire
-	// commands answer fleet-wide (scatter/gather-merged) instead of the
-	// pre-tracing local forms. nil keeps the legacy behavior byte-exactly.
+	// Tracing is the router's trace collector: head-sampled requests tag
+	// their forwards with a wire trace id so backend traces become
+	// children, and requests past the slowlog threshold get the router's
+	// own spans (ring lookup, queue wait, backend RTT, retries, breaker)
+	// built at settle. nil is an idle collector (trace.Config{Slowlog:
+	// -1}) that samples and retains nothing; TRACE GET, SLOWLOG and
+	// METRICS answer fleet-wide either way.
 	Tracing *trace.Collector
 }
 
-// NewRouter builds the ring and one pipelined pool per backend, and
-// starts the health watcher when HealthInterval is set.
+// The router's fixed timing: the first retry's delay (doubling per
+// attempt) and the health watcher's per-probe bound.
+const (
+	retryBackoff  = 2 * time.Millisecond
+	healthTimeout = time.Second
+)
+
+// NewRouter builds the ring, the registry and one pipelined pool per
+// backend, and starts the health watcher when HealthInterval is set.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	labels := make([]string, len(cfg.Backends))
 	for i, b := range cfg.Backends {
 		labels[i] = b.Label
 	}
-	ring, err := NewRing(labels, cfg.Replicas)
+	ring, err := NewRing(labels, DefaultReplicas)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Retries < 0 {
 		return nil, fmt.Errorf("cluster: negative retries %d", cfg.Retries)
 	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 2 * time.Millisecond
-	}
-	if cfg.HealthTimeout <= 0 {
-		cfg.HealthTimeout = time.Second
-	}
 	rt := &Router{
-		ring:         ring,
-		met:          cfg.Metrics,
-		log:          cfg.Logger,
-		trc:          cfg.Tracing,
-		retries:      cfg.Retries,
-		retryBackoff: cfg.RetryBackoff,
-		ep:           wire.NewEndpoint(ErrRouterClosed, cfg.Logger),
+		ring:    ring,
+		met:     metrics.NewRouterMetrics(labels),
+		log:     cfg.Logger,
+		trc:     cfg.Tracing,
+		retries: cfg.Retries,
+		ep:      wire.NewEndpoint(ErrRouterClosed, cfg.Logger),
 	}
-	// Scatter merges iterate backends in address order, not config
+	if cfg.Tracing == nil {
+		rt.trc = trace.NewCollector(trace.Config{Slowlog: -1}) // idle
+	}
+	// Every scatter merge iterates backends in address order, not config
 	// order, so admin output is stable regardless of how the backend
 	// list was spelled (ties — tests use synthetic labels — break by
 	// label, then config position).
@@ -186,8 +186,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			Conns:            cfg.Conns,
 			BreakerThreshold: cfg.BreakerThreshold,
 			BreakerBackoff:   cfg.BreakerBackoff,
-			DialTimeout:      cfg.DialTimeout,
-			Metrics:          cfg.Metrics.Backend(i),
+			Metrics:          rt.met.Backend(i),
 		})
 	}
 	pins := make(map[string]bool, len(cfg.Pin))
@@ -200,13 +199,17 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.HealthInterval > 0 {
 		rt.watcherStop = make(chan struct{})
 		rt.watcherWG.Add(1)
-		go rt.watch(cfg.HealthInterval, cfg.HealthTimeout)
+		go rt.watch(cfg.HealthInterval)
 	}
 	return rt, nil
 }
 
 // Ring returns the router's ring (tests pin assignments through it).
 func (rt *Router) Ring() *Ring { return rt.ring }
+
+// Metrics returns the router's per-backend registry; its Exposition is
+// the router's /metrics.
+func (rt *Router) Metrics() *metrics.RouterMetrics { return rt.met }
 
 // Pool returns backend b's pool.
 func (rt *Router) Pool(b int) *Pool { return rt.pools[b] }
@@ -241,7 +244,7 @@ func (rt *Router) pin(engine string, on bool) {
 // bypass the pools (and their breaker gates), so an open breaker still
 // gets its half-open recovery check and a quiet-dead backend trips
 // before client traffic has to discover it.
-func (rt *Router) watch(interval, timeout time.Duration) {
+func (rt *Router) watch(interval time.Duration) {
 	defer rt.watcherWG.Done()
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
@@ -252,7 +255,7 @@ func (rt *Router) watch(interval, timeout time.Duration) {
 		case <-tick.C:
 			for i, p := range rt.pools {
 				wasOpen := p.BreakerOpen()
-				up := p.Probe(timeout)
+				up := p.Probe(healthTimeout)
 				if rt.log != nil && up == wasOpen { // state change either direction
 					if up {
 						rt.log.Info("backend recovered", "backend", rt.ring.Label(i))
@@ -319,9 +322,9 @@ type pendingOp struct {
 	calls      []Call       // opForward: 1; scatter/msearch: per-backend (zero Call = uninvolved)
 	slotBk     []int        // opMSearch: original slot -> backend
 	local      []byte       // opLocal reply
-	req        []byte       // opLocal on a tracing router: the request line (no batch holds it)
+	req        []byte       // opLocal: the request line (no batch holds it)
 	mark       int          // where this op's reply starts in the out buffer
-	t0         int64        // dispatch stamp, unix nanos (0 on a router without a collector)
+	t0         int64        // dispatch stamp, unix nanos
 	tr         *trace.Trace // set at dispatch only for head-sampled ops
 }
 
@@ -416,19 +419,15 @@ func (rt *Router) Handle(r io.Reader, w io.Writer) {
 // just its dispatch stamp and is judged at settle.
 func (st *rconn) Request(out, line []byte) ([]byte, bool) {
 	rt := st.rt
-	var t0 int64
+	now := time.Now()
 	var tr *trace.Trace
-	if rt.trc != nil {
-		now := time.Now()
-		t0 = now.UnixNano()
-		if rt.trc.Sample() {
-			tr = rt.trc.BeginAt(now, true)
-		}
+	if rt.trc.Sample() {
+		tr = rt.trc.BeginAt(now, true)
 	}
 	st.tr = tr
 	rt.route(st, wire.View(line))
 	op := &st.ops[len(st.ops)-1] // every route path appends exactly one op
-	op.t0, op.tr = t0, tr
+	op.t0, op.tr = now.UnixNano(), tr
 	st.tr = nil
 	return out, len(st.ops) >= maxClientPipeline
 }
@@ -764,9 +763,7 @@ func (st *rconn) Settle(out []byte) []byte {
 		}
 		out = append(out, '\n')
 	}
-	if rt.trc != nil {
-		rt.observe(st, out, tFlush)
-	}
+	rt.observe(st, out, tFlush)
 	st.ops = st.ops[:0]
 	// Every line's op waited above; these waits only guarantee no batch
 	// is refilled while the pool could still be writing to it.
@@ -793,7 +790,7 @@ func (rt *Router) settleForward(st *rconn, out []byte, op *pendingOp) []byte {
 	resp, err := c.Wait()
 	for err != nil && op.idempotent && errors.Is(err, ErrBackendDown) && op.retries < rt.retries {
 		rt.met.Backend(op.backend).IncRetries()
-		time.Sleep(rt.retryBackoff << uint(op.retries))
+		time.Sleep(retryBackoff << uint(op.retries))
 		op.retries++
 		c = rt.pools[op.backend].Submit(c.Line()) // a *TID tag rides in the line
 		st.cut = append(st.cut, c.Batch())        // recycled with the burst
@@ -969,14 +966,14 @@ func recordCall(tr *trace.Trace, c Call, backend int, span uint32, t0, queued in
 }
 
 // mergeAllOK: every backend must say OK; otherwise the first non-OK
-// reply (in backend order) wins, and a transport failure sheds. Used
+// reply (in address order) wins, and a transport failure sheds. Used
 // for broadcast CREATE/DROP of sharded engines, where partial
 // application is surfaced, not hidden. On success, settle-side pin
 // bookkeeping has already been handled by the forward path (pinned
 // creates are not broadcast).
 func (rt *Router) mergeAllOK(out []byte, op *pendingOp) []byte {
-	for _, c := range op.calls {
-		resp, err := c.Wait()
+	for _, bi := range rt.order {
+		resp, err := op.calls[bi].Wait()
 		if err != nil {
 			return append(out, replyUnavailable...)
 		}
@@ -988,13 +985,13 @@ func (rt *Router) mergeAllOK(out []byte, op *pendingOp) []byte {
 }
 
 // mergeMasked: a masked probe can match on any shard — first HIT in
-// backend order wins; a backend that could not rule the key out (or
+// address order wins; a backend that could not rule the key out (or
 // could not be asked) forces the explicit error forms.
 func (rt *Router) mergeMasked(out []byte, op *pendingOp) []byte {
 	sawDown, sawMissErr, sawMiss := false, false, false
 	var firstOther []byte
-	for _, c := range op.calls {
-		resp, err := c.Wait()
+	for _, bi := range rt.order {
+		resp, err := op.calls[bi].Wait()
 		if err != nil {
 			sawDown = true
 			continue
@@ -1026,13 +1023,13 @@ func (rt *Router) mergeMasked(out []byte, op *pendingOp) []byte {
 }
 
 // mergeEngineUnion: the cluster roster is the union of backend
-// rosters, first-seen order scanning backends in configuration order.
+// rosters, first-seen order scanning backends by address.
 func (rt *Router) mergeEngineUnion(out []byte, op *pendingOp) []byte {
 	seen := make(map[string]struct{}, 8)
 	mark := len(out)
 	out = append(out, op.verb.Name...)
-	for _, c := range op.calls {
-		resp, err := c.Wait()
+	for _, bi := range rt.order {
+		resp, err := op.calls[bi].Wait()
 		if err != nil {
 			return append(out[:mark], replyUnavailable...)
 		}

@@ -66,18 +66,13 @@ func startBackend(t testing.TB, engines ...string) *testBackend {
 func testRouter(t testing.TB, bks []*testBackend, mod func(*RouterConfig)) (*Router, *metrics.RouterMetrics) {
 	t.Helper()
 	backends := make([]Backend, len(bks))
-	labels := make([]string, len(bks))
 	for i, b := range bks {
 		backends[i] = Backend{Label: fmt.Sprintf("b%d", i), Addr: b.addr}
-		labels[i] = backends[i].Label
 	}
-	rm := metrics.NewRouterMetrics(labels)
 	cfg := RouterConfig{
 		Backends:       backends,
-		Metrics:        rm,
 		BreakerBackoff: 50 * time.Millisecond,
 		Retries:        2,
-		RetryBackoff:   time.Millisecond,
 	}
 	if mod != nil {
 		mod(&cfg)
@@ -87,7 +82,7 @@ func testRouter(t testing.TB, bks []*testBackend, mod func(*RouterConfig)) (*Rou
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rt.Close() })
-	return rt, rm
+	return rt, rt.Metrics()
 }
 
 // rdrive runs request lines through the router's handler and returns

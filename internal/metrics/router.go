@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // burstBounds is how many of SizeBuckets the burst-size family
 // declares: 1 to 1024, every larger burst in +Inf.
@@ -31,7 +28,7 @@ func (b *RouterBackend) Name() string { return b.name }
 
 // AddOps counts n submitted requests (the pool records a whole batch
 // with one add). Nil-safe like every recorder here, so an unmetered
-// pool costs only the nil check.
+// pool (the ladder's bare NewPool) costs only the nil check.
 func (b *RouterBackend) AddOps(n int) {
 	if b != nil {
 		b.ops.Add(uint64(n))
@@ -122,41 +119,17 @@ func NewRouterMetrics(backends []string) *RouterMetrics {
 	return rm
 }
 
-// Backend returns slot i, or nil when the registry itself is nil (an
-// unmetered router) — callers chain the nil-safe recorders without
-// checking.
-func (rm *RouterMetrics) Backend(i int) *RouterBackend {
-	if rm == nil {
-		return nil
-	}
-	return &rm.slots[i]
-}
+// Backend returns slot i.
+func (rm *RouterMetrics) Backend(i int) *RouterBackend { return &rm.slots[i] }
 
-// Backends returns the slot count.
-func (rm *RouterMetrics) Backends() int {
-	if rm == nil {
-		return 0
-	}
-	return len(rm.slots)
-}
-
-// Totals sums ops and errors across backends.
+// Totals sums ops and errors across backends (the router_ops and
+// router_errors of the fleet METRICS reply).
 func (rm *RouterMetrics) Totals() (ops, errs uint64) {
-	if rm == nil {
-		return 0, 0
-	}
 	for i := range rm.slots {
 		ops += rm.slots[i].ops.Load()
 		errs += rm.slots[i].errs.Load()
 	}
 	return ops, errs
-}
-
-// String renders a compact one-line summary (the router's wire-level
-// METRICS reply body): per-registry totals only, deterministic.
-func (rm *RouterMetrics) String() string {
-	ops, errs := rm.Totals()
-	return fmt.Sprintf("backends=%d ops=%d errors=%d", rm.Backends(), ops, errs)
 }
 
 // Exposition is the router tier's /metrics: the per-backend families,

@@ -7,9 +7,11 @@ import (
 	"time"
 )
 
-// Config parameterizes a Collector. The zero value keeps both
-// admission policies off (traces are still recorded and pooled, so
-// EXPLAIN-style forced traces and per-request logging keep working).
+// Config parameterizes a Collector. The zero value samples nothing
+// but retains every request with nonzero latency in the slowlog
+// (Slowlog 0, see SlowAdmit); an idle collector — both policies off,
+// traces still recorded and pooled, so EXPLAIN-style forced traces and
+// TRACE GET keep working — is Config{Slowlog: -1}.
 type Config struct {
 	// SampleN admits every Nth request into the sampled ring
 	// (1-in-N). 0 or negative disables sampling. The sampler is

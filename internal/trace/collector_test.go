@@ -226,7 +226,7 @@ func TestHandlerJSON(t *testing.T) {
 	}
 
 	rec := httptest.NewRecorder()
-	c.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?n=4", nil))
+	c.Handler(nil).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?n=4", nil))
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json; charset=utf-8" {
 		t.Fatalf("Content-Type = %q", ct)
 	}
@@ -302,7 +302,7 @@ func TestHandlerJSON(t *testing.T) {
 
 	// The nil collector serves the disabled sentinel.
 	rec = httptest.NewRecorder()
-	(*Collector)(nil).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
+	(*Collector)(nil).Handler(nil).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
 	if rec.Body.String() != "{\"disabled\":true}\n" {
 		t.Fatalf("nil collector handler = %q", rec.Body.String())
 	}

@@ -27,7 +27,7 @@ type spanJSON struct {
 
 // hopJSON is a router-side span: one event of the proxied request's
 // journey through the backend pools. Backend is the pool index (the
-// stitcher maps it to a label); Span is the child span id for
+// entry's children name its label); Span is the child span id for
 // backend_rtt hops.
 type hopJSON struct {
 	Kind     string `json:"kind"`
@@ -57,7 +57,26 @@ type entryJSON struct {
 	Probes    []probeJSON `json:"probes,omitempty"`
 	Spans     []spanJSON  `json:"spans,omitempty"`
 	Hops      []hopJSON   `json:"hops,omitempty"`
+	Children  []Child     `json:"children,omitempty"`
 }
+
+// Child is one backend_rtt hop's own trace, fetched from the backend it
+// was tagged for (TRACE GET <tid>/<span>) when the tagging tier serves
+// its /debug/traces: router spans (queue wait, backend RTT, retries,
+// breaker) and backend spans (lock wait, probe chain, §3.4
+// expected-rows) in one document. Trace is the backend's TRACE GET
+// payload; Error says why there is none — the child may legitimately be
+// gone (ring wraparound) by the time someone looks.
+type Child struct {
+	Backend string          `json:"backend"`
+	Span    uint32          `json:"span"`
+	Trace   json.RawMessage `json:"trace,omitempty"`
+	Error   string          `json:"error,omitempty"`
+}
+
+// FetchChild fetches the child trace of a tagged trace's backend_rtt
+// hop: wire trace id tid, pool index backend, child span id span.
+type FetchChild func(tid uint64, backend, span uint32) Child
 
 type ringJSON struct {
 	Len     int         `json:"len"`
@@ -169,18 +188,30 @@ func (t *Trace) AppendJSON(dst []byte, expected float64) []byte {
 	return append(dst, b...)
 }
 
-func ringView(r *Ring, max int) ringJSON {
+func ringView(r *Ring, max int, fetch FetchChild) ringJSON {
 	v := ringJSON{Len: r.Len(), Total: r.Total(), Entries: []entryJSON{}}
 	for _, t := range r.Snapshot(nil, max) {
-		v.Entries = append(v.Entries, entryView(t))
+		e := entryView(t)
+		if fetch != nil && t.TID != 0 {
+			for _, ev := range t.Events {
+				if ev.Kind == KindRTT {
+					e.Children = append(e.Children, fetch(t.TID, ev.Bucket, ev.Span))
+				}
+			}
+		}
+		v.Entries = append(v.Entries, e)
 	}
 	return v
 }
 
-// Handler serves the collector's state as JSON — mounted by the
-// server's metrics mux at /debug/traces. The optional ?n= query bounds
-// how many entries of each ring are returned (default 32).
-func (c *Collector) Handler() http.Handler {
+// Handler serves the collector's state as JSON — mounted at
+// /debug/traces by both tiers' metrics mux. The optional ?n= query
+// bounds how many entries of each ring are returned (default 32).
+// fetch, when set, fills each tagged entry's children: the router
+// passes its backend fetch, so a retained request's backend traces sit
+// under it; the server, a leaf, passes nil. Child fetches are lazy,
+// per-request wire calls, so retention stays cheap.
+func (c *Collector) Handler(fetch FetchChild) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		if c == nil {
@@ -206,9 +237,9 @@ func (c *Collector) Handler() http.Handler {
 		}
 		v.Policy.Ring = c.slow.Cap()
 		v.Seen = c.Seen()
-		v.Slowlog = ringView(c.slow, max)
-		v.Tagged = ringView(c.tagged, max)
-		v.Sampled = ringView(c.sampled, max)
+		v.Slowlog = ringView(c.slow, max, fetch)
+		v.Tagged = ringView(c.tagged, max, fetch)
+		v.Sampled = ringView(c.sampled, max, fetch)
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(v)
