@@ -5,11 +5,14 @@
 #                       concurrent code (wire, server, subsystem, metrics,
 #                       trace, wal, cluster, caram, match), whole packages
 #   make stress         tier-2: the concurrency stress tests under -race
-#   make fuzz           10s per fuzz target: the protocol engine, the one
-#                       request grammar (internal/wire: every verb row ×
-#                       spelling, the field scanner vs strings.Fields, the
-#                       key and hex parsers) and the bounded slot
-#                       comparator vs the serial oracle
+#   make fuzz           10s per fuzz target, all nine: the protocol
+#                       engine, the one request grammar (internal/wire:
+#                       every verb row × spelling, the field scanner vs
+#                       strings.Fields, the key and hex parsers), the
+#                       bounded slot comparator vs the serial oracle, the
+#                       ternary parser and the field accessors
+#                       (internal/bitutil), and range-to-prefix expansion
+#                       (internal/pktclass)
 #   make bench          the parallel-throughput server benchmark, the
 #                       batched MSEARCH fan-out, served 64-key MSEARCH
 #                       lines on the ladder's table, the write path
@@ -188,6 +191,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseVec -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzParseHex64 -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzKernelVsSerial -fuzztime $(FUZZTIME) ./internal/match
+	$(GO) test -run '^$$' -fuzz FuzzParseTernary -fuzztime $(FUZZTIME) ./internal/bitutil
+	$(GO) test -run '^$$' -fuzz FuzzFieldAccess -fuzztime $(FUZZTIME) ./internal/bitutil
+	$(GO) test -run '^$$' -fuzz FuzzRangeToPrefixes -fuzztime $(FUZZTIME) ./internal/pktclass
 
 bench:
 	$(GO) test -run '^$$' -bench 'ServerParallelSearch|MSearchBatched|ServedMSearch|WritePath|ServedInsertBurst' -benchmem .
@@ -243,7 +249,8 @@ COPY_GUARD_FUNCS = \
 	caram/internal/caram.(*Reader).snapshot caram/internal/caram.(*Reader).LookupBatch \
 	caram/internal/caram.(*Reader).Contains caram/internal/caram.(*Slice).CountWhere \
 	caram/internal/caram.(*Slice).SelectWhere caram/internal/caram.(*Slice).UpdateWhere \
-	caram/internal/caram.(*Slice).DeleteWhere caram/internal/subsystem.(*guardedEngine).batchSeq \
+	caram/internal/caram.(*Slice).DeleteWhere caram/internal/caram.(*Slice).scanRow \
+	caram/internal/caram.(*Slice).SelectChain caram/internal/subsystem.(*guardedEngine).batchSeq \
 	caram/internal/subsystem.(*Concurrent).MSearchServed caram/internal/server.(*Server).exec \
 	caram/internal/caram.(*Slice).Touch caram/internal/subsystem.(*Engine).Touch \
 	caram/internal/subsystem.(*Concurrent).WriteRun caram/internal/server.(*session).join \
@@ -294,7 +301,10 @@ crash-harness:
 # charge and ECC cell equal after each step, Slice.Verify after each
 # step, with ECC and live seeded injectors among the cases — and the
 # hand-built locate cases (foreign-chain duplicates, quarantined
-# shadow); the Reader torn-read suites unmodified plus the 10^5-flip
+# shadow); the bulk scans and the chain-bounded scan over a single- and
+# a double-bit error at rest, held to an untouched twin (corrected, or
+# answered and changed in the shadow of the row they quarantine); the
+# Reader torn-read suites unmodified plus the 10^5-flip
 # single-slot test; the chaos capstone; the snapshot freeze's model
 # check — every write path interleaved with the walk, row by row, three
 # clock seeds, and the mid-write snapshot held to the oracle and
@@ -313,7 +323,7 @@ crash-harness:
 write-guard:
 	$(GO) test -race -run 'KernelLocate|FieldWriters|ClearSlot' -count=1 ./internal/match
 	$(GO) test -race -run 'CommitRowUpdate' -count=1 ./internal/mem
-	$(GO) test -race -run 'WritePath|Locate|ContainsConcurrent|UnchangedCommit|OccupancyMarkModel|TestReader' -count=1 ./internal/caram
+	$(GO) test -race -run 'WritePath|Locate|ContainsConcurrent|UnchangedCommit|OccupancyMarkModel|TestReader|ScanErrorAtRest' -count=1 ./internal/caram
 	$(GO) test -race -run 'FreezeModelCheck' -count=3 ./internal/caram
 	$(GO) test -race -run 'Chaos' -count=1 ./internal/subsystem
 	$(GO) test -race -run 'ReplayCountsDropped|FreezesMidWrite|StagedReplay|AppendWaits' -count=1 ./internal/wal

@@ -20,9 +20,28 @@ import (
 // read (plus one write when modified), so a whole-database pass is
 // Rows() accesses regardless of the predicate.
 //
+// The scans read through the row port's checked fetch, as lookups do:
+// on an ECC slice a single-bit error at rest is corrected before the
+// row is matched, and a row that is quarantined — before the scan or by
+// its own fetch — is matched and changed in its shadow, the host-side
+// copy (§3.2), never written through the port. A row already out of
+// service charges no access; the fetch that quarantines a row charges
+// its read.
+//
 // The scans match on the port's bank into its scratch, s.res: every
 // loop below finishes consuming one row's match vector before searching
 // the next row.
+
+// scanRow fetches row idx for a scan: the checked row, or its shadow
+// when the fetch did not deliver one. quar reports whether the row is
+// out of service after the fetch.
+func (s *Slice) scanRow(idx uint32) (row []uint64, quar bool) {
+	row, ok := s.fetchChecked(idx, nil)
+	if ok {
+		return row, false
+	}
+	return s.ecc.shadowRow(idx), s.ecc.quar[idx].Load()
+}
 
 // CountWhere returns how many stored records match the (possibly
 // masked) search key, streaming the whole array through the match
@@ -30,7 +49,7 @@ import (
 func (s *Slice) CountWhere(search bitutil.Ternary) int {
 	n := 0
 	for b := 0; b < s.rows; b++ {
-		row := s.logicalRow(uint32(b), s.array.ReadRow(uint32(b)))
+		row, _ := s.scanRow(uint32(b))
 		s.bank.SearchInto(&s.res, row, search)
 		n += s.res.Count
 	}
@@ -42,10 +61,27 @@ func (s *Slice) CountWhere(search bitutil.Ternary) int {
 func (s *Slice) SelectWhere(search bitutil.Ternary) []match.Record {
 	var out []match.Record
 	for b := 0; b < s.rows; b++ {
-		row := s.logicalRow(uint32(b), s.array.ReadRow(uint32(b)))
+		row, _ := s.scanRow(uint32(b))
 		out = s.bank.AppendAll(out, &s.res, row, search)
 	}
 	return out
+}
+
+// SelectChain is SelectWhere over one bucket chain: the search key's
+// home bucket through the reach its aux field records — the rows a
+// lookup may probe. It returns the matches in bucket/slot order and how
+// many rows it read.
+func (s *Slice) SelectChain(search bitutil.Ternary) (out []match.Record, rows int) {
+	home := s.Index(search.Value)
+	for d, reach := 0, 0; d <= reach && d < s.rows; d++ {
+		row, _ := s.scanRow(uint32((int(home) + d) % s.rows))
+		if d == 0 {
+			reach = int(s.layout.ReadAux(row))
+		}
+		out = s.bank.AppendAll(out, &s.res, row, search)
+		rows++
+	}
+	return out, rows
 }
 
 // UpdateWhere applies fn to the data field of every record matching
@@ -54,8 +90,7 @@ func (s *Slice) SelectWhere(search bitutil.Ternary) []match.Record {
 func (s *Slice) UpdateWhere(search bitutil.Ternary, fn func(match.Record) bitutil.Vec128) int {
 	updated := 0
 	for b := 0; b < s.rows; b++ {
-		quar := s.Quarantined(uint32(b))
-		row := s.logicalRow(uint32(b), s.array.ReadRow(uint32(b)))
+		row, quar := s.scanRow(uint32(b))
 		s.bank.SearchInto(&s.res, row, search)
 		if s.res.Count == 0 {
 			continue
@@ -94,8 +129,7 @@ func (s *Slice) UpdateWhere(search bitutil.Ternary, fn func(match.Record) bituti
 func (s *Slice) DeleteWhere(search bitutil.Ternary) int {
 	deleted := 0
 	for b := 0; b < s.rows; b++ {
-		quar := s.Quarantined(uint32(b))
-		row := s.logicalRow(uint32(b), s.array.ReadRow(uint32(b)))
+		row, quar := s.scanRow(uint32(b))
 		s.bank.SearchInto(&s.res, row, search)
 		if s.res.Count == 0 {
 			continue
@@ -168,16 +202,6 @@ func (s *Slice) BuildFromRecords(records []match.Record, score func(match.Record
 		}
 	}
 	return unplaced
-}
-
-// Image returns a copy of the slice's raw storage — the bit-for-bit
-// database image RAM mode exposes for DMA-style copies (§3.2).
-func (s *Slice) Image() []uint64 {
-	out := make([]uint64, s.array.Words())
-	for w := 0; w < s.array.Words(); w++ {
-		out[w] = s.array.ReadWord(w)
-	}
-	return out
 }
 
 // Freeze is a slice's logical image at one instant — quarantined rows as
@@ -296,23 +320,16 @@ func (f *Freeze) Release() {
 	}
 }
 
-// LoadImage installs a raw storage image produced by Image on a slice
-// with identical geometry, rebuilding the placement bookkeeping. The
-// receiving slice must use the same layout and index generator for the
-// counters to be meaningful.
-func (s *Slice) LoadImage(img []uint64) error {
-	return s.LoadImageFrom(len(img), func(row []uint64) error {
-		img = img[copy(row, img):]
-		return nil
-	})
-}
-
-// LoadImageFrom is LoadImage over a stream: next fills the buffer it is
-// handed with the image's next row, so a loader that decodes from a
-// file never holds more of the image than one row. The geometry is
-// checked before the first row is asked for. An error from next stops
-// the load and is returned; the bookkeeping is still rebuilt over what
-// was installed, so the slice stays self-consistent.
+// LoadImageFrom installs a storage image — a Freeze's, streamed — on a
+// slice with identical geometry, rebuilding the placement bookkeeping:
+// the RAM-mode bulk load of §3.2. next fills the buffer it is handed
+// with the image's next row, so a loader that decodes from a file never
+// holds more of the image than one row. The receiving slice must use
+// the same layout and index generator for the counters to be
+// meaningful. The geometry is checked before the first row is asked
+// for. An error from next stops the load and is returned; the
+// bookkeeping is still rebuilt over what was installed, so the slice
+// stays self-consistent.
 func (s *Slice) LoadImageFrom(words int, next func(row []uint64) error) error {
 	if words != s.array.Words() {
 		return fmt.Errorf("caram: image of %d words for an array of %d", words, s.array.Words())

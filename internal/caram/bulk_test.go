@@ -163,12 +163,30 @@ func TestBuildFromRecordsReportsUnplaced(t *testing.T) {
 	}
 }
 
+// frozenImage streams a freeze of s into one buffer: the logical image a
+// durability snapshot writes.
+func frozenImage(s *Slice) []uint64 {
+	f := s.Freeze()
+	img := make([]uint64, 0, f.Len())
+	f.Each(func(rows []uint64) { img = append(img, rows...) })
+	return img
+}
+
+// loadImage installs img on s through LoadImageFrom, a row per call, as
+// recovery loads a snapshot.
+func loadImage(s *Slice, img []uint64) error {
+	return s.LoadImageFrom(len(img), func(row []uint64) error {
+		img = img[copy(row, img):]
+		return nil
+	})
+}
+
 func TestImageLoadImageRoundTrip(t *testing.T) {
 	src := filledSlice(t, 250)
-	img := src.Image()
+	img := frozenImage(src)
 
 	dst := MustNew(src.Config())
-	if err := dst.LoadImage(img); err != nil {
+	if err := loadImage(dst, img); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Count() != src.Count() {
@@ -187,7 +205,7 @@ func TestImageLoadImageRoundTrip(t *testing.T) {
 	if msg := dst.Verify(); msg != "" {
 		t.Errorf("Verify: %s", msg)
 	}
-	if err := dst.LoadImage(img[:3]); err == nil {
+	if err := loadImage(dst, img[:3]); err == nil {
 		t.Error("short image accepted")
 	}
 }
@@ -251,7 +269,7 @@ func TestImageRoundTripQuick(t *testing.T) {
 			_ = src.Insert(rec(uint64(k), uint64(k)>>3))
 		}
 		dst := MustNew(src.Config())
-		if err := dst.LoadImage(src.Image()); err != nil {
+		if err := loadImage(dst, frozenImage(src)); err != nil {
 			return false
 		}
 		if dst.Count() != src.Count() {

@@ -95,7 +95,7 @@ func checkWord(row []uint64) uint64 {
 
 // EnableECC turns per-row error coding on, building the check words
 // and the insert-side shadow from the array's current contents. It is
-// the post-load entry point too: LoadImage calls it again on an
+// the post-load entry point too: LoadImageFrom calls it again on an
 // ECC-enabled slice, so bulk-constructed databases (§3.2) are
 // protected from their current state onward. Enabling is idempotent;
 // re-enabling rebuilds and clears any quarantine.
@@ -178,8 +178,8 @@ func (e *eccState) restore(idx uint32, scratch []uint64) {
 
 // logicalRow returns a row's logical contents for maintenance scans:
 // the authoritative shadow when the row is quarantined, the stored row
-// otherwise. Maintenance (locate, Records, bulk scans) always sees the
-// true database even while a row is out of service.
+// otherwise. Maintenance (locate, Records) always sees the true
+// database even while a row is out of service.
 func (s *Slice) logicalRow(idx uint32, stored []uint64) []uint64 {
 	if s.ecc != nil && s.ecc.quar[idx].Load() {
 		return s.ecc.shadowRow(idx)
@@ -202,8 +202,8 @@ func (e *eccState) quarantine(idx uint32, row []uint64) {
 	e.st.Uncorrectable++
 }
 
-// fetchChecked is the slice's one row-fetch path for charged lookups
-// and insert probes. With ECC off it is the array fetch plus a nil
+// fetchChecked is the slice's one row-fetch path for charged lookups,
+// insert probes and bulk scans. With ECC off it is the array fetch plus a nil
 // check — the zero-allocation hot path. With ECC on it verifies the
 // row against its check word, corrects a single-bit error in place,
 // and quarantines an uncorrectable row. ok=false means the row is

@@ -2,6 +2,8 @@ package caram
 
 import (
 	"math/bits"
+	"reflect"
+	"slices"
 	"testing"
 
 	"caram/internal/bitutil"
@@ -271,6 +273,115 @@ func TestWriteRestoresErrorAtRest(t *testing.T) {
 	}
 }
 
+// scans are the bulk scans and the chain-bounded scan, each over key 3,
+// returning what it answered; the writers set key 3's data to 7 or
+// delete it.
+var scans = []struct {
+	name string
+	run  func(s *Slice) any
+}{
+	{"CountWhere", func(s *Slice) any { return s.CountWhere(key3) }},
+	{"SelectWhere", func(s *Slice) any { return s.SelectWhere(key3) }},
+	{"SelectChain", func(s *Slice) any { recs, rows := s.SelectChain(key3); return [2]any{recs, rows} }},
+	{"UpdateWhere", func(s *Slice) any {
+		return s.UpdateWhere(key3, func(match.Record) bitutil.Vec128 { return bitutil.FromUint64(7) })
+	}},
+	{"DeleteWhere", func(s *Slice) any { return s.DeleteWhere(key3) }},
+}
+
+var key3 = bitutil.Exact(bitutil.FromUint64(3))
+
+// scanTwins returns two ECC slices holding keys 0..19 with data 100+i;
+// under LowBits(4) keys 3 and 19 share row 3, in slots 0 and 1.
+func scanTwins(t *testing.T) (clean, hit *Slice) {
+	t.Helper()
+	clean, hit = MustNew(eccConfig()), MustNew(eccConfig())
+	for i := 0; i < 20; i++ {
+		for _, s := range []*Slice{clean, hit} {
+			if err := s.Insert(rec(uint64(i), uint64(100+i))); err != nil {
+				t.Fatalf("insert %d: %v", i, err)
+			}
+		}
+	}
+	return clean, hit
+}
+
+// sameAnswer fails the test unless the slice hit by an error at rest
+// answered the scan and holds the records its clean twin does.
+func sameAnswer(t *testing.T, clean, hit *Slice, run func(*Slice) any) {
+	t.Helper()
+	want, got := run(clean), run(hit)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("answered %v, without the error %v", got, want)
+	}
+	if got, want := records(hit), records(clean); !reflect.DeepEqual(got, want) {
+		t.Fatalf("holds %v, without the error %v", got, want)
+	}
+}
+
+// records lists a slice's logical records in bucket/slot order.
+func records(s *Slice) []match.Record {
+	var out []match.Record
+	s.Records(func(_ uint32, _ int, r match.Record) bool { out = append(out, r); return true })
+	return out
+}
+
+// TestScanErrorAtRestSingleBit: a scan reads every row through the
+// checked fetch, so a single-bit error at rest — in key 3's data or in
+// its key — is corrected before the row is matched, and every scan
+// answers as if it had never struck.
+func TestScanErrorAtRestSingleBit(t *testing.T) {
+	for _, flip := range []struct {
+		name string
+		pos  int
+	}{{"data", 1 + 32}, {"key", 1}} {
+		for _, sc := range scans {
+			t.Run(flip.name+"/"+sc.name, func(t *testing.T) {
+				clean, hit := scanTwins(t)
+				corrupt(hit, 3, flip.pos)
+				sameAnswer(t, clean, hit, sc.run)
+				if st := hit.EccStats(); st.CorrectedBits != 1 || st.Uncorrectable != 0 || hit.QuarantinedRows() != 0 {
+					t.Fatalf("ecc stats %+v, %d quarantined; want one corrected bit", st, hit.QuarantinedRows())
+				}
+				if msg := hit.Verify(); msg != "" {
+					t.Fatal(msg)
+				}
+			})
+		}
+	}
+}
+
+// TestScanErrorAtRestDoubleBit: a double-bit error at rest is
+// quarantined by the scan's own fetch, and the scan answers from the
+// shadow. A writing scan changes only the shadow — the stored row keeps
+// its corrupt bits and no write is charged — and the scrub publishes the
+// change: the slice verifies clean and a lookup answers as the twin's.
+func TestScanErrorAtRestDoubleBit(t *testing.T) {
+	for _, sc := range scans {
+		t.Run(sc.name, func(t *testing.T) {
+			clean, hit := scanTwins(t)
+			corrupt(hit, 3, 1+32)
+			corrupt(hit, 3, 1+32+3)
+			stored := slices.Clone(hit.array.PeekRow(3))
+			writes := hit.array.Stats().RowWrites
+			sameAnswer(t, clean, hit, sc.run)
+			if !hit.Quarantined(3) || hit.EccStats().Uncorrectable != 1 {
+				t.Fatalf("row 3 quarantined=%v, ecc stats %+v; want the scan to quarantine it", hit.Quarantined(3), hit.EccStats())
+			}
+			if got := hit.array.PeekRow(3); !slices.Equal(got, stored) || hit.array.Stats().RowWrites != writes {
+				t.Fatalf("the scan wrote the quarantined row: %x, was %x", got, stored)
+			}
+			hit.Scrub()
+			if msg := hit.Verify(); msg != "" {
+				t.Fatal(msg)
+			}
+			if got, want := hit.Lookup(key3), clean.Lookup(key3); got.Found != want.Found || got.Record != want.Record || got.Erred {
+				t.Fatalf("Lookup(3) after the scrub = %+v, want %+v", got, want)
+			}
+		})
+	}
+}
+
 // written is 1 for a nil error, 0 otherwise.
 func written(err error) int {
 	if err != nil {
@@ -314,8 +425,8 @@ func TestInsertSkipsQuarantinedRow(t *testing.T) {
 	}
 }
 
-// TestEnableECCAfterLoad: LoadImage on an ECC slice rebuilds checks and
-// shadow from the new contents; EnableECC on a populated plain slice
+// TestEnableECCAfterLoad: LoadImageFrom on an ECC slice rebuilds checks
+// and shadow from the new contents; EnableECC on a populated plain slice
 // protects from that state onward.
 func TestEnableECCAfterLoad(t *testing.T) {
 	src := MustNew(smallConfig())
@@ -325,14 +436,14 @@ func TestEnableECCAfterLoad(t *testing.T) {
 		}
 	}
 	dst := MustNew(eccConfig())
-	if err := dst.LoadImage(src.Image()); err != nil {
+	if err := loadImage(dst, frozenImage(src)); err != nil {
 		t.Fatal(err)
 	}
 	// Every row must verify cleanly against its rebuilt check word.
 	for i := 0; i < 12; i++ {
 		k := bitutil.Exact(bitutil.FromUint64(uint64(i)))
 		if res := dst.Lookup(k); !res.Found || res.Erred {
-			t.Fatalf("record %d after LoadImage: %+v", i, res)
+			t.Fatalf("record %d after LoadImageFrom: %+v", i, res)
 		}
 	}
 	if st := dst.EccStats(); st.CorrectedBits != 0 || st.Uncorrectable != 0 {

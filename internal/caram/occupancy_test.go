@@ -154,18 +154,15 @@ func TestOccupancyMarkModel(t *testing.T) {
 				}
 				check("BuildFromRecords")
 			case op == 15:
-				if s.QuarantinedRows() > 0 {
-					continue // Image would carry the corrupt stored bits
-				}
-				img := s.Image()
+				img := frozenImage(s)
 				s.Clear()
 				if v := s.Verify(); v != "" {
 					t.Fatalf("ecc=%v after Clear: %s", ecc, v)
 				}
-				if err := s.LoadImage(img); err != nil {
+				if err := loadImage(s, img); err != nil {
 					t.Fatal(err)
 				}
-				check("LoadImage")
+				check("LoadImageFrom")
 			case op == 16 && ecc:
 				// A double-bit strike on a random row, noticed by the next
 				// lookup through it: deletes divert to the shadow until the

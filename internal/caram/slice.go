@@ -108,8 +108,8 @@ func (s *Slice) Layout() match.Layout { return s.layout }
 // Array exposes the underlying memory array — the RAM-mode view of
 // §3.2 (scratch-pad access, bulk database construction, memory tests).
 // Records written through it bypass the slice's bookkeeping — counts,
-// home loads, occupancy marks; LoadImage is the RAM-mode bulk load that
-// rebuilds them.
+// home loads, occupancy marks; LoadImageFrom is the RAM-mode bulk load
+// that rebuilds them.
 func (s *Slice) Array() *mem.Array { return s.array }
 
 // Count returns the number of stored records (duplicated ternary

@@ -499,6 +499,14 @@ func TestNoProbing(t *testing.T) {
 	}
 }
 
+// mulIndex is a multiplicative index generator of 31 bits, many more
+// than log2 of the row counts it is reduced modulo.
+type mulIndex struct{}
+
+func (mulIndex) Index(k bitutil.Vec128) uint32 { return uint32(k.Lo*2654435761) & (1<<31 - 1) }
+func (mulIndex) Bits() int                     { return 31 }
+func (mulIndex) Name() string                  { return "mul" }
+
 func TestTotalRowsNonPowerOfTwo(t *testing.T) {
 	cfg := Config{
 		IndexBits: 10, // documentation only when TotalRows is set
@@ -506,7 +514,7 @@ func TestTotalRowsNonPowerOfTwo(t *testing.T) {
 		RowBits:   4*(1+32+16) + 8,
 		KeyBits:   32,
 		DataBits:  16,
-		Index:     hash.Func{F: func(k bitutil.Vec128) uint32 { return uint32(k.Lo * 2654435761) }, R: 31, Label: "mod"},
+		Index:     mulIndex{},
 	}
 	s := MustNew(cfg)
 	if s.Config().Rows() != 160 {

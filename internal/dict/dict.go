@@ -195,18 +195,7 @@ func (d *Dict) MatchPattern(pattern string) ([]Match, int, error) {
 // matchAnchored searches the single bucket chain the anchored pattern
 // hashes to.
 func (d *Dict) matchAnchored(q bitutil.Ternary) ([]Match, int, error) {
-	home := d.slice.Index(q.Value)
-	rows := 0
-	var recs []match.Record
-	var res match.Result
-	reach := d.slice.Reach(home)
-	arr := d.slice.Array()
-	sr := match.NewSearcher(d.slice.Layout(), 0)
-	for dlt := 0; dlt <= reach && dlt < arr.Rows(); dlt++ {
-		idx := uint32((int(home) + dlt) % arr.Rows())
-		recs = sr.AppendAll(recs, &res, arr.ReadRow(idx), q)
-		rows++
-	}
+	recs, rows := d.slice.SelectChain(q)
 	return toMatches(recs), rows, nil
 }
 

@@ -24,24 +24,6 @@ type IndexGenerator interface {
 	Name() string
 }
 
-// Func adapts a plain function to an IndexGenerator.
-type Func struct {
-	F     func(bitutil.Vec128) uint32
-	R     int
-	Label string
-}
-
-// Index invokes the wrapped function and truncates to R bits.
-func (f Func) Index(key bitutil.Vec128) uint32 {
-	return f.F(key) & (1<<uint(f.R) - 1)
-}
-
-// Bits returns the index width.
-func (f Func) Bits() int { return f.R }
-
-// Name returns the label given at construction.
-func (f Func) Name() string { return f.Label }
-
 // BitSelect extracts a fixed set of key bit positions and concatenates
 // them into an index — the cheapest possible index generator, and the
 // one the paper uses for IP lookup. Positions[0] becomes the least

@@ -156,7 +156,6 @@ func TestGeneratorsStayInRangeQuick(t *testing.T) {
 		NewDJB(12, 8),
 		NewMultShift(13),
 		NewXorFold(10, 64),
-		Func{F: func(k bitutil.Vec128) uint32 { return uint32(k.Lo) }, R: 9, Label: "low9"},
 	}
 	for _, g := range gens {
 		g := g

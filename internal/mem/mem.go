@@ -103,17 +103,25 @@ type RowFaultInjector interface {
 // writes behind the slice's port lock, matching the hardware's single
 // row port. Reads come in two flavors:
 //
-//   - port-locked reads (ReadRow, FetchRow, PeekRow) return aliases
-//     into the storage and are safe only while the caller serializes
-//     against writers (the classic path);
-//   - lock-free snapshot reads (TryPeekRow) copy a row out under a
-//     per-row seqlock — a version counter that is odd while a writer
-//     is mutating the row and even once the new contents are
-//     published. Writers go through BeginRowUpdate/CommitRowUpdate
-//     (copy-mutate-publish on writer-owned scratch, every changed word
-//     stored atomically inside the odd window), so a snapshot whose version
-//     was even and unchanged across the copy is a complete published
-//     row — never a torn mix of two writes.
+//   - port-locked reads return aliases into the storage and are safe
+//     only while the caller serializes against writers: FetchRow, the
+//     one charged row read (through an installed fault injector), and
+//     the uncharged PeekRow and PeekWords;
+//   - lock-free snapshot reads (TryPeekRow, or LoadWords between two
+//     RowVersion loads) copy a row out under a per-row seqlock — a
+//     version counter that is odd while a writer is mutating the row
+//     and even once the new contents are published — so a snapshot
+//     whose version was even and unchanged across the copy is a
+//     complete published row, never a torn mix of two writes.
+//
+// Every write goes through the seqlock: record writes through
+// BeginRowUpdate (charged) or BeginRowMaint (uncharged) and
+// CommitRowUpdate (copy-mutate-publish on writer-owned scratch, every
+// changed word stored atomically inside the odd window), corrections
+// through PublishRow, and the RAM-mode writes of §3.2 through
+// WriteWord, LoadRow and Clear. ReadWord is the RAM-mode read. Only
+// the fault models of memtest.go (FlipBit, SetStuckAt) change bits
+// behind it, as a defect would.
 //
 // InstallFaults and the seqlock write protocol itself remain
 // single-writer: only reads are wait-free.
@@ -178,28 +186,18 @@ func (a *Array) RowBits() int { return a.cfg.RowBits }
 // SizeBits returns the total storage capacity in bits.
 func (a *Array) SizeBits() int64 { return int64(a.cfg.Rows) * int64(a.cfg.RowBits) }
 
-// ReadRow fetches one row, charging a read access. The returned slice
-// aliases the array's storage and must be treated as read-only; use
-// RowForUpdate to mutate. Port-locked path: callers must serialize
-// against writers.
-func (a *Array) ReadRow(idx uint32) []uint64 {
-	a.stats.rowReads.Add(1)
-	a.stats.cycles.Add(uint64(a.cfg.Timing.MinInterval))
-	return a.row(idx)
-}
-
 // InstallFaults attaches a fault injector to the array's fetch path
 // (FetchRow). nil detaches it. With no injector installed FetchRow is
-// ReadRow plus one predictable nil-check branch, so the lookup hot
-// path keeps its zero-allocation guarantee.
+// a charged alias of the row behind one predictable nil-check branch,
+// so the lookup hot path keeps its zero-allocation guarantee.
 func (a *Array) InstallFaults(inj RowFaultInjector) { a.inj = inj }
 
 // FaultsInstalled reports whether a fault injector is attached — stored
 // bits may then change outside any write the owner issued.
 func (a *Array) FaultsInstalled() bool { return a.inj != nil }
 
-// FetchRow is ReadRow through the fault-injection hook: it charges a
-// read access, then gives an installed injector the chance to corrupt
+// FetchRow is the array's one charged row read: it charges a read
+// access, then gives an installed injector the chance to corrupt
 // the row, fail the fetch, or stretch its latency. ok=false is a
 // transient row-read error — the storage is intact, but this access
 // delivered nothing usable and the caller must retry or skip.
@@ -232,20 +230,6 @@ func (a *Array) FetchRow(idx uint32) ([]uint64, bool) {
 // PeekRow returns a row without charging an access — for assertions,
 // dumps and tests only.
 func (a *Array) PeekRow(idx uint32) []uint64 { return a.row(idx) }
-
-// RowForUpdate returns a mutable view of a row and charges a write
-// access. Hardware performs read-modify-write on a row granularity, so
-// a single charge is the right model for an insert or delete.
-//
-// Legacy port-locked mutator: writes land in storage as plain stores,
-// invisible to the seqlock, so it must not be used on arrays that
-// serve lock-free snapshot readers — those writers go through
-// BeginRowUpdate/CommitRowUpdate instead.
-func (a *Array) RowForUpdate(idx uint32) []uint64 {
-	a.stats.rowWrites.Add(1)
-	a.stats.cycles.Add(uint64(a.cfg.Timing.MinInterval))
-	return a.row(idx)
-}
 
 // BeginRowUpdate opens a row's seqlock write window, charging a write
 // access: the version counter goes odd and the live contents are
@@ -358,7 +342,7 @@ func (a *Array) LoadWords(idx uint32, dst []uint64, lo, hi int) {
 	}
 }
 
-// ChargeRowReads charges n row read accesses at once — what n ReadRow
+// ChargeRowReads charges n row read accesses at once — what n FetchRow
 // calls would add, in one atomic add per counter. Lock-free readers
 // snapshot rows uncharged (TryPeekRow) and settle the bill per lookup
 // or per batch chunk.
@@ -372,16 +356,6 @@ func (a *Array) ChargeRowReads(n int) {
 // RowWords returns the number of 64-bit words per row — the minimum
 // buffer length for TryPeekRow.
 func (a *Array) RowWords() int { return a.rowWords }
-
-// WriteRow replaces a row's contents, charging a write access. Data
-// longer than the row is truncated; shorter data zero-fills the rest.
-func (a *Array) WriteRow(idx uint32, data []uint64) {
-	row := a.RowForUpdate(idx)
-	n := copy(row, data)
-	for i := n; i < len(row); i++ {
-		row[i] = 0
-	}
-}
 
 func (a *Array) row(idx uint32) []uint64 {
 	if int(idx) >= a.cfg.Rows {

@@ -44,41 +44,33 @@ func TestTechnologyString(t *testing.T) {
 
 func TestRowReadWrite(t *testing.T) {
 	a := MustNew(Config{Rows: 4, RowBits: 130}) // 3 words per row
-	a.WriteRow(2, []uint64{1, 2, 3})
-	row := a.ReadRow(2)
-	if len(row) != 3 || row[0] != 1 || row[1] != 2 || row[2] != 3 {
-		t.Errorf("row = %v", row)
+	a.LoadRow(2, []uint64{1, 2, 3})
+	row, ok := a.FetchRow(2)
+	if !ok || len(row) != 3 || row[0] != 1 || row[1] != 2 || row[2] != 3 {
+		t.Errorf("row = %v ok=%v", row, ok)
 	}
-	if got := a.ReadRow(1); got[0] != 0 {
+	if got, _ := a.FetchRow(1); got[0] != 0 {
 		t.Error("neighbor row affected")
 	}
-	// Short write zero-fills.
-	a.WriteRow(2, []uint64{9})
+	// An update window publishes the scratch over the whole row.
+	w := a.BeginRowUpdate(2)
+	w[0], w[1], w[2] = 9, 0, 0
+	a.CommitRowUpdate(2)
 	row = a.PeekRow(2)
 	if row[0] != 9 || row[1] != 0 || row[2] != 0 {
-		t.Errorf("short write: row = %v", row)
+		t.Errorf("updated row = %v", row)
 	}
-	// Long write truncates.
-	a.WriteRow(2, []uint64{1, 2, 3, 4, 5})
-	if a.PeekRow(3)[0] != 0 {
-		t.Error("long write spilled into next row")
-	}
-}
-
-func TestRowForUpdateMutates(t *testing.T) {
-	a := MustNew(Config{Rows: 2, RowBits: 64})
-	row := a.RowForUpdate(1)
-	row[0] = 42
-	if a.PeekRow(1)[0] != 42 {
-		t.Error("RowForUpdate view is not live")
+	if a.PeekRow(3)[0] != 0 || a.PeekRow(1)[2] != 0 {
+		t.Error("update spilled into a neighbor row")
 	}
 }
 
 func TestStatsAccounting(t *testing.T) {
 	a := MustNew(Config{Rows: 4, RowBits: 64, Tech: DRAM})
-	a.ReadRow(0)
-	a.ReadRow(1)
-	a.WriteRow(2, []uint64{7})
+	a.FetchRow(0)
+	a.FetchRow(1)
+	a.BeginRowUpdate(2)[0] = 7
+	a.CommitRowUpdate(2)
 	a.ReadWord(0)
 	a.WriteWord(1, 5)
 	s := a.Stats()
@@ -107,8 +99,8 @@ func TestPeekDoesNotCharge(t *testing.T) {
 
 func TestClear(t *testing.T) {
 	a := MustNew(Config{Rows: 2, RowBits: 64})
-	a.WriteRow(0, []uint64{1})
-	a.WriteRow(1, []uint64{2})
+	a.LoadRow(0, []uint64{1})
+	a.LoadRow(1, []uint64{2})
 	a.ResetStats()
 	a.Clear()
 	if a.PeekRow(0)[0] != 0 || a.PeekRow(1)[0] != 0 {
@@ -122,7 +114,7 @@ func TestClear(t *testing.T) {
 func TestOutOfRangePanics(t *testing.T) {
 	a := MustNew(Config{Rows: 2, RowBits: 64})
 	for name, f := range map[string]func(){
-		"ReadRow":   func() { a.ReadRow(2) },
+		"FetchRow":  func() { a.FetchRow(2) },
 		"ReadWord":  func() { a.ReadWord(99) },
 		"WriteWord": func() { a.WriteWord(-1, 0) },
 	} {

@@ -46,9 +46,10 @@ func Flags(fs *flag.FlagSet, sampleHelp, slowlogHelp string) func() Config {
 
 // Collector owns trace retention for a server: a pool of reusable
 // traces, the two admission policies, and their rings. All methods are
-// safe for concurrent use and safe on a nil receiver (a nil Collector
-// is "tracing off": Begin returns a nil Trace and every downstream
-// recording call no-ops).
+// safe for concurrent use, and all but BeginAt on a nil receiver (a nil
+// Collector is "tracing off": Sample picks nothing, Observe retains
+// nothing, and every recording call on the nil Trace a tier holds then
+// no-ops).
 type Collector struct {
 	sampleN int64
 	slowNs  int64
@@ -148,17 +149,6 @@ func (c *Collector) SlowAdmit(d time.Duration) bool {
 	return c != nil && c.slowNs >= 0 && int64(d) > c.slowNs
 }
 
-// Begin starts tracing one request. It returns nil — tracing off for
-// this request — only on a nil collector; otherwise the trace comes
-// from the pool, so the steady-state cost of an unadmitted trace is a
-// clock read and zero allocations.
-func (c *Collector) Begin() *Trace {
-	if c == nil {
-		return nil
-	}
-	return c.BeginAt(time.Now(), c.Sample())
-}
-
 // Sample counts one request and reports whether the 1-in-N sampler
 // picks it. With BeginAt it is the seam for a tier that traces on
 // admission: the head decision costs an atomic add and no trace, which
@@ -181,20 +171,12 @@ func (c *Collector) BeginAt(t0 time.Time, sampled bool) *Trace {
 	return t
 }
 
-// End finishes a request trace: it stamps the wall latency, applies
-// both admission policies, and either retains the trace (slowlog wins
-// over the sampled ring) or recycles it. It returns whether the
-// request entered the slowlog, so the server can log it. Safe on nil
-// collector/trace.
-func (c *Collector) End(t *Trace) (slow bool) {
-	if c == nil || t == nil {
-		return false
-	}
-	return c.Observe(t, time.Since(t.Begin))
-}
-
-// Observe is End with an explicit latency, the seam the admission
-// property test drives with synthetic durations.
+// Observe finishes a request trace begun with BeginAt, given the
+// request's latency: it applies both admission policies and either
+// retains the trace (slowlog wins over the tagged ring, which wins over
+// the sampled one) or recycles it. It returns whether the request
+// entered the slowlog, so the tier can log it. Safe on a nil
+// collector or trace.
 func (c *Collector) Observe(t *Trace, d time.Duration) (slow bool) {
 	if c == nil || t == nil {
 		return false

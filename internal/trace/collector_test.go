@@ -8,17 +8,21 @@ import (
 	"time"
 )
 
+// begin admits one request as both tiers do: the sampler's head
+// decision, then a pooled trace stamped with the request's start.
+func begin(c *Collector) *Trace { return c.BeginAt(time.Now(), c.Sample()) }
+
 func TestNilSafety(t *testing.T) {
 	var c *Collector
 	var tr *Trace
 	if c.Enabled() || tr.Enabled() {
 		t.Fatal("nil collector/trace report enabled")
 	}
-	if got := c.Begin(); got != nil {
-		t.Fatalf("nil collector Begin = %v, want nil", got)
+	if c.Sample() {
+		t.Fatal("nil collector sampled a request")
 	}
-	if c.End(nil) {
-		t.Fatal("nil End reported slow")
+	if c.Observe(nil, time.Hour) {
+		t.Fatal("nil Observe reported slow")
 	}
 	if c.SlowAdmit(time.Hour) {
 		t.Fatal("nil collector admitted to slowlog")
@@ -54,7 +58,7 @@ func TestSlowAdmitProperty(t *testing.T) {
 		thr := time.Duration(thrUs) * time.Microsecond
 		d := time.Duration(durUs) * time.Microsecond
 		c := NewCollector(Config{Slowlog: thr, Ring: 4})
-		tr := c.Begin()
+		tr := begin(c)
 		before := c.Slow().Total()
 		slow := c.Observe(tr, d)
 		want := d > thr
@@ -81,7 +85,7 @@ func TestSlowlogDisabledByNegativeThreshold(t *testing.T) {
 	if c.SlowAdmit(time.Hour) {
 		t.Fatal("disabled slowlog admitted")
 	}
-	tr := c.Begin()
+	tr := begin(c)
 	if c.Observe(tr, time.Hour) {
 		t.Fatal("disabled slowlog retained a trace")
 	}
@@ -93,7 +97,7 @@ func TestSlowlogDisabledByNegativeThreshold(t *testing.T) {
 func TestSamplingOneInN(t *testing.T) {
 	c := NewCollector(Config{SampleN: 3, Slowlog: -1, Ring: 16})
 	for i := 0; i < 10; i++ {
-		tr := c.Begin()
+		tr := begin(c)
 		tr.Request("SEARCH", "db", "1")
 		if c.Observe(tr, time.Microsecond) {
 			t.Fatal("sampled trace reported slow")
@@ -114,7 +118,7 @@ func TestSamplingOneInN(t *testing.T) {
 
 func TestSlowlogWinsOverSampling(t *testing.T) {
 	c := NewCollector(Config{SampleN: 1, Slowlog: 0, Ring: 4})
-	tr := c.Begin()
+	tr := begin(c)
 	if !c.Observe(tr, time.Microsecond) {
 		t.Fatal("above-threshold trace not slow")
 	}
@@ -128,7 +132,7 @@ func TestSlowlogWinsOverSampling(t *testing.T) {
 // cleared and its event storage empty.
 func TestPoolRecycling(t *testing.T) {
 	c := NewCollector(Config{Slowlog: time.Hour})
-	tr := c.Begin()
+	tr := begin(c)
 	tr.Request("SEARCH", "db", "dead")
 	tr.Probe(1, 0, 4, 1, true)
 	tr.Match(4, 1, 1)
@@ -137,7 +141,7 @@ func TestPoolRecycling(t *testing.T) {
 	}
 	// sync.Pool gives no guarantees, but single-goroutine get-after-put
 	// returns the same object in practice; tolerate a fresh one.
-	tr2 := c.Begin()
+	tr2 := begin(c)
 	if tr2.Cmd != "" || tr2.Engine != "" || tr2.Key != "" || tr2.Result != "" {
 		t.Fatalf("recycled trace keeps identity: %+v", tr2)
 	}
@@ -152,7 +156,7 @@ func TestPoolRecycling(t *testing.T) {
 func TestAdmittedTraceDetaches(t *testing.T) {
 	c := NewCollector(Config{Slowlog: 0})
 	line := string([]byte("SEARCH db dead")) // force a fresh backing array
-	tr := c.Begin()
+	tr := begin(c)
 	tr.Request(line[:6], line[7:9], line[10:])
 	tr.SetResult("HIT")
 	if !c.Observe(tr, time.Microsecond) {
@@ -168,7 +172,7 @@ func TestAdmittedTraceDetaches(t *testing.T) {
 	// An unknown verb arrives as the client spelled it and is kept
 	// upper-case, as the ERR reply names it.
 	line = string([]byte("bogus db dead"))
-	tr = c.Begin()
+	tr = begin(c)
 	tr.Request(line[:5], "", "")
 	c.Observe(tr, time.Microsecond)
 	if got = c.Slow().Snapshot(nil, 1); got[0].Cmd != "BOGUS" {
@@ -214,7 +218,7 @@ func TestTraceEventAccessors(t *testing.T) {
 
 func TestHandlerJSON(t *testing.T) {
 	c := NewCollector(Config{SampleN: 2, Slowlog: 0, Ring: 8})
-	tr := c.Begin()
+	tr := begin(c)
 	tr.Request("SEARCH", "db", "dead")
 	tr.SetResult("HIT")
 	tr.Probe(1, 0, 4, 1, true)

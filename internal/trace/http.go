@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"time"
 )
 
@@ -111,7 +112,7 @@ func entryView(t *Trace) entryJSON {
 		Found:     t.Found,
 	}
 	if t.TID != 0 {
-		e.TID = formatHex(t.TID)
+		e.TID = strconv.FormatUint(t.TID, 16)
 		e.Span = t.SpanID
 	}
 	for _, ev := range t.Events {
@@ -150,21 +151,6 @@ func entryView(t *Trace) entryJSON {
 		}
 	}
 	return e
-}
-
-func formatHex(v uint64) string {
-	const digits = "0123456789abcdef"
-	var b [16]byte
-	i := len(b)
-	for {
-		i--
-		b[i] = digits[v&0xf]
-		v >>= 4
-		if v == 0 {
-			break
-		}
-	}
-	return string(b[i:])
 }
 
 // AppendJSON appends the trace's compact single-line JSON entry — the

@@ -172,7 +172,7 @@ type Trace struct {
 	Engine string        // target engine ("" when the command has none)
 	Key    string        // key field as received ("" when none)
 	Begin  time.Time     // request start (per command, not per burst)
-	Dur    time.Duration // wall latency, set by Collector.End/Observe
+	Dur    time.Duration // wall latency, set by Collector.Observe
 	Result string        // first reply token: OK, HIT, MISS, ERR, ...
 
 	// Lookup summary, recorded by the caram layer.
@@ -347,8 +347,8 @@ func (t *Trace) EventOf(k Kind) (Event, bool) {
 	return Event{}, false
 }
 
-// End stamps the trace's wall latency. The Collector calls it; EXPLAIN
-// calls it directly on its forced trace.
+// End stamps the trace's wall latency, for a trace no collector
+// observes (EXPLAIN's forced trace).
 func (t *Trace) End() {
 	if t == nil {
 		return

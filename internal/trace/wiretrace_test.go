@@ -14,7 +14,7 @@ import (
 func TestTaggedAdmissionPriority(t *testing.T) {
 	// Slow AND tagged AND sampled: the slowlog wins.
 	c := NewCollector(Config{SampleN: 1, Slowlog: 0, Ring: 4})
-	tr := c.Begin()
+	tr := begin(c)
 	tr.SetWire(0xbeef, 1)
 	if !c.Observe(tr, time.Millisecond) {
 		t.Fatal("above-threshold trace not slow")
@@ -26,7 +26,7 @@ func TestTaggedAdmissionPriority(t *testing.T) {
 
 	// Tagged AND sampled, slowlog off: the tagged ring wins.
 	c = NewCollector(Config{SampleN: 1, Slowlog: -1, Ring: 4})
-	tr = c.Begin()
+	tr = begin(c)
 	tr.SetWire(0xbeef, 1)
 	c.Observe(tr, time.Millisecond)
 	if c.Tagged().Len() != 1 || c.Sampled().Len() != 0 {
@@ -36,7 +36,7 @@ func TestTaggedAdmissionPriority(t *testing.T) {
 
 	// No policies, no tag: recycled, retained nowhere.
 	c = NewCollector(Config{Slowlog: -1, Ring: 4})
-	c.Observe(c.Begin(), time.Millisecond)
+	c.Observe(begin(c), time.Millisecond)
 	if c.Slow().Len()+c.Tagged().Len()+c.Sampled().Len() != 0 {
 		t.Fatal("untagged ineligible trace was retained")
 	}
@@ -105,7 +105,7 @@ func TestFindAcrossRings(t *testing.T) {
 	c := NewCollector(Config{SampleN: 1, Slowlog: 10 * time.Millisecond, Ring: 8})
 
 	admit := func(tid uint64, span uint32, d time.Duration) {
-		tr := c.Begin()
+		tr := begin(c)
 		tr.Request("SEARCH", "db", "k")
 		tr.SetWire(tid, span)
 		c.Observe(tr, d)
@@ -156,7 +156,7 @@ func TestFindVsResetRace(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 1000; i++ {
-		tr := c.Begin()
+		tr := begin(c)
 		tr.Request("SEARCH", "db", "k")
 		tr.SetWire(uint64(i)+1, 1)
 		c.Observe(tr, time.Microsecond)

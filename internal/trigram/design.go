@@ -77,19 +77,6 @@ func (d Design) CapacityBits() float64 {
 	return float64(d.Slices) * float64(int(1)<<uint(d.R)) * KeysPerSliceRow * 128
 }
 
-// djbIndex hashes the padded 16-byte key image with the DJB function —
-// the §4.2 index generator. Its 31-bit output is reduced modulo the
-// bucket count by the slice, with negligible bias.
-func djbIndex() hash.Func {
-	return hash.Func{
-		F: func(key bitutil.Vec128) uint32 {
-			return uint32(hash.DJBBytes(key.Bytes(KeyBytes * 8)))
-		},
-		R:     31,
-		Label: "djb/trigram",
-	}
-}
-
 // sliceConfig derives the simulator configuration for a design with an
 // explicit slot count and probe limit (0 = unlimited, caram.NoProbing
 // to disable probing).
@@ -104,7 +91,9 @@ func sliceConfig(d Design, slots, probeLimit int) caram.Config {
 		AuxBits:    16,
 		Tech:       mem.DRAM,
 		ProbeLimit: probeLimit,
-		Index:      djbIndex(),
+		// §4.2's DJB hash of the key image, 31 bits reduced modulo the
+		// bucket count by the slice, with negligible bias.
+		Index: hash.NewDJB(31, KeyBytes),
 	}
 }
 

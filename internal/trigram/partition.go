@@ -6,6 +6,7 @@ import (
 
 	"caram/internal/bitutil"
 	"caram/internal/caram"
+	"caram/internal/hash"
 	"caram/internal/match"
 	"caram/internal/subsystem"
 )
@@ -113,7 +114,7 @@ func BuildPartitioned(dbs map[string][]Entry, parts []Partition, targetAlpha flo
 			KeyBits:   128,
 			DataBits:  ScoreBits,
 			AuxBits:   16,
-			Index:     djbIndex(),
+			Index:     hash.NewDJB(31, KeyBytes),
 		})
 		if err != nil {
 			return nil, err
