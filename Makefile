@@ -247,9 +247,8 @@ COPY_GUARD_FUNCS = \
 	caram/internal/caram.(*Slice).probe caram/internal/caram.(*Slice).place \
 	caram/internal/caram.(*Slice).locate caram/internal/caram.(*Reader).chain \
 	caram/internal/caram.(*Reader).snapshot caram/internal/caram.(*Reader).LookupBatch \
-	caram/internal/caram.(*Reader).Contains caram/internal/caram.(*Slice).CountWhere \
-	caram/internal/caram.(*Slice).SelectWhere caram/internal/caram.(*Slice).UpdateWhere \
-	caram/internal/caram.(*Slice).DeleteWhere caram/internal/caram.(*Slice).scanRow \
+	caram/internal/caram.(*Reader).Contains caram/internal/caram.(*Slice).SelectWhere \
+	caram/internal/caram.(*Slice).UpdateWhere caram/internal/caram.(*Slice).scanRow \
 	caram/internal/caram.(*Slice).SelectChain caram/internal/subsystem.(*guardedEngine).batchSeq \
 	caram/internal/subsystem.(*Concurrent).MSearchServed caram/internal/server.(*Server).exec \
 	caram/internal/caram.(*Slice).Touch caram/internal/subsystem.(*Engine).Touch \

@@ -172,19 +172,3 @@ func (v Vec128) String() string {
 	}
 	return fmt.Sprintf("0x%x%016x", v.Hi, v.Lo)
 }
-
-// Cmp compares v and w as unsigned 128-bit integers, returning -1, 0, or 1.
-func (v Vec128) Cmp(w Vec128) int {
-	switch {
-	case v.Hi < w.Hi:
-		return -1
-	case v.Hi > w.Hi:
-		return 1
-	case v.Lo < w.Lo:
-		return -1
-	case v.Lo > w.Lo:
-		return 1
-	default:
-		return 0
-	}
-}

@@ -173,18 +173,6 @@ func TestFromBytesLongInputKeepsTail(t *testing.T) {
 	}
 }
 
-func TestCmp(t *testing.T) {
-	a := Vec128{Lo: 5}
-	b := Vec128{Lo: 7}
-	c := Vec128{Hi: 1}
-	if a.Cmp(b) != -1 || b.Cmp(a) != 1 || a.Cmp(a) != 0 {
-		t.Error("low-word compare wrong")
-	}
-	if b.Cmp(c) != -1 || c.Cmp(b) != 1 {
-		t.Error("high-word compare wrong")
-	}
-}
-
 func TestString(t *testing.T) {
 	if got := FromUint64(0xbeef).String(); got != "0xbeef" {
 		t.Errorf("String = %q", got)

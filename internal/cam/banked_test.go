@@ -161,10 +161,9 @@ func TestPrecomputed(t *testing.T) {
 	if st.CellsActivated >= st.Searches*200*16 {
 		t.Error("no activity saving")
 	}
-	sizes := p.GroupSizes()
 	sum := 0
-	for _, s := range sizes {
-		sum += s
+	for _, g := range p.groups {
+		sum += len(g)
 	}
 	if sum != 200 {
 		t.Errorf("group sizes sum to %d", sum)

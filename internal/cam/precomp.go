@@ -65,15 +65,5 @@ func (p *Precomputed) Search(key bitutil.Vec128) Result {
 	return res
 }
 
-// GroupSizes returns the entry count per signature, for diagnostics
-// (the scheme's saving is the ratio of the mean group to the total).
-func (p *Precomputed) GroupSizes() []int {
-	out := make([]int, len(p.groups))
-	for i, g := range p.groups {
-		out[i] = len(g)
-	}
-	return out
-}
-
 // Stats returns activity counters.
 func (p *Precomputed) Stats() Stats { return p.stats }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -41,19 +40,6 @@ func (s *Slice) scanRow(idx uint32) (row []uint64, quar bool) {
 		return row, false
 	}
 	return s.ecc.shadowRow(idx), s.ecc.quar[idx].Load()
-}
-
-// CountWhere returns how many stored records match the (possibly
-// masked) search key, streaming the whole array through the match
-// processors.
-func (s *Slice) CountWhere(search bitutil.Ternary) int {
-	n := 0
-	for b := 0; b < s.rows; b++ {
-		row, _ := s.scanRow(uint32(b))
-		s.bank.SearchInto(&s.res, row, search)
-		n += s.res.Count
-	}
-	return n
 }
 
 // SelectWhere returns every stored record matching the search key, in
@@ -123,40 +109,6 @@ func (s *Slice) UpdateWhere(search bitutil.Ternary, fn func(match.Record) bituti
 	return updated
 }
 
-// DeleteWhere removes every record matching the search key and returns
-// how many were removed. Placement bookkeeping is rebuilt afterwards,
-// since bulk deletion invalidates the incremental spill counters.
-func (s *Slice) DeleteWhere(search bitutil.Ternary) int {
-	deleted := 0
-	for b := 0; b < s.rows; b++ {
-		row, quar := s.scanRow(uint32(b))
-		s.bank.SearchInto(&s.res, row, search)
-		if s.res.Count == 0 {
-			continue
-		}
-		clear := func(wrow []uint64) error {
-			for i := 0; i < s.layout.Slots(); i++ {
-				if s.res.Vector[i/64]>>uint(i%64)&1 == 1 {
-					s.layout.ClearSlot(wrow, i)
-					deleted++
-				}
-			}
-			return nil
-		}
-		if quar {
-			s.keep(uint32(b))
-			clear(row)
-		} else {
-			s.updateRow(uint32(b), true, clear)
-		}
-	}
-	if deleted > 0 {
-		s.count -= deleted
-		s.rebuildPlacement()
-	}
-	return deleted
-}
-
 // rebuildPlacement recomputes homeLoad/overflow/spilled from the
 // array's contents. Valid only when every record's home is its key's
 // index (i.e. not after foreign InsertAt placements).
@@ -181,27 +133,6 @@ func (s *Slice) rebuildPlacement() {
 		}
 		return true
 	})
-}
-
-// BuildFromRecords bulk-loads a database: records are placed in
-// priority order (descending score when score is non-nil, so the
-// priority encoder resolves multi-matches the way the application
-// wants) after clearing the slice. This is the §3.2 database
-// construction path, the software analogue of a DMA fill. It returns
-// the number of records that could not be placed.
-func (s *Slice) BuildFromRecords(records []match.Record, score func(match.Record) int) int {
-	s.Clear()
-	ordered := append([]match.Record(nil), records...)
-	if score != nil {
-		sort.SliceStable(ordered, func(i, j int) bool { return score(ordered[i]) > score(ordered[j]) })
-	}
-	unplaced := 0
-	for _, rec := range ordered {
-		if err := s.Insert(rec); err != nil {
-			unplaced++
-		}
-	}
-	return unplaced
 }
 
 // Freeze is a slice's logical image at one instant — quarantined rows as

@@ -30,13 +30,13 @@ func TestCountAndSelectWhere(t *testing.T) {
 	s := filledSlice(t, 300)
 	// Mask everything: match all records.
 	all := bitutil.NewTernary(bitutil.Vec128{}, bitutil.Mask(32))
-	if got := s.CountWhere(all); got != 300 {
-		t.Errorf("CountWhere(all) = %d", got)
+	if got := len(s.SelectWhere(all)); got != 300 {
+		t.Errorf("SelectWhere(all) = %d records", got)
 	}
 	// Exact key.
 	one := bitutil.Exact(bitutil.FromUint64(42))
-	if got := s.CountWhere(one); got != 1 {
-		t.Errorf("CountWhere(42) = %d", got)
+	if got := len(s.SelectWhere(one)); got != 1 {
+		t.Errorf("SelectWhere(42) = %d records", got)
 	}
 	// Keys with low byte 0x10: 0x10, 0x110 (272 < 300).
 	pattern := bitutil.NewTernary(bitutil.FromUint64(0x10), bitutil.Mask(32).AndNot(bitutil.FromUint64(0xff)))
@@ -59,7 +59,7 @@ func TestUpdateWhere(t *testing.T) {
 	// Bulk "activation decay": halve the data of every record whose
 	// low nibble is 5.
 	pattern := bitutil.NewTernary(bitutil.FromUint64(5), bitutil.Mask(32).AndNot(bitutil.FromUint64(0xf)))
-	want := s.CountWhere(pattern)
+	want := len(s.SelectWhere(pattern))
 	updated := s.UpdateWhere(pattern, func(r match.Record) bitutil.Vec128 {
 		return bitutil.FromUint64(r.Data.Uint64() / 2)
 	})
@@ -75,91 +75,6 @@ func TestUpdateWhere(t *testing.T) {
 	}
 	if s.Count() != 200 {
 		t.Error("UpdateWhere changed the record count")
-	}
-}
-
-func TestDeleteWhere(t *testing.T) {
-	s := filledSlice(t, 300)
-	// Delete every key with high nibble of low byte = 3 (0x30..0x3f,
-	// 0x130..0x13f within range 0..299 -> 0x130..0x12b... just count).
-	pattern := bitutil.NewTernary(bitutil.FromUint64(0x30), bitutil.Mask(32).AndNot(bitutil.FromUint64(0xf0)))
-	want := s.CountWhere(pattern)
-	if want == 0 {
-		t.Fatal("pattern matches nothing; bad test setup")
-	}
-	deleted := s.DeleteWhere(pattern)
-	if deleted != want {
-		t.Fatalf("deleted %d, matched %d", deleted, want)
-	}
-	if s.Count() != 300-deleted {
-		t.Errorf("Count = %d", s.Count())
-	}
-	if s.CountWhere(pattern) != 0 {
-		t.Error("matches survive DeleteWhere")
-	}
-	// Untouched records remain findable and invariants hold.
-	if !s.Lookup(bitutil.Exact(bitutil.FromUint64(0x11))).Found {
-		t.Error("unrelated record lost")
-	}
-	if msg := s.Verify(); msg != "" {
-		t.Errorf("Verify: %s", msg)
-	}
-	if s.DeleteWhere(bitutil.Exact(bitutil.FromUint64(123456))) != 0 {
-		t.Error("DeleteWhere miss deleted something")
-	}
-}
-
-func TestBuildFromRecords(t *testing.T) {
-	s := MustNew(Config{
-		IndexBits: 4,
-		RowBits:   4*(1+8+8+8) + 8,
-		KeyBits:   8,
-		DataBits:  8,
-		Ternary:   true,
-		Index:     hash.NewBitSelect([]int{4, 5, 6, 7}),
-	})
-	short, _ := bitutil.ParseTernary("1100XXXX")
-	long, _ := bitutil.ParseTernary("110000XX")
-	recs := []match.Record{
-		{Key: short, Data: bitutil.FromUint64(1)}, // inserted list-first...
-		{Key: long, Data: bitutil.FromUint64(2)},
-	}
-	spec := func(r match.Record) int { return r.Key.Specificity(8) }
-	if un := s.BuildFromRecords(recs, spec); un != 0 {
-		t.Fatalf("unplaced = %d", un)
-	}
-	// ...but priority ordering puts the long prefix first in the
-	// bucket, so the priority encoder (first match) returns it.
-	res := s.Lookup(bitutil.Exact(bitutil.FromUint64(0b11000001)))
-	if !res.Found || res.Record.Data.Uint64() != 2 {
-		t.Errorf("priority build: lookup = %+v", res)
-	}
-	// Rebuild with nil score keeps list order.
-	if un := s.BuildFromRecords(recs, nil); un != 0 {
-		t.Fatalf("unplaced = %d", un)
-	}
-	res = s.Lookup(bitutil.Exact(bitutil.FromUint64(0b11000001)))
-	if res.Record.Data.Uint64() != 1 {
-		t.Errorf("list-order build: lookup = %+v", res)
-	}
-}
-
-func TestBuildFromRecordsReportsUnplaced(t *testing.T) {
-	s := MustNew(Config{
-		IndexBits:       4,
-		RowBits:         1*(1+32+16) + 8, // one slot per bucket
-		KeyBits:         32,
-		DataBits:        16,
-		ProbeLimit:      NoProbing,
-		Index:           hash.LowBits(4),
-		AllowDuplicates: true,
-	})
-	var recs []match.Record
-	for i := 0; i < 5; i++ {
-		recs = append(recs, rec(uint64(i)<<4|3, 0)) // all bucket 3
-	}
-	if un := s.BuildFromRecords(recs, nil); un != 4 {
-		t.Errorf("unplaced = %d, want 4", un)
 	}
 }
 
@@ -210,8 +125,8 @@ func TestImageLoadImageRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: CountWhere with an all-don't-care key always equals Count,
-// and UpdateWhere with the identity function changes nothing.
+// Property: SelectWhere with an all-don't-care key always returns Count
+// records, and UpdateWhere with the identity function changes nothing.
 func TestBulkOpsPropertiesQuick(t *testing.T) {
 	all := bitutil.NewTernary(bitutil.Vec128{}, bitutil.Mask(32))
 	f := func(keysRaw []uint16) bool {
@@ -232,7 +147,7 @@ func TestBulkOpsPropertiesQuick(t *testing.T) {
 			}
 			inserted[k] = true
 		}
-		if s.CountWhere(all) != s.Count() {
+		if len(s.SelectWhere(all)) != s.Count() {
 			return false
 		}
 		if n := s.UpdateWhere(all, func(r match.Record) bitutil.Vec128 { return r.Data }); n != s.Count() {
@@ -245,10 +160,12 @@ func TestBulkOpsPropertiesQuick(t *testing.T) {
 			}
 		}
 		// Deleting everything empties the slice.
-		if s.DeleteWhere(all) != len(inserted) || s.Count() != 0 {
-			return false
+		for k := range inserted {
+			if s.Delete(bitutil.Exact(bitutil.FromUint64(uint64(k)))) != nil {
+				return false
+			}
 		}
-		return s.CountWhere(all) == 0
+		return s.Count() == 0 && s.SelectWhere(all) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

@@ -22,7 +22,7 @@ var (
 	// the record must go to a separate overflow area (§3.2) or the
 	// design needs more capacity.
 	ErrFull = errors.New("caram: bucket chain full within probe limit")
-	// ErrNotFound is returned by Delete and Update for absent keys.
+	// ErrNotFound is returned by Delete for absent keys.
 	ErrNotFound = errors.New("caram: record not found")
 	// ErrExists is returned by Insert when the exact key is already
 	// stored and duplicates are not permitted.

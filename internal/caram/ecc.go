@@ -124,9 +124,6 @@ func (s *Slice) EnableECC() {
 	e.nQuar = 0
 }
 
-// EccEnabled reports whether per-row error coding is on.
-func (s *Slice) EccEnabled() bool { return s.ecc != nil }
-
 // EccStats returns the error-coding counters (zero value when ECC is
 // off).
 func (s *Slice) EccStats() EccStats {

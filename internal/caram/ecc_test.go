@@ -207,8 +207,8 @@ func TestScrubRepairedBitsExcludesShadowWrites(t *testing.T) {
 		t.Fatal("row not quarantined")
 	}
 	// A shadow-side update changes many data bits (16-bit data field).
-	if err := s.Update(key, bitutil.FromUint64(0xffff)); err != nil {
-		t.Fatalf("update during quarantine: %v", err)
+	if n := s.UpdateWhere(key, func(match.Record) bitutil.Vec128 { return bitutil.FromUint64(0xffff) }); n != 1 {
+		t.Fatalf("update during quarantine rewrote %d records, want 1", n)
 	}
 	rep := s.Scrub()
 	if rep.RepairedBits <= 2 {
@@ -239,9 +239,7 @@ func TestWriteRestoresErrorAtRest(t *testing.T) {
 		kept19 bool               // key 19 still stored, its data 7
 	}{
 		{"Delete", func(s *Slice) int { return written(s.Delete(key19)) }, false},
-		{"Update", func(s *Slice) int { return written(s.Update(key19, bitutil.FromUint64(7))) }, true},
 		{"UpdateWhere", func(s *Slice) int { return s.UpdateWhere(key19, seven) }, true},
-		{"DeleteWhere", func(s *Slice) int { return s.DeleteWhere(key19) }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := MustNew(eccConfig())
@@ -280,13 +278,11 @@ var scans = []struct {
 	name string
 	run  func(s *Slice) any
 }{
-	{"CountWhere", func(s *Slice) any { return s.CountWhere(key3) }},
 	{"SelectWhere", func(s *Slice) any { return s.SelectWhere(key3) }},
 	{"SelectChain", func(s *Slice) any { recs, rows := s.SelectChain(key3); return [2]any{recs, rows} }},
 	{"UpdateWhere", func(s *Slice) any {
 		return s.UpdateWhere(key3, func(match.Record) bitutil.Vec128 { return bitutil.FromUint64(7) })
 	}},
-	{"DeleteWhere", func(s *Slice) any { return s.DeleteWhere(key3) }},
 }
 
 var key3 = bitutil.Exact(bitutil.FromUint64(3))
@@ -474,7 +470,7 @@ func TestEccOffIsInert(t *testing.T) {
 	if err := s.Insert(rec(1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if s.EccEnabled() {
+	if s.ecc != nil {
 		t.Fatal("ECC on by default")
 	}
 	if rep := s.Scrub(); rep != (ScrubReport{}) {

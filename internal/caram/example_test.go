@@ -54,8 +54,8 @@ func ExampleSlice_LookupBest() {
 }
 
 // Bulk evaluation streams the whole database through the match
-// processors — here, counting records whose low nibble is 0x5.
-func ExampleSlice_CountWhere() {
+// processors — here, selecting records whose low nibble is 0x5.
+func ExampleSlice_SelectWhere() {
 	slice := caram.MustNew(caram.Config{
 		IndexBits: 4,
 		RowBits:   8*(1+16+8) + 8,
@@ -70,6 +70,6 @@ func ExampleSlice_CountWhere() {
 		bitutil.FromUint64(0x5),
 		bitutil.Mask(16).AndNot(bitutil.FromUint64(0xf)), // care only about the low nibble
 	)
-	fmt.Println(slice.CountWhere(pattern))
+	fmt.Println(len(slice.SelectWhere(pattern)))
 	// Output: 4
 }

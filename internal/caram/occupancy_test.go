@@ -134,25 +134,6 @@ func TestOccupancyMarkModel(t *testing.T) {
 					}
 				}
 				check("UpdateWhere")
-			case op == 13:
-				// Every key whose low three bits are 101 goes.
-				sel := bitutil.Ternary{Value: bitutil.FromUint64(5), Mask: bitutil.FromUint64(^uint64(7))}
-				s.DeleteWhere(sel)
-				for k := range model {
-					if k&7 == 5 {
-						delete(model, k)
-					}
-				}
-				check("DeleteWhere")
-			case op == 14 && step%5 == 0:
-				var recs []match.Record
-				for k, d := range model {
-					recs = append(recs, seqRec(k, d))
-				}
-				if un := s.BuildFromRecords(recs, nil); un != 0 {
-					t.Fatalf("ecc=%v: BuildFromRecords left %d unplaced", ecc, un)
-				}
-				check("BuildFromRecords")
 			case op == 15:
 				img := frozenImage(s)
 				s.Clear()
@@ -300,7 +281,7 @@ func TestOccupancyFreezeEqualsWholeRows(t *testing.T) {
 			case len(live) > 0:
 				i := rng.Intn(len(live))
 				if rng.Intn(2) == 0 {
-					s.Update(seqKey(live[i]), bitutil.FromUint64(uint64(step))) //nolint:errcheck
+					s.UpdateWhere(seqKey(live[i]), func(match.Record) bitutil.Vec128 { return bitutil.FromUint64(uint64(step)) })
 				} else if s.Delete(seqKey(live[i])) == nil {
 					live = append(live[:i], live[i+1:]...)
 				}

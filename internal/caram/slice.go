@@ -592,28 +592,6 @@ func (s *Slice) DeleteAt(home uint32, key bitutil.Ternary) error {
 	return nil
 }
 
-// Update replaces the data of an existing record in place (one
-// read-modify-write of its row).
-func (s *Slice) Update(key bitutil.Ternary, data bitutil.Vec128) error {
-	home := s.Index(key.Value)
-	bucket, slot, _, found := s.locate(&s.res, home, key)
-	if !found {
-		return ErrNotFound
-	}
-	if s.ecc != nil && s.ecc.quar[bucket].Load() {
-		s.keep(bucket)
-		sh := s.ecc.shadowRow(bucket)
-		rec, _ := s.layout.ReadSlot(sh, slot)
-		rec.Data = data
-		return s.layout.WriteSlot(sh, slot, rec)
-	}
-	return s.updateRow(bucket, true, func(row []uint64) error {
-		rec, _ := s.layout.ReadSlot(row, slot)
-		rec.Data = data
-		return s.layout.WriteSlot(row, slot, rec)
-	})
-}
-
 // Contains reports whether the exact key is stored, without touching
 // the lookup statistics. It is the one locate caller that may run
 // beside others (the subsystem calls it under the engine's read lock),

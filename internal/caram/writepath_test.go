@@ -17,8 +17,8 @@ import (
 	"caram/internal/match"
 )
 
-// The write path's proof obligations at this layer. INSERT, DELETE,
-// Update and Contains now find their slot with the slot comparator, take
+// The write path's proof obligations at this layer. INSERT, DELETE
+// and Contains now find their slot with the slot comparator, take
 // the free slot from the same pass, and publish only the words they
 // changed; the path they replaced — a ReadSlot loop per probed row, a
 // SlotValid walk for the free slot — survives below as the oracle, the
@@ -130,23 +130,6 @@ func (o oracle) deleteAt(home uint32, key bitutil.Ternary) error {
 		s.homeLoad[home]--
 	}
 	return nil
-}
-
-func (o oracle) update(key bitutil.Ternary, data bitutil.Vec128) error {
-	s := o.s
-	bucket, slot, found := o.locate(s.Index(key.Value), key)
-	if !found {
-		return ErrNotFound
-	}
-	rewrite := func(row []uint64) error {
-		rec, _ := s.layout.ReadSlot(row, slot)
-		rec.Data = data
-		return s.layout.WriteSlot(row, slot, rec)
-	}
-	if s.Quarantined(bucket) {
-		return rewrite(s.ecc.shadowRow(bucket))
-	}
-	return s.updateRow(bucket, true, rewrite)
 }
 
 // sameState reports the first difference between two slices' storage,
@@ -289,7 +272,7 @@ func TestWritePathPlacementIdentity(t *testing.T) {
 				}
 				var op string
 				var ea, eb error
-				switch r := rng.Intn(10); {
+				switch r := rng.Intn(8); {
 				case r < 4:
 					var da, db int
 					op = fmt.Sprintf("Place(%d, %s)", home, key.String(a.cfg.KeyBits))
@@ -301,16 +284,6 @@ func TestWritePathPlacementIdentity(t *testing.T) {
 				case r < 7:
 					op = fmt.Sprintf("DeleteAt(%d, %s)", home, key.String(a.cfg.KeyBits))
 					ea, eb = a.DeleteAt(home, key), o.deleteAt(home, key)
-				case r < 9:
-					if rng.Intn(2) == 0 {
-						// The data the record already holds, when it is
-						// there: a commit that changes no word.
-						if lr := a.logicalLookup(key); lr != nil {
-							data = lr.Data
-						}
-					}
-					op = fmt.Sprintf("Update(%s)", key.String(a.cfg.KeyBits))
-					ea, eb = a.Update(key, data), o.update(key, data)
 				default:
 					op = "Scrub"
 					if ra, rb := a.Scrub(), b.Scrub(); ra != rb {
@@ -366,18 +339,6 @@ func TestWritePathPlacementIdentity(t *testing.T) {
 			}
 		})
 	}
-}
-
-// logicalLookup returns the stored record with exactly this key, or nil.
-func (s *Slice) logicalLookup(key bitutil.Ternary) *match.Record {
-	var out *match.Record
-	s.Records(func(_ uint32, _ int, rec match.Record) bool {
-		if rec.Key.Equal(key) {
-			out = &rec
-		}
-		return out == nil
-	})
-	return out
 }
 
 // TestLocateForeignChainDuplicates: with AllowDuplicates, copies of one
@@ -569,7 +530,7 @@ func TestReaderSingleSlotFlipStress(t *testing.T) {
 	t.Logf("certified snapshots: %d with the record, %d without", seen[0].Load(), seen[1].Load())
 }
 
-// TestUnchangedCommitStillMovesVersion: an Update that writes the data
+// TestUnchangedCommitStillMovesVersion: an UpdateWhere that writes the data
 // the record already holds changes no word, so the commit stores none —
 // and still opens and closes the row's seqlock window and is charged as
 // the row write it is.
@@ -581,8 +542,8 @@ func TestUnchangedCommitStillMovesVersion(t *testing.T) {
 	idx := s.Index(bitutil.FromUint64(0x77))
 	before := append([]uint64(nil), s.array.PeekRow(idx)...)
 	v, st := s.array.RowVersion(idx), s.array.Stats()
-	if err := s.Update(seqKey(0x77), bitutil.FromUint64(5)); err != nil {
-		t.Fatal(err)
+	if n := s.UpdateWhere(seqKey(0x77), func(r match.Record) bitutil.Vec128 { return r.Data }); n != 1 {
+		t.Fatalf("rewrote %d records, want 1", n)
 	}
 	if got := s.array.RowVersion(idx); got != v+2 {
 		t.Fatalf("version %d -> %d, want two bumps", v, got)
@@ -658,9 +619,6 @@ func TestWritePathZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := s.Delete(absent); err != ErrNotFound {
-			t.Fatal(err)
-		}
-		if err := s.Update(held.Key, held.Data); err != nil {
 			t.Fatal(err)
 		}
 		if !s.Contains(held.Key) || s.Contains(absent) {

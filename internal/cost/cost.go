@@ -163,6 +163,3 @@ func CARAMBandwidth(nslice, nmem int, fclkHz float64) float64 {
 	}
 	return float64(nslice) / float64(nmem) * fclkHz
 }
-
-// CAMBandwidth returns B = f_CAM: one search per CAM clock.
-func CAMBandwidth(fcamHz float64) float64 { return fcamHz }

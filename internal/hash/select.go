@@ -69,28 +69,3 @@ func distributionCost(keys []bitutil.Ternary, positions []int) int64 {
 	}
 	return cost
 }
-
-// LoadSpread reports the min, max and mean bucket load produced by a
-// bit-selection generator over the given keys, for diagnostics and
-// tests.
-func LoadSpread(keys []bitutil.Ternary, positions []int) (min, max int, mean float64) {
-	gen := BitSelect{Positions: positions}
-	loads := make([]int, 1<<uint(len(positions)))
-	total := 0
-	for _, k := range keys {
-		for _, idx := range gen.TernaryIndices(k) {
-			loads[idx]++
-			total++
-		}
-	}
-	min, max = loads[0], loads[0]
-	for _, l := range loads {
-		if l < min {
-			min = l
-		}
-		if l > max {
-			max = l
-		}
-	}
-	return min, max, float64(total) / float64(len(loads))
-}

@@ -71,7 +71,17 @@ func TestSelectBitsBeatsNaiveChoice(t *testing.T) {
 	if distributionCost(keys, chosen) > distributionCost(keys, naive) {
 		t.Errorf("greedy choice %v no better than naive %v", chosen, naive)
 	}
-	_, maxLoad, mean := LoadSpread(keys, chosen)
+	gen := BitSelect{Positions: chosen}
+	loads := make([]int, 1<<len(chosen))
+	for _, k := range keys {
+		for _, idx := range gen.TernaryIndices(k) {
+			loads[idx]++
+		}
+	}
+	maxLoad, mean := 0, float64(len(keys))/float64(len(loads))
+	for _, l := range loads {
+		maxLoad = max(maxLoad, l)
+	}
 	if float64(maxLoad) > 3*mean {
 		t.Errorf("max load %d far above mean %.1f", maxLoad, mean)
 	}
@@ -88,17 +98,5 @@ func TestDistributionCostCountsDuplicates(t *testing.T) {
 	keys = []bitutil.Ternary{bitutil.Exact(bitutil.FromUint64(1))}
 	if got := distributionCost(keys, []int{0}); got != 1 {
 		t.Errorf("cost = %d, want 1", got)
-	}
-}
-
-func TestLoadSpread(t *testing.T) {
-	keys := []bitutil.Ternary{
-		bitutil.Exact(bitutil.FromUint64(0)),
-		bitutil.Exact(bitutil.FromUint64(0)),
-		bitutil.Exact(bitutil.FromUint64(1)),
-	}
-	min, max, mean := LoadSpread(keys, []int{0})
-	if min != 1 || max != 2 || mean != 1.5 {
-		t.Errorf("LoadSpread = %d %d %f", min, max, mean)
 	}
 }

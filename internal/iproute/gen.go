@@ -186,14 +186,3 @@ func sampleLen(rng *rand.Rand, cum []float64) int {
 	}
 	return longLengthDist[len(longLengthDist)-1].len
 }
-
-// LengthHistogram returns prefix counts per length, for diagnostics.
-func LengthHistogram(table []Prefix) [33]int {
-	var h [33]int
-	for _, p := range table {
-		if p.Len >= 0 && p.Len <= 32 {
-			h[p.Len]++
-		}
-	}
-	return h
-}

@@ -49,7 +49,10 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateLengthDistribution(t *testing.T) {
 	table := Generate(GenConfig{Prefixes: 100000, Seed: 2})
-	h := LengthHistogram(table)
+	var h [33]int
+	for _, p := range table {
+		h[p.Len]++
+	}
 	atLeast16 := 0
 	for l := 16; l <= 32; l++ {
 		atLeast16 += h[l]

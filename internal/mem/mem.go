@@ -120,8 +120,9 @@ type RowFaultInjector interface {
 // changed word stored atomically inside the odd window), corrections
 // through PublishRow, and the RAM-mode writes of §3.2 through
 // WriteWord, LoadRow and Clear. ReadWord is the RAM-mode read. Only
-// the fault models of memtest.go (FlipBit, SetStuckAt) change bits
-// behind it, as a defect would.
+// an installed RowFaultInjector (internal/fault, the one fault model)
+// changes bits behind them, as a defect would: FetchRow publishes the
+// bits it flipped.
 //
 // InstallFaults and the seqlock write protocol itself remain
 // single-writer: only reads are wait-free.
@@ -131,8 +132,7 @@ type Array struct {
 	data     []uint64        // all rows, contiguous
 	seq      []atomic.Uint32 // per-row seqlock: odd = mutating, even = published
 	stats    counters
-	stuck    map[int][]stuckBit // installed stuck-at faults
-	inj      RowFaultInjector   // nil = perfect memory (the fast path)
+	inj      RowFaultInjector // nil = perfect memory (the fast path)
 
 	updBuf   []uint64 // BeginRowUpdate scratch (writer-owned)
 	fetchBuf []uint64 // FetchRow scratch when an injector is installed
@@ -386,9 +386,6 @@ func (a *Array) WriteWord(addr int, v uint64) {
 	}
 	a.stats.wordWrites.Add(1)
 	a.stats.cycles.Add(uint64(a.cfg.Timing.MinInterval))
-	if faults, ok := a.stuck[addr]; ok {
-		v = applyStuck(v, faults)
-	}
 	idx := uint32(addr / a.rowWords)
 	a.seq[idx].Add(1)
 	atomic.StoreUint64(&a.data[addr], v)
@@ -397,23 +394,15 @@ func (a *Array) WriteWord(addr int, v uint64) {
 
 // LoadRow is the row-granular form of a WriteWord sweep — the bulk
 // image load of §3.2: it replaces one row with src (RowWords words),
-// charging the same RowWords word writes, honouring stuck-at cells, and
-// publishing the row through a single seqlock window instead of one per
-// word.
+// charging the same RowWords word writes, and publishes the row through
+// a single seqlock window instead of one per word.
 func (a *Array) LoadRow(idx uint32, src []uint64) {
 	row := a.row(idx)
 	a.stats.wordWrites.Add(uint64(len(row)))
 	a.stats.cycles.Add(uint64(len(row) * a.cfg.Timing.MinInterval))
-	base := int(idx) * a.rowWords
 	a.seq[idx].Add(1)
 	for w := range row {
-		v := src[w]
-		if a.stuck != nil {
-			if faults, ok := a.stuck[base+w]; ok {
-				v = applyStuck(v, faults)
-			}
-		}
-		atomic.StoreUint64(&row[w], v)
+		atomic.StoreUint64(&row[w], src[w])
 	}
 	a.seq[idx].Add(1)
 }

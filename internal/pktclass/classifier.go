@@ -28,12 +28,14 @@ type TCAMClassifier struct {
 	rules map[int]Rule // by ID
 }
 
-// dataOf encodes (ruleID, action, priority) into the record payload.
-func dataOf(r Rule) bitutil.Vec128 {
+// EncodeData encodes the rule's (ID, action, priority) into the 32-bit
+// record payload stored beside each expanded key.
+func EncodeData(r Rule) bitutil.Vec128 {
 	return bitutil.FromUint64(uint64(r.ID)<<24 | uint64(r.Action)<<16 | uint64(uint16(r.Priority)))
 }
 
-func decode(d bitutil.Vec128) (id int, action uint8, prio int) {
+// DecodeData reverses EncodeData.
+func DecodeData(d bitutil.Vec128) (id int, action uint8, prio int) {
 	v := d.Uint64()
 	return int(v >> 24), uint8(v >> 16), int(uint16(v))
 }
@@ -56,8 +58,8 @@ func NewTCAMClassifier(rules []Rule, capacity int) (*TCAMClassifier, error) {
 			return nil, err
 		}
 		c.rules[r.ID] = r
-		for _, k := range r.ternaryKeys() {
-			if err := dev.Append(match.Record{Key: k, Data: dataOf(r)}); err != nil {
+		for _, k := range r.TernaryKeys() {
+			if err := dev.Append(match.Record{Key: k, Data: EncodeData(r)}); err != nil {
 				return nil, fmt.Errorf("pktclass: rule %d: %w", r.ID, err)
 			}
 		}
@@ -74,7 +76,7 @@ func (c *TCAMClassifier) Classify(p FiveTuple) Result {
 	if !res.Found {
 		return Result{}
 	}
-	id, action, prio := decode(res.Record.Data)
+	id, action, prio := DecodeData(res.Record.Data)
 	return Result{Matched: true, RuleID: id, Action: action, Priority: prio}
 }
 
@@ -106,6 +108,23 @@ type CARAMConfig struct {
 	DupLimit  int // max copies per entry before diverting (default 4)
 }
 
+// HashPositions returns the bit-selection positions a classifier of n
+// index bits hashes on — NewCARAMClassifier's and the serving stack's
+// pktclass engine's (internal/subsystem), which stores rules in a
+// generic slice. They are the last n bits of the first 16
+// destination-address bits (dstIPOff+16 .. dstIPOff+16+n-1), the
+// paper's §4.1 selection: ACLs overwhelmingly specify a destination
+// prefix of at least /16, so these bits are rarely masked and ternary
+// duplication stays bounded, yet they sit low enough to spread the
+// clustered allocation blocks across buckets.
+func HashPositions(n int) []int {
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = dstIPOff + 16 + i
+	}
+	return pos
+}
+
 // NewCARAMClassifier builds the CA-RAM engine from a rule set.
 func NewCARAMClassifier(rules []Rule, cfg CARAMConfig) (*CARAMClassifier, error) {
 	if cfg.IndexBits <= 0 {
@@ -120,16 +139,7 @@ func NewCARAMClassifier(rules []Rule, cfg CARAMConfig) (*CARAMClassifier, error)
 	if cfg.Overflow <= 0 {
 		cfg.Overflow = totalExpansion(rules)
 	}
-	// Hash on the last IndexBits bits of the first 16 destination-
-	// address bits — the paper's §4.1 selection: ACLs overwhelmingly
-	// specify a destination prefix of at least /16, so these bits are
-	// rarely masked, yet they sit low enough to spread the clustered
-	// allocation blocks across buckets.
-	pos := make([]int, cfg.IndexBits)
-	for i := range pos {
-		pos[i] = dstIPOff + 16 + i
-	}
-	sel := hash.NewBitSelect(pos)
+	sel := hash.NewBitSelect(HashPositions(cfg.IndexBits))
 	slot := 1 + KeyBits + KeyBits + 32
 	slice, err := caram.New(caram.Config{
 		IndexBits:       cfg.IndexBits,
@@ -160,8 +170,8 @@ func NewCARAMClassifier(rules []Rule, cfg CARAMConfig) (*CARAMClassifier, error)
 		if err := r.Validate(); err != nil {
 			return nil, err
 		}
-		for _, k := range r.ternaryKeys() {
-			rec := match.Record{Key: k, Data: dataOf(r)}
+		for _, k := range r.TernaryKeys() {
+			rec := match.Record{Key: k, Data: EncodeData(r)}
 			homes := sel.TernaryIndices(k)
 			if len(homes) > c.dupLimit {
 				if err := ovfl.Append(rec); err != nil {
@@ -191,19 +201,19 @@ func NewCARAMClassifier(rules []Rule, cfg CARAMConfig) (*CARAMClassifier, error)
 func (c *CARAMClassifier) Classify(p FiveTuple) Result {
 	key := bitutil.Exact(p.Key())
 	score := func(r match.Record) int {
-		_, _, prio := decode(r.Data)
+		_, _, prio := DecodeData(r.Data)
 		return prio + 1 // keep zero distinguishable from "no match"
 	}
 	main := c.slice.LookupBest(key, score)
 	out := Result{RowsRead: main.RowsRead}
 	bestPrio := -1
 	if main.Found {
-		id, action, prio := decode(main.Record.Data)
+		id, action, prio := DecodeData(main.Record.Data)
 		out.Matched, out.RuleID, out.Action, out.Priority = true, id, action, prio
 		bestPrio = prio
 	}
 	if ovfl := c.overflow.Search(key); ovfl.Found {
-		id, action, prio := decode(ovfl.Record.Data)
+		id, action, prio := DecodeData(ovfl.Record.Data)
 		if prio > bestPrio {
 			out.Matched, out.RuleID, out.Action, out.Priority = true, id, action, prio
 		}

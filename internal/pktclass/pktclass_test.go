@@ -121,7 +121,7 @@ func TestTernaryExpansionFaithfulQuick(t *testing.T) {
 		DstPorts:  PortRange{80, 90},
 		Proto:     6,
 	}
-	keys := r.ternaryKeys()
+	keys := r.TernaryKeys()
 	if len(keys) != r.ExpansionFactor() {
 		t.Fatalf("expansion %d keys, factor %d", len(keys), r.ExpansionFactor())
 	}
@@ -152,7 +152,7 @@ func TestTernaryExpansionFaithfulQuick(t *testing.T) {
 
 func TestProtoAnyExpansion(t *testing.T) {
 	r := Rule{ID: 3, SrcPorts: AnyPort(), DstPorts: AnyPort(), ProtoAny: true}
-	keys := r.ternaryKeys()
+	keys := r.TernaryKeys()
 	if len(keys) != 1 {
 		t.Fatalf("wildcard rule expanded to %d keys", len(keys))
 	}

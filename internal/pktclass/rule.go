@@ -145,9 +145,10 @@ func RangeToPrefixes(r PortRange) []PortPrefix {
 	return out
 }
 
-// ternaryKeys expands the rule into its ternary CA-RAM/TCAM keys: the
-// cross product of the two port covers over the fixed IP/proto fields.
-func (r Rule) ternaryKeys() []bitutil.Ternary {
+// TernaryKeys expands the rule into its ternary CA-RAM/TCAM keys: the
+// cross product of the two port-range prefix covers over the fixed
+// IP/proto fields, each normalized.
+func (r Rule) TernaryKeys() []bitutil.Ternary {
 	srcCover := RangeToPrefixes(r.SrcPorts)
 	dstCover := RangeToPrefixes(r.DstPorts)
 	base := bitutil.Ternary{}

@@ -46,8 +46,11 @@ func (j *keptJournal) LastLSN() uint64 {
 // runServer builds one side of the run-versus-line differential: exact
 // engines db and aux, an error-coded exact engine ecc, the typed engines
 // ip (lpm), acl (pktclass) and tri (trigram), a journal that keeps every
-// record, metrics on, and a collector that samples one request in five.
-// policy, when non-nil, replaces the health policy.
+// record, metrics on, and a collector that samples one request in five
+// with the slowlog off: the differential compares replies, state,
+// journal and sampled/tagged totals, not latency, and a pause that put
+// one request over a threshold on one side only would tell the two
+// sides apart. policy, when non-nil, replaces the health policy.
 func runServer(t *testing.T, policy *subsystem.HealthPolicy) (*Server, map[string]*caram.Slice, *keptJournal) {
 	t.Helper()
 	sub := subsystem.New(0)
@@ -79,7 +82,7 @@ func runServer(t *testing.T, policy *subsystem.HealthPolicy) (*Server, map[strin
 		}
 		slices[te.name] = e.Main
 	}
-	s := New(sub, WithTracing(trace.NewCollector(trace.Config{SampleN: 5, Slowlog: 10 * time.Millisecond, Ring: 8})))
+	s := New(sub, WithTracing(trace.NewCollector(trace.Config{SampleN: 5, Slowlog: -1, Ring: 8})))
 	j := &keptJournal{}
 	s.con.SetJournal(j, 0)
 	if policy != nil {

@@ -1,6 +1,6 @@
-// Package stats provides the small statistical toolkit the experiments
-// share: integer histograms (Figure 7's bucket-occupancy distribution)
-// and summary statistics for measured quantities.
+// Package stats provides the integer histogram the experiments and the
+// metrics layer share: Figure 7's bucket-occupancy distribution, and the
+// quantiles a latency histogram's snapshot reports.
 package stats
 
 import (
@@ -43,21 +43,6 @@ func (h *Histogram) AddN(v int, n int64) {
 	h.n += n
 	h.sum += int64(v) * n
 	h.sumSq += float64(v) * float64(v) * float64(n)
-}
-
-// Merge folds another histogram into this one by bucket-wise
-// addition: every value bucket of o is added with its full count, so
-// moments, extrema, and quantiles afterwards describe the union of
-// both observation streams. It is the aggregation seam the cluster
-// router uses to merge per-backend latency histograms into one
-// fleet-wide view. o is not modified; a nil o is a no-op.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	for v, n := range o.counts {
-		h.AddN(v, n)
-	}
 }
 
 // N returns the number of observations.
@@ -231,38 +216,4 @@ func (h *Histogram) Render(lo, binWidth, barWidth int) string {
 		fmt.Fprintf(&b, "%6d-%-6d |%-*s %d\n", e, e+binWidth-1, barWidth, strings.Repeat("#", bar), counts[i])
 	}
 	return b.String()
-}
-
-// Summary is a compact set of summary statistics for float samples.
-type Summary struct {
-	N            int
-	Mean, StdDev float64
-	Min, Max     float64
-}
-
-// Summarize computes summary statistics over samples.
-func Summarize(samples []float64) Summary {
-	s := Summary{N: len(samples)}
-	if s.N == 0 {
-		return s
-	}
-	s.Min, s.Max = samples[0], samples[0]
-	sum, sumSq := 0.0, 0.0
-	for _, v := range samples {
-		sum += v
-		sumSq += v * v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	varr := sumSq/float64(s.N) - s.Mean*s.Mean
-	if varr < 0 {
-		varr = 0
-	}
-	s.StdDev = math.Sqrt(varr)
-	return s
 }

@@ -118,20 +118,6 @@ func TestRender(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 {
-		t.Error("empty summary")
-	}
-	s = Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 {
-		t.Errorf("summary = %+v", s)
-	}
-	if math.Abs(s.StdDev-math.Sqrt(1.25)) > 1e-12 {
-		t.Errorf("StdDev = %f", s.StdDev)
-	}
-}
-
 // Property: histogram mean/min/max agree with direct computation.
 func TestHistogramAgainstDirectQuick(t *testing.T) {
 	f := func(raw []uint8) bool {
@@ -194,51 +180,5 @@ func TestQuantilesEdges(t *testing.T) {
 		if qs[i] != want[i] {
 			t.Errorf("Quantiles[%d] = %d, want %d", i, qs[i], want[i])
 		}
-	}
-}
-
-// TestHistogramMerge: Merge is bucket-wise addition, so every derived
-// statistic of the merged histogram equals the same statistic computed
-// over the concatenated observation streams — the property the cluster
-// router relies on when it merges per-backend histograms fleet-wide.
-func TestHistogramMerge(t *testing.T) {
-	a, b, both := NewHistogram(), NewHistogram(), NewHistogram()
-	for _, v := range []int{1, 1, 2, 7} {
-		a.Add(v)
-		both.Add(v)
-	}
-	for _, v := range []int{0, 2, 2, 40} {
-		b.Add(v)
-		both.Add(v)
-	}
-	a.Merge(b)
-	if a.N() != both.N() || a.Mean() != both.Mean() || a.StdDev() != both.StdDev() {
-		t.Fatalf("merged n=%d mean=%v sd=%v, want n=%d mean=%v sd=%v",
-			a.N(), a.Mean(), a.StdDev(), both.N(), both.Mean(), both.StdDev())
-	}
-	if a.Min() != 0 || a.Max() != 40 {
-		t.Errorf("merged extrema [%d,%d], want [0,40]", a.Min(), a.Max())
-	}
-	for v := 0; v <= 40; v++ {
-		if a.Count(v) != both.Count(v) {
-			t.Errorf("bucket %d: merged %d, direct %d", v, a.Count(v), both.Count(v))
-		}
-	}
-	wantQ := both.Quantiles(0.5, 0.9, 1)
-	gotQ := a.Quantiles(0.5, 0.9, 1)
-	for i := range wantQ {
-		if gotQ[i] != wantQ[i] {
-			t.Errorf("quantile %d: merged %d, direct %d", i, gotQ[i], wantQ[i])
-		}
-	}
-	// b is untouched; nil and empty merges are no-ops.
-	if b.N() != 4 {
-		t.Errorf("Merge modified its argument: n=%d", b.N())
-	}
-	before := a.N()
-	a.Merge(nil)
-	a.Merge(NewHistogram())
-	if a.N() != before {
-		t.Errorf("nil/empty merge changed n: %d -> %d", before, a.N())
 	}
 }

@@ -35,15 +35,6 @@ func (r SimResult) ThroughputHz(fclkHz float64) float64 {
 	return r.ThroughputPerCy * fclkHz
 }
 
-// Utilization returns each bank's busy fraction.
-func (r SimResult) Utilization() []float64 {
-	out := make([]float64, len(r.BankBusy))
-	for i, b := range r.BankBusy {
-		out[i] = float64(b) / float64(r.Cycles)
-	}
-	return out
-}
-
 // Simulate runs the keys through the engine's timing model. Each
 // search's row count comes from actually performing it, so overflow
 // reaches and probe chains are charged faithfully. matchCycles is the

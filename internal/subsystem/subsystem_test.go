@@ -160,10 +160,10 @@ func TestSimulateMatchesBandwidthFormula(t *testing.T) {
 		if res.RowAccesses < int64(len(keys)) {
 			t.Errorf("banks=%d: rows=%d below request count", banks, res.RowAccesses)
 		}
-		// Utilization sane.
-		for b, u := range res.Utilization() {
-			if u < 0 || u > 1.0001 {
-				t.Errorf("banks=%d: bank %d utilization %f", banks, b, u)
+		// No bank busier than the makespan.
+		for b, busy := range res.BankBusy {
+			if busy < 0 || busy > res.Cycles {
+				t.Errorf("banks=%d: bank %d busy %d of %d cycles", banks, b, busy, res.Cycles)
 			}
 		}
 		// Absolute bandwidth at 200 MHz.

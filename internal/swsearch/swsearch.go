@@ -1,13 +1,11 @@
-// Package swsearch implements the software searching techniques CA-RAM
-// is positioned against (§2.1): linear list traversal, sorted-table
-// binary search, and chained hashing, plus binary tries for
-// longest-prefix match (the software IP-lookup baseline of §4.1). Every
-// structure counts the memory accesses a lookup performs — the unit the
-// paper's comparison is framed in, since a pointer-chasing software
-// search costs one (likely cache-missing) memory access per node.
+// Package swsearch implements the software search baseline CA-RAM is
+// measured against in IP lookup (§4.1): binary tries for longest-prefix
+// match, unibit (Trie) and path-compressed (PathTrie). Each counts the
+// memory accesses a lookup performs — the unit the paper's comparison
+// is framed in, since a pointer-chasing software search costs one
+// (likely cache-missing) memory access per node. The trie is also the
+// LPM oracle the iproute, server and load-harness tests check against.
 package swsearch
-
-import "sort"
 
 // Counter accumulates simulated memory accesses.
 type Counter struct {
@@ -21,153 +19,4 @@ func (c Counter) AMAL() float64 {
 		return 0
 	}
 	return float64(c.Accesses) / float64(c.Lookups)
-}
-
-// Entry is a key/value pair for the exact-match structures.
-type Entry struct {
-	Key   uint64
-	Value uint64
-}
-
-// LinkedList is the naive baseline: a singly linked list searched
-// front to back, one memory access per node.
-type LinkedList struct {
-	head *listNode
-	n    int
-	ctr  Counter
-}
-
-type listNode struct {
-	e    Entry
-	next *listNode
-}
-
-// Insert prepends an entry.
-func (l *LinkedList) Insert(e Entry) {
-	l.head = &listNode{e: e, next: l.head}
-	l.n++
-}
-
-// Lookup scans for the key, charging one access per node visited.
-func (l *LinkedList) Lookup(key uint64) (Entry, bool) {
-	l.ctr.Lookups++
-	for n := l.head; n != nil; n = n.next {
-		l.ctr.Accesses++
-		if n.e.Key == key {
-			return n.e, true
-		}
-	}
-	return Entry{}, false
-}
-
-// Len returns the element count.
-func (l *LinkedList) Len() int { return l.n }
-
-// Counter returns the access counter.
-func (l *LinkedList) Counter() Counter { return l.ctr }
-
-// SortedTable is an ordered table searched by binary search: one memory
-// access per probe, ~log2(n) per lookup.
-type SortedTable struct {
-	entries []Entry
-	ctr     Counter
-}
-
-// Build sorts the entries into a table (duplicate keys keep their
-// first occurrence on lookup).
-func Build(entries []Entry) *SortedTable {
-	t := &SortedTable{entries: append([]Entry(nil), entries...)}
-	sort.Slice(t.entries, func(i, j int) bool { return t.entries[i].Key < t.entries[j].Key })
-	return t
-}
-
-// Lookup binary-searches for the key.
-func (t *SortedTable) Lookup(key uint64) (Entry, bool) {
-	t.ctr.Lookups++
-	lo, hi := 0, len(t.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		t.ctr.Accesses++
-		switch {
-		case t.entries[mid].Key == key:
-			return t.entries[mid], true
-		case t.entries[mid].Key < key:
-			lo = mid + 1
-		default:
-			hi = mid
-		}
-	}
-	return Entry{}, false
-}
-
-// Len returns the element count.
-func (t *SortedTable) Len() int { return len(t.entries) }
-
-// Counter returns the access counter.
-func (t *SortedTable) Counter() Counter { return t.ctr }
-
-// HashTable is the software hashing technique of §2.1: M buckets of
-// chained entries. A lookup costs one access for the bucket head plus
-// one per chained node traversed.
-type HashTable struct {
-	buckets [][]Entry
-	mask    uint64
-	n       int
-	ctr     Counter
-}
-
-// NewHashTable allocates a table with 2^bits buckets.
-func NewHashTable(bits int) *HashTable {
-	if bits < 1 {
-		bits = 1
-	}
-	return &HashTable{
-		buckets: make([][]Entry, 1<<uint(bits)),
-		mask:    1<<uint(bits) - 1,
-	}
-}
-
-func (h *HashTable) bucket(key uint64) uint64 {
-	key *= 0x9e3779b97f4a7c15
-	return (key >> 32) & h.mask
-}
-
-// Insert adds an entry (replacing an existing key's value).
-func (h *HashTable) Insert(e Entry) {
-	b := h.bucket(e.Key)
-	for i := range h.buckets[b] {
-		if h.buckets[b][i].Key == e.Key {
-			h.buckets[b][i] = e
-			return
-		}
-	}
-	h.buckets[b] = append(h.buckets[b], e)
-	h.n++
-}
-
-// Lookup walks the bucket chain.
-func (h *HashTable) Lookup(key uint64) (Entry, bool) {
-	h.ctr.Lookups++
-	b := h.bucket(key)
-	h.ctr.Accesses++ // bucket head
-	for i, e := range h.buckets[b] {
-		if i > 0 {
-			h.ctr.Accesses++ // chained node
-		}
-		if e.Key == key {
-			return e, true
-		}
-	}
-	return Entry{}, false
-}
-
-// Len returns the element count.
-func (h *HashTable) Len() int { return h.n }
-
-// Counter returns the access counter.
-func (h *HashTable) Counter() Counter { return h.ctr }
-
-// LoadFactor returns entries per bucket.
-func (h *HashTable) LoadFactor() float64 {
-	return float64(h.n) / float64(len(h.buckets))
 }

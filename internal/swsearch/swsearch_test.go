@@ -1,146 +1,6 @@
 package swsearch
 
-import (
-	"math/rand"
-	"testing"
-)
-
-func TestLinkedList(t *testing.T) {
-	l := &LinkedList{}
-	for i := 0; i < 10; i++ {
-		l.Insert(Entry{Key: uint64(i), Value: uint64(i * 10)})
-	}
-	if l.Len() != 10 {
-		t.Errorf("Len = %d", l.Len())
-	}
-	e, ok := l.Lookup(7)
-	if !ok || e.Value != 70 {
-		t.Fatalf("Lookup(7) = %+v, %v", e, ok)
-	}
-	if _, ok := l.Lookup(99); ok {
-		t.Error("phantom hit")
-	}
-	// Key 7 was inserted 8th from the end, list is LIFO: 3 accesses.
-	c := l.Counter()
-	if c.Lookups != 2 {
-		t.Errorf("Lookups = %d", c.Lookups)
-	}
-	// Miss costs a full scan of 10.
-	if c.Accesses != 3+10 {
-		t.Errorf("Accesses = %d, want 13", c.Accesses)
-	}
-	if c.AMAL() != 6.5 {
-		t.Errorf("AMAL = %f", c.AMAL())
-	}
-}
-
-func TestSortedTable(t *testing.T) {
-	var entries []Entry
-	for i := 0; i < 1024; i++ {
-		entries = append(entries, Entry{Key: uint64(i * 2), Value: uint64(i)})
-	}
-	st := Build(entries)
-	if st.Len() != 1024 {
-		t.Errorf("Len = %d", st.Len())
-	}
-	for i := 0; i < 1024; i += 97 {
-		e, ok := st.Lookup(uint64(i * 2))
-		if !ok || e.Value != uint64(i) {
-			t.Fatalf("Lookup(%d) = %+v, %v", i*2, e, ok)
-		}
-	}
-	if _, ok := st.Lookup(3); ok {
-		t.Error("odd key found")
-	}
-	// Binary search: at most ~log2(1024)+1 probes per lookup.
-	c := st.Counter()
-	if perLookup := c.AMAL(); perLookup > 11 {
-		t.Errorf("binary search AMAL = %f", perLookup)
-	}
-}
-
-func TestBuildDoesNotAliasInput(t *testing.T) {
-	in := []Entry{{Key: 3}, {Key: 1}, {Key: 2}}
-	st := Build(in)
-	in[0].Key = 999
-	if _, ok := st.Lookup(3); !ok {
-		t.Error("table shares storage with caller")
-	}
-}
-
-func TestHashTable(t *testing.T) {
-	h := NewHashTable(6)
-	for i := 0; i < 500; i++ {
-		h.Insert(Entry{Key: uint64(i), Value: uint64(i)})
-	}
-	if h.Len() != 500 {
-		t.Errorf("Len = %d", h.Len())
-	}
-	if lf := h.LoadFactor(); lf != 500.0/64 {
-		t.Errorf("LoadFactor = %f", lf)
-	}
-	for i := 0; i < 500; i += 13 {
-		e, ok := h.Lookup(uint64(i))
-		if !ok || e.Value != uint64(i) {
-			t.Fatalf("Lookup(%d) failed", i)
-		}
-	}
-	if _, ok := h.Lookup(10000); ok {
-		t.Error("phantom hit")
-	}
-	// Replacement keeps Len stable.
-	h.Insert(Entry{Key: 5, Value: 99})
-	if h.Len() != 500 {
-		t.Error("replace grew the table")
-	}
-	if e, _ := h.Lookup(5); e.Value != 99 {
-		t.Error("replace did not update value")
-	}
-	// Chained hashing with alpha ~8: a handful of accesses per lookup.
-	if amal := h.Counter().AMAL(); amal < 1 || amal > 16 {
-		t.Errorf("hash AMAL = %f", amal)
-	}
-	if NewHashTable(0).mask != 1 {
-		t.Error("bits clamp failed")
-	}
-}
-
-// Relative cost ordering on the same workload: hash < binary search <
-// linked list, the premise of §2.1.
-func TestBaselineOrdering(t *testing.T) {
-	const n = 2000
-	rng := rand.New(rand.NewSource(5))
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = rng.Uint64()
-	}
-	ll := &LinkedList{}
-	var entries []Entry
-	h := NewHashTable(10)
-	for i, k := range keys {
-		e := Entry{Key: k, Value: uint64(i)}
-		ll.Insert(e)
-		entries = append(entries, e)
-		h.Insert(e)
-	}
-	st := Build(entries)
-	for i := 0; i < 500; i++ {
-		k := keys[rng.Intn(n)]
-		if _, ok := ll.Lookup(k); !ok {
-			t.Fatal("list miss")
-		}
-		if _, ok := st.Lookup(k); !ok {
-			t.Fatal("table miss")
-		}
-		if _, ok := h.Lookup(k); !ok {
-			t.Fatal("hash miss")
-		}
-	}
-	la, sa, ha := ll.Counter().AMAL(), st.Counter().AMAL(), h.Counter().AMAL()
-	if !(ha < sa && sa < la) {
-		t.Errorf("ordering violated: hash %.1f, sorted %.1f, list %.1f", ha, sa, la)
-	}
-}
+import "testing"
 
 func TestCounterZero(t *testing.T) {
 	if (Counter{}).AMAL() != 0 {

@@ -86,21 +86,6 @@ func (t *Trie) Len() int { return t.n }
 // Counter returns the access counter.
 func (t *Trie) Counter() Counter { return t.ctr }
 
-// MaxDepth returns the deepest node, an upper bound on per-lookup
-// accesses.
-func (t *Trie) MaxDepth() int { return maxDepth(t.root) }
-
-func maxDepth(n *trieNode) int {
-	if n == nil {
-		return 0
-	}
-	d := maxDepth(n.child[0])
-	if r := maxDepth(n.child[1]); r > d {
-		d = r
-	}
-	return d + 1
-}
-
 // PathTrie is a path-compressed binary trie: chains of single-child,
 // valueless nodes are skipped by storing a skip stride, so a lookup
 // performs one access per *branching or valued* node only.

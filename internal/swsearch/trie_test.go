@@ -64,9 +64,6 @@ func TestTrieAccessCounting(t *testing.T) {
 	if c.Accesses != 17 || c.Lookups != 1 {
 		t.Errorf("counter = %+v", c)
 	}
-	if tr.MaxDepth() != 17 {
-		t.Errorf("MaxDepth = %d", tr.MaxDepth())
-	}
 }
 
 func TestPathTrieMatchesTrieRandom(t *testing.T) {

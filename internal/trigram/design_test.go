@@ -3,6 +3,8 @@ package trigram
 import (
 	"math"
 	"testing"
+
+	"caram/internal/caram"
 )
 
 func TestDesignGeometry(t *testing.T) {
@@ -173,6 +175,73 @@ func TestFiveSliceVertical(t *testing.T) {
 	for i := 0; i < len(db); i += 53 {
 		if _, _, ok := Lookup(ev.Slice, db[i].Text); !ok {
 			t.Fatalf("entry %q lost in 5-slice design", db[i].Text)
+		}
+	}
+}
+
+// TestHomeBucketsPinned holds the trigram index generator — the key
+// image of Entry.Key, §4.2's 31-bit DJB hash and the slice's reduction
+// modulo the row count — to home buckets recorded for fixed keys. The
+// design is Table 3's B (five vertical slices) at R = 6: 320 rows, not
+// a power of two, so the modulo reduction is exercised. Short, padded,
+// 16-byte and over-long (head plus digest) texts all appear. The
+// experiment goldens aggregate over whole databases and would not
+// notice, say, a 32-bit DJB in place of the 31-bit one. A partitioned
+// engine builds its own generator; it must hash as the pinned one does.
+func TestHomeBucketsPinned(t *testing.T) {
+	d := scaled(Table3Designs[1], 8)
+	s := caram.MustNew(sliceConfig(d, 4, 0))
+	if rows := s.Config().Rows(); rows != 320 {
+		t.Fatalf("design %s has %d rows, want 320", d.Name, rows)
+	}
+	p, err := BuildPartitioned(map[string][]Entry{"all": {{Text: "the cat sat"}}}, []Partition{{Name: "all", MinLen: 1, MaxLen: 64, Share: 1}}, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := p.engines["all"].Main.Config().Index
+	for _, tc := range []struct {
+		text string
+		home uint32
+	}{
+		{"the cat sat", 294},
+		{"a dog ran far", 122},
+		{"of the people", 256},
+		{"in the house", 97},
+		{"to be or not", 33},
+		{"we went home", 232},
+		{"it was the best", 28},
+		{"she said that", 23},
+		{"for the first", 85},
+		{"and the rest", 279},
+		{"on the other", 197},
+		{"at the end of", 231},
+		{"one of the most", 192},
+		{"as well as the", 162},
+		{"there is no way", 135},
+		{"i do not know", 145},
+		{"bra cho stin", 18},
+		{"plou tre vais", 163},
+		{"shan kiol dent", 297},
+		{"zeam forst lo", 315},
+		{"thio wack pung", 57},
+		{"ma ne pi", 191},
+		{"stro chu gai", 190},
+		{"lind mer tousk", 6},
+		{"x", 253},
+		{"abcdefghijklmnop", 141},
+		{"abcdefghijklmnoq", 142},
+		{"abcdefghijklmno", 29},
+		{"the quick brown fox", 281},
+		{"jumps over the lazy dog", 123},
+		{"abcdefghijkl-suffix-one", 33},
+		{"abcdefghijkl-suffix-two", 239},
+	} {
+		key := Entry{Text: tc.text}.Key()
+		if got := s.Index(key); got != tc.home {
+			t.Errorf("home of %q = %d, want %d", tc.text, got, tc.home)
+		}
+		if got, want := part.Index(key), s.Config().Index.Index(key); got != want {
+			t.Errorf("partitioned index of %q = %d, the pinned generator's %d", tc.text, got, want)
 		}
 	}
 }

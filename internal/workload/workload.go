@@ -1,7 +1,7 @@
 // Package workload provides deterministic workload synthesis shared by
 // the application studies: seeded random sources, Zipf-distributed
-// access patterns (the "skewed access pattern" of §4.1), and trace
-// generation over arbitrary key sets.
+// access patterns (the "skewed access pattern" of §4.1) — a sampler and
+// its analytical weights — and a seeded shuffle.
 package workload
 
 import (
@@ -54,26 +54,6 @@ func Weights(s float64, n int) []float64 {
 		w[k] /= sum
 	}
 	return w
-}
-
-// UniformTrace returns n indices drawn uniformly from [0, keys).
-func UniformTrace(rng *rand.Rand, keys, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = rng.Intn(keys)
-	}
-	return out
-}
-
-// ZipfTrace returns n indices drawn Zipf(s) from [0, keys): index 0 is
-// the most popular key.
-func ZipfTrace(rng *rand.Rand, s float64, keys, n int) []int {
-	z := NewZipf(rng, s, keys)
-	out := make([]int, n)
-	for i := range out {
-		out[i] = z.Rank()
-	}
-	return out
 }
 
 // Shuffle permutes xs deterministically under rng.

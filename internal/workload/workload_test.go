@@ -66,32 +66,6 @@ func TestWeights(t *testing.T) {
 	}
 }
 
-func TestTraces(t *testing.T) {
-	rng := NewRand(4)
-	u := UniformTrace(rng, 50, 1000)
-	if len(u) != 1000 {
-		t.Fatalf("len = %d", len(u))
-	}
-	for _, i := range u {
-		if i < 0 || i >= 50 {
-			t.Fatalf("index %d out of range", i)
-		}
-	}
-	z := ZipfTrace(NewRand(4), 1.2, 50, 1000)
-	head := 0
-	for _, i := range z {
-		if i < 0 || i >= 50 {
-			t.Fatalf("zipf index %d out of range", i)
-		}
-		if i == 0 {
-			head++
-		}
-	}
-	if head < 100 {
-		t.Errorf("zipf head drawn %d/1000", head)
-	}
-}
-
 func TestShuffleDeterministic(t *testing.T) {
 	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	ys := append([]int(nil), xs...)
