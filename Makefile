@@ -55,6 +55,10 @@
 #   make copy-guard     no whole-struct copy (DUFFCOPY) compiled into the
 #                       per-key path's functions, from the assembly
 #                       listing
+#   make layer-guard    the application packages (iproute, pktclass,
+#                       trigram, dict) depend on no serving-stack package
+#                       (subsystem, server, cluster, wal, wire, metrics),
+#                       from go list -deps
 #   make metrics-smoke  end-to-end observability check: live server and
 #                       router, every declared family on each tier's
 #                       /metrics, /debug/traces, SLOWLOG/EXPLAIN and
@@ -67,7 +71,8 @@
 #                       trigram, pktclass and the rest
 #   make ci             the CI gate, each test in each mode once:
 #                       check + race + alloc-guard + copy-guard +
-#                       crash-harness + metrics-smoke + examples
+#                       layer-guard + crash-harness + metrics-smoke +
+#                       examples
 #
 # The focused gates below are subsets of `make ci` for working on one
 # area; each is self-contained, so they overlap each other (and ci runs
@@ -141,7 +146,7 @@
 GO       ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all check fmt-check vet race stress fuzz bench bench-load profile profile-routed alloc-guard copy-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard crash-harness write-guard chaos metrics-smoke examples ci
+.PHONY: all check fmt-check vet race stress fuzz bench bench-load profile profile-routed alloc-guard copy-guard layer-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard crash-harness write-guard chaos metrics-smoke examples ci
 
 all: check race stress fuzz bench trace-guard seqlock-guard typed-guard cluster-guard crash-guard write-guard chaos metrics-smoke
 
@@ -150,7 +155,7 @@ all: check race stress fuzz bench trace-guard seqlock-guard typed-guard cluster-
 # and the rest is what neither can run — the allocation guards (they
 # skip themselves under -race, and want -count=1), the kill harness,
 # the live-binary smoke test and the examples.
-ci: check race alloc-guard copy-guard crash-harness metrics-smoke examples
+ci: check race alloc-guard copy-guard layer-guard crash-harness metrics-smoke examples
 
 check: fmt-check vet
 	$(GO) build ./...
@@ -268,6 +273,16 @@ copy-guard:
 			for (f in copies) print "copy-guard: " copies[f] " whole-struct copies in " f; \
 			printf "copy-guard: %d whole-struct copies in %d functions\n", total, n; \
 			exit bad || total > 0 }'
+
+# Layer guard: the applications' packages — the paper's case studies
+# and the dictionary — build their engines from caram and sit below the
+# serving stack; the serving stack imports them, never the reverse.
+# Their transitive dependencies must name no serving-stack package.
+LAYER_GUARD_PKGS = ./internal/iproute ./internal/pktclass ./internal/trigram ./internal/dict
+layer-guard:
+	@bad="$$($(GO) list -deps $(LAYER_GUARD_PKGS) | grep -E '^caram/internal/(subsystem|server|cluster|wal|wire|metrics)$$')"; \
+	if [ -n "$$bad" ]; then echo "layer-guard: the application packages depend on the serving stack:"; echo "$$bad"; exit 1; fi; \
+	echo "layer-guard: no serving-stack package under $(LAYER_GUARD_PKGS)"
 
 # Durability gate: the whole WAL suite under the race detector (the
 # exhaustive torn-tail property, snapshot truncation + replay gating,

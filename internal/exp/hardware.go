@@ -32,7 +32,7 @@ func runBandwidth(sc Scale) (string, error) {
 	// model charges for.
 	d := iproute.Table2Designs[3]
 	for _, banks := range []int{1, 2, 4, 8, 16} {
-		sl := caram.MustNew(iproute.SliceConfig(d, hash.NewMultShift(d.R)))
+		sl := caram.MustNew(iproute.SliceConfig(d.Slots(), iproute.NextHopBits, hash.NewMultShift(d.R)))
 		keys := make([]bitutil.Ternary, 20000)
 		for i := range keys {
 			keys[i] = bitutil.Exact(bitutil.FromUint64(uint64(rng.Uint32())))

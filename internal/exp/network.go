@@ -59,7 +59,7 @@ func buildOverflowEngine(table []iproute.Prefix, d iproute.Design) (*subsystem.E
 		return nil, nil, err
 	}
 	gen := hash.NewBitSelect(iproute.HashPositions(idxBits))
-	cfg := iproute.SliceConfig(d, gen)
+	cfg := iproute.SliceConfig(d.Slots(), iproute.NextHopBits, gen)
 	cfg.ProbeLimit = caram.NoProbing
 	main, err := caram.New(cfg)
 	if err != nil {
@@ -69,7 +69,7 @@ func buildOverflowEngine(table []iproute.Prefix, d iproute.Design) (*subsystem.E
 		Name:     "ip-" + d.Name,
 		Main:     main,
 		Overflow: cam.MustNew(cam.Config{Entries: len(table), KeyBits: 32, Kind: cam.Ternary}),
-		Score:    func(r match.Record) int { return r.Key.Specificity(32) },
+		Score:    iproute.Score,
 	}
 	stats := &subsystem.EngineStats{}
 	for _, p := range table {
@@ -156,7 +156,7 @@ type ipGenResult struct {
 // reports the placement with the AMAL of the stored copies.
 func evaluateIP(table []iproute.Prefix, d iproute.Design, gen hash.IndexGenerator,
 	homes func(bitutil.Ternary) []uint32) (ipGenResult, error) {
-	slice, err := caram.New(iproute.SliceConfig(d, gen))
+	slice, err := caram.New(iproute.SliceConfig(d.Slots(), iproute.NextHopBits, gen))
 	if err != nil {
 		return ipGenResult{}, err
 	}

@@ -113,21 +113,22 @@ type Evaluation struct {
 	Slice          *caram.Slice
 }
 
-// slotDataBits is the next-hop field width stored with each key.
-const slotDataBits = 8
+// NextHopBits is the next-hop field width Table 2's designs store with
+// each key.
+const NextHopBits = 8
 
-// SliceConfig derives the simulator configuration for a design whose
-// buckets are indexed by gen: d.Slots() ternary slots per row of valid
-// bit, 32-bit key, 32-bit mask and next hop, a 16-bit reach field, and
-// duplicates allowed for don't-care expansion. gen sets the row count,
-// so it should consume d.IndexBits() bits.
-func SliceConfig(d Design, gen hash.IndexGenerator) caram.Config {
-	slot := 1 + 32 + 32 + slotDataBits // valid + key + mask + next hop
+// SliceConfig is the IP-lookup geometry, Table 2's designs and the
+// served lpm engine alike: slots ternary slots per row of valid bit,
+// 32-bit key, 32-bit mask and dataBits of payload, a 16-bit reach
+// field, and duplicates allowed for don't-care expansion. gen sets the
+// row count (a design passes one consuming d.IndexBits() bits).
+func SliceConfig(slots, dataBits int, gen hash.IndexGenerator) caram.Config {
+	slot := 1 + 32 + 32 + dataBits // valid + key + mask + payload
 	return caram.Config{
 		IndexBits:       gen.Bits(),
-		RowBits:         d.Slots()*slot + 16,
+		RowBits:         slots*slot + 16,
 		KeyBits:         32,
-		DataBits:        slotDataBits,
+		DataBits:        dataBits,
 		Ternary:         true,
 		AuxBits:         16,
 		Tech:            mem.DRAM,
@@ -135,6 +136,10 @@ func SliceConfig(d Design, gen hash.IndexGenerator) caram.Config {
 		AllowDuplicates: true,
 	}
 }
+
+// Score ranks a bucket's matching prefixes for longest-prefix match:
+// the more specific the prefix, the higher.
+func Score(r match.Record) int { return r.Key.Specificity(32) }
 
 // Evaluate builds the design from the routing table and computes the
 // Table 2 metrics. Prefixes are inserted in decreasing prefix-length
@@ -244,7 +249,7 @@ func place(ordered []indexed, d Design, weights []float64) (*Evaluation, error) 
 		return nil, err
 	}
 	gen := hash.NewBitSelect(HashPositions(idxBits))
-	slice, err := caram.New(SliceConfig(d, gen))
+	slice, err := caram.New(SliceConfig(d.Slots(), NextHopBits, gen))
 	if err != nil {
 		return nil, err
 	}
@@ -294,10 +299,9 @@ func place(ordered []indexed, d Design, weights []float64) (*Evaluation, error) 
 // built design slice, returning the next hop. It is the operational
 // (trace-driven) counterpart of the analytic AMAL computation.
 func LPMLookup(slice *caram.Slice, addr uint32) (nextHop uint8, length int, ok bool) {
-	res := slice.LookupBest(bitutil.Exact(bitutil.FromUint64(uint64(addr))),
-		func(r match.Record) int { return r.Key.Specificity(32) })
+	res := slice.LookupBest(bitutil.Exact(bitutil.FromUint64(uint64(addr))), Score)
 	if !res.Found {
 		return 0, 0, false
 	}
-	return uint8(res.Record.Data.Uint64()), res.Record.Key.Specificity(32), true
+	return uint8(res.Record.Data.Uint64()), Score(res.Record), true
 }

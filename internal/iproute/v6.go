@@ -213,13 +213,13 @@ func HashPositions6(n int) []int {
 // Evaluate6 builds an IPv6 design and computes the Table 2 metrics.
 func Evaluate6(table []Prefix6, d Design6) (*Evaluation6, error) {
 	gen := hash.NewBitSelect(HashPositions6(d.R))
-	slot := 1 + 64 + 64 + slotDataBits
+	slot := 1 + 64 + 64 + NextHopBits
 	slots := d.KeysPerRow * d.Slices
 	slice, err := caram.New(caram.Config{
 		IndexBits:       d.R,
 		RowBits:         slots*slot + 16,
 		KeyBits:         64,
-		DataBits:        slotDataBits,
+		DataBits:        NextHopBits,
 		Ternary:         true,
 		AuxBits:         16,
 		Tech:            mem.DRAM,

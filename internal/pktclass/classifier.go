@@ -108,10 +108,8 @@ type CARAMConfig struct {
 	DupLimit  int // max copies per entry before diverting (default 4)
 }
 
-// HashPositions returns the bit-selection positions a classifier of n
-// index bits hashes on — NewCARAMClassifier's and the serving stack's
-// pktclass engine's (internal/subsystem), which stores rules in a
-// generic slice. They are the last n bits of the first 16
+// HashPositions returns the bit-selection positions SliceConfig's
+// generator of n index bits hashes on: the last n bits of the first 16
 // destination-address bits (dstIPOff+16 .. dstIPOff+16+n-1), the
 // paper's §4.1 selection: ACLs overwhelmingly specify a destination
 // prefix of at least /16, so these bits are rarely masked and ternary
@@ -123,6 +121,34 @@ func HashPositions(n int) []int {
 		pos[i] = dstIPOff + 16 + i
 	}
 	return pos
+}
+
+// SliceConfig is the classifier geometry, NewCARAMClassifier's and the
+// served pktclass engine's alike: 2^indexBits rows of slots ternary
+// slots (valid bit, 104-bit five-tuple key and mask, 32-bit
+// EncodeData payload), a 16-bit reach field, and duplicates allowed
+// for the expansion of wildcarded hash bits, indexed by a bit
+// selection over HashPositions(indexBits).
+func SliceConfig(slots, indexBits int) caram.Config {
+	slot := 1 + KeyBits + KeyBits + 32
+	return caram.Config{
+		IndexBits:       indexBits,
+		RowBits:         slots*slot + 16,
+		KeyBits:         KeyBits,
+		DataBits:        32,
+		Ternary:         true,
+		AuxBits:         16,
+		Tech:            mem.DRAM,
+		Index:           hash.NewBitSelect(HashPositions(indexBits)),
+		AllowDuplicates: true,
+	}
+}
+
+// Score ranks a bucket's matching rules by priority, offset by one so
+// a zero-priority rule still outranks "no match yet".
+func Score(r match.Record) int {
+	_, _, prio := DecodeData(r.Data)
+	return prio + 1
 }
 
 // NewCARAMClassifier builds the CA-RAM engine from a rule set.
@@ -139,23 +165,13 @@ func NewCARAMClassifier(rules []Rule, cfg CARAMConfig) (*CARAMClassifier, error)
 	if cfg.Overflow <= 0 {
 		cfg.Overflow = totalExpansion(rules)
 	}
-	sel := hash.NewBitSelect(HashPositions(cfg.IndexBits))
-	slot := 1 + KeyBits + KeyBits + 32
-	slice, err := caram.New(caram.Config{
-		IndexBits:       cfg.IndexBits,
-		RowBits:         cfg.Slots*slot + 16,
-		KeyBits:         KeyBits,
-		DataBits:        32,
-		Ternary:         true,
-		AuxBits:         16,
-		Tech:            mem.DRAM,
-		ProbeLimit:      caram.NoProbing,
-		Index:           sel,
-		AllowDuplicates: true,
-	})
+	sc := SliceConfig(cfg.Slots, cfg.IndexBits)
+	sc.ProbeLimit = caram.NoProbing // the overflow TCAM takes the spills
+	slice, err := caram.New(sc)
 	if err != nil {
 		return nil, err
 	}
+	sel := sc.Index.(*hash.BitSelect)
 	ovfl, err := cam.New(cam.Config{Entries: cfg.Overflow, KeyBits: KeyBits, Kind: cam.Ternary})
 	if err != nil {
 		return nil, err
@@ -200,11 +216,7 @@ func NewCARAMClassifier(rules []Rule, cfg CARAMConfig) (*CARAMClassifier, error)
 // across all matches in the bucket) plus the parallel overflow TCAM.
 func (c *CARAMClassifier) Classify(p FiveTuple) Result {
 	key := bitutil.Exact(p.Key())
-	score := func(r match.Record) int {
-		_, _, prio := DecodeData(r.Data)
-		return prio + 1 // keep zero distinguishable from "no match"
-	}
-	main := c.slice.LookupBest(key, score)
+	main := c.slice.LookupBest(key, Score)
 	out := Result{RowsRead: main.RowsRead}
 	bestPrio := -1
 	if main.Found {

@@ -6,18 +6,9 @@ import (
 	"caram/internal/caram"
 	"caram/internal/hash"
 	"caram/internal/iproute"
-	"caram/internal/match"
 	"caram/internal/mem"
 	"caram/internal/pktclass"
-)
-
-// trigramKeyBytes and trigramScoreBits mirror trigram.KeyBytes and
-// trigram.ScoreBits — the trigram package imports subsystem for its
-// partitioned database, so it cannot be imported here; the external
-// test package pins the pairs equal at compile time.
-const (
-	trigramKeyBytes  = 16
-	trigramScoreBits = 16
+	"caram/internal/trigram"
 )
 
 // EngineType selects an engine's key encoding and search semantics —
@@ -96,63 +87,49 @@ func (c TypedConfig) withDefaults() TypedConfig {
 	return c
 }
 
-// lpmScore ranks LPM multi-matches by prefix specificity.
-func lpmScore(r match.Record) int { return r.Key.Specificity(32) }
-
-// pktclassScore ranks classifier multi-matches by rule priority (the
-// low 16 bits of the payload), offset so a zero-priority rule still
-// outranks "no match yet".
-func pktclassScore(r match.Record) int { return int(r.Data.Uint64()&0xffff) + 1 }
-
-// NewTypedEngine builds one engine of the given type: the per-type key
-// geometry, index generator, duplication selector, and match-ranking
-// score, mirroring the simulation packages' design points (iproute
-// hashes address bits 16.., pktclass hashes destination-IP host bits,
-// trigram uses the byte-wise DJB hash over its 16-byte signatures).
-// Typed engines carry no overflow CAM, so every search stays on the
-// wait-free seqlock read path; an insert that finds no slot within the
-// probe limit simply fails with caram.ErrFull.
+// NewTypedEngine builds one engine of the given type. An lpm, pktclass
+// or trigram engine is its application's design geometry —
+// iproute.SliceConfig with 32-bit payloads, pktclass.SliceConfig,
+// trigram.SliceConfig over 2^IndexBits rows — ranked by that
+// application's Score and duplicated across wildcarded hash bits by its
+// bit selection; an exact engine is 64-bit keys with 32-bit payloads
+// under a multiply-shift index. Typed engines carry no overflow CAM, so
+// every search stays on the wait-free seqlock read path; an insert that
+// finds no slot within the probe limit simply fails with caram.ErrFull.
 func NewTypedEngine(name string, typ EngineType, tc TypedConfig) (*Engine, error) {
 	tc = tc.withDefaults()
-	cfg := caram.Config{
-		IndexBits: tc.IndexBits,
-		AuxBits:   16,
-		Tech:      mem.DRAM,
-		ECC:       tc.ECC,
-	}
 	e := &Engine{Name: name, Type: typ}
+	if tc.IndexBits < 0 {
+		return nil, fmt.Errorf("subsystem: negative index bits %d", tc.IndexBits)
+	}
+	if (typ == LPMEngine || typ == PktClassEngine) && tc.IndexBits > 16 {
+		return nil, fmt.Errorf("subsystem: %v engine supports at most 16 index bits, got %d", typ, tc.IndexBits)
+	}
+	var cfg caram.Config
 	switch typ {
 	case ExactEngine:
-		cfg.KeyBits, cfg.DataBits = 64, 32
-		cfg.RowBits = tc.Slots*(1+64+32) + 16
-		cfg.Index = hash.NewMultShift(tc.IndexBits)
+		cfg = caram.Config{
+			IndexBits: tc.IndexBits,
+			RowBits:   tc.Slots*(1+64+32) + 16,
+			KeyBits:   64,
+			DataBits:  32,
+			AuxBits:   16,
+			Tech:      mem.DRAM,
+			Index:     hash.NewMultShift(tc.IndexBits),
+		}
 	case LPMEngine:
-		if tc.IndexBits > 16 {
-			return nil, fmt.Errorf("subsystem: lpm engine supports at most 16 index bits, got %d", tc.IndexBits)
-		}
-		cfg.KeyBits, cfg.DataBits = 32, 32
-		cfg.RowBits = tc.Slots*(1+32+32+32) + 16
-		cfg.Ternary, cfg.AllowDuplicates = true, true
-		sel := hash.NewBitSelect(iproute.HashPositions(tc.IndexBits))
-		cfg.Index = sel
-		e.Sel, e.Score = sel, lpmScore
+		cfg = iproute.SliceConfig(tc.Slots, 32, hash.NewBitSelect(iproute.HashPositions(tc.IndexBits)))
+		e.Score = iproute.Score
 	case PktClassEngine:
-		if tc.IndexBits > 16 {
-			return nil, fmt.Errorf("subsystem: pktclass engine supports at most 16 index bits, got %d", tc.IndexBits)
-		}
-		cfg.KeyBits, cfg.DataBits = 104, 32
-		cfg.RowBits = tc.Slots*(1+104+104+32) + 16
-		cfg.Ternary, cfg.AllowDuplicates = true, true
-		sel := hash.NewBitSelect(pktclass.HashPositions(tc.IndexBits))
-		cfg.Index = sel
-		e.Sel, e.Score = sel, pktclassScore
+		cfg = pktclass.SliceConfig(tc.Slots, tc.IndexBits)
+		e.Score = pktclass.Score
 	case TrigramEngine:
-		cfg.KeyBits, cfg.DataBits = 128, trigramScoreBits
-		cfg.RowBits = tc.Slots*(1+128+trigramScoreBits) + 16
-		cfg.Index = hash.NewDJB(tc.IndexBits, trigramKeyBytes)
+		cfg = trigram.SliceConfig(tc.Slots, 1<<uint(tc.IndexBits))
 	default:
 		return nil, fmt.Errorf("subsystem: bad engine type %q", typ)
 	}
+	e.Sel, _ = cfg.Index.(*hash.BitSelect)
+	cfg.ECC = tc.ECC
 	slice, err := caram.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("subsystem: engine %q: %w", name, err)

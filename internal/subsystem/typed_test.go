@@ -1,21 +1,19 @@
 package subsystem_test
 
-// External-package tests for the typed-engine factory. Living outside
-// package subsystem lets this file import internal/trigram (which
-// itself imports subsystem, so the factory cannot) and pin the
-// trigram geometry constants the factory mirrors locally.
-
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"caram/internal/bitutil"
 	"caram/internal/caram"
+	"caram/internal/iproute"
 	"caram/internal/match"
+	"caram/internal/pktclass"
 	"caram/internal/subsystem"
 	"caram/internal/trigram"
 )
@@ -25,11 +23,12 @@ func matchRecord(key bitutil.Ternary, data uint64) match.Record {
 	return match.Record{Key: key, Data: bitutil.FromUint64(data)}
 }
 
-// TestTypedEngineGeometry checks each engine type's slice geometry
-// against the workload packages' own constants — in particular the
-// trigram row layout, whose KeyBytes/ScoreBits the factory duplicates
-// to avoid an import cycle. If the trigram package ever changes shape,
-// this is the test that breaks.
+// TestTypedEngineGeometry checks each engine type's slice geometry,
+// and that a served lpm, pktclass or trigram engine is its
+// application's design: the slice config the experiments build, at the
+// same slot and row counts, apart from ECC, the lpm engine's 32-bit
+// payload (Table 2 stores an 8-bit next hop) and the classifier's
+// disabled probing (its overflow TCAM takes the spills).
 func TestTypedEngineGeometry(t *testing.T) {
 	cases := []struct {
 		typ               subsystem.EngineType
@@ -39,7 +38,7 @@ func TestTypedEngineGeometry(t *testing.T) {
 		{subsystem.ExactEngine, 64, 32, false},
 		{subsystem.LPMEngine, 32, 32, true},
 		{subsystem.PktClassEngine, 104, 32, true},
-		{subsystem.TrigramEngine, trigram.KeyBytes * 8, trigram.ScoreBits, false},
+		{subsystem.TrigramEngine, 128, trigram.ScoreBits, false},
 	}
 	for _, tc := range cases {
 		e, err := subsystem.NewTypedEngine("x", tc.typ, subsystem.TypedConfig{IndexBits: 6, Slots: 4})
@@ -62,6 +61,68 @@ func TestTypedEngineGeometry(t *testing.T) {
 		}
 	}
 
+	served := func(typ subsystem.EngineType, indexBits, slots int) caram.Config {
+		t.Helper()
+		e, err := subsystem.NewTypedEngine("x", typ, subsystem.TypedConfig{IndexBits: indexBits, Slots: slots, ECC: true})
+		if err != nil {
+			t.Fatalf("%v at 2^%d rows of %d slots: %v", typ, indexBits, slots, err)
+		}
+		return e.Main.Config()
+	}
+	same := func(what string, got, want caram.Config) {
+		t.Helper()
+		if !got.ECC {
+			t.Errorf("%s: served engine dropped ECC", what)
+		}
+		got.ECC = false
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: served config\n%+v\nwant the design's\n%+v", what, got, want)
+		}
+	}
+	for _, d := range iproute.Table2Designs {
+		d.R = min(d.R, 8)
+		ev, err := iproute.Evaluate(nil, d, 1)
+		if err != nil {
+			t.Fatalf("Table 2 design %s: %v", d.Name, err)
+		}
+		want := ev.Slice.Config()
+		got := served(subsystem.LPMEngine, want.IndexBits, d.Slots())
+		if got.DataBits != 32 || got.RowBits-want.RowBits != d.Slots()*(32-iproute.NextHopBits) {
+			t.Errorf("lpm as Table 2 design %s: DataBits=%d RowBits=%d, want 32-bit payloads beside the design's %d bits",
+				d.Name, got.DataBits, got.RowBits, want.RowBits)
+		}
+		got.DataBits, got.RowBits = want.DataBits, want.RowBits
+		same("lpm as Table 2 design "+d.Name, got, want)
+	}
+	cls, err := pktclass.NewCARAMClassifier(nil, pktclass.CARAMConfig{IndexBits: 6, Slots: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cls.Slice().Config()
+	got := served(subsystem.PktClassEngine, 6, 4)
+	if want.ProbeLimit != caram.NoProbing || got.ProbeLimit != 0 {
+		t.Errorf("pktclass ProbeLimit: served %d, classifier %d; want 0 and NoProbing", got.ProbeLimit, want.ProbeLimit)
+	}
+	got.ProbeLimit = want.ProbeLimit
+	same("pktclass as the classifier", got, want)
+	twins := 0
+	for _, d := range trigram.Table3Designs {
+		d.R = 6
+		if b := d.Buckets(); b&(b-1) != 0 {
+			continue // B's 5 x 2^R rows: no served twin
+		}
+		twins++
+		ev, err := trigram.Evaluate(nil, d)
+		if err != nil {
+			t.Fatalf("Table 3 design %s: %v", d.Name, err)
+		}
+		want := ev.Slice.Config()
+		same("trigram as Table 3 design "+d.Name, served(subsystem.TrigramEngine, want.IndexBits, d.Slots()), want)
+	}
+	if twins != 3 {
+		t.Errorf("%d of Table 3's designs have a served twin, want A, C and D", twins)
+	}
+
 	// Type round trip and rejection.
 	for _, typ := range []subsystem.EngineType{subsystem.ExactEngine, subsystem.LPMEngine,
 		subsystem.PktClassEngine, subsystem.TrigramEngine} {
@@ -75,6 +136,12 @@ func TestTypedEngineGeometry(t *testing.T) {
 	}
 	if _, err := subsystem.NewTypedEngine("x", subsystem.LPMEngine, subsystem.TypedConfig{IndexBits: 20}); err == nil {
 		t.Error("lpm engine accepted more index bits than the 32-bit key has selectable positions")
+	}
+	for _, typ := range []subsystem.EngineType{subsystem.ExactEngine, subsystem.LPMEngine,
+		subsystem.PktClassEngine, subsystem.TrigramEngine} {
+		if _, err := subsystem.NewTypedEngine("x", typ, subsystem.TypedConfig{IndexBits: -1}); err == nil {
+			t.Errorf("%v engine accepted -1 index bits", typ)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package trigram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"caram/internal/bitutil"
 	"caram/internal/caram"
@@ -77,24 +78,30 @@ func (d Design) CapacityBits() float64 {
 	return float64(d.Slices) * float64(int(1)<<uint(d.R)) * KeysPerSliceRow * 128
 }
 
-// sliceConfig derives the simulator configuration for a design with an
-// explicit slot count and probe limit (0 = unlimited, caram.NoProbing
-// to disable probing).
-func sliceConfig(d Design, slots, probeLimit int) caram.Config {
-	slot := 1 + 128 + ScoreBits
-	return caram.Config{
-		IndexBits:  31, // documentation only; TotalRows governs geometry
-		TotalRows:  d.Buckets(),
-		RowBits:    slots*slot + 16,
-		KeyBits:    128,
-		DataBits:   ScoreBits,
-		AuxBits:    16,
-		Tech:       mem.DRAM,
-		ProbeLimit: probeLimit,
-		// §4.2's DJB hash of the key image, 31 bits reduced modulo the
-		// bucket count by the slice, with negligible bias.
-		Index: hash.NewDJB(31, KeyBytes),
+// SliceConfig is the trigram geometry, Table 3's designs, the
+// partitioned database's engines and the served trigram engine alike:
+// rows buckets of slots slots (valid bit, 128-bit key, ScoreBits of
+// payload), a 16-bit reach field, indexed by §4.2's DJB hash of the
+// KeyBytes key image. A power-of-two rows count takes log2(rows) bits
+// of the hash; any other count takes 31 and reduces them modulo rows,
+// with negligible bias. The two forms agree on every home bucket when
+// rows is a power of two.
+func SliceConfig(slots, rows int) caram.Config {
+	cfg := caram.Config{
+		RowBits:  slots*(1+128+ScoreBits) + 16,
+		KeyBits:  128,
+		DataBits: ScoreBits,
+		AuxBits:  16,
+		Tech:     mem.DRAM,
 	}
+	if rows&(rows-1) == 0 {
+		cfg.IndexBits = bits.TrailingZeros(uint(rows))
+		cfg.Index = hash.NewDJB(cfg.IndexBits, KeyBytes)
+	} else {
+		cfg.IndexBits, cfg.TotalRows = 31, rows // TotalRows governs geometry
+		cfg.Index = hash.NewDJB(31, KeyBytes)
+	}
+	return cfg
 }
 
 // Evaluation is one computed row of Table 3 plus Figure 7's data.
@@ -119,7 +126,9 @@ func Evaluate(db []Entry, d Design) (*Evaluation, error) {
 // S-vs-M sweeps at fixed capacity) and linear-probing bound (0 =
 // unlimited, caram.NoProbing disables spilling).
 func EvaluateWith(db []Entry, d Design, slots, probeLimit int) (*Evaluation, error) {
-	slice, err := caram.New(sliceConfig(d, slots, probeLimit))
+	cfg := SliceConfig(slots, d.Buckets())
+	cfg.ProbeLimit = probeLimit
+	slice, err := caram.New(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -186,19 +186,20 @@ func TestFiveSliceVertical(t *testing.T) {
 // a power of two, so the modulo reduction is exercised. Short, padded,
 // 16-byte and over-long (head plus digest) texts all appear. The
 // experiment goldens aggregate over whole databases and would not
-// notice, say, a 32-bit DJB in place of the 31-bit one. A partitioned
-// engine builds its own generator; it must hash as the pinned one does.
+// notice, say, a 32-bit DJB in place of the 31-bit one. A power-of-two
+// row count takes SliceConfig's other form, log2(rows) bits of the
+// hash; it must home every key where the pinned generator's output
+// reduced modulo the row count does.
 func TestHomeBucketsPinned(t *testing.T) {
 	d := scaled(Table3Designs[1], 8)
-	s := caram.MustNew(sliceConfig(d, 4, 0))
+	s := caram.MustNew(SliceConfig(4, d.Buckets()))
 	if rows := s.Config().Rows(); rows != 320 {
 		t.Fatalf("design %s has %d rows, want 320", d.Name, rows)
 	}
-	p, err := BuildPartitioned(map[string][]Entry{"all": {{Text: "the cat sat"}}}, []Partition{{Name: "all", MinLen: 1, MaxLen: 64, Share: 1}}, 0.7)
-	if err != nil {
-		t.Fatal(err)
+	pow := caram.MustNew(SliceConfig(4, 256))
+	if cfg := pow.Config(); cfg.IndexBits != 8 || cfg.TotalRows != 0 {
+		t.Fatalf("256 rows: IndexBits=%d TotalRows=%d, want the power-of-two form 8/0", cfg.IndexBits, cfg.TotalRows)
 	}
-	part := p.engines["all"].Main.Config().Index
 	for _, tc := range []struct {
 		text string
 		home uint32
@@ -240,8 +241,8 @@ func TestHomeBucketsPinned(t *testing.T) {
 		if got := s.Index(key); got != tc.home {
 			t.Errorf("home of %q = %d, want %d", tc.text, got, tc.home)
 		}
-		if got, want := part.Index(key), s.Config().Index.Index(key); got != want {
-			t.Errorf("partitioned index of %q = %d, the pinned generator's %d", tc.text, got, want)
+		if got, want := pow.Index(key), s.Config().Index.Index(key)%256; got != want {
+			t.Errorf("power-of-two home of %q = %d, the pinned generator's %d", tc.text, got, want)
 		}
 	}
 }

@@ -6,18 +6,16 @@ import (
 
 	"caram/internal/bitutil"
 	"caram/internal/caram"
-	"caram/internal/hash"
 	"caram/internal/match"
-	"caram/internal/subsystem"
 )
 
 // The partitioned-database approach of §4.2, completed: the paper maps
 // only the 13–16-character partition (40% of the 13,459,881-entry
 // Sphinx database) onto CA-RAM; here the *whole* database is split by
-// entry length into partitions, each served by its own CA-RAM engine
-// sized to its share, behind the subsystem's ports — the input
-// controller routes a query to the partition its length selects, so
-// the full database still answers in one row access.
+// entry length into partitions, each its own CA-RAM slice sized to its
+// share. PartitionedDB is itself §3.2's input controller: it routes a
+// query by length to its partition's slice, the virtual port, so the
+// full database still answers in one row access.
 
 // Partition describes one length class.
 type Partition struct {
@@ -35,12 +33,10 @@ var SphinxPartitions = []Partition{
 	{Name: "xlong", MinLen: 17, MaxLen: 24, Share: 0.18},
 }
 
-// PartitionedDB is the full database behind one subsystem.
+// PartitionedDB is the full database, one slice per length class.
 type PartitionedDB struct {
-	sub        *subsystem.Subsystem
 	partitions []Partition
-	// engines keeps the per-partition engines for direct access.
-	engines map[string]*subsystem.Engine
+	slices     map[string]*caram.Slice
 	// KeyCollisions counts xlong entries dropped because their
 	// head+digest key collided with a stored one (see Entry.Key).
 	KeyCollisions int
@@ -83,18 +79,16 @@ func generateLenRange(n int, seed int64, minLen, maxLen int) []Entry {
 	return db
 }
 
-// BuildPartitioned loads every partition into its own engine behind a
-// shared subsystem. perSliceR sizes each engine's bucket count; the
-// bucket count scales with the partition share so load factors are
-// comparable across partitions.
+// BuildPartitioned loads every partition into its own slice. The
+// bucket count scales with the partition's size so that every
+// partition sits near targetAlpha.
 func BuildPartitioned(dbs map[string][]Entry, parts []Partition, targetAlpha float64) (*PartitionedDB, error) {
 	if targetAlpha <= 0 || targetAlpha >= 1 {
 		targetAlpha = 0.7
 	}
 	p := &PartitionedDB{
-		sub:        subsystem.New(4096),
 		partitions: parts,
-		engines:    make(map[string]*subsystem.Engine, len(parts)),
+		slices:     make(map[string]*caram.Slice, len(parts)),
 	}
 	for _, part := range parts {
 		db := dbs[part.Name]
@@ -106,24 +100,11 @@ func BuildPartitioned(dbs map[string][]Entry, parts []Partition, targetAlpha flo
 		if m < 4 {
 			m = 4
 		}
-		slot := 1 + 128 + ScoreBits
-		slice, err := caram.New(caram.Config{
-			IndexBits: 31,
-			TotalRows: m,
-			RowBits:   KeysPerSliceRow*slot + 16,
-			KeyBits:   128,
-			DataBits:  ScoreBits,
-			AuxBits:   16,
-			Index:     hash.NewDJB(31, KeyBytes),
-		})
+		slice, err := caram.New(SliceConfig(KeysPerSliceRow, m))
 		if err != nil {
 			return nil, err
 		}
-		eng := &subsystem.Engine{Name: part.Name, Main: slice}
-		if err := p.sub.AddEngine(eng); err != nil {
-			return nil, err
-		}
-		p.engines[part.Name] = eng
+		p.slices[part.Name] = slice
 		for _, e := range db {
 			rec := match.Record{Key: bitutil.Exact(e.Key()), Data: bitutil.FromUint64(uint64(e.Score))}
 			switch err := slice.Insert(rec); err {
@@ -145,27 +126,18 @@ func (p *PartitionedDB) Lookup(text string) (score uint16, rowsRead int, ok bool
 	if i < 0 {
 		return 0, 0, false
 	}
-	eng, present := p.engines[p.partitions[i].Name]
+	slice, present := p.slices[p.partitions[i].Name]
 	if !present {
 		return 0, 0, false
 	}
-	sr := eng.Search(bitutil.Exact(Entry{Text: text}.Key()))
-	if !sr.Found {
-		return 0, sr.RowsRead, false
-	}
-	return uint16(sr.Record.Data.Uint64()), sr.RowsRead, true
+	return Lookup(slice, text)
 }
 
 // Stats returns per-partition (entries, load factor, AMAL-so-far).
 func (p *PartitionedDB) Stats() map[string][3]float64 {
-	out := make(map[string][3]float64, len(p.engines))
-	for name, eng := range p.engines {
-		st := eng.Main.Stats()
-		out[name] = [3]float64{float64(eng.Main.Count()), eng.Main.LoadFactor(), st.AMAL()}
+	out := make(map[string][3]float64, len(p.slices))
+	for name, slice := range p.slices {
+		out[name] = [3]float64{float64(slice.Count()), slice.LoadFactor(), slice.Stats().AMAL()}
 	}
 	return out
 }
-
-// Subsystem exposes the underlying assembly, the form
-// subsystem.NewConcurrent wraps for concurrent dispatch.
-func (p *PartitionedDB) Subsystem() *subsystem.Subsystem { return p.sub }

@@ -1,11 +1,6 @@
 package trigram
 
-import (
-	"testing"
-
-	"caram/internal/bitutil"
-	"caram/internal/subsystem"
-)
+import "testing"
 
 func TestGeneratePartitionedShares(t *testing.T) {
 	dbs := GeneratePartitioned(50000, 1, SphinxPartitions)
@@ -79,43 +74,8 @@ func TestPartitionedLookup(t *testing.T) {
 			t.Errorf("%s load factor = %.2f", name, st[1])
 		}
 	}
-	if got := len(p.Subsystem().Engines()); got != len(SphinxPartitions) {
+	if got := len(p.Stats()); got != len(SphinxPartitions) {
 		t.Errorf("Engines = %d", got)
-	}
-}
-
-// TestPartitionedWithDispatcher fans one batch across every partition
-// engine through the concurrent dispatcher: each key must come back in
-// its request slot, from the partition its length routed it to.
-func TestPartitionedWithDispatcher(t *testing.T) {
-	dbs := GeneratePartitioned(8000, 3, SphinxPartitions)
-	p, err := BuildPartitioned(dbs, SphinxPartitions, 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := subsystem.NewConcurrent(p.Subsystem())
-	defer d.Close()
-	var reqs []subsystem.PortKey
-	var want []uint16
-	for _, part := range SphinxPartitions {
-		for i, e := range dbs[part.Name] {
-			if i%101 != 0 {
-				continue
-			}
-			reqs = append(reqs, subsystem.PortKey{Port: part.Name, Key: bitutil.Exact(e.Key())})
-			want = append(want, e.Score)
-		}
-	}
-	if len(reqs) < len(SphinxPartitions) {
-		t.Fatalf("only %d requests; the batch does not reach every partition", len(reqs))
-	}
-	for i, r := range d.MSearch(reqs) {
-		if r.Err != nil || !r.Result.Found {
-			t.Fatalf("request %d (%s): found=%v err=%v", i, reqs[i].Port, r.Result.Found, r.Err)
-		}
-		if got := uint16(r.Result.Record.Data.Uint64()); got != want[i] {
-			t.Fatalf("request %d (%s): score %d, want %d", i, reqs[i].Port, got, want[i])
-		}
 	}
 }
 
@@ -172,7 +132,7 @@ func TestBuildPartitionedDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(p2.Subsystem().Engines()); got != 1 {
+	if got := len(p2.Stats()); got != 1 {
 		t.Errorf("engines = %d", got)
 	}
 }
