@@ -58,7 +58,9 @@
 #   make layer-guard    the application packages (iproute, pktclass,
 #                       trigram, dict) depend on no serving-stack package
 #                       (subsystem, server, cluster, wal, wire, metrics),
-#                       from go list -deps
+#                       from go list -deps; and no serving-stack package
+#                       (those six and trace) imports internal/cam
+#                       directly, from go list's import lists
 #   make metrics-smoke  end-to-end observability check: live server and
 #                       router, every declared family on each tier's
 #                       /metrics, /debug/traces, SLOWLOG/EXPLAIN and
@@ -278,11 +280,19 @@ copy-guard:
 # and the dictionary — build their engines from caram and sit below the
 # serving stack; the serving stack imports them, never the reverse.
 # Their transitive dependencies must name no serving-stack package.
+# A served engine is one slice with one match pipeline: no serving-stack
+# package imports the CAM model itself (pktclass's classifier TCAM
+# reaches subsystem through pktclass, so the check reads each package's
+# direct imports, not -deps).
 LAYER_GUARD_PKGS = ./internal/iproute ./internal/pktclass ./internal/trigram ./internal/dict
+SERVING_PKGS = ./internal/subsystem ./internal/server ./internal/cluster ./internal/wal ./internal/wire ./internal/metrics ./internal/trace
 layer-guard:
 	@bad="$$($(GO) list -deps $(LAYER_GUARD_PKGS) | grep -E '^caram/internal/(subsystem|server|cluster|wal|wire|metrics)$$')"; \
 	if [ -n "$$bad" ]; then echo "layer-guard: the application packages depend on the serving stack:"; echo "$$bad"; exit 1; fi; \
-	echo "layer-guard: no serving-stack package under $(LAYER_GUARD_PKGS)"
+	echo "layer-guard: no serving-stack package under $(LAYER_GUARD_PKGS)"; \
+	bad="$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(SERVING_PKGS) | grep -E ' caram/internal/cam( |$$)' | cut -d: -f1)"; \
+	if [ -n "$$bad" ]; then echo "layer-guard: serving-stack packages import internal/cam directly:"; echo "$$bad"; exit 1; fi; \
+	echo "layer-guard: no serving-stack package imports internal/cam"
 
 # Durability gate: the whole WAL suite under the race detector (the
 # exhaustive torn-tail property, snapshot truncation + replay gating,

@@ -106,9 +106,6 @@ func MustNew(cfg Config) *Device {
 	return d
 }
 
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
-
 // Len returns the number of stored entries.
 func (d *Device) Len() int { return d.total }
 
@@ -235,16 +232,6 @@ func (d *Device) Entry(i int) (match.Record, bool) {
 		return match.Record{}, false
 	}
 	return d.entries[i], true
-}
-
-// EntryAt returns the stored record and its priority at a physical
-// row — the enumerator durability snapshots use to serialize the
-// device (Insert(rec, priority) round-trips each entry).
-func (d *Device) EntryAt(i int) (match.Record, int, bool) {
-	if i < 0 || i >= d.total {
-		return match.Record{}, 0, false
-	}
-	return d.entries[i], d.prio[i], true
 }
 
 // Stats returns a snapshot of activity counters.

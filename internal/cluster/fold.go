@@ -23,7 +23,7 @@ type acc struct {
 	key   string
 	bare  bool
 	rule  wire.Rule
-	n, m  int64   // Sum, Min; Worst's rank; Ratio's two sides
+	n     int64   // Sum, Min; Worst's rank
 	f, w  float64 // Mean's sum; Weighted's Σ value·lookups and Σ lookups
 	first string  // First, Same
 	mixed bool    // Same: two shards disagreed
@@ -79,10 +79,6 @@ func foldReply(accs []acc, v *wire.Verb, reply string) []acc {
 			a.w += lookups
 		case wire.Worst:
 			a.n = max(a.n, int64(healthRank(val)))
-		case wire.Ratio:
-			x, y, _ := strings.Cut(val, "/")
-			a.n += atoi(x)
-			a.m += atoi(y)
 		case wire.Min:
 			if x := atoi(val); fresh || x < a.n {
 				a.n = x
@@ -154,10 +150,6 @@ func (rt *Router) fold(out []byte, op *pendingOp, head, count, self string) []by
 			out = strconv.AppendFloat(out, a.f/a.w, 'f', 3, 64)
 		case wire.Worst:
 			out = append(out, healthNames[a.n]...)
-		case wire.Ratio:
-			out = strconv.AppendInt(out, a.n, 10)
-			out = append(out, '/')
-			out = strconv.AppendInt(out, a.m, 10)
 		case wire.Same:
 			if a.mixed {
 				out = append(out, "mixed"...)

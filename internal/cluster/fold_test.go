@@ -47,11 +47,11 @@ func TestFoldRules(t *testing.T) {
 			"STATS n=1 alpha=0.100 amal=NaN hits=0 misses=0",
 			"STATS n=1 alpha=0.100 amal=NaN hits=0 misses=0",
 		}, "STATS n=3 alpha=0.100 amal=NaN hits=0 misses=0"},
-		{"worst state, first engine, a/b sum", (*Router).mergeFold, wire.Health, []any{
-			"HEALTH engine=db state=healthy quarantined=0 corrected=1 overflow=1/8",
-			"HEALTH engine=db state=failed quarantined=2 corrected=0 overflow=2/8",
-			"HEALTH engine=db state=degraded quarantined=1 corrected=4 overflow=0/8",
-		}, "HEALTH engine=db state=failed quarantined=3 corrected=5 overflow=3/24"},
+		{"worst state, first engine", (*Router).mergeFold, wire.Health, []any{
+			"HEALTH engine=db state=healthy quarantined=0 corrected=1",
+			"HEALTH engine=db state=failed quarantined=2 corrected=0",
+			"HEALTH engine=db state=degraded quarantined=1 corrected=4",
+		}, "HEALTH engine=db state=failed quarantined=3 corrected=5"},
 		{"bare words keep their place", (*Router).mergeScrub, wire.Health, []any{
 			"OK scrub engine=db rows=1 bits=2 released=0",
 			"OK scrub engine=db rows=0 bits=0 released=0",

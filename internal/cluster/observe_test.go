@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"caram/internal/cam"
 	"caram/internal/caram"
 	"caram/internal/hash"
 	"caram/internal/server"
@@ -18,9 +17,8 @@ import (
 	"caram/internal/wire"
 )
 
-// startTracedBackend boots a server whose engines carry an overflow
-// CAM — so reads take the locked path and record lock_wait spans —
-// with a slowlog-0 collector that admits every request.
+// startTracedBackend boots a server with a slowlog-0 collector that
+// admits every request.
 func startTracedBackend(t testing.TB, engines ...string) *testBackend {
 	t.Helper()
 	sub := subsystem.New(0)
@@ -32,8 +30,7 @@ func startTracedBackend(t testing.TB, engines ...string) *testBackend {
 			DataBits:  32,
 			Index:     hash.NewMultShift(6),
 		})
-		ovf := cam.MustNew(cam.Config{Entries: 32, KeyBits: 64})
-		if err := sub.AddEngine(&subsystem.Engine{Name: name, Main: sl, Overflow: ovf}); err != nil {
+		if err := sub.AddEngine(&subsystem.Engine{Name: name, Main: sl}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,9 +137,9 @@ func routerTraces(t *testing.T, rt *Router) (sjTop, string) {
 // tracing: a sampled (and slow) cluster SEARCH through a real router
 // and two real backends is
 // retrievable from the router as one stitched trace — router spans
-// (queue wait, backend RTT) and backend spans (lock wait, probe chain,
-// §3.4 expected-rows) side by side — and shows up source-tagged in the
-// fleet SLOWLOG.
+// (queue wait, backend RTT) and backend spans (parse, match, encode,
+// the probe chain ending in the hit, §3.4 expected-rows) side by side —
+// and shows up source-tagged in the fleet SLOWLOG.
 func TestClusterTracingEndToEnd(t *testing.T) {
 	rt, col := tracedCluster(t)
 	got := rdrive(t, rt, "INSERT db dead 42", "SEARCH db dead")
@@ -211,20 +208,25 @@ func TestClusterTracingEndToEnd(t *testing.T) {
 		t.Errorf("child identity: cmd=%q tid=%q span=%d, want SEARCH/%q/%d",
 			ct.Cmd, ct.TID, ct.Span, router.TID, child.Span)
 	}
-	if len(ct.Probes) == 0 {
+	var last struct {
+		Hit bool `json:"hit"`
+	}
+	if n := len(ct.Probes); n == 0 {
 		t.Error("child trace has no probe chain")
+	} else if err := json.Unmarshal(ct.Probes[n-1], &last); err != nil || !last.Hit {
+		t.Errorf("child probe chain does not end in the hit: %s (%v)", ct.Probes[n-1], err)
 	}
 	if ct.Expected <= 0 {
 		t.Errorf("child trace expected_rows=%v, want the §3.4 analytic value > 0", ct.Expected)
 	}
-	lockWait := false
+	spans := make(map[string]bool)
 	for _, sp := range ct.Spans {
-		if sp.Kind == "lock_wait" {
-			lockWait = true
-		}
+		spans[sp.Kind] = true
 	}
-	if !lockWait {
-		t.Errorf("child trace has no lock_wait span (overflow-CAM engines read locked): %+v", ct.Spans)
+	for _, want := range []string{"parse", "match", "encode"} {
+		if !spans[want] {
+			t.Errorf("child trace missing the backend's %s span: %+v", want, ct.Spans)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package metrics is the serving path's observability layer: per-engine,
 // per-operation counters and bounded latency histograms, plus engine-level
 // gauges sampled live from the CA-RAM core (load factor, probe count /
-// AMAL, overflow occupancy). The paper's headline quantity — AMAL, the
+// AMAL, spilled records). The paper's headline quantity — AMAL, the
 // average number of memory accesses per lookup (§3.4) — is computed
 // offline by internal/exp; this package puts the same quantity on the
 // wire for a running server, measured over the live traffic instead of a
@@ -73,8 +73,7 @@ func ParseOp(s string) (Op, error) {
 // Gauges is one sample of an engine's live state, read from the CA-RAM
 // core under the engine's read lock. LoadFactor is the paper's α;
 // AMAL is RowsAccessed/Lookups over the engine's lifetime traffic —
-// the measured counterpart of the §3.4 analytic access cost; Overflow
-// counts records diverted to the parallel overflow CAM (§4.3), Spilled
+// the measured counterpart of the §3.4 analytic access cost; Spilled
 // counts main-array records stored outside their home bucket. The
 // fault-tolerance block mirrors the engine's availability state and
 // error-coding counters: Health is the subsystem.Health value
@@ -90,7 +89,6 @@ type Gauges struct {
 	RowsAccessed uint64
 	Hits         uint64
 	Misses       uint64
-	Overflow     int
 	Spilled      int
 
 	Health            int
@@ -422,8 +420,6 @@ var engineFamilies = []Family[Snapshot]{
 		Type: TypeCounter, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.Hits })},
 	{Desc: Desc{Name: "caram_engine_misses_total", Help: "Lookups that found nothing.",
 		Type: TypeCounter, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.Misses })},
-	{Desc: Desc{Name: "caram_engine_overflow_records", Help: "Records diverted to the parallel overflow CAM.",
-		Type: TypeGauge, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.Overflow })},
 	{Desc: Desc{Name: "caram_engine_spilled_records", Help: "Main-array records stored outside their home bucket.",
 		Type: TypeGauge, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.Spilled })},
 	{Desc: Desc{Name: "caram_engine_health", Help: "Engine availability state: 0 healthy, 1 degraded, 2 failed (circuit broken).",

@@ -205,14 +205,14 @@ func TestGaugeSampling(t *testing.T) {
 		t.Error("gauges reported before a sampler is wired")
 	}
 	em.SetGaugeFunc(func() Gauges {
-		return Gauges{Records: 7, LoadFactor: 0.5, AMAL: 1.25, Overflow: 2, Spilled: 1}
+		return Gauges{Records: 7, LoadFactor: 0.5, AMAL: 1.25, Spilled: 1}
 	})
 	g, ok := em.SampleGauges()
 	if !ok || g.Records != 7 || g.AMAL != 1.25 {
 		t.Errorf("gauges = %+v, ok=%v", g, ok)
 	}
 	s := r.Snapshot()
-	if !s.Engines[0].HasGauges || s.Engines[0].Gauges.Overflow != 2 {
+	if !s.Engines[0].HasGauges || s.Engines[0].Gauges.Spilled != 1 {
 		t.Errorf("snapshot gauges = %+v", s.Engines[0])
 	}
 }

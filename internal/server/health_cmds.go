@@ -60,8 +60,5 @@ func (s *Server) execHealthAppend(dst []byte, v *wire.Verb, fs *wire.Scanner) []
 	dst = appendKV(dst, "uncorrectable", hi.Ecc.Uncorrectable)
 	dst = appendKV(dst, "read_errors", hi.Ecc.ReadErrors)
 	dst = appendKV(dst, "scrubs", hi.Ecc.ScrubRuns)
-	dst = appendKV(dst, "scrub_bits", hi.Ecc.ScrubRepairedBits)
-	dst = appendKV(dst, "overflow", hi.OverflowLen)
-	dst = append(dst, '/')
-	return appendInt(dst, int64(hi.OverflowCap))
+	return appendKV(dst, "scrub_bits", hi.Ecc.ScrubRepairedBits)
 }

@@ -267,7 +267,7 @@ func TestHealthCommand(t *testing.T) {
 	if resp[0] != "HEALTH db=healthy" {
 		t.Errorf("HEALTH: %q", resp[0])
 	}
-	if resp[1] != "HEALTH engine=db state=healthy quarantined=0 corrected=0 uncorrectable=0 read_errors=0 scrubs=0 scrub_bits=0 overflow=0/0" {
+	if resp[1] != "HEALTH engine=db state=healthy quarantined=0 corrected=0 uncorrectable=0 read_errors=0 scrubs=0 scrub_bits=0" {
 		t.Errorf("HEALTH db: %q", resp[1])
 	}
 	if !strings.HasPrefix(resp[2], "ERR subsystem: no engine") {

@@ -892,7 +892,6 @@ func (s *Server) execMetricsAppend(dst []byte, v *wire.Verb, fs *wire.Scanner) [
 			dst = appendKVf(dst, "amal", g.AMAL, 3)
 			dst = appendKV(dst, "hits", g.Hits)
 			dst = appendKV(dst, "misses", g.Misses)
-			dst = appendKV(dst, "overflow", g.Overflow)
 			dst = appendKV(dst, "spilled", g.Spilled)
 		}
 		return dst

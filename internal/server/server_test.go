@@ -352,7 +352,7 @@ func TestMetricsCommand(t *testing.T) {
 	}
 	want := "METRICS engine=db insert=1 insert_err=0 search=2 search_err=0" +
 		" delete=2 delete_err=1 msearch=2 msearch_err=0" +
-		" n=0 load=0.000 amal=1.000 hits=2 misses=2 overflow=0 spilled=0"
+		" n=0 load=0.000 amal=1.000 hits=2 misses=2 spilled=0"
 	if resp[13] != want {
 		t.Errorf("engine METRICS = %q\n                 want %q", resp[13], want)
 	}

@@ -11,9 +11,9 @@ import (
 //
 // Both are built for determinism first. EXPLAIN prints only positional
 // facts about the lookup it runs — bucket indices, displacements, slot
-// and match counts, the overflow-CAM outcome, and the §3.4 analytic
-// expectation — never timings, so a scripted session produces the same
-// bytes every run and the golden test can hold the format exactly.
+// and match counts, and the §3.4 analytic expectation — never timings,
+// so a scripted session produces the same bytes every run and the
+// golden test can hold the format exactly.
 // SLOWLOG GET prints retained entries with their measured latency, so
 // only its empty/LEN/RESET forms appear in the golden session.
 
@@ -183,14 +183,5 @@ func (s *Server) execExplainAppend(dst []byte, v *wire.Verb, fs *wire.Scanner) [
 			dst = append(dst, ":hit"...)
 		}
 	})
-	dst = append(dst, "] ovfl="...)
-	switch e, ok := tr.EventOf(trace.KindOverflow); {
-	case !ok:
-		dst = append(dst, "none"...)
-	case e.Hit:
-		dst = append(dst, "hit"...)
-	default:
-		dst = append(dst, "miss"...)
-	}
-	return dst
+	return append(dst, ']')
 }

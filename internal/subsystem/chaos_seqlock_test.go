@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"caram/internal/cam"
 	"caram/internal/caram"
 	"caram/internal/fault"
 	"caram/internal/hash"
@@ -54,10 +53,8 @@ func TestChaosSeqlockUnderConcurrentScrub(t *testing.T) {
 			Index:     hash.NewMultShift(6),
 			ECC:       true,
 		}
-		var ovfl *cam.Device
 		if i == 3 {
 			cfg.ProbeLimit = caram.NoProbing
-			ovfl = cam.MustNew(cam.Config{Entries: 32, KeyBits: 32})
 		}
 		sl := caram.MustNew(cfg)
 		fcfg := fault.Config{
@@ -75,7 +72,7 @@ func TestChaosSeqlockUnderConcurrentScrub(t *testing.T) {
 		}
 		in := fault.New(fcfg)
 		sl.Array().InstallFaults(in)
-		if err := sub.AddEngine(&Engine{Name: name, Main: sl, Overflow: ovfl}); err != nil {
+		if err := sub.AddEngine(&Engine{Name: name, Main: sl}); err != nil {
 			t.Fatal(err)
 		}
 		names = append(names, name)
@@ -219,8 +216,7 @@ func TestChaosSeqlockUnderConcurrentScrub(t *testing.T) {
 				switch {
 				case err == nil:
 				case errors.Is(err, ErrEngineUnavailable),
-					errors.Is(err, caram.ErrFull),
-					errors.Is(err, errNoCapacity):
+					errors.Is(err, caram.ErrFull):
 					continue
 				default:
 					t.Errorf("insert %x on %s: %v", key, port, err)

@@ -18,21 +18,19 @@ import (
 // Concurrent is the thread-safe dispatch layer over a fully-registered
 // Subsystem — the software counterpart of §3.2's observation that
 // "multiple lookup actions [can be] simultaneously in progress in
-// different CA-RAM slices". Each engine gets its own mutex and, when
-// it has no overflow CAM, a pool of lock-free Readers:
+// different CA-RAM slices". Each engine gets its own mutex and a pool
+// of lock-free Readers:
 //
 //   - INSERT / DELETE / Scrub on one engine serialize under the engine
 //     mutex (a slice has a single row port for writes), while the same
 //     operations on distinct engines run fully in parallel;
-//   - SEARCH / MSEARCH / Explain / Contains on an overflow-less engine
-//     are wait-free: they run on per-goroutine caram.Readers over the
-//     array's per-row seqlock, performing no mutex operations at all —
-//     any number may overlap with each other AND with the engine's one
-//     writer. A read the seqlock protocol cannot certify (torn past
-//     the retry budget, quarantined row, check-word mismatch) falls
-//     back to the serialized path, which owns the ECC protocol;
-//   - engines with an overflow CAM keep every search serialized (the
-//     CAM has mutable priority state);
+//   - SEARCH / MSEARCH / Explain / Contains are wait-free: they run on
+//     per-goroutine caram.Readers over the array's per-row seqlock,
+//     performing no mutex operations at all — any number may overlap
+//     with each other AND with the engine's one writer. A read the
+//     seqlock protocol cannot certify (torn past the retry budget,
+//     quarantined row, check-word mismatch) falls back to the
+//     serialized path, which owns the ECC protocol;
 //   - read-only inspection (Info, HealthInfo) takes the mutex like a
 //     writer — it is off the hot path;
 //   - an MSEARCH runs on its caller: its engines' groups one after
@@ -83,17 +81,14 @@ func (c *Concurrent) engine(port string) (*guardedEngine, bool) {
 }
 
 // guardedEngine pairs an engine with its port lock, the placement
-// stats the subsystem tracks for it, and — when the engine qualifies —
-// the machinery of the lock-free read path.
+// stats the subsystem tracks for it, and the machinery of the
+// lock-free read path.
 type guardedEngine struct {
 	mu sync.RWMutex
 	e  *Engine
 	st *EngineStats
 	em *metrics.EngineMetrics // nil when uninstrumented
 
-	// seqRead marks the engine as eligible for lock-free searches
-	// (no overflow CAM). Fixed at construction.
-	seqRead bool
 	// readers caches per-goroutine caram.Readers; each carries its own
 	// snapshot buffer and match kernel, so a cached Reader is reused
 	// without any cross-goroutine shared mutable state.
@@ -179,15 +174,10 @@ func NewConcurrent(sub *Subsystem) *Concurrent {
 	return c
 }
 
-// newGuarded wraps one engine with its port lock and — when it
-// qualifies (no overflow CAM) — the lock-free read machinery.
+// newGuarded wraps one engine with its port lock and the lock-free
+// read machinery.
 func newGuarded(e *Engine, st *EngineStats) *guardedEngine {
-	g := &guardedEngine{e: e, st: st}
-	if e.Overflow == nil {
-		g.seqRead = true
-		g.readers = newReaderCache(e.Main.NewReader)
-	}
-	return g
+	return &guardedEngine{e: e, st: st, readers: newReaderCache(e.Main.NewReader)}
 }
 
 // CreateEngine adds a typed engine to a live layer: the engine is
@@ -327,7 +317,7 @@ func (c *Concurrent) Close() {
 // wall-clock latency measured from admission (so the recorded time
 // includes lock wait, the true service latency under contention) — and
 // each engine gets a gauge sampler that reads its live core state
-// (load factor, probe count / AMAL, overflow occupancy) under the read
+// (load factor, probe count / AMAL, spilled records) under the read
 // lock. Engines missing from the registry stay uninstrumented; requests
 // naming no engine at all count against the registry's unknown counter.
 //
@@ -357,10 +347,6 @@ func (c *Concurrent) sampleGauges(g *guardedEngine) metrics.Gauges {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	st := g.e.Main.Stats()
-	ovfl := 0
-	if g.e.Overflow != nil {
-		ovfl = g.e.Overflow.Len()
-	}
 	est := g.e.Main.EccStats()
 	return metrics.Gauges{
 		Records:           g.e.Main.Count(),
@@ -370,7 +356,6 @@ func (c *Concurrent) sampleGauges(g *guardedEngine) metrics.Gauges {
 		RowsAccessed:      st.RowsAccessed,
 		Hits:              st.Hits,
 		Misses:            st.Misses,
-		Overflow:          ovfl,
 		Spilled:           g.e.Main.Placement().SpilledRecords,
 		Health:            int(g.health.Load()),
 		Quarantined:       g.e.Main.QuarantinedRows(),
@@ -405,14 +390,6 @@ func (c *Concurrent) evalHealth(g *guardedEngine) Health {
 	if p.DegradeQuarantined > 0 && q >= p.DegradeQuarantined {
 		h = Degraded
 	}
-	if g.e.Overflow != nil && p.DegradeOverflowFrac > 0 {
-		if cap := g.e.Overflow.Capacity(); cap > 0 &&
-			float64(g.e.Overflow.Len()) >= p.DegradeOverflowFrac*float64(cap) {
-			if h < Degraded {
-				h = Degraded
-			}
-		}
-	}
 	return h
 }
 
@@ -431,8 +408,6 @@ type HealthInfo struct {
 	State       Health
 	Quarantined int
 	Ecc         caram.EccStats
-	OverflowLen int
-	OverflowCap int
 }
 
 // HealthInfo snapshots an engine's availability state and the fault
@@ -444,15 +419,11 @@ func (c *Concurrent) HealthInfo(port string) (HealthInfo, error) {
 	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	hi := HealthInfo{
+	return HealthInfo{
 		State:       Health(g.health.Load()),
 		Quarantined: g.e.Main.QuarantinedRows(),
 		Ecc:         g.e.Main.EccStats(),
-	}
-	if g.e.Overflow != nil {
-		hi.OverflowLen, hi.OverflowCap = g.e.Overflow.Len(), g.e.Overflow.Capacity()
-	}
-	return hi, nil
+	}, nil
 }
 
 // Scrub runs the engine's scrub pass under the write lock and then
@@ -506,11 +477,10 @@ func (c *Concurrent) EngineType(port string) (EngineType, error) {
 //	             inspectors that must keep answering after Close or on a
 //	             Failed engine (Scrub, Contains, Info, ...) take the
 //	             roster step (engine) alone.
-//	lock-free    reads on an overflow-less engine run on a pooled
-//	             seqlock Reader and touch no mutex (searchSeq, batchSeq).
+//	lock-free    reads run on a pooled seqlock Reader and touch no mutex
+//	             (searchSeq, batchSeq).
 //	lock         everything else takes the engine's port lock: writes,
-//	             engines with an overflow CAM (it has mutable priority
-//	             state), and the reads the seqlock could not certify.
+//	             and the reads the seqlock could not certify.
 //	touch        a write run's home rows, fetched a chunk ahead of its
 //	             applies (Engine.Touch).
 //	apply        the engine call, plus the health re-evaluation its
@@ -759,13 +729,12 @@ func (c *Concurrent) journal(g *guardedEngine, ent *JournalEntry, watched bool) 
 	return lsn, start, err
 }
 
-// Search runs one lookup on the named engine. On an overflow-less
-// engine it is wait-free: the lookup runs on a pooled lock-free Reader
-// over the array's per-row seqlock, touching no mutex — concurrent
-// searches overlap with each other and with the engine's writer, the
-// software form of §3.3's replicated comparator banks. Engines with an
-// overflow CAM (and the rare search the seqlock protocol cannot
-// certify) serialize under the engine lock.
+// Search runs one lookup on the named engine. It is wait-free: the
+// lookup runs on a pooled lock-free Reader over the array's per-row
+// seqlock, touching no mutex — concurrent searches overlap with each
+// other and with the engine's writer, the software form of §3.3's
+// replicated comparator banks. Only the rare search the seqlock
+// protocol cannot certify serializes under the engine lock.
 func (c *Concurrent) Search(port string, key bitutil.Ternary) (SearchResult, error) {
 	return c.SearchServed(port, key, nil, nil)
 }
@@ -773,11 +742,11 @@ func (c *Concurrent) Search(port string, key bitutil.Ternary) (SearchResult, err
 // SearchServed is the one read body, timed on the clock the request
 // shares with the tier above and recording into its request-scoped
 // trace: the engine layer records the probe chain, plus a retries event
-// when the lock-free read re-read torn snapshots. Only the serialized
+// when the lock-free read re-read torn snapshots. Only the fallback
 // path records a lock_wait span — a lock-free search never waits on the
-// port lock, which is the point — and on an escalated read the span
-// starts after the abandoned attempt, while the observed latency still
-// runs from admission. A nil clock and trace is the plain hot path
+// port lock, which is the point — and the span starts after the
+// abandoned attempt, while the observed latency still runs from
+// admission. A nil clock and trace is the plain hot path
 // (Search delegates here), and with metrics also absent the clock is
 // never read.
 func (c *Concurrent) SearchServed(port string, key bitutil.Ternary, ck *Clock, tr *trace.Trace) (SearchResult, error) {
@@ -786,10 +755,7 @@ func (c *Concurrent) SearchServed(port string, key bitutil.Ternary, ck *Clock, t
 		return SearchResult{}, err
 	}
 	t0 := ck.begin(g.em != nil)
-	sr, ok := SearchResult{}, false
-	if g.seqRead {
-		sr, ok = g.searchSeq(key, tr)
-	}
+	sr, ok := g.searchSeq(key, tr)
 	if !ok {
 		lockStart := stamp(tr != nil)
 		g.mu.Lock()
@@ -851,8 +817,8 @@ func (c *Concurrent) Explain(port string, key bitutil.Ternary, tr *trace.Trace) 
 // and on a first-match engine a record found in the main array sat in
 // the last of them. What the result does not say is left out, not
 // guessed: per-row slot and match counts, the recorded reach beyond the
-// rows walked, which rows of a ranked scan matched, the overflow CAM's
-// outcome, and the whole chain of an erred lookup (RowsRead does not
+// rows walked, which rows of a ranked scan matched, and the whole chain
+// of an erred lookup (RowsRead does not
 // count the rows it skipped). Nothing is fetched, so nothing is charged.
 func (c *Concurrent) Retrace(port string, sr SearchResult, tr *trace.Trace) {
 	tr.Lookup(sr.Home, max(sr.RowsRead-1, 0), sr.RowsRead, sr.Found)
@@ -861,7 +827,7 @@ func (c *Concurrent) Retrace(port string, sr SearchResult, tr *trace.Trace) {
 		return
 	}
 	rows := g.e.Main.Array().Rows()
-	last := g.e.Score == nil && sr.Found && !sr.FromOvfl
+	last := g.e.Score == nil && sr.Found
 	for d := 0; d < sr.RowsRead; d++ {
 		tr.Probe(uint32((int(sr.Home)+d)%rows), d, 0, 0, last && d == sr.RowsRead-1)
 	}
@@ -886,24 +852,22 @@ func (c *Concurrent) ExpectedRows(port string) (float64, bool) {
 	return expected, true
 }
 
-// Contains reports whether the exact key is stored. On an overflow-
-// less engine it is lock-free (an uncharged seqlock scan on a pooled
-// Reader); otherwise — or when the protocol cannot certify the scan —
-// it takes the read lock and peeks rows.
+// Contains reports whether the exact key is stored. It is lock-free
+// (an uncharged seqlock scan on a pooled Reader); only when the
+// protocol cannot certify the scan does it take the read lock and peek
+// rows.
 func (c *Concurrent) Contains(port string, key bitutil.Ternary) (bool, error) {
 	g, ok := c.engine(port)
 	if !ok {
 		return false, errNoEngine(port)
 	}
-	if g.seqRead {
-		rd := g.readers.get()
-		found, ok := rd.Contains(key)
-		g.release(rd)
-		if ok {
-			return found, nil
-		}
-		g.fallbacks.Add(1)
+	rd := g.readers.get()
+	found, ok := rd.Contains(key)
+	g.release(rd)
+	if ok {
+		return found, nil
 	}
+	g.fallbacks.Add(1)
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.e.Main.Contains(key), nil
@@ -1044,17 +1008,12 @@ func (c *Concurrent) MSearchServed(reqs []PortKey, ck *Clock, sc *MSearchScratch
 
 // runBatch is the one batch body: an engine's share of an MSearch. The
 // lock-free stage (batchSeq) runs the whole share on one pooled Reader;
-// the lock stage then takes the engine lock once for whatever is left —
-// the keys the seqlock protocol could not certify, or the whole share
-// on a serialized engine. One clock pair spans both, and each key is
-// attributed its per-item slice of the duration.
+// the lock stage then takes the engine lock once for the keys the
+// seqlock protocol could not certify, if any. One clock pair spans
+// both, and each key is attributed its per-item slice of the duration.
 func (c *Concurrent) runBatch(g *guardedEngine, reqs []PortKey, out []MSearchResult, idxs []int, ck *Clock) {
 	t0 := ck.begin(g.em != nil)
-	rest := idxs
-	if g.seqRead {
-		rest = g.batchSeq(reqs, out, idxs)
-	}
-	if len(rest) > 0 {
+	if rest := g.batchSeq(reqs, out, idxs); len(rest) > 0 {
 		erred := false
 		g.mu.Lock()
 		for _, i := range rest {

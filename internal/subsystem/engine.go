@@ -1,17 +1,16 @@
 // Package subsystem assembles CA-RAM slices into the memory subsystem
 // of Figure 5: search engines (slice groups) serving separate
-// databases, an optional small CAM/TCAM overflow area searched in
-// parallel with the main array (§4.3), the request/result-queue port
-// interface of §3.2, and a cycle-level bandwidth simulation that
-// validates the §3.4 formula B = Nslice/nmem * fclk.
+// databases, the request/result-queue port interface of §3.2, and a
+// cycle-level bandwidth simulation that validates the §3.4 formula
+// B = Nslice/nmem * fclk. §4.3's parallel overflow CAM is not part of
+// a served engine: the internal/exp ablation builds it beside a bare
+// slice.
 package subsystem
 
 import (
 	"errors"
-	"fmt"
 
 	"caram/internal/bitutil"
-	"caram/internal/cam"
 	"caram/internal/caram"
 	"caram/internal/hash"
 	"caram/internal/match"
@@ -19,14 +18,10 @@ import (
 )
 
 // Engine is one database search engine: a (possibly banked) CA-RAM
-// plus an optional overflow CAM. The main slice should be configured
-// with caram.NoProbing when an overflow area is attached — spilled
-// records live in the CAM and every lookup costs exactly one row
-// access, the design point §4.3 analyzes.
+// slice, its one match pipeline.
 type Engine struct {
-	Name     string
-	Main     *caram.Slice
-	Overflow *cam.Device // optional; searched in parallel with Main
+	Name string
+	Main *caram.Slice
 	// Banks is the number of independently-accessible vertical banks
 	// the slice is split into for bandwidth (Figure 8 splits design D
 	// into eight). Purely a timing property; 0 means 1.
@@ -57,59 +52,34 @@ type Engine struct {
 // EngineStats tracks engine-level placement.
 type EngineStats struct {
 	Inserted     int
-	ToOverflow   int
 	FailedInsert int
 }
-
-// stats is updated by Insert.
-var errNoCapacity = errors.New("subsystem: record fits neither main array nor overflow")
 
 // SearchResult is the engine's answer to one search.
 type SearchResult struct {
 	Found    bool
 	Record   match.Record
-	RowsRead int  // main-array rows; the parallel overflow adds none
-	FromOvfl bool // the winning record came from the overflow area
+	RowsRead int
 	Erred    bool // a probed row was unavailable (ECC quarantine/read error)
 	Home     uint32
 }
 
-// Insert places a record, diverting it to the overflow area when the
-// main array rejects it. On a ternary engine with a duplication
-// selector the record is instead placed once per wildcard home bucket
-// (all copies or none).
+// Insert places a record in the main array. On a ternary engine with
+// a duplication selector the record is instead placed once per
+// wildcard home bucket (all copies or none).
 func (e *Engine) Insert(rec match.Record, st *EngineStats) error {
 	if e.Sel != nil {
 		return e.insertDuplicated(rec, st)
 	}
 	err := e.Main.Insert(rec)
-	if err == nil {
-		if st != nil {
-			st.Inserted++
-		}
-		return nil
-	}
-	if !errors.Is(err, caram.ErrFull) || e.Overflow == nil {
-		if st != nil {
-			st.FailedInsert++
-		}
-		return err
-	}
-	prio := 0
-	if e.Score != nil {
-		prio = e.Score(rec)
-	}
-	if err := e.Overflow.Insert(rec, prio); err != nil {
-		if st != nil {
-			st.FailedInsert++
-		}
-		return fmt.Errorf("%w: %v", errNoCapacity, err)
-	}
 	if st != nil {
-		st.Inserted++
-		st.ToOverflow++
+		if err == nil {
+			st.Inserted++
+		} else {
+			st.FailedInsert++
+		}
 	}
-	return nil
+	return err
 }
 
 // insertDuplicated places one copy of the record in every home bucket
@@ -146,9 +116,7 @@ func (e *Engine) insertDuplicated(rec match.Record, st *EngineStats) error {
 }
 
 // Delete removes the exact (value, mask) key: every duplicated copy on
-// a ternary engine with a selector, the single copy otherwise. The
-// overflow CAM is not consulted — typed engines carry none, and the
-// exact engine's overflow path deletes through Main as before.
+// a ternary engine with a selector, the single copy otherwise.
 func (e *Engine) Delete(key bitutil.Ternary) error {
 	if e.Sel == nil {
 		return e.Main.Delete(key)
@@ -189,18 +157,14 @@ func (e *Engine) Touch(ents []JournalEntry) {
 	e.Main.Touch(homes[:n])
 }
 
-// Search looks the key up in the main array and, simultaneously, the
-// overflow area. With an overflow area attached the row cost is the
-// main lookup's only (AMAL = 1 under NoProbing), since the CAM search
-// proceeds in parallel.
+// Search looks the key up in the main array.
 func (e *Engine) Search(key bitutil.Ternary) SearchResult {
 	return e.SearchTraced(key, nil)
 }
 
-// SearchTraced is Search recording into a request-scoped trace: the
-// main array's probe chain (via the caram layer) plus one event for
-// the parallel overflow-CAM search when an overflow area is attached.
-// A nil trace is the untraced hot path; Search delegates here.
+// SearchTraced is Search recording the main array's probe chain (via
+// the caram layer) into a request-scoped trace. A nil trace is the
+// untraced hot path; Search delegates here.
 func (e *Engine) SearchTraced(key bitutil.Ternary, tr *trace.Trace) SearchResult {
 	var main caram.LookupResult
 	if e.Score != nil {
@@ -210,33 +174,16 @@ func (e *Engine) SearchTraced(key bitutil.Ternary, tr *trace.Trace) SearchResult
 	}
 	var res SearchResult
 	fromLookup(&res, &main)
-	if e.Overflow == nil {
-		return res
-	}
-	ovfl := e.Overflow.Search(key)
-	tr.Overflow(ovfl.Found)
-	if !ovfl.Found {
-		return res
-	}
-	switch {
-	case !res.Found:
-		res.Found, res.Record, res.FromOvfl = true, ovfl.Record, true
-	case e.Score != nil && e.Score(ovfl.Record) > e.Score(res.Record):
-		res.Record, res.FromOvfl = ovfl.Record, true
-	}
 	return res
 }
 
 // SearchSeq runs one lookup on the caller's lock-free Reader instead
-// of the engine's port lock. It serves engines without an overflow CAM
-// only (the Concurrent layer gates on that): the CAM has its own
-// mutable priority state, so overflow-equipped engines stay on the
-// serialized path. ok=false means the Reader could not certify the
-// answer (torn past its retry budget, quarantined row, or check-word
-// mismatch) and the caller must fall back to the locked SearchTraced;
-// the partial result is meaningless then. A certified result never
-// carries Erred — anything a locked search would flag erred escalates
-// here instead.
+// of the engine's port lock. ok=false means the Reader could not
+// certify the answer (torn past its retry budget, quarantined row, or
+// check-word mismatch) and the caller must fall back to the locked
+// SearchTraced; the partial result is meaningless then. A certified
+// result never carries Erred — anything a locked search would flag
+// erred escalates here instead.
 func (e *Engine) SearchSeq(rd *caram.Reader, key bitutil.Ternary, tr *trace.Trace) (SearchResult, bool) {
 	var main caram.LookupResult
 	var ok bool
@@ -253,11 +200,11 @@ func (e *Engine) SearchSeq(rd *caram.Reader, key bitutil.Ternary, tr *trace.Trac
 	return res, true
 }
 
-// fromLookup fills sr with the main array's share of a search, field by
-// field: a SearchResult built aside and copied in stalls the copy's loads
-// on the fields' just-issued stores.
+// fromLookup fills sr from the main array's lookup, field by field: a
+// SearchResult built aside and copied in stalls the copy's loads on the
+// fields' just-issued stores.
 func fromLookup(sr *SearchResult, main *caram.LookupResult) {
-	sr.Found, sr.Record, sr.RowsRead, sr.FromOvfl = main.Found, main.Record, main.RowsRead, false
+	sr.Found, sr.Record, sr.RowsRead = main.Found, main.Record, main.RowsRead
 	sr.Erred, sr.Home = main.Erred, main.HomeBucket
 }
 

@@ -2,10 +2,9 @@ package subsystem
 
 import "errors"
 
-// Engine health. Error coding in the caram layer quarantines rows and
-// the overflow CAM fills under displaced records; past configurable
-// thresholds an engine is no longer trustworthy and the dispatch layer
-// degrades or fails it. Health is per engine and MONOTONE within an
+// Engine health. Error coding in the caram layer quarantines rows; past
+// configurable thresholds an engine is no longer trustworthy and the
+// dispatch layer degrades or fails it. Health is per engine and MONOTONE within an
 // episode: it only rises (Healthy → Degraded → Failed) between scrubs,
 // so concurrent observers never see a failed engine flap back to
 // healthy without an explicit recovery action. A scrub is the episode
@@ -21,7 +20,7 @@ type Health int32
 
 const (
 	Healthy  Health = iota // full service
-	Degraded               // serving, but quarantined rows / overflow saturation observed
+	Degraded               // serving, but quarantined rows observed
 	Failed                 // circuit broken: operations fail fast
 )
 
@@ -47,19 +46,14 @@ type HealthPolicy struct {
 	// FailQuarantinedFrac: this fraction of all rows quarantined (or
 	// more) fails the engine. 0 disables the rule.
 	FailQuarantinedFrac float64
-	// DegradeOverflowFrac: overflow-CAM occupancy at or above this
-	// fraction of its capacity degrades the engine. 0 disables the rule.
-	DegradeOverflowFrac float64
 }
 
 // DefaultHealthPolicy is the policy NewConcurrent installs: one
-// quarantined row degrades, a quarter of the array failed fails, and a
-// 90%-full overflow CAM degrades.
+// quarantined row degrades, and a quarter of the array failed fails.
 func DefaultHealthPolicy() HealthPolicy {
 	return HealthPolicy{
 		DegradeQuarantined:  1,
 		FailQuarantinedFrac: 0.25,
-		DegradeOverflowFrac: 0.9,
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"caram/internal/bitutil"
-	"caram/internal/cam"
 	"caram/internal/caram"
 	"caram/internal/hash"
 	"caram/internal/trace"
@@ -128,52 +127,5 @@ func TestHealthFailedTripsCircuitBreaker(t *testing.T) {
 	}
 	if sr, err := c.Search("db", exact(8)); err != nil || !sr.Found {
 		t.Fatalf("recovered engine: %+v, %v", sr, err)
-	}
-}
-
-func TestHealthOverflowSaturationDegrades(t *testing.T) {
-	sub := New(0)
-	main := caram.MustNew(caram.Config{
-		IndexBits:  2,
-		RowBits:    4*(1+32+16) + 8,
-		KeyBits:    32,
-		DataBits:   16,
-		ProbeLimit: caram.NoProbing,
-		Index:      hash.LowBits(2),
-		ECC:        true,
-	})
-	ovfl := cam.MustNew(cam.Config{Entries: 4, KeyBits: 32})
-	if err := sub.AddEngine(&Engine{Name: "db", Main: main, Overflow: ovfl}); err != nil {
-		t.Fatal(err)
-	}
-	c := NewConcurrent(sub) // default policy: degrade at 90% CAM occupancy
-	defer c.Close()
-	// Keys with low bits 0 all home at bucket 0: four fill its slots,
-	// the rest divert to the 4-entry overflow CAM.
-	for i := 0; i < 7; i++ {
-		if err := c.Insert("db", rec(uint64(i*4), uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h, _ := c.Health("db"); h != Healthy { // 3/4 CAM < 0.9
-		t.Fatalf("health below threshold = %v", h)
-	}
-	if err := c.Insert("db", rec(28, 7)); err != nil {
-		t.Fatal(err)
-	}
-	if h, _ := c.Health("db"); h != Degraded { // 4/4 CAM
-		t.Fatalf("health at saturation = %v, want degraded", h)
-	}
-	hi, _ := c.HealthInfo("db")
-	if hi.OverflowLen != 4 || hi.OverflowCap != 4 {
-		t.Fatalf("HealthInfo overflow = %+v", hi)
-	}
-	// Scrub repairs rows, not occupancy: saturation persists, so the
-	// engine stays degraded after the episode boundary.
-	if _, err := c.Scrub("db"); err != nil {
-		t.Fatal(err)
-	}
-	if h, _ := c.Health("db"); h != Degraded {
-		t.Fatalf("health after scrub = %v, want degraded (CAM still full)", h)
 	}
 }

@@ -2,7 +2,6 @@ package subsystem
 
 import (
 	"caram/internal/bitutil"
-	"caram/internal/cam"
 	"caram/internal/caram"
 	"caram/internal/match"
 )
@@ -66,26 +65,17 @@ type Journal interface {
 	LastLSN() uint64
 }
 
-// EngineImage is one engine's snapshot: geometry, the logical row
+// EngineImage is one engine's snapshot: geometry and the logical row
 // image frozen at AppliedLSN (quarantined rows contribute their shadow
-// contents — the authoritative copy), and the overflow CAM's records
-// with their priorities. AppliedLSN gates replay: records with
-// lsn <= AppliedLSN are already reflected in Rows and must be skipped.
+// contents — the authoritative copy). AppliedLSN gates replay: records
+// with lsn <= AppliedLSN are already reflected in Rows and must be
+// skipped.
 type EngineImage struct {
-	Name        string
-	Type        EngineType
-	Conf        TypedConfig
-	AppliedLSN  uint64
-	Rows        *caram.Freeze
-	OverflowCfg cam.Config // meaningful when HasOverflow
-	HasOverflow bool
-	Overflow    []OverflowEntry
-}
-
-// OverflowEntry is one overflow-CAM record with its priority.
-type OverflowEntry struct {
-	Rec      match.Record
-	Priority int
+	Name       string
+	Type       EngineType
+	Conf       TypedConfig
+	AppliedLSN uint64
+	Rows       *caram.Freeze
 }
 
 // Image is a recovery-consistent snapshot of the whole roster.
@@ -109,9 +99,8 @@ func (c *Concurrent) SetJournal(j Journal, rosterLSN uint64) *Concurrent {
 
 // SnapshotImage freezes a recovery-consistent image of every engine
 // into img. Under setMu (so RosterLSN and the engine list agree) and
-// each engine's read lock it opens the engine's freeze, reads its
-// AppliedLSN and copies its overflow CAM: all a snapshot holds a writer
-// for. The caller streams each Rows with no lock held and releases each
+// each engine's read lock it opens the engine's freeze and reads its
+// AppliedLSN: all a snapshot holds a writer for. The caller streams each Rows with no lock held and releases each
 // on every path; one image may be open at a time. Per-engine AppliedLSN
 // values make the fuzziness across engines safe: a record appended
 // before its engine was frozen is in its image and gated out of replay.
@@ -127,14 +116,6 @@ func (c *Concurrent) SnapshotImage(img *Image) {
 		cfg := g.e.Main.Config()
 		ei := EngineImage{Name: name, Type: g.e.Type, AppliedLSN: g.e.AppliedLSN, Rows: g.e.Main.Freeze(),
 			Conf: TypedConfig{IndexBits: cfg.IndexBits, Slots: cfg.Slots(), ECC: cfg.ECC}}
-		if ov := g.e.Overflow; ov != nil {
-			ei.HasOverflow, ei.OverflowCfg = true, ov.Config()
-			for i := 0; i < ov.Len(); i++ {
-				if rec, prio, ok := ov.EntryAt(i); ok {
-					ei.Overflow = append(ei.Overflow, OverflowEntry{Rec: rec, Priority: prio})
-				}
-			}
-		}
 		g.mu.RUnlock()
 		img.Engines = append(img.Engines, ei)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"caram/internal/bitutil"
-	"caram/internal/cam"
 	"caram/internal/caram"
 	"caram/internal/hash"
 	"caram/internal/match"
@@ -30,44 +29,6 @@ func rec(key, data uint64) match.Record {
 	return match.Record{Key: bitutil.Exact(bitutil.FromUint64(key)), Data: bitutil.FromUint64(data)}
 }
 
-func TestEngineOverflowKeepsAMALOne(t *testing.T) {
-	e := &Engine{
-		Name:     "ip",
-		Main:     testSlice(t, caram.NoProbing, mem.SRAM),
-		Overflow: cam.MustNew(cam.Config{Entries: 256, KeyBits: 32}),
-	}
-	var st EngineStats
-	// Overfill: 256 buckets x 4 slots = 1024 capacity; insert hot keys
-	// that pile into few buckets to force overflow.
-	n := 0
-	for i := 0; i < 2000; i++ {
-		if err := e.Insert(rec(uint64(i), uint64(i)), &st); err != nil {
-			break
-		}
-		n++
-	}
-	if st.ToOverflow == 0 {
-		t.Fatal("nothing overflowed; test not exercising the CAM")
-	}
-	if st.Inserted != n {
-		t.Errorf("stats inserted=%d, placed %d", st.Inserted, n)
-	}
-	// Every record findable at exactly one row access.
-	for i := 0; i < n; i++ {
-		sr := e.Search(bitutil.Exact(bitutil.FromUint64(uint64(i))))
-		if !sr.Found || sr.Record.Data.Uint64() != uint64(i) {
-			t.Fatalf("key %d lost (found=%v)", i, sr.Found)
-		}
-		if sr.RowsRead != 1 {
-			t.Fatalf("key %d cost %d rows; overflow should keep AMAL=1", i, sr.RowsRead)
-		}
-	}
-	// AMAL over the whole engine is exactly 1.
-	if amal := e.Main.Stats().AMAL(); amal != 1 {
-		t.Errorf("AMAL = %f", amal)
-	}
-}
-
 func TestEngineWithoutOverflowRejects(t *testing.T) {
 	e := &Engine{Name: "x", Main: testSlice(t, caram.NoProbing, mem.SRAM)}
 	var st EngineStats
@@ -83,48 +44,6 @@ func TestEngineWithoutOverflowRejects(t *testing.T) {
 	}
 	if st.FailedInsert != 1 {
 		t.Errorf("FailedInsert = %d", st.FailedInsert)
-	}
-}
-
-func TestEngineScorePrefersOverflowRecord(t *testing.T) {
-	// LPM-style: a longer prefix relegated to the overflow CAM must
-	// still win over a shorter one in the main array.
-	mainCfg := caram.Config{
-		IndexBits:  2,
-		RowBits:    1*(1+8+8+8) + 8, // one slot per bucket
-		KeyBits:    8,
-		DataBits:   8,
-		Ternary:    true,
-		ProbeLimit: caram.NoProbing,
-		Index:      hash.NewBitSelect([]int{6, 7}),
-	}
-	e := &Engine{
-		Name:     "lpm",
-		Main:     caram.MustNew(mainCfg),
-		Overflow: cam.MustNew(cam.Config{Entries: 16, KeyBits: 8, Kind: cam.Ternary}),
-		Score:    func(r match.Record) int { return r.Key.Specificity(8) },
-	}
-	short, _ := bitutil.ParseTernary("11XXXXXX")
-	long, _ := bitutil.ParseTernary("1100XXXX")
-	var st EngineStats
-	if err := e.Insert(match.Record{Key: short, Data: bitutil.FromUint64(1)}, &st); err != nil {
-		t.Fatal(err)
-	}
-	// Same home bucket, single slot: the long prefix goes to overflow.
-	if err := e.Insert(match.Record{Key: long, Data: bitutil.FromUint64(2)}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.ToOverflow != 1 {
-		t.Fatalf("ToOverflow = %d", st.ToOverflow)
-	}
-	sr := e.Search(bitutil.Exact(bitutil.FromUint64(0b11000001)))
-	if !sr.Found || sr.Record.Data.Uint64() != 2 || !sr.FromOvfl {
-		t.Errorf("search = %+v, want overflow LPM win", sr)
-	}
-	// Address covered only by the short prefix.
-	sr = e.Search(bitutil.Exact(bitutil.FromUint64(0b11110001)))
-	if !sr.Found || sr.Record.Data.Uint64() != 1 || sr.FromOvfl {
-		t.Errorf("search = %+v, want main-array match", sr)
 	}
 }
 

@@ -93,9 +93,8 @@ func (c TypedConfig) withDefaults() TypedConfig {
 // trigram.SliceConfig over 2^IndexBits rows — ranked by that
 // application's Score and duplicated across wildcarded hash bits by its
 // bit selection; an exact engine is 64-bit keys with 32-bit payloads
-// under a multiply-shift index. Typed engines carry no overflow CAM, so
-// every search stays on the wait-free seqlock read path; an insert that
-// finds no slot within the probe limit simply fails with caram.ErrFull.
+// under a multiply-shift index. An insert that finds no slot within the
+// probe limit fails with caram.ErrFull.
 func NewTypedEngine(name string, typ EngineType, tc TypedConfig) (*Engine, error) {
 	tc = tc.withDefaults()
 	e := &Engine{Name: name, Type: typ}

@@ -56,9 +56,6 @@ func TestTypedEngineGeometry(t *testing.T) {
 		if tc.ternary != (e.Sel != nil) {
 			t.Errorf("%v: ternary engines and only they carry a bit-selection function", tc.typ)
 		}
-		if e.Overflow != nil {
-			t.Errorf("%v: typed engines must stay overflow-less (wait-free reads)", tc.typ)
-		}
 	}
 
 	served := func(typ subsystem.EngineType, indexBits, slots int) caram.Config {

@@ -37,7 +37,6 @@ func TestNilSafety(t *testing.T) {
 	tr.Request("SEARCH", "db", "1")
 	tr.SetResult("HIT")
 	tr.Probe(1, 0, 4, 1, true)
-	tr.Overflow(false)
 	tr.Match(4, 1, 1)
 	tr.Lookup(1, 0, 1, true)
 	tr.Span(KindParse, time.Now())
@@ -184,7 +183,6 @@ func TestTraceEventAccessors(t *testing.T) {
 	tr := New()
 	tr.Probe(5, 0, 4, 0, false)
 	tr.Probe(6, 1, 2, 1, true)
-	tr.Overflow(false)
 	tr.Match(6, 1, 2)
 	tr.Lookup(5, 1, 2, true)
 
@@ -199,9 +197,6 @@ func TestTraceEventAccessors(t *testing.T) {
 	m, ok := tr.EventOf(KindMatch)
 	if !ok || m.SlotsTested != 6 || m.Matches != 1 || m.Passes != 2 {
 		t.Fatalf("match event = %+v ok=%v", m, ok)
-	}
-	if o, ok := tr.EventOf(KindOverflow); !ok || o.Hit {
-		t.Fatalf("overflow event = %+v ok=%v", o, ok)
 	}
 	if tr.Home != 5 || tr.Reach != 1 || tr.Rows != 2 || !tr.Found {
 		t.Fatalf("lookup summary wrong: %+v", tr)

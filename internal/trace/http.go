@@ -126,8 +126,8 @@ func entryView(t *Trace) entryJSON {
 				Overflow:     ev.Overflow,
 				Hit:          ev.Hit,
 			})
-		case KindOverflow, KindEcc:
-			// Positional, untimed events: render kind-only.
+		case KindEcc:
+			// A positional, untimed event: render kind-only.
 			e.Spans = append(e.Spans, spanJSON{Kind: ev.Kind.String()})
 		case KindRoute, KindQueue, KindRTT, KindBurst, KindBreaker, KindRetry:
 			h := hopJSON{

@@ -3,8 +3,7 @@
 // package answers "what did *this* request actually do" — which home
 // bucket the index generator selected, how many buckets the probe
 // chain touched (the per-request contribution to the paper's AMAL,
-// §3.4), whether the parallel overflow CAM answered, and where the
-// wall-clock time went (parse, engine lock wait, match, reply encode).
+// §3.4), and where the wall-clock time went (parse, engine lock wait, match, reply encode).
 //
 // The design constraints, in order:
 //
@@ -48,8 +47,6 @@ const (
 	// from the home bucket, slots tested, match count, and whether
 	// the probe was an overflow hop (displacement > 0).
 	KindProbe
-	// KindOverflow is the parallel overflow-CAM search (§4.3).
-	KindOverflow
 	// KindMatch aggregates the match kernel's work over the whole
 	// lookup: total slots tested, total matches, pipelined passes.
 	KindMatch
@@ -106,8 +103,6 @@ func (k Kind) String() string {
 		return "lock_wait"
 	case KindProbe:
 		return "probe"
-	case KindOverflow:
-		return "overflow"
 	case KindMatch:
 		return "match"
 	case KindEncode:
@@ -148,7 +143,7 @@ type Event struct {
 	Passes       int32  // pipelined match passes (KindMatch)
 	Span         uint32 // child span id this hop was tagged with (KindRTT)
 	Overflow     bool   // probe left the home bucket (an overflow hop)
-	Hit          bool   // this probe (or the overflow CAM) matched
+	Hit          bool   // this probe matched
 
 	// Span timing: offset from the trace's Begin and duration. Zero
 	// for untimed events (probes are positional, not timed — the
@@ -247,14 +242,6 @@ func (t *Trace) Probe(bucket uint32, displacement, slotsTested, matches int, hit
 		Overflow:     displacement > 0,
 		Hit:          hit,
 	})
-}
-
-// Overflow records the parallel overflow-CAM search and its outcome.
-func (t *Trace) Overflow(hit bool) {
-	if t == nil {
-		return
-	}
-	t.Events = append(t.Events, Event{Kind: KindOverflow, Hit: hit})
 }
 
 // Ecc records a per-row error-coding event: correctedBits bits fixed

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -11,7 +12,6 @@ import (
 	"testing"
 
 	"caram/internal/bitutil"
-	"caram/internal/cam"
 	"caram/internal/caram"
 	"caram/internal/match"
 	"caram/internal/subsystem"
@@ -46,21 +46,7 @@ func oracleSnapshot(bound, rosterLSN uint64, engines []*subsystem.Engine) []byte
 		for _, w := range rows {
 			buf = appendU64(buf, w)
 		}
-		if e.Overflow == nil {
-			buf = append(buf, 0)
-			continue
-		}
-		oc := e.Overflow.Config()
-		buf = append(buf, 1)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(oc.Entries))
-		buf = append(buf, byte(oc.KeyBits), byte(oc.Kind))
-		recs := contentsOf(e).Overflow
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
-		for _, oe := range recs {
-			buf = appendTernary(buf, oe.Rec.Key)
-			buf = appendVec(buf, oe.Rec.Data)
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(oe.Priority))
-		}
+		buf = append(buf, 0) // no overflow CAM
 	}
 	file := append([]byte(nil), snapMagic...)
 	file = binary.LittleEndian.AppendUint32(file, uint32(len(buf)))
@@ -88,9 +74,8 @@ func logicalRows(s *caram.Slice) []uint64 {
 }
 
 // codecEngines builds the roster the codec tests share: all four
-// engine types, an overflow CAM holding records, and an ECC engine
-// with one row quarantined at capture time (its image must come from
-// the shadow). dbIndexBits sizes the exact engine: 4 keeps the
+// engine types and an ECC engine with one row quarantined at capture
+// time (its image must come from the shadow). dbIndexBits sizes the exact engine: 4 keeps the
 // committed testdata file small, 14 spreads its rows over several
 // snapChunks. Only APIs the parent commit has — testdata is generated
 // by running this same function there.
@@ -111,14 +96,8 @@ func codecEngines(t testing.TB, dbIndexBits int) []*subsystem.Engine {
 	}
 
 	db := mk("db", subsystem.ExactEngine, subsystem.TypedConfig{IndexBits: dbIndexBits, Slots: 4}, 11)
-	db.Overflow = cam.MustNew(cam.Config{Entries: 8, KeyBits: 64, Kind: cam.Binary})
 	for i := uint64(1); i <= 40; i++ {
 		put(db, rec(i))
-	}
-	for i := uint64(0); i < 5; i++ {
-		if err := db.Overflow.Insert(rec(1000+i), int(i%3)); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	ip := mk("ip", subsystem.LPMEngine, subsystem.TypedConfig{IndexBits: 6, Slots: 8}, 12)
@@ -235,10 +214,9 @@ func takeSnapshot(t testing.TB, dir string, con *subsystem.Concurrent, w *Log) s
 
 // contents is everything of an engine a snapshot must carry.
 type contents struct {
-	Type     subsystem.EngineType
-	Applied  uint64
-	Main     []placed
-	Overflow []subsystem.OverflowEntry
+	Type    subsystem.EngineType
+	Applied uint64
+	Main    []placed
 }
 
 type placed struct {
@@ -253,13 +231,6 @@ func contentsOf(e *subsystem.Engine) contents {
 		c.Main = append(c.Main, placed{b, slot, r})
 		return true
 	})
-	if ov := e.Overflow; ov != nil {
-		for i := 0; i < ov.Len(); i++ {
-			if r, prio, ok := ov.EntryAt(i); ok {
-				c.Overflow = append(c.Overflow, subsystem.OverflowEntry{Rec: r, Priority: prio})
-			}
-		}
-	}
 	return c
 }
 
@@ -272,9 +243,8 @@ func rosterContents(engines []*subsystem.Engine) map[string]contents {
 }
 
 // TestSnapshotStreamMatchesOracle: the streamed file is the oracle
-// encoder's, byte for byte — over all four engine types with an
-// overflow CAM and a quarantined ECC row (rows spanning several
-// snapChunks), an empty roster, and a name at the field's limit — and
+// encoder's, byte for byte — over all four engine types with a
+// quarantined ECC row (rows spanning several snapChunks), an empty roster, and a name at the field's limit — and
 // loading it back (verify pass, then straight into engines) rebuilds
 // every record where it was.
 func TestSnapshotStreamMatchesOracle(t *testing.T) {
@@ -349,8 +319,42 @@ func TestSnapshotStreamMatchesOracle(t *testing.T) {
 
 // parentSnapshot was written by commit 908d8b1's whole-buffer encoder
 // from codecEngines(t, 4), journaled with roster LSN 3 and two further
-// inserts into "db" (so its bound is 2).
-const parentSnapshot = "testdata/snap-908d8b1.snap"
+// inserts into "db" (so its bound is 2). overflowSnapshot was written
+// the same way from a roster whose "db" also carried a 5-record
+// overflow CAM.
+const (
+	parentSnapshot   = "testdata/snap-908d8b1-nocam.snap"
+	overflowSnapshot = "testdata/snap-908d8b1.snap"
+)
+
+// bootstrapLike builds empty engines of ref's names, types and
+// geometries: what a server started with matching flags holds.
+func bootstrapLike(t *testing.T, ref []*subsystem.Engine) []*subsystem.Engine {
+	t.Helper()
+	var boot []*subsystem.Engine
+	for _, e := range ref {
+		cfg := e.Main.Config()
+		b, err := subsystem.NewTypedEngine(e.Name, e.Type,
+			subsystem.TypedConfig{IndexBits: cfg.IndexBits, Slots: cfg.Slots(), ECC: cfg.ECC})
+		if err != nil {
+			t.Fatal(err)
+		}
+		boot = append(boot, b)
+	}
+	return boot
+}
+
+// recoverFile recovers a directory holding data as the snapshot with
+// bound 2.
+func recoverFile(t *testing.T, data []byte, bootstrap []*subsystem.Engine) (*RecoverResult, error) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(2)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, res, err := Recover(dir, bootstrap, Options{Sync: SyncPolicy{Mode: SyncAlways}})
+	return res, err
+}
 
 // TestLoadsParentSnapshot: a file the previous encoder wrote loads
 // through the streaming decoder to the same records — into engines
@@ -375,26 +379,10 @@ func TestLoadsParentSnapshot(t *testing.T) {
 		bootstrap []*subsystem.Engine
 	}{
 		{"rebuilt", nil},
-		{"bootstrap", func() []*subsystem.Engine {
-			var boot []*subsystem.Engine
-			for _, e := range ref {
-				cfg := e.Main.Config()
-				b, err := subsystem.NewTypedEngine(e.Name, e.Type,
-					subsystem.TypedConfig{IndexBits: cfg.IndexBits, Slots: cfg.Slots(), ECC: cfg.ECC})
-				if err != nil {
-					t.Fatal(err)
-				}
-				boot = append(boot, b)
-			}
-			return boot
-		}()},
+		{"bootstrap", bootstrapLike(t, ref)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, snapshotName(2)), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, res, err := Recover(dir, tc.bootstrap, Options{Sync: SyncPolicy{Mode: SyncAlways}})
+			res, err := recoverFile(t, data, tc.bootstrap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -413,6 +401,40 @@ func TestLoadsParentSnapshot(t *testing.T) {
 	}
 }
 
+// TestRecoverRefusesOverflowSnapshot: a snapshot whose engine carries
+// an overflow CAM image is sound — its CRC holds — but no served engine
+// can take the CAM's records. Recovery refuses it by the engine's name,
+// loads nothing, and does not skip it for an older snapshot.
+func TestRecoverRefusesOverflowSnapshot(t *testing.T) {
+	data, err := os.ReadFile(overflowSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot := bootstrapLike(t, codecEngines(t, 4))
+	for _, tc := range []struct {
+		name      string
+		bootstrap []*subsystem.Engine
+	}{
+		{"rebuilt", nil},
+		{"bootstrap", boot},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := recoverFile(t, data, tc.bootstrap)
+			if err == nil || res != nil {
+				t.Fatalf("Recover = %+v, %v; want a refusal", res, err)
+			}
+			if errors.Is(err, errBadSnapshot) || !strings.Contains(err.Error(), `"db"`) {
+				t.Fatalf("Recover error %q: want a refusal naming engine \"db\", not a skippable bad snapshot", err)
+			}
+		})
+	}
+	for _, e := range boot {
+		if n := e.Main.Count(); n != 0 || e.AppliedLSN != 0 {
+			t.Fatalf("bootstrap engine %q holds %d records at LSN %d after the refusal, want none loaded", e.Name, n, e.AppliedLSN)
+		}
+	}
+}
+
 // TestPayloadLenRefusesWhatTheFormatCannotHold: the u32 fields are
 // checked on sizes alone, so a roster past them is refused before a
 // byte is written; sizes the format holds are summed exactly.
@@ -424,13 +446,12 @@ func TestPayloadLenRefusesWhatTheFormatCannotHold(t *testing.T) {
 		refused bool
 	}{
 		{"empty roster", nil, 20, false},
-		{"one engine, no overflow", []engineSize{{name: 2, words: 10, recs: -1}}, 20 + 2 + 19 + 80, false},
-		{"overflow with records", []engineSize{{name: 2, words: 10, recs: 3}}, 20 + 2 + 19 + 80 + 10 + 150, false},
-		{"-indexbits 26 -slots 8: 7 GB of rows", []engineSize{{name: 2, words: (1 << 26) * 13, recs: -1}}, 0, true},
-		{"word count past u32", []engineSize{{name: 2, words: 1 << 32, recs: -1}}, 0, true},
+		{"one engine", []engineSize{{name: 2, words: 10}}, 20 + 2 + 19 + 80, false},
+		{"-indexbits 26 -slots 8: 7 GB of rows", []engineSize{{name: 2, words: (1 << 26) * 13}}, 0, true},
+		{"word count past u32", []engineSize{{name: 2, words: 1 << 32}}, 0, true},
 		{"each engine fits, the sum does not", []engineSize{
-			{name: 1, words: 300 << 20, recs: -1}, {name: 1, words: 300 << 20, recs: -1}}, 0, true},
-		{"name past u8", []engineSize{{name: 256, words: 1, recs: -1}}, 0, true},
+			{name: 1, words: 300 << 20}, {name: 1, words: 300 << 20}}, 0, true},
+		{"name past u8", []engineSize{{name: 256, words: 1}}, 0, true},
 	} {
 		got, err := payloadLen(tc.engines)
 		if (err != nil) != tc.refused || got != tc.want {

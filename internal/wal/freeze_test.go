@@ -28,26 +28,23 @@ func freshRec(typ subsystem.EngineType, i uint64) match.Record {
 	return rec(i)
 }
 
-// heldRecords is everything an engine holds, placement aside — main
-// array records (a duplicated ternary record once per copy) and overflow
-// entries — in a canonical order.
+// heldRecords is everything an engine holds, placement aside — its
+// records, a duplicated ternary record once per copy — in a canonical
+// order.
 func heldRecords(e *subsystem.Engine) []string {
 	var out []string
 	e.Main.Records(func(_ uint32, _ int, r match.Record) bool {
 		out = append(out, r.Key.String(128)+"="+r.Data.String())
 		return true
 	})
-	for _, oe := range contentsOf(e).Overflow {
-		out = append(out, "overflow "+oe.Rec.Key.String(128)+"="+oe.Rec.Data.String())
-	}
 	slices.Sort(out)
 	return out
 }
 
 // TestSnapshotFreezesMidWrite: a snapshot is each engine as it was at
 // its freeze, however writers move while the rows stream. Over all four
-// engine types — an overflow CAM holding records, an ECC engine with a
-// quarantined row — inserts and deletes land on every engine after the
+// engine types — an ECC engine with a quarantined row among them —
+// inserts and deletes land on every engine after the
 // freeze and before the first row is written, and a writer keeps going
 // while the rows stream; the file is still, byte for byte, the oracle
 // encoder's image of what the freeze saw. Then the log is abandoned in

@@ -15,8 +15,6 @@ import (
 	"strings"
 	"time"
 
-	"caram/internal/cam"
-	"caram/internal/match"
 	"caram/internal/subsystem"
 )
 
@@ -28,10 +26,12 @@ import (
 //	          [u8 indexBits][u16 slots][u8 ecc]
 //	          [u64 appliedLSN]
 //	          [u32 nWords][nWords x u64 row words]
-//	          [u8 hasOverflow]
-//	          ( [u32 camEntries][u8 camKeyBits][u8 camKind]
-//	            [u32 nRecords] records... )      when hasOverflow
-//	record  = key.Value(16) key.Mask(16) data(16) [u16 priority]
+//	          [u8 0]
+//
+// The trailing byte once flagged an overflow CAM image after the rows.
+// No served engine carries one, so it is written 0, and a file with
+// any other value there is refused by name: its CAM records cannot be
+// loaded, and skipping the file would anchor recovery on an older one.
 //
 // bound is the LSN horizon: every record with lsn <= bound is
 // reflected in the image, so replay starts strictly after it and
@@ -47,8 +47,6 @@ const (
 	// snapChunk is the I/O unit of the snapshot writer, the snapshot
 	// loader and segment replay.
 	snapChunk = 256 << 10
-	// snapRecordBytes is one encoded overflow record.
-	snapRecordBytes = 50
 	// snapTmpSuffix names a snapshot still being written.
 	snapTmpSuffix = ".tmp"
 )
@@ -57,9 +55,8 @@ const (
 // (magic, length, structure or CRC): it is skipped, never deleted.
 var errBadSnapshot = errors.New("wal: invalid snapshot")
 
-// engineSize is what sizes one engine's share of the payload; recs < 0
-// means no overflow CAM.
-type engineSize struct{ name, words, recs int }
+// engineSize is what sizes one engine's share of the payload.
+type engineSize struct{ name, words int }
 
 // payloadLen returns the encoded payload length of a roster, or an
 // error when it or any engine's counts exceed the format's u32 fields:
@@ -68,14 +65,11 @@ type engineSize struct{ name, words, recs int }
 func payloadLen(engines []engineSize) (uint32, error) {
 	n := int64(8 + 8 + 4)
 	for _, e := range engines {
-		if e.name > math.MaxUint8 || int64(e.words) > math.MaxUint32 || int64(e.recs) > math.MaxUint32 {
-			return 0, fmt.Errorf("wal: snapshot engine with a %d-byte name, %d row words, %d overflow records exceeds the format's fields",
-				e.name, e.words, e.recs)
+		if e.name > math.MaxUint8 || int64(e.words) > math.MaxUint32 {
+			return 0, fmt.Errorf("wal: snapshot engine with a %d-byte name, %d row words exceeds the format's fields",
+				e.name, e.words)
 		}
 		n += 1 + int64(e.name) + 1 + 1 + 2 + 1 + 8 + 4 + 8*int64(e.words) + 1
-		if e.recs >= 0 {
-			n += 4 + 1 + 1 + 4 + snapRecordBytes*int64(e.recs)
-		}
 	}
 	if n > math.MaxUint32 {
 		return 0, fmt.Errorf("wal: snapshot payload of %d bytes exceeds the format's u32 length", n)
@@ -87,11 +81,7 @@ func payloadLen(engines []engineSize) (uint32, error) {
 func imageSizes(img *subsystem.Image) []engineSize {
 	sizes := make([]engineSize, len(img.Engines))
 	for i := range img.Engines {
-		ei := &img.Engines[i]
-		sizes[i] = engineSize{name: len(ei.Name), words: ei.Rows.Len(), recs: -1}
-		if ei.HasOverflow {
-			sizes[i].recs = len(ei.Overflow)
-		}
+		sizes[i] = engineSize{name: len(img.Engines[i].Name), words: img.Engines[i].Rows.Len()}
 	}
 	return sizes
 }
@@ -149,18 +139,7 @@ func (e snapEncoder) image(bound uint64, img *subsystem.Image) {
 		e.uint(8, ei.AppliedLSN)
 		e.uint(4, uint64(ei.Rows.Len()))
 		ei.Rows.Each(e.words) // streamed from the engine's freeze, which it releases
-		e.uint(1, bit(ei.HasOverflow))
-		if !ei.HasOverflow {
-			continue
-		}
-		e.uint(4, uint64(ei.OverflowCfg.Entries))
-		e.uint(1, uint64(ei.OverflowCfg.KeyBits))
-		e.uint(1, uint64(ei.OverflowCfg.Kind))
-		e.uint(4, uint64(len(ei.Overflow)))
-		for _, oe := range ei.Overflow {
-			e.put(appendVec(appendTernary(e.bw.AvailableBuffer(), oe.Rec.Key), oe.Rec.Data))
-			e.uint(2, uint64(oe.Priority))
-		}
+		e.uint(1, 0)
 	}
 }
 
@@ -240,16 +219,18 @@ func (d *snapDecoder) words(dst []uint64) error {
 }
 
 // snapLoader names the engine an image of words row words, whose
-// fixed fields are h (Rows and the overflow fields unset), goes into.
+// fixed fields are h (Rows unset), goes into.
 type snapLoader func(h subsystem.EngineImage, words int) (*subsystem.Engine, error)
 
 // walk decodes one payload in file order. With load nil it is the
 // discarding visitor: every field is bounds-checked, nothing is kept,
 // no engine is touched. Otherwise rows are decoded straight into the
 // array of the engine load names (LoadImageFrom checks the geometry
-// before the first row) and overflow records into its CAM; what load or
-// the engine refuses is returned as is, a malformed payload is
-// errBadSnapshot.
+// before the first row); what load or the engine refuses is returned as
+// is, a malformed payload is errBadSnapshot. An engine image that
+// carries an overflow CAM is refused by name in either mode, and not as
+// errBadSnapshot: the file is sound, its CAM just cannot be loaded, so
+// recovery must stop rather than skip to an older snapshot.
 func (d *snapDecoder) walk(load snapLoader) (bound, rosterLSN uint64, err error) {
 	bound, rosterLSN = d.uint(8), d.uint(8)
 	for n := d.uint(4); n > 0 && d.err == nil; n-- {
@@ -264,42 +245,19 @@ func (d *snapDecoder) walk(load snapLoader) (bound, rosterLSN uint64, err error)
 		if d.err != nil {
 			break
 		}
-		var eng *subsystem.Engine
 		if load == nil {
 			d.skip(8 * words)
 		} else {
-			if eng, err = load(h, words); err == nil {
+			eng, err := load(h, words)
+			if err == nil {
 				err = eng.Main.LoadImageFrom(words, d.words)
 			}
 			if err != nil {
 				return 0, 0, fmt.Errorf("wal: snapshot engine %q: %w", h.Name, err)
 			}
 		}
-		if d.uint(1) != 1 {
-			continue
-		}
-		cfg := cam.Config{Entries: int(d.uint(4)), KeyBits: int(d.uint(1)), Kind: cam.Kind(d.uint(1))}
-		recs := int(d.uint(4))
-		if eng == nil {
-			d.skip(snapRecordBytes * recs)
-			continue
-		}
-		if eng.Overflow == nil && d.err == nil {
-			if eng.Overflow, err = cam.New(cfg); err != nil {
-				return 0, 0, fmt.Errorf("wal: snapshot engine %q overflow: %w", h.Name, err)
-			}
-		}
-		for ; recs > 0; recs-- {
-			b := d.peek(snapRecordBytes)
-			if b == nil {
-				break
-			}
-			rec := match.Record{Key: readTernary(b), Data: readVec(b[32:])}
-			prio := int(binary.LittleEndian.Uint16(b[48:]))
-			d.skip(snapRecordBytes)
-			if err = eng.Overflow.Insert(rec, prio); err != nil {
-				return 0, 0, fmt.Errorf("wal: snapshot engine %q overflow: %w", h.Name, err)
-			}
+		if d.uint(1) != 0 && d.err == nil {
+			return 0, 0, fmt.Errorf("wal: snapshot engine %q carries an overflow CAM, which no served engine holds", h.Name)
 		}
 	}
 	if d.err == nil {

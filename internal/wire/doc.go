@@ -92,11 +92,10 @@
 // EXPLAIN SEARCH runs a real lookup with tracing forced on and
 // prints the probe chain deterministically — home bucket, recorded
 // reach, one chain element per bucket probed (bucket index,
-// displacement, slots tested, match count, overflow hop), the
-// overflow-CAM outcome, and the §3.4 analytic expectation of rows
-// accessed next to the measured count. SLOWLOG and TRACE require the
-// server to be built WithTracing; EXPLAIN always works (it forces its
-// own trace). WAL STATUS prints the durability layer's commit horizon.
+// displacement, slots tested, match count, overflow hop) and the §3.4
+// analytic expectation of rows accessed next to the measured count.
+// SLOWLOG and TRACE require the server to be built WithTracing; EXPLAIN
+// always works (it forces its own trace). WAL STATUS prints the durability layer's commit horizon.
 //
 // Connection-level replies. Both tiers serve their connections through
 // this package's Endpoint (conn.go), which answers a pipelined burst

@@ -54,7 +54,6 @@ const (
 	Mean                 // mean over the shards that answered (load factors)
 	Weighted             // mean weighted by each shard's hits+misses (AMAL)
 	Worst                // the sickest health state
-	Ratio                // "a/b": both sides add (overflow occupancy)
 	Min                  // the smallest (snapshot_lsn: the fleet's replay bound)
 	Same                 // the common value, or "mixed"
 	First                // the first shard's value (identity keys)
@@ -105,7 +104,7 @@ var verbs = [NumVerbs]Verb{
 	Create:  {Name: "CREATE", Usage: "CREATE ENGINE <name> TYPE <type> [INDEXBITS <n>] [SLOTS <n>] [ECC]", Engine: 2, Place: Custom},
 	Drop:    {Name: "DROP", Usage: "DROP ENGINE <name>", Engine: 2, Place: Custom},
 	Health: {Name: "HEALTH", Usage: "HEALTH [engine [SCRUB]]", Engine: 1, Place: Custom, Idempotent: true,
-		Fold: []KeyRule{{"engine", First}, {"state", Worst}, {"overflow", Ratio}}},
+		Fold: []KeyRule{{"engine", First}, {"state", Worst}}},
 	Metrics: {Name: "METRICS", Usage: "METRICS [engine [LATENCY <op>]]", Engine: 1, Place: Custom, Idempotent: true, Strict: true,
 		Fold: []KeyRule{{"engine", First}, {"engines", Omit}, {"load", Mean}, {"amal", Weighted}}},
 	Slowlog: {Name: "SLOWLOG", Usage: "SLOWLOG GET [n] | SLOWLOG LEN | SLOWLOG RESET", Place: Custom, Strict: true},
