@@ -254,16 +254,16 @@ COPY_GUARD_FUNCS = \
 	caram/internal/caram.(*Slice).probe caram/internal/caram.(*Slice).place \
 	caram/internal/caram.(*Slice).locate caram/internal/caram.(*Reader).chain \
 	caram/internal/caram.(*Reader).snapshot caram/internal/caram.(*Reader).LookupBatch \
-	caram/internal/caram.(*Reader).Contains caram/internal/caram.(*Slice).SelectWhere \
-	caram/internal/caram.(*Slice).UpdateWhere caram/internal/caram.(*Slice).scanRow \
-	caram/internal/caram.(*Slice).SelectChain caram/internal/subsystem.(*guardedEngine).batchSeq \
-	caram/internal/subsystem.(*Concurrent).MSearchServed caram/internal/server.(*Server).exec \
-	caram/internal/caram.(*Slice).Touch caram/internal/subsystem.(*Engine).Touch \
-	caram/internal/subsystem.(*Concurrent).WriteRun caram/internal/server.(*session).join \
-	caram/internal/server.(*session).flushRun caram/internal/server.(*Server).applyRun \
-	caram/internal/server.(*Server).parseWrite caram/internal/server.(*Server).execWriteAppend \
-	caram/internal/server.(*Server).execMSearchAppend caram/internal/cluster.(*Router).route \
-	caram/internal/wire.(*Scanner).Next caram/internal/wire.ParseVec
+	caram/internal/caram.(*Slice).SelectWhere caram/internal/caram.(*Slice).UpdateWhere \
+	caram/internal/caram.(*Slice).scanRow caram/internal/caram.(*Slice).SelectChain \
+	caram/internal/subsystem.(*guardedEngine).batchSeq caram/internal/subsystem.(*Concurrent).MSearchServed \
+	caram/internal/server.(*Server).exec caram/internal/caram.(*Slice).Touch \
+	caram/internal/subsystem.(*Engine).Touch caram/internal/subsystem.(*Concurrent).WriteRun \
+	caram/internal/server.(*session).join caram/internal/server.(*session).flushRun \
+	caram/internal/server.(*Server).applyRun caram/internal/server.(*Server).parseWrite \
+	caram/internal/server.(*Server).execWriteAppend caram/internal/server.(*Server).execMSearchAppend \
+	caram/internal/cluster.(*Router).route caram/internal/wire.(*Scanner).Next \
+	caram/internal/wire.ParseVec
 copy-guard:
 	@$(GO) build -gcflags=-S ./internal/caram ./internal/subsystem ./internal/server ./internal/cluster ./internal/wire 2>&1 | \
 	awk -v want='$(strip $(COPY_GUARD_FUNCS))' ' \
@@ -347,7 +347,7 @@ crash-harness:
 write-guard:
 	$(GO) test -race -run 'KernelLocate|FieldWriters|ClearSlot' -count=1 ./internal/match
 	$(GO) test -race -run 'CommitRowUpdate' -count=1 ./internal/mem
-	$(GO) test -race -run 'WritePath|Locate|ContainsConcurrent|UnchangedCommit|OccupancyMarkModel|TestReader|ScanErrorAtRest' -count=1 ./internal/caram
+	$(GO) test -race -run 'WritePath|Locate|UnchangedCommit|OccupancyMarkModel|TestReader|ScanErrorAtRest' -count=1 ./internal/caram
 	$(GO) test -race -run 'FreezeModelCheck' -count=3 ./internal/caram
 	$(GO) test -race -run 'Chaos' -count=1 ./internal/subsystem
 	$(GO) test -race -run 'ReplayCountsDropped|FreezesMidWrite|StagedReplay|AppendWaits' -count=1 ./internal/wal

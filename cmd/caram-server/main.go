@@ -43,8 +43,8 @@
 // is journaled to a segmented write-ahead log under the -wal-sync
 // policy (always fsyncs before each ack; interval=<d> group-commits on
 // a timer; never leaves fsync to segment boundaries), periodic
-// snapshots (-snapshot-every) serialize each engine's shadow image and
-// truncate sealed segments, and boot recovers the latest snapshot plus
+// snapshots (-snapshot-every) stream a copy-on-write freeze of each
+// engine's table while writes carry on, then truncate sealed segments, and boot recovers the latest snapshot plus
 // the WAL tail — truncating, never replaying, a torn final record.
 // The WAL STATUS wire command and the caram_wal_* /metrics families
 // expose the commit horizon.

@@ -111,7 +111,10 @@ func (s *Slice) UpdateWhere(search bitutil.Ternary, fn func(match.Record) bituti
 
 // rebuildPlacement recomputes homeLoad/overflow/spilled from the
 // array's contents. Valid only when every record's home is its key's
-// index (i.e. not after foreign InsertAt placements).
+// index (i.e. not after foreign InsertAt placements). It leaves the
+// reach counters alone: reach only rises at placement, so the image's
+// aux words already hold every true reach — that of a copy InsertAt
+// placed at a foreign home too, which no key's index could recompute.
 func (s *Slice) rebuildPlacement() {
 	for i := range s.homeLoad {
 		s.homeLoad[i] = 0
@@ -121,15 +124,12 @@ func (s *Slice) rebuildPlacement() {
 	if s.foreign {
 		return // homes unknowable; leave counters cleared
 	}
-	rows := s.rows
 	s.Records(func(bucket uint32, slot int, rec match.Record) bool {
 		home := s.Index(rec.Key.Value)
 		s.homeLoad[home]++
 		if bucket != home {
 			s.spilled++
 			s.overflow[home] = true
-			d := (int(bucket) - int(home) + rows) % rows
-			s.raiseReach(home, uint64(d))
 		}
 		return true
 	})

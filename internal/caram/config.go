@@ -54,8 +54,6 @@ type Config struct {
 	AuxBits int
 	// Tech selects SRAM or DRAM for the array.
 	Tech mem.Technology
-	// Timing overrides the technology's default timing when non-zero.
-	Timing mem.Timing
 	// ProbeLimit bounds linear probing (number of buckets examined
 	// beyond the home bucket). 0 means up to Rows-1, i.e. unlimited;
 	// NoProbing disables spilling entirely, so records that do not fit

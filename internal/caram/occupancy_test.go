@@ -243,10 +243,6 @@ func TestReaderBoundedEqualsLocked(t *testing.T) {
 		if got.Found {
 			hits++
 		}
-		found, ok := rd.Contains(k)
-		if want := b.Contains(k); !ok || found != want {
-			t.Fatalf("Contains(%s) = %v, %v; locked %v", k.String(24), found, ok, want)
-		}
 	}
 	same("single lookups")
 	if hits == 0 || hits == len(keys) {
@@ -345,9 +341,6 @@ func TestReaderStaleBufferAboveMark(t *testing.T) {
 			}
 			if lr, ok := rd.LookupBest(seqKey(k), occScore, nil); !ok || lr.Found != want {
 				t.Fatalf("top=%d key %d: LookupBest found=%v ok=%v, want %v", top, i, lr.Found, ok, want)
-			}
-			if found, ok := rd.Contains(seqKey(k)); !ok || found != want {
-				t.Fatalf("top=%d key %d: Contains = %v, %v, want %v", top, i, found, ok, want)
 			}
 			var out [1]LookupResult
 			var oks [1]bool

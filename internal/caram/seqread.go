@@ -29,8 +29,8 @@ const BatchChunk = 32
 // software analogue of replicating §3.3's stateless comparator bank so
 // several search pipelines can stream rows concurrently. A Reader owns
 // its snapshot buffers, its private match kernel (match.Searcher) and
-// its result scratch, so Lookup/LookupBatch/LookupBest/Contains
-// allocate nothing and share no mutable state with other Readers. Rows
+// its result scratch, so Lookup/LookupBatch/LookupBest allocate
+// nothing and share no mutable state with other Readers. Rows
 // are observed through the array's per-row seqlock: a snapshot is only
 // accepted when the row's version is even and unchanged across the
 // copy, so a Reader never sees a torn row — every row it searches is
@@ -240,27 +240,4 @@ func (r *Reader) LookupBatch(keys []bitutil.Ternary, out []LookupResult, ok []bo
 		s.recordLookups(done, rows, hits)
 		keys, out, ok = keys[n:], out[n:], ok[n:]
 	}
-}
-
-// Contains is the lock-free exact-key membership test (the uncharged
-// diagnostic, like Slice.Contains). ok=false escalates as in Lookup.
-func (r *Reader) Contains(key bitutil.Ternary) (found, ok bool) {
-	s := r.s
-	home := s.Index(key.Value)
-	rows := s.rows
-	reach := 0
-	for d := 0; d <= reach && d < rows; d++ {
-		idx := uint32((int(home) + d) % rows)
-		n, ok := r.snapshot(idx, r.row)
-		if !ok {
-			return false, false
-		}
-		if d == 0 {
-			reach = int(s.layout.ReadAux(r.row))
-		}
-		if r.sr.Locate(&r.res, r.row, key, n) >= 0 {
-			return true, true
-		}
-	}
-	return false, true
 }

@@ -248,8 +248,10 @@ func TestReaderEscalatesOnOpenWindow(t *testing.T) {
 	if n := rd.TakeRetries(); n != maxSnapshotRetries {
 		t.Fatalf("retries = %d, want %d", n, maxSnapshotRetries)
 	}
-	if _, ok := rd.Contains(seqKey(key)); ok {
-		t.Fatal("Contains certified through an open write window")
+	var out [1]LookupResult
+	var oks [1]bool
+	if rd.LookupBatch([]bitutil.Ternary{seqKey(key)}, out[:], oks[:]); oks[0] {
+		t.Fatal("LookupBatch certified through an open write window")
 	}
 	s.Array().CommitRowUpdate(home)
 	lr, ok := rd.Lookup(seqKey(key), nil)
@@ -257,7 +259,7 @@ func TestReaderEscalatesOnOpenWindow(t *testing.T) {
 		t.Fatalf("post-commit lookup = %+v, ok=%v", lr, ok)
 	}
 	if n := rd.TakeRetries(); n != maxSnapshotRetries {
-		t.Fatalf("Contains retries not folded in: %d", n)
+		t.Fatalf("LookupBatch retries not folded in: %d", n)
 	}
 }
 
@@ -339,9 +341,6 @@ func TestReaderZeroAlloc(t *testing.T) {
 		}
 		if lr, ok := rd.Lookup(seqKey(0xF00D), nil); !ok || lr.Found {
 			t.Fatal("phantom hit")
-		}
-		if _, ok := rd.Contains(seqKey(0x500)); !ok {
-			t.Fatal("contains failed")
 		}
 	}); n != 0 {
 		t.Fatalf("lock-free lookup allocated %.1f times per run, want 0", n)

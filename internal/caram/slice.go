@@ -66,7 +66,6 @@ func New(cfg Config) (*Slice, error) {
 		Rows:    cfg.Rows(),
 		RowBits: cfg.RowBits,
 		Tech:    cfg.Tech,
-		Timing:  cfg.Timing,
 	})
 	if err != nil {
 		return nil, err
@@ -593,13 +592,10 @@ func (s *Slice) DeleteAt(home uint32, key bitutil.Ternary) error {
 }
 
 // Contains reports whether the exact key is stored, without touching
-// the lookup statistics. It is the one locate caller that may run
-// beside others (the subsystem calls it under the engine's read lock),
-// so its comparator scratch is its own.
+// the lookup statistics. Like every locate caller it runs on the port
+// (the caller serializes it with the writer) and matches into s.res.
 func (s *Slice) Contains(key bitutil.Ternary) bool {
-	var vec [4]uint64 // 256 slots' match vector; a wider row allocates its own
-	res := match.Result{Vector: vec[:0]}
-	_, _, _, found := s.locate(&res, s.Index(key.Value), key)
+	_, _, _, found := s.locate(&s.res, s.Index(key.Value), key)
 	return found
 }
 

@@ -354,7 +354,7 @@ func TestDRAMTimingPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Lookup(bitutil.Exact(bitutil.FromUint64(1)))
-	if got := s.Array().Config().Timing.MinInterval; got != 6 {
+	if got := s.Array().Timing().MinInterval; got != 6 {
 		t.Errorf("DRAM MinInterval = %d", got)
 	}
 	if s.Array().Stats().Cycles == 0 {

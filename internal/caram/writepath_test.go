@@ -250,15 +250,16 @@ func (tc writePathCase) key(rng *rand.Rand) bitutil.Ternary {
 // single step — with a fault injector attached, that includes the two
 // injectors having been asked for the same fetches in the same order.
 // Every few steps a batch of keys is located both ways (found, bucket
-// and slot), on the locked path, through Contains and on a lock-free
-// Reader; and Verify holds throughout wherever storage is protected.
+// and slot) on the locked path and through Contains, and looked up on
+// the locked path and on a lock-free Reader; and Verify holds
+// throughout wherever storage is protected.
 func TestWritePathPlacementIdentity(t *testing.T) {
 	for _, tc := range writePathCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(22))
 			a, b := tc.build(), tc.build()
 			o := oracle{b}
-			rd := a.NewReader()
+			rd, rdb := a.NewReader(), b.NewReader()
 			rows := uint32(a.cfg.Rows())
 			errsEqual := func(x, y error) bool {
 				return x == y || (x != nil && y != nil && x.Error() == y.Error())
@@ -320,14 +321,24 @@ func TestWritePathPlacementIdentity(t *testing.T) {
 					if got := a.Contains(key); got != want {
 						t.Fatalf("step %d Contains(%s) = %v, oracle %v", step, key.String(a.cfg.KeyBits), got, want)
 					}
-					// A Reader certifies or escalates; what it certifies
-					// is the oracle's answer.
-					if got, ok := rd.Contains(key); ok && got != want {
-						t.Fatalf("step %d Reader.Contains(%s) = %v, oracle %v", step, key.String(a.cfg.KeyBits), got, want)
+					// Lookups charge, so each runs on both twins and their
+					// injectors see the same fetches. A Reader certifies or
+					// escalates; what it certifies is the locked answer
+					// unless a fault erred that one.
+					locked := a.Lookup(key)
+					if lb := b.Lookup(key); lb != locked {
+						t.Fatalf("step %d Lookup(%s) = %+v, twin %+v", step, key.String(a.cfg.KeyBits), locked, lb)
+					}
+					got, ok := rd.Lookup(key, nil)
+					if gb, okb := rdb.Lookup(key, nil); gb != got || okb != ok {
+						t.Fatalf("step %d Reader.Lookup(%s) = %+v, %v, twin %+v, %v", step, key.String(a.cfg.KeyBits), got, ok, gb, okb)
+					}
+					if ok && !locked.Erred && got != locked {
+						t.Fatalf("step %d Reader.Lookup(%s) = %+v, locked %+v", step, key.String(a.cfg.KeyBits), got, locked)
 					}
 				}
 				if diff := sameState(a, b); diff != "" {
-					t.Fatalf("step %d: locating charged or moved something: %s", step, diff)
+					t.Fatalf("step %d: locating or looking up moved something: %s", step, diff)
 				}
 			}
 			st := a.Stats()
@@ -414,35 +425,6 @@ func TestLocateScansQuarantinedShadow(t *testing.T) {
 	if v := s.Verify(); v != "" {
 		t.Fatal(v)
 	}
-}
-
-// TestContainsConcurrentCallers: Slice.Contains is the one locate caller
-// that runs beside others — the subsystem calls it under the engine's
-// read lock — on the slice's shared comparator with scratch of its own.
-// Eight goroutines at once, under -race: any write to shared state is a
-// report, any crossed scratch a wrong answer.
-func TestContainsConcurrentCallers(t *testing.T) {
-	s := MustNew(smallConfig())
-	for i := uint64(0); i < 48; i += 2 {
-		if err := s.Insert(rec(i, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g uint64) {
-			defer wg.Done()
-			for i := uint64(0); i < 4000; i++ {
-				k := (i*7 + g) % 64
-				if got, want := s.Contains(bitutil.Exact(bitutil.FromUint64(k))), k < 48 && k%2 == 0; got != want {
-					t.Errorf("Contains(%d) = %v beside other callers, want %v", k, got, want)
-					return
-				}
-			}
-		}(uint64(g))
-	}
-	wg.Wait()
 }
 
 // TestReaderSingleSlotFlipStress is dirty-word publication under load:
@@ -594,9 +576,7 @@ func TestTouchChangesAndChargesNothing(t *testing.T) {
 }
 
 // TestWritePathZeroAlloc: the mutators, the touch stage and the
-// membership tests allocate nothing — Contains included, whose comparator
-// scratch is its own (it may run beside other read-locked callers) and
-// lives on its stack.
+// membership test allocate nothing.
 func TestWritePathZeroAlloc(t *testing.T) {
 	s := MustNew(smallConfig())
 	for i := uint64(0); i < 40; i++ {
@@ -604,7 +584,6 @@ func TestWritePathZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rd := s.NewReader()
 	fresh, held, absent := rec(1000, 1), rec(7, 1), bitutil.Exact(bitutil.FromUint64(2000))
 	homes := []uint32{s.Index(fresh.Key.Value), s.Index(held.Key.Value), s.Index(absent.Value)}
 	if n := testing.AllocsPerRun(200, func() {
@@ -623,9 +602,6 @@ func TestWritePathZeroAlloc(t *testing.T) {
 		}
 		if !s.Contains(held.Key) || s.Contains(absent) {
 			t.Fatal("Contains wrong")
-		}
-		if found, ok := rd.Contains(held.Key); !found || !ok {
-			t.Fatal("Reader.Contains wrong")
 		}
 	}); n != 0 {
 		t.Fatalf("write path allocated %.1f times per run, want 0", n)

@@ -63,7 +63,6 @@ type PoolConfig struct {
 	Conns            int           // persistent connections (default 4)
 	BreakerThreshold int           // consecutive failures to open (default 3)
 	BreakerBackoff   time.Duration // open duration (default 250ms)
-	DialTimeout      time.Duration // per-dial bound (default 2s)
 	Metrics          *metrics.RouterBackend
 }
 
@@ -88,7 +87,7 @@ func NewPool(b Backend, cfg PoolConfig) *Pool {
 	}
 	p.clients = make([]*wire.Client, cfg.Conns)
 	for i := range p.clients {
-		p.clients[i] = wire.NewClient(b.Addr, wire.ClientConfig{DialTimeout: cfg.DialTimeout, Hook: poolHook{p}})
+		p.clients[i] = wire.NewClient(b.Addr, wire.ClientConfig{Hook: poolHook{p}})
 	}
 	return p
 }

@@ -79,7 +79,6 @@ func TestPoolBreaker(t *testing.T) {
 		Conns:            1,
 		BreakerThreshold: 3,
 		BreakerBackoff:   time.Minute,
-		DialTimeout:      200 * time.Millisecond,
 		Metrics:          met.Backend(0),
 	})
 	defer p.Close()

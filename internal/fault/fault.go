@@ -43,14 +43,17 @@ type StuckCell struct {
 // and partition one random draw: PSingle+PDouble+PReadErr+PSpike must
 // not exceed 1.
 type Config struct {
-	Seed        int64
-	PSingle     float64     // single-bit flip (SECDED-correctable)
-	PDouble     float64     // double-bit flip (detectable, uncorrectable)
-	PReadErr    float64     // transient row-read failure (storage intact)
-	PSpike      float64     // latency spike of SpikeCycles
-	SpikeCycles int         // extra cycles charged by a spike (default 32)
-	Stuck       []StuckCell // permanent stuck-at cells
+	Seed     int64
+	PSingle  float64     // single-bit flip (SECDED-correctable)
+	PDouble  float64     // double-bit flip (detectable, uncorrectable)
+	PReadErr float64     // transient row-read failure (storage intact)
+	PSpike   float64     // latency spike of spikeCycles
+	Stuck    []StuckCell // permanent stuck-at cells
 }
+
+// spikeCycles is the extra latency a spike charges to the array's cycle
+// counter.
+const spikeCycles = 32
 
 // Counts is the injector's ledger: every fault it has caused, by kind.
 // BitsFlipped counts stored bits actually inverted (a stuck-cell
@@ -82,9 +85,6 @@ type Injector struct {
 // New builds an injector from the config, disabled. Call Enable to
 // start injecting.
 func New(cfg Config) *Injector {
-	if cfg.SpikeCycles == 0 {
-		cfg.SpikeCycles = 32
-	}
 	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
@@ -166,7 +166,7 @@ func (in *Injector) OnRowFetch(idx uint32, row []uint64) (bool, int) {
 	p += in.cfg.PSpike
 	if r < p {
 		in.counts.Spikes++
-		return true, in.cfg.SpikeCycles
+		return true, spikeCycles
 	}
 	return true, 0
 }

@@ -57,8 +57,7 @@ func DefaultTiming(t Technology) Timing {
 type Config struct {
 	Rows    int        // number of rows (buckets); need not be a power of two
 	RowBits int        // C: bits per row
-	Tech    Technology // storage technology
-	Timing  Timing     // zero value = DefaultTiming(Tech)
+	Tech    Technology // storage technology; sets the timing (DefaultTiming)
 }
 
 // Stats accumulates the activity of an array. Cycles is the serial
@@ -128,6 +127,7 @@ type RowFaultInjector interface {
 // single-writer: only reads are wait-free.
 type Array struct {
 	cfg      Config
+	timing   Timing // DefaultTiming(cfg.Tech)
 	rowWords int
 	data     []uint64        // all rows, contiguous
 	seq      []atomic.Uint32 // per-row seqlock: odd = mutating, even = published
@@ -147,15 +147,10 @@ func New(cfg Config) (*Array, error) {
 	if cfg.RowBits <= 0 {
 		return nil, fmt.Errorf("mem: RowBits must be positive, got %d", cfg.RowBits)
 	}
-	if cfg.Timing == (Timing{}) {
-		cfg.Timing = DefaultTiming(cfg.Tech)
-	}
-	if cfg.Timing.AccessCycles <= 0 || cfg.Timing.MinInterval <= 0 {
-		return nil, fmt.Errorf("mem: timing cycles must be positive: %+v", cfg.Timing)
-	}
 	rw := bitutil.RowWords(cfg.RowBits)
 	return &Array{
 		cfg:      cfg,
+		timing:   DefaultTiming(cfg.Tech),
 		rowWords: rw,
 		data:     make([]uint64, rw*cfg.Rows),
 		seq:      make([]atomic.Uint32, cfg.Rows),
@@ -174,8 +169,11 @@ func MustNew(cfg Config) *Array {
 	return a
 }
 
-// Config returns the array's configuration (with timing resolved).
+// Config returns the array's configuration.
 func (a *Array) Config() Config { return a.cfg }
+
+// Timing returns the array's timing, its technology's DefaultTiming.
+func (a *Array) Timing() Timing { return a.timing }
 
 // Rows returns the number of rows.
 func (a *Array) Rows() int { return a.cfg.Rows }
@@ -210,7 +208,7 @@ func (a *Array) FaultsInstalled() bool { return a.inj != nil }
 // observe a half-applied strike. Port-locked path either way.
 func (a *Array) FetchRow(idx uint32) ([]uint64, bool) {
 	a.stats.rowReads.Add(1)
-	a.stats.cycles.Add(uint64(a.cfg.Timing.MinInterval))
+	a.stats.cycles.Add(uint64(a.timing.MinInterval))
 	row := a.row(idx)
 	if a.inj == nil {
 		return row, true
@@ -241,7 +239,7 @@ func (a *Array) PeekRow(idx uint32) []uint64 { return a.row(idx) }
 // and the caller must already serialize against all other writers.
 func (a *Array) BeginRowUpdate(idx uint32) []uint64 {
 	a.stats.rowWrites.Add(1)
-	a.stats.cycles.Add(uint64(a.cfg.Timing.MinInterval))
+	a.stats.cycles.Add(uint64(a.timing.MinInterval))
 	return a.beginRow(idx)
 }
 
@@ -349,7 +347,7 @@ func (a *Array) LoadWords(idx uint32, dst []uint64, lo, hi int) {
 func (a *Array) ChargeRowReads(n int) {
 	if n > 0 {
 		a.stats.rowReads.Add(uint64(n))
-		a.stats.cycles.Add(uint64(n * a.cfg.Timing.MinInterval))
+		a.stats.cycles.Add(uint64(n * a.timing.MinInterval))
 	}
 }
 
@@ -372,7 +370,7 @@ func (a *Array) ReadWord(addr int) uint64 {
 		panic(fmt.Sprintf("mem: word address %d out of range", addr))
 	}
 	a.stats.wordReads.Add(1)
-	a.stats.cycles.Add(uint64(a.cfg.Timing.MinInterval))
+	a.stats.cycles.Add(uint64(a.timing.MinInterval))
 	return a.data[addr]
 }
 
@@ -385,7 +383,7 @@ func (a *Array) WriteWord(addr int, v uint64) {
 		panic(fmt.Sprintf("mem: word address %d out of range", addr))
 	}
 	a.stats.wordWrites.Add(1)
-	a.stats.cycles.Add(uint64(a.cfg.Timing.MinInterval))
+	a.stats.cycles.Add(uint64(a.timing.MinInterval))
 	idx := uint32(addr / a.rowWords)
 	a.seq[idx].Add(1)
 	atomic.StoreUint64(&a.data[addr], v)
@@ -399,7 +397,7 @@ func (a *Array) WriteWord(addr int, v uint64) {
 func (a *Array) LoadRow(idx uint32, src []uint64) {
 	row := a.row(idx)
 	a.stats.wordWrites.Add(uint64(len(row)))
-	a.stats.cycles.Add(uint64(len(row) * a.cfg.Timing.MinInterval))
+	a.stats.cycles.Add(uint64(len(row) * a.timing.MinInterval))
 	a.seq[idx].Add(1)
 	for w := range row {
 		atomic.StoreUint64(&row[w], src[w])

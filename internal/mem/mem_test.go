@@ -10,7 +10,6 @@ func TestNewValidation(t *testing.T) {
 		{Rows: 0, RowBits: 64},
 		{Rows: -1, RowBits: 64},
 		{Rows: 4, RowBits: 0},
-		{Rows: 4, RowBits: 64, Timing: Timing{AccessCycles: -1, MinInterval: 1}},
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -24,11 +23,11 @@ func TestNewValidation(t *testing.T) {
 
 func TestDefaultTiming(t *testing.T) {
 	a := MustNew(Config{Rows: 2, RowBits: 64, Tech: DRAM})
-	if got := a.Config().Timing; got.MinInterval != 6 || got.AccessCycles != 6 {
+	if got := a.Timing(); got.MinInterval != 6 || got.AccessCycles != 6 {
 		t.Errorf("DRAM timing = %+v", got)
 	}
 	b := MustNew(Config{Rows: 2, RowBits: 64, Tech: SRAM})
-	if got := b.Config().Timing; got.MinInterval != 1 {
+	if got := b.Timing(); got.MinInterval != 1 {
 		t.Errorf("SRAM timing = %+v", got)
 	}
 }

@@ -43,7 +43,7 @@ func serverFixture() *metrics.Registry {
 			Records: 12345678, LoadFactor: 0.875, AMAL: 1.0625,
 			Lookups: 123456789012, RowsAccessed: 131172839506, Hits: 123456789000, Misses: 12, Spilled: 4,
 			Health: 1, Quarantined: 2, EccCorrected: 5, EccUncorrectable: 1, EccReadErrors: 7, ScrubRepairedBits: 8,
-			SearchRetries: 9, LockFallbacks: 10,
+			ReadRetries: 9, LockFallbacks: 10,
 		}
 	})
 	ip.SetGaugeFunc(func() metrics.Gauges {

@@ -78,7 +78,7 @@ func ParseOp(s string) (Op, error) {
 // fault-tolerance block mirrors the engine's availability state and
 // error-coding counters: Health is the subsystem.Health value
 // (0 healthy, 1 degraded, 2 failed), Quarantined the rows currently
-// out of service. SearchRetries counts torn seqlock snapshots the
+// out of service. ReadRetries counts torn seqlock snapshots the
 // lock-free search path re-read; LockFallbacks counts searches that
 // escalated from the lock-free path to the serialized one.
 type Gauges struct {
@@ -98,7 +98,7 @@ type Gauges struct {
 	EccReadErrors     uint64
 	ScrubRepairedBits uint64
 
-	SearchRetries uint64
+	ReadRetries   uint64
 	LockFallbacks uint64
 }
 
@@ -435,7 +435,7 @@ var engineFamilies = []Family[Snapshot]{
 	{Desc: Desc{Name: "caram_engine_scrub_repaired_bits_total", Help: "Corrupt bits restored from the insert-side shadow by scrub passes.",
 		Type: TypeCounter, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.ScrubRepairedBits })},
 	{Desc: Desc{Name: "caram_search_retries_total", Help: "Torn seqlock snapshots re-read by the lock-free search path.",
-		Type: TypeCounter, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.SearchRetries })},
+		Type: TypeCounter, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.ReadRetries })},
 	{Desc: Desc{Name: "caram_search_lock_fallbacks_total", Help: "Searches escalated from the lock-free path to the serialized engine lock.",
 		Type: TypeCounter, Labels: engineLabels}, Collect: perEngine(func(g Gauges) any { return g.LockFallbacks })},
 	{Desc: Desc{Name: "caram_unknown_engine_total", Help: "Requests addressed to no registered engine.",

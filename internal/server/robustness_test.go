@@ -2,11 +2,8 @@ package server
 
 import (
 	"bufio"
-	"bytes"
-	"log/slog"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -83,69 +80,6 @@ func dialT(t *testing.T, addr string) net.Conn {
 	conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
 	t.Cleanup(func() { conn.Close() })
 	return conn
-}
-
-// syncWriter serializes writes from concurrent connection handlers into
-// one buffer, so the panic test can grep the log race-free.
-type syncWriter struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (w *syncWriter) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.buf.Write(p)
-}
-
-func (w *syncWriter) String() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.buf.String()
-}
-
-// TestPanicRecoveryClosesOnlyThatConnection: a handler panic must cost
-// exactly the panicking connection — one Error log line, every other
-// connection (existing and new) keeps being served.
-func TestPanicRecoveryClosesOnlyThatConnection(t *testing.T) {
-	logBuf := &syncWriter{}
-	sub := subsystem.New(0)
-	sl := caram.MustNew(caram.Config{
-		IndexBits: 6,
-		RowBits:   4*(1+64+32) + 8,
-		KeyBits:   64,
-		DataBits:  32,
-		Index:     hash.NewMultShift(6),
-	})
-	if err := sub.AddEngine(&subsystem.Engine{Name: "db", Main: sl}); err != nil {
-		t.Fatal(err)
-	}
-	srv := New(sub, WithLogger(slog.New(slog.NewTextHandler(logBuf, nil))))
-	srv.panicLine = "PANIC NOW"
-	addr := startTCP(t, srv)
-
-	healthy := newClient(t, addr)
-	ask := func(c *wire.Client, req, want string) {
-		t.Helper()
-		if got, err := c.Do(req); err != nil || got != want {
-			t.Fatalf("%s: got %q, %v; want %q", req, got, err, want)
-		}
-	}
-	ask(healthy, "INSERT db 1 2", "OK")
-
-	// The panic forfeits the reply; recovery closes only this conn.
-	if line, err := newClient(t, addr).Do("PANIC NOW"); err == nil {
-		t.Fatalf("panicking connection produced a reply: %q", line)
-	}
-
-	// The pre-existing connection and a fresh one still work, so the
-	// accept loop survived.
-	ask(healthy, "SEARCH db 1", "HIT 0:0000000000000002")
-	ask(newClient(t, addr), "ENGINES", "ENGINES db")
-
-	if n := strings.Count(logBuf.String(), "connection handler panic"); n != 1 {
-		t.Fatalf("want exactly 1 panic log line, got %d in:\n%s", n, logBuf.String())
-	}
 }
 
 // TestConnLimitShedsWithBusy: beyond the cap a connection gets one

@@ -25,11 +25,14 @@
 // (subsystem.Concurrent). Requests that target distinct engines
 // execute in parallel — N connections hammering N engines proceed
 // independently, the §3.2 picture of multiple lookups simultaneously
-// in progress in different slices. INSERT, SEARCH and DELETE on the
-// same engine serialize (a slice has one row port, and even lookups
-// update access statistics); STATS takes only a read lock and may
-// overlap with other STATS of the same engine. MSEARCH fans its batch
-// across the referenced engines and collects results in request order.
+// in progress in different slices. SEARCH is wait-free: it reads its
+// rows under their seqlock, overlapping every other read and the
+// engine's one writer, and takes the engine lock only when the seqlock
+// cannot certify the read. INSERT and DELETE on the same engine
+// serialize under that lock (a slice has one row port); STATS takes
+// only a read lock. MSEARCH runs on the connection's own goroutine: it
+// groups its keys by engine, runs the groups one after another, and
+// returns the results in request order.
 package server
 
 import (
@@ -78,11 +81,6 @@ type Server struct {
 	// lim is handed to it per Serve call.
 	ep  *wire.Endpoint
 	lim wire.Limits
-
-	// panicLine, when non-empty, makes execAppend panic on that exact
-	// request line — the test hook behind the panic-recovery regression
-	// test. Never set in production.
-	panicLine string
 
 	// wal is the durability layer (nil when the server runs without
 	// one): every mutation journals through it, Close snapshots and
@@ -223,10 +221,6 @@ func (s *Server) Exposition() metrics.Exposition {
 		metrics.Bind(s.wal.Stats, wal.StatsFamilies...),
 		metrics.Bind(func() *wal.RecoverResult { return s.rec }, wal.RecoveryFamilies...))
 }
-
-// Tracing returns the server's trace collector, or nil when tracing is
-// off. Callers use it to mount the /debug/traces endpoint.
-func (s *Server) Tracing() *trace.Collector { return s.trc }
 
 // Serve accepts connections until the listener closes or the server is
 // shut down with Close (which returns ErrServerClosed).
@@ -535,9 +529,6 @@ var epoch = time.Now()
 // a pipelined burst still has its own start and end, so slow burst
 // members stay individually attributable.
 func (s *Server) exec(dst []byte, line string, req *wire.Request, sampled bool, t0 time.Time) ([]byte, time.Time) {
-	if s.panicLine != "" && line == s.panicLine {
-		panic("injected handler panic: " + line)
-	}
 	if s.trc == nil && s.met == nil {
 		return s.execAppend(dst, req, nil, nil), t0
 	}

@@ -50,18 +50,22 @@ func (j *keptJournal) LastLSN() uint64 {
 // with the slowlog off: the differential compares replies, state,
 // journal and sampled/tagged totals, not latency, and a pause that put
 // one request over a threshold on one side only would tell the two
-// sides apart. policy, when non-nil, replaces the health policy.
-func runServer(t *testing.T, policy *subsystem.HealthPolicy) (*Server, map[string]*caram.Slice, *keptJournal) {
+// sides apart. The ecc engine has 2^eccIndexBits rows.
+func runServer(t *testing.T, eccIndexBits int) (*Server, map[string]*caram.Slice, *trace.Collector, *keptJournal) {
 	t.Helper()
 	sub := subsystem.New(0)
 	slices := make(map[string]*caram.Slice)
 	for _, name := range []string{"db", "aux", "ecc"} {
+		bits := 5
+		if name == "ecc" {
+			bits = eccIndexBits
+		}
 		sl := caram.MustNew(caram.Config{
-			IndexBits: 5,
+			IndexBits: bits,
 			RowBits:   4*(1+64+32) + 8,
 			KeyBits:   64,
 			DataBits:  32,
-			Index:     hash.NewMultShift(5),
+			Index:     hash.NewMultShift(bits),
 			ECC:       name == "ecc",
 		})
 		if err := sub.AddEngine(&subsystem.Engine{Name: name, Main: sl}); err != nil {
@@ -82,13 +86,11 @@ func runServer(t *testing.T, policy *subsystem.HealthPolicy) (*Server, map[strin
 		}
 		slices[te.name] = e.Main
 	}
-	s := New(sub, WithTracing(trace.NewCollector(trace.Config{SampleN: 5, Slowlog: -1, Ring: 8})))
+	trc := trace.NewCollector(trace.Config{SampleN: 5, Slowlog: -1, Ring: 8})
+	s := New(sub, WithTracing(trc))
 	j := &keptJournal{}
 	s.con.SetJournal(j, 0)
-	if policy != nil {
-		s.con.SetHealthPolicy(*policy)
-	}
-	return s, slices, j
+	return s, slices, trc, j
 }
 
 // choppyReader hands out its stream in chunks of random length, so that
@@ -110,10 +112,10 @@ func (c *choppyReader) Read(p []byte) (int, error) {
 // runVersusLines sends each burst through Handle on one server and the
 // same lines one ExecAppend at a time on its twin, and fails unless the
 // replies, the final engine images and the journal records are the same.
-func runVersusLines(t *testing.T, bursts [][]string, policy *subsystem.HealthPolicy, prep func(map[string]*caram.Slice)) string {
+func runVersusLines(t *testing.T, bursts [][]string, eccIndexBits int, prep func(map[string]*caram.Slice)) string {
 	t.Helper()
-	runs, runSlices, runLog := runServer(t, policy)
-	lines, lineSlices, lineLog := runServer(t, policy)
+	runs, runSlices, rc, runLog := runServer(t, eccIndexBits)
+	lines, lineSlices, lc, lineLog := runServer(t, eccIndexBits)
 	if prep != nil {
 		prep(runSlices)
 		prep(lineSlices)
@@ -142,7 +144,6 @@ func runVersusLines(t *testing.T, bursts [][]string, policy *subsystem.HealthPol
 	}
 	// A sampled or tagged write is traced as it runs, so it never joins a
 	// run: both sides keep the same traces.
-	rc, lc := runs.Tracing(), lines.Tracing()
 	if rc.Seen() != lc.Seen() || rc.Sampled().Total() != lc.Sampled().Total() || rc.Tagged().Total() != lc.Tagged().Total() {
 		t.Errorf("traces: seen %d, sampled %d, tagged %d through runs; %d, %d, %d line at a time",
 			rc.Seen(), rc.Sampled().Total(), rc.Tagged().Total(), lc.Seen(), lc.Sampled().Total(), lc.Tagged().Total())
@@ -264,28 +265,26 @@ func TestWriteRunsMatchLineAtATime(t *testing.T) {
 		bursts = append(bursts, burst)
 	}
 	bursts[len(bursts)-1] = append(bursts[len(bursts)-1], "METRICS", "METRICS db", "METRICS ecc", "METRICS ip", "METRICS acl", "METRICS tri")
-	runVersusLines(t, bursts, nil, nil)
+	runVersusLines(t, bursts, 5, nil)
 }
 
 // TestWriteRunRefusedOnceFailed: an engine that turns Failed partway
 // through a run refuses the rest of the run with ErrEngineUnavailable,
 // exactly as each write admitted on its own would have been refused. The
 // third insert's home row of the error-coded engine holds an
-// uncorrectable error: its placement quarantines the row, and under a
-// policy that fails the engine on one quarantined row, the engine fails.
+// uncorrectable error: its placement quarantines the row, which on the
+// engine's four rows is the quarter that fails it.
 func TestWriteRunRefusedOnceFailed(t *testing.T) {
-	policy := &subsystem.HealthPolicy{FailQuarantinedFrac: 1e-9}
 	var keys []uint64
-	var bad uint32
-	probe := caram.MustNew(caram.Config{IndexBits: 5, RowBits: 4*(1+64+32) + 8, KeyBits: 64, DataBits: 32, Index: hash.NewMultShift(5)})
-	homes := map[uint32]bool{}
-	for k := uint64(1); len(keys) < 6; k++ {
-		if h := probe.Index(bitutil.FromUint64(k)); !homes[h] {
-			homes[h] = true
+	probe := caram.MustNew(caram.Config{IndexBits: 2, RowBits: 4*(1+64+32) + 8, KeyBits: 64, DataBits: 32, Index: hash.NewMultShift(2)})
+	bad := probe.Index(bitutil.FromUint64(3))
+	for k := uint64(4); len(keys) < 5; k++ {
+		// The two inserts ahead of the third stay clear of its row.
+		if len(keys) >= 2 || probe.Index(bitutil.FromUint64(k)) != bad {
 			keys = append(keys, k)
 		}
 	}
-	bad = probe.Index(bitutil.FromUint64(keys[2]))
+	keys = slices.Insert(keys, 2, 3)
 	corrupt := func(sl map[string]*caram.Slice) {
 		row := sl["ecc"].Array().PeekRow(bad)
 		row[0] ^= 1 << 3
@@ -296,7 +295,7 @@ func TestWriteRunRefusedOnceFailed(t *testing.T) {
 		burst = append(burst, fmt.Sprintf("INSERT ecc %x %x", k, k))
 	}
 	burst = append(burst, fmt.Sprintf("DELETE ecc %x", keys[0]), "INSERT db 1 2", "HEALTH ecc")
-	got := strings.Split(runVersusLines(t, [][]string{burst}, policy, corrupt), "\n")
+	got := strings.Split(runVersusLines(t, [][]string{burst}, 2, corrupt), "\n")
 	unavailable := "ERR " + subsystem.ErrEngineUnavailable.Error()
 	want := []string{"OK", "OK", "OK", unavailable, unavailable, unavailable, unavailable, "OK"}
 	if !slices.Equal(got[:len(want)], want) {

@@ -18,7 +18,7 @@ import (
 // lock-free path.
 func TestMSearchBatchEscalatesPerKey(t *testing.T) {
 	sub := New(0)
-	sl := eccSlice(t, 0)
+	sl := eccSlice(t, 8)
 	if err := sub.AddEngine(&Engine{Name: "db", Main: sl}); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestMSearchBatchEscalatesPerKey(t *testing.T) {
 	}
 	run := func(stage string, escalated uint64, erred bool) {
 		t.Helper()
-		_, before, _ := c.SearchRetries("db")
+		_, before := readTelemetry(c, "db")
 		for i, r := range c.MSearch(reqs) {
 			bad := erred && sl.Index(reqs[i].Key.Value) == victim
 			if r.Err != nil || r.Result.Erred != bad || r.Result.Found == bad ||
@@ -51,7 +51,7 @@ func TestMSearchBatchEscalatesPerKey(t *testing.T) {
 				t.Fatalf("%s: slot %d = %+v, err %v", stage, i, r.Result, r.Err)
 			}
 		}
-		if _, after, _ := c.SearchRetries("db"); after-before != escalated {
+		if _, after := readTelemetry(c, "db"); after-before != escalated {
 			t.Fatalf("%s: fallbacks rose by %d, want %d", stage, after-before, escalated)
 		}
 	}

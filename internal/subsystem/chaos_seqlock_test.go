@@ -191,8 +191,13 @@ func TestChaosSeqlockUnderConcurrentScrub(t *testing.T) {
 					t.Errorf("permanent key %x returned corrupt data %#x", key, sr.Record.Data.Uint64())
 					return
 				}
-				if _, err := c.Contains(port, exact(key)); err != nil {
-					t.Errorf("reader contains %x on %s: %v", key, port, err)
+				switch r := c.MSearch([]PortKey{{Port: port, Key: exact(key)}})[0]; {
+				case errors.Is(r.Err, ErrEngineUnavailable):
+				case r.Err != nil:
+					t.Errorf("reader msearch %x on %s: %v", key, port, r.Err)
+					return
+				case r.Result.Found && r.Result.Record.Data.Uint64() != key&0xffff:
+					t.Errorf("permanent key %x returned corrupt data %#x through MSEARCH", key, r.Result.Record.Data.Uint64())
 					return
 				}
 				permReads.Add(1)
@@ -267,7 +272,7 @@ func TestChaosSeqlockUnderConcurrentScrub(t *testing.T) {
 		cnt := injs[i].Counts()
 		est := slices[i].EccStats()
 		totalFlips += cnt.BitsFlipped
-		retries, fallbacks, _ := c.SearchRetries(name)
+		retries, fallbacks := readTelemetry(c, name)
 		t.Logf("%s: singles=%d doubles=%d stuck=%d readerrs=%d | corrected=%d uncorrectable=%d scrub_bits=%d | seq retries=%d fallbacks=%d",
 			name, cnt.SingleFlips, cnt.DoubleFlips, cnt.StuckAsserts, cnt.ReadErrors,
 			est.CorrectedBits, est.Uncorrectable, est.ScrubRepairedBits, retries, fallbacks)

@@ -24,15 +24,15 @@ import (
 //   - INSERT / DELETE / Scrub on one engine serialize under the engine
 //     mutex (a slice has a single row port for writes), while the same
 //     operations on distinct engines run fully in parallel;
-//   - SEARCH / MSEARCH / Explain / Contains are wait-free: they run on
+//   - SEARCH / MSEARCH / Explain are wait-free: they run on
 //     per-goroutine caram.Readers over the array's per-row seqlock,
 //     performing no mutex operations at all — any number may overlap
 //     with each other AND with the engine's one writer. A read the
 //     seqlock protocol cannot certify (torn past the retry budget,
 //     quarantined row, check-word mismatch) falls back to the
 //     serialized path, which owns the ECC protocol;
-//   - read-only inspection (Info, HealthInfo) takes the mutex like a
-//     writer — it is off the hot path;
+//   - read-only inspection (Info, HealthInfo, ExpectedRows) takes the
+//     read lock — it is off the hot path;
 //   - an MSEARCH runs on its caller: its engines' groups one after
 //     another, each on the path above that its engine takes. The layer
 //     starts no goroutine of its own.
@@ -50,10 +50,9 @@ type Concurrent struct {
 	// atomic load and index an immutable map, so the hot path stays
 	// exactly as cheap as the pre-dynamic frozen map. setMu serializes
 	// the writers (CreateEngine, DropEngine, Close).
-	set    atomic.Pointer[engineSet]
-	setMu  sync.Mutex
-	met    *metrics.Registry // nil when uninstrumented
-	policy HealthPolicy
+	set   atomic.Pointer[engineSet]
+	setMu sync.Mutex
+	met   *metrics.Registry // nil when uninstrumented
 
 	// jr, when non-nil, receives one journal record per applied
 	// mutation and roster change (SetJournal). rosterLSN is the LSN of
@@ -164,7 +163,7 @@ func (p *readerCache) put(rd *caram.Reader) {
 // complete. Engines added to the subsystem afterwards are not visible
 // through the wrapper.
 func NewConcurrent(sub *Subsystem) *Concurrent {
-	c := &Concurrent{policy: DefaultHealthPolicy()}
+	c := &Concurrent{}
 	order := sub.Engines()
 	set := &engineSet{order: order, m: make(map[string]*guardedEngine, len(order))}
 	for _, name := range order {
@@ -292,20 +291,9 @@ func (g *guardedEngine) release(rd *caram.Reader) int {
 	return n
 }
 
-// SearchRetries reports the engine's lock-free read telemetry: torn
-// seqlock snapshots re-read, and searches that escalated to the
-// serialized path.
-func (c *Concurrent) SearchRetries(port string) (retries, fallbacks uint64, err error) {
-	g, ok := c.engine(port)
-	if !ok {
-		return 0, 0, errNoEngine(port)
-	}
-	return g.retries.Load(), g.fallbacks.Load(), nil
-}
-
 // Close shuts the layer: afterwards every operation returns ErrClosed
 // (per slot for MSearch); only the uncharged read-side inspectors
-// (Contains, Info, Health, ...) stay usable. Close is idempotent and
+// (Info, Health, HealthInfo, ...) stay usable. Close is idempotent and
 // safe to race with in-flight operations — an op that already passed
 // the gate completes normally on its own goroutine.
 func (c *Concurrent) Close() {
@@ -337,9 +325,6 @@ func (c *Concurrent) Instrument(reg *metrics.Registry) *Concurrent {
 	return c
 }
 
-// Metrics returns the attached registry (nil when uninstrumented).
-func (c *Concurrent) Metrics() *metrics.Registry { return c.met }
-
 // sampleGauges reads one engine's live state under its read lock.
 // Placement (the spilled-record scan) is O(rows); gauges are sampled on
 // scrape/METRICS, never on the op path.
@@ -363,34 +348,25 @@ func (c *Concurrent) sampleGauges(g *guardedEngine) metrics.Gauges {
 		EccUncorrectable:  est.Uncorrectable,
 		EccReadErrors:     est.ReadErrors,
 		ScrubRepairedBits: est.ScrubRepairedBits,
-		SearchRetries:     g.retries.Load(),
+		ReadRetries:       g.retries.Load(),
 		LockFallbacks:     g.fallbacks.Load(),
 	}
 }
 
-// SetHealthPolicy replaces the health thresholds. Like Instrument it
-// is part of construction: call it before the Concurrent is shared
-// across goroutines.
-func (c *Concurrent) SetHealthPolicy(p HealthPolicy) *Concurrent {
-	c.policy = p
-	return c
-}
-
 // evalHealth computes the engine's health from its current state (the
-// caller holds the engine lock). All inputs are O(1) counters, so this
-// is cheap enough to run after every write-side operation.
-func (c *Concurrent) evalHealth(g *guardedEngine) Health {
-	p := c.policy
+// caller holds the engine lock): one quarantined row degrades the
+// engine, and a quarter of its rows quarantined fails it. Both inputs
+// are O(1) counters, so this is cheap enough to run after every
+// write-side operation.
+func (g *guardedEngine) evalHealth() Health {
 	q := g.e.Main.QuarantinedRows()
-	if p.FailQuarantinedFrac > 0 && q > 0 &&
-		float64(q) >= p.FailQuarantinedFrac*float64(g.e.Main.Array().Rows()) {
+	switch {
+	case q > 0 && 4*q >= g.e.Main.Array().Rows():
 		return Failed
+	case q > 0:
+		return Degraded
 	}
-	h := Healthy
-	if p.DegradeQuarantined > 0 && q >= p.DegradeQuarantined {
-		h = Degraded
-	}
-	return h
+	return Healthy
 }
 
 // Health returns the engine's current availability state (a lock-free
@@ -441,7 +417,7 @@ func (c *Concurrent) Scrub(port string) (caram.ScrubReport, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	rep := g.e.Main.Scrub()
-	g.health.Store(int32(c.evalHealth(g)))
+	g.health.Store(int32(g.evalHealth()))
 	return rep, nil
 }
 
@@ -475,7 +451,7 @@ func (c *Concurrent) EngineType(port string) (EngineType, error) {
 //
 //	admit        down → roster → health, written once (admit). The
 //	             inspectors that must keep answering after Close or on a
-//	             Failed engine (Scrub, Contains, Info, ...) take the
+//	             Failed engine (Scrub, Info, HealthInfo, ...) take the
 //	             roster step (engine) alone.
 //	lock-free    reads run on a pooled seqlock Reader and touch no mutex
 //	             (searchSeq, batchSeq).
@@ -709,7 +685,7 @@ func (c *Concurrent) apply(g *guardedEngine, ent *JournalEntry, watched bool) (l
 			g.e.Delete(ent.Rec.Key) //nolint:errcheck // best-effort undo of a just-applied placement
 		}
 	}
-	g.raiseTo(c.evalHealth(g))
+	g.raiseTo(g.evalHealth())
 	return lsn, walStart, err
 }
 
@@ -762,7 +738,7 @@ func (c *Concurrent) SearchServed(port string, key bitutil.Ternary, ck *Clock, t
 		tr.Span(trace.KindLockWait, lockStart)
 		sr = g.e.SearchTraced(key, tr)
 		if sr.Erred {
-			g.raiseTo(c.evalHealth(g))
+			g.raiseTo(g.evalHealth())
 		}
 		g.mu.Unlock()
 	}
@@ -850,27 +826,6 @@ func (c *Concurrent) ExpectedRows(port string) (float64, bool) {
 	expected := g.e.Main.ExpectedRows()
 	g.mu.RUnlock()
 	return expected, true
-}
-
-// Contains reports whether the exact key is stored. It is lock-free
-// (an uncharged seqlock scan on a pooled Reader); only when the
-// protocol cannot certify the scan does it take the read lock and peek
-// rows.
-func (c *Concurrent) Contains(port string, key bitutil.Ternary) (bool, error) {
-	g, ok := c.engine(port)
-	if !ok {
-		return false, errNoEngine(port)
-	}
-	rd := g.readers.get()
-	found, ok := rd.Contains(key)
-	g.release(rd)
-	if ok {
-		return found, nil
-	}
-	g.fallbacks.Add(1)
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.e.Main.Contains(key), nil
 }
 
 // EngineInfo is a consistent snapshot of one engine's occupancy and
@@ -1021,7 +976,7 @@ func (c *Concurrent) runBatch(g *guardedEngine, reqs []PortKey, out []MSearchRes
 			erred = erred || out[i].Result.Erred
 		}
 		if erred {
-			g.raiseTo(c.evalHealth(g))
+			g.raiseTo(g.evalHealth())
 		}
 		g.mu.Unlock()
 	}

@@ -41,9 +41,6 @@ func TestConcurrentBasics(t *testing.T) {
 	if err != nil || !sr.Found || sr.Record.Data.Uint64() != 70 {
 		t.Fatalf("Search = %+v, %v", sr, err)
 	}
-	if ok, err := c.Contains("e0", exact(7)); err != nil || !ok {
-		t.Fatalf("Contains = %v, %v", ok, err)
-	}
 	// The other engine stays empty — engines are independent databases.
 	if sr, err := c.Search("e1", exact(7)); err != nil || sr.Found {
 		t.Fatalf("cross-engine Search = %+v, %v", sr, err)
@@ -52,13 +49,13 @@ func TestConcurrentBasics(t *testing.T) {
 	if err != nil || info.Count != 1 || info.Placement.Inserted != 1 {
 		t.Fatalf("Info = %+v, %v", info, err)
 	}
-	if info.Stats.Lookups != 1 { // the one e0 search; Contains charges nothing
+	if info.Stats.Lookups != 1 { // the one e0 search
 		t.Errorf("Lookups = %d, want 1", info.Stats.Lookups)
 	}
 	if err := c.Delete("e0", exact(7)); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := c.Contains("e0", exact(7)); ok {
+	if sr, _ := c.Search("e0", exact(7)); sr.Found {
 		t.Error("key survived Delete")
 	}
 	_ = names
@@ -76,8 +73,8 @@ func TestConcurrentErrors(t *testing.T) {
 	if err := c.Delete("nope", exact(1)); err == nil {
 		t.Error("Delete on unknown engine succeeded")
 	}
-	if _, err := c.Contains("nope", exact(1)); err == nil {
-		t.Error("Contains on unknown engine succeeded")
+	if out := c.MSearch([]PortKey{{Port: "nope", Key: exact(1)}}); out[0].Err == nil {
+		t.Error("MSearch on unknown engine succeeded")
 	}
 	if _, err := c.Info("nope"); err == nil {
 		t.Error("Info on unknown engine succeeded")
@@ -178,8 +175,8 @@ func TestStressConcurrentMixedOps(t *testing.T) {
 						return
 					}
 				}
-				if ok, err := c.Contains(eng, exact(k)); err != nil || !ok {
-					t.Errorf("worker %d contains %x = %v, %v", g, k, ok, err)
+				if sr, err := c.Search(eng, exact(k)); err != nil || !sr.Found {
+					t.Errorf("worker %d search %x = %+v, %v", g, k, sr, err)
 					return
 				}
 				if _, err := c.Info(eng); err != nil {
@@ -220,7 +217,7 @@ func TestStressConcurrentMixedOps(t *testing.T) {
 func TestInstrumentedConcurrent(t *testing.T) {
 	c, names := concurrentFixture(t, 2)
 	reg := metrics.NewRegistry(c.Engines())
-	if c.Instrument(reg) != c || c.Metrics() != reg {
+	if c.Instrument(reg) != c || c.met != reg {
 		t.Fatal("Instrument must return the receiver and retain the registry")
 	}
 	for k := uint64(1); k <= 3; k++ {
@@ -302,7 +299,7 @@ func TestInstrumentedConcurrent(t *testing.T) {
 // is reachable.
 func TestUninstrumentedConcurrentUnchanged(t *testing.T) {
 	c, _ := concurrentFixture(t, 1)
-	if c.Metrics() != nil {
+	if c.met != nil {
 		t.Fatal("fresh Concurrent has a registry")
 	}
 	if err := c.Insert("e0", rec(1, 1)); err != nil {

@@ -3,7 +3,7 @@ package subsystem
 import "errors"
 
 // Engine health. Error coding in the caram layer quarantines rows; past
-// configurable thresholds an engine is no longer trustworthy and the
+// fixed thresholds an engine is no longer trustworthy and the
 // dispatch layer degrades or fails it. Health is per engine and MONOTONE within an
 // episode: it only rises (Healthy → Degraded → Failed) between scrubs,
 // so concurrent observers never see a failed engine flap back to
@@ -35,26 +35,6 @@ func (h Health) String() string {
 		return "failed"
 	}
 	return "unknown"
-}
-
-// HealthPolicy sets the thresholds the dispatch layer evaluates after
-// each write-side operation and each erred search.
-type HealthPolicy struct {
-	// DegradeQuarantined: this many quarantined rows (or more) degrades
-	// the engine. 0 disables the rule.
-	DegradeQuarantined int
-	// FailQuarantinedFrac: this fraction of all rows quarantined (or
-	// more) fails the engine. 0 disables the rule.
-	FailQuarantinedFrac float64
-}
-
-// DefaultHealthPolicy is the policy NewConcurrent installs: one
-// quarantined row degrades, and a quarter of the array failed fails.
-func DefaultHealthPolicy() HealthPolicy {
-	return HealthPolicy{
-		DegradeQuarantined:  1,
-		FailQuarantinedFrac: 0.25,
-	}
 }
 
 // Errors the dispatch layer returns for unavailable service.

@@ -11,16 +11,15 @@ import (
 )
 
 // eccSlice is testSlice with per-row error coding enabled.
-func eccSlice(t *testing.T, probe int) *caram.Slice {
+func eccSlice(t *testing.T, indexBits int) *caram.Slice {
 	t.Helper()
 	return caram.MustNew(caram.Config{
-		IndexBits:  8,
-		RowBits:    4*(1+32+16) + 8,
-		KeyBits:    32,
-		DataBits:   16,
-		ProbeLimit: probe,
-		Index:      hash.NewMultShift(8),
-		ECC:        true,
+		IndexBits: indexBits,
+		RowBits:   4*(1+32+16) + 8,
+		KeyBits:   32,
+		DataBits:  16,
+		Index:     hash.NewMultShift(indexBits),
+		ECC:       true,
 	})
 }
 
@@ -34,7 +33,7 @@ func corruptRow(sl *caram.Slice, idx uint32, a, b int) {
 
 func TestHealthDegradesOnQuarantineAndScrubRecovers(t *testing.T) {
 	sub := New(0)
-	sl := eccSlice(t, 0)
+	sl := eccSlice(t, 8)
 	if err := sub.AddEngine(&Engine{Name: "db", Main: sl}); err != nil {
 		t.Fatal(err)
 	}
@@ -79,17 +78,14 @@ func TestHealthDegradesOnQuarantineAndScrubRecovers(t *testing.T) {
 
 func TestHealthFailedTripsCircuitBreaker(t *testing.T) {
 	sub := New(0)
-	sl := eccSlice(t, 0)
+	// Four rows: one quarantined row is the quarter that fails the engine.
+	sl := eccSlice(t, 2)
 	if err := sub.AddEngine(&Engine{Name: "db", Main: sl}); err != nil {
 		t.Fatal(err)
 	}
-	// One quarantined row out of 256 fails the engine under this policy.
-	c := NewConcurrent(sub).SetHealthPolicy(HealthPolicy{
-		DegradeQuarantined:  1,
-		FailQuarantinedFrac: 1.0 / 512.0,
-	})
+	c := NewConcurrent(sub)
 	defer c.Close()
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 10; i++ {
 		if err := c.Insert("db", rec(uint64(i), uint64(i))); err != nil {
 			t.Fatal(err)
 		}

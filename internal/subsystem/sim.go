@@ -5,16 +5,13 @@ import (
 )
 
 // Cycle-level bandwidth simulation (§3.4). Requests stream into the
-// engine at a configurable injection rate; each occupies its bank for
-// nmem cycles per row accessed. The sustained throughput of a banked
+// engine back to back (saturating: a request is always waiting); each
+// occupies its bank for nmem cycles per row accessed. The sustained throughput of a banked
 // engine under uniform traffic approaches the analytical bound
 // B = Nbanks/nmem * fclk.
 
 // TrafficConfig shapes the offered load.
 type TrafficConfig struct {
-	// InjectionPerCycle is the offered request rate (requests per
-	// clock cycle); 0 means saturating (a request is always waiting).
-	InjectionPerCycle float64
 	// QueueDepth bounds requests in flight (request queue of §3.2);
 	// 0 means 64.
 	QueueDepth int
@@ -26,7 +23,7 @@ type SimResult struct {
 	Cycles          int64   // makespan in clock cycles
 	RowAccesses     int64   // total rows fetched
 	ThroughputPerCy float64 // completed requests per cycle
-	AvgLatency      float64 // cycles from arrival to completion
+	AvgLatency      float64 // cycles from arrival (cycle 0) to completion
 	BankBusy        []int64 // busy cycles per bank
 }
 
@@ -42,7 +39,7 @@ func (r SimResult) ThroughputHz(fclkHz float64) float64 {
 // prototype, §3.3); it does not occupy the bank, since matching is
 // pipelined with the next access.
 func (e *Engine) Simulate(keys []bitutil.Ternary, traffic TrafficConfig, matchCycles int) SimResult {
-	nmem := int64(e.Main.Array().Config().Timing.MinInterval)
+	nmem := int64(e.Main.Array().Timing().MinInterval)
 	qd := traffic.QueueDepth
 	if qd <= 0 {
 		qd = 64
@@ -55,10 +52,6 @@ func (e *Engine) Simulate(keys []bitutil.Ternary, traffic TrafficConfig, matchCy
 	finishRing := make([]int64, qd) // completion times of in-flight window
 	var totalLatency int64
 	for i, key := range keys {
-		var arrival int64
-		if traffic.InjectionPerCycle > 0 {
-			arrival = int64(float64(i) / traffic.InjectionPerCycle)
-		}
 		sr := e.Search(key)
 		rows := int64(sr.RowsRead)
 		if rows == 0 {
@@ -67,10 +60,7 @@ func (e *Engine) Simulate(keys []bitutil.Ternary, traffic TrafficConfig, matchCy
 		res.RowAccesses += rows
 		home := e.Main.Index(key.Value)
 		b := e.bankOf(home)
-		start := arrival
-		if bankFree[b] > start {
-			start = bankFree[b]
-		}
+		start := bankFree[b]
 		// The request queue admits at most qd requests in flight: we
 		// cannot start before the request qd slots ago completed.
 		if prev := finishRing[i%qd]; prev > start {
@@ -82,7 +72,7 @@ func (e *Engine) Simulate(keys []bitutil.Ternary, traffic TrafficConfig, matchCy
 		res.BankBusy[b] += busy
 		complete := finish + int64(matchCycles)
 		finishRing[i%qd] = complete
-		totalLatency += complete - arrival
+		totalLatency += complete
 		if complete > res.Cycles {
 			res.Cycles = complete
 		}

@@ -64,22 +64,8 @@ func (s *Subsystem) AddEngine(e *Engine) error {
 	return nil
 }
 
-// Engine returns a registered engine.
-func (s *Subsystem) Engine(name string) (*Engine, bool) {
-	e, ok := s.engines[name]
-	return e, ok
-}
-
 // Engines lists engine names in registration order.
 func (s *Subsystem) Engines() []string { return append([]string(nil), s.order...) }
-
-// Stats returns the placement stats of an engine's port.
-func (s *Subsystem) Stats(name string) EngineStats {
-	if st, ok := s.stats[name]; ok {
-		return *st
-	}
-	return EngineStats{}
-}
 
 // Insert routes a record to the named engine's database.
 func (s *Subsystem) Insert(port string, rec match.Record) error {

@@ -20,10 +20,17 @@ type probeJSON struct {
 	Hit          bool   `json:"hit"`
 }
 
+// spanJSON is a timed span, or an untimed event that carries its data
+// in place of a window: an ecc event's row, the bits it corrected and
+// whether it quarantined the row; a retries event's count.
 type spanJSON struct {
-	Kind     string `json:"kind"`
-	OffsetNs int64  `json:"offset_ns"`
-	DurNs    int64  `json:"dur_ns"`
+	Kind        string  `json:"kind"`
+	OffsetNs    int64   `json:"offset_ns"`
+	DurNs       int64   `json:"dur_ns"`
+	Bucket      *uint32 `json:"bucket,omitempty"`
+	Corrected   int32   `json:"corrected_bits,omitempty"`
+	Quarantined bool    `json:"quarantined,omitempty"`
+	N           int32   `json:"n,omitempty"`
 }
 
 // hopJSON is a router-side span: one event of the proxied request's
@@ -127,8 +134,10 @@ func entryView(t *Trace) entryJSON {
 				Hit:          ev.Hit,
 			})
 		case KindEcc:
-			// A positional, untimed event: render kind-only.
-			e.Spans = append(e.Spans, spanJSON{Kind: ev.Kind.String()})
+			bucket := ev.Bucket
+			e.Spans = append(e.Spans, spanJSON{Kind: ev.Kind.String(), Bucket: &bucket, Corrected: ev.Matches, Quarantined: ev.Hit})
+		case KindRetries:
+			e.Spans = append(e.Spans, spanJSON{Kind: ev.Kind.String(), N: ev.Matches})
 		case KindRoute, KindQueue, KindRTT, KindBurst, KindBreaker, KindRetry:
 			h := hopJSON{
 				Kind:     ev.Kind.String(),

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -178,5 +179,23 @@ func TestNewTraceIDNonZero(t *testing.T) {
 			t.Fatalf("NewTraceID repeated %x within 1000 draws", id)
 		}
 		seen[id] = true
+	}
+}
+
+// TestAppendJSONUntimedEvents: an ecc event renders its row, the bits it
+// corrected and its quarantine, and a retries event its count, so that a
+// correction and a quarantine on neighbouring rows read apart.
+func TestAppendJSONUntimedEvents(t *testing.T) {
+	tr := New()
+	tr.Ecc(42, 1, false)
+	tr.Ecc(43, 0, true)
+	tr.Retries(3)
+	got := string(tr.AppendJSON(nil, 0))
+	want := `"spans":[` +
+		`{"kind":"ecc","offset_ns":0,"dur_ns":0,"bucket":42,"corrected_bits":1},` +
+		`{"kind":"ecc","offset_ns":0,"dur_ns":0,"bucket":43,"quarantined":true},` +
+		`{"kind":"retries","offset_ns":0,"dur_ns":0,"n":3}]`
+	if !strings.Contains(got, want) {
+		t.Fatalf("AppendJSON = %s\nwant it to hold %s", got, want)
 	}
 }

@@ -150,7 +150,7 @@ func TestSnapshotFreezesMidWrite(t *testing.T) {
 // takeSnapshotPath returns the one snapshot file in dir.
 func takeSnapshotPath(t *testing.T, dir string) string {
 	t.Helper()
-	snaps, err := listSnapshots(dir)
+	snaps, err := listFiles(dir, "snap-", ".snap")
 	if err != nil || len(snaps) != 1 {
 		t.Fatalf("snapshot files = %v (%v), want exactly one", snaps, err)
 	}

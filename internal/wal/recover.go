@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 
 	"caram/internal/caram"
@@ -105,13 +104,13 @@ func Recover(dir string, bootstrap []*subsystem.Engine, opts Options) (*Log, *Re
 		return nil, nil, err
 	}
 
-	segs, err := listSegments(dir)
+	segs, err := listFiles(dir, "wal-", ".seg")
 	if err != nil {
 		return nil, nil, err
 	}
 	for i, seg := range segs {
 		final := i == len(segs)-1
-		if err := st.replaySegment(filepath.Join(dir, seg.name), seg.start, final); err != nil {
+		if err := st.replaySegment(filepath.Join(dir, seg.name), seg.lsn, final); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -153,7 +152,7 @@ func Recover(dir string, bootstrap []*subsystem.Engine, opts Options) (*Log, *Re
 	if err := os.Remove(filepath.Join(dir, segmentName(st.lastLSN+1))); err != nil && !os.IsNotExist(err) {
 		return nil, nil, err
 	}
-	remaining, err := listSegments(dir)
+	remaining, err := listFiles(dir, "wal-", ".seg")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -191,17 +190,15 @@ type replayState struct {
 
 // sweepSnapshotTemps deletes the snap-*.snap.tmp files a crash
 // mid-snapshot (or a failed rename) left behind: table-sized, never
-// valid, and invisible to listSnapshots and pruneLocked.
+// valid, and invisible to the snapshot listing and pruneLocked.
 func sweepSnapshotTemps(dir string) error {
-	ents, err := os.ReadDir(dir)
+	tmps, err := listFiles(dir, "snap-", ".snap"+snapTmpSuffix)
 	if err != nil {
 		return err
 	}
-	for _, ent := range ents {
-		if name := ent.Name(); strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"+snapTmpSuffix) {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return err
-			}
+	for _, tmp := range tmps {
+		if err := os.Remove(filepath.Join(dir, tmp.name)); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -215,7 +212,7 @@ func sweepSnapshotTemps(dir string) error {
 // pass 2 decode into the engines, and whatever fails there, the CRC
 // included, is a hard error, because engines are no longer untouched.
 func (st *replayState) loadLatestSnapshot(dir string) error {
-	snaps, err := listSnapshots(dir)
+	snaps, err := listFiles(dir, "snap-", ".snap")
 	if err != nil {
 		return err
 	}

@@ -426,24 +426,24 @@ func (l *Log) Snapshot(image func(*subsystem.Image)) error {
 // snapshot bound — a segment is deletable when its successor starts at
 // or before bound+1 — and snapshot files older than the bound.
 func (l *Log) pruneLocked(bound uint64) error {
-	segs, err := listSegments(l.dir)
+	segs, err := listFiles(l.dir, "wal-", ".seg")
 	if err != nil {
 		return err
 	}
 	for i := 0; i+1 < len(segs); i++ {
-		if segs[i+1].start <= bound+1 {
+		if segs[i+1].lsn <= bound+1 {
 			if err := os.Remove(filepath.Join(l.dir, segs[i].name)); err != nil {
 				return err
 			}
 			l.segments.Add(-1)
 		}
 	}
-	snaps, err := listSnapshots(l.dir)
+	snaps, err := listFiles(l.dir, "snap-", ".snap")
 	if err != nil {
 		return err
 	}
 	for _, sn := range snaps {
-		if sn.bound < bound {
+		if sn.lsn < bound {
 			if err := os.Remove(filepath.Join(l.dir, sn.name)); err != nil {
 				return err
 			}
@@ -452,59 +452,34 @@ func (l *Log) pruneLocked(bound uint64) error {
 	return syncDir(l.dir)
 }
 
-type segmentFile struct {
-	name  string
-	start uint64
+// dirFile is one data-directory file named by an LSN: a segment
+// (wal-<start>.seg), a snapshot (snap-<bound>.snap), or a snapshot
+// still being written (snap-<bound>.snap.tmp).
+type dirFile struct {
+	name string
+	lsn  uint64
 }
 
-type snapshotFile struct {
-	name  string
-	bound uint64
-}
-
-// listSegments returns the data directory's segments in start-LSN
-// order, parsed from their names (the header start LSN is verified at
-// replay time).
-func listSegments(dir string) ([]segmentFile, error) {
+// listFiles returns the data directory's files named prefix, a hex LSN
+// and suffix, in LSN order. The LSN is parsed from the name; a segment's
+// header start LSN is verified at replay time.
+func listFiles(dir, prefix, suffix string) ([]dirFile, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var segs []segmentFile
+	var files []dirFile
 	for _, ent := range ents {
 		name := ent.Name()
-		if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".seg") {
-			continue
+		hex, ok := strings.CutPrefix(name, prefix)
+		if hex, ok2 := strings.CutSuffix(hex, suffix); ok && ok2 {
+			if lsn, err := strconv.ParseUint(hex, 16, 64); err == nil {
+				files = append(files, dirFile{name: name, lsn: lsn})
+			}
 		}
-		start, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg"), 16, 64)
-		if err != nil {
-			continue
-		}
-		segs = append(segs, segmentFile{name: name, start: start})
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
-	return segs, nil
-}
-
-func listSnapshots(dir string) ([]snapshotFile, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var snaps []snapshotFile
-	for _, ent := range ents {
-		name := ent.Name()
-		if !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".snap") {
-			continue
-		}
-		bound, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap"), 16, 64)
-		if err != nil {
-			continue
-		}
-		snaps = append(snaps, snapshotFile{name: name, bound: bound})
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].bound < snaps[j].bound })
-	return snaps, nil
+	sort.Slice(files, func(i, j int) bool { return files[i].lsn < files[j].lsn })
+	return files, nil
 }
 
 // Snapshotter runs fn every interval until stop is closed — the

@@ -285,6 +285,50 @@ func TestCreateDropReplay(t *testing.T) {
 	mustMiss(t, con2, "db", 7)
 }
 
+// TestSnapshotReloadKeepsReach: a recovered lpm engine serves a lookup
+// at the live engine's cost. The /12's sixteen copies each sit in their
+// own home bucket, so no home has a reach; a reload that re-derived reach
+// from each copy's key index would credit all sixteen to the key's one
+// home and walk 16 rows for a 1-row lookup, and every later snapshot
+// would keep the made-up reach.
+func TestSnapshotReloadKeepsReach(t *testing.T) {
+	dir := t.TempDir()
+	con, w, _ := openStack(t, dir, Options{Sync: SyncPolicy{Mode: SyncAlways}})
+	if err := con.CreateEngine("ip", subsystem.LPMEngine, subsystem.TypedConfig{IndexBits: 6}); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	for _, p := range []struct{ mask, hop uint64 }{{0x000fffff, 12}, {0x000000ff, 24}} {
+		prefix := match.Record{Key: bitutil.NewTernary(bitutil.FromUint64(0x0a000000), bitutil.FromUint64(p.mask)), Data: bitutil.FromUint64(p.hop)}
+		if err := con.Insert("ip", prefix); err != nil {
+			t.Fatalf("insert /%d: %v", p.hop, err)
+		}
+	}
+	addr := bitutil.Exact(bitutil.FromUint64(0x0a000001))
+	lookup := func(con *subsystem.Concurrent, when string) {
+		t.Helper()
+		sr, err := con.Search("ip", addr)
+		if err != nil || !sr.Found || sr.Record.Data.Uint64() != 24 || sr.RowsRead != 1 {
+			t.Fatalf("%s: lookup of 10.0.0.1 = found %v hop %d in %d rows, %v; want the /24 in 1 row",
+				when, sr.Found, sr.Record.Data.Uint64(), sr.RowsRead, err)
+		}
+	}
+	lookup(con, "live")
+	if err := w.Snapshot(con.SnapshotImage); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	con2, _, res := openStack(t, dir, Options{Sync: SyncPolicy{Mode: SyncAlways}})
+	lookup(con2, "recovered")
+	i := slices.IndexFunc(res.Engines, func(e *subsystem.Engine) bool { return e.Name == "ip" })
+	if i < 0 || res.Engines[i].Main.Count() != 17 {
+		t.Fatal("the lpm engine's 17 records were not recovered")
+	}
+	for b, sl := 0, res.Engines[i].Main; b < sl.Array().Rows(); b++ {
+		if r := sl.Reach(uint32(b)); r != 0 {
+			t.Fatalf("recovered home %d has reach %d, want 0", b, r)
+		}
+	}
+}
+
 // TestRelaxedPoliciesFlushOnSeal: interval and never modes defer
 // fsync, but Seal flushes everything — nothing acknowledged in the
 // previous life goes missing after a graceful shutdown.
@@ -412,7 +456,7 @@ func stagedVersusRecordAtATime(t *testing.T, snapAt int) {
 	if err := st.loadLatestSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listSegments(dir)
+	segs, err := listFiles(dir, "wal-", ".seg")
 	if err != nil || len(segs) < 3 {
 		t.Fatalf("%d segments (%v), want several", len(segs), err)
 	}
