@@ -125,8 +125,11 @@
 #                       every compiled variant, the commit property, the
 #                       placement-identity schedules (change vs. the
 #                       retained ReadSlot-loop path, word for word, with
-#                       Slice.Verify after every step, ECC and live fault
-#                       injectors included), the Reader torn-read suites
+#                       Slice.Verify after every step and a twin reloaded
+#                       from a freeze keeping the same placement
+#                       bookkeeping, ECC and live fault injectors
+#                       included), Place/DeleteAt's home range check
+#                       (PlaceHomeRange), the Reader torn-read suites
 #                       and the single-slot flip, chaos, the snapshot
 #                       freeze's model check, and replay's dropped-record
 #                       count; then the write path's allocation guards
@@ -347,7 +350,7 @@ crash-harness:
 write-guard:
 	$(GO) test -race -run 'KernelLocate|FieldWriters|ClearSlot' -count=1 ./internal/match
 	$(GO) test -race -run 'CommitRowUpdate' -count=1 ./internal/mem
-	$(GO) test -race -run 'WritePath|Locate|UnchangedCommit|OccupancyMarkModel|TestReader|ScanErrorAtRest' -count=1 ./internal/caram
+	$(GO) test -race -run 'WritePath|Locate|PlaceHomeRange|UnchangedCommit|OccupancyMarkModel|TestReader|ScanErrorAtRest' -count=1 ./internal/caram
 	$(GO) test -race -run 'FreezeModelCheck' -count=3 ./internal/caram
 	$(GO) test -race -run 'Chaos' -count=1 ./internal/subsystem
 	$(GO) test -race -run 'ReplayCountsDropped|FreezesMidWrite|StagedReplay|AppendWaits' -count=1 ./internal/wal

@@ -27,6 +27,9 @@ var (
 	// ErrExists is returned by Insert when the exact key is already
 	// stored and duplicates are not permitted.
 	ErrExists = errors.New("caram: record already present")
+	// ErrUnreadable means an insert met a row it could not read — not
+	// quarantined, but failing past its retry — and stored nothing.
+	ErrUnreadable = errors.New("caram: row unreadable")
 )
 
 // Config describes one CA-RAM slice.
@@ -70,7 +73,7 @@ type Config struct {
 	ECC bool
 	// AllowDuplicates lets Insert store a key its bucket chain already
 	// holds, for multi-value databases. (Duplicating a ternary record
-	// into several buckets is InsertAt's job, not this.)
+	// into each of its homes is Place's job, not this.)
 	AllowDuplicates bool
 }
 

@@ -73,9 +73,9 @@ func TestFreezeModelCheck(t *testing.T) {
 					cursor := len(got) / rw // the next row the walker streams
 					for n := rng.Intn(4); n > 0; n-- {
 						before := logicalImage(s)
-						spilled := s.spilled
+						disp := s.disp
 						freezeWrite(s, tc, rng, cursor, &moved)
-						if s.spilled > spilled {
+						if s.disp > disp {
 							spills++
 						}
 						after := logicalImage(s)

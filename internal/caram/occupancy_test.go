@@ -102,7 +102,7 @@ func TestOccupancyMarkModel(t *testing.T) {
 				if op%2 == 0 {
 					err = s.Insert(rec)
 				} else {
-					err = s.InsertAt(s.Index(rec.Key.Value), rec)
+					_, err = s.Place(s.Index(rec.Key.Value), rec)
 				}
 				if err == nil {
 					model[k] = uint64(step)

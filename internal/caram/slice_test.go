@@ -246,26 +246,24 @@ func TestTernaryLPMInSlice(t *testing.T) {
 	}
 }
 
-func TestInsertAtForeignHomeAndContains(t *testing.T) {
+// TestPlaceHomeRange: Place and DeleteAt refuse a home bucket past the
+// last row, and a record placed at its key's home is found and deleted
+// there.
+func TestPlaceHomeRange(t *testing.T) {
 	s := MustNew(smallConfig())
 	r := rec(0x3, 5)
-	if err := s.InsertAt(7, r); err != nil { // foreign home
-		t.Fatal(err)
-	}
-	if !s.Contains(r.Key) {
-		// Contains locates via Index(key)=3, reach 0 — record at 7 is
-		// invisible there; that's the application's contract with
-		// InsertAt. Just ensure no panic and deterministic result.
-		t.Log("record at foreign home invisible to Contains, as documented")
-	}
-	if err := s.InsertAt(99, r); err == nil {
+	if _, err := s.Place(99, r); err == nil {
 		t.Error("out-of-range home accepted")
 	}
 	if err := s.DeleteAt(99, r.Key); err == nil {
 		t.Error("out-of-range DeleteAt accepted")
 	}
-	if err := s.DeleteAt(7, r.Key); err != nil {
-		t.Errorf("DeleteAt: %v", err)
+	home := s.Index(r.Key.Value)
+	if _, err := s.Place(home, r); err != nil || !s.Contains(r.Key) {
+		t.Fatalf("Place at the key's home: %v, contained %v", err, s.Contains(r.Key))
+	}
+	if err := s.DeleteAt(home, r.Key); err != nil || s.Contains(r.Key) || s.Count() != 0 {
+		t.Errorf("DeleteAt: %v, count %d", err, s.Count())
 	}
 }
 

@@ -193,7 +193,7 @@ type Evaluation6 struct {
 	LoadFactor     float64
 	OverflowingPct float64
 	SpilledPct     float64
-	AMALu          float64
+	AMALu          float64 // per stored copy (Slice.ExpectedRows); Evaluation's is per prefix
 	Unplaced       int
 	Slice          *caram.Slice
 }
@@ -233,14 +233,13 @@ func Evaluate6(table []Prefix6, d Design6) (*Evaluation6, error) {
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Len > ordered[j].Len })
 
 	ev := &Evaluation6{Design: d, Prefixes: len(table), Slice: slice}
-	sum, n := 0.0, 0
 	for _, p := range ordered {
 		key := p.Key()
 		rec := match.Record{Key: key, Data: bitutil.FromUint64(uint64(p.NextHop))}
 		homes := gen.TernaryIndices(key)
 		ev.Duplicates += len(homes) - 1
 		for _, home := range homes {
-			disp, err := slice.Place(home, rec)
+			_, err := slice.Place(home, rec)
 			if err == caram.ErrFull {
 				ev.Unplaced++
 				continue
@@ -248,8 +247,6 @@ func Evaluate6(table []Prefix6, d Design6) (*Evaluation6, error) {
 			if err != nil {
 				return nil, err
 			}
-			sum += float64(1 + disp)
-			n++
 		}
 	}
 	ev.Stored = slice.Count()
@@ -258,8 +255,8 @@ func Evaluate6(table []Prefix6, d Design6) (*Evaluation6, error) {
 	pl := slice.Placement()
 	ev.OverflowingPct = pl.OverflowingPct
 	ev.SpilledPct = pl.SpilledPct
-	if n > 0 {
-		ev.AMALu = sum / float64(n)
+	if ev.Stored > 0 {
+		ev.AMALu = slice.ExpectedRows()
 	}
 	return ev, nil
 }

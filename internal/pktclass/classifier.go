@@ -197,7 +197,7 @@ func NewCARAMClassifier(rules []Rule, cfg CARAMConfig) (*CARAMClassifier, error)
 				continue
 			}
 			for _, home := range homes {
-				if err := slice.InsertAt(home, rec); err == caram.ErrFull {
+				if _, err := slice.Place(home, rec); err == caram.ErrFull {
 					if err := ovfl.Append(rec); err != nil {
 						return nil, fmt.Errorf("pktclass: overflow TCAM: %w", err)
 					}

@@ -193,6 +193,29 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestExplainExpectedDuplicated: on an lpm engine, expected= charges each
+// duplicated copy its displacement from the home it was placed from. At
+// INDEXBITS 6 the /12's sixteen copies each sit in their own home and
+// the /24 in its one, so the model is 1.000, the one row the lookup
+// reads — not a displacement from the bucket the prefix's address alone
+// hashes to.
+func TestExplainExpectedDuplicated(t *testing.T) {
+	s := allocServer()
+	for _, cmd := range []string{
+		"CREATE ENGINE ip TYPE lpm INDEXBITS 6",
+		"MINSERT ip a000000 fffff c", // 10.0.0.0/12
+		"MINSERT ip a000000 ff 18",   // 10.0.0.0/24
+	} {
+		if got := s.Exec(cmd); got != "OK" {
+			t.Fatalf("%s: %q", cmd, got)
+		}
+	}
+	got := s.Exec("EXPLAIN SEARCH ip a000001")
+	if !strings.Contains(got, " rows=1 ") || !strings.Contains(got, " expected=1.000 ") || !strings.Contains(got, " result=HIT ") {
+		t.Fatalf("EXPLAIN ip a000001: %s", got)
+	}
+}
+
 // TestSlowRequestLogged checks the slog hookup: a slowlog admission
 // emits one Warn line carrying the request identity.
 func TestSlowRequestLogged(t *testing.T) {

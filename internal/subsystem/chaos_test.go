@@ -8,9 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"caram/internal/bitutil"
 	"caram/internal/caram"
 	"caram/internal/fault"
 	"caram/internal/hash"
+	"caram/internal/match"
 	"caram/internal/trace"
 )
 
@@ -19,7 +21,8 @@ import (
 // whose memory arrays have live fault injectors (random single/double
 // bit flips, transient read errors, latency spikes, plus stuck cells on
 // engine 0; engine 3 is the §4.3 no-probing array, whose full home
-// buckets refuse inserts with ErrFull). Throughout
+// buckets refuse inserts with ErrFull; an insert that meets a row it
+// cannot read refuses with ErrUnreadable). Throughout
 // the fault phase it asserts:
 //
 //   - no operation panics, deadlocks, or reports an unexpected error;
@@ -136,7 +139,8 @@ func TestChaosEngineUnderFaults(t *testing.T) {
 				switch {
 				case err == nil:
 				case errors.Is(err, ErrEngineUnavailable),
-					errors.Is(err, caram.ErrFull):
+					errors.Is(err, caram.ErrFull),
+					errors.Is(err, caram.ErrUnreadable): // a row on the chain could not be read
 					continue // not stored; nothing to track
 				default:
 					t.Errorf("insert %x on %s: %v", key, port, err)
@@ -238,4 +242,70 @@ func TestChaosEngineUnderFaults(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDuplicatedDeleteAfterReadFaults: a read fault during a duplicated
+// insert cannot leave a copy behind its delete. A /15 has homes 0 and 1
+// on an IndexBits-4 lpm engine; home 0 is full, so its copy probes down
+// home 1's chain, and a transient read error (an injector armed for the
+// insert alone) hits the rows it probes. Had the first copy passed over
+// an unreadable row 1 and the second then landed in it, the delete
+// through home 0 would take the second copy, home 1's would find
+// nothing, and the first would answer for the deleted prefix. Per seed
+// the insert either stores both copies or refuses with ErrUnreadable;
+// either way, after the delete nothing of the /15 remains and
+// 10.0.5.1, under it alone, misses.
+func TestDuplicatedDeleteAfterReadFaults(t *testing.T) {
+	prefix := func(addr uint64, plen int) bitutil.Ternary {
+		return bitutil.NewTernary(bitutil.FromUint64(addr), bitutil.FromUint64(1<<uint(32-plen)-1))
+	}
+	p15 := prefix(0x0a000000, 15)
+	addr := bitutil.Exact(bitutil.FromUint64(0x0a000501))
+	outcomes := map[error]int{}
+	for seed := int64(0); seed < 400; seed++ {
+		e, err := NewTypedEngine("ip", LPMEngine, TypedConfig{IndexBits: 4, Slots: 2, ECC: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if homes := e.Sel.TernaryIndices(p15); len(homes) != 2 || homes[0] != 0 || homes[1] != 1 {
+			t.Fatalf("the /15's homes are %v, want [0 1]", homes)
+		}
+		for _, a := range []uint64{0x0a000100, 0x0a000200} { // home 0's two slots
+			if err := e.Insert(match.Record{Key: prefix(a, 24), Data: bitutil.FromUint64(24)}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inj := fault.New(fault.Config{Seed: seed, PReadErr: 0.5})
+		e.Main.Array().InstallFaults(inj)
+		inj.Enable()
+		ierr := e.Insert(match.Record{Key: p15, Data: bitutil.FromUint64(15)}, nil)
+		inj.Disable()
+		if ierr != nil && !errors.Is(ierr, caram.ErrUnreadable) {
+			t.Fatalf("seed %d: insert: %v", seed, ierr)
+		}
+		outcomes[ierr]++
+		switch derr := e.Delete(p15); {
+		case ierr == nil && derr != nil:
+			t.Fatalf("seed %d: delete of the stored /15: %v", seed, derr)
+		case ierr != nil && !errors.Is(derr, caram.ErrNotFound):
+			t.Fatalf("seed %d: delete of the refused /15: %v", seed, derr)
+		}
+		e.Main.Records(func(b uint32, slot int, r match.Record) bool {
+			if r.Key.Equal(p15) {
+				t.Errorf("seed %d: a copy of the deleted /15 remains at bucket %d slot %d", seed, b, slot)
+			}
+			return true
+		})
+		if sr := e.Search(addr); sr.Found || sr.Erred {
+			t.Fatalf("seed %d: 10.0.5.1 after the delete: found %v hop %d erred %v, want a clean miss",
+				seed, sr.Found, sr.Record.Data.Uint64(), sr.Erred)
+		}
+		if v := e.Main.Verify(); v != "" {
+			t.Fatalf("seed %d: %s", seed, v)
+		}
+	}
+	if outcomes[nil] == 0 || outcomes[caram.ErrUnreadable] == 0 {
+		t.Fatalf("outcomes %v: want seeds that stored the /15 and seeds that refused it", outcomes)
+	}
+	t.Logf("insert outcomes over 400 seeds: %v", outcomes)
 }

@@ -286,21 +286,37 @@ func TestCreateDropReplay(t *testing.T) {
 }
 
 // TestSnapshotReloadKeepsReach: a recovered lpm engine serves a lookup
-// at the live engine's cost. The /12's sixteen copies each sit in their
-// own home bucket, so no home has a reach; a reload that re-derived reach
-// from each copy's key index would credit all sixteen to the key's one
-// home and walk 16 rows for a 1-row lookup, and every later snapshot
-// would keep the made-up reach.
+// at the live engine's cost and keeps the live engine's placement
+// bookkeeping. The /12's sixteen copies each sit in their own home
+// bucket, so home 0 has no reach; a reload that re-derived reach from
+// each copy's key index would credit all sixteen to the key's one home
+// and walk 16 rows for a 1-row lookup, and every later snapshot would
+// keep the made-up reach. A cluster of /24s under 10.5/16 overflows
+// home 5, some of them are deleted, and the recovered Placement,
+// HomeLoads, ExpectedRows, reaches and Verify all equal the live ones.
 func TestSnapshotReloadKeepsReach(t *testing.T) {
 	dir := t.TempDir()
-	con, w, _ := openStack(t, dir, Options{Sync: SyncPolicy{Mode: SyncAlways}})
-	if err := con.CreateEngine("ip", subsystem.LPMEngine, subsystem.TypedConfig{IndexBits: 6}); err != nil {
-		t.Fatalf("create: %v", err)
+	ip, err := subsystem.NewTypedEngine("ip", subsystem.LPMEngine, subsystem.TypedConfig{IndexBits: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	con, w := journaled(t, dir, []*subsystem.Engine{ip}, 0)
+	prefix := func(addr, mask, hop uint64) match.Record {
+		return match.Record{Key: bitutil.NewTernary(bitutil.FromUint64(addr), bitutil.FromUint64(mask)), Data: bitutil.FromUint64(hop)}
 	}
 	for _, p := range []struct{ mask, hop uint64 }{{0x000fffff, 12}, {0x000000ff, 24}} {
-		prefix := match.Record{Key: bitutil.NewTernary(bitutil.FromUint64(0x0a000000), bitutil.FromUint64(p.mask)), Data: bitutil.FromUint64(p.hop)}
-		if err := con.Insert("ip", prefix); err != nil {
+		if err := con.Insert("ip", prefix(0x0a000000, p.mask, p.hop)); err != nil {
 			t.Fatalf("insert /%d: %v", p.hop, err)
+		}
+	}
+	for i := uint64(0); i < 10; i++ { // home 5 holds a /12 copy and 7 of these; 3 spill to home 6
+		if err := con.Insert("ip", prefix(0x0a050000+i<<8, 0xff, 24)); err != nil {
+			t.Fatalf("insert 10.5.%d.0/24: %v", i, err)
+		}
+	}
+	for _, i := range []uint64{0, 9} { // one in its home, one spilled
+		if err := con.Delete("ip", prefix(0x0a050000+i<<8, 0xff, 0).Key); err != nil {
+			t.Fatalf("delete 10.5.%d.0/24: %v", i, err)
 		}
 	}
 	addr := bitutil.Exact(bitutil.FromUint64(0x0a000001))
@@ -313,19 +329,26 @@ func TestSnapshotReloadKeepsReach(t *testing.T) {
 		}
 	}
 	lookup(con, "live")
+	if p := ip.Main.Placement(); p.SpilledRecords != 2 || p.OverflowingBuckets != 1 {
+		t.Fatalf("live placement %+v, want the two /24s still spilled from home 5", p)
+	}
 	if err := w.Snapshot(con.SnapshotImage); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
 	con2, _, res := openStack(t, dir, Options{Sync: SyncPolicy{Mode: SyncAlways}})
 	lookup(con2, "recovered")
 	i := slices.IndexFunc(res.Engines, func(e *subsystem.Engine) bool { return e.Name == "ip" })
-	if i < 0 || res.Engines[i].Main.Count() != 17 {
-		t.Fatal("the lpm engine's 17 records were not recovered")
+	if i < 0 || res.Engines[i].Main.Count() != ip.Main.Count() {
+		t.Fatal("the lpm engine's records were not recovered")
 	}
-	for b, sl := 0, res.Engines[i].Main; b < sl.Array().Rows(); b++ {
-		if r := sl.Reach(uint32(b)); r != 0 {
-			t.Fatalf("recovered home %d has reach %d, want 0", b, r)
+	got := res.Engines[i].Main
+	for b := 0; b < got.Array().Rows(); b++ {
+		if r, want := got.Reach(uint32(b)), ip.Main.Reach(uint32(b)); r != want {
+			t.Fatalf("recovered home %d has reach %d, live %d", b, r, want)
 		}
+	}
+	if diff := samePlacement(ip.Main, got); diff != "" {
+		t.Fatal(diff)
 	}
 }
 
