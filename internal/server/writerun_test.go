@@ -307,6 +307,9 @@ func TestWriteRunRefusedOnceFailed(t *testing.T) {
 // connection keeps creating and dropping. A run resolves its engine once,
 // so it completes on the engine it was admitted to, or fails whole with
 // "no engine"; every reply is one of the two, under the race detector too.
+// An engine that lives through two runs fills up, and a DELETE whose
+// INSERT, the line before it in the same run, was refused as full finds
+// nothing: that one reply may be "not found".
 func TestWriteRunRacesDropEngine(t *testing.T) {
 	s := allocServer()
 	const rounds = 40
@@ -329,9 +332,14 @@ func TestWriteRunRacesDropEngine(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		var out strings.Builder
 		s.Handle(strings.NewReader(stream.String()), &out)
-		for _, r := range strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n") {
+		replies := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+		for j, r := range replies {
 			switch r {
 			case "OK", `ERR subsystem: no engine "tmp"`, "ERR " + caram.ErrExists.Error(), "ERR " + caram.ErrFull.Error():
+			case "ERR " + caram.ErrNotFound.Error():
+				if j == 0 || replies[j-1] != "ERR "+caram.ErrFull.Error() {
+					t.Fatalf("reply %d %q, after %q", j, r, replies[max(j-1, 0)])
+				}
 			default:
 				t.Fatalf("reply %q", r)
 			}
