@@ -133,14 +133,12 @@ func EvaluateWith(db []Entry, d Design, slots, probeLimit int) (*Evaluation, err
 		return nil, err
 	}
 	ev := &Evaluation{Design: d, Entries: len(db), Slice: slice}
-	sumAccesses := 0.0
-	placed := 0
 	for _, e := range db {
 		rec := match.Record{
 			Key:  bitutil.Exact(e.Key()),
 			Data: bitutil.FromUint64(uint64(e.Score)),
 		}
-		disp, err := slice.Place(slice.Index(rec.Key.Value), rec)
+		err := slice.Insert(rec)
 		if err == caram.ErrFull {
 			ev.Unplaced++
 			continue
@@ -151,15 +149,13 @@ func EvaluateWith(db []Entry, d Design, slots, probeLimit int) (*Evaluation, err
 		if err != nil {
 			return nil, err
 		}
-		sumAccesses += float64(1 + disp)
-		placed++
 	}
 	ev.LoadFactor = float64(len(db)) / float64(d.Buckets()*slots)
 	p := slice.Placement()
 	ev.OverflowingPct = p.OverflowingPct
 	ev.SpilledPct = p.SpilledPct
-	if placed > 0 {
-		ev.AMAL = sumAccesses / float64(placed)
+	if slice.Count() > 0 {
+		ev.AMAL = slice.ExpectedRows()
 	}
 	return ev, nil
 }
