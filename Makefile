@@ -1,6 +1,10 @@
 # Build / verification targets.
 #
-#   make check          tier-1: gofmt clean + vet + build + full test suite
+#   make check          tier-1: gofmt clean + vet + build + full test suite,
+#                       then cross-compile checks of the row prefetch
+#                       hint: vet of internal/mem for arm64 (its PRFM
+#                       stub) and a build of everything for 386 (the
+#                       no-op fallback); nothing is run for either
 #   make race           race-detector pass over every package with
 #                       concurrent code (wire, server, subsystem, metrics,
 #                       trace, wal, cluster, caram, match), whole packages
@@ -165,6 +169,8 @@ ci: check race alloc-guard copy-guard layer-guard crash-harness metrics-smoke ex
 check: fmt-check vet
 	$(GO) build ./...
 	$(GO) test ./...
+	GOARCH=arm64 $(GO) vet ./internal/mem
+	GOARCH=386 $(GO) build ./...
 
 # gofmt -l prints the files it would rewrite; any output fails the gate.
 fmt-check:
@@ -256,7 +262,8 @@ COPY_GUARD_FUNCS = \
 	caram/internal/caram.(*Slice).Index caram/internal/caram.(*Slice).step \
 	caram/internal/caram.(*Slice).probe caram/internal/caram.(*Slice).place \
 	caram/internal/caram.(*Slice).locate caram/internal/caram.(*Reader).chain \
-	caram/internal/caram.(*Reader).snapshot caram/internal/caram.(*Reader).LookupBatch \
+	caram/internal/caram.(*Reader).matchRow caram/internal/caram.(*Reader).LookupBatch \
+	caram/internal/caram.(*Slice).scan \
 	caram/internal/caram.(*Slice).SelectWhere caram/internal/caram.(*Slice).UpdateWhere \
 	caram/internal/caram.(*Slice).scanRow caram/internal/caram.(*Slice).SelectChain \
 	caram/internal/subsystem.(*guardedEngine).batchSeq caram/internal/subsystem.(*Concurrent).MSearchServed \

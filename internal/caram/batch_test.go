@@ -41,13 +41,13 @@ func batchTwins(t *testing.T, ecc bool) (a, b *Slice, keys []bitutil.Ternary) {
 func TestReaderLookupBatchEqualsLookups(t *testing.T) {
 	a, b, keys := batchTwins(t, false)
 	ra, rb := a.NewReader(), b.NewReader()
-	out := make([]LookupResult, len(keys))
-	ok := make([]bool, len(keys))
-	displaced, missed := 0, 0
-	at := 0
-	for _, n := range []int{0, 1, BatchChunk - 1, BatchChunk, BatchChunk + 1, 64, 150} {
-		batch := keys[at : at+n]
-		at += n
+	out := make([]LookupResult, 300)
+	ok := make([]bool, len(out))
+	missed, longest := 0, 0
+	var chain []bitutil.Ternary // every displaced key met, for a batch of its own
+	run := func(batch []bitutil.Ternary) {
+		t.Helper()
+		n := len(batch)
 		for i := range out[:n] { // stale contents must not survive
 			out[i], ok[i] = LookupResult{Found: true, RowsRead: 99, Erred: true}, i%2 == 0
 		}
@@ -58,8 +58,9 @@ func TestReaderLookupBatchEqualsLookups(t *testing.T) {
 				t.Fatalf("batch of %d, key %d: LookupBatch = %+v, %v; Lookup = %+v, %v", n, i, out[i], ok[i], want, wantOK)
 			}
 			if want.RowsRead > 1 {
-				displaced++
+				chain = append(chain, k)
 			}
+			longest = max(longest, want.RowsRead)
 			if !want.Found {
 				missed++
 			}
@@ -71,9 +72,21 @@ func TestReaderLookupBatchEqualsLookups(t *testing.T) {
 			t.Fatalf("after a batch of %d: array stats %+v, want %+v", n, a.Array().Stats(), b.Array().Stats())
 		}
 	}
-	if displaced == 0 || missed == 0 {
-		t.Fatalf("key stream exercised %d displaced keys and %d misses; need both", displaced, missed)
+	at := 0
+	for _, n := range []int{0, 1, BatchChunk - 1, BatchChunk, BatchChunk + 1, 64, 65, 150, 300} {
+		batch := make([]bitutil.Ternary, n) // the stream, wrapped round
+		for i := range batch {
+			batch[i] = keys[(at+i)%len(keys)]
+		}
+		at += n
+		run(batch)
 	}
+	if len(chain) == 0 || missed == 0 || longest < 3 {
+		t.Fatalf("key stream exercised %d displaced keys (longest chain %d rows) and %d misses; need both, and a chain of 3", len(chain), longest, missed)
+	}
+	// Displaced keys back to back: every chain runs past its prefetched
+	// home row into rows the match stage hints itself.
+	run(chain[:min(len(chain), len(out))])
 }
 
 // TestReaderLookupBatchEscalatesPerKey: with ECC on, a home row whose

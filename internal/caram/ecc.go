@@ -78,11 +78,14 @@ type EccStats struct {
 	ScrubReleased     uint64 // quarantined rows returned to service
 }
 
-// checkWord computes the row's syndrome|parity pair.
+// checkWord computes the row's syndrome|parity pair. It reads the row
+// with atomic loads, so a Reader may check a live row inside its seqlock
+// window.
 func checkWord(row []uint64) uint64 {
 	var syn uint32
 	pop := 0
-	for w, v := range row {
+	for w := range row {
+		v := atomic.LoadUint64(&row[w])
 		pop += bits.OnesCount64(v)
 		for v != 0 {
 			b := bits.TrailingZeros64(v)

@@ -434,9 +434,9 @@ type idleInjector struct{}
 func (idleInjector) OnRowFetch(uint32, []uint64) (bool, int) { return true, 0 }
 
 // TestReaderWholeRowsUnderECC: with ECC on — or a fault injector
-// installed — a snapshot is the whole row whatever the mark says, so a
-// strike above the mark is still caught by the check word and escalated
-// to the locked path, which corrects it.
+// installed — a Reader's match bound is the whole row whatever the mark
+// says, so a strike above the mark is still caught by the check word
+// and escalated to the locked path, which corrects it.
 func TestReaderWholeRowsUnderECC(t *testing.T) {
 	s := occSlice(true)
 	k := keyAt(s, 3, 0)
@@ -447,8 +447,8 @@ func TestReaderWholeRowsUnderECC(t *testing.T) {
 	if got := int(s.mark[3].Load()); got != 1 {
 		t.Fatalf("mark = %d, want 1", got)
 	}
-	if n, ok := rd.snapshot(3, rd.row); !ok || n != s.layout.Slots() {
-		t.Fatalf("ECC snapshot bound = %d, %v; want the whole row (%d)", n, ok, s.layout.Slots())
+	if n := s.bound(3); n != s.layout.Slots() {
+		t.Fatalf("ECC read bound = %d; want the whole row (%d)", n, s.layout.Slots())
 	}
 	// Flip one bit in the last slot — far above the mark.
 	row := append([]uint64(nil), s.Array().PeekRow(3)...)
@@ -469,13 +469,15 @@ func TestReaderWholeRowsUnderECC(t *testing.T) {
 	if err := f.Insert(seqRec(k, 1)); err != nil {
 		t.Fatal(err)
 	}
-	frd := f.NewReader()
 	home := f.Index(bitutil.FromUint64(k))
-	if n, ok := frd.snapshot(home, frd.row); !ok || n != 1 {
-		t.Fatalf("plain snapshot bound = %d, %v; want the mark (1)", n, ok)
+	if n := f.bound(home); n != 1 {
+		t.Fatalf("plain read bound = %d; want the mark (1)", n)
 	}
 	f.Array().InstallFaults(idleInjector{})
-	if n, ok := frd.snapshot(home, frd.row); !ok || n != f.layout.Slots() {
-		t.Fatalf("snapshot bound with an injector = %d, %v; want the whole row", n, ok)
+	if n := f.bound(home); n != f.layout.Slots() {
+		t.Fatalf("read bound with an injector = %d; want the whole row", n)
+	}
+	if lr, ok := f.NewReader().Lookup(seqKey(k), nil); !ok || !lr.Found {
+		t.Fatalf("Reader lookup with an injector = %+v, %v", lr, ok)
 	}
 }

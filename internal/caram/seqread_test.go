@@ -346,3 +346,125 @@ func TestReaderZeroAlloc(t *testing.T) {
 		t.Fatalf("lock-free lookup allocated %.1f times per run, want 0", n)
 	}
 }
+
+// TestReaderInPlaceFlipStress holds the in-place read to its window: one
+// writer flips a row between two published states whose records differ
+// in key, data, slot and reach (the second state's reach exposes a
+// shadowed copy of one key in the next row), while Readers run Lookup,
+// LookupBatch of more than two pipeline distances of keys, and the
+// ranked LookupBest. Every certified answer must be one of the two
+// states' answers, as the locked path gives them; a row counted on a
+// version validated before its last word was read — the reach, or a
+// record scored by LookupBest — mixes the states and fails here. Run
+// under -race by `make seqlock-guard`.
+func TestReaderInPlaceFlipStress(t *testing.T) {
+	const (
+		nReaders = 4
+		minFlips = 4_000
+		minReads = 500_000
+		minTorn  = 50_000
+	)
+	s := seqSlice(false)
+	h := uint32(5)
+	var k [5]uint64 // kA, kB, kC, kY, kZ: all homed at h
+	for i := range k {
+		k[i] = keyAt(s, h, i)
+	}
+	kA, kB, kC, kY, kZ := k[0], k[1], k[2], k[3], k[4]
+	l := s.Layout()
+	state := func(aux uint64, recs ...match.Record) []uint64 {
+		row := make([]uint64, s.Array().RowWords())
+		for i, r := range recs {
+			if err := l.WriteSlot(row, i, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.WriteAux(row, aux)
+		return row
+	}
+	// Both states fill slots 0-2, so the mark stays 3 across flips.
+	states := [2][]uint64{
+		state(0, seqRec(kC, 100), seqRec(kA, 0xA), seqRec(kZ, 0x5)),
+		state(1, seqRec(kB, 0xB), seqRec(kC, 200), seqRec(kY, 20)),
+	}
+	publish := func(idx uint32, row []uint64) {
+		s.updateRow(idx, true, func(w []uint64) error { copy(w, row); return nil })
+	}
+	publish(h+1, state(0, seqRec(kY, 9))) // reached only by state 1
+	publish(h, states[0])
+	s.rebuildMarks() // a publish moves a mark one slot up at most
+	byData := func(r match.Record) int { return int(r.Data.Uint64()) }
+	var want [2][len(k)][2]LookupResult // [state][key][Lookup, LookupBest]
+	for st := range states {
+		publish(h, states[st])
+		for i, key := range k {
+			want[st][i] = [2]LookupResult{s.Lookup(seqKey(key)), s.LookupBest(seqKey(key), byData)}
+		}
+	}
+	if want[0][3][0].Found || !want[1][3][0].Found || want[0][0][0] == want[1][0][0] {
+		t.Fatalf("states do not separate: %+v", want)
+	}
+
+	var done atomic.Bool
+	var reads, retries atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < nReaders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rd := s.NewReader()
+			check := func(kind, i int, got LookupResult) bool {
+				reads.Add(1)
+				if got != want[0][i][kind] && got != want[1][i][kind] {
+					t.Errorf("reader %d, kind %d, key %x: certified %+v, which neither state gives (%+v / %+v)",
+						g, kind, k[i], got, want[0][i][kind], want[1][i][kind])
+					return false
+				}
+				return true
+			}
+			var (
+				keys [2*BatchChunk + 3]bitutil.Ternary
+				out  [len(keys)]LookupResult
+				oks  [len(keys)]bool
+			)
+			for j := range keys {
+				keys[j] = seqKey(k[j%len(k)])
+			}
+			for n := 0; !done.Load(); n++ {
+				i := (g + n) % len(k)
+				if got, ok := rd.Lookup(seqKey(k[i]), nil); ok && !check(0, i, got) {
+					return
+				}
+				if got, ok := rd.LookupBest(seqKey(k[i]), byData, nil); ok && !check(1, i, got) {
+					return
+				}
+				if n%8 == 0 {
+					rd.LookupBatch(keys[:], out[:], oks[:])
+					for j := range keys {
+						if oks[j] && !check(0, j%len(k), out[j]) {
+							return
+						}
+					}
+				}
+				retries.Add(uint64(rd.TakeRetries()))
+				runtime.Gosched() // interleave with the writer even on one CPU
+			}
+		}(g)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for flip := 0; !t.Failed() && (flip < minFlips || (reads.Load() < minReads || retries.Load() < minTorn) && time.Now().Before(deadline)); flip++ {
+		publish(h, states[flip%2])
+		if flip%16 == 0 {
+			runtime.Gosched()
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if reads.Load() == 0 {
+		t.Fatal("no certified reads completed; harness exercised nothing")
+	}
+	if retries.Load() == 0 {
+		t.Fatal("no Reader ever met a torn row; the flips did not interleave with the reads")
+	}
+	t.Logf("certified reads=%d torn rows re-read=%d", reads.Load(), retries.Load())
+}

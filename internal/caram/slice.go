@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 
 	"caram/internal/bitutil"
 	"caram/internal/hash"
@@ -50,7 +51,6 @@ type Slice struct {
 	homeLoad []int32                // copies homed at each bucket, wherever they sit: Figure 7's quantity
 	spill    []int32                // copies homed at each bucket that sit outside it (Table 2's spills)
 	disp     int                    // the stored copies' displacements from their homes, summed
-	touched  uint64                 // what Touch loaded, summed
 	stats    sliceStats             // Readers add to it per lookup: one cache line, not ecc's
 	frozen   Freeze
 }
@@ -227,19 +227,23 @@ func (s *Slice) book(home uint32, d int, n int32) {
 
 // Touch is the write path's touch stage, Table 1's pipeline turned on
 // writes: the row accesses of a chunk of writes are issued back to back
-// before the first of them applies. For each home row it loads what an
-// insert or delete reads first — the row's first and last word (the aux
-// field's), its seqlock version, occupancy mark and home-load count —
-// so that the chunk's cache misses overlap and the writes that follow,
-// in order, find their rows resident. It changes and charges nothing.
-// The caller holds the port lock.
+// before the first of them applies. For each home row it hints what an
+// insert or delete reads first — the lines prefetch hints, and the
+// row's home-load count — so that the chunk's cache misses overlap and
+// the writes that follow, in order, find their rows resident. It
+// changes and charges nothing. The caller holds the port lock.
 func (s *Slice) Touch(homes []uint32) {
-	sum := s.touched
 	for _, h := range homes {
-		row := s.array.PeekRow(h)
-		sum += row[0] + row[len(row)-1] + uint64(s.array.RowVersion(h)) + uint64(s.mark[h].Load()) + uint64(s.homeLoad[h])
+		s.prefetch(h)
+		mem.Prefetch(unsafe.Pointer(&s.homeLoad[h]))
 	}
-	s.touched = sum // kept, so that the loads are not compiled away
+}
+
+// prefetch issues cache hints for the lines a read of row idx starts
+// with: the row's version, first and last (aux) lines, and its mark.
+func (s *Slice) prefetch(idx uint32) {
+	s.array.Prefetch(idx)
+	mem.Prefetch(unsafe.Pointer(&s.mark[idx]))
 }
 
 // updateRow is the slice's one write path to a stored row: the array
@@ -308,9 +312,9 @@ func (s *Slice) bound(idx uint32) int {
 func (s *Slice) wholeRows() bool { return s.ecc != nil || s.array.FaultsInstalled() }
 
 // markWords returns how many leading words of a row hold its first n
-// slots, stopping short of the aux words: the span of a row whose mark is
-// n that a Reader's snapshot copies, the aux words apart.
-// Every word from there up to auxWord is zero (Verify holds it).
+// slots, stopping short of the aux words: the span a bounded match of a
+// row whose mark is n reads, the aux words apart. Every word from there
+// up to auxWord is zero (Verify holds it).
 func (s *Slice) markWords(n int) int { return min(bitutil.RowWords(n*s.slotBits), s.auxWord) }
 
 // rebuildMarks recomputes every occupancy mark from the stored rows,
@@ -443,7 +447,8 @@ func (s *Slice) probe(search bitutil.Ternary, score func(match.Record) int, tr *
 			continue
 		}
 		s.bank.SearchPrefixInto(&s.res, row, search, s.bound(idx))
-		if s.step(&w, idx, d, row, &s.res, score, tr) {
+		reach, best := s.scan(d, row, &s.res, score)
+		if s.step(&w, idx, d, reach, best, &s.res, score, tr) {
 			break
 		}
 	}
@@ -460,15 +465,43 @@ type walk struct {
 	slots, matches, passes int
 }
 
-// step folds one fetched, matched row into the walk — the per-row step
-// the port-locked loop (probe) and the seqlock loop (Reader.chain)
-// share: count the row, take the reach from the home row, record the
-// probe, and keep the first match or the best-scoring one. It reports
+// scan reads from one matched row the rest of what step folds: the
+// reach, from the home row (d == 0), and for a ranked walk the row's
+// best-scoring hit, which replaces m.Record (the row's first hit), and
+// its score. Slots are visited in ascending order and only a strictly
+// higher score displaces the holder, so ties stay with the earliest
+// slot, and folding the rows' bests in probe order keeps the earliest
+// (row, slot) of the best score. It reads the row and nothing else: a
+// Reader runs it inside the row's seqlock window.
+func (s *Slice) scan(d int, row []uint64, m *match.Result, score func(match.Record) int) (reach, best int) {
+	if d == 0 {
+		reach = int(s.layout.ReadAux(row))
+	}
+	if score == nil {
+		return reach, 0
+	}
+	found := false
+	for w, v := range m.Vector {
+		for ; v != 0; v &= v - 1 {
+			rec, _ := s.layout.ReadSlot(row, w*64+bits.TrailingZeros64(v))
+			if sc := score(rec); !found || sc > best {
+				found, m.Record, best = true, rec, sc
+			}
+		}
+	}
+	return reach, best
+}
+
+// step folds one matched row, as scan read it, into the walk — the
+// per-row step the port-locked loop (probe) and the seqlock loop
+// (Reader.chain) share: count the row, take the home row's reach, record
+// the probe, and keep the first match or the best-scoring one. It reads
+// no row, so a Reader runs it only once the row validated. It reports
 // whether the chain is decided.
-func (s *Slice) step(w *walk, idx uint32, d int, row []uint64, m *match.Result, score func(match.Record) int, tr *trace.Trace) bool {
+func (s *Slice) step(w *walk, idx uint32, d, reach, best int, m *match.Result, score func(match.Record) int, tr *trace.Trace) bool {
 	w.res.RowsRead++
 	if d == 0 {
-		w.reach = int(s.layout.ReadAux(row))
+		w.reach = reach
 	}
 	if tr.Enabled() {
 		tr.Probe(idx, d, m.SlotsTested, m.Count, m.Matched())
@@ -483,7 +516,9 @@ func (s *Slice) step(w *walk, idx uint32, d int, row []uint64, m *match.Result, 
 		w.res.Found, w.res.Record, w.res.Multi = true, m.Record, m.Multi()
 		return true
 	}
-	s.best(w.res, &w.bestScore, row, m.Vector, score)
+	if !w.res.Found || best > w.bestScore {
+		w.res.Found, w.res.Record, w.bestScore = true, m.Record, best
+	}
 	return false
 }
 
@@ -492,21 +527,6 @@ func (s *Slice) finish(w *walk, tr *trace.Trace) {
 	if tr.Enabled() {
 		tr.Match(w.slots, w.matches, w.passes)
 		tr.Lookup(w.res.HomeBucket, w.reach, w.res.RowsRead, w.res.Found)
-	}
-}
-
-// best folds one row's matched slots into the running best-scoring
-// record. Slots are visited in ascending order and only a strictly
-// higher score displaces the holder, so ties stay with the earliest
-// (row, slot) match.
-func (s *Slice) best(res *LookupResult, bestScore *int, row, vec []uint64, score func(match.Record) int) {
-	for w, v := range vec {
-		for ; v != 0; v &= v - 1 {
-			rec, _ := s.layout.ReadSlot(row, w*64+bits.TrailingZeros64(v))
-			if sc := score(rec); !res.Found || sc > *bestScore {
-				res.Found, res.Record, *bestScore = true, rec, sc
-			}
-		}
 	}
 }
 

@@ -92,18 +92,19 @@ func (l Layout) ReadSlot(row []uint64, i int) (rec Record, ok bool) {
 
 // field64 reads n <= 64 bits at bit offset off of the row — GetBits for
 // fields of at most one word, without the 128-bit gather. Bits beyond
-// the end of the row read as zero.
+// the end of the row read as zero. Words are read as the comparators
+// read them (load), so a lock-free reader may decode a live row.
 func field64(row []uint64, off, n int) uint64 {
 	if n <= 0 {
 		return 0
 	}
-	w, s := int(uint(off)>>6), uint(off)&63
+	w, s := uint32(uint(off)>>6), uint(off)&63
 	var v uint64
-	if w < len(row) {
-		v = row[w] >> s
+	if int(w) < len(row) {
+		v = load(row, w) >> s
 	}
-	if s+uint(n) > 64 && w+1 < len(row) {
-		v |= row[w+1] << (64 - s)
+	if s+uint(n) > 64 && int(w)+1 < len(row) {
+		v |= load(row, w+1) << (64 - s)
 	}
 	return v & (^uint64(0) >> uint(64-n))
 }
@@ -170,7 +171,7 @@ func (l Layout) ClearSlot(row []uint64, i int) {
 // SlotValid reports whether slot i holds a record.
 func (l Layout) SlotValid(row []uint64, i int) bool {
 	base := uint(l.slotBase(i))
-	return int(base>>6) < len(row) && row[base>>6]>>(base&63)&1 == 1
+	return int(base>>6) < len(row) && load(row, uint32(base>>6))>>(base&63)&1 == 1
 }
 
 // UsedSlots returns 1 + the index of the row's highest valid slot (0

@@ -2,6 +2,7 @@ package match
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"caram/internal/bitutil"
 )
@@ -62,8 +63,13 @@ type query struct {
 // upper part coming from word w2. (The &63s tell the compiler the shift
 // counts are in range; <<1<<(63-s) is <<(64-s) with s = 0 yielding 0.)
 func funnel(row []uint64, w, w2 uint32, s uint8) uint64 {
-	return row[w]>>(s&63) | row[w2]<<1<<((63-s)&63)
+	return load(row, w)>>(s&63) | load(row, w2)<<1<<((63-s)&63)
 }
+
+// load is the kernel's one read of a row word: an atomic load, so that a
+// lock-free reader may match a live row (caram.Reader validates its
+// version afterwards). On amd64 it compiles to a plain MOV.
+func load(row []uint64, w uint32) uint64 { return atomic.LoadUint64(&row[w]) }
 
 // newMatcher compiles the comparator bank for a layout served by p
 // match processors (p <= 0: one per slot, the desirable case of §3.1).
@@ -185,28 +191,30 @@ func (m *matcher) record(rec *Record, row []uint64, p *slotPos) {
 // match bits and how many of them were valid. Each is branch-free per
 // slot — how full a row is and which slot holds the key are data no
 // predictor learns, and a mispredict costs more than the few operations
-// it would skip — and keeps its match bits in a register.
+// it would skip — and keeps its match bits in a register. The query and
+// slot fields go to locals first: read after an atomic load, a field
+// behind a pointer would be read again.
 
 // hit is one comparator's verdict: the slot is valid (v) and no
 // cared-for bit differs (d == 0).
 func hit(v, d uint64) uint64 { return v &^ ((d | -d) >> 63) }
 
 func scanBinary1(row []uint64, slots []slotPos, q *query) (hits, valid uint64) {
-	for i := range slots {
-		p := &slots[i]
-		v := row[p.vw] >> (p.vs & 63) & 1
+	care, want := q.careLo, q.wantLo
+	for i, p := range slots {
+		v := load(row, p.vw) >> (p.vs & 63) & 1
 		valid += v
-		hits |= hit(v, funnel(row, p.kw, p.kw2, p.ks)&q.careLo^q.wantLo) << (uint(i) & 63)
+		hits |= hit(v, funnel(row, p.kw, p.kw2, p.ks)&care^want) << (uint(i) & 63)
 	}
 	return hits, valid
 }
 
 func scanBinary2(row []uint64, slots []slotPos, q *query) (hits, valid uint64) {
-	for i := range slots {
-		p := &slots[i]
-		v := row[p.vw] >> (p.vs & 63) & 1
-		d := funnel(row, p.kw, p.kw+1, p.ks)&q.careLo ^ q.wantLo
-		d |= funnel(row, p.kw+1, p.kw2, p.ks)&q.careHi ^ q.wantHi
+	careLo, careHi, wantLo, wantHi := q.careLo, q.careHi, q.wantLo, q.wantHi
+	for i, p := range slots {
+		v := load(row, p.vw) >> (p.vs & 63) & 1
+		d := funnel(row, p.kw, p.kw+1, p.ks)&careLo ^ wantLo
+		d |= funnel(row, p.kw+1, p.kw2, p.ks)&careHi ^ wantHi
 		valid += v
 		hits |= hit(v, d) << (uint(i) & 63)
 	}
@@ -214,10 +222,10 @@ func scanBinary2(row []uint64, slots []slotPos, q *query) (hits, valid uint64) {
 }
 
 func scanTernary1(row []uint64, slots []slotPos, q *query) (hits, valid uint64) {
-	for i := range slots {
-		p := &slots[i]
-		v := row[p.vw] >> (p.vs & 63) & 1
-		d := (funnel(row, p.kw, p.kw2, p.ks)&q.careLo ^ q.wantLo) &^ funnel(row, p.mw, p.mw2, p.ms)
+	care, want := q.careLo, q.wantLo
+	for i, p := range slots {
+		v := load(row, p.vw) >> (p.vs & 63) & 1
+		d := (funnel(row, p.kw, p.kw2, p.ks)&care ^ want) &^ funnel(row, p.mw, p.mw2, p.ms)
 		valid += v
 		hits |= hit(v, d) << (uint(i) & 63)
 	}
@@ -225,11 +233,11 @@ func scanTernary1(row []uint64, slots []slotPos, q *query) (hits, valid uint64) 
 }
 
 func scanTernary2(row []uint64, slots []slotPos, q *query) (hits, valid uint64) {
-	for i := range slots {
-		p := &slots[i]
-		v := row[p.vw] >> (p.vs & 63) & 1
-		d := (funnel(row, p.kw, p.kw+1, p.ks)&q.careLo ^ q.wantLo) &^ funnel(row, p.mw, p.mw+1, p.ms)
-		d |= (funnel(row, p.kw+1, p.kw2, p.ks)&q.careHi ^ q.wantHi) &^ funnel(row, p.mw+1, p.mw2, p.ms)
+	careLo, careHi, wantLo, wantHi := q.careLo, q.careHi, q.wantLo, q.wantHi
+	for i, p := range slots {
+		v := load(row, p.vw) >> (p.vs & 63) & 1
+		d := (funnel(row, p.kw, p.kw+1, p.ks)&careLo ^ wantLo) &^ funnel(row, p.mw, p.mw+1, p.ms)
+		d |= (funnel(row, p.kw+1, p.kw2, p.ks)&careHi ^ wantHi) &^ funnel(row, p.mw+1, p.mw2, p.ms)
 		valid += v
 		hits |= hit(v, d) << (uint(i) & 63)
 	}

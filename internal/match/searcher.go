@@ -60,7 +60,9 @@ func (sr *Searcher) SearchInto(res *Result, row []uint64, search bitutil.Ternary
 // SearchPrefixInto is SearchInto over slots [0, n) only, for a caller
 // that knows every slot from n up is empty: the result is SearchInto's,
 // at the cost of n comparators, and row words beyond slot n-1 are not
-// read — so the row may be a snapshot of just those words.
+// read. Every word is read with an atomic load, so the row may be live
+// storage a writer publishes into, for a caller that validates the
+// row's version afterwards (caram.Reader).
 func (sr *Searcher) SearchPrefixInto(res *Result, row []uint64, search bitutil.Ternary, n int) {
 	sr.m.search(res, row, search, n)
 }

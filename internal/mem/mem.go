@@ -10,6 +10,7 @@ package mem
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"caram/internal/bitutil"
 )
@@ -106,12 +107,12 @@ type RowFaultInjector interface {
 //     only while the caller serializes against writers: FetchRow, the
 //     one charged row read (through an installed fault injector), and
 //     the uncharged PeekRow and PeekWords;
-//   - lock-free snapshot reads (TryPeekRow, or LoadWords between two
-//     RowVersion loads) copy a row out under a per-row seqlock — a
-//     version counter that is odd while a writer is mutating the row
-//     and even once the new contents are published — so a snapshot
-//     whose version was even and unchanged across the copy is a
-//     complete published row, never a torn mix of two writes.
+//   - lock-free reads run under a per-row seqlock — a version counter
+//     that is odd while a writer is mutating the row and even once the
+//     new contents are published: TryPeekRow copies a row out, or a
+//     caller reads the PeekRow alias in place with atomic loads between
+//     two RowVersion loads. What was read while the version stayed even
+//     and unchanged is one published row, never a torn mix of two.
 //
 // Every write goes through the seqlock: record writes through
 // BeginRowUpdate (charged) or BeginRowMaint (uncharged) and
@@ -225,8 +226,9 @@ func (a *Array) FetchRow(idx uint32) ([]uint64, bool) {
 	return a.fetchBuf, ok
 }
 
-// PeekRow returns a row without charging an access — for assertions,
-// dumps and tests only.
+// PeekRow returns a row without charging an access: the port-locked
+// reader's alias, and the row a lock-free Reader matches in place with
+// atomic loads inside the row's seqlock window (RowVersion).
 func (a *Array) PeekRow(idx uint32) []uint64 { return a.row(idx) }
 
 // BeginRowUpdate opens a row's seqlock write window, charging a write
@@ -303,8 +305,8 @@ func (a *Array) publishRow(idx uint32, src []uint64) {
 }
 
 // RowVersion returns a row's current seqlock version (odd while a
-// write window is open): the two ends of a snapshot read built on
-// LoadWords, and a probe for tests that pin the publication protocol.
+// write window is open): the two ends of an in-place read of PeekRow,
+// and a probe for tests that pin the publication protocol.
 func (a *Array) RowVersion(idx uint32) uint32 { return a.seq[idx].Load() }
 
 // TryPeekRow copies one row into dst (len >= the row's word count)
@@ -313,8 +315,8 @@ func (a *Array) RowVersion(idx uint32) uint32 { return a.seq[idx].Load() }
 // window overlapped the copy; the caller retries or escalates to the
 // port-locked path. A true return guarantees dst is a complete
 // published row: the version was even before the copy and unchanged
-// after it. Lookups account the rows they fetched this way with
-// ChargeRowReads; uncharged inspection paths (Contains) do not.
+// after it. A freeze's copy-on-write capture (caram.Freeze) reads rows
+// this way.
 func (a *Array) TryPeekRow(idx uint32, dst []uint64) bool {
 	row := a.row(idx)
 	v1 := a.seq[idx].Load()
@@ -327,23 +329,18 @@ func (a *Array) TryPeekRow(idx uint32, dst []uint64) bool {
 	return a.seq[idx].Load() == v1
 }
 
-// LoadWords copies words [lo, hi) of one row into dst[lo:hi] with
-// atomic loads, charging nothing: the copy step of a snapshot read for
-// a caller that runs the seqlock protocol itself because it knows which
-// words it needs — RowVersion before (must be even), LoadWords, then
-// RowVersion again (must be unchanged), exactly as TryPeekRow does for
-// the whole row.
-func (a *Array) LoadWords(idx uint32, dst []uint64, lo, hi int) {
+// Prefetch hints what a read of row idx starts with: its seqlock version,
+// its first line and its last (the aux field's). It changes nothing.
+func (a *Array) Prefetch(idx uint32) {
 	row := a.row(idx)
-	for w := lo; w < hi; w++ {
-		dst[w] = atomic.LoadUint64(&row[w])
-	}
+	Prefetch(unsafe.Pointer(&a.seq[idx]))
+	Prefetch(unsafe.Pointer(&row[0]))
+	Prefetch(unsafe.Pointer(&row[len(row)-1]))
 }
 
 // ChargeRowReads charges n row read accesses at once — what n FetchRow
 // calls would add, in one atomic add per counter. Lock-free readers
-// snapshot rows uncharged (TryPeekRow) and settle the bill per lookup
-// or per batch chunk.
+// read rows uncharged and settle the bill per lookup or per batch.
 func (a *Array) ChargeRowReads(n int) {
 	if n > 0 {
 		a.stats.rowReads.Add(uint64(n))

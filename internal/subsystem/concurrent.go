@@ -64,6 +64,10 @@ type Concurrent struct {
 	// down gates every operation after Close: a single atomic load on
 	// the op path.
 	down atomic.Bool
+
+	// spare is the scratch MSearch borrows, so that an unserved batch
+	// allocates only its answer (a caller that finds it taken makes one).
+	spare atomic.Pointer[MSearchScratch]
 }
 
 // engineSet is one immutable roster snapshot.
@@ -89,10 +93,10 @@ type guardedEngine struct {
 	em *metrics.EngineMetrics // nil when uninstrumented
 
 	// readers caches per-goroutine caram.Readers; each carries its own
-	// snapshot buffer and match kernel, so a cached Reader is reused
+	// match kernel and result scratch, so a cached Reader is reused
 	// without any cross-goroutine shared mutable state.
 	readers *readerCache
-	// retries counts torn seqlock snapshots re-read by this engine's
+	// retries counts torn rows re-read by this engine's
 	// lock-free searches; fallbacks counts searches that escalated to
 	// the serialized path. Exported as caram_search_retries_total /
 	// caram_search_lock_fallbacks_total.
@@ -884,27 +888,39 @@ type mjob struct {
 // not within a batch. Results come back in request order; an unknown
 // port yields a per-slot error rather than failing the batch.
 //
-// Bookkeeping costs two allocations whatever the batch holds: out, and
-// one slab whose first half records each request's group and whose
-// second half is carved into the groups' index lists. A run of requests
-// naming the same port resolves its engine once.
+// The bookkeeping lives in a borrowed MSearchScratch: its slab's first
+// half records each request's group and its second half is carved into
+// the groups' index lists. A batch allocates its answer, a copy of the
+// scratch's slots, and nothing else once the scratch has grown to it. A
+// run of requests naming the same port resolves its engine once.
 func (c *Concurrent) MSearch(reqs []PortKey) []MSearchResult {
-	return c.MSearchServed(reqs, nil, new(MSearchScratch))
+	sc := c.spare.Swap(nil)
+	if sc == nil {
+		sc = new(MSearchScratch)
+	}
+	out := slices.Clone(c.MSearchServed(reqs, nil, sc))
+	c.spare.Store(sc)
+	return out
 }
 
-// MSearchScratch is one MSearch's bookkeeping — the result slots and the
-// grouping slab — kept by a caller that serves many, so that a served
-// batch allocates nothing (the server pools one with each parsed key
-// list). The zero value is ready.
+// MSearchScratch is one MSearch's bookkeeping — the result slots, the
+// grouping slab, and an engine group's keys and answers as the Reader's
+// batch pipeline takes them — kept by a caller that serves many, so
+// that a served batch allocates nothing (the server pools one with each
+// parsed key list). The zero value is ready.
 type MSearchScratch struct {
 	out  []MSearchResult
 	slab []int
+	keys []bitutil.Ternary
+	res  []caram.LookupResult
+	ok   []bool
 }
 
 // take sizes the scratch for n requests and returns it, the slots zeroed.
 func (sc *MSearchScratch) take(n int) (out []MSearchResult, slab []int) {
 	if cap(sc.out) < n {
 		sc.out, sc.slab = make([]MSearchResult, n), make([]int, 2*n)
+		sc.keys, sc.res, sc.ok = make([]bitutil.Ternary, n), make([]caram.LookupResult, n), make([]bool, n)
 	}
 	out = sc.out[:n]
 	clear(out)
@@ -951,9 +967,9 @@ func (c *Concurrent) MSearchServed(reqs []PortKey, ck *Clock, sc *MSearchScratch
 	if len(jobs) == 0 {
 		return out
 	}
-	c.runBatch(jobs[0].g, reqs, out, jobs[0].idxs, ck)
+	c.runBatch(jobs[0].g, reqs, out, jobs[0].idxs, ck, sc)
 	for _, j := range jobs[1:] {
-		c.runBatch(j.g, reqs, out, j.idxs, nil)
+		c.runBatch(j.g, reqs, out, j.idxs, nil, sc)
 	}
 	if ck != nil && len(jobs) > 1 {
 		ck.Dur = 0
@@ -966,9 +982,9 @@ func (c *Concurrent) MSearchServed(reqs []PortKey, ck *Clock, sc *MSearchScratch
 // the lock stage then takes the engine lock once for the keys the
 // seqlock protocol could not certify, if any. One clock pair spans
 // both, and each key is attributed its per-item slice of the duration.
-func (c *Concurrent) runBatch(g *guardedEngine, reqs []PortKey, out []MSearchResult, idxs []int, ck *Clock) {
+func (c *Concurrent) runBatch(g *guardedEngine, reqs []PortKey, out []MSearchResult, idxs []int, ck *Clock, sc *MSearchScratch) {
 	t0 := ck.begin(g.em != nil)
-	if rest := g.batchSeq(reqs, out, idxs); len(rest) > 0 {
+	if rest := g.batchSeq(reqs, out, idxs, sc); len(rest) > 0 {
 		erred := false
 		g.mu.Lock()
 		for _, i := range rest {
@@ -986,11 +1002,12 @@ func (c *Concurrent) runBatch(g *guardedEngine, reqs []PortKey, out []MSearchRes
 }
 
 // batchSeq is the batch body's lock-free stage, with no mutex
-// operations: first-match engines go through the Reader's staged batch
-// pipeline (caram.Reader.LookupBatch), ranked engines key by key on
+// operations: first-match engines hand their whole group to the
+// Reader's staged batch pipeline (caram.Reader.LookupBatch) in one call,
+// its keys and answers in sc; ranked engines go key by key on
 // LookupBest, whose full-reach scan has no home-row fast case to batch.
 // It returns the keys it could not certify, counted as fallbacks.
-func (g *guardedEngine) batchSeq(reqs []PortKey, out []MSearchResult, idxs []int) (rest []int) {
+func (g *guardedEngine) batchSeq(reqs []PortKey, out []MSearchResult, idxs []int, sc *MSearchScratch) (rest []int) {
 	rd := g.readers.get()
 	if g.e.Score != nil {
 		for _, i := range idxs {
@@ -1002,25 +1019,17 @@ func (g *guardedEngine) batchSeq(reqs []PortKey, out []MSearchResult, idxs []int
 			out[i].Result = sr
 		}
 	} else {
-		var (
-			keys [caram.BatchChunk]bitutil.Ternary
-			res  [caram.BatchChunk]caram.LookupResult
-			ok   [caram.BatchChunk]bool
-		)
-		for todo := idxs; len(todo) > 0; {
-			n := min(len(todo), len(keys))
-			for k, i := range todo[:n] {
-				keys[k] = reqs[i].Key
+		keys, res, ok := sc.keys[:len(idxs)], sc.res[:len(idxs)], sc.ok[:len(idxs)]
+		for k, i := range idxs {
+			keys[k] = reqs[i].Key
+		}
+		rd.LookupBatch(keys, res, ok)
+		for k, i := range idxs {
+			if !ok[k] {
+				rest = append(rest, i)
+				continue
 			}
-			rd.LookupBatch(keys[:n], res[:n], ok[:n])
-			for k, i := range todo[:n] {
-				if !ok[k] {
-					rest = append(rest, i)
-					continue
-				}
-				fromLookup(&out[i].Result, &res[k])
-			}
-			todo = todo[n:]
+			fromLookup(&out[i].Result, &res[k])
 		}
 	}
 	g.release(rd)
