@@ -2,9 +2,11 @@
 #
 #   make check          tier-1: gofmt clean + vet + build + full test suite,
 #                       then cross-compile checks of the row prefetch
-#                       hint: vet of internal/mem for arm64 (its PRFM
-#                       stub) and a build of everything for 386 (the
-#                       no-op fallback); nothing is run for either
+#                       hint: vet and build of internal/mem for arm64
+#                       (vet checks its PRFM stub's frame, only the build
+#                       assembles the stub's range loop) and a build of
+#                       everything for 386 (the no-op fallback); nothing
+#                       is run for either
 #   make race           race-detector pass over every package with
 #                       concurrent code (wire, server, subsystem, metrics,
 #                       trace, wal, cluster, caram, match), whole packages
@@ -170,6 +172,7 @@ check: fmt-check vet
 	$(GO) build ./...
 	$(GO) test ./...
 	GOARCH=arm64 $(GO) vet ./internal/mem
+	GOARCH=arm64 $(GO) build ./internal/mem
 	GOARCH=386 $(GO) build ./...
 
 # gofmt -l prints the files it would rewrite; any output fails the gate.

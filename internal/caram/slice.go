@@ -155,6 +155,20 @@ func (s *Slice) Insert(rec match.Record) error {
 	return err
 }
 
+// Wide names the field of rec that sets a bit at or above the slice's
+// width for it — "key" (value or mask, KeyBits) or "data" (DataBits) —
+// with that width, or returns "" when rec fits.
+func (s *Slice) Wide(rec *match.Record) (field string, bits int) {
+	k := bitutil.Mask(s.cfg.KeyBits)
+	switch {
+	case !rec.Key.Value.AndNot(k).IsZero() || !rec.Key.Mask.AndNot(k).IsZero():
+		return "key", s.cfg.KeyBits
+	case !rec.Data.AndNot(bitutil.Mask(s.cfg.DataBits)).IsZero():
+		return "data", s.cfg.DataBits
+	}
+	return "", 0
+}
+
 // Place stores a record from an explicit home bucket, which must be one
 // of the key's homes (see homes), and reports its displacement from it —
 // the per-record quantity behind the AMAL analyses of §4 (a record
@@ -239,11 +253,11 @@ func (s *Slice) Touch(homes []uint32) {
 	}
 }
 
-// prefetch issues cache hints for the lines a read of row idx starts
-// with: the row's version, first and last (aux) lines, and its mark.
+// prefetch issues cache hints for the lines a read of row idx fetches:
+// the row's version, its mark and the row (mem.Array.Prefetch: every
+// line of a row up to 4 lines wide), in one call.
 func (s *Slice) prefetch(idx uint32) {
-	s.array.Prefetch(idx)
-	mem.Prefetch(unsafe.Pointer(&s.mark[idx]))
+	s.array.Prefetch(idx, unsafe.Pointer(&s.mark[idx]))
 }
 
 // updateRow is the slice's one write path to a stored row: the array

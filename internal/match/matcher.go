@@ -201,20 +201,24 @@ func hit(v, d uint64) uint64 { return v &^ ((d | -d) >> 63) }
 
 func scanBinary1(row []uint64, slots []slotPos, q *query) (hits, valid uint64) {
 	care, want := q.careLo, q.wantLo
-	for i, p := range slots {
-		v := load(row, p.vw) >> (p.vs & 63) & 1
+	for i := range slots {
+		p := &slots[i]
+		vw, vs, kw, kw2, ks := p.vw, p.vs, p.kw, p.kw2, p.ks
+		v := load(row, vw) >> (vs & 63) & 1
 		valid += v
-		hits |= hit(v, funnel(row, p.kw, p.kw2, p.ks)&care^want) << (uint(i) & 63)
+		hits |= hit(v, funnel(row, kw, kw2, ks)&care^want) << (uint(i) & 63)
 	}
 	return hits, valid
 }
 
 func scanBinary2(row []uint64, slots []slotPos, q *query) (hits, valid uint64) {
 	careLo, careHi, wantLo, wantHi := q.careLo, q.careHi, q.wantLo, q.wantHi
-	for i, p := range slots {
-		v := load(row, p.vw) >> (p.vs & 63) & 1
-		d := funnel(row, p.kw, p.kw+1, p.ks)&careLo ^ wantLo
-		d |= funnel(row, p.kw+1, p.kw2, p.ks)&careHi ^ wantHi
+	for i := range slots {
+		p := &slots[i]
+		vw, vs, kw, kw2, ks := p.vw, p.vs, p.kw, p.kw2, p.ks
+		v := load(row, vw) >> (vs & 63) & 1
+		d := funnel(row, kw, kw+1, ks)&careLo ^ wantLo
+		d |= funnel(row, kw+1, kw2, ks)&careHi ^ wantHi
 		valid += v
 		hits |= hit(v, d) << (uint(i) & 63)
 	}
@@ -223,9 +227,11 @@ func scanBinary2(row []uint64, slots []slotPos, q *query) (hits, valid uint64) {
 
 func scanTernary1(row []uint64, slots []slotPos, q *query) (hits, valid uint64) {
 	care, want := q.careLo, q.wantLo
-	for i, p := range slots {
-		v := load(row, p.vw) >> (p.vs & 63) & 1
-		d := (funnel(row, p.kw, p.kw2, p.ks)&care ^ want) &^ funnel(row, p.mw, p.mw2, p.ms)
+	for i := range slots {
+		p := &slots[i]
+		vw, vs, kw, kw2, ks, mw, mw2, ms := p.vw, p.vs, p.kw, p.kw2, p.ks, p.mw, p.mw2, p.ms
+		v := load(row, vw) >> (vs & 63) & 1
+		d := (funnel(row, kw, kw2, ks)&care ^ want) &^ funnel(row, mw, mw2, ms)
 		valid += v
 		hits |= hit(v, d) << (uint(i) & 63)
 	}
@@ -234,10 +240,12 @@ func scanTernary1(row []uint64, slots []slotPos, q *query) (hits, valid uint64) 
 
 func scanTernary2(row []uint64, slots []slotPos, q *query) (hits, valid uint64) {
 	careLo, careHi, wantLo, wantHi := q.careLo, q.careHi, q.wantLo, q.wantHi
-	for i, p := range slots {
-		v := load(row, p.vw) >> (p.vs & 63) & 1
-		d := (funnel(row, p.kw, p.kw+1, p.ks)&careLo ^ wantLo) &^ funnel(row, p.mw, p.mw+1, p.ms)
-		d |= (funnel(row, p.kw+1, p.kw2, p.ks)&careHi ^ wantHi) &^ funnel(row, p.mw+1, p.mw2, p.ms)
+	for i := range slots {
+		p := &slots[i]
+		vw, vs, kw, kw2, ks, mw, mw2, ms := p.vw, p.vs, p.kw, p.kw2, p.ks, p.mw, p.mw2, p.ms
+		v := load(row, vw) >> (vs & 63) & 1
+		d := (funnel(row, kw, kw+1, ks)&careLo ^ wantLo) &^ funnel(row, mw, mw+1, ms)
+		d |= (funnel(row, kw+1, kw2, ks)&careHi ^ wantHi) &^ funnel(row, mw+1, mw2, ms)
 		valid += v
 		hits |= hit(v, d) << (uint(i) & 63)
 	}

@@ -329,14 +329,33 @@ func (a *Array) TryPeekRow(idx uint32, dst []uint64) bool {
 	return a.seq[idx].Load() == v1
 }
 
-// Prefetch hints what a read of row idx starts with: its seqlock version,
-// its first line and its last (the aux field's). It changes nothing.
-func (a *Array) Prefetch(idx uint32) {
-	row := a.row(idx)
-	Prefetch(unsafe.Pointer(&a.seq[idx]))
-	Prefetch(unsafe.Pointer(&row[0]))
-	Prefetch(unsafe.Pointer(&row[len(row)-1]))
+// Prefetch hints, in one call, the lines a read of row idx fetches and
+// the one holding also (the caller's per-row word, e.g. an occupancy
+// mark): the row's seqlock version and, for a row of up to 4 lines
+// (256 B), every line it spans — the whole row at once, as the paper's
+// row access delivers it. A wider row gets its first line and its last
+// (the aux field's): a bounded match reads only its leading slots and
+// the aux word. It changes nothing.
+func (a *Array) Prefetch(idx uint32, also unsafe.Pointer) {
+	lo, hi, stride := a.hintRange(idx)
+	prefetch(unsafe.Pointer(&a.seq[idx]), also, lo, hi, stride)
 }
+
+// hintRange is what Prefetch hints of row idx (see prefetch): the
+// addresses of its first and last words and the step between hints — a
+// line when the row is at most 256 B wide, else the whole distance.
+func (a *Array) hintRange(idx uint32) (lo, hi, stride uintptr) {
+	off := int(idx) * a.rowWords
+	lo = uintptr(unsafe.Pointer(&a.data[off]))
+	hi = uintptr(unsafe.Pointer(&a.data[off+a.rowWords-1]))
+	if stride = hi - lo; a.rowWords <= 32 {
+		stride = 64
+	}
+	return lo, hi, stride
+}
+
+// Prefetch hints the cache line holding p.
+func Prefetch(p unsafe.Pointer) { prefetch(p, p, uintptr(p), uintptr(p), 64) }
 
 // ChargeRowReads charges n row read accesses at once — what n FetchRow
 // calls would add, in one atomic add per counter. Lock-free readers

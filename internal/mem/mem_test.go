@@ -1,8 +1,10 @@
 package mem
 
 import (
+	"maps"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -196,5 +198,60 @@ func TestCommitRowUpdatePublishesScratchQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPrefetchHintsRowLines holds the hint set Prefetch issues, through
+// hintRange and the walk prefetch makes over it: a row of up to 256 B
+// gets every line it spans, a wider one its first line and its aux
+// (last) line, and no hint leaves the array. Nine rows of an odd width
+// put a row at every start offset mod 8 words, so the 13-word row (the
+// served exact layout, 104 B) is seen straddling three lines; 49 and 241
+// words are the lpm and pktclass rows.
+func TestPrefetchHintsRowLines(t *testing.T) {
+	line := func(p uintptr) uintptr { return p / 64 }
+	for _, words := range []int{1, 13, 32, 33, 49, 241} {
+		a := MustNew(Config{Rows: 9, RowBits: words * 64})
+		data := a.PeekWords()
+		base := uintptr(unsafe.Pointer(&data[0]))
+		end := base + uintptr(len(data))*8
+		offsets, straddles := map[uintptr]bool{}, false
+		for r := 0; r < a.Rows(); r++ {
+			idx := uint32(r)
+			row := a.PeekRow(idx)
+			first, last := uintptr(unsafe.Pointer(&row[0])), uintptr(unsafe.Pointer(&row[len(row)-1]))
+			offsets[first%64/8] = true
+			lo, hi, stride := a.hintRange(idx)
+			got := map[uintptr]bool{}
+			for p := lo; ; p += stride {
+				if p >= hi {
+					p = hi
+				}
+				if p < base || p >= end {
+					t.Fatalf("%d-word row %d: hint %#x outside the array [%#x, %#x)", words, r, p, base, end)
+				}
+				got[line(p)] = true
+				if p == hi {
+					break
+				}
+			}
+			want := map[uintptr]bool{line(first): true, line(last): true}
+			if words*8 <= 256 {
+				for l := line(first); l <= line(last); l++ {
+					want[l] = true
+				}
+				straddles = straddles || len(want) == 3 && words == 13
+			}
+			if !maps.Equal(got, want) {
+				t.Errorf("%d-word row %d at line offset %d: hinted lines %v, want %v", words, r, first%64, got, want)
+			}
+			a.Prefetch(idx, unsafe.Pointer(&row[0])) // the stub runs on every range
+		}
+		if words%2 == 1 && len(offsets) != 8 {
+			t.Errorf("%d-word rows start at %d word offsets of a line, want all 8", words, len(offsets))
+		}
+		if words == 13 && !straddles {
+			t.Error("no 13-word row straddles three lines")
+		}
 	}
 }

@@ -4,10 +4,11 @@ package mem
 
 import "unsafe"
 
-// Prefetch hints that the cache line holding p will be read soon
-// (PREFETCHT0 on amd64, PRFM PLDL1KEEP on arm64). Unlike a load, it
-// retires before the line arrives, so a stage issuing hints runs ahead
-// of the stage reading the lines. It never faults and changes nothing.
+// prefetch hints the lines holding p and q, then lo, lo+stride, ...
+// while below hi, then hi — each line of [lo, hi] for a stride of at most
+// a line (PREFETCHT0 on amd64, PRFM PLDL1KEEP on arm64). A hint, unlike a
+// load, retires before its line arrives, so a stage issuing hints runs
+// ahead of the stage reading the lines. It never faults.
 //
 //go:noescape
-func Prefetch(p unsafe.Pointer)
+func prefetch(p, q unsafe.Pointer, lo, hi, stride uintptr)

@@ -4,5 +4,5 @@ package mem
 
 import "unsafe"
 
-// Prefetch is a no-op where no prefetch instruction is wired in.
-func Prefetch(p unsafe.Pointer) {}
+// prefetch is a no-op where no prefetch instruction is wired in.
+func prefetch(p, q unsafe.Pointer, lo, hi, stride uintptr) {}

@@ -56,7 +56,7 @@ func TestStressMetricsCountersExact(t *testing.T) {
 			eng := names[g%engines]
 			for i := 0; i < iters; i++ {
 				key := fmt.Sprintf("%x", uint64(g)<<32|uint64(i))
-				if resp := s.Exec("INSERT " + eng + " " + key + " " + key); resp != "OK" {
+				if resp := s.Exec(fmt.Sprintf("INSERT %s %s %x", eng, key, i)); resp != "OK" { // the payload fits 32 bits
 					t.Errorf("worker %d INSERT: %q", g, resp)
 					return
 				}

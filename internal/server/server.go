@@ -694,7 +694,9 @@ func (s *Server) execWriteAppend(dst []byte, v *wire.Verb, fs *wire.Scanner, sv 
 // Engine a view of the line, and reports whether they parse. When they
 // do not, it appends the reply that says why, judged in the order the
 // replies have always judged them: arity, then key, mask, data, text
-// length and score, then the engine's type (gateType). A masked write
+// length and score, then the engine's type (gateType), then its widths:
+// a key, mask or data bit the engine cannot store is refused here,
+// before the journal, and never silently cut. A masked write
 // stores its value bits under the mask zeroed, so equal rules have equal
 // row images; TINSERT folds its text, the rest of the line, into the
 // trigram key image and stores it with the 16-bit hex score.
@@ -746,6 +748,10 @@ func (s *Server) parseWrite(dst []byte, ent *subsystem.JournalEntry, v *wire.Ver
 		if dst, ok = s.gateType(dst, v, eng, accepts); !ok {
 			return dst, false
 		}
+	}
+	if field, bits := s.con.Wide(eng, &rec); field != "" {
+		dst = append(append(append(dst, "ERR "...), field...), " wider than "...)
+		return append(strconv.AppendInt(dst, int64(bits), 10), " bits"...), false
 	}
 	ent.Engine = eng
 	if v.ID == wire.Delete || v.ID == wire.MDelete {

@@ -147,7 +147,7 @@ func TestStressServerOverTCP(t *testing.T) {
 			}
 			for i := 0; i < 50; i++ {
 				key := fmt.Sprintf("%x", uint64(c)<<32|uint64(i))
-				if resp := ask("INSERT " + eng + " " + key + " " + key); resp != "OK" {
+				if resp := ask(fmt.Sprintf("INSERT %s %s %x", eng, key, i)); resp != "OK" { // the payload fits 32 bits
 					t.Errorf("conn %d INSERT: %q", c, resp)
 					return
 				}

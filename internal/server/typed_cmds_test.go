@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"caram/internal/subsystem"
 )
 
 // Parser hardening for the typed-engine wire surface: every malformed
@@ -100,5 +102,60 @@ func TestTypedEngineLimit(t *testing.T) {
 	mustOK(t, s, "CREATE ENGINE over TYPE exact INDEXBITS 1 SLOTS 1")
 	if n := len(s.con.Engines()); n != maxEngines {
 		t.Fatalf("engine count = %d, want %d", n, maxEngines)
+	}
+}
+
+// TestWritesWiderThanEngineRefused: a write that sets a key, mask or
+// data bit at or above the engine's KeyBits or DataBits is refused
+// before the journal, where it used to be acked and then stored cut to
+// the engine's widths — answering no SEARCH of either spelling, or
+// another record's payload, and failing Slice.Verify. Reads of a wide
+// key keep their MISS; the widest writes that fit are served as before.
+func TestWritesWiderThanEngineRefused(t *testing.T) {
+	sub := subsystem.New(0)
+	var engines []*subsystem.Engine
+	for name, typ := range map[string]subsystem.EngineType{"db": subsystem.ExactEngine, "ip": subsystem.LPMEngine} {
+		e, err := subsystem.NewTypedEngine(name, typ, subsystem.TypedConfig{IndexBits: 6})
+		if err == nil {
+			err = sub.AddEngine(e)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, e)
+	}
+	s := New(sub)
+	t.Cleanup(func() { s.Close() })
+	for _, c := range []struct{ req, want string }{
+		{"INSERT db deadbeef:cafe 45", "ERR key wider than 64 bits"},
+		{"SEARCH db deadbeef:cafe", "MISS"},
+		{"SEARCH db cafe", "MISS"},
+		{"MSEARCH db deadbeef:cafe db cafe", "MRESULTS MISS MISS"},
+		{"DELETE db deadbeef:cafe", "ERR key wider than 64 bits"},
+		{"INSERT db 5 1ffffffff", "ERR data wider than 32 bits"},
+		{"SEARCH db 5", "MISS"},
+		{"INSERT db ffffffffffffffff ffffffff", "OK"},
+		{"SEARCH db ffffffffffffffff", "HIT 0:00000000ffffffff"},
+		{"MINSERT ip 1:0a000000 ffffffff:ff000000 7", "ERR key wider than 32 bits"},
+		{"MINSERT ip 0a000000 1:ff 7", "ERR key wider than 32 bits"},
+		{"MDELETE ip 1:0a000000 ff", "ERR key wider than 32 bits"},
+		{"INSERT ip 0a000001 123456789", "ERR data wider than 32 bits"},
+		{"SEARCH ip 0a000001", "MISS"},
+		{"MINSERT ip 0a000000 ff ffffffff", "OK"},
+		{"SEARCH ip 0a000001", "HIT 0:00000000ffffffff"},
+		{"MINSERT db 5 1 2", "ERR minsert: engine type exact"}, // the type is judged first
+		{"INSERT nope 1:0 2", "ERR subsystem: no engine \"nope\""},
+	} {
+		if got := s.Exec(c.req); got != c.want {
+			t.Errorf("%s => %q, want %q", c.req, got, c.want)
+		}
+	}
+	for _, e := range engines {
+		if n := e.Main.Count(); n != 1 {
+			t.Errorf("engine %s holds %d records, want 1", e.Name, n)
+		}
+		if v := e.Main.Verify(); v != "" {
+			t.Errorf("engine %s: %s", e.Name, v)
+		}
 	}
 }

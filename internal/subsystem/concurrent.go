@@ -445,6 +445,15 @@ func (c *Concurrent) EngineType(port string) (EngineType, error) {
 	return g.e.Type, nil
 }
 
+// Wide is caram.Slice.Wide on the named engine. An unknown engine
+// reports "": the executor refuses it at admission, which counts it.
+func (c *Concurrent) Wide(port string, rec *match.Record) (field string, bits int) {
+	if g, ok := c.engine(port); ok {
+		return g.e.Main.Wide(rec)
+	}
+	return "", 0
+}
+
 // The executor. Figure 5 puts one input controller in front of the
 // slices and Table 1 walks every request through one fixed pipeline;
 // the operations below do the same. Each is one of three bodies — read

@@ -200,6 +200,58 @@ func TestReplayCountsDroppedRecords(t *testing.T) {
 	}
 }
 
+// TestReplayKeepsOverWideRecords: a log written before the server
+// refused writes wider than the engine may hold an insert that sets a
+// key or data bit the engine cannot store. Replay applies it as the
+// engine that took it did — cut to the engine's widths — and counts it
+// replayed, not dropped: a replayed log rebuilds the table its previous
+// life held, bit for bit, whichever caller wrote it (Engine.Insert, the
+// library path, still cuts). Only the server refuses such writes now.
+func TestReplayKeepsOverWideRecords(t *testing.T) {
+	dir := t.TempDir()
+	_, w, _ := openStack(t, dir, Options{Sync: SyncPolicy{Mode: SyncAlways}})
+	recs := []match.Record{
+		rec(1),
+		{Key: bitutil.Exact(bitutil.FromParts(0xcafe, 0xdeadbeef)), Data: bitutil.FromUint64(0x45)},
+		{Key: key(5), Data: bitutil.FromUint64(0x1ffffffff)},
+		rec(2),
+	}
+	twin := testEngine(t, "db") // the engine the old server applied them to
+	for _, r := range recs {
+		lsn, err := w.Append(subsystem.JournalEntry{Op: subsystem.JournalInsert, Engine: "db", Rec: r})
+		if err == nil {
+			err = w.Commit(lsn)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.Insert(r, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if field, _ := twin.Main.Wide(&recs[1]); field != "key" {
+		t.Fatalf("Wide(128-bit key) = %q, want key", field)
+	}
+	if field, _ := twin.Main.Wide(&recs[2]); field != "data" {
+		t.Fatalf("Wide(33-bit data) = %q, want data", field)
+	}
+
+	eng := testEngine(t, "db")
+	_, res, err := Recover(dir, []*subsystem.Engine{eng}, Options{Sync: SyncPolicy{Mode: SyncAlways}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Replayed != 4 || res.Dropped != 0 {
+		t.Fatalf("Replayed = %d, Dropped = %d %v, want 4 and 0", res.Replayed, res.Dropped, res.DroppedFirst)
+	}
+	if !slices.Equal(eng.Main.Array().PeekWords(), twin.Main.Array().PeekWords()) {
+		t.Fatal("the replayed table differs from the one the log's writer held")
+	}
+	if sr := eng.Search(key(5)); !sr.Found || sr.Record.Data != bitutil.FromUint64(0xffffffff) {
+		t.Fatalf("key 5 after replay: found %v data %v, want the cut payload ffffffff", sr.Found, sr.Record.Data)
+	}
+}
+
 // TestSnapshotTruncatesAndGates: a snapshot bounds replay (records at
 // or below its bound never re-apply) and prunes sealed segments.
 func TestSnapshotTruncatesAndGates(t *testing.T) {
