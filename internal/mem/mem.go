@@ -348,8 +348,9 @@ func (a *Array) hintRange(idx uint32) (lo, hi, stride uintptr) {
 	off := int(idx) * a.rowWords
 	lo = uintptr(unsafe.Pointer(&a.data[off]))
 	hi = uintptr(unsafe.Pointer(&a.data[off+a.rowWords-1]))
-	if stride = hi - lo; a.rowWords <= 32 {
-		stride = 64
+	stride = 64
+	if a.rowWords > 32 {
+		stride = hi - lo
 	}
 	return lo, hi, stride
 }
